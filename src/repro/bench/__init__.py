@@ -15,7 +15,12 @@ The ``benchmarks/`` directory wires the same runners into
 pytest-benchmark (one module per subfigure).
 """
 
-from repro.bench.reporting import Table
-from repro.bench.experiments import EXPERIMENTS
+from repro import _lazy_exports
 
-__all__ = ["EXPERIMENTS", "Table"]
+_EXPORTS = {
+    "EXPERIMENTS": "repro.bench.experiments",
+    "Table": "repro.bench.reporting",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

@@ -104,51 +104,30 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import warnings
 from typing import Optional, Sequence
 
-from repro.core.answer import answer_with_views
-from repro.core.bounded.bcontainment import bounded_contains
-from repro.core.bounded.bminimal import bounded_minimal_views
-from repro.core.bounded.bminimum import bounded_minimum_views
-from repro.core.containment import contains
-from repro.core.minimal import minimal_views
-from repro.core.minimum import minimum_views
-from repro.datasets import (
-    amazon_graph,
-    amazon_views,
-    citation_graph,
-    citation_views,
-    random_graph,
-    youtube_graph,
-    youtube_views,
-)
-from repro.datasets.patterns import generate_views
-from repro.engine import QueryEngine
-from repro.errors import NotContainedError
-from repro.graph.io import read_graph, read_pattern, write_graph
-from repro.graph.pattern import BoundedPattern
-from repro.graph.stats import graph_stats
-from repro.views.io import read_viewset, write_viewset
+# Every handler imports what it runs: `python -m repro <command>` loads
+# only the modules that command needs, so a `snapshot load` never pays
+# for the dataset generators or the server (the layering test pins it).
 
-_DATASETS = {
-    "amazon": (amazon_graph, amazon_views),
-    "citation": (citation_graph, citation_views),
-    "youtube": (youtube_graph, lambda: youtube_views()),
-    "synthetic": (random_graph, None),
-}
+_DATASETS = ("amazon", "citation", "synthetic", "youtube")
+_SELECTIONS = ("all", "minimal", "minimum")
 
 
 def _cmd_generate(args) -> int:
+    from repro import datasets
+    from repro.graph.io import write_graph
+    from repro.views.io import write_viewset
+
     if args.dataset == "synthetic":
-        graph = random_graph(args.nodes, args.edges, seed=args.seed)
-        views = generate_views(
+        graph = datasets.random_graph(args.nodes, args.edges, seed=args.seed)
+        views = datasets.generate_views(
             tuple(f"l{i}" for i in range(10)), 22, seed=args.seed
         )
     else:
-        graph_fn, views_fn = _DATASETS[args.dataset]
+        graph_fn = getattr(datasets, f"{args.dataset}_graph")
         graph = graph_fn(args.nodes, args.edges, seed=args.seed)
-        views = views_fn() if views_fn else None
+        views = getattr(datasets, f"{args.dataset}_views")()
     write_graph(graph, args.out)
     print(f"wrote {graph.num_nodes} nodes / {graph.num_edges} edges to {args.out}")
     if args.views and views is not None:
@@ -158,6 +137,9 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_materialize(args) -> int:
+    from repro.graph.io import read_graph
+    from repro.views.io import read_viewset, write_viewset
+
     graph = read_graph(args.graph)
     views = read_viewset(args.views)
     views.materialize(graph)
@@ -170,20 +152,16 @@ def _cmd_materialize(args) -> int:
     return 0
 
 
-def _select(query, views, strategy):
-    bounded = isinstance(query, BoundedPattern) or any(d.is_bounded for d in views)
-    table = {
-        "all": (contains, bounded_contains),
-        "minimal": (minimal_views, bounded_minimal_views),
-        "minimum": (minimum_views, bounded_minimum_views),
-    }
-    return table[strategy][1 if bounded else 0](query, views)
-
-
 def _cmd_contain(args) -> int:
+    from repro.core.containment import selector
+    from repro.graph.io import read_pattern
+    from repro.graph.pattern import BoundedPattern
+    from repro.views.io import read_viewset
+
     query = read_pattern(args.query)
     views = read_viewset(args.views)
-    containment = _select(query, views, args.strategy)
+    bounded = isinstance(query, BoundedPattern) or any(d.is_bounded for d in views)
+    containment = selector(args.strategy, bounded)(query, views)
     if containment.holds:
         print(f"contained: yes ({args.strategy} selection)")
         print(f"views used: {', '.join(containment.views_used())}")
@@ -198,6 +176,11 @@ def _cmd_contain(args) -> int:
 
 
 def _cmd_query(args) -> int:
+    from repro.core.answer import answer_with_views
+    from repro.errors import NotContainedError
+    from repro.graph.io import read_graph, read_pattern
+    from repro.views.io import read_viewset
+
     query = read_pattern(args.query)
     views = read_viewset(args.views)
     graph = read_graph(args.graph) if args.graph else None
@@ -223,6 +206,11 @@ def _cmd_query(args) -> int:
 
 
 def _cmd_engine(args) -> int:
+    from repro.engine import QueryEngine
+    from repro.errors import NotContainedError
+    from repro.graph.io import read_graph, read_pattern
+    from repro.views.io import read_viewset
+
     try:
         queries = [read_pattern(path) for path in args.queries]
         views = read_viewset(args.views)
@@ -275,7 +263,10 @@ def _cmd_engine(args) -> int:
 def _cmd_advise(args) -> int:
     """Replay a workload through the adaptive engine, then report (or
     apply) the advisor's materialize/evict plan for the byte budget."""
+    from repro.engine import QueryEngine
     from repro.engine.advisor import WorkloadAdvisor
+    from repro.graph.io import read_graph, read_pattern
+    from repro.views.io import read_viewset, write_viewset
 
     try:
         queries = [read_pattern(path) for path in args.queries]
@@ -335,6 +326,7 @@ def _cmd_advise(args) -> int:
 
 
 def _cmd_shard(args) -> int:
+    from repro.graph.io import read_graph
     from repro.shard import ShardedGraph, make_partition
 
     graph = read_graph(args.graph)
@@ -382,6 +374,10 @@ def _cmd_shard(args) -> int:
 
 
 def _cmd_maintain(args) -> int:
+    import warnings
+
+    from repro.graph.io import read_graph
+    from repro.views.io import read_viewset
     from repro.views.maintenance import Delta
     from repro.views.view import materialize as _materialize
 
@@ -541,7 +537,9 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_snapshot_save(args) -> int:
+    from repro.graph.io import read_graph
     from repro.graph.snapshot import SnapshotStore
+    from repro.views.io import read_viewset
 
     try:
         graph = read_graph(args.graph)
@@ -594,6 +592,10 @@ def _cmd_snapshot_load(args) -> int:
     )
     if not args.query:
         return 0
+    from repro.engine import QueryEngine
+    from repro.errors import NotContainedError
+    from repro.graph.io import read_pattern
+
     try:
         query = read_pattern(args.query)
     except OSError as err:
@@ -613,45 +615,18 @@ def _cmd_snapshot_load(args) -> int:
 
 
 def _cmd_snapshot_info(args) -> int:
-    import os
+    from repro.graph.snapshot import SnapshotStore
 
-    from repro.graph.flatbuf import SegmentFormatError, verify_segment_file
-    from repro.graph.snapshot import MANIFEST_NAME
-
-    path = os.fspath(args.path)
     try:
-        with open(os.path.join(path, MANIFEST_NAME), encoding="utf-8") as fh:
-            manifest = json.load(fh)
+        info = SnapshotStore.info(args.path, verify=args.verify)
     except (OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    files = {
-        name: os.path.getsize(os.path.join(path, name))
-        for name in sorted(os.listdir(path))
-        if os.path.isfile(os.path.join(path, name))
-    }
-    verified = []
-    if args.verify:
-        for name in files:
-            if not name.endswith(".seg"):
-                continue
-            try:
-                verify_segment_file(os.path.join(path, name))
-            except SegmentFormatError as err:
-                print(f"error: {name}: {err}", file=sys.stderr)
-                return 1
-            verified.append(name)
     if args.format == "json":
-        payload = {
-            "path": path,
-            "manifest": manifest,
-            "files": files,
-            "on_disk_bytes": sum(files.values()),
-            "verified_segments": verified,
-        }
-        json.dump(payload, sys.stdout, indent=2)
+        json.dump(info, sys.stdout, indent=2)
         print()
         return 0
+    manifest = info["manifest"]
     meta = manifest.get("graph", {})
     print(
         f"{manifest.get('kind')} snapshot (format {manifest.get('format')}): "
@@ -664,18 +639,28 @@ def _cmd_snapshot_info(args) -> int:
             else ""
         )
     )
-    for name, size in files.items():
-        marker = "  [crc ok]" if name in verified else ""
-        print(f"  {name}: {size} bytes{marker}")
-    print(f"total on disk: {sum(files.values())} bytes")
+    for name, size in info["files"].items():
+        marker = "  [crc ok]" if name in info["verified_segments"] else ""
+        rows = info["boundary"].get(name)
+        detail = (
+            f"  [boundary rows: {rows['rows']} global ids, "
+            f"{rows['bridge_pairs']} bridge pairs]"
+            if rows
+            else ""
+        )
+        print(f"  {name}: {size} bytes{detail}{marker}")
+    print(f"total on disk: {info['on_disk_bytes']} bytes")
     return 0
 
 
 def _cmd_serve(args) -> int:
     import asyncio
 
+    from repro.engine import QueryEngine
+    from repro.graph.io import read_graph
     from repro.obs.logsetup import install as install_logging
     from repro.serve import MetricsServer, QueryServer, serve_tcp
+    from repro.views.io import read_viewset
     from repro.views.maintenance import IncrementalViewSet
 
     install_logging(args.log_level)
@@ -794,8 +779,12 @@ def _cmd_trace(args) -> int:
     the request's span tree plus its plan-choice record."""
     import asyncio
 
+    from repro.engine import QueryEngine
+    from repro.errors import NotContainedError
+    from repro.graph.io import read_graph, read_pattern
     from repro.obs.trace import format_span_tree
     from repro.serve import QueryServer
+    from repro.views.io import read_viewset
 
     try:
         query = read_pattern(args.query)
@@ -939,6 +928,10 @@ def _cmd_stats(args) -> int:
         print("error: stats needs --graph (or --snapshot DIR)",
               file=sys.stderr)
         return 1
+    from repro.graph.io import read_graph
+    from repro.graph.stats import graph_stats
+    from repro.views.io import read_viewset
+
     graph = read_graph(args.graph)
     stats = graph_stats(graph)
     views = read_viewset(args.views) if args.views else None
@@ -1062,7 +1055,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="generate a dataset stand-in")
-    p.add_argument("--dataset", choices=sorted(_DATASETS), required=True)
+    p.add_argument("--dataset", choices=_DATASETS, required=True)
     p.add_argument("--nodes", type=int, default=10_000)
     p.add_argument("--edges", type=int, default=30_000)
     p.add_argument("--seed", type=int, default=0)
@@ -1078,7 +1071,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("contain", help="check pattern containment")
     p.add_argument("--query", required=True)
     p.add_argument("--views", required=True)
-    p.add_argument("--strategy", choices=("all", "minimal", "minimum"),
+    p.add_argument("--strategy", choices=_SELECTIONS,
                    default="all")
     p.set_defaults(func=_cmd_contain)
 
@@ -1086,7 +1079,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--query", required=True)
     p.add_argument("--views", required=True)
     p.add_argument("--graph", help="graph for materialize-on-demand")
-    p.add_argument("--strategy", choices=("all", "minimal", "minimum"),
+    p.add_argument("--strategy", choices=_SELECTIONS,
                    default="minimal")
     p.add_argument("--out", help="write the result table as JSON")
     p.set_defaults(func=_cmd_query)
@@ -1099,7 +1092,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--views", required=True)
     p.add_argument("--graph",
                    help="graph for materialize-on-demand and direct fallback")
-    p.add_argument("--strategy", choices=("all", "minimal", "minimum"),
+    p.add_argument("--strategy", choices=_SELECTIONS,
                    default="minimal")
     p.add_argument("--executor", choices=("serial", "thread", "process"),
                    default="serial")
@@ -1123,7 +1116,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="the workload: one or more pattern JSON files")
     p.add_argument("--views", required=True)
     p.add_argument("--graph", required=True)
-    p.add_argument("--strategy", choices=("all", "minimal", "minimum"),
+    p.add_argument("--strategy", choices=_SELECTIONS,
                    default="minimal")
     p.add_argument("--repeat", type=int, default=1,
                    help="replay the workload N times (weights frequency)")
@@ -1185,7 +1178,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=7677,
                    help="TCP port (0 picks an ephemeral port)")
-    p.add_argument("--strategy", choices=("all", "minimal", "minimum"),
+    p.add_argument("--strategy", choices=_SELECTIONS,
                    default="minimal")
     p.add_argument("--budget", type=int,
                    help="maintenance affected-area budget (default: never "
@@ -1224,7 +1217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--query", required=True)
     p.add_argument("--views", required=True)
     p.add_argument("--graph", required=True)
-    p.add_argument("--strategy", choices=("all", "minimal", "minimum"),
+    p.add_argument("--strategy", choices=_SELECTIONS,
                    default="minimal")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_trace)
@@ -1302,7 +1295,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--query",
                    help="answer this pattern query from the reloaded "
                         "snapshot's cached views")
-    s.add_argument("--strategy", choices=("all", "minimal", "minimum"),
+    s.add_argument("--strategy", choices=_SELECTIONS,
                    default="minimal")
     s.set_defaults(func=_cmd_snapshot_load)
 

@@ -13,29 +13,22 @@
   applications/extensions (Corollary 4, Section VIII future work).
 """
 
-from repro.core.answer import Answer, answer_with_views
-from repro.core.bounded import (
-    bounded_contains,
-    bounded_match_join,
-    bounded_minimal_views,
-    bounded_minimum_views,
-)
-from repro.core.containment import Containment, contains, query_contained
-from repro.core.matchjoin import match_join
-from repro.core.minimal import minimal_views
-from repro.core.minimum import minimum_views
+from repro import _lazy_exports
 
-__all__ = [
-    "Answer",
-    "Containment",
-    "answer_with_views",
-    "bounded_contains",
-    "bounded_match_join",
-    "bounded_minimal_views",
-    "bounded_minimum_views",
-    "contains",
-    "match_join",
-    "minimal_views",
-    "minimum_views",
-    "query_contained",
-]
+_EXPORTS = {
+    "Answer": "repro.core.answer",
+    "Containment": "repro.core.containment",
+    "answer_with_views": "repro.core.answer",
+    "bounded_contains": "repro.core.bounded.bcontainment",
+    "bounded_match_join": "repro.core.bounded.bmatchjoin",
+    "bounded_minimal_views": "repro.core.bounded.bminimal",
+    "bounded_minimum_views": "repro.core.bounded.bminimum",
+    "contains": "repro.core.containment",
+    "match_join": "repro.core.matchjoin",
+    "minimal_views": "repro.core.minimal",
+    "minimum_views": "repro.core.minimum",
+    "query_contained": "repro.core.containment",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

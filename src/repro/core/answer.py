@@ -21,26 +21,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from repro.core.bounded.bcontainment import bounded_contains
-from repro.core.bounded.bminimal import bounded_minimal_views
-from repro.core.bounded.bminimum import bounded_minimum_views
 from repro.core.bounded.bmatchjoin import bounded_match_join
-from repro.core.containment import Containment, contains
+from repro.core.containment import SELECTIONS, Containment, selector
 from repro.core.matchjoin import match_join
-from repro.core.minimal import minimal_views
-from repro.core.minimum import minimum_views
 from repro.errors import NotContainedError
 from repro.graph.digraph import DataGraph
 from repro.graph.pattern import BoundedPattern, Pattern
 from repro.simulation.result import MatchResult
 from repro.views.storage import ViewSet
-
-#: Selection strategies and their (plain, bounded) implementations.
-_STRATEGIES = {
-    "all": (contains, bounded_contains),
-    "minimal": (minimal_views, bounded_minimal_views),
-    "minimum": (minimum_views, bounded_minimum_views),
-}
 
 
 @dataclass
@@ -88,15 +76,15 @@ def answer_with_views(
         using these views.  (See :mod:`repro.core.rewriting` for the
         maximally-contained fallback.)
     """
-    if selection not in _STRATEGIES:
+    if selection not in SELECTIONS:
         raise ValueError(
             f"unknown selection {selection!r}; expected one of "
-            f"{sorted(_STRATEGIES)}"
+            f"{sorted(SELECTIONS)}"
         )
     bounded = isinstance(query, BoundedPattern) or any(
         d.is_bounded for d in views
     )
-    select = _STRATEGIES[selection][1 if bounded else 0]
+    select = selector(selection, bounded)
     containment = select(query, views)
     if not containment.holds:
         raise NotContainedError(containment.uncovered)

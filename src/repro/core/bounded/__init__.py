@@ -6,14 +6,14 @@ comparable complexity (Theorems 8-10): ``Bcontain`` / ``Bminimal`` /
 ``BMatchJoin`` for evaluation with the distance index ``I(V)``.
 """
 
-from repro.core.bounded.bcontainment import bounded_contains
-from repro.core.bounded.bminimal import bounded_minimal_views
-from repro.core.bounded.bminimum import bounded_minimum_views
-from repro.core.bounded.bmatchjoin import bounded_match_join
+from repro import _lazy_exports
 
-__all__ = [
-    "bounded_contains",
-    "bounded_match_join",
-    "bounded_minimal_views",
-    "bounded_minimum_views",
-]
+_EXPORTS = {
+    "bounded_contains": "repro.core.bounded.bcontainment",
+    "bounded_match_join": "repro.core.bounded.bmatchjoin",
+    "bounded_minimal_views": "repro.core.bounded.bminimal",
+    "bounded_minimum_views": "repro.core.bounded.bminimum",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

@@ -14,19 +14,31 @@ sibling ``Bcontain`` via dispatch on the query/view types), returning a
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Hashable, Iterable, List, Tuple, Union
+from importlib import import_module
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    FrozenSet,
+    Hashable,
+    Iterable,
+    List,
+    Tuple,
+    Union,
+)
 
-from repro.core.view_match import ViewMatch, view_match_simulation
 from repro.graph.pattern import BoundedPattern, Pattern
 from repro.views.storage import ViewSet
-from repro.views.view import ViewDefinition
+
+if TYPE_CHECKING:
+    from repro.core.view_match import ViewMatch
+    from repro.views.view import ViewDefinition
 
 PNode = Hashable
 PEdge = Tuple[PNode, PNode]
 #: λ entries: (view name, view edge)
 LambdaRef = Tuple[str, PEdge]
 
-Views = Union[ViewSet, Iterable[ViewDefinition]]
+Views = Union[ViewSet, Iterable["ViewDefinition"]]
 
 
 @dataclass(frozen=True)
@@ -77,6 +89,8 @@ def _view_match_fn(query: Pattern, definitions: List[ViewDefinition]):
         from repro.core.bounded.bview_match import view_match_bounded
 
         return view_match_bounded
+    from repro.core.view_match import view_match_simulation
+
     return view_match_simulation
 
 
@@ -121,6 +135,36 @@ def contains(query: Pattern, views: Views) -> Containment:
     )
 
 
+#: View-selection policies and where their (plain, bounded) routines
+#: live; :func:`selector` imports one on first use, so planning with
+#: one policy never loads the others.
+_SELECTORS = {
+    "all": (
+        ("repro.core.containment", "contains"),
+        ("repro.core.bounded.bcontainment", "bounded_contains"),
+    ),
+    "minimal": (
+        ("repro.core.minimal", "minimal_views"),
+        ("repro.core.bounded.bminimal", "bounded_minimal_views"),
+    ),
+    "minimum": (
+        ("repro.core.minimum", "minimum_views"),
+        ("repro.core.bounded.bminimum", "bounded_minimum_views"),
+    ),
+}
+
+#: The selection policy names: ``"all"`` (algorithm ``contain``),
+#: ``"minimal"`` (Theorem 5) and ``"minimum"`` (Theorem 6).
+SELECTIONS = tuple(_SELECTORS)
+
+
+def selector(selection: str, bounded: bool = False):
+    """The ``(query, views) -> Containment`` routine of one selection
+    policy (its Section VI sibling when ``bounded``)."""
+    module, name = _SELECTORS[selection][1 if bounded else 0]
+    return getattr(import_module(module), name)
+
+
 def query_contained(sub: Pattern, sup: Pattern) -> bool:
     """Classical query containment ``Q1 ⊑ Q2`` (Corollary 4).
 
@@ -128,6 +172,8 @@ def query_contained(sub: Pattern, sup: Pattern) -> bool:
     view; in quadratic time, in contrast to NP-completeness for
     relational conjunctive queries.
     """
+    from repro.views.view import ViewDefinition
+
     return contains(sub, [ViewDefinition("__sup__", sup)]).holds
 
 

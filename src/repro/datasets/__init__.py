@@ -23,34 +23,26 @@ request.  Users with the original files can load them via
   Fig. 7.
 """
 
-from repro.datasets.amazon import amazon_graph, amazon_views
-from repro.datasets.citation import citation_graph, citation_views
-from repro.datasets.patterns import (
-    generate_views,
-    query_from_views,
-    random_bounded_pattern,
-    random_query,
-)
-from repro.datasets.synthetic import (
-    community_graph,
-    densification_graph,
-    random_graph,
-)
-from repro.datasets.youtube import youtube_graph
+from repro import _lazy_exports
+
+# Eager: the function shares its name with its submodule, and importing
+# the submodule first would otherwise leave the module in its place.
 from repro.datasets.youtube_views import youtube_views
 
-__all__ = [
-    "amazon_graph",
-    "amazon_views",
-    "citation_graph",
-    "citation_views",
-    "community_graph",
-    "densification_graph",
-    "generate_views",
-    "query_from_views",
-    "random_bounded_pattern",
-    "random_query",
-    "random_graph",
-    "youtube_graph",
-    "youtube_views",
-]
+_EXPORTS = {
+    "amazon_graph": "repro.datasets.amazon",
+    "amazon_views": "repro.datasets.amazon",
+    "citation_graph": "repro.datasets.citation",
+    "citation_views": "repro.datasets.citation",
+    "community_graph": "repro.datasets.synthetic",
+    "densification_graph": "repro.datasets.synthetic",
+    "generate_views": "repro.datasets.patterns",
+    "query_from_views": "repro.datasets.patterns",
+    "random_bounded_pattern": "repro.datasets.patterns",
+    "random_graph": "repro.datasets.synthetic",
+    "random_query": "repro.datasets.patterns",
+    "youtube_graph": "repro.datasets.youtube",
+}
+
+__all__ = sorted([*_EXPORTS, "youtube_views"])
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

@@ -16,46 +16,30 @@ MatchJoin) into a deployable subsystem:
   key on.
 """
 
-from repro.engine.advisor import AdvisorReport, ViewScore, WorkloadAdvisor
-from repro.engine.cache import CacheStats, LRUCache
-from repro.engine.cost import CandidateCost, CostModel
-from repro.engine.engine import QueryEngine
-from repro.engine.executor import (
-    EXECUTORS,
-    EvaluationSpec,
-    ShipStats,
-    evaluate_spec,
-    run_specs,
-)
-from repro.engine.plan import (
-    DIRECT,
-    HYBRID,
-    MATCHJOIN,
-    PLANNERS,
-    ExecutionStats,
-    QueryPlan,
-    pattern_key,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "AdvisorReport",
-    "CacheStats",
-    "CandidateCost",
-    "CostModel",
-    "DIRECT",
-    "EXECUTORS",
-    "EvaluationSpec",
-    "ExecutionStats",
-    "HYBRID",
-    "LRUCache",
-    "MATCHJOIN",
-    "PLANNERS",
-    "QueryEngine",
-    "QueryPlan",
-    "ShipStats",
-    "ViewScore",
-    "WorkloadAdvisor",
-    "evaluate_spec",
-    "pattern_key",
-    "run_specs",
-]
+_EXPORTS = {
+    "AdvisorReport": "repro.engine.advisor",
+    "CacheStats": "repro.engine.cache",
+    "CandidateCost": "repro.engine.cost",
+    "CostModel": "repro.engine.cost",
+    "DIRECT": "repro.engine.plan",
+    "EXECUTORS": "repro.engine.executor",
+    "EvaluationSpec": "repro.engine.executor",
+    "ExecutionStats": "repro.engine.plan",
+    "HYBRID": "repro.engine.plan",
+    "LRUCache": "repro.engine.cache",
+    "MATCHJOIN": "repro.engine.plan",
+    "PLANNERS": "repro.engine.plan",
+    "QueryEngine": "repro.engine.engine",
+    "QueryPlan": "repro.engine.plan",
+    "ShipStats": "repro.engine.executor",
+    "ViewScore": "repro.engine.advisor",
+    "WorkloadAdvisor": "repro.engine.advisor",
+    "evaluate_spec": "repro.engine.executor",
+    "pattern_key": "repro.engine.plan",
+    "run_specs": "repro.engine.executor",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

@@ -72,10 +72,23 @@ import os
 import threading
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import Deque, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Deque,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
-from repro.core.answer import _STRATEGIES
-from repro.core.containment import Containment
+from repro.core.containment import (
+    SELECTIONS,
+    Containment,
+    merge_view_matches,
+    selector,
+)
 from repro.graph.conditions import AttributeCondition, Label
 from repro.engine.cache import LRUCache
 from repro.engine.cost import EST_MISSING_FRACTION, CandidateCost, CostModel
@@ -108,7 +121,6 @@ from repro.engine.plan import (
     pattern_key,
 )
 from repro.errors import NotContainedError, NotMaterializedError
-from repro.graph.digraph import DataGraph
 from repro.graph.pattern import BoundedPattern, Pattern
 from repro.obs import trace
 from repro.obs.metrics import (
@@ -118,9 +130,12 @@ from repro.obs.metrics import (
     get_registry,
 )
 from repro.simulation.result import MatchResult
-from repro.views.maintenance import Delta, DeltaReport, IncrementalViewSet
 from repro.views.storage import ViewSet
-from repro.views.view import MaterializedView, bind_extension
+
+if TYPE_CHECKING:
+    from repro.graph.digraph import DataGraph
+    from repro.views.maintenance import Delta, DeltaReport, IncrementalViewSet
+    from repro.views.view import MaterializedView
 
 log = logging.getLogger(__name__)
 
@@ -284,7 +299,7 @@ class QueryEngine:
                         f"{loaded_shards} shards; shards={shards} conflicts"
                     )
                 shards = loaded_shards
-                partitioner = graph.partition.strategy
+                partitioner = graph.strategy
             elif shards is not None:
                 raise ValueError(
                     "shards= conflicts with a compact (unsharded) snapshot"
@@ -296,10 +311,10 @@ class QueryEngine:
                 "QueryEngine requires a view catalog (or a snapshot_path "
                 "to adopt one from)"
             )
-        if selection not in _STRATEGIES:
+        if selection not in SELECTIONS:
             raise ValueError(
                 f"unknown selection {selection!r}; expected one of "
-                f"{sorted(_STRATEGIES)}"
+                f"{sorted(SELECTIONS)}"
             )
         if executor not in EXECUTORS:
             raise ValueError(
@@ -313,7 +328,7 @@ class QueryEngine:
             raise ValueError(
                 f"planner={planner!r} requires a data graph to evaluate on"
             )
-        if shards is not None:
+        if shards is not None and loaded is None:
             if shards < 1:
                 raise ValueError(f"shards must be >= 1, got {shards}")
             from repro.shard.partitioner import PARTITIONERS
@@ -794,6 +809,8 @@ class QueryEngine:
         if not self._maintenance_dirty or self._maintenance is None:
             self._maintenance_dirty = False
             return
+        from repro.views.view import bind_extension
+
         tracker = self._maintenance
         cursor_before = self._maintenance_cursor
         changed = set(tracker.changed_since(cursor_before))
@@ -840,6 +857,8 @@ class QueryEngine:
         refreshed snapshot's token (no version bump: the match sets are
         identical, only provenance moved), so MatchJoin's id-space fast
         path re-engages across the whole catalog."""
+        from repro.views.view import bind_extension
+
         extends = getattr(snapshot, "extends_token", None)
         for name in self._views.names():
             if name in changed or not self._views.is_materialized(name):
@@ -901,10 +920,10 @@ class QueryEngine:
         self._refresh_if_dirty()
         explicit_selection = selection is not None
         selection = selection or self._selection
-        if selection not in _STRATEGIES:
+        if selection not in SELECTIONS:
             raise ValueError(
                 f"unknown selection {selection!r}; expected one of "
-                f"{sorted(_STRATEGIES)}"
+                f"{sorted(SELECTIONS)}"
             )
         bounded = isinstance(query, BoundedPattern) or any(
             d.is_bounded for d in self._views
@@ -936,8 +955,12 @@ class QueryEngine:
         containment = self._containment_cache.get(decision_key)
         cached = containment is not None
         if not cached:
-            select = _STRATEGIES[selection][1 if bounded else 0]
-            containment = select(query, self._views)
+            if self._views.cardinality:
+                containment = selector(selection, bounded)(query, self._views)
+            else:
+                # An empty catalog covers no edge under any policy; do
+                # not load a selection algorithm to find that out.
+                containment = merge_view_matches(query, ())
             self._containment_cache.put(decision_key, containment)
         return containment, cached
 

@@ -21,25 +21,24 @@ from __future__ import annotations
 import logging
 import os
 import pickle
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.core.bounded.bmatchjoin import bounded_match_join
-from repro.core.containment import Containment
-from repro.core.matchjoin import match_join
-from repro.graph.digraph import DataGraph
+from repro.graph.flatbuf import ShipStats
 from repro.graph.pattern import BoundedPattern, Pattern
 from repro.obs import trace
 from repro.obs.trace import SpanRecord
-from repro.simulation import bounded_match, match
 from repro.simulation.result import MatchResult
-from repro.views.view import MaterializedView
+
+if TYPE_CHECKING:
+    from repro.core.containment import Containment
+    from repro.graph.digraph import DataGraph
+    from repro.views.view import MaterializedView
 
 log = logging.getLogger(__name__)
 
-Extensions = Mapping[str, MaterializedView]
+Extensions = Mapping[str, "MaterializedView"]
 
 #: Executor kinds accepted by the engine and the CLI.
 EXECUTORS = ("serial", "thread", "process")
@@ -79,12 +78,19 @@ def evaluate_spec(
     ``graph`` may be a mutable :class:`DataGraph` or a frozen
     :class:`~repro.graph.compact.CompactGraph` -- the engine ships its
     snapshot, so direct evaluation takes the integer fast path and the
-    pickled payload for pool workers is the read-optimized form."""
+    pickled payload for pool workers is the read-optimized form.
+
+    Each kernel is imported by the first spec that runs it, so a
+    process that only ever evaluates directly never loads MatchJoin."""
     if spec.kind == "direct":
         if graph is None:
             raise ValueError("direct evaluation requires a data graph")
         if isinstance(spec.query, BoundedPattern):
+            from repro.simulation.bounded import bounded_match
+
             return bounded_match(spec.query, graph)
+        from repro.simulation.simulation import match
+
         return match(spec.query, graph)
     if spec.kind == "hybrid":
         if graph is None:
@@ -98,6 +104,8 @@ def evaluate_spec(
         )
     chosen = {name: extensions[name] for name in spec.needed}
     if spec.bounded:
+        from repro.core.bounded.bmatchjoin import bounded_match_join
+
         query = (
             spec.query
             if isinstance(spec.query, BoundedPattern)
@@ -106,26 +114,11 @@ def evaluate_spec(
         return bounded_match_join(
             query, spec.containment, chosen, optimized=spec.optimized
         )
+    from repro.core.matchjoin import match_join
+
     return match_join(
         spec.query, spec.containment, chosen, optimized=spec.optimized
     )
-
-
-@dataclass(frozen=True)
-class ShipStats:
-    """What one process-pool batch paid to ship its shared payload.
-
-    ``bytes`` is the serialized payload size, ``seconds`` the wall time
-    of the single ``pickle.dumps`` that produced it.  Flat-buffer
-    objects (:class:`~repro.graph.flatbuf.SharedCompactGraph`,
-    :class:`~repro.views.flatpack.FlatExtension`) pickle to segment
-    handles, so for a shared-memory snapshot both figures stay small
-    and near-constant in graph size; dict payloads pay the full deep
-    copy here.  In-process executors ship nothing and report zeros.
-    """
-
-    bytes: int = 0
-    seconds: float = 0.0
 
 
 # ----------------------------------------------------------------------
@@ -237,6 +230,8 @@ def run_specs(
             out.append((index, result, perf_counter() - started, pid, None))
         return out, ShipStats()
     max_workers = min(max_workers, len(tasks))
+    from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+
     if executor == "thread":
         pid = os.getpid()
         # Thread pools do not inherit contextvars: capture the caller's

@@ -31,51 +31,31 @@ This subpackage provides everything the matching algorithms stand on:
   ceiling.
 """
 
-from repro.graph.conditions import (
-    AttributeCondition,
-    Condition,
-    Label,
-    P,
-    TrueCondition,
-    implies,
-)
-from repro.graph.compact import CompactGraph
-from repro.graph.digraph import DataGraph
-from repro.graph.flatbuf import (
-    FlatStore,
-    SegmentFormatError,
-    SharedCompactGraph,
-    live_segment_names,
-    verify_segment_file,
-)
-from repro.graph.ingest import IngestReport, ingest_snapshot
-from repro.graph.pattern import ANY, BoundedPattern, Pattern
-from repro.graph.snapshot import (
-    LoadedSnapshot,
-    SnapshotError,
-    SnapshotStore,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "ANY",
-    "AttributeCondition",
-    "BoundedPattern",
-    "CompactGraph",
-    "Condition",
-    "DataGraph",
-    "FlatStore",
-    "IngestReport",
-    "Label",
-    "LoadedSnapshot",
-    "P",
-    "Pattern",
-    "SegmentFormatError",
-    "SharedCompactGraph",
-    "SnapshotError",
-    "SnapshotStore",
-    "TrueCondition",
-    "implies",
-    "ingest_snapshot",
-    "live_segment_names",
-    "verify_segment_file",
-]
+_EXPORTS = {
+    "ANY": "repro.graph.pattern",
+    "AttributeCondition": "repro.graph.conditions",
+    "BoundedPattern": "repro.graph.pattern",
+    "CompactGraph": "repro.graph.compact",
+    "Condition": "repro.graph.conditions",
+    "DataGraph": "repro.graph.digraph",
+    "FlatStore": "repro.graph.flatbuf",
+    "IngestReport": "repro.graph.ingest",
+    "Label": "repro.graph.conditions",
+    "LoadedSnapshot": "repro.graph.snapshot",
+    "P": "repro.graph.conditions",
+    "Pattern": "repro.graph.pattern",
+    "SegmentFormatError": "repro.graph.flatbuf",
+    "SharedCompactGraph": "repro.graph.flatbuf",
+    "SnapshotError": "repro.graph.snapshot",
+    "SnapshotStore": "repro.graph.snapshot",
+    "TrueCondition": "repro.graph.conditions",
+    "implies": "repro.graph.conditions",
+    "ingest_snapshot": "repro.graph.ingest",
+    "live_segment_names": "repro.graph.flatbuf",
+    "verify_segment_file": "repro.graph.flatbuf",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

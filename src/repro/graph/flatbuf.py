@@ -62,27 +62,29 @@ import logging
 import mmap
 import os
 import pickle
-import secrets
 import struct
-import tempfile
 import threading
 import weakref
 import zlib
 from array import array
+from dataclasses import dataclass
 from typing import Any, Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from repro.graph.compact import CompactGraph, Node
 
 log = logging.getLogger(__name__)
 
-try:  # pragma: no cover - platform probe
-    from multiprocessing import resource_tracker, shared_memory
 
-    _HAVE_SHM = True
-except ImportError:  # pragma: no cover - exotic platforms
-    shared_memory = None  # type: ignore[assignment]
-    resource_tracker = None  # type: ignore[assignment]
-    _HAVE_SHM = False
+def _have_shm() -> bool:
+    """Whether the platform provides shared memory.  Probed on demand:
+    ``multiprocessing`` is loaded by the first shm create/attach, never
+    by a process that only maps segment files."""
+    try:
+        import multiprocessing.shared_memory  # noqa: F401
+    except ImportError:  # pragma: no cover - exotic platforms
+        return False
+    return True
+
 
 #: Prefix of every segment this module creates -- lets tests (and
 #: operators) recognise our segments in ``/dev/shm``.
@@ -130,12 +132,14 @@ def resolve_backend(choice: Optional[str] = None) -> str:
         choice = os.environ.get(BACKEND_ENV) or "shm"
     if choice not in _BACKENDS:
         choice = "shm"
-    if choice == "shm" and not _HAVE_SHM:
+    if choice == "shm" and not _have_shm():
         choice = "bytes"
     return choice
 
 
 def _spool_dir() -> str:
+    import tempfile
+
     return os.environ.get(FILE_DIR_ENV) or tempfile.gettempdir()
 
 
@@ -205,8 +209,10 @@ class Segment:
         segment = cls()
         segment.nbytes = nbytes
         segment.kind = resolve_backend(backend)
-        token = SEGMENT_PREFIX + secrets.token_hex(8)
+        token = SEGMENT_PREFIX + os.urandom(8).hex()
         if segment.kind == "shm":
+            from multiprocessing import shared_memory
+
             segment.name = token
             shm = shared_memory.SharedMemory(
                 name=segment.name, create=True, size=max(1, nbytes)
@@ -277,8 +283,10 @@ class Segment:
 
     @classmethod
     def _attach_shm(cls, name: str, nbytes: int) -> "Segment":
-        if not _HAVE_SHM:  # pragma: no cover - guarded by handle kind
+        if not _have_shm():  # pragma: no cover - guarded by handle kind
             raise RuntimeError("shared memory is unavailable on this platform")
+        from multiprocessing import resource_tracker, shared_memory
+
         shm = shared_memory.SharedMemory(name=name)
         # Python's resource tracker registers *attachers* too (< 3.13)
         # and would unlink the segment when this worker exits; the
@@ -708,6 +716,23 @@ def _attach_store(kind, value, nbytes, header) -> FlatStore:
         with _lock:
             _stores[key] = weakref.ref(store)
     return store
+
+
+@dataclass(frozen=True)
+class ShipStats:
+    """What one process-pool batch paid to ship its shared payload.
+
+    ``bytes`` is the serialized payload size, ``seconds`` the wall time
+    of the single ``pickle.dumps`` that produced it.  Flat-buffer
+    objects (:class:`SharedCompactGraph`,
+    :class:`~repro.views.flatpack.FlatExtension`) pickle to segment
+    handles, so for a shared-memory snapshot both figures stay small
+    and near-constant in graph size; dict payloads pay the full deep
+    copy here.  In-process executors ship nothing and report zeros.
+    """
+
+    bytes: int = 0
+    seconds: float = 0.0
 
 
 # ----------------------------------------------------------------------

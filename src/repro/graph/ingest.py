@@ -20,36 +20,42 @@ it with a two-phase, bounded-memory build:
    the next shard is touched.  Peak RSS is therefore one shard's
    working set, not the graph's.
 
-The resulting directory carries the exact manifest
-:meth:`~repro.graph.snapshot.SnapshotStore.load` expects, so an ingested
-graph reloads as a fully functional mmap-backed
-:class:`~repro.shard.sharded.ShardedGraph` -- cut edges and foreign
-predecessors included (spilled to ``crosspred-NNN.pkl`` groups) --
-without ever holding the edge set in memory.
+Once every shard is sealed, the boundary rows (local -> global ids,
+bridge pairs) are computed from the sealed segments' node tables one
+shard pair at a time -- the same
+:func:`~repro.shard.sharded.boundary_stores` an in-memory
+:class:`~repro.shard.sharded.ShardedGraph` uses -- and the directory is
+committed through the same manifest writer as
+:meth:`~repro.graph.snapshot.SnapshotStore.save`, so an ingested graph
+reloads as a fully functional mmap-backed sharded graph, cut edges and
+foreign predecessors included, without the edge set ever having been in
+memory.
 """
 
 from __future__ import annotations
 
 import gc
-import json
 import logging
 import os
-import shutil
+import pickle
 import tempfile
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.graph.compact import _new_token
 from repro.graph.digraph import DataGraph
-from repro.graph.flatbuf import encode_snapshot
+from repro.graph.flatbuf import FlatStore, encode_snapshot
 from repro.graph.snapshot import (
-    MANIFEST_NAME,
-    SNAPSHOT_FORMAT,
-    SnapshotError,
-    _dump,
+    commit_manifest,
+    shard_entry,
+    sharded_manifest,
+    snapshot_on_disk_bytes,
+    write_directory,
 )
-from repro.shard.partitioner import StreamingHashPartitioner
+
+if TYPE_CHECKING:
+    from repro.shard.partitioner import StreamingHashPartitioner
 
 log = logging.getLogger(__name__)
 
@@ -129,42 +135,16 @@ def ingest_snapshot(
     existing snapshot is replaced by a rename swap of a sibling temp
     directory, so concurrent readers never see a partial build.
     """
-    final = os.fspath(out_dir)
-    existing = os.path.isdir(final) and bool(os.listdir(final))
-    if existing and not overwrite:
-        raise SnapshotError(
-            f"{final}: directory exists and is not empty "
-            "(pass overwrite=True to replace it)"
-        )
-    if existing:
-        parent = os.path.dirname(os.path.abspath(final)) or "."
-        tmp = tempfile.mkdtemp(prefix=".ingest-tmp-", dir=parent)
-        try:
-            report = _ingest_into(
-                tmp, edges, num_shards, labeler, budget_bytes, max_edges
-            )
-            old = tmp + ".old"
-            os.rename(final, old)
-            os.rename(tmp, final)
-            shutil.rmtree(old, ignore_errors=True)
-        except BaseException:
-            shutil.rmtree(tmp, ignore_errors=True)
-            raise
-        report.out_dir = final
-        return report
-    created = not os.path.isdir(final)
-    os.makedirs(final, exist_ok=True)
-    try:
-        return _ingest_into(
-            final, edges, num_shards, labeler, budget_bytes, max_edges
-        )
-    except BaseException:
-        # Never leave a partial (manifest-less) build behind; restore a
-        # pre-existing empty directory instead of deleting it.
-        shutil.rmtree(final, ignore_errors=True)
-        if not created:
-            os.makedirs(final, exist_ok=True)
-        raise
+    report = write_directory(
+        out_dir,
+        lambda dirpath: _ingest_into(
+            dirpath, edges, num_shards, labeler, budget_bytes, max_edges
+        ),
+        overwrite,
+        tmp_prefix=".ingest-tmp-",
+    )
+    report.out_dir = os.fspath(out_dir)
+    return report
 
 
 def _ingest_into(
@@ -175,6 +155,11 @@ def _ingest_into(
     budget_bytes: int,
     max_edges: int,
 ) -> IngestReport:
+    # The shard layer sits above this package; reached only when an
+    # ingest actually runs (see the layering note in ARCHITECTURE.md).
+    from repro.shard.partitioner import StreamingHashPartitioner
+    from repro.shard.sharded import boundary_stores
+
     start = time.perf_counter()
     baseline = _rss_bytes()
     peak = 0
@@ -198,65 +183,54 @@ def _ingest_into(
             peak = max(peak, _rss_bytes() - baseline)
 
             # -- phase 2: build one shard at a time ---------------------
-            shard_files: List[dict] = []
-            cross_files: Dict[str, str] = {}
+            entries: List[dict] = []
             own_counts: List[int] = []
-            total_nodes = 0
-            total_edges = 0  # deduplicated (the DataGraph drops repeats)
-            total_cut = 0
             for i in range(num_shards):
                 entry, own, stats = _build_shard(dirpath, part, i, labeler)
-                shard_files.append(entry)
+                entries.append(entry)
                 own_counts.append(own)
-                total_nodes += own
-                total_edges += entry["meta"][1]
-                sources_of: Dict[str, set] = {}
-                for source, target in part.cross_preds(i):
-                    sources_of.setdefault(target, set()).add(source)
-                group = {t: frozenset(s) for t, s in sources_of.items()}
-                total_cut += sum(len(s) for s in group.values())
-                if group:
-                    fname = f"crosspred-{i:03d}.pkl"
-                    _dump(group, os.path.join(dirpath, fname))
-                    cross_files[str(i)] = fname
+                # Deduplicated counts (the DataGraph drops repeats).
+                report.edges += stats["edges"]
+                report.cut_edges += stats["cut_edges"]
                 report.shard_stats.append(stats)
                 gc.collect()
                 peak = max(peak, _rss_bytes() - baseline)
-
-        report.edges = total_edges
-        report.cut_edges = total_cut
         report.spill_bytes = part.spill_bytes
 
-    manifest = {
-        "kind": "sharded",
-        "graph": {
+    # -- phase 3: boundary rows, one shard pair at a time ---------------
+    # Node tables are re-read from the sealed segments per pair and
+    # dropped again, never memoized, so the peak stays a shard pair.
+    def names_of(shard: int):
+        store = FlatStore.open(os.path.join(dirpath, entries[shard]["segment"]))
+        return pickle.loads(store.blob("nodes"))
+
+    def metered(stores):
+        nonlocal peak
+        for store in stores:
+            peak = max(peak, _rss_bytes() - baseline)
+            yield store
+
+    total_nodes = sum(own_counts)
+    manifest = sharded_manifest(
+        dirpath,
+        entries,
+        own_counts,
+        metered(boundary_stores(names_of, own_counts)),
+        graph={
             "nodes": total_nodes,
             "edges": report.edges,
             "snapshot_version": 0,
             "snapshot_token": _new_token(),
             "extends_token": None,
         },
-        "shards": num_shards,
-        "strategy": "hash",
-        "own_counts": own_counts,
-        "edge_cut": report.cut_edges,
-        "shard_files": shard_files,
-        "cross_pred": cross_files,
-        "views": {},
-        "format": SNAPSHOT_FORMAT,
-        "created_at": time.time(),
-    }
-    tmp_manifest = os.path.join(dirpath, MANIFEST_NAME + ".tmp")
-    with open(tmp_manifest, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-    os.replace(tmp_manifest, os.path.join(dirpath, MANIFEST_NAME))
+        strategy="hash",
+        edge_cut=report.cut_edges,
+    )
+    manifest["views"] = {}
+    commit_manifest(dirpath, manifest)
 
     report.nodes = total_nodes
-    report.on_disk_bytes = sum(
-        os.path.getsize(os.path.join(dirpath, entry))
-        for entry in os.listdir(dirpath)
-        if os.path.isfile(os.path.join(dirpath, entry))
-    )
+    report.on_disk_bytes = snapshot_on_disk_bytes(dirpath)
     report.peak_rss_bytes = max(peak, _rss_bytes() - baseline)
     report.seconds = time.perf_counter() - start
     log.info(
@@ -269,7 +243,7 @@ def _ingest_into(
 
 
 def _build_shard(
-    dirpath: str, part: StreamingHashPartitioner, shard: int, labeler
+    dirpath: str, part: "StreamingHashPartitioner", shard: int, labeler
 ) -> Tuple[dict, int, Dict[str, int]]:
     """Replay shard ``shard``'s spill records into a sealed segment file.
 
@@ -297,24 +271,20 @@ def _build_shard(
             graph.add_node(node, labels=labeler(node))
 
     frozen = graph.freeze()
-    seg = f"shard-{shard:03d}.seg"
-    store = encode_snapshot(frozen, backend="bytes")
-    store.save(os.path.join(dirpath, seg))
-    entry = {
-        "segment": seg,
-        "meta": [
-            frozen.num_nodes,
-            frozen.num_edges,
-            frozen.snapshot_version,
-            frozen.snapshot_token,
-            frozen.extends_token,
-        ],
-    }
+    entry = shard_entry(f"shard-{shard:03d}.seg", frozen)
+    segment_bytes = encode_snapshot(frozen, backend="bytes").save(
+        os.path.join(dirpath, entry["segment"])
+    )
     stats = {
         "shard": shard,
         "own_nodes": len(own),
         "nodes": frozen.num_nodes,
         "edges": frozen.num_edges,
-        "segment_bytes": os.path.getsize(os.path.join(dirpath, seg)),
+        # Every edge into a ghost is a cut edge (and only those are).
+        "cut_edges": sum(
+            len(frozen.in_ids(ghost))
+            for ghost in range(len(own), frozen.num_nodes)
+        ),
+        "segment_bytes": segment_bytes,
     }
     return entry, len(own), stats

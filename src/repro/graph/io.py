@@ -14,8 +14,8 @@ Three formats are provided:
 from __future__ import annotations
 
 import json
-from pathlib import Path
-from typing import Any, Dict, Iterable, Iterator, List, Tuple, Union
+import os
+from typing import TYPE_CHECKING, Any, Dict, Iterable, Iterator, List, Tuple, Union
 
 from repro.graph.conditions import (
     Atom,
@@ -24,8 +24,12 @@ from repro.graph.conditions import (
     Label,
     TrueCondition,
 )
-from repro.graph.digraph import DataGraph
 from repro.graph.pattern import ANY, BoundedPattern, Pattern
+
+if TYPE_CHECKING:
+    from repro.graph.digraph import DataGraph
+
+PathLike = Union[str, "os.PathLike[str]"]
 
 
 # ----------------------------------------------------------------------
@@ -92,6 +96,8 @@ def graph_to_json(graph: DataGraph) -> Dict[str, Any]:
 
 
 def graph_from_json(doc: Dict[str, Any]) -> DataGraph:
+    from repro.graph.digraph import DataGraph
+
     graph = DataGraph()
     for node_doc in doc["nodes"]:
         graph.add_node(
@@ -104,12 +110,12 @@ def graph_from_json(doc: Dict[str, Any]) -> DataGraph:
     return graph
 
 
-def write_graph(graph: DataGraph, path: Union[str, Path]) -> None:
+def write_graph(graph: DataGraph, path: PathLike) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(graph_to_json(graph), handle)
 
 
-def read_graph(path: Union[str, Path]) -> DataGraph:
+def read_graph(path: PathLike) -> DataGraph:
     with open(path, encoding="utf-8") as handle:
         return graph_from_json(json.load(handle))
 
@@ -158,12 +164,12 @@ def pattern_from_json(doc: Dict[str, Any]) -> Pattern:
     return pattern
 
 
-def write_pattern(pattern: Pattern, path: Union[str, Path]) -> None:
+def write_pattern(pattern: Pattern, path: PathLike) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(pattern_to_json(pattern), handle)
 
 
-def read_pattern(path: Union[str, Path]) -> Pattern:
+def read_pattern(path: PathLike) -> Pattern:
     with open(path, encoding="utf-8") as handle:
         return pattern_from_json(json.load(handle))
 
@@ -172,7 +178,7 @@ def read_pattern(path: Union[str, Path]) -> Pattern:
 # SNAP edge lists
 # ----------------------------------------------------------------------
 def read_snap_edges(
-    path: Union[str, Path], limit: int = 0, max_edges: int = 0
+    path: PathLike, limit: int = 0, max_edges: int = 0
 ) -> Iterator[Tuple[str, str]]:
     """Stream a SNAP whitespace-separated edge list (``# comments``
     skipped), one ``(source, target)`` pair at a time.
@@ -219,6 +225,8 @@ def graph_from_edges(
     ``ValueError`` -- an in-memory ``DataGraph`` is the wrong tool past
     a few million edges (use ``repro ingest`` instead).
     """
+    from repro.graph.digraph import DataGraph
+
     graph = DataGraph()
     count = 0
     for source, target in edges:

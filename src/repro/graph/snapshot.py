@@ -10,15 +10,15 @@ it back read-only via ``mmap`` -- no edge list is re-read, no CSR is
 rebuilt, and the lazy decode structures mean a reload touches only the
 pages a query actually visits.
 
-Directory layout::
+Directory layout (format 2)::
 
     snapshot/
       manifest.json            # kind, counts, tokens, file map (written last)
       graph.seg                # compact: the snapshot's flat segment
       patch.pkl                # compact: refreshed() overlay (optional)
       shard-000.seg ...        # sharded: one sealed segment per shard
+      boundary-000.seg ...     # sharded: per-shard boundary rows (int tables)
       patch-000.pkl ...        # sharded: per-shard patch overlays (optional)
-      crosspred-000.pkl ...    # sharded: cross-shard predecessors by home shard
       view-000.seg/.pkl ...    # FlatExtension view packs (compact snapshots)
       view-000.view ...        # plain pickled views (sharded snapshots)
 
@@ -29,10 +29,17 @@ half-snapshot).  Provenance survives the round trip: ``snapshot_token``
 verbatim, so a reloaded snapshot still rebinds extensions and engages
 the MatchJoin id-space fast paths exactly like its in-memory origin.
 
-Sharded snapshots reload with the composite bookkeeping rebuilt from
-the per-shard node tables (O(V + boundary)); the cross-shard
-predecessor table and the partition's cut-edge list stay on disk until
-first touched (:class:`_LazyCrossPred` / :class:`_LazyCrossEdges`).
+Sharded snapshots reload exactly as lazily: the composite bookkeeping
+an id-space evaluation needs -- each shard's local -> global id row and
+the (owner-local id, ghost id) bridge pairs per holder -- is persisted
+as flat int rows (``boundary-NNN.seg``, see
+:func:`repro.shard.sharded.boundary_stores`), so a load is the manifest
+plus one ``mmap`` attach per file.  Everything keyed by node *name*
+(home map, ghost maps, the decode table, the partition with its cut
+edges, cross-shard predecessors) is derived from the shards on first
+name-based access.  Format 1 directories, which rebuilt all of that on
+every load, are refused: re-create them with ``repro ingest`` or
+``repro snapshot save``.
 """
 
 from __future__ import annotations
@@ -41,144 +48,27 @@ import json
 import logging
 import os
 import pickle
-import shutil
-import tempfile
 import time
-from typing import Any, Dict, Hashable, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Sequence
 
 from repro.graph.compact import CompactGraph
-from repro.graph.digraph import DataGraph
 from repro.graph.flatbuf import (
     FlatStore,
     SharedCompactGraph,
     _attach_snapshot,
+    _read_segment_header,
     verify_segment_file,
 )
 
 log = logging.getLogger(__name__)
 
-Node = Hashable
-
 MANIFEST_NAME = "manifest.json"
-SNAPSHOT_FORMAT = 1
+SNAPSHOT_FORMAT = 2
 
 
 class SnapshotError(ValueError):
     """A snapshot directory is missing, malformed, or would be
     clobbered without ``overwrite=True``."""
-
-
-# ----------------------------------------------------------------------
-# Lazy boundary tables (sharded reload)
-# ----------------------------------------------------------------------
-class _LazyCrossPred(dict):
-    """``{node: frozenset(cross-shard predecessors)}`` loaded per home
-    shard on first miss.
-
-    A real ``dict`` subclass so ``predecessors()`` keeps its one
-    ``get()`` call; a lookup for a node homed in shard ``i`` loads only
-    ``crosspred-i.pkl``.  Whole-table iteration loads everything.
-    """
-
-    __slots__ = ("_dir", "_files", "_home", "_loaded")
-
-    def __init__(self, dirpath: str, files: Dict[int, str], home: Dict[Node, int]):
-        super().__init__()
-        self._dir = dirpath
-        self._files = files
-        self._home = home
-        self._loaded: set = set()
-
-    def _load_for(self, node) -> None:
-        shard = self._home.get(node)
-        if shard is None or shard in self._loaded:
-            return
-        self._loaded.add(shard)
-        fname = self._files.get(shard)
-        if fname is not None:
-            with open(os.path.join(self._dir, fname), "rb") as fh:
-                self.update(pickle.load(fh))
-
-    def _load_all(self) -> None:
-        for shard, fname in self._files.items():
-            if shard not in self._loaded:
-                self._loaded.add(shard)
-                with open(os.path.join(self._dir, fname), "rb") as fh:
-                    self.update(pickle.load(fh))
-
-    def __missing__(self, key):
-        self._load_for(key)
-        if dict.__contains__(self, key):
-            return dict.__getitem__(self, key)
-        raise KeyError(key)
-
-    def get(self, key, default=None):
-        if dict.__contains__(self, key):
-            return dict.__getitem__(self, key)
-        self._load_for(key)
-        return dict.get(self, key, default)
-
-    def __contains__(self, key) -> bool:
-        return self.get(key) is not None
-
-    def items(self):
-        self._load_all()
-        return dict.items(self)
-
-    def keys(self):
-        self._load_all()
-        return dict.keys(self)
-
-    def values(self):
-        self._load_all()
-        return dict.values(self)
-
-    def __iter__(self):
-        self._load_all()
-        return dict.__iter__(self)
-
-    def __len__(self) -> int:
-        self._load_all()
-        return dict.__len__(self)
-
-
-class _LazyCrossEdges:
-    """The partition's cut-edge tuple, streamed from the cross-pred
-    pickles only if something actually iterates it (``refreshed()``
-    does; plain serving never will).  ``len()`` answers from the
-    manifest without touching disk."""
-
-    __slots__ = ("_dir", "_files", "_count", "_cache")
-
-    def __init__(self, dirpath: str, files: Dict[int, str], count: int):
-        self._dir = dirpath
-        self._files = files
-        self._count = count
-        self._cache: Optional[Tuple[Tuple[Node, Node], ...]] = None
-
-    def _load(self) -> Tuple[Tuple[Node, Node], ...]:
-        edges = self._cache
-        if edges is None:
-            collected: List[Tuple[Node, Node]] = []
-            for fname in self._files.values():
-                with open(os.path.join(self._dir, fname), "rb") as fh:
-                    group = pickle.load(fh)
-                for target, sources in group.items():
-                    collected.extend((source, target) for source in sources)
-            edges = self._cache = tuple(collected)
-        return edges
-
-    def __len__(self) -> int:
-        return self._count
-
-    def __iter__(self) -> Iterator[Tuple[Node, Node]]:
-        return iter(self._load())
-
-    def __contains__(self, edge) -> bool:
-        return edge in self._load()
-
-    def __getitem__(self, index):
-        return self._load()[index]
 
 
 # ----------------------------------------------------------------------
@@ -244,28 +134,12 @@ class SnapshotStore:
         """
         snapshot = _as_saveable(snapshot)
         extensions = _as_extensions(views)
-        final = os.fspath(path)
-        existing = os.path.isdir(final) and bool(os.listdir(final))
-        if existing and not overwrite:
-            raise SnapshotError(
-                f"{final}: directory exists and is not empty "
-                "(pass overwrite=True to replace it)"
-            )
-        if existing:
-            parent = os.path.dirname(os.path.abspath(final)) or "."
-            tmp = tempfile.mkdtemp(prefix=".snapshot-tmp-", dir=parent)
-            try:
-                manifest = _write_snapshot(tmp, snapshot, extensions)
-                old = tmp + ".old"
-                os.rename(final, old)
-                os.rename(tmp, final)
-                shutil.rmtree(old, ignore_errors=True)
-            except BaseException:
-                shutil.rmtree(tmp, ignore_errors=True)
-                raise
-            return manifest
-        os.makedirs(final, exist_ok=True)
-        return _write_snapshot(final, snapshot, extensions)
+        return write_directory(
+            path,
+            lambda dirpath: _write_snapshot(dirpath, snapshot, extensions),
+            overwrite,
+            tmp_prefix=".snapshot-tmp-",
+        )
 
     # -- load ----------------------------------------------------------
     @staticmethod
@@ -297,22 +171,43 @@ class SnapshotStore:
     def info(path, verify: bool = False) -> dict:
         """Manifest plus on-disk footprint, without attaching payloads.
 
-        ``verify=True`` runs the full payload CRC pass over every
-        segment file (still without mapping them).
+        Returns ``{"path", "manifest", "files", "on_disk_bytes",
+        "boundary", "verified_segments"}``: ``files`` maps every file to
+        its size, ``boundary`` every boundary-row file of a sharded
+        snapshot to ``{"rows", "bridge_pairs", "bytes"}`` (read from the
+        segment's table directory).  ``verify=True`` runs the full
+        payload CRC pass over every segment file, boundary rows
+        included (still without mapping them).
         """
         final = os.fspath(path)
         manifest = _read_manifest(final)
-        files: Dict[str, int] = {}
-        total = 0
-        for entry in sorted(os.listdir(final)):
-            full = os.path.join(final, entry)
-            if os.path.isfile(full):
-                size = os.path.getsize(full)
-                files[entry] = size
-                total += size
-                if verify and entry.endswith(".seg"):
-                    verify_segment_file(full)
-        return dict(manifest, path=final, files=files, on_disk_bytes=total)
+        files = {
+            entry: os.path.getsize(os.path.join(final, entry))
+            for entry in sorted(os.listdir(final))
+            if os.path.isfile(os.path.join(final, entry))
+        }
+        verified: List[str] = []
+        if verify:
+            for entry in files:
+                if entry.endswith(".seg"):
+                    verify_segment_file(os.path.join(final, entry))
+                    verified.append(entry)
+        boundary: Dict[str, Dict[str, int]] = {}
+        if manifest.get("kind") == "sharded":
+            from repro.shard.sharded import boundary_summary
+
+            for shard in manifest["shard_files"]:
+                fname = shard["boundary"]
+                header = _read_segment_header(os.path.join(final, fname))[2]
+                boundary[fname] = dict(boundary_summary(header), bytes=files[fname])
+        return {
+            "path": final,
+            "manifest": manifest,
+            "files": files,
+            "on_disk_bytes": sum(files.values()),
+            "boundary": boundary,
+            "verified_segments": verified,
+        }
 
 
 def snapshot_on_disk_bytes(path) -> int:
@@ -332,6 +227,7 @@ def snapshot_on_disk_bytes(path) -> int:
 # ----------------------------------------------------------------------
 def _as_saveable(snapshot):
     """Normalize any graph form into a shared (segment-backed) snapshot."""
+    from repro.graph.digraph import DataGraph
     from repro.shard.sharded import ShardedGraph
 
     if isinstance(snapshot, DataGraph):
@@ -358,6 +254,52 @@ def _dump(obj, path) -> None:
         pickle.dump(obj, fh, protocol=pickle.HIGHEST_PROTOCOL)
 
 
+def write_directory(path, write, overwrite: bool, tmp_prefix: str):
+    """Run ``write(dirpath)`` so that ``path`` ends up holding a whole
+    snapshot or nothing new (shared by save and ingest).
+
+    A fresh or empty ``path`` is written in place (and emptied again
+    if ``write`` fails); a populated one is refused without
+    ``overwrite`` and otherwise replaced by building in a sibling temp
+    directory and swapping renames, so readers never see a half-written
+    directory.  Returns what ``write`` returned.
+    """
+    import shutil
+    import tempfile
+
+    final = os.fspath(path)
+    existing = os.path.isdir(final) and bool(os.listdir(final))
+    if existing and not overwrite:
+        raise SnapshotError(
+            f"{final}: directory exists and is not empty "
+            "(pass overwrite=True to replace it)"
+        )
+    if not existing:
+        created = not os.path.isdir(final)
+        os.makedirs(final, exist_ok=True)
+        try:
+            return write(final)
+        except BaseException:
+            # Never leave a partial (manifest-less) build behind; put a
+            # pre-existing empty directory back instead of deleting it.
+            shutil.rmtree(final, ignore_errors=True)
+            if not created:
+                os.makedirs(final, exist_ok=True)
+            raise
+    parent = os.path.dirname(os.path.abspath(final)) or "."
+    tmp = tempfile.mkdtemp(prefix=tmp_prefix, dir=parent)
+    try:
+        result = write(tmp)
+        old = tmp + ".old"
+        os.rename(final, old)
+        os.rename(tmp, final)
+        shutil.rmtree(old, ignore_errors=True)
+    except BaseException:
+        shutil.rmtree(tmp, ignore_errors=True)
+        raise
+    return result
+
+
 def _write_snapshot(dirpath: str, snapshot, extensions: Dict[str, Any]) -> dict:
     from repro.shard.sharded import ShardedGraph
 
@@ -368,6 +310,12 @@ def _write_snapshot(dirpath: str, snapshot, extensions: Dict[str, Any]) -> dict:
         manifest = _write_compact(dirpath, snapshot)
         flat_token = snapshot.snapshot_token
     manifest["views"] = _write_views(dirpath, snapshot, extensions, flat_token)
+    return commit_manifest(dirpath, manifest)
+
+
+def commit_manifest(dirpath: str, manifest: dict) -> dict:
+    """Stamp and write ``manifest.json`` -- last and atomically, so a
+    directory without one is never mistaken for a valid snapshot."""
     manifest["format"] = SNAPSHOT_FORMAT
     manifest["created_at"] = time.time()
     tmp_manifest = os.path.join(dirpath, MANIFEST_NAME + ".tmp")
@@ -396,48 +344,73 @@ def _write_compact(dirpath: str, snapshot: SharedCompactGraph) -> dict:
     return {"kind": "compact", "graph": _graph_meta(snapshot), "files": files}
 
 
-def _write_sharded(dirpath: str, sharded) -> dict:
-    k = sharded.num_shards
-    shard_files: List[dict] = []
-    for i, shard in enumerate(sharded._shards):
-        seg = f"shard-{i:03d}.seg"
-        shard.flat_store.save(os.path.join(dirpath, seg))
-        entry = {
-            "segment": seg,
-            "meta": [
-                shard.num_nodes,
-                shard.num_edges,
-                shard.snapshot_version,
-                shard.snapshot_token,
-                shard.extends_token,
-            ],
-        }
-        if shard._patch:
-            patch = f"patch-{i:03d}.pkl"
-            _dump(shard._patch, os.path.join(dirpath, patch))
-            entry["patch"] = patch
-        shard_files.append(entry)
-    # Cross-shard predecessors, grouped by the *target's* home shard so
-    # a reload can fault in exactly the group a lookup needs.
-    groups: List[Dict[Node, Any]] = [{} for _ in range(k)]
-    for target, sources in sharded._cross_pred.items():
-        groups[sharded._home[target]][target] = sources
-    cross_files: Dict[str, str] = {}
-    for i, group in enumerate(groups):
-        if group:
-            fname = f"crosspred-{i:03d}.pkl"
-            _dump(group, os.path.join(dirpath, fname))
-            cross_files[str(i)] = fname
+def shard_entry(segment: str, snapshot: CompactGraph) -> dict:
+    """The manifest entry of one sealed shard segment."""
+    return {
+        "segment": segment,
+        "meta": [
+            snapshot.num_nodes,
+            snapshot.num_edges,
+            snapshot.snapshot_version,
+            snapshot.snapshot_token,
+            snapshot.extends_token,
+        ],
+    }
+
+
+def sharded_manifest(
+    dirpath: str,
+    entries: List[dict],
+    own_counts: Sequence[int],
+    boundary: Iterable[FlatStore],
+    *,
+    graph: dict,
+    strategy: str,
+    edge_cut: int,
+) -> dict:
+    """The ``kind: "sharded"`` manifest body for shard segments already
+    sealed under ``dirpath`` -- the one producer of the format-2
+    layout, shared by :meth:`SnapshotStore.save` and streaming ingest.
+
+    ``entries`` are the per-shard :func:`shard_entry` dicts; ``boundary``
+    yields each shard's boundary-row store in shard order and is
+    consumed one store at a time (ingest hands in a generator so only
+    one shard's rows are ever resident), each saved as
+    ``boundary-NNN.seg`` beside its shard.
+    """
+    for index, (entry, store) in enumerate(zip(entries, boundary)):
+        entry["boundary"] = f"boundary-{index:03d}.seg"
+        store.save(os.path.join(dirpath, entry["boundary"]))
     return {
         "kind": "sharded",
-        "graph": _graph_meta(sharded),
-        "shards": k,
-        "strategy": sharded.partition.strategy,
-        "own_counts": list(sharded._own_counts),
-        "edge_cut": sharded.partition.edge_cut,
-        "shard_files": shard_files,
-        "cross_pred": cross_files,
+        "graph": graph,
+        "shards": len(entries),
+        "strategy": strategy,
+        "own_counts": list(own_counts),
+        "edge_cut": edge_cut,
+        "shard_files": entries,
     }
+
+
+def _write_sharded(dirpath: str, sharded) -> dict:
+    entries: List[dict] = []
+    for i, shard in enumerate(sharded.shards):
+        entry = shard_entry(f"shard-{i:03d}.seg", shard)
+        shard.flat_store.save(os.path.join(dirpath, entry["segment"]))
+        if shard._patch:
+            entry["patch"] = f"patch-{i:03d}.pkl"
+            _dump(shard._patch, os.path.join(dirpath, entry["patch"]))
+        entries.append(entry)
+    k = sharded.num_shards
+    return sharded_manifest(
+        dirpath,
+        entries,
+        [sharded.own_count(i) for i in range(k)],
+        [sharded.boundary_store(i) for i in range(k)],
+        graph=_graph_meta(sharded),
+        strategy=sharded.strategy,
+        edge_cut=sharded.edge_cut,
+    )
 
 
 def _write_views(
@@ -494,7 +467,8 @@ def _read_manifest(dirpath: str) -> dict:
     if fmt != SNAPSHOT_FORMAT:
         raise SnapshotError(
             f"{dirpath}: unsupported snapshot format {fmt!r} "
-            f"(this build reads format {SNAPSHOT_FORMAT})"
+            f"(this build reads format {SNAPSHOT_FORMAT}; re-create the "
+            "directory with `repro ingest` or `repro snapshot save`)"
         )
     return manifest
 
@@ -520,114 +494,31 @@ def _load_compact(dirpath: str, manifest: dict, verify: bool) -> SharedCompactGr
 
 
 def _load_sharded(dirpath: str, manifest: dict, verify: bool):
-    from repro.shard.partitioner import Partition
     from repro.shard.sharded import ShardedGraph
 
-    k = manifest["shards"]
-    own_counts = list(manifest["own_counts"])
-    shard_graphs: List[SharedCompactGraph] = []
+    shards: List[SharedCompactGraph] = []
+    boundary: List[FlatStore] = []
     for entry in manifest["shard_files"]:
         store = FlatStore.open(
             os.path.join(dirpath, entry["segment"]), verify=verify
         )
         patch = _load_pickle(dirpath, entry["patch"]) if "patch" in entry else None
-        shard_graphs.append(_attach_snapshot(store, patch, tuple(entry["meta"])))
-
-    # Composite bookkeeping, rebuilt from the decoded per-shard node
-    # tables: own nodes first (local ids below own_count), ghosts after
-    # -- the same invariant ShardedGraph.__init__ establishes.
-    assignment: Dict[Node, int] = {}
-    shard_nodes: List[List[Node]] = []
-    ghost_sets: List[Any] = []
-    node_table: List[Node] = []
-    all_names: List[List[Node]] = []
-    for i, snap in enumerate(shard_graphs):
-        names = list(snap.node_table)
-        own = own_counts[i]
-        all_names.append(names)
-        shard_nodes.append(names[:own])
-        ghost_sets.append(frozenset(names[own:]))
-        node_table.extend(names[:own])
-        for node in names[:own]:
-            assignment[node] = i
-
+        shards.append(_attach_snapshot(store, patch, tuple(entry["meta"])))
+        boundary.append(
+            FlatStore.open(os.path.join(dirpath, entry["boundary"]), verify=verify)
+        )
     g = manifest["graph"]
-    cross_files = {int(i): fname for i, fname in manifest["cross_pred"].items()}
-    partition = Partition.__new__(Partition)
-    partition.strategy = manifest["strategy"]
-    partition.num_shards = k
-    partition._assignment = assignment
-    partition._shards = shard_nodes
-    partition._ghosts = tuple(ghost_sets)
-    partition._num_edges = g["edges"]
-    partition._internal_edges = g["edges"] - manifest["edge_cut"]
-    partition._cross = _LazyCrossEdges(dirpath, cross_files, manifest["edge_cut"])
-
-    new = ShardedGraph.__new__(ShardedGraph)
-    new.partition = partition
-    new._shards = tuple(shard_graphs)
-    new._own_counts = tuple(own_counts)
-    offsets: List[int] = []
-    total = 0
-    for count in own_counts:
-        offsets.append(total)
-        total += count
-    new._offsets = tuple(offsets)
-    new._home = assignment
-    new._node_table = node_table
-
-    global_rows: List[List[int]] = []
-    ghost_ids: List[Dict[Node, int]] = []
-    for i, snap in enumerate(shard_graphs):
-        row: List[int] = []
-        ghosts: Dict[Node, int] = {}
-        own = own_counts[i]
-        for local_id, node in enumerate(all_names[i]):
-            home = assignment[node]
-            row.append(offsets[home] + shard_graphs[home].id_of(node))
-            if local_id >= own:
-                ghosts[node] = local_id
-        global_rows.append(row)
-        ghost_ids.append(ghosts)
-    new._global_rows = tuple(global_rows)
-    new._ghost_ids = tuple(ghost_ids)
-
-    ghost_shards: Dict[Node, List[int]] = {}
-    for i, ghosts in enumerate(ghost_ids):
-        for node in ghosts:
-            ghost_shards.setdefault(node, []).append(i)
-    new._ghost_shards = {
-        node: tuple(holders) for node, holders in ghost_shards.items()
-    }
-    bridges: List[List[Tuple[int, Any, Dict[int, int]]]] = [[] for _ in range(k)]
-    for holder, ghosts in enumerate(ghost_ids):
-        per_owner: Dict[int, Dict[int, int]] = {}
-        for node, ghost_id in ghosts.items():
-            owner = assignment[node]
-            per_owner.setdefault(owner, {})[
-                shard_graphs[owner].id_of(node)
-            ] = ghost_id
-        for owner, mapping in per_owner.items():
-            bridges[owner].append((holder, frozenset(mapping), mapping))
-    new._bridges = tuple(tuple(entries) for entries in bridges)
-    new._cross_pred = _LazyCrossPred(dirpath, cross_files, assignment)
-
-    label_nodes: Dict[str, List[Node]] = {}
-    for i, snap in enumerate(shard_graphs):
-        own = own_counts[i]
-        names = all_names[i]
-        for label, bucket in snap._label_ids.items():
-            acc = label_nodes.setdefault(label, [])
-            acc.extend(names[j] for j in bucket if j < own)
-    new._label_nodes = {
-        label: tuple(nodes) for label, nodes in label_nodes.items()
-    }
-
-    new._num_edges = g["edges"]
-    new.snapshot_version = g["snapshot_version"]
-    new.snapshot_token = g["snapshot_token"]
-    new.extends_token = g["extends_token"]
-    return new
+    return ShardedGraph.attach(
+        shards,
+        manifest["own_counts"],
+        boundary,
+        strategy=manifest["strategy"],
+        num_edges=g["edges"],
+        edge_cut=manifest["edge_cut"],
+        version=g["snapshot_version"],
+        token=g["snapshot_token"],
+        extends_token=g["extends_token"],
+    )
 
 
 def _load_views(dirpath: str, manifest: dict, graph, verify: bool) -> Dict[str, Any]:

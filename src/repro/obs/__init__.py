@@ -20,48 +20,29 @@ PlanChoiceRecord`) round out the layer: per-query strategy decisions
 with the measured inputs ROADMAP item 3's cost-based planner trains on.
 """
 
-from repro.obs.metrics import (
-    DURATION_BUCKETS,
-    SIZE_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    get_registry,
-    log_buckets,
-    set_registry,
-)
-from repro.obs.trace import (
-    Span,
-    SpanRecord,
-    TraceCollector,
-    attach,
-    current_span,
-    current_span_id,
-    format_span_tree,
-    remote_span,
-    root_span,
-    span,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "Counter",
-    "DURATION_BUCKETS",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "SIZE_BUCKETS",
-    "Span",
-    "SpanRecord",
-    "TraceCollector",
-    "attach",
-    "current_span",
-    "current_span_id",
-    "format_span_tree",
-    "get_registry",
-    "log_buckets",
-    "remote_span",
-    "root_span",
-    "set_registry",
-    "span",
-]
+_EXPORTS = {
+    "Counter": "repro.obs.metrics",
+    "DURATION_BUCKETS": "repro.obs.metrics",
+    "Gauge": "repro.obs.metrics",
+    "Histogram": "repro.obs.metrics",
+    "MetricsRegistry": "repro.obs.metrics",
+    "SIZE_BUCKETS": "repro.obs.metrics",
+    "Span": "repro.obs.trace",
+    "SpanRecord": "repro.obs.trace",
+    "TraceCollector": "repro.obs.trace",
+    "attach": "repro.obs.trace",
+    "current_span": "repro.obs.trace",
+    "current_span_id": "repro.obs.trace",
+    "format_span_tree": "repro.obs.trace",
+    "get_registry": "repro.obs.metrics",
+    "log_buckets": "repro.obs.metrics",
+    "remote_span": "repro.obs.trace",
+    "root_span": "repro.obs.trace",
+    "set_registry": "repro.obs.metrics",
+    "span": "repro.obs.trace",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

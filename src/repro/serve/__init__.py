@@ -16,18 +16,18 @@ Public surface:
   --metrics-port``).
 """
 
-from repro.serve.epoch import Epoch, SnapshotRegistry
-from repro.serve.metrics_http import MetricsServer
-from repro.serve.protocol import handle_connection, serve_tcp
-from repro.serve.server import QueryServer, ServedAnswer, UpdateOutcome
+from repro import _lazy_exports
 
-__all__ = [
-    "Epoch",
-    "MetricsServer",
-    "QueryServer",
-    "ServedAnswer",
-    "SnapshotRegistry",
-    "UpdateOutcome",
-    "handle_connection",
-    "serve_tcp",
-]
+_EXPORTS = {
+    "Epoch": "repro.serve.epoch",
+    "MetricsServer": "repro.serve.metrics_http",
+    "QueryServer": "repro.serve.server",
+    "ServedAnswer": "repro.serve.server",
+    "SnapshotRegistry": "repro.serve.epoch",
+    "UpdateOutcome": "repro.serve.server",
+    "handle_connection": "repro.serve.protocol",
+    "serve_tcp": "repro.serve.protocol",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

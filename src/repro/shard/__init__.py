@@ -24,35 +24,23 @@ views cached so queries never touch ``G``):
   so the id-space MatchJoin fast path engages unchanged.
 """
 
-from repro.shard.partitioner import (
-    PARTITIONERS,
-    Partition,
-    StreamingHashPartitioner,
-    make_partition,
-)
-from repro.shard.psim import (
-    PSimStats,
-    SHARD_EXECUTORS,
-    ShardRunner,
-    partial_max_simulation,
-    sharded_match,
-    sharded_match_with_ids,
-)
-from repro.shard.materialize import materialize_view, parallel_materialize
-from repro.shard.sharded import ShardedGraph
+from repro import _lazy_exports
 
-__all__ = [
-    "PARTITIONERS",
-    "PSimStats",
-    "Partition",
-    "SHARD_EXECUTORS",
-    "ShardRunner",
-    "ShardedGraph",
-    "StreamingHashPartitioner",
-    "make_partition",
-    "materialize_view",
-    "parallel_materialize",
-    "partial_max_simulation",
-    "sharded_match",
-    "sharded_match_with_ids",
-]
+_EXPORTS = {
+    "PARTITIONERS": "repro.shard.partitioner",
+    "PSimStats": "repro.shard.psim",
+    "Partition": "repro.shard.partitioner",
+    "SHARD_EXECUTORS": "repro.shard.psim",
+    "ShardRunner": "repro.shard.psim",
+    "ShardedGraph": "repro.shard.sharded",
+    "StreamingHashPartitioner": "repro.shard.partitioner",
+    "make_partition": "repro.shard.partitioner",
+    "materialize_view": "repro.shard.materialize",
+    "parallel_materialize": "repro.shard.materialize",
+    "partial_max_simulation": "repro.shard.psim",
+    "sharded_match": "repro.shard.psim",
+    "sharded_match_with_ids": "repro.shard.psim",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

@@ -187,6 +187,30 @@ class Partition:
         self._internal_edges = internal
         self._num_edges = graph.num_edges
 
+    @classmethod
+    def restore(
+        cls,
+        strategy: str,
+        assignment: Assignment,
+        shards: List[List[Node]],
+        cross,
+        ghosts,
+        num_edges: int,
+    ) -> "Partition":
+        """Reassemble a partition from already-derived tables (a
+        refreshed or reloaded sharded snapshot knows them without
+        re-scanning a graph)."""
+        partition = cls.__new__(cls)
+        partition.strategy = strategy
+        partition.num_shards = len(shards)
+        partition._assignment = assignment
+        partition._shards = shards
+        partition._cross = tuple(cross)
+        partition._ghosts = tuple(ghosts)
+        partition._internal_edges = num_edges - len(partition._cross)
+        partition._num_edges = num_edges
+        return partition
+
     # ------------------------------------------------------------------
     # Assignment lookups
     # ------------------------------------------------------------------
@@ -305,19 +329,16 @@ class StreamingHashPartitioner:
     ``budget_bytes``, so resident memory stays flat no matter how many
     edges flow through.
 
-    Three record kinds land in the spill files (tab-separated lines):
+    Two record kinds land in the spill files (tab-separated lines):
 
     * ``e <source> <target>`` -- an edge, spilled to the *source's* home
       shard (shards own the full out-adjacency of their nodes);
     * ``n <target>`` -- for a cross-shard edge only: tells the target's
       home shard the node exists even if it never appears as a source
-      there (so isolated-in-their-shard targets are still owned);
-    * a companion ``crosspred-NNN`` spill records ``<source> <target>``
-      for every cross edge, grouped by the *target's* home shard -- the
-      reverse-adjacency side the coordinator needs.
+      there (so isolated-in-their-shard targets are still owned).
 
-    Use as a context manager; iterate :meth:`shard_records` /
-    :meth:`cross_preds` after all edges are added (both flush first).
+    Use as a context manager; iterate :meth:`shard_records` after all
+    edges are added (it flushes first).
     Node ids must be strings without tabs or newlines (edge-list inputs
     always satisfy this); anything else cannot be spilled losslessly.
     """
@@ -337,11 +358,7 @@ class StreamingHashPartitioner:
         self._shard_paths = [
             self._dir / f"shard-{i:03d}.spill" for i in range(num_shards)
         ]
-        self._cross_paths = [
-            self._dir / f"crosspred-{i:03d}.spill" for i in range(num_shards)
-        ]
         self._buffers: List[List[str]] = [[] for _ in range(num_shards)]
-        self._cross_buffers: List[List[str]] = [[] for _ in range(num_shards)]
         self._buffered = 0
         self.edges = 0
         self.cut_edges = 0
@@ -377,9 +394,7 @@ class StreamingHashPartitioner:
             self.cut_edges += 1
             presence = f"n\t{target}\n"
             self._buffers[away].append(presence)
-            crosspred = f"{source}\t{target}\n"
-            self._cross_buffers[away].append(crosspred)
-            self._buffered += len(presence) + len(crosspred)
+            self._buffered += len(presence)
         if self._buffered >= self.budget_bytes:
             self.flush()
 
@@ -391,18 +406,14 @@ class StreamingHashPartitioner:
     # -- spilling ------------------------------------------------------
     def flush(self) -> None:
         """Append every buffer to its spill file and drop it."""
-        for paths, buffers in (
-            (self._shard_paths, self._buffers),
-            (self._cross_paths, self._cross_buffers),
-        ):
-            for i, buffer in enumerate(buffers):
-                if not buffer:
-                    continue
-                chunk = "".join(buffer)
-                with open(paths[i], "a", encoding="utf-8") as handle:
-                    handle.write(chunk)
-                self.spill_bytes += len(chunk)
-                buffers[i] = []
+        for i, buffer in enumerate(self._buffers):
+            if not buffer:
+                continue
+            chunk = "".join(buffer)
+            with open(self._shard_paths[i], "a", encoding="utf-8") as handle:
+                handle.write(chunk)
+            self.spill_bytes += len(chunk)
+            self._buffers[i] = []
         self._buffered = 0
 
     def shard_records(self, shard: int) -> Iterator[Tuple[str, str, Optional[str]]]:
@@ -421,27 +432,14 @@ class StreamingHashPartitioner:
                 else:
                     yield ("n", parts[1], None)
 
-    def cross_preds(self, shard: int) -> Iterator[Tuple[str, str]]:
-        """Stream the cross-shard edges whose *target* lives in
-        ``shard`` -- its foreign-predecessor table."""
-        self.flush()
-        path = self._cross_paths[shard]
-        if not path.exists():
-            return
-        with open(path, encoding="utf-8") as handle:
-            for line in handle:
-                source, target = line.rstrip("\n").split("\t")
-                yield (source, target)
-
     # -- lifecycle -----------------------------------------------------
     def close(self) -> None:
         """Flush buffers and delete every spill file."""
         if self._closed:
             return
         self._buffers = [[] for _ in range(self.num_shards)]
-        self._cross_buffers = [[] for _ in range(self.num_shards)]
         self._buffered = 0
-        for path in (*self._shard_paths, *self._cross_paths):
+        for path in self._shard_paths:
             try:
                 os.unlink(path)
             except FileNotFoundError:

@@ -43,21 +43,33 @@ import logging
 import os
 import pickle
 from bisect import bisect_left
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import repeat
 from time import perf_counter
-from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Hashable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
-from repro.engine.executor import ShipStats
 from repro.graph.compact import CompactGraph
 from repro.graph.conditions import AttributeCondition, Label
+from repro.graph.flatbuf import ShipStats
 from repro.obs import trace
 from repro.obs.metrics import get_registry
 from repro.obs.trace import SpanRecord
-from repro.shard.sharded import ShardedGraph
 from repro.simulation.compact_engine import IdEdgeMatches, refine_batch
 from repro.simulation.result import MatchResult
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+
+    from repro.shard.sharded import ShardedGraph
 
 log = logging.getLogger(__name__)
 
@@ -275,8 +287,7 @@ def _local_edge_matches(
     snapshot: CompactGraph,
     pattern,
     state: _ShardState,
-    global_row: List[int],
-    node_table: List[Node],
+    global_row: Sequence[int],
 ) -> Tuple[
     IdEdgeMatches,
     IdEdgeMatches,
@@ -293,13 +304,13 @@ def _local_edge_matches(
     by-target rows can collide across shards, at cut targets).  At the
     global fixpoint the surviving assumptions are exactly the true
     boundary matches, so ghost witnesses are emitted like internal
-    ones; ``global_row`` folds both into the shared id space.
+    ones; ``global_row`` folds both into the shared id space, and the
+    shard's own node table names them (a ghost carries its key).
     """
     succ = snapshot.succ_rows
     sim = state.sim
     full = state.full
-    decode_local = snapshot.node_of
-    decode_global = node_table.__getitem__
+    decode = snapshot.node_of
     matches: IdEdgeMatches = {}
     reverse: IdEdgeMatches = {}
     decoded: Dict[PEdge, Set[Tuple[Node, Node]]] = {}
@@ -323,15 +334,11 @@ def _local_edge_matches(
                         by_target[w] = {source}
                     else:
                         sources.add(source)
-                pairs.update(
-                    zip(repeat(decode_local(v)), map(decode_global, targets))
-                )
+                pairs.update(zip(repeat(decode(v)), map(decode, witnesses)))
         matches[edge] = grouped
         reverse[edge] = by_target
         decoded[edge] = pairs
-    nodes = {
-        u: set(map(decode_local, ids)) for u, ids in sim.items()
-    }
+    nodes = {u: set(map(decode, ids)) for u, ids in sim.items()}
     return matches, reverse, decoded, nodes
 
 
@@ -392,7 +399,6 @@ def _execute(
             pattern,
             state,
             sharded.global_row(index),
-            sharded.node_table,
         )
     # "collect": the decoded internal simulation of this shard.
     decode = snapshot.node_of
@@ -479,6 +485,8 @@ class ShardRunner:
         if executor == "process" and self.workers > 1:
             # Shared-memory shards pay off exactly here: workers attach
             # segments instead of unpickling per-shard adjacency.
+            from concurrent.futures import ProcessPoolExecutor
+
             sharded.share()
             started = perf_counter()
             blob = pickle.dumps(sharded, pickle.HIGHEST_PROTOCOL)
@@ -494,6 +502,8 @@ class ShardRunner:
                 for _ in range(min(self.workers, sharded.num_shards))
             ]
         elif executor == "thread" and self.workers > 1:
+            from concurrent.futures import ThreadPoolExecutor
+
             self._thread_pool = ThreadPoolExecutor(max_workers=self.workers)
 
     def new_session(self) -> int:
@@ -723,10 +733,12 @@ class _Evaluation:
         rerun: Set[int] = set()
         round_invalidated = 0
         for index, removed in deltas:
+            if not removed:
+                continue
             bridges = sharded.bridges(index)
             for u, ids in removed.items():
-                for holder, exported, translate in bridges:
-                    common = ids & exported
+                for holder, translate in bridges:
+                    common = translate.keys() & ids
                     if not common:
                         continue
                     hit = set(map(translate.__getitem__, common))

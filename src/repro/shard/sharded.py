@@ -26,35 +26,148 @@ included -- to global ids.  The composite ``snapshot_token`` /
 ``node_table`` make merged extensions indistinguishable from
 single-snapshot ones, so the MatchJoin id-space fast path engages
 unchanged on views materialized shard-parallel.
+
+The composite bookkeeping is held as **flat int rows** -- per shard the
+local -> global id row and, per (owner, holder) pair, the bridge pairs
+``(owner-local id, ghost id)`` -- in one small
+:class:`~repro.graph.flatbuf.FlatStore` per shard
+(:func:`boundary_stores` computes them, in memory and at ingest alike).
+A snapshot directory persists exactly these stores, so reloading a
+sharded graph attaches them instead of recomputing anything, and every
+*name-keyed* table (home map, ghost maps, decode table, partition) is
+derived from the shards' node tables on first name-based access -- which
+an id-space evaluation (:mod:`repro.shard.psim`) never makes.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from array import array
+from bisect import bisect_left, bisect_right
+from functools import cached_property
+from itertools import islice
 from typing import (
+    TYPE_CHECKING,
     Any,
+    Callable,
     Dict,
     FrozenSet,
     Hashable,
     Iterator,
     List,
     Optional,
+    Sequence,
     Tuple,
 )
 
 from repro.graph.compact import CompactGraph, _new_token
-from repro.graph.digraph import DataGraph
-from repro.shard.partitioner import Partition, make_partition
+from repro.graph.flatbuf import FlatStore, SharedCompactGraph
+
+if TYPE_CHECKING:
+    from repro.graph.digraph import DataGraph
+    from repro.shard.partitioner import Partition
 
 Node = Hashable
 Edge = Tuple[Node, Node]
 
+#: One boundary bridge: ``(holder shard, {owner-local id: ghost id in
+#: the holder})``; the dict's key view is the set of exported ids.
+Bridge = Tuple[int, Dict[int, int]]
 
-def _is_shared(snapshot) -> bool:
-    """Whether a shard snapshot is a shared-memory flat snapshot."""
-    from repro.graph.flatbuf import SharedCompactGraph
 
-    return isinstance(snapshot, SharedCompactGraph)
+def _offsets_of(own_counts: Sequence[int]) -> Tuple[int, ...]:
+    """Composite id offset of every shard (own nodes are numbered
+    shard-major, so these are the running sums of the own counts)."""
+    offsets: List[int] = []
+    total = 0
+    for count in own_counts:
+        offsets.append(total)
+        total += count
+    return tuple(offsets)
+
+
+def boundary_stores(
+    names_of: Callable[[int], Sequence[Node]], own_counts: Sequence[int]
+) -> Iterator[FlatStore]:
+    """The boundary rows of every shard, one holder at a time, each
+    packed into a process-private :class:`FlatStore` ready to ``save()``.
+
+    ``names_of(i)`` is shard ``i``'s node table (own nodes first, ghosts
+    after).  For holder ``h`` the store's int tables are
+
+    * ``global_row`` -- local id -> composite global id, ghosts included
+      (a ghost's global id is its owner's);
+    * ``owners:<o>`` / ``ghosts:<o>`` -- for each owner ``o`` ghosted
+      here, the parallel rows of the bridge ``o -> h``: owner-local id
+      and the ghost id it has in ``h``.
+
+    Only one holder's ghost map and one owner's node table are live at a
+    time, so the peak is a shard pair whatever the graph's size: each
+    owner's own names stream past the holder's ghost map once.
+    """
+    offsets = _offsets_of(own_counts)
+    for holder, own in enumerate(own_counts):
+        names = names_of(holder)
+        row = array("q", range(offsets[holder], offsets[holder] + own))
+        ghost_of = {
+            name: ghost for ghost, name in enumerate(islice(names, own, None), own)
+        }
+        row.extend([-1] * len(ghost_of))
+        tables = {"global_row": row}
+        del names
+        unresolved = len(ghost_of)
+        for owner, owner_own in enumerate(own_counts):
+            if not unresolved:
+                break
+            if owner == holder:
+                continue
+            base = offsets[owner]
+            owners = array("q")
+            ghosts = array("q")
+            hits = map(ghost_of.get, islice(names_of(owner), owner_own))
+            for local, ghost in enumerate(hits):
+                if ghost is not None:
+                    owners.append(local)
+                    ghosts.append(ghost)
+                    row[ghost] = base + local
+            if owners:
+                tables[f"owners:{owner}"] = owners
+                tables[f"ghosts:{owner}"] = ghosts
+                unresolved -= len(owners)
+        if unresolved:
+            raise ValueError(
+                f"shard {holder} ghosts {unresolved} node(s) no shard owns"
+            )
+        yield FlatStore.pack(tables, {}, backend="bytes")
+
+
+def boundary_summary(header: Dict[str, Tuple[str, int, int]]) -> Dict[str, int]:
+    """Row counts of one boundary store, read off its table directory
+    (``repro snapshot info`` reports them without attaching anything)."""
+    return {
+        "rows": header["global_row"][2] // 8,
+        "bridge_pairs": sum(
+            nbytes // 8
+            for name, (_, _, nbytes) in header.items()
+            if name.startswith("owners:")
+        ),
+    }
+
+
+def _local_snapshot(graph: "DataGraph", partition: "Partition", index: int) -> CompactGraph:
+    """Shard ``index``'s frozen local graph: own nodes first (so local
+    ids below the own count are internal) with their full out-adjacency,
+    then ghosts picking up label/attribute copies."""
+    from repro.graph.digraph import DataGraph
+
+    local = DataGraph()
+    for node in partition.nodes_of(index):
+        local.add_node(node, labels=graph.labels(node), attrs=graph.attrs(node))
+    for node in partition.nodes_of(index):
+        for target in graph.successors(node):
+            local.add_edge(node, target)
+    for ghost in partition.ghosts_of(index):
+        local.add_node(ghost, labels=graph.labels(ghost), attrs=graph.attrs(ghost))
+    return local.freeze()
 
 
 class ShardedGraph:
@@ -73,151 +186,89 @@ class ShardedGraph:
         Used only when ``partition`` is ``None``.
     """
 
-    __slots__ = (
-        "partition",
-        "_shards",
-        "_own_counts",
-        "_offsets",
-        "_home",
-        "_node_table",
-        "_global_rows",
-        "_ghost_ids",
-        "_ghost_shards",
-        "_bridges",
-        "_cross_pred",
-        "_label_nodes",
-        "_num_edges",
-        "snapshot_version",
-        "snapshot_token",
-        "extends_token",
-    )
-
     def __init__(
         self,
-        graph: DataGraph,
-        partition: Optional[Partition] = None,
+        graph: "DataGraph",
+        partition: Optional["Partition"] = None,
         num_shards: int = 2,
         strategy: str = "hash",
     ) -> None:
         if partition is None:
+            from repro.shard.partitioner import make_partition
+
             partition = make_partition(graph, num_shards, strategy)
-        self.partition = partition
         k = partition.num_shards
-
-        # Per-shard local graphs: own nodes first (so local ids
-        # 0..own-1 are internal), then ghosts picking up label/attr
-        # copies; edges are the full out-adjacency of own nodes.
-        locals_: List[DataGraph] = []
-        for i in range(k):
-            local = DataGraph()
-            for node in partition.nodes_of(i):
-                local.add_node(node, labels=graph.labels(node), attrs=graph.attrs(node))
-            for node in partition.nodes_of(i):
-                for target in graph.successors(node):
-                    local.add_edge(node, target)
-            for ghost in partition.ghosts_of(i):
-                local.add_node(
-                    ghost, labels=graph.labels(ghost), attrs=graph.attrs(ghost)
-                )
-            locals_.append(local)
-        self._shards: Tuple[CompactGraph, ...] = tuple(
-            local.freeze() for local in locals_
+        self._assemble(
+            [_local_snapshot(graph, partition, i) for i in range(k)],
+            [len(partition.nodes_of(i)) for i in range(k)],
+            None,
+            strategy=partition.strategy,
+            num_edges=graph.num_edges,
+            edge_cut=partition.edge_cut,
+            version=graph.version,
+            token=_new_token(),
+            extends_token=None,
         )
-        self._own_counts: Tuple[int, ...] = tuple(
-            len(partition.nodes_of(i)) for i in range(k)
-        )
+        self.partition = partition  # known: pre-empts the lazy rebuild
 
+    @classmethod
+    def attach(cls, shards, own_counts, boundary, **meta) -> "ShardedGraph":
+        """Assemble a sharded graph from per-shard snapshots and their
+        boundary stores (what a snapshot directory persists, and what a
+        pickle ships); ``boundary=None`` computes the stores."""
+        new = cls.__new__(cls)
+        new._assemble(shards, own_counts, boundary, **meta)
+        return new
+
+    def _assemble(
+        self,
+        shards: Sequence[CompactGraph],
+        own_counts: Sequence[int],
+        boundary: Optional[Sequence[FlatStore]],
+        *,
+        strategy: str,
+        num_edges: int,
+        edge_cut: int,
+        version: int,
+        token,
+        extends_token,
+    ) -> None:
+        self._shards: Tuple[CompactGraph, ...] = tuple(shards)
+        self._own_counts: Tuple[int, ...] = tuple(own_counts)
         # Composite id space: global id = offset of home shard + local
         # id there (own nodes precede ghosts, so this is dense).
-        offsets: List[int] = []
-        total = 0
-        for count in self._own_counts:
-            offsets.append(total)
-            total += count
-        self._offsets: Tuple[int, ...] = tuple(offsets)
-        self._home: Dict[Node, int] = partition.assignment
-        node_table: List[Node] = []
-        for i in range(k):
-            node_table.extend(partition.nodes_of(i))
-        self._node_table = node_table
+        self._offsets = _offsets_of(self._own_counts)
+        self._num_nodes = sum(self._own_counts)
+        if boundary is None:
+            boundary = boundary_stores(
+                lambda i: self._shards[i].node_table, self._own_counts
+            )
+        self._boundary: Tuple[FlatStore, ...] = tuple(boundary)
+        self.strategy = strategy
+        self._num_edges = num_edges
+        self._edge_cut = edge_cut
+        self.snapshot_version = version
+        self.snapshot_token = token
+        self.extends_token = extends_token
 
-        # Per-shard translation rows local id -> global id, defined for
-        # ghosts too (a ghost's global id is its home shard's).
-        global_rows: List[List[int]] = []
-        ghost_ids: List[Dict[Node, int]] = []
-        for i, snapshot in enumerate(self._shards):
-            row: List[int] = []
-            ghosts: Dict[Node, int] = {}
-            own = self._own_counts[i]
-            for local_id in range(snapshot.num_nodes):
-                node = snapshot.node_of(local_id)
-                home = self._home[node]
-                row.append(self._offsets[home] + self._shards[home].id_of(node))
-                if local_id >= own:
-                    ghosts[node] = local_id
-            global_rows.append(row)
-            ghost_ids.append(ghosts)
-        self._global_rows: Tuple[List[int], ...] = tuple(global_rows)
-        self._ghost_ids: Tuple[Dict[Node, int], ...] = tuple(ghost_ids)
-
-        # Reverse boundary tables: which shards hold a ghost of each
-        # boundary node (the coordinator's re-run fanout), and the
-        # cross-shard predecessors the home shard cannot see.
-        ghost_shards: Dict[Node, List[int]] = {}
-        for i, ghosts in enumerate(self._ghost_ids):
-            for node in ghosts:
-                ghost_shards.setdefault(node, []).append(i)
-        self._ghost_shards: Dict[Node, Tuple[int, ...]] = {
-            node: tuple(shards) for node, shards in ghost_shards.items()
+    def __reduce__(self):
+        # Ships the per-shard snapshots (segment handles when shared)
+        # and the int boundary rows; name-keyed tables are re-derived
+        # by whoever asks for them on the other side.
+        meta = {
+            "strategy": self.strategy,
+            "num_edges": self._num_edges,
+            "edge_cut": self._edge_cut,
+            "version": self.snapshot_version,
+            "token": self.snapshot_token,
+            "extends_token": self.extends_token,
         }
-        # Boundary bridges: for each owner shard, one entry per holder
-        # shard that ghosts any of its nodes -- the owner-local ids
-        # exported there (as a frozenset, so the coordinator can
-        # intersect a removal batch in one C call) plus the owner-local
-        # -> holder-ghost id translation.  This is the exchange step's
-        # hot path, so the whole indirection chain (node key, holder
-        # list, holder's ghost id) is pre-resolved here.
-        bridges: List[List[Tuple[int, FrozenSet[int], Dict[int, int]]]] = [
-            [] for _ in range(k)
-        ]
-        for holder, ghosts in enumerate(self._ghost_ids):
-            per_owner: Dict[int, Dict[int, int]] = {}
-            for node, ghost_id in ghosts.items():
-                owner = self._home[node]
-                per_owner.setdefault(owner, {})[
-                    self._shards[owner].id_of(node)
-                ] = ghost_id
-            for owner, mapping in per_owner.items():
-                bridges[owner].append((holder, frozenset(mapping), mapping))
-        self._bridges: Tuple[
-            Tuple[Tuple[int, FrozenSet[int], Dict[int, int]], ...], ...
-        ] = tuple(tuple(entries) for entries in bridges)
-        cross_pred: Dict[Node, set] = {}
-        for source, target in partition.cross_edges:
-            cross_pred.setdefault(target, set()).add(source)
-        self._cross_pred: Dict[Node, FrozenSet[Node]] = {
-            node: frozenset(sources) for node, sources in cross_pred.items()
-        }
-
-        # Composite label index over owned nodes (shard ghosts would
-        # double-count).
-        label_nodes: Dict[str, List[Node]] = {}
-        for node in node_table:
-            for label in graph.labels(node):
-                label_nodes.setdefault(label, []).append(node)
-        self._label_nodes: Dict[str, Tuple[Node, ...]] = {
-            label: tuple(nodes) for label, nodes in label_nodes.items()
-        }
-
-        self._num_edges = graph.num_edges
-        self.snapshot_version = graph.version
-        self.snapshot_token = _new_token()
-        self.extends_token = None
+        return (_attach_sharded, (self._shards, self._own_counts, self._boundary, meta))
 
     # ------------------------------------------------------------------
     # Delta refresh
     # ------------------------------------------------------------------
-    def refreshed(self, graph: DataGraph, ops) -> "ShardedGraph":
+    def refreshed(self, graph: "DataGraph", ops) -> "ShardedGraph":
         """A new sharded snapshot of ``graph`` built by patching this one.
 
         ``ops`` is the ordered edge-op batch (``(op, source, target)``
@@ -232,18 +283,19 @@ class ShardedGraph:
         :class:`CompactGraph` is reused by reference.  New nodes are
         assigned to the last shard, whose own nodes sit at the top of
         the composite id space, so **every pre-existing node keeps its
-        composite global id**; the boundary tables (ghosts, bridges,
-        cross-predecessors) are re-derived from the updated cut.  The
-        result mints a fresh composite ``snapshot_token`` and records
-        this snapshot's token in :attr:`extends_token`, so extensions
-        of views an update did not touch can be re-stamped onto it and
-        MatchJoin's id-space path re-engages immediately.
+        composite global id**; the boundary rows are re-derived from
+        the updated cut.  The result mints a fresh composite
+        ``snapshot_token`` and records this snapshot's token in
+        :attr:`extends_token`, so extensions of views an update did not
+        touch can be re-stamped onto it and MatchJoin's id-space path
+        re-engages immediately.
         """
+        from repro.shard.partitioner import Partition
+
         old_partition = self.partition
         k = old_partition.num_shards
         new_nodes = [node for node in graph.nodes() if node not in self._home]
 
-        # --- partition bookkeeping -----------------------------------
         assignment = dict(old_partition.assignment)
         for node in new_nodes:
             assignment[node] = k - 1
@@ -255,7 +307,7 @@ class ShardedGraph:
         final: Dict[Edge, str] = {}
         for op, source, target in ops:
             final[(source, target)] = op
-        cross = [edge for edge in old_partition._cross if edge not in final]
+        cross = [edge for edge in old_partition.cross_edges if edge not in final]
         for edge, op in final.items():
             if op == "insert" and assignment[edge[0]] != assignment[edge[1]]:
                 cross.append(edge)
@@ -269,115 +321,32 @@ class ShardedGraph:
                 for source, target in cross
                 if assignment[source] == index
             )
-        partition = Partition.__new__(Partition)
-        partition.strategy = old_partition.strategy
-        partition.num_shards = k
-        partition._assignment = assignment
-        partition._shards = shards
-        partition._cross = tuple(cross)
-        partition._ghosts = tuple(ghosts)
-        partition._internal_edges = graph.num_edges - len(cross)
-        partition._num_edges = graph.num_edges
-
-        # --- per-shard snapshots: rebuild affected, reuse the rest ----
-        new = ShardedGraph.__new__(ShardedGraph)
-        new.partition = partition
-        shard_snapshots = list(self._shards)
-        for index in sorted(affected):
-            local = DataGraph()
-            for node in partition.nodes_of(index):
-                local.add_node(
-                    node, labels=graph.labels(node), attrs=graph.attrs(node)
-                )
-            for node in partition.nodes_of(index):
-                for target in graph.successors(node):
-                    local.add_edge(node, target)
-            for ghost in partition.ghosts_of(index):
-                local.add_node(
-                    ghost, labels=graph.labels(ghost), attrs=graph.attrs(ghost)
-                )
-            rebuilt = local.freeze()
-            if _is_shared(self._shards[index]):
-                from repro.graph.flatbuf import SharedCompactGraph
-
-                rebuilt = SharedCompactGraph.share(rebuilt)
-            shard_snapshots[index] = rebuilt
-        new._shards = tuple(shard_snapshots)
-        new._own_counts = tuple(len(partition.nodes_of(i)) for i in range(k))
-
-        # Only the last shard can have grown, so every offset -- and
-        # with it every pre-existing composite id -- is unchanged.
-        offsets: List[int] = []
-        total = 0
-        for count in new._own_counts:
-            offsets.append(total)
-            total += count
-        new._offsets = tuple(offsets)
-        new._home = assignment
-        new._node_table = (
-            self._node_table + new_nodes if new_nodes else self._node_table
+        partition = Partition.restore(
+            old_partition.strategy, assignment, shards, cross, ghosts,
+            graph.num_edges,
         )
 
-        global_rows = list(self._global_rows)
-        ghost_ids = list(self._ghost_ids)
+        # Rebuild the affected shards, reuse the rest.  Only the last
+        # shard can have grown, so every offset -- and with it every
+        # pre-existing composite id -- is unchanged.
+        shard_snapshots = list(self._shards)
         for index in sorted(affected):
-            snapshot = shard_snapshots[index]
-            row: List[int] = []
-            ghosts_of_shard: Dict[Node, int] = {}
-            own = new._own_counts[index]
-            for local_id in range(snapshot.num_nodes):
-                node = snapshot.node_of(local_id)
-                home = assignment[node]
-                row.append(offsets[home] + shard_snapshots[home].id_of(node))
-                if local_id >= own:
-                    ghosts_of_shard[node] = local_id
-            global_rows[index] = row
-            ghost_ids[index] = ghosts_of_shard
-        new._global_rows = tuple(global_rows)
-        new._ghost_ids = tuple(ghost_ids)
-
-        # Boundary tables are O(cut): re-derive them wholesale.
-        ghost_shards: Dict[Node, List[int]] = {}
-        for index, ghosts_of_shard in enumerate(new._ghost_ids):
-            for node in ghosts_of_shard:
-                ghost_shards.setdefault(node, []).append(index)
-        new._ghost_shards = {
-            node: tuple(holders) for node, holders in ghost_shards.items()
-        }
-        bridges: List[List[Tuple[int, FrozenSet[int], Dict[int, int]]]] = [
-            [] for _ in range(k)
-        ]
-        for holder, ghosts_of_shard in enumerate(new._ghost_ids):
-            per_owner: Dict[int, Dict[int, int]] = {}
-            for node, ghost_id in ghosts_of_shard.items():
-                owner = assignment[node]
-                per_owner.setdefault(owner, {})[
-                    shard_snapshots[owner].id_of(node)
-                ] = ghost_id
-            for owner, mapping in per_owner.items():
-                bridges[owner].append((holder, frozenset(mapping), mapping))
-        new._bridges = tuple(tuple(entries) for entries in bridges)
-        cross_pred: Dict[Node, set] = {}
-        for source, target in partition.cross_edges:
-            cross_pred.setdefault(target, set()).add(source)
-        new._cross_pred = {
-            node: frozenset(sources) for node, sources in cross_pred.items()
-        }
-
-        labeled_new = [node for node in new_nodes if graph.labels(node)]
-        if labeled_new:
-            label_nodes = dict(self._label_nodes)
-            for node in labeled_new:
-                for label in graph.labels(node):
-                    label_nodes[label] = label_nodes.get(label, ()) + (node,)
-            new._label_nodes = label_nodes
-        else:
-            new._label_nodes = self._label_nodes
-
-        new._num_edges = graph.num_edges
-        new.snapshot_version = graph.version
-        new.snapshot_token = _new_token()
-        new.extends_token = self.snapshot_token
+            rebuilt = _local_snapshot(graph, partition, index)
+            if isinstance(self._shards[index], SharedCompactGraph):
+                rebuilt = SharedCompactGraph.share(rebuilt)
+            shard_snapshots[index] = rebuilt
+        new = ShardedGraph.attach(
+            shard_snapshots,
+            [len(partition.nodes_of(i)) for i in range(k)],
+            None,
+            strategy=partition.strategy,
+            num_edges=graph.num_edges,
+            edge_cut=partition.edge_cut,
+            version=graph.version,
+            token=_new_token(),
+            extends_token=self.snapshot_token,
+        )
+        new.partition = partition
         return new
 
     def share(self) -> "ShardedGraph":
@@ -389,17 +358,12 @@ class ShardedGraph:
         same version, identical in-process behavior), so pickling the
         sharded graph ships per-shard segment handles instead of
         adjacency copies -- workers in a shard pool attach.  The
-        composite bookkeeping (boundary tables, translation rows) still
-        pickles by value; shard adjacency is the bulk.  Sharedness
-        survives :meth:`refreshed` (rebuilt shards are re-shared).
+        boundary rows still pickle by value; shard adjacency is the
+        bulk.  Sharedness survives :meth:`refreshed` (rebuilt shards
+        are re-shared).
         """
-        from repro.graph.flatbuf import SharedCompactGraph
-
         self._shards = tuple(
-            shard
-            if isinstance(shard, SharedCompactGraph)
-            else SharedCompactGraph.share(shard)
-            for shard in self._shards
+            SharedCompactGraph.share(shard) for shard in self._shards
         )
         return self
 
@@ -408,7 +372,7 @@ class ShardedGraph:
     # ------------------------------------------------------------------
     @property
     def num_shards(self) -> int:
-        return self.partition.num_shards
+        return len(self._shards)
 
     @property
     def shards(self) -> Tuple[CompactGraph, ...]:
@@ -423,6 +387,106 @@ class ShardedGraph:
         ids below this are internal, at or above are ghosts."""
         return self._own_counts[index]
 
+    def boundary_store(self, index: int) -> FlatStore:
+        """Shard ``index``'s boundary rows (see :func:`boundary_stores`)."""
+        return self._boundary[index]
+
+    @cached_property
+    def _global_rows(self) -> Tuple[List[int], ...]:
+        # Plain lists: the kernels index these per match pair.
+        return tuple(
+            store.ints("global_row").tolist() for store in self._boundary
+        )
+
+    def global_row(self, index: int) -> List[int]:
+        """Shard ``index``'s local id -> composite global id table."""
+        return self._global_rows[index]
+
+    @cached_property
+    def _bridges(self) -> Tuple[Tuple[Bridge, ...], ...]:
+        return tuple(
+            tuple(
+                (
+                    holder,
+                    dict(zip(store.ints(f"owners:{owner}"), store.ints(f"ghosts:{owner}"))),
+                )
+                for holder, store in enumerate(self._boundary)
+                if f"owners:{owner}" in store.header
+            )
+            for owner in range(len(self._shards))
+        )
+
+    def bridges(self, index: int) -> Tuple[Bridge, ...]:
+        """Shard ``index``'s boundary bridges: one ``(holder shard,
+        owner-local id -> ghost id map)`` per shard ghosting any of its
+        nodes, built from the bridge rows on first request.
+
+        This is the exchange step's hot path: the coordinator
+        intersects a removal batch with the map's key view in one C
+        call and translates the survivors through it.
+        """
+        return self._bridges[index]
+
+    # -- name-keyed tables: derived on first name-based access ---------
+    @cached_property
+    def _home(self) -> Dict[Node, int]:
+        """``{owned node: home shard}``."""
+        home: Dict[Node, int] = {}
+        for index, (shard, own) in enumerate(zip(self._shards, self._own_counts)):
+            home.update(dict.fromkeys(islice(shard.node_table, own), index))
+        return home
+
+    @cached_property
+    def _ghost_ids(self) -> Tuple[Dict[Node, int], ...]:
+        return tuple(
+            {
+                node: ghost
+                for ghost, node in enumerate(
+                    islice(shard.node_table, own, None), own
+                )
+            }
+            for shard, own in zip(self._shards, self._own_counts)
+        )
+
+    @cached_property
+    def _ghost_shards(self) -> Dict[Node, Tuple[int, ...]]:
+        holders: Dict[Node, Tuple[int, ...]] = {}
+        for index, ghosts in enumerate(self._ghost_ids):
+            for node in ghosts:
+                holders[node] = holders.get(node, ()) + (index,)
+        return holders
+
+    @cached_property
+    def partition(self) -> "Partition":
+        """The node split behind this snapshot.  A snapshot built from
+        a graph keeps the partition it was given; a reloaded one
+        re-derives it (assignment, cut edges, ghost sets) from the
+        shards on first request."""
+        from repro.shard.partitioner import Partition
+
+        return Partition.restore(
+            self.strategy,
+            self._home,
+            [
+                list(islice(shard.node_table, own))
+                for shard, own in zip(self._shards, self._own_counts)
+            ],
+            self._cut_edges(),
+            [frozenset(ghosts) for ghosts in self._ghost_ids],
+            self._num_edges,
+        )
+
+    def _cut_edges(self) -> Iterator[Edge]:
+        """Every cross-shard edge: the in-edges of each shard's ghosts
+        (a ghost has no out-edges, and only own nodes point at it)."""
+        for shard, own in zip(self._shards, self._own_counts):
+            names = shard.node_table
+            pred = shard.pred_rows
+            for ghost in range(own, len(pred)):
+                target = names[ghost]
+                for source in pred[ghost]:
+                    yield (names[source], target)
+
     def ghost_ids(self, index: int) -> Dict[Node, int]:
         """Shard ``index``'s ghosts as ``{node key: local id}``."""
         return self._ghost_ids[index]
@@ -430,18 +494,6 @@ class ShardedGraph:
     def ghost_shards(self, node: Node) -> Tuple[int, ...]:
         """The shards holding a ghost copy of ``node`` (may be empty)."""
         return self._ghost_shards.get(node, ())
-
-    def bridges(
-        self, index: int
-    ) -> Tuple[Tuple[int, FrozenSet[int], Dict[int, int]], ...]:
-        """Shard ``index``'s boundary bridges: one ``(holder shard,
-        exported owner-local ids, owner-local -> ghost id map)`` per
-        shard ghosting any of its nodes."""
-        return self._bridges[index]
-
-    def global_row(self, index: int) -> List[int]:
-        """Shard ``index``'s local id -> composite global id table."""
-        return self._global_rows[index]
 
     def owner_id(self, node: Node) -> Tuple[int, int]:
         """``(home shard, local id there)`` of an owned node."""
@@ -451,7 +503,7 @@ class ShardedGraph:
     @property
     def boundary_nodes(self) -> FrozenSet[Node]:
         """Nodes ghosted into at least one foreign shard."""
-        return self.partition.boundary_nodes
+        return frozenset(self._ghost_shards)
 
     # ------------------------------------------------------------------
     # Composite id space (what CompactExtension consumes)
@@ -463,13 +515,17 @@ class ShardedGraph:
 
     def node_of(self, i: int) -> Node:
         """The original node key behind global id ``i``."""
-        return self._node_table[i]
+        home = bisect_right(self._offsets, i) - 1
+        return self._shards[home].node_of(i - self._offsets[home])
 
-    @property
+    @cached_property
     def node_table(self) -> List[Node]:
         """The global id -> node key decode table (shared, do not
         mutate); shard-major, so ids are dense across shards."""
-        return self._node_table
+        table: List[Node] = []
+        for shard, own in zip(self._shards, self._own_counts):
+            table.extend(islice(shard.node_table, own))
+        return table
 
     # ------------------------------------------------------------------
     # Identity
@@ -491,26 +547,31 @@ class ShardedGraph:
         return node in self._home
 
     def __len__(self) -> int:
-        return len(self._node_table)
+        return self._num_nodes
 
     def __iter__(self) -> Iterator[Node]:
-        return iter(self._node_table)
+        return iter(self.node_table)
 
     @property
     def num_nodes(self) -> int:
-        return len(self._node_table)
+        return self._num_nodes
 
     @property
     def num_edges(self) -> int:
         return self._num_edges
 
     @property
+    def edge_cut(self) -> int:
+        """Number of cross-shard edges."""
+        return self._edge_cut
+
+    @property
     def size(self) -> int:
         """``|G|`` in the paper: total number of nodes and edges."""
-        return self.num_nodes + self._num_edges
+        return self._num_nodes + self._num_edges
 
     def nodes(self) -> Iterator[Node]:
-        return iter(self._node_table)
+        return iter(self.node_table)
 
     def edges(self) -> Iterator[Edge]:
         for i, snapshot in enumerate(self._shards):
@@ -532,10 +593,12 @@ class ShardedGraph:
 
     def predecessors(self, node: Node) -> FrozenSet[Node]:
         # In-adjacency is split: internal predecessors live in the home
-        # shard, cross-shard ones in the boundary table.
-        local = self._shards[self._home[node]].predecessors(node)
-        cross = self._cross_pred.get(node)
-        return local if cross is None else local | cross
+        # shard, cross-shard ones in the shards ghosting the node (each
+        # holds the in-edges its own nodes contribute).
+        found = self._shards[self._home[node]].predecessors(node)
+        for holder in self._ghost_shards.get(node, ()):
+            found = found | self._shards[holder].predecessors(node)
+        return found
 
     def out_degree(self, node: Node) -> int:
         return self._shards[self._home[node]].out_degree(node)
@@ -550,12 +613,27 @@ class ShardedGraph:
         return self._shards[self._home[node]].attrs(node)
 
     def nodes_with_label(self, label: str) -> Iterator[Node]:
-        """Yield all nodes carrying ``label`` (composite index lookup)."""
-        return iter(self._label_nodes.get(label, ()))
+        """Yield all nodes carrying ``label``: each shard's label bucket
+        cut at its own count (ghost copies would double-count)."""
+        for shard, own in zip(self._shards, self._own_counts):
+            ids = shard.label_ids(label)
+            names = shard.node_table
+            for local_id in islice(ids, bisect_left(ids, own)):
+                yield names[local_id]
+
+    @cached_property
+    def _label_stats(self) -> Dict[str, int]:
+        stats: Dict[str, int] = {}
+        for shard, own in zip(self._shards, self._own_counts):
+            for label, ids in shard._label_ids.items():
+                count = bisect_left(ids, own)
+                if count:
+                    stats[label] = stats.get(label, 0) + count
+        return stats
 
     def label_index_stats(self) -> Dict[str, int]:
         """``{label: bucket size}`` over owned nodes."""
-        return {label: len(nodes) for label, nodes in self._label_nodes.items()}
+        return self._label_stats
 
     # ------------------------------------------------------------------
     # Traversal helpers (same contract as DataGraph)
@@ -607,7 +685,7 @@ class ShardedGraph:
         """Map each node reachable from ``source`` by a path of length in
         ``[1, bound]`` to its shortest such distance (per-shard BFS with
         ghost-distance stitching, see :meth:`descendants_within_ids`)."""
-        table = self._node_table
+        table = self.node_table
         return {
             table[g]: d
             for g, d in self.descendants_within_ids(
@@ -618,6 +696,11 @@ class ShardedGraph:
     def __repr__(self) -> str:
         return (
             f"ShardedGraph(shards={self.num_shards}, nodes={self.num_nodes}, "
-            f"edges={self._num_edges}, cut={self.partition.edge_cut}, "
+            f"edges={self._num_edges}, cut={self._edge_cut}, "
             f"snapshot={self.snapshot_version})"
         )
+
+
+def _attach_sharded(shards, own_counts, boundary, meta) -> ShardedGraph:
+    """Unpickle hook (see :meth:`ShardedGraph.__reduce__`)."""
+    return ShardedGraph.attach(shards, own_counts, boundary, **meta)

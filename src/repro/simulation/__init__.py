@@ -14,16 +14,15 @@ holding the unique maximum match: node match sets plus the per-edge
 match sets ``{(e, Se)}`` that constitute ``Qs(G)`` in the paper.
 """
 
-from repro.simulation.bounded import bounded_match
-from repro.simulation.dual import dual_match
-from repro.simulation.result import MatchResult
-from repro.simulation.simulation import match
-from repro.simulation.strong import strong_match
+from repro import _lazy_exports
 
-__all__ = [
-    "MatchResult",
-    "bounded_match",
-    "dual_match",
-    "match",
-    "strong_match",
-]
+_EXPORTS = {
+    "MatchResult": "repro.simulation.result",
+    "bounded_match": "repro.simulation.bounded",
+    "dual_match": "repro.simulation.dual",
+    "match": "repro.simulation.simulation",
+    "strong_match": "repro.simulation.strong",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

@@ -27,14 +27,15 @@ from __future__ import annotations
 
 import sys
 from collections import deque
-from typing import Callable, Dict, Hashable, Optional, Set
+from typing import TYPE_CHECKING, Callable, Dict, Hashable, Optional, Set
 
 from repro.graph.compact import CompactGraph
-from repro.graph.digraph import DataGraph
 from repro.graph.pattern import Pattern
 from repro.simulation.compact_engine import compact_match
 from repro.simulation.result import MatchResult, edge_matches_from_nodes
-from repro.simulation.seeding import condition_candidates
+
+if TYPE_CHECKING:
+    from repro.graph.digraph import DataGraph
 
 PNode = Hashable
 Node = Hashable
@@ -60,6 +61,8 @@ def maximum_simulation(
     """
     # --- candidate sets -------------------------------------------------
     if compatible is None:
+        from repro.simulation.seeding import condition_candidates
+
         sim = condition_candidates(pattern, target)
         if sim is None:
             return None

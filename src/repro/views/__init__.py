@@ -21,20 +21,16 @@ filter pairs against each query edge's own bound in O(1).
   (future-work item no. 1 in Section VIII).
 """
 
-from repro.views.view import (
-    MaterializedView,
-    ViewDefinition,
-    bind_extension,
-    materialize,
-)
-from repro.views.storage import ViewSet
-from repro.views.maintenance import Delta
+from repro import _lazy_exports
 
-__all__ = [
-    "Delta",
-    "MaterializedView",
-    "ViewDefinition",
-    "ViewSet",
-    "bind_extension",
-    "materialize",
-]
+_EXPORTS = {
+    "Delta": "repro.views.maintenance",
+    "MaterializedView": "repro.views.view",
+    "ViewDefinition": "repro.views.view",
+    "ViewSet": "repro.views.storage",
+    "bind_extension": "repro.views.view",
+    "materialize": "repro.views.view",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

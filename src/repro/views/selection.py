@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.core.containment import _view_match_fn
 from repro.graph.pattern import Pattern
 from repro.views.storage import ViewSet
 from repro.views.view import ViewDefinition
@@ -135,6 +134,10 @@ def select_views_for_workload(
     pool cannot cover some query (impossible with the default pool) or
     when ``max_views`` is too small.
     """
+    # View matches are the core layer's; reached only when a selection
+    # actually runs, so importing this package stays below core.
+    from repro.core.containment import _view_match_fn
+
     queries = list(queries)
     if candidates is None:
         candidates = candidate_views_from_workload(queries)

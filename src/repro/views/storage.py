@@ -14,13 +14,13 @@ import warnings
 from time import perf_counter
 from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
-from repro.graph.digraph import DataGraph
-from repro.views.view import MaterializedView, ViewDefinition, materialize
 
 log = logging.getLogger(__name__)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.graph.digraph import DataGraph
     from repro.views.maintenance import Delta, DeltaReport, IncrementalViewSet
+    from repro.views.view import MaterializedView, ViewDefinition
 
 
 class ViewSet:
@@ -196,6 +196,8 @@ class ViewSet:
         use :func:`repro.shard.materialize.parallel_materialize`, which
         installs the same extensions through :meth:`set_extension`.
         """
+        from repro.views.view import materialize
+
         for name in names if names is not None else list(self._definitions):
             started = perf_counter()
             self._extensions[name] = materialize(self._definitions[name], graph)

@@ -24,14 +24,15 @@ Theorem 1's guarantee is intact).
 from __future__ import annotations
 
 import sys
-from typing import Dict, Hashable, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Hashable, List, Optional, Set, Tuple
 
 from repro.graph.compact import CompactGraph
-from repro.graph.digraph import DataGraph
 from repro.graph.pattern import BoundedPattern, Pattern
-from repro.simulation.bounded import bounded_match_with_distances
 from repro.simulation.compact_engine import IdEdgeMatches, compact_match_with_ids
 from repro.simulation.simulation import match as _match
+
+if TYPE_CHECKING:
+    from repro.graph.digraph import DataGraph
 
 PNode = Hashable
 PEdge = Tuple[PNode, PNode]
@@ -282,6 +283,8 @@ def materialize(definition: ViewDefinition, graph: DataGraph) -> MaterializedVie
             return _flatten_if_shared(
                 _materialize_bounded_compact(definition, graph), graph
             )
+        from repro.simulation.bounded import bounded_match_with_distances
+
         result, per_edge_distances = bounded_match_with_distances(pattern, graph)
         if not result:
             return MaterializedView(

@@ -29,7 +29,7 @@ from repro.datasets import generate_views, query_from_views, random_graph
 from repro.engine import QueryEngine
 from repro.graph import DataGraph
 from repro.graph.flatbuf import (
-    _HAVE_SHM,
+    _have_shm,
     BACKEND_ENV,
     FILE_DIR_ENV,
     SEGMENT_PREFIX,
@@ -374,7 +374,7 @@ BACKENDS = ("shm", "bytes", "file")
 @pytest.fixture(params=BACKENDS)
 def flat_backend(request, monkeypatch, tmp_path):
     backend = request.param
-    if backend == "shm" and not _HAVE_SHM:
+    if backend == "shm" and not _have_shm():
         pytest.skip("shared memory unavailable on this platform")
     spool = tmp_path / "spool"
     spool.mkdir()

@@ -131,12 +131,20 @@ class TestRejection:
         with pytest.raises(SnapshotError):
             SnapshotStore.load(saved)
 
-    def test_wrong_format_version(self, saved):
+    @pytest.mark.parametrize("fmt", [1, 99])
+    def test_other_format_versions_refused(self, saved, fmt):
+        # Format 1 (rebuild-on-load sharded bookkeeping) has no load
+        # path any more; the error names the way to re-create it.
         manifest = json.loads((saved / MANIFEST_NAME).read_text())
-        manifest["format"] = 99
+        assert manifest["format"] == 2
+        manifest["format"] = fmt
         (saved / MANIFEST_NAME).write_text(json.dumps(manifest))
-        with pytest.raises(SnapshotError, match="format"):
-            SnapshotStore.load(saved)
+        for read in (SnapshotStore.load, SnapshotStore.info):
+            with pytest.raises(
+                SnapshotError,
+                match=f"unsupported snapshot format {fmt}.*repro ingest.*snapshot save",
+            ):
+                read(saved)
 
     def test_corrupt_segment_header(self, saved):
         seg = saved / "graph.seg"
