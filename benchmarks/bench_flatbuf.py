@@ -1,28 +1,23 @@
-"""Flat-buffer backend vs. the compact (dict-of-sets) snapshot backend.
+"""Shipping shared (flat-segment) snapshots and views vs. in-process ones.
 
-Not a paper figure -- this benchmarks the PR that moves snapshots and
-view extensions into flat shared-memory buffers (CSR id rows + node
-tables in one segment per object) and rewrites the MatchJoin fixpoint
-as whole-edge sweeps over those rows:
+Not a paper figure -- this benchmarks what moving snapshots and view
+extensions into flat shared-memory buffers (CSR id rows + node tables
+in one segment per object) buys a process-pool executor:
 
-* **MatchJoin** -- the same synthetic workload as
-  ``bench_compact_backend`` (Fig. 8(d) graph family, 22-view suite,
-  Fig. 8(e) pattern-size batch), answered from flat extensions
-  (:class:`~repro.views.flatpack.FlatExtension`) vs. the compact
-  id-space payloads;
 * **snapshot shipping** -- ``pickle.dumps`` + ``loads`` of the full
   serving payload (frozen snapshot + every materialized view), which is
-  what a process-pool executor pays per worker per epoch.  Flat objects
-  pickle to segment handles, so the payload ships in near-constant
-  bytes regardless of graph size.
+  what a process-pool executor pays per worker per epoch.  Shared
+  objects pickle to segment handles, so the payload ships in
+  near-constant bytes regardless of graph size.
 
-``test_flat_gates`` asserts the headline claims at full scale
+``test_flat_gates`` asserts the headline claim at full scale
 (``REPRO_BENCH_SCALE >= 1``, the largest ``bench_compact_backend``
-graph): the flat path answers the MatchJoin batch at least **2x**
-faster than the compact backend, and ships the serving payload at
-least **5x** faster.  At reduced scales (CI smoke runs) the speedup
-gates relax to "no slower", but **equivalence against the dict backend
-is asserted at every scale** -- the fast path can never silently drift.
+graph): the shared payload ships at least **5x** faster.  At reduced
+scales (CI smoke runs) the gate relaxes to "no slower", but **MatchJoin
+equivalence against the dict backend is asserted at every scale**, on
+the same synthetic workload as ``bench_compact_backend`` (Fig. 8(d)
+graph family, 22-view suite, Fig. 8(e) pattern-size batch) -- packed
+and in-process extensions run one kernel and can never silently drift.
 Freezing/materialization happens outside every timed region, exactly
 how ``QueryEngine`` uses the snapshot.
 """
@@ -93,16 +88,6 @@ def _ship(payload):
     return pickle.loads(pickle.dumps(payload))
 
 
-def test_compact_matchjoin(benchmark, workload):
-    compact_views, _, _, queries, containments, _, _ = workload
-    once(benchmark, _run_matchjoin, compact_views, queries, containments)
-
-
-def test_flat_matchjoin(benchmark, workload):
-    _, flat_views, _, queries, containments, _, _ = workload
-    once(benchmark, _run_matchjoin, flat_views, queries, containments)
-
-
 def test_compact_ship(benchmark, workload):
     once(benchmark, _ship, workload[5])
 
@@ -122,14 +107,15 @@ def _min_of(runs, fn, *args):
 
 
 def test_flat_views_really_flat(workload):
-    """Every materialized extension on the shared snapshot is flat."""
+    """Every materialized extension on the shared snapshot is packed."""
     _, flat_views, _, _, _, _, payload_flat = workload
     for view in payload_flat["views"].values():
         assert isinstance(view.compact, FlatExtension)
+        assert view.compact.ships_as_handle
 
 
 def test_flat_gates(scale, workload):
-    """Acceptance gates: >=2x MatchJoin and >=5x ship at full scale."""
+    """Acceptance gate: >=5x ship at full scale."""
     (
         compact_views,
         flat_views,
@@ -150,28 +136,17 @@ def test_flat_gates(scale, workload):
         assert flat == expected
         assert compact == expected
 
-    # min-of-5 per leg to de-noise millisecond-scale runs (results above
-    # already warmed the per-edge decode caches on both backends).
-    compact_time = _min_of(5, _run_matchjoin, compact_views, queries, containments)
-    flat_time = _min_of(5, _run_matchjoin, flat_views, queries, containments)
+    # min-of-5 per leg to de-noise millisecond-scale runs.
     compact_ship = _min_of(5, _ship, payload_compact)
     flat_ship = _min_of(5, _ship, payload_flat)
 
     if scale >= 1.0:
-        assert compact_time >= 2 * flat_time, (
-            f"MatchJoin: compact {compact_time:.4f}s vs flat {flat_time:.4f}s "
-            f"({compact_time / flat_time:.2f}x)"
-        )
         assert compact_ship >= 5 * flat_ship, (
             f"ship: compact {compact_ship:.4f}s vs flat {flat_ship:.4f}s "
             f"({compact_ship / flat_ship:.2f}x)"
         )
     else:
         # Reduced-scale smoke: the flat path must at least never lose.
-        assert flat_time <= compact_time * 1.2, (
-            f"flat regressed at scale {scale}: "
-            f"{flat_time:.4f}s vs compact {compact_time:.4f}s"
-        )
         assert flat_ship <= compact_ship, (
             f"flat ship regressed at scale {scale}: "
             f"{flat_ship:.4f}s vs compact {compact_ship:.4f}s"

@@ -1009,16 +1009,11 @@ def _cmd_stats(args) -> int:
             for name in views.names():
                 if not views.is_materialized(name):
                     continue
-                base = getattr(views.extension(name), "compact", None)
-                if isinstance(base, FlatExtension):
-                    packed = base
-                elif base is not None:
-                    packed = FlatExtension.pack(flat, base)
-                else:
-                    fresh = _materialize(views.definition(name), flat)
-                    packed = getattr(fresh, "compact", None)
-                    if not isinstance(packed, FlatExtension):
-                        continue
+                packed = views.extension(name).compact
+                if packed is None:
+                    packed = _materialize(views.definition(name), flat).compact
+                elif packed.store is None:
+                    packed = FlatExtension.pack(flat, packed)
                 view_memory[name] = {
                     "backend": packed.store.backend,
                     "tables": packed.store.table_bytes(),

@@ -13,41 +13,29 @@ Identical in structure to MatchJoin with two bounded-specific twists:
   paper describes for BMatchJoin.
 
 The fixpoint afterwards is the same simulation-condition refinement as
-MatchJoin, rank optimization included, for the
-``O(|Qb||V(G)| + |V(G)|^2)`` bound of Theorem 9.
+MatchJoin -- literally: :func:`bounded_match_join` is an adapter over
+:func:`repro.core.matchjoin.join_views` that supplies the bounded merge
+step, for the ``O(|Qb||V(G)| + |V(G)|^2)`` bound of Theorem 9.
 
-Like plain MatchJoin, the optimized engine carries an **id-space fast
-path**: when every extension the λ mapping references was materialized
-against the same snapshot (equal ``CompactExtension`` tokens), the
-merge filters through the *id-space* distance index carried by the
-payloads and the fixpoint runs as the shared candidate-level batch
-refinement (:func:`repro.core.matchjoin.compact_candidate_fixpoint`) --
+Like plain MatchJoin it runs in **snapshot id space** when every
+extension the λ mapping references was materialized against the same
+snapshot (equal payload tokens): the rows are then filtered through the
+*id-space* distance index the payloads carry while they are built, and
 no node-key pair is touched until the final decode.  A query edge whose
 bound dominates the covering view edge's bound (``fe(e') <= fe(e)``)
-skips filtering entirely and shares the stored indexes, which is the
-common case for promoted view suites.  Any missing payload, token
-mismatch or absent distance table falls back to the node-key path with
-identical results.
+skips filtering entirely and adopts the stored rows, which is the common
+case for promoted view suites.  Any missing payload or token mismatch
+runs the same kernel over the node-key pair sets, with identical
+results.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Mapping, Optional, Set, Tuple, Union
+from functools import partial
+from typing import Dict, Hashable, Mapping, Set, Tuple, Union
 
 from repro.core.containment import Containment
-from repro.core.matchjoin import (
-    _extensions_of,
-    compact_candidate_fixpoint,
-    merge_edge_indexes,
-    run_fixpoint,
-    shared_snapshot_token,
-    union_payload_into,
-)
-from repro.errors import (
-    NotContainedError,
-    NotMaterializedError,
-    UnsupportedPatternError,
-)
+from repro.core.matchjoin import join_views, merge_initial_sets
 from repro.graph.pattern import ANY, BoundedPattern, bound_le
 from repro.simulation.result import MatchResult
 from repro.views.storage import ViewSet
@@ -60,30 +48,11 @@ NodePair = Tuple[Node, Node]
 Extensions = Mapping[str, MaterializedView]
 
 
-def _check_bounded_inputs(
-    query: BoundedPattern, containment: Containment, extensions: Extensions
-) -> None:
-    """Shared precondition checks for every BMatchJoin entry point."""
-    if not containment.holds:
-        raise NotContainedError(containment.uncovered)
-    if query.isolated_nodes():
-        raise UnsupportedPatternError(
-            "pattern has isolated nodes; evaluate directly with "
-            "bounded_match()"
-        )
-    for edge in query.edges():
-        for view_name, _ in containment.mapping.get(edge, ()):
-            if view_name not in extensions:
-                raise NotMaterializedError(
-                    f"extension for view {view_name!r} is required by λ "
-                    "but was not provided"
-                )
-
-
-def _needs_distance_filter(
-    extension: MaterializedView, view_edge: PEdge, bound
-) -> bool:
-    """Whether pairs of ``view_edge`` can exceed the query bound.
+def _filter_bound(
+    query: BoundedPattern, edge: PEdge, extension: MaterializedView, view_edge: PEdge
+):
+    """The bound the pairs of λ-image ``view_edge`` must be checked
+    against for query ``edge``, or ``None`` when none can exceed it.
 
     No filter is needed when the query edge accepts any path (``*``),
     when the view is a simulation view (its pairs are data edges --
@@ -91,12 +60,13 @@ def _needs_distance_filter(
     the covering view edge's own bound is dominated by the query bound
     (every stored pair is within it a fortiori).
     """
+    bound = query.bound(edge)
     if bound is ANY:
-        return False
+        return None
     pattern = extension.definition.pattern
     if not isinstance(pattern, BoundedPattern):
-        return False
-    return not bound_le(pattern.bound(view_edge), bound)
+        return None
+    return None if bound_le(pattern.bound(view_edge), bound) else bound
 
 
 def merge_initial_sets_bounded(
@@ -105,109 +75,9 @@ def merge_initial_sets_bounded(
     extensions: Extensions,
 ) -> Dict[PEdge, Set[NodePair]]:
     """Union the λ-image match sets, filtered through ``I(V)``."""
-    _check_bounded_inputs(query, containment, extensions)
-    initial: Dict[PEdge, Set[NodePair]] = {}
-    for edge in query.edges():
-        bound = query.bound(edge)
-        merged: Set[NodePair] = set()
-        for view_name, view_edge in containment.mapping.get(edge, ()):
-            extension = extensions[view_name]
-            pairs = extension.pairs_of(view_edge)
-            if not _needs_distance_filter(extension, view_edge, bound):
-                merged |= pairs
-            else:
-                merged.update(
-                    pair for pair in pairs if extension.distance_of(pair) <= bound
-                )
-        initial[edge] = merged
-    return initial
-
-
-# ----------------------------------------------------------------------
-# Snapshot fast path: id-space merge + the shared candidate fixpoint
-# ----------------------------------------------------------------------
-def _compact_bounded_match_join(
-    query: BoundedPattern, containment: Containment, extensions: Extensions
-) -> Optional[MatchResult]:
-    """Run BMatchJoin in snapshot id space when the extensions allow it.
-
-    Engagement rule: every extension λ references must carry a
-    :class:`~repro.views.view.CompactExtension` from the *same*
-    snapshot (equal tokens), and every reference that needs bound
-    filtering must carry an id-space distance table.  Returns ``None``
-    to signal "fall back to the node-key path"; otherwise the finished
-    decoded :class:`MatchResult`, identical to the fallback's.
-    """
-    def ref_has_needed_distances(edge, extension, view_edge, payload):
-        return (
-            not _needs_distance_filter(extension, view_edge, query.bound(edge))
-            or payload.distances is not None
-        )
-
-    if (
-        shared_snapshot_token(
-            query, containment, extensions, ref_check=ref_has_needed_distances
-        )
-        is None
-    ):
-        return None
-
-    # --- merge (Fig. 2 lines 1-4) with O(1)-per-pair bound checks -----
-    nodes = None
-    by_source: Dict[PEdge, Dict[int, Set[int]]] = {}
-    by_target: Dict[PEdge, Dict[int, Set[int]]] = {}
-    # Edges whose merged index is one stored, unfiltered extension
-    # index: the stored node-key pair set is reusable wholesale.
-    stored_pairs: Dict[PEdge, Set[NodePair]] = {}
-    for edge in query.edges():
-        bound = query.bound(edge)
-        refs = containment.mapping.get(edge, ())
-        filtered = [
-            _needs_distance_filter(extensions[name], view_edge, bound)
-            for name, view_edge in refs
-        ]
-        if not any(filtered):
-            # Every λ image adopts its pairs unfiltered: identical to
-            # the plain MatchJoin merge, helpers shared.
-            source_index, target_index, edge_nodes, stored = (
-                merge_edge_indexes(refs, extensions)
-            )
-            if edge_nodes is not None:
-                nodes = edge_nodes
-            if stored is not None:
-                stored_pairs[edge] = stored
-        else:
-            source_index = {}
-            target_index = {}
-            for (view_name, view_edge), needs_filter in zip(refs, filtered):
-                payload = extensions[view_name].compact
-                nodes = payload.nodes
-                if not needs_filter:
-                    union_payload_into(
-                        source_index, target_index, payload, view_edge
-                    )
-                    continue
-                distance_of = payload.distances.__getitem__
-                for v, targets in payload.by_source[view_edge].items():
-                    for w in targets:
-                        if distance_of((v, w)) > bound:
-                            continue
-                        current = source_index.get(v)
-                        if current is None:
-                            source_index[v] = {w}
-                        else:
-                            current.add(w)
-                        current = target_index.get(w)
-                        if current is None:
-                            target_index[w] = {v}
-                        else:
-                            current.add(v)
-        if not source_index:
-            return MatchResult.empty()
-        by_source[edge] = source_index
-        by_target[edge] = target_index
-
-    return compact_candidate_fixpoint(query, by_source, by_target, stored_pairs, nodes)
+    return merge_initial_sets(
+        query, containment, extensions, partial(_filter_bound, query)
+    )
 
 
 def bounded_match_join(
@@ -226,23 +96,15 @@ def bounded_match_join(
 
     When every referenced extension was materialized against the same
     snapshot (a frozen :class:`~repro.graph.compact.CompactGraph` or a
-    :class:`~repro.shard.sharded.ShardedGraph`), the optimized engine
-    runs entirely in the snapshot's integer-id space, bound-filtering
-    through the payloads' id-space distance index (see
-    :func:`_compact_bounded_match_join`); the result is identical
-    either way.
+    :class:`~repro.shard.sharded.ShardedGraph`), the kernel runs in the
+    snapshot's integer-id space, bound-filtering through the payloads'
+    id-space distance index; the result is identical either way.
     """
     if not isinstance(query, BoundedPattern):
         raise TypeError(
             "bounded_match_join expects a BoundedPattern; use match_join "
             "for plain patterns"
         )
-    resolved = _extensions_of(extensions)
-    _check_bounded_inputs(query, containment, resolved)
-    if optimized:
-        fast = _compact_bounded_match_join(query, containment, resolved)
-        if fast is not None:
-            return fast
-    initial = merge_initial_sets_bounded(query, containment, resolved)
-    result = run_fixpoint(query, initial, optimized=optimized)
-    return result if result is not None else MatchResult.empty()
+    return join_views(
+        query, containment, extensions, optimized, partial(_filter_bound, query)
+    )

@@ -10,38 +10,50 @@ Given ``Qs ⊑ V`` with mapping λ and the materialized extensions
    out-edge of ``u``, some remaining pair, and likewise ``v'`` for the
    out-edges of ``u'`` (the simulation conditions of Section II-A).
 
-Two fixpoint engines are provided:
+There are exactly two fixpoints:
 
-* the **optimized** engine (default) uses per-(edge, source) witness
-  counters with an invalidation worklist processed in ascending SCC
-  *rank* order -- the bottom-up strategy of Section III.  Lemma 2's
-  guarantee holds: on DAG patterns every match set is visited at most
-  once.
-* the **naive** engine (``optimized=False``) is the literal Fig. 2
-  loop: scan all edges until a full pass makes no change.  It exists so
-  Exp-2 (Fig. 8(f)) can measure the optimization, exactly like the
-  paper's ``MatchJoin_nopt``.
+* the **kernel** (:func:`sweep_join`, the default) refines at the
+  *candidate* level over per-edge ``(src, tgt)`` rows, generic over the
+  id type, visiting edges in ascending SCC *rank* order -- the
+  bottom-up strategy of Section III, so Lemma 2 holds: on DAG patterns
+  every match set is swept at most once.  :func:`match_join`,
+  :func:`repro.core.bounded.bmatchjoin.bounded_match_join` and
+  :func:`repro.core.rewriting.hybrid_join` are adapters that build rows
+  and call it -- in the snapshot's integer id space when every λ-image
+  carries a payload of the same snapshot, in node-key space otherwise;
+* the **naive** loop (``optimized=False``) is the literal Fig. 2
+  while-loop: scan all edges until a full pass makes no change.  It
+  exists so Exp-2 (Fig. 8(f)) can measure the optimization, exactly
+  like the paper's ``MatchJoin_nopt``, and as the tests' reference.
 
-Total cost of the optimized engine is ``O(|Qs||V(G)| + |V(G)|^2)``
+Total cost of the kernel is ``O(|Qs||V(G)| + |V(G)|^2)``
 (Theorem 1(2)).
 """
 
 from __future__ import annotations
 
-import heapq
 import logging
 from collections import deque
-from itertools import repeat
-from typing import Dict, Hashable, List, Mapping, Optional, Set, Tuple, Union
+from typing import (
+    Callable,
+    Dict,
+    Hashable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 from repro.core.containment import Containment
 from repro.errors import NotContainedError, NotMaterializedError, UnsupportedPatternError
 from repro.graph.pattern import Pattern
-from repro.graph.scc import node_ranks
+from repro.graph.scc import edge_ranks
 from repro.obs import trace
 from repro.obs.metrics import get_registry
 from repro.simulation.result import MatchResult
-from repro.views.flatpack import FlatExtension
 from repro.views.storage import ViewSet
 from repro.views.view import MaterializedView
 
@@ -53,6 +65,15 @@ Node = Hashable
 NodePair = Tuple[Node, Node]
 Extensions = Mapping[str, MaterializedView]
 
+#: The kernel's whole input for one query edge: the λ-images' parallel
+#: ``(src_row, tgt_row)`` sequences, the ids occurring as sources and as
+#: targets, and -- when the rows are stored match sets adopted
+#: unfiltered -- a thunk returning ``(node-key pair set, [source node
+#: sets], [target node sets])`` for packaging the edge wholesale.
+EdgeRows = Tuple[
+    List[Tuple[Sequence, Sequence]], frozenset, frozenset, Optional[Callable]
+]
+
 
 def _check_inputs(
     query: Pattern, containment: Containment, extensions: Extensions
@@ -63,7 +84,7 @@ def _check_inputs(
     if query.isolated_nodes():
         raise UnsupportedPatternError(
             "pattern has isolated nodes; view extensions store edges, so "
-            "evaluate such patterns directly with match()"
+            "evaluate such patterns directly with match() / bounded_match()"
         )
     for edge in query.edges():
         for view_name, _ in containment.mapping.get(edge, ()):
@@ -78,619 +99,303 @@ def merge_initial_sets(
     query: Pattern,
     containment: Containment,
     extensions: Extensions,
+    bound_of: Optional[Callable] = None,
 ) -> Dict[PEdge, Set[NodePair]]:
-    """Fig. 2 lines 1-4: ``Se := ∪_{e' ∈ λ(e)} Se'`` from the extensions."""
+    """Fig. 2 lines 1-4: ``Se := ∪_{e' ∈ λ(e)} Se'`` from the extensions.
+
+    ``bound_of(edge, extension, view_edge)`` is BMatchJoin's hook: where
+    it names a bound, only the λ-image's pairs whose ``I(V)`` distance
+    respects it enter ``Se``; ``None`` adopts them all."""
     _check_inputs(query, containment, extensions)
     initial: Dict[PEdge, Set[NodePair]] = {}
     for edge in query.edges():
-        refs = containment.mapping.get(edge, ())
         merged: Set[NodePair] = set()
-        for view_name, view_edge in refs:
-            merged |= extensions[view_name].pairs_of(view_edge)
+        for view_name, view_edge in containment.mapping.get(edge, ()):
+            extension = extensions[view_name]
+            pairs = extension.pairs_of(view_edge)
+            bound = bound_of(edge, extension, view_edge) if bound_of else None
+            if bound is None:
+                merged |= pairs
+            else:
+                merged.update(
+                    pair for pair in pairs if extension.distance_of(pair) <= bound
+                )
         initial[edge] = merged
     return initial
 
 
 # ----------------------------------------------------------------------
-# Optimized fixpoint: witness counters + rank-ordered worklist
+# The kernel: rank-ordered row sweeps, delta counters for repeat visits
 # ----------------------------------------------------------------------
-def _fixpoint_ranked(
-    query: Pattern, sets: Dict[PEdge, Set[NodePair]]
-) -> Optional[Dict[PEdge, Dict[Node, Set[Node]]]]:
-    """Refine ``sets`` to the simulation fixpoint, bottom-up.
-
-    Returns per-edge ``{source: {targets}}`` adjacency, or ``None`` when
-    some match set empties (no match, Fig. 2 line 11).
-    """
-    edges = query.edges()
-    by_source: Dict[PEdge, Dict[Node, Set[Node]]] = {}
-    by_target: Dict[PEdge, Dict[Node, Set[Node]]] = {}
-    for edge in edges:
-        source_index: Dict[Node, Set[Node]] = {}
-        target_index: Dict[Node, Set[Node]] = {}
-        for v, w in sets[edge]:
-            source_index.setdefault(v, set()).add(w)
-            target_index.setdefault(w, set()).add(v)
-        if not source_index:
-            return None
-        by_source[edge] = source_index
-        by_target[edge] = target_index
-    return _refine_indexes(query, by_source, by_target)
-
-
-def _refine_indexes(
+def sweep_join(
     query: Pattern,
-    by_source: Dict[PEdge, Dict[Node, Set[Node]]],
-    by_target: Dict[PEdge, Dict[Node, Set[Node]]],
-) -> Optional[Dict[PEdge, Dict[Node, Set[Node]]]]:
-    """The rank-ordered worklist refinement over pre-grouped indexes.
+    inputs: Dict[PEdge, EdgeRows],
+    decode: Optional[Callable] = None,
+) -> Tuple[MatchResult, int]:
+    """The candidate-level MatchJoin fixpoint over per-edge rows.
 
-    This is the node-key engine only: the snapshot fast path
-    (:func:`_compact_match_join`) runs its own candidate-level batch
-    fixpoint over the immutable id-space payloads and never calls in
-    here.  Mutates the indexes in place; every inner set must be owned
-    by the caller.
+    A pair ``(v, w)`` of edge ``e = (u, u')`` survives Fig. 2 iff ``v``
+    stays a valid candidate of ``u`` and ``w`` of ``u'``, where validity
+    is the greatest relation in which every candidate has, for each
+    out-edge of its pattern node, a row whose target is still valid.
+    ``inputs`` maps every query edge to its :data:`EdgeRows`; ids are
+    any hashables and ``decode`` maps them to node keys (``None``: they
+    already are).  Returns the result and the number of full passes made
+    over an edge's rows.
+
+    Edges are visited in ascending rank of their target, so on a DAG
+    query every ``valid(u')`` is final before an edge into ``u'`` is
+    swept (Lemma 2: one sweep per edge).  A sweep recomputes the live
+    sources in one comprehension pass over the raw rows -- everything
+    around it is a batch set-op over the key sets.  An edge that comes
+    back after its sweep (cyclic queries only) is paid one more pass
+    that groups its live rows by target and counts live witnesses per
+    source; from then on a shrink of ``valid(u')`` by ``R`` costs
+    ``O(Σ_{w∈R} |sources(w)|)``, so no removal chain, however long,
+    re-scans the rows.
     """
-    # Candidate pools and validity.  A candidate v of pattern node u is
-    # valid while every out-edge of u still has a pair sourced at v,
-    # i.e. v lies in the intersection of the source-index key sets of
-    # u's out-edges (all indexed sets are nonempty at this point).
-    candidates: Dict[PNode, Set[Node]] = {}
-    for u in query.nodes():
-        pool: Set[Node] = set()
-        for edge in query.out_edges(u):
-            pool.update(by_source[edge])
-        for edge in query.in_edges(u):
-            pool.update(by_target[edge])
-        candidates[u] = pool
-
-    ranks = node_ranks(query)
-    counter = 0
-    heap: List[Tuple[int, int, PNode, Node]] = []
-    invalidated: Dict[PNode, Set[Node]] = {u: set() for u in query.nodes()}
-    # Seed with invalid candidates, lowest rank first (bottom-up).
-    for u in sorted(query.nodes(), key=lambda n: ranks[n]):
-        alive: Optional[Set[Node]] = None
-        for edge in query.out_edges(u):
-            keys = by_source[edge].keys()
-            alive = set(keys) if alive is None else alive.intersection(keys)
-        doomed = candidates[u] - alive if alive is not None else set()
-        for v in doomed:
-            invalidated[u].add(v)
-            heapq.heappush(heap, (ranks[u], counter, u, v))
-            counter += 1
-
-    while heap:
-        _, _, u, v = heapq.heappop(heap)
-        # Remove v's outgoing pairs (v is no longer a match of u).
-        for edge in query.out_edges(u):
-            targets = by_source[edge].pop(v, None)
-            if targets is None:
-                continue
-            for w in targets:
-                sources = by_target[edge].get(w)
-                if sources is not None:
-                    sources.discard(v)
-                    if not sources:
-                        del by_target[edge][w]
-            if not by_source[edge]:
-                return None
-        # Remove v's incoming pairs and propagate to the sources.
-        for edge in query.in_edges(u):
-            w_source_u = edge[0]
-            sources = by_target[edge].pop(v, None)
-            if sources is None:
-                continue
-            for y in sources:
-                remaining = by_source[edge].get(y)
-                if remaining is None:
-                    continue
-                remaining.discard(v)
-                if not remaining:
-                    del by_source[edge][y]
-                    if not by_source[edge]:
-                        return None
-                    if y not in invalidated[w_source_u]:
-                        invalidated[w_source_u].add(y)
-                        heapq.heappush(
-                            heap, (ranks[w_source_u], counter, w_source_u, y)
-                        )
-                        counter += 1
-    return by_source
-
-
-# ----------------------------------------------------------------------
-# Flat-buffer fast path: batch set-ops over precomputed key sets
-# ----------------------------------------------------------------------
-def _flat_match_join(
-    query: Pattern, containment: Containment, extensions: Extensions
-) -> Optional[MatchResult]:
-    """MatchJoin over flat-buffer extensions, as whole-edge row sweeps.
-
-    Engages when every λ reference carries a
-    :class:`~repro.views.flatpack.FlatExtension` from the same snapshot.
-    Everything the fixpoint touches is a batch set-op over flat data:
-    candidate pools are C-level intersections of the extensions'
-    precomputed per-edge key frozensets, refinement re-derives an edge's
-    live sources in **one comprehension pass over its raw ``(src, tgt)``
-    id rows** (the segment slices themselves -- no grouped ``{id: set}``
-    indexes are ever built, no per-candidate witness counters probed),
-    and untouched edges package by unioning stored node frozensets with
-    zero id decodes.  The sweep recomputes from scratch instead of
-    decrementing counters, trading worst-case increments for straight
-    C-speed passes -- the right trade for the serving regime, where
-    extensions are large and queries converge in a few rounds.  The
-    fixpoint it reaches is the same simulation refinement as
-    :func:`_compact_match_join`, so results are identical to every
-    other engine.
-    """
-    token = shared_snapshot_token(
-        query,
-        containment,
-        extensions,
-        ref_check=lambda edge, ext, view_edge, payload: isinstance(
-            payload, FlatExtension
-        ),
-    )
-    if token is None:
-        return None
-
-    # --- merge (Fig. 2 lines 1-4) on key sets only ---------------------
     edges = query.edges()
-    edge_refs: Dict[PEdge, list] = {}
-    src_keys: Dict[PEdge, frozenset] = {}
-    tgt_keys: Dict[PEdge, frozenset] = {}
-    nodes = None
-    for edge in edges:
-        refs = containment.mapping.get(edge, ())
-        infos = []
-        for view_name, view_edge in refs:
-            extension = extensions[view_name]
-            infos.append((extension, extension.compact, view_edge))
-        edge_refs[edge] = infos
-        if not infos:
-            return MatchResult.empty()
-        nodes = infos[0][1].nodes
-        if len(infos) == 1:
-            _, payload, view_edge = infos[0]
-            sources = payload.src_keys[view_edge]
-            targets = payload.tgt_keys[view_edge]
-        else:
-            sources = frozenset().union(
-                *(p.src_keys[ve] for _, p, ve in infos)
-            )
-            targets = frozenset().union(
-                *(p.tgt_keys[ve] for _, p, ve in infos)
-            )
-        if not sources:
-            return MatchResult.empty()
-        src_keys[edge] = sources
-        tgt_keys[edge] = targets
-
-    # Raw pair rows, one (src, tgt) slice pair per λ reference.  These
-    # are parallel ``"q"`` views straight out of each extension's
-    # segment; the fixpoint below sweeps them wholesale instead of
-    # grouping them into ``{id: set}`` indexes (the compact path's merge
-    # step) or probing them per candidate (its witness counters).
-    rows: Dict[PEdge, list] = {
-        edge: [p.pair_rows(ve) for _, p, ve in edge_refs[edge]]
-        for edge in edges
-    }
-
-    # --- candidate pools and seed (batch frozenset ops) ----------------
-    valid: Dict[PNode, Set[int]] = {}
     in_edges: Dict[PNode, List[PEdge]] = {}
+    valid: Dict[PNode, Set] = {}
     for u in query.nodes():
         in_edges[u] = query.in_edges(u)
-        outs = [src_keys[e] for e in query.out_edges(u)]
+        outs = [inputs[e][1] for e in query.out_edges(u)]
         if outs:
-            # Simulation semantics: a candidate needs a stored pair on
-            # *every* out-edge, so the pool is the src-key intersection.
-            valid[u] = outs[0] if len(outs) == 1 else outs[0].intersection(
-                *outs[1:]
-            )
-            if not valid[u]:
-                return MatchResult.empty()
+            # Simulation semantics: a candidate needs a row on *every*
+            # out-edge, so the pool is the source-key intersection.
+            pool = outs[0] if len(outs) == 1 else outs[0].intersection(*outs[1:])
+            if not pool:
+                return MatchResult.empty(), 0
         else:
-            # Sink nodes are only ever targets; their pool is the union
-            # of the incoming images.
-            ins = [tgt_keys[e] for e in in_edges[u]]
-            valid[u] = ins[0] if len(ins) == 1 else ins[0].union(*ins[1:])
+            # Sink nodes are only ever targets.
+            ins = [inputs[e][2] for e in in_edges[u]]
+            pool = ins[0] if len(ins) == 1 else ins[0].union(*ins[1:])
+        valid[u] = pool
 
-    # --- fixpoint: whole-edge sweeps over flat rows ---------------------
-    # An edge (u, u') needs a sweep only while some stored target is
-    # outside valid(u'); the sweep recomputes, in one pass over the raw
-    # rows, the set of sources that still have a live witness, and
-    # shrinking valid(u) re-queues u's in-edges.  Every step is a batch
-    # set-op (subset test, comprehension over a flat slice, C-level
-    # intersection) -- there are no per-candidate unions or counter
-    # probes, which is what makes large extensions cheap on this path.
-    # Sweep counts aggregate in a local int and hit the registry once
-    # per call (the overhead-budget discipline for hot kernels).
+    # Pools start out as the callers' (stored, shared) key sets; a node's
+    # set is copied the first time it shrinks and mutated in place after.
+    owned: Set[PNode] = set()
+    swept: Set[PEdge] = set()
+    # Delta mode: edge -> (live sources by target, live witnesses by
+    # source), and the targets withdrawn since the edge's last visit.
+    delta: Dict[PEdge, Tuple[Dict, Dict]] = {}
+    withdrawn: Dict[PEdge, Set] = {}
     sweeps = 0
-    dirty = deque(edges)
+    rank = edge_ranks(query)
+    queue = deque(sorted(edges, key=rank.__getitem__))
     queued: Set[PEdge] = set(edges)
-    while dirty:
-        edge = dirty.popleft()
+    while queue:
+        edge = queue.popleft()
         queued.discard(edge)
-        sweeps += 1
         u, u_prime = edge
-        live_targets = valid[u_prime]
-        if live_targets >= tgt_keys[edge]:
-            continue  # every stored target is live: no source can die
-        edge_rows = rows[edge]
-        if len(edge_rows) == 1:
-            src_row, tgt_row = edge_rows[0]
-            alive = {
-                v for v, w in zip(src_row, tgt_row) if w in live_targets
-            }
-        else:
-            alive = set()
-            for src_row, tgt_row in edge_rows:
-                alive.update(
-                    v for v, w in zip(src_row, tgt_row) if w in live_targets
-                )
         candidates = valid[u]
-        survivors = candidates & alive
-        if len(survivors) == len(candidates):
+        if edge in delta:
+            sources_of, witnesses = delta[edge]
+            dead = set()
+            for w in withdrawn.pop(edge, ()):
+                for v in sources_of.get(w, ()):
+                    witnesses[v] -= 1
+                    if not witnesses[v]:
+                        dead.add(v)
+            dead &= candidates
+        else:
+            live = valid[u_prime]
+            rows, _, targets, _ = inputs[edge]
+            if edge not in swept:
+                if live >= targets:
+                    continue  # every stored target is live: no source can die
+                swept.add(edge)
+                alive = {
+                    v
+                    for src_row, tgt_row in rows
+                    for v, w in zip(src_row, tgt_row)
+                    if w in live
+                }
+                dead = candidates - alive
+            else:
+                sources_of, witnesses = {}, {}
+                for src_row, tgt_row in rows:
+                    for v, w in zip(src_row, tgt_row):
+                        if w in live and v in candidates:
+                            witnesses[v] = witnesses.get(v, 0) + 1
+                            sources_of.setdefault(w, []).append(v)
+                delta[edge] = sources_of, witnesses
+                dead = candidates.difference(witnesses)
+            sweeps += 1
+        if not dead:
             continue
-        if not survivors:
-            get_registry().counter(
-                "repro_matchjoin_sweeps_total", path="flat"
-            ).inc(sweeps)
-            return MatchResult.empty()
-        valid[u] = survivors
+        if u not in owned:
+            owned.add(u)
+            valid[u] = candidates = set(candidates)
+        candidates -= dead
+        if not candidates:
+            return MatchResult.empty(), sweeps
         for affected in in_edges[u]:
+            if affected in delta:
+                withdrawn.setdefault(affected, set()).update(dead)
             if affected not in queued:
-                dirty.append(affected)
+                queue.append(affected)
                 queued.add(affected)
-    get_registry().counter(
-        "repro_matchjoin_sweeps_total", path="flat"
-    ).inc(sweeps)
 
-    # --- package: batch unions for untouched edges ---------------------
-    decode = nodes.__getitem__
+    # --- package: untouched edges wholesale, the rest in one pass -----
     node_matches: Dict[PNode, Set[Node]] = {u: set() for u in query.nodes()}
     edge_matches: Dict[PEdge, Set[NodePair]] = {}
     for edge in edges:
         u, u_prime = edge
-        infos = edge_refs[edge]
+        rows, sources, targets, whole = inputs[edge]
         valid_src = valid[u]
         valid_tgt = valid[u_prime]
-        if src_keys[edge] <= valid_src and tgt_keys[edge] <= valid_tgt:
+        if whole is not None and sources <= valid_src and targets <= valid_tgt:
             # No endpoint candidate of this edge was refined away: every
-            # stored pair survives, so the answer is the stored node-key
-            # sets united wholesale -- no per-pair decode.
-            if len(infos) == 1:
-                extension, payload, view_edge = infos[0]
-                edge_matches[edge] = set(extension.edge_matches[view_edge])
-                node_matches[u] |= payload.src_nodes[view_edge]
-                node_matches[u_prime] |= payload.tgt_nodes[view_edge]
+            # stored pair survives -- no per-pair filter or decode.
+            pairs, source_nodes, target_nodes = whole()
+            node_matches[u].update(*source_nodes)
+            node_matches[u_prime].update(*target_nodes)
+        else:
+            if decode is None:
+                pairs = {
+                    (v, w)
+                    for src_row, tgt_row in rows
+                    for v, w in zip(src_row, tgt_row)
+                    if v in valid_src and w in valid_tgt
+                }
             else:
-                edge_matches[edge] = set().union(
-                    *(ext.edge_matches[ve] for ext, _, ve in infos)
-                )
-                node_matches[u] = node_matches[u].union(
-                    *(p.src_nodes[ve] for _, p, ve in infos)
-                )
-                node_matches[u_prime] = node_matches[u_prime].union(
-                    *(p.tgt_nodes[ve] for _, p, ve in infos)
-                )
-            continue
-        # Touched edge: one filtering pass over the raw rows, decoding
-        # only the pairs that survived.
-        pairs: Set[NodePair] = set()
-        for src_row, tgt_row in rows[edge]:
-            pairs.update(
-                (decode(v), decode(w))
-                for v, w in zip(src_row, tgt_row)
-                if v in valid_src and w in valid_tgt
-            )
+                pairs = {
+                    (decode(v), decode(w))
+                    for src_row, tgt_row in rows
+                    for v, w in zip(src_row, tgt_row)
+                    if v in valid_src and w in valid_tgt
+                }
+            node_matches[u].update(pair[0] for pair in pairs)
+            node_matches[u_prime].update(pair[1] for pair in pairs)
         edge_matches[edge] = pairs
-        node_matches[u].update(pair[0] for pair in pairs)
-        node_matches[u_prime].update(pair[1] for pair in pairs)
-    return MatchResult(node_matches, edge_matches)
+    return MatchResult(node_matches, edge_matches), sweeps
 
 
 # ----------------------------------------------------------------------
-# Snapshot fast path: id-space fixpoint over compact extension payloads
+# Adapters: rows from extensions (id space) or from pair sets (node keys)
 # ----------------------------------------------------------------------
-def _compact_match_join(
-    query: Pattern, containment: Containment, extensions: Extensions
-) -> Optional[MatchResult]:
-    """Run MatchJoin in snapshot id space when the extensions allow it.
-
-    Engages only when every extension λ references carries a
-    :class:`~repro.views.view.CompactExtension` payload *from the same
-    snapshot* (equal tokens -- ids from different snapshots must never
-    mix).  Returns ``None`` to signal "fall back to the node-key path";
-    otherwise the finished (decoded) :class:`MatchResult`.
-
-    Unlike the node-key engine, which refines *pair sets* in place, this
-    path refines at the *candidate* level: a pair ``(v, w)`` of edge
-    ``e = (u, u')`` survives the Fig. 2 fixpoint iff ``v`` stays a valid
-    candidate of ``u`` and ``w`` of ``u'``, where validity is the
-    greatest relation in which every candidate has, for each out-edge of
-    its pattern node, at least one surviving target in the initial
-    merged set.  Candidate validity is computed with the same batched
-    witness-counter propagation as the compact simulation engine --
-    entirely over the extensions' pre-grouped, immutable id indexes, so
-    the merge step copies nothing for single-view λ images, and an edge
-    whose endpoints lose no candidates reuses the stored node-key pair
-    set outright instead of decoding pair by pair.
-    """
-    if shared_snapshot_token(query, containment, extensions) is None:
-        return None
-
-    # --- merge (Fig. 2 lines 1-4), sharing single-view indexes --------
-    nodes = None
-    by_source: Dict[PEdge, Dict[int, Set[int]]] = {}
-    by_target: Dict[PEdge, Dict[int, Set[int]]] = {}
-    # For single-view λ images, the stored node-key pair set to reuse
-    # wholesale when refinement leaves the edge untouched.
-    stored_pairs: Dict[PEdge, Set[NodePair]] = {}
-    for edge in query.edges():
-        refs = containment.mapping.get(edge, ())
-        source_index, target_index, edge_nodes, stored = merge_edge_indexes(
-            refs, extensions
-        )
-        if edge_nodes is not None:
-            nodes = edge_nodes
-        if stored is not None:
-            stored_pairs[edge] = stored
-        if not source_index:
-            return MatchResult.empty()
-        by_source[edge] = source_index
-        by_target[edge] = target_index
-
-    return compact_candidate_fixpoint(query, by_source, by_target, stored_pairs, nodes)
-
-
 def shared_snapshot_token(
-    query: Pattern,
-    containment: Containment,
-    extensions: Extensions,
-    ref_check=None,
+    query: Pattern, containment: Containment, extensions: Extensions
 ):
     """The single snapshot token behind every extension λ references,
-    or ``None`` when the fast paths must fall back: a referenced
-    extension carries no :class:`CompactExtension` payload, payloads
-    come from different snapshots (ids must never mix), the λ mapping
-    references nothing, or the optional ``ref_check(query_edge,
-    extension, view_edge, payload)`` vetoes a reference (BMatchJoin
-    uses it to demand a distance table where bound filtering applies).
-    """
+    or ``None`` when ids cannot be used: a referenced extension carries
+    no payload, payloads come from different snapshots (ids must never
+    mix), or the λ mapping references nothing."""
     token = None
     for edge in query.edges():
-        for view_name, view_edge in containment.mapping.get(edge, ()):
-            extension = extensions[view_name]
-            payload = extension.compact
+        for view_name, _ in containment.mapping.get(edge, ()):
+            payload = extensions[view_name].compact
             if payload is None:
                 return None
             if token is None:
                 token = payload.token
             elif payload.token != token:
                 return None
-            if ref_check is not None and not ref_check(
-                edge, extension, view_edge, payload
-            ):
-                return None
     return token
 
 
-def union_payload_into(
-    source_index: Dict[int, Set[int]],
-    target_index: Dict[int, Set[int]],
-    payload,
-    view_edge: PEdge,
-) -> None:
-    """Union one stored payload index pair into mutable merge targets
-    (the multi-view arm of Fig. 2 lines 1-4, id space)."""
-    for v, targets in payload.by_source[view_edge].items():
-        current = source_index.get(v)
-        if current is None:
-            source_index[v] = set(targets)
-        else:
-            current |= targets
-    for w, sources in payload.by_target[view_edge].items():
-        current = target_index.get(w)
-        if current is None:
-            target_index[w] = set(sources)
-        else:
-            current |= sources
-
-
-def merge_edge_indexes(refs, extensions: Extensions):
-    """Merged id indexes for one query edge adopting λ-image pairs
-    unfiltered.
-
-    Returns ``(source_index, target_index, nodes, stored)``: for a
-    single λ image the *stored* payload indexes are shared without
-    copying and ``stored`` is the stored node-key pair set (reusable
-    wholesale when refinement leaves the edge untouched); multi-view
-    images union into fresh dicts with ``stored = None``.  ``nodes``
-    is the decode table (``None`` only when ``refs`` is empty).
-    """
-    if len(refs) == 1:
-        view_name, view_edge = refs[0]
-        extension = extensions[view_name]
-        payload = extension.compact
-        return (
-            payload.by_source[view_edge],
-            payload.by_target[view_edge],
-            payload.nodes,
-            extension.edge_matches[view_edge],
-        )
-    source_index: Dict[int, Set[int]] = {}
-    target_index: Dict[int, Set[int]] = {}
-    nodes = None
-    for view_name, view_edge in refs:
-        payload = extensions[view_name].compact
-        nodes = payload.nodes
-        union_payload_into(source_index, target_index, payload, view_edge)
-    return source_index, target_index, nodes, None
-
-
-def _meter_fixpoint(path: str, batches: int, removed: int) -> None:
-    """One registry write per fixpoint run (see the overhead budget in
-    :mod:`repro.obs.metrics`)."""
-    reg = get_registry()
-    reg.counter("repro_matchjoin_batches_total", path=path).inc(batches)
-    reg.counter("repro_matchjoin_removals_total", path=path).inc(removed)
-    current = trace.current_span()
-    if current is not None:
-        current.set(fixpoint_batches=batches, fixpoint_removals=removed)
-
-
-def compact_candidate_fixpoint(
+def _id_inputs(
     query: Pattern,
-    by_source: Dict[PEdge, Dict[int, Set[int]]],
-    by_target: Dict[PEdge, Dict[int, Set[int]]],
-    stored_pairs: Dict[PEdge, Set[NodePair]],
-    nodes,
-) -> MatchResult:
-    """The id-space candidate-level fixpoint plus result packaging.
-
-    Shared by the plain MatchJoin fast path and the BMatchJoin fast path
-    (:func:`repro.core.bounded.bmatchjoin._compact_bounded_match_join`):
-    both hand in merged, pre-grouped id indexes (every ``source_index``
-    nonempty) and get back the finished decoded :class:`MatchResult`.
-    ``stored_pairs`` maps edges whose merged index *is* a stored
-    extension index (single λ image, no filtering) to the stored
-    node-key pair set, reused wholesale when refinement leaves the edge
-    untouched; ``nodes`` is the snapshot's id -> key decode table.  The
-    indexes are only read, never mutated.
-    """
-    # --- candidate pools and witness counters --------------------------
-    valid: Dict[PNode, Set[int]] = {}
-    out_edges: Dict[PNode, List[PEdge]] = {}
-    in_edges: Dict[PNode, List[PEdge]] = {}
-    for u in query.nodes():
-        out_edges[u] = query.out_edges(u)
-        in_edges[u] = query.in_edges(u)
-        pool: Set[int] = set()
-        for edge in out_edges[u]:
-            pool.update(by_source[edge].keys())
-        for edge in in_edges[u]:
-            pool.update(by_target[edge].keys())
-        valid[u] = pool
-
-    # counters[e][v] = |by_source[e][v] & valid(target of e)| -- *lazy*,
-    # exactly like the compact simulation engine: a candidate's counter
-    # is only materialized the first time a removal batch touches it
-    # (one set.intersection against the current target pool), so edges
-    # untouched by refinement never pay the counting pass.
-    counters: Dict[PEdge, Dict[int, int]] = {edge: {} for edge in by_source}
-
-    # --- seed: candidates missing support on some out-edge -------------
-    pending: Dict[PNode, Set[int]] = {}
-    for u in query.nodes():
-        alive: Optional[Set[int]] = None
-        for edge in out_edges[u]:
-            keys = by_source[edge].keys()
-            alive = set(keys) if alive is None else alive.intersection(keys)
-        if alive is None:
-            continue
-        doomed = valid[u] - alive
-        if doomed:
-            valid[u] = alive & valid[u]
-            if not valid[u]:
-                return MatchResult.empty()
-            pending[u] = doomed
-
-    # --- batched propagation (same scheme as the compact simulation) --
-    # Batch/removal counts aggregate locally; _meter_fixpoint records
-    # them once on every exit path.
-    batches = 0
-    removed_total = 0
-    dead: Dict[PNode, Set[int]] = {u: set() for u in query.nodes()}
-    while pending:
-        u1, removed = pending.popitem()
-        batches += 1
-        removed_total += len(removed)
-        dead[u1] |= removed
-        for edge in in_edges[u1]:
-            u0 = edge[0]
-            target_index = by_target[edge]
-            touched: Set[int] = set()
-            for w in removed:
-                sources = target_index.get(w)
-                if sources:
-                    touched |= sources
-            candidates = valid[u0]
-            affected = candidates & touched
-            if not affected:
-                continue
-            source_index = by_source[edge]
-            edge_counter = counters[edge]
-            # A counter materialized mid-propagation must count every
-            # witness whose departure has not been *processed* yet:
-            # valid(u1) plus anything still queued for u1 (a self-loop
-            # query edge can re-queue ids for u1 during this very pop).
-            # The current batch is excluded from both, so it needs no
-            # decrement on a fresh counter; queued ids will decrement
-            # exactly once when their own batch pops.
-            queued_for_u1 = pending.get(u1)
-            if queued_for_u1:
-                intersect_targets = (valid[u1] | queued_for_u1).intersection
-            else:
-                intersect_targets = valid[u1].intersection
-            intersect_removed = removed.intersection
-            newly: Set[int] = set()
-            for v in affected:
-                count = edge_counter.get(v)
-                if count is None:
-                    count = len(intersect_targets(source_index[v]))
-                else:
-                    count -= len(intersect_removed(source_index[v]))
-                edge_counter[v] = count
-                if count == 0:
-                    newly.add(v)
-            if newly:
-                candidates -= newly
-                if not candidates:
-                    _meter_fixpoint("compact", batches, removed_total)
-                    return MatchResult.empty()
-                queued = pending.get(u0)
-                if queued is None:
-                    pending[u0] = newly
-                else:
-                    queued |= newly
-    _meter_fixpoint("compact", batches, removed_total)
-
-    # --- package: restrict the initial sets to the valid candidates ----
-    decode = nodes.__getitem__
-    node_matches: Dict[PNode, Set[Node]] = {u: set() for u in query.nodes()}
-    edge_matches: Dict[PEdge, Set[NodePair]] = {}
+    containment: Containment,
+    extensions: Extensions,
+    bound_of: Optional[Callable],
+) -> Tuple[Dict[PEdge, EdgeRows], Callable]:
+    """:func:`merge_initial_sets` in snapshot id space: the λ-images'
+    stored rows adopted as they are, or filtered through the id-space
+    ``I(V)`` where ``bound_of`` names a bound."""
+    inputs: Dict[PEdge, EdgeRows] = {}
+    decode = None
     for edge in query.edges():
-        u, u_prime = edge
-        source_index = by_source[edge]
-        sources = valid[u].intersection(source_index.keys())
-        target_pool = valid[u_prime]
-        shared = stored_pairs.get(edge)
-        if (
-            shared is not None
-            and not dead[u]
-            and not dead[u_prime]
-            and len(sources) == len(source_index)
-        ):
-            # Nothing was refined away: the stored extension pair set is
-            # the answer for this edge (copied so callers own it).
-            edge_matches[edge] = set(shared)
-            node_matches[u].update(map(decode, sources))
-            node_matches[u_prime].update(map(decode, by_target[edge].keys()))
-            continue
-        pairs: Set[NodePair] = set()
-        surviving_targets: Set[int] = set()
-        for v in sources:
-            targets = target_pool.intersection(source_index[v])
-            if targets:
-                surviving_targets |= targets
-                pairs.update(zip(repeat(decode(v)), map(decode, targets)))
-        edge_matches[edge] = pairs
-        node_matches[u].update(map(decode, sources))
-        node_matches[u_prime].update(map(decode, surviving_targets))
-    return MatchResult(node_matches, edge_matches)
+        rows, sources, targets = [], [], []
+        stored: Optional[list] = []
+        for view_name, view_edge in containment.mapping.get(edge, ()):
+            extension = extensions[view_name]
+            payload = extension.compact
+            decode = payload.nodes.__getitem__
+            bound = bound_of(edge, extension, view_edge) if bound_of else None
+            if bound is None:
+                rows.append(payload.pair_rows(view_edge))
+                sources.append(payload.src_keys[view_edge])
+                targets.append(payload.tgt_keys[view_edge])
+                if stored is not None:
+                    stored.append((extension, payload, view_edge))
+                continue
+            stored = None
+            distance_of = payload.distances.__getitem__
+            kept = [
+                pair
+                for pair in zip(*payload.pair_rows(view_edge))
+                if distance_of(pair) <= bound
+            ]
+            if kept:
+                src_row, tgt_row = zip(*kept)
+                rows.append((src_row, tgt_row))
+                sources.append(frozenset(src_row))
+                targets.append(frozenset(tgt_row))
+        whole = None
+        if stored:
+            def whole(stored=stored):
+                return (
+                    set().union(*(ext.edge_matches[ve] for ext, _, ve in stored)),
+                    [p.src_nodes[ve] for _, p, ve in stored],
+                    [p.tgt_nodes[ve] for _, p, ve in stored],
+                )
+        inputs[edge] = (
+            rows,
+            sources[0] if len(sources) == 1 else frozenset().union(*sources),
+            targets[0] if len(targets) == 1 else frozenset().union(*targets),
+            whole,
+        )
+    return inputs, decode
+
+
+def _key_inputs(
+    initial: Dict[PEdge, Set[NodePair]]
+) -> Tuple[Dict[PEdge, EdgeRows], None]:
+    """Merged node-key pair sets (which the kernel takes ownership of)
+    unzipped into rows; ids are the node keys themselves, so there is
+    no decode."""
+    inputs: Dict[PEdge, EdgeRows] = {}
+    for edge, pairs in initial.items():
+        src_row = [v for v, _ in pairs]
+        tgt_row = [w for _, w in pairs]
+        sources, targets = frozenset(src_row), frozenset(tgt_row)
+        inputs[edge] = (
+            [(src_row, tgt_row)],
+            sources,
+            targets,
+            lambda pairs=pairs, sources=sources, targets=targets: (
+                pairs, [sources], [targets]
+            ),
+        )
+    return inputs, None
+
+
+def _run_kernel(query: Pattern, path: str, build: Callable) -> MatchResult:
+    """The kernel plus its accounting.  ``path`` names the id space the
+    rows are in (``ids`` | ``keys``); ``build()`` returns ``(inputs,
+    decode)`` and runs inside the ``matchjoin`` span, so merging and
+    BMatchJoin's row filter are attributed to it.  One registry write
+    per call."""
+    with trace.span("matchjoin", edges=query.num_edges, path=path) as mj_span:
+        inputs, decode = build()
+        result, sweeps = sweep_join(query, inputs, decode)
+        if mj_span is not None:
+            mj_span.set(sweeps=sweeps)
+    reg = get_registry()
+    reg.counter("repro_matchjoin_total", path=path).inc()
+    reg.counter("repro_matchjoin_sweeps_total", path=path).inc(sweeps)
+    return result
+
+
+def join_pair_sets(
+    query: Pattern, initial: Dict[PEdge, Set[NodePair]]
+) -> MatchResult:
+    """Run the kernel in node-key space over ready-merged pair sets --
+    the hybrid kernel's adapter (covered edges merged from extensions,
+    uncovered ones scanned from ``G``)."""
+    return _run_kernel(query, "keys", lambda: _key_inputs(initial))
 
 
 # ----------------------------------------------------------------------
@@ -698,11 +403,12 @@ def compact_candidate_fixpoint(
 # ----------------------------------------------------------------------
 def _fixpoint_naive(
     query: Pattern, sets: Dict[PEdge, Set[NodePair]]
-) -> Optional[Dict[PEdge, Dict[Node, Set[Node]]]]:
+) -> MatchResult:
     edges = query.edges()
     current: Dict[PEdge, Set[NodePair]] = {e: set(sets[e]) for e in edges}
     if any(not current[e] for e in edges):
-        return None
+        return MatchResult.empty()
+    sweeps = get_registry().counter("repro_matchjoin_sweeps_total", path="naive")
     passes = 0
     changed = True
     while changed:
@@ -727,49 +433,52 @@ def _fixpoint_naive(
             if doomed:
                 current[edge] -= set(doomed)
                 if not current[edge]:
-                    get_registry().counter(
-                        "repro_matchjoin_sweeps_total", path="naive"
-                    ).inc(passes)
-                    return None
+                    sweeps.inc(passes)
+                    return MatchResult.empty()  # Fig. 2 line 11
                 changed = True
-    get_registry().counter(
-        "repro_matchjoin_sweeps_total", path="naive"
-    ).inc(passes)
-    by_source: Dict[PEdge, Dict[Node, Set[Node]]] = {}
-    for edge in edges:
-        index: Dict[Node, Set[Node]] = {}
-        for v, w in current[edge]:
-            index.setdefault(v, set()).add(w)
-        by_source[edge] = index
-    return by_source
-
-
-def run_fixpoint(
-    query: Pattern,
-    sets: Dict[PEdge, Set[NodePair]],
-    optimized: bool = True,
-) -> Optional[MatchResult]:
-    """Run the chosen fixpoint engine and package the result."""
-    engine = _fixpoint_ranked if optimized else _fixpoint_naive
-    by_source = engine(query, sets)
-    if by_source is None:
-        return None
-    edge_matches: Dict[PEdge, Set[NodePair]] = {}
+    sweeps.inc(passes)
     node_matches: Dict[PNode, Set[Node]] = {u: set() for u in query.nodes()}
-    for edge, index in by_source.items():
-        pairs = {(v, w) for v, targets in index.items() for w in targets}
-        edge_matches[edge] = pairs
-        u, u_prime = edge
-        for v, w in pairs:
-            node_matches[u].add(v)
-            node_matches[u_prime].add(w)
-    return MatchResult(node_matches, edge_matches)
+    for (u, u_prime), pairs in current.items():
+        node_matches[u].update(pair[0] for pair in pairs)
+        node_matches[u_prime].update(pair[1] for pair in pairs)
+    return MatchResult(node_matches, current)
 
 
 def _extensions_of(views: Union[Extensions, ViewSet]) -> Extensions:
     if isinstance(views, ViewSet):
         return views.extensions()
     return views
+
+
+def join_views(
+    query: Pattern,
+    containment: Containment,
+    views: Union[Extensions, ViewSet],
+    optimized: bool,
+    bound_of: Optional[Callable] = None,
+) -> MatchResult:
+    """What MatchJoin and BMatchJoin share: pick the fixpoint and the id
+    space, merge the λ-images (Fig. 2 lines 1-4) into its input, run
+    it.  ``bound_of`` is BMatchJoin's distance filter (see
+    :func:`merge_initial_sets`)."""
+    extensions = _extensions_of(views)
+    _check_inputs(query, containment, extensions)
+    if not optimized:
+        get_registry().counter("repro_matchjoin_total", path="naive").inc()
+        return _fixpoint_naive(
+            query, merge_initial_sets(query, containment, extensions, bound_of)
+        )
+    if shared_snapshot_token(query, containment, extensions) is None:
+        return _run_kernel(
+            query,
+            "keys",
+            lambda: _key_inputs(
+                merge_initial_sets(query, containment, extensions, bound_of)
+            ),
+        )
+    return _run_kernel(
+        query, "ids", lambda: _id_inputs(query, containment, extensions, bound_of)
+    )
 
 
 def match_join(
@@ -791,8 +500,8 @@ def match_join(
         ``{view name: MaterializedView}`` or a materialized
         :class:`ViewSet`.  The data graph itself is never consulted.
     optimized:
-        Use the rank-ordered worklist engine (default) or the literal
-        Fig. 2 loop (``MatchJoin_nopt``).
+        Use the rank-ordered kernel (default) or the literal Fig. 2
+        loop (``MatchJoin_nopt``).
 
     Returns the unique maximum result ``{(e, Se)}``; empty when ``G``
     does not match ``Qs``.  Node match sets in the returned result are
@@ -800,32 +509,8 @@ def match_join(
     the edge-level object).
 
     When every referenced extension was materialized against the same
-    :class:`~repro.graph.compact.CompactGraph` snapshot, the optimized
-    engine runs entirely in the snapshot's integer-id space (see
-    :func:`_compact_match_join`); the result is identical either way.
+    snapshot, the kernel sweeps the extensions' stored id rows in the
+    snapshot's integer-id space; otherwise it runs over the node-key
+    pair sets.  The result is identical either way.
     """
-    resolved = _extensions_of(extensions)
-    _check_inputs(query, containment, resolved)
-    reg = get_registry()
-    if optimized:
-        with trace.span("matchjoin", edges=len(query.edges())) as mj_span:
-            fast = _flat_match_join(query, containment, resolved)
-            path = "flat"
-            if fast is None:
-                fast = _compact_match_join(query, containment, resolved)
-                path = "compact"
-            if fast is not None:
-                reg.counter("repro_matchjoin_total", path=path).inc()
-                if mj_span is not None:
-                    mj_span.set(path=path)
-                return fast
-            if mj_span is not None:
-                mj_span.set(path="dict")
-            reg.counter("repro_matchjoin_total", path="dict").inc()
-            initial = merge_initial_sets(query, containment, resolved)
-            result = run_fixpoint(query, initial, optimized=True)
-            return result if result is not None else MatchResult.empty()
-    reg.counter("repro_matchjoin_total", path="naive").inc()
-    initial = merge_initial_sets(query, containment, resolved)
-    result = run_fixpoint(query, initial, optimized=False)
-    return result if result is not None else MatchResult.empty()
+    return join_views(query, containment, extensions, optimized)

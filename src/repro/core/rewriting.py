@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Hashable, Mapping, Set, Tuple, Union
 
 from repro.core.containment import Containment, Views, contains, _normalize
-from repro.core.matchjoin import merge_initial_sets, run_fixpoint, _extensions_of
+from repro.core.matchjoin import join_pair_sets, merge_initial_sets
 from repro.errors import UnsupportedPatternError
 from repro.graph.conditions import AttributeCondition, Label
 from repro.graph.digraph import DataGraph
@@ -148,10 +148,10 @@ def hybrid_join(
     containment: Containment,
     extensions: Extensions,
     graph: DataGraph,
-    optimized: bool = True,
 ) -> MatchResult:
     """The hybrid evaluation kernel: covered edges from ``extensions``,
-    uncovered edges from ``graph``, one shared fixpoint.
+    uncovered edges from ``graph``, one shared fixpoint (the MatchJoin
+    kernel, over node-key rows).
 
     ``containment`` carries the λ mapping of the covered edges (it need
     not hold -- partial coverage is the point); ``extensions`` must
@@ -269,5 +269,4 @@ def hybrid_join(
                 pairs.update((v, w) for w in graph.successors(v) if w in targets)
         initial[edge] = pairs
 
-    result = run_fixpoint(query, initial, optimized=optimized)
-    return result if result is not None else MatchResult.empty()
+    return join_pair_sets(query, initial)

@@ -258,7 +258,6 @@ class QueryEngine:
         workers: Optional[int] = None,
         answer_cache_size: int = 128,
         containment_cache_size: int = 512,
-        optimized: bool = True,
         shards: Optional[int] = None,
         partitioner: str = "hash",
         shared_snapshots: Optional[bool] = None,
@@ -345,7 +344,6 @@ class QueryEngine:
         self._selection = selection
         self._executor = executor
         self._workers = workers
-        self._optimized = optimized
         self._planner = planner
         self._cost_model = cost_model if cost_model is not None else CostModel()
         self._shared_snapshots = (
@@ -438,11 +436,6 @@ class QueryEngine:
         """The snapshot directory this engine booted from (``None``
         for live-graph engines)."""
         return self._snapshot_path
-
-    @property
-    def optimized(self) -> bool:
-        """Whether evaluation runs the Section V optimizations."""
-        return self._optimized
 
     @property
     def planner(self) -> str:
@@ -855,8 +848,8 @@ class QueryEngine:
     def _rebind_unchanged(self, changed, snapshot) -> None:
         """Re-stamp unchanged snapshot-bound extensions onto the
         refreshed snapshot's token (no version bump: the match sets are
-        identical, only provenance moved), so MatchJoin's id-space fast
-        path re-engages across the whole catalog."""
+        identical, only provenance moved), so the whole catalog shares
+        one token again and MatchJoin stays in id space."""
         from repro.views.view import bind_extension
 
         extends = getattr(snapshot, "extends_token", None)
@@ -866,7 +859,7 @@ class QueryEngine:
             if self._views.is_stale(name):
                 # Stale (bounded) extensions must not be re-stamped onto
                 # the fresh token -- that would launder outdated match
-                # sets into provenance the fast path trusts.  They wait
+                # sets into provenance MatchJoin trusts.  They wait
                 # for rematerialization instead.
                 continue
             extension = self._views.extension(name)
@@ -875,20 +868,13 @@ class QueryEngine:
                 continue
             try:
                 if extends is not None and compact.token == extends:
-                    # preserve_flatness keeps a flat payload's view
-                    # wrapper flat, so its pickle stays a segment
-                    # handle across maintenance epochs.
-                    from repro.views.flatpack import preserve_flatness
-
-                    rebound = preserve_flatness(
-                        extension, compact.rebound(snapshot)
-                    )
+                    rebound = extension.rebound(snapshot)
                 else:
                     rebound = bind_extension(extension, snapshot)
             except KeyError:
                 # The extension references nodes the snapshot no longer
-                # has (out-of-band mutation): leave it; the fast path
-                # simply stays disengaged for this view.
+                # has (out-of-band mutation): leave it; queries reading
+                # this view simply run over node-key rows.
                 continue
             self._views.rebind_extension(rebound)
 
@@ -1539,7 +1525,6 @@ class QueryEngine:
                 containment=None,
                 needed=(),
                 bounded=plan.bounded,
-                optimized=self._optimized,
                 trace_id=trace.current_span_id(),
             )
         if plan.strategy == HYBRID and self._graph is None:
@@ -1582,7 +1567,6 @@ class QueryEngine:
             containment=plan.containment,
             needed=plan.views_used,
             bounded=plan.bounded,
-            optimized=self._optimized,
             trace_id=trace.current_span_id(),
         )
 

@@ -61,7 +61,6 @@ class EvaluationSpec:
     containment: Optional[Containment]
     needed: Tuple[str, ...]
     bounded: bool
-    optimized: bool = True
     #: Coordinator span id to report worker-side spans under (traced
     #: requests only; ``None`` keeps untraced evaluation span-free).
     trace_id: Optional[str] = None
@@ -98,10 +97,7 @@ def evaluate_spec(
         from repro.core.rewriting import hybrid_join
 
         chosen = {name: extensions[name] for name in spec.needed}
-        return hybrid_join(
-            spec.query, spec.containment, chosen, graph,
-            optimized=spec.optimized,
-        )
+        return hybrid_join(spec.query, spec.containment, chosen, graph)
     chosen = {name: extensions[name] for name in spec.needed}
     if spec.bounded:
         from repro.core.bounded.bmatchjoin import bounded_match_join
@@ -111,14 +107,10 @@ def evaluate_spec(
             if isinstance(spec.query, BoundedPattern)
             else spec.query.bounded()
         )
-        return bounded_match_join(
-            query, spec.containment, chosen, optimized=spec.optimized
-        )
+        return bounded_match_join(query, spec.containment, chosen)
     from repro.core.matchjoin import match_join
 
-    return match_join(
-        spec.query, spec.containment, chosen, optimized=spec.optimized
-    )
+    return match_join(spec.query, spec.containment, chosen)
 
 
 # ----------------------------------------------------------------------

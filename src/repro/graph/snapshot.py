@@ -416,8 +416,6 @@ def _write_sharded(dirpath: str, sharded) -> dict:
 def _write_views(
     dirpath: str, snapshot, extensions: Dict[str, Any], flat_token
 ) -> Dict[str, dict]:
-    from repro.views.flatpack import FlatExtension
-
     out: Dict[str, dict] = {}
     for idx, name in enumerate(sorted(extensions)):
         view = extensions[name]
@@ -426,7 +424,11 @@ def _write_views(
         if definition is None:
             log.warning("snapshot save: view %r has no definition; skipped", name)
             continue
-        if isinstance(payload, FlatExtension) and payload.token == flat_token:
+        if (
+            payload is not None
+            and payload.store is not None
+            and payload.token == flat_token
+        ):
             seg = f"view-{idx:03d}.seg"
             meta = f"view-{idx:03d}.pkl"
             payload.store.save(os.path.join(dirpath, seg))
@@ -525,7 +527,8 @@ def _load_views(dirpath: str, manifest: dict, graph, verify: bool) -> Dict[str, 
     entries = manifest.get("views") or {}
     if not entries:
         return {}
-    from repro.views.flatpack import _attach_extension, _attach_view
+    from repro.views.flatpack import _attach_extension
+    from repro.views.view import _attach_view
 
     views: Dict[str, Any] = {}
     for name, entry in entries.items():

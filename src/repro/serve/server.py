@@ -483,7 +483,6 @@ class QueryServer:
                 containment=None,
                 needed=(),
                 bounded=plan.bounded,
-                optimized=self._engine.optimized,
                 trace_id=trace.current_span_id(),
             )
         return EvaluationSpec(
@@ -492,7 +491,6 @@ class QueryServer:
             containment=containment,
             needed=needed,
             bounded=plan.bounded,
-            optimized=self._engine.optimized,
             trace_id=trace.current_span_id(),
         )
 

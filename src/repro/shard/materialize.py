@@ -10,11 +10,10 @@ fixpoints coordinated to the global fixpoint
 simple union because shards own disjoint source-node sets.
 
 The merged extension carries a
-:class:`~repro.views.view.CompactExtension` in the sharded graph's
+:class:`~repro.views.flatpack.FlatExtension` in the sharded graph's
 *composite* id space, stamped with its composite ``snapshot_token`` --
 so every extension materialized against the same sharded graph shares
-one token and the existing id-space MatchJoin fast path
-(:func:`repro.core.matchjoin._compact_match_join`) engages unchanged.
+one token and MatchJoin sweeps their id rows unchanged.
 
 Entry points:
 
@@ -29,8 +28,8 @@ Both entry points accept *refreshed* sharded snapshots
 (:meth:`ShardedGraph.refreshed`) unchanged: a refresh keeps composite
 ids stable and mints a fresh composite token, so extensions
 materialized afterwards coexist with re-stamped (``rebound``)
-extensions of views the update stream never touched -- one token, fast
-path intact.
+extensions of views the update stream never touched -- one token, id
+space intact.
 """
 
 from __future__ import annotations
@@ -43,86 +42,14 @@ from repro.shard.psim import (
     ShardRunner,
     _drive,
     _Evaluation,
-    _sharded_evaluate,
     sharded_bounded_match_with_ids,
+    sharded_match_with_ids,
 )
 from repro.shard.sharded import ShardedGraph
 from repro.views.storage import ViewSet
-from repro.views.view import (
-    CompactExtension,
-    MaterializedView,
-    ViewDefinition,
-    decode_distance_index,
-)
+from repro.views.view import MaterializedView, ViewDefinition, snapshot_extension
 
 log = logging.getLogger(__name__)
-
-
-def _package(
-    definition: ViewDefinition,
-    sharded: ShardedGraph,
-    evaluation: _Evaluation,
-) -> MaterializedView:
-    """Fold a finished evaluation into a materialized extension."""
-    pattern = definition.pattern
-    if evaluation.empty:
-        empty_ids = {edge: {} for edge in pattern.edges()}
-        return MaterializedView(
-            definition,
-            {edge: set() for edge in pattern.edges()},
-            compact=CompactExtension(
-                sharded, empty_ids, by_target={e: {} for e in pattern.edges()}
-            ),
-        )
-    compact = CompactExtension(
-        sharded, evaluation.id_matches, by_target=evaluation.by_target
-    )
-    return MaterializedView(
-        definition, evaluation.edge_matches, compact=compact
-    )
-
-
-def materialize_bounded_view(
-    definition: ViewDefinition, sharded: ShardedGraph
-) -> MaterializedView:
-    """Evaluate one *bounded* view on a sharded graph.
-
-    Bounded simulation does not decompose into per-shard fixpoints (a
-    bounded path may thread through several shards), so the evaluation
-    runs the generic engine over the composite read API -- every
-    distance question answered by the per-shard bounded BFS with
-    ghost-distance stitching.  The extension carries a composite-id
-    :class:`CompactExtension` whose ``distances`` payload is the
-    id-space index ``I(V)``, stamped with the composite snapshot token,
-    so the BMatchJoin id-space fast path engages on sharded bounded
-    views exactly as on single-snapshot ones.
-    """
-    pattern = definition.pattern
-    result, by_source, by_target, id_distances = sharded_bounded_match_with_ids(
-        pattern, sharded
-    )
-    if by_source is None:
-        empty_ids = {edge: {} for edge in pattern.edges()}
-        return MaterializedView(
-            definition,
-            {edge: set() for edge in pattern.edges()},
-            distances={},
-            compact=CompactExtension(
-                sharded,
-                empty_ids,
-                by_target={e: {} for e in pattern.edges()},
-                distances={},
-            ),
-        )
-    compact = CompactExtension(
-        sharded, by_source, by_target=by_target, distances=id_distances
-    )
-    return MaterializedView(
-        definition,
-        result.edge_matches,
-        distances=decode_distance_index(id_distances, sharded.node_table),
-        compact=compact,
-    )
 
 
 def materialize_view(
@@ -134,28 +61,23 @@ def materialize_view(
 ) -> MaterializedView:
     """Evaluate one view on a sharded graph and build its extension.
 
-    Simulation views run the partial-evaluation fixpoint shard-parallel
-    and attach a composite-id :class:`CompactExtension`; bounded views
-    go through :func:`materialize_bounded_view` (stitched bounded BFS,
-    composite-id distance payload).
+    Simulation views run the partial-evaluation fixpoint shard-parallel.
+    Bounded simulation does not decompose into per-shard fixpoints (a
+    bounded path may thread through several shards), so bounded views
+    run the generic engine over the composite read API -- every
+    distance question answered by the per-shard bounded BFS with
+    ghost-distance stitching -- and carry ``I(V)`` in composite id
+    space, so BMatchJoin bound-filters their rows exactly as on
+    single-snapshot ones.
     """
     pattern = definition.pattern
     if isinstance(pattern, BoundedPattern):
-        return materialize_bounded_view(definition, sharded)
-    result, id_matches, by_target = _sharded_evaluate(
-        pattern, sharded, executor=executor, workers=workers, runner=runner
-    )
-    if id_matches is None:
-        id_matches = {edge: {} for edge in pattern.edges()}
-        by_target = {edge: {} for edge in pattern.edges()}
-    compact = CompactExtension(sharded, id_matches, by_target=by_target)
-    if not result:
-        return MaterializedView(
-            definition,
-            {edge: set() for edge in pattern.edges()},
-            compact=compact,
+        evaluated = sharded_bounded_match_with_ids(pattern, sharded)
+    else:
+        evaluated = sharded_match_with_ids(
+            pattern, sharded, executor=executor, workers=workers, runner=runner
         )
-    return MaterializedView(definition, result.edge_matches, compact=compact)
+    return snapshot_extension(definition, sharded, *evaluated)
 
 
 def parallel_materialize(
@@ -200,14 +122,16 @@ def parallel_materialize(
                 )
         _drive(list(evaluations.values()), runner)
         for name in chosen:
-            evaluation = evaluations.get(name)
+            # Popped, so each view's grouped output is dropped as soon
+            # as its rows are built.
+            evaluation = evaluations.pop(name, None)
             if evaluation is None:
                 extension = materialize_view(
                     views.definition(name), sharded, runner=runner
                 )
             else:
-                extension = _package(
-                    views.definition(name), sharded, evaluation
+                extension = snapshot_extension(
+                    views.definition(name), sharded, *evaluation.outcome()
                 )
             views.set_extension(extension)
     finally:

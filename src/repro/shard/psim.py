@@ -290,18 +290,16 @@ def _local_edge_matches(
     global_row: Sequence[int],
 ) -> Tuple[
     IdEdgeMatches,
-    IdEdgeMatches,
     Dict[PEdge, Set[Tuple[Node, Node]]],
     Dict[PNode, Set[Node]],
 ]:
     """One shard's slice of the final result, ready to merge.
 
     Returns the per-edge match sets in composite global id space
-    grouped by source id and by target id (the two
-    :class:`CompactExtension` indexes), the same pairs decoded to node
-    keys, and the decoded node match sets -- all built shard-side, so
-    the coordinator's merge is pure C-level set/dict updates (only
-    by-target rows can collide across shards, at cut targets).  At the
+    grouped by source id, the same pairs decoded to node keys, and the
+    decoded node match sets -- all built shard-side, so the
+    coordinator's merge is pure C-level set/dict updates (shards own
+    disjoint source sets, so nothing collides).  At the
     global fixpoint the surviving assumptions are exactly the true
     boundary matches, so ghost witnesses are emitted like internal
     ones; ``global_row`` folds both into the shared id space, and the
@@ -312,7 +310,6 @@ def _local_edge_matches(
     full = state.full
     decode = snapshot.node_of
     matches: IdEdgeMatches = {}
-    reverse: IdEdgeMatches = {}
     decoded: Dict[PEdge, Set[Tuple[Node, Node]]] = {}
     for edge in pattern.edges():
         u, u1 = edge
@@ -320,26 +317,16 @@ def _local_edge_matches(
         # surviving witnesses.
         intersect = full[u1].intersection
         grouped: Dict[int, Set[int]] = {}
-        by_target: Dict[int, Set[int]] = {}
         pairs: Set[Tuple[Node, Node]] = set()
         for v in sim[u]:
             witnesses = intersect(succ[v])
             if witnesses:
-                source = global_row[v]
-                targets = {global_row[w] for w in witnesses}
-                grouped[source] = targets
-                for w in targets:
-                    sources = by_target.get(w)
-                    if sources is None:
-                        by_target[w] = {source}
-                    else:
-                        sources.add(source)
+                grouped[global_row[v]] = {global_row[w] for w in witnesses}
                 pairs.update(zip(repeat(decode(v)), map(decode, witnesses)))
         matches[edge] = grouped
-        reverse[edge] = by_target
         decoded[edge] = pairs
     nodes = {u: set(map(decode, ids)) for u, ids in sim.items()}
-    return matches, reverse, decoded, nodes
+    return matches, decoded, nodes
 
 
 # ----------------------------------------------------------------------
@@ -633,7 +620,6 @@ class _Evaluation:
         "active",
         "_incoming",
         "id_matches",
-        "by_target",
         "edge_matches",
         "node_matches",
         "collected",
@@ -657,7 +643,6 @@ class _Evaluation:
         self.active: List[int] = list(range(k))
         self._incoming: List[Tuple[int, object]] = []
         self.id_matches: Optional[IdEdgeMatches] = None
-        self.by_target: Optional[IdEdgeMatches] = None
         self.edge_matches: Optional[Dict[PEdge, Set[Tuple[Node, Node]]]] = None
         self.node_matches: Optional[Dict[PNode, Set[Node]]] = None
         self.collected: Optional[Dict[PNode, Set[Node]]] = None
@@ -771,7 +756,6 @@ class _Evaluation:
     def _merge_edges(self, incoming: List[Tuple[int, object]]) -> None:
         pattern = self.pattern
         id_matches: IdEdgeMatches = {edge: {} for edge in pattern.edges()}
-        by_target: IdEdgeMatches = {edge: {} for edge in pattern.edges()}
         edge_matches: Dict[PEdge, Set[Tuple[Node, Node]]] = {
             edge: set() for edge in pattern.edges()
         }
@@ -779,22 +763,10 @@ class _Evaluation:
             u: set() for u in pattern.nodes()
         }
         for _, shard_slice in incoming:
-            local_ids, local_reverse, local_pairs, local_nodes = shard_slice  # type: ignore[misc]
+            local_ids, local_pairs, local_nodes = shard_slice  # type: ignore[misc]
             for edge, grouped in local_ids.items():
                 # Source rows are owned by exactly one shard: plain merge.
                 id_matches[edge].update(grouped)
-            for edge, grouped in local_reverse.items():
-                reverse = by_target[edge]
-                if reverse:
-                    for w, sources in grouped.items():
-                        current = reverse.get(w)
-                        if current is None:
-                            reverse[w] = sources
-                        else:
-                            current |= sources
-                else:
-                    # First contributor: adopt the shard's rows outright.
-                    by_target[edge] = grouped
             for edge, pairs in local_pairs.items():
                 current_pairs = edge_matches[edge]
                 if current_pairs:
@@ -808,9 +780,17 @@ class _Evaluation:
                 else:
                     node_matches[u] = nodes
         self.id_matches = id_matches
-        self.by_target = by_target
         self.edge_matches = edge_matches
         self.node_matches = node_matches
+
+    def outcome(self) -> Tuple[MatchResult, Optional[IdEdgeMatches]]:
+        """The finished ``edges``-mode evaluation: the result plus the
+        composite-id edge matches grouped by source id -- the form
+        extension rows are built from -- or ``None`` for them on a
+        failed match."""
+        if self.empty:
+            return MatchResult.empty(), None
+        return MatchResult(self.node_matches, self.edge_matches), self.id_matches
 
 
 def _meter_psim(stats: PSimStats) -> None:
@@ -888,23 +868,17 @@ def partial_max_simulation(
     return None if evaluation.empty else evaluation.collected
 
 
-def _sharded_evaluate(
+def sharded_match_with_ids(
     pattern,
     sharded: ShardedGraph,
     executor: str = "serial",
     workers: Optional[int] = None,
     runner: Optional[ShardRunner] = None,
     stats_out: Optional[List[PSimStats]] = None,
-) -> Tuple[MatchResult, Optional[IdEdgeMatches], Optional[IdEdgeMatches]]:
-    """Full evaluation: result plus both composite-id indexes.
-
-    Returns ``(result, by_source, by_target)``; the id components are
-    ``None`` on a failed match.  ``by_source`` is grouped by source id
-    -- exactly the form :class:`~repro.views.view.CompactExtension`
-    stores -- and ``by_target`` its precomputed reversal, both built
-    shard-side and merged with C-level updates (only by-target rows can
-    collide across shards, at cut targets).
-    """
+) -> Tuple[MatchResult, Optional[IdEdgeMatches]]:
+    """Evaluate ``Qs`` on a sharded graph; also return the composite
+    global-id edge matches grouped by source id (``None`` on a failed
+    match) -- built shard-side and merged with C-level updates."""
     runner, owned = _resolve_runner(sharded, runner, executor, workers)
     try:
         evaluation = _Evaluation(pattern, sharded, runner.new_session())
@@ -921,39 +895,7 @@ def _sharded_evaluate(
             runner.close()
     if stats_out is not None:
         stats_out.append(evaluation.stats)
-    if evaluation.empty:
-        return MatchResult.empty(), None, None
-    return (
-        MatchResult(evaluation.node_matches, evaluation.edge_matches),
-        evaluation.id_matches,
-        evaluation.by_target,
-    )
-
-
-def sharded_match_with_ids(
-    pattern,
-    sharded: ShardedGraph,
-    executor: str = "serial",
-    workers: Optional[int] = None,
-    runner: Optional[ShardRunner] = None,
-    stats_out: Optional[List[PSimStats]] = None,
-) -> Tuple[MatchResult, Optional[IdEdgeMatches]]:
-    """Evaluate ``Qs`` on a sharded graph; also return the composite
-    global-id edge matches (``None`` on a failed match).
-
-    The id-space component is grouped by source id -- exactly the form
-    :class:`~repro.views.view.CompactExtension` stores, with ids drawn
-    from the sharded graph's composite space.
-    """
-    result, id_matches, _ = _sharded_evaluate(
-        pattern,
-        sharded,
-        executor=executor,
-        workers=workers,
-        runner=runner,
-        stats_out=stats_out,
-    )
-    return result, id_matches
+    return evaluation.outcome()
 
 
 def sharded_match(
@@ -1002,12 +944,11 @@ def sharded_bounded_match(pattern, sharded: ShardedGraph) -> MatchResult:
 def sharded_bounded_match_with_ids(pattern, sharded: ShardedGraph):
     """Full bounded evaluation with the composite-id extension payload.
 
-    Returns ``(result, by_source, by_target, id_distances)`` where the
-    id components use the sharded graph's composite global-id space --
-    exactly the form :class:`~repro.views.view.CompactExtension` stores
-    -- and ``id_distances`` is the id-space distance index ``I(V)``
-    (pair -> shortest distance, minimized across view edges).  The id
-    components are ``None`` on a failed match.
+    Returns ``(result, id_matches, id_distances)`` where the id
+    components use the sharded graph's composite global-id space:
+    ``id_matches`` grouped by source id, ``id_distances`` the id-space
+    distance index ``I(V)`` (pair -> shortest distance, minimized
+    across view edges).  Both are ``None`` on a failed match.
     """
     from repro.simulation.bounded import (
         bounded_edge_matches,
@@ -1016,30 +957,21 @@ def sharded_bounded_match_with_ids(pattern, sharded: ShardedGraph):
 
     sim = maximum_bounded_simulation(pattern, sharded)
     if sim is None:
-        return MatchResult.empty(), None, None, None
+        return MatchResult.empty(), None, None
     per_edge = bounded_edge_matches(pattern, sharded, sim, with_distances=True)
     id_of = sharded.id_of
-    by_source: IdEdgeMatches = {}
-    by_target: IdEdgeMatches = {}
+    id_matches: IdEdgeMatches = {}
     id_distances: Dict[Tuple[int, int], int] = {}
     edge_matches = {}
     for edge, pair_distances in per_edge.items():
         grouped: Dict[int, Set[int]] = {}
-        reverse: Dict[int, Set[int]] = {}
         for (v, w), d in pair_distances.items():
             vi, wi = id_of(v), id_of(w)
             grouped.setdefault(vi, set()).add(wi)
-            reverse.setdefault(wi, set()).add(vi)
             key = (vi, wi)
             previous = id_distances.get(key)
             if previous is None or d < previous:
                 id_distances[key] = d
-        by_source[edge] = grouped
-        by_target[edge] = reverse
+        id_matches[edge] = grouped
         edge_matches[edge] = set(pair_distances)
-    return (
-        MatchResult(sim, edge_matches),
-        by_source,
-        by_target,
-        id_distances,
-    )
+    return MatchResult(sim, edge_matches), id_matches, id_distances

@@ -506,7 +506,7 @@ class ShardedGraph:
         return frozenset(self._ghost_shards)
 
     # ------------------------------------------------------------------
-    # Composite id space (what CompactExtension consumes)
+    # Composite id space (what extension rows are encoded in)
     # ------------------------------------------------------------------
     def id_of(self, node: Node) -> int:
         """The composite global id of ``node`` (KeyError if absent)."""

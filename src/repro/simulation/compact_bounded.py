@@ -20,7 +20,7 @@ Results decode back to original node keys at the very end, so a
 :class:`MatchResult` from this engine is equal (``==``) to one computed
 on the mutable dict backend; the id-space edge matches and the id-space
 distance index additionally feed the
-:class:`~repro.views.view.CompactExtension` payload that bounded view
+:class:`~repro.views.flatpack.FlatExtension` payload that bounded view
 materialization stores for the BMatchJoin fast path.
 """
 

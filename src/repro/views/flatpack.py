@@ -1,54 +1,50 @@
-"""Flat-buffer view extensions: zero-copy shippable ``V(G)`` payloads.
+"""The id-space extension payload: per-view-edge pair rows.
 
-Materializing against a :class:`~repro.graph.flatbuf.SharedCompactGraph`
-produces a :class:`FlatMaterializedView`: the same extension object as
-always, plus
+Materializing a view against a snapshot attaches one
+:class:`FlatExtension` to the :class:`~repro.views.view.MaterializedView`
+(``view.compact``): the same match sets as ``edge_matches``, but as
+**parallel ``(src, tgt)`` id rows** in the snapshot's integer id space --
+one CSR over all view edges (``pairs_indptr`` / ``pairs_src`` /
+``pairs_tgt``), bounded views adding the minimized ``I(V)``.  The rows
+are the whole stored form; everything else MatchJoin reads is decoded
+from them per view edge on first touch and cached:
 
-* a :class:`FlatExtension` payload whose per-view-edge **match pairs
-  live in one flat segment** (``pairs_indptr`` CSR over parallel
-  ``pairs_src`` / ``pairs_tgt`` id arrays, bounded views adding the
-  minimized ``I(V)`` as ``dist_*`` triples), and
-* precomputed per-edge **key and node frozensets** (``src_keys``,
-  ``tgt_keys``, ``src_nodes``, ``tgt_nodes``) that the flat MatchJoin
-  fixpoint (:func:`repro.core.matchjoin.flat_candidate_fixpoint`) uses
-  for batch set-ops instead of dict churn.
+* ``src_keys`` / ``tgt_keys`` -- the ids occurring in each row, for the
+  kernel's batch set-ops;
+* ``src_nodes`` / ``tgt_nodes`` -- the same as node keys, so an edge the
+  fixpoint leaves untouched packages without a single per-pair decode.
 
-Pickling ships segment handles + a small meta tuple -- the decoded
-node-key sets, grouped id indexes and distance tables are **not**
-serialized; a pool worker attaches the segments and materializes each
-per-edge structure lazily on first touch.  The snapshot's own store is
-referenced (not copied) for the id -> node-key decode table, so when a
-payload dict carrying the snapshot and twenty extensions goes through
-one ``pickle.dumps``, the node table ships exactly once and every
-worker-side object resolves to the same attached segment.
+In process the rows are plain ``array('q')`` columns and no segment is
+created.  :meth:`FlatExtension.pack` moves the same columns into a
+:class:`~repro.graph.flatbuf.FlatStore` under the same table names; a
+packed payload pickles as segment handles + a small meta tuple, and the
+worker that attaches it runs exactly the code the creator runs (both
+read rows through :meth:`FlatExtension.pair_rows`).  The snapshot's own
+store is referenced (not copied) for the id -> node-key decode table, so
+when a payload dict carrying the snapshot and twenty extensions goes
+through one ``pickle.dumps``, the node table ships exactly once.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Dict, FrozenSet, Hashable, List, Optional, Set, Tuple
+from typing import Dict, Hashable, List, Optional, Set, Tuple
 
 from repro.graph.flatbuf import FlatStore, SharedCompactGraph, _LazyNodeTable
-from repro.views.view import (
-    CompactExtension,
-    MaterializedView,
-    ViewDefinition,
-)
 
 PEdge = Tuple[Hashable, Hashable]
 Node = Hashable
-NodePair = Tuple[Node, Node]
+IdDistances = Dict[Tuple[int, int], int]
+
+_ROW_TABLES = ("pairs_indptr", "pairs_src", "pairs_tgt")
 
 
-# ----------------------------------------------------------------------
-# Worker-side lazy structures
-# ----------------------------------------------------------------------
 class _PerEdgeLazy(dict):
     """``{view edge: <structure>}`` decoded per edge on first access."""
 
     __slots__ = ("_pack", "_kind")
 
-    def __init__(self, pack: "_AttachedPack", kind: str) -> None:
+    def __init__(self, pack: "FlatExtension", kind: str) -> None:
         super().__init__()
         self._pack = pack
         self._kind = kind
@@ -102,9 +98,9 @@ class _PerEdgeLazy(dict):
 class _LazyDistances(dict):
     """A distance index decoded from the flat triples on first use.
 
-    ``decode=None`` yields the id-space table (``CompactExtension
-    .distances``); with a node table it yields the node-key form
-    (``MaterializedView.distances``).
+    ``decode=None`` yields the id-space table
+    (``FlatExtension.distances``); with a node table it yields the
+    node-key form (``MaterializedView.distances``).
     """
 
     __slots__ = ("_store", "_decode", "_ready")
@@ -175,101 +171,138 @@ class _LazyDistances(dict):
     __hash__ = None
 
 
-class _AttachedPack:
-    """Shared decode context for one attached extension store."""
+class FlatExtension:
+    """Id-space form of one extension, bound to one snapshot.
 
-    __slots__ = ("store", "nodes", "edge_order", "edge_index")
-
-    def __init__(self, store: FlatStore, nodes, edge_order: List[PEdge]):
-        self.store = store
-        self.nodes = nodes
-        self.edge_order = edge_order
-        self.edge_index = {edge: k for k, edge in enumerate(edge_order)}
-
-    def _slices(self, edge: PEdge):
-        k = self.edge_index[edge]  # KeyError for foreign edges, as dicts do
-        indptr = self.store.ints("pairs_indptr")
-        lo, hi = indptr[k], indptr[k + 1]
-        return (
-            self.store.ints("pairs_src")[lo:hi],
-            self.store.ints("pairs_tgt")[lo:hi],
-        )
-
-    def build(self, kind: str, edge: PEdge):
-        src, tgt = self._slices(edge)
-        if kind == "by_source":
-            grouped: Dict[int, Set[int]] = {}
-            for v, w in zip(src, tgt):
-                group = grouped.get(v)
-                if group is None:
-                    grouped[v] = {w}
-                else:
-                    group.add(w)
-            return grouped
-        if kind == "by_target":
-            grouped = {}
-            for v, w in zip(src, tgt):
-                group = grouped.get(w)
-                if group is None:
-                    grouped[w] = {v}
-                else:
-                    group.add(v)
-            return grouped
-        if kind == "src_keys":
-            return frozenset(src)
-        if kind == "tgt_keys":
-            return frozenset(tgt)
-        decode = self.nodes.__getitem__
-        if kind == "src_nodes":
-            return frozenset(map(decode, frozenset(src)))
-        if kind == "tgt_nodes":
-            return frozenset(map(decode, frozenset(tgt)))
-        if kind == "pairs":
-            return set(zip(map(decode, src), map(decode, tgt)))
-        raise AssertionError(kind)
-
-
-# ----------------------------------------------------------------------
-# FlatExtension
-# ----------------------------------------------------------------------
-class FlatExtension(CompactExtension):
-    """A :class:`CompactExtension` backed by a flat segment.
-
-    Adds the per-view-edge frozensets the flat fixpoint consumes and a
-    ``__reduce__`` that ships segment handles instead of the grouped
-    indexes.  In the creator process every inherited field references
-    the ordinary materialization products (same in-process performance);
-    in a worker they are the lazy decoders above.
+    Attributes
+    ----------
+    token / version:
+        The owning snapshot's :attr:`snapshot_token` /
+        :attr:`snapshot_version`.  Two extensions exchange raw ids only
+        when their tokens agree.
+    nodes:
+        The id -> node key decode table, shared by reference with the
+        snapshot (and with every sibling extension of the same
+        snapshot).
+    edge_order / edge_index:
+        The view edges in row order, and their positions.
+    src_keys / tgt_keys / src_nodes / tgt_nodes:
+        ``{view edge: frozenset}``, decoded from the rows on first
+        access (see the module docstring).
+    distances:
+        For bounded views, the id-space distance index ``I(V)``:
+        ``{(source id, target id): distance}`` over every materialized
+        pair, minimized across view edges -- the same semantics as
+        :attr:`MaterializedView.distances`, so BMatchJoin's id-space
+        bound filtering is pair-for-pair identical to the node-key
+        path.  ``None`` for simulation views (pairs are data edges,
+        distance 1 by construction).
+    store:
+        The :class:`FlatStore` holding the rows once :meth:`pack` ed
+        (``None`` in process, where ``_tables`` holds the columns).
     """
 
     __slots__ = (
+        "token",
+        "version",
+        "nodes",
+        "edge_order",
+        "edge_index",
         "src_keys",
         "tgt_keys",
         "src_nodes",
         "tgt_nodes",
+        "distances",
+        "_tables",
         "store",
         "snap_store",
         "nodes_extra",
-        "edge_order",
     )
 
+    def __init__(
+        self,
+        stamp: tuple,
+        edge_order: List[PEdge],
+        tables,
+        distances: Optional[IdDistances] = None,
+    ) -> None:
+        """``stamp`` is :func:`snapshot_stamp` of the owning snapshot;
+        ``tables`` either the three row columns (``pairs_indptr`` /
+        ``pairs_src`` / ``pairs_tgt`` as ``array('q')``) or a
+        :class:`FlatStore` holding them.  Producers use
+        :meth:`from_grouped` / :meth:`from_pairs`."""
+        (
+            self.token,
+            self.version,
+            self.nodes,
+            self.snap_store,
+            self.nodes_extra,
+        ) = stamp
+        self.edge_order = edge_order
+        self.edge_index = {edge: k for k, edge in enumerate(edge_order)}
+        if isinstance(tables, FlatStore):
+            self._tables, self.store = None, tables
+        else:
+            self._tables, self.store = tables, None
+        self.distances = distances
+        for kind in ("src_keys", "tgt_keys", "src_nodes", "tgt_nodes"):
+            setattr(self, kind, _PerEdgeLazy(self, kind))
+
     @classmethod
-    def pack(
-        cls, snapshot: SharedCompactGraph, base: CompactExtension
+    def _bound_to(cls, snapshot, edge_order, indptr, src, tgt, distances=None):
+        """The payload for ``snapshot``: in-process columns, packed
+        when the snapshot is shared (so the view ships as a handle)."""
+        tables = {"pairs_indptr": indptr, "pairs_src": src, "pairs_tgt": tgt}
+        flat = cls(snapshot_stamp(snapshot), edge_order, tables, distances)
+        if isinstance(snapshot, SharedCompactGraph):
+            return cls.pack(snapshot, flat)
+        return flat
+
+    @classmethod
+    def from_grouped(
+        cls,
+        snapshot,
+        id_matches: Dict[PEdge, Dict[int, Set[int]]],
+        distances: Optional[IdDistances] = None,
     ) -> "FlatExtension":
-        """Creator-side: flatten ``base`` (bound to ``snapshot``)."""
-        edge_order = list(base.by_source)
+        """Rows from a simulation kernel's ``{edge: {source id:
+        target ids}}`` output (which the caller can then drop).
+        ``snapshot`` may be a :class:`~repro.graph.compact.CompactGraph`
+        or a :class:`~repro.shard.sharded.ShardedGraph` (composite
+        ids)."""
         indptr = array("q", [0])
         src = array("q")
         tgt = array("q")
-        total = 0
-        for edge in edge_order:
-            for v, targets in base.by_source[edge].items():
+        for grouped in id_matches.values():
+            for v, targets in grouped.items():
                 src.extend([v] * len(targets))
                 tgt.extend(targets)
-                total += len(targets)
-            indptr.append(total)
-        arrays = {"pairs_indptr": indptr, "pairs_src": src, "pairs_tgt": tgt}
+            indptr.append(len(src))
+        return cls._bound_to(snapshot, list(id_matches), indptr, src, tgt, distances)
+
+    @classmethod
+    def from_pairs(
+        cls, snapshot, edge_matches: Dict[PEdge, Set[Tuple[Node, Node]]]
+    ) -> "FlatExtension":
+        """Rows from node-key match sets, encoded through
+        ``snapshot.id_of`` (``KeyError`` for a node it lacks)."""
+        id_of = snapshot.id_of
+        indptr = array("q", [0])
+        src = array("q")
+        tgt = array("q")
+        for pairs in edge_matches.values():
+            src.extend([id_of(v) for v, _ in pairs])
+            tgt.extend([id_of(w) for _, w in pairs])
+            indptr.append(len(src))
+        return cls._bound_to(snapshot, list(edge_matches), indptr, src, tgt)
+
+    @classmethod
+    def pack(
+        cls, snapshot: SharedCompactGraph, base: "FlatExtension"
+    ) -> "FlatExtension":
+        """``base``'s rows moved into one flat segment (``I(V)`` as
+        ``dist_*`` triples), shippable as a handle beside ``snapshot``."""
+        arrays = {name: base._ints(name) for name in _ROW_TABLES}
         if base.distances is not None:
             d_src = array("q")
             d_tgt = array("q")
@@ -279,88 +312,115 @@ class FlatExtension(CompactExtension):
                 d_tgt.append(w)
                 d_val.append(d)
             arrays.update(dist_src=d_src, dist_tgt=d_tgt, dist_val=d_val)
+        _, _, _, snap_store, nodes_extra = snapshot_stamp(snapshot)
+        stamp = (base.token, base.version, base.nodes, snap_store, nodes_extra)
         store = FlatStore.pack(arrays=arrays, blobs={})
-        flat = cls.__new__(cls)
-        flat.token = base.token
-        flat.version = base.version
-        flat.nodes = base.nodes
-        flat.by_source = base.by_source
-        flat.by_target = base.by_target
-        flat.distances = base.distances
-        decode = base.nodes.__getitem__
-        flat.src_keys = {}
-        flat.tgt_keys = {}
-        flat.src_nodes = {}
-        flat.tgt_nodes = {}
-        for edge in edge_order:
-            src_keys = frozenset(base.by_source[edge])
-            tgt_keys = frozenset(base.by_target[edge])
-            flat.src_keys[edge] = src_keys
-            flat.tgt_keys[edge] = tgt_keys
-            flat.src_nodes[edge] = frozenset(map(decode, src_keys))
-            flat.tgt_nodes[edge] = frozenset(map(decode, tgt_keys))
-        flat.store = store
-        flat.snap_store = snapshot.flat_store
-        patch = snapshot._patch
-        flat.nodes_extra = list(patch["nodes"]) if patch else []
-        flat.edge_order = edge_order
-        return flat
+        return cls(stamp, base.edge_order, store, base.distances)
+
+    def _ints(self, name: str) -> memoryview:
+        if self.store is not None:
+            return self.store.ints(name)
+        return memoryview(self._tables[name])
 
     def pair_rows(self, view_edge: PEdge):
         """The raw ``(src, tgt)`` id rows of one view edge.
 
-        Parallel ``"q"`` slices straight out of the segment -- the unit
-        the flat fixpoint sweeps with batch set-ops.  Works identically
-        creator-side and worker-side (both hold ``store`` +
-        ``edge_order``); nothing is decoded or grouped.
+        Parallel zero-copy ``"q"`` slices -- the unit the MatchJoin
+        kernel sweeps.  Identical in process, packed and attached;
+        ``KeyError`` for a foreign edge, as dicts do.
         """
-        k = self.edge_order.index(view_edge)
-        ints = self.store.ints
-        indptr = ints("pairs_indptr")
+        k = self.edge_index[view_edge]
+        indptr = self._ints("pairs_indptr")
         lo, hi = indptr[k], indptr[k + 1]
-        return ints("pairs_src")[lo:hi], ints("pairs_tgt")[lo:hi]
+        return self._ints("pairs_src")[lo:hi], self._ints("pairs_tgt")[lo:hi]
+
+    def build(self, kind: str, edge: PEdge):
+        """Decode one per-edge structure from the rows (the
+        :class:`_PerEdgeLazy` callback)."""
+        src, tgt = self.pair_rows(edge)
+        if kind == "src_keys":
+            return frozenset(src)
+        if kind == "tgt_keys":
+            return frozenset(tgt)
+        decode = self.nodes.__getitem__
+        if kind == "src_nodes":
+            return frozenset(map(decode, self.src_keys[edge]))
+        if kind == "tgt_nodes":
+            return frozenset(map(decode, self.tgt_keys[edge]))
+        if kind == "pairs":
+            return set(zip(map(decode, src), map(decode, tgt)))
+        raise AssertionError(kind)
+
+    @property
+    def ships_as_handle(self) -> bool:
+        """Whether pickling sends segment handles (rows packed beside
+        a shared snapshot) rather than the rows themselves."""
+        return self.store is not None and self.snap_store is not None
 
     def __reduce__(self):
-        return (
-            _attach_extension,
-            (
-                self.store,
-                self.snap_store,
-                self.nodes_extra,
-                self.edge_order,
-                self.token,
-                self.version,
-                self.distances is not None,
-            ),
-        )
+        if self.ships_as_handle:
+            return (
+                _attach_extension,
+                (
+                    self.store,
+                    self.snap_store,
+                    self.nodes_extra,
+                    self.edge_order,
+                    self.token,
+                    self.version,
+                    self.distances is not None,
+                ),
+            )
+        tables = self._tables or {
+            name: array("q", self._ints(name)) for name in _ROW_TABLES
+        }
+        distances = None if self.distances is None else dict(self.distances)
+        stamp = (self.token, self.version, self.nodes, None, [])
+        return (FlatExtension, (stamp, self.edge_order, tables, distances))
 
-    def rebound(self, snapshot) -> CompactExtension:
-        """Flatness-preserving re-stamp onto a refreshed shared
-        snapshot (same contract as the base method)."""
-        if not isinstance(snapshot, SharedCompactGraph):
-            return CompactExtension.rebound(self, snapshot)
+    def rebound(self, snapshot) -> "FlatExtension":
+        """The same rows re-stamped onto ``snapshot``.
+
+        Valid only when ``snapshot`` *extends* this payload's id space
+        -- i.e. it was refreshed from the snapshot this extension was
+        materialized against (``snapshot.extends_token == self.token``),
+        which guarantees every pre-existing node kept its id.  The
+        maintenance pipeline uses this to keep MatchJoin in id space
+        for views an update did not touch, at zero cost: rows, store
+        and the per-edge sets decoded so far are all shared.
+        """
         if getattr(snapshot, "extends_token", None) != self.token:
             raise ValueError(
                 "snapshot does not extend this extension's id space; "
                 "re-materialize or bind_extension() instead"
             )
         clone = FlatExtension.__new__(FlatExtension)
-        clone.token = snapshot.snapshot_token
-        clone.version = snapshot.snapshot_version
-        clone.nodes = snapshot.node_table
-        clone.by_source = self.by_source
-        clone.by_target = self.by_target
-        clone.distances = self.distances
-        clone.src_keys = self.src_keys
-        clone.tgt_keys = self.tgt_keys
-        clone.src_nodes = self.src_nodes
-        clone.tgt_nodes = self.tgt_nodes
-        clone.store = self.store
-        clone.snap_store = snapshot.flat_store
-        patch = snapshot._patch
-        clone.nodes_extra = list(patch["nodes"]) if patch else []
-        clone.edge_order = self.edge_order
+        for slot in FlatExtension.__slots__:
+            setattr(clone, slot, getattr(self, slot))
+        (
+            clone.token,
+            clone.version,
+            clone.nodes,
+            clone.snap_store,
+            clone.nodes_extra,
+        ) = snapshot_stamp(snapshot)
         return clone
+
+
+def snapshot_stamp(snapshot) -> tuple:
+    """``(token, version, node table, snapshot store, appended nodes)``
+    -- the provenance a payload carries.  The last two name where a
+    worker finds the decode table and are set for shared snapshots
+    only."""
+    shared = isinstance(snapshot, SharedCompactGraph)
+    patch = snapshot._patch if shared else None
+    return (
+        snapshot.snapshot_token,
+        snapshot.snapshot_version,
+        snapshot.node_table,
+        snapshot.flat_store if shared else None,
+        list(patch["nodes"]) if patch else [],
+    )
 
 
 def _attach_extension(
@@ -372,84 +432,12 @@ def _attach_extension(
     version: int,
     bounded: bool,
 ) -> FlatExtension:
+    """Worker-side (and snapshot-load) reconstruction of a packed
+    payload; nothing is decoded until a query touches it."""
     nodes = _LazyNodeTable(snap_store, nodes_extra or None)
-    pack = _AttachedPack(store, nodes, edge_order)
-    flat = FlatExtension.__new__(FlatExtension)
-    flat.token = token
-    flat.version = version
-    flat.nodes = nodes
-    flat.by_source = _PerEdgeLazy(pack, "by_source")
-    flat.by_target = _PerEdgeLazy(pack, "by_target")
-    flat.distances = _LazyDistances(store) if bounded else None
-    flat.src_keys = _PerEdgeLazy(pack, "src_keys")
-    flat.tgt_keys = _PerEdgeLazy(pack, "tgt_keys")
-    flat.src_nodes = _PerEdgeLazy(pack, "src_nodes")
-    flat.tgt_nodes = _PerEdgeLazy(pack, "tgt_nodes")
-    flat.store = store
-    flat.snap_store = snap_store
-    flat.nodes_extra = nodes_extra
-    flat.edge_order = edge_order
-    return flat
-
-
-# ----------------------------------------------------------------------
-# FlatMaterializedView
-# ----------------------------------------------------------------------
-class FlatMaterializedView(MaterializedView):
-    """A :class:`MaterializedView` whose pickle is a segment handle.
-
-    Creator-side it is a plain materialized view (node-key sets and the
-    flat payload both present).  Worker-side reconstruction decodes
-    ``edge_matches`` (and the node-key distance index) lazily from the
-    payload's segment, so specs that run entirely in id space never pay
-    the decode at all.
-    """
-
-    __slots__ = ()
-
-    def __reduce__(self):
-        return (_attach_view, (self.definition, self.compact))
-
-
-def _attach_view(
-    definition: ViewDefinition, flat: FlatExtension
-) -> FlatMaterializedView:
-    pack = _AttachedPack(flat.store, flat.nodes, flat.edge_order)
-    edge_matches = _PerEdgeLazy(pack, "pairs")
-    distances = (
-        _LazyDistances(flat.store, decode=flat.nodes.__getitem__)
-        if flat.distances is not None
-        else None
-    )
-    return FlatMaterializedView(definition, edge_matches, distances, flat)
-
-
-def flatten_view(
-    view: MaterializedView, snapshot: SharedCompactGraph
-) -> FlatMaterializedView:
-    """The flat form of a freshly materialized view (idempotent)."""
-    if isinstance(view, FlatMaterializedView):
-        return view
-    flat = FlatExtension.pack(snapshot, view.compact)
-    return FlatMaterializedView(
-        view.definition, view.edge_matches, view.distances, flat
-    )
-
-
-def preserve_flatness(
-    view: MaterializedView, payload: CompactExtension
-) -> MaterializedView:
-    """Rewrap a rebind product so flat views stay flat.
-
-    The maintenance pipeline re-stamps unchanged views onto refreshed
-    snapshots via ``payload.rebound(snapshot)``; when the rebound
-    payload is still flat, the view object should stay a
-    :class:`FlatMaterializedView` so its pickle stays a handle.
-    """
-    if isinstance(payload, FlatExtension):
-        return FlatMaterializedView(
-            view.definition, view.edge_matches, view.distances, payload
-        )
-    return MaterializedView(
-        view.definition, view.edge_matches, view.distances, payload
+    return FlatExtension(
+        (token, version, nodes, snap_store, nodes_extra),
+        edge_order,
+        store,
+        _LazyDistances(store) if bounded else None,
     )

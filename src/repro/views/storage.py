@@ -189,11 +189,12 @@ class ViewSet:
         ``graph`` may be a mutable :class:`DataGraph`, a frozen
         :class:`~repro.graph.compact.CompactGraph`, or a
         :class:`~repro.shard.sharded.ShardedGraph`.  Against a snapshot
-        (sharded or not), simulation extensions are bound to its id
-        space (the snapshot token recorded in :attr:`snapshot_token`),
-        which is what unlocks the MatchJoin integer fast path at query
-        time.  For shard-parallel materialization with a worker pool,
-        use :func:`repro.shard.materialize.parallel_materialize`, which
+        (sharded or not), extensions carry their match sets as id rows
+        in its id space (the snapshot token recorded in
+        :attr:`snapshot_token`), which is what lets MatchJoin sweep
+        stored integer rows at query time.  For shard-parallel
+        materialization with a worker pool, use
+        :func:`repro.shard.materialize.parallel_materialize`, which
         installs the same extensions through :meth:`set_extension`.
         """
         from repro.views.view import materialize
@@ -273,7 +274,7 @@ class ViewSet:
         The provenance-only sibling of :meth:`set_extension`: the match
         sets must be unchanged and only the id-space payload differs
         (re-stamped onto a refreshed snapshot via
-        :meth:`~repro.views.view.CompactExtension.rebound` or
+        :meth:`~repro.views.flatpack.FlatExtension.rebound` or
         :func:`~repro.views.view.bind_extension`).  Because no version
         moves, cached answers over the view stay live -- which is the
         point: snapshot refreshes must not masquerade as data changes.

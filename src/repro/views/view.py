@@ -13,114 +13,34 @@ MatchJoin must run "without accessing G at all" (Theorem 1), and keeping
 the graph out of the extension object makes that guarantee structural.
 
 Materializing against a frozen :class:`~repro.graph.compact.CompactGraph`
-snapshot additionally attaches a :class:`CompactExtension` -- the same
-match sets in the snapshot's integer-id space, pre-grouped by source and
-by target, stamped with the snapshot's token/version.  MatchJoin
-recognises extensions that share a snapshot and runs its fixpoint
-directly on the id-space indexes (still never touching adjacency, so
-Theorem 1's guarantee is intact).
+snapshot (or a :class:`~repro.shard.sharded.ShardedGraph`) additionally
+attaches a :class:`~repro.views.flatpack.FlatExtension` -- the same
+match sets as parallel ``(src, tgt)`` id rows in the snapshot's integer
+id space, stamped with the snapshot's token/version.  MatchJoin
+recognises extensions that share a snapshot and sweeps the rows
+directly (still never touching adjacency, so Theorem 1's guarantee is
+intact).
 """
 
 from __future__ import annotations
 
 import sys
-from typing import TYPE_CHECKING, Dict, Hashable, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Hashable, Optional, Set, Tuple
 
 from repro.graph.compact import CompactGraph
 from repro.graph.pattern import BoundedPattern, Pattern
 from repro.simulation.compact_engine import IdEdgeMatches, compact_match_with_ids
 from repro.simulation.simulation import match as _match
+from repro.views.flatpack import FlatExtension, _LazyDistances, _PerEdgeLazy
 
 if TYPE_CHECKING:
     from repro.graph.digraph import DataGraph
+    from repro.simulation.result import MatchResult
 
 PNode = Hashable
 PEdge = Tuple[PNode, PNode]
 Node = Hashable
 NodePair = Tuple[Node, Node]
-
-
-class CompactExtension:
-    """Id-space form of one extension, bound to one snapshot.
-
-    Attributes
-    ----------
-    token / version:
-        The owning snapshot's :attr:`snapshot_token` /
-        :attr:`snapshot_version`.  Two extensions exchange raw ids only
-        when their tokens agree.
-    nodes:
-        The id -> node key decode table, shared by reference with the
-        snapshot (and with every sibling extension of the same
-        snapshot).
-    by_source / by_target:
-        ``{view edge: {id: set of ids}}`` -- the match sets grouped both
-        ways, ready for the MatchJoin fixpoint.  Treated as immutable;
-        consumers copy before refining.
-    distances:
-        For bounded views, the id-space distance index ``I(V)``:
-        ``{(source id, target id): distance}`` over every materialized
-        pair, minimized across view edges -- the same semantics as
-        :attr:`MaterializedView.distances`, so BMatchJoin's id-space
-        bound filtering is pair-for-pair identical to the node-key
-        path.  ``None`` for simulation views (pairs are data edges,
-        distance 1 by construction).
-    """
-
-    __slots__ = (
-        "token",
-        "version",
-        "nodes",
-        "by_source",
-        "by_target",
-        "distances",
-    )
-
-    def __init__(
-        self,
-        snapshot: CompactGraph,
-        id_matches: IdEdgeMatches,
-        by_target: Optional[IdEdgeMatches] = None,
-        distances: Optional[Dict[Tuple[int, int], int]] = None,
-    ) -> None:
-        self.token = snapshot.snapshot_token
-        self.version = snapshot.snapshot_version
-        self.nodes: List[Node] = snapshot.node_table
-        self.by_source: IdEdgeMatches = id_matches
-        if by_target is None:
-            by_target = {}
-            for edge, grouped in id_matches.items():
-                reverse: Dict[int, Set[int]] = {}
-                for v, targets in grouped.items():
-                    for w in targets:
-                        reverse.setdefault(w, set()).add(v)
-                by_target[edge] = reverse
-        self.by_target = by_target
-        self.distances = distances
-
-    def rebound(self, snapshot) -> "CompactExtension":
-        """The same match sets re-stamped onto ``snapshot``.
-
-        Valid only when ``snapshot`` *extends* this payload's id space
-        -- i.e. it was refreshed from the snapshot this extension was
-        materialized against (``snapshot.extends_token == self.token``),
-        which guarantees every pre-existing node kept its id.  The
-        maintenance pipeline uses this to keep the MatchJoin fast path
-        engaged for views an update did not touch, at zero cost.
-        """
-        if getattr(snapshot, "extends_token", None) != self.token:
-            raise ValueError(
-                "snapshot does not extend this extension's id space; "
-                "re-materialize or bind_extension() instead"
-            )
-        clone = CompactExtension.__new__(CompactExtension)
-        clone.token = snapshot.snapshot_token
-        clone.version = snapshot.snapshot_version
-        clone.nodes = snapshot.node_table
-        clone.by_source = self.by_source
-        clone.by_target = self.by_target
-        clone.distances = self.distances
-        return clone
 
 
 class ViewDefinition:
@@ -181,9 +101,13 @@ class MaterializedView:
         -- the index ``I(V)``.  ``None`` for simulation views, whose
         pairs are data edges (distance 1 by construction).
     compact:
-        Optional :class:`CompactExtension` carrying the same match sets
-        in snapshot id space (set when the view was materialized
-        against a :class:`~repro.graph.compact.CompactGraph`).
+        Optional :class:`~repro.views.flatpack.FlatExtension` carrying
+        the same match sets as id rows in snapshot id space (set when
+        the view was materialized against a snapshot).  When it ships
+        as a handle so does the view, and the worker
+        decodes ``edge_matches`` (and the node-key distance index)
+        lazily from the rows -- specs that run entirely in id space
+        never pay the decode at all.
     """
 
     __slots__ = ("definition", "edge_matches", "distances", "compact", "_size")
@@ -193,7 +117,7 @@ class MaterializedView:
         definition: ViewDefinition,
         edge_matches: Dict[PEdge, Set[NodePair]],
         distances: Optional[Dict[NodePair, int]] = None,
-        compact: Optional[CompactExtension] = None,
+        compact: Optional[FlatExtension] = None,
     ) -> None:
         self.definition = definition
         self.edge_matches = edge_matches
@@ -252,8 +176,41 @@ class MaterializedView:
             return 1
         return self.distances[pair]
 
+    def rebound(self, snapshot) -> "MaterializedView":
+        """This extension with its payload re-stamped onto a snapshot
+        refreshed from its own (:meth:`FlatExtension.rebound`)."""
+        return MaterializedView(
+            self.definition,
+            self.edge_matches,
+            self.distances,
+            self.compact.rebound(snapshot),
+        )
+
+    def __reduce__(self):
+        payload = self.compact
+        if payload is not None and payload.ships_as_handle:
+            return (_attach_view, (self.definition, payload))
+        return (
+            MaterializedView,
+            (self.definition, self.edge_matches, self.distances, payload),
+        )
+
     def __repr__(self) -> str:
         return f"MaterializedView({self.name!r}, pairs={self.num_pairs})"
+
+
+def _attach_view(
+    definition: ViewDefinition, flat: FlatExtension
+) -> MaterializedView:
+    """A view whose node-key sets decode lazily from ``flat``'s rows."""
+    distances = (
+        _LazyDistances(flat.store, decode=flat.nodes.__getitem__)
+        if flat.distances is not None
+        else None
+    )
+    return MaterializedView(
+        definition, _PerEdgeLazy(flat, "pairs"), distances, flat
+    )
 
 
 def materialize(definition: ViewDefinition, graph: DataGraph) -> MaterializedView:
@@ -262,26 +219,28 @@ def materialize(definition: ViewDefinition, graph: DataGraph) -> MaterializedVie
     Simulation views store the match sets of the unique maximum match;
     bounded views additionally store the distance index ``I(V)``.
     ``graph`` may be a frozen :class:`CompactGraph` or a
-    :class:`~repro.shard.sharded.ShardedGraph`, in which case
-    simulation extensions also carry the id-space
-    :class:`CompactExtension` payload for the MatchJoin fast path
+    :class:`~repro.shard.sharded.ShardedGraph`, in which case the
+    extension also carries the id-row payload MatchJoin sweeps
     (composite ids for sharded graphs, computed shard by shard).
     """
     pattern = definition.pattern
     # Shard layer dispatch (sys.modules probe: if the shard subpackage
     # was never imported, graph cannot be a ShardedGraph).
     shard_module = sys.modules.get("repro.shard.sharded")
-    sharded = shard_module is not None and isinstance(
-        graph, shard_module.ShardedGraph
-    )
-    if isinstance(pattern, BoundedPattern):
-        if sharded:
-            from repro.shard.materialize import materialize_bounded_view
+    if shard_module is not None and isinstance(graph, shard_module.ShardedGraph):
+        from repro.shard.materialize import materialize_view
 
-            return materialize_bounded_view(definition, graph)
+        return materialize_view(definition, graph)
+    if isinstance(pattern, BoundedPattern):
         if isinstance(graph, CompactGraph):
-            return _flatten_if_shared(
-                _materialize_bounded_compact(definition, graph), graph
+            from repro.simulation.compact_bounded import (
+                compact_bounded_match_with_ids,
+            )
+
+            return snapshot_extension(
+                definition,
+                graph,
+                *compact_bounded_match_with_ids(pattern, graph, with_distances=True),
             )
         from repro.simulation.bounded import bounded_match_with_distances
 
@@ -299,27 +258,9 @@ def materialize(definition: ViewDefinition, graph: DataGraph) -> MaterializedVie
                 if previous is None or distance < previous:
                     index[pair] = distance
         return MaterializedView(definition, result.edge_matches, distances=index)
-    if sharded:
-        from repro.shard.materialize import materialize_view
-
-        return materialize_view(definition, graph)
     if isinstance(graph, CompactGraph):
-        result, id_matches = compact_match_with_ids(pattern, graph)
-        if id_matches is None:
-            id_matches = {edge: {} for edge in pattern.edges()}
-        compact = CompactExtension(graph, id_matches)
-        if not result:
-            return _flatten_if_shared(
-                MaterializedView(
-                    definition,
-                    {edge: set() for edge in pattern.edges()},
-                    compact=compact,
-                ),
-                graph,
-            )
-        return _flatten_if_shared(
-            MaterializedView(definition, result.edge_matches, compact=compact),
-            graph,
+        return snapshot_extension(
+            definition, graph, *compact_match_with_ids(pattern, graph)
         )
     result = _match(pattern, graph)
     if not result:
@@ -329,63 +270,40 @@ def materialize(definition: ViewDefinition, graph: DataGraph) -> MaterializedVie
     return MaterializedView(definition, result.edge_matches)
 
 
-def _flatten_if_shared(view: MaterializedView, graph: CompactGraph):
-    """Upgrade to a flat-buffer extension when the snapshot is shared
-    (pickles as a segment handle; see :mod:`repro.views.flatpack`)."""
-    from repro.graph.flatbuf import SharedCompactGraph
-
-    if not isinstance(graph, SharedCompactGraph):
-        return view
-    from repro.views.flatpack import flatten_view
-
-    return flatten_view(view, graph)
-
-
-def decode_distance_index(
-    id_distances: Dict[Tuple[int, int], int], nodes: List[Node]
-) -> Dict[NodePair, int]:
-    """Decode an id-space distance index to node keys (one table pass)."""
-    decode = nodes.__getitem__
-    return {
-        (decode(v), decode(w)): d for (v, w), d in id_distances.items()
-    }
-
-
-def _materialize_bounded_compact(
-    definition: ViewDefinition, graph: CompactGraph
+def snapshot_extension(
+    definition: ViewDefinition,
+    snapshot,
+    result: MatchResult,
+    id_matches: Optional[IdEdgeMatches],
+    id_distances: Optional[Dict[Tuple[int, int], int]] = None,
 ) -> MaterializedView:
-    """Bounded materialization against a frozen snapshot.
+    """Package one evaluation against ``snapshot`` as an extension.
 
-    Runs the id-space bounded engine and attaches a
-    :class:`CompactExtension` whose :attr:`~CompactExtension.distances`
-    carries the distance index ``I(V)`` in id space -- built during
-    materialization, never re-derived per query -- so the BMatchJoin
-    fast path can bound-filter without decoding a single pair.  The
-    node-key index stored on the :class:`MaterializedView` is decoded
-    from the same id-space table, so the two views of ``I(V)`` cannot
-    drift.
+    ``id_matches`` is the kernel's grouped id-space output (``None`` on
+    a failed match); it is flattened to rows here and not kept, so
+    materializing a catalog holds one view's grouped output at a time.
+    For bounded views ``id_distances`` is ``I(V)`` in id space -- built
+    during materialization, never re-derived per query -- and the
+    node-key index on the :class:`MaterializedView` is decoded from the
+    same table, so the two views of ``I(V)`` cannot drift.  Against a
+    shared snapshot the payload comes back packed, so the view ships as a
+    handle.
     """
-    from repro.simulation.compact_bounded import compact_bounded_match_with_ids
-
     pattern = definition.pattern
-    result, id_matches, id_distances = compact_bounded_match_with_ids(
-        pattern, graph, with_distances=True
-    )
     if id_matches is None:
-        empty_ids: IdEdgeMatches = {edge: {} for edge in pattern.edges()}
-        return MaterializedView(
-            definition,
-            {edge: set() for edge in pattern.edges()},
-            distances={},
-            compact=CompactExtension(graph, empty_ids, distances={}),
-        )
-    compact = CompactExtension(graph, id_matches, distances=id_distances)
-    return MaterializedView(
-        definition,
-        result.edge_matches,
-        distances=decode_distance_index(id_distances, graph.node_table),
-        compact=compact,
-    )
+        edge_matches = {edge: set() for edge in pattern.edges()}
+        id_matches = {edge: {} for edge in pattern.edges()}
+        id_distances = {} if definition.is_bounded else None
+    else:
+        edge_matches = result.edge_matches
+    payload = FlatExtension.from_grouped(snapshot, id_matches, id_distances)
+    distances = None
+    if id_distances is not None:
+        decode = payload.nodes.__getitem__
+        distances = {
+            (decode(v), decode(w)): d for (v, w), d in id_distances.items()
+        }
+    return MaterializedView(definition, edge_matches, distances, payload)
 
 
 def bind_extension(extension: MaterializedView, snapshot) -> MaterializedView:
@@ -393,32 +311,22 @@ def bind_extension(extension: MaterializedView, snapshot) -> MaterializedView:
     ``snapshot`` (a :class:`CompactGraph` or
     :class:`~repro.shard.sharded.ShardedGraph`).
 
-    The node-key match sets are shared, only the integer-id payload is
-    (re)built -- O(|V(G)|), no re-evaluation.  This is how the
-    maintenance pipeline re-engages the MatchJoin fast path for a view
-    whose extension was refreshed incrementally: the tracker hands back
-    node-key match sets, and binding stamps them into the refreshed
-    snapshot's id space.  Bounded views are returned unchanged: they
-    sit outside incremental maintenance (binding a stale bounded
-    extension onto a fresh token would launder outdated distances), so
-    they are *rematerialized* -- with a fresh id-space distance payload
-    -- rather than re-bound.
+    The node-key match sets are shared, only the id rows are (re)built
+    -- O(|V(G)|), no re-evaluation.  This is how the maintenance
+    pipeline keeps MatchJoin in id space for a view whose extension was
+    refreshed incrementally: the tracker hands back node-key match
+    sets, and binding encodes them in the refreshed snapshot's id
+    space.  Bounded views are returned unchanged: they sit outside
+    incremental maintenance (binding a stale bounded extension onto a
+    fresh token would launder outdated distances), so they are
+    *rematerialized* -- with a fresh id-space distance payload --
+    rather than re-bound.
     """
     if extension.definition.is_bounded:
         return extension
-    id_of = snapshot.id_of
-    id_matches: IdEdgeMatches = {}
-    for edge, pairs in extension.edge_matches.items():
-        grouped: Dict[int, Set[int]] = {}
-        for v, w in pairs:
-            grouped.setdefault(id_of(v), set()).add(id_of(w))
-        id_matches[edge] = grouped
-    return _flatten_if_shared(
-        MaterializedView(
-            extension.definition,
-            extension.edge_matches,
-            distances=extension.distances,
-            compact=CompactExtension(snapshot, id_matches),
-        ),
-        snapshot,
+    return MaterializedView(
+        extension.definition,
+        extension.edge_matches,
+        extension.distances,
+        FlatExtension.from_pairs(snapshot, extension.edge_matches),
     )

@@ -9,9 +9,29 @@ engines can be validated against something independently simple.
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
 from typing import Dict, Optional, Set
 
 from repro.graph import ANY, BoundedPattern, DataGraph, Pattern
+from repro.obs.metrics import MetricsRegistry, set_registry
+
+
+@contextmanager
+def matchjoin_metrics():
+    """Isolate the MatchJoin counters in a fresh registry.
+
+    Yields ``count(family, path)`` reading ``repro_matchjoin_<family>``
+    for one ``path`` label (``ids`` | ``keys`` | ``naive``) -- how tests
+    assert which id space a call ran in and how many row sweeps it made.
+    """
+    registry = MetricsRegistry()
+    previous = set_registry(registry)
+    try:
+        yield lambda family, path: registry.counter(
+            f"repro_matchjoin_{family}", path=path
+        ).value
+    finally:
+        set_registry(previous)
 
 
 def build_graph(labeled_nodes, edges):

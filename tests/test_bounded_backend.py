@@ -28,15 +28,13 @@ import pytest
 from helpers import (
     build_bounded,
     build_graph,
+    matchjoin_metrics,
     random_labeled_graph,
     random_pattern,
     reference_bounded_simulation,
 )
 from repro.core.bounded.bcontainment import bounded_contains
-from repro.core.bounded.bmatchjoin import (
-    _compact_bounded_match_join,
-    bounded_match_join,
-)
+from repro.core.bounded.bmatchjoin import bounded_match_join
 from repro.core.bounded.bminimal import bounded_minimal_views
 from repro.datasets import generate_views, query_from_views, random_graph
 from repro.engine import QueryEngine
@@ -237,19 +235,12 @@ class TestBMatchJoinFastPath:
         _, _, dict_views, compact_views = _bounded_workload(3)
         query = query_from_views(dict_views, 4, 6, seed=7)
         containment = bounded_minimal_views(query, dict_views)
-        assert (
-            _compact_bounded_match_join(
-                query, containment, compact_views.extensions()
-            )
-            is not None
-        )
-        # Dict-backend extensions carry no payload: fast path declines.
-        assert (
-            _compact_bounded_match_join(
-                query, containment, dict_views.extensions()
-            )
-            is None
-        )
+        with matchjoin_metrics() as count:
+            bounded_match_join(query, containment, compact_views)
+            assert (count("total", "ids"), count("total", "keys")) == (1, 0)
+            # Dict-backend extensions carry no payload: node-key rows.
+            bounded_match_join(query, containment, dict_views)
+            assert (count("total", "ids"), count("total", "keys")) == (1, 1)
 
     def test_fast_path_declines_on_mixed_snapshots(self):
         graph, frozen, dict_views, compact_views = _bounded_workload(4)
@@ -267,12 +258,9 @@ class TestBMatchJoinFastPath:
             for name in names
             if extensions[name].compact is not None
         }
-        if len(tokens) > 1:
-            assert (
-                _compact_bounded_match_join(query, containment, extensions)
-                is None
-            )
-        result = bounded_match_join(query, containment, compact_views)
+        with matchjoin_metrics() as count:
+            result = bounded_match_join(query, containment, compact_views)
+            assert count("total", "keys" if len(tokens) > 1 else "ids") == 1
         assert result.edge_matches == bounded_match(query, graph).edge_matches
 
     def test_tighter_query_bounds_filter_through_distances(self):
@@ -285,19 +273,17 @@ class TestBMatchJoinFastPath:
         view = ViewDefinition(
             "wide", build_bounded({"a": "A", "b": "B"}, [("a", "b", 3)])
         )
-        for backend in (g, g.freeze()):
+        for backend, path in ((g, "keys"), (g.freeze(), "ids")):
             views = ViewSet([view])
             views.materialize(backend)
             query = build_bounded({"a": "A", "b": "B"}, [("a", "b", 1)])
             containment = bounded_contains(query, views)
             assert containment.holds
-            result = bounded_match_join(query, containment, views)
+            with matchjoin_metrics() as count:
+                result = bounded_match_join(query, containment, views)
+                # On the snapshot the evaluation runs in id space.
+                assert count("total", path) == 1
             assert result.edge_matches[("a", "b")] == {(1, 2)}
-        # On the snapshot that evaluation took the id-space path.
-        assert (
-            _compact_bounded_match_join(query, containment, views.extensions())
-            is not None
-        )
 
     def test_naive_engine_ignores_fast_path(self):
         _, _, dict_views, compact_views = _bounded_workload(5)
@@ -320,11 +306,9 @@ class TestBMatchJoinFastPath:
         assert views.snapshot_token == sharded.snapshot_token
         query = query_from_views(views, 4, 6, seed=11)
         containment = bounded_contains(query, views)
-        assert (
-            _compact_bounded_match_join(query, containment, views.extensions())
-            is not None
-        )
-        result = bounded_match_join(query, containment, views)
+        with matchjoin_metrics() as count:
+            result = bounded_match_join(query, containment, views)
+            assert count("total", "ids") == 1
         assert result.edge_matches == bounded_match(query, graph).edge_matches
 
     def test_extensions_pickle_with_distance_payload(self):

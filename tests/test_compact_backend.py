@@ -23,15 +23,12 @@ from helpers import (
     build_bounded,
     build_graph,
     build_pattern,
+    matchjoin_metrics,
     random_labeled_graph,
     random_pattern,
 )
 from repro.core.containment import contains
-from repro.core.matchjoin import (
-    _compact_match_join,
-    _flat_match_join,
-    match_join,
-)
+from repro.core.matchjoin import match_join
 from repro.datasets import generate_views, query_from_views, random_graph
 from repro.engine import QueryEngine
 from repro.graph import CompactGraph, DataGraph, P
@@ -302,15 +299,12 @@ class TestMatchJoinEquivalence:
         dict_views, compact_views, _ = _materialized_pair(graph, definitions)
         query = query_from_views(dict_views, 4, 6, seed=7)
         containment = contains(query, dict_views)
-        assert (
-            _compact_match_join(query, containment, compact_views.extensions())
-            is not None
-        )
-        # Dict-backend extensions carry no payload: fast path declines.
-        assert (
-            _compact_match_join(query, containment, dict_views.extensions())
-            is None
-        )
+        with matchjoin_metrics() as count:
+            match_join(query, containment, compact_views)
+            assert (count("total", "ids"), count("total", "keys")) == (1, 0)
+            # Dict-backend extensions carry no payload: node-key rows.
+            match_join(query, containment, dict_views)
+            assert (count("total", "ids"), count("total", "keys")) == (1, 1)
 
     def test_fast_path_declines_on_mixed_snapshots(self):
         labels = tuple(f"l{i}" for i in range(6))
@@ -336,10 +330,11 @@ class TestMatchJoinEquivalence:
             for name in names
             if extensions[name].compact is not None
         }
-        if len(tokens) > 1:
-            assert _compact_match_join(query, containment, extensions) is None
-        # Either way the public entry point stays correct.
-        result = match_join(query, containment, views)
+        # Ids of different snapshots must not mix; either way the answer
+        # stays correct.
+        with matchjoin_metrics() as count:
+            result = match_join(query, containment, views)
+            assert count("total", "keys" if len(tokens) > 1 else "ids") == 1
         assert result.edge_matches == match(query, graph).edge_matches
 
     def test_naive_engine_ignores_fast_path(self):
@@ -470,8 +465,8 @@ class TestFlatBackendEquivalence:
     A :class:`SharedCompactGraph` reuses the plain snapshot's row
     objects, so in-process evaluation must be bit-identical to the
     compact backend -- and view suites materialized against it carry
-    :class:`~repro.views.flatpack.FlatExtension` payloads, engaging the
-    flat MatchJoin fixpoint instead of the per-candidate one.
+    *packed* :class:`~repro.views.flatpack.FlatExtension` payloads,
+    which MatchJoin sweeps exactly like the in-process ones.
     """
 
     @FROZEN_BACKENDS
@@ -530,17 +525,20 @@ class TestFlatBackendEquivalence:
         flat_views.materialize(shared)
         query = query_from_views(flat_views, 4, 6, seed=31)
         containment = contains(query, flat_views)
-        fast = _flat_match_join(query, containment, flat_views.extensions())
-        assert fast is not None
-        assert fast == match_join(query, containment, flat_views)
-        # Plain compact extensions decline the flat path (no row tables)
-        # but keep the per-candidate fast path.
         compact_views = ViewSet(definitions)
         compact_views.materialize(graph.copy().freeze())
-        assert (
-            _flat_match_join(query, containment, compact_views.extensions())
-            is None
-        )
+        # Packed (segment-backed) and in-process rows run the same
+        # kernel in id space, with the same number of row sweeps.
+        with matchjoin_metrics() as count:
+            fast = match_join(query, containment, flat_views)
+            assert count("total", "ids") == 1
+            sweeps = count("sweeps_total", "ids")
+            assert fast == match_join(query, containment, compact_views)
+            assert count("total", "ids") == 2
+            assert count("sweeps_total", "ids") == 2 * sweeps
+        for name in flat_views.names():
+            assert flat_views.extension(name).compact.store is not None
+            assert compact_views.extension(name).compact.store is None
 
     def test_flat_extensions_survive_refresh_chain(self):
         labels = tuple(f"l{i}" for i in range(5))

@@ -40,7 +40,7 @@ from repro.graph.flatbuf import (
     verify_segment_file,
 )
 from repro.simulation import match
-from repro.views.flatpack import FlatExtension, FlatMaterializedView
+from repro.views.flatpack import FlatExtension
 from repro.views.storage import ViewSet
 
 
@@ -163,25 +163,35 @@ class TestAttach:
     def test_flat_extension_pair_rows_match_edge_matches(self):
         labels = tuple(f"l{i}" for i in range(4))
         graph = random_graph(80, 200, labels=labels, seed=1)
-        shared = graph.freeze(shared=True)
-        views = ViewSet(generate_views(labels, 5, seed=1))
-        views.materialize(shared)
         checked = 0
-        for name in views.names():
-            if not views.is_materialized(name):
-                continue
-            view = views.extension(name)
-            assert isinstance(view, FlatMaterializedView)
-            payload = view.compact
-            assert isinstance(payload, FlatExtension)
-            decode = payload.nodes.__getitem__
-            for edge in payload.edge_order:
-                src_row, tgt_row = payload.pair_rows(edge)
-                pairs = {
-                    (decode(v), decode(w)) for v, w in zip(src_row, tgt_row)
-                }
-                assert pairs == view.edge_matches[edge]
-                checked += 1
+        for shared in (True, False):
+            segments_before = set(live_segment_names())
+            views = ViewSet(generate_views(labels, 5, seed=1))
+            views.materialize(graph.copy().freeze(shared=shared))
+            for name in views.names():
+                if not views.is_materialized(name):
+                    continue
+                view = views.extension(name)
+                payload = view.compact
+                assert isinstance(payload, FlatExtension)
+                # Packed beside a shared snapshot (ships as a handle);
+                # plain in-process columns otherwise.
+                assert (payload.store is not None) == shared
+                assert payload.ships_as_handle == shared
+                decode = payload.nodes.__getitem__
+                for edge in payload.edge_order:
+                    src_row, tgt_row = payload.pair_rows(edge)
+                    pairs = {
+                        (decode(v), decode(w))
+                        for v, w in zip(src_row, tgt_row)
+                    }
+                    assert pairs == view.edge_matches[edge]
+                    checked += 1
+                with pytest.raises(KeyError):
+                    payload.pair_rows(("no such", "view edge"))
+            if not shared:
+                # In-process rows create no shm/file segment at all.
+                assert set(live_segment_names()) <= segments_before
         assert checked
 
     def test_flat_extension_pickle_round_trip(self):
@@ -320,7 +330,7 @@ class TestEngineIntegration:
             name
             for name in catalog.names()
             if catalog.is_materialized(name)
-            and isinstance(catalog.extension(name), FlatMaterializedView)
+            and catalog.extension(name).compact.store is not None
         ]
         assert flat_names
         nodes = list(tracker.graph.nodes())
@@ -344,7 +354,7 @@ class TestEngineIntegration:
                 continue
             view = catalog.extension(name)
             if view.compact.token == snapshot.snapshot_token:
-                assert isinstance(view, FlatMaterializedView)
+                assert view.compact.store is not None
                 restamped += 1
         assert restamped
 

@@ -13,13 +13,16 @@ from repro.errors import (
     NotMaterializedError,
     UnsupportedPatternError,
 )
-from repro.graph import Pattern
+from repro.engine import QueryEngine
+from repro.graph import DataGraph, Pattern
+from repro.graph.scc import is_dag
 from repro.simulation import match
 from repro.views import ViewDefinition, ViewSet
 
 from helpers import (
     build_graph,
     build_pattern,
+    matchjoin_metrics,
     random_labeled_graph,
     random_pattern,
 )
@@ -243,3 +246,96 @@ class TestNoMatchPropagation:
         result = match_join(q, containment, views)
         assert not result
         assert not match(q, g)
+
+
+class TestKernelSweepCounts:
+    """Complexity pins on the kernel, by counting full passes over an
+    edge's rows (``repro_matchjoin_sweeps_total``) -- never by timing."""
+
+    @pytest.mark.parametrize("shared_snapshots", [False, True])
+    def test_removal_chain_never_rescans_the_rows(self, shared_snapshots):
+        """View ``A -> A`` over a path of n A-nodes, query ``a -> a``:
+        the fixpoint peels one node per step for n steps.  The edge is
+        swept once, grouped once more for the delta counters, and every
+        later step costs one decrement."""
+        n = 8000
+        graph = DataGraph()
+        for i in range(n):
+            graph.add_node(i, labels="A")
+        for i in range(n - 1):
+            graph.add_edge(i, i + 1)
+        view = build_pattern({"x": "A", "y": "A"}, [("x", "y")])
+        query = Pattern()
+        query.add_node("a", "A")
+        query.add_edge("a", "a")
+        views = ViewSet([ViewDefinition("AA", view)])
+        engine = QueryEngine(
+            views, graph=graph, shared_snapshots=shared_snapshots
+        )
+        engine.materialize_views(views.names())
+        with matchjoin_metrics() as count:
+            assert not engine.answer(query)
+            assert count("total", "ids") == 1
+            assert count("sweeps_total", "ids") <= 2
+
+    def test_lemma2_dag_queries_sweep_each_edge_at_most_once(self):
+        swept = nonempty = 0
+        for seed in range(60):
+            rng = random.Random(seed)
+            graph = random_labeled_graph(rng, 40, 140)
+            query = Pattern()
+            size = rng.randint(3, 6)
+            for i in range(size):
+                query.add_node(i, rng.choice("ABC"))
+            for i in range(1, size):  # edges run low -> high: a DAG
+                query.add_edge(rng.randrange(i), i)
+            for _ in range(rng.randint(0, 4)):
+                low, high = sorted(rng.sample(range(size), 2))
+                query.add_edge(low, high)
+            assert is_dag(query)
+            views = ViewSet(
+                ViewDefinition(f"E{i}", query.subpattern([edge]))
+                for i, edge in enumerate(query.edges())
+            )
+            path = "ids" if seed % 2 else "keys"
+            views.materialize(graph.freeze() if path == "ids" else graph)
+            containment = contains(query, views)
+            with matchjoin_metrics() as count:
+                result = match_join(query, containment, views)
+                assert count("total", path) == 1
+                sweeps = count("sweeps_total", path)
+            assert sweeps <= query.num_edges
+            assert result.edge_matches == match(query, graph).edge_matches
+            swept += sweeps
+            nonempty += bool(result)
+        assert swept and nonempty
+
+    def test_lemma2_needs_the_rank_order(self):
+        """A chain query whose every match set loses pairs: dead ends of
+        every length hang off the one full path.  Bottom-up, each edge
+        is swept once, after its target's candidates are final; in any
+        other order an upper edge is swept, invalidated by the sweep
+        below it, and visited again."""
+        depth = 6
+        graph = DataGraph()
+        for length in range(2, depth + 1):  # labels L0 .. L(length-1)
+            for level in range(length):
+                graph.add_node((length, level), labels=f"L{level}")
+                if level:
+                    graph.add_edge((length, level - 1), (length, level))
+        query = Pattern()
+        for level in range(depth):
+            query.add_node(level, f"L{level}")
+        for level in range(depth - 1):  # top-down: the reverse of rank order
+            query.add_edge(level, level + 1)
+        views = ViewSet(
+            ViewDefinition(f"E{i}", query.subpattern([edge]))
+            for i, edge in enumerate(query.edges())
+        )
+        views.materialize(graph.freeze())
+        with matchjoin_metrics() as count:
+            result = match_join(query, contains(query, views), views)
+            # The lowest edge's targets are all sinks: nothing to sweep.
+            assert count("sweeps_total", "ids") == query.num_edges - 1
+        assert result.edge_matches == match(query, graph).edge_matches
+        assert result.edge_matches[(0, 1)] == {((depth, 0), (depth, 1))}

@@ -5,13 +5,15 @@ and view sets:
 
 * the engines compute the unique *maximum* (bounded) simulation;
 * Theorem 1: whenever ``Q ⊑ V``, MatchJoin over ``V(G)`` equals Match
-  over ``G`` -- for plain, bounded, optimized and naive engines;
+  over ``G`` -- for plain and bounded queries, the kernel and the naive
+  loop, and every form the extensions' payload can take;
 * Proposition 7 coverage is sound: every λ target's extension really
   contains the covered edge's matches;
 * minimal subsets are minimal; greedy minimum subsets contain the query;
 * condition implication is sound on concrete attribute values.
 """
 
+import pickle
 import random
 
 from hypothesis import given, settings, strategies as st
@@ -24,6 +26,7 @@ from repro.core.bounded.bcontainment import bounded_contains
 from repro.core.bounded.bmatchjoin import bounded_match_join
 from repro.graph import ANY, BoundedPattern, DataGraph
 from repro.graph.conditions import Atom, AttributeCondition, implies
+from repro.shard.sharded import ShardedGraph
 from repro.simulation import bounded_match, match
 from repro.views import ViewDefinition, ViewSet
 
@@ -112,30 +115,74 @@ def edge_views(pattern, rng):
     return views
 
 
-@settings(max_examples=50, deadline=None)
-@given(seed=seeds, optimized=st.booleans())
-def test_theorem1_matchjoin_equals_match(seed, optimized):
+def loosened(pattern, rng):
+    """``pattern`` with some bounds raised: it still contains the
+    original, but its extensions hold pairs that the original's edges
+    must filter out through ``I(V)``."""
+    wide = BoundedPattern()
+    for node in pattern.nodes():
+        wide.add_node(node, pattern.condition(node))
+    for edge in pattern.edges():
+        bound = pattern.bound(edge)
+        if bound is not ANY and rng.random() < 0.5:
+            bound = rng.choice([bound + 1, bound + 2, ANY])
+        wide.add_edge(*edge, bound)
+    return wide
+
+
+#: Every form an extension's id-space payload reaches MatchJoin in.
+payload_forms = st.sampled_from(
+    ["keys", "rows", "packed", "attached", "sharded", "mixed"]
+)
+
+
+def materialized(views, graph, form):
+    """``views`` materialized on ``graph`` with one payload form; the
+    extensions mapping a MatchJoin call then reads."""
+    if form == "keys":  # node-key sets only
+        views.materialize(graph)
+    elif form == "rows":  # in-process id rows
+        views.materialize(graph.freeze())
+    elif form == "sharded":  # composite ids
+        views.materialize(ShardedGraph(graph, num_shards=3))
+    elif form == "mixed":  # two snapshots' tokens, one view without payload
+        names = views.names()
+        views.materialize(graph.freeze())
+        views.materialize(graph.copy().freeze(), names=names[:1])
+        views.materialize(graph, names=names[1:2])
+    else:  # rows packed beside a shared snapshot
+        views.materialize(graph.freeze(shared=True))
+        if form == "attached":  # ... as a pool worker receives them
+            return pickle.loads(pickle.dumps(views.extensions()))
+    return views.extensions()
+
+
+@settings(max_examples=90, deadline=None)
+@given(seed=seeds, form=payload_forms)
+def test_theorem1_matchjoin_equals_match(seed, form):
     rng, graph, pattern = make_instance(seed)
     views = edge_views(pattern, rng)
     containment = contains(pattern, views)
     assert containment.holds
-    views.materialize(graph)
+    extensions = materialized(views, graph, form)
     direct = match(pattern, graph)
-    result = match_join(pattern, containment, views, optimized=optimized)
-    assert result.edge_matches == direct.edge_matches
+    result = match_join(pattern, containment, extensions)
+    naive = match_join(pattern, containment, extensions, optimized=False)
+    assert result.edge_matches == naive.edge_matches == direct.edge_matches
 
 
-@settings(max_examples=35, deadline=None)
-@given(seed=seeds, optimized=st.booleans())
-def test_theorem8_bounded_matchjoin_equals_bmatch(seed, optimized):
+@settings(max_examples=70, deadline=None)
+@given(seed=seeds, form=payload_forms)
+def test_theorem8_bounded_matchjoin_equals_bmatch(seed, form):
     rng, graph, pattern = make_instance(seed, bounded=True)
-    views = edge_views(pattern, rng)
+    views = edge_views(loosened(pattern, rng), rng)
     containment = bounded_contains(pattern, views)
     assert containment.holds
-    views.materialize(graph)
+    extensions = materialized(views, graph, form)
     direct = bounded_match(pattern, graph)
-    result = bounded_match_join(pattern, containment, views, optimized=optimized)
-    assert result.edge_matches == direct.edge_matches
+    result = bounded_match_join(pattern, containment, extensions)
+    naive = bounded_match_join(pattern, containment, extensions, optimized=False)
+    assert result.edge_matches == naive.edge_matches == direct.edge_matches
 
 
 # ----------------------------------------------------------------------

@@ -23,11 +23,12 @@ import pytest
 from helpers import (
     build_graph,
     build_pattern,
+    matchjoin_metrics,
     random_labeled_graph,
     random_pattern,
 )
 from repro.core.containment import contains
-from repro.core.matchjoin import _compact_match_join, match_join
+from repro.core.matchjoin import match_join
 from repro.datasets import generate_views, query_from_views, random_graph
 from repro.engine import QueryEngine
 from repro.graph import DataGraph, P
@@ -333,11 +334,9 @@ class TestShardedMaterialize:
             query = query_from_views(views, 4, 6, seed=qseed)
             containment = contains(query, views)
             assert containment.holds
-            assert (
-                _compact_match_join(query, containment, views.extensions())
-                is not None
-            )
-            result = match_join(query, containment, views)
+            with matchjoin_metrics() as count:
+                result = match_join(query, containment, views)
+                assert count("total", "ids") == 1  # composite id space
             assert result == match_join(query, containment, frozen_views)
             assert result.edge_matches == match(query, graph).edge_matches
 
