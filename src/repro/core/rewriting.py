@@ -25,10 +25,10 @@ from typing import Dict, FrozenSet, Hashable, Mapping, Set, Tuple, Union
 from repro.core.containment import Containment, Views, contains, _normalize
 from repro.core.matchjoin import join_pair_sets, merge_initial_sets
 from repro.errors import UnsupportedPatternError
-from repro.graph.conditions import AttributeCondition, Label
 from repro.graph.digraph import DataGraph
 from repro.graph.pattern import BoundedPattern, Pattern
 from repro.simulation.result import MatchResult
+from repro.simulation.seeding import node_candidates
 from repro.views.storage import ViewSet
 from repro.views.view import MaterializedView
 
@@ -190,10 +190,9 @@ def hybrid_join(
                 merge_initial_sets(subpattern, sub_containment, extensions)
             )
 
-    # Uncovered part: seed candidates from the label index when the
-    # node condition pins a label (mirroring
-    # :mod:`repro.simulation.seeding`), then *narrow them through the
-    # covered part*: any final match of node ``u`` must have a
+    # Uncovered part: seed candidates through
+    # :func:`repro.simulation.seeding.node_candidates`, *narrowed
+    # through the covered part*: any final match of node ``u`` must have a
     # successor matching every outgoing pattern edge of ``u``, so it
     # must appear among the *sources* of each covered edge ``(u, x)``'s
     # initial pairs (which over-approximate per Theorem 1).  Only the
@@ -214,30 +213,12 @@ def hybrid_join(
             covered_endpoints[u] = sources
 
     candidates: Dict = {}
-    by_label = getattr(graph, "nodes_with_label", None)
 
     def matches_of(u):
         if u not in candidates:
-            condition = query.condition(u)
-            anchored = covered_endpoints.get(u)
-            if anchored is not None:
-                pool = anchored
-            elif by_label is not None and isinstance(condition, Label):
-                candidates[u] = set(by_label(condition.name))
-                return candidates[u]
-            elif (
-                by_label is not None
-                and isinstance(condition, AttributeCondition)
-                and condition.label
-            ):
-                pool = by_label(condition.label)
-            else:
-                pool = graph.nodes()
-            candidates[u] = {
-                v
-                for v in pool
-                if condition.matches(graph.labels(v), graph.attrs(v))
-            }
+            candidates[u] = node_candidates(
+                query.condition(u), graph, pool=covered_endpoints.get(u)
+            )
         return candidates[u]
 
     for edge in query.edges():

@@ -89,7 +89,6 @@ from repro.core.containment import (
     merge_view_matches,
     selector,
 )
-from repro.graph.conditions import AttributeCondition, Label
 from repro.engine.cache import LRUCache
 from repro.engine.cost import EST_MISSING_FRACTION, CandidateCost, CostModel
 from repro.engine.executor import (
@@ -463,41 +462,29 @@ class QueryEngine:
         return float(self._graph.size) if self._graph is not None else 0.0
 
     def _direct_units_locked(self, query: Optional[Pattern]) -> float:
-        """Label-selective work estimate for evaluating ``query``
+        """Selectivity-aware work estimate for evaluating ``query``
         directly on ``G``.
 
-        Candidate seeding reads the label-index bucket of every
-        labelled pattern node (:mod:`repro.simulation.seeding`) and the
+        Candidate seeding reads, per pattern node, a label bucket or a
+        few attribute-column slices of the snapshot it runs on, and the
         fixpoint then walks the adjacency of those candidates, so the
-        touched volume scales with the bucket sizes -- not with
-        ``|G|``.  A query over rare labels is far cheaper to answer
-        directly than the flat ``|G|`` figure suggests, and pricing
-        that selectivity is what lets the adaptive planner prefer
-        direct evaluation for highly selective queries even when views
-        could answer them.  Wildcard / label-free nodes charge the full
-        node count; graphs without a label index degrade to ``|G|``.
+        touched volume scales with the snapshot's ``candidate_bound`` of
+        each node condition -- not with ``|G|``.  A query over rare
+        labels or selective predicates is far cheaper to answer directly
+        than the flat ``|G|`` figure suggests, and pricing that
+        selectivity is what lets the adaptive planner prefer direct
+        evaluation for highly selective queries even when views could
+        answer them.  Wildcard nodes charge the full node count.
         """
-        graph = self._graph
-        if graph is None:
+        if self._graph is None:
             return 0.0
-        graph_units = self._graph_units_locked()
-        stats_fn = getattr(graph, "label_index_stats", None)
-        if query is None or stats_fn is None:
-            return graph_units
-        stats = stats_fn()
-        num_nodes = float(graph.num_nodes)
-        num_edges = float(graph.num_edges)
-        density = 1.0 + (num_edges / num_nodes if num_nodes else 0.0)
-        seeded = 0.0
-        for u in query.nodes():
-            condition = query.condition(u)
-            if isinstance(condition, Label):
-                seeded += stats.get(condition.name, 0)
-            elif isinstance(condition, AttributeCondition) and condition.label:
-                seeded += stats.get(condition.label, 0)
-            else:
-                seeded += num_nodes
-        return seeded * density
+        if query is None:
+            return self._graph_units_locked()
+        snapshot = self._snapshot_locked()
+        num_nodes = float(snapshot.num_nodes)
+        density = 1.0 + (snapshot.num_edges / num_nodes if num_nodes else 0.0)
+        bound = snapshot.candidate_bound
+        return density * sum(bound(query.condition(u)) for u in query.nodes())
 
     @property
     def maintenance(self) -> Optional[IncrementalViewSet]:

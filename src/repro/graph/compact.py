@@ -8,9 +8,11 @@ id-indexed tables, and every label maps to the sorted id array of the
 nodes carrying it.  The matching engines exploit this layout twice over:
 
 * **seeding** -- candidate sets come straight from the label index
-  instead of a full-node condition scan, the dominant cost of the
-  ``O(|Qs||G|)`` term in the paper's simulation bound (Theorems 1-3 of
-  conf_icde_FanWW14 assume exactly this kind of index);
+  and from per-attribute sorted columns
+  (:meth:`CompactGraph.candidate_ids`) instead of a full-node condition
+  scan, the dominant cost of the ``O(|Qs||G|)`` term in the paper's
+  simulation bound (Theorems 1-3 of conf_icde_FanWW14 assume exactly
+  this kind of index);
 * **refinement** -- witness counting intersects candidate sets with
   adjacency rows at C speed (``set.intersection`` over an id tuple)
   rather than chasing per-element hash lookups in Python.
@@ -45,6 +47,9 @@ paths use.
 from __future__ import annotations
 
 import os
+from array import array
+from bisect import bisect_left, bisect_right
+from operator import itemgetter, ne
 from typing import (
     Any,
     Dict,
@@ -53,11 +58,32 @@ from typing import (
     Iterator,
     List,
     Optional,
+    Sequence,
+    Set,
     Tuple,
 )
 
+from repro.graph.conditions import AttributeCondition, Label, TrueCondition
+from repro.obs.metrics import get_registry
+
 Node = Hashable
 Edge = Tuple[Node, Node]
+
+#: One attribute's column: the values of the nodes that carry it, sorted
+#: ascending, the owning ids alongside, and whether the values are
+#: numbers (else strings).  ``None`` stands for a column that does not
+#: totally order and is therefore never probed.
+Column = Tuple[List[Any], array, bool]
+#: One conjunct of a condition as the index answers it: an id sequence
+#: and the ``[start, stop)`` ranges of it whose ids satisfy the conjunct.
+Part = Tuple[Sequence[int], Tuple[Tuple[int, int], ...]]
+
+_NUMERIC = frozenset((int, float, bool))
+
+
+def _part_width(part: Part) -> int:
+    return sum(stop - start for start, stop in part[1])
+
 
 def _new_token() -> int:
     """A fresh snapshot token: 64 random bits, so tokens minted in
@@ -87,6 +113,7 @@ class CompactGraph:
         "_succ_sets",
         "_pred_sets",
         "_num_edges",
+        "_columns",
         "snapshot_version",
         "snapshot_token",
         "extends_token",
@@ -119,6 +146,8 @@ class CompactGraph:
         self._succ_sets: List[Optional[FrozenSet[Node]]] = [None] * len(nodes)
         self._pred_sets: List[Optional[FrozenSet[Node]]] = [None] * len(nodes)
         self._num_edges = graph.num_edges
+        # Per-attribute candidate columns, built on first use.
+        self._columns: Dict[str, Optional[Column]] = {}
         self.snapshot_version = version
         self.snapshot_token = _new_token()
         self.extends_token = None
@@ -196,6 +225,9 @@ class CompactGraph:
         new._succ_sets = succ_sets
         new._pred_sets = pred_sets
         new._num_edges = graph.num_edges
+        # An edge-only delta shares the attrs table, and with it the
+        # columns (including those built later, on either snapshot).
+        new._columns = old._columns if attrs is old._attrs else {}
         new.snapshot_version = version
         new.snapshot_token = _new_token()
         new.extends_token = old.snapshot_token
@@ -265,6 +297,124 @@ class CompactGraph:
     def label_index_stats(self) -> Dict[str, int]:
         """``{label: bucket size}`` for every indexed label."""
         return {label: len(ids) for label, ids in self._label_ids.items()}
+
+    # ------------------------------------------------------------------
+    # Candidate seeding (the label buckets plus attribute columns)
+    # ------------------------------------------------------------------
+    def candidate_ids(self, condition) -> Set[int]:
+        """Exactly ``{i : condition.matches(labels_of(i), attrs_of(i))}``,
+        as a fresh set.
+
+        A label is its bucket, a comparison atom one or two slices of
+        its attribute's sorted column, a conjunction their intersection
+        taken smallest first -- all C-level set work, no per-node
+        condition call.  A conjunct the index cannot answer (a column or
+        comparison value that does not totally order, an unknown
+        condition type) leaves the pool the other conjuncts narrowed it
+        to -- every node when there is none -- to be tested by
+        ``matches``, the only per-node scan left in seeding.
+        """
+        parts, exact = self._index_parts(condition)
+        parts.sort(key=_part_width)
+        ids, ranges = parts[0]
+        found: Set[int] = set().union(*(ids[a:b] for a, b in ranges))
+        for ids, ranges in parts[1:]:
+            found = set().union(
+                *(found.intersection(ids[a:b]) for a, b in ranges)
+            )
+        if not exact:
+            get_registry().counter("repro_sim_seed_scanned_total").inc(len(found))
+            labels, attrs = self._labels, self._attrs
+            found = {
+                i for i in found if condition.matches(labels[i], attrs[i])
+            }
+        return found
+
+    def candidate_bound(self, condition) -> int:
+        """An upper bound on ``len(candidate_ids(condition))`` from
+        bucket sizes and slice widths alone (no set is built)."""
+        return min(map(_part_width, self._index_parts(condition)[0]))
+
+    def _index_parts(self, condition) -> Tuple[List[Part], bool]:
+        """The conjuncts of ``condition`` the index answers (never
+        empty: every node, failing all else) and whether that is all of
+        them."""
+        parts: List[Part] = []
+        exact = True
+        if isinstance(condition, Label):
+            label, atoms = condition.name, ()
+        elif isinstance(condition, AttributeCondition):
+            label, atoms = condition.label, condition.atoms
+        else:
+            label, atoms = "", ()
+            exact = isinstance(condition, TrueCondition)
+        if label:
+            bucket = self.label_ids(label)
+            parts.append((bucket, ((0, len(bucket)),)))
+        for atom in atoms:
+            part = self._atom_part(atom)
+            if part is None:
+                exact = False
+            else:
+                parts.append(part)
+        if not parts:
+            n = len(self._nodes)
+            parts.append((range(n), ((0, n),)))
+        return parts, exact
+
+    def _atom_part(self, atom) -> Optional[Part]:
+        """Where ``atom`` holds, as ranges of its attribute's column;
+        ``None`` when bisecting would not reproduce ``Atom.holds``."""
+        try:
+            column = self._columns[atom.attr]
+        except KeyError:
+            column = self._columns[atom.attr] = self._build_column(atom.attr)
+        if column is None:
+            return None
+        values, ids, numeric = column
+        if not values:
+            return ids, ()  # no node carries the attribute
+        value = atom.value
+        if numeric:
+            # ``value == value`` rules NaN out: it equals nothing.
+            if type(value) not in _NUMERIC or value != value:
+                return None
+        elif type(value) is not str:
+            return None
+        lo = bisect_left(values, value)
+        hi = bisect_right(values, value)
+        op = atom.op
+        if op == "==":
+            ranges = ((lo, hi),)
+        elif op == "!=":
+            ranges = ((0, lo), (hi, len(ids)))
+        elif op == "<":
+            ranges = ((0, lo),)
+        elif op == "<=":
+            ranges = ((0, hi),)
+        elif op == ">":
+            ranges = ((hi, len(ids)),)
+        else:
+            ranges = ((lo, len(ids)),)
+        return ids, ranges
+
+    def _build_column(self, attr: str) -> Optional[Column]:
+        """Sort the nodes carrying ``attr`` by its value.  Only columns
+        of real numbers (no NaN) or of strings qualify: anything else
+        -- ``None``, mixed kinds, containers, subclasses with their own
+        comparisons -- need not order totally, and gets ``None``."""
+        pairs = [(d[attr], i) for i, d in enumerate(self._attrs) if attr in d]
+        values = [value for value, _ in pairs]
+        kinds = set(map(type, values))
+        numeric = kinds <= _NUMERIC
+        if not (numeric or kinds == {str}) or any(map(ne, values, values)):
+            return None
+        pairs.sort(key=itemgetter(0))
+        return (
+            [value for value, _ in pairs],
+            array("q", [i for _, i in pairs]),
+            numeric,
+        )
 
     # ------------------------------------------------------------------
     # DataGraph-compatible read API (original node keys)

@@ -928,13 +928,12 @@ class _LazyAttrTable:
     def _load(self) -> List[dict]:
         table = self._table
         if table is None:
-            blob = self._store.blob("attrs")
-            if len(blob) == 0:
-                table = [{} for _ in range(self._total)]
+            appended = self._appended or []
+            if len(self._store.blob("attrs")) == 0:
+                table = [{} for _ in range(self._total - len(appended))]
             else:
                 table = list(self._store.obj("attrs"))
-                if self._appended:
-                    table.extend(self._appended)
+            table.extend(appended)
             self._table = table
         return table
 
@@ -1192,6 +1191,7 @@ def _attach_snapshot(store: FlatStore, patch, meta) -> SharedCompactGraph:
     shared._succ_sets = [None] * num_nodes
     shared._pred_sets = [None] * num_nodes
     shared._num_edges = num_edges
+    shared._columns = {}
     shared.snapshot_version = version
     shared.snapshot_token = token
     shared.extends_token = extends

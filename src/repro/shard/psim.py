@@ -42,7 +42,6 @@ from __future__ import annotations
 import logging
 import os
 import pickle
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import repeat
 from time import perf_counter
@@ -58,12 +57,15 @@ from typing import (
 )
 
 from repro.graph.compact import CompactGraph
-from repro.graph.conditions import AttributeCondition, Label
 from repro.graph.flatbuf import ShipStats
 from repro.obs import trace
 from repro.obs.metrics import get_registry
 from repro.obs.trace import SpanRecord
-from repro.simulation.compact_engine import IdEdgeMatches, refine_batch
+from repro.simulation.compact_engine import (
+    IdEdgeMatches,
+    refine_batch,
+    seed_ids,
+)
 from repro.simulation.result import MatchResult
 
 if TYPE_CHECKING:
@@ -96,44 +98,6 @@ class PSimStats:
 # ----------------------------------------------------------------------
 # Shard-local evaluation (pure functions of one shard snapshot)
 # ----------------------------------------------------------------------
-def _seed_candidates(
-    snapshot: CompactGraph, own: int, pattern
-) -> Tuple[LocalSim, LocalSim]:
-    """Seed one shard from its label index: ``(internal, ghosts)``.
-
-    Internal candidates (ids below ``own``) are the shard's own
-    refinable matches; ghost candidates become the shard's initial
-    boundary *assumptions* -- optimistic supersets of the truth, since
-    the same conditions seed the owner shard.  Unlike the
-    single-machine engine, an empty set is *not* a failure: a pattern
-    node's matches may all live in other shards.
-    """
-    sim: LocalSim = {}
-    assume: LocalSim = {}
-    for u in pattern.nodes():
-        condition = pattern.condition(u)
-        if isinstance(condition, Label):
-            bucket = snapshot.label_ids(condition.name)
-        elif isinstance(condition, AttributeCondition) and condition.label:
-            bucket = [
-                i
-                for i in snapshot.label_ids(condition.label)
-                if condition.matches(snapshot.labels_of(i), snapshot.attrs_of(i))
-            ]
-        else:
-            bucket = [
-                i
-                for i in range(snapshot.num_nodes)
-                if condition.matches(snapshot.labels_of(i), snapshot.attrs_of(i))
-            ]
-        # Buckets are ascending (label rows are built in id order), and
-        # internal ids all precede ghost ids, so one bisect splits them.
-        split = bisect_left(bucket, own)
-        sim[u] = set(bucket[:split])
-        assume[u] = set(bucket[split:])
-    return sim, assume
-
-
 class _ShardState:
     """One shard's persistent local fixpoint state for one pattern.
 
@@ -151,15 +115,24 @@ class _ShardState:
 
     def __init__(
         self,
-        sim: LocalSim,
-        assume: Dict[PNode, Set[int]],
+        seeded: Dict[PNode, Set[int]],
+        own: int,
         counters: Dict[PEdge, Dict[int, int]],
     ) -> None:
-        self.sim = sim
-        self.assume = assume
-        self.full: Dict[PNode, Set[int]] = {
-            u: sim[u] | assume[u] for u in sim
+        """Split one shard's seeds (``seed_ids``) at its own count.
+
+        Internal candidates (ids below ``own``) are the shard's own
+        refinable matches; ghost candidates become its initial boundary
+        *assumptions* -- optimistic supersets of the truth, since the
+        same conditions seed the owner shard.  Unlike the single-machine
+        engine, an empty set is *not* a failure: a pattern node's
+        matches may all live in other shards.
+        """
+        self.full = seeded
+        self.assume: Dict[PNode, Set[int]] = {
+            u: {i for i in ids if i >= own} for u, ids in seeded.items()
         }
+        self.sim: LocalSim = {u: ids - self.assume[u] for u, ids in seeded.items()}
         self.counters = counters
 
     def __getstate__(self):
@@ -208,10 +181,12 @@ def _local_fixpoint(
     pending: Dict[PNode, Set[int]] = {}
     removed_acc: LocalSim = {}
     if state is None:
-        sim, assume = _seed_candidates(snapshot, own, pattern)
         state = _ShardState(
-            sim, assume, {edge: {} for edge in pattern.edges()}
+            seed_ids(pattern, snapshot),
+            own,
+            {edge: {} for edge in pattern.edges()},
         )
+        sim = state.sim
         full = state.full
         for u in pattern.nodes():
             doomed: Set[int] = set()

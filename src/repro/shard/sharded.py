@@ -635,6 +635,12 @@ class ShardedGraph:
         """``{label: bucket size}`` over owned nodes."""
         return self._label_stats
 
+    def candidate_bound(self, condition) -> int:
+        """An upper bound on what a sharded match seeds for
+        ``condition``: the shards' own bounds, ghost copies included
+        (every shard seeds its ghosts as assumptions)."""
+        return sum(shard.candidate_bound(condition) for shard in self._shards)
+
     # ------------------------------------------------------------------
     # Traversal helpers (same contract as DataGraph)
     # ------------------------------------------------------------------

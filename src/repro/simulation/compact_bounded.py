@@ -6,7 +6,7 @@ the target is a frozen snapshot.  It runs the same per-edge refinement
 as the generic BMatch engine, but entirely in the snapshot's dense id
 space:
 
-* candidate sets are sets of ints seeded straight from the label index
+* candidate sets are sets of ints seeded from the snapshot's candidate index
   (:func:`~repro.simulation.compact_engine.compact_candidates`);
 * the refinement's "which nodes can reach the current match set of u'
   within k hops?" question is answered by the snapshot's multi-source

@@ -5,9 +5,11 @@ when the target is a frozen snapshot.  It runs the same counter-based
 worklist refinement as the generic engine, but entirely in the
 snapshot's dense id space:
 
-* candidate sets are sets of ints seeded straight from the label index
-  (a plain-label pattern node costs one bucket copy, zero condition
-  calls);
+* candidate sets are sets of ints seeded from the snapshot's label
+  buckets and attribute columns
+  (:meth:`~repro.graph.compact.CompactGraph.candidate_ids`: a bucket
+  copy or a few bisected slices per pattern node, no per-node condition
+  call);
 * witness counters are built with ``set.intersection`` against the
   snapshot's adjacency rows -- one C call per (candidate, pattern edge)
   instead of a Python loop over successors;
@@ -27,7 +29,7 @@ from itertools import repeat
 from typing import Dict, Hashable, Optional, Set, Tuple
 
 from repro.graph.compact import CompactGraph
-from repro.graph.conditions import AttributeCondition, Label
+from repro.obs import trace
 from repro.obs.metrics import get_registry
 from repro.simulation.result import MatchResult
 
@@ -48,31 +50,27 @@ PEdge = Tuple[PNode, PNode]
 IdEdgeMatches = Dict[PEdge, Dict[int, Set[int]]]
 
 
+def seed_ids(pattern, graph: CompactGraph) -> Dict[PNode, Set[int]]:
+    """Id-space candidates of every pattern node, from the snapshot's
+    candidate index.  One ``seed`` span and one registry write per run
+    (the index itself counts what it had to scan)."""
+    with trace.span("seed", nodes=pattern.num_nodes) as seed_span:
+        candidate_ids = graph.candidate_ids
+        sim = {u: candidate_ids(pattern.condition(u)) for u in pattern.nodes()}
+        seeded = sum(map(len, sim.values()))
+        if seed_span is not None:
+            seed_span.set(candidates=seeded)
+    get_registry().counter("repro_sim_seed_candidates_total").inc(seeded)
+    return sim
+
+
 def compact_candidates(
     pattern, graph: CompactGraph
 ) -> Optional[Dict[PNode, Set[int]]]:
-    """Seed id-space candidate sets from the snapshot's label index."""
-    sim: Dict[PNode, Set[int]] = {}
-    for u in pattern.nodes():
-        condition = pattern.condition(u)
-        if isinstance(condition, Label):
-            candidates = set(graph.label_ids(condition.name))
-        elif isinstance(condition, AttributeCondition) and condition.label:
-            candidates = {
-                i
-                for i in graph.label_ids(condition.label)
-                if condition.matches(graph.labels_of(i), graph.attrs_of(i))
-            }
-        else:
-            candidates = {
-                i
-                for i in range(graph.num_nodes)
-                if condition.matches(graph.labels_of(i), graph.attrs_of(i))
-            }
-        if not candidates:
-            return None
-        sim[u] = candidates
-    return sim
+    """:func:`seed_ids`, or ``None`` when some pattern node has no
+    candidate (the pattern cannot match)."""
+    sim = seed_ids(pattern, graph)
+    return sim if all(sim.values()) else None
 
 
 def refine_batch(

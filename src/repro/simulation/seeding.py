@@ -1,21 +1,21 @@
 """Candidate seeding for the simulation engines.
 
 Every matching engine starts from per-pattern-node candidate sets
-``{v : fv(u) holds at v}``.  Seeding used to scan every data node per
-pattern node -- the dominant constant factor in the paper's
-``O(|Qs||G|)`` term.  This module seeds from the backend's label index
-instead, whenever the node condition pins a label:
+``{v : fv(u) holds at v}`` -- the paper's ``O(|Qs||G|)`` term.  A frozen
+snapshot answers that from its candidate index
+(:meth:`~repro.graph.compact.CompactGraph.candidate_ids`: label buckets
+and sorted attribute columns, no per-node condition call).  Everything
+else -- the mutable :class:`~repro.graph.digraph.DataGraph`, a
+:class:`~repro.shard.sharded.ShardedGraph` read through its node-key API
+-- takes the reference path below, which narrows by the label index
+where the condition pins a label and tests ``matches`` node by node:
 
 * a plain :class:`~repro.graph.conditions.Label` condition *is* its
   bucket -- no per-node test at all;
 * an :class:`~repro.graph.conditions.AttributeCondition` with a label
   restriction filters its bucket only;
-* wildcard / label-free predicate conditions fall back to the full scan
-  (nothing narrows them).
+* wildcard / label-free predicate conditions scan every node.
 
-Both backends qualify: :class:`~repro.graph.digraph.DataGraph` maintains
-its inverted index incrementally and
-:class:`~repro.graph.compact.CompactGraph` builds one at freeze time.
 Targets without a label index (e.g. a :class:`Pattern` treated as a data
 graph during view-match computation) take the explicit-``compatible``
 scan path in the engines and never reach this module.
@@ -23,7 +23,7 @@ scan path in the engines and never reach this module.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Optional, Set
+from typing import Dict, Hashable, Iterable, Optional, Set
 
 from repro.graph.conditions import AttributeCondition, Label
 
@@ -31,33 +31,41 @@ PNode = Hashable
 Node = Hashable
 
 
+def node_candidates(
+    condition, target, pool: Optional[Iterable[Node]] = None
+) -> Set[Node]:
+    """``{v : condition holds at v}`` over ``target`` (within ``pool``
+    when one is given), as node keys.
+
+    ``target`` must expose ``nodes()``, ``labels(v)``, ``attrs(v)`` and
+    ``nodes_with_label(label)``, or be a snapshot with a candidate
+    index.
+    """
+    candidate_ids = getattr(target, "candidate_ids", None)
+    if candidate_ids is not None:
+        found = set(map(target.node_table.__getitem__, candidate_ids(condition)))
+        return found if pool is None else found.intersection(pool)
+    if pool is None:
+        if isinstance(condition, Label):
+            return set(target.nodes_with_label(condition.name))
+        if isinstance(condition, AttributeCondition) and condition.label:
+            pool = target.nodes_with_label(condition.label)
+        else:
+            pool = target.nodes()
+    return {
+        v for v in pool if condition.matches(target.labels(v), target.attrs(v))
+    }
+
+
 def condition_candidates(pattern, target) -> Optional[Dict[PNode, Set[Node]]]:
     """Seed ``{u: candidates}`` for evaluating ``pattern`` over ``target``.
 
-    ``target`` must expose ``nodes()``, ``labels(v)``, ``attrs(v)`` and
-    ``nodes_with_label(label)``.  Returns ``None`` as soon as any
-    pattern node has no candidate (the pattern cannot match).
+    Returns ``None`` as soon as any pattern node has no candidate (the
+    pattern cannot match).
     """
     sim: Dict[PNode, Set[Node]] = {}
-    all_nodes = None
     for u in pattern.nodes():
-        condition = pattern.condition(u)
-        if isinstance(condition, Label):
-            candidates = set(target.nodes_with_label(condition.name))
-        elif isinstance(condition, AttributeCondition) and condition.label:
-            candidates = {
-                v
-                for v in target.nodes_with_label(condition.label)
-                if condition.matches(target.labels(v), target.attrs(v))
-            }
-        else:
-            if all_nodes is None:
-                all_nodes = list(target.nodes())
-            candidates = {
-                v
-                for v in all_nodes
-                if condition.matches(target.labels(v), target.attrs(v))
-            }
+        candidates = node_candidates(pattern.condition(u), target)
         if not candidates:
             return None
         sim[u] = candidates

@@ -17,6 +17,17 @@ from repro.obs.metrics import MetricsRegistry, set_registry
 
 
 @contextmanager
+def fresh_registry():
+    """Swap in an empty process-global metrics registry; yields it."""
+    registry = MetricsRegistry()
+    previous = set_registry(registry)
+    try:
+        yield registry
+    finally:
+        set_registry(previous)
+
+
+@contextmanager
 def matchjoin_metrics():
     """Isolate the MatchJoin counters in a fresh registry.
 
@@ -24,14 +35,10 @@ def matchjoin_metrics():
     for one ``path`` label (``ids`` | ``keys`` | ``naive``) -- how tests
     assert which id space a call ran in and how many row sweeps it made.
     """
-    registry = MetricsRegistry()
-    previous = set_registry(registry)
-    try:
+    with fresh_registry() as registry:
         yield lambda family, path: registry.counter(
             f"repro_matchjoin_{family}", path=path
         ).value
-    finally:
-        set_registry(previous)
 
 
 def build_graph(labeled_nodes, edges):

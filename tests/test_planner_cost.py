@@ -181,6 +181,31 @@ class TestLabelSelectivePricing:
         )
         assert wild.units > labelled.units
 
+    @pytest.mark.parametrize("shards", [None, 2])
+    def test_selective_label_free_predicate_prices_below_the_graph(self, shards):
+        """A predicate without a label used to be charged ``|V|`` per
+        node; the attribute column knows how few nodes it selects."""
+        from repro.graph import P
+
+        graph = _bucket_graph()
+        for i in range(20):
+            graph.add_node(f"b{i}", labels="B", attrs={"rank": i})
+        engine = QueryEngine(
+            ViewSet(), graph=graph, planner="adaptive", shards=shards
+        )
+        selective = _direct_candidate(
+            engine.plan(
+                build_pattern(
+                    {"u": P("rank") >= 18, "v": P("rank") <= 1}, [("u", "v")]
+                )
+            )
+        )
+        labelled = _direct_candidate(
+            engine.plan(build_pattern({"u": "B", "v": "B"}, [("u", "v")]))
+        )
+        assert selective.units < graph.size
+        assert selective.units < labelled.units
+
 
 # ----------------------------------------------------------------------
 # Hybrid λ pruning + explain/record agreement
