@@ -17,8 +17,8 @@ one token and MatchJoin sweeps their id rows unchanged.
 
 Entry points:
 
-* :func:`materialize_view` -- one definition, one extension (the hook
-  ``repro.views.view.materialize`` dispatches to);
+* :func:`materialize_view` -- one definition, one extension
+  (``repro.views.view.materialize`` with a say over the runner);
 * :func:`parallel_materialize` -- a whole catalog through one shared
   :class:`~repro.shard.psim.ShardRunner`, so thread/process pools are
   created once and the sharded snapshot ships to workers once for all
@@ -37,17 +37,20 @@ from __future__ import annotations
 import logging
 from typing import Iterable, Optional
 
-from repro.graph.pattern import BoundedPattern
 from repro.shard.psim import (
     ShardRunner,
     _drive,
     _Evaluation,
-    sharded_bounded_match_with_ids,
     sharded_match_with_ids,
 )
 from repro.shard.sharded import ShardedGraph
 from repro.views.storage import ViewSet
-from repro.views.view import MaterializedView, ViewDefinition, snapshot_extension
+from repro.views.view import (
+    MaterializedView,
+    ViewDefinition,
+    materialize,
+    snapshot_extension,
+)
 
 log = logging.getLogger(__name__)
 
@@ -70,13 +73,11 @@ def materialize_view(
     space, so BMatchJoin bound-filters their rows exactly as on
     single-snapshot ones.
     """
-    pattern = definition.pattern
-    if isinstance(pattern, BoundedPattern):
-        evaluated = sharded_bounded_match_with_ids(pattern, sharded)
-    else:
-        evaluated = sharded_match_with_ids(
-            pattern, sharded, executor=executor, workers=workers, runner=runner
-        )
+    if definition.is_bounded:
+        return materialize(definition, sharded)
+    evaluated = sharded_match_with_ids(
+        definition.pattern, sharded, executor=executor, workers=workers, runner=runner
+    )
     return snapshot_extension(definition, sharded, *evaluated)
 
 
@@ -112,11 +113,11 @@ def parallel_materialize(
         # All simulation views advance through shared waves: one pool
         # round-trip per wave for the whole batch, and every worker
         # stays busy across patterns.  Bounded views take the generic
-        # fallback individually (see materialize_view).
+        # engine individually (they do not decompose by shard).
         evaluations: dict = {}
         for name in chosen:
             definition = views.definition(name)
-            if not isinstance(definition.pattern, BoundedPattern):
+            if not definition.is_bounded:
                 evaluations[name] = _Evaluation(
                     definition.pattern, sharded, runner.new_session()
                 )
@@ -124,14 +125,13 @@ def parallel_materialize(
         for name in chosen:
             # Popped, so each view's grouped output is dropped as soon
             # as its rows are built.
+            definition = views.definition(name)
             evaluation = evaluations.pop(name, None)
             if evaluation is None:
-                extension = materialize_view(
-                    views.definition(name), sharded, runner=runner
-                )
+                extension = materialize(definition, sharded)
             else:
                 extension = snapshot_extension(
-                    views.definition(name), sharded, *evaluation.outcome()
+                    definition, sharded, *evaluation.outcome
                 )
             views.set_extension(extension)
     finally:

@@ -4,13 +4,14 @@ This is the classic distributed-simulation recipe (the setting of
 conf_icde_FanWW14 Section VII, where views are cached because ``G`` is
 too large to touch per query), reproduced in-process:
 
-1. **Local step** -- every shard runs the compact integer-id fixpoint
-   (:func:`_local_fixpoint`, the same counter-based refinement as
-   :mod:`repro.simulation.compact_engine`) over its own snapshot,
-   treating ghost nodes as *assumptions*: a ghost is presumed to match
-   a pattern node whenever the coordinator has not (yet) refuted it.
-   Because a shard owns the full out-adjacency of its nodes, the local
-   greatest fixpoint is exact relative to those assumptions.
+1. **Local step** -- every shard runs the one id-space Match kernel
+   (:func:`repro.simulation.compact_engine.witness_fixpoint`, the very
+   fixpoint ``match`` runs on a whole-graph snapshot) over its own
+   snapshot, treating ghost nodes as *assumptions*: a ghost is presumed
+   to match a pattern node whenever the coordinator has not (yet)
+   refuted it.  Because a shard owns the full out-adjacency of its
+   nodes, the local greatest fixpoint is exact relative to those
+   assumptions.
 2. **Exchange step** -- each local run reports the internal ids it
    pruned; the coordinator translates them through the boundary
    bridges into withdrawn assumptions for exactly the shards ghosting
@@ -43,7 +44,6 @@ import logging
 import os
 import pickle
 from dataclasses import dataclass, field
-from itertools import repeat
 from time import perf_counter
 from typing import (
     TYPE_CHECKING,
@@ -56,15 +56,17 @@ from typing import (
     Tuple,
 )
 
-from repro.graph.compact import CompactGraph
 from repro.graph.flatbuf import ShipStats
 from repro.obs import trace
 from repro.obs.metrics import get_registry
 from repro.obs.trace import SpanRecord
 from repro.simulation.compact_engine import (
+    FixpointState,
     IdEdgeMatches,
-    refine_batch,
-    seed_ids,
+    Outcome,
+    extract,
+    no_match,
+    witness_fixpoint,
 )
 from repro.simulation.result import MatchResult
 
@@ -77,7 +79,6 @@ log = logging.getLogger(__name__)
 
 PNode = Hashable
 Node = Hashable
-PEdge = Tuple[PNode, PNode]
 
 #: Shard-local simulation: pattern node -> set of *internal* local ids.
 LocalSim = Dict[PNode, Set[int]]
@@ -96,215 +97,6 @@ class PSimStats:
 
 
 # ----------------------------------------------------------------------
-# Shard-local evaluation (pure functions of one shard snapshot)
-# ----------------------------------------------------------------------
-class _ShardState:
-    """One shard's persistent local fixpoint state for one pattern.
-
-    Lives across coordinator rounds: ``sim`` (internal candidates) and
-    ``assume`` (ghost assumptions) only shrink, ``full`` is their
-    maintained union (every witness-counting target set), and
-    ``counters`` keeps the lazily materialized witness counts -- so a
-    re-run after withdrawn assumptions is a pure decrement cascade over
-    the affected area, never a recount of the shard.  Serial and thread
-    runners mutate the object in place; process runners round-trip it
-    through pickling, which preserves exactly the same contents.
-    """
-
-    __slots__ = ("sim", "assume", "full", "counters")
-
-    def __init__(
-        self,
-        seeded: Dict[PNode, Set[int]],
-        own: int,
-        counters: Dict[PEdge, Dict[int, int]],
-    ) -> None:
-        """Split one shard's seeds (``seed_ids``) at its own count.
-
-        Internal candidates (ids below ``own``) are the shard's own
-        refinable matches; ghost candidates become its initial boundary
-        *assumptions* -- optimistic supersets of the truth, since the
-        same conditions seed the owner shard.  Unlike the single-machine
-        engine, an empty set is *not* a failure: a pattern node's
-        matches may all live in other shards.
-        """
-        self.full = seeded
-        self.assume: Dict[PNode, Set[int]] = {
-            u: {i for i in ids if i >= own} for u, ids in seeded.items()
-        }
-        self.sim: LocalSim = {u: ids - self.assume[u] for u, ids in seeded.items()}
-        self.counters = counters
-
-    def __getstate__(self):
-        return (self.sim, self.assume, self.full, self.counters)
-
-    def __setstate__(self, state) -> None:
-        self.sim, self.assume, self.full, self.counters = state
-
-
-def _local_fixpoint(
-    snapshot: CompactGraph,
-    own: int,
-    pattern,
-    state: Optional[_ShardState],
-    withdrawn: Optional[Dict[PNode, Set[int]]] = None,
-) -> Tuple[_ShardState, LocalSim]:
-    """The shard-local greatest fixpoint under boundary assumptions.
-
-    ``state.assume[u]`` holds the ghost local ids currently presumed to
-    match ``u``; they witness pattern edges like any candidate but are
-    never refined here (their status is the coordinator's to decide).
-    On the first run ``state`` is ``None``: candidates and assumptions
-    get seeded from the label index and witness-less candidates are
-    doomed by a full scan.  On re-runs the state carries the previous
-    round's (shrinking) result and ``withdrawn`` the ghost ids the
-    coordinator refuted since -- which are simply enqueued as removal
-    batches, so a re-run costs the affected area, not the shard.
-    Internal sets may legitimately empty out (matches can live
-    entirely elsewhere).
-
-    Returns ``(state, removed)`` where ``removed[u]`` is the set of
-    internal ids pruned during *this* run -- the delta the coordinator
-    turns into withdrawn assumptions elsewhere.
-
-    The refinement is the compact engine's batched, lazy-counter
-    scheme (see ``compact_maximum_simulation``): witness-less
-    candidates are detected with ``isdisjoint``, counters materialize
-    on first touch against ``full ∪ still-queued`` and stay valid
-    across rounds, and removals propagate in batches -- with the two
-    sharding twists that ghost ids sit in every target set but are
-    only ever removed by coordinator withdrawal, and empty candidate
-    sets do not abort.
-    """
-    succ = snapshot.succ_rows
-    pred = snapshot.pred_rows
-    pending: Dict[PNode, Set[int]] = {}
-    removed_acc: LocalSim = {}
-    if state is None:
-        state = _ShardState(
-            seed_ids(pattern, snapshot),
-            own,
-            {edge: {} for edge in pattern.edges()},
-        )
-        sim = state.sim
-        full = state.full
-        for u in pattern.nodes():
-            doomed: Set[int] = set()
-            for u1 in pattern.successors(u):
-                no_witness = full[u1].isdisjoint
-                doomed.update(v for v in sim[u] if no_witness(succ[v]))
-            if doomed:
-                sim[u] -= doomed
-                full[u] -= doomed
-                pending[u] = doomed
-                removed_acc[u] = set(doomed)
-    else:
-        sim = state.sim
-        full = state.full
-        assume = state.assume
-        # Apply the withdrawal: drop the refuted ghosts from the
-        # assumption and witness-target sets, then queue them as
-        # ordinary removal batches.
-        for u, ghosts in (withdrawn or {}).items():
-            if ghosts:
-                assume[u] -= ghosts
-                full[u] -= ghosts
-                pending[u] = set(ghosts)
-    counters = state.counters
-
-    while pending:
-        u1, removed = pending.popitem()
-        touched = set().union(*map(pred.__getitem__, removed))
-        if not touched:
-            continue
-        intersect_removed = removed.intersection
-        for u in pattern.predecessors(u1):
-            candidates = sim[u]
-            affected = candidates & touched
-            if not affected:
-                continue
-            # A counter materialized mid-propagation must count every
-            # witness whose departure has not been *processed* yet:
-            # full(u1) plus anything still queued for u1 (a self-loop
-            # pattern edge can re-queue ids for u1 during this very
-            # pop).  The current batch is excluded from both, so it
-            # needs no decrement on a fresh counter; queued ids will
-            # decrement exactly once when their own batch pops.
-            queued_for_u1 = pending.get(u1)
-            if queued_for_u1:
-                intersect_targets = (full[u1] | queued_for_u1).intersection
-            else:
-                intersect_targets = full[u1].intersection
-            newly = refine_batch(
-                affected,
-                succ,
-                counters[(u, u1)],
-                intersect_targets,
-                intersect_removed,
-            )
-            if newly:
-                candidates -= newly
-                full[u] -= newly
-                gone = removed_acc.get(u)
-                if gone is None:
-                    removed_acc[u] = set(newly)
-                else:
-                    gone |= newly
-                queued = pending.get(u)
-                if queued is None:
-                    pending[u] = newly
-                else:
-                    queued |= newly
-    return state, removed_acc
-
-
-def _local_edge_matches(
-    snapshot: CompactGraph,
-    pattern,
-    state: _ShardState,
-    global_row: Sequence[int],
-) -> Tuple[
-    IdEdgeMatches,
-    Dict[PEdge, Set[Tuple[Node, Node]]],
-    Dict[PNode, Set[Node]],
-]:
-    """One shard's slice of the final result, ready to merge.
-
-    Returns the per-edge match sets in composite global id space
-    grouped by source id, the same pairs decoded to node keys, and the
-    decoded node match sets -- all built shard-side, so the
-    coordinator's merge is pure C-level set/dict updates (shards own
-    disjoint source sets, so nothing collides).  At the
-    global fixpoint the surviving assumptions are exactly the true
-    boundary matches, so ghost witnesses are emitted like internal
-    ones; ``global_row`` folds both into the shared id space, and the
-    shard's own node table names them (a ghost carries its key).
-    """
-    succ = snapshot.succ_rows
-    sim = state.sim
-    full = state.full
-    decode = snapshot.node_of
-    matches: IdEdgeMatches = {}
-    decoded: Dict[PEdge, Set[Tuple[Node, Node]]] = {}
-    for edge in pattern.edges():
-        u, u1 = edge
-        # ``full`` is sim ∪ assume by invariant -- exactly the
-        # surviving witnesses.
-        intersect = full[u1].intersection
-        grouped: Dict[int, Set[int]] = {}
-        pairs: Set[Tuple[Node, Node]] = set()
-        for v in sim[u]:
-            witnesses = intersect(succ[v])
-            if witnesses:
-                grouped[global_row[v]] = {global_row[w] for w in witnesses}
-                pairs.update(zip(repeat(decode(v)), map(decode, witnesses)))
-        matches[edge] = grouped
-        decoded[edge] = pairs
-    nodes = {u: set(map(decode, ids)) for u, ids in sim.items()}
-    return matches, decoded, nodes
-
-
-# ----------------------------------------------------------------------
 # Task plumbing: serial / thread / process execution of local steps
 # ----------------------------------------------------------------------
 #: Executor kinds accepted by the psim / materialization entry points.
@@ -314,7 +106,7 @@ SHARD_EXECUTORS = ("serial", "thread", "process")
 #: Shard-state store: (session id, shard index) -> state.  Sessions of
 #: several patterns may be in flight at once (wave-driven
 #: materialization), so the key carries both.
-_StateStore = Dict[Tuple[int, int], _ShardState]
+_StateStore = Dict[Tuple[int, int], FixpointState]
 
 
 def _execute(
@@ -327,44 +119,42 @@ def _execute(
     long-lived runner (and its workers) serves any number of patterns
     -- concurrently, for wave-driven materialization -- without state
     ever crossing back to the coordinator.  Terminal tasks (``edges``,
-    ``collect``, ``drop``) evict their session's state.
+    ``drop``) evict their session's state.
+
+    A ``sim`` task is one run of the Match kernel under the shard
+    contract: ids at or above the shard's own count are its ghosts
+    (*assumed*), a kept state re-enters with the coordinator's
+    withdrawal batch, and the ids the run pruned go back.  An ``edges``
+    task is the kernel's extractor with the shard's local -> composite
+    id row: one slice of the final outcome, built shard-side, so the
+    coordinator's merge is pure C-level set/dict updates.
     """
     kind, index, session = task[0], task[1], task[2]
     snapshot = sharded.shard(index)
     key = (session, index)
     if kind == "sim":
         _, _, _, pattern, withdrawn = task
-        state = store.get(key)
-        first_run = state is None
-        state, removed = _local_fixpoint(
-            snapshot, sharded.own_count(index), pattern, state, withdrawn
+        kept = store.get(key)
+        pruned: LocalSim = {}
+        state = witness_fixpoint(
+            pattern, snapshot, sharded.own_count(index), kept, withdrawn, pruned
         )
         store[key] = state
         sizes = {u: len(ids) for u, ids in state.sim.items()}
-        assumed = (
-            sum(len(ids) for ids in state.assume.values()) if first_run else 0
-        )
-        return index, (removed, sizes, assumed)
-    if kind == "drop":
-        store.pop(key, None)
-        return index, None
+        # Ghost candidates of the first run: the initial assumptions.
+        assumed = 0
+        if kept is None:
+            assumed = sum(map(len, state.full.values())) - sum(sizes.values())
+        return index, (pruned, sizes, assumed)
     state = store.pop(key, None)
+    if kind == "drop":
+        return index, None
     if state is None:
         raise RuntimeError(
             f"shard {index} has no state for session {session}; "
             "was the worker restarted mid-evaluation?"
         )
-    if kind == "edges":
-        _, _, _, pattern = task
-        return index, _local_edge_matches(
-            snapshot,
-            pattern,
-            state,
-            sharded.global_row(index),
-        )
-    # "collect": the decoded internal simulation of this shard.
-    decode = snapshot.node_of
-    return index, {u: set(map(decode, ids)) for u, ids in state.sim.items()}
+    return index, extract(task[3], snapshot, state, sharded.global_row(index))
 
 
 # Module level so the process pool pickles them by reference; the
@@ -471,8 +261,8 @@ class ShardRunner:
     def new_session(self) -> int:
         """A fresh session id for one pattern evaluation.  Several
         sessions may be in flight at once; each evaluation ends with a
-        terminal task per shard (``edges`` / ``collect`` / ``drop``)
-        that evicts its worker-resident state."""
+        terminal task per shard (``edges`` / ``drop``) that evicts its
+        worker-resident state."""
         self._session += 1
         return self._session
 
@@ -514,7 +304,17 @@ class ShardRunner:
                     with trace.span("psim.task", kind=task[0], shard=task[1]):
                         return _execute(sharded, store, task)
 
-            return list(self._thread_pool.map(run, tasks))
+            futures = [self._thread_pool.submit(run, task) for task in tasks]
+            try:
+                return [future.result() for future in futures]
+            except BaseException:
+                # Let the stragglers finish before the caller cleans up:
+                # a task still running would re-store its state after
+                # the session was dropped.
+                from concurrent.futures import wait
+
+                wait(futures)
+                raise
         out = []
         for task in tasks:
             with trace.span("psim.task", kind=task[0], shard=task[1]):
@@ -558,13 +358,14 @@ class _Evaluation:
     """State machine driving one pattern to its global fixpoint.
 
     Phases: ``sim`` (rounds of local fixpoints + removal-driven
-    exchange), then ``edges`` (extract + merge the result slices) or
-    ``collect`` (decoded simulation only) or ``drop`` (failed match;
-    evict worker states), then done.  Several evaluations can progress
-    through the same :class:`ShardRunner` in shared waves
-    (:func:`_drive`), which is what keeps pool round-trips -- the
-    dominant process-mode cost -- proportional to the number of
-    *rounds*, not patterns x rounds.
+    exchange), then ``edges`` (extract + merge the outcome slices) or
+    ``drop`` (failed match; evict worker states), then ``done`` with
+    the ``outcome`` set: the result plus the composite-id edge matches
+    grouped by source id -- the form extension rows are built from --
+    or the failed match.  Several evaluations can progress through the
+    same :class:`ShardRunner` in shared waves (:func:`_drive`), which
+    is what keeps pool round-trips -- the dominant process-mode cost --
+    proportional to the number of *rounds*, not patterns x rounds.
 
     Round 1 runs every shard with label-index seeding (assumptions
     start as each shard's condition-matching ghosts -- the same
@@ -585,42 +386,27 @@ class _Evaluation:
         "pattern",
         "sharded",
         "session",
-        "mode",
         "stats",
         "phase",
-        "done",
-        "empty",
         "sizes",
         "withdrawn",
         "active",
         "_incoming",
-        "id_matches",
-        "edge_matches",
-        "node_matches",
-        "collected",
+        "outcome",
     )
 
-    def __init__(
-        self, pattern, sharded: ShardedGraph, session: int, mode: str = "edges"
-    ) -> None:
-        assert mode in ("edges", "collect")
+    def __init__(self, pattern, sharded: ShardedGraph, session: int) -> None:
         k = sharded.num_shards
         self.pattern = pattern
         self.sharded = sharded
         self.session = session
-        self.mode = mode
         self.stats = PSimStats(shards=k)
         self.phase = "sim"
-        self.done = False
-        self.empty = False
         self.sizes: List[Optional[Dict[PNode, int]]] = [None] * k
         self.withdrawn: List[Optional[Dict[PNode, Set[int]]]] = [None] * k
         self.active: List[int] = list(range(k))
         self._incoming: List[Tuple[int, object]] = []
-        self.id_matches: Optional[IdEdgeMatches] = None
-        self.edge_matches: Optional[Dict[PEdge, Set[Tuple[Node, Node]]]] = None
-        self.node_matches: Optional[Dict[PNode, Set[Node]]] = None
-        self.collected: Optional[Dict[PNode, Set[Node]]] = None
+        self.outcome: Outcome = no_match()
 
     # -- wave protocol -------------------------------------------------
     def tasks(self) -> List[Tuple]:
@@ -637,17 +423,15 @@ class _Evaluation:
                 ("edges", i, self.session, self.pattern)
                 for i in range(self.sharded.num_shards)
             ]
-        if self.phase == "collect":
-            return [
-                ("collect", i, self.session)
-                for i in range(self.sharded.num_shards)
-            ]
         if self.phase == "drop":
-            return [
-                ("drop", i, self.session)
-                for i in range(self.sharded.num_shards)
-            ]
+            return self.drop_tasks()
         return []
+
+    def drop_tasks(self) -> List[Tuple]:
+        """Tasks evicting this session's worker-resident states."""
+        return [
+            ("drop", i, self.session) for i in range(self.sharded.num_shards)
+        ]
 
     def absorb(self, index: int, payload: object) -> None:
         self._incoming.append((index, payload))
@@ -656,23 +440,11 @@ class _Evaluation:
         incoming, self._incoming = self._incoming, []
         if self.phase == "sim":
             self._end_sim_wave(incoming)
-        elif self.phase == "edges":
+            return
+        if self.phase == "edges":
             self._merge_edges(incoming)
-            self.phase = "done"
-            self.done = True
-        elif self.phase == "collect":
-            merged: Dict[PNode, Set[Node]] = {
-                u: set() for u in self.pattern.nodes()
-            }
-            for _, decoded in incoming:
-                for u, matches in decoded.items():  # type: ignore[attr-defined]
-                    merged[u] |= matches
-            self.collected = merged
-            self.phase = "done"
-            self.done = True
-        else:  # drop acknowledgements
-            self.phase = "done"
-            self.done = True
+        # else: drop acknowledgements
+        self.phase = "done"
 
     # -- internals -----------------------------------------------------
     def _end_sim_wave(self, incoming: List[Tuple[int, object]]) -> None:
@@ -723,49 +495,23 @@ class _Evaluation:
             not any(shard_sizes[u] for shard_sizes in self.sizes)  # type: ignore[index]
             for u in self.pattern.nodes()
         ):
-            self.empty = True
             self.phase = "drop"
         else:
-            self.phase = self.mode
+            self.phase = "edges"
 
     def _merge_edges(self, incoming: List[Tuple[int, object]]) -> None:
-        pattern = self.pattern
-        id_matches: IdEdgeMatches = {edge: {} for edge in pattern.edges()}
-        edge_matches: Dict[PEdge, Set[Tuple[Node, Node]]] = {
-            edge: set() for edge in pattern.edges()
-        }
-        node_matches: Dict[PNode, Set[Node]] = {
-            u: set() for u in pattern.nodes()
-        }
-        for _, shard_slice in incoming:
-            local_ids, local_pairs, local_nodes = shard_slice  # type: ignore[misc]
+        # Every slice covers every pattern node and edge; the first is
+        # adopted and the rest merge into it in place.  Source rows are
+        # owned by exactly one shard, so grouped ids merge by update.
+        (_, (result, id_matches, _)), *rest = incoming  # type: ignore[misc]
+        for _, (local, local_ids, _) in rest:  # type: ignore[misc]
             for edge, grouped in local_ids.items():
-                # Source rows are owned by exactly one shard: plain merge.
                 id_matches[edge].update(grouped)
-            for edge, pairs in local_pairs.items():
-                current_pairs = edge_matches[edge]
-                if current_pairs:
-                    current_pairs |= pairs
-                else:
-                    edge_matches[edge] = pairs
-            for u, nodes in local_nodes.items():
-                current_nodes = node_matches[u]
-                if current_nodes:
-                    current_nodes |= nodes
-                else:
-                    node_matches[u] = nodes
-        self.id_matches = id_matches
-        self.edge_matches = edge_matches
-        self.node_matches = node_matches
-
-    def outcome(self) -> Tuple[MatchResult, Optional[IdEdgeMatches]]:
-        """The finished ``edges``-mode evaluation: the result plus the
-        composite-id edge matches grouped by source id -- the form
-        extension rows are built from -- or ``None`` for them on a
-        failed match."""
-        if self.empty:
-            return MatchResult.empty(), None
-        return MatchResult(self.node_matches, self.edge_matches), self.id_matches
+            for edge, pairs in local.edge_matches.items():
+                result.edge_matches[edge] |= pairs
+            for u, nodes in local.node_matches.items():
+                result.node_matches[u] |= nodes
+        self.outcome = result, id_matches, None
 
 
 def _meter_psim(stats: PSimStats) -> None:
@@ -782,65 +528,43 @@ def _drive(evaluations: List[_Evaluation], runner: ShardRunner) -> None:
     Each wave gathers every active evaluation's tasks into a single
     ``runner.map`` call: one pool round-trip per wave regardless of how
     many patterns are in flight, and slow shards of one pattern overlap
-    with other patterns' work instead of idling the pool.
+    with other patterns' work instead of idling the pool.  If a wave
+    raises, every unfinished session is dropped from the (possibly
+    caller-owned) runner before the error propagates, so no fixpoint
+    state outlives its evaluation.
     """
-    remaining = [e for e in evaluations if not e.done]
+    remaining = [e for e in evaluations if e.phase != "done"]
     waves = 0
     total_tasks = 0
-    while remaining:
-        tasks: List[Tuple] = []
-        owners: List[_Evaluation] = []
-        for evaluation in remaining:
-            for task in evaluation.tasks():
-                tasks.append(task)
-                owners.append(evaluation)
-        waves += 1
-        total_tasks += len(tasks)
-        with trace.span("psim.wave", wave=waves, tasks=len(tasks)):
-            results = runner.map(tasks)
-        for owner, (index, payload) in zip(owners, results):
-            owner.absorb(index, payload)
-        for evaluation in remaining:
-            evaluation.end_wave()
-        remaining = [e for e in remaining if not e.done]
+    try:
+        while remaining:
+            tasks: List[Tuple] = []
+            owners: List[_Evaluation] = []
+            for evaluation in remaining:
+                for task in evaluation.tasks():
+                    tasks.append(task)
+                    owners.append(evaluation)
+            waves += 1
+            total_tasks += len(tasks)
+            with trace.span("psim.wave", wave=waves, tasks=len(tasks)):
+                results = runner.map(tasks)
+            for owner, (index, payload) in zip(owners, results):
+                owner.absorb(index, payload)
+            for evaluation in remaining:
+                evaluation.end_wave()
+            remaining = [e for e in remaining if e.phase != "done"]
+    except BaseException:
+        try:
+            runner.map([t for e in remaining for t in e.drop_tasks()])
+        except Exception:
+            log.warning(
+                "could not drop shard states after a failed wave", exc_info=True
+            )
+        raise
     # One registry write per drive, never per task (overhead budget).
     reg = get_registry()
     reg.counter("repro_psim_waves_total").inc(waves)
     reg.counter("repro_psim_tasks_total").inc(total_tasks)
-
-
-def partial_max_simulation(
-    pattern,
-    sharded: ShardedGraph,
-    executor: str = "serial",
-    workers: Optional[int] = None,
-    runner: Optional[ShardRunner] = None,
-) -> Optional[Dict[PNode, Set[Node]]]:
-    """The maximum simulation of ``pattern`` over a sharded graph,
-    computed by partial evaluation -- provably equal to single-machine
-    :func:`~repro.simulation.simulation.maximum_simulation` on the
-    unsharded graph (property-tested across partitioners).
-
-    Returns ``{u: matches}`` over original node keys with every set
-    nonempty, or ``None`` when the pattern has no match.
-    """
-    runner, owned = _resolve_runner(sharded, runner, executor, workers)
-    try:
-        evaluation = _Evaluation(
-            pattern, sharded, runner.new_session(), mode="collect"
-        )
-        with trace.span("psim", shards=sharded.num_shards) as psim_span:
-            _drive([evaluation], runner)
-            if psim_span is not None:
-                psim_span.set(
-                    rounds=evaluation.stats.rounds,
-                    invalidated=evaluation.stats.invalidated,
-                )
-        _meter_psim(evaluation.stats)
-    finally:
-        if owned:
-            runner.close()
-    return None if evaluation.empty else evaluation.collected
 
 
 def sharded_match_with_ids(
@@ -850,10 +574,10 @@ def sharded_match_with_ids(
     workers: Optional[int] = None,
     runner: Optional[ShardRunner] = None,
     stats_out: Optional[List[PSimStats]] = None,
-) -> Tuple[MatchResult, Optional[IdEdgeMatches]]:
-    """Evaluate ``Qs`` on a sharded graph; also return the composite
-    global-id edge matches grouped by source id (``None`` on a failed
-    match) -- built shard-side and merged with C-level updates."""
+) -> Outcome:
+    """Evaluate ``Qs`` on a sharded graph: the outcome in the sharded
+    graph's composite global-id space, its grouped edge matches built
+    shard-side and merged with C-level updates."""
     runner, owned = _resolve_runner(sharded, runner, executor, workers)
     try:
         evaluation = _Evaluation(pattern, sharded, runner.new_session())
@@ -870,7 +594,7 @@ def sharded_match_with_ids(
             runner.close()
     if stats_out is not None:
         stats_out.append(evaluation.stats)
-    return evaluation.outcome()
+    return evaluation.outcome
 
 
 def sharded_match(
@@ -882,16 +606,34 @@ def sharded_match(
 ) -> MatchResult:
     """Evaluate ``Qs`` on a sharded graph (the paper's Match, via
     partial evaluation); equal to ``match`` on the unsharded graph."""
-    result, _ = sharded_match_with_ids(
+    return sharded_match_with_ids(
+        pattern, sharded, executor=executor, workers=workers, runner=runner
+    )[0]
+
+
+def partial_max_simulation(
+    pattern,
+    sharded: ShardedGraph,
+    executor: str = "serial",
+    workers: Optional[int] = None,
+    runner: Optional[ShardRunner] = None,
+) -> Optional[Dict[PNode, Set[Node]]]:
+    """The node matches of :func:`sharded_match` -- equal to
+    single-machine
+    :func:`~repro.simulation.simulation.maximum_simulation` on the
+    unsharded graph -- or ``None`` when the pattern has no match."""
+    result = sharded_match(
         pattern, sharded, executor=executor, workers=workers, runner=runner
     )
-    return result
+    return result.node_matches or None
 
 
 # ----------------------------------------------------------------------
 # Bounded patterns over a sharded graph
 # ----------------------------------------------------------------------
-def sharded_bounded_match(pattern, sharded: ShardedGraph) -> MatchResult:
+def sharded_bounded_match_with_ids(
+    pattern, sharded: ShardedGraph, with_distances: bool = False
+) -> Outcome:
     """Evaluate ``Qb`` on a sharded graph (the paper's BMatch).
 
     Bounded simulation refines against *path* reachability, which does
@@ -901,8 +643,11 @@ def sharded_bounded_match(pattern, sharded: ShardedGraph) -> MatchResult:
     sharded graph's composite read API -- candidate seeding from the
     composite label index, and every forward distance question answered
     by the per-shard bounded BFS with ghost-distance stitching
-    (:meth:`ShardedGraph.descendants_within_ids`).  Equal to
-    ``bounded_match`` on the unsharded graph.
+    (:meth:`ShardedGraph.descendants_within_ids`).  The result equals
+    ``bounded_match`` on the unsharded graph; the id components use the
+    composite global-id space, ``id_distances`` (only
+    ``with_distances``) being the index ``I(V)``: pair -> shortest
+    distance, minimized across view edges.
     """
     from repro.simulation.bounded import (
         bounded_edge_matches,
@@ -911,42 +656,25 @@ def sharded_bounded_match(pattern, sharded: ShardedGraph) -> MatchResult:
 
     sim = maximum_bounded_simulation(pattern, sharded)
     if sim is None:
-        return MatchResult.empty()
-    edge_matches = bounded_edge_matches(pattern, sharded, sim)
-    return MatchResult(sim, edge_matches)
-
-
-def sharded_bounded_match_with_ids(pattern, sharded: ShardedGraph):
-    """Full bounded evaluation with the composite-id extension payload.
-
-    Returns ``(result, id_matches, id_distances)`` where the id
-    components use the sharded graph's composite global-id space:
-    ``id_matches`` grouped by source id, ``id_distances`` the id-space
-    distance index ``I(V)`` (pair -> shortest distance, minimized
-    across view edges).  Both are ``None`` on a failed match.
-    """
-    from repro.simulation.bounded import (
-        bounded_edge_matches,
-        maximum_bounded_simulation,
+        return no_match()
+    per_edge = bounded_edge_matches(
+        pattern, sharded, sim, with_distances=with_distances
     )
-
-    sim = maximum_bounded_simulation(pattern, sharded)
-    if sim is None:
-        return MatchResult.empty(), None, None
-    per_edge = bounded_edge_matches(pattern, sharded, sim, with_distances=True)
-    id_of = sharded.id_of
+    id_of = {v: sharded.id_of(v) for v in set().union(*sim.values())}
     id_matches: IdEdgeMatches = {}
-    id_distances: Dict[Tuple[int, int], int] = {}
-    edge_matches = {}
-    for edge, pair_distances in per_edge.items():
+    id_distances: Optional[Dict[Tuple[int, int], int]] = (
+        {} if with_distances else None
+    )
+    for edge, pairs in per_edge.items():
         grouped: Dict[int, Set[int]] = {}
-        for (v, w), d in pair_distances.items():
-            vi, wi = id_of(v), id_of(w)
-            grouped.setdefault(vi, set()).add(wi)
-            key = (vi, wi)
-            previous = id_distances.get(key)
-            if previous is None or d < previous:
-                id_distances[key] = d
+        for pair in pairs:
+            key = (id_of[pair[0]], id_of[pair[1]])
+            grouped.setdefault(key[0], set()).add(key[1])
+            if id_distances is not None:
+                d = pairs[pair]
+                previous = id_distances.get(key)
+                if previous is None or d < previous:
+                    id_distances[key] = d
         id_matches[edge] = grouped
-        edge_matches[edge] = set(pair_distances)
+    edge_matches = {edge: set(pairs) for edge, pairs in per_edge.items()}
     return MatchResult(sim, edge_matches), id_matches, id_distances

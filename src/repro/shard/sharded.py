@@ -641,6 +641,16 @@ class ShardedGraph:
         (every shard seeds its ghosts as assumptions)."""
         return sum(shard.candidate_bound(condition) for shard in self._shards)
 
+    def evaluate_ids(self, pattern, bounded: bool, distances: bool):
+        """The hook :func:`repro.simulation.simulation.evaluate` finds:
+        ``match`` / ``bounded_match`` / ``materialize`` on a sharded
+        graph run the partial-evaluation engines, in composite ids."""
+        from repro.shard import psim
+
+        if bounded:
+            return psim.sharded_bounded_match_with_ids(pattern, self, distances)
+        return psim.sharded_match_with_ids(pattern, self)
+
     # ------------------------------------------------------------------
     # Traversal helpers (same contract as DataGraph)
     # ------------------------------------------------------------------

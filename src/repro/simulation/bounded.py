@@ -16,26 +16,22 @@ its index ``I(V)``.
 
 Like :func:`repro.simulation.simulation.match`, the entry points are
 backend-generic: candidates seed from whatever label index the target
-provides, frozen :class:`~repro.graph.compact.CompactGraph` targets
-dispatch to the integer-id engine in
-:mod:`repro.simulation.compact_bounded`, and
-:class:`~repro.shard.sharded.ShardedGraph` targets run the generic
+provides, and targets with an id space go through
+:func:`repro.simulation.simulation.evaluate` -- frozen
+:class:`~repro.graph.compact.CompactGraph` targets to the integer-id
+engine in :mod:`repro.simulation.compact_bounded`,
+:class:`~repro.shard.sharded.ShardedGraph` targets to the generic
 engine over the composite read API (whose bounded BFS stitches across
 shards at ghost nodes).  Results are equal on every backend.
 """
 
 from __future__ import annotations
 
-import sys
 from typing import Dict, Hashable, Optional, Set, Tuple
 
-from repro.graph.compact import CompactGraph
 from repro.graph.digraph import DataGraph
 from repro.graph.pattern import ANY, BoundedPattern
-from repro.simulation.compact_bounded import (
-    compact_bounded_match,
-    compact_maximum_bounded_simulation,
-)
+from repro.simulation.simulation import evaluate
 from repro.simulation.distance import (
     BoundedDistanceCache,
     reverse_reachable_within,
@@ -137,13 +133,9 @@ def bounded_match(pattern: BoundedPattern, graph: DataGraph) -> MatchResult:
     integer-id fast path, sharded graphs the ghost-stitched BFS path,
     and all produce an equal result.
     """
-    if isinstance(graph, CompactGraph):
-        return compact_bounded_match(pattern, graph)
-    shard_module = sys.modules.get("repro.shard.sharded")
-    if shard_module is not None and isinstance(graph, shard_module.ShardedGraph):
-        from repro.shard.psim import sharded_bounded_match
-
-        return sharded_bounded_match(pattern, graph)
+    evaluated = evaluate(pattern, graph, bounded=True)
+    if evaluated is not None:
+        return evaluated[0]
     sim = maximum_bounded_simulation(pattern, graph)
     if sim is None:
         return MatchResult.empty()
@@ -157,10 +149,10 @@ def bounded_match_with_distances(
     """Like :func:`bounded_match` but also return per-pair distances.
 
     Used by view materialization: the second component feeds the
-    distance index ``I(V)`` of Section VI-A.  Snapshot-specific fast
-    paths live in :mod:`repro.simulation.compact_bounded` and the shard
-    layer; this entry point runs the generic engine over whatever
-    backend it is handed (all backends expose the required read API).
+    distance index ``I(V)`` of Section VI-A.  Id-space backends answer
+    the same question through :func:`repro.simulation.simulation.evaluate`;
+    this entry point runs the generic engine over whatever backend it
+    is handed (all backends expose the required read API).
     """
     sim = maximum_bounded_simulation(pattern, graph)
     if sim is None:
@@ -172,6 +164,4 @@ def bounded_match_with_distances(
 
 def bounded_simulates(pattern: BoundedPattern, graph: DataGraph) -> bool:
     """``Qb E_Bsim G``: does ``G`` match ``Qb`` via bounded simulation?"""
-    if isinstance(graph, CompactGraph):
-        return compact_maximum_bounded_simulation(pattern, graph) is not None
-    return maximum_bounded_simulation(pattern, graph) is not None
+    return bool(bounded_match(pattern, graph))

@@ -7,7 +7,7 @@ as the generic BMatch engine, but entirely in the snapshot's dense id
 space:
 
 * candidate sets are sets of ints seeded from the snapshot's candidate index
-  (:func:`~repro.simulation.compact_engine.compact_candidates`);
+  (:func:`~repro.simulation.compact_engine.seed_ids`);
 * the refinement's "which nodes can reach the current match set of u'
   within k hops?" question is answered by the snapshot's multi-source
   reverse bounded BFS (:meth:`CompactGraph.reverse_within_ids`), whose
@@ -33,14 +33,15 @@ from typing import Dict, Hashable, Optional, Set, Tuple
 from repro.graph.compact import CompactGraph
 from repro.graph.pattern import ANY
 from repro.obs.metrics import get_registry
-
-log = logging.getLogger(__name__)
 from repro.simulation.compact_engine import (
     IdEdgeMatches,
-    compact_candidates,
-    decode_edge_matches,
+    Outcome,
+    decode_outcome,
+    no_match,
+    seed_ids,
 )
-from repro.simulation.result import MatchResult
+
+log = logging.getLogger(__name__)
 
 PNode = Hashable
 PEdge = Tuple[PNode, PNode]
@@ -111,8 +112,8 @@ def compact_maximum_bounded_simulation(
     over CSR rows.  Returns ``{u: ids}`` with every set nonempty, or
     ``None`` on no match.
     """
-    sim = compact_candidates(pattern, graph)
-    if sim is None:
+    sim = seed_ids(pattern, graph)
+    if not all(sim.values()):
         return None
     queue = deque(pattern.edges())
     queued = set(queue)
@@ -179,68 +180,46 @@ def compact_bounded_edge_matches(
         u, u1 = edge
         bound = pattern.bound(edge)
         targets = sim[u1]
+        # Distances for * edges are shortest-path hops: the full-depth
+        # BFS both enumerates the reachable set and carries them, so
+        # one traversal does; without an index plain reachability will.
+        reach_only = bound is ANY and index is None
+        depth = graph.num_nodes if bound is ANY else bound
         grouped: Dict[int, Set[int]] = {}
         for v in sim[u]:
-            if bound is ANY:
-                if index is not None:
-                    # Distances for * edges are shortest-path hops: the
-                    # full-depth BFS both enumerates the reachable set
-                    # and carries the distances, so one traversal does.
-                    dist = cache.descendants(v, graph.num_nodes)
-                    witnesses = targets.intersection(dist)
-                    if not witnesses:
-                        continue
-                    grouped[v] = witnesses
-                    for w in witnesses:
-                        key = (v, w)
-                        d = dist[w]
-                        previous = index.get(key)
-                        if previous is None or d < previous:
-                            index[key] = d
-                    continue
+            if reach_only:
                 witnesses = cache.reachable(v) & targets
-                if not witnesses:
-                    continue
-                grouped[v] = witnesses
             else:
-                dist = cache.descendants(v, bound)
+                dist = cache.descendants(v, depth)
                 witnesses = targets.intersection(dist)
-                if not witnesses:
-                    continue
-                grouped[v] = witnesses
-                if index is not None:
-                    for w in witnesses:
-                        key = (v, w)
-                        d = dist[w]
-                        previous = index.get(key)
-                        if previous is None or d < previous:
-                            index[key] = d
+            if not witnesses:
+                continue
+            grouped[v] = witnesses
+            if index is not None:
+                for w in witnesses:
+                    # I(V) keeps the smaller distance across view edges.
+                    key = (v, w)
+                    d = dist[w]
+                    previous = index.get(key)
+                    if previous is None or d < previous:
+                        index[key] = d
         matches[edge] = grouped
     return matches, index
 
 
 def compact_bounded_match_with_ids(
     pattern, graph: CompactGraph, with_distances: bool = False
-) -> Tuple[MatchResult, Optional[IdEdgeMatches], Optional[IdDistances]]:
-    """Evaluate ``Qb`` on a snapshot; also return the id-space payload.
+) -> Outcome:
+    """Evaluate ``Qb`` on a snapshot.
 
-    The second and third components feed the compact extension payload
-    bounded view materialization stores (``None`` on a failed match, and
-    the distance index only with ``with_distances=True``).
+    The id components feed the extension payload bounded view
+    materialization stores; the distance index only with
+    ``with_distances=True``.
     """
     sim = compact_maximum_bounded_simulation(pattern, graph)
     if sim is None:
-        return MatchResult.empty(), None, None
+        return no_match()
     id_matches, index = compact_bounded_edge_matches(
         pattern, graph, sim, with_distances=with_distances
     )
-    decode = graph.node_table.__getitem__
-    node_matches = {u: set(map(decode, ids)) for u, ids in sim.items()}
-    result = MatchResult(node_matches, decode_edge_matches(id_matches, graph))
-    return result, id_matches, index
-
-
-def compact_bounded_match(pattern, graph: CompactGraph) -> MatchResult:
-    """Evaluate ``Qb`` on a snapshot via the id-space fast path."""
-    result, _, _ = compact_bounded_match_with_ids(pattern, graph)
-    return result
+    return decode_outcome(graph, sim, id_matches, id_distances=index)

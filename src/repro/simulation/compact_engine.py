@@ -1,9 +1,12 @@
-"""Integer-id simulation engine for :class:`CompactGraph` snapshots.
+"""The id-space Match kernel: one witness-counter fixpoint, one extractor.
 
-This is the fast path behind :func:`repro.simulation.simulation.match`
-when the target is a frozen snapshot.  It runs the same counter-based
-worklist refinement as the generic engine, but entirely in the
-snapshot's dense id space:
+Every direct evaluation of a plain pattern against a frozen
+:class:`~repro.graph.compact.CompactGraph` -- a whole-graph snapshot
+behind :func:`repro.simulation.simulation.match`, or one shard of a
+:class:`~repro.shard.sharded.ShardedGraph` behind
+:mod:`repro.shard.psim` -- runs :func:`witness_fixpoint` and reads the
+answer off with :func:`extract`, entirely in the snapshot's dense id
+space:
 
 * candidate sets are sets of ints seeded from the snapshot's label
   buckets and attribute columns
@@ -15,18 +18,21 @@ snapshot's dense id space:
   instead of a Python loop over successors;
 * the per-edge match sets come out grouped by source id
   (``{v: {w...}}``), which is exactly the indexed form view
-  materialization stores for the MatchJoin fast path.
+  materialization flattens into extension rows.
 
 Results decode back to original node keys at the very end, so a
 :class:`MatchResult` from this engine is equal (``==``) to one computed
-on the mutable dict backend.
+on the mutable dict backend.  Every id-space evaluation -- here, in
+:mod:`repro.simulation.compact_bounded` and in the shard layer --
+returns the same *outcome*: ``(result, id_matches, id_distances)``,
+``(MatchResult.empty(), None, None)`` on a failed match.
 """
 
 from __future__ import annotations
 
 import logging
 from itertools import repeat
-from typing import Dict, Hashable, Optional, Set, Tuple
+from typing import Dict, Hashable, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.graph.compact import CompactGraph
 from repro.obs import trace
@@ -35,22 +41,25 @@ from repro.simulation.result import MatchResult
 
 log = logging.getLogger(__name__)
 
-
-def _meter_refinement(batches: int, removed: int) -> None:
-    """One registry write per fixpoint run (hot-kernel discipline: the
-    loop aggregates in local ints, never per-removal)."""
-    reg = get_registry()
-    reg.counter("repro_sim_batches_total").inc(batches)
-    reg.counter("repro_sim_removals_total").inc(removed)
-
 PNode = Hashable
 PEdge = Tuple[PNode, PNode]
 
+#: Id-space candidate sets: ``{pattern node: set of ids}``.
+IdSim = Dict[PNode, Set[int]]
 #: Id-space edge matches: ``{pattern edge: {source id: set of target ids}}``.
 IdEdgeMatches = Dict[PEdge, Dict[int, Set[int]]]
+#: What every id-space evaluation returns.
+Outcome = Tuple[
+    MatchResult, Optional[IdEdgeMatches], Optional[Dict[Tuple[int, int], int]]
+]
 
 
-def seed_ids(pattern, graph: CompactGraph) -> Dict[PNode, Set[int]]:
+def no_match() -> Outcome:
+    """The outcome of a failed evaluation, ``Qs(G) = {}``."""
+    return MatchResult.empty(), None, None
+
+
+def seed_ids(pattern, graph: CompactGraph) -> IdSim:
     """Id-space candidates of every pattern node, from the snapshot's
     candidate index.  One ``seed`` span and one registry write per run
     (the index itself counts what it had to scan)."""
@@ -64,56 +73,44 @@ def seed_ids(pattern, graph: CompactGraph) -> Dict[PNode, Set[int]]:
     return sim
 
 
-def compact_candidates(
-    pattern, graph: CompactGraph
-) -> Optional[Dict[PNode, Set[int]]]:
-    """:func:`seed_ids`, or ``None`` when some pattern node has no
-    candidate (the pattern cannot match)."""
-    sim = seed_ids(pattern, graph)
-    return sim if all(sim.values()) else None
+def _meter_refinement(batches: int, removed: int) -> None:
+    """One registry write per fixpoint run, wherever it runs (hot-kernel
+    discipline: the loop aggregates in local ints, never per removal)."""
+    reg = get_registry()
+    reg.counter("repro_sim_batches_total").inc(batches)
+    reg.counter("repro_sim_removals_total").inc(removed)
 
 
-def refine_batch(
-    affected: Set[int],
-    succ,
-    edge_counter: Dict[int, int],
-    intersect_targets,
-    intersect_removed,
-) -> Set[int]:
-    """One witness-counter refinement step over a removal batch.
+class FixpointState(NamedTuple):
+    """A (kept) fixpoint of one pattern over one snapshot.
 
-    The shared inner kernel of every counter-based fixpoint in the
-    repository (:func:`compact_maximum_simulation` here, the shard
-    -local fixpoint in :mod:`repro.shard.psim`): for each affected
-    candidate, either materialize its counter lazily (one C-level
-    intersection of its adjacency row against the current target set)
-    or decrement it by the batch overlap, and collect the candidates
-    whose last witness just left.  ``intersect_targets`` /
-    ``intersect_removed`` are bound ``set.intersection`` methods, so
-    the caller controls exactly which target universe counts (the
-    single-machine engine passes ``sim(u1)`` ∪ still-queued ids, the
-    sharded engine its ``full`` internal-plus-ghost sets).
+    ``sim[u]`` holds the refinable candidates (ids below ``own``),
+    ``full[u]`` every witness-counting target -- ``sim[u]`` plus the
+    *assumed* ids at or above ``own`` -- and ``counters`` the lazily
+    materialized witness counts.  All three only shrink, so a kept
+    state re-entered with a withdrawal batch is a decrement cascade
+    over the affected area, never a recount.  On a snapshot without
+    ghosts ``full`` *is* ``sim`` (the same dict).
     """
-    newly: Set[int] = set()
-    for v in affected:
-        count = edge_counter.get(v)
-        if count is None:
-            count = len(intersect_targets(succ[v]))
-        else:
-            count -= len(intersect_removed(succ[v]))
-        edge_counter[v] = count
-        if count == 0:
-            newly.add(v)
-    return newly
+
+    sim: IdSim
+    full: IdSim
+    counters: Dict[PEdge, Dict[int, int]]
 
 
-def compact_maximum_simulation(
-    pattern, graph: CompactGraph
-) -> Optional[Dict[PNode, Set[int]]]:
-    """Maximum simulation of ``pattern`` over a snapshot, in id space.
+def witness_fixpoint(
+    pattern,
+    snapshot: CompactGraph,
+    own: int,
+    state: Optional[FixpointState] = None,
+    withdrawn: Optional[IdSim] = None,
+    pruned: Optional[IdSim] = None,
+) -> Optional[FixpointState]:
+    """The greatest simulation fixpoint of ``pattern`` over ``snapshot``.
 
-    The refinement is the usual witness-counter fixpoint with two
-    layout-enabled twists:
+    The usual witness-counter refinement (drop a candidate with no
+    surviving witness for some pattern edge) with two layout-enabled
+    twists:
 
     * removals propagate in *batches* -- all ids that left ``sim(u1)``
       since the last visit are processed together, so each affected
@@ -129,43 +126,70 @@ def compact_maximum_simulation(
     is unchanged -- only the constant factor moves out of the
     interpreter.
 
-    Returns ``{u: ids}`` with every set nonempty, or ``None`` when the
-    pattern has no match.
+    The shard contract is the only generalisation.  Ids at or above
+    ``own`` are *assumed*: they witness pattern edges like any
+    candidate but are never refined here (a shard's ghosts, whose
+    status is the coordinator's to decide).  A first run (``state is
+    None``) seeds from the candidate index; a re-run continues a kept
+    ``state`` from the ``withdrawn`` assumptions, which enter as
+    ordinary removal batches (the kernel consumes the sets).  A caller
+    that passes ``pruned`` gets the ids this run removed, per pattern
+    node -- the delta a coordinator turns into withdrawals elsewhere --
+    and emptied sets do not end the run: matches may live in another
+    shard.  Without a consumer for removals the snapshot is the whole
+    graph, so the first emptied set is a failed match and the run
+    returns ``None`` at once.  Whether there are assumed ids at all is
+    read off the snapshot (``own == snapshot.num_nodes``: no split
+    pass, ``full`` aliases ``sim``), never passed in.
     """
-    sim = compact_candidates(pattern, graph)
-    if sim is None:
-        return None
-    succ = graph.succ_rows
-    pred = graph.pred_rows
-
-    # pending[u] accumulates ids removed from sim(u) whose departure has
-    # not yet been propagated to the predecess*or* pattern nodes.
-    pending: Dict[PNode, Set[int]] = {}
-    counters: Dict[PEdge, Dict[int, int]] = {}
-    for u in pattern.nodes():
-        doomed: Set[int] = set()
-        for u1 in pattern.successors(u):
-            counters[(u, u1)] = {}
-            no_witness = sim[u1].isdisjoint
-            doomed.update(v for v in sim[u] if no_witness(succ[v]))
-        if doomed:
-            sim[u] -= doomed
-            if not sim[u]:
-                return None
-            pending[u] = doomed
+    succ = snapshot.succ_rows
+    pred = snapshot.pred_rows
+    ghosts = own < snapshot.num_nodes
+    # pending[u] accumulates ids that left full(u) and whose departure
+    # has not yet been propagated to the predecessor pattern nodes.
+    pending: IdSim = {}
+    if state is None:
+        full = seed_ids(pattern, snapshot)
+        sim = full
+        if ghosts:
+            sim = {u: {i for i in ids if i < own} for u, ids in full.items()}
+        if pruned is None and not all(sim.values()):
+            return None
+        state = FixpointState(sim, full, {edge: {} for edge in pattern.edges()})
+        for u in pattern.nodes():
+            doomed: Set[int] = set()
+            for u1 in pattern.successors(u):
+                no_witness = full[u1].isdisjoint
+                doomed.update(v for v in sim[u] if no_witness(succ[v]))
+            if doomed:
+                sim[u] -= doomed
+                if ghosts:
+                    full[u] -= doomed
+                if pruned is not None:
+                    pruned[u] = set(doomed)
+                elif not sim[u]:
+                    return None
+                pending[u] = doomed
+    else:
+        sim = state.sim
+        full = state.full
+        for u, refuted in withdrawn.items():
+            full[u] -= refuted
+            pending[u] = refuted
+    counters = state.counters
 
     batches = 0
-    removed_total = 0
+    removals = 0
     while pending:
         u1, removed = pending.popitem()
         batches += 1
-        removed_total += len(removed)
+        removals += len(removed)
         # Candidates that might have lost a witness: predecessors of any
         # removed id.
         touched = set().union(*map(pred.__getitem__, removed))
         if not touched:
             continue
-        intersect_removed = removed.intersection
+        lost = removed.intersection
         for u in pattern.predecessors(u1):
             candidates = sim[u]
             affected = candidates & touched
@@ -173,88 +197,101 @@ def compact_maximum_simulation(
                 continue
             # A counter materialized mid-propagation must count every
             # witness whose departure has not been *processed* yet:
-            # sim(u1) plus anything still queued for u1 (a self-loop
+            # full(u1) plus anything still queued for u1 (a self-loop
             # pattern edge can re-queue ids for u1 during this very
             # pop).  The current batch is excluded from both, so it
             # needs no decrement on a fresh counter; queued ids will
             # decrement exactly once when their own batch pops.
-            queued_for_u1 = pending.get(u1)
-            if queued_for_u1:
-                intersect_targets = (sim[u1] | queued_for_u1).intersection
-            else:
-                intersect_targets = sim[u1].intersection
-            newly = refine_batch(
-                affected,
-                succ,
-                counters[(u, u1)],
-                intersect_targets,
-                intersect_removed,
-            )
-            if newly:
-                candidates -= newly
-                if not candidates:
-                    _meter_refinement(batches, removed_total)
-                    return None
-                queued = pending.get(u)
-                if queued is None:
-                    pending[u] = newly
+            queued = pending.get(u1)
+            witnesses = ((full[u1] | queued) if queued else full[u1]).intersection
+            edge_counter = counters[(u, u1)]
+            newly: Set[int] = set()
+            for v in affected:
+                count = edge_counter.get(v)
+                if count is None:
+                    count = len(witnesses(succ[v]))
                 else:
-                    queued |= newly
-    _meter_refinement(batches, removed_total)
-    return sim
+                    count -= len(lost(succ[v]))
+                edge_counter[v] = count
+                if count == 0:
+                    newly.add(v)
+            if not newly:
+                continue
+            candidates -= newly
+            if ghosts:
+                full[u] -= newly
+            if pruned is not None:
+                gone = pruned.get(u)
+                if gone is None:
+                    pruned[u] = set(newly)
+                else:
+                    gone |= newly
+            elif not candidates:
+                _meter_refinement(batches, removals)
+                return None
+            queued = pending.get(u)
+            if queued is None:
+                pending[u] = newly
+            else:
+                queued |= newly
+    _meter_refinement(batches, removals)
+    return state
 
 
-def compact_edge_matches(
-    pattern, graph: CompactGraph, sim: Dict[PNode, Set[int]]
-) -> IdEdgeMatches:
-    """Per-edge match sets in id space, grouped by source id."""
-    succ = graph.succ_rows
-    matches: IdEdgeMatches = {}
+def decode_outcome(
+    snapshot: CompactGraph,
+    sim: IdSim,
+    grouped: IdEdgeMatches,
+    global_row: Optional[Sequence[int]] = None,
+    id_distances: Optional[Dict[Tuple[int, int], int]] = None,
+) -> Outcome:
+    """Package surviving candidates and their grouped edge matches as
+    an outcome: node sets and pair sets decode to node keys through the
+    snapshot's own table (a ghost carries its key), and ``global_row``
+    -- a shard's local -> composite id map -- moves the grouped ids
+    into the id space extension rows are written in."""
+    decode = snapshot.node_table.__getitem__
+    edge_matches: Dict[PEdge, Set[Tuple]] = {}
+    for edge, rows in grouped.items():
+        pairs: Set[Tuple] = set()
+        for v, targets in rows.items():
+            pairs.update(zip(repeat(decode(v)), map(decode, targets)))
+        edge_matches[edge] = pairs
+    node_matches = {u: set(map(decode, ids)) for u, ids in sim.items()}
+    if global_row is not None:
+        to_global = global_row.__getitem__
+        grouped = {
+            edge: {to_global(v): set(map(to_global, ws)) for v, ws in rows.items()}
+            for edge, rows in grouped.items()
+        }
+    return MatchResult(node_matches, edge_matches), grouped, id_distances
+
+
+def extract(
+    pattern,
+    snapshot: CompactGraph,
+    state: FixpointState,
+    global_row: Optional[Sequence[int]] = None,
+) -> Outcome:
+    """The outcome of a finished fixpoint: for every pattern edge the
+    surviving candidates' adjacency rows cut to the surviving targets
+    (at the fixpoint every candidate has a witness, and the surviving
+    assumptions are exactly the true boundary matches, so assumed
+    witnesses are emitted like internal ones)."""
+    succ = snapshot.succ_rows
+    sim = state.sim
+    grouped: IdEdgeMatches = {}
     for edge in pattern.edges():
         u, u1 = edge
-        intersect = sim[u1].intersection
-        grouped: Dict[int, Set[int]] = {}
-        for v in sim[u]:
-            witnesses = intersect(succ[v])
-            if witnesses:
-                grouped[v] = witnesses
-        matches[edge] = grouped
-    return matches
+        witnesses = state.full[u1].intersection
+        grouped[edge] = {v: witnesses(succ[v]) for v in sim[u]}
+    return decode_outcome(snapshot, sim, grouped, global_row)
 
 
-def decode_edge_matches(
-    id_matches: IdEdgeMatches, graph: CompactGraph
-) -> Dict[PEdge, Set[Tuple]]:
-    """Translate id-space edge matches back to node-key pair sets."""
-    nodes = graph.node_table
-    decode = nodes.__getitem__
-    decoded: Dict[PEdge, Set[Tuple]] = {}
-    for edge, grouped in id_matches.items():
-        pairs: Set[Tuple] = set()
-        for v, targets in grouped.items():
-            pairs.update(zip(repeat(nodes[v]), map(decode, targets)))
-        decoded[edge] = pairs
-    return decoded
-
-
-def compact_match_with_ids(
-    pattern, graph: CompactGraph
-) -> Tuple[MatchResult, Optional[IdEdgeMatches]]:
-    """Evaluate ``Qs`` on a snapshot; also return the id-space matches.
-
-    The second component feeds the compact extension payload view
-    materialization stores (``None`` on a failed match).
-    """
-    sim = compact_maximum_simulation(pattern, graph)
-    if sim is None:
-        return MatchResult.empty(), None
-    id_matches = compact_edge_matches(pattern, graph, sim)
-    decode = graph.node_table.__getitem__
-    node_matches = {u: set(map(decode, ids)) for u, ids in sim.items()}
-    return MatchResult(node_matches, decode_edge_matches(id_matches, graph)), id_matches
-
-
-def compact_match(pattern, graph: CompactGraph) -> MatchResult:
-    """Evaluate ``Qs`` on a snapshot via the id-space fast path."""
-    result, _ = compact_match_with_ids(pattern, graph)
-    return result
+def compact_match_with_ids(pattern, graph: CompactGraph) -> Outcome:
+    """Evaluate ``Qs`` on a whole-graph snapshot: the kernel's no-ghost
+    case."""
+    state = witness_fixpoint(pattern, graph, graph.num_nodes)
+    if state is None:
+        return no_match()
+    return extract(pattern, graph, state)

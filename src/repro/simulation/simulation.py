@@ -17,21 +17,20 @@ over ``Qs`` treated as a data graph using condition *implication* --
 both go through :func:`maximum_simulation`.  And it is generic over the
 *graph backend*: with no explicit ``compatible`` test, candidates are
 seeded from the target's label index
-(:func:`~repro.simulation.seeding.condition_candidates`), and
-:func:`match` dispatches frozen
-:class:`~repro.graph.compact.CompactGraph` targets to the integer-id
-fast path in :mod:`repro.simulation.compact_engine`.
+(:func:`~repro.simulation.seeding.condition_candidates`), and targets
+with an id space (frozen snapshots, sharded graphs) are answered by
+:func:`evaluate`, the one backend dispatch ``match``, ``bounded_match``
+and view materialization share.
 """
 
 from __future__ import annotations
 
-import sys
 from collections import deque
 from typing import TYPE_CHECKING, Callable, Dict, Hashable, Optional, Set
 
 from repro.graph.compact import CompactGraph
 from repro.graph.pattern import Pattern
-from repro.simulation.compact_engine import compact_match
+from repro.simulation.compact_engine import Outcome, compact_match_with_ids
 from repro.simulation.result import MatchResult, edge_matches_from_nodes
 
 if TYPE_CHECKING:
@@ -120,6 +119,34 @@ def maximum_simulation(
     return sim
 
 
+def evaluate(
+    pattern, graph, bounded: bool = False, distances: bool = False
+) -> Optional[Outcome]:
+    """The backend dispatch of direct evaluation: the id-space outcome
+    ``(result, id_matches, id_distances)`` of ``pattern`` on ``graph``
+    -- bounded simulation when ``bounded``, with the distance index
+    ``I(V)`` when ``distances`` -- or ``None`` when ``graph`` has no id
+    space (a live dict graph; the caller runs the reference engine).
+
+    A frozen :class:`CompactGraph` runs this package's id-space
+    engines.  Any other graph plugs in by carrying an
+    ``evaluate_ids(pattern, bounded, distances)`` method
+    (:class:`~repro.shard.sharded.ShardedGraph` does), so layers above
+    this one are reached through the graph they built, never imported
+    or probed for here.
+    """
+    if isinstance(graph, CompactGraph):
+        if bounded:
+            from repro.simulation.compact_bounded import (
+                compact_bounded_match_with_ids,
+            )
+
+            return compact_bounded_match_with_ids(pattern, graph, distances)
+        return compact_match_with_ids(pattern, graph)
+    hook = getattr(graph, "evaluate_ids", None)
+    return None if hook is None else hook(pattern, bounded, distances)
+
+
 def match(pattern: Pattern, graph: DataGraph) -> MatchResult:
     """Evaluate ``Qs`` on ``G`` via graph simulation (the paper's Match).
 
@@ -131,16 +158,9 @@ def match(pattern: Pattern, graph: DataGraph) -> MatchResult:
     ``{(e, Se)}`` as a :class:`MatchResult`; the empty result when
     ``G`` does not match.
     """
-    if isinstance(graph, CompactGraph):
-        return compact_match(pattern, graph)
-    # The shard layer sits above this module; if it was never imported,
-    # graph cannot be a ShardedGraph, so a sys.modules probe keeps the
-    # dispatch cycle-free and costs one dict lookup.
-    shard_module = sys.modules.get("repro.shard.sharded")
-    if shard_module is not None and isinstance(graph, shard_module.ShardedGraph):
-        from repro.shard.psim import sharded_match
-
-        return sharded_match(pattern, graph)
+    evaluated = evaluate(pattern, graph)
+    if evaluated is not None:
+        return evaluated[0]
     sim = maximum_simulation(pattern, graph)
     if sim is None:
         return MatchResult.empty()

@@ -24,12 +24,11 @@ intact).
 
 from __future__ import annotations
 
-import sys
 from typing import TYPE_CHECKING, Dict, Hashable, Optional, Set, Tuple
 
-from repro.graph.compact import CompactGraph
 from repro.graph.pattern import BoundedPattern, Pattern
-from repro.simulation.compact_engine import IdEdgeMatches, compact_match_with_ids
+from repro.simulation.simulation import evaluate
+from repro.simulation.compact_engine import IdEdgeMatches
 from repro.simulation.simulation import match as _match
 from repro.views.flatpack import FlatExtension, _LazyDistances, _PerEdgeLazy
 
@@ -224,24 +223,11 @@ def materialize(definition: ViewDefinition, graph: DataGraph) -> MaterializedVie
     (composite ids for sharded graphs, computed shard by shard).
     """
     pattern = definition.pattern
-    # Shard layer dispatch (sys.modules probe: if the shard subpackage
-    # was never imported, graph cannot be a ShardedGraph).
-    shard_module = sys.modules.get("repro.shard.sharded")
-    if shard_module is not None and isinstance(graph, shard_module.ShardedGraph):
-        from repro.shard.materialize import materialize_view
-
-        return materialize_view(definition, graph)
-    if isinstance(pattern, BoundedPattern):
-        if isinstance(graph, CompactGraph):
-            from repro.simulation.compact_bounded import (
-                compact_bounded_match_with_ids,
-            )
-
-            return snapshot_extension(
-                definition,
-                graph,
-                *compact_bounded_match_with_ids(pattern, graph, with_distances=True),
-            )
+    bounded = definition.is_bounded
+    evaluated = evaluate(pattern, graph, bounded=bounded, distances=bounded)
+    if evaluated is not None:
+        return snapshot_extension(definition, graph, *evaluated)
+    if bounded:
         from repro.simulation.bounded import bounded_match_with_distances
 
         result, per_edge_distances = bounded_match_with_distances(pattern, graph)
@@ -258,10 +244,6 @@ def materialize(definition: ViewDefinition, graph: DataGraph) -> MaterializedVie
                 if previous is None or distance < previous:
                     index[pair] = distance
         return MaterializedView(definition, result.edge_matches, distances=index)
-    if isinstance(graph, CompactGraph):
-        return snapshot_extension(
-            definition, graph, *compact_match_with_ids(pattern, graph)
-        )
     result = _match(pattern, graph)
     if not result:
         return MaterializedView(

@@ -156,22 +156,58 @@ def test_sharded_boot_loads_only_what_it_runs(tmp_path):
     assert not hits, hits
 
 
-def test_shard_dispatch_probes_see_a_lazily_imported_shard_layer():
-    # match()/bounded_match()/materialize() find a ShardedGraph through
-    # sys.modules["repro.shard.sharded"]; the lazy package __init__ must
-    # not hide it (only the submodule is imported here, never
-    # ``repro.shard``'s re-exports).
+def test_shard_dispatch_reaches_a_lazily_imported_shard_layer():
+    # match()/bounded_match()/materialize() reach a ShardedGraph through
+    # the method it carries (``evaluate_ids``), found by the one dispatch
+    # in repro.simulation.simulation.evaluate.  Only the submodule is
+    # imported here, never ``repro.shard``'s re-exports: the engines in
+    # repro.shard.psim load when the graph is first evaluated.
     _, stdout = _loaded_after(
         "from repro.graph.digraph import DataGraph\n"
-        "from repro.graph.pattern import Pattern\n"
+        "from repro.graph.pattern import BoundedPattern, Pattern\n"
         "from repro.shard.sharded import ShardedGraph\n"
+        "from repro.simulation.bounded import bounded_match, bounded_simulates\n"
         "from repro.simulation.simulation import match\n"
+        "from repro.views.view import ViewDefinition, materialize\n"
+        "g = DataGraph()\n"
+        "g.add_node('a', labels='A'); g.add_node('b', labels='B')\n"
+        "g.add_edge('a', 'b')\n"
+        "sharded = ShardedGraph(g, num_shards=2)\n"
+        "print('repro.shard.psim' in sys.modules)\n"
+        "q = Pattern(); q.add_node('x', 'A'); q.add_node('y', 'B')\n"
+        "q.add_edge('x', 'y')\n"
+        "print(sorted(match(q, sharded).edge_matches[('x', 'y')]))\n"
+        "print('repro.shard.psim' in sys.modules)\n"
+        "b = BoundedPattern(); b.add_node('x', 'A'); b.add_node('y', 'B')\n"
+        "b.add_edge('x', 'y', 2)\n"
+        "print(sorted(bounded_match(b, sharded).edge_matches[('x', 'y')]))\n"
+        "print(bounded_simulates(b, sharded))\n"
+        "view = materialize(ViewDefinition('v', q), sharded)\n"
+        "print(view.compact.token == sharded.snapshot_token)\n"
+    )
+    assert stdout.split("\n")[:6] == [
+        "False", "[('a', 'b')]", "True", "[('a', 'b')]", "True", "True",
+    ]
+
+
+def test_simulation_dispatch_loads_nothing_from_the_shard_layer():
+    # The seam is the graph object: evaluating snapshots and dict graphs
+    # never imports (or looks for) the layer above.
+    loaded, stdout = _loaded_after(
+        "import repro.simulation\n"
+        "from repro.graph.digraph import DataGraph\n"
+        "from repro.graph.pattern import Pattern\n"
+        "from repro.simulation.bounded import bounded_match\n"
+        "from repro.simulation.simulation import match\n"
+        "from repro.views.view import ViewDefinition, materialize\n"
         "g = DataGraph()\n"
         "g.add_node('a', labels='A'); g.add_node('b', labels='B')\n"
         "g.add_edge('a', 'b')\n"
         "q = Pattern(); q.add_node('x', 'A'); q.add_node('y', 'B')\n"
         "q.add_edge('x', 'y')\n"
-        "print(sorted(match(q, ShardedGraph(g, num_shards=2)).edge_matches[('x', 'y')]))\n"
-        "print('repro.shard.psim' in sys.modules)\n"
+        "for target in (g, g.freeze()):\n"
+        "    print(len(match(q, target).edge_matches[('x', 'y')]))\n"
+        "    print(materialize(ViewDefinition('v', q), target).num_pairs)\n"
     )
-    assert stdout.split("\n")[:2] == ["[('a', 'b')]", "True"]
+    assert stdout.split() == ["1"] * 4
+    assert not [m for m in loaded if m.startswith("repro.shard")], loaded

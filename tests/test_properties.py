@@ -24,16 +24,20 @@ from repro.core.minimal import minimal_views
 from repro.core.minimum import minimum_views
 from repro.core.bounded.bcontainment import bounded_contains
 from repro.core.bounded.bmatchjoin import bounded_match_join
-from repro.graph import ANY, BoundedPattern, DataGraph
+from repro.graph import ANY, BoundedPattern, DataGraph, Pattern
 from repro.graph.conditions import Atom, AttributeCondition, implies
+from repro.shard.partitioner import PARTITIONERS, Partition, make_partition
 from repro.shard.sharded import ShardedGraph
 from repro.simulation import bounded_match, match
+from repro.simulation.simulation import evaluate, maximum_simulation
 from repro.views import ViewDefinition, ViewSet
 
 from helpers import (
+    fresh_registry,
     random_labeled_graph,
     random_pattern,
     reference_bounded_simulation,
+    reference_edge_matches,
     reference_simulation,
 )
 
@@ -100,6 +104,122 @@ def test_match_result_is_simulation(seed):
                 assert any(
                     w in result.node_matches[u1] for w in graph.successors(v)
                 )
+
+
+# ----------------------------------------------------------------------
+# One Match kernel: every id-space backend equals the dict reference
+# ----------------------------------------------------------------------
+#: Every graph object the one kernel runs behind: the no-ghost snapshot,
+#: a 1-shard sharded graph (a shard without ghosts), and 2-4 shards
+#: under each partitioner.
+id_space_backends = st.sampled_from(
+    [("compact", 1, "hash"), ("sharded", 1, "hash")]
+    + [("sharded", k, s) for k in (2, 3, 4) for s in sorted(PARTITIONERS)]
+)
+pattern_flavours = st.sampled_from(["plain", "self_loop", "one_shard"])
+
+
+def kernel_instance(seed, backend, flavour):
+    """``(graph, pattern, target)``: a random instance and the id-space
+    backend object ``target`` built over ``graph``."""
+    rng, graph, pattern = make_instance(seed)
+    if flavour == "self_loop":
+        for node in rng.sample(list(pattern.nodes()), rng.randint(1, 2)):
+            pattern.add_edge(node, node)
+        for node in rng.sample(list(graph.nodes()), min(4, len(graph))):
+            graph.add_edge(node, node)
+    elif flavour == "one_shard":
+        # The pattern's labels live on an island of their own, which
+        # the partition below keeps whole in shard 0.
+        pattern = random_pattern(rng, rng.randint(2, 4), rng.randint(1, 5), "XY")
+        island = [f"x{i}" for i in range(rng.randint(2, 8))]
+        for node in island:
+            graph.add_node(node, labels=rng.choice("XY"))
+        for _ in range(rng.randint(2, 20)):
+            graph.add_edge(rng.choice(island), rng.choice(island))
+        graph.add_edge(0, island[0])
+    kind, shards, strategy = backend
+    if kind == "compact":
+        return graph, pattern, graph.freeze()
+    partition = make_partition(graph, shards, strategy)
+    if flavour == "one_shard":
+        assignment = {
+            node: 0 if str(node).startswith("x") else home
+            for node, home in partition.assignment.items()
+        }
+        partition = Partition(graph, assignment, shards, "manual")
+    return graph, pattern, ShardedGraph(graph, partition)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=seeds, backend=id_space_backends, flavour=pattern_flavours)
+def test_kernel_equals_dict_maximum_simulation(seed, backend, flavour):
+    graph, pattern, target = kernel_instance(seed, backend, flavour)
+    expected = maximum_simulation(pattern, graph)
+    result, id_matches, id_distances = evaluate(pattern, target)
+    assert id_distances is None
+    assert result == match(pattern, target)
+    if expected is None:
+        assert not result and id_matches is None
+        return
+    assert result.node_matches == expected
+    pairs = reference_edge_matches(pattern, graph, expected)
+    assert result.edge_matches == pairs
+    # The grouped id matches are the same pairs in the target's id
+    # space, each source grouped once with a nonempty witness set.
+    table = target.node_table
+    assert set(id_matches) == set(pairs)
+    for edge, grouped in id_matches.items():
+        assert all(grouped.values())
+        assert {
+            (table[v], table[w]) for v, ws in grouped.items() for w in ws
+        } == pairs[edge]
+
+
+def test_kernel_no_ghost_case_aliases_and_exits_early():
+    """Count-based pin of the no-ghost case: no split pass (``full`` is
+    ``sim``), and the run ends at the first emptied set."""
+    from repro.simulation.compact_engine import witness_fixpoint
+
+    graph = DataGraph()
+    for node, label in {"a": "A", "b1": "B", "b2": "B", "c": "C"}.items():
+        graph.add_node(node, labels=label)
+    graph.add_edge("a", "b1")
+    graph.add_edge("b2", "c")
+    frozen = graph.freeze()
+
+    def chain(*labels):
+        pattern = Pattern()
+        for i, label in enumerate(labels):
+            pattern.add_node(i, label)
+            if i:
+                pattern.add_edge(i - 1, i)
+        return pattern
+
+    state = witness_fixpoint(chain("B", "C"), frozen, frozen.num_nodes)
+    assert state.full is state.sim
+    homes = {"a": 0, "b1": 1, "b2": 0, "c": 1}
+    sharded = ShardedGraph(graph, Partition(graph, homes, 2, "manual"))
+    shard = sharded.shard(0)  # owns a and b2, ghosts b1 and c
+    state = witness_fixpoint(
+        chain("B", "C"), shard, sharded.own_count(0), pruned={}
+    )
+    assert state.full is not state.sim
+    assert state.sim[0] == {shard.id_of("b2")}
+    assert state.full[0] == {shard.id_of("b1"), shard.id_of("b2")}
+
+    def batches(pattern, target):
+        with fresh_registry() as registry:
+            assert not match(pattern, target)
+            return registry.counter("repro_sim_batches_total").value
+
+    # A seed that is already empty: nothing runs at all.
+    assert batches(chain("A", "D"), frozen) == 0
+    # b1 has no C successor, so its batch empties sim(A): the whole-graph
+    # run stops there, while a shard (whose matches may live elsewhere)
+    # goes on to propagate a's removal.
+    assert batches(chain("A", "B", "C"), frozen) == 1
+    assert batches(chain("A", "B", "C"), ShardedGraph(graph, num_shards=1)) == 2
 
 
 # ----------------------------------------------------------------------

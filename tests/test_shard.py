@@ -44,6 +44,7 @@ from repro.shard import (
     sharded_match,
 )
 from repro.simulation import bounded_match, dual_match, match
+from repro.simulation.bounded import bounded_simulates
 from repro.simulation.simulation import maximum_simulation
 from repro.views.maintenance import IncrementalViewSet
 from repro.views.storage import ViewSet
@@ -288,6 +289,38 @@ class TestPsimEquivalence:
         assert sharded_match(q, sharded, executor="thread", workers=3) == expect
         assert sharded_match(q, sharded, executor="process", workers=2) == expect
 
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    def test_failed_wave_drops_its_sessions(self, executor, monkeypatch):
+        # A task raising mid-wave on a caller-owned runner must not leave
+        # the other shards' fixpoint states behind in the store.
+        import repro.shard.psim as psim
+
+        rng = random.Random(43)
+        g = random_labeled_graph(rng, 40, 120)
+        sharded = ShardedGraph(g, make_partition(g, 3, "hash"))
+        q = random_pattern(rng, 4, 7)
+        real = psim.witness_fixpoint
+
+        def failing(pattern, snapshot, *rest, **kwargs):
+            if snapshot is sharded.shard(1):
+                raise RuntimeError("injected")
+            return real(pattern, snapshot, *rest, **kwargs)
+
+        with ShardRunner(sharded, executor=executor, workers=3) as runner:
+            monkeypatch.setattr(psim, "witness_fixpoint", failing)
+            with pytest.raises(RuntimeError, match="injected"):
+                sharded_match(q, sharded, runner=runner)
+            assert runner._store == {}
+            views = ViewSet(
+                [ViewDefinition(f"v{i}", random_pattern(rng, 3, 4)) for i in range(3)]
+            )
+            with pytest.raises(RuntimeError, match="injected"):
+                parallel_materialize(views, sharded, runner=runner)
+            assert runner._store == {}
+            monkeypatch.setattr(psim, "witness_fixpoint", real)
+            assert sharded_match(q, sharded, runner=runner) == match(q, g)
+            assert runner._store == {}
+
     def test_runner_rejects_foreign_graph(self):
         g = build_graph({1: "A", 2: "B"}, [(1, 2)])
         other = ShardedGraph(g, make_partition(g, 2))
@@ -392,6 +425,25 @@ class TestShardedMaterialize:
         assert bounded_match(definition.pattern, sharded) == bounded_match(
             definition.pattern, g
         )
+
+    def test_bounded_simulates_takes_the_shard_dispatch(self):
+        from helpers import build_bounded
+
+        rng = random.Random(47)
+        for _ in range(10):
+            g = random_labeled_graph(rng, rng.randint(4, 25), rng.randint(4, 60))
+            base = random_pattern(rng, rng.randint(2, 4), rng.randint(1, 5))
+            q = build_bounded(
+                {u: base.condition(u) for u in base.nodes()},
+                [(u, u1, rng.choice([1, 2, 3])) for u, u1 in base.edges()],
+            )
+            sharded = ShardedGraph(
+                g, make_partition(g, rng.randint(1, 4), rng.choice(STRATEGIES))
+            )
+            expected = bounded_match(q, g)
+            assert bounded_match(q, sharded) == expected
+            assert bounded_simulates(q, sharded) == bool(expected)
+            assert bounded_simulates(q, g.freeze()) == bool(expected)
 
     def test_generic_engines_run_on_sharded_graphs(self):
         rng = random.Random(41)

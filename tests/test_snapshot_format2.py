@@ -215,8 +215,19 @@ def test_load_plus_direct_match_does_no_name_work(ingested, monkeypatch):
         calls["node_of"] += 1
         return real_node_of(self, i)
 
+    class CountedTable:
+        """``node_table`` reads are decodes too (the kernel's extractor
+        indexes the table directly)."""
+
+        def __init__(self, snapshot):
+            self.snapshot = snapshot
+
+        def __getitem__(self, i):
+            return node_of(self.snapshot, i)
+
     monkeypatch.setattr(CompactGraph, "id_of", id_of)
     monkeypatch.setattr(CompactGraph, "node_of", node_of)
+    monkeypatch.setattr(CompactGraph, "node_table", property(CountedTable))
 
     # No pickled boundary tables exist to open, crosspred or otherwise.
     assert sorted(p.suffix for p in Path(path).iterdir()) == [".json"] + [".seg"] * 8
