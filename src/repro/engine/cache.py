@@ -16,14 +16,16 @@ Two caches back the engine (both instances of :class:`LRUCache`):
 A maintenance update (Section I: "incremental methods ... maintain
 cached pattern views") bumps only the stamps of the views it actually
 changed, so the stale entries it strands -- unreachable by
-construction, aging out of the LRU -- are exactly the answers that
-depended on a changed view; everything else keeps hitting.
+construction, aging out of the LRU (or dropped outright: the serving
+layer calls :meth:`LRUCache.purge` at the epoch swap that stranded
+them) -- are exactly the answers that depended on a changed view;
+everything else keeps hitting.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Dict, Hashable, Optional
+from typing import Any, Callable, Dict, Hashable, List
 
 
 class CacheStats:
@@ -102,6 +104,23 @@ class LRUCache:
         while len(self._data) > self._maxsize:
             self._data.popitem(last=False)
             self.stats.evictions += 1
+
+    def purge(self, stale: Callable[[Hashable, Any], bool]) -> int:
+        """Drop every entry ``stale(key, value)`` holds for, counting
+        each as an eviction; recency of the survivors is untouched.
+        For owners that know when entries became unreachable (the
+        serving layer at an epoch swap) and would rather free them
+        than wait for them to age out.  Returns the number dropped."""
+        doomed = [key for key, value in self._data.items() if stale(key, value)]
+        for key in doomed:
+            del self._data[key]
+        self.stats.evictions += len(doomed)
+        return len(doomed)
+
+    def values(self) -> List[Any]:
+        """A snapshot of the cached values, least recently used first
+        (no recency refresh, no hit/miss accounting)."""
+        return list(self._data.values())
 
     def clear(self) -> None:
         """Drop every entry (counters are preserved)."""

@@ -116,7 +116,6 @@ from repro.engine.plan import (
     ExecutionStats,
     PlanChoiceRecord,
     QueryPlan,
-    fingerprint_digest,
     pattern_key,
 )
 from repro.errors import NotContainedError, NotMaterializedError
@@ -141,6 +140,20 @@ log = logging.getLogger(__name__)
 #: Plan-choice records retained per engine (newest win; ROADMAP item 3
 #: consumes these, and the serving protocol exposes them).
 PLAN_LOG_CAPACITY = 256
+
+
+def snapshot_kind(snapshot) -> str:
+    """The telemetry label of a snapshot backend.
+
+    Matched by type name to avoid importing the shard/flat-buffer
+    modules (and their segment machinery) just to label telemetry.
+    """
+    kind = type(snapshot).__name__
+    return {
+        "ShardedGraph": "sharded",
+        "SharedCompactGraph": "shared",
+        "CompactGraph": "compact",
+    }.get(kind, kind.lower())
 
 
 @dataclass(frozen=True)
@@ -509,20 +522,10 @@ class QueryEngine:
         return records[:limit] if limit is not None else records
 
     def _snapshot_kind_locked(self) -> str:
-        """Which snapshot backend evaluation runs against right now.
-
-        Matched by type name to avoid importing the shard/flat-buffer
-        modules (and their segment machinery) just to label telemetry.
-        """
-        snapshot = self._snapshot
-        if snapshot is None:
+        """Which snapshot backend evaluation runs against right now."""
+        if self._snapshot is None:
             return "dict" if self._graph is not None else "none"
-        kind = type(snapshot).__name__
-        return {
-            "ShardedGraph": "sharded",
-            "SharedCompactGraph": "shared",
-            "CompactGraph": "compact",
-        }.get(kind, kind.lower())
+        return snapshot_kind(self._snapshot)
 
     def snapshot(self):
         """The engine's frozen view of ``G`` (``None`` without a graph).
@@ -1596,33 +1599,25 @@ class QueryEngine:
     ) -> PlanChoiceRecord:
         """Append a plan-choice record for ``plan`` and meter the
         registry.  ``_deliver`` calls this for every engine-path
-        answer; the serving layer calls it directly because it
-        evaluates specs itself (against pinned epochs) rather than
-        through :meth:`execute`."""
+        answer; the serving layer calls it for every answer it
+        evaluates itself (against pinned epochs, rather than through
+        :meth:`execute`).  Takes the engine lock to read the live
+        extension sizes and calibrate the cost model, and may run an
+        advisor tick -- so never call it from an event loop."""
         with self._lock:
             view_sizes = {
                 name: self._views.extension(name).size
                 for name in plan.views_used
                 if self._views.is_materialized(name)
             }
-            record = PlanChoiceRecord(
-                fingerprint=fingerprint_digest(plan.cache_key[0]),
-                strategy=plan.strategy,
-                selection=plan.selection,
-                reason=plan.reason,
-                views_used=plan.views_used,
+            record = PlanChoiceRecord.of(
+                plan,
                 view_sizes=view_sizes,
-                bounded=plan.bounded,
-                containment_cached=plan.containment_cached,
-                cache_hit=cache_hit,
                 snapshot_kind=self._snapshot_kind_locked(),
-                executor=executor,
                 elapsed=elapsed,
-                planner=plan.planner,
-                cost_estimate=plan.cost_estimate,
-                candidates=plan.candidates,
+                cache_hit=cache_hit,
+                executor=executor,
             )
-            self._plan_log.append(record)
             if not cache_hit and elapsed > 0.0:
                 # Calibrate the cost model with what actually happened.
                 # Fixed-planner answers train it too, so switching an
@@ -1643,6 +1638,21 @@ class QueryEngine:
                 self._cost_model.observe(
                     plan.strategy, plan.bounded, units, elapsed
                 )
+        self.log_plan_choice(plan, record)
+        if self._advisor is not None:
+            self._advisor.maybe_tick()
+        return record
+
+    def log_plan_choice(self, plan: QueryPlan, record: PlanChoiceRecord) -> None:
+        """Append a finished ``record`` of ``plan`` to the plan log and
+        meter the registry -- **without the engine lock** (the bounded
+        deque's ``append`` is atomic and every instrument locks itself),
+        no cost-model observation and no advisor tick.  This is the
+        whole bookkeeping of a served cache hit, whose record the
+        serving layer builds once per (epoch, query) from the pinned
+        checkpoint; being lock-free it may run on the event loop while
+        a maintenance batch holds the engine."""
+        self._plan_log.append(record)
         counter = self._m_queries.get(plan.strategy)
         if counter is None:
             counter = self._registry.counter(
@@ -1660,21 +1670,18 @@ class QueryEngine:
                 )
                 self._m_fallbacks[plan.reason] = fallback
             fallback.inc()
-        if cache_hit:
+        if record.cache_hit:
             self._m_cache_hits.inc()
         else:
             self._m_cache_misses.inc()
-            self._m_query_seconds.observe(elapsed)
+            self._m_query_seconds.observe(record.elapsed)
         current = trace.current_span()
         if current is not None:
             current.set(
                 strategy=plan.strategy,
-                cache_hit=cache_hit,
+                cache_hit=record.cache_hit,
                 snapshot_kind=record.snapshot_kind,
             )
-        if self._advisor is not None:
-            self._advisor.maybe_tick()
-        return record
 
     def __repr__(self) -> str:
         sharding = (

@@ -300,6 +300,38 @@ class PlanChoiceRecord:
     cost_estimate: Optional[float] = None
     candidates: Tuple[CandidateCost, ...] = ()
 
+    @classmethod
+    def of(
+        cls,
+        plan: "QueryPlan",
+        *,
+        view_sizes: Dict[str, int],
+        snapshot_kind: str,
+        elapsed: float,
+        cache_hit: bool,
+        executor: str = "serial",
+    ) -> "PlanChoiceRecord":
+        """The record of one answer delivered under ``plan``, given
+        what was measured: the sizes of the extensions it read, the
+        backend that evaluated and the time that took."""
+        return cls(
+            fingerprint=fingerprint_digest(plan.cache_key[0]),
+            strategy=plan.strategy,
+            selection=plan.selection,
+            reason=plan.reason,
+            views_used=plan.views_used,
+            view_sizes=view_sizes,
+            bounded=plan.bounded,
+            containment_cached=plan.containment_cached,
+            cache_hit=cache_hit,
+            snapshot_kind=snapshot_kind,
+            executor=executor,
+            elapsed=elapsed,
+            planner=plan.planner,
+            cost_estimate=plan.cost_estimate,
+            candidates=plan.candidates,
+        )
+
     def to_dict(self) -> Dict:
         """JSON-ready form (the plan log and protocol surface this)."""
         return {

@@ -10,7 +10,8 @@ Public surface:
   :class:`~repro.serve.epoch.SnapshotRegistry` -- the refcounted epoch
   lifecycle (pin -> evaluate -> release; swap -> retire -> drain);
 * :func:`~repro.serve.protocol.serve_tcp` -- the JSON-lines TCP front
-  end the ``repro serve`` CLI subcommand exposes;
+  end the ``repro serve`` CLI subcommand exposes (``query`` replies are
+  spliced from cached fragments by :mod:`repro.serve.wire`);
 * :class:`~repro.serve.metrics_http.MetricsServer` -- the optional
   Prometheus-style ``/metrics`` endpoint (``repro serve
   --metrics-port``).

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import logging
 import threading
-from typing import List, Optional
+from typing import Dict, Hashable, List, Optional
 
 from repro.engine.engine import EngineCheckpoint
 
@@ -39,13 +39,23 @@ class Epoch:
     ``checkpoint`` carries everything evaluation needs (snapshot,
     extensions, version stamps); ``epoch_id`` is the generation number
     (0 for the initial build, +1 per applied maintenance batch).
+    ``resolutions`` is the server's per-epoch memo -- what a (query
+    fingerprint, selection) resolved to against this checkpoint: the
+    plan, the evaluation spec, the answer key.  All of it is a function
+    of the immutable checkpoint, so it needs no invalidation and dies
+    with the epoch; unlike the refcount it is touched from the event
+    loop only.
     """
 
-    __slots__ = ("epoch_id", "checkpoint", "_lock", "_readers", "_retired", "_drained")
+    __slots__ = (
+        "epoch_id", "checkpoint", "resolutions",
+        "_lock", "_readers", "_retired", "_drained",
+    )
 
     def __init__(self, epoch_id: int, checkpoint: EngineCheckpoint) -> None:
         self.epoch_id = epoch_id
         self.checkpoint = checkpoint
+        self.resolutions: Dict[Hashable, object] = {}
         self._lock = threading.Lock()
         self._readers = 0
         self._retired = False

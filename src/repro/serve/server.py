@@ -21,14 +21,28 @@ users" story needs: a long-running service answering pattern queries
   definitions version, plan-relevant view version vector) -- so M
   concurrent arrivals of one query cost one evaluation; later arrivals
   at the same versions hit the server's answer LRU outright.
+* **a cache hit is a lookup and a write.**  What a query resolves to
+  on an epoch (plan, evaluation spec, answer key) is memoised on the
+  :class:`~repro.serve.epoch.Epoch`, and an answer-LRU entry keeps the
+  encoded reply fragment beside the result -- so a warm hit never
+  leaves the event loop, never plans and never serialises.
+* **a swap drops what it strands.**  Version stamps only grow, so an
+  entry keyed by stamps the new checkpoint no longer carries can never
+  hit again for new readers; the swap purges exactly those.
 * **admission control sheds, never queues unboundedly.**  At most
   ``max_inflight`` evaluations run with ``max_queue`` waiters; past
   that, requests fail fast with the retriable
   :class:`~repro.errors.ServerOverloadedError`.
 
-All bookkeeping (counters, coalescing map, answer LRU) is touched only
-from the event loop; only pin/release refcounts and the engine itself
-are shared with executor threads, and both are locked.
+All bookkeeping (counters, coalescing map, answer LRU, per-epoch
+resolutions) is touched only from the event loop; only pin/release
+refcounts and the engine itself are shared with executor threads, and
+both are locked.  **The loop never takes the engine lock**: maintenance
+holds it for a whole batch (and ``checkpoint()`` may rematerialise under
+it), so everything that needs it -- planning, the plan-choice record of
+an evaluated answer, cost-model calibration, advisor ticks -- rides a
+pool hop, and a hit's record is prebuilt from the pinned checkpoint and
+appended lock-free (:meth:`QueryEngine.log_plan_choice`).
 """
 
 from __future__ import annotations
@@ -37,19 +51,28 @@ import asyncio
 import logging
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from time import perf_counter
 from typing import Dict, NamedTuple, Optional, Tuple
 
 from repro.engine.cache import LRUCache
-from repro.engine.engine import QueryEngine
+from repro.engine.engine import EngineCheckpoint, QueryEngine, snapshot_kind
 from repro.engine.executor import EvaluationSpec, evaluate_spec
-from repro.engine.plan import DIRECT, HYBRID, MATCHJOIN, QueryPlan
+from repro.engine.plan import (
+    DIRECT,
+    HYBRID,
+    MATCHJOIN,
+    PlanChoiceRecord,
+    QueryPlan,
+    pattern_key,
+)
 from repro.errors import ServerClosedError, ServerOverloadedError
 from repro.graph.pattern import Pattern
 from repro.obs import trace
 from repro.obs.metrics import DURATION_BUCKETS
 from repro.obs.trace import TraceCollector
 from repro.serve.epoch import Epoch, SnapshotRegistry
+from repro.serve.wire import result_fragment
 from repro.simulation.result import MatchResult
 from repro.views.maintenance import Delta, DeltaReport
 
@@ -69,6 +92,40 @@ class ServedAnswer(NamedTuple):
     cache_hit: bool
     coalesced: bool
     elapsed: float
+    #: The encoded ``"result"`` reply fragment (:mod:`repro.serve.wire`),
+    #: for requests made with ``wire=True``.
+    wire: Optional[bytes] = None
+
+
+class CachedAnswer:
+    """One answer-LRU entry: the result, the plan inputs its key was
+    stamped from (``kind``/``needed`` -- what a swap re-stamps to tell
+    whether the entry is stranded), and the encoded reply fragment once
+    a request has needed it.  Coalesced followers share the entry, so
+    one evaluation is encoded at most once."""
+
+    __slots__ = ("result", "kind", "needed", "wire")
+
+    def __init__(
+        self, result: MatchResult, kind: str, needed: Tuple[str, ...]
+    ) -> None:
+        self.result = result
+        self.kind = kind
+        self.needed = needed
+        self.wire: Optional[bytes] = None
+
+
+class Resolution(NamedTuple):
+    """What one (query, selection) resolves to on one epoch; memoised
+    in :attr:`Epoch.resolutions`.  ``spec`` is complete but for the
+    per-request ``trace_id``; ``key`` is ``None`` when the answer must
+    bypass caching; ``hit_record`` is the plan-choice record of every
+    answer served from cache under this resolution."""
+
+    plan: QueryPlan
+    spec: EvaluationSpec
+    key: Optional[Tuple]
+    hit_record: PlanChoiceRecord
 
 
 class UpdateOutcome(NamedTuple):
@@ -96,9 +153,10 @@ class QueryServer:
         request arriving with ``max_inflight + max_queue`` already
         admitted is shed with :class:`ServerOverloadedError`.
     answer_cache_size:
-        Capacity of the server's answer LRU (version-stamp keyed, so
-        entries from superseded epochs are stranded, never wrong).
-        ``0`` disables it; coalescing still applies.
+        Capacity of the server's answer LRU, in entries (version-stamp
+        keyed, so an entry a newer epoch supersedes is never wrong --
+        and is dropped at the swap that strands it).  ``0`` disables
+        it; coalescing still applies.
     advise_interval:
         Seconds between periodic :class:`WorkloadAdvisor` ticks (the
         engine must have been built with ``auto_materialize``).  Each
@@ -281,7 +339,11 @@ class QueryServer:
     # Queries
     # ------------------------------------------------------------------
     async def query(
-        self, pattern: Pattern, selection: Optional[str] = None
+        self,
+        pattern: Pattern,
+        selection: Optional[str] = None,
+        *,
+        wire: bool = False,
     ) -> ServedAnswer:
         """Answer one query against the current epoch.
 
@@ -292,6 +354,9 @@ class QueryServer:
         the answer was computed on -- the snapshot-consistency contract
         is *per epoch*, not "latest": a reader racing an update may be
         served from the epoch it pinned at admission.
+
+        ``wire=True`` (the TCP front end) also returns the encoded
+        reply fragment, produced once per cached answer.
         """
         self._require_open()
         if self._active >= self._max_inflight + self._max_queue:
@@ -336,7 +401,7 @@ class QueryServer:
                     ).observe(queue_wait)
                     try:
                         answer = await self._answer_pinned(
-                            pattern, selection, epoch
+                            pattern, selection, epoch, wire, root
                         )
                     finally:
                         epoch.release()
@@ -358,59 +423,84 @@ class QueryServer:
                     self._idle.set()
 
     async def _answer_pinned(
-        self, pattern: Pattern, selection: Optional[str], epoch: Epoch
+        self,
+        pattern: Pattern,
+        selection: Optional[str],
+        epoch: Epoch,
+        wire: bool,
+        root: trace.Span,
     ) -> ServedAnswer:
-        # Planning takes the engine lock (it may wait out a maintenance
-        # batch), so it must not run on the event loop.  The request's
-        # root span lives in this task's context; executor threads do
-        # not inherit it, so it is carried over explicitly.
-        parent = trace.current_span()
-        plan = await self._loop.run_in_executor(
-            self._pool, self._attached, parent, self._engine.plan,
-            pattern, selection,
+        # ``root`` is this task's current span; executor threads do not
+        # inherit the context, so pool hops carry it over explicitly.
+        memo_key = (pattern_key(pattern), selection)
+        resolution = epoch.resolutions.get(memo_key)
+        root.set(resolved="planned" if resolution is None else "memo")
+        if resolution is None:
+            resolution = await self._loop.run_in_executor(
+                self._pool, self._attached, root, self._resolve,
+                pattern, selection, epoch,
+            )
+            # Bounded like the answers it leads to: a resolution whose
+            # answer cannot be cached saves a pool hop and nothing else,
+            # so on overflow the memo simply starts over.
+            if len(epoch.resolutions) >= self._answers.maxsize:
+                epoch.resolutions.clear()
+            epoch.resolutions[memo_key] = resolution
+        key = resolution.key
+        entry = self._answers.get(key) if key is not None else None
+        pending = self._coalescing.get(key) if entry is None else None
+        cache_hit = entry is not None
+        coalesced = pending is not None
+        elapsed = 0.0
+        if cache_hit:
+            self._count("cache_hits")
+            root.set(outcome="cache-hit")
+            self._engine.registry.counter(
+                "repro_server_answers_total", outcome="cache-hit"
+            ).inc()
+        elif coalesced:
+            self._count("coalesced")
+            root.set(outcome="coalesced-follower")
+            self._engine.registry.counter(
+                "repro_server_answers_total", outcome="coalesced"
+            ).inc()
+            entry = await asyncio.shield(pending)
+        else:
+            root.set(outcome="evaluated")
+            entry, elapsed = await self._evaluate_owned(
+                resolution, epoch, root
+            )
+        if cache_hit or coalesced:
+            self._engine.log_plan_choice(
+                resolution.plan, resolution.hit_record
+            )
+        if wire and entry.wire is None:
+            root.set(wire="encoded")
+            entry.wire = result_fragment(entry.result)
+            self._refresh_wire_gauge()
+        elif wire:
+            root.set(wire="cached")
+        return ServedAnswer(
+            entry.result, epoch.epoch_id, cache_hit, coalesced, elapsed,
+            entry.wire if wire else None,
         )
-        # The spec is derived from the plan *and the pinned epoch*: a
-        # plan needing an extension the advisor has since evicted is
-        # degraded to direct evaluation against the epoch's snapshot.
-        # The answer/coalescing key uses the spec's effective strategy,
-        # so a degraded answer never poisons the view-keyed entry.
-        spec = self._spec_from(plan, epoch)
-        key = self._answer_key(plan, spec, epoch)
+
+    async def _evaluate_owned(
+        self, resolution: Resolution, epoch: Epoch, root: trace.Span
+    ) -> Tuple[CachedAnswer, float]:
+        """Evaluate as the coalescing owner of ``resolution.key``:
+        followers arriving meanwhile wait on the future published here,
+        and the finished entry goes into the answer LRU."""
+        key = resolution.key
+        spec = replace(resolution.spec, trace_id=root.span_id)
         if key is not None:
-            hit = self._answers.get(key)
-            if hit is not None:
-                self._count("cache_hits")
-                if parent is not None:
-                    parent.set(outcome="cache-hit")
-                self._engine.registry.counter(
-                    "repro_server_answers_total", outcome="cache-hit"
-                ).inc()
-                self._engine.record_plan_choice(
-                    plan, elapsed=0.0, cache_hit=True
-                )
-                return ServedAnswer(hit, epoch.epoch_id, True, False, 0.0)
-            pending = self._coalescing.get(key)
-            if pending is not None:
-                self._count("coalesced")
-                if parent is not None:
-                    parent.set(outcome="coalesced-follower")
-                self._engine.registry.counter(
-                    "repro_server_answers_total", outcome="coalesced"
-                ).inc()
-                result = await asyncio.shield(pending)
-                self._engine.record_plan_choice(
-                    plan, elapsed=0.0, cache_hit=True
-                )
-                return ServedAnswer(result, epoch.epoch_id, False, True, 0.0)
             self._count("coalesce_owners")
             future: asyncio.Future = self._loop.create_future()
             self._coalescing[key] = future
-        if parent is not None:
-            parent.set(outcome="evaluated")
         try:
             result, elapsed = await self._loop.run_in_executor(
-                self._pool, self._attached, parent, self._evaluate,
-                spec, epoch,
+                self._pool, self._attached, root, self._evaluate_recorded,
+                resolution.plan, spec, epoch,
             )
         except BaseException as err:
             if key is not None:
@@ -423,21 +513,49 @@ class QueryServer:
         self._engine.registry.counter(
             "repro_server_answers_total", outcome="evaluated"
         ).inc()
-        self._engine.record_plan_choice(
-            plan, elapsed=elapsed, cache_hit=False
-        )
+        entry = CachedAnswer(result, spec.kind, spec.needed)
         if key is not None:
-            self._answers.put(key, result)
+            self._answers.put(key, entry)
             self._coalescing.pop(key, None)
             if not future.done():
-                future.set_result(result)
-        return ServedAnswer(result, epoch.epoch_id, False, False, elapsed)
+                future.set_result(entry)
+        return entry, elapsed
 
     @staticmethod
     def _attached(parent, fn, *args):
         """Run ``fn`` in a pool thread under the request's span."""
         with trace.attach(parent):
             return fn(*args)
+
+    def _resolve(
+        self, pattern: Pattern, selection: Optional[str], epoch: Epoch
+    ) -> Resolution:
+        """Plan ``pattern`` and derive everything a request on
+        ``epoch`` needs from the plan (reader pool: planning takes the
+        engine lock and may wait out a maintenance batch).  The spec is
+        derived from the plan *and the pinned epoch*, and the
+        answer/coalescing key from the spec's effective strategy, so a
+        degraded answer never poisons the view-keyed entry."""
+        plan = self._engine.plan(pattern, selection)
+        spec = self._spec_from(plan, epoch)
+        checkpoint = epoch.checkpoint
+        # A hit is served from this checkpoint, so its record reports
+        # the extension sizes and backend actually read -- immutable
+        # here, which is what lets hits skip the engine lock.
+        hit_record = PlanChoiceRecord.of(
+            plan,
+            view_sizes={
+                name: checkpoint.extensions[name].size
+                for name in plan.views_used
+                if name in checkpoint.extensions
+            },
+            snapshot_kind=snapshot_kind(checkpoint.snapshot),
+            elapsed=0.0,
+            cache_hit=True,
+        )
+        return Resolution(
+            plan, spec, self._answer_key(plan, spec, epoch), hit_record
+        )
 
     def _answer_key(
         self, plan: QueryPlan, spec: EvaluationSpec, epoch: Epoch
@@ -470,29 +588,28 @@ class QueryServer:
         evicted it after the plan's containment was cached) degrades
         to direct evaluation against the epoch's frozen snapshot."""
         strategy = plan.strategy
-        needed = plan.views_used
-        containment = plan.containment
         if strategy in (MATCHJOIN, HYBRID):
             extensions = epoch.checkpoint.extensions
-            if any(name not in extensions for name in needed):
-                strategy, needed, containment = DIRECT, (), None
-        if strategy == DIRECT:
-            return EvaluationSpec(
-                kind=DIRECT,
-                query=plan.query,
-                containment=None,
-                needed=(),
-                bounded=plan.bounded,
-                trace_id=trace.current_span_id(),
-            )
+            if any(name not in extensions for name in plan.views_used):
+                strategy = DIRECT
+        direct = strategy == DIRECT
         return EvaluationSpec(
             kind=strategy,
             query=plan.query,
-            containment=containment,
-            needed=needed,
+            containment=None if direct else plan.containment,
+            needed=() if direct else plan.views_used,
             bounded=plan.bounded,
-            trace_id=trace.current_span_id(),
         )
+
+    def _evaluate_recorded(
+        self, plan: QueryPlan, spec: EvaluationSpec, epoch: Epoch
+    ):
+        """Evaluate, then file the answer's plan-choice record (reader
+        pool: the record reads live extension sizes and calibrates the
+        cost model under the engine lock, and may tick the advisor)."""
+        result, elapsed = self._evaluate(spec, epoch)
+        self._engine.record_plan_choice(plan, elapsed=elapsed, cache_hit=False)
+        return result, elapsed
 
     def _evaluate(self, spec: EvaluationSpec, epoch: Epoch):
         """Synchronous evaluation against a pinned epoch (runs in the
@@ -528,12 +645,10 @@ class QueryServer:
             with trace.root_span(
                 "server.update", collector=self._traces, ops=len(delta.ops)
             ) as root:
-                parent = trace.current_span()
-                report, checkpoint = await self._loop.run_in_executor(
-                    self._maint_pool, self._attached, parent,
-                    self._apply_sync, delta,
+                report, checkpoint = await self._maintain(
+                    root, self._apply_sync, delta
                 )
-                epoch = self._registry.swap(checkpoint)
+                epoch = self._publish(checkpoint)
                 root.set(
                     epoch=epoch.epoch_id,
                     applied=report.applied,
@@ -542,28 +657,88 @@ class QueryServer:
             self._count("deltas")
             self._count("ops_applied", report.applied)
             self._count("ops_skipped", report.skipped)
-            self._engine.registry.counter("repro_server_epoch_swaps_total").inc()
             log.info(
                 "epoch %d published: %d ops applied, %d skipped",
                 epoch.epoch_id, report.applied, report.skipped,
             )
             return UpdateOutcome(report, epoch.epoch_id)
 
+    async def _maintain(self, root: trace.Span, fn, *args):
+        """Run ``fn`` on the maintenance thread under ``root``.  The
+        two scheduling waits are spans of their own -- ``dispatch``
+        (submitted -> the thread starts) and ``resume`` (the thread is
+        done -> this task runs again) -- because under reader load they
+        are a large share of an update (the GIL and the loop are both
+        contended) and would otherwise be the root's unattributed time.
+        """
+        dispatch = trace.Span("dispatch", parent=root)
+
+        def run():
+            dispatch.finish()
+            with trace.attach(root):
+                return fn(*args), trace.Span("resume", parent=root)
+
+        out, resume = await self._loop.run_in_executor(self._maint_pool, run)
+        resume.finish()
+        return out
+
     def _apply_sync(self, delta: Delta):
-        report = self._engine.apply_delta(delta)
+        with trace.span("apply"):
+            report = self._engine.apply_delta(delta)
         return report, self._checkpoint_sync()
 
     def _checkpoint_sync(self):
         """Checkpoint the engine and persist the epoch (maintenance
         thread only; persistence rides the same thread so epoch N's
         snapshot directory never interleaves with epoch N+1's)."""
-        checkpoint = self._engine.checkpoint()
-        self._persist(checkpoint)
+        with trace.span("checkpoint"):
+            checkpoint = self._engine.checkpoint()
+        if self._persist_path is not None:
+            with trace.span("persist"):
+                self._persist(checkpoint)
         return checkpoint
 
+    def _publish(self, checkpoint: EngineCheckpoint) -> Epoch:
+        """Swap the registry pointer to ``checkpoint`` and drop the
+        cached answers the swap strands (event loop).
+
+        Sound because stamps are monotonic: view versions and the graph
+        version only ever grow, so an entry whose key material differs
+        from what ``checkpoint`` stamps for the same plan inputs can
+        never again equal a key built for a new reader.  Entries over
+        views the batch left alone keep their stamps and keep hitting.
+        A reader still pinned to a retiring epoch that now misses
+        re-evaluates on its epoch -- correct, and rare.
+        """
+        with trace.span("swap") as current:
+            epoch = self._registry.swap(checkpoint)
+            dropped = self._answers.purge(
+                lambda key, entry: (
+                    key[2] != checkpoint.definitions_version
+                    or key[3]
+                    != checkpoint.key_material(entry.kind, entry.needed)
+                )
+            )
+            self._refresh_wire_gauge()
+            if current is not None:
+                current.set(dropped=dropped)
+        self._engine.registry.counter("repro_server_epoch_swaps_total").inc()
+        return epoch
+
+    def _wire_bytes(self) -> int:
+        """Bytes of encoded reply fragments the answer LRU holds."""
+        return sum(
+            len(entry.wire)
+            for entry in self._answers.values()
+            if entry.wire is not None
+        )
+
+    def _refresh_wire_gauge(self) -> None:
+        self._engine.registry.gauge("repro_server_wire_bytes").set(
+            self._wire_bytes()
+        )
+
     def _persist(self, checkpoint) -> None:
-        if self._persist_path is None:
-            return
         from repro.graph.snapshot import SnapshotStore
 
         try:
@@ -605,12 +780,10 @@ class QueryServer:
             with trace.root_span(
                 "server.advise", collector=self._traces
             ) as root:
-                parent = trace.current_span()
-                report, checkpoint = await self._loop.run_in_executor(
-                    self._maint_pool, self._attached, parent,
-                    self._advise_sync,
+                report, checkpoint = await self._maintain(
+                    root, self._advise_sync
                 )
-                epoch = self._registry.swap(checkpoint)
+                epoch = self._publish(checkpoint)
                 root.set(
                     epoch=epoch.epoch_id,
                     materialized=len(report.materialized),
@@ -618,7 +791,6 @@ class QueryServer:
                     used_bytes=report.used_bytes,
                 )
             self._count("advisor_ticks")
-            self._engine.registry.counter("repro_server_epoch_swaps_total").inc()
             if report.materialized or report.evicted:
                 log.info(
                     "advisor epoch %d: +%s -%s (%d/%d bytes)",
@@ -670,7 +842,9 @@ class QueryServer:
             "metrics": self._engine.registry.snapshot(),
             "caches": dict(
                 self._engine.cache_stats(),
-                served_answers=self._answers.stats.snapshot(),
+                served_answers=dict(
+                    self._answers.stats.snapshot(), bytes=self._wire_bytes()
+                ),
             ),
             "shipping": self._engine.ship_stats(),
             "views": (

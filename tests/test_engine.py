@@ -364,6 +364,19 @@ class TestLRUCache:
         assert cache.stats.hits == 2
         assert cache.stats.misses == 1
 
+    def test_purge_drops_what_the_predicate_names(self):
+        cache = LRUCache(maxsize=4)
+        for key in "abcd":
+            cache.put(key, ord(key))
+        assert cache.get("a") == ord("a")  # now the most recent
+        dropped = cache.purge(lambda key, value: key == "b" or value == ord("d"))
+        assert dropped == 2 and cache.stats.evictions == 2
+        assert cache.values() == [ord("c"), ord("a")]  # recency kept
+        assert (cache.stats.hits, cache.stats.misses) == (1, 0)
+        cache.put("e", 5)
+        cache.put("f", 6)
+        assert len(cache) == 4 and cache.stats.evictions == 2
+
     def test_zero_size_never_stores(self):
         cache = LRUCache(maxsize=0)
         cache.put("a", 1)

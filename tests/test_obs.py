@@ -454,6 +454,59 @@ class TestServingObservability:
         # The plan-choice record and the trace tell the same story.
         assert record.strategy == tree["attrs"]["strategy"]
 
+    def test_update_trace_attributes_the_whole_root(self, tmp_path):
+        async def scenario():
+            server = _make_server(persist_path=tmp_path / "snap")
+            async with server:
+                await server.query(ABC)
+                await server.update(Delta().insert(5, 2))
+            return server.traces.recent(1)[0]
+
+        tree = asyncio.run(scenario())
+        assert tree["name"] == "server.update"
+        children = {child["name"]: child for child in tree["children"]}
+        assert list(children) == [
+            "dispatch", "apply", "checkpoint", "persist", "resume", "swap",
+        ], format_span_tree(tree)
+        assert children["swap"]["attrs"]["dropped"] == 1
+        assert [c["name"] for c in children["apply"]["children"]] == [
+            "maintenance.delta"
+        ]
+        attributed = sum(child["duration_ms"] for child in children.values())
+        assert attributed >= 0.9 * tree["duration_ms"], format_span_tree(tree)
+
+    def test_wire_bytes_follow_the_answer_cache(self):
+        async def scenario():
+            server = _make_server()
+            gauge = server.engine.registry.gauge("repro_server_wire_bytes")
+            readings = []
+
+            def read():
+                cached = server.stats()["caches"]["served_answers"]["bytes"]
+                assert cached == gauge.value
+                readings.append(cached)
+
+            async with server:
+                await server.query(ABC)  # in process: nothing encoded
+                read()
+                first = await server.query(ABC, wire=True)
+                read()
+                second = await server.query(AB, wire=True)
+                read()
+                await server.update(Delta().insert(5, 2))  # strands both
+                read()
+                attrs = [t["attrs"] for t in server.traces.recent(4)[1:]]
+            return readings, first, second, attrs
+
+        readings, first, second, attrs = asyncio.run(scenario())
+        assert readings == [
+            0, len(first.wire), len(first.wire) + len(second.wire), 0,
+        ]
+        # Newest first: AB evaluated, ABC hit (encoded late), ABC evaluated.
+        assert [(a["resolved"], a.get("wire")) for a in attrs] == [
+            ("planned", "encoded"), ("memo", "encoded"), ("planned", None),
+        ]
+
     def test_traces_land_in_slow_log(self):
         async def scenario():
             server = _make_server()

@@ -8,14 +8,23 @@ can be held *inside* evaluation while updates swap epochs around it.
 import asyncio
 import json
 import threading
+from time import perf_counter
 
 import pytest
 
-from helpers import build_graph, build_pattern
+from helpers import build_bounded, build_graph, build_pattern
 from repro.engine import QueryEngine
 from repro.errors import ServerClosedError, ServerOverloadedError
-from repro.graph.io import pattern_to_json
-from repro.serve import Epoch, QueryServer, SnapshotRegistry, serve_tcp
+from repro.graph.io import node_to_json, pattern_to_json
+from repro.serve import (
+    Epoch,
+    QueryServer,
+    ServedAnswer,
+    SnapshotRegistry,
+    protocol,
+    serve_tcp,
+    wire,
+)
 from repro.simulation import match
 from repro.views import Delta, ViewDefinition, ViewSet
 from repro.views.maintenance import IncrementalViewSet
@@ -37,6 +46,10 @@ def _definitions():
 
 AB = build_pattern({"x": "A", "y": "B"}, [("x", "y")])
 BC = build_pattern({"x": "B", "y": "C"}, [("x", "y")])
+#: Reads view AB like ``AB`` does, under a fingerprint of its own.
+AB_TOO = build_pattern({"p": "A", "q": "B"}, [("p", "q")])
+AC_WITHIN_2 = build_bounded({"x": "A", "y": "C"}, [("x", "y", 2)])
+NO_MATCH = build_pattern({"x": "C", "y": "A"}, [("x", "y")])
 
 
 def make_server(**kwargs):
@@ -403,5 +416,374 @@ class TestTcpProtocol:
                 writer.close()
                 tcp.close()
                 await tcp.wait_closed()
+
+        asyncio.run(run())
+
+
+    def test_oversize_line_is_answered_then_closed(self, monkeypatch):
+        monkeypatch.setattr(protocol, "MAX_LINE_BYTES", 4096)
+
+        async def run():
+            server, _ = make_server()
+            async with server:
+                tcp = await serve_tcp(server, port=0)
+                port = tcp.sockets[0].getsockname()[1]
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", port
+                )
+                # Several stream limits long: the rest of the line is
+                # still in flight when the server notices.
+                ping = {"op": "ping", "pad": "x" * (5 * 4096)}
+                writer.write(json.dumps(ping).encode() + b"\n")
+                writer.write(b'{"op": "ping"}\n')  # never served
+                await writer.drain()
+                reply = json.loads(await reader.readline())
+                assert reply == {
+                    "ok": False,
+                    "error": "request line exceeds 4096 bytes",
+                    "retriable": False,
+                }
+                assert await reader.read() == b""  # orderly close, no reset
+                writer.close()
+
+                # The server itself is unharmed.
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", port
+                )
+                writer.write(b'{"op": "ping"}\n')
+                assert json.loads(await reader.readline())["pong"] is True
+                writer.close()
+                tcp.close()
+                await tcp.wait_closed()
+
+        asyncio.run(run())
+
+    def test_large_update_under_the_limit_is_served(self):
+        async def run():
+            server, tracker = make_server()
+            async with server:
+                tcp = await serve_tcp(server, port=0)
+                port = tcp.sockets[0].getsockname()[1]
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", port, limit=protocol.MAX_LINE_BYTES
+                )
+                # The ops alone overflow asyncio's default 64 KiB line;
+                # whitespace (legal JSON) takes the same request to the
+                # last byte the server accepts.
+                ops = [["+", 4, 2]] + [["-", 1000 + i, 2000 + i] for i in range(4000)]
+                body = json.dumps({"op": "update", "ops": ops})
+                assert len(body) > 64 * 1024
+                line = body[:-1] + " " * (protocol.MAX_LINE_BYTES - len(body)) + "}"
+                assert len(line) == protocol.MAX_LINE_BYTES
+                writer.write(line.encode() + b"\n")
+                await writer.drain()
+                reply = json.loads(await reader.readline())
+                assert reply["ok"] and reply["epoch"] == 1
+                assert (reply["applied"], reply["skipped"]) == (1, 4000)
+                assert tracker.graph.has_edge(4, 2)
+
+                # One byte more is one byte too many.
+                writer.write(line.encode() + b" \n")
+                await writer.drain()
+                reply = json.loads(await reader.readline())
+                assert reply["ok"] is False and "exceeds" in reply["error"]
+                writer.close()
+                tcp.close()
+                await tcp.wait_closed()
+
+        asyncio.run(run())
+
+
+def legacy_reply(answer: ServedAnswer) -> bytes:
+    """The reply line as the protocol built it before replies were
+    spliced from cached fragments: one dict, one ``json.dumps``.  Kept
+    here as the reference the wire contract is stated against."""
+    result = answer.result
+    return json.dumps(
+        {
+            "ok": True,
+            "epoch": answer.epoch,
+            "cache_hit": answer.cache_hit,
+            "coalesced": answer.coalesced,
+            "elapsed_ms": answer.elapsed * 1e3,
+            "result": {
+                "pairs": result.result_size,
+                "node_matches": {
+                    str(node): sorted(
+                        (node_to_json(v) for v in values), key=repr
+                    )
+                    for node, values in result.node_matches.items()
+                },
+                "edge_matches": {
+                    f"{edge[0]}->{edge[1]}": sorted(
+                        ([node_to_json(u), node_to_json(v)] for u, v in pairs),
+                        key=repr,
+                    )
+                    for edge, pairs in result.edge_matches.items()
+                },
+            },
+        },
+        default=str,
+    ).encode() + b"\n"
+
+
+class TestHitPath:
+    @pytest.mark.parametrize(
+        "pattern, empty",
+        [(AB, False), (AC_WITHIN_2, False), (NO_MATCH, True)],
+        ids=["plain", "bounded", "empty"],
+    )
+    def test_reply_bytes_equal_the_dict_encoding(self, pattern, empty):
+        async def run():
+            server, _ = make_server()
+            async with server:
+                tcp = await serve_tcp(server, port=0)
+                port = tcp.sockets[0].getsockname()[1]
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", port
+                )
+                request = json.dumps(
+                    {"op": "query", "pattern": pattern_to_json(pattern)}
+                ).encode() + b"\n"
+                lines = []
+                for _ in range(2):
+                    writer.write(request)
+                    await writer.drain()
+                    lines.append(await reader.readline())
+                writer.close()
+                tcp.close()
+                await tcp.wait_closed()
+
+                miss, hit = (json.loads(line) for line in lines)
+                assert (miss["cache_hit"], hit["cache_hit"]) == (False, True)
+                assert (hit["result"]["pairs"] == 0) is empty
+                # In process the same entry is a hit again; only the
+                # five head fields differ from reply to reply.
+                answer = await server.query(pattern, wire=True)
+                assert answer.cache_hit and answer.elapsed == 0.0
+                assert lines[1] == legacy_reply(answer)
+                assert lines[1] == wire.query_reply(answer)
+                # The miss that filled the entry sent the same fragment.
+                splice = b', "result": '
+                assert lines[0].split(splice, 1)[1] == lines[1].split(splice, 1)[1]
+                # An evaluated answer's own reply, arbitrary float and all.
+                fresh = await server.query(AB_TOO, wire=True)
+                assert not fresh.cache_hit and fresh.elapsed > 0.0
+                assert wire.query_reply(fresh) == legacy_reply(fresh)
+
+        asyncio.run(run())
+
+    def test_warm_hits_never_leave_the_loop(self, monkeypatch):
+        async def run():
+            server, _ = make_server()
+            async with server:
+                for pattern in (AB, BC, AC_WITHIN_2):
+                    await server.query(pattern, wire=True)
+                calls = {"submit": 0, "plan": 0, "encode": 0}
+
+                def counting(name, fn):
+                    def wrapper(*args, **kwargs):
+                        calls[name] += 1
+                        return fn(*args, **kwargs)
+                    return wrapper
+
+                server._pool.submit = counting("submit", server._pool.submit)
+                server.engine.plan = counting("plan", server.engine.plan)
+                monkeypatch.setattr(
+                    "repro.serve.server.result_fragment",
+                    counting("encode", wire.result_fragment),
+                )
+                logged = len(server.engine.plan_log())
+                for _ in range(5):
+                    for pattern in (AB, BC, AC_WITHIN_2):
+                        answer = await server.query(pattern, wire=True)
+                        assert answer.cache_hit and answer.wire
+                assert calls == {"submit": 0, "plan": 0, "encode": 0}
+                # Still one plan-choice record per delivered answer.
+                records = server.engine.plan_log()
+                assert len(records) == logged + 15
+                assert all(r.cache_hit for r in records[:15])
+                recent = server.traces.recent(1)[0]["attrs"]
+                assert recent["resolved"] == "memo"
+                assert recent["wire"] == "cached"
+                assert recent["outcome"] == "cache-hit"
+                # The wrappers do count when something does hop.
+                await server.query(AB_TOO, wire=True)
+                assert calls == {"submit": 2, "plan": 1, "encode": 1}
+
+        asyncio.run(run())
+
+    def test_swap_drops_exactly_the_stranded_entries(self):
+        async def run():
+            server, tracker = make_server()
+            before = tracker.graph.copy()
+            async with server:
+                for pattern in (AB, BC):
+                    await server.query(pattern, wire=True)
+                cached = server.stats()["caches"]["served_answers"]
+                assert len(server._answers) == 2 and cached["bytes"] > 0
+
+                # A reader pinned to epoch 0, held inside evaluation.
+                gate = Gate(server)
+                early = asyncio.ensure_future(server.query(AB_TOO))
+                await gate.wait_entered()
+
+                # 4 -> 2 is an A -> B edge: view AB changes, BC does not.
+                outcome = await server.update(Delta().insert(4, 2))
+                assert list(outcome.report.changed_views) == ["AB"]
+                after = server.stats()["caches"]["served_answers"]
+                assert len(server._answers) == 1
+                assert after["evictions"] == cached["evictions"] + 1
+                assert 0 < after["bytes"] < cached["bytes"]
+                swap = [
+                    child
+                    for child in server.traces.recent(1)[0]["children"]
+                    if child["name"] == "swap"
+                ]
+                assert swap[0]["attrs"]["dropped"] == 1
+
+                untouched = await server.query(BC)
+                assert untouched.cache_hit and untouched.epoch == 1
+
+                # The pinned reader finishes on the epoch it pinned.
+                gate.release.set()
+                answer = await early
+                assert answer.epoch == 0
+                assert (
+                    answer.result.edge_matches
+                    == match(AB_TOO, before).edge_matches
+                )
+                touched = await server.query(AB)
+                assert not touched.cache_hit and touched.epoch == 1
+                assert (
+                    touched.result.edge_matches
+                    == match(AB, tracker.graph).edge_matches
+                )
+                # Its entry is keyed by epoch 0's stamps: no reader of
+                # epoch 1 hits it, and the next swap takes it away.
+                late = await server.query(AB_TOO)
+                assert not late.cache_hit and late.epoch == 1
+                assert (
+                    late.result.edge_matches
+                    == match(AB_TOO, tracker.graph).edge_matches
+                )
+                entries = len(server._answers)
+                await server.update(Delta().insert(1, 5))
+                assert len(server._answers) == entries - 3  # AB, both AB_TOO
+                assert (await server.query(BC)).cache_hit
+
+        asyncio.run(run())
+
+    def test_evicted_extension_degrades_through_the_memo(self):
+        graph = _graph()
+        definitions = _definitions()
+        tracker = IncrementalViewSet(definitions, graph)
+        engine = QueryEngine(
+            ViewSet(definitions), graph=graph, auto_materialize=1.0
+        )
+        engine.attach_maintenance(tracker)
+        engine.materialize_views(["AB", "BC"])
+
+        async def run():
+            async with QueryServer(engine) as server:
+                first = await server.query(AB)
+                (resolution,) = server._registry.current.resolutions.values()
+                assert resolution.spec.kind == "matchjoin"
+
+                # An eviction reaches readers as an epoch without the
+                # extension (3 -> 6 touches no view, so nothing brings
+                # it back); the cached containment still plans
+                # MatchJoin, and the resolution degrades it.
+                engine.evict_extensions(["AB"])
+                await server.update(Delta().insert(3, 6))
+                current = server._registry.current
+                assert "AB" not in current.checkpoint.extensions
+                degraded = await server.query(AB)
+                (resolution,) = current.resolutions.values()
+                assert resolution.plan.strategy == "matchjoin"
+                assert resolution.spec.kind == "direct"
+                assert resolution.key[3][0] == "G"
+                assert not degraded.cache_hit
+                assert (
+                    degraded.result.edge_matches
+                    == first.result.edge_matches
+                    == match(AB, tracker.graph).edge_matches
+                )
+                again = await server.query(AB)
+                assert again.cache_hit
+                attrs = server.traces.recent(1)[0]["attrs"]
+                assert attrs["resolved"] == "memo"
+
+        asyncio.run(run())
+
+    def test_resolution_memo_is_bounded_by_the_answer_cache(self):
+        async def run():
+            server, _ = make_server(answer_cache_size=2)
+            async with server:
+                for pattern in (AB, BC, AB_TOO, NO_MATCH, AC_WITHIN_2):
+                    await server.query(pattern)
+                    assert len(server._registry.current.resolutions) <= 2
+
+        asyncio.run(run())
+
+
+class TestLockRule:
+    def test_loop_stays_live_while_maintenance_holds_the_engine(self):
+        """Hits are served, and the loop keeps ticking, for as long as
+        another thread holds the engine lock; misses wait in the pool."""
+
+        async def run():
+            server, tracker = make_server()
+            async with server:
+                await server.query(AB, wire=True)
+                loop = asyncio.get_running_loop()
+                held, release = threading.Event(), threading.Event()
+
+                def hold():
+                    with server.engine._lock:
+                        held.set()
+                        release.wait(timeout=5)  # failsafe: a blocked loop
+
+                holder = threading.Thread(target=hold)
+                holder.start()
+                try:
+                    await loop.run_in_executor(None, held.wait, 5)
+                    gaps = []
+
+                    async def ticker():
+                        last = perf_counter()
+                        while True:
+                            await asyncio.sleep(0.005)
+                            now = perf_counter()
+                            gaps.append(now - last)
+                            last = now
+
+                    ticking = asyncio.ensure_future(ticker())
+                    miss = asyncio.ensure_future(server.query(BC, wire=True))
+                    hits, slowest = 0, 0.0
+                    deadline = loop.time() + 0.2
+                    while loop.time() < deadline:
+                        started = perf_counter()
+                        answer = await server.query(AB, wire=True)
+                        slowest = max(slowest, perf_counter() - started)
+                        assert answer.cache_hit
+                        hits += 1
+                        await asyncio.sleep(0.001)
+                    # All of that happened under the held lock...
+                    assert holder.is_alive() and not release.is_set()
+                    assert not miss.done()  # ...which the miss needs.
+                    ticking.cancel()
+                    assert hits >= 10
+                    assert slowest < 0.1, slowest
+                    assert len(gaps) >= 10 and max(gaps) < 0.1, max(gaps)
+                finally:
+                    release.set()
+                    holder.join(timeout=5)
+                assert not holder.is_alive()
+                answer = await asyncio.wait_for(miss, timeout=30)
+                assert (
+                    answer.result.edge_matches
+                    == match(BC, tracker.graph).edge_matches
+                )
 
         asyncio.run(run())

@@ -6,7 +6,8 @@ interleave freely, **every answer equals direct evaluation on the graph
 of the epoch it was served from**, and that epoch lies between the
 current epoch at request start and at request completion.  No answer is
 ever torn across epochs -- a reader racing an update is served from one
-consistent generation, never a mixture.
+consistent generation, never a mixture -- and the reply bytes spliced
+from the cached fragment decode to that same answer.
 
 The per-epoch reference graphs are built by replaying the same delta
 stream over copies of the base graph *before* serving starts, so the
@@ -14,6 +15,7 @@ oracle is independent of every engine/serving code path under test.
 """
 
 import asyncio
+import json
 import random
 
 from hypothesis import given, settings, strategies as st
@@ -21,6 +23,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import random_labeled_graph, random_pattern
 from repro.engine import QueryEngine
 from repro.serve import QueryServer
+from repro.serve.wire import query_reply
 from repro.simulation import match
 from repro.views import Delta, ViewDefinition, ViewSet
 from repro.views.maintenance import IncrementalViewSet
@@ -79,7 +82,7 @@ def test_every_answer_is_consistent_with_some_bracketed_epoch(seed):
                 for _ in range(6):
                     pattern = rng.choice(queries)
                     started_on = server.current_epoch
-                    answer = await server.query(pattern)
+                    answer = await server.query(pattern, wire=True)
                     finished_on = server.current_epoch
                     observations.append(
                         (pattern, answer, started_on, finished_on)
@@ -111,3 +114,16 @@ def test_every_answer_is_consistent_with_some_bracketed_epoch(seed):
             seed,
             answer.epoch,
         )
+        # What goes out on the wire is that same result, whichever
+        # request encoded the fragment and however often it was reused.
+        sent = json.loads(query_reply(answer))
+        assert sent["epoch"] == answer.epoch
+        assert sent["cache_hit"] is answer.cache_hit
+        assert sent["coalesced"] is answer.coalesced
+        assert {
+            edge: {tuple(pair) for pair in pairs}
+            for edge, pairs in sent["result"]["edge_matches"].items()
+        } == {
+            f"{edge[0]}->{edge[1]}": set(pairs)
+            for edge, pairs in answer.result.edge_matches.items()
+        }, (seed, answer.epoch)
