@@ -49,6 +49,7 @@ from __future__ import annotations
 import os
 from array import array
 from bisect import bisect_left, bisect_right
+from itertools import chain, repeat
 from operator import itemgetter, ne
 from typing import (
     Any,
@@ -114,6 +115,7 @@ class CompactGraph:
         "_pred_sets",
         "_num_edges",
         "_columns",
+        "_edge_columns",
         "snapshot_version",
         "snapshot_token",
         "extends_token",
@@ -148,6 +150,8 @@ class CompactGraph:
         self._num_edges = graph.num_edges
         # Per-attribute candidate columns, built on first use.
         self._columns: Dict[str, Optional[Column]] = {}
+        # The edge list as flat columns, built on first use.
+        self._edge_columns: Optional[Tuple[array, array]] = None
         self.snapshot_version = version
         self.snapshot_token = _new_token()
         self.extends_token = None
@@ -228,6 +232,8 @@ class CompactGraph:
         # An edge-only delta shares the attrs table, and with it the
         # columns (including those built later, on either snapshot).
         new._columns = old._columns if attrs is old._attrs else {}
+        # Never the predecessor's: adjacency changed, and so may ``n``.
+        new._edge_columns = None
         new.snapshot_version = version
         new.snapshot_token = _new_token()
         new.extends_token = old.snapshot_token
@@ -282,6 +288,23 @@ class CompactGraph:
         """All predecessor rows, indexed by id (shared, do not mutate)."""
         return self._pred
 
+    def edge_columns(self) -> Tuple[array, array]:
+        """Every edge as parallel int32 ``(source id, target id)``
+        columns in CSR order (sources ascending, each row's targets in
+        row order) -- what the array Match kernel gathers its rows
+        from.  Built from the successor rows on first use and kept on
+        the snapshot, so the columns die with it; ``freeze()`` and
+        ``refreshed()`` never pay for them (shared, do not mutate)."""
+        columns = self._edge_columns
+        if columns is None:
+            succ = self._succ
+            sources = map(repeat, range(len(succ)), map(len, succ))
+            columns = self._edge_columns = (
+                array("i", chain.from_iterable(sources)),
+                array("i", chain.from_iterable(succ)),
+            )
+        return columns
+
     def label_ids(self, label: str) -> Tuple[int, ...]:
         """Ids of every node carrying ``label`` (empty tuple if none)."""
         return self._label_ids.get(label, ())
@@ -314,7 +337,7 @@ class CompactGraph:
         to -- every node when there is none -- to be tested by
         ``matches``, the only per-node scan left in seeding.
         """
-        parts, exact = self._index_parts(condition)
+        parts, exact = self.index_parts(condition)
         parts.sort(key=_part_width)
         ids, ranges = parts[0]
         found: Set[int] = set().union(*(ids[a:b] for a, b in ranges))
@@ -333,9 +356,9 @@ class CompactGraph:
     def candidate_bound(self, condition) -> int:
         """An upper bound on ``len(candidate_ids(condition))`` from
         bucket sizes and slice widths alone (no set is built)."""
-        return min(map(_part_width, self._index_parts(condition)[0]))
+        return min(map(_part_width, self.index_parts(condition)[0]))
 
-    def _index_parts(self, condition) -> Tuple[List[Part], bool]:
+    def index_parts(self, condition) -> Tuple[List[Part], bool]:
         """The conjuncts of ``condition`` the index answers (never
         empty: every node, failing all else) and whether that is all of
         them."""

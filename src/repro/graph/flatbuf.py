@@ -68,6 +68,8 @@ import weakref
 import zlib
 from array import array
 from dataclasses import dataclass
+from itertools import chain, repeat
+from operator import sub
 from typing import Any, Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from repro.graph.compact import CompactGraph, Node
@@ -799,6 +801,28 @@ class _LazyRows:
         for i in range(len(self._cache)):
             yield self[i]
 
+    def edge_columns(self) -> Tuple[array, array]:
+        """Every edge as int32 ``(source id, target id)`` columns in row
+        order, read off the flat CSR pair and the overrides: no row is
+        decoded into (or cached as) a tuple."""
+        indptr, indices, base = self._indptr, self._indices, self._base
+        overrides = self._overrides
+        lengths = list(map(sub, indptr[1:], indptr))
+        lengths.extend(repeat(0, len(self._cache) - base))
+        targets = array("i")
+        done = 0  # base rows copied (or overridden) so far
+        for i in sorted(overrides):
+            row = overrides[i]
+            lengths[i] = len(row)
+            upto = min(i, base)
+            if upto > done:
+                targets.extend(indices[indptr[done] : indptr[upto]])
+            done = max(done, min(i + 1, base))
+            targets.extend(row)
+        targets.extend(indices[indptr[done] : indptr[base]])
+        sources = map(repeat, range(len(lengths)), lengths)
+        return array("i", chain.from_iterable(sources)), targets
+
 
 class _LazyNodeTable:
     """The id -> node key decode table, unpickled on first use."""
@@ -1107,6 +1131,13 @@ class SharedCompactGraph(CompactGraph):
         """Per-table byte footprint of the flat layout."""
         return self._flat.table_bytes()
 
+    def edge_columns(self) -> Tuple[array, array]:
+        """As on a plain snapshot; an attached one reads them off the
+        segment instead of decoding every adjacency row."""
+        if self._edge_columns is None and isinstance(self._succ, _LazyRows):
+            self._edge_columns = self._succ.edge_columns()
+        return super().edge_columns()
+
     # -- zero-copy pickling --------------------------------------------
     def __reduce__(self):
         meta = (
@@ -1192,6 +1223,7 @@ def _attach_snapshot(store: FlatStore, patch, meta) -> SharedCompactGraph:
     shared._pred_sets = [None] * num_nodes
     shared._num_edges = num_edges
     shared._columns = {}
+    shared._edge_columns = None
     shared.snapshot_version = version
     shared.snapshot_token = token
     shared.extends_token = extends

@@ -123,8 +123,8 @@ def parallel_materialize(
                 )
         _drive(list(evaluations.values()), runner)
         for name in chosen:
-            # Popped, so each view's grouped output is dropped as soon
-            # as its rows are built.
+            # Popped, so each view's kernel rows are dropped as soon as
+            # its payload is built.
             definition = views.definition(name)
             evaluation = evaluations.pop(name, None)
             if evaluation is None:

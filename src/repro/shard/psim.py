@@ -43,6 +43,7 @@ from __future__ import annotations
 import logging
 import os
 import pickle
+from array import array
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import (
@@ -62,7 +63,7 @@ from repro.obs.metrics import get_registry
 from repro.obs.trace import SpanRecord
 from repro.simulation.compact_engine import (
     FixpointState,
-    IdEdgeMatches,
+    IdRows,
     Outcome,
     extract,
     no_match,
@@ -127,7 +128,7 @@ def _execute(
     withdrawal batch, and the ids the run pruned go back.  An ``edges``
     task is the kernel's extractor with the shard's local -> composite
     id row: one slice of the final outcome, built shard-side, so the
-    coordinator's merge is pure C-level set/dict updates.
+    coordinator's merge is pure C-level set updates and row appends.
     """
     kind, index, session = task[0], task[1], task[2]
     snapshot = sharded.shard(index)
@@ -360,11 +361,11 @@ class _Evaluation:
     Phases: ``sim`` (rounds of local fixpoints + removal-driven
     exchange), then ``edges`` (extract + merge the outcome slices) or
     ``drop`` (failed match; evict worker states), then ``done`` with
-    the ``outcome`` set: the result plus the composite-id edge matches
-    grouped by source id -- the form extension rows are built from --
-    or the failed match.  Several evaluations can progress through the
-    same :class:`ShardRunner` in shared waves (:func:`_drive`), which
-    is what keeps pool round-trips -- the dominant process-mode cost --
+    the ``outcome`` set: the result plus the composite-id edge-match
+    rows -- the form extension payloads store -- or the failed match.
+    Several evaluations can progress through the same
+    :class:`ShardRunner` in shared waves (:func:`_drive`), which is
+    what keeps pool round-trips -- the dominant process-mode cost --
     proportional to the number of *rounds*, not patterns x rounds.
 
     Round 1 runs every shard with label-index seeding (assumptions
@@ -501,17 +502,19 @@ class _Evaluation:
 
     def _merge_edges(self, incoming: List[Tuple[int, object]]) -> None:
         # Every slice covers every pattern node and edge; the first is
-        # adopted and the rest merge into it in place.  Source rows are
-        # owned by exactly one shard, so grouped ids merge by update.
-        (_, (result, id_matches, _)), *rest = incoming  # type: ignore[misc]
-        for _, (local, local_ids, _) in rest:  # type: ignore[misc]
-            for edge, grouped in local_ids.items():
-                id_matches[edge].update(grouped)
+        # adopted and the rest merge into it in place.  A source id is
+        # owned by exactly one shard, so id rows merge by concatenation.
+        (_, (result, id_rows, _)), *rest = incoming  # type: ignore[misc]
+        for _, (local, local_rows, _) in rest:  # type: ignore[misc]
+            for edge, (src, tgt) in local_rows.items():
+                merged_src, merged_tgt = id_rows[edge]
+                merged_src.extend(src)
+                merged_tgt.extend(tgt)
             for edge, pairs in local.edge_matches.items():
                 result.edge_matches[edge] |= pairs
             for u, nodes in local.node_matches.items():
                 result.node_matches[u] |= nodes
-        self.outcome = result, id_matches, None
+        self.outcome = result, id_rows, None
 
 
 def _meter_psim(stats: PSimStats) -> None:
@@ -576,8 +579,8 @@ def sharded_match_with_ids(
     stats_out: Optional[List[PSimStats]] = None,
 ) -> Outcome:
     """Evaluate ``Qs`` on a sharded graph: the outcome in the sharded
-    graph's composite global-id space, its grouped edge matches built
-    shard-side and merged with C-level updates."""
+    graph's composite global-id space, its edge-match rows built
+    shard-side and concatenated."""
     runner, owned = _resolve_runner(sharded, runner, executor, workers)
     try:
         evaluation = _Evaluation(pattern, sharded, runner.new_session())
@@ -661,20 +664,22 @@ def sharded_bounded_match_with_ids(
         pattern, sharded, sim, with_distances=with_distances
     )
     id_of = {v: sharded.id_of(v) for v in set().union(*sim.values())}
-    id_matches: IdEdgeMatches = {}
+    id_rows: IdRows = {}
     id_distances: Optional[Dict[Tuple[int, int], int]] = (
         {} if with_distances else None
     )
     for edge, pairs in per_edge.items():
-        grouped: Dict[int, Set[int]] = {}
+        src = array("q")
+        tgt = array("q")
         for pair in pairs:
             key = (id_of[pair[0]], id_of[pair[1]])
-            grouped.setdefault(key[0], set()).add(key[1])
+            src.append(key[0])
+            tgt.append(key[1])
             if id_distances is not None:
                 d = pairs[pair]
                 previous = id_distances.get(key)
                 if previous is None or d < previous:
                     id_distances[key] = d
-        id_matches[edge] = grouped
+        id_rows[edge] = (src, tgt)
     edge_matches = {edge: set(pairs) for edge, pairs in per_edge.items()}
-    return MatchResult(sim, edge_matches), id_matches, id_distances
+    return MatchResult(sim, edge_matches), id_rows, id_distances

@@ -7,7 +7,7 @@ as the generic BMatch engine, but entirely in the snapshot's dense id
 space:
 
 * candidate sets are sets of ints seeded from the snapshot's candidate index
-  (:func:`~repro.simulation.compact_engine.seed_ids`);
+  (:func:`~repro.simulation.compact_engine.seed_candidates`);
 * the refinement's "which nodes can reach the current match set of u'
   within k hops?" question is answered by the snapshot's multi-source
   reverse bounded BFS (:meth:`CompactGraph.reverse_within_ids`), whose
@@ -27,18 +27,20 @@ materialization stores for the BMatchJoin fast path.
 from __future__ import annotations
 
 import logging
+from array import array
 from collections import deque
+from itertools import repeat
 from typing import Dict, Hashable, Optional, Set, Tuple
 
 from repro.graph.compact import CompactGraph
 from repro.graph.pattern import ANY
 from repro.obs.metrics import get_registry
 from repro.simulation.compact_engine import (
-    IdEdgeMatches,
+    IdRows,
     Outcome,
     decode_outcome,
     no_match,
-    seed_ids,
+    seed_candidates,
 )
 
 log = logging.getLogger(__name__)
@@ -112,7 +114,7 @@ def compact_maximum_bounded_simulation(
     over CSR rows.  Returns ``{u: ids}`` with every set nonempty, or
     ``None`` on no match.
     """
-    sim = seed_ids(pattern, graph)
+    sim = seed_candidates(pattern, graph.candidate_ids)
     if not all(sim.values()):
         return None
     queue = deque(pattern.edges())
@@ -164,8 +166,8 @@ def compact_bounded_edge_matches(
     sim: Dict[PNode, Set[int]],
     with_distances: bool = False,
     cache: Optional[CompactBoundedDistanceCache] = None,
-) -> Tuple[IdEdgeMatches, Optional[IdDistances]]:
-    """Per-edge match sets in id space, grouped by source id.
+) -> Tuple[IdRows, Optional[IdDistances]]:
+    """Per-edge match sets in id space, as ``(src, tgt)`` rows.
 
     With ``with_distances=True`` the second component is the id-space
     distance index ``I(V)`` -- each materialized pair mapped to its
@@ -174,7 +176,7 @@ def compact_bounded_edge_matches(
     filters identically to the dict path).  ``None`` otherwise.
     """
     cache = cache or CompactBoundedDistanceCache(graph)
-    matches: IdEdgeMatches = {}
+    matches: IdRows = {}
     index: Optional[IdDistances] = {} if with_distances else None
     for edge in pattern.edges():
         u, u1 = edge
@@ -185,7 +187,8 @@ def compact_bounded_edge_matches(
         # one traversal does; without an index plain reachability will.
         reach_only = bound is ANY and index is None
         depth = graph.num_nodes if bound is ANY else bound
-        grouped: Dict[int, Set[int]] = {}
+        src = array("q")
+        tgt = array("q")
         for v in sim[u]:
             if reach_only:
                 witnesses = cache.reachable(v) & targets
@@ -194,7 +197,8 @@ def compact_bounded_edge_matches(
                 witnesses = targets.intersection(dist)
             if not witnesses:
                 continue
-            grouped[v] = witnesses
+            src.extend(repeat(v, len(witnesses)))
+            tgt.extend(witnesses)
             if index is not None:
                 for w in witnesses:
                     # I(V) keeps the smaller distance across view edges.
@@ -203,7 +207,7 @@ def compact_bounded_edge_matches(
                     previous = index.get(key)
                     if previous is None or d < previous:
                         index[key] = d
-        matches[edge] = grouped
+        matches[edge] = (src, tgt)
     return matches, index
 
 
@@ -219,7 +223,7 @@ def compact_bounded_match_with_ids(
     sim = compact_maximum_bounded_simulation(pattern, graph)
     if sim is None:
         return no_match()
-    id_matches, index = compact_bounded_edge_matches(
+    id_rows, index = compact_bounded_edge_matches(
         pattern, graph, sim, with_distances=with_distances
     )
-    return decode_outcome(graph, sim, id_matches, id_distances=index)
+    return decode_outcome(graph, sim, id_rows, id_distances=index)

@@ -1,12 +1,15 @@
-"""The id-space Match kernel: one witness-counter fixpoint, one extractor.
+"""The id-space Match kernel over sets: one witness-counter fixpoint,
+one extractor.
 
-Every direct evaluation of a plain pattern against a frozen
-:class:`~repro.graph.compact.CompactGraph` -- a whole-graph snapshot
-behind :func:`repro.simulation.simulation.match`, or one shard of a
-:class:`~repro.shard.sharded.ShardedGraph` behind
-:mod:`repro.shard.psim` -- runs :func:`witness_fixpoint` and reads the
-answer off with :func:`extract`, entirely in the snapshot's dense id
-space:
+A direct evaluation of a plain pattern against a frozen
+:class:`~repro.graph.compact.CompactGraph` runs :func:`witness_fixpoint`
+and reads the answer off with :func:`extract` whenever the snapshot is
+one shard of a :class:`~repro.shard.sharded.ShardedGraph` (behind
+:mod:`repro.shard.psim`: ghosts, kept state, withdrawals), and on a
+whole-graph snapshot (behind :func:`repro.simulation.simulation.match`)
+whenever :func:`repro.simulation.array_engine.array_match` declines it
+-- too few edges to repay array set-up, or no NumPy.  Entirely in the
+snapshot's dense id space:
 
 * candidate sets are sets of ints seeded from the snapshot's label
   buckets and attribute columns
@@ -16,23 +19,34 @@ space:
 * witness counters are built with ``set.intersection`` against the
   snapshot's adjacency rows -- one C call per (candidate, pattern edge)
   instead of a Python loop over successors;
-* the per-edge match sets come out grouped by source id
-  (``{v: {w...}}``), which is exactly the indexed form view
-  materialization flattens into extension rows.
+* the per-edge match sets come out as parallel ``(src, tgt)`` id rows,
+  which is the form extension payloads store.
 
 Results decode back to original node keys at the very end, so a
 :class:`MatchResult` from this engine is equal (``==``) to one computed
 on the mutable dict backend.  Every id-space evaluation -- here, in
+:mod:`repro.simulation.array_engine`,
 :mod:`repro.simulation.compact_bounded` and in the shard layer --
-returns the same *outcome*: ``(result, id_matches, id_distances)``,
+returns the same *outcome*: ``(result, id_rows, id_distances)``,
 ``(MatchResult.empty(), None, None)`` on a failed match.
 """
 
 from __future__ import annotations
 
 import logging
-from itertools import repeat
-from typing import Dict, Hashable, NamedTuple, Optional, Sequence, Set, Tuple
+from array import array
+from itertools import chain, repeat
+from typing import (
+    Callable,
+    Dict,
+    Hashable,
+    Iterable,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.graph.compact import CompactGraph
 from repro.obs import trace
@@ -46,12 +60,11 @@ PEdge = Tuple[PNode, PNode]
 
 #: Id-space candidate sets: ``{pattern node: set of ids}``.
 IdSim = Dict[PNode, Set[int]]
-#: Id-space edge matches: ``{pattern edge: {source id: set of target ids}}``.
-IdEdgeMatches = Dict[PEdge, Dict[int, Set[int]]]
+#: Id-space edge matches: ``{pattern edge: (source ids, target ids)}``,
+#: one row per matched pair, as parallel ``array('q')`` columns.
+IdRows = Dict[PEdge, Tuple[array, array]]
 #: What every id-space evaluation returns.
-Outcome = Tuple[
-    MatchResult, Optional[IdEdgeMatches], Optional[Dict[Tuple[int, int], int]]
-]
+Outcome = Tuple[MatchResult, Optional[IdRows], Optional[Dict[Tuple[int, int], int]]]
 
 
 def no_match() -> Outcome:
@@ -59,21 +72,22 @@ def no_match() -> Outcome:
     return MatchResult.empty(), None, None
 
 
-def seed_ids(pattern, graph: CompactGraph) -> IdSim:
-    """Id-space candidates of every pattern node, from the snapshot's
-    candidate index.  One ``seed`` span and one registry write per run
-    (the index itself counts what it had to scan)."""
+def seed_candidates(pattern, seed: Callable, size: Callable = len) -> Dict:
+    """Candidates of every pattern node, ``{u: seed(condition of u)}``
+    -- id sets from ``CompactGraph.candidate_ids``, or the array
+    kernel's masks, ``size`` counting one node's.  One ``seed`` span
+    and one registry write per run (the index itself counts what it
+    had to scan)."""
     with trace.span("seed", nodes=pattern.num_nodes) as seed_span:
-        candidate_ids = graph.candidate_ids
-        sim = {u: candidate_ids(pattern.condition(u)) for u in pattern.nodes()}
-        seeded = sum(map(len, sim.values()))
+        sim = {u: seed(pattern.condition(u)) for u in pattern.nodes()}
+        seeded = sum(map(size, sim.values()))
         if seed_span is not None:
             seed_span.set(candidates=seeded)
     get_registry().counter("repro_sim_seed_candidates_total").inc(seeded)
     return sim
 
 
-def _meter_refinement(batches: int, removed: int) -> None:
+def meter_refinement(batches: int, removed: int) -> None:
     """One registry write per fixpoint run, wherever it runs (hot-kernel
     discipline: the loop aggregates in local ints, never per removal)."""
     reg = get_registry()
@@ -149,7 +163,7 @@ def witness_fixpoint(
     # has not yet been propagated to the predecessor pattern nodes.
     pending: IdSim = {}
     if state is None:
-        full = seed_ids(pattern, snapshot)
+        full = seed_candidates(pattern, snapshot.candidate_ids)
         sim = full
         if ghosts:
             sim = {u: {i for i in ids if i < own} for u, ids in full.items()}
@@ -227,44 +241,45 @@ def witness_fixpoint(
                 else:
                     gone |= newly
             elif not candidates:
-                _meter_refinement(batches, removals)
+                meter_refinement(batches, removals)
                 return None
             queued = pending.get(u)
             if queued is None:
                 pending[u] = newly
             else:
                 queued |= newly
-    _meter_refinement(batches, removals)
+    meter_refinement(batches, removals)
     return state
 
 
 def decode_outcome(
     snapshot: CompactGraph,
-    sim: IdSim,
-    grouped: IdEdgeMatches,
+    sim: Dict[PNode, Iterable[int]],
+    rows: IdRows,
     global_row: Optional[Sequence[int]] = None,
     id_distances: Optional[Dict[Tuple[int, int], int]] = None,
 ) -> Outcome:
-    """Package surviving candidates and their grouped edge matches as
-    an outcome: node sets and pair sets decode to node keys through the
+    """Package surviving candidates and their edge-match rows as an
+    outcome: node sets and pair sets decode to node keys through the
     snapshot's own table (a ghost carries its key), and ``global_row``
-    -- a shard's local -> composite id map -- moves the grouped ids
-    into the id space extension rows are written in."""
+    -- a shard's local -> composite id map -- moves the rows into the
+    id space extension rows are written in.  A source is decoded once
+    per pattern edge however many rows it heads (on an attached
+    snapshot a decode is a Python-level call, not a list index)."""
     decode = snapshot.node_table.__getitem__
     edge_matches: Dict[PEdge, Set[Tuple]] = {}
-    for edge, rows in grouped.items():
-        pairs: Set[Tuple] = set()
-        for v, targets in rows.items():
-            pairs.update(zip(repeat(decode(v)), map(decode, targets)))
-        edge_matches[edge] = pairs
+    for edge, (src, tgt) in rows.items():
+        heads = set(src)
+        names = dict(zip(heads, map(decode, heads)))
+        edge_matches[edge] = set(zip(map(names.__getitem__, src), map(decode, tgt)))
     node_matches = {u: set(map(decode, ids)) for u, ids in sim.items()}
     if global_row is not None:
         to_global = global_row.__getitem__
-        grouped = {
-            edge: {to_global(v): set(map(to_global, ws)) for v, ws in rows.items()}
-            for edge, rows in grouped.items()
+        rows = {
+            edge: (array("q", map(to_global, src)), array("q", map(to_global, tgt)))
+            for edge, (src, tgt) in rows.items()
         }
-    return MatchResult(node_matches, edge_matches), grouped, id_distances
+    return MatchResult(node_matches, edge_matches), rows, id_distances
 
 
 def extract(
@@ -278,20 +293,37 @@ def extract(
     (at the fixpoint every candidate has a witness, and the surviving
     assumptions are exactly the true boundary matches, so assumed
     witnesses are emitted like internal ones)."""
-    succ = snapshot.succ_rows
+    succ = snapshot.succ_rows.__getitem__
     sim = state.sim
-    grouped: IdEdgeMatches = {}
+    rows: IdRows = {}
     for edge in pattern.edges():
         u, u1 = edge
-        witnesses = state.full[u1].intersection
-        grouped[edge] = {v: witnesses(succ[v]) for v in sim[u]}
-    return decode_outcome(snapshot, sim, grouped, global_row)
+        sources = list(sim[u])
+        found = list(map(state.full[u1].intersection, map(succ, sources)))
+        rows[edge] = (
+            array("q", chain.from_iterable(map(repeat, sources, map(len, found)))),
+            array("q", chain.from_iterable(found)),
+        )
+    return decode_outcome(snapshot, sim, rows, global_row)
 
 
 def compact_match_with_ids(pattern, graph: CompactGraph) -> Outcome:
-    """Evaluate ``Qs`` on a whole-graph snapshot: the kernel's no-ghost
-    case."""
-    state = witness_fixpoint(pattern, graph, graph.num_nodes)
-    if state is None:
-        return no_match()
-    return extract(pattern, graph, state)
+    """Evaluate ``Qs`` on a whole-graph snapshot: the array kernel when
+    it takes the snapshot (its call: edge count and NumPy), else this
+    module's fixpoint in its no-ghost case.  The ``match`` span says
+    which ran and how many edge rows survived."""
+    from repro.simulation.array_engine import array_match
+
+    with trace.span("match") as match_span:
+        kernel = "array"
+        outcome = array_match(pattern, graph)
+        if outcome is None:
+            kernel = "sets"
+            state = witness_fixpoint(pattern, graph, graph.num_nodes)
+            outcome = no_match() if state is None else extract(pattern, graph, state)
+        if match_span is not None:
+            rows = outcome[1] or {}
+            match_span.set(
+                kernel=kernel, rows=sum(len(src) for src, _ in rows.values())
+            )
+    return outcome

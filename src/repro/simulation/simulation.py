@@ -123,7 +123,7 @@ def evaluate(
     pattern, graph, bounded: bool = False, distances: bool = False
 ) -> Optional[Outcome]:
     """The backend dispatch of direct evaluation: the id-space outcome
-    ``(result, id_matches, id_distances)`` of ``pattern`` on ``graph``
+    ``(result, id_rows, id_distances)`` of ``pattern`` on ``graph``
     -- bounded simulation when ``bounded``, with the distance index
     ``I(V)`` when ``distances`` -- or ``None`` when ``graph`` has no id
     space (a live dict graph; the caller runs the reference engine).

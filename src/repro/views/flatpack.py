@@ -230,7 +230,7 @@ class FlatExtension:
         ``tables`` either the three row columns (``pairs_indptr`` /
         ``pairs_src`` / ``pairs_tgt`` as ``array('q')``) or a
         :class:`FlatStore` holding them.  Producers use
-        :meth:`from_grouped` / :meth:`from_pairs`."""
+        :meth:`from_rows` / :meth:`from_pairs`."""
         (
             self.token,
             self.version,
@@ -259,26 +259,25 @@ class FlatExtension:
         return flat
 
     @classmethod
-    def from_grouped(
+    def from_rows(
         cls,
         snapshot,
-        id_matches: Dict[PEdge, Dict[int, Set[int]]],
+        id_rows: Dict[PEdge, Tuple[array, array]],
         distances: Optional[IdDistances] = None,
     ) -> "FlatExtension":
-        """Rows from a simulation kernel's ``{edge: {source id:
-        target ids}}`` output (which the caller can then drop).
-        ``snapshot`` may be a :class:`~repro.graph.compact.CompactGraph`
-        or a :class:`~repro.shard.sharded.ShardedGraph` (composite
-        ids)."""
+        """Rows from a simulation kernel's ``{edge: (source ids, target
+        ids)}`` output, concatenated (the caller can then drop its
+        own).  ``snapshot`` may be a
+        :class:`~repro.graph.compact.CompactGraph` or a
+        :class:`~repro.shard.sharded.ShardedGraph` (composite ids)."""
         indptr = array("q", [0])
         src = array("q")
         tgt = array("q")
-        for grouped in id_matches.values():
-            for v, targets in grouped.items():
-                src.extend([v] * len(targets))
-                tgt.extend(targets)
+        for sources, targets in id_rows.values():
+            src.extend(sources)
+            tgt.extend(targets)
             indptr.append(len(src))
-        return cls._bound_to(snapshot, list(id_matches), indptr, src, tgt, distances)
+        return cls._bound_to(snapshot, list(id_rows), indptr, src, tgt, distances)
 
     @classmethod
     def from_pairs(

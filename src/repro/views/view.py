@@ -24,11 +24,12 @@ intact).
 
 from __future__ import annotations
 
+from array import array
 from typing import TYPE_CHECKING, Dict, Hashable, Optional, Set, Tuple
 
 from repro.graph.pattern import BoundedPattern, Pattern
+from repro.simulation.compact_engine import IdRows
 from repro.simulation.simulation import evaluate
-from repro.simulation.compact_engine import IdEdgeMatches
 from repro.simulation.simulation import match as _match
 from repro.views.flatpack import FlatExtension, _LazyDistances, _PerEdgeLazy
 
@@ -256,14 +257,14 @@ def snapshot_extension(
     definition: ViewDefinition,
     snapshot,
     result: MatchResult,
-    id_matches: Optional[IdEdgeMatches],
+    id_rows: Optional[IdRows],
     id_distances: Optional[Dict[Tuple[int, int], int]] = None,
 ) -> MaterializedView:
     """Package one evaluation against ``snapshot`` as an extension.
 
-    ``id_matches`` is the kernel's grouped id-space output (``None`` on
-    a failed match); it is flattened to rows here and not kept, so
-    materializing a catalog holds one view's grouped output at a time.
+    ``id_rows`` is the kernel's id-space output (``None`` on a failed
+    match); it is concatenated into the payload here and not kept, so
+    materializing a catalog holds one view's kernel rows at a time.
     For bounded views ``id_distances`` is ``I(V)`` in id space -- built
     during materialization, never re-derived per query -- and the
     node-key index on the :class:`MaterializedView` is decoded from the
@@ -272,13 +273,13 @@ def snapshot_extension(
     handle.
     """
     pattern = definition.pattern
-    if id_matches is None:
+    if id_rows is None:
         edge_matches = {edge: set() for edge in pattern.edges()}
-        id_matches = {edge: {} for edge in pattern.edges()}
+        id_rows = {edge: (array("q"), array("q")) for edge in pattern.edges()}
         id_distances = {} if definition.is_bounded else None
     else:
         edge_matches = result.edge_matches
-    payload = FlatExtension.from_grouped(snapshot, id_matches, id_distances)
+    payload = FlatExtension.from_rows(snapshot, id_rows, id_distances)
     distances = None
     if id_distances is not None:
         decode = payload.nodes.__getitem__

@@ -9,11 +9,15 @@ engines can be validated against something independently simple.
 from __future__ import annotations
 
 import random
+import sys
 from contextlib import contextmanager
 from typing import Dict, Optional, Set
 
+import pytest
+
 from repro.graph import ANY, BoundedPattern, DataGraph, Pattern
 from repro.obs.metrics import MetricsRegistry, set_registry
+from repro.simulation import array_engine
 
 
 @contextmanager
@@ -25,6 +29,37 @@ def fresh_registry():
         yield registry
     finally:
         set_registry(previous)
+
+
+def _kernels():
+    try:
+        import numpy  # noqa: F401
+    except ImportError:
+        return ("sets",)
+    return ("sets", "array")
+
+
+#: The Match kernels this interpreter can run on a whole-graph
+#: snapshot: the array one only where NumPy imports (CI re-runs the
+#: kernel tests with it masked out).
+KERNELS = _kernels()
+
+
+@contextmanager
+def forced_kernel(kernel: str):
+    """Run whole-graph snapshot matches on one Match kernel whatever
+    the snapshot's size: ``"array"`` drops the size cut, ``"sets"``
+    masks NumPy out (``import numpy`` raises, as where it is missing)."""
+    assert kernel in KERNELS, kernel
+    patch = pytest.MonkeyPatch()
+    if kernel == "array":
+        patch.setattr(array_engine, "ARRAY_MIN_EDGES", 0)
+    else:
+        patch.setitem(sys.modules, "numpy", None)
+    try:
+        yield
+    finally:
+        patch.undo()
 
 
 @contextmanager

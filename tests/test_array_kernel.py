@@ -1,0 +1,301 @@
+"""The array Match kernel equals the set kernel equals the dict engine.
+
+``repro.simulation.array_engine`` (mask -> rows -> sweep over NumPy
+arrays) answers whole-graph snapshot matches above a size cut; the set
+kernel (``compact_engine.witness_fixpoint``) answers everything else and
+is what runs where NumPy is missing.  Both must return the outcome the
+dict backend's ``maximum_simulation`` defines -- node sets, edge matches
+and id rows -- whatever the pattern's shape and whatever its conditions
+make the candidate index do.
+"""
+
+import math
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.graph import DataGraph, P, Pattern
+from repro.graph.conditions import Condition
+from repro.obs import trace
+from repro.simulation import array_engine
+from repro.simulation.simulation import evaluate, match, maximum_simulation
+from repro.views import ViewDefinition, materialize
+from repro.views.maintenance import Delta
+
+from helpers import (
+    KERNELS,
+    forced_kernel,
+    fresh_registry,
+    random_labeled_graph,
+    random_pattern,
+    reference_edge_matches,
+)
+
+needs_numpy = pytest.mark.skipif(
+    "array" not in KERNELS, reason="NumPy is not importable here"
+)
+
+
+class OddX(Condition):
+    """A condition type the candidate index has never heard of."""
+
+    def matches(self, labels, attrs):
+        x = attrs.get("x")
+        return isinstance(x, int) and x % 2 == 1
+
+    def key(self):
+        return ("odd-x",)
+
+
+def chain(*conditions):
+    pattern = Pattern()
+    for i, condition in enumerate(conditions):
+        pattern.add_node(i, condition)
+        if i:
+            pattern.add_edge(i - 1, i)
+    return pattern
+
+
+#: What the pattern (or the data under it) is bent into, one case each
+#: for the shapes and fallbacks the kernels must agree on.
+FLAVOURS = (
+    "plain", "cyclic", "self_loop", "two_way", "edgeless_node",
+    "empty_seed", "swept_empty", "nan", "mixed", "unknown",
+)
+X_VALUES = {
+    "nan": (0, 1, 2.5, 3, math.nan),
+    "mixed": (0, 1, 2, 3, "a", None),
+    "unknown": (0, 1, 2, 3),
+}
+
+
+def instance(seed, flavour):
+    rng = random.Random(seed)
+    n = rng.randint(4, 25)
+    graph = random_labeled_graph(rng, n, rng.randint(4, 70))
+    pattern = random_pattern(rng, rng.randint(2, 5), rng.randint(1, 7))
+    nodes = list(pattern.nodes())
+    if flavour == "cyclic":
+        for i, node in enumerate(nodes):
+            pattern.add_edge(node, nodes[(i + 1) % len(nodes)])
+    elif flavour == "self_loop":
+        for node in rng.sample(nodes, rng.randint(1, 2)):
+            pattern.add_edge(node, node)
+        for node in rng.sample(range(n), min(4, n)):
+            graph.add_edge(node, node)
+    elif flavour == "two_way":
+        # Both directions of an edge, and two edges into one target.
+        source, target = pattern.edges()[0]
+        pattern.add_edge(target, source)
+        pattern.add_node("twin", pattern.condition(source))
+        pattern.add_edge("twin", target)
+    elif flavour == "edgeless_node":
+        pattern.add_node("alone", rng.choice("ABC"))
+    elif flavour == "empty_seed":
+        pattern.add_node("nobody", "Z")
+        pattern.add_edge(nodes[0], "nobody")
+    elif flavour == "swept_empty":
+        # Every label is seeded, but no B has a C successor.
+        pattern = chain("A", "B", "C")
+        for label in "ABC":
+            graph.add_node(f"extra-{label}", labels=label)
+        graph.add_edge("extra-A", "extra-B")
+        for source, target in list(graph.edges()):
+            if "B" in graph.labels(source) and "C" in graph.labels(target):
+                graph.remove_edge(source, target)
+    elif flavour in X_VALUES:
+        relabelled = DataGraph()
+        for node in graph.nodes():
+            attrs = {"x": rng.choice(X_VALUES[flavour])} if rng.random() < 0.8 else {}
+            relabelled.add_node(node, labels=graph.labels(node), attrs=attrs)
+        for source, target in graph.edges():
+            relabelled.add_edge(source, target)
+        graph = relabelled
+        if flavour == "unknown":
+            conditions = [OddX(), "A", OddX()]
+        else:
+            conditions = [P("x") >= 1, (P("x") != 2).with_label("B"), P("x") < 3]
+        rng.shuffle(conditions)
+        pattern = chain(*conditions[: rng.randint(2, 3)])
+    return graph, pattern
+
+
+def run_kernel(kernel, pattern, frozen):
+    """``evaluate`` on one kernel, checked to be the one that ran."""
+    with forced_kernel(kernel), trace.root_span("query") as root:
+        outcome = evaluate(pattern, frozen)
+    (span,) = [child for child in root.children if child.name == "match"]
+    assert span.attrs["kernel"] == kernel
+    return outcome
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 10_000), flavour=st.sampled_from(FLAVOURS))
+def test_array_kernel_equals_set_kernel_equals_dict_engine(seed, flavour):
+    graph, pattern = instance(seed, flavour)
+    expected = maximum_simulation(pattern, graph)
+    frozen = graph.freeze()
+    outcomes = {kernel: run_kernel(kernel, pattern, frozen) for kernel in KERNELS}
+    if flavour in ("empty_seed", "swept_empty"):
+        assert expected is None
+    if expected is None:
+        for result, id_rows, id_distances in outcomes.values():
+            assert not result and id_rows is None and id_distances is None
+        return
+    pairs = reference_edge_matches(pattern, graph, expected)
+    table = frozen.node_table
+    for result, id_rows, id_distances in outcomes.values():
+        assert id_distances is None
+        assert result.node_matches == expected
+        assert result.edge_matches == pairs
+        assert set(id_rows) == set(pairs)
+        for edge, (src, tgt) in id_rows.items():
+            assert src.typecode == tgt.typecode == "q"
+            assert len(src) == len(tgt) == len(pairs[edge])
+            assert {(table[v], table[w]) for v, w in zip(src, tgt)} == pairs[edge]
+
+
+@needs_numpy
+@pytest.mark.parametrize("shared", [False, True])
+def test_edge_columns_are_rebuilt_after_a_refresh(shared, monkeypatch):
+    from repro.graph.flatbuf import BACKEND_ENV
+
+    monkeypatch.setenv(BACKEND_ENV, "bytes")
+    rng = random.Random(21)
+    graph = random_labeled_graph(rng, 30, 90)
+    pattern = chain("A", "B", "C")
+    old = graph.freeze(shared=shared)
+    with forced_kernel("array"):
+        assert match(pattern, old) == match(pattern, graph)
+    assert old._edge_columns is not None
+
+    present = next(iter(graph.edges()))
+    absent = next(
+        (v, w) for v in graph.nodes() for w in graph.nodes()
+        if not graph.has_edge(v, w)
+    )
+    graph.add_node("appended", labels="B")
+    b_target = next(v for v in graph.nodes() if "C" in graph.labels(v))
+    a_source = next(v for v in graph.nodes() if "A" in graph.labels(v))
+    graph.apply_delta(
+        Delta()
+        .insert(*absent)
+        .delete(*present)
+        .insert(a_source, "appended")
+        .insert("appended", b_target)
+    )
+    new = graph.freeze(shared=shared)
+    assert new.extends_token == old.snapshot_token  # refreshed, not rebuilt
+    assert new.num_nodes == old.num_nodes + 1
+    assert new._edge_columns is None
+    with forced_kernel("array"):
+        refreshed = match(pattern, new)
+    assert refreshed == match(pattern, graph)
+    assert "appended" in refreshed.node_matches[1]
+    src, tgt = new.edge_columns()
+    assert len(src) == len(tgt) == graph.num_edges
+    assert set(zip(src, tgt)) == {
+        (new.id_of(v), new.id_of(w)) for v, w in graph.edges()
+    }
+    # The predecessor still answers for the graph it froze.
+    assert len(old.edge_columns()[0]) == old.num_edges
+
+
+@needs_numpy
+def test_attached_snapshot_reads_its_columns_off_the_segment(monkeypatch):
+    """A pool worker's snapshot decodes adjacency rows on first touch;
+    the array kernel must not touch (and so cache) every one of them."""
+    import pickle
+
+    from repro.graph.flatbuf import BACKEND_ENV
+
+    monkeypatch.setenv(BACKEND_ENV, "bytes")
+    rng = random.Random(34)
+    graph = random_labeled_graph(rng, 40, 140)
+    pattern = chain("A", "B", "C")
+    base = graph.freeze(shared=True)
+    first, last = list(graph.nodes())[0], list(graph.nodes())[-1]
+    graph.add_node("appended", labels="B")
+    graph.apply_delta(
+        Delta()
+        .delete(*next(iter(graph.edges())))
+        .insert(first, "appended")
+        .insert("appended", last)
+        .insert(last, first)
+    )
+    patched = graph.freeze(shared=True)
+    assert patched.extends_token == base.snapshot_token and patched._patch["succ"]
+    for creator in (base, patched):
+        attached = pickle.loads(pickle.dumps(creator))
+        assert attached.edge_columns() == creator.edge_columns()
+        assert attached.edge_columns()[0].typecode == "i"
+        with forced_kernel("array"):
+            assert match(pattern, attached) == match(pattern, creator)
+        assert not any(attached._succ._cache)
+
+
+@needs_numpy
+def test_dispatch_is_by_edge_count_and_numpy_alone(monkeypatch):
+    rng = random.Random(5)
+    graph = random_labeled_graph(rng, 40, 120)
+    frozen = graph.freeze()
+    pattern = chain("A", "B")
+
+    def kernel_of(target):
+        with trace.root_span("query") as root:
+            match(pattern, target)
+        (span,) = [child for child in root.children if child.name == "match"]
+        return span.attrs["kernel"]
+
+    assert frozen.num_edges < array_engine.ARRAY_MIN_EDGES
+    assert kernel_of(frozen) == "sets"
+    monkeypatch.setattr(array_engine, "ARRAY_MIN_EDGES", frozen.num_edges)
+    assert kernel_of(frozen) == "array"
+    monkeypatch.setattr(array_engine, "ARRAY_MIN_EDGES", frozen.num_edges + 1)
+    assert kernel_of(frozen) == "sets"
+    monkeypatch.setattr(array_engine, "ARRAY_MIN_EDGES", 0)
+    with forced_kernel("sets"):
+        assert kernel_of(frozen) == "sets"
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_match_span_and_counters_mean_the_same_on_both_kernels(kernel):
+    # a1 -> b1 -> c, a2 -> b2: b2 has no C successor, so one sweep of
+    # pattern node B removes it and one sweep of A removes a2.
+    graph = DataGraph()
+    for node in ("a1", "a2", "b1", "b2", "c"):
+        graph.add_node(node, labels=node[0].upper())
+    for edge in (("a1", "b1"), ("a2", "b2"), ("b1", "c")):
+        graph.add_edge(*edge)
+    frozen = graph.freeze()
+    with fresh_registry() as registry, forced_kernel(kernel):
+        with trace.root_span("query") as root:
+            result = match(chain("A", "B", "C"), frozen)
+    assert result.edge_matches == {(0, 1): {("a1", "b1")}, (1, 2): {("b1", "c")}}
+    (span,) = root.children
+    assert span.name == "match" and span.attrs["kernel"] == kernel
+    # The rows that survived: the answer's pairs, whichever kernel ran.
+    assert span.attrs["rows"] == 2
+    assert [child.name for child in span.children] == ["seed"]
+    counter = lambda name: registry.counter(name).value  # noqa: E731
+    assert counter("repro_sim_seed_candidates_total") == 5
+    assert counter("repro_sim_seed_scanned_total") == 0
+    assert counter("repro_sim_batches_total") == 2
+    assert counter("repro_sim_removals_total") == 2
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_materialized_payload_rows_come_straight_from_the_kernel(kernel):
+    rng = random.Random(8)
+    graph = random_labeled_graph(rng, 30, 120)
+    definition = ViewDefinition("v", chain("A", "B", "A"))
+    frozen = graph.freeze()
+    with forced_kernel(kernel):
+        view = materialize(definition, frozen)
+    assert view.edge_matches == materialize(definition, graph).edge_matches
+    table = frozen.node_table
+    for edge, pairs in view.edge_matches.items():
+        src, tgt = view.compact.pair_rows(edge)
+        assert {(table[v], table[w]) for v, w in zip(src, tgt)} == pairs
+        assert len(src) == len(pairs)

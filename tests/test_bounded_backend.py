@@ -172,7 +172,7 @@ class TestBoundedMatchEquivalence:
         )
         q = build_bounded({"a": "A", "b": "B"}, [("a", "b", 3)])
         f = g.freeze()
-        result, id_matches, index = compact_bounded_match_with_ids(
+        result, id_rows, index = compact_bounded_match_with_ids(
             q, f, with_distances=True
         )
         decode = f.node_table.__getitem__
@@ -182,9 +182,7 @@ class TestBoundedMatchEquivalence:
         # Only node 1 matches "a"; 1 -> 3 -> 4 is the shortest B-path.
         assert decoded == {(1, 2): 1, (1, 4): 2}
         pairs = {
-            (decode(v), decode(w))
-            for v, targets in id_matches[("a", "b")].items()
-            for w in targets
+            (decode(v), decode(w)) for v, w in zip(*id_rows[("a", "b")])
         }
         assert pairs == result.edge_matches[("a", "b")]
 

@@ -32,7 +32,7 @@ from repro.shard.sharded import ShardedGraph
 from repro.simulation import bounded_match, match
 from repro.views import ViewDefinition, ViewSet
 
-from helpers import fresh_registry
+from helpers import KERNELS, forced_kernel, fresh_registry
 
 ATTRS = ("x", "y", "z")
 LABELS = ("A", "B")
@@ -212,12 +212,14 @@ def _rated_pattern():
     return pattern
 
 
-def test_seed_metrics_count_candidates_not_scans(registry):
+def test_seed_metrics_count_candidates_not_scans():
     snapshot = _rated_graph([1, 2, 3, 4]).freeze()
-    assert match(_rated_pattern(), snapshot)
-    # u: {1, 2, 3}, v: {2, 3} -- straight off the column, nothing scanned.
-    assert registry.counter("repro_sim_seed_candidates_total").value == 5
-    assert registry.counter("repro_sim_seed_scanned_total").value == 0
+    for kernel in KERNELS:  # sets seeded or masks scattered
+        with fresh_registry() as registry, forced_kernel(kernel):
+            assert match(_rated_pattern(), snapshot)
+        # u: {1, 2, 3}, v: {2, 3} -- straight off the column, nothing scanned.
+        assert registry.counter("repro_sim_seed_candidates_total").value == 5
+        assert registry.counter("repro_sim_seed_scanned_total").value == 0
 
 
 def test_seed_metrics_show_a_column_that_fell_back(registry):
@@ -225,13 +227,19 @@ def test_seed_metrics_show_a_column_that_fell_back(registry):
     assert snapshot.candidate_ids(_rated_pattern().condition("u")) == {1, 3}
     # The NaN column cannot be bisected: all four nodes were tested.
     assert registry.counter("repro_sim_seed_scanned_total").value == 4
+    # ... and are again, per pattern node, whichever kernel seeds from it.
+    for rerun, kernel in enumerate(KERNELS, start=1):
+        with forced_kernel(kernel):
+            match(_rated_pattern(), snapshot)
+        assert registry.counter("repro_sim_seed_scanned_total").value == 4 + 8 * rerun
 
 
 def test_seed_span_sits_under_the_match(registry):
     snapshot = _rated_graph([1, 2, 3, 4]).freeze()
     with trace.root_span("query") as root:
         match(_rated_pattern(), snapshot)
-    (seed,) = [child for child in root.children if child.name == "seed"]
+    (matched,) = [child for child in root.children if child.name == "match"]
+    (seed,) = [child for child in matched.children if child.name == "seed"]
     assert seed.attrs == {"nodes": 2, "candidates": 5}
 
 

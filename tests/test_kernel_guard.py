@@ -5,9 +5,13 @@ the same lazy-counter, batched-removal loop written twice, and backend
 choice was made by ``sys.modules`` probes for the shard layer.  Both are
 now one thing each (``simulation.compact_engine.witness_fixpoint`` and
 ``simulation.simulation.evaluate``); these guards keep a second copy
-from appearing.
+from appearing.  The array form of the whole-graph case
+(``simulation.array_engine``) shares none of the counter loop, and is
+the one place NumPy may be imported -- lazily, so processes that never
+run it never load it.
 """
 
+import ast
 import re
 from pathlib import Path
 
@@ -16,6 +20,7 @@ import repro
 SRC = Path(repro.__file__).resolve().parent
 
 KERNEL = "simulation/compact_engine.py"
+ARRAY_KERNEL = "simulation/array_engine.py"
 #: The dict-backend reference engine keeps its own eager counters.
 DICT_REFERENCE = "simulation/simulation.py"
 
@@ -41,6 +46,30 @@ def test_kernel_counter_loop_exists_in_exactly_one_file():
         "_local_edge_matches", "compact_edge_matches",
     ):
         assert not _files_matching(rf"\b{gone}\b"), gone
+
+
+def test_numpy_is_imported_in_one_file_and_only_inside_a_function():
+    assert _files_matching(r"(?m)^\s*(import|from)\s+numpy\b") == {ARRAY_KERNEL}
+    tree = ast.parse((SRC / ARRAY_KERNEL).read_text())
+
+    def numpy_imports(root):
+        for node in ast.walk(root):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "numpy" for name in names):
+                yield node
+
+    inside = [
+        node
+        for scope in ast.walk(tree)
+        if isinstance(scope, ast.FunctionDef)
+        for node in numpy_imports(scope)
+    ]
+    assert len(inside) == len(list(numpy_imports(tree))) == 1
 
 
 def test_dispatch_never_probes_sys_modules_for_the_shard_layer():

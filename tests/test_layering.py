@@ -22,9 +22,14 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.datasets import amazon_graph, amazon_views
 from repro.graph.ingest import ingest_snapshot
-from repro.graph.io import write_pattern
+from repro.graph.io import write_graph, write_pattern
 from repro.graph.pattern import Pattern
+from repro.graph.snapshot import SnapshotStore
+from repro.simulation.array_engine import ARRAY_MIN_EDGES
+from repro.simulation.simulation import match
+from repro.views.io import write_viewset
 
 SRC = str(Path(repro.__file__).resolve().parent.parent)
 
@@ -58,12 +63,12 @@ def _rank(module: str) -> int:
 
 
 def _loaded_after(code: str, *argv: str):
-    """``sys.modules`` names (``repro.*`` and a few stdlib heavyweights)
-    after running ``code`` in a fresh interpreter."""
+    """``sys.modules`` names (``repro.*``, a few stdlib heavyweights
+    and NumPy) after running ``code`` in a fresh interpreter."""
     probe = (
         "import json, sys\n"
         + code
-        + "\nwatch = ('repro', 'multiprocessing', 'concurrent', 'asyncio')\n"
+        + "\nwatch = ('repro', 'multiprocessing', 'concurrent', 'asyncio', 'numpy')\n"
         "sys.stderr.write('LOADED ' + json.dumps(sorted(\n"
         "    m for m in sys.modules if m.split('.')[0] in watch)) + '\\n')\n"
     )
@@ -120,14 +125,20 @@ def test_package_pulls_in_nothing_above_itself(package):
 
 
 def test_sharded_boot_loads_only_what_it_runs(tmp_path):
+    # Every shard is big enough for the array kernel, were it a whole
+    # graph: shards have ghosts, so they run the set kernel and the boot
+    # never imports NumPy.
     rng = random.Random(3)
-    edges = [
-        (f"n{rng.randrange(60)}", f"n{rng.randrange(60)}") for _ in range(300)
-    ]
+    edges = {
+        (f"n{rng.randrange(1500)}", f"n{rng.randrange(1500)}")
+        for _ in range(6 * ARRAY_MIN_EDGES)
+    }
     ingest_snapshot(
-        iter(edges), tmp_path / "snap", num_shards=3,
+        iter(sorted(edges)), tmp_path / "snap", num_shards=4,
         labeler=lambda node: (f"l{int(node[1:]) % 3}",),
     )
+    shards = SnapshotStore.load(tmp_path / "snap").graph.shards
+    assert min(shard.num_edges for shard in shards) >= ARRAY_MIN_EDGES
     query = Pattern()
     for position in range(3):
         query.add_node(f"p{position}", f"l{position}")
@@ -147,13 +158,87 @@ def test_sharded_boot_loads_only_what_it_runs(tmp_path):
         "repro.datasets", "repro.bench", "repro.serve",
         "repro.engine.advisor", "repro.views.maintenance",
         "repro.graph.ingest", "repro.shard.partitioner",
-        "multiprocessing", "concurrent.futures", "asyncio",
+        "multiprocessing", "concurrent.futures", "asyncio", "numpy",
     )
     hits = [
         m for m in loaded
         if any(m == bad or m.startswith(bad + ".") for bad in forbidden)
     ]
     assert not hits, hits
+
+
+def test_serve_boot_answers_a_miss_and_a_hit_without_numpy(tmp_path):
+    # The server's graph is big enough for the array kernel, but a
+    # contained query is MatchJoin over maintained extensions: no direct
+    # match runs, so NumPy's 12 MiB never enter the serving process.
+    views = amazon_views()
+    graph = amazon_graph(1200, 2 * ARRAY_MIN_EDGES, seed=11)
+    assert graph.num_edges >= ARRAY_MIN_EDGES
+    write_graph(graph, tmp_path / "g.json")
+    write_viewset(views, tmp_path / "v.json")
+    write_pattern(next(iter(views)).pattern, tmp_path / "q.json")
+    loaded, stdout = _loaded_after(
+        "import socket, threading, time\n"
+        "from repro.cli import main\n"
+        "with socket.socket() as free:\n"
+        "    free.bind(('127.0.0.1', 0))\n"
+        "    port = free.getsockname()[1]\n"
+        "argv = ['serve', '--graph', sys.argv[1], '--views', sys.argv[2],\n"
+        "        '--port', str(port), '--log-level', 'warning']\n"
+        "threading.Thread(target=main, args=(argv,), daemon=True).start()\n"
+        "pattern = json.load(open(sys.argv[3]))\n"
+        "request = json.dumps({'op': 'query', 'pattern': pattern}) + '\\n'\n"
+        "for attempt in range(200):\n"
+        "    try:\n"
+        "        conn = socket.create_connection(('127.0.0.1', port))\n"
+        "        break\n"
+        "    except OSError:\n"
+        "        time.sleep(0.05)\n"
+        "stream = conn.makefile('rwb')\n"
+        "for _ in range(2):\n"
+        "    stream.write(request.encode())\n"
+        "    stream.flush()\n"
+        "    reply = json.loads(stream.readline())\n"
+        "    print(reply['ok'], reply['cache_hit'], reply['result']['pairs'] > 0)\n",
+        str(tmp_path / "g.json"), str(tmp_path / "v.json"), str(tmp_path / "q.json"),
+    )
+    assert stdout.splitlines()[-2:] == ["True False True", "True True True"]
+    assert "repro.serve.server" in loaded
+    assert not [m for m in loaded if m.split(".")[0] == "numpy"]
+
+
+def test_whole_graph_match_without_numpy_runs_the_set_kernel():
+    # ``sys.modules["numpy"] = None`` makes ``import numpy`` raise, as on
+    # an interpreter without it; the answer must not change.
+    graph = amazon_graph(1200, 2 * ARRAY_MIN_EDGES, seed=11)
+    patterns = [definition.pattern for definition in list(amazon_views())[:4]]
+    expected = [
+        f"{result.result_size} {sorted(map(repr, result.as_relation()))}"
+        for result in (match(pattern, graph) for pattern in patterns)
+    ]
+    assert any(not line.startswith("0 ") for line in expected)
+    code = (
+        "{mask}"
+        "from repro.datasets import amazon_graph, amazon_views\n"
+        "from repro.obs import trace\n"
+        "from repro.simulation.simulation import match\n"
+        f"frozen = amazon_graph(1200, {2 * ARRAY_MIN_EDGES}, seed=11).freeze()\n"
+        "for definition in list(amazon_views())[:4]:\n"
+        "    with trace.root_span('query') as root:\n"
+        "        result = match(definition.pattern, frozen)\n"
+        "    print(root.children[0].attrs['kernel'], result.result_size,\n"
+        "          sorted(map(repr, result.as_relation())))\n"
+    )
+    loaded, stdout = _loaded_after(code.format(mask="sys.modules['numpy'] = None\n"))
+    assert not [m for m in loaded if m.startswith("numpy.")]
+    assert stdout.splitlines() == [f"sets {line}" for line in expected]
+    try:
+        import numpy  # noqa: F401
+    except ImportError:
+        return
+    loaded, stdout = _loaded_after(code.format(mask=""))
+    assert "numpy" in loaded
+    assert stdout.splitlines() == [f"array {line}" for line in expected]
 
 
 def test_shard_dispatch_reaches_a_lazily_imported_shard_layer():

@@ -33,6 +33,8 @@ from repro.simulation.simulation import evaluate, maximum_simulation
 from repro.views import ViewDefinition, ViewSet
 
 from helpers import (
+    KERNELS,
+    forced_kernel,
     fresh_registry,
     random_labeled_graph,
     random_pattern,
@@ -156,24 +158,22 @@ def kernel_instance(seed, backend, flavour):
 def test_kernel_equals_dict_maximum_simulation(seed, backend, flavour):
     graph, pattern, target = kernel_instance(seed, backend, flavour)
     expected = maximum_simulation(pattern, graph)
-    result, id_matches, id_distances = evaluate(pattern, target)
+    result, id_rows, id_distances = evaluate(pattern, target)
     assert id_distances is None
     assert result == match(pattern, target)
     if expected is None:
-        assert not result and id_matches is None
+        assert not result and id_rows is None
         return
     assert result.node_matches == expected
     pairs = reference_edge_matches(pattern, graph, expected)
     assert result.edge_matches == pairs
-    # The grouped id matches are the same pairs in the target's id
-    # space, each source grouped once with a nonempty witness set.
+    # The id rows are the same pairs in the target's id space, one
+    # ``(src, tgt)`` row per pair.
     table = target.node_table
-    assert set(id_matches) == set(pairs)
-    for edge, grouped in id_matches.items():
-        assert all(grouped.values())
-        assert {
-            (table[v], table[w]) for v, ws in grouped.items() for w in ws
-        } == pairs[edge]
+    assert set(id_rows) == set(pairs)
+    for edge, (src, tgt) in id_rows.items():
+        assert len(src) == len(tgt) == len(pairs[edge])
+        assert {(table[v], table[w]) for v, w in zip(src, tgt)} == pairs[edge]
 
 
 def test_kernel_no_ghost_case_aliases_and_exits_early():
@@ -208,17 +208,20 @@ def test_kernel_no_ghost_case_aliases_and_exits_early():
     assert state.sim[0] == {shard.id_of("b2")}
     assert state.full[0] == {shard.id_of("b1"), shard.id_of("b2")}
 
-    def batches(pattern, target):
-        with fresh_registry() as registry:
-            assert not match(pattern, target)
+    def batches(pattern, target, kernel="sets"):
+        with fresh_registry() as registry, forced_kernel(kernel):
+            result, id_rows, _ = evaluate(pattern, target)
+            assert not result and id_rows is None
             return registry.counter("repro_sim_batches_total").value
 
-    # A seed that is already empty: nothing runs at all.
-    assert batches(chain("A", "D"), frozen) == 0
-    # b1 has no C successor, so its batch empties sim(A): the whole-graph
-    # run stops there, while a shard (whose matches may live elsewhere)
-    # goes on to propagate a's removal.
-    assert batches(chain("A", "B", "C"), frozen) == 1
+    for kernel in KERNELS:
+        # A seed that is already empty: nothing runs at all.
+        assert batches(chain("A", "D"), frozen, kernel) == 0
+        # b1 has no C successor, so its batch (the sweep of pattern node
+        # B) empties sim(A): the whole-graph run stops there ...
+        assert batches(chain("A", "B", "C"), frozen, kernel) == 1
+    # ... while a shard (whose matches may live elsewhere) goes on to
+    # propagate a's removal.
     assert batches(chain("A", "B", "C"), ShardedGraph(graph, num_shards=1)) == 2
 
 
