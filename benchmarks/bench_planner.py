@@ -315,9 +315,10 @@ def test_planner_explain_matches_record(mixed, summary):
 
 
 def test_advisor_budget_beats_materialize_nothing(
-    benchmark, mixed, summary, scale
+    benchmark, mixed, summary, scale, monkeypatch
 ):
     graph, full_views, _, _ = mixed
+    monkeypatch.setattr("repro.engine.advisor.ADVISOR_INTERVAL", 4)
     # Hot queries answerable from small extensions: once the advisor
     # materializes those views, MatchJoin wins decisively.
     hot = _small_view_patterns(full_views)
@@ -335,7 +336,6 @@ def test_advisor_budget_beats_materialize_nothing(
         graph,
         planner="adaptive",
         auto_materialize=0.15,
-        advisor_interval=4,
     )
     advisor = advised.advisor
     budget = advisor.budget_bytes()

@@ -1089,7 +1089,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="graph for materialize-on-demand and direct fallback")
     p.add_argument("--strategy", choices=_SELECTIONS,
                    default="minimal")
-    p.add_argument("--executor", choices=("serial", "thread", "process"),
+    p.add_argument("--executor", choices=("serial", "process"),
                    default="serial")
     p.add_argument("--planner",
                    choices=("fixed", "adaptive", "direct", "hybrid"),

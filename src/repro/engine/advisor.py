@@ -29,7 +29,7 @@ loop at runtime instead of ahead of time:
   evaluations hold their own point-in-time extensions copy.
 
 Wired in three places: ``QueryEngine(auto_materialize=...)`` ticks
-every N delivered answers, :class:`~repro.serve.server.QueryServer`
+every :data:`ADVISOR_INTERVAL` delivered answers, :class:`~repro.serve.server.QueryServer`
 runs periodic epoch-safe ticks on its maintenance thread, and
 ``repro advise`` reports (and optionally applies) the scores offline.
 """
@@ -40,11 +40,15 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.engine.cost import BYTES_PER_UNIT, EST_MISSING_FRACTION
-from repro.engine.plan import DIRECT, HYBRID, MATCHJOIN
+from repro.engine.plan import DIRECT, MATCHJOIN
 from repro.views.selection import selection_stats
 
 #: Default budget: the top of the paper's measured 4-15% |G| range.
 DEFAULT_BUDGET_FRACTION = 0.15
+
+#: Delivered answers between two :meth:`WorkloadAdvisor.maybe_tick`
+#: ticks of an engine-owned advisor (``auto_materialize=``).
+ADVISOR_INTERVAL = 32
 
 
 @dataclass
@@ -122,7 +126,8 @@ class WorkloadAdvisor:
         bound), or an absolute byte count overriding the fraction.
     interval:
         :meth:`maybe_tick` (called by the engine once per delivered
-        answer) runs a full :meth:`tick` every ``interval`` answers.
+        answer) runs a full :meth:`tick` every ``interval`` answers
+        (default: :data:`ADVISOR_INTERVAL`, read at construction).
     min_hits:
         Views read by fewer than this many logged answers are never
         auto-materialized (1 = any observed use qualifies).
@@ -133,9 +138,11 @@ class WorkloadAdvisor:
         engine,
         budget_fraction: float = DEFAULT_BUDGET_FRACTION,
         budget_bytes: Optional[int] = None,
-        interval: int = 32,
+        interval: Optional[int] = None,
         min_hits: int = 1,
     ) -> None:
+        if interval is None:
+            interval = ADVISOR_INTERVAL
         if engine.graph is None:
             raise ValueError("WorkloadAdvisor requires an engine with a graph")
         if budget_fraction < 0:
@@ -143,6 +150,10 @@ class WorkloadAdvisor:
         if interval < 1:
             raise ValueError(f"interval must be >= 1, got {interval}")
         self._engine = engine
+        # Reading it creates it (a fixed-planner engine has none until
+        # asked): answers calibrate it from the moment an advisor
+        # attaches, so benefit is priced on this machine's rates.
+        self._model = engine.cost_model
         self._budget_fraction = budget_fraction
         self._budget_bytes = budget_bytes
         self._interval = interval
@@ -215,19 +226,21 @@ class WorkloadAdvisor:
         )
         graph_bytes = self.graph_bytes()
         graph_units = engine.graph_units()
-        model = engine.cost_model
+        model = self._model
         benefit: Dict[str, float] = {}
-        # Demand is *priced* demand, not reads: an adaptive plan that
-        # chose direct because the view was unmaterialized still counts
-        # as a hit for that view -- otherwise nothing would ever get
-        # materialized (direct plans read no views).
+        # Demand is *priced* demand, not reads: a plan that went direct
+        # because the view was unmaterialized (an adaptive plan's priced
+        # candidate, a plan on an epoch the view was evicted from: its
+        # record's ``views_wanted``) still counts as a hit for that
+        # view -- otherwise nothing would ever get (re)materialized
+        # (direct plans read no views).
         demand: Dict[str, int] = {}
         for record in records:
             per_view = self._record_benefit(record, model, graph_units)
             for name, gain in per_view.items():
                 benefit[name] = benefit.get(name, 0.0) + gain
                 demand[name] = demand.get(name, 0) + 1
-            for name in getattr(record, "views_used", ()):
+            for name in record.views_used:
                 if name not in per_view:
                     demand[name] = demand.get(name, 0) + 1
         out: List[ViewScore] = []
@@ -272,15 +285,18 @@ class WorkloadAdvisor:
             gain = max(direct_estimate - best.warm_estimate, 0.0)
             share = gain / len(best.views)
             return {name: share for name in best.views}
-        # Fixed-planner record: estimate the strategy's warm cost from
-        # the measured extension sizes it actually read.
-        if record.strategy in (MATCHJOIN, HYBRID) and record.views_used:
-            units = float(sum(record.view_sizes.values()))
-            warm = model.estimate(record.strategy, record.bounded, units)
-            gain = max(direct_estimate - warm, 0.0)
-            share = gain / len(record.views_used)
-            return {name: share for name in record.views_used}
-        return {}
+        # Fixed-planner record: estimate the warm cost from the measured
+        # sizes of the extensions it read -- or, answered directly for
+        # want of them, would have read (at their estimated size).
+        names = record.views_used or record.views_wanted
+        if not names:
+            return {}
+        strategy = record.strategy if record.views_used else MATCHJOIN
+        missing = EST_MISSING_FRACTION * graph_units
+        units = float(sum(record.view_sizes.get(n, missing) for n in names))
+        warm = model.estimate(strategy, record.bounded, units)
+        gain = max(direct_estimate - warm, 0.0)
+        return {name: gain / len(names) for name in names}
 
     # ------------------------------------------------------------------
     # Decisions

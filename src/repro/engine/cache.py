@@ -2,7 +2,7 @@
 
 Two caches back the engine (both instances of :class:`LRUCache`):
 
-* the **containment-decision cache** memoizes ``contain`` / ``minimal``
+* the **containment memo** memoizes ``contain`` / ``minimal``
   / ``minimum`` outcomes per (query fingerprint, selection policy,
   ``definitions_version``) -- the paper's Theorem 3 check is quadratic
   in ``|Q|`` and linear in ``card(V)``, so a deployment answering the
@@ -24,6 +24,7 @@ everything else keeps hitting.
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
 from typing import Any, Callable, Dict, Hashable, List
 
@@ -71,13 +72,19 @@ class LRUCache:
     inserts/overwrites and evicts the oldest entry when over capacity.
     ``maxsize <= 0`` disables caching entirely (every ``get`` misses),
     which keeps the engine code free of conditionals.
+
+    Every operation holds a leaf lock of the cache's own (nothing is
+    called while it is held), so a cache may be shared between threads
+    that share no other lock -- the engine's containment memo is read
+    by the server's reader pool while a maintenance thread plans.
     """
 
-    __slots__ = ("_maxsize", "_data", "stats")
+    __slots__ = ("_maxsize", "_data", "_lock", "stats")
 
     def __init__(self, maxsize: int = 128) -> None:
         self._maxsize = maxsize
         self._data: "OrderedDict[Hashable, Any]" = OrderedDict()
+        self._lock = threading.Lock()
         self.stats = CacheStats()
 
     @property
@@ -87,23 +94,25 @@ class LRUCache:
 
     def get(self, key: Hashable, default: Any = None) -> Any:
         """Look up ``key``, refreshing its recency; counts hit/miss."""
-        if key in self._data:
-            self._data.move_to_end(key)
-            self.stats.hits += 1
-            return self._data[key]
-        self.stats.misses += 1
-        return default
+        with self._lock:
+            if key in self._data:
+                self._data.move_to_end(key)
+                self.stats.hits += 1
+                return self._data[key]
+            self.stats.misses += 1
+            return default
 
     def put(self, key: Hashable, value: Any) -> None:
         """Insert ``key -> value``, evicting the LRU entry if needed."""
         if self._maxsize <= 0:
             return
-        if key in self._data:
-            self._data.move_to_end(key)
-        self._data[key] = value
-        while len(self._data) > self._maxsize:
-            self._data.popitem(last=False)
-            self.stats.evictions += 1
+        with self._lock:
+            if key in self._data:
+                self._data.move_to_end(key)
+            self._data[key] = value
+            while len(self._data) > self._maxsize:
+                self._data.popitem(last=False)
+                self.stats.evictions += 1
 
     def purge(self, stale: Callable[[Hashable, Any], bool]) -> int:
         """Drop every entry ``stale(key, value)`` holds for, counting
@@ -111,20 +120,26 @@ class LRUCache:
         For owners that know when entries became unreachable (the
         serving layer at an epoch swap) and would rather free them
         than wait for them to age out.  Returns the number dropped."""
-        doomed = [key for key, value in self._data.items() if stale(key, value)]
-        for key in doomed:
-            del self._data[key]
-        self.stats.evictions += len(doomed)
-        return len(doomed)
+        with self._lock:
+            entries = list(self._data.items())
+        doomed = [key for key, value in entries if stale(key, value)]
+        with self._lock:
+            dropped = sum(
+                self._data.pop(key, self) is not self for key in doomed
+            )
+            self.stats.evictions += dropped
+        return dropped
 
     def values(self) -> List[Any]:
         """A snapshot of the cached values, least recently used first
         (no recency refresh, no hit/miss accounting)."""
-        return list(self._data.values())
+        with self._lock:
+            return list(self._data.values())
 
     def clear(self) -> None:
         """Drop every entry (counters are preserved)."""
-        self._data.clear()
+        with self._lock:
+            self._data.clear()
 
     def __len__(self) -> int:
         return len(self._data)

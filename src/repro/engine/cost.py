@@ -32,12 +32,15 @@ and ``record.elapsed`` is the observed evaluation wall time.
   pay off -- once a hot view is materialized the penalty disappears
   and MatchJoin starts winning the cost race.
 
-Thread safety: the engine only touches its model under the engine
-lock, so the model itself stays lock-free.
+Thread safety: planning reads the rates from any thread (the serving
+layer plans on pinned epochs in its reader pool) while delivered
+answers calibrate them, so the model guards its table with a leaf lock
+of its own -- held for a dict walk, never across a call out.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
@@ -136,8 +139,7 @@ class _Rate:
 class CostModel:
     """Per-strategy seconds-per-unit rates, calibrated online.
 
-    One instance per engine (injectable for tests / shared calibration
-    across engines).  ``observe`` feeds measured evaluations in,
+    One instance per engine.  ``observe`` feeds measured evaluations in,
     ``estimate`` prices future ones; both key on ``(strategy,
     bounded)`` so bounded shapes calibrate independently.
     """
@@ -145,6 +147,7 @@ class CostModel:
     def __init__(self, alpha: float = EWMA_ALPHA) -> None:
         self._alpha = alpha
         self._rates: Dict[Tuple[str, bool], _Rate] = {}
+        self._lock = threading.Lock()
 
     def rate(self, strategy: str, bounded: bool) -> float:
         """The current seconds-per-unit rate for a shape.
@@ -159,15 +162,17 @@ class CostModel:
         calibrated strategy is never compared against an uncalibrated
         one on a different scale.
         """
-        entry = self._rates.get((strategy, bounded))
-        if entry is not None:
-            return entry.value
+        with self._lock:
+            entry = self._rates.get((strategy, bounded))
+            if entry is not None:
+                return entry.value
+            observed = [
+                (s, rate.value)
+                for (s, b), rate in self._rates.items()
+                if b == bounded
+            ]
         cold = self._cold(strategy, bounded)
-        ratios = [
-            observed.value / self._cold(s, b)
-            for (s, b), observed in self._rates.items()
-            if b == bounded
-        ]
+        ratios = [value / self._cold(s, bounded) for s, value in observed]
         if ratios:
             return cold * (sum(ratios) / len(ratios))
         return cold
@@ -195,12 +200,31 @@ class CostModel:
         if elapsed <= 0.0:
             return
         sample = elapsed / max(units, 1.0)
-        entry = self._rates.get((strategy, bounded))
-        if entry is None:
-            self._rates[(strategy, bounded)] = _Rate(sample, samples=1)
-            return
-        entry.value += self._alpha * (sample - entry.value)
-        entry.samples += 1
+        with self._lock:
+            entry = self._rates.get((strategy, bounded))
+            if entry is None:
+                self._rates[(strategy, bounded)] = _Rate(sample, samples=1)
+                return
+            entry.value += self._alpha * (sample - entry.value)
+            entry.samples += 1
+
+    def observe_answer(self, plan, state, record) -> None:
+        """Calibrate with one evaluated answer: ``record`` of ``plan``,
+        delivered on planning state ``state``.  Priced plans carry the
+        units they were estimated from; for fixed-planner plans the
+        same volumes are taken from what was read, so an advisor
+        scoring their records prices them on this machine's rates."""
+        units = plan.cost_units
+        if units <= 0.0:
+            if plan.strategy == "direct":
+                units = state.direct_units(plan.query)
+            else:
+                units = float(sum(record.view_sizes.values()))
+                total = len(plan.query.edge_set())
+                if plan.strategy == "hybrid" and total:
+                    uncovered = len(plan.containment.uncovered)
+                    units += (uncovered / total) * state.direct_units(plan.query)
+        self.observe(plan.strategy, plan.bounded, units, record.elapsed)
 
     def estimate(self, strategy: str, bounded: bool, units: float) -> float:
         """Predicted evaluation seconds for ``units`` of work."""
@@ -214,7 +238,9 @@ class CostModel:
     def snapshot(self) -> Dict[str, Dict[str, float]]:
         """JSON-ready calibration state (``repro advise`` shows this)."""
         out: Dict[str, Dict[str, float]] = {}
-        for (strategy, bounded), entry in sorted(self._rates.items()):
+        with self._lock:
+            rates = sorted(self._rates.items())
+        for (strategy, bounded), entry in rates:
             key = f"{strategy}{'+bounded' if bounded else ''}"
             out[key] = {"rate": entry.value, "samples": entry.samples}
         return out

@@ -1,11 +1,8 @@
-"""Batch evaluation: serial, thread-pool and process-pool execution.
+"""Batch evaluation: serial and process-pool execution.
 
-Simulation fixpoints are CPU-bound pure-Python loops, so true batch
-parallelism needs processes (the GIL serializes threads); the thread
-executor exists for workloads dominated by very large extension
-payloads, where per-process pickling would swamp the speedup, and the
-serial executor is the deterministic baseline the others are tested
-against.
+Simulation fixpoints are CPU-bound pure-Python loops, so batch
+parallelism needs processes (the GIL serializes threads); the serial
+executor is the deterministic baseline the pool is tested against.
 
 The process pool ships the shared payload -- the needed view extensions
 and (when any plan falls back to direct evaluation) the data graph --
@@ -41,7 +38,7 @@ log = logging.getLogger(__name__)
 Extensions = Mapping[str, "MaterializedView"]
 
 #: Executor kinds accepted by the engine and the CLI.
-EXECUTORS = ("serial", "thread", "process")
+EXECUTORS = ("serial", "process")
 
 
 @dataclass(frozen=True)
@@ -64,6 +61,22 @@ class EvaluationSpec:
     #: Coordinator span id to report worker-side spans under (traced
     #: requests only; ``None`` keeps untraced evaluation span-free).
     trace_id: Optional[str] = None
+
+
+def spec_of(plan, trace_id: Optional[str] = None) -> EvaluationSpec:
+    """The spec that evaluates ``plan``.  Purely a projection: whoever
+    runs it has already made sure the extensions the plan reads exist
+    (the engine materializes through its catalog first; a plan made on
+    a checkpoint never reads an extension the checkpoint lacks)."""
+    direct = plan.strategy == "direct"
+    return EvaluationSpec(
+        kind=plan.strategy,
+        query=plan.query,
+        containment=None if direct else plan.containment,
+        needed=plan.views_used,
+        bounded=plan.bounded,
+        trace_id=trace_id,
+    )
 
 
 def evaluate_spec(
@@ -141,23 +154,16 @@ def _worker_run(task: Tuple[int, EvaluationSpec]) -> TaskResult:
     -- for traced requests -- the worker-side span record to re-attach
     under the coordinator span named by ``spec.trace_id``."""
     index, spec = task
-    if spec.trace_id is None:
-        started = perf_counter()
-        result = evaluate_spec(
-            spec,
-            _WORKER_PAYLOAD.get("extensions", {}),  # type: ignore[arg-type]
-            _WORKER_PAYLOAD.get("graph"),  # type: ignore[arg-type]
-        )
-        return index, result, perf_counter() - started, os.getpid(), None
+    extensions = _WORKER_PAYLOAD.get("extensions", {})
+    graph = _WORKER_PAYLOAD.get("graph")
     started = perf_counter()
+    if spec.trace_id is None:
+        result = evaluate_spec(spec, extensions, graph)  # type: ignore[arg-type]
+        return index, result, perf_counter() - started, os.getpid(), None
     with trace.remote_span(
         "evaluate.task", spec.trace_id, index=index, kind=spec.kind, pid=os.getpid()
     ) as worker_span:
-        result = evaluate_spec(
-            spec,
-            _WORKER_PAYLOAD.get("extensions", {}),  # type: ignore[arg-type]
-            _WORKER_PAYLOAD.get("graph"),  # type: ignore[arg-type]
-        )
+        result = evaluate_spec(spec, extensions, graph)  # type: ignore[arg-type]
     record = worker_span.to_record(spec.trace_id)
     return index, result, perf_counter() - started, os.getpid(), record
 
@@ -211,8 +217,10 @@ def run_specs(
         raise ValueError(
             f"unknown executor {executor!r}; expected one of {EXECUTORS}"
         )
-    max_workers = workers if workers is not None else (os.cpu_count() or 1)
-    if executor == "serial" or max_workers <= 1 or len(tasks) <= 1:
+    max_workers = 1
+    if executor != "serial" and len(tasks) > 1:
+        max_workers = workers if workers is not None else (os.cpu_count() or 1)
+    if max_workers <= 1:
         pid = os.getpid()
         out: List[TaskResult] = []
         for index, spec in tasks:
@@ -222,23 +230,8 @@ def run_specs(
             out.append((index, result, perf_counter() - started, pid, None))
         return out, ShipStats()
     max_workers = min(max_workers, len(tasks))
-    from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+    from concurrent.futures import ProcessPoolExecutor
 
-    if executor == "thread":
-        pid = os.getpid()
-        # Thread pools do not inherit contextvars: capture the caller's
-        # span here and re-enter it inside each worker thread.
-        parent = trace.current_span()
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            def run(task: Tuple[int, EvaluationSpec]) -> TaskResult:
-                index, spec = task
-                started = perf_counter()
-                with trace.attach(parent):
-                    with trace.span("evaluate.task", index=index, kind=spec.kind):
-                        result = evaluate_spec(spec, extensions, graph)
-                return index, result, perf_counter() - started, pid, None
-
-            return list(pool.map(run, tasks)), ShipStats()
     # Process pool: ship only the extensions the batch actually needs,
     # serialized exactly once regardless of worker count.
     needed = {name for _, spec in tasks for name in spec.needed}

@@ -18,12 +18,9 @@ A plan chooses among three strategies:
   the data graph (always chosen for isolated-node patterns, which view
   extensions cannot cover).
 
-The *fixed* planner keeps the legacy binary decision (MatchJoin iff
-contained); the *adaptive* planner prices every applicable strategy
-with the engine's :class:`~repro.engine.cost.CostModel` -- MatchJoin
-over the minimal vs greedy-minimum subset, hybrid rewriting, direct --
-and picks the cheapest, recording the full candidate table on the plan
-(``explain()``) and its :class:`PlanChoiceRecord`.
+Which one is the planner mode's decision (:data:`PLANNERS`); a priced
+plan records its full candidate table (``explain()``, and the answer's
+:class:`PlanChoiceRecord`).
 
 :func:`pattern_key` provides the structural fingerprint used as the
 cache key; two queries with equal fingerprints have identical results
@@ -33,13 +30,18 @@ on every graph and view cache.
 from __future__ import annotations
 
 import hashlib
+from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, Hashable, Optional, Tuple
+from typing import TYPE_CHECKING, Deque, Dict, Hashable, List, Optional, Tuple
 
 from repro.core.containment import Containment
-from repro.engine.cost import CandidateCost
 from repro.graph.pattern import BoundedPattern, Pattern
+from repro.obs import trace
+from repro.obs.metrics import DURATION_BUCKETS, MetricsRegistry
+
+if TYPE_CHECKING:  # priced plans carry these; a fixed plan never loads them
+    from repro.engine.cost import CandidateCost
 
 PatternKey = Tuple[Hashable, ...]
 
@@ -59,9 +61,13 @@ PLANNER_DIRECT = "direct"
 PLANNER_HYBRID = "hybrid"
 PLANNERS = (PLANNER_FIXED, PLANNER_ADAPTIVE, PLANNER_DIRECT, PLANNER_HYBRID)
 
-#: Reasons the planner may fall back to the direct strategy.
+#: Reasons the planner may fall back to the direct strategy.  The last
+#: one is for a state that cannot materialize (an epoch's checkpoint, a
+#: views-only engine): ``Q ⊑ V`` holds but a needed extension is
+#: absent (evicted, never built) or stale.
 REASON_NOT_CONTAINED = "not-contained"
 REASON_ISOLATED_NODES = "isolated-nodes"
+REASON_UNMATERIALIZED = "unmaterialized"
 
 #: Cost-model reasons: the adaptive planner chose the strategy because
 #: it priced cheapest among the feasible candidates.
@@ -73,19 +79,14 @@ REASON_COST_HYBRID = "cost-hybrid"
 #: the strategy; no cost comparison happened.
 REASON_FORCED = "forced"
 
-#: The legacy reason strings, aliased to their cost-model successors.
-#: ``PlanChoiceRecord`` consumers written against the binary planner
-#: can treat an aliased pair as the same fallback class: both mean
-#: "the planner chose direct evaluation over answering from views".
-REASON_ALIASES = {
-    REASON_NOT_CONTAINED: REASON_COST_DIRECT,
-    REASON_ISOLATED_NODES: REASON_COST_DIRECT,
-}
-
 #: Reasons that count as *fallbacks* (views could not answer the
 #: query) in ``repro_engine_fallbacks_total`` -- cost-model reasons are
 #: choices, not fallbacks, and stay out of that counter.
-FALLBACK_REASONS = (REASON_NOT_CONTAINED, REASON_ISOLATED_NODES)
+FALLBACK_REASONS = (
+    REASON_NOT_CONTAINED,
+    REASON_ISOLATED_NODES,
+    REASON_UNMATERIALIZED,
+)
 
 #: Tie-break preference when candidate estimates are equal: prefer the
 #: strategy that touches less of ``G``.
@@ -143,19 +144,20 @@ class QueryPlan:
         Whether the bounded machinery (Section VI) is engaged -- true
         when the query or any view is bounded.
     cache_key:
-        The engine's answer-cache key: ``(pattern fingerprint,
-        selection, definitions version, key material)`` where the key
-        material is the per-view version vector of ``views_used`` for
-        MatchJoin plans and the graph's mutation version for direct
-        plans -- so a maintenance update only re-keys the answers whose
-        inputs it touched.  Exposed so callers can correlate plans with
-        cache entries.
+        The answer-cache key, stamped from the planning state the plan
+        was made on (the live catalog, or an epoch's checkpoint):
+        ``(pattern fingerprint, selection, definitions version, key
+        material)`` where the key material is the per-view version
+        vector of ``views_used`` for MatchJoin plans and the graph's
+        mutation version for direct plans -- so a maintenance update
+        only re-keys the answers whose inputs it touched.
     containment_cached:
         True when the containment decision was served from the
         engine's decision cache rather than recomputed.
     reason:
         For ``"direct"`` plans, why MatchJoin was not applicable
-        (``"not-contained"`` or ``"isolated-nodes"``); for plans the
+        (``"not-contained"``, ``"isolated-nodes"`` or
+        ``"unmaterialized"``); for plans the
         adaptive planner chose on price, the cost reason
         (``"cost-matchjoin"`` / ``"cost-hybrid"`` / ``"cost-direct"``);
         ``None`` for fixed-planner MatchJoin plans.
@@ -273,9 +275,11 @@ class PlanChoiceRecord:
     This is the structured telemetry ROADMAP item 3 ("cost-based
     adaptive planner ... recording plan-choice telemetry") consumes:
     what the planner chose (``strategy``/``selection``/``views_used``,
-    the fallback ``reason``), what it could observe (``view_sizes`` --
-    the per-view extension sizes a cost model weighs, ``snapshot_kind``
-    -- which backend evaluated), and what it cost (``elapsed``,
+    the fallback ``reason``; ``views_wanted`` -- the views a contained
+    query was *not* answered from because the state lacked their
+    extensions, the advisor's demand signal), what it could observe
+    (``view_sizes`` -- the per-view extension sizes a cost model weighs,
+    ``snapshot_kind`` -- which backend evaluated), and what it cost (``elapsed``,
     ``cache_hit``/``containment_cached``).  Emitted once per delivered
     answer by :class:`~repro.engine.engine.QueryEngine` into its
     bounded plan log, mirrored as registry counters.
@@ -299,21 +303,27 @@ class PlanChoiceRecord:
     planner: str = PLANNER_FIXED
     cost_estimate: Optional[float] = None
     candidates: Tuple[CandidateCost, ...] = ()
+    views_wanted: Tuple[str, ...] = ()
 
     @classmethod
     def of(
         cls,
         plan: "QueryPlan",
+        state,
         *,
-        view_sizes: Dict[str, int],
-        snapshot_kind: str,
         elapsed: float,
         cache_hit: bool,
         executor: str = "serial",
     ) -> "PlanChoiceRecord":
-        """The record of one answer delivered under ``plan``, given
-        what was measured: the sizes of the extensions it read, the
-        backend that evaluated and the time that took."""
+        """The record of one answer delivered under ``plan`` on
+        ``state`` (the planning state that answered: the live catalog
+        or an epoch's checkpoint), which reports the sizes of the
+        extensions read and the backend that evaluated."""
+        view_sizes = {}
+        for name in plan.views_used:
+            size = state.extension_size(name)
+            if size is not None:
+                view_sizes[name] = size
         return cls(
             fingerprint=fingerprint_digest(plan.cache_key[0]),
             strategy=plan.strategy,
@@ -324,12 +334,17 @@ class PlanChoiceRecord:
             bounded=plan.bounded,
             containment_cached=plan.containment_cached,
             cache_hit=cache_hit,
-            snapshot_kind=snapshot_kind,
+            snapshot_kind=state.snapshot_kind,
             executor=executor,
             elapsed=elapsed,
             planner=plan.planner,
             cost_estimate=plan.cost_estimate,
             candidates=plan.candidates,
+            views_wanted=(
+                plan.containment.views_used()
+                if plan.reason == REASON_UNMATERIALIZED
+                else ()
+            ),
         )
 
     def to_dict(self) -> Dict:
@@ -341,6 +356,7 @@ class PlanChoiceRecord:
             "selection": self.selection,
             "reason": self.reason,
             "views_used": list(self.views_used),
+            "views_wanted": list(self.views_wanted),
             "view_sizes": dict(self.view_sizes),
             "bounded": self.bounded,
             "containment_cached": self.containment_cached,
@@ -358,13 +374,88 @@ class PlanChoiceRecord:
         }
 
 
+#: Plan-choice records retained per engine (newest win; the advisor
+#: consumes these, and the serving protocol exposes them).
+PLAN_LOG_CAPACITY = 256
+
+
+class PlanLog:
+    """One engine's bounded plan-choice log, mirrored as registry
+    counters.
+
+    :meth:`append` takes no lock of its own -- the bounded deque's
+    ``append`` is atomic and every instrument locks itself -- so it may
+    run on an event loop while a maintenance batch holds the catalog.
+    Instrument handles touched per delivered answer are bound once
+    here: the registry lookup (label normalization + dict + lock) is
+    what the per-query overhead budget cannot afford.
+    """
+
+    def __init__(self, registry: MetricsRegistry) -> None:
+        self._registry = registry
+        self._records: Deque[PlanChoiceRecord] = deque(maxlen=PLAN_LOG_CAPACITY)
+        self._queries = {
+            strategy: registry.counter(
+                "repro_engine_queries_total", strategy=strategy
+            )
+            for strategy in (MATCHJOIN, DIRECT)
+        }
+        self._fallbacks: Dict[str, object] = {}
+        self._cache_hits = registry.counter(
+            "repro_engine_answer_cache_hits_total"
+        )
+        self._cache_misses = registry.counter(
+            "repro_engine_answer_cache_misses_total"
+        )
+        self._query_seconds = registry.histogram(
+            "repro_engine_query_seconds", DURATION_BUCKETS
+        )
+
+    def recent(self, limit: Optional[int] = None) -> List[PlanChoiceRecord]:
+        """The most recent records, newest first."""
+        records = list(self._records)
+        records.reverse()
+        return records[:limit] if limit is not None else records
+
+    def append(self, plan: QueryPlan, record: PlanChoiceRecord) -> None:
+        """Log one finished ``record`` of ``plan`` and meter it."""
+        self._records.append(record)
+        counter = self._queries.get(plan.strategy)
+        if counter is None:
+            counter = self._queries[plan.strategy] = self._registry.counter(
+                "repro_engine_queries_total", strategy=plan.strategy
+            )
+        counter.inc()
+        # Only genuine view-insufficiency reasons count as fallbacks;
+        # cost-model reasons are choices, not failures to use views.
+        if plan.reason in FALLBACK_REASONS:
+            fallback = self._fallbacks.get(plan.reason)
+            if fallback is None:
+                fallback = self._fallbacks[plan.reason] = self._registry.counter(
+                    "repro_engine_fallbacks_total", reason=plan.reason
+                )
+            fallback.inc()
+        if record.cache_hit:
+            self._cache_hits.inc()
+        else:
+            self._cache_misses.inc()
+            self._query_seconds.observe(record.elapsed)
+        current = trace.current_span()
+        if current is not None:
+            current.set(
+                strategy=plan.strategy,
+                cache_hit=record.cache_hit,
+                snapshot_kind=record.snapshot_kind,
+            )
+
+
 @dataclass
 class ExecutionStats:
     """Per-query execution telemetry, attached to ``MatchResult.stats``.
 
     ``elapsed`` is the evaluation wall time in seconds (zero for answer
-    -cache hits); ``executor`` names how the query ran (``"serial"``,
-    ``"thread"`` or ``"process"``); ``pid`` is the worker process id.
+    -cache hits); ``executor`` names how the query ran (``"serial"``
+    or ``"process"``); ``pid`` is the worker process id.
     ``ship_bytes`` / ``ship_seconds`` are the serialized size of the
     shared payload and the wall time spent serializing it when this
     query's batch went to a process pool (zero in-process: nothing

@@ -4,7 +4,7 @@ The serving model is the paper's premise made operational: readers
 evaluate against an *immutable* frozen snapshot plus materialized view
 extensions, while maintenance keeps running.  An :class:`Epoch` is one
 such immutable generation -- an
-:class:`~repro.engine.engine.EngineCheckpoint` plus a reader refcount --
+:class:`~repro.engine.catalog.EngineCheckpoint` plus a reader refcount --
 and the :class:`SnapshotRegistry` is the single atomically-swapped
 pointer to the current one:
 
@@ -28,7 +28,7 @@ import logging
 import threading
 from typing import Dict, Hashable, List, Optional
 
-from repro.engine.engine import EngineCheckpoint
+from repro.engine.catalog import EngineCheckpoint
 
 log = logging.getLogger(__name__)
 

@@ -6,7 +6,7 @@ users" story needs: a long-running service answering pattern queries
 
 * **readers never block on maintenance.**  A query pins the current
   :class:`~repro.serve.epoch.Epoch` (an immutable
-  :class:`~repro.engine.engine.EngineCheckpoint` -- frozen snapshot +
+  :class:`~repro.engine.catalog.EngineCheckpoint` -- frozen snapshot +
   materialized extensions + version stamps) and evaluates against it in
   a thread pool.  Maintenance builds the next epoch concurrently; the
   reader finishes on the one it pinned.
@@ -22,10 +22,10 @@ users" story needs: a long-running service answering pattern queries
   concurrent arrivals of one query cost one evaluation; later arrivals
   at the same versions hit the server's answer LRU outright.
 * **a cache hit is a lookup and a write.**  What a query resolves to
-  on an epoch (plan, evaluation spec, answer key) is memoised on the
-  :class:`~repro.serve.epoch.Epoch`, and an answer-LRU entry keeps the
-  encoded reply fragment beside the result -- so a warm hit never
-  leaves the event loop, never plans and never serialises.
+  on an epoch (its plan on that checkpoint, hence its answer key) is
+  memoised on the :class:`~repro.serve.epoch.Epoch`, and an answer-LRU
+  entry keeps the encoded reply fragment beside the result -- so a warm
+  hit never leaves the event loop, never plans and never serialises.
 * **a swap drops what it strands.**  Version stamps only grow, so an
   entry keyed by stamps the new checkpoint no longer carries can never
   hit again for new readers; the swap purges exactly those.
@@ -37,12 +37,14 @@ users" story needs: a long-running service answering pattern queries
 All bookkeeping (counters, coalescing map, answer LRU, per-epoch
 resolutions) is touched only from the event loop; only pin/release
 refcounts and the engine itself are shared with executor threads, and
-both are locked.  **The loop never takes the engine lock**: maintenance
-holds it for a whole batch (and ``checkpoint()`` may rematerialise under
-it), so everything that needs it -- planning, the plan-choice record of
-an evaluated answer, cost-model calibration, advisor ticks -- rides a
-pool hop, and a hit's record is prebuilt from the pinned checkpoint and
-appended lock-free (:meth:`QueryEngine.log_plan_choice`).
+both are locked.  **The loop never takes the catalog lock**:
+maintenance holds it for a whole batch (and ``checkpoint()`` may
+rematerialise under it).  A request needs it nowhere -- it plans *and*
+evaluates on the checkpoint it pinned, so a miss never waits out a
+maintenance batch -- except for an advisor tick, which rides the
+evaluation's pool hop (:meth:`QueryEngine.record_plan_choice`); a hit's
+record is prebuilt from the pinned checkpoint and appended lock-free
+(:meth:`QueryEngine.log_plan_choice`).
 """
 
 from __future__ import annotations
@@ -51,16 +53,14 @@ import asyncio
 import logging
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
 from time import perf_counter
 from typing import Dict, NamedTuple, Optional, Tuple
 
 from repro.engine.cache import LRUCache
-from repro.engine.engine import EngineCheckpoint, QueryEngine, snapshot_kind
-from repro.engine.executor import EvaluationSpec, evaluate_spec
+from repro.engine.catalog import EngineCheckpoint
+from repro.engine.engine import QueryEngine
+from repro.engine.executor import EvaluationSpec, evaluate_spec, spec_of
 from repro.engine.plan import (
-    DIRECT,
-    HYBRID,
     MATCHJOIN,
     PlanChoiceRecord,
     QueryPlan,
@@ -98,33 +98,28 @@ class ServedAnswer(NamedTuple):
 
 
 class CachedAnswer:
-    """One answer-LRU entry: the result, the plan inputs its key was
-    stamped from (``kind``/``needed`` -- what a swap re-stamps to tell
-    whether the entry is stranded), and the encoded reply fragment once
-    a request has needed it.  Coalesced followers share the entry, so
-    one evaluation is encoded at most once."""
+    """One answer-LRU entry: the result, the plan its key was stamped
+    from (what a swap re-stamps to tell whether the entry is stranded),
+    and the encoded reply fragment once a request has needed it.
+    Coalesced followers share the entry, so one evaluation is encoded
+    at most once."""
 
-    __slots__ = ("result", "kind", "needed", "wire")
+    __slots__ = ("result", "plan", "wire")
 
-    def __init__(
-        self, result: MatchResult, kind: str, needed: Tuple[str, ...]
-    ) -> None:
+    def __init__(self, result: MatchResult, plan: QueryPlan) -> None:
         self.result = result
-        self.kind = kind
-        self.needed = needed
+        self.plan = plan
         self.wire: Optional[bytes] = None
 
 
 class Resolution(NamedTuple):
     """What one (query, selection) resolves to on one epoch; memoised
-    in :attr:`Epoch.resolutions`.  ``spec`` is complete but for the
-    per-request ``trace_id``; ``key`` is ``None`` when the answer must
-    bypass caching; ``hit_record`` is the plan-choice record of every
+    in :attr:`Epoch.resolutions`.  The plan was made on the epoch's
+    checkpoint, so ``plan.cache_key`` is the answer/coalescing key on
+    this epoch; ``hit_record`` is the plan-choice record of every
     answer served from cache under this resolution."""
 
     plan: QueryPlan
-    spec: EvaluationSpec
-    key: Optional[Tuple]
     hit_record: PlanChoiceRecord
 
 
@@ -446,8 +441,8 @@ class QueryServer:
             if len(epoch.resolutions) >= self._answers.maxsize:
                 epoch.resolutions.clear()
             epoch.resolutions[memo_key] = resolution
-        key = resolution.key
-        entry = self._answers.get(key) if key is not None else None
+        key = resolution.plan.cache_key
+        entry = self._answers.get(key)
         pending = self._coalescing.get(key) if entry is None else None
         cache_hit = entry is not None
         coalesced = pending is not None
@@ -488,37 +483,35 @@ class QueryServer:
     async def _evaluate_owned(
         self, resolution: Resolution, epoch: Epoch, root: trace.Span
     ) -> Tuple[CachedAnswer, float]:
-        """Evaluate as the coalescing owner of ``resolution.key``:
+        """Evaluate as the coalescing owner of the plan's answer key:
         followers arriving meanwhile wait on the future published here,
         and the finished entry goes into the answer LRU."""
-        key = resolution.key
-        spec = replace(resolution.spec, trace_id=root.span_id)
-        if key is not None:
-            self._count("coalesce_owners")
-            future: asyncio.Future = self._loop.create_future()
-            self._coalescing[key] = future
+        plan = resolution.plan
+        key = plan.cache_key
+        spec = spec_of(plan, trace_id=root.span_id)
+        self._count("coalesce_owners")
+        future: asyncio.Future = self._loop.create_future()
+        self._coalescing[key] = future
         try:
             result, elapsed = await self._loop.run_in_executor(
                 self._pool, self._attached, root, self._evaluate_recorded,
-                resolution.plan, spec, epoch,
+                plan, spec, epoch,
             )
         except BaseException as err:
-            if key is not None:
-                self._coalescing.pop(key, None)
-                if not future.done():
-                    future.set_exception(err)
-                    future.exception()  # mark retrieved: followers rethrow
+            self._coalescing.pop(key, None)
+            if not future.done():
+                future.set_exception(err)
+                future.exception()  # mark retrieved: followers rethrow
             raise
         self._count("evaluated")
         self._engine.registry.counter(
             "repro_server_answers_total", outcome="evaluated"
         ).inc()
-        entry = CachedAnswer(result, spec.kind, spec.needed)
-        if key is not None:
-            self._answers.put(key, entry)
-            self._coalescing.pop(key, None)
-            if not future.done():
-                future.set_result(entry)
+        entry = CachedAnswer(result, plan)
+        self._answers.put(key, entry)
+        self._coalescing.pop(key, None)
+        if not future.done():
+            future.set_result(entry)
         return entry, elapsed
 
     @staticmethod
@@ -530,85 +523,33 @@ class QueryServer:
     def _resolve(
         self, pattern: Pattern, selection: Optional[str], epoch: Epoch
     ) -> Resolution:
-        """Plan ``pattern`` and derive everything a request on
-        ``epoch`` needs from the plan (reader pool: planning takes the
-        engine lock and may wait out a maintenance batch).  The spec is
-        derived from the plan *and the pinned epoch*, and the
-        answer/coalescing key from the spec's effective strategy, so a
-        degraded answer never poisons the view-keyed entry."""
-        plan = self._engine.plan(pattern, selection)
-        spec = self._spec_from(plan, epoch)
+        """Plan ``pattern`` on the checkpoint ``epoch`` pinned and
+        derive everything a request on it needs (reader pool; no lock:
+        the checkpoint is immutable).  The checkpoint cannot
+        materialize, so the plan reads only extensions it holds -- a
+        view the advisor evicted yields a direct plan, keyed as one --
+        and its ``cache_key`` carries this epoch's stamps, so
+        concurrent epochs share an entry only when their inputs are
+        truly identical."""
         checkpoint = epoch.checkpoint
+        plan = self._engine.plan_on(checkpoint, pattern, selection)
         # A hit is served from this checkpoint, so its record reports
-        # the extension sizes and backend actually read -- immutable
-        # here, which is what lets hits skip the engine lock.
+        # the extension sizes and backend actually read.
         hit_record = PlanChoiceRecord.of(
-            plan,
-            view_sizes={
-                name: checkpoint.extensions[name].size
-                for name in plan.views_used
-                if name in checkpoint.extensions
-            },
-            snapshot_kind=snapshot_kind(checkpoint.snapshot),
-            elapsed=0.0,
-            cache_hit=True,
+            plan, checkpoint, elapsed=0.0, cache_hit=True
         )
-        return Resolution(
-            plan, spec, self._answer_key(plan, spec, epoch), hit_record
-        )
-
-    def _answer_key(
-        self, plan: QueryPlan, spec: EvaluationSpec, epoch: Epoch
-    ) -> Optional[Tuple]:
-        """The answer/coalescing key of ``plan`` *on this epoch* --
-        same material as the engine's answer cache, but stamped from
-        the epoch's checkpoint so concurrent epochs never share an
-        entry unless their inputs are truly identical.  Keyed on the
-        spec's *effective* strategy: a view plan degraded to direct
-        (extension evicted) keys like any other direct answer."""
-        checkpoint = epoch.checkpoint
-        fingerprint, selection, definitions_version, _ = plan.cache_key
-        if definitions_version != checkpoint.definitions_version:
-            # The catalog's definitions moved between checkpoint and
-            # plan (not possible through Delta maintenance; only via
-            # out-of-band catalog edits): bypass caching rather than
-            # risk keying across incompatible plans.
-            return None
-        return (
-            fingerprint,
-            selection,
-            definitions_version,
-            checkpoint.key_material(spec.kind, spec.needed),
-        )
-
-    def _spec_from(self, plan: QueryPlan, epoch: Epoch) -> EvaluationSpec:
-        """A picklable spec for ``plan`` on ``epoch`` -- no
-        materialization.  A matchjoin/hybrid plan whose needed
-        extension is absent from the epoch's checkpoint (the advisor
-        evicted it after the plan's containment was cached) degrades
-        to direct evaluation against the epoch's frozen snapshot."""
-        strategy = plan.strategy
-        if strategy in (MATCHJOIN, HYBRID):
-            extensions = epoch.checkpoint.extensions
-            if any(name not in extensions for name in plan.views_used):
-                strategy = DIRECT
-        direct = strategy == DIRECT
-        return EvaluationSpec(
-            kind=strategy,
-            query=plan.query,
-            containment=None if direct else plan.containment,
-            needed=() if direct else plan.views_used,
-            bounded=plan.bounded,
-        )
+        return Resolution(plan, hit_record)
 
     def _evaluate_recorded(
         self, plan: QueryPlan, spec: EvaluationSpec, epoch: Epoch
     ):
-        """Evaluate, then file the answer's plan-choice record (reader
-        pool: the record reads live extension sizes and calibrates the
-        cost model under the engine lock, and may tick the advisor)."""
+        """Evaluate, then file the answer's plan-choice record off the
+        checkpoint that answered (reader pool: calibrates the cost
+        model, and an advisor tick takes the catalog lock)."""
         result, elapsed = self._evaluate(spec, epoch)
-        self._engine.record_plan_choice(plan, elapsed=elapsed, cache_hit=False)
+        self._engine.record_plan_choice(
+            plan, elapsed=elapsed, cache_hit=False, state=epoch.checkpoint
+        )
         return result, elapsed
 
     def _evaluate(self, spec: EvaluationSpec, epoch: Epoch):
@@ -620,9 +561,7 @@ class QueryServer:
             result = evaluate_spec(
                 spec,
                 checkpoint.extensions,
-                checkpoint.snapshot
-                if spec.kind in (DIRECT, HYBRID)
-                else None,
+                checkpoint.snapshot if spec.kind != MATCHJOIN else None,
             )
             if current is not None:
                 current.set(pairs=result.result_size)
@@ -715,8 +654,9 @@ class QueryServer:
             dropped = self._answers.purge(
                 lambda key, entry: (
                     key[2] != checkpoint.definitions_version
-                    or key[3]
-                    != checkpoint.key_material(entry.kind, entry.needed)
+                    or key[3] != checkpoint.key_material(
+                        entry.plan.strategy, entry.plan.views_used
+                    )
                 )
             )
             self._refresh_wire_gauge()

@@ -20,7 +20,7 @@ Entry points:
 * :func:`materialize_view` -- one definition, one extension
   (``repro.views.view.materialize`` with a say over the runner);
 * :func:`parallel_materialize` -- a whole catalog through one shared
-  :class:`~repro.shard.psim.ShardRunner`, so thread/process pools are
+  :class:`~repro.shard.psim.ShardRunner`, so process pools are
   created once and the sharded snapshot ships to workers once for all
   views (the same ship-once discipline as ``repro.engine.executor``).
 

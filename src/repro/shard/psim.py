@@ -27,8 +27,8 @@ too large to touch per query), reproduced in-process:
    justified by a violated simulation condition, so the
    greatest-fixpoint invariant is preserved throughout).
 
-Local steps within a round are independent, so they run serially, on a
-thread pool, or on a process pool (:class:`ShardRunner`).  Shard state
+Local steps within a round are independent, so they run serially or on
+a process pool (:class:`ShardRunner`).  Shard state
 is *worker-resident*: process mode pins each shard to a dedicated
 worker (the sharded snapshot ships once per worker, mirroring
 ``repro.engine.executor``), and only withdrawal batches and removal
@@ -72,7 +72,7 @@ from repro.simulation.compact_engine import (
 from repro.simulation.result import MatchResult
 
 if TYPE_CHECKING:
-    from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+    from concurrent.futures import ProcessPoolExecutor
 
     from repro.shard.sharded import ShardedGraph
 
@@ -98,10 +98,10 @@ class PSimStats:
 
 
 # ----------------------------------------------------------------------
-# Task plumbing: serial / thread / process execution of local steps
+# Task plumbing: serial / process execution of local steps
 # ----------------------------------------------------------------------
 #: Executor kinds accepted by the psim / materialization entry points.
-SHARD_EXECUTORS = ("serial", "thread", "process")
+SHARD_EXECUTORS = ("serial", "process")
 
 
 #: Shard-state store: (session id, shard index) -> state.  Sessions of
@@ -173,28 +173,21 @@ def _worker_init(blob: bytes) -> None:
     _WORKER_PAYLOAD["store"] = {}
 
 
-def _worker_run(task: Tuple) -> Tuple[int, object]:
-    return _execute(
-        _WORKER_PAYLOAD["sharded"],  # type: ignore[arg-type]
-        _WORKER_PAYLOAD["store"],  # type: ignore[arg-type]
-        task,
-    )
-
-
-def _worker_run_traced(
-    packed: Tuple[Tuple, str]
-) -> Tuple[int, object, SpanRecord]:
-    """Traced variant: record the task as a worker-side span and ship it
-    home (the coordinator adopts it under the span whose id rode in)."""
+def _worker_run(
+    packed: Tuple[Tuple, Optional[str]]
+) -> Tuple[int, object, Optional[SpanRecord]]:
+    """Evaluate one task in a pool worker.  A traced request's span id
+    rides in with the task; the task is then recorded as a worker-side
+    span and shipped home (the coordinator adopts it under that span)."""
     task, trace_id = packed
+    sharded = _WORKER_PAYLOAD["sharded"]
+    store = _WORKER_PAYLOAD["store"]
+    if trace_id is None:
+        return (*_execute(sharded, store, task), None)  # type: ignore[arg-type]
     with trace.remote_span(
         "psim.task", trace_id, kind=task[0], shard=task[1], pid=os.getpid()
     ) as worker_span:
-        index, payload = _execute(
-            _WORKER_PAYLOAD["sharded"],  # type: ignore[arg-type]
-            _WORKER_PAYLOAD["store"],  # type: ignore[arg-type]
-            task,
-        )
+        index, payload = _execute(sharded, store, task)  # type: ignore[arg-type]
     return index, payload, worker_span.to_record(trace_id)
 
 
@@ -231,7 +224,6 @@ class ShardRunner:
         self._session = 0
         self._store: _StateStore = {}
         self._pools: List[ProcessPoolExecutor] = []
-        self._thread_pool: Optional[ThreadPoolExecutor] = None
         #: ShipStats of the one-time snapshot serialization (zeros for
         #: in-process runners: nothing ships).
         self.ship = ShipStats()
@@ -254,10 +246,6 @@ class ShardRunner:
                 )
                 for _ in range(min(self.workers, sharded.num_shards))
             ]
-        elif executor == "thread" and self.workers > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            self._thread_pool = ThreadPoolExecutor(max_workers=self.workers)
 
     def new_session(self) -> int:
         """A fresh session id for one pattern evaluation.  Several
@@ -271,51 +259,27 @@ class ShardRunner:
         """Run local tasks, returning ``(shard index, result)`` pairs.
 
         When the calling context is traced, per-task spans land under
-        the caller's span: in-process executors nest directly (the
-        thread pool re-enters the captured span), while process pools
-        thread the span id out with each task and adopt the returned
-        worker-side records."""
+        the caller's span: in-process tasks nest directly, while
+        process pools thread the span id out with each task and adopt
+        the returned worker-side records."""
         parent = trace.current_span()
         if self._pools:
-            if parent is not None:
-                futures = [
-                    self._pools[task[1] % len(self._pools)].submit(
-                        _worker_run_traced, (task, parent.span_id)
-                    )
-                    for task in tasks
-                ]
-                out: List[Tuple[int, object]] = []
-                for future in futures:
-                    index, payload, record = future.result()
-                    parent.adopt(record)
-                    out.append((index, payload))
-                return out
+            trace_id = parent.span_id if parent is not None else None
             futures = [
-                self._pools[task[1] % len(self._pools)].submit(_worker_run, task)
+                self._pools[task[1] % len(self._pools)].submit(
+                    _worker_run, (task, trace_id)
+                )
                 for task in tasks
             ]
-            return [future.result() for future in futures]
+            out: List[Tuple[int, object]] = []
+            for future in futures:
+                index, payload, record = future.result()
+                if record is not None:
+                    parent.adopt(record)
+                out.append((index, payload))
+            return out
         sharded = self.sharded
         store = self._store
-        if self._thread_pool is not None and len(tasks) > 1:
-            def run(task: Tuple) -> Tuple[int, object]:
-                # Thread pools do not inherit contextvars: re-enter the
-                # captured span so the task span nests correctly.
-                with trace.attach(parent):
-                    with trace.span("psim.task", kind=task[0], shard=task[1]):
-                        return _execute(sharded, store, task)
-
-            futures = [self._thread_pool.submit(run, task) for task in tasks]
-            try:
-                return [future.result() for future in futures]
-            except BaseException:
-                # Let the stragglers finish before the caller cleans up:
-                # a task still running would re-store its state after
-                # the session was dropped.
-                from concurrent.futures import wait
-
-                wait(futures)
-                raise
         out = []
         for task in tasks:
             with trace.span("psim.task", kind=task[0], shard=task[1]):
@@ -326,9 +290,6 @@ class ShardRunner:
         for pool in self._pools:
             pool.shutdown()
         self._pools = []
-        if self._thread_pool is not None:
-            self._thread_pool.shutdown()
-            self._thread_pool = None
         self._store.clear()
 
     def __enter__(self) -> "ShardRunner":

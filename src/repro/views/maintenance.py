@@ -37,7 +37,6 @@ import logging
 from collections import deque
 from dataclasses import dataclass, field
 from typing import (
-    Callable,
     Dict,
     Hashable,
     Iterable,
@@ -64,19 +63,6 @@ Node = Hashable
 #: Delta op kinds.
 INSERT = "insert"
 DELETE = "delete"
-
-
-class MaintenanceEvent(NamedTuple):
-    """One applied graph update, delivered to subscribers.
-
-    ``op`` is ``"insert"`` or ``"delete"``; ``source``/``target`` are
-    the data-graph edge endpoints.  Events fire *after* the view state
-    is consistent again, so a subscriber may read extensions directly.
-    """
-
-    op: str
-    source: Node
-    target: Node
 
 
 class Delta:
@@ -662,7 +648,6 @@ class IncrementalViewSet:
         self._graph = graph.copy()
         self._budget = budget
         self._trackers: Dict[str, IncrementalView] = {}
-        self._subscribers: List[Callable[[MaintenanceEvent], None]] = []
         self._seq = 0
         self._changed_at: Dict[str, int] = {}
         skipped: List[str] = []
@@ -727,29 +712,6 @@ class IncrementalViewSet:
         return {name: tracker.stats for name, tracker in self._trackers.items()}
 
     # ------------------------------------------------------------------
-    # Change notification (the hook cache layers subscribe to)
-    # ------------------------------------------------------------------
-    def subscribe(self, callback: Callable[[MaintenanceEvent], None]) -> None:
-        """Register ``callback`` to run after every applied update.
-
-        This is the invalidation hook the paper's deployment story
-        needs: a query engine caching answers over ``V(G)`` subscribes
-        here and discards (or refreshes) state when ``G`` changes.
-        Callbacks fire after the view state is consistent.
-        """
-        if callback not in self._subscribers:
-            self._subscribers.append(callback)
-
-    def unsubscribe(self, callback: Callable[[MaintenanceEvent], None]) -> None:
-        """Remove a previously registered callback (no-op if absent)."""
-        if callback in self._subscribers:
-            self._subscribers.remove(callback)
-
-    def _notify(self, event: MaintenanceEvent) -> None:
-        for callback in list(self._subscribers):
-            callback(event)
-
-    # ------------------------------------------------------------------
     # Updates
     # ------------------------------------------------------------------
     def insert_edge(self, source: Node, target: Node) -> bool:
@@ -764,7 +726,7 @@ class IncrementalViewSet:
         if self._graph.has_edge(source, target):
             return False
         self._graph.add_edge(source, target)
-        return self._fan_out("_after_insert", INSERT, source, target)
+        return self._fan_out("_after_insert", source, target)
 
     def delete_edge(self, source: Node, target: Node) -> bool:
         """Apply one edge deletion: shared removal, then each view's
@@ -774,24 +736,22 @@ class IncrementalViewSet:
         if not self._graph.has_edge(source, target):
             return False
         self._graph.remove_edge(source, target)
-        return self._fan_out("_after_delete", DELETE, source, target)
+        return self._fan_out("_after_delete", source, target)
 
-    def _fan_out(self, method: str, op: str, source: Node, target: Node) -> bool:
+    def _fan_out(self, method: str, source: Node, target: Node) -> bool:
         self._seq += 1
         any_changed = False
         for name, tracker in self._trackers.items():
             if getattr(tracker, method)(source, target):
                 self._changed_at[name] = self._seq
                 any_changed = True
-        self._notify(MaintenanceEvent(op, source, target))
         return any_changed
 
     def apply_delta(self, delta: Delta) -> DeltaReport:
         """Apply a :class:`Delta` batch as one maintenance round.
 
         Ops apply in order (already-present insertions and missing
-        deletions are skipped); subscribers still see one event per
-        applied op, in order, against consistent state -- the batch
+        deletions are skipped), each bumping :attr:`seq` -- the batch
         buys coalesced *accounting*, not reordering.  The returned
         :class:`DeltaReport` names the views the whole round actually
         changed, which is what cache layers evict.

@@ -37,12 +37,12 @@ class ViewSet:
     maintenance update only strands the answers that actually depended
     on a changed view.
 
-    A ViewSet can also *own* its maintenance backend: :meth:`track`
+    A ViewSet also holds the one maintenance cursor: :meth:`track`
     builds an :class:`~repro.views.maintenance.IncrementalViewSet` over
-    the current definitions, and :meth:`apply_delta` routes update
-    batches through it, re-importing only the extensions the batch
-    changed (so unchanged views keep their version stamps and dependent
-    cached answers stay live).
+    the current definitions (:meth:`follow` takes an existing one), and
+    :meth:`apply_delta` / :meth:`import_maintenance` re-import only the
+    extensions updates changed (so unchanged views keep their version
+    stamps and dependent cached answers stay live).
     """
 
     def __init__(self, definitions: Optional[Iterable[ViewDefinition]] = None) -> None:
@@ -323,6 +323,13 @@ class ViewSet:
         (always ``False`` when nothing is materialized)."""
         return name in self._stale
 
+    def fresh_extension(self, name: str) -> Optional[MaterializedView]:
+        """View ``name``'s cached extension if a reader may use it as
+        is -- materialized and not flagged stale -- else ``None``.
+        (Flag first: an unlocked reader racing a mutation then gets an
+        answer that was true at some instant of the call.)"""
+        return None if name in self._stale else self._extensions.get(name)
+
     def stale_views(self) -> Tuple[str, ...]:
         """Names of every stale-flagged view, in registration order."""
         return tuple(name for name in self._definitions if name in self._stale)
@@ -332,33 +339,48 @@ class ViewSet:
     # ------------------------------------------------------------------
     @property
     def maintenance(self) -> Optional["IncrementalViewSet"]:
-        """The owned maintenance backend (``None`` until :meth:`track`)."""
+        """The followed maintenance backend (``None`` until
+        :meth:`track` / :meth:`follow`)."""
         return self._maintenance
+
+    def follow(self, tracker: "IncrementalViewSet") -> None:
+        """Keep this catalog's extensions fresh from ``tracker``.  The
+        pull cursor lives here and nowhere else: the next
+        :meth:`import_maintenance` takes every maintained view's
+        extension (definitions the catalog lacks are added first),
+        later ones only what updates changed since.  Re-following the
+        same tracker is a no-op; a second one is rejected."""
+        if self._maintenance is tracker:
+            return
+        if self._maintenance is not None:
+            raise ValueError("a maintenance backend is already attached")
+        for name in tracker.names():
+            if name not in self._definitions:
+                self.add(tracker.definition(name))
+        self._maintenance = tracker
+        self._maintenance_seq = -1  # the first import takes everything
+
+    def unfollow(self) -> None:
+        """Stop following the tracker (extensions stay as imported)."""
+        self._maintenance = None
 
     def track(
         self, graph: DataGraph, *, budget: Optional[int] = None
     ) -> "IncrementalViewSet":
-        """Own a maintenance backend over ``graph`` for the current
-        simulation definitions.
-
-        Builds an :class:`~repro.views.maintenance.IncrementalViewSet`
-        (which copies ``graph``), imports its freshly materialized
-        extensions, and returns it.  From here on,
+        """Build a maintenance backend over (a copy of) ``graph`` for
+        the current simulation definitions, :meth:`follow` it and
+        import its freshly materialized extensions.  From here on
         :meth:`apply_delta` keeps the cached extensions consistent
-        under edge updates, re-importing (and version-stamping) only
-        the views each batch actually changed.  ``budget`` is the
-        affected-area budget for incremental insertions.
+        under edge updates; ``budget`` is the affected-area budget for
+        incremental insertions.
 
         Bounded views cannot be maintained incrementally (their
         extensions shift non-locally with distances) and are **not
         tracked**: the tracker records their names in
-        ``skipped_bounded`` and a :class:`UserWarning` is emitted so
-        callers learn those views are unmaintained.  After each
-        graph-changing :meth:`apply_delta`, skipped bounded views with
-        cached extensions are flagged stale (:meth:`is_stale`) with
-        their version stamps bumped, and must be rematerialized before
-        the next read.  Definitions added after this call are likewise
-        not maintained.
+        ``skipped_bounded`` and a :class:`UserWarning` says so.  After
+        each applied update they are flagged stale (:meth:`is_stale`,
+        stamp bumped) and must be rematerialized before the next read.
+        Definitions added after this call are likewise not maintained.
         """
         from repro.views.maintenance import IncrementalViewSet
 
@@ -376,76 +398,73 @@ class ViewSet:
                 UserWarning,
                 stacklevel=2,
             )
-        self._maintenance = tracker
-        self._maintenance_seq = tracker.seq
-        for name in tracker.names():
-            self.set_extension(tracker.extension(name))
+        self.follow(tracker)
+        self.import_maintenance()
         return tracker
 
     def apply_delta(self, delta: "Delta") -> "DeltaReport":
-        """Apply an update batch through the owned maintenance backend.
-
-        Routes ``delta`` to the tracker, then re-imports extensions for
-        exactly the views the batch changed -- each import bumps that
-        view's version stamp (and the global :attr:`version`), so
-        cached answers reading a changed view become unreachable while
-        answers over untouched views stay live.  Requires
-        :meth:`track` first.
-
-        Bounded views are not maintained by the tracker; when the batch
-        actually changed the graph (``applied > 0``), every bounded
-        view with a cached extension is flagged stale via
-        :meth:`mark_stale` -- bumping its version stamp so dependent
-        cached answers are evicted -- and reported in the returned
-        :class:`~repro.views.maintenance.DeltaReport` as
-        ``stale_bounded``.
-        """
+        """Apply an update batch through the followed backend: route
+        it to the tracker, then pull the refreshes in
+        (:meth:`import_maintenance`).  Each changed view's import bumps
+        its version stamp, so cached answers reading it become
+        unreachable while answers over untouched views stay live."""
         if self._maintenance is None:
             raise ValueError(
-                "no maintenance backend attached; call track(graph) first"
+                "no maintenance tracker followed; call track(graph) (or "
+                "the engine's attach_maintenance()) first"
             )
         report = self._maintenance.apply_delta(delta)
         self.import_maintenance()
-        if report.applied:
-            stale = tuple(
-                name
-                for name, definition in self._definitions.items()
-                if definition.is_bounded and self.is_stale(name)
-            )
-            if stale:
-                report = report._replace(stale_bounded=stale)
-                from repro.obs.metrics import get_registry
+        return self.report_stale(report)
 
-                get_registry().counter(
-                    "repro_maintenance_stale_bounded_total"
-                ).inc(len(stale))
-                log.info(
-                    "delta left %d bounded view(s) stale: %s",
-                    len(stale), ", ".join(sorted(map(str, stale))),
-                )
-        return report
+    def report_stale(self, report: "DeltaReport") -> "DeltaReport":
+        """``report`` of a batch just imported, completed: when the
+        batch changed the graph at all, the bounded views the import
+        flagged stale become its ``stale_bounded``."""
+        stale = tuple(
+            name
+            for name, definition in self._definitions.items()
+            if definition.is_bounded and name in self._stale
+        )
+        if not (report.applied and stale):
+            return report
+        from repro.obs.metrics import get_registry
 
-    def import_maintenance(self) -> List[str]:
-        """Pull pending extension refreshes from the owned backend.
+        get_registry().counter(
+            "repro_maintenance_stale_bounded_total"
+        ).inc(len(stale))
+        log.info(
+            "delta left %d bounded view(s) stale: %s",
+            len(stale), ", ".join(sorted(map(str, stale))),
+        )
+        return report._replace(stale_bounded=stale)
 
-        Returns the names imported.  Normally :meth:`apply_delta` calls
-        this; it is exposed for consumers that drive the tracker
-        directly (single ``insert_edge`` / ``delete_edge`` calls).
-
-        Whenever the tracker applied *any* update since the last sync
-        (its ``seq`` advanced), every materialized bounded view is
-        flagged stale here -- this is the single choke point both the
-        batch and the direct-drive paths go through, so bounded
-        staleness cannot be bypassed by driving the tracker by hand."""
+    def maintenance_pending(self) -> bool:
+        """Whether the followed tracker has applied updates (in
+        batches or driven directly) not yet imported."""
         tracker = self._maintenance
-        if tracker is None:
+        return tracker is not None and tracker.seq != self._maintenance_seq
+
+    def import_maintenance(self, bind=None) -> List[str]:
+        """Pull pending extension refreshes from the followed backend;
+        returns the names imported.  ``bind`` maps each refreshed
+        extension to the one installed (an owner holding a snapshot
+        binds it into id space), so a changed view is stamped exactly
+        once.  :meth:`apply_delta` calls this; so do consumers that
+        drive the tracker directly (``insert_edge`` / ``delete_edge``).
+        If the tracker applied *any* update since the last import,
+        every materialized bounded view is flagged stale here -- the
+        one choke point of the batch and the direct-drive paths."""
+        if not self.maintenance_pending():
             return []
-        advanced = tracker.seq > self._maintenance_seq
-        changed = tracker.changed_since(self._maintenance_seq)
+        tracker = self._maintenance
+        cursor = self._maintenance_seq
         self._maintenance_seq = tracker.seq
+        changed = tracker.changed_since(cursor)
         for name in changed:
-            self.set_extension(tracker.extension(name))
-        if advanced:
+            extension = tracker.extension(name)
+            self.set_extension(bind(extension) if bind else extension)
+        if tracker.seq > max(cursor, 0):
             for name, definition in self._definitions.items():
                 if definition.is_bounded and name in self._extensions:
                     self.mark_stale(name)

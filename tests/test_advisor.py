@@ -154,14 +154,11 @@ class TestSelectionStats:
 
 
 class TestEngineWiring:
-    def test_auto_materialize_ticks_and_stays_under_budget(self):
+    def test_auto_materialize_ticks_and_stays_under_budget(self, monkeypatch):
         graph, views, hot = _setup()
+        monkeypatch.setattr("repro.engine.advisor.ADVISOR_INTERVAL", 2)
         engine = QueryEngine(
-            views,
-            graph=graph,
-            planner="adaptive",
-            auto_materialize=0.15,
-            advisor_interval=2,
+            views, graph=graph, planner="adaptive", auto_materialize=0.15
         )
         advisor = engine.advisor
         assert advisor is not None
@@ -171,6 +168,17 @@ class TestEngineWiring:
             assert advisor.used_bytes() <= budget
         assert advisor.ticks >= 1
         assert views.is_materialized("small")
+
+    def test_attaching_an_advisor_starts_calibration(self):
+        # A fixed-planner engine has no cost model until asked; an
+        # advisor built on it asks, so the answers that follow are
+        # observed and benefit is priced from measured rates.
+        graph, views, hot = _setup()
+        engine = QueryEngine(views, graph=graph, planner="fixed")
+        assert engine._cost_model is None
+        WorkloadAdvisor(engine)
+        engine.answer(hot)
+        assert engine.cost_model.samples("matchjoin", False) == 1
 
     def test_advisor_requires_a_graph(self):
         _, views, _ = _setup()

@@ -322,7 +322,7 @@ class TestBatch:
             contained_query,  # duplicate: evaluated once, delivered twice
         ]
 
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_batch_matches_sequential(self, graph, views, batch, executor):
         engine = QueryEngine(views, graph=graph, executor=executor, workers=2)
         results = engine.answer_batch(batch)

@@ -10,7 +10,7 @@ view-payload counterpart :mod:`repro.views.flatpack`:
 * attach-not-unpickle shipping: a :class:`SharedCompactGraph` or a
   :class:`FlatExtension` pickles to a segment handle and reconstructs
   with identical read results, in-process and across a process pool;
-* engine/server integration: ``shared_snapshots`` freezing, ship
+* engine/server integration: shared freezing for process batches, ship
   telemetry in ``ExecutionStats`` and ``QueryEngine.ship_stats()``.
 """
 
@@ -325,7 +325,7 @@ class TestEngineIntegration:
         )
         engine.attach_maintenance(tracker)
         before = engine.answer_batch(queries)
-        catalog = engine._views
+        catalog = engine.views
         flat_names = [
             name
             for name in catalog.names()
@@ -358,21 +358,27 @@ class TestEngineIntegration:
                 restamped += 1
         assert restamped
 
-    def test_shared_snapshots_opt_out(self, workload):
+    def test_per_batch_process_executor_ships_handles(self, workload):
+        """Sharedness is decided where it is observed: an engine built
+        serial upgrades its snapshot (token-preserving) the first time
+        a batch goes to a process pool -- before materializing for it --
+        so that batch ships what a process-built engine's does."""
         graph, views, queries = workload
-        engine = QueryEngine(
-            views,
-            graph=graph,
-            executor="process",
-            workers=2,
-            shared_snapshots=False,
+        late = QueryEngine(ViewSet(list(views)), graph=graph)
+        plain = late.snapshot()
+        assert not isinstance(plain, SharedCompactGraph)
+        results = late.answer_batch(queries, executor="process", workers=2)
+        shared = late.snapshot()
+        assert isinstance(shared, SharedCompactGraph)
+        assert shared.snapshot_token == plain.snapshot_token
+        built = QueryEngine(
+            ViewSet(list(views)), graph=graph, executor="process", workers=2
         )
-        assert not isinstance(engine.snapshot(), SharedCompactGraph)
-        results = engine.answer_batch(queries)
-        serial = QueryEngine(
-            ViewSet(list(views)), graph=graph
-        ).answer_batch(queries)
-        assert results == serial
+        assert results == built.answer_batch(queries)
+        assert late.ship_stats()["batches"] == 1
+        assert late.ship_stats()["bytes"] == built.ship_stats()["bytes"]
+        # Handles, not the pickled graph the batch used to carry.
+        assert late.ship_stats()["bytes"] < len(pickle.dumps(plain))
 
 
 # ----------------------------------------------------------------------

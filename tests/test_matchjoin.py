@@ -269,10 +269,14 @@ class TestKernelSweepCounts:
         query.add_node("a", "A")
         query.add_edge("a", "a")
         views = ViewSet([ViewDefinition("AA", view)])
+        # Sharedness follows the executor the engine was built for.
         engine = QueryEngine(
-            views, graph=graph, shared_snapshots=shared_snapshots
+            views,
+            graph=graph,
+            executor="process" if shared_snapshots else "serial",
         )
         engine.materialize_views(views.names())
+        assert (engine.catalog.snapshot_kind == "shared") == shared_snapshots
         with matchjoin_metrics() as count:
             assert not engine.answer(query)
             assert count("total", "ids") == 1

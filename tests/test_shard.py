@@ -11,7 +11,7 @@ Covers the whole subsystem:
   and *every* partitioner, partial-evaluation simulation,
   ``sharded_match``, materialized extensions and ``match_join`` answers
   are identical to the single-``CompactGraph`` results;
-* executor variants (serial / thread / process) agree;
+* executor variants (serial / process) agree;
 * the ``QueryEngine`` shards mode plans, answers, caches and
   invalidates exactly like the single-snapshot engine.
 """
@@ -286,10 +286,9 @@ class TestPsimEquivalence:
         sharded = ShardedGraph(g, make_partition(g, 3, "hash"))
         q = random_pattern(rng, 4, 7)
         expect = sharded_match(q, sharded, executor="serial")
-        assert sharded_match(q, sharded, executor="thread", workers=3) == expect
         assert sharded_match(q, sharded, executor="process", workers=2) == expect
 
-    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    @pytest.mark.parametrize("executor", ["serial"])
     def test_failed_wave_drops_its_sessions(self, executor, monkeypatch):
         # A task raising mid-wave on a caller-owned runner must not leave
         # the other shards' fixpoint states behind in the store.
@@ -373,9 +372,9 @@ class TestShardedMaterialize:
             assert result == match_join(query, containment, frozen_views)
             assert result.edge_matches == match(query, graph).edge_matches
 
-    def test_parallel_materialize_thread_and_process(self):
+    def test_parallel_materialize_serial_and_process(self):
         _, definitions, frozen_views, sharded = self._suite(7, 4, "bfs")
-        for executor in ("serial", "thread", "process"):
+        for executor in ("serial", "process"):
             views = ViewSet(definitions)
             parallel_materialize(views, sharded, executor=executor, workers=2)
             for name in views.names():
@@ -389,7 +388,7 @@ class TestShardedMaterialize:
         _, definitions, frozen_views, sharded = self._suite(9, 2, "label")
         views = ViewSet(definitions)
         chosen = views.names()[:3]
-        with ShardRunner(sharded, executor="thread", workers=2) as runner:
+        with ShardRunner(sharded, executor="process", workers=2) as runner:
             parallel_materialize(views, sharded, names=chosen, runner=runner)
         for name in views.names():
             assert views.is_materialized(name) == (name in chosen)
