@@ -1,11 +1,12 @@
-"""Direct Match as array algebra: mask -> rows -> sweep.
+"""Direct Match and BMatch as array algebra.
 
-The array form of the id-space Match kernel, for the one case that is
-pure array work: a *whole-graph* snapshot (no ghosts, no kept state, no
+The array form of the id-space kernels, for the one case that is pure
+array work: a *whole-graph* snapshot (no ghosts, no kept state, no
 withdrawals -- those stay with
-:func:`repro.simulation.compact_engine.witness_fixpoint`).  Over a
-dense id space the greatest simulation fixpoint needs no sets and no
-witness counters:
+:func:`repro.simulation.compact_engine.witness_fixpoint` and the shard
+layer's ghost-stitched BFS).  Over a dense id space the greatest
+simulation fixpoint of a plain pattern needs no sets and no witness
+counters (:func:`array_match`: mask -> rows -> sweep):
 
 1. **mask** -- one boolean ``alive[u]`` per pattern node, scattered
    from the snapshot's candidate index (label bucket and attribute
@@ -22,11 +23,25 @@ witness counters:
 The surviving rows *are* the id outcome; node keys decode once, at the
 end, through the same packager the set kernel uses.
 
+A bounded pattern (:func:`array_bounded_match`: cones -> pairs) starts
+from the same masks and runs the edge worklist of
+:func:`repro.simulation.compact_bounded.bounded_worklist` over them:
+
+1. **cones** -- "which nodes reach ``alive[u']`` by a nonempty path of
+   at most ``k`` edges?" is ``k`` rounds of ``nxt[src[frontier[tgt]]] =
+   True`` over the edge columns (to exhaustion for ``*``), and the cut
+   is ``alive[u] &= cone``;
+2. **pairs** -- match sets and the distance index ``I(V)`` come from
+   expanding ``(origin, node)`` pair columns level by level through the
+   CSR offsets of the edge columns, from ``alive[u]``: the level a pair
+   first appears at is its shortest distance, and each pattern edge
+   ``(u, u')`` keeps the pairs with ``alive[u'][node]``.
+
 This is the only module under ``src/`` that imports NumPy, and it does
-so inside :func:`array_match`, on first use: a process that never runs a
+so inside :func:`_numpy_for`, on first use: a process that never runs a
 whole-graph match above :data:`ARRAY_MIN_EDGES` (a sharded boot, the
 server's hit path) never pays the import, and where NumPy is missing the
-set kernel answers instead.
+set kernels answer instead.
 """
 
 from __future__ import annotations
@@ -36,6 +51,8 @@ from functools import partial
 from typing import Dict, Hashable, Optional, Tuple
 
 from repro.graph.compact import CompactGraph
+from repro.graph.pattern import ANY
+from repro.simulation.compact_bounded import bounded_worklist
 from repro.simulation.compact_engine import (
     Outcome,
     decode_outcome,
@@ -53,18 +70,43 @@ PEdge = Tuple[PNode, PNode]
 #: (table in CHANGES.md, PR 21); no ``perf/`` workload runs below it.
 ARRAY_MIN_EDGES = 2_000
 
+#: Rows one pair expansion may hold at a time (the pairs already seen
+#: plus the next level before it is deduplicated).  A ``*`` edge
+#: enumerates every reachable pair, so the origins are split until a
+#: piece fits -- a single origin always does, with at most ``|V|`` pairs
+#: seen and ``|E|`` rows expanded -- and peak memory stays a few int64
+#: columns of this length whatever the answer's size.
+PAIR_ROW_BUDGET = 1 << 18
 
-def array_match(pattern, graph: CompactGraph) -> Optional[Outcome]:
-    """The outcome of ``pattern`` on the whole-graph snapshot ``graph``,
-    or ``None`` when this kernel declines it (the caller runs the set
-    kernel): fewer than :data:`ARRAY_MIN_EDGES` edges, or no NumPy."""
+
+def _numpy_for(graph: CompactGraph):
+    """NumPy when the array kernels take ``graph``, else ``None`` (the
+    caller runs the set kernel): fewer than :data:`ARRAY_MIN_EDGES`
+    edges, or no NumPy."""
     if graph.num_edges < ARRAY_MIN_EDGES:
         return None
     try:
         import numpy as np
     except ImportError:
         return None
-    return _mask_rows_sweep(np, pattern, graph)
+    return np
+
+
+def array_match(pattern, graph: CompactGraph) -> Optional[Outcome]:
+    """The outcome of ``pattern`` on the whole-graph snapshot ``graph``,
+    or ``None`` when this kernel declines it."""
+    np = _numpy_for(graph)
+    return None if np is None else _mask_rows_sweep(np, pattern, graph)
+
+
+def array_bounded_match(
+    pattern, graph: CompactGraph, with_distances: bool = False
+) -> Optional[Outcome]:
+    """The outcome of the bounded ``pattern`` on the whole-graph
+    snapshot ``graph`` (with the id-space distance index when
+    ``with_distances``), or ``None`` when this kernel declines it."""
+    np = _numpy_for(graph)
+    return None if np is None else _cones_pairs(np, pattern, graph, with_distances)
 
 
 def _scatter(np, mask, ids, start: int, stop: int) -> None:
@@ -104,14 +146,22 @@ def _seed_mask(np, graph: CompactGraph, condition):
     return mask
 
 
+def _population(np, mask) -> int:
+    """A Python int: it reaches spans and counters."""
+    return int(np.count_nonzero(mask))
+
+
+def _seed_masks(np, pattern, graph: CompactGraph):
+    """``(alive, counts)``: every pattern node's candidate mask and its
+    population."""
+    population = partial(_population, np)
+    alive = seed_candidates(pattern, partial(_seed_mask, np, graph), population)
+    return alive, {u: population(mask) for u, mask in alive.items()}
+
+
 def _mask_rows_sweep(np, pattern, graph: CompactGraph) -> Outcome:
     n = graph.num_nodes
-
-    def population(mask) -> int:  # a Python int: it reaches spans and counters
-        return int(np.count_nonzero(mask))
-
-    alive = seed_candidates(pattern, partial(_seed_mask, np, graph), population)
-    counts = {u: population(mask) for u, mask in alive.items()}
+    alive, counts = _seed_masks(np, pattern, graph)
     if not all(counts.values()):
         return no_match()
 
@@ -127,7 +177,7 @@ def _mask_rows_sweep(np, pattern, graph: CompactGraph) -> Outcome:
         has = np.zeros(n, dtype=bool)
         has[sources] = True
         has &= alive[u]
-        left = population(has)
+        left = _population(np, has)
         if left < counts[u]:
             removals += counts[u] - left
             alive[u] = has
@@ -174,11 +224,152 @@ def _mask_rows_sweep(np, pattern, graph: CompactGraph) -> Outcome:
         if not keep.all():
             sources, targets = sources[keep], targets[keep]
         id_rows[edge] = _q_column(np, sources), _q_column(np, targets)
-    sim = {u: np.flatnonzero(mask).tolist() for u, mask in alive.items()}
-    return decode_outcome(graph, sim, id_rows)
+    return decode_outcome(graph, _survivors(np, alive), id_rows)
+
+
+def _survivors(np, alive) -> Dict[PNode, list]:
+    return {u: np.flatnonzero(mask).tolist() for u, mask in alive.items()}
 
 
 def _q_column(np, ids) -> array:
     column = array("q")
     column.frombytes(ids.astype(np.int64).tobytes())
     return column
+
+
+def _cones_pairs(np, pattern, graph: CompactGraph, with_distances: bool) -> Outcome:
+    n = graph.num_nodes
+    alive, counts = _seed_masks(np, pattern, graph)
+    if not all(counts.values()):
+        return no_match()
+    # Index-width copies, made once: a gather through int32 indices
+    # converts them on every call, which costs more than the gather.
+    src, tgt = (
+        np.frombuffer(col, dtype=np.int32).astype(np.intp)
+        for col in graph.edge_columns()
+    )
+
+    def cone(u1: PNode, bound):
+        """The ids with a nonempty path of at most ``bound`` edges into
+        ``alive[u1]``: one pass over the edge columns per round, each
+        round's frontier the ids first reached in the one before."""
+        reach = np.zeros(n, dtype=bool)
+        frontier = alive[u1]
+        rounds = 0
+        while bound is ANY or rounds < bound:
+            nxt = np.zeros(n, dtype=bool)
+            nxt[src.take(np.flatnonzero(frontier.take(tgt)))] = True
+            nxt &= ~reach
+            if not nxt.any():
+                break
+            reach |= nxt
+            frontier = nxt
+            rounds += 1
+        return reach
+
+    def cut(u: PNode, allowed) -> Optional[int]:
+        kept = alive[u] & allowed
+        left = _population(np, kept)
+        if left == counts[u]:
+            return None
+        alive[u] = kept
+        counts[u] = left
+        return left
+
+    if not bounded_worklist(pattern, cone, cut):
+        return no_match()
+
+    # The edge columns are in CSR order, so a node's row is a slice.
+    degree = np.bincount(src, minlength=n)
+    starts = np.cumsum(degree) - degree
+    # One expansion per pattern node serves all its out-edges: as deep
+    # as the largest of their bounds, each edge reading the levels
+    # within its own and cutting them to its target's mask.
+    out_edges: Dict[PNode, list] = {}
+    for edge in pattern.edges():
+        out_edges.setdefault(edge[0], []).append((edge, pattern.bound(edge)))
+    found: Dict[PEdge, tuple] = {edge: ([], [], []) for edge in pattern.edges()}
+    for u, edges in out_edges.items():
+        bounds = [bound for _, bound in edges]
+        depth = None if ANY in bounds else max(bounds)
+        pieces = [np.flatnonzero(alive[u])]
+        while pieces:
+            origins = pieces.pop()
+            levels = _pair_levels(np, origins, degree, starts, tgt, np.int64(n), depth)
+            if levels is None:  # over the row budget: halve the origins
+                half = len(origins) // 2
+                pieces += [origins[half:], origins[:half]]
+                continue
+            for edge, bound in edges:
+                sources, targets, hops = found[edge]
+                live = alive[edge[1]]
+                within = levels if bound is ANY else levels[:bound]
+                for distance, (origin, node) in enumerate(within, start=1):
+                    keep = live[node]
+                    sources.append(origin[keep])
+                    targets.append(node[keep])
+                    hops.append(distance)
+
+    id_rows = {}
+    index: Optional[Dict[Tuple[int, int], int]] = None
+    if with_distances:
+        index = {}
+        # One int object per id for all the keys below: ``tolist`` on
+        # the columns would allocate two per pair, and they live as long
+        # as the view does.
+        ids = np.arange(n).astype(object)
+    for edge, (sources, targets, hops) in found.items():
+        sizes = list(map(len, sources))
+        sources = np.concatenate(sources)
+        targets = np.concatenate(targets)
+        id_rows[edge] = _q_column(np, sources), _q_column(np, targets)
+        if index is not None:
+            # A pair's level is its shortest distance whichever edge
+            # emits it, so the minimum over edges is the value itself.
+            index.update(zip(
+                zip(ids.take(sources).tolist(), ids.take(targets).tolist()),
+                np.repeat(hops, sizes).tolist(),
+            ))
+    return decode_outcome(graph, _survivors(np, alive), id_rows, id_distances=index)
+
+
+def _pair_levels(np, origins, degree, starts, tgt, n, depth: Optional[int]):
+    """Every ``(origin, node)`` with a nonempty path from one of
+    ``origins`` to ``node``, by shortest distance: entry ``d - 1`` holds
+    the ``(origin, node)`` columns of the pairs first reached by ``d``
+    edges, up to ``depth`` (``None``: until nothing new is reached; an
+    origin on a cycle reaches itself).  A pair is the key ``origin * n +
+    node`` (``n`` an ``int64``, so keys are 64-bit whatever the index
+    width: ids are int32, their products are not); a level is the
+    successors of the one before, deduplicated, minus every key seen so
+    far.  ``None`` when that would hold more than
+    :data:`PAIR_ROW_BUDGET` rows at once and ``origins`` can still be
+    split."""
+    origin = node = origins
+    seen = None
+    levels = []
+    while len(origin) and (depth is None or len(levels) < depth):
+        widths = degree[node]
+        total = int(widths.sum())
+        held = total if seen is None else total + len(seen)
+        if held > PAIR_ROW_BUDGET and len(origins) > 1:
+            return None
+        # Row ``j`` of the expansion is edge ``starts[node] + j`` for
+        # each frontier pair in turn.
+        ends = np.cumsum(widths)
+        rows = np.arange(total) + np.repeat(starts[node] - ends + widths, widths)
+        keys = np.sort(np.repeat(origin, widths) * n + tgt.take(rows))
+        fresh = np.ones(total, dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
+        keys = keys[fresh]
+        if seen is None:
+            seen = keys
+        else:
+            at = np.searchsorted(seen, keys)
+            fresh = seen.take(at, mode="clip") != keys
+            keys = keys[fresh]
+            seen = np.insert(seen, at[fresh], keys)  # a merge: both are sorted
+        origin, node = np.divmod(keys, n)
+        if len(keys):
+            levels.append((origin, node))
+    return levels

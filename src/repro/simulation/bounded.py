@@ -18,11 +18,12 @@ Like :func:`repro.simulation.simulation.match`, the entry points are
 backend-generic: candidates seed from whatever label index the target
 provides, and targets with an id space go through
 :func:`repro.simulation.simulation.evaluate` -- frozen
-:class:`~repro.graph.compact.CompactGraph` targets to the integer-id
-engine in :mod:`repro.simulation.compact_bounded`,
-:class:`~repro.shard.sharded.ShardedGraph` targets to the generic
-engine over the composite read API (whose bounded BFS stitches across
-shards at ghost nodes).  Results are equal on every backend.
+:class:`~repro.graph.compact.CompactGraph` targets to the id-space
+engines behind :func:`repro.simulation.compact_bounded.compact_bounded_match_with_ids`
+(the array kernel, or the set engine on small snapshots and without
+NumPy), :class:`~repro.shard.sharded.ShardedGraph` targets through
+their own ``evaluate_ids`` (shard-local BFS stitched at ghost nodes).
+Results are equal on every backend.
 """
 
 from __future__ import annotations

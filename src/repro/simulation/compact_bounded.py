@@ -1,10 +1,15 @@
-"""Integer-id bounded-simulation engine for :class:`CompactGraph` snapshots.
+"""Integer-id bounded simulation over sets, for :class:`CompactGraph`
+snapshots, and the edge worklist every id-space BMatch runs.
 
-This is the bounded sibling of :mod:`repro.simulation.compact_engine`:
-the fast path behind :func:`repro.simulation.bounded.bounded_match` when
-the target is a frozen snapshot.  It runs the same per-edge refinement
-as the generic BMatch engine, but entirely in the snapshot's dense id
-space:
+:func:`compact_bounded_match_with_ids` is what
+:func:`repro.simulation.bounded.bounded_match` reaches for a frozen
+snapshot.  It offers the match to the array kernel
+(:func:`repro.simulation.array_engine.array_bounded_match`) first; the
+set engine in this module is the *small-snapshot / no-NumPy path*: below
+``ARRAY_MIN_EDGES`` edges, or where NumPy does not import.  Both run
+:func:`bounded_worklist` -- the same per-edge refinement as the generic
+BMatch engine, in the snapshot's dense id space -- and differ in what
+holds the candidates.  Here:
 
 * candidate sets are sets of ints seeded from the snapshot's candidate index
   (:func:`~repro.simulation.compact_engine.seed_candidates`);
@@ -17,7 +22,7 @@ space:
   behind a memoizing :class:`CompactBoundedDistanceCache`.
 
 Results decode back to original node keys at the very end, so a
-:class:`MatchResult` from this engine is equal (``==``) to one computed
+:class:`MatchResult` from either kernel is equal (``==``) to one computed
 on the mutable dict backend; the id-space edge matches and the id-space
 distance index additionally feed the
 :class:`~repro.views.flatpack.FlatExtension` payload that bounded view
@@ -30,7 +35,7 @@ import logging
 from array import array
 from collections import deque
 from itertools import repeat
-from typing import Dict, Hashable, Optional, Set, Tuple
+from typing import Callable, Dict, Hashable, Optional, Set, Tuple
 
 from repro.graph.compact import CompactGraph
 from repro.graph.pattern import ANY
@@ -40,6 +45,7 @@ from repro.simulation.compact_engine import (
     Outcome,
     decode_outcome,
     no_match,
+    run_match,
     seed_candidates,
 )
 
@@ -89,75 +95,94 @@ class CompactBoundedDistanceCache:
         return self._full[source]
 
 
-def _meter_bounded(evaluations: int, shrinks: int) -> None:
-    """One registry write per bounded fixpoint run."""
-    reg = get_registry()
-    reg.counter("repro_bounded_edge_evals_total").inc(evaluations)
-    reg.counter("repro_bounded_shrinks_total").inc(shrinks)
+def bounded_worklist(pattern, cone: Callable, cut: Callable) -> bool:
+    """The BMatch greatest fixpoint as *chaotic iteration over an edge
+    worklist*, whatever the candidates are held in: false on a failed
+    match.
 
-
-def compact_maximum_bounded_simulation(
-    pattern, graph: CompactGraph
-) -> Optional[Dict[PNode, Set[int]]]:
-    """The maximum bounded simulation over a snapshot, in id space.
-
-    The same greatest fixpoint as the generic engine
+    The same fixpoint as the generic engine
     (:func:`repro.simulation.bounded.maximum_bounded_simulation`) --
-    each step intersects ``sim(u)`` with the reverse-BFS cone of
-    ``sim(u')`` -- reached by *chaotic iteration over an edge
-    worklist*: an edge is (re-)evaluated only after its target set
-    shrank, instead of the generic engine's full edge sweep per outer
-    round.  The refinement operator is monotone and the greatest
-    fixpoint unique, so evaluation order cannot change the result
-    (property-tested against the dict backend).  Candidate sets hold
-    ints and every BFS frontier expands with C-level set operations
-    over CSR rows.  Returns ``{u: ids}`` with every set nonempty, or
-    ``None`` on no match.
+    each step intersects ``sim(u)`` with the reverse cone of ``sim(u')``
+    -- but an edge is (re-)evaluated only after its target set shrank,
+    instead of a full edge sweep per outer round.  The refinement
+    operator is monotone and the greatest fixpoint unique, so evaluation
+    order cannot change the result (property-tested against the dict
+    backend).
+
+    The caller owns the candidates (id sets here, boolean masks in
+    :mod:`repro.simulation.array_engine`) and hands in the two
+    operations on them: ``cone(u1, bound)`` -- everything with a
+    nonempty path of at most ``bound`` edges into the current
+    ``sim(u1)`` -- and ``cut(u, allowed)``, which intersects ``sim(u)``
+    with a cone and returns how many candidates are left, ``None`` when
+    it removed nothing.  ``repro_bounded_edge_evals_total`` counts the
+    edges evaluated against a cone and ``repro_bounded_shrinks_total``
+    the cuts that removed something: one registry write per run, the
+    same numbers on either kernel.
     """
-    sim = seed_candidates(pattern, graph.candidate_ids)
-    if not all(sim.values()):
-        return None
     queue = deque(pattern.edges())
     queued = set(queue)
     # Reverse cones keyed by (target node, bound), valid while the
     # target set has not shrunk since computation: parallel edges into
     # the same pattern node with equal bounds share one BFS.
-    versions: Dict[PNode, int] = {u: 0 for u in sim}
-    cones: Dict[Tuple[PNode, object], Tuple[int, Set[int]]] = {}
-    # Edge evaluations aggregate locally; one registry write per run.
+    versions: Dict[PNode, int] = dict.fromkeys(pattern.nodes(), 0)
+    cones: Dict[Tuple[PNode, object], Tuple[int, object]] = {}
     evaluations = 0
     shrinks = 0
+    matched = True
     while queue:
         edge = queue.popleft()
         queued.discard(edge)
         evaluations += 1
         u, u1 = edge
-        bound = pattern.bound(edge)
-        key = (u1, bound)
+        key = (u1, pattern.bound(edge))
         cached = cones.get(key)
-        if cached is not None and cached[0] == versions[u1]:
-            allowed = cached[1]
-        else:
-            if bound is ANY:
-                allowed = graph.reverse_reachable_ids(sim[u1])
-            else:
-                allowed = graph.reverse_within_ids(sim[u1], bound)
-            cones[key] = (versions[u1], allowed)
-        if not sim[u] <= allowed:
-            sim[u] &= allowed
-            shrinks += 1
-            if not sim[u]:
-                _meter_bounded(evaluations, shrinks)
-                return None
-            versions[u] += 1
-            # sim(u) shrank: every edge *targeting* u sees a smaller
-            # reverse cone and must be re-checked.
-            for stale in pattern.in_edges(u):
-                if stale not in queued:
-                    queued.add(stale)
-                    queue.append(stale)
-    _meter_bounded(evaluations, shrinks)
-    return sim
+        if cached is None or cached[0] != versions[u1]:
+            cached = cones[key] = versions[u1], cone(*key)
+        left = cut(u, cached[1])
+        if left is None:
+            continue
+        shrinks += 1
+        if not left:
+            matched = False
+            break
+        versions[u] += 1
+        # sim(u) shrank: every edge *targeting* u sees a smaller
+        # reverse cone and must be re-checked.
+        for stale in pattern.in_edges(u):
+            if stale not in queued:
+                queued.add(stale)
+                queue.append(stale)
+    reg = get_registry()
+    reg.counter("repro_bounded_edge_evals_total").inc(evaluations)
+    reg.counter("repro_bounded_shrinks_total").inc(shrinks)
+    return matched
+
+
+def compact_maximum_bounded_simulation(
+    pattern, graph: CompactGraph
+) -> Optional[Dict[PNode, Set[int]]]:
+    """The maximum bounded simulation over a snapshot, in id space:
+    :func:`bounded_worklist` over id sets, every BFS frontier expanding
+    with C-level set operations over CSR rows.  Returns ``{u: ids}``
+    with every set nonempty, or ``None`` on no match.
+    """
+    sim = seed_candidates(pattern, graph.candidate_ids)
+    if not all(sim.values()):
+        return None
+
+    def cone(u1: PNode, bound) -> Set[int]:
+        if bound is ANY:
+            return graph.reverse_reachable_ids(sim[u1])
+        return graph.reverse_within_ids(sim[u1], bound)
+
+    def cut(u: PNode, allowed: Set[int]) -> Optional[int]:
+        if sim[u] <= allowed:
+            return None
+        sim[u] &= allowed
+        return len(sim[u])
+
+    return sim if bounded_worklist(pattern, cone, cut) else None
 
 
 def compact_bounded_edge_matches(
@@ -211,15 +236,7 @@ def compact_bounded_edge_matches(
     return matches, index
 
 
-def compact_bounded_match_with_ids(
-    pattern, graph: CompactGraph, with_distances: bool = False
-) -> Outcome:
-    """Evaluate ``Qb`` on a snapshot.
-
-    The id components feed the extension payload bounded view
-    materialization stores; the distance index only with
-    ``with_distances=True``.
-    """
+def _set_bounded_match(pattern, graph: CompactGraph, with_distances: bool) -> Outcome:
     sim = compact_maximum_bounded_simulation(pattern, graph)
     if sim is None:
         return no_match()
@@ -227,3 +244,23 @@ def compact_bounded_match_with_ids(
         pattern, graph, sim, with_distances=with_distances
     )
     return decode_outcome(graph, sim, id_rows, id_distances=index)
+
+
+def compact_bounded_match_with_ids(
+    pattern, graph: CompactGraph, with_distances: bool = False
+) -> Outcome:
+    """Evaluate ``Qb`` on a whole-graph snapshot: the array kernel when
+    it takes the snapshot (its call: edge count and NumPy), else this
+    module's set engine.
+
+    The id components feed the extension payload bounded view
+    materialization stores; the distance index only with
+    ``with_distances=True``.
+    """
+    from repro.simulation.array_engine import array_bounded_match
+
+    return run_match(
+        array_bounded_match, _set_bounded_match,
+        pattern, graph, with_distances,
+        bounded=True,
+    )

@@ -307,23 +307,37 @@ def extract(
     return decode_outcome(snapshot, sim, rows, global_row)
 
 
-def compact_match_with_ids(pattern, graph: CompactGraph) -> Outcome:
-    """Evaluate ``Qs`` on a whole-graph snapshot: the array kernel when
-    it takes the snapshot (its call: edge count and NumPy), else this
-    module's fixpoint in its no-ghost case.  The ``match`` span says
-    which ran and how many edge rows survived."""
-    from repro.simulation.array_engine import array_match
-
+def run_match(
+    array_kernel: Callable, set_kernel: Callable, *args, **attrs
+) -> Outcome:
+    """One whole-graph evaluation under its ``match`` span: the array
+    kernel's outcome for ``args``, or the set kernel's when the array
+    kernel declines (``None``).  The span says which ran (``kernel=``)
+    and how many edge rows survived (``rows=``: the answer's pairs, 0
+    on a failed match), plus ``attrs``."""
     with trace.span("match") as match_span:
         kernel = "array"
-        outcome = array_match(pattern, graph)
+        outcome = array_kernel(*args)
         if outcome is None:
             kernel = "sets"
-            state = witness_fixpoint(pattern, graph, graph.num_nodes)
-            outcome = no_match() if state is None else extract(pattern, graph, state)
+            outcome = set_kernel(*args)
         if match_span is not None:
             rows = outcome[1] or {}
             match_span.set(
-                kernel=kernel, rows=sum(len(src) for src, _ in rows.values())
+                kernel=kernel, rows=sum(len(src) for src, _ in rows.values()), **attrs
             )
     return outcome
+
+
+def _set_match(pattern, graph: CompactGraph) -> Outcome:
+    state = witness_fixpoint(pattern, graph, graph.num_nodes)
+    return no_match() if state is None else extract(pattern, graph, state)
+
+
+def compact_match_with_ids(pattern, graph: CompactGraph) -> Outcome:
+    """Evaluate ``Qs`` on a whole-graph snapshot: the array kernel when
+    it takes the snapshot (its call: edge count and NumPy), else this
+    module's fixpoint in its no-ghost case."""
+    from repro.simulation.array_engine import array_match
+
+    return run_match(array_match, _set_match, pattern, graph)

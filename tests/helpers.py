@@ -47,9 +47,10 @@ KERNELS = _kernels()
 
 @contextmanager
 def forced_kernel(kernel: str):
-    """Run whole-graph snapshot matches on one Match kernel whatever
-    the snapshot's size: ``"array"`` drops the size cut, ``"sets"``
-    masks NumPy out (``import numpy`` raises, as where it is missing)."""
+    """Run whole-graph snapshot matches -- plain and bounded, both ask
+    ``array_engine._numpy_for`` -- on one kernel whatever the
+    snapshot's size: ``"array"`` drops the size cut, ``"sets"`` masks
+    NumPy out (``import numpy`` raises, as where it is missing)."""
     assert kernel in KERNELS, kernel
     patch = pytest.MonkeyPatch()
     if kernel == "array":

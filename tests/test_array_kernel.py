@@ -1,12 +1,14 @@
-"""The array Match kernel equals the set kernel equals the dict engine.
+"""The array kernels equal the set kernels equal the dict engines.
 
 ``repro.simulation.array_engine`` (mask -> rows -> sweep over NumPy
-arrays) answers whole-graph snapshot matches above a size cut; the set
-kernel (``compact_engine.witness_fixpoint``) answers everything else and
-is what runs where NumPy is missing.  Both must return the outcome the
-dict backend's ``maximum_simulation`` defines -- node sets, edge matches
-and id rows -- whatever the pattern's shape and whatever its conditions
-make the candidate index do.
+arrays for Match, cones -> pairs for BMatch) answers whole-graph
+snapshot matches above a size cut; the set kernels
+(``compact_engine.witness_fixpoint``, ``compact_bounded``) answer
+everything else and are what runs where NumPy is missing.  Both must
+return the outcome the dict backend's ``maximum_simulation`` /
+``bounded_match_with_distances`` defines -- node sets, edge matches, id
+rows and the distance index ``I(V)`` -- whatever the pattern's shape and
+whatever its conditions make the candidate index do.
 """
 
 import math
@@ -15,10 +17,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.graph import DataGraph, P, Pattern
+from repro.graph import ANY, BoundedPattern, DataGraph, P, Pattern
 from repro.graph.conditions import Condition
 from repro.obs import trace
-from repro.simulation import array_engine
+from repro.simulation import array_engine, bounded_match
+from repro.simulation.bounded import bounded_match_with_distances
 from repro.simulation.simulation import evaluate, match, maximum_simulation
 from repro.views import ViewDefinition, materialize
 from repro.views.maintenance import Delta
@@ -121,12 +124,29 @@ def instance(seed, flavour):
     return graph, pattern
 
 
-def run_kernel(kernel, pattern, frozen):
+def bounded_chain(bound, *conditions):
+    return chain(*conditions).bounded(default=bound)
+
+
+#: Both operators over the same three labels: ``(pattern, matcher)``.
+OPERATORS = {
+    "match": (chain("A", "B", "C"), match),
+    "bmatch": (bounded_chain(2, "A", "B", "C"), bounded_match),
+}
+
+
+def match_span(root):
+    (span,) = [child for child in root.children if child.name == "match"]
+    return span
+
+
+def run_kernel(kernel, pattern, frozen, **how):
     """``evaluate`` on one kernel, checked to be the one that ran."""
     with forced_kernel(kernel), trace.root_span("query") as root:
-        outcome = evaluate(pattern, frozen)
-    (span,) = [child for child in root.children if child.name == "match"]
+        outcome = evaluate(pattern, frozen, **how)
+    span = match_span(root)
     assert span.attrs["kernel"] == kernel
+    assert span.attrs["rows"] == sum(len(src) for src, _ in (outcome[1] or {}).values())
     return outcome
 
 
@@ -156,15 +176,152 @@ def test_array_kernel_equals_set_kernel_equals_dict_engine(seed, flavour):
             assert {(table[v], table[w]) for v, w in zip(src, tgt)} == pairs[edge]
 
 
+BOUNDED_FLAVOURS = (
+    "plain", "cyclic", "self_loop", "two_way", "edgeless_node",
+    "empty_seed", "swept_empty", "star_chunks",
+)
+
+
+def bounded_instance(seed, flavour):
+    """``instance`` with bounds 1-3 and ``*`` drawn onto the edges.
+    ``two_way`` has twin edges into one target (one cone serves both
+    when their bounds agree); random graphs this dense are full of
+    cycles, so nodes reach themselves within a bound."""
+    base = flavour if flavour in FLAVOURS else "plain"
+    graph, pattern = instance(seed, base)
+    rng = random.Random(seed + 1)
+    if flavour == "swept_empty":
+        # Every label is seeded, but no path of any length enters a C.
+        for source, target in list(graph.edges()):
+            if "C" in graph.labels(target):
+                graph.remove_edge(source, target)
+    bounded = BoundedPattern()
+    for node in pattern.nodes():
+        bounded.add_node(node, pattern.condition(node))
+    star = 0.6 if flavour == "star_chunks" else 0.15
+    for source, target in pattern.edges():
+        bound = ANY if rng.random() < star else rng.randint(1, 3)
+        bounded.add_edge(source, target, bound)
+    if flavour == "star_chunks":
+        bounded.add_edge(*pattern.edges()[0], ANY)
+    return graph, bounded
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    flavour=st.sampled_from(BOUNDED_FLAVOURS),
+    distances=st.booleans(),
+)
+def test_bounded_array_kernel_equals_set_kernel_equals_dict_engine(
+    seed, flavour, distances
+):
+    graph, pattern = bounded_instance(seed, flavour)
+    expected, per_edge = bounded_match_with_distances(pattern, graph)
+    frozen = graph.freeze()
+    with pytest.MonkeyPatch.context() as patch:
+        if flavour == "star_chunks":
+            # Small enough that the origins of a * edge are split, down
+            # to single origins whose own rows exceed it.
+            patch.setattr(array_engine, "PAIR_ROW_BUDGET", 6)
+        outcomes = {
+            kernel: run_kernel(
+                kernel, pattern, frozen, bounded=True, distances=distances
+            )
+            for kernel in KERNELS
+        }
+    if flavour in ("empty_seed", "swept_empty"):
+        assert not expected
+    if not expected:
+        for result, id_rows, id_distances in outcomes.values():
+            assert not result and id_rows is None and id_distances is None
+        return
+    shortest = {}
+    for pairs in per_edge.values():
+        for pair, hops in pairs.items():
+            shortest[pair] = min(hops, shortest.get(pair, hops))
+    table = frozen.node_table
+    for result, id_rows, id_distances in outcomes.values():
+        assert result.node_matches == expected.node_matches
+        assert result.edge_matches == expected.edge_matches
+        assert set(id_rows) == set(expected.edge_matches)
+        for edge, (src, tgt) in id_rows.items():
+            assert src.typecode == tgt.typecode == "q"
+            assert len(src) == len(tgt) == len(expected.edge_matches[edge])
+            assert {(table[v], table[w]) for v, w in zip(src, tgt)} == (
+                expected.edge_matches[edge]
+            )
+        if not distances:
+            assert id_distances is None
+            continue
+        assert {
+            (table[v], table[w]): hops for (v, w), hops in id_distances.items()
+        } == shortest
+        assert all(type(hops) is int for hops in id_distances.values())
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_a_node_on_a_cycle_matches_itself_at_the_cycle_length(kernel):
+    # a1 -> a2 -> a3 -> a1 and a4 -> a4: within 2 edges only the
+    # self-loop closes; within 3 every node also reaches itself.
+    graph = DataGraph()
+    for node in ("a1", "a2", "a3", "a4"):
+        graph.add_node(node, labels="A")
+    for edge in (("a1", "a2"), ("a2", "a3"), ("a3", "a1"), ("a4", "a4")):
+        graph.add_edge(*edge)
+    frozen = graph.freeze()
+    for bound, loops in ((2, {"a4": 1}), (3, {"a1": 3, "a2": 3, "a3": 3, "a4": 1})):
+        pattern = bounded_chain(bound, "A", "A")
+        _, _, index = run_kernel(
+            kernel, pattern, frozen, bounded=True, distances=True
+        )
+        table = frozen.node_table
+        found = {(table[v], table[w]): hops for (v, w), hops in index.items()}
+        assert {v: hops for (v, w), hops in found.items() if v == w} == loops
+        assert found == bounded_match_with_distances(pattern, graph)[1][(0, 1)]
+
+
 @needs_numpy
-@pytest.mark.parametrize("shared", [False, True])
-def test_edge_columns_are_rebuilt_after_a_refresh(shared, monkeypatch):
+def test_a_star_edge_is_enumerated_in_pieces_under_the_row_budget(monkeypatch):
+    # One cycle through every node: each of the 60 origins reaches all
+    # 60 nodes, 3 600 pairs against a budget of 500 rows.
+    graph = DataGraph()
+    for i in range(60):
+        graph.add_node(i, labels="A")
+    for i in range(60):
+        graph.add_edge(i, (i + 1) % 60)
+    pattern = BoundedPattern()
+    pattern.add_node("x", "A")
+    pattern.add_node("y", "A")
+    pattern.add_edge("x", "y", ANY)
+    frozen = graph.freeze()
+    monkeypatch.setattr(array_engine, "PAIR_ROW_BUDGET", 500)
+    held = []
+    levels = array_engine._pair_levels
+
+    def watched(np, origins, *rest):
+        found = levels(np, origins, *rest)
+        if found is not None:
+            held.append(sum(len(origin) for origin, _ in found))
+        return found
+
+    monkeypatch.setattr(array_engine, "_pair_levels", watched)
+    result, id_rows, index = run_kernel(
+        "array", pattern, frozen, bounded=True, distances=True
+    )
+    assert len(held) > 1 and max(held) <= 500 and sum(held) == 3600
+    assert len(id_rows[("x", "y")][0]) == len(index) == 3600
+    assert index[(0, 0)] == 60 and index[(0, 59)] == 59 and index[(59, 0)] == 1
+    assert result == bounded_match(pattern, graph)
+
+
+def check_edge_columns_are_rebuilt_after_a_refresh(operator, shared, monkeypatch):
     from repro.graph.flatbuf import BACKEND_ENV
 
     monkeypatch.setenv(BACKEND_ENV, "bytes")
     rng = random.Random(21)
     graph = random_labeled_graph(rng, 30, 90)
-    pattern = chain("A", "B", "C")
+    pattern, match = OPERATORS[operator]
     old = graph.freeze(shared=shared)
     with forced_kernel("array"):
         assert match(pattern, old) == match(pattern, graph)
@@ -203,9 +360,20 @@ def test_edge_columns_are_rebuilt_after_a_refresh(shared, monkeypatch):
 
 
 @needs_numpy
-def test_attached_snapshot_reads_its_columns_off_the_segment(monkeypatch):
+@pytest.mark.parametrize("shared", [False, True])
+def test_edge_columns_are_rebuilt_after_a_refresh(shared, monkeypatch):
+    check_edge_columns_are_rebuilt_after_a_refresh("match", shared, monkeypatch)
+
+
+@needs_numpy
+@pytest.mark.parametrize("shared", [False, True])
+def test_bounded_kernel_sees_rebuilt_edge_columns_after_a_refresh(shared, monkeypatch):
+    check_edge_columns_are_rebuilt_after_a_refresh("bmatch", shared, monkeypatch)
+
+
+def check_attached_snapshot_reads_its_columns_off_the_segment(operator, monkeypatch):
     """A pool worker's snapshot decodes adjacency rows on first touch;
-    the array kernel must not touch (and so cache) every one of them."""
+    the array kernels must not touch (and so cache) any of them."""
     import pickle
 
     from repro.graph.flatbuf import BACKEND_ENV
@@ -213,7 +381,7 @@ def test_attached_snapshot_reads_its_columns_off_the_segment(monkeypatch):
     monkeypatch.setenv(BACKEND_ENV, "bytes")
     rng = random.Random(34)
     graph = random_labeled_graph(rng, 40, 140)
-    pattern = chain("A", "B", "C")
+    pattern, match = OPERATORS[operator]
     base = graph.freeze(shared=True)
     first, last = list(graph.nodes())[0], list(graph.nodes())[-1]
     graph.add_node("appended", labels="B")
@@ -236,16 +404,28 @@ def test_attached_snapshot_reads_its_columns_off_the_segment(monkeypatch):
 
 
 @needs_numpy
-def test_dispatch_is_by_edge_count_and_numpy_alone(monkeypatch):
+def test_attached_snapshot_reads_its_columns_off_the_segment(monkeypatch):
+    check_attached_snapshot_reads_its_columns_off_the_segment("match", monkeypatch)
+
+
+@needs_numpy
+def test_bounded_kernel_reads_an_attached_snapshots_columns_off_the_segment(
+    monkeypatch,
+):
+    check_attached_snapshot_reads_its_columns_off_the_segment("bmatch", monkeypatch)
+
+
+def check_dispatch_is_by_edge_count_and_numpy_alone(operator, monkeypatch):
     rng = random.Random(5)
     graph = random_labeled_graph(rng, 40, 120)
     frozen = graph.freeze()
-    pattern = chain("A", "B")
+    pattern, match = OPERATORS[operator]
 
     def kernel_of(target):
         with trace.root_span("query") as root:
             match(pattern, target)
-        (span,) = [child for child in root.children if child.name == "match"]
+        span = match_span(root)
+        assert span.attrs.get("bounded", False) == (operator == "bmatch")
         return span.attrs["kernel"]
 
     assert frozen.num_edges < array_engine.ARRAY_MIN_EDGES
@@ -257,6 +437,16 @@ def test_dispatch_is_by_edge_count_and_numpy_alone(monkeypatch):
     monkeypatch.setattr(array_engine, "ARRAY_MIN_EDGES", 0)
     with forced_kernel("sets"):
         assert kernel_of(frozen) == "sets"
+
+
+@needs_numpy
+def test_dispatch_is_by_edge_count_and_numpy_alone(monkeypatch):
+    check_dispatch_is_by_edge_count_and_numpy_alone("match", monkeypatch)
+
+
+@needs_numpy
+def test_bounded_dispatch_is_by_edge_count_and_numpy_alone(monkeypatch):
+    check_dispatch_is_by_edge_count_and_numpy_alone("bmatch", monkeypatch)
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
@@ -286,16 +476,65 @@ def test_match_span_and_counters_mean_the_same_on_both_kernels(kernel):
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
-def test_materialized_payload_rows_come_straight_from_the_kernel(kernel):
+def test_bounded_span_and_counters_mean_the_same_on_both_kernels(kernel):
+    # a1 -> x -> b1 -> c and a2 -> b2: within 2 edges b2 reaches no C,
+    # so the cut of B removes it and the re-evaluated (A, B) removes a2,
+    # which had reached only b2.
+    graph = DataGraph()
+    for node in ("a1", "a2", "b1", "b2", "c", "x"):
+        graph.add_node(node, labels=node[0].upper())
+    for edge in (("a1", "x"), ("x", "b1"), ("a2", "b2"), ("b1", "c")):
+        graph.add_edge(*edge)
+    frozen = graph.freeze()
+    with fresh_registry() as registry, forced_kernel(kernel):
+        with trace.root_span("query") as root:
+            result = bounded_match(bounded_chain(2, "A", "B", "C"), frozen)
+    assert result.edge_matches == {(0, 1): {("a1", "b1")}, (1, 2): {("b1", "c")}}
+    (span,) = root.children
+    assert span.name == "match"
+    assert span.attrs == {"kernel": kernel, "bounded": True, "rows": 2}
+    assert [child.name for child in span.children] == ["seed"]
+    counter = lambda name: registry.counter(name).value  # noqa: E731
+    assert counter("repro_sim_seed_candidates_total") == 5
+    assert counter("repro_sim_seed_scanned_total") == 0
+    # (A, B) passes, (B, C) cuts b2, (A, B) again cuts a2.
+    assert counter("repro_bounded_edge_evals_total") == 3
+    assert counter("repro_bounded_shrinks_total") == 2
+    with fresh_registry() as registry, forced_kernel(kernel):
+        with trace.root_span("query") as root:
+            assert not bounded_match(bounded_chain(1, "A", "B", "C"), frozen)
+    assert root.children[0].attrs == {"kernel": kernel, "bounded": True, "rows": 0}
+    # (A, B) cuts a1, (B, C) cuts b2; (A, B) again finds nothing left.
+    assert counter("repro_bounded_edge_evals_total") == 3
+    assert counter("repro_bounded_shrinks_total") == 3
+
+
+def check_materialized_payload_rows_come_straight_from_the_kernel(kernel, pattern):
     rng = random.Random(8)
     graph = random_labeled_graph(rng, 30, 120)
-    definition = ViewDefinition("v", chain("A", "B", "A"))
+    definition = ViewDefinition("v", pattern)
     frozen = graph.freeze()
     with forced_kernel(kernel):
         view = materialize(definition, frozen)
-    assert view.edge_matches == materialize(definition, graph).edge_matches
+    reference = materialize(definition, graph)
+    assert view.edge_matches == reference.edge_matches
+    assert view.distances == reference.distances
     table = frozen.node_table
     for edge, pairs in view.edge_matches.items():
         src, tgt = view.compact.pair_rows(edge)
         assert {(table[v], table[w]) for v, w in zip(src, tgt)} == pairs
         assert len(src) == len(pairs)
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_materialized_payload_rows_come_straight_from_the_kernel(kernel):
+    check_materialized_payload_rows_come_straight_from_the_kernel(
+        kernel, chain("A", "B", "A")
+    )
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_bounded_payload_rows_and_distances_come_straight_from_the_kernel(kernel):
+    check_materialized_payload_rows_come_straight_from_the_kernel(
+        kernel, bounded_chain(2, "A", "B", "A")
+    )

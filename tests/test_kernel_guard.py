@@ -6,9 +6,11 @@ choice was made by ``sys.modules`` probes for the shard layer.  Both are
 now one thing each (``simulation.compact_engine.witness_fixpoint`` and
 ``simulation.simulation.evaluate``); these guards keep a second copy
 from appearing.  The array form of the whole-graph case
-(``simulation.array_engine``) shares none of the counter loop, and is
-the one place NumPy may be imported -- lazily, so processes that never
-run it never load it.
+(``simulation.array_engine``: Match and BMatch) shares none of the
+counter loop, runs the one bounded edge worklist over masks, and is the
+one place NumPy may be imported -- lazily, behind the one helper both
+its entry points go through, so processes that never run it never load
+it.
 """
 
 import ast
@@ -20,6 +22,7 @@ import repro
 SRC = Path(repro.__file__).resolve().parent
 
 KERNEL = "simulation/compact_engine.py"
+BOUNDED_KERNEL = "simulation/compact_bounded.py"
 ARRAY_KERNEL = "simulation/array_engine.py"
 #: The dict-backend reference engine keeps its own eager counters.
 DICT_REFERENCE = "simulation/simulation.py"
@@ -70,6 +73,18 @@ def test_numpy_is_imported_in_one_file_and_only_inside_a_function():
         for node in numpy_imports(scope)
     ]
     assert len(inside) == len(list(numpy_imports(tree))) == 1
+    # ... the helper both entry points ask, and nothing else does.
+    text = (SRC / ARRAY_KERNEL).read_text()
+    assert len(re.findall(r"= _numpy_for\(graph\)", text)) == 2
+    assert len(re.findall(r"^def array_\w*match\(", text, re.M)) == 2
+
+
+def test_bounded_edge_worklist_exists_in_exactly_one_file():
+    # The versioned cone cache is the worklist's signature move; the
+    # array kernel hands its masks to the same loop.
+    assert _files_matching(r"\bcones\.get\(") == {BOUNDED_KERNEL}
+    assert _files_matching(r"\bbounded_worklist\(") == {BOUNDED_KERNEL, ARRAY_KERNEL}
+    assert _files_matching(r"repro_bounded_\w+_total") == {BOUNDED_KERNEL}
 
 
 def test_dispatch_never_probes_sys_modules_for_the_shard_layer():

@@ -28,6 +28,7 @@ from repro.graph.io import write_graph, write_pattern
 from repro.graph.pattern import Pattern
 from repro.graph.snapshot import SnapshotStore
 from repro.simulation.array_engine import ARRAY_MIN_EDGES
+from repro.simulation.bounded import bounded_match
 from repro.simulation.simulation import match
 from repro.views.io import write_viewset
 
@@ -227,23 +228,31 @@ def test_serve_boot_answers_a_miss_and_a_hit_without_numpy(tmp_path):
 
 def test_whole_graph_match_without_numpy_runs_the_set_kernel():
     # ``sys.modules["numpy"] = None`` makes ``import numpy`` raise, as on
-    # an interpreter without it; the answer must not change.
+    # an interpreter without it; the answer must not change -- of a plain
+    # match or of a bounded one (the last pattern, every edge within 2).
     graph = amazon_graph(1200, 2 * ARRAY_MIN_EDGES, seed=11)
     patterns = [definition.pattern for definition in list(amazon_views())[:4]]
+    results = [match(pattern, graph) for pattern in patterns]
+    results.append(bounded_match(patterns[0].bounded(default=2), graph))
     expected = [
         f"{result.result_size} {sorted(map(repr, result.as_relation()))}"
-        for result in (match(pattern, graph) for pattern in patterns)
+        for result in results
     ]
-    assert any(not line.startswith("0 ") for line in expected)
+    assert any(not line.startswith("0 ") for line in expected[:-1])
+    assert not expected[-1].startswith("0 ")
     code = (
         "{mask}"
         "from repro.datasets import amazon_graph, amazon_views\n"
         "from repro.obs import trace\n"
+        "from repro.simulation.bounded import bounded_match\n"
         "from repro.simulation.simulation import match\n"
         f"frozen = amazon_graph(1200, {2 * ARRAY_MIN_EDGES}, seed=11).freeze()\n"
-        "for definition in list(amazon_views())[:4]:\n"
+        "patterns = [d.pattern for d in list(amazon_views())[:4]]\n"
+        "runs = [(match, pattern) for pattern in patterns]\n"
+        "runs.append((bounded_match, patterns[0].bounded(default=2)))\n"
+        "for run, pattern in runs:\n"
         "    with trace.root_span('query') as root:\n"
-        "        result = match(definition.pattern, frozen)\n"
+        "        result = run(pattern, frozen)\n"
         "    print(root.children[0].attrs['kernel'], result.result_size,\n"
         "          sorted(map(repr, result.as_relation())))\n"
     )
