@@ -116,6 +116,7 @@ class CompactGraph:
         "_num_edges",
         "_columns",
         "_edge_columns",
+        "_array_cache",
         "snapshot_version",
         "snapshot_token",
         "extends_token",
@@ -152,6 +153,8 @@ class CompactGraph:
         self._columns: Dict[str, Optional[Column]] = {}
         # The edge list as flat columns, built on first use.
         self._edge_columns: Optional[Tuple[array, array]] = None
+        # The array kernel's derived arrays, see ``array_cache``.
+        self._array_cache: Dict[str, Any] = {}
         self.snapshot_version = version
         self.snapshot_token = _new_token()
         self.extends_token = None
@@ -234,6 +237,7 @@ class CompactGraph:
         new._columns = old._columns if attrs is old._attrs else {}
         # Never the predecessor's: adjacency changed, and so may ``n``.
         new._edge_columns = None
+        new._array_cache = {}
         new.snapshot_version = version
         new.snapshot_token = _new_token()
         new.extends_token = old.snapshot_token
@@ -304,6 +308,18 @@ class CompactGraph:
                 array("i", chain.from_iterable(succ)),
             )
         return columns
+
+    @property
+    def array_cache(self) -> Dict[str, Any]:
+        """What :mod:`repro.simulation.array_engine` derived from this
+        snapshot (label buckets as index arrays, the node-key column):
+        dies with it, is never a predecessor's and is never pickled."""
+        return self._array_cache
+
+    def __getstate__(self):
+        state = {slot: getattr(self, slot) for slot in CompactGraph.__slots__}
+        state["_array_cache"] = {}  # NumPy arrays: the receiver rebuilds them
+        return None, state
 
     def label_ids(self, label: str) -> Tuple[int, ...]:
         """Ids of every node carrying ``label`` (empty tuple if none)."""

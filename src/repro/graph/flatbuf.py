@@ -1224,6 +1224,7 @@ def _attach_snapshot(store: FlatStore, patch, meta) -> SharedCompactGraph:
     shared._num_edges = num_edges
     shared._columns = {}
     shared._edge_columns = None
+    shared._array_cache = {}
     shared.snapshot_version = version
     shared.snapshot_token = token
     shared.extends_token = extends

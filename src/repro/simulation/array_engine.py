@@ -20,8 +20,8 @@ counters (:func:`array_match`: mask -> rows -> sweep):
    dies, and a pattern node that shrank is queued in turn; the first
    empty mask is a failed match.
 
-The surviving rows *are* the id outcome; node keys decode once, at the
-end, through the same packager the set kernel uses.
+The surviving rows *are* the id outcome and stay arrays to the end: node
+keys are gathered from a per-snapshot object column (:func:`_package`).
 
 A bounded pattern (:func:`array_bounded_match`: cones -> pairs) starts
 from the same masks and runs the edge worklist of
@@ -55,11 +55,13 @@ from repro.graph.pattern import ANY
 from repro.simulation.compact_bounded import bounded_worklist
 from repro.simulation.compact_engine import (
     Outcome,
-    decode_outcome,
+    decode_phase,
     meter_refinement,
     no_match,
     seed_candidates,
+    sweep_phase,
 )
+from repro.simulation.result import MatchResult
 
 PNode = Hashable
 PEdge = Tuple[PNode, PNode]
@@ -109,16 +111,27 @@ def array_bounded_match(
     return None if np is None else _cones_pairs(np, pattern, graph, with_distances)
 
 
-def _scatter(np, mask, ids, start: int, stop: int) -> None:
+def _edge_indices(np, graph: CompactGraph):
+    """``graph.edge_columns()`` as index-width arrays, copied per call:
+    a gather through int32 indices converts them each time, at 3x its cost."""
+    columns = graph.edge_columns()
+    return tuple(np.frombuffer(c, dtype=np.int32).astype(np.intp) for c in columns)
+
+
+def _scatter(np, graph: CompactGraph, mask, ids, start: int, stop: int) -> None:
     """``mask[ids[start:stop]] = True`` for the id sequences the
-    candidate index hands out."""
+    candidate index hands out.  A label bucket (a tuple) is converted
+    once per snapshot: found by identity, in an entry that holds it."""
     if isinstance(ids, range):
         span = ids[start:stop]  # every node: a slice of the mask itself
         mask[span.start : span.stop : span.step] = True
-    elif isinstance(ids, array):
+    elif isinstance(ids, array):  # an attribute column, viewed in place
         mask[np.frombuffer(ids, dtype=np.int64)[start:stop]] = True
     else:
-        mask[np.fromiter(ids[start:stop], np.intp, stop - start)] = True
+        buckets = graph.array_cache.setdefault("buckets", {})
+        if id(ids) not in buckets:
+            buckets[id(ids)] = ids, np.array(ids, dtype=np.int64)
+        mask[buckets[id(ids)][1][start:stop]] = True
 
 
 def _seed_mask(np, graph: CompactGraph, condition):
@@ -138,7 +151,7 @@ def _seed_mask(np, graph: CompactGraph, condition):
         part = np.zeros(n, dtype=bool)
         for start, stop in ranges:
             if start < stop:
-                _scatter(np, part, ids, start, stop)
+                _scatter(np, graph, part, ids, start, stop)
         if mask is None:
             mask = part
         else:
@@ -160,11 +173,19 @@ def _seed_masks(np, pattern, graph: CompactGraph):
 
 
 def _mask_rows_sweep(np, pattern, graph: CompactGraph) -> Outcome:
-    n = graph.num_nodes
     alive, counts = _seed_masks(np, pattern, graph)
     if not all(counts.values()):
         return no_match()
+    rows: Dict[PEdge, tuple] = {}
+    if not sweep_phase(_sweep, counts.values, np, pattern, graph, alive, counts, rows):
+        return no_match()
+    return decode_phase(_package, np, graph, alive, rows)
 
+
+def _sweep(np, pattern, graph: CompactGraph, alive, counts, rows) -> bool:
+    """The rows step and the sweep: fills ``rows[edge] = (sources, targets)``
+    and cuts ``alive`` / ``counts`` to the fixpoint; false on a failed match."""
+    n = graph.num_nodes
     # dirty: pattern nodes whose mask shrank since their in-edges' rows
     # were last cut (insertion-ordered, so runs repeat exactly).
     dirty: Dict[PNode, None] = {}
@@ -185,14 +206,13 @@ def _mask_rows_sweep(np, pattern, graph: CompactGraph) -> Outcome:
             dirty[u] = None
         return left > 0
 
-    src, tgt = (np.frombuffer(col, dtype=np.int32) for col in graph.edge_columns())
-    rows: Dict[PEdge, tuple] = {}
+    src, tgt = _edge_indices(np, graph)
     matched = True
     for edge in pattern.edges():
         u, u1 = edge
-        idx = np.flatnonzero(alive[u][src] & alive[u1][tgt])
-        sources = src[idx]
-        rows[edge] = sources, tgt[idx]
+        idx = np.flatnonzero(alive[u].take(src) & alive[u1].take(tgt))
+        sources = src.take(idx)
+        rows[edge] = sources, tgt.take(idx)
         if not settle(u, sources):
             matched = False
             break
@@ -204,37 +224,65 @@ def _mask_rows_sweep(np, pattern, graph: CompactGraph) -> Outcome:
         for edge in pattern.in_edges(u1):
             u = edge[0]
             sources, targets = rows[edge]
-            keep = alive[u][sources] & alive[u1][targets]
+            keep = alive[u].take(sources) & alive[u1].take(targets)
             if keep.all():
                 continue
-            sources = sources[keep]
-            rows[edge] = sources, targets[keep]
+            idx = np.flatnonzero(keep)
+            sources = sources.take(idx)
+            rows[edge] = sources, targets.take(idx)
             if not settle(u, sources):
                 matched = False
                 break
     meter_refinement(batches, removals)
     if not matched:
-        return no_match()
+        return False
 
     # A pattern edge is revisited when its *target* shrinks; rows whose
     # source died to another edge of the same pattern node go here.
-    id_rows = {}
     for edge, (sources, targets) in rows.items():
-        keep = alive[edge[0]][sources]
+        keep = alive[edge[0]].take(sources)
         if not keep.all():
-            sources, targets = sources[keep], targets[keep]
-        id_rows[edge] = _q_column(np, sources), _q_column(np, targets)
-    return decode_outcome(graph, _survivors(np, alive), id_rows)
+            idx = np.flatnonzero(keep)
+            rows[edge] = sources.take(idx), targets.take(idx)
+    return True
 
 
-def _survivors(np, alive) -> Dict[PNode, list]:
-    return {u: np.flatnonzero(mask).tolist() for u, mask in alive.items()}
+def _node_keys(np, graph: CompactGraph, alive):
+    """The snapshot's node keys as an object column -- one element per
+    key whatever it is (a tuple stays one object) -- decoded at least at
+    the ids ``alive`` names: only ids some answer named are ever read
+    off the node table (lazy on an attached snapshot), each once."""
+    cache, n = graph.array_cache, graph.num_nodes
+    if "keys" not in cache:
+        cache["keys"] = np.empty(n, dtype=object), np.zeros(n, dtype=bool)
+    keys, known = cache["keys"]
+    fresh = np.flatnonzero(np.logical_or.reduce(list(alive.values())) & ~known)
+    keys[fresh] = np.frompyfunc(graph.node_table.__getitem__, 1, 1)(fresh)
+    known[fresh] = True
+    return keys
 
 
-def _q_column(np, ids) -> array:
-    column = array("q")
-    column.frombytes(ids.astype(np.int64).tobytes())
-    return column
+def _package(np, graph: CompactGraph, alive, rows, id_distances=None) -> Outcome:
+    """The outcome of survivor masks and per-edge ``(sources, targets)``
+    id arrays (every id they name alive): node keys gathered from the
+    key column into plain built sets, each id array's buffer copied
+    once into the ``array('q')`` column payloads store."""
+    keys = _node_keys(np, graph, alive)
+    node_matches = {
+        u: set(keys.take(np.flatnonzero(mask)).tolist()) for u, mask in alive.items()
+    }
+
+    def column(ids) -> array:
+        copy = array("q")
+        copy.frombytes(np.ascontiguousarray(ids, dtype=np.int64).view(np.uint8))
+        return copy
+
+    edge_matches, id_rows = {}, {}
+    for edge, (sources, targets) in rows.items():
+        names = keys.take(sources).tolist(), keys.take(targets).tolist()
+        edge_matches[edge] = set(zip(*names))
+        id_rows[edge] = column(sources), column(targets)
+    return MatchResult(node_matches, edge_matches), id_rows, id_distances
 
 
 def _cones_pairs(np, pattern, graph: CompactGraph, with_distances: bool) -> Outcome:
@@ -242,12 +290,7 @@ def _cones_pairs(np, pattern, graph: CompactGraph, with_distances: bool) -> Outc
     alive, counts = _seed_masks(np, pattern, graph)
     if not all(counts.values()):
         return no_match()
-    # Index-width copies, made once: a gather through int32 indices
-    # converts them on every call, which costs more than the gather.
-    src, tgt = (
-        np.frombuffer(col, dtype=np.int32).astype(np.intp)
-        for col in graph.edge_columns()
-    )
+    src, tgt = _edge_indices(np, graph)
 
     def cone(u1: PNode, bound):
         """The ids with a nonempty path of at most ``bound`` edges into
@@ -276,7 +319,7 @@ def _cones_pairs(np, pattern, graph: CompactGraph, with_distances: bool) -> Outc
         counts[u] = left
         return left
 
-    if not bounded_worklist(pattern, cone, cut):
+    if not sweep_phase(bounded_worklist, counts.values, pattern, cone, cut):
         return no_match()
 
     # The edge columns are in CSR order, so a node's row is a slice.
@@ -310,7 +353,7 @@ def _cones_pairs(np, pattern, graph: CompactGraph, with_distances: bool) -> Outc
                     targets.append(node[keep])
                     hops.append(distance)
 
-    id_rows = {}
+    rows = {}
     index: Optional[Dict[Tuple[int, int], int]] = None
     if with_distances:
         index = {}
@@ -322,7 +365,7 @@ def _cones_pairs(np, pattern, graph: CompactGraph, with_distances: bool) -> Outc
         sizes = list(map(len, sources))
         sources = np.concatenate(sources)
         targets = np.concatenate(targets)
-        id_rows[edge] = _q_column(np, sources), _q_column(np, targets)
+        rows[edge] = sources, targets
         if index is not None:
             # A pair's level is its shortest distance whichever edge
             # emits it, so the minimum over edges is the value itself.
@@ -330,7 +373,7 @@ def _cones_pairs(np, pattern, graph: CompactGraph, with_distances: bool) -> Outc
                 zip(ids.take(sources).tolist(), ids.take(targets).tolist()),
                 np.repeat(hops, sizes).tolist(),
             ))
-    return decode_outcome(graph, _survivors(np, alive), id_rows, id_distances=index)
+    return decode_phase(_package, np, graph, alive, rows, index)
 
 
 def _pair_levels(np, origins, degree, starts, tgt, n, depth: Optional[int]):

@@ -44,9 +44,11 @@ from repro.simulation.compact_engine import (
     IdRows,
     Outcome,
     decode_outcome,
+    decode_phase,
     no_match,
     run_match,
     seed_candidates,
+    sweep_phase,
 )
 
 log = logging.getLogger(__name__)
@@ -182,7 +184,8 @@ def compact_maximum_bounded_simulation(
         sim[u] &= allowed
         return len(sim[u])
 
-    return sim if bounded_worklist(pattern, cone, cut) else None
+    sizes = lambda: map(len, sim.values())  # noqa: E731
+    return sim if sweep_phase(bounded_worklist, sizes, pattern, cone, cut) else None
 
 
 def compact_bounded_edge_matches(
@@ -243,7 +246,7 @@ def _set_bounded_match(pattern, graph: CompactGraph, with_distances: bool) -> Ou
     id_rows, index = compact_bounded_edge_matches(
         pattern, graph, sim, with_distances=with_distances
     )
-    return decode_outcome(graph, sim, id_rows, id_distances=index)
+    return decode_phase(decode_outcome, graph, sim, id_rows, id_distances=index)
 
 
 def compact_bounded_match_with_ids(

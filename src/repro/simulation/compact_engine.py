@@ -87,6 +87,18 @@ def seed_candidates(pattern, seed: Callable, size: Callable = len) -> Dict:
     return sim
 
 
+def sweep_phase(fixpoint: Callable[..., bool], sizes: Callable, *args) -> bool:
+    """``fixpoint(*args)`` -- false on a failed match -- under the
+    run's ``sweep`` span, whose ``nodes=`` is the candidates left at
+    the fixpoint: the sum of ``sizes()``, one per pattern node, asked
+    only when traced; 0 on a failed match."""
+    with trace.span("sweep") as sweep_span:
+        matched = fixpoint(*args)
+        if sweep_span is not None:
+            sweep_span.set(nodes=sum(sizes()) if matched else 0)
+    return matched
+
+
 def meter_refinement(batches: int, removed: int) -> None:
     """One registry write per fixpoint run, wherever it runs (hot-kernel
     discipline: the loop aggregates in local ints, never per removal)."""
@@ -156,12 +168,7 @@ def witness_fixpoint(
     read off the snapshot (``own == snapshot.num_nodes``: no split
     pass, ``full`` aliases ``sim``), never passed in.
     """
-    succ = snapshot.succ_rows
-    pred = snapshot.pred_rows
     ghosts = own < snapshot.num_nodes
-    # pending[u] accumulates ids that left full(u) and whose departure
-    # has not yet been propagated to the predecessor pattern nodes.
-    pending: IdSim = {}
     if state is None:
         full = seed_candidates(pattern, snapshot.candidate_ids)
         sim = full
@@ -170,6 +177,33 @@ def witness_fixpoint(
         if pruned is None and not all(sim.values()):
             return None
         state = FixpointState(sim, full, {edge: {} for edge in pattern.edges()})
+        withdrawn = None  # a fresh state was seeded with nothing to take back
+    matched = sweep_phase(
+        _refine, lambda: map(len, state.sim.values()),
+        pattern, snapshot, ghosts, state, withdrawn, pruned,
+    )
+    return state if matched else None
+
+
+def _refine(
+    pattern,
+    snapshot: CompactGraph,
+    ghosts: bool,
+    state: FixpointState,
+    withdrawn: Optional[IdSim],
+    pruned: Optional[IdSim],
+) -> bool:
+    """:func:`witness_fixpoint` after seeding: the first witness pass
+    over a fresh state (or the ``withdrawn`` batches into a kept one),
+    then removal batches to the fixpoint.  False on a failed
+    whole-graph match."""
+    succ = snapshot.succ_rows
+    pred = snapshot.pred_rows
+    sim, full, counters = state
+    # pending[u] accumulates ids that left full(u) and whose departure
+    # has not yet been propagated to the predecessor pattern nodes.
+    pending: IdSim = {}
+    if withdrawn is None:
         for u in pattern.nodes():
             doomed: Set[int] = set()
             for u1 in pattern.successors(u):
@@ -182,15 +216,12 @@ def witness_fixpoint(
                 if pruned is not None:
                     pruned[u] = set(doomed)
                 elif not sim[u]:
-                    return None
+                    return False
                 pending[u] = doomed
     else:
-        sim = state.sim
-        full = state.full
         for u, refuted in withdrawn.items():
             full[u] -= refuted
             pending[u] = refuted
-    counters = state.counters
 
     batches = 0
     removals = 0
@@ -242,14 +273,14 @@ def witness_fixpoint(
                     gone |= newly
             elif not candidates:
                 meter_refinement(batches, removals)
-                return None
+                return False
             queued = pending.get(u)
             if queued is None:
                 pending[u] = newly
             else:
                 queued |= newly
     meter_refinement(batches, removals)
-    return state
+    return True
 
 
 def decode_outcome(
@@ -292,7 +323,8 @@ def extract(
     surviving candidates' adjacency rows cut to the surviving targets
     (at the fixpoint every candidate has a witness, and the surviving
     assumptions are exactly the true boundary matches, so assumed
-    witnesses are emitted like internal ones)."""
+    witnesses are emitted like internal ones), decoded under the run's
+    ``decode`` span."""
     succ = snapshot.succ_rows.__getitem__
     sim = state.sim
     rows: IdRows = {}
@@ -304,7 +336,28 @@ def extract(
             array("q", chain.from_iterable(map(repeat, sources, map(len, found)))),
             array("q", chain.from_iterable(found)),
         )
-    return decode_outcome(snapshot, sim, rows, global_row)
+    return decode_phase(decode_outcome, snapshot, sim, rows, global_row)
+
+
+def _row_count(rows: Optional[IdRows]) -> int:
+    """The pairs of an id outcome, summed over pattern edges; 0 on a
+    failed match."""
+    return sum(len(src) for src, _ in (rows or {}).values())
+
+
+def decode_phase(package: Callable[..., Outcome], *args, **kwargs) -> Outcome:
+    """``package(...)`` under the run's ``decode`` span, which says
+    what was packaged: ``rows=`` edge rows and ``nodes=`` node matches,
+    each summed over the pattern."""
+    with trace.span("decode") as decode_span:
+        outcome = package(*args, **kwargs)
+        if decode_span is not None:
+            result, rows, _ = outcome
+            decode_span.set(
+                rows=_row_count(rows),
+                nodes=sum(map(len, result.node_matches.values())),
+            )
+    return outcome
 
 
 def run_match(
@@ -314,7 +367,9 @@ def run_match(
     kernel's outcome for ``args``, or the set kernel's when the array
     kernel declines (``None``).  The span says which ran (``kernel=``)
     and how many edge rows survived (``rows=``: the answer's pairs, 0
-    on a failed match), plus ``attrs``."""
+    on a failed match), plus ``attrs``; under it, one child span per
+    phase the run reached -- ``seed``, ``sweep``, ``decode`` -- on
+    either kernel."""
     with trace.span("match") as match_span:
         kernel = "array"
         outcome = array_kernel(*args)
@@ -322,10 +377,7 @@ def run_match(
             kernel = "sets"
             outcome = set_kernel(*args)
         if match_span is not None:
-            rows = outcome[1] or {}
-            match_span.set(
-                kernel=kernel, rows=sum(len(src) for src, _ in rows.values()), **attrs
-            )
+            match_span.set(kernel=kernel, rows=_row_count(outcome[1]), **attrs)
     return outcome
 
 

@@ -12,7 +12,9 @@ whatever its conditions make the candidate index do.
 """
 
 import math
+import pickle
 import random
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,6 +24,7 @@ from repro.graph.conditions import Condition
 from repro.obs import trace
 from repro.simulation import array_engine, bounded_match
 from repro.simulation.bounded import bounded_match_with_distances
+from repro.simulation.compact_engine import decode_outcome
 from repro.simulation.simulation import evaluate, match, maximum_simulation
 from repro.views import ViewDefinition, materialize
 from repro.views.maintenance import Delta
@@ -124,6 +127,40 @@ def instance(seed, flavour):
     return graph, pattern
 
 
+#: What a node key may be.  A tuple, a str and a frozenset are
+#: collections themselves: the array kernel's key column must hold each
+#: as *one* object (equal-length tuples are the trap -- assigned as a
+#: block they broadcast into a 2-D array).
+KEY_KINDS = {
+    "int": lambda i: i,
+    "tuple": lambda i: ("n", i),
+    "str": lambda i: f"node-{i}",
+    "mixed": lambda i: (
+        ("n", i), f"node-{i}", frozenset((i, -1)), i, ("a", i, "b"), (i,)
+    )[i % 6],
+}
+
+
+def rekeyed(graph, kind):
+    """``graph`` with its ``i``-th node renamed ``KEY_KINDS[kind](i)``."""
+    if kind == "int":
+        return graph
+    name = {node: KEY_KINDS[kind](i) for i, node in enumerate(graph.nodes())}
+    renamed = DataGraph()
+    for node in graph.nodes():
+        renamed.add_node(name[node], labels=graph.labels(node), attrs=graph.attrs(node))
+    for source, target in graph.edges():
+        renamed.add_edge(name[source], name[target])
+    return renamed
+
+
+def assert_plain_built_sets(result):
+    """Nothing lazy, nothing NumPy: dicts of sets of the node keys."""
+    for matches in (result.node_matches, result.edge_matches):
+        assert type(matches) is dict
+        assert all(type(found) is set for found in matches.values())
+
+
 def bounded_chain(bound, *conditions):
     return chain(*conditions).bounded(default=bound)
 
@@ -151,9 +188,14 @@ def run_kernel(kernel, pattern, frozen, **how):
 
 
 @settings(max_examples=200, deadline=None)
-@given(seed=st.integers(0, 10_000), flavour=st.sampled_from(FLAVOURS))
-def test_array_kernel_equals_set_kernel_equals_dict_engine(seed, flavour):
+@given(
+    seed=st.integers(0, 10_000),
+    flavour=st.sampled_from(FLAVOURS),
+    keys=st.sampled_from(sorted(KEY_KINDS)),
+)
+def test_array_kernel_equals_set_kernel_equals_dict_engine(seed, flavour, keys):
     graph, pattern = instance(seed, flavour)
+    graph = rekeyed(graph, keys)
     expected = maximum_simulation(pattern, graph)
     frozen = graph.freeze()
     outcomes = {kernel: run_kernel(kernel, pattern, frozen) for kernel in KERNELS}
@@ -169,6 +211,7 @@ def test_array_kernel_equals_set_kernel_equals_dict_engine(seed, flavour):
         assert id_distances is None
         assert result.node_matches == expected
         assert result.edge_matches == pairs
+        assert_plain_built_sets(result)
         assert set(id_rows) == set(pairs)
         for edge, (src, tgt) in id_rows.items():
             assert src.typecode == tgt.typecode == "q"
@@ -212,11 +255,13 @@ def bounded_instance(seed, flavour):
     seed=st.integers(0, 10_000),
     flavour=st.sampled_from(BOUNDED_FLAVOURS),
     distances=st.booleans(),
+    keys=st.sampled_from(sorted(KEY_KINDS)),
 )
 def test_bounded_array_kernel_equals_set_kernel_equals_dict_engine(
-    seed, flavour, distances
+    seed, flavour, distances, keys
 ):
     graph, pattern = bounded_instance(seed, flavour)
+    graph = rekeyed(graph, keys)
     expected, per_edge = bounded_match_with_distances(pattern, graph)
     frozen = graph.freeze()
     with pytest.MonkeyPatch.context() as patch:
@@ -244,6 +289,7 @@ def test_bounded_array_kernel_equals_set_kernel_equals_dict_engine(
     for result, id_rows, id_distances in outcomes.values():
         assert result.node_matches == expected.node_matches
         assert result.edge_matches == expected.edge_matches
+        assert_plain_built_sets(result)
         assert set(id_rows) == set(expected.edge_matches)
         for edge, (src, tgt) in id_rows.items():
             assert src.typecode == tgt.typecode == "q"
@@ -313,6 +359,272 @@ def test_a_star_edge_is_enumerated_in_pieces_under_the_row_budget(monkeypatch):
     assert len(id_rows[("x", "y")][0]) == len(index) == 3600
     assert index[(0, 0)] == 60 and index[(0, 59)] == 59 and index[(59, 0)] == 1
     assert result == bounded_match(pattern, graph)
+
+
+# ----------------------------------------------------------------------
+# The array packager against ``decode_outcome``
+# ----------------------------------------------------------------------
+@st.composite
+def packager_inputs(draw):
+    """``(graph, alive, rows, id_distances)`` as the array kernels hand
+    them to the packager: masks over the node ids, per-edge id columns
+    whose ends are alive (no edges at all, an edge with no rows and a
+    single-node graph included), and a distance per pair or ``None``."""
+    n = draw(st.integers(1, 12))
+    keys = draw(st.sampled_from(sorted(KEY_KINDS)))
+    graph = rekeyed(random_labeled_graph(random.Random(n), n, 0), keys)
+    alive = {
+        u: draw(st.sets(st.integers(0, n - 1), min_size=1))
+        for u in range(draw(st.integers(1, 3)))
+    }
+    pattern_node = st.sampled_from(sorted(alive))
+    edges = draw(st.sets(st.tuples(pattern_node, pattern_node), max_size=3))
+    rows = {}
+    for u, u1 in sorted(edges):
+        ends = st.tuples(
+            st.sampled_from(sorted(alive[u])), st.sampled_from(sorted(alive[u1]))
+        )
+        rows[u, u1] = draw(st.lists(ends, max_size=8, unique=True))
+    id_distances = None
+    if draw(st.booleans()):
+        pairs = sorted(set().union(*rows.values()))
+        id_distances = dict(zip(pairs, draw(st.lists(
+            st.integers(1, 4), min_size=len(pairs), max_size=len(pairs)
+        ))))
+    return graph, alive, rows, id_distances
+
+
+@needs_numpy
+@settings(max_examples=150, deadline=None)
+@given(inputs=packager_inputs())
+def test_array_packager_equals_decode_outcome(inputs):
+    import numpy as np
+
+    graph, alive, rows, id_distances = inputs
+    frozen = graph.freeze()
+    n = frozen.num_nodes
+    masks = {}
+    for u, ids in alive.items():
+        masks[u] = np.zeros(n, dtype=bool)
+        masks[u][sorted(ids)] = True
+    columns = {
+        edge: (
+            np.array([v for v, _ in pairs], dtype=np.intp),
+            np.array([w for _, w in pairs], dtype=np.intp),
+        )
+        for edge, pairs in rows.items()
+    }
+    got = array_engine._package(np, frozen, masks, columns, id_distances)
+    expected = decode_outcome(
+        frozen,
+        alive,
+        {
+            edge: (array("q", [v for v, _ in pairs]), array("q", [w for _, w in pairs]))
+            for edge, pairs in rows.items()
+        },
+        id_distances=id_distances,
+    )
+    assert got[0] == expected[0]
+    assert_plain_built_sets(got[0])
+    assert got[1] == expected[1]
+    assert all(
+        type(column) is array and column.typecode == "q"
+        for pair in got[1].values() for column in pair
+    )
+    assert got[2] == expected[2] and (id_distances is None or got[2] is id_distances)
+    # A second packaging reads nothing new off the node table.
+    keys, known = frozen.array_cache["keys"]
+    before = known.copy()
+    assert array_engine._package(np, frozen, masks, columns, id_distances)[0] == got[0]
+    assert (known == before).all()
+    assert set(np.flatnonzero(known).tolist()) == set().union(*alive.values())
+
+
+# ----------------------------------------------------------------------
+# The per-snapshot caches (bucket arrays, key column)
+# ----------------------------------------------------------------------
+@needs_numpy
+@pytest.mark.parametrize("operator", sorted(OPERATORS))
+@pytest.mark.parametrize("shared", [False, True])
+def test_array_caches_are_per_snapshot(operator, shared, monkeypatch):
+    from repro.graph.flatbuf import BACKEND_ENV
+
+    monkeypatch.setenv(BACKEND_ENV, "bytes")
+    graph = rekeyed(random_labeled_graph(random.Random(13), 30, 90), "tuple")
+    pattern, run = OPERATORS[operator]
+    old = graph.freeze(shared=shared)
+    assert old.array_cache == {}
+    with forced_kernel("array"):
+        before = run(pattern, old)
+    assert before == run(pattern, graph) and before
+    assert set(old.array_cache) == {"buckets", "keys"}
+    assert len(old.array_cache["buckets"]) == 3  # A, B, C: one array per label
+    old_keys = old.array_cache["keys"][0]
+
+    # A refresh (an appended, labelled node and an edge to it) ...
+    a_source = next(v for v in graph.nodes() if "A" in graph.labels(v))
+    c_target = next(v for v in graph.nodes() if "C" in graph.labels(v))
+    graph.add_node(("n", "appended"), labels="B")
+    graph.apply_delta(
+        Delta().insert(a_source, ("n", "appended")).insert(("n", "appended"), c_target)
+    )
+    refreshed = graph.freeze(shared=shared)
+    assert refreshed.extends_token == old.snapshot_token
+    # ... then a relabel, which no refresh can express: a rebuilt snapshot.
+    snapshots = [refreshed]
+    for step in ("refreshed", "relabelled"):
+        new = snapshots[-1]
+        assert new.array_cache == {}  # never the predecessor's
+        with forced_kernel("array"):
+            after = run(pattern, new)
+        assert after == run(pattern, graph)
+        assert ("n", "appended") in after.node_matches[1]
+        assert new.array_cache["keys"][0] is not old_keys
+        assert len(new.array_cache["keys"][0]) == new.num_nodes == old.num_nodes + 1
+        if step == "refreshed":
+            graph.add_node(c_target, labels="A")
+            snapshots.append(graph.freeze(shared=shared))
+            assert snapshots[-1].extends_token is None
+    assert "A" in snapshots[-1].labels(c_target)
+    assert "A" not in refreshed.labels(c_target)
+    # The first snapshot object still answers for the graph it froze,
+    # from the arrays it built then.
+    with forced_kernel("array"):
+        assert run(pattern, old) == before
+    assert old.array_cache["keys"][0] is old_keys and len(old_keys) == old.num_nodes
+
+
+@needs_numpy
+@pytest.mark.parametrize("operator", sorted(OPERATORS))
+@pytest.mark.parametrize("shared", [False, True])
+def test_array_caches_are_not_pickled(operator, shared, monkeypatch):
+    from repro.graph.flatbuf import BACKEND_ENV
+
+    monkeypatch.setenv(BACKEND_ENV, "bytes")
+    graph = rekeyed(random_labeled_graph(random.Random(17), 30, 90), "mixed")
+    pattern, run = OPERATORS[operator]
+    frozen = graph.freeze(shared=shared)
+    frozen.edge_columns()  # plain ``array('i')`` columns, which do travel
+    cold = len(pickle.dumps(frozen))
+    with forced_kernel("array"):
+        expected = run(pattern, frozen)
+    assert expected and frozen.array_cache
+    shipped = pickle.dumps(frozen)
+    assert len(shipped) == cold and b"numpy" not in shipped
+    received = pickle.loads(shipped)
+    assert received.array_cache == {}
+    with forced_kernel("array"):
+        assert run(pattern, received) == expected
+    assert set(received.array_cache) == {"buckets", "keys"}
+
+
+@needs_numpy
+@pytest.mark.parametrize("operator", sorted(OPERATORS))
+def test_attached_snapshot_decodes_only_the_ids_an_answer_names(operator, monkeypatch):
+    from repro.graph.compact import CompactGraph
+    from repro.graph.flatbuf import BACKEND_ENV
+
+    monkeypatch.setenv(BACKEND_ENV, "bytes")
+    graph = rekeyed(random_labeled_graph(random.Random(19), 40, 120), "tuple")
+    pattern, run = OPERATORS[operator]
+    expected = run(pattern, graph)
+    named = set().union(*expected.node_matches.values())
+    assert 0 < len(named) < graph.num_nodes
+    attached = pickle.loads(pickle.dumps(graph.freeze(shared=True)))
+    decoded = []
+
+    class CountedTable:
+        def __init__(self, snapshot):
+            self.table = snapshot._nodes
+
+        def __getitem__(self, i):
+            decoded.append(i)
+            return self.table[i]
+
+    monkeypatch.setattr(CompactGraph, "node_table", property(CountedTable))
+    with forced_kernel("array"):
+        assert run(pattern, attached) == expected
+        # Each id at most once, and no id the answer does not name.
+        assert len(decoded) == len(set(decoded)) == len(named)
+        assert set(map(attached._nodes.__getitem__, decoded)) == named
+        del decoded[:]
+        assert run(pattern, attached) == expected
+        assert decoded == []
+        # Another pattern decodes only what is new to the snapshot.
+        others = {"match": chain("C", "A"), "bmatch": bounded_chain(2, "C", "A")}
+        other = others[operator]
+        assert run(other, attached) == run(other, graph)
+        assert len(decoded) == len(set(decoded)) and not set(decoded) & {
+            attached.id_of(key) for key in named
+        }
+
+
+@needs_numpy
+def test_concurrent_matches_share_one_snapshots_caches(monkeypatch):
+    """Server threads evaluate on one snapshot at once: the caches fill
+    under races (a lost entry is rebuilt, a key decoded twice is the
+    same key) and every answer is still the right one."""
+    import sys
+    import threading
+
+    from repro.graph.flatbuf import BACKEND_ENV
+
+    monkeypatch.setenv(BACKEND_ENV, "bytes")
+    graph = rekeyed(random_labeled_graph(random.Random(29), 60, 240), "tuple")
+    patterns = [chain("A", "B", "C"), chain("C", "A"), bounded_chain(2, "B", "C", "A")]
+    runs = [match, match, bounded_match]
+    expected = [run(pattern, graph) for run, pattern in zip(runs, patterns)]
+    assert all(expected)
+    wrong = []
+
+    def worker(snapshot, offset, start):
+        start.wait(timeout=10)
+        for i in range(offset, offset + 6):
+            k = i % len(patterns)
+            if runs[k](patterns[k], snapshot) != expected[k]:
+                wrong.append((offset, k))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with forced_kernel("array"):
+            for _ in range(5):
+                # A fresh attachment each round: empty caches, lazy table.
+                snapshot = pickle.loads(pickle.dumps(graph.freeze(shared=True)))
+                start = threading.Event()
+                threads = [
+                    threading.Thread(target=worker, args=(snapshot, offset, start))
+                    for offset in range(6)
+                ]
+                for thread in threads:
+                    thread.start()
+                start.set()
+                for thread in threads:
+                    thread.join(timeout=30)
+                assert not any(thread.is_alive() for thread in threads)
+                keys, known = snapshot.array_cache["keys"]
+                table = snapshot.node_table
+                assert all(keys[i] == table[i] for i in range(len(keys)) if known[i])
+    finally:
+        sys.setswitchinterval(interval)
+    assert wrong == []
+
+
+def test_engine_answers_are_plain_built_sets(monkeypatch):
+    from repro.engine import QueryEngine
+    from repro.views.storage import ViewSet
+
+    graph = rekeyed(random_labeled_graph(random.Random(23), 30, 120), "str")
+    engine = QueryEngine(ViewSet(), graph=graph, answer_cache_size=0)
+    for kernel in KERNELS:
+        for pattern, run in OPERATORS.values():
+            with forced_kernel(kernel):
+                result = engine.answer(pattern)
+            assert result.stats.strategy == "direct"
+            assert result == run(pattern, graph) and result
+            assert_plain_built_sets(result)
+            for found in result.node_matches.values():
+                assert all(type(key) is str for key in found)
 
 
 def check_edge_columns_are_rebuilt_after_a_refresh(operator, shared, monkeypatch):
@@ -449,6 +761,19 @@ def test_bounded_dispatch_is_by_edge_count_and_numpy_alone(monkeypatch):
     check_dispatch_is_by_edge_count_and_numpy_alone("bmatch", monkeypatch)
 
 
+def phases(span):
+    return [(child.name, child.attrs) for child in span.children]
+
+
+#: One span per phase under ``match``, the same on every kernel, for
+#: the two span tests' answer (a1, b1, c survive; two pairs).
+SURVIVING_PHASES = [
+    ("seed", {"nodes": 3, "candidates": 5}),
+    ("sweep", {"nodes": 3}),
+    ("decode", {"rows": 2, "nodes": 3}),
+]
+
+
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_match_span_and_counters_mean_the_same_on_both_kernels(kernel):
     # a1 -> b1 -> c, a2 -> b2: b2 has no C successor, so one sweep of
@@ -467,7 +792,7 @@ def test_match_span_and_counters_mean_the_same_on_both_kernels(kernel):
     assert span.name == "match" and span.attrs["kernel"] == kernel
     # The rows that survived: the answer's pairs, whichever kernel ran.
     assert span.attrs["rows"] == 2
-    assert [child.name for child in span.children] == ["seed"]
+    assert phases(span) == SURVIVING_PHASES
     counter = lambda name: registry.counter(name).value  # noqa: E731
     assert counter("repro_sim_seed_candidates_total") == 5
     assert counter("repro_sim_seed_scanned_total") == 0
@@ -493,7 +818,7 @@ def test_bounded_span_and_counters_mean_the_same_on_both_kernels(kernel):
     (span,) = root.children
     assert span.name == "match"
     assert span.attrs == {"kernel": kernel, "bounded": True, "rows": 2}
-    assert [child.name for child in span.children] == ["seed"]
+    assert phases(span) == SURVIVING_PHASES
     counter = lambda name: registry.counter(name).value  # noqa: E731
     assert counter("repro_sim_seed_candidates_total") == 5
     assert counter("repro_sim_seed_scanned_total") == 0
@@ -504,6 +829,8 @@ def test_bounded_span_and_counters_mean_the_same_on_both_kernels(kernel):
         with trace.root_span("query") as root:
             assert not bounded_match(bounded_chain(1, "A", "B", "C"), frozen)
     assert root.children[0].attrs == {"kernel": kernel, "bounded": True, "rows": 0}
+    # A failed sweep says so and nothing is decoded.
+    assert phases(root.children[0])[1:] == [("sweep", {"nodes": 0})]
     # (A, B) cuts a1, (B, C) cuts b2; (A, B) again finds nothing left.
     assert counter("repro_bounded_edge_evals_total") == 3
     assert counter("repro_bounded_shrinks_total") == 3

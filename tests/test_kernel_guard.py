@@ -67,23 +67,49 @@ def test_numpy_is_imported_in_one_file_and_only_inside_a_function():
                 yield node
 
     inside = [
-        node
+        scope.name
         for scope in ast.walk(tree)
         if isinstance(scope, ast.FunctionDef)
         for node in numpy_imports(scope)
     ]
-    assert len(inside) == len(list(numpy_imports(tree))) == 1
+    assert inside == ["_numpy_for"] and len(list(numpy_imports(tree))) == 1
     # ... the helper both entry points ask, and nothing else does.
     text = (SRC / ARRAY_KERNEL).read_text()
     assert len(re.findall(r"= _numpy_for\(graph\)", text)) == 2
     assert len(re.findall(r"^def array_\w*match\(", text, re.M)) == 2
 
 
+def test_array_kernels_never_convert_element_by_element():
+    # Array-native from seed to answer: the int32 edge columns become
+    # index-width arrays in one helper, the only Python iteration left
+    # in seeding is over the set an inexact condition falls back to,
+    # id rows leave as one buffer copy, and the packager is the
+    # kernels' own -- ``decode_outcome`` (per-element ``map(decode)``)
+    # is the set kernel's and the shard layer's.
+    text = (SRC / ARRAY_KERNEL).read_text()
+    assert len(re.findall(r"dtype=np\.int32\b", text)) == 1
+    (helper,) = [
+        ast.get_source_segment(text, node)
+        for node in ast.parse(text).body
+        if isinstance(node, ast.FunctionDef) and node.name == "_edge_indices"
+    ]
+    assert "dtype=np.int32" in helper  # ... in the shared column helper
+    assert len(re.findall(r"np\.fromiter\(", text)) <= 1
+    assert not re.search(r"np\.fromiter\((?!found\b)", text)
+    assert ".tobytes(" not in text
+    for gone in ("decode_outcome", "_survivors", "_q_column"):
+        assert gone not in text, gone
+    # ... and that packager stays free of NumPy.
+    assert "np." not in (SRC / KERNEL).read_text()
+
+
 def test_bounded_edge_worklist_exists_in_exactly_one_file():
     # The versioned cone cache is the worklist's signature move; the
     # array kernel hands its masks to the same loop.
     assert _files_matching(r"\bcones\.get\(") == {BOUNDED_KERNEL}
-    assert _files_matching(r"\bbounded_worklist\(") == {BOUNDED_KERNEL, ARRAY_KERNEL}
+    assert _files_matching(r"\bbounded_worklist\b") == {
+        BOUNDED_KERNEL, ARRAY_KERNEL,
+    }
     assert _files_matching(r"repro_bounded_\w+_total") == {BOUNDED_KERNEL}
 
 
