@@ -3,16 +3,16 @@
 The instrumentation contract (see ``src/repro/obs/``): hot kernels
 aggregate counts in local ints and write the registry once per call, and
 spans materialize only under an active root span.  This module pins that
-contract to measured behaviour on the ``bench_engine_batch`` workload:
+contract to measured behaviour:
 
-* ``test_metrics_overhead_within_budget`` -- the same cold batch through
+* ``test_metrics_overhead_within_budget`` -- the same cold engine batch
+  (eight queries on the Fig. 8(d) synthetic graph, 3 000 nodes) through
   an engine with a recording registry vs a disabled (no-op) one,
   interleaved min-of-N; the recording run must stay within 5%.
 * ``test_untraced_span_is_passthrough`` -- with no root span active,
   ``span()`` must cost no more than a few hundred nanoseconds per call.
 
-Plus plain benchmark entries for the registry primitives so instrument
-regressions show up in ``--benchmark-only`` runs.
+Run with ``python -m pytest benchmarks/bench_obs.py -q``.
 """
 
 from time import perf_counter
@@ -22,10 +22,11 @@ import pytest
 from repro.bench import workloads
 from repro.engine import QueryEngine
 from repro.obs import trace
-from repro.obs.metrics import DURATION_BUCKETS, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 
-from common import once
-
+#: |V| of the synthetic graph: the smallest Fig. 8(d) point, where the
+#: batch's answers are nonempty.
+NUM_NODES = 3000
 SIZES = [(4, 4), (4, 6), (4, 8), (6, 6), (6, 9), (4, 4), (4, 6), (6, 6)]
 
 #: The acceptance budget: recording metrics may cost at most this factor
@@ -34,8 +35,8 @@ OVERHEAD_BUDGET = 1.05
 
 
 @pytest.fixture(scope="module")
-def workload(scale):
-    graph, views = workloads.synthetic(max(500, int(3000 * scale)))
+def workload():
+    graph, views = workloads.synthetic(NUM_NODES)
     queries = [
         workloads.pick_query(views, n, m, graph=graph, tag=f"obs{i}")
         for i, (n, m) in enumerate(SIZES)
@@ -90,49 +91,3 @@ def test_untraced_span_is_passthrough():
     per_call = (perf_counter() - started) / spins
     assert trace.current_span() is None
     assert per_call < 5e-6, f"untraced span() costs {per_call * 1e9:.0f}ns"
-
-
-def test_bench_counter_inc(benchmark):
-    reg = MetricsRegistry()
-    counter = reg.counter("bench_counter_total", path="bench")
-
-    def spin():
-        for _ in range(10_000):
-            counter.inc()
-
-    once(benchmark, spin)
-
-
-def test_bench_histogram_observe(benchmark):
-    reg = MetricsRegistry()
-    hist = reg.histogram("bench_seconds", DURATION_BUCKETS)
-
-    def spin():
-        for i in range(10_000):
-            hist.observe(i * 1e-6)
-
-    once(benchmark, spin)
-
-
-def test_bench_noop_registry(benchmark):
-    reg = MetricsRegistry(enabled=False)
-    counter = reg.counter("bench_counter_total")
-    hist = reg.histogram("bench_seconds", DURATION_BUCKETS)
-
-    def spin():
-        for i in range(10_000):
-            counter.inc()
-            hist.observe(i * 1e-6)
-
-    once(benchmark, spin)
-
-
-def test_bench_traced_batch(benchmark, workload):
-    """A cold batch under a live root span (what serving pays)."""
-    graph, views, queries = workload
-
-    def run():
-        with trace.root_span("bench.batch"):
-            return _run_cold(graph, views, queries, MetricsRegistry())
-
-    once(benchmark, run)

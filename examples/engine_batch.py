@@ -15,7 +15,6 @@ Run:  python examples/engine_batch.py
 from time import perf_counter
 
 from repro import QueryEngine
-from repro.bench import workloads
 from repro.datasets import random_graph
 from repro.datasets.patterns import generate_views, query_from_views
 

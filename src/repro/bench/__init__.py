@@ -5,14 +5,13 @@ Each experiment of Section VII / Fig. 8 has a runner in
 plots; :mod:`~repro.bench.workloads` builds the datasets, view caches
 and query workloads; :mod:`~repro.bench.reporting` renders tables.
 
-Run the full sweep (and regenerate the measurement tables embedded in
-EXPERIMENTS.md) with::
+Run the full sweep with::
 
     python -m repro.bench.run_all            # full scale (~minutes)
     python -m repro.bench.run_all --scale .5 # half-size quick pass
 
-The ``benchmarks/`` directory wires the same runners into
-pytest-benchmark (one module per subfigure).
+This is the one implementation of each Fig. 8 experiment; end-to-end
+and per-layer performance of the system is measured by ``perf/``.
 """
 
 from repro import _lazy_exports

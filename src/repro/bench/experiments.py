@@ -14,7 +14,6 @@ from typing import Callable, Dict, Tuple
 
 from repro.bench import workloads
 from repro.bench.reporting import Table, timed
-from repro.core.bounded.bcontainment import bounded_contains
 from repro.core.bounded.bminimal import bounded_minimal_views
 from repro.core.bounded.bminimum import bounded_minimum_views
 from repro.core.bounded.bmatchjoin import bounded_match_join
@@ -341,7 +340,7 @@ def exp_summary(scale: float = 1.0) -> Table:
     return table
 
 
-#: Registry used by run_all and the pytest-benchmark modules.
+#: Every subfigure of Fig. 8 plus the summary, by id: what run_all runs.
 EXPERIMENTS: Dict[str, Callable[[float], Table]] = {
     "fig8a": exp_fig8a,
     "fig8b": exp_fig8b,

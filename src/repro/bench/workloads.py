@@ -1,14 +1,14 @@
 """Workload construction for the Fig. 8 experiments.
 
-Everything is deterministic and memoized: pytest-benchmark modules and
-the standalone runner share one cache of generated graphs, materialized
-view sets and query workloads.
+Everything is deterministic and memoized: the experiment runners share
+one cache of generated graphs, materialized view sets and query
+workloads within a process.
 
 Scaling: the paper runs on 0.55M-1.6M-node datasets and 0.3M-1M-node
 synthetic graphs on a 2008-era JVM; this harness defaults to ~25-30K
-node stand-ins (see docs/ARCHITECTURE.md "Benchmarks") and exposes a
-``scale`` multiplier.  All comparisons are relative, so the figure *shapes*
-survive the down-scaling.
+node stand-ins (see docs/ARCHITECTURE.md "Where performance is
+measured") and exposes a ``scale`` multiplier.  All comparisons are
+relative, so the figure *shapes* survive the down-scaling.
 """
 
 from __future__ import annotations
@@ -85,18 +85,15 @@ def youtube(scale: float = 1.0) -> Tuple[DataGraph, ViewSet]:
     return _memo(("youtube", scale), build)
 
 
-def synthetic(num_nodes: int, bounded: bool = False) -> Tuple[DataGraph, ViewSet]:
+def synthetic(num_nodes: int) -> Tuple[DataGraph, ViewSet]:
     """Synthetic graph with |E| = 2|V| plus the 22-view suite."""
     def build():
         graph = random_graph(num_nodes, 2 * num_nodes, seed=17)
-        views = generate_views(
-            tuple(f"l{i}" for i in range(10)), 22, seed=17,
-            bounded=bounded, max_bound=3,
-        )
+        views = generate_views(tuple(f"l{i}" for i in range(10)), 22, seed=17)
         views.materialize(graph)
         return graph, views
 
-    return _memo(("synthetic", num_nodes, bounded), build)
+    return _memo(("synthetic", num_nodes), build)
 
 
 def densification(num_nodes: int, alpha: float) -> Tuple[DataGraph, ViewSet]:

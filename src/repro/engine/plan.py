@@ -53,8 +53,7 @@ HYBRID = "hybrid"
 #: Planner modes.  ``"fixed"`` is the legacy binary decision (MatchJoin
 #: iff ``Q ⊑ V``, else direct); ``"adaptive"`` prices every applicable
 #: strategy with the engine's :class:`~repro.engine.cost.CostModel` and
-#: picks the cheapest; ``"direct"`` / ``"hybrid"`` force one strategy
-#: (the fixed baselines ``bench_planner.py`` compares against).
+#: picks the cheapest; ``"direct"`` / ``"hybrid"`` force one strategy.
 PLANNER_FIXED = "fixed"
 PLANNER_ADAPTIVE = "adaptive"
 PLANNER_DIRECT = "direct"

@@ -610,9 +610,9 @@ class FlatStore:
 
     # -- durable segments ----------------------------------------------
     def save(self, path) -> int:
-        """Write this store as a sealed segment file; returns the file
-        size.  The table directory rides in the file (trailer), so
-        :meth:`open` needs nothing but the path."""
+        """Write this store as a sealed, fsynced segment file; returns
+        the file size.  The table directory rides in the file (trailer),
+        so :meth:`open` needs nothing but the path."""
         path = os.fspath(path)
         dir_blob = pickle.dumps(self.header, protocol=pickle.HIGHEST_PROTOCOL)
         payload = self.segment.buf
@@ -629,6 +629,8 @@ class FlatStore:
             fh.write(header)
             fh.write(payload)
             fh.write(dir_blob)
+            fh.flush()
+            os.fsync(fh.fileno())
         payload.release()
         return os.path.getsize(path)
 

@@ -24,10 +24,13 @@ Directory layout (format 2)::
 
 The manifest is written *last*, so a directory without one is never
 mistaken for a valid snapshot (a crashed save leaves garbage, not a
-half-snapshot).  Provenance survives the round trip: ``snapshot_token``
-/ ``extends_token`` and any ``refreshed()`` patch overlay are persisted
-verbatim, so a reloaded snapshot still rebinds extensions and engages
-the MatchJoin id-space fast paths exactly like its in-memory origin.
+half-snapshot).  Every file is fsynced before the manifest is renamed
+into place and the directory after it, so a manifest that survives a
+crash names only files that survived it too.  Provenance survives the
+round trip: ``snapshot_token`` / ``extends_token`` and any
+``refreshed()`` patch overlay are persisted verbatim, so a reloaded
+snapshot still rebinds extensions and engages the MatchJoin id-space
+fast paths exactly like its in-memory origin.
 
 Sharded snapshots reload exactly as lazily: the composite bookkeeping
 an id-space evaluation needs -- each shard's local -> global id row and
@@ -252,6 +255,18 @@ def _as_extensions(views) -> Dict[str, Any]:
 def _dump(obj, path) -> None:
     with open(path, "wb") as fh:
         pickle.dump(obj, fh, protocol=pickle.HIGHEST_PROTOCOL)
+        fh.flush()
+        os.fsync(fh.fileno())
+
+
+def _fsync_dir(path: str) -> None:
+    """Make the entries of directory ``path`` -- files created or
+    renamed into it -- durable."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def write_directory(path, write, overwrite: bool, tmp_prefix: str):
@@ -262,12 +277,16 @@ def write_directory(path, write, overwrite: bool, tmp_prefix: str):
     if ``write`` fails); a populated one is refused without
     ``overwrite`` and otherwise replaced by building in a sibling temp
     directory and swapping renames, so readers never see a half-written
-    directory.  Returns what ``write`` returned.
+    directory.  If the swap fails, the previous snapshot is renamed
+    back.  ``write`` fsyncs what it writes (:func:`commit_manifest`
+    last); the parent directory is fsynced once ``path`` is in place.
+    Returns what ``write`` returned.
     """
     import shutil
     import tempfile
 
     final = os.fspath(path)
+    parent = os.path.dirname(os.path.abspath(final)) or "."
     existing = os.path.isdir(final) and bool(os.listdir(final))
     if existing and not overwrite:
         raise SnapshotError(
@@ -278,7 +297,7 @@ def write_directory(path, write, overwrite: bool, tmp_prefix: str):
         created = not os.path.isdir(final)
         os.makedirs(final, exist_ok=True)
         try:
-            return write(final)
+            result = write(final)
         except BaseException:
             # Never leave a partial (manifest-less) build behind; put a
             # pre-existing empty directory back instead of deleting it.
@@ -286,17 +305,23 @@ def write_directory(path, write, overwrite: bool, tmp_prefix: str):
             if not created:
                 os.makedirs(final, exist_ok=True)
             raise
-    parent = os.path.dirname(os.path.abspath(final)) or "."
+        _fsync_dir(parent)
+        return result
     tmp = tempfile.mkdtemp(prefix=tmp_prefix, dir=parent)
+    old = tmp + ".old"
     try:
         result = write(tmp)
-        old = tmp + ".old"
         os.rename(final, old)
-        os.rename(tmp, final)
-        shutil.rmtree(old, ignore_errors=True)
+        try:
+            os.rename(tmp, final)
+        except BaseException:
+            os.rename(old, final)
+            raise
     except BaseException:
         shutil.rmtree(tmp, ignore_errors=True)
         raise
+    _fsync_dir(parent)
+    shutil.rmtree(old, ignore_errors=True)
     return result
 
 
@@ -315,13 +340,18 @@ def _write_snapshot(dirpath: str, snapshot, extensions: Dict[str, Any]) -> dict:
 
 def commit_manifest(dirpath: str, manifest: dict) -> dict:
     """Stamp and write ``manifest.json`` -- last and atomically, so a
-    directory without one is never mistaken for a valid snapshot."""
+    directory without one is never mistaken for a valid snapshot.  The
+    manifest is fsynced before its rename and the directory after it,
+    so once this returns the snapshot survives a crash whole."""
     manifest["format"] = SNAPSHOT_FORMAT
     manifest["created_at"] = time.time()
     tmp_manifest = os.path.join(dirpath, MANIFEST_NAME + ".tmp")
     with open(tmp_manifest, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
+        fh.flush()
+        os.fsync(fh.fileno())
     os.replace(tmp_manifest, os.path.join(dirpath, MANIFEST_NAME))
+    _fsync_dir(dirpath)
     return manifest
 
 
@@ -477,7 +507,12 @@ def _read_manifest(dirpath: str) -> dict:
 
 def _load_pickle(dirpath: str, fname: str):
     with open(os.path.join(dirpath, fname), "rb") as fh:
-        return pickle.load(fh)
+        try:
+            return pickle.load(fh)
+        except (EOFError, pickle.UnpicklingError) as exc:
+            raise SnapshotError(
+                f"{dirpath}: {fname} is truncated or corrupt ({exc})"
+            ) from exc
 
 
 def _load_compact(dirpath: str, manifest: dict, verify: bool) -> SharedCompactGraph:

@@ -58,6 +58,7 @@ class TestBudgetBoundary:
         engine = QueryEngine(views, graph=graph, planner="adaptive")
         advisor = WorkloadAdvisor(engine, budget_fraction=0.15)
         budget = advisor.budget_bytes()
+        assert budget <= 0.15 * advisor.graph_bytes() + 1
         for _ in range(4):
             engine.answer(hot)
         for _ in range(3):

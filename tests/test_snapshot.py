@@ -5,13 +5,16 @@ Round trips through :mod:`repro.graph.snapshot` and
 the in-memory backends (dict graph == compact == reloaded mmap),
 manifest/segment corruption rejection, patch-overlay and provenance
 preservation, sharded round trips, the shard-at-a-time ingest builder,
+crash safety (fsync coverage, a failed overwrite swap, torn files),
 ``QueryEngine(snapshot_path=...)`` boots, epoch persistence in the
 serving layer, and the CLI surface over all of it.
 """
 
 import asyncio
 import json
+import os
 import random
+import shutil
 
 import pytest
 
@@ -20,7 +23,11 @@ from repro.cli import main as cli_main
 from repro.datasets import generate_views, query_from_views, random_graph
 from repro.engine import QueryEngine
 from repro.graph import DataGraph
-from repro.graph.flatbuf import SegmentFormatError, SharedCompactGraph
+from repro.graph.flatbuf import (
+    _FILE_HEADER_SIZE,
+    SegmentFormatError,
+    SharedCompactGraph,
+)
 from repro.graph.ingest import ingest_snapshot
 from repro.graph.snapshot import (
     MANIFEST_NAME,
@@ -161,6 +168,129 @@ class TestRejection:
         seg.write_bytes(bytes(data))
         with pytest.raises(SegmentFormatError):
             SnapshotStore.load(saved, verify=True)
+
+
+# ----------------------------------------------------------------------
+# Crash safety: durable writes, a swap that fails, torn files
+# ----------------------------------------------------------------------
+def _layout(kind, path, overwrite=False):
+    """Save a snapshot directory of one layout; the two hold every file
+    kind the format has: a sharded graph with pickled views, and a
+    refreshed compact graph (``patch.pkl``) with segment-backed views."""
+    graph = random_graph(80, 200, labels=LABELS, seed=71)
+    if kind == "sharded":
+        snapshot = ShardedGraph(graph, make_partition(graph, 2, "hash"))
+    else:
+        graph.freeze(shared=True)  # the next freeze refreshes it: a patch
+        nodes = sorted(graph.nodes(), key=repr)
+        for v in nodes[:6]:
+            graph.add_edge(v, nodes[-1])
+        snapshot = graph.freeze(shared=True)
+    views = ViewSet(generate_views(LABELS, 3, seed=71))
+    views.materialize(snapshot)
+    SnapshotStore.save(path, snapshot, views=views, overwrite=overwrite)
+    return path
+
+
+#: Every file of the two layouts; a test below checks they are complete.
+LAYOUT_FILES = {
+    "sharded": [
+        "boundary-000.seg", "boundary-001.seg", "manifest.json",
+        "shard-000.seg", "shard-001.seg",
+        "view-000.view", "view-001.view", "view-002.view",
+    ],
+    "compact": [
+        "graph.seg", "manifest.json", "patch.pkl",
+        "view-000.pkl", "view-000.seg", "view-001.pkl", "view-001.seg",
+        "view-002.pkl", "view-002.seg",
+    ],
+}
+
+
+@pytest.fixture(scope="module")
+def layouts(tmp_path_factory):
+    root = tmp_path_factory.mktemp("layouts")
+    return {kind: _layout(kind, root / kind) for kind in LAYOUT_FILES}
+
+
+class TestCrashSafety:
+    def test_failed_swap_keeps_the_previous_snapshot(self, tmp_path, monkeypatch):
+        g1 = random_labeled_graph(random.Random(7), 20, 40)
+        g2 = random_labeled_graph(random.Random(8), 30, 60)
+        SnapshotStore.save(tmp_path / "snap", g1)
+        real_rename = os.rename
+        calls = []
+
+        def rename(src, dst):
+            calls.append((src, dst))
+            if len(calls) == 2:  # the new build into place
+                raise OSError("injected rename failure")
+            real_rename(src, dst)
+
+        monkeypatch.setattr(os, "rename", rename)
+        with pytest.raises(OSError, match="injected"):
+            SnapshotStore.save(tmp_path / "snap", g2, overwrite=True)
+        monkeypatch.undo()
+        loaded = SnapshotStore.load(tmp_path / "snap")
+        assert set(loaded.graph.edges()) == set(g1.edges())
+        # Neither the temp build nor the parked ``.old`` copy is left.
+        assert [p.name for p in tmp_path.iterdir()] == ["snap"]
+
+    @pytest.mark.parametrize("overwrite", [False, True])
+    @pytest.mark.parametrize("producer", ["save", "ingest"])
+    def test_every_file_and_directory_is_fsynced(
+        self, tmp_path, monkeypatch, producer, overwrite
+    ):
+        target = tmp_path / "snap"
+
+        def write():
+            if producer == "save":
+                _layout("compact", target, overwrite=True)
+            else:
+                ingest_snapshot(
+                    iter(_random_edges(200, 40)), target,
+                    num_shards=2, overwrite=True,
+                )
+
+        if overwrite:
+            write()  # the second write swaps out a populated directory
+        synced = set()
+        real_fsync = os.fsync
+
+        def fsync(fd):
+            synced.add(os.fstat(fd).st_ino)
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        write()
+        # Renames keep inodes: every file of the final directory, the
+        # directory itself (its entries) and its parent (the swap).
+        wanted = {os.stat(p).st_ino for p in target.iterdir()}
+        wanted |= {os.stat(target).st_ino, os.stat(tmp_path).st_ino}
+        assert wanted <= synced
+
+    def test_layouts_hold_every_file_kind(self, layouts):
+        for kind, path in layouts.items():
+            assert sorted(os.listdir(path)) == LAYOUT_FILES[kind]
+
+    @pytest.mark.parametrize("cut", ["header", "middle"])
+    @pytest.mark.parametrize(
+        "kind, name",
+        [(kind, name) for kind in LAYOUT_FILES for name in LAYOUT_FILES[kind]],
+    )
+    def test_torn_file_is_refused(self, layouts, tmp_path, kind, name, cut):
+        """A file cut short at its header boundary (a segment's fixed
+        header; offset 0 -- an empty file -- for JSON and pickles) or
+        at its midpoint never loads as a graph."""
+        copy = tmp_path / "snap"
+        shutil.copytree(layouts[kind], copy)
+        victim = copy / name
+        data = victim.read_bytes()
+        header = _FILE_HEADER_SIZE if name.endswith(".seg") else 0
+        size = header if cut == "header" else len(data) // 2
+        victim.write_bytes(data[:size])
+        with pytest.raises((SnapshotError, SegmentFormatError)):
+            SnapshotStore.load(copy)
 
 
 # ----------------------------------------------------------------------

@@ -6,7 +6,9 @@ reload attaches instead of rebuilding; everything keyed by node name is
 derived on first name-based access.  The property below checks that a
 reloaded graph is indistinguishable from the in-memory one over the
 whole read API, for both producers of the format; the count-based tests
-check that a load plus a direct match really does none of the old work.
+check that a load plus a direct match really does none of the old work;
+the out-of-core test streams 1x/10x/30x edge counts through ingest under
+one fixed RSS ceiling.
 """
 
 import json
@@ -24,6 +26,7 @@ from repro.graph import ANY, BoundedPattern, DataGraph
 from repro.graph.compact import CompactGraph
 from repro.graph.flatbuf import SegmentFormatError
 from repro.graph.ingest import ingest_snapshot
+from repro.graph.io import graph_from_edges
 from repro.graph.snapshot import SnapshotStore
 from repro.shard import ShardedGraph, make_partition
 from repro.simulation import bounded_match, match
@@ -300,3 +303,42 @@ def test_info_lists_boundary_rows_and_verify_checks_them(ingested, capsys):
         SnapshotStore.info(path, verify=True)
     assert cli_main(["snapshot", "load", str(path), "--verify"]) == 1
     assert cli_main(["snapshot", "info", str(path), "--verify"]) == 1
+
+
+# ----------------------------------------------------------------------
+# Out of core: Fig. 8(d)'s |G| axis past what the in-RAM build holds
+# ----------------------------------------------------------------------
+#: Builder RSS growth is bounded by one shard's working set, not by
+#: |E|, so one fixed ceiling covers every stream size on the axis.
+OOC_RSS_CEILING = 256 << 20
+
+
+def _edge_stream(num_edges, num_nodes, seed=0x9E3779B9):
+    """A deterministic LCG edge stream that is never materialised."""
+    state = seed
+    for _ in range(num_edges):
+        state = (state * 6364136223846793005 + 1442695040888963407) % (1 << 64)
+        yield f"n{(state >> 33) % num_nodes}", f"n{(state >> 3) % num_nodes}"
+
+
+@pytest.mark.parametrize("factor", [1, 10, 30], ids=lambda f: f"{f}x")
+def test_out_of_core_ingest_under_a_fixed_rss_ceiling(tmp_path, factor):
+    num_edges = 1_000 * factor
+    num_nodes = max(250, num_edges // 2)
+    report = ingest_snapshot(
+        _edge_stream(num_edges, num_nodes), tmp_path / "snap",
+        num_shards=8, labeler=_labeler, budget_bytes=4 << 20,
+    )
+    assert report.on_disk_bytes > 0
+    assert report.peak_rss_bytes < OOC_RSS_CEILING
+    # The reload is the graph the in-memory build makes of the stream.
+    reference = graph_from_edges(
+        _edge_stream(num_edges, num_nodes), labeler=_labeler
+    )
+    got = SnapshotStore.load(tmp_path / "snap").graph
+    assert (got.num_nodes, got.num_edges) == (report.nodes, report.edges)
+    assert (got.num_nodes, got.num_edges) == (
+        reference.num_nodes, reference.num_edges,
+    )
+    assert set(got.edges()) == set(reference.edges())
+    assert got.label_index_stats() == reference.label_index_stats()
