@@ -20,8 +20,9 @@ counters (:func:`array_match`: mask -> rows -> sweep):
    dies, and a pattern node that shrank is queued in turn; the first
    empty mask is a failed match.
 
-The surviving rows *are* the id outcome and stay arrays to the end: node
-keys are gathered from a per-snapshot object column (:func:`_package`).
+The surviving rows *are* the id outcome and stay arrays to the end, in
+the answer itself: node keys are gathered from a per-snapshot object
+column when a set is first read (:class:`_KeyColumn`).
 
 A bounded pattern (:func:`array_bounded_match`: cones -> pairs) starts
 from the same masks and runs the edge worklist of
@@ -61,7 +62,7 @@ from repro.simulation.compact_engine import (
     seed_candidates,
     sweep_phase,
 )
-from repro.simulation.result import MatchResult
+from repro.simulation.result import IdAnswer
 
 PNode = Hashable
 PEdge = Tuple[PNode, PNode]
@@ -247,42 +248,58 @@ def _sweep(np, pattern, graph: CompactGraph, alive, counts, rows) -> bool:
     return True
 
 
-def _node_keys(np, graph: CompactGraph, alive):
-    """The snapshot's node keys as an object column -- one element per
-    key whatever it is (a tuple stays one object) -- decoded at least at
-    the ids ``alive`` names: only ids some answer named are ever read
-    off the node table (lazy on an attached snapshot), each once."""
-    cache, n = graph.array_cache, graph.num_nodes
-    if "keys" not in cache:
-        cache["keys"] = np.empty(n, dtype=object), np.zeros(n, dtype=bool)
-    keys, known = cache["keys"]
-    fresh = np.flatnonzero(np.logical_or.reduce(list(alive.values())) & ~known)
-    keys[fresh] = np.frompyfunc(graph.node_table.__getitem__, 1, 1)(fresh)
-    known[fresh] = True
-    return keys
+class _KeyColumn(IdAnswer):
+    """The array kernels' answer: ``ids`` and ``rows`` are the kernel's
+    own arrays, and node keys come off the snapshot's key column -- one
+    object per key whatever it is (a tuple stays one object) -- which a
+    read fills at the ids it needs: only ids some answer read are ever
+    decoded off the node table (lazy on an attached snapshot), each once."""
+
+    __slots__ = ("np", "column")
+
+    def __init__(self, np, column, ids, rows, table) -> None:
+        super().__init__(ids, rows, table)
+        self.np, self.column = np, column
+
+    def _keys(self, ids):
+        """The key column, known at least at ``ids`` (distinct ids)."""
+        keys, known = self.column
+        fresh = ids[~known.take(ids)]
+        if len(fresh):
+            keys[fresh] = self.np.frompyfunc(self.table.__getitem__, 1, 1)(fresh)
+            known[fresh] = True
+        return keys
+
+    def node_set(self, u):
+        ids = self.ids[u]
+        return set(self._keys(ids).take(ids).tolist())
+
+    def pair_set(self, edge):
+        # Every row names live ids, so the end nodes' ids cover them.
+        self._keys(self.ids[edge[0]])
+        keys = self._keys(self.ids[edge[1]])
+        sources, targets = self.rows[edge]
+        return set(zip(keys.take(sources).tolist(), keys.take(targets).tolist()))
 
 
 def _package(np, graph: CompactGraph, alive, rows, id_distances=None) -> Outcome:
     """The outcome of survivor masks and per-edge ``(sources, targets)``
-    id arrays (every id they name alive): node keys gathered from the
-    key column into plain built sets, each id array's buffer copied
-    once into the ``array('q')`` column payloads store."""
-    keys = _node_keys(np, graph, alive)
-    node_matches = {
-        u: set(keys.take(np.flatnonzero(mask)).tolist()) for u, mask in alive.items()
-    }
+    id arrays (every id they name alive): a lazy result over the arrays
+    (:class:`_KeyColumn`), and each id array's buffer copied once into
+    the ``array('q')`` column payloads store."""
+    cache, n = graph.array_cache, graph.num_nodes
+    if "keys" not in cache:
+        cache["keys"] = np.empty(n, dtype=object), np.zeros(n, dtype=bool)
+    ids = {u: np.flatnonzero(mask) for u, mask in alive.items()}
+    answer = _KeyColumn(np, cache["keys"], ids, rows, graph.node_table)
 
     def column(ids) -> array:
         copy = array("q")
         copy.frombytes(np.ascontiguousarray(ids, dtype=np.int64).view(np.uint8))
         return copy
 
-    edge_matches, id_rows = {}, {}
-    for edge, (sources, targets) in rows.items():
-        names = keys.take(sources).tolist(), keys.take(targets).tolist()
-        edge_matches[edge] = set(zip(*names))
-        id_rows[edge] = column(sources), column(targets)
-    return MatchResult(node_matches, edge_matches), id_rows, id_distances
+    id_rows = {edge: tuple(map(column, pair)) for edge, pair in rows.items()}
+    return answer.result(), id_rows, id_distances
 
 
 def _cones_pairs(np, pattern, graph: CompactGraph, with_distances: bool) -> Outcome:

@@ -22,9 +22,10 @@ snapshot's dense id space:
 * the per-edge match sets come out as parallel ``(src, tgt)`` id rows,
   which is the form extension payloads store.
 
-Results decode back to original node keys at the very end, so a
-:class:`MatchResult` from this engine is equal (``==``) to one computed
-on the mutable dict backend.  Every id-space evaluation -- here, in
+Results decode back to original node keys on first read (an
+:class:`~repro.simulation.result.IdAnswer`), so a :class:`MatchResult`
+from this engine is equal (``==``) to one computed on the mutable dict
+backend.  Every id-space evaluation -- here, in
 :mod:`repro.simulation.array_engine`,
 :mod:`repro.simulation.compact_bounded` and in the shard layer --
 returns the same *outcome*: ``(result, id_rows, id_distances)``,
@@ -33,27 +34,14 @@ returns the same *outcome*: ``(result, id_rows, id_distances)``,
 
 from __future__ import annotations
 
-import logging
 from array import array
 from itertools import chain, repeat
-from typing import (
-    Callable,
-    Dict,
-    Hashable,
-    Iterable,
-    NamedTuple,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Callable, Dict, Hashable, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.graph.compact import CompactGraph
 from repro.obs import trace
 from repro.obs.metrics import get_registry
-from repro.simulation.result import MatchResult
-
-log = logging.getLogger(__name__)
+from repro.simulation.result import IdAnswer, MatchResult
 
 PNode = Hashable
 PEdge = Tuple[PNode, PNode]
@@ -285,32 +273,26 @@ def _refine(
 
 def decode_outcome(
     snapshot: CompactGraph,
-    sim: Dict[PNode, Iterable[int]],
+    sim: IdSim,
     rows: IdRows,
     global_row: Optional[Sequence[int]] = None,
     id_distances: Optional[Dict[Tuple[int, int], int]] = None,
 ) -> Outcome:
     """Package surviving candidates and their edge-match rows as an
-    outcome: node sets and pair sets decode to node keys through the
-    snapshot's own table (a ghost carries its key), and ``global_row``
-    -- a shard's local -> composite id map -- moves the rows into the
-    id space extension rows are written in.  A source is decoded once
-    per pattern edge however many rows it heads (on an attached
-    snapshot a decode is a Python-level call, not a list index)."""
-    decode = snapshot.node_table.__getitem__
-    edge_matches: Dict[PEdge, Set[Tuple]] = {}
-    for edge, (src, tgt) in rows.items():
-        heads = set(src)
-        names = dict(zip(heads, map(decode, heads)))
-        edge_matches[edge] = set(zip(map(names.__getitem__, src), map(decode, tgt)))
-    node_matches = {u: set(map(decode, ids)) for u, ids in sim.items()}
+    outcome: a lazy result over the rows and the candidates (as
+    ``array('q')``) whose node and pair sets decode through the
+    snapshot's own table (a ghost carries its key) on first read, and
+    ``global_row`` -- a shard's local -> composite id map -- moves the
+    rows into the id space extension rows are written in."""
+    ids = {u: array("q", found) for u, found in sim.items()}
+    result = IdAnswer(ids, rows, snapshot.node_table).result()
     if global_row is not None:
         to_global = global_row.__getitem__
         rows = {
             edge: (array("q", map(to_global, src)), array("q", map(to_global, tgt)))
             for edge, (src, tgt) in rows.items()
         }
-    return MatchResult(node_matches, edge_matches), rows, id_distances
+    return result, rows, id_distances
 
 
 def extract(
@@ -339,24 +321,16 @@ def extract(
     return decode_phase(decode_outcome, snapshot, sim, rows, global_row)
 
 
-def _row_count(rows: Optional[IdRows]) -> int:
-    """The pairs of an id outcome, summed over pattern edges; 0 on a
-    failed match."""
-    return sum(len(src) for src, _ in (rows or {}).values())
-
-
 def decode_phase(package: Callable[..., Outcome], *args, **kwargs) -> Outcome:
     """``package(...)`` under the run's ``decode`` span, which says
     what was packaged: ``rows=`` edge rows and ``nodes=`` node matches,
-    each summed over the pattern."""
+    each summed over the pattern and counted in ids (node keys are
+    decoded on first read, after the span)."""
     with trace.span("decode") as decode_span:
         outcome = package(*args, **kwargs)
         if decode_span is not None:
-            result, rows, _ = outcome
-            decode_span.set(
-                rows=_row_count(rows),
-                nodes=sum(map(len, result.node_matches.values())),
-            )
+            result = outcome[0]
+            decode_span.set(rows=result.result_size, nodes=result.total_node_matches())
     return outcome
 
 
@@ -377,7 +351,7 @@ def run_match(
             kernel = "sets"
             outcome = set_kernel(*args)
         if match_span is not None:
-            match_span.set(kernel=kernel, rows=_row_count(outcome[1]), **attrs)
+            match_span.set(kernel=kernel, rows=outcome[0].result_size, **attrs)
     return outcome
 
 

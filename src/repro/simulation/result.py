@@ -7,16 +7,87 @@ set ``{(e, Se) | e in Ep}`` derived from the maximum match relation
 per-pattern-node match sets) and the per-edge match sets, because the
 node sets are what the fixpoint algorithms refine while the edge sets
 are what the user (and the views machinery) consumes.
+
+An id-space kernel's answer stays in ids until someone reads it: an
+:class:`IdAnswer` holds the kernel's rows and survivors and decodes
+each node or edge's set on first access (:class:`LazyMap`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Set, Tuple
+from typing import Callable, Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
 PNode = Hashable
 PEdge = Tuple[PNode, PNode]
 Node = Hashable
 NodePair = Tuple[Node, Node]
+
+
+class LazyMap(dict):
+    """``{key: value}`` with each value built on first access.
+
+    ``len``, ``in`` and iteration read ``keys`` and build nothing.
+    ``build(key)`` makes a value, which is kept (it may be mutated in
+    place); ``count(key)``, if given, is its size unbuilt.  ``items()``,
+    ``values()``, ``==`` and pickling build everything, and a pickle is
+    the plain dict.  With every value built the map drops ``build`` and
+    ``count`` and the payload they hold.  Two threads may build one
+    value at once: the first stored wins, and no lock is taken.
+    """
+
+    __slots__ = ("_keys", "_lazy")
+
+    def __init__(self, keys, build: Callable, count: Optional[Callable] = None):
+        self._keys, self._lazy = keys, (build, count) if len(keys) else None
+
+    def __missing__(self, key):
+        lazy = self._lazy
+        if key not in self._keys:
+            raise KeyError(key)
+        if lazy is None:  # another thread built the last value
+            return dict.get(self, key)
+        value = dict.setdefault(self, key, lazy[0](key))
+        if dict.__len__(self) == len(self._keys):
+            self._lazy = None
+        return value
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    def __iter__(self):
+        return iter(self._keys)
+
+    def __contains__(self, key) -> bool:
+        return key in self._keys
+
+    def get(self, key, default=None):
+        return self[key] if key in self._keys else default
+
+    def _built(self) -> dict:
+        for key in self._keys:
+            self[key]
+        return self
+
+    def keys(self):
+        return dict.keys(self._built())
+
+    def values(self):
+        return dict.values(self._built())
+
+    def items(self):
+        return dict.items(self._built())
+
+    def __eq__(self, other):
+        return dict(self.items()) == other
+
+    def __ne__(self, other):
+        return dict(self.items()) != other
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+    def __reduce__(self):
+        return dict, (dict(self.items()),)
 
 
 class MatchResult:
@@ -30,7 +101,8 @@ class MatchResult:
     edge_matches:
         ``{e: Se}`` -- for plain simulation ``Se`` contains data-graph
         *edges*; for bounded simulation it contains node pairs connected
-        by a path within the edge's bound.
+        by a path within the edge's bound.  (Either may be a
+        :class:`LazyMap`: an id-space answer.)
     stats:
         Optional execution telemetry (e.g.
         :class:`repro.engine.plan.ExecutionStats` when the result comes
@@ -80,10 +152,10 @@ class MatchResult:
     @property
     def result_size(self) -> int:
         """``|Qs(G)|``: total number of pairs across all match sets."""
-        return sum(len(pairs) for pairs in self.edge_matches.values())
+        return _total(self.edge_matches)
 
     def total_node_matches(self) -> int:
-        return sum(len(nodes) for nodes in self.node_matches.values())
+        return _total(self.node_matches)
 
     def as_relation(self) -> Set[Tuple[PNode, Node]]:
         """The match relation ``So`` as a set of (pattern node, node) pairs."""
@@ -113,6 +185,46 @@ class MatchResult:
             f"MatchResult(nodes={self.total_node_matches()}, "
             f"pairs={self.result_size})"
         )
+
+
+def _total(matches) -> int:
+    """Summed set sizes; an id answer's unread sets count off their ids."""
+    lazy = matches._lazy if isinstance(matches, LazyMap) else None
+    if lazy is None or lazy[1] is None:
+        return sum(map(len, matches.values()))
+    count, built = lazy[1], dict.__contains__
+    return sum(
+        len(matches[k]) if built(matches, k) else count(k) for k in matches._keys
+    )
+
+
+class IdAnswer:
+    """An answer in a snapshot's id space: ``ids[u]`` the ids matching
+    pattern node ``u`` and ``rows[e] = (src, tgt)`` the id rows matching
+    pattern edge ``e``, read as node keys through ``table[i]``."""
+
+    __slots__ = ("ids", "rows", "table")
+
+    def __init__(self, ids: Dict, rows: Dict, table) -> None:
+        self.ids, self.rows, self.table = ids, rows, table
+
+    def result(self) -> MatchResult:
+        """The answer as a result that decodes each set on first read."""
+        return MatchResult(
+            LazyMap(tuple(self.ids), self.node_set, lambda u: len(self.ids[u])),
+            LazyMap(tuple(self.rows), self.pair_set, lambda e: len(self.rows[e][0])),
+        )
+
+    def node_set(self, u: PNode) -> Set[Node]:
+        return set(map(self.table.__getitem__, self.ids[u]))
+
+    def pair_set(self, edge: PEdge) -> Set[NodePair]:
+        """A source is decoded once however many rows it heads."""
+        src, tgt = self.rows[edge]
+        decode = self.table.__getitem__
+        heads = set(src)
+        names = dict(zip(heads, map(decode, heads)))
+        return set(zip(map(names.__getitem__, src), map(decode, tgt)))
 
 
 def edge_matches_from_nodes(

@@ -28,71 +28,17 @@ through one ``pickle.dumps``, the node table ships exactly once.
 from __future__ import annotations
 
 from array import array
+from functools import partial
 from typing import Dict, Hashable, List, Optional, Set, Tuple
 
 from repro.graph.flatbuf import FlatStore, SharedCompactGraph, _LazyNodeTable
+from repro.simulation.result import LazyMap
 
 PEdge = Tuple[Hashable, Hashable]
 Node = Hashable
 IdDistances = Dict[Tuple[int, int], int]
 
 _ROW_TABLES = ("pairs_indptr", "pairs_src", "pairs_tgt")
-
-
-class _PerEdgeLazy(dict):
-    """``{view edge: <structure>}`` decoded per edge on first access."""
-
-    __slots__ = ("_pack", "_kind")
-
-    def __init__(self, pack: "FlatExtension", kind: str) -> None:
-        super().__init__()
-        self._pack = pack
-        self._kind = kind
-
-    def __missing__(self, edge):
-        value = self._pack.build(self._kind, edge)
-        dict.__setitem__(self, edge, value)
-        return value
-
-    def get(self, edge, default=None):
-        try:
-            return self[edge]
-        except KeyError:
-            return default
-
-    def _ensure_all(self) -> None:
-        for edge in self._pack.edge_order:
-            self[edge]
-
-    def __contains__(self, edge) -> bool:
-        return edge in self._pack.edge_index
-
-    def __len__(self) -> int:
-        return len(self._pack.edge_order)
-
-    def __iter__(self):
-        return iter(self._pack.edge_order)
-
-    def keys(self):
-        self._ensure_all()
-        return dict.keys(self)
-
-    def values(self):
-        self._ensure_all()
-        return dict.values(self)
-
-    def items(self):
-        self._ensure_all()
-        return dict.items(self)
-
-    def __eq__(self, other):
-        self._ensure_all()
-        return dict.__eq__(self, other)
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
-    __hash__ = None
 
 
 class _LazyDistances(dict):
@@ -246,7 +192,7 @@ class FlatExtension:
             self._tables, self.store = tables, None
         self.distances = distances
         for kind in ("src_keys", "tgt_keys", "src_nodes", "tgt_nodes"):
-            setattr(self, kind, _PerEdgeLazy(self, kind))
+            setattr(self, kind, self.per_edge(kind))
 
     @classmethod
     def _bound_to(cls, snapshot, edge_order, indptr, src, tgt, distances=None):
@@ -333,9 +279,13 @@ class FlatExtension:
         lo, hi = indptr[k], indptr[k + 1]
         return self._ints("pairs_src")[lo:hi], self._ints("pairs_tgt")[lo:hi]
 
+    def per_edge(self, kind: str) -> LazyMap:
+        """``{view edge: structure}``, each decoded by :meth:`build`
+        on first access."""
+        return LazyMap(self.edge_index, partial(self.build, kind))
+
     def build(self, kind: str, edge: PEdge):
-        """Decode one per-edge structure from the rows (the
-        :class:`_PerEdgeLazy` callback)."""
+        """Decode one per-edge structure from the rows."""
         src, tgt = self.pair_rows(edge)
         if kind == "src_keys":
             return frozenset(src)

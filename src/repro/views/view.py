@@ -31,7 +31,7 @@ from repro.graph.pattern import BoundedPattern, Pattern
 from repro.simulation.compact_engine import IdRows
 from repro.simulation.simulation import evaluate
 from repro.simulation.simulation import match as _match
-from repro.views.flatpack import FlatExtension, _LazyDistances, _PerEdgeLazy
+from repro.views.flatpack import FlatExtension, _LazyDistances
 
 if TYPE_CHECKING:
     from repro.graph.digraph import DataGraph
@@ -208,9 +208,7 @@ def _attach_view(
         if flat.distances is not None
         else None
     )
-    return MaterializedView(
-        definition, _PerEdgeLazy(flat, "pairs"), distances, flat
-    )
+    return MaterializedView(definition, flat.per_edge("pairs"), distances, flat)
 
 
 def materialize(definition: ViewDefinition, graph: DataGraph) -> MaterializedView:
@@ -278,7 +276,7 @@ def snapshot_extension(
         id_rows = {edge: (array("q"), array("q")) for edge in pattern.edges()}
         id_distances = {} if definition.is_bounded else None
     else:
-        edge_matches = result.edge_matches
+        edge_matches = dict(result.edge_matches)  # built now, held as sets
     payload = FlatExtension.from_rows(snapshot, id_rows, id_distances)
     distances = None
     if id_distances is not None:

@@ -155,10 +155,22 @@ def rekeyed(graph, kind):
 
 
 def assert_plain_built_sets(result):
-    """Nothing lazy, nothing NumPy: dicts of sets of the node keys."""
+    """Nothing NumPy: dicts (lazy ones on an id-space answer) of plain
+    built sets of the node keys."""
     for matches in (result.node_matches, result.edge_matches):
-        assert type(matches) is dict
+        assert isinstance(matches, dict)
         assert all(type(found) is set for found in matches.values())
+
+
+def assert_pickles_as_plain_sets(result):
+    """A pickle of an answer, read or not, is the plain decoded result:
+    no payload, no closure, no NumPy."""
+    shipped = pickle.dumps(result)
+    assert b"numpy" not in shipped and b"IdAnswer" not in shipped
+    received = pickle.loads(shipped)
+    for matches in (received.node_matches, received.edge_matches):
+        assert type(matches) is dict
+    assert received == result and bool(received) == bool(result)
 
 
 def bounded_chain(bound, *conditions):
@@ -199,6 +211,8 @@ def test_array_kernel_equals_set_kernel_equals_dict_engine(seed, flavour, keys):
     expected = maximum_simulation(pattern, graph)
     frozen = graph.freeze()
     outcomes = {kernel: run_kernel(kernel, pattern, frozen) for kernel in KERNELS}
+    for result, _, _ in outcomes.values():
+        assert_pickles_as_plain_sets(result)
     if flavour in ("empty_seed", "swept_empty"):
         assert expected is None
     if expected is None:
@@ -275,6 +289,8 @@ def test_bounded_array_kernel_equals_set_kernel_equals_dict_engine(
             )
             for kernel in KERNELS
         }
+    for result, _, _ in outcomes.values():
+        assert_pickles_as_plain_sets(result)
     if flavour in ("empty_seed", "swept_empty"):
         assert not expected
     if not expected:
@@ -625,6 +641,157 @@ def test_engine_answers_are_plain_built_sets(monkeypatch):
             assert_plain_built_sets(result)
             for found in result.node_matches.values():
                 assert all(type(key) is str for key in found)
+
+
+# ----------------------------------------------------------------------
+# The lazy answer: node keys are decoded on first read, per key
+# ----------------------------------------------------------------------
+def built(matches):
+    """How many of a result map's sets exist as node-key sets yet."""
+    return dict.__len__(matches)
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_lazy_kernel_answer_decodes_only_what_is_read(kernel, monkeypatch):
+    from repro.engine import QueryEngine
+    from repro.graph.compact import CompactGraph
+    from repro.views.storage import ViewSet
+
+    graph = rekeyed(random_labeled_graph(random.Random(31), 40, 160), "tuple")
+    pattern = chain("A", "B", "C")
+    expected = match(pattern, graph)
+    assert expected
+    reads = []
+
+    class CountedTable:
+        """The decoder: every node-key read off the snapshot's table."""
+
+        def __init__(self, snapshot):
+            self.table = snapshot._nodes
+
+        def __getitem__(self, i):
+            reads.append(i)
+            return self.table[i]
+
+    monkeypatch.setattr(CompactGraph, "node_table", property(CountedTable))
+    engine = QueryEngine(ViewSet(), graph=graph, answer_cache_size=0)
+    with forced_kernel(kernel), trace.root_span("query") as root:
+        result = engine.answer(pattern)
+    nodes, edges = result.node_matches, result.edge_matches
+    # Answering -- traced -- its stats and every count decode nothing.
+    spans, decoded = [root], []
+    while spans:
+        span = spans.pop()
+        spans += span.children
+        decoded += [span.attrs] if span.name == "decode" else []
+    assert decoded == [
+        {"rows": expected.result_size, "nodes": expected.total_node_matches()}
+    ]
+    assert result.stats.strategy == "direct" and bool(result)
+    assert result.result_size == expected.result_size
+    assert result.total_node_matches() == expected.total_node_matches()
+    assert len(edges) == 2 and len(nodes) == 3 and list(edges) == pattern.edges()
+    assert (0, 1) in edges and (1, 0) not in edges and 2 in nodes
+    assert reads == [] and built(nodes) == built(edges) == 0
+    # One edge decodes that edge, off its end nodes' ids alone.
+    assert edges[(0, 1)] == expected.edge_matches[(0, 1)]
+    assert built(edges) == 1 and built(nodes) == 0
+    frozen = engine.snapshot()
+    ends = {frozen.id_of(v) for u in (0, 1) for v in expected.node_matches[u]}
+    assert reads and set(reads) <= ends
+    # Everything read equals the dict backend; the id payload is dropped.
+    assert not (edges != expected.edge_matches or nodes != expected.node_matches)
+    assert nodes == expected.node_matches and edges == expected.edge_matches
+    assert edges._lazy is None and nodes._lazy is None
+    assert result.result_size == expected.result_size
+    assert_plain_built_sets(result)
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_lazy_kernel_answer_counts_an_in_place_merge(kernel):
+    # The shard layer's merge: the first slice's sets grow in place with
+    # ``|=``, and the counts follow the grown sets from then on.
+    pattern = chain("A", "B", "C")
+    graphs = [
+        random_labeled_graph(random.Random(41), 40, 160),
+        rekeyed(random_labeled_graph(random.Random(43), 40, 160), "str"),
+    ]
+    expected = [match(pattern, g) for g in graphs]
+    assert all(expected)
+    with forced_kernel(kernel):
+        first, second = (match(pattern, g.freeze()) for g in graphs)
+    union = {
+        e: expected[0].edge_matches[e] | expected[1].edge_matches[e]
+        for e in pattern.edges()
+    }
+    merged, kept = pattern.edges()
+    first.edge_matches[merged] |= second.edge_matches[merged]
+    assert built(first.edge_matches) == 1
+    assert first.result_size == len(union[merged]) + len(expected[0].edge_matches[kept])
+    first.edge_matches[kept] |= second.edge_matches[kept]
+    for u, found in second.node_matches.items():
+        first.node_matches[u] |= found
+    assert first.result_size == sum(map(len, union.values()))
+    assert first.total_node_matches() == sum(
+        len(expected[0].node_matches[u] | expected[1].node_matches[u])
+        for u in pattern.nodes()
+    )
+    assert first.edge_matches == union
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_lazy_kernel_answer_read_by_threads_at_once(kernel, monkeypatch):
+    """Threads may decode one set at once; each gets the same set, and
+    the right one, with no lock on the read path."""
+    import sys
+    import threading
+
+    from repro.graph.flatbuf import BACKEND_ENV
+
+    monkeypatch.setenv(BACKEND_ENV, "bytes")
+    graph = rekeyed(random_labeled_graph(random.Random(47), 60, 240), "tuple")
+    pattern = chain("A", "B", "C")
+    expected = match(pattern, graph)
+    assert expected
+    readers = 4
+    seen = []
+
+    def read(result, start):
+        start.wait(timeout=10)
+        seen.append((
+            {e: result.edge_matches[e] for e in result.edge_matches},
+            {u: result.node_matches[u] for u in result.node_matches},
+        ))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            # A fresh attachment each round: a cold key column, a lazy table.
+            snapshot = pickle.loads(pickle.dumps(graph.freeze(shared=True)))
+            with forced_kernel(kernel):
+                result = match(pattern, snapshot)
+            start = threading.Barrier(readers)
+            threads = [
+                threading.Thread(target=read, args=(result, start))
+                for _ in range(readers)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+            (edges, nodes), *others = seen[-readers:]
+            for edges_again, nodes_again in others:
+                assert all(edges[e] is edges_again[e] for e in edges)
+                assert all(nodes[u] is nodes_again[u] for u in nodes)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(seen) == 5 * readers
+    assert all(
+        edges == expected.edge_matches and nodes == expected.node_matches
+        for edges, nodes in seen
+    )
 
 
 def check_edge_columns_are_rebuilt_after_a_refresh(operator, shared, monkeypatch):

@@ -40,6 +40,7 @@ from repro.graph.flatbuf import (
     verify_segment_file,
 )
 from repro.simulation import match
+from repro.simulation.array_engine import ARRAY_MIN_EDGES
 from repro.views.flatpack import FlatExtension
 from repro.views.storage import ViewSet
 
@@ -299,6 +300,19 @@ class TestEngineIntegration:
         totals = engine.ship_stats()
         assert totals["batches"] >= 1
         assert totals["bytes"] >= max(s.ship_bytes for s in shipped)
+        # Direct plans, plain and bounded, above the array kernels' size
+        # cut: a worker's answer comes back pickled, equal to serial's.
+        labels = tuple(f"l{i}" for i in range(5))
+        big = random_graph(900, 3 * ARRAY_MIN_EDGES, labels=labels, seed=22)
+        direct = queries + [queries[0].bounded(default=2)]
+        pooled = QueryEngine(ViewSet(), graph=big, executor="process", workers=2)
+        results = pooled.answer_batch(direct)
+        assert {(r.stats.strategy, r.stats.executor) for r in results} == {
+            ("direct", "process")
+        }
+        assert any(results)
+        assert pooled.snapshot().num_edges >= ARRAY_MIN_EDGES
+        assert results == QueryEngine(ViewSet(), graph=big).answer_batch(direct)
 
     def test_serial_engine_ships_nothing(self, workload):
         graph, views, queries = workload
