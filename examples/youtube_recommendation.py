@@ -25,7 +25,9 @@ def analyst_query() -> Pattern:
     view, so the query is contained in the view set -- an analyst whose
     query strays outside the cached shapes gets a NotContainedError
     listing the uncovered edges instead (Theorem 1: no view-only
-    rewriting exists then).
+    rewriting exists then; a QueryEngine with the graph answers such a
+    query directly, and ``repro.views.selection.select_views_for_workload``
+    picks a view set that covers a known workload, Section VIII).
     """
     music_popular = (P("C") == "Music") & (P("V") >= 10_000)
     music_rated = (P("C") == "Music") & (P("R") >= 4)

@@ -10,12 +10,7 @@ Subcommands::
                               [--graph graph.json] [--strategy minimal]
     python -m repro engine    --queries q1.json q2.json --views views.json \
                               [--graph graph.json] [--executor process] \
-                              [--planner adaptive] [--workers 4] \
-                              [--repeat 2] [--explain]
-    python -m repro advise    --queries q1.json q2.json --views views.json \
-                              --graph graph.json [--repeat 3] \
-                              [--budget-fraction 0.15] [--apply] \
-                              [--format json]
+                              [--workers 4] [--repeat 2] [--explain]
     python -m repro shard     --graph graph.json --shards 4 \
                               [--strategy hash|label|bfs] [--format json]
     python -m repro maintain  --graph graph.json --views views.json \
@@ -24,9 +19,6 @@ Subcommands::
     python -m repro serve     --graph graph.json --views views.json \
                               [--host 127.0.0.1] [--port 7677] \
                               [--strategy minimal] [--budget N] \
-                              [--planner adaptive] \
-                              [--auto-materialize 0.15] \
-                              [--advise-interval 30] \
                               [--max-inflight 8] [--max-queue 64] \
                               [--metrics-port 9090] [--log-level info]
     python -m repro trace     --query query.json --views views.json \
@@ -51,11 +43,7 @@ query from the cached extensions (exactly the MatchJoin pipeline --
 pass ``--graph`` only if extensions still need materializing);
 ``engine`` batch-answers many queries through the planned/cached
 :class:`~repro.engine.engine.QueryEngine` (``--repeat`` demonstrates
-the warm answer cache, ``--explain`` prints plans without executing,
-``--planner adaptive`` engages the cost-based planner); ``advise``
-replays a workload through the adaptive engine and reports which views
-the :class:`~repro.engine.advisor.WorkloadAdvisor` would materialize
-or evict under the byte budget (``--apply`` actually does it);
+the warm answer cache, ``--explain`` prints plans without executing);
 ``shard`` partitions the graph and reports cut quality and per-shard
 size/label histograms for each strategy; ``maintain`` replays an edge
 update stream (``+ u v`` / ``- u v`` lines) through the delta-driven
@@ -79,10 +67,10 @@ size accounting -- with ``--format json`` it emits a machine-readable report
 including the label histogram and the snapshot / label-index statistics
 of the compact graph backend (each flat segment labelled with its
 ``backend`` kind and on-disk byte count), a ``selection`` section
-(per-view size / staleness / maintenance-cost rows, the advisor's
-scoring input) when ``--views`` is passed, plus a ``partition`` section
-when ``--shards N`` is passed; with ``--snapshot DIR`` it instead
-inspects a persistent snapshot directory without rebuilding anything.
+(per-view size / staleness / maintenance-cost rows) when ``--views``
+is passed, plus a ``partition`` section when ``--shards N`` is passed;
+with ``--snapshot DIR`` it instead inspects a persistent snapshot
+directory without rebuilding anything.
 
 The out-of-core workflow (:mod:`repro.graph.snapshot` /
 :mod:`repro.graph.ingest`): ``ingest`` streams an edge list (SNAP
@@ -177,7 +165,7 @@ def _cmd_contain(args) -> int:
 
 def _cmd_query(args) -> int:
     from repro.core.answer import answer_with_views
-    from repro.errors import NotContainedError
+    from repro.errors import NotContainedError, NotMaterializedError
     from repro.graph.io import read_graph, read_pattern
     from repro.views.io import read_viewset
 
@@ -188,7 +176,7 @@ def _cmd_query(args) -> int:
         answer = answer_with_views(
             query, views, graph=graph, selection=args.strategy
         )
-    except NotContainedError as err:
+    except (NotContainedError, NotMaterializedError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     print(f"views used: {', '.join(answer.views_used)}")
@@ -207,7 +195,7 @@ def _cmd_query(args) -> int:
 
 def _cmd_engine(args) -> int:
     from repro.engine import QueryEngine
-    from repro.errors import NotContainedError
+    from repro.errors import NotContainedError, NotMaterializedError
     from repro.graph.io import read_graph, read_pattern
     from repro.views.io import read_viewset
 
@@ -218,18 +206,13 @@ def _cmd_engine(args) -> int:
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    try:
-        engine = QueryEngine(
-            views,
-            graph=graph,
-            selection=args.strategy,
-            executor=args.executor,
-            workers=args.workers,
-            planner=args.planner,
-        )
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+    engine = QueryEngine(
+        views,
+        graph=graph,
+        selection=args.strategy,
+        executor=args.executor,
+        workers=args.workers,
+    )
     if args.explain:
         for path, query in zip(args.queries, queries):
             print(f"-- {path}")
@@ -238,7 +221,7 @@ def _cmd_engine(args) -> int:
     for round_index in range(args.repeat):
         try:
             results = engine.answer_batch(queries)
-        except NotContainedError as err:
+        except (NotContainedError, NotMaterializedError) as err:
             print(f"error: {err}", file=sys.stderr)
             return 1
         total = sum(r.stats.elapsed for r in results)
@@ -257,71 +240,6 @@ def _cmd_engine(args) -> int:
             f"{which} cache: {counters['hits']} hits / "
             f"{counters['misses']} misses"
         )
-    return 0
-
-
-def _cmd_advise(args) -> int:
-    """Replay a workload through the adaptive engine, then report (or
-    apply) the advisor's materialize/evict plan for the byte budget."""
-    from repro.engine import QueryEngine
-    from repro.engine.advisor import WorkloadAdvisor
-    from repro.graph.io import read_graph, read_pattern
-    from repro.views.io import read_viewset, write_viewset
-
-    try:
-        queries = [read_pattern(path) for path in args.queries]
-        views = read_viewset(args.views)
-        graph = read_graph(args.graph)
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    engine = QueryEngine(
-        views, graph=graph, selection=args.strategy, planner="adaptive"
-    )
-    advisor = WorkloadAdvisor(
-        engine,
-        budget_fraction=args.budget_fraction,
-        budget_bytes=args.budget_bytes,
-    )
-    for _ in range(max(1, args.repeat)):
-        for query in queries:
-            engine.answer(query)
-    report = advisor.tick() if args.apply else advisor.advise()
-    if args.apply and args.out:
-        write_viewset(views, args.out)
-    if args.format == "json":
-        payload = dict(
-            report.to_dict(), cost_model=engine.cost_model.snapshot()
-        )
-        json.dump(payload, sys.stdout, indent=2)
-        print()
-        return 0
-    budget_share = (
-        report.budget_bytes / report.graph_bytes if report.graph_bytes else 0.0
-    )
-    print(
-        f"workload: {len(queries)} queries x {max(1, args.repeat)} rounds; "
-        f"budget {report.budget_bytes} bytes "
-        f"({budget_share:.1%} of {report.graph_bytes}-byte graph)"
-    )
-    markers = {"materialize": "+", "evict": "-", "keep": "=", "none": " "}
-    for score in report.scores:
-        state = "materialized" if score.materialized else "cold"
-        print(
-            f"  {markers[score.action]} {score.name}: "
-            f"score={score.score:.3g} hits={score.hits} "
-            f"benefit={score.benefit * 1e3:.2f}ms "
-            f"bytes={score.bytes} maint={score.maintenance_cost:.0f} "
-            f"[{state}]"
-        )
-    verb = "applied" if report.applied else "plan"
-    print(
-        f"{verb}: materialize {report.materialized or 'nothing'}, "
-        f"evict {report.evicted or 'nothing'}; "
-        f"cache {report.used_bytes} bytes "
-        f"({report.budget_fraction_used:.1%} of budget)"
-        + ("" if report.applied else "  (use --apply to execute)")
-    )
     return 0
 
 
@@ -694,11 +612,7 @@ def _cmd_serve(args) -> int:
             graph = loaded.graph
             views = loaded.viewset()
             engine = QueryEngine(
-                views,
-                snapshot_path=loaded,
-                selection=args.strategy,
-                planner=args.planner,
-                auto_materialize=args.auto_materialize,
+                views, snapshot_path=loaded, selection=args.strategy
             )
         else:
             graph = read_graph(args.graph)
@@ -713,19 +627,12 @@ def _cmd_serve(args) -> int:
                     + ", ".join(tracker.skipped_bounded),
                     file=sys.stderr,
                 )
-            engine = QueryEngine(
-                views,
-                graph=graph,
-                selection=args.strategy,
-                planner=args.planner,
-                auto_materialize=args.auto_materialize,
-            )
+            engine = QueryEngine(views, graph=graph, selection=args.strategy)
             engine.attach_maintenance(tracker)
         server = QueryServer(
             engine,
             max_inflight=args.max_inflight,
             max_queue=args.max_queue,
-            advise_interval=args.advise_interval,
             persist_path=persist,
         )
     except (OSError, ValueError) as err:
@@ -1091,41 +998,12 @@ def build_parser() -> argparse.ArgumentParser:
                    default="minimal")
     p.add_argument("--executor", choices=("serial", "process"),
                    default="serial")
-    p.add_argument("--planner",
-                   choices=("fixed", "adaptive", "direct", "hybrid"),
-                   default="fixed",
-                   help="plan selection: fixed rule, cost-based adaptive, "
-                        "or a forced baseline (direct/hybrid need --graph)")
     p.add_argument("--workers", type=int)
     p.add_argument("--repeat", type=int, default=1,
                    help="re-run the batch N times (shows warm-cache hits)")
     p.add_argument("--explain", action="store_true",
                    help="print query plans instead of executing")
     p.set_defaults(func=_cmd_engine)
-
-    p = sub.add_parser(
-        "advise",
-        help="score views against a workload and plan auto-materialization",
-    )
-    p.add_argument("--queries", nargs="+", required=True,
-                   help="the workload: one or more pattern JSON files")
-    p.add_argument("--views", required=True)
-    p.add_argument("--graph", required=True)
-    p.add_argument("--strategy", choices=_SELECTIONS,
-                   default="minimal")
-    p.add_argument("--repeat", type=int, default=1,
-                   help="replay the workload N times (weights frequency)")
-    p.add_argument("--budget-fraction", type=float, default=0.15,
-                   help="extension-cache budget as a fraction of graph "
-                        "bytes (default 0.15, the paper's upper bound)")
-    p.add_argument("--budget-bytes", type=int,
-                   help="absolute byte budget (overrides --budget-fraction)")
-    p.add_argument("--apply", action="store_true",
-                   help="actually materialize/evict instead of reporting")
-    p.add_argument("--out",
-                   help="with --apply: write the updated views file here")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=_cmd_advise)
 
     p = sub.add_parser(
         "shard", help="partition the graph and report cut quality"
@@ -1184,18 +1062,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="admitted requests allowed to wait; beyond "
                         "max-inflight + max-queue, requests are shed "
                         "with a retriable error")
-    p.add_argument("--planner",
-                   choices=("fixed", "adaptive", "direct", "hybrid"),
-                   default="fixed",
-                   help="plan selection mode for the serving engine")
-    p.add_argument("--auto-materialize", type=float, nargs="?",
-                   const=0.15, default=None, metavar="FRACTION",
-                   help="enable the workload advisor with this budget "
-                        "fraction of graph bytes (bare flag: 0.15)")
-    p.add_argument("--advise-interval", type=float, default=None,
-                   metavar="SECONDS",
-                   help="run periodic epoch-publishing advisor ticks "
-                        "(requires --auto-materialize)")
     p.add_argument("--metrics-port", type=int,
                    help="also expose a Prometheus-style /metrics "
                         "endpoint on this port (0 picks one)")

@@ -24,7 +24,7 @@ from typing import Optional, Tuple
 from repro.core.bounded.bmatchjoin import bounded_match_join
 from repro.core.containment import SELECTIONS, Containment, selector
 from repro.core.matchjoin import match_join
-from repro.errors import NotContainedError
+from repro.errors import NotContainedError, NotMaterializedError
 from repro.graph.digraph import DataGraph
 from repro.graph.pattern import BoundedPattern, Pattern
 from repro.simulation.result import MatchResult
@@ -75,6 +75,9 @@ def answer_with_views(
         When ``Q ⋢ V`` -- per Theorem 1 the query cannot be answered
         using these views.  (See :mod:`repro.core.rewriting` for the
         maximally-contained fallback.)
+    NotMaterializedError
+        When a selected view has no extension and no ``graph`` was
+        given to materialize it from.
     """
     if selection not in SELECTIONS:
         raise ValueError(
@@ -90,10 +93,14 @@ def answer_with_views(
         raise NotContainedError(containment.uncovered)
 
     needed = containment.views_used()
-    if graph is not None:
-        missing = [name for name in needed if not views.is_materialized(name)]
-        if missing:
-            views.materialize(graph, names=missing)
+    missing = [name for name in needed if not views.is_materialized(name)]
+    if missing:
+        if graph is None:
+            raise NotMaterializedError(
+                f"extensions missing for views {missing!r} and no graph "
+                "was given to materialize them from"
+            )
+        views.materialize(graph, names=missing)
     extensions = {name: views.extension(name) for name in needed}
 
     if bounded:

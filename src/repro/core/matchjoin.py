@@ -18,9 +18,11 @@ There are exactly two fixpoints:
   bottom-up strategy of Section III, so Lemma 2 holds: on DAG patterns
   every match set is swept at most once.  :func:`match_join`,
   :func:`repro.core.bounded.bmatchjoin.bounded_match_join` and
-  :func:`repro.core.rewriting.hybrid_join` are adapters that build rows
-  and call it -- in the snapshot's integer id space when every λ-image
-  carries a payload of the same snapshot, in node-key space otherwise;
+  :func:`repro.core.rewriting.hybrid_join` (Section VIII's partial
+  rewriting, a library function the engine does not plan) are adapters
+  that build rows and call it -- in the snapshot's integer id space
+  when every λ-image carries a payload of the same snapshot, in
+  node-key space otherwise;
 * the **naive** loop (``optimized=False``) is the literal Fig. 2
   while-loop: scan all edges until a full pass makes no change.  It
   exists so Exp-2 (Fig. 8(f)) can measure the optimization, exactly

@@ -124,9 +124,7 @@ def hybrid_answer(
     uncovered edges enumerate bounded-BFS pairs.
 
     Convenience wrapper: runs the containment check and materializes
-    missing extensions, then delegates to :func:`hybrid_join` -- the
-    engine calls :func:`hybrid_join` directly with a pre-computed
-    containment and a point-in-time extensions mapping.
+    missing extensions, then delegates to :func:`hybrid_join`.
     """
     bounded = isinstance(query, BoundedPattern)
     if bounded:
@@ -157,10 +155,7 @@ def hybrid_join(
     not hold -- partial coverage is the point); ``extensions`` must
     contain every view the mapping references; ``graph`` may be the
     mutable :class:`DataGraph` or a frozen
-    :class:`~repro.graph.compact.CompactGraph` snapshot (the engine
-    ships its snapshot, same as direct evaluation).  This is the code
-    path :class:`~repro.engine.executor.EvaluationSpec` kind
-    ``"hybrid"`` runs, in-process and in pool workers alike.
+    :class:`~repro.graph.compact.CompactGraph` snapshot.
     """
     if query.isolated_nodes():
         raise UnsupportedPatternError(

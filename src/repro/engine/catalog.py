@@ -30,7 +30,6 @@ from typing import TYPE_CHECKING, List, Mapping, Optional, Sequence, Tuple
 
 from repro.engine.planner import PlanningState
 from repro.errors import NotMaterializedError
-from repro.graph.pattern import Pattern
 from repro.views.storage import ViewSet
 
 if TYPE_CHECKING:
@@ -53,32 +52,13 @@ def snapshot_kind(snapshot) -> str:
     }.get(kind, kind.lower())
 
 
-def direct_units(snapshot, query: Pattern) -> float:
-    """Selectivity-aware work estimate for evaluating ``query``
-    directly on ``snapshot``.
-
-    Candidate seeding reads, per pattern node, a label bucket or a few
-    attribute-column slices, and the fixpoint then walks the adjacency
-    of those candidates, so the touched volume scales with the
-    snapshot's ``candidate_bound`` of each node condition -- not with
-    ``|G|``.  Pricing that selectivity is what lets the adaptive
-    planner prefer direct evaluation for highly selective queries even
-    when views could answer them.  Wildcard nodes charge the full node
-    count.
-    """
-    num_nodes = float(snapshot.num_nodes)
-    density = 1.0 + (snapshot.num_edges / num_nodes if num_nodes else 0.0)
-    bound = snapshot.candidate_bound
-    return density * sum(bound(query.condition(u)) for u in query.nodes())
-
-
 @dataclass(frozen=True)
 class Evaluated:
     """What an evaluation reads, captured under the catalog lock: the
     frozen snapshot (``None`` when nothing reads ``G``), a point-in-time
     copy of the extensions, and the backend's telemetry label.  An
-    answer's plan-choice record and cost-model observation come off
-    this, however far the live catalog has moved on by then."""
+    answer's plan-choice record comes off this, however far the live
+    catalog has moved on by then."""
 
     snapshot: object
     extensions: Mapping[str, MaterializedView]
@@ -87,9 +67,6 @@ class Evaluated:
     def extension_size(self, name: str) -> Optional[int]:
         extension = self.extensions.get(name)
         return extension.size if extension is not None else None
-
-    def direct_units(self, query: Pattern) -> float:
-        return direct_units(self.snapshot, query)
 
 
 @dataclass(frozen=True)
@@ -111,9 +88,6 @@ class EngineCheckpoint(Evaluated, PlanningState):
 
     def view_version(self, name: str) -> int:
         return self.view_versions[name]
-
-    def graph_units(self) -> float:
-        return float(self.snapshot.size)
 
 
 class Catalog(PlanningState):
@@ -230,15 +204,6 @@ class Catalog(PlanningState):
     def extension_size(self, name: str) -> Optional[int]:
         extension = self.views.fresh_extension(name)
         return extension.size if extension is not None else None
-
-    def graph_units(self) -> float:
-        graph = self.graph
-        return float(graph.size) if graph is not None else 0.0
-
-    def direct_units(self, query: Pattern) -> float:
-        if self.graph is None:
-            return 0.0
-        return direct_units(self.snapshot(), query)
 
     # ------------------------------------------------------------------
     # Snapshot
@@ -406,17 +371,11 @@ class Catalog(PlanningState):
     # ------------------------------------------------------------------
     # Checkpoints
     # ------------------------------------------------------------------
-    def checkpoint(self, keep_evictions: bool = False) -> EngineCheckpoint:
+    def checkpoint(self) -> EngineCheckpoint:
         """Freshen the catalog and capture it as an immutable
-        :class:`EngineCheckpoint` (requires a data graph).
-
-        Pending maintenance is consumed, the snapshot refreshed, and
-        every missing or stale view rematerialized -- except that with
-        ``keep_evictions`` (an advisor manages the cache) only
-        materialized-but-stale views are, so a checkpoint does not undo
-        the advisor's byte budget; plans made on the checkpoint answer
-        queries over absent views directly.
-        """
+        :class:`EngineCheckpoint` (requires a data graph): pending
+        maintenance is consumed, the snapshot refreshed, and every
+        missing or stale view rematerialized."""
         with self.lock:
             if self.graph is None:
                 raise ValueError(
@@ -425,11 +384,7 @@ class Catalog(PlanningState):
             self.sync()
             views = self.views
             names = views.names()
-            self.materialize(
-                [name for name in names if views.is_materialized(name)]
-                if keep_evictions
-                else names
-            )
+            self.materialize(names)
             snapshot = self.snapshot()
             return EngineCheckpoint(
                 snapshot=snapshot,

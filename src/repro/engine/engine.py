@@ -15,7 +15,7 @@ reads of one batch that must agree (plans, hits, materialization, specs,
 answer keys).  Evaluation runs *outside* it on the inputs captured under
 it, so a maintenance batch landing mid-evaluation strands the in-flight
 answer under the *old* stamps instead of corrupting the cache.  The
-memo, answer LRU, cost model and registry hold leaf locks of their own.
+memo, answer LRU and registry hold leaf locks of their own.
 Concurrent maintenance must flow through :meth:`QueryEngine.apply_delta`.
 """
 
@@ -31,10 +31,6 @@ from repro.engine.catalog import Catalog, EngineCheckpoint, Evaluated
 from repro.engine.executor import EXECUTORS, run_specs, spec_of
 from repro.engine.plan import (
     MATCHJOIN,
-    PLANNER_DIRECT,
-    PLANNER_FIXED,
-    PLANNER_HYBRID,
-    PLANNERS,
     ExecutionStats,
     PlanChoiceRecord,
     PlanLog,
@@ -48,7 +44,6 @@ from repro.simulation.result import MatchResult
 from repro.views.storage import ViewSet
 
 if TYPE_CHECKING:
-    from repro.engine.cost import CostModel
     from repro.graph.digraph import DataGraph
     from repro.views.maintenance import Delta, DeltaReport, IncrementalViewSet
 
@@ -88,17 +83,6 @@ class QueryEngine:
         shard-parallel materialization, partial-evaluation matching.
     registry:
         The metrics registry to report into (default: process-global).
-    planner:
-        ``"fixed"`` (default): MatchJoin iff contained; ``"adaptive"``
-        prices MatchJoin subsets, hybrid rewriting and direct
-        evaluation with the :class:`~repro.engine.cost.CostModel` and
-        picks the cheapest; ``"direct"`` / ``"hybrid"`` force one
-        strategy (baselines).
-    auto_materialize:
-        ``True`` (15% byte budget) or a float fraction of ``|G|``'s
-        bytes: a :class:`~repro.engine.advisor.WorkloadAdvisor` ticks
-        every :data:`~repro.engine.advisor.ADVISOR_INTERVAL` answers,
-        materializing hot views and evicting cold ones.
     """
 
     def __init__(
@@ -113,8 +97,6 @@ class QueryEngine:
         shards: Optional[int] = None,
         partitioner: str = "hash",
         registry: Optional[MetricsRegistry] = None,
-        planner: str = PLANNER_FIXED,
-        auto_materialize=None,
     ) -> None:
         if selection not in SELECTIONS:
             raise ValueError(
@@ -125,23 +107,13 @@ class QueryEngine:
             raise ValueError(
                 f"unknown executor {executor!r}; expected one of {EXECUTORS}"
             )
-        if planner not in PLANNERS:
-            raise ValueError(
-                f"unknown planner {planner!r}; expected one of {PLANNERS}"
-            )
         #: The state this engine answers from (and its lock).
-        self.catalog = catalog = Catalog(
+        self.catalog = Catalog(
             views, graph, snapshot_path, shards, partitioner, executor, workers
         )
-        if planner in (PLANNER_DIRECT, PLANNER_HYBRID) and not catalog.has_graph:
-            raise ValueError(
-                f"planner={planner!r} requires a data graph to evaluate on"
-            )
         self._selection = selection
         self._executor = executor
         self._workers = workers
-        #: The planner mode (see :data:`~repro.engine.plan.PLANNERS`).
-        self.planner = planner
         self._containment_memo = LRUCache(CONTAINMENT_MEMO_SIZE)
         self._answer_cache = LRUCache(answer_cache_size)
         # Cumulative process-pool shipping cost (see ship_stats()).
@@ -149,26 +121,6 @@ class QueryEngine:
         #: The metrics registry this engine reports into.
         self.registry = registry if registry is not None else get_registry()
         self._log = PlanLog(self.registry)
-        # Created by whoever first reads :attr:`cost_model` (a priced
-        # planner, here; an advisor when it attaches); a fixed-planner
-        # engine nobody asks never loads one.
-        self._cost_model: Optional[CostModel] = None
-        if planner != PLANNER_FIXED:
-            from repro.engine.cost import CostModel
-
-            self._cost_model = CostModel()
-        #: The :class:`~repro.engine.advisor.WorkloadAdvisor` when
-        #: ``auto_materialize=`` was requested, else ``None``.
-        self.advisor = None
-        if auto_materialize:
-            from repro.engine.advisor import WorkloadAdvisor
-
-            # Refuses an engine without a graph to materialize from.
-            self.advisor = (
-                WorkloadAdvisor(self, budget_fraction=auto_materialize)
-                if isinstance(auto_materialize, float)
-                else WorkloadAdvisor(self)
-            )
 
     # ------------------------------------------------------------------
     # Introspection
@@ -189,26 +141,9 @@ class QueryEngine:
         return self.catalog.snapshot_path
 
     @property
-    def cost_model(self) -> CostModel:
-        """The cost model, calibrated by every answer delivered since
-        it came to exist (at construction for priced planners, else on
-        first access -- an advisor's, when it attaches)."""
-        if self._cost_model is None:
-            from repro.engine.cost import CostModel
-
-            with self.catalog.lock:
-                if self._cost_model is None:
-                    self._cost_model = CostModel()
-        return self._cost_model
-
-    @property
     def maintenance(self) -> Optional[IncrementalViewSet]:
         """The attached maintenance tracker (``None`` when detached)."""
         return self.catalog.views.maintenance
-
-    def graph_units(self) -> float:
-        """``|G|`` in cost-model work units (nodes + edges; 0 without)."""
-        return self.catalog.graph_units()
 
     def snapshot(self):
         """The frozen view of ``G`` (see :meth:`Catalog.snapshot`)."""
@@ -278,10 +213,10 @@ class QueryEngine:
 
     def checkpoint(self) -> EngineCheckpoint:
         """Freshen the catalog and capture it as an immutable
-        :class:`EngineCheckpoint` (see :meth:`Catalog.checkpoint`),
-        honoring an advisor's evictions.  The serving layer takes one
-        per epoch: readers never materialize, never see half an update."""
-        return self.catalog.checkpoint(keep_evictions=self.advisor is not None)
+        :class:`EngineCheckpoint` (see :meth:`Catalog.checkpoint`).
+        The serving layer takes one per epoch: readers never
+        materialize, never see half an update."""
+        return self.catalog.checkpoint()
 
     # ------------------------------------------------------------------
     # Planning
@@ -302,14 +237,15 @@ class QueryEngine:
         query: Pattern,
         selection: Optional[str] = None,
     ) -> QueryPlan:
-        """Plan ``query`` on ``state`` with this engine's planner mode,
-        memo and cost model.  Takes no lock: any thread may plan on an
-        :class:`EngineCheckpoint` (the serving layer does, per pinned
-        epoch); on the live catalog the caller holds its lock."""
+        """Plan ``query`` on ``state`` with this engine's default
+        selection and containment memo.  Takes no lock: any thread may
+        plan on an :class:`EngineCheckpoint` (the serving layer does,
+        per pinned epoch); on the live catalog the caller holds its
+        lock."""
         with trace.span("plan") as plan_span:
             plan = plan_query(
-                state, query, selection, self.planner, self._selection,
-                self._containment_memo, self._cost_model,
+                state, query, selection, self._selection,
+                self._containment_memo,
             )
             if plan_span is not None:
                 plan_span.set(
@@ -504,23 +440,15 @@ class QueryEngine:
         state: Optional[PlanningState] = None,
     ) -> PlanChoiceRecord:
         """File the plan-choice record of one answer delivered under
-        ``plan``: built from ``state``, the planning state that answered
+        ``plan``, built from ``state``: the planning state that answered
         (default: the live catalog; the serving layer passes the pinned
-        checkpoint, whose reads take no lock), it calibrates the cost
-        model, is logged, and gives the advisor its tick -- which takes
-        the catalog lock, so keep this off event loops (a prebuilt hit
-        record goes through the lock-free :meth:`log_plan_choice`)."""
+        checkpoint)."""
         if state is None:
             state = self.catalog
         record = PlanChoiceRecord.of(
             plan, state, elapsed=elapsed, cache_hit=cache_hit, executor=executor
         )
-        if self._cost_model is not None and not cache_hit:
-            self._cost_model.observe_answer(plan, state, record)
         self.log_plan_choice(plan, record)
-        if self.advisor is not None:
-            with self.catalog.lock:
-                self.advisor.maybe_tick()
         return record
 
     def log_plan_choice(self, plan: QueryPlan, record: PlanChoiceRecord) -> None:

@@ -45,9 +45,9 @@ EXECUTORS = ("serial", "process")
 class EvaluationSpec:
     """A self-contained, picklable description of one evaluation.
 
-    ``kind`` is a plan strategy (``"matchjoin"``, ``"direct"`` or
-    ``"hybrid"``); ``needed`` names the extensions MatchJoin / the
-    hybrid kernel read; ``bounded`` engages the Section VI machinery.
+    ``kind`` is a plan strategy (``"matchjoin"`` or ``"direct"``);
+    ``needed`` names the extensions MatchJoin reads; ``bounded``
+    engages the Section VI machinery.
     The heavyweight inputs (the extensions and the graph) are *not*
     part of the spec -- they are resolved against the worker's shared
     payload at evaluation time.
@@ -104,13 +104,6 @@ def evaluate_spec(
         from repro.simulation.simulation import match
 
         return match(spec.query, graph)
-    if spec.kind == "hybrid":
-        if graph is None:
-            raise ValueError("hybrid evaluation requires a data graph")
-        from repro.core.rewriting import hybrid_join
-
-        chosen = {name: extensions[name] for name in spec.needed}
-        return hybrid_join(spec.query, spec.containment, chosen, graph)
     chosen = {name: extensions[name] for name in spec.needed}
     if spec.bounded:
         from repro.core.bounded.bmatchjoin import bounded_match_join
@@ -237,9 +230,7 @@ def run_specs(
     needed = {name for _, spec in tasks for name in spec.needed}
     payload = {name: extensions[name] for name in needed}
     ship_graph = (
-        graph
-        if any(spec.kind in ("direct", "hybrid") for _, spec in tasks)
-        else None
+        graph if any(spec.kind == "direct" for _, spec in tasks) else None
     )
     started = perf_counter()
     blob = pickle.dumps((payload, ship_graph), pickle.HIGHEST_PROTOCOL)

@@ -7,20 +7,14 @@ planner factors the first two stages out into a :class:`QueryPlan` that
 is computed once per (query shape, selection, view-cache version) and
 can be inspected, cached, and shipped to worker processes.
 
-A plan chooses among three strategies:
+A plan chooses between two strategies, by Theorem 1's binary rule:
 
 * ``"matchjoin"`` -- ``Q ⊑ V`` holds: evaluate from the materialized
   extensions only, never touching ``G`` (Theorem 1).
-* ``"hybrid"`` -- partial rewriting (Section VIII): answer the covered
-  pattern fragment from the views and touch ``G`` only for the
-  uncovered edges; exact, and cheap when coverage is high.
 * ``"direct"`` -- fall back to the simulation baseline ``Match`` on
-  the data graph (always chosen for isolated-node patterns, which view
-  extensions cannot cover).
-
-Which one is the planner mode's decision (:data:`PLANNERS`); a priced
-plan records its full candidate table (``explain()``, and the answer's
-:class:`PlanChoiceRecord`).
+  the data graph (the query is not contained, has isolated nodes --
+  which view extensions cannot cover -- or needs an extension the
+  state cannot build).
 
 :func:`pattern_key` provides the structural fingerprint used as the
 cache key; two queries with equal fingerprints have identical results
@@ -33,63 +27,25 @@ import hashlib
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import TYPE_CHECKING, Deque, Dict, Hashable, List, Optional, Tuple
+from typing import Deque, Dict, Hashable, List, Optional, Tuple
 
 from repro.core.containment import Containment
 from repro.graph.pattern import BoundedPattern, Pattern
 from repro.obs import trace
 from repro.obs.metrics import DURATION_BUCKETS, MetricsRegistry
 
-if TYPE_CHECKING:  # priced plans carry these; a fixed plan never loads them
-    from repro.engine.cost import CandidateCost
-
 PatternKey = Tuple[Hashable, ...]
 
 #: Plan strategies.
 MATCHJOIN = "matchjoin"
 DIRECT = "direct"
-HYBRID = "hybrid"
 
-#: Planner modes.  ``"fixed"`` is the legacy binary decision (MatchJoin
-#: iff ``Q ⊑ V``, else direct); ``"adaptive"`` prices every applicable
-#: strategy with the engine's :class:`~repro.engine.cost.CostModel` and
-#: picks the cheapest; ``"direct"`` / ``"hybrid"`` force one strategy.
-PLANNER_FIXED = "fixed"
-PLANNER_ADAPTIVE = "adaptive"
-PLANNER_DIRECT = "direct"
-PLANNER_HYBRID = "hybrid"
-PLANNERS = (PLANNER_FIXED, PLANNER_ADAPTIVE, PLANNER_DIRECT, PLANNER_HYBRID)
-
-#: Reasons the planner may fall back to the direct strategy.  The last
-#: one is for a state that cannot materialize (an epoch's checkpoint, a
-#: views-only engine): ``Q ⊑ V`` holds but a needed extension is
-#: absent (evicted, never built) or stale.
+#: Reasons the planner falls back to the direct strategy.  The last
+#: one is for a state that cannot materialize (a views-only engine):
+#: ``Q ⊑ V`` holds but a needed extension is absent or stale.
 REASON_NOT_CONTAINED = "not-contained"
 REASON_ISOLATED_NODES = "isolated-nodes"
 REASON_UNMATERIALIZED = "unmaterialized"
-
-#: Cost-model reasons: the adaptive planner chose the strategy because
-#: it priced cheapest among the feasible candidates.
-REASON_COST_DIRECT = "cost-direct"
-REASON_COST_MATCHJOIN = "cost-matchjoin"
-REASON_COST_HYBRID = "cost-hybrid"
-
-#: A forced planner mode (``planner="direct"`` / ``"hybrid"``) chose
-#: the strategy; no cost comparison happened.
-REASON_FORCED = "forced"
-
-#: Reasons that count as *fallbacks* (views could not answer the
-#: query) in ``repro_engine_fallbacks_total`` -- cost-model reasons are
-#: choices, not fallbacks, and stay out of that counter.
-FALLBACK_REASONS = (
-    REASON_NOT_CONTAINED,
-    REASON_ISOLATED_NODES,
-    REASON_UNMATERIALIZED,
-)
-
-#: Tie-break preference when candidate estimates are equal: prefer the
-#: strategy that touches less of ``G``.
-STRATEGY_PREFERENCE = (MATCHJOIN, HYBRID, DIRECT)
 
 
 def pattern_key(query: Pattern) -> PatternKey:
@@ -156,21 +112,7 @@ class QueryPlan:
     reason:
         For ``"direct"`` plans, why MatchJoin was not applicable
         (``"not-contained"``, ``"isolated-nodes"`` or
-        ``"unmaterialized"``); for plans the
-        adaptive planner chose on price, the cost reason
-        (``"cost-matchjoin"`` / ``"cost-hybrid"`` / ``"cost-direct"``);
-        ``None`` for fixed-planner MatchJoin plans.
-    planner:
-        Which planner mode produced the plan (see :data:`PLANNERS`).
-    candidates:
-        The priced :class:`~repro.engine.cost.CandidateCost` entries
-        the adaptive planner compared (empty for the fixed planner).
-    cost_estimate / cost_units:
-        The winner's predicted evaluation seconds and the work-unit
-        volume the estimate was computed from (``None`` / ``0`` when
-        the planner did not price the plan).  ``cost_units`` is also
-        what the engine calibrates the cost model with once the real
-        elapsed time is known.
+        ``"unmaterialized"``); ``None`` for MatchJoin.
     """
 
     query: Pattern
@@ -182,29 +124,17 @@ class QueryPlan:
     cache_key: Tuple
     containment_cached: bool = False
     reason: Optional[str] = field(default=None)
-    planner: str = PLANNER_FIXED
-    candidates: Tuple[CandidateCost, ...] = ()
-    cost_estimate: Optional[float] = None
-    cost_units: float = 0.0
 
     @property
     def uses_views(self) -> bool:
-        """True when the plan reads view extensions (exclusively for
-        MatchJoin; alongside ``G`` for hybrid rewriting)."""
-        return self.strategy in (MATCHJOIN, HYBRID)
+        """True when the plan reads view extensions (MatchJoin only)."""
+        return self.strategy == MATCHJOIN
 
     def explain(self) -> str:
         """A human-readable rendition of the plan (CLI ``--explain``)."""
-        cost = (
-            f" est={self.cost_estimate * 1e3:.3f} ms"
-            if self.cost_estimate is not None
-            else ""
-        )
         lines = [
             f"strategy : {self.strategy}"
-            + (f" ({self.reason})" if self.reason else "")
-            + cost,
-            f"planner  : {self.planner}",
+            + (f" ({self.reason})" if self.reason else ""),
             f"selection: {self.selection}"
             + (" [cached decision]" if self.containment_cached else ""),
             f"bounded  : {self.bounded}",
@@ -214,33 +144,12 @@ class QueryPlan:
             lines.append(
                 f"lambda   : {len(self.containment.mapping)} query edges covered"
             )
-        if self.strategy in (DIRECT, HYBRID):
+        else:
             uncovered = sorted(self.containment.uncovered, key=repr)
             if uncovered:
                 rendered = ", ".join(f"{a}->{b}" for a, b in uncovered)
                 lines.append(f"uncovered: {rendered}")
-        if self.candidates:
-            lines.append("candidates:")
-            winner = self.winning_candidate()
-            for candidate in self.candidates:
-                lines.append("  " + candidate.render(chosen=candidate is winner))
         return "\n".join(lines)
-
-    def winning_candidate(self) -> Optional[CandidateCost]:
-        """The candidate the plan executes (``None`` for fixed plans).
-
-        Matched on strategy *and* selection so ``explain()`` and the
-        :class:`PlanChoiceRecord` agree with the chosen plan by
-        construction.
-        """
-        for candidate in self.candidates:
-            if (
-                candidate.strategy == self.strategy
-                and (candidate.strategy != MATCHJOIN
-                     or candidate.selection == self.selection)
-            ):
-                return candidate
-        return None
 
     def __repr__(self) -> str:
         views = f", views={list(self.views_used)}" if self.uses_views else ""
@@ -260,25 +169,20 @@ def fingerprint_digest(key: PatternKey) -> str:
     return hashlib.sha1(repr(key).encode()).hexdigest()[:12]
 
 
-#: Version of the plan-choice record schema (ROADMAP item 3 trains on
-#: these records; breaking layout changes bump this).  v2 adds the
-#: planner mode, the per-candidate cost table and the winner's
-#: estimate; every v1 field is unchanged.
-PLAN_RECORD_VERSION = 2
+#: Version of the plan-choice record schema (breaking layout changes
+#: bump this).  v3 drops v2's priced-planner fields (``planner``,
+#: ``cost_estimate_ms``, ``candidates``) and ``views_wanted``; every
+#: other field is unchanged since v1.
+PLAN_RECORD_VERSION = 3
 
 
 @dataclass(frozen=True)
 class PlanChoiceRecord:
-    """One planner decision plus the measured inputs it was made with.
-
-    This is the structured telemetry ROADMAP item 3 ("cost-based
-    adaptive planner ... recording plan-choice telemetry") consumes:
+    """One planner decision plus the measured inputs it was made with:
     what the planner chose (``strategy``/``selection``/``views_used``,
-    the fallback ``reason``; ``views_wanted`` -- the views a contained
-    query was *not* answered from because the state lacked their
-    extensions, the advisor's demand signal), what it could observe
-    (``view_sizes`` -- the per-view extension sizes a cost model weighs,
-    ``snapshot_kind`` -- which backend evaluated), and what it cost (``elapsed``,
+    the fallback ``reason``), what it read (``view_sizes`` -- the
+    per-view extension sizes, ``snapshot_kind`` -- which backend
+    evaluated), and what it cost (``elapsed``,
     ``cache_hit``/``containment_cached``).  Emitted once per delivered
     answer by :class:`~repro.engine.engine.QueryEngine` into its
     bounded plan log, mirrored as registry counters.
@@ -299,10 +203,6 @@ class PlanChoiceRecord:
     snapshot_kind: str
     executor: str
     elapsed: float
-    planner: str = PLANNER_FIXED
-    cost_estimate: Optional[float] = None
-    candidates: Tuple[CandidateCost, ...] = ()
-    views_wanted: Tuple[str, ...] = ()
 
     @classmethod
     def of(
@@ -336,14 +236,6 @@ class PlanChoiceRecord:
             snapshot_kind=state.snapshot_kind,
             executor=executor,
             elapsed=elapsed,
-            planner=plan.planner,
-            cost_estimate=plan.cost_estimate,
-            candidates=plan.candidates,
-            views_wanted=(
-                plan.containment.views_used()
-                if plan.reason == REASON_UNMATERIALIZED
-                else ()
-            ),
         )
 
     def to_dict(self) -> Dict:
@@ -355,7 +247,6 @@ class PlanChoiceRecord:
             "selection": self.selection,
             "reason": self.reason,
             "views_used": list(self.views_used),
-            "views_wanted": list(self.views_wanted),
             "view_sizes": dict(self.view_sizes),
             "bounded": self.bounded,
             "containment_cached": self.containment_cached,
@@ -363,18 +254,11 @@ class PlanChoiceRecord:
             "snapshot_kind": self.snapshot_kind,
             "executor": self.executor,
             "elapsed_ms": self.elapsed * 1e3,
-            "planner": self.planner,
-            "cost_estimate_ms": (
-                self.cost_estimate * 1e3
-                if self.cost_estimate is not None
-                else None
-            ),
-            "candidates": [c.to_dict() for c in self.candidates],
         }
 
 
-#: Plan-choice records retained per engine (newest win; the advisor
-#: consumes these, and the serving protocol exposes them).
+#: Plan-choice records retained per engine (newest win; the serving
+#: protocol exposes them).
 PLAN_LOG_CAPACITY = 256
 
 
@@ -419,15 +303,8 @@ class PlanLog:
     def append(self, plan: QueryPlan, record: PlanChoiceRecord) -> None:
         """Log one finished ``record`` of ``plan`` and meter it."""
         self._records.append(record)
-        counter = self._queries.get(plan.strategy)
-        if counter is None:
-            counter = self._queries[plan.strategy] = self._registry.counter(
-                "repro_engine_queries_total", strategy=plan.strategy
-            )
-        counter.inc()
-        # Only genuine view-insufficiency reasons count as fallbacks;
-        # cost-model reasons are choices, not failures to use views.
-        if plan.reason in FALLBACK_REASONS:
+        self._queries[plan.strategy].inc()
+        if plan.reason is not None:
             fallback = self._fallbacks.get(plan.reason)
             if fallback is None:
                 fallback = self._fallbacks[plan.reason] = self._registry.counter(

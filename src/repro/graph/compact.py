@@ -369,11 +369,6 @@ class CompactGraph:
             }
         return found
 
-    def candidate_bound(self, condition) -> int:
-        """An upper bound on ``len(candidate_ids(condition))`` from
-        bucket sizes and slice widths alone (no set is built)."""
-        return min(map(_part_width, self.index_parts(condition)[0]))
-
     def index_parts(self, condition) -> Tuple[List[Part], bool]:
         """The conjuncts of ``condition`` the index answers (never
         empty: every node, failing all else) and whether that is all of

@@ -17,7 +17,7 @@ Three cooperating pieces (each importable on its own):
 
 The engine's plan-choice records (:class:`repro.engine.plan.
 PlanChoiceRecord`) round out the layer: per-query strategy decisions
-with the measured inputs ROADMAP item 3's cost-based planner trains on.
+with the extension sizes, backend and wall time of each answer.
 """
 
 from repro import _lazy_exports

@@ -41,7 +41,7 @@ both are locked.  **The loop never takes the catalog lock**:
 maintenance holds it for a whole batch (and ``checkpoint()`` may
 rematerialise under it).  A request needs it nowhere -- it plans *and*
 evaluates on the checkpoint it pinned, so a miss never waits out a
-maintenance batch -- except for an advisor tick, which rides the
+maintenance batch.  A miss files its plan-choice record on the
 evaluation's pool hop (:meth:`QueryEngine.record_plan_choice`); a hit's
 record is prebuilt from the pinned checkpoint and appended lock-free
 (:meth:`QueryEngine.log_plan_choice`).
@@ -152,21 +152,13 @@ class QueryServer:
         keyed, so an entry a newer epoch supersedes is never wrong --
         and is dropped at the swap that strands it).  ``0`` disables
         it; coalescing still applies.
-    advise_interval:
-        Seconds between periodic :class:`WorkloadAdvisor` ticks (the
-        engine must have been built with ``auto_materialize``).  Each
-        tick runs on the maintenance thread under the update lock and
-        publishes a fresh epoch, so readers only ever see the advisor's
-        decisions through an atomic epoch swap.  ``None`` disables
-        periodic ticks (the engine's own per-answer cadence still
-        applies when its advisor is configured).
     persist_path:
         Snapshot directory to persist every published epoch into (via
         :meth:`~repro.graph.snapshot.SnapshotStore.save` with
         ``overwrite=True`` -- an atomic rename swap, so a crashed write
         never corrupts the last good snapshot on disk).  Epoch 0 is
-        persisted at :meth:`start`, then every maintenance / advisor
-        epoch after its swap, all on the maintenance thread.  Pair it
+        persisted at :meth:`start`, then every maintenance epoch after
+        its swap, all on the maintenance thread.  Pair it
         with an engine booted from the same directory
         (``QueryEngine(snapshot_path=...)``) for serve-restart-serve
         durability.  A failed persist is logged and counted
@@ -180,7 +172,6 @@ class QueryServer:
         max_inflight: int = 8,
         max_queue: int = 64,
         answer_cache_size: int = 1024,
-        advise_interval: Optional[float] = None,
         persist_path=None,
     ) -> None:
         if engine.graph is None and engine.snapshot_path is None:
@@ -192,22 +183,10 @@ class QueryServer:
             raise ValueError(f"max_inflight must be >= 1, got {max_inflight}")
         if max_queue < 0:
             raise ValueError(f"max_queue must be >= 0, got {max_queue}")
-        if advise_interval is not None:
-            if advise_interval <= 0:
-                raise ValueError(
-                    f"advise_interval must be > 0, got {advise_interval}"
-                )
-            if engine.advisor is None:
-                raise ValueError(
-                    "advise_interval requires an engine built with "
-                    "auto_materialize"
-                )
         self._engine = engine
         self._max_inflight = max_inflight
         self._max_queue = max_queue
-        self._advise_interval = advise_interval
         self._persist_path = persist_path
-        self._advise_task: Optional[asyncio.Task] = None
         self._registry = SnapshotRegistry()
         self._answers = LRUCache(answer_cache_size)
         self._coalescing: Dict[Tuple, asyncio.Future] = {}
@@ -225,7 +204,6 @@ class QueryServer:
             "deltas": 0,
             "ops_applied": 0,
             "ops_skipped": 0,
-            "advisor_ticks": 0,
             "snapshots_persisted": 0,
             "persist_failures": 0,
         }
@@ -269,8 +247,6 @@ class QueryServer:
         )
         self._registry.swap(checkpoint)
         self._started = True
-        if self._advise_interval is not None:
-            self._advise_task = self._loop.create_task(self._advise_loop())
 
     async def stop(self) -> None:
         """Clean shutdown: refuse new requests, drain in-flight ones,
@@ -278,13 +254,6 @@ class QueryServer:
         self._closing = True
         if not self._started:
             return
-        if self._advise_task is not None:
-            self._advise_task.cancel()
-            try:
-                await self._advise_task
-            except asyncio.CancelledError:
-                pass
-            self._advise_task = None
         await self._idle.wait()
         # wait=False: the pools are idle by now (every request drained),
         # and the event loop must not block on thread joins.
@@ -526,9 +495,8 @@ class QueryServer:
         """Plan ``pattern`` on the checkpoint ``epoch`` pinned and
         derive everything a request on it needs (reader pool; no lock:
         the checkpoint is immutable).  The checkpoint cannot
-        materialize, so the plan reads only extensions it holds -- a
-        view the advisor evicted yields a direct plan, keyed as one --
-        and its ``cache_key`` carries this epoch's stamps, so
+        materialize, so the plan reads only extensions it holds, and
+        its ``cache_key`` carries this epoch's stamps, so
         concurrent epochs share an entry only when their inputs are
         truly identical."""
         checkpoint = epoch.checkpoint
@@ -544,8 +512,7 @@ class QueryServer:
         self, plan: QueryPlan, spec: EvaluationSpec, epoch: Epoch
     ):
         """Evaluate, then file the answer's plan-choice record off the
-        checkpoint that answered (reader pool: calibrates the cost
-        model, and an advisor tick takes the catalog lock)."""
+        checkpoint that answered (reader pool)."""
         result, elapsed = self._evaluate(spec, epoch)
         self._engine.record_plan_choice(
             plan, elapsed=elapsed, cache_hit=False, state=epoch.checkpoint
@@ -701,59 +668,6 @@ class QueryServer:
             self._engine.registry.counter(
                 "repro_server_snapshots_persisted_total"
             ).inc()
-
-    # ------------------------------------------------------------------
-    # Advisor ticks
-    # ------------------------------------------------------------------
-    async def advise_tick(self) -> int:
-        """Run one :class:`~repro.engine.advisor.WorkloadAdvisor` tick
-        and publish the resulting epoch.
-
-        Serialized with :meth:`update` on the update lock; the tick
-        (materializations + evictions) and the fresh checkpoint run on
-        the maintenance thread, then the registry pointer swaps
-        atomically.  Readers pinned to the old epoch keep its
-        extensions alive until they drain; readers admitted after the
-        swap see the advisor's cache.  Returns the published epoch id.
-        """
-        async with self._update_lock:
-            with trace.root_span(
-                "server.advise", collector=self._traces
-            ) as root:
-                report, checkpoint = await self._maintain(
-                    root, self._advise_sync
-                )
-                epoch = self._publish(checkpoint)
-                root.set(
-                    epoch=epoch.epoch_id,
-                    materialized=len(report.materialized),
-                    evicted=len(report.evicted),
-                    used_bytes=report.used_bytes,
-                )
-            self._count("advisor_ticks")
-            if report.materialized or report.evicted:
-                log.info(
-                    "advisor epoch %d: +%s -%s (%d/%d bytes)",
-                    epoch.epoch_id, report.materialized, report.evicted,
-                    report.used_bytes, report.budget_bytes,
-                )
-            return epoch.epoch_id
-
-    def _advise_sync(self):
-        report = self._engine.advisor.tick()
-        return report, self._checkpoint_sync()
-
-    async def _advise_loop(self) -> None:
-        while not self._closing:
-            try:
-                await asyncio.sleep(self._advise_interval)
-                if self._closing:
-                    return
-                await self.advise_tick()
-            except asyncio.CancelledError:
-                return
-            except Exception:  # pragma: no cover - defensive
-                log.exception("advisor tick failed")
 
     # ------------------------------------------------------------------
     # Introspection (the /stats view)

@@ -635,12 +635,6 @@ class ShardedGraph:
         """``{label: bucket size}`` over owned nodes."""
         return self._label_stats
 
-    def candidate_bound(self, condition) -> int:
-        """An upper bound on what a sharded match seeds for
-        ``condition``: the shards' own bounds, ghost copies included
-        (every shard seeds its ghosts as assumptions)."""
-        return sum(shard.candidate_bound(condition) for shard in self._shards)
-
     def evaluate_ids(self, pattern, bounded: bool, distances: bool):
         """The hook :func:`repro.simulation.simulation.evaluate` finds:
         ``match`` / ``bounded_match`` / ``materialize`` on a sharded

@@ -29,9 +29,8 @@ def maintenance_cost(counters: Optional[Dict[str, int]]) -> float:
 
     Derived from a :class:`~repro.views.maintenance.ViewStats` snapshot:
     the affected area visited by incremental steps, plus a heavy weight
-    per full recomputation and per extension rebuild.  The advisor
-    divides a view's benefit by (size + this), so rarely-maintained
-    views rank above churn-heavy ones of equal benefit.
+    per full recomputation and per extension rebuild, so views can be
+    compared by how much churn keeping them costs.
     """
     if not counters:
         return 0.0
@@ -54,9 +53,7 @@ def selection_stats(
     accumulated (``maintenance`` overrides ``views.maintenance``), and
     how many delivered answers in ``plan_log`` (an iterable of
     :class:`~repro.engine.plan.PlanChoiceRecord`) read the view.  This
-    is the shared input of the
-    :class:`~repro.engine.advisor.WorkloadAdvisor`'s scoring and the
-    ``"selection"`` section of ``repro stats --format json``.
+    is the ``"selection"`` section of ``repro stats --format json``.
     """
     tracker = maintenance if maintenance is not None else views.maintenance
     tracked = tracker.stats() if tracker is not None else {}

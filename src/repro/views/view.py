@@ -152,9 +152,8 @@ class MaterializedView:
 
         Computed once and cached: the match sets are fixed at
         construction (maintenance builds fresh extensions rather than
-        mutating them in place), and the adaptive planner reads sizes
-        on every plan, so recounting pairs each time would dominate
-        planning cost.
+        mutating them in place), and every plan-choice record reads
+        the sizes of the extensions its answer read.
         """
         if self._size is None:
             nodes: Set[Node] = set()

@@ -50,7 +50,7 @@ class TestProvenance:
 
     def test_missing_extension_without_graph(self):
         g, q, views = make_setup()
-        with pytest.raises((NotMaterializedError, KeyError)):
+        with pytest.raises(NotMaterializedError, match="Vab"):
             answer_with_views(q, views)
 
     def test_not_contained_error_carries_edges(self):

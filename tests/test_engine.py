@@ -13,6 +13,7 @@ from repro.simulation import bounded_match
 from repro.views import ViewDefinition, ViewSet
 from repro.views.io import write_viewset
 from repro.views.maintenance import IncrementalViewSet
+from repro.views.selection import selection_stats
 
 from helpers import build_bounded, build_graph, build_pattern
 
@@ -254,6 +255,37 @@ class TestViewSetRemove:
         assert len(views) == 0
 
 
+class TestEviction:
+    def test_inflight_plan_survives_eviction(
+        self, graph, views, contained_query
+    ):
+        engine = QueryEngine(views, graph=graph)
+        plan = engine.plan(contained_query)
+        engine.evict_extensions(views.names())
+        # Executing the stale plan rematerializes what it reads instead
+        # of reading a dropped extension.
+        result = engine.execute(plan)
+        assert result.edge_matches == match(contained_query, graph).edge_matches
+
+
+class TestSelectionStats:
+    def test_rows_cover_every_view(self, graph, definitions, contained_query):
+        views = ViewSet(definitions + [
+            ViewDefinition("V3", build_pattern({"c": "C", "a": "A"}, [("c", "a")]))
+        ])
+        engine = QueryEngine(views, graph=graph)
+        engine.answer(contained_query)
+        rows = selection_stats(views, plan_log=engine.plan_log())
+        assert set(rows) == {"V1", "V2", "V3"}
+        row = rows["V1"]
+        assert row["materialized"] is True  # materialized on demand
+        assert row["size"] > 0
+        assert row["hits"] == 1
+        assert row["maintenance_cost"] == 0.0
+        assert rows["V3"]["hits"] == 0
+        assert rows["V3"]["materialized"] is False
+
+
 class TestMaintenanceIntegration:
     def test_view_maintenance_invalidates_and_refreshes(
         self, graph, definitions, contained_query
@@ -450,3 +482,21 @@ class TestEngineCli:
         ])
         assert rc == 1
         assert "not contained" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["engine", "query"])
+    def test_unmaterialized_views_without_graph_is_an_error_line(
+        self, tmp_path, capsys, command
+    ):
+        from repro.cli import main
+
+        pattern = build_pattern({"a": "A", "b": "B"}, [("a", "b")])
+        views_path = tmp_path / "defs.json"
+        q_path = tmp_path / "q.json"
+        write_viewset(ViewSet([ViewDefinition("V1", pattern)]), views_path)
+        write_pattern(pattern, q_path)
+        flag = "--queries" if command == "engine" else "--query"
+        rc = main([command, flag, str(q_path), "--views", str(views_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "V1" in err
+        assert "Traceback" not in err

@@ -7,7 +7,7 @@ is a pure function of it, and a runtime that answers.  These guards
 keep the seams from silting up again: file sizes, the constructor's
 width, what the planner may import, and the paths that used to exist
 twice (answer keys, spec builders, the thread executor, the
-subscribe channel).
+subscribe channel) or were dropped (the priced planner and advisor).
 """
 
 import ast
@@ -48,29 +48,29 @@ def test_no_engine_file_is_a_monolith():
 
 def test_constructor_is_pruned_to_its_traffic():
     parameters = list(inspect.signature(QueryEngine.__init__).parameters)
-    assert len(parameters) - 1 <= 12, parameters  # minus ``self``
+    assert len(parameters) - 1 <= 10, parameters  # minus ``self``
     for gone in (
         "containment_cache_size", "cost_model", "advisor_budget_bytes",
-        "advisor_interval", "shared_snapshots",
+        "advisor_interval", "shared_snapshots", "planner",
+        "auto_materialize",
     ):
         assert gone not in parameters
 
 
 def test_planner_is_a_pure_function_of_its_state():
-    for name in ("planner.py", "pricing.py"):
-        source = (ENGINE / name).read_text()
-        imported = set()
-        for node in ast.walk(ast.parse(source)):
-            if isinstance(node, ast.Import):
-                imported.update(alias.name for alias in node.names)
-            elif isinstance(node, ast.ImportFrom):
-                imported.add(node.module or "")
-        assert "threading" not in imported, name
-        assert not {
-            module for module in imported
-            if module.startswith(("repro.engine.engine", "repro.graph.digraph"))
-        }, name
-        assert "_lock" not in source, name
+    source = (ENGINE / "planner.py").read_text()
+    imported = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+    assert "threading" not in imported
+    assert not {
+        module for module in imported
+        if module.startswith(("repro.engine.engine", "repro.graph.digraph"))
+    }
+    assert "_lock" not in source
 
 
 def test_one_answer_key_and_one_spec_builder():
@@ -99,8 +99,11 @@ def test_removed_paths_stay_removed():
     for gone in (
         "MaintenanceEvent", "REASON_ALIASES", "shared_snapshots",
         "_thread_pool", "ThreadPoolExecutor(max_workers=self.workers)",
-        "unsubscribe", "_notify",
+        "unsubscribe", "_notify", "adaptive", "auto_materialize",
+        "advise_interval",
     ):
         assert gone not in everything, gone
+    for module in ("cost.py", "pricing.py", "advisor.py"):
+        assert not (ENGINE / module).exists(), module
     for path in ("engine/executor.py", "shard/psim.py", "shard/materialize.py"):
         assert "ThreadPoolExecutor" not in (SRC / path).read_text(), path

@@ -341,10 +341,19 @@ class TestPlanChoiceRecords:
     def test_record_to_dict_versioned(self, views, graph):
         engine = self._engine(views, graph)
         engine.execute(engine.plan(ABC))
+        plan = engine.plan(ABC)
         payload = engine.plan_log()[0].to_dict()
-        assert payload["version"] == PLAN_RECORD_VERSION
+        assert payload["version"] == PLAN_RECORD_VERSION == 3
+        assert set(payload) == {
+            "version", "fingerprint", "strategy", "selection", "reason",
+            "views_used", "view_sizes", "bounded", "containment_cached",
+            "cache_hit", "snapshot_kind", "executor", "elapsed_ms",
+        }
         assert payload["fingerprint"]
         assert payload["elapsed_ms"] >= 0
+        # Neither surface prints the priced planner's fields any more.
+        assert "planner" not in plan.explain()
+        assert "candidates" not in plan.explain()
 
     def test_plan_log_newest_first_and_limited(self, views, graph):
         engine = self._engine(views, graph)

@@ -1,10 +1,10 @@
 """The planner as a function of a planning state: no graph, no lock.
 
 A hand-built state -- a few definitions, a dict of extension sizes,
-``can_materialize`` on or off -- drives every planner mode to the plans
-the engine produces, including the rule an immutable state adds (an
-absent extension it cannot materialize makes MatchJoin infeasible);
-then the same planner, run on ``engine.checkpoint()``, must agree with
+``can_materialize`` on or off -- drives the planner to the plans the
+engine produces, including the rule a state that cannot materialize
+adds (an absent extension makes MatchJoin infeasible); then the same
+planner, run on ``engine.checkpoint()``, must agree with
 ``engine.plan`` on the live catalog, from eight threads at once while a
 maintenance thread applies deltas.
 """
@@ -15,13 +15,10 @@ import threading
 import pytest
 
 from helpers import build_graph, build_pattern, random_labeled_graph
-from repro.engine import CostModel, LRUCache, QueryEngine
+from repro.engine import LRUCache, QueryEngine
 from repro.engine.plan import (
     DIRECT,
-    HYBRID,
     MATCHJOIN,
-    PLANNERS,
-    REASON_FORCED,
     REASON_ISOLATED_NODES,
     REASON_NOT_CONTAINED,
     REASON_UNMATERIALIZED,
@@ -60,18 +57,18 @@ class HandBuilt(PlanningState):
     def extension_size(self, name):
         return self.sizes.get(name)
 
-    def graph_units(self):
-        return 1000.0 if self.graph_version is not None else 0.0
 
-    def direct_units(self, query):
-        return 100.0 * len(list(query.nodes()))
-
-
-def plan(state, query, mode="fixed", selection=None, memo=None):
-    return plan_query(state, query, selection, mode, "minimal", memo, CostModel())
+def plan(state, query, selection=None, memo=None):
+    return plan_query(state, query, selection, "minimal", memo)
 
 
 class TestFixed:
+    def test_reason_strings_pinned(self):
+        # PlanChoiceRecord consumers match on these.
+        assert REASON_NOT_CONTAINED == "not-contained"
+        assert REASON_ISOLATED_NODES == "isolated-nodes"
+        assert REASON_UNMATERIALIZED == "unmaterialized"
+
     def test_contained_and_fresh_is_matchjoin_keyed_by_view_stamps(self):
         state = HandBuilt({"AB": 10, "BC": 20}, can_materialize=False)
         made = plan(state, ABC)
@@ -88,6 +85,13 @@ class TestFixed:
         assert frozen.cache_key[3] == ("G", 7)
         live = plan(HandBuilt(missing, can_materialize=True), ABC)
         assert (live.strategy, live.views_used) == (MATCHJOIN, ("AB", "BC"))
+        # Nor is there a graph: still "unmaterialized", not
+        # "not-contained", and running it raises as much.
+        nowhere = HandBuilt(missing, can_materialize=False, graph_version=None)
+        made = plan(nowhere, ABC)
+        assert (made.strategy, made.reason) == (DIRECT, REASON_UNMATERIALIZED)
+        with pytest.raises(NotMaterializedError):
+            require_runnable(nowhere, made)
 
     def test_fallback_reasons(self):
         state = HandBuilt({"AB": 10, "BC": 20}, can_materialize=False)
@@ -112,61 +116,12 @@ class TestFixed:
         assert again.strategy == DIRECT  # same decision, different state
 
 
-class TestPriced:
-    def test_forced_modes(self):
-        state = HandBuilt({"AB": 10, "BC": 20}, can_materialize=False)
-        direct = plan(state, ABC, "direct")
-        assert (direct.strategy, direct.reason) == (DIRECT, REASON_FORCED)
-        assert not direct.containment.holds  # containment never ran
-        hybrid = plan(state, ABCA, "hybrid")
-        assert (hybrid.strategy, hybrid.selection) == (HYBRID, "all")
-        assert hybrid.views_used == ("AB", "BC")
-        assert hybrid.cache_key[3] == ("H", (11, 12), 7)
-        # No coverage at all, or a missing extension nobody can build:
-        # the hybrid baseline degrades to direct.
-        assert plan(state, CA, "hybrid").strategy == DIRECT
-        frozen = HandBuilt({"AB": 10}, can_materialize=False)
-        assert plan(frozen, ABCA, "hybrid").strategy == DIRECT
-
-    def test_adaptive_prices_what_the_state_reports(self):
-        small = HandBuilt({"AB": 10, "BC": 20}, can_materialize=False)
-        cheap = plan(small, ABC, "adaptive")
-        assert cheap.strategy == MATCHJOIN
-        labels = {c.label: c for c in cheap.candidates}
-        assert labels["matchjoin[minimal]"].units == 30.0
-        assert labels["direct"].units == 300.0
-        # Extensions far larger than the direct volume: direct wins.
-        huge = HandBuilt({"AB": 10**6, "BC": 10**6}, can_materialize=False)
-        assert plan(huge, ABC, "adaptive").strategy == DIRECT
-        # An absent extension on a state that cannot materialize is
-        # infeasible, not merely expensive.
-        frozen = plan(HandBuilt({"AB": 10}, False), ABC, "adaptive")
-        assert (frozen.strategy, frozen.reason) == (DIRECT, REASON_UNMATERIALIZED)
-        infeasible = [c for c in frozen.candidates if not c.feasible]
-        assert infeasible and all(c.strategy == MATCHJOIN for c in infeasible)
-        pending = plan(HandBuilt({"AB": 10}, True), ABC, "adaptive")
-        assert all(c.feasible for c in pending.candidates)
-        # Nor is there a graph: still "unmaterialized", not "not-contained".
-        nowhere = plan(HandBuilt({"AB": 10}, False, None), ABC, "adaptive")
-        assert (nowhere.strategy, nowhere.reason) == (DIRECT, REASON_UNMATERIALIZED)
-        with pytest.raises(NotMaterializedError):
-            require_runnable(HandBuilt({"AB": 10}, False, None), nowhere)
-
-    def test_adaptive_direct_under_an_explicit_selection(self):
-        # Used to look the winner up under the engine's default
-        # selection, which an explicit one never priced (KeyError).
-        state = HandBuilt({"AB": 10, "BC": 20}, can_materialize=False)
-        made = plan(state, CA, "adaptive", selection="all")
-        assert (made.strategy, made.selection) == (DIRECT, "all")
-        assert made.reason == REASON_NOT_CONTAINED
-
-
-def _engine(planner, rng=None):
+def _engine(rng=None):
     rng = rng or random.Random(5)
     graph = random_labeled_graph(rng, 40, 120)
     definitions = list(DEFINITIONS)
     tracker = IncrementalViewSet(definitions, graph)
-    engine = QueryEngine(ViewSet(definitions), graph=graph, planner=planner)
+    engine = QueryEngine(ViewSet(definitions), graph=graph)
     engine.attach_maintenance(tracker)
     return engine, tracker
 
@@ -180,35 +135,25 @@ def _same(left, right):
     )
 
 
-@pytest.mark.parametrize("planner", PLANNERS)
-def test_checkpoint_plans_like_the_live_catalog(planner):
-    engine, _ = _engine(planner)
+def test_checkpoint_plans_like_the_live_catalog():
+    engine, _ = _engine()
     checkpoint = engine.checkpoint()
     for query in (AB, BC, ABC, CA, ABCA):
         assert _same(engine.plan(query), engine.plan_on(checkpoint, query)), query
 
 
-@pytest.mark.parametrize("planner", ["fixed", "adaptive"])
-def test_an_evicted_view_is_answered_directly_on_the_epoch_that_lacks_it(planner):
+def test_the_next_checkpoint_rebuilds_an_evicted_view():
     graph = build_graph({1: "A", 2: "B", 3: "C"}, [(1, 2), (2, 3)])
-    engine = QueryEngine(
-        ViewSet(list(DEFINITIONS)), graph=graph, planner=planner,
-        auto_materialize=1.0,
-    )
+    engine = QueryEngine(ViewSet(list(DEFINITIONS)), graph=graph)
     engine.materialize_views(["AB", "BC"])
-    assert engine.plan_on(engine.checkpoint(), ABC).strategy == MATCHJOIN
+    before = engine.checkpoint()
     engine.evict_extensions(["BC"])
-    lacking = engine.checkpoint()  # the advisor's eviction is honored
-    assert "BC" not in lacking.extensions
-    made = engine.plan_on(lacking, ABC)
-    assert (made.strategy, made.reason) == (DIRECT, REASON_UNMATERIALIZED)
-    assert made.cache_key[3] == ("G", lacking.graph_version)
-    if planner == "fixed":  # the live catalog can rebuild it
-        assert engine.plan(ABC).strategy == MATCHJOIN
-    record = engine.record_plan_choice(
-        made, elapsed=0.0, cache_hit=True, state=lacking
-    )
-    assert record.views_used == () and record.views_wanted == ("AB", "BC")
+    assert engine.plan(ABC).strategy == MATCHJOIN  # the catalog can rebuild it
+    after = engine.checkpoint()
+    assert set(after.extensions) == {"AB", "BC"}
+    assert after.view_versions["BC"] > before.view_versions["BC"]
+    made = engine.plan_on(after, ABC)
+    assert (made.strategy, made.views_used) == (MATCHJOIN, ("AB", "BC"))
 
 
 def test_a_record_reports_the_state_that_was_evaluated(monkeypatch):
@@ -231,18 +176,15 @@ def test_a_record_reports_the_state_that_was_evaluated(monkeypatch):
     assert record.view_sizes == {"AB": 3, "BC": 3}  # as read, not as evicted
 
 
-@pytest.mark.parametrize("planner", ["fixed", "adaptive"])
-def test_concurrent_readers_plan_like_the_serial_planner(planner):
+def test_concurrent_readers_plan_like_the_serial_planner():
     """Eight threads plan the same and different queries on a pinned
     checkpoint while a maintenance thread applies deltas and answers on
-    the live catalog: the memo and the cost model are shared with no
-    catalog lock.  Fixed plans must equal the serial ones outright;
-    adaptive ones may re-price as the model calibrates, but what the
-    state decides -- fingerprint, stamps of the strategy chosen -- may
-    not move, and nothing may raise."""
+    the live catalog: the memo is shared with no catalog lock.  Plans
+    must equal the serial ones outright, keyed on the checkpoint's
+    stamps, and nothing may raise."""
     import sys
 
-    engine, tracker = _engine(planner, random.Random(9))
+    engine, tracker = _engine(random.Random(9))
     queries = [AB, BC, ABC, CA, ABCA]
     checkpoint = engine.checkpoint()
     serial = {id(q): engine.plan_on(checkpoint, q) for q in queries}
@@ -256,7 +198,7 @@ def test_concurrent_readers_plan_like_the_serial_planner(planner):
         while not stop.is_set():
             source, target = rng.choice(nodes), rng.choice(nodes)
             engine.apply_delta(Delta().insert(source, target).delete(source, target))
-            engine.answer(rng.choice(queries))  # calibrates the shared model
+            engine.answer(rng.choice(queries))
 
     def read(seed):
         rng = random.Random(seed)
@@ -264,9 +206,7 @@ def test_concurrent_readers_plan_like_the_serial_planner(planner):
             for _ in range(150):
                 query = rng.choice(queries)
                 made = engine.plan_on(checkpoint, query)
-                if planner == "fixed":
-                    assert _same(made, serial[id(query)]), query
-                assert made.cache_key[0] == serial[id(query)].cache_key[0]
+                assert _same(made, serial[id(query)]), query
                 assert made.cache_key[2:] == (
                     checkpoint.definitions_version,
                     checkpoint.key_material(made.strategy, made.views_used),

@@ -75,8 +75,11 @@ class TestPartialAnswer:
 class TestHybridAnswer:
     def test_exact_on_partial_coverage(self):
         g, q, views = setup_partial()
-        result = hybrid_answer(q, views, g)
-        assert result.edge_matches == match(q, g).edge_matches
+        assert hybrid_answer(q, views, g).edge_matches == match(q, g).edge_matches
+        # A second view covering (a, b): λ merges both images.
+        views.add(ViewDefinition("Vab2", q.subpattern([("a", "b")])))
+        views.materialize(g, names=["Vab2"])
+        assert hybrid_answer(q, views, g).edge_matches == match(q, g).edge_matches
 
     def test_exact_with_no_views(self):
         g, q, _ = setup_partial()

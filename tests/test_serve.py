@@ -7,18 +7,12 @@ can be held *inside* evaluation while updates swap epochs around it.
 
 import asyncio
 import json
-import random
 import threading
 from time import perf_counter
 
 import pytest
 
-from helpers import (
-    build_bounded,
-    build_graph,
-    build_pattern,
-    random_labeled_graph,
-)
+from helpers import build_bounded, build_graph, build_pattern
 from repro.engine import QueryEngine
 from repro.errors import ServerClosedError, ServerOverloadedError
 from repro.graph.io import node_to_json, pattern_to_json
@@ -680,39 +674,35 @@ class TestHitPath:
 
         asyncio.run(run())
 
-    def test_evicted_extension_degrades_through_the_memo(self):
+    def test_an_evicted_extension_is_back_on_the_next_epoch(self):
         graph = _graph()
         definitions = _definitions()
         tracker = IncrementalViewSet(definitions, graph)
-        engine = QueryEngine(
-            ViewSet(definitions), graph=graph, auto_materialize=1.0
-        )
+        engine = QueryEngine(ViewSet(definitions), graph=graph)
         engine.attach_maintenance(tracker)
-        engine.materialize_views(["AB", "BC"])
 
         async def run():
             async with QueryServer(engine) as server:
                 first = await server.query(AB)
                 (resolution,) = server._registry.current.resolutions.values()
                 assert resolution.plan.strategy == "matchjoin"
+                stamp = resolution.plan.cache_key[3]
 
-                # An eviction reaches readers as an epoch without the
-                # extension (3 -> 6 touches no view, so nothing brings
-                # it back); the containment is still cached, but a plan
-                # made on that epoch cannot read what it lacks.
+                # The next checkpoint rebuilds what was evicted (3 -> 6
+                # touches no view, so maintenance does not); the
+                # containment stays cached, the answer key moves.
                 engine.evict_extensions(["AB"])
                 await server.update(Delta().insert(3, 6))
                 current = server._registry.current
-                assert "AB" not in current.checkpoint.extensions
-                degraded = await server.query(AB)
+                assert "AB" in current.checkpoint.extensions
+                rebuilt = await server.query(AB)
                 (resolution,) = current.resolutions.values()
                 assert resolution.plan.containment_cached
-                assert resolution.plan.strategy == "direct"
-                assert resolution.plan.reason == "unmaterialized"
-                assert resolution.plan.cache_key[3][0] == "G"
-                assert not degraded.cache_hit
+                assert resolution.plan.strategy == "matchjoin"
+                assert resolution.plan.cache_key[3] != stamp
+                assert not rebuilt.cache_hit
                 assert (
-                    degraded.result.edge_matches
+                    rebuilt.result.edge_matches
                     == first.result.edge_matches
                     == match(AB, tracker.graph).edge_matches
                 )
@@ -720,43 +710,6 @@ class TestHitPath:
                 assert again.cache_hit
                 attrs = server.traces.recent(1)[0]["attrs"]
                 assert attrs["resolved"] == "memo"
-
-        asyncio.run(run())
-
-    @pytest.mark.parametrize("planner", ["fixed", "adaptive"])
-    def test_the_advisor_brings_back_an_evicted_view_the_workload_wants(
-        self, planner
-    ):
-        """A query over an absent view is a direct plan that reads no
-        view, yet its records still tell the advisor which view it
-        wanted -- or nothing evicted would ever come back."""
-        graph = random_labeled_graph(random.Random(3), 60, 240)
-        engine = QueryEngine(
-            ViewSet(_definitions()), graph=graph, planner=planner,
-            auto_materialize=1.0,
-        )
-
-        async def run():
-            async with QueryServer(engine) as server:
-                assert not server._registry.current.checkpoint.extensions
-                for _ in range(4):  # one evaluation, three hits
-                    answer = await server.query(AB)
-                (resolution,) = server._registry.current.resolutions.values()
-                assert resolution.plan.strategy == "direct"
-                assert resolution.plan.reason == "unmaterialized"
-                assert resolution.plan.views_used == ()
-                assert resolution.hit_record.views_wanted == ("AB",)
-                wanted = {s.name: s for s in engine.advisor.scores()}
-                assert wanted["AB"].hits == 4 and wanted["AB"].score > 0
-                assert wanted["BC"].hits == 0
-
-                await server.advise_tick()
-                current = server._registry.current
-                assert set(current.checkpoint.extensions) == {"AB"}
-                served = await server.query(AB)
-                (resolution,) = current.resolutions.values()
-                assert resolution.plan.views_used == ("AB",)
-                assert served.result.edge_matches == answer.result.edge_matches
 
         asyncio.run(run())
 
