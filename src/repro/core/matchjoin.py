@@ -30,12 +30,21 @@ There are exactly two fixpoints:
 
 Total cost of the kernel is ``O(|Qs||V(G)| + |V(G)|^2)``
 (Theorem 1(2)).
+
+The kernel's answer stays unpackaged until someone reads it: the
+survivors are its rows and final candidate sets, and the first read of
+any node or edge set runs the packaging pass -- once, for the whole
+answer.  ``bool``, ``len``, ``in`` and delivering the answer package
+nothing, so the reader pays for the node-key sets, not the engine.
 """
 
 from __future__ import annotations
 
 import logging
+import threading
 from collections import deque
+from functools import partial
+from operator import itemgetter
 from typing import (
     Callable,
     Dict,
@@ -55,7 +64,7 @@ from repro.graph.pattern import Pattern
 from repro.graph.scc import edge_ranks
 from repro.obs import trace
 from repro.obs.metrics import get_registry
-from repro.simulation.result import MatchResult
+from repro.simulation.result import LazyMap, MatchResult
 from repro.views.storage import ViewSet
 from repro.views.view import MaterializedView
 
@@ -143,7 +152,8 @@ def sweep_join(
     ``inputs`` maps every query edge to its :data:`EdgeRows`; ids are
     any hashables and ``decode`` maps them to node keys (``None``: they
     already are).  Returns the result and the number of full passes made
-    over an edge's rows.
+    over an edge's rows.  The result is unpackaged: its survivors become
+    node-key sets on the first read of any set (:func:`_on_first_read`).
 
     Edges are visited in ascending rank of their target, so on a DAG
     query every ``valid(u')`` is final before an edge into ``u'`` is
@@ -238,8 +248,58 @@ def sweep_join(
             if affected not in queued:
                 queue.append(affected)
                 queued.add(affected)
+    package = partial(_package, query, inputs, valid, decode)
+    return _on_first_read(query, package), sweeps
 
-    # --- package: untouched edges wholesale, the rest in one pass -----
+
+class _Unpackaged(LazyMap):
+    """One map of an unpackaged answer: ``build()`` returns the whole
+    map, and the first read of any key fills it at once, so later reads
+    are plain dict hits."""
+
+    __slots__ = ()
+
+    def __missing__(self, key):
+        if key not in self:
+            raise KeyError(key)
+        lazy = self._lazy
+        if lazy is not None:  # else another thread filled it
+            for known, value in lazy[0]().items():
+                dict.setdefault(self, known, value)
+            self._lazy, self._keys = None, ()
+        return dict.get(self, key)
+
+
+def _on_first_read(query: Pattern, package: Callable) -> MatchResult:
+    """The answer as two maps over one ``package()`` run: the first read
+    of any set packages the whole answer, once, and each map is filled
+    from its output on its own first read.  ``bool``, ``len`` and ``in``
+    read the pattern alone; a pickle is the plain result."""
+    slot = [package]  # the packager until the first read, then its output
+    lock = threading.Lock()
+
+    def side(index: int) -> dict:
+        with lock:
+            if callable(slot[0]):
+                with trace.span("package", edges=query.num_edges):
+                    slot[0] = slot[0]()
+        return slot[0][index]
+
+    return MatchResult(
+        _Unpackaged(tuple(query.nodes()), partial(side, 0)),
+        _Unpackaged(tuple(query.edges()), partial(side, 1)),
+    )
+
+
+def _package(
+    query: Pattern,
+    inputs: Dict[PEdge, EdgeRows],
+    valid: Dict[PNode, Set],
+    decode: Optional[Callable],
+) -> Tuple[Dict[PNode, Set[Node]], Dict[PEdge, Set[NodePair]]]:
+    """The fixpoint's survivors as node-key sets: untouched edges
+    wholesale, the rest in one filtering (and decoding) pass."""
+    edges = query.edges()
     node_matches: Dict[PNode, Set[Node]] = {u: set() for u in query.nodes()}
     edge_matches: Dict[PEdge, Set[NodePair]] = {}
     for edge in edges:
@@ -268,10 +328,10 @@ def sweep_join(
                     for v, w in zip(src_row, tgt_row)
                     if v in valid_src and w in valid_tgt
                 }
-            node_matches[u].update(pair[0] for pair in pairs)
-            node_matches[u_prime].update(pair[1] for pair in pairs)
+            node_matches[u].update(map(itemgetter(0), pairs))
+            node_matches[u_prime].update(map(itemgetter(1), pairs))
         edge_matches[edge] = pairs
-    return MatchResult(node_matches, edge_matches), sweeps
+    return node_matches, edge_matches
 
 
 # ----------------------------------------------------------------------

@@ -26,6 +26,8 @@ users" story needs: a long-running service answering pattern queries
   memoised on the :class:`~repro.serve.epoch.Epoch`, and an answer-LRU
   entry keeps the encoded reply fragment beside the result -- so a warm
   hit never leaves the event loop, never plans and never serialises.
+  A miss asked for over the wire is encoded on its evaluation's pool
+  hop, so the loop does no per-pair work for any answer.
 * **a swap drops what it strands.**  Version stamps only grow, so an
   entry keyed by stamps the new checkpoint no longer carries can never
   hit again for new readers; the swap purges exactly those.
@@ -106,10 +108,12 @@ class CachedAnswer:
 
     __slots__ = ("result", "plan", "wire")
 
-    def __init__(self, result: MatchResult, plan: QueryPlan) -> None:
+    def __init__(
+        self, result: MatchResult, plan: QueryPlan, wire: Optional[bytes] = None
+    ) -> None:
         self.result = result
         self.plan = plan
-        self.wire: Optional[bytes] = None
+        self.wire = wire
 
 
 class Resolution(NamedTuple):
@@ -432,29 +436,34 @@ class QueryServer:
         else:
             root.set(outcome="evaluated")
             entry, elapsed = await self._evaluate_owned(
-                resolution, epoch, root
+                resolution, epoch, root, wire
             )
         if cache_hit or coalesced:
             self._engine.log_plan_choice(
                 resolution.plan, resolution.hit_record
             )
-        if wire and entry.wire is None:
-            root.set(wire="encoded")
-            entry.wire = result_fragment(entry.result)
-            self._refresh_wire_gauge()
-        elif wire:
-            root.set(wire="cached")
+        if wire:
+            # An owner encoded on its evaluation hop; a hit or follower
+            # encodes here only if its owner asked without ``wire``.
+            encoded = entry.wire is None or not (cache_hit or coalesced)
+            if entry.wire is None:
+                entry.wire = result_fragment(entry.result)
+            root.set(wire="encoded" if encoded else "cached")
+            if encoded:
+                self._refresh_wire_gauge()
         return ServedAnswer(
             entry.result, epoch.epoch_id, cache_hit, coalesced, elapsed,
             entry.wire if wire else None,
         )
 
     async def _evaluate_owned(
-        self, resolution: Resolution, epoch: Epoch, root: trace.Span
+        self, resolution: Resolution, epoch: Epoch, root: trace.Span, wire: bool
     ) -> Tuple[CachedAnswer, float]:
         """Evaluate as the coalescing owner of the plan's answer key:
         followers arriving meanwhile wait on the future published here,
-        and the finished entry goes into the answer LRU."""
+        and the finished entry goes into the answer LRU.  With ``wire``
+        the reply fragment is encoded on the same pool hop, so the loop
+        does no per-pair work for a miss."""
         plan = resolution.plan
         key = plan.cache_key
         spec = spec_of(plan, trace_id=root.span_id)
@@ -462,9 +471,9 @@ class QueryServer:
         future: asyncio.Future = self._loop.create_future()
         self._coalescing[key] = future
         try:
-            result, elapsed = await self._loop.run_in_executor(
+            result, elapsed, fragment = await self._loop.run_in_executor(
                 self._pool, self._attached, root, self._evaluate_recorded,
-                plan, spec, epoch,
+                plan, spec, epoch, wire,
             )
         except BaseException as err:
             self._coalescing.pop(key, None)
@@ -476,7 +485,7 @@ class QueryServer:
         self._engine.registry.counter(
             "repro_server_answers_total", outcome="evaluated"
         ).inc()
-        entry = CachedAnswer(result, plan)
+        entry = CachedAnswer(result, plan, fragment)
         self._answers.put(key, entry)
         self._coalescing.pop(key, None)
         if not future.done():
@@ -509,15 +518,22 @@ class QueryServer:
         return Resolution(plan, hit_record)
 
     def _evaluate_recorded(
-        self, plan: QueryPlan, spec: EvaluationSpec, epoch: Epoch
+        self, plan: QueryPlan, spec: EvaluationSpec, epoch: Epoch, wire: bool
     ):
-        """Evaluate, then file the answer's plan-choice record off the
-        checkpoint that answered (reader pool)."""
+        """Evaluate, file the answer's plan-choice record off the
+        checkpoint that answered, and -- with ``wire`` -- encode the
+        reply fragment (reader pool; ``elapsed`` is the evaluation's)."""
         result, elapsed = self._evaluate(spec, epoch)
         self._engine.record_plan_choice(
             plan, elapsed=elapsed, cache_hit=False, state=epoch.checkpoint
         )
-        return result, elapsed
+        if not wire:
+            return result, elapsed, None
+        with trace.span("encode") as current:
+            fragment = result_fragment(result)
+            if current is not None:
+                current.set(bytes=len(fragment))
+        return result, elapsed, fragment
 
     def _evaluate(self, spec: EvaluationSpec, epoch: Epoch):
         """Synchronous evaluation against a pinned epoch (runs in the

@@ -28,11 +28,13 @@ class LazyMap(dict):
 
     ``len``, ``in`` and iteration read ``keys`` and build nothing.
     ``build(key)`` makes a value, which is kept (it may be mutated in
-    place); ``count(key)``, if given, is its size unbuilt.  ``items()``,
-    ``values()``, ``==`` and pickling build everything, and a pickle is
-    the plain dict.  With every value built the map drops ``build`` and
-    ``count`` and the payload they hold.  Two threads may build one
-    value at once: the first stored wins, and no lock is taken.
+    place); ``count(key)``, if given, is its size unbuilt.  Reading every
+    value (``items()``, ``copy()``, ``|``, ``==``, pickling) or changing
+    the key set (``pop``, ``update``, ...) builds everything first, and a
+    pickle is the plain dict.  With every value built the map drops
+    ``build`` and ``count`` and the payload they hold, and is a plain
+    dict from then on.  Two threads may build one value at once: the
+    first stored wins, and no lock is taken.
     """
 
     __slots__ = ("_keys", "_lazy")
@@ -42,40 +44,40 @@ class LazyMap(dict):
 
     def __missing__(self, key):
         lazy = self._lazy
-        if key not in self._keys:
+        if key not in self:
             raise KeyError(key)
         if lazy is None:  # another thread built the last value
             return dict.get(self, key)
         value = dict.setdefault(self, key, lazy[0](key))
         if dict.__len__(self) == len(self._keys):
-            self._lazy = None
+            self._lazy, self._keys = None, ()
         return value
 
+    def __setitem__(self, key, value) -> None:
+        if key not in self:
+            self._built()  # a new key: the map turns plain first
+        dict.__setitem__(self, key, value)
+
+    # ``_keys`` is empty once the map is plain: the dict's own keys rule.
     def __len__(self) -> int:
-        return len(self._keys)
+        return len(self._keys or dict.keys(self))
 
     def __iter__(self):
-        return iter(self._keys)
+        return iter(self._keys or dict.keys(self))
 
     def __contains__(self, key) -> bool:
-        return key in self._keys
+        return key in (self._keys or dict.keys(self))
 
     def get(self, key, default=None):
-        return self[key] if key in self._keys else default
+        return self[key] if key in self else default
 
     def _built(self) -> dict:
         for key in self._keys:
             self[key]
+        self._lazy, self._keys = None, ()
         return self
 
-    def keys(self):
-        return dict.keys(self._built())
-
-    def values(self):
-        return dict.values(self._built())
-
-    def items(self):
-        return dict.items(self._built())
+    fromkeys = classmethod(lambda cls, *args: dict.fromkeys(*args))
 
     def __eq__(self, other):
         return dict(self.items()) == other
@@ -90,6 +92,18 @@ class LazyMap(dict):
         return dict, (dict(self.items()),)
 
 
+def _built_first(name: str):
+    method = getattr(dict, name)
+    return lambda self, *args, **kwargs: method(self._built(), *args, **kwargs)
+
+
+# dict's own methods would see only the values built so far.
+for _name in ("keys", "values", "items", "copy", "__or__", "__ror__", "__ior__",
+              "__reversed__", "__delitem__", "pop", "popitem", "setdefault",
+              "update", "clear"):
+    setattr(LazyMap, _name, _built_first(_name))
+
+
 class MatchResult:
     """The unique maximum match of a pattern in a data graph.
 
@@ -102,7 +116,7 @@ class MatchResult:
         ``{e: Se}`` -- for plain simulation ``Se`` contains data-graph
         *edges*; for bounded simulation it contains node pairs connected
         by a path within the edge's bound.  (Either may be a
-        :class:`LazyMap`: an id-space answer.)
+        :class:`LazyMap`: an id-space or MatchJoin answer.)
     stats:
         Optional execution telemetry (e.g.
         :class:`repro.engine.plan.ExecutionStats` when the result comes
@@ -181,10 +195,7 @@ class MatchResult:
     def __repr__(self) -> str:
         if not self:
             return "MatchResult(empty)"
-        return (
-            f"MatchResult(nodes={self.total_node_matches()}, "
-            f"pairs={self.result_size})"
-        )
+        return f"MatchResult(nodes={self.total_node_matches()}, pairs={self.result_size})"
 
 
 def _total(matches) -> int:
@@ -194,7 +205,7 @@ def _total(matches) -> int:
         return sum(map(len, matches.values()))
     count, built = lazy[1], dict.__contains__
     return sum(
-        len(matches[k]) if built(matches, k) else count(k) for k in matches._keys
+        len(matches[k]) if built(matches, k) else count(k) for k in matches
     )
 
 
@@ -237,13 +248,9 @@ def edge_matches_from_nodes(
     ``u'``.  ``successors(v)`` must return the data successor set.
     """
     edge_matches: Dict[PEdge, Set[NodePair]] = {}
-    for edge in pattern_edges:
-        source_u, target_u = edge
-        pairs: Set[NodePair] = set()
-        targets = node_matches[target_u]
-        for v in node_matches[source_u]:
-            for w in successors(v):
-                if w in targets:
-                    pairs.add((v, w))
-        edge_matches[edge] = pairs
+    for u, u1 in pattern_edges:
+        targets = node_matches[u1]
+        edge_matches[u, u1] = {
+            (v, w) for v in node_matches[u] for w in successors(v) if w in targets
+        }
     return edge_matches

@@ -279,6 +279,16 @@ class FlatExtension:
         lo, hi = indptr[k], indptr[k + 1]
         return self._ints("pairs_src")[lo:hi], self._ints("pairs_tgt")[lo:hi]
 
+    @property
+    def num_pairs(self) -> int:
+        """Pairs over every view edge (``pairs_indptr``'s last offset)."""
+        return self._ints("pairs_indptr")[-1]
+
+    def num_nodes(self) -> int:
+        """Distinct nodes over every pair, counted as ids: ids and node
+        keys are a bijection, so nothing is decoded."""
+        return len(set(self._ints("pairs_src")).union(self._ints("pairs_tgt")))
+
     def per_edge(self, kind: str) -> LazyMap:
         """``{view edge: structure}``, each decoded by :meth:`build`
         on first access."""

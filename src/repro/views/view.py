@@ -139,11 +139,14 @@ class MaterializedView:
     @property
     def is_empty(self) -> bool:
         """True when the view did not match ``G`` (every ``Se`` empty)."""
-        return not any(self.edge_matches.values())
+        return self.num_pairs == 0
 
     @property
     def num_pairs(self) -> int:
-        """Total number of materialized pairs across all view edges."""
+        """Total number of materialized pairs across all view edges
+        (off the id rows where there are some: nothing is decoded)."""
+        if self.compact is not None:
+            return self.compact.num_pairs
         return sum(len(pairs) for pairs in self.edge_matches.values())
 
     @property
@@ -153,15 +156,20 @@ class MaterializedView:
         Computed once and cached: the match sets are fixed at
         construction (maintenance builds fresh extensions rather than
         mutating them in place), and every plan-choice record reads
-        the sizes of the extensions its answer read.
+        the sizes of the extensions its answer read.  Counted off the
+        id rows where there are some, like :attr:`num_pairs`.
         """
         if self._size is None:
-            nodes: Set[Node] = set()
-            for pairs in self.edge_matches.values():
-                for v, w in pairs:
-                    nodes.add(v)
-                    nodes.add(w)
-            self._size = len(nodes) + self.num_pairs
+            if self.compact is not None:
+                nodes = self.compact.num_nodes()
+            else:
+                nodes = len({
+                    v
+                    for pairs in self.edge_matches.values()
+                    for pair in pairs
+                    for v in pair
+                })
+            self._size = nodes + self.num_pairs
         return self._size
 
     def pairs_of(self, view_edge: PEdge) -> Set[NodePair]:

@@ -208,6 +208,23 @@ class TestAttach:
             assert isinstance(twin.compact, FlatExtension)
             assert twin.compact.token == view.compact.token
 
+    def test_attached_view_counts_without_decoding(self):
+        labels = tuple(f"l{i}" for i in range(4))
+        graph = random_graph(60, 150, labels=labels, seed=2)
+        views = ViewSet(generate_views(labels, 5, seed=2))
+        views.materialize(graph.freeze(shared=True))
+        revived = pickle.loads(pickle.dumps(views.extensions()))
+        assert any(view.is_empty for view in revived.values())
+        assert not all(view.is_empty for view in revived.values())
+        for name, twin in revived.items():
+            counts = twin.num_pairs, twin.is_empty, twin.size
+            assert dict.__len__(twin.edge_matches) == 0  # nothing decoded
+            pairs = [p for found in twin.edge_matches.values() for p in found]
+            nodes = {v for pair in pairs for v in pair}
+            assert counts == (len(pairs), not pairs, len(nodes) + len(pairs))
+            view = views.extension(name)
+            assert counts == (view.num_pairs, view.is_empty, view.size)
+
 
 # ----------------------------------------------------------------------
 # Cross-process round trips (the actual zero-copy path)

@@ -1,11 +1,22 @@
 """Tests for MatchJoin (Fig. 2), its optimized engine, and Theorem 1."""
 
+import gc
+import pickle
 import random
+import sys
+import threading
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.core.bounded.bcontainment import bounded_contains
+from repro.core.bounded.bmatchjoin import (
+    bounded_match_join,
+    merge_initial_sets_bounded,
+)
+from repro.core import matchjoin
 from repro.core.containment import contains
-from repro.core.matchjoin import match_join, merge_initial_sets
+from repro.core.matchjoin import _fixpoint_naive, match_join, merge_initial_sets
 from repro.core.minimal import minimal_views
 from repro.core.minimum import minimum_views
 from repro.errors import (
@@ -14,7 +25,8 @@ from repro.errors import (
     UnsupportedPatternError,
 )
 from repro.engine import QueryEngine
-from repro.graph import DataGraph, Pattern
+from repro.graph import ANY, BoundedPattern, DataGraph, Pattern
+from repro.graph.flatbuf import live_segment_names
 from repro.graph.scc import is_dag
 from repro.simulation import match
 from repro.views import ViewDefinition, ViewSet
@@ -343,3 +355,184 @@ class TestKernelSweepCounts:
             assert count("sweeps_total", "ids") == query.num_edges - 1
         assert result.edge_matches == match(query, graph).edge_matches
         assert result.edge_matches[(0, 1)] == {((depth, 0), (depth, 1))}
+
+
+# ----------------------------------------------------------------------
+# The lazy answer: packaged once, on the first read of any set
+# ----------------------------------------------------------------------
+def built(matches):
+    """How many of a result map's sets exist as node-key sets yet."""
+    return dict.__len__(matches)
+
+
+def _read_edges_then_nodes(result):
+    return (
+        {e: result.edge_matches[e] for e in result.edge_matches},
+        {u: result.node_matches[u] for u in result.node_matches},
+    )
+
+
+def _read_nodes_then_edges(result):
+    nodes = {u: result.node_matches[u] for u in result.node_matches}
+    return {e: result.edge_matches[e] for e in result.edge_matches}, nodes
+
+
+def _read_sizes_first(result):
+    sizes = result.result_size, result.total_node_matches()
+    edges, nodes = _read_edges_then_nodes(result)
+    assert sizes == (sum(map(len, edges.values())), sum(map(len, nodes.values())))
+    return edges, nodes
+
+
+def _read_pickled(result):
+    twin = pickle.loads(pickle.dumps(result))
+    assert type(twin.edge_matches) is dict and type(twin.node_matches) is dict
+    return twin.edge_matches, twin.node_matches
+
+
+def _read_by_copies(result):
+    # dict's own methods on an unread answer build it first.
+    return result.edge_matches.copy(), result.node_matches | {}
+
+
+def _read_by_two_threads(result):
+    seen = []
+    start = threading.Barrier(2)
+
+    def reader():
+        start.wait(timeout=10)
+        seen.append(_read_edges_then_nodes(result))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=reader) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    (edges, nodes), (edges_again, nodes_again) = seen
+    # One packaging pass: both readers hold the very same sets.
+    assert all(edges[e] is edges_again[e] for e in edges)
+    assert all(nodes[u] is nodes_again[u] for u in nodes)
+    return edges, nodes
+
+
+READ_ORDERS = {
+    "edges first": _read_edges_then_nodes,
+    "nodes first": _read_nodes_then_edges,
+    "result_size first": _read_sizes_first,
+    "pickle unread": _read_pickled,
+    "dict methods": _read_by_copies,
+    "two threads": _read_by_two_threads,
+}
+
+
+def _random_instance(rng, bounded):
+    """A random graph, query and per-edge views that contain it."""
+    graph = random_labeled_graph(rng, rng.randint(8, 40), rng.randint(10, 120))
+    query = random_pattern(rng, rng.randint(2, 5), rng.randint(2, 8))
+    if bounded:
+        base, query = query, BoundedPattern()
+        for node in base.nodes():
+            query.add_node(node, base.condition(node))
+        for edge in base.edges():
+            query.add_edge(*edge, rng.choice([1, 2, ANY]))
+    edges = query.edges()
+    views = ViewSet(
+        ViewDefinition(f"E{i}", query.subpattern([edge]))
+        for i, edge in enumerate(edges)
+    )
+    if len(edges) >= 2 and rng.random() < 0.5:
+        views.add(ViewDefinition("P", query.subpattern(rng.sample(edges, 2))))
+    return graph, query, views
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    bounded=st.booleans(),
+    path=st.sampled_from(["ids", "keys"]),
+    order=st.sampled_from(sorted(READ_ORDERS)),
+)
+def test_lazy_answer_equals_the_naive_fixpoint_in_every_read_order(
+    seed, bounded, path, order
+):
+    graph, query, views = _random_instance(random.Random(seed), bounded)
+    # Against a snapshot the extensions carry id rows; against the dict
+    # graph they are node-key sets only.
+    views.materialize(graph.freeze() if path == "ids" else graph)
+    if bounded:
+        containment = bounded_contains(query, views)
+        merged = merge_initial_sets_bounded(query, containment, views.extensions())
+        join = bounded_match_join
+    else:
+        containment = contains(query, views)
+        merged = merge_initial_sets(query, containment, views.extensions())
+        join = match_join
+    assert containment.holds
+    expected = _fixpoint_naive(query, merged)
+    passes = []
+    with matchjoin_metrics() as count, pytest.MonkeyPatch.context() as patch:
+        package = matchjoin._package
+        patch.setattr(matchjoin, "_package", lambda *a: passes.append(1) or package(*a))
+        result = join(query, containment, views)
+        assert count("total", path) == 1
+        # Answering, truth and the key sets package nothing.
+        assert bool(result) == bool(expected)
+        assert list(result.edge_matches) == (query.edges() if expected else [])
+        assert len(result.node_matches) == len(expected.node_matches)
+        assert all(u in result.node_matches for u in expected.node_matches)
+        assert built(result.edge_matches) == built(result.node_matches) == 0
+        assert not passes
+        edges, nodes = READ_ORDERS[order](result)
+        assert edges == expected.edge_matches and nodes == expected.node_matches
+        assert result == expected and result.result_size == expected.result_size
+    # One packaging pass, whoever read first and however often.
+    assert len(passes) == bool(expected)
+
+
+def test_engine_answer_on_a_matchjoin_plan_packages_nothing():
+    graph, query, views = _random_instance(random.Random(5), bounded=False)
+    engine = QueryEngine(views, graph=graph, answer_cache_size=0)
+    engine.materialize_views(views.names())
+    result = engine.answer(query)
+    assert result.stats.strategy == "matchjoin" and result
+    assert built(result.edge_matches) == built(result.node_matches) == 0
+    expected = match_join(
+        query, contains(query, engine.views), engine.views, optimized=False
+    )
+    assert expected.edge_matches == match(query, graph).edge_matches
+    # One read packages the whole answer, once, and fills its own map;
+    # the other map takes its sets off the same pass when first read.
+    first = query.edges()[0]
+    assert result.edge_matches[first] == expected.edge_matches[first]
+    assert built(result.edge_matches) == query.num_edges
+    assert built(result.node_matches) == 0
+    assert result.node_matches == expected.node_matches
+    assert result.edge_matches == expected.edge_matches
+
+
+def _unread_answers_over_a_shared_snapshot(seed):
+    """Two unread answers of an engine that is gone when this returns."""
+    graph, query, views = _random_instance(random.Random(seed), bounded=False)
+    engine = QueryEngine(views, graph=graph, executor="process")
+    engine.materialize_views(views.names())
+    assert engine.catalog.snapshot_kind == "shared"
+    answers = engine.answer(query), engine.answer(query)
+    assert all(built(a.edge_matches) == 0 for a in answers)
+    return answers, match(query, graph)
+
+
+def test_unread_answer_over_a_shared_snapshot_leaks_no_segment():
+    before = set(live_segment_names())
+    (kept, dropped), expected = _unread_answers_over_a_shared_snapshot(5)
+    del dropped
+    gc.collect()
+    # The unread answer keeps what it reads alive, and reads it later.
+    assert kept.edge_matches == expected.edge_matches
+    del kept
+    gc.collect()
+    assert set(live_segment_names()) <= before

@@ -8,12 +8,14 @@ can be held *inside* evaluation while updates swap epochs around it.
 import asyncio
 import json
 import threading
+import time
 from time import perf_counter
 
 import pytest
 
 from helpers import build_bounded, build_graph, build_pattern
 from repro.engine import QueryEngine
+from repro.engine.executor import spec_of
 from repro.errors import ServerClosedError, ServerOverloadedError
 from repro.graph.io import node_to_json, pattern_to_json
 from repro.serve import (
@@ -610,6 +612,60 @@ class TestHitPath:
                 # The wrappers do count when something does hop.
                 await server.query(AB_TOO, wire=True)
                 assert calls == {"submit": 2, "plan": 1, "encode": 1}
+
+        asyncio.run(run())
+
+    def test_an_owner_miss_encodes_on_its_evaluation_hop(self, monkeypatch):
+        threads = []
+
+        def slow_encode(result):
+            threads.append(threading.current_thread().name)
+            time.sleep(0.1)  # an encode ``elapsed`` must not include
+            return wire.result_fragment(result)
+
+        monkeypatch.setattr("repro.serve.server.result_fragment", slow_encode)
+
+        async def run():
+            server, _ = make_server()
+            async with server:
+                loop = threading.current_thread().name
+                for pattern in (AB, AC_WITHIN_2, NO_MATCH):
+                    answer = await server.query(pattern, wire=True)
+                    assert not answer.cache_hit and answer.elapsed < 0.1
+                    assert wire.query_reply(answer) == legacy_reply(answer)
+                    root = server.traces.recent(1)[0]
+                    assert root["attrs"]["wire"] == "encoded"
+                    encode = [c for c in root["children"] if c["name"] == "encode"]
+                    assert encode[0]["attrs"]["bytes"] == len(answer.wire)
+                assert len(threads) == 3 and loop not in threads
+                assert all(name.startswith("repro-serve-read") for name in threads)
+                hit = await server.query(AB, wire=True)
+                assert hit.cache_hit and len(threads) == 3
+                # An owner that asked without ``wire`` encodes nothing;
+                # the first reader over the wire encodes, on the loop.
+                assert (await server.query(BC)).wire is None and len(threads) == 3
+                late = await server.query(BC, wire=True)
+                assert late.cache_hit and threads[3:] == [loop]
+                assert wire.query_reply(late) == legacy_reply(late)
+                assert server.traces.recent(1)[0]["attrs"]["wire"] == "encoded"
+
+        asyncio.run(run())
+
+    def test_untraced_evaluation_packages_nothing(self):
+        async def run():
+            server, _ = make_server()
+            async with server:
+                epoch = server._registry.pin()
+                try:
+                    plan = server.engine.plan_on(epoch.checkpoint, AB, None)
+                    result, _ = server._evaluate(spec_of(plan), epoch)
+                finally:
+                    epoch.release()
+            # Checked here: a coroutine's return value may be repr'd.
+            assert plan.strategy == "matchjoin" and result
+            assert dict.__len__(result.edge_matches) == 0
+            assert dict.__len__(result.node_matches) == 0
+            assert result.edge_matches == match(AB, _graph()).edge_matches
 
         asyncio.run(run())
 
