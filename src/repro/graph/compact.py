@@ -86,6 +86,14 @@ def _part_width(part: Part) -> int:
     return sum(stop - start for start, stop in part[1])
 
 
+def bounding_label(condition) -> str:
+    """The label every node satisfying ``condition`` carries, or ``""``:
+    the bucket the candidate index seeds the node from."""
+    if isinstance(condition, Label):
+        return condition.name
+    return condition.label if isinstance(condition, AttributeCondition) else ""
+
+
 def _new_token() -> int:
     """A fresh snapshot token: 64 random bits, so tokens minted in
     *different* processes cannot collide either (extensions frozen on
@@ -312,7 +320,7 @@ class CompactGraph:
     @property
     def array_cache(self) -> Dict[str, Any]:
         """What :mod:`repro.simulation.array_engine` derived from this
-        snapshot (label buckets as index arrays, the node-key column):
+        snapshot (label masks, label-pair edge rows, the node-key column):
         dies with it, is never a predecessor's and is never pickled."""
         return self._array_cache
 
@@ -371,17 +379,12 @@ class CompactGraph:
 
     def index_parts(self, condition) -> Tuple[List[Part], bool]:
         """The conjuncts of ``condition`` the index answers (never
-        empty: every node, failing all else) and whether that is all of
-        them."""
+        empty: every node, failing all else; the label bucket first) and
+        whether that is all of them."""
         parts: List[Part] = []
-        exact = True
-        if isinstance(condition, Label):
-            label, atoms = condition.name, ()
-        elif isinstance(condition, AttributeCondition):
-            label, atoms = condition.label, condition.atoms
-        else:
-            label, atoms = "", ()
-            exact = isinstance(condition, TrueCondition)
+        label = bounding_label(condition)
+        atoms = condition.atoms if isinstance(condition, AttributeCondition) else ()
+        exact = isinstance(condition, (Label, AttributeCondition, TrueCondition))
         if label:
             bucket = self.label_ids(label)
             parts.append((bucket, ((0, len(bucket)),)))
@@ -392,7 +395,7 @@ class CompactGraph:
             else:
                 parts.append(part)
         if not parts:
-            n = len(self._nodes)
+            n = len(self._succ)
             parts.append((range(n), ((0, n),)))
         return parts, exact
 
@@ -457,14 +460,14 @@ class CompactGraph:
         return node in self._ids
 
     def __len__(self) -> int:
-        return len(self._nodes)
+        return len(self._succ)
 
     def __iter__(self) -> Iterator[Node]:
         return iter(self._nodes)
 
     @property
     def num_nodes(self) -> int:
-        return len(self._nodes)
+        return len(self._succ)  # one row per node; the key table may be lazy
 
     @property
     def num_edges(self) -> int:

@@ -65,11 +65,12 @@ from repro.simulation.compact_engine import (
     FixpointState,
     IdRows,
     Outcome,
+    decode_phase,
     extract,
     no_match,
     witness_fixpoint,
 )
-from repro.simulation.result import MatchResult
+from repro.simulation.result import IdAnswer, MatchResult
 
 if TYPE_CHECKING:
     from concurrent.futures import ProcessPoolExecutor
@@ -126,9 +127,9 @@ def _execute(
     contract: ids at or above the shard's own count are its ghosts
     (*assumed*), a kept state re-enters with the coordinator's
     withdrawal batch, and the ids the run pruned go back.  An ``edges``
-    task is the kernel's extractor with the shard's local -> composite
-    id row: one slice of the final outcome, built shard-side, so the
-    coordinator's merge is pure C-level set updates and row appends.
+    task is the kernel's extractor moved through the shard's local ->
+    composite id row: the shard's survivors and edge rows, built
+    shard-side, so the coordinator's merge is row appends.
     """
     kind, index, session = task[0], task[1], task[2]
     snapshot = sharded.shard(index)
@@ -155,7 +156,16 @@ def _execute(
             f"shard {index} has no state for session {session}; "
             "was the worker restarted mid-evaluation?"
         )
-    return index, extract(task[3], snapshot, state, sharded.global_row(index))
+    row = sharded.global_row(index)
+
+    def to_global(ids) -> array:
+        return array("q", map(row.__getitem__, ids))
+
+    rows = extract(task[3], snapshot, state)
+    return index, (
+        {u: to_global(ids) for u, ids in state.sim.items()},
+        {edge: (to_global(src), to_global(tgt)) for edge, (src, tgt) in rows.items()},
+    )
 
 
 # Module level so the process pool pickles them by reference; the
@@ -404,7 +414,7 @@ class _Evaluation:
             self._end_sim_wave(incoming)
             return
         if self.phase == "edges":
-            self._merge_edges(incoming)
+            self.outcome = decode_phase(_merged, self.sharded, [p for _, p in incoming])
         # else: drop acknowledgements
         self.phase = "done"
 
@@ -461,21 +471,20 @@ class _Evaluation:
         else:
             self.phase = "edges"
 
-    def _merge_edges(self, incoming: List[Tuple[int, object]]) -> None:
-        # Every slice covers every pattern node and edge; the first is
-        # adopted and the rest merge into it in place.  A source id is
-        # owned by exactly one shard, so id rows merge by concatenation.
-        (_, (result, id_rows, _)), *rest = incoming  # type: ignore[misc]
-        for _, (local, local_rows, _) in rest:  # type: ignore[misc]
-            for edge, (src, tgt) in local_rows.items():
-                merged_src, merged_tgt = id_rows[edge]
-                merged_src.extend(src)
-                merged_tgt.extend(tgt)
-            for edge, pairs in local.edge_matches.items():
-                result.edge_matches[edge] |= pairs
-            for u, nodes in local.node_matches.items():
-                result.node_matches[u] |= nodes
-        self.outcome = result, id_rows, None
+
+def _merged(sharded: ShardedGraph, slices) -> Outcome:
+    """One lazy answer over every shard's ``(ids, rows)`` slice.  A node
+    is owned by exactly one shard, so slices merge by concatenation into
+    the first, and a set decodes through the owning shard on first read
+    (``node_of``), never through a composite node table."""
+    (ids, rows), *rest = slices
+    for more_ids, more_rows in rest:
+        for u, found in more_ids.items():
+            ids[u].extend(found)
+        for edge, (src, tgt) in more_rows.items():
+            rows[edge][0].extend(src)
+            rows[edge][1].extend(tgt)
+    return IdAnswer(ids, rows, sharded.node_of).result(), rows, None
 
 
 def _meter_psim(stats: PSimStats) -> None:

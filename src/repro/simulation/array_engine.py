@@ -8,13 +8,15 @@ layer's ghost-stitched BFS).  Over a dense id space the greatest
 simulation fixpoint of a plain pattern needs no sets and no witness
 counters (:func:`array_match`: mask -> rows -> sweep):
 
-1. **mask** -- one boolean ``alive[u]`` per pattern node, scattered
-   from the snapshot's candidate index (label bucket and attribute
-   column slices, conjunctions as ``&``);
-2. **rows** -- per pattern edge ``(u, u')`` one pass over the
-   snapshot's edge columns keeps the edges with ``alive[u][src] &
-   alive[u'][tgt]``: the extension of the single-edge view of that
-   pattern edge;
+1. **mask** -- one boolean ``alive[u]`` per pattern node: a copy of
+   the snapshot's mask of the label bounding ``u``'s candidates, cut by
+   the attribute column slices of the candidate index (conjunctions as
+   ``&``);
+2. **rows** -- per pattern edge ``(u, u')`` one pass keeps the edges
+   with ``alive[u][src] & alive[u'][tgt]``: the extension of the
+   single-edge view of that pattern edge.  The pass reads only the
+   snapshot's edges between the two nodes' labels when both have one
+   (:func:`_label_rows`), else every edge;
 3. **sweep** -- a worklist of pattern nodes whose mask shrank: each
    in-edge's rows are cut to the live ones, a source left without a row
    dies, and a pattern node that shrank is queued in turn; the first
@@ -51,7 +53,7 @@ from array import array
 from functools import partial
 from typing import Dict, Hashable, Optional, Tuple
 
-from repro.graph.compact import CompactGraph
+from repro.graph.compact import CompactGraph, bounding_label
 from repro.graph.pattern import ANY
 from repro.simulation.compact_bounded import bounded_worklist
 from repro.simulation.compact_engine import (
@@ -112,34 +114,60 @@ def array_bounded_match(
     return None if np is None else _cones_pairs(np, pattern, graph, with_distances)
 
 
+def _columns(np, graph: CompactGraph):
+    """``graph.edge_columns()`` as int32 arrays over their buffers."""
+    return tuple(np.frombuffer(c, dtype=np.int32) for c in graph.edge_columns())
+
+
 def _edge_indices(np, graph: CompactGraph):
-    """``graph.edge_columns()`` as index-width arrays, copied per call:
-    a gather through int32 indices converts them each time, at 3x its cost."""
-    columns = graph.edge_columns()
-    return tuple(np.frombuffer(c, dtype=np.int32).astype(np.intp) for c in columns)
+    """Every edge as index-width arrays, copied per call: a gather
+    through int32 indices converts them each time, at 3x its cost."""
+    return tuple(c.astype(np.intp) for c in _columns(np, graph))
 
 
-def _scatter(np, graph: CompactGraph, mask, ids, start: int, stop: int) -> None:
+def _label_mask(np, graph: CompactGraph, label: str):
+    """``mask[i]`` iff node id ``i`` carries ``label``: built once per
+    (snapshot, label), shared -- do not mutate."""
+    masks = graph.array_cache.setdefault("label_masks", {})
+    mask = masks.get(label)
+    if mask is None:
+        mask = np.zeros(graph.num_nodes, dtype=bool)
+        mask[np.array(graph.label_ids(label), dtype=np.intp)] = True
+        masks[label] = mask
+    return mask
+
+
+def _label_rows(np, graph: CompactGraph, pair: Tuple[str, str]):
+    """The int32 ``(sources, targets)`` of the edges from a ``pair[0]``
+    node to a ``pair[1]`` node, in CSR order (a subsequence of the edge
+    columns): built by one pass over every edge the first time a
+    pattern edge asks for ``pair``, then kept for the snapshot."""
+    cache = graph.array_cache.setdefault("label_rows", {})
+    rows = cache.get(pair)
+    if rows is None:
+        src, tgt = _columns(np, graph)
+        source_mask, target_mask = (_label_mask(np, graph, label) for label in pair)
+        idx = np.flatnonzero(source_mask.take(src) & target_mask.take(tgt))
+        rows = cache[pair] = src.take(idx), tgt.take(idx)
+    return rows
+
+
+def _scatter(np, mask, ids, start: int, stop: int) -> None:
     """``mask[ids[start:stop]] = True`` for the id sequences the
-    candidate index hands out.  A label bucket (a tuple) is converted
-    once per snapshot: found by identity, in an entry that holds it."""
+    candidate index hands out besides label buckets."""
     if isinstance(ids, range):
         span = ids[start:stop]  # every node: a slice of the mask itself
         mask[span.start : span.stop : span.step] = True
-    elif isinstance(ids, array):  # an attribute column, viewed in place
+    else:  # an attribute column, viewed in place
         mask[np.frombuffer(ids, dtype=np.int64)[start:stop]] = True
-    else:
-        buckets = graph.array_cache.setdefault("buckets", {})
-        if id(ids) not in buckets:
-            buckets[id(ids)] = ids, np.array(ids, dtype=np.int64)
-        mask[buckets[id(ids)][1][start:stop]] = True
 
 
 def _seed_mask(np, graph: CompactGraph, condition):
-    """``alive[i]`` iff ``condition`` holds at node id ``i``.  A
-    condition the index does not answer exactly goes through
-    ``candidate_ids`` (which owns the per-node fallback scan and its
-    metering) and is scattered from the resulting set."""
+    """``alive[i]`` iff ``condition`` holds at node id ``i``: a copy of
+    its label's mask cut by the index's other parts.  A condition the
+    index does not answer exactly goes through ``candidate_ids`` (which
+    owns the per-node fallback scan and its metering) and is scattered
+    from the resulting set."""
     n = graph.num_nodes
     parts, exact = graph.index_parts(condition)
     if not exact:
@@ -147,12 +175,13 @@ def _seed_mask(np, graph: CompactGraph, condition):
         mask = np.zeros(n, dtype=bool)
         mask[np.fromiter(found, np.intp, len(found))] = True
         return mask
-    mask = None
-    for ids, ranges in parts:
+    label = bounding_label(condition)
+    mask = _label_mask(np, graph, label).copy() if label else None
+    for ids, ranges in parts[1:] if label else parts:  # the bucket is first
         part = np.zeros(n, dtype=bool)
         for start, stop in ranges:
             if start < stop:
-                _scatter(np, graph, part, ids, start, stop)
+                _scatter(np, part, ids, start, stop)
         if mask is None:
             mask = part
         else:
@@ -207,10 +236,20 @@ def _sweep(np, pattern, graph: CompactGraph, alive, counts, rows) -> bool:
             dirty[u] = None
         return left > 0
 
-    src, tgt = _edge_indices(np, graph)
+    # A labelled node's mask lies inside its label's, so the edges
+    # between the two labels hold every row the whole columns would
+    # yield, in the same order.
+    labels = {u: bounding_label(pattern.condition(u)) for u in pattern.nodes()}
+    every = None
     matched = True
     for edge in pattern.edges():
         u, u1 = edge
+        pair = labels[u], labels[u1]
+        if all(pair):
+            src, tgt = _label_rows(np, graph, pair)
+        else:
+            every = every or _edge_indices(np, graph)
+            src, tgt = every
         idx = np.flatnonzero(alive[u].take(src) & alive[u1].take(tgt))
         sources = src.take(idx)
         rows[edge] = sources, tgt.take(idx)
@@ -257,8 +296,8 @@ class _KeyColumn(IdAnswer):
 
     __slots__ = ("np", "column")
 
-    def __init__(self, np, column, ids, rows, table) -> None:
-        super().__init__(ids, rows, table)
+    def __init__(self, np, column, ids, rows, decode) -> None:
+        super().__init__(ids, rows, decode)
         self.np, self.column = np, column
 
     def _keys(self, ids):
@@ -266,7 +305,7 @@ class _KeyColumn(IdAnswer):
         keys, known = self.column
         fresh = ids[~known.take(ids)]
         if len(fresh):
-            keys[fresh] = self.np.frompyfunc(self.table.__getitem__, 1, 1)(fresh)
+            keys[fresh] = self.np.frompyfunc(self.decode, 1, 1)(fresh)
             known[fresh] = True
         return keys
 
@@ -291,7 +330,7 @@ def _package(np, graph: CompactGraph, alive, rows, id_distances=None) -> Outcome
     if "keys" not in cache:
         cache["keys"] = np.empty(n, dtype=object), np.zeros(n, dtype=bool)
     ids = {u: np.flatnonzero(mask) for u, mask in alive.items()}
-    answer = _KeyColumn(np, cache["keys"], ids, rows, graph.node_table)
+    answer = _KeyColumn(np, cache["keys"], ids, rows, graph.node_table.__getitem__)
 
     def column(ids) -> array:
         copy = array("q")

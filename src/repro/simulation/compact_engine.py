@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from array import array
 from itertools import chain, repeat
-from typing import Callable, Dict, Hashable, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Hashable, NamedTuple, Optional, Set, Tuple
 
 from repro.graph.compact import CompactGraph
 from repro.obs import trace
@@ -275,50 +275,33 @@ def decode_outcome(
     snapshot: CompactGraph,
     sim: IdSim,
     rows: IdRows,
-    global_row: Optional[Sequence[int]] = None,
     id_distances: Optional[Dict[Tuple[int, int], int]] = None,
 ) -> Outcome:
     """Package surviving candidates and their edge-match rows as an
     outcome: a lazy result over the rows and the candidates (as
     ``array('q')``) whose node and pair sets decode through the
-    snapshot's own table (a ghost carries its key) on first read, and
-    ``global_row`` -- a shard's local -> composite id map -- moves the
-    rows into the id space extension rows are written in."""
+    snapshot's own table on first read."""
     ids = {u: array("q", found) for u, found in sim.items()}
-    result = IdAnswer(ids, rows, snapshot.node_table).result()
-    if global_row is not None:
-        to_global = global_row.__getitem__
-        rows = {
-            edge: (array("q", map(to_global, src)), array("q", map(to_global, tgt)))
-            for edge, (src, tgt) in rows.items()
-        }
-    return result, rows, id_distances
+    return IdAnswer(ids, rows, snapshot.node_table.__getitem__).result(), rows, id_distances
 
 
-def extract(
-    pattern,
-    snapshot: CompactGraph,
-    state: FixpointState,
-    global_row: Optional[Sequence[int]] = None,
-) -> Outcome:
-    """The outcome of a finished fixpoint: for every pattern edge the
-    surviving candidates' adjacency rows cut to the surviving targets
-    (at the fixpoint every candidate has a witness, and the surviving
-    assumptions are exactly the true boundary matches, so assumed
-    witnesses are emitted like internal ones), decoded under the run's
-    ``decode`` span."""
+def extract(pattern, snapshot: CompactGraph, state: FixpointState) -> IdRows:
+    """The edge-match rows of a finished fixpoint: for every pattern
+    edge the surviving candidates' adjacency rows cut to the surviving
+    targets (at the fixpoint every candidate has a witness, and the
+    surviving assumptions are exactly the true boundary matches, so
+    assumed witnesses are emitted like internal ones)."""
     succ = snapshot.succ_rows.__getitem__
-    sim = state.sim
     rows: IdRows = {}
     for edge in pattern.edges():
         u, u1 = edge
-        sources = list(sim[u])
+        sources = list(state.sim[u])
         found = list(map(state.full[u1].intersection, map(succ, sources)))
         rows[edge] = (
             array("q", chain.from_iterable(map(repeat, sources, map(len, found)))),
             array("q", chain.from_iterable(found)),
         )
-    return decode_phase(decode_outcome, snapshot, sim, rows, global_row)
+    return rows
 
 
 def decode_phase(package: Callable[..., Outcome], *args, **kwargs) -> Outcome:
@@ -357,7 +340,9 @@ def run_match(
 
 def _set_match(pattern, graph: CompactGraph) -> Outcome:
     state = witness_fixpoint(pattern, graph, graph.num_nodes)
-    return no_match() if state is None else extract(pattern, graph, state)
+    if state is None:
+        return no_match()
+    return decode_phase(decode_outcome, graph, state.sim, extract(pattern, graph, state))
 
 
 def compact_match_with_ids(pattern, graph: CompactGraph) -> Outcome:

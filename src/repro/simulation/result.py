@@ -212,12 +212,12 @@ def _total(matches) -> int:
 class IdAnswer:
     """An answer in a snapshot's id space: ``ids[u]`` the ids matching
     pattern node ``u`` and ``rows[e] = (src, tgt)`` the id rows matching
-    pattern edge ``e``, read as node keys through ``table[i]``."""
+    pattern edge ``e``, read as node keys through ``decode(i)``."""
 
-    __slots__ = ("ids", "rows", "table")
+    __slots__ = ("ids", "rows", "decode")
 
-    def __init__(self, ids: Dict, rows: Dict, table) -> None:
-        self.ids, self.rows, self.table = ids, rows, table
+    def __init__(self, ids: Dict, rows: Dict, decode: Callable) -> None:
+        self.ids, self.rows, self.decode = ids, rows, decode
 
     def result(self) -> MatchResult:
         """The answer as a result that decodes each set on first read."""
@@ -227,15 +227,14 @@ class IdAnswer:
         )
 
     def node_set(self, u: PNode) -> Set[Node]:
-        return set(map(self.table.__getitem__, self.ids[u]))
+        return set(map(self.decode, self.ids[u]))
 
     def pair_set(self, edge: PEdge) -> Set[NodePair]:
         """A source is decoded once however many rows it heads."""
         src, tgt = self.rows[edge]
-        decode = self.table.__getitem__
         heads = set(src)
-        names = dict(zip(heads, map(decode, heads)))
-        return set(zip(map(names.__getitem__, src), map(decode, tgt)))
+        names = dict(zip(heads, map(self.decode, heads)))
+        return set(zip(map(names.__getitem__, src), map(self.decode, tgt)))
 
 
 def edge_matches_from_nodes(

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.graph import ANY, BoundedPattern, DataGraph, P, Pattern
-from repro.graph.conditions import Condition
+from repro.graph.conditions import Condition, TrueCondition
 from repro.obs import trace
 from repro.simulation import array_engine, bounded_match
 from repro.simulation.bounded import bounded_match_with_distances
@@ -457,7 +457,151 @@ def test_array_packager_equals_decode_outcome(inputs):
 
 
 # ----------------------------------------------------------------------
-# The per-snapshot caches (bucket arrays, key column)
+# The label index: label masks and label-pair edge rows
+# ----------------------------------------------------------------------
+@st.composite
+def multi_labelled_graphs(draw):
+    """A graph whose nodes carry none to all of A-C (so a node sits in
+    several buckets, and D in none), an ``x`` attribute on most of them,
+    and edges with self-loops and repeats drawn freely."""
+    n = draw(st.integers(1, 14))
+    graph = DataGraph()
+    for i in range(n):
+        attrs = draw(st.one_of(st.just({}), st.fixed_dictionaries({"x": st.integers(0, 3)})))
+        graph.add_node(i, labels=draw(st.sets(st.sampled_from("ABC"))), attrs=attrs)
+    ends = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    for source, target in draw(st.lists(ends, max_size=45)):
+        graph.add_edge(source, target)
+    return graph
+
+
+@needs_numpy
+@settings(max_examples=100, deadline=None)
+@given(graph=multi_labelled_graphs(), keys=st.sampled_from(sorted(KEY_KINDS)))
+def test_label_pair_rows_are_the_whole_columns_filtered_in_order(graph, keys):
+    import numpy as np
+
+    frozen = rekeyed(graph, keys).freeze()
+    src, tgt = frozen.edge_columns()
+    for pair in ((a, b) for a in "ABCD" for b in "ABCD"):
+        has = [frozenset(frozen.label_ids(label)) for label in pair]
+        expected = [(v, w) for v, w in zip(src, tgt) if v in has[0] and w in has[1]]
+        sources, targets = array_engine._label_rows(np, frozen, pair)
+        assert sources.dtype == targets.dtype == np.int32
+        assert list(zip(sources.tolist(), targets.tolist())) == expected
+        assert array_engine._label_rows(np, frozen, pair)[0] is sources  # kept
+    for label in "ABCD":
+        mask = array_engine._label_mask(np, frozen, label)
+        assert np.flatnonzero(mask).tolist() == list(frozen.label_ids(label))
+
+
+#: The conditions a pattern node may have: a label (the label-pair rows
+#: serve an edge between two of them), a label with an attribute atom
+#: (bounded by its label too), an attribute alone and no condition at
+#: all (both read every edge).
+CONDITION_KINDS = {
+    "label": lambda rng: rng.choice("ABCD"),
+    "label+attr": lambda rng: (P("x") >= rng.randint(0, 3)).with_label(rng.choice("ABC")),
+    "attr": lambda rng: P("x") != rng.randint(0, 3),
+    "true": lambda rng: TrueCondition(),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    graph=multi_labelled_graphs(),
+    seed=st.integers(0, 10_000),
+    kinds=st.lists(st.sampled_from(sorted(CONDITION_KINDS)), min_size=1, max_size=5),
+)
+def test_label_rows_kernel_equals_set_kernel_equals_dict_engine(graph, seed, kinds):
+    rng = random.Random(seed)
+    pattern = Pattern()
+    for i, kind in enumerate(kinds):
+        pattern.add_node(i, CONDITION_KINDS[kind](rng))
+    for _ in range(rng.randint(0, 2 * len(kinds))):  # self-loops included
+        pattern.add_edge(rng.randrange(len(kinds)), rng.randrange(len(kinds)))
+    expected = maximum_simulation(pattern, graph)
+    frozen = graph.freeze()
+    outcomes = [run_kernel(kernel, pattern, frozen) for kernel in KERNELS]
+    if expected is None:
+        assert all(not result and id_rows is None for result, id_rows, _ in outcomes)
+        return
+    pairs = reference_edge_matches(pattern, graph, expected)
+    for result, id_rows, _ in outcomes:
+        assert result.node_matches == expected and result.edge_matches == pairs
+    if "array" not in KERNELS:
+        return
+    # The array kernel's rows are the whole columns filtered by the
+    # survivors, in CSR order, whichever rows its filter started from.
+    _, id_rows, _ = outcomes[KERNELS.index("array")]
+    alive = {u: set(map(frozen.id_of, found)) for u, found in expected.items()}
+    src, tgt = frozen.edge_columns()
+    for (u, u1), got in id_rows.items():
+        assert list(zip(*got)) == [
+            (v, w) for v, w in zip(src, tgt) if v in alive[u] and w in alive[u1]
+        ]
+
+
+@needs_numpy
+def test_a_labelled_pattern_never_reads_the_whole_edge_columns(monkeypatch):
+    graph = random_labeled_graph(random.Random(61), 60, 240)
+    for node in graph.nodes():
+        graph.add_node(node, attrs={"x": node % 3})
+    reads, whole = [], array_engine._edge_indices
+
+    def counted(np, snapshot):
+        reads.append(snapshot)
+        return whole(np, snapshot)
+
+    monkeypatch.setattr(array_engine, "_edge_indices", counted)
+    labelled = chain("A", "B", (P("x") >= 1).with_label("C"))
+    frozen = graph.freeze()
+    with forced_kernel("array"):
+        answer = match(labelled, frozen)
+        assert answer == match(labelled, graph) and answer
+        assert reads == []
+        # One end without a label is enough to read every edge, once
+        # per run however many edges have one.
+        for other in (chain("A", TrueCondition(), "C"), chain(P("x") != 1, "B", "C")):
+            assert match(other, frozen) == match(other, graph)
+        assert reads == [frozen, frozen]
+    assert set(frozen.array_cache["label_rows"]) == {("A", "B"), ("B", "C")}
+
+
+@needs_numpy
+@pytest.mark.parametrize("operator", sorted(OPERATORS))
+def test_no_index_width_copy_of_the_edge_columns_is_kept(operator):
+    import numpy as np
+
+    graph = random_labeled_graph(random.Random(67), 60, 240)
+    pattern, run = OPERATORS[operator]
+    frozen = graph.freeze()
+    with forced_kernel("array"):
+        assert run(pattern, frozen) == run(pattern, graph)
+        assert match(chain(TrueCondition(), "B"), frozen)  # reads every edge
+    found, held = [frozen.array_cache], []
+    while found:
+        value = found.pop()
+        if isinstance(value, dict):
+            found += value.values()
+        elif isinstance(value, tuple):
+            found += value
+        else:
+            held.append(value)
+    assert held and all(isinstance(value, np.ndarray) for value in held)
+    assert not [
+        value for value in held
+        if value.dtype == np.intp and len(value) == frozen.num_edges
+    ]
+    # Cached rows are int32 (8 bytes a row) and masks 1 byte a node.
+    for pair in frozen.array_cache.get("label_rows", {}).values():
+        assert all(column.dtype == np.int32 for column in pair)
+    for mask in frozen.array_cache["label_masks"].values():
+        assert mask.dtype == bool and len(mask) == frozen.num_nodes
+
+
+# ----------------------------------------------------------------------
+# The per-snapshot caches (label masks, label-pair rows, key column)
 # ----------------------------------------------------------------------
 @needs_numpy
 @pytest.mark.parametrize("operator", sorted(OPERATORS))
@@ -473,9 +617,14 @@ def test_array_caches_are_per_snapshot(operator, shared, monkeypatch):
     with forced_kernel("array"):
         before = run(pattern, old)
     assert before == run(pattern, graph) and before
-    assert set(old.array_cache) == {"buckets", "keys"}
-    assert len(old.array_cache["buckets"]) == 3  # A, B, C: one array per label
+    # One mask per label; label-pair rows for the plain rows step only
+    # (a bounded cone reads every edge).
+    rows = {"match": {("A", "B"), ("B", "C")}, "bmatch": set()}[operator]
+    assert set(old.array_cache) == {"label_masks", "keys"} | ({"label_rows"} if rows else set())
+    assert set(old.array_cache["label_masks"]) == {"A", "B", "C"}
+    assert set(old.array_cache.get("label_rows", ())) == rows
     old_keys = old.array_cache["keys"][0]
+    old_masks = old.array_cache["label_masks"]
 
     # A refresh (an appended, labelled node and an edge to it) ...
     a_source = next(v for v in graph.nodes() if "A" in graph.labels(v))
@@ -497,6 +646,9 @@ def test_array_caches_are_per_snapshot(operator, shared, monkeypatch):
         assert ("n", "appended") in after.node_matches[1]
         assert new.array_cache["keys"][0] is not old_keys
         assert len(new.array_cache["keys"][0]) == new.num_nodes == old.num_nodes + 1
+        masks = new.array_cache["label_masks"]
+        assert masks is not old_masks and len(masks["B"]) == new.num_nodes
+        assert masks["B"][new.id_of(("n", "appended"))]
         if step == "refreshed":
             graph.add_node(c_target, labels="A")
             snapshots.append(graph.freeze(shared=shared))
@@ -508,6 +660,8 @@ def test_array_caches_are_per_snapshot(operator, shared, monkeypatch):
     with forced_kernel("array"):
         assert run(pattern, old) == before
     assert old.array_cache["keys"][0] is old_keys and len(old_keys) == old.num_nodes
+    assert old.array_cache["label_masks"] is old_masks
+    assert len(old_masks["B"]) == old.num_nodes
 
 
 @needs_numpy
@@ -531,7 +685,8 @@ def test_array_caches_are_not_pickled(operator, shared, monkeypatch):
     assert received.array_cache == {}
     with forced_kernel("array"):
         assert run(pattern, received) == expected
-    assert set(received.array_cache) == {"buckets", "keys"}
+    wanted = {"label_masks", "keys"} | ({"label_rows"} if operator == "match" else set())
+    assert set(received.array_cache) == set(frozen.array_cache) == wanted
 
 
 @needs_numpy
@@ -709,8 +864,8 @@ def test_lazy_kernel_answer_decodes_only_what_is_read(kernel, monkeypatch):
 
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_lazy_kernel_answer_counts_an_in_place_merge(kernel):
-    # The shard layer's merge: the first slice's sets grow in place with
-    # ``|=``, and the counts follow the grown sets from then on.
+    # A caller merging two answers: the first one's sets grow in place
+    # with ``|=``, and the counts follow the grown sets from then on.
     pattern = chain("A", "B", "C")
     graphs = [
         random_labeled_graph(random.Random(41), 40, 160),

@@ -80,20 +80,24 @@ def test_numpy_is_imported_in_one_file_and_only_inside_a_function():
 
 
 def test_array_kernels_never_convert_element_by_element():
-    # Array-native from seed to answer: the int32 edge columns become
-    # index-width arrays in one helper, the only Python iteration left
+    # Array-native from seed to answer: the int32 edge columns are read
+    # in one helper, which both the label-pair rows and the index-width
+    # copies of every edge start from; the only Python iteration left
     # in seeding is over the set an inexact condition falls back to,
     # id rows leave as one buffer copy, and the packager is the
     # kernels' own -- ``decode_outcome`` (per-element ``map(decode)``)
-    # is the set kernel's and the shard layer's.
+    # is the set kernel's.
     text = (SRC / ARRAY_KERNEL).read_text()
     assert len(re.findall(r"dtype=np\.int32\b", text)) == 1
-    (helper,) = [
-        ast.get_source_segment(text, node)
+    helpers = {
+        node.name: ast.get_source_segment(text, node)
         for node in ast.parse(text).body
-        if isinstance(node, ast.FunctionDef) and node.name == "_edge_indices"
-    ]
-    assert "dtype=np.int32" in helper  # ... in the shared column helper
+        if isinstance(node, ast.FunctionDef)
+    }
+    assert "dtype=np.int32" in helpers["_columns"]  # ... in the shared column helper
+    for user in ("_edge_indices", "_label_rows"):
+        assert "_columns(np, graph)" in helpers[user], user
+    assert len(re.findall(r"\b_columns\(", text)) == 3  # its definition and those two
     assert len(re.findall(r"np\.fromiter\(", text)) <= 1
     assert not re.search(r"np\.fromiter\((?!found\b)", text)
     assert ".tobytes(" not in text

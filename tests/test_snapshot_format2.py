@@ -268,6 +268,26 @@ def test_load_plus_direct_match_does_no_name_work(ingested, monkeypatch):
     assert "partition" not in vars(graph)
 
 
+def test_sharded_answer_counts_without_decoding_any_shard(ingested):
+    path, edges, query = ingested
+    loaded = SnapshotStore.load(path)
+    graph = loaded.graph
+    shards = [graph.shard(i) for i in range(graph.num_shards)]
+    result = QueryEngine(ViewSet(), snapshot_path=loaded).answer(query)
+    assert result.stats.strategy == "direct" and result.result_size > 0
+    assert result.total_node_matches() > 0
+    # The merged answer built no set, and no shard unpickled its names.
+    assert dict.__len__(result.edge_matches) == dict.__len__(result.node_matches) == 0
+    assert all(shard.node_table._table is None for shard in shards)
+    assert "node_table" not in vars(graph)
+    reference = graph_from_edges(edges, labeler=_labeler)
+    expected = match(query, reference)
+    assert result.edge_matches == expected.edge_matches
+    assert result.node_matches == expected.node_matches
+    assert result.result_size == expected.result_size
+    assert "node_table" not in vars(graph)
+
+
 # ----------------------------------------------------------------------
 # info / verify cover the boundary rows
 # ----------------------------------------------------------------------
