@@ -48,7 +48,7 @@ def _run_cold(graph, views, queries, registry):
     engine = QueryEngine(
         views, graph=graph, selection="minimal", registry=registry
     )
-    return engine.answer_batch(queries, executor="serial")
+    return engine.answer_batch(queries)
 
 
 def _timed(graph, views, queries, registry):

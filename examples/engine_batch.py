@@ -1,4 +1,4 @@
-"""The QueryEngine on the synthetic dataset: plans, caches, parallelism.
+"""The QueryEngine on the synthetic dataset: plans, caches, batches.
 
 Builds the synthetic graph and its 22-view suite (the paper's Section
 VII synthetic setup, scaled down), then demonstrates the engine layer:
@@ -7,7 +7,8 @@ VII synthetic setup, scaled down), then demonstrates the engine layer:
    direct simulation on G;
 2. **warm-cache reuse** -- a repeated batch is answered entirely from
    the LRU answer cache;
-3. **parallel batch** -- the same batch fanned across a process pool.
+3. **one-at-a-time answers** -- the same queries answered singly by a
+   fresh engine agree with the batch.
 
 Run:  python examples/engine_batch.py
 """
@@ -64,20 +65,14 @@ def main() -> None:
         f"({cold_s / max(warm_s, 1e-9):.0f}x faster)"
     )
 
-    # 3. Parallel batch on a fresh engine (cold caches, process pool).
-    parallel_engine = QueryEngine(views, graph=graph)
+    # 3. The same queries one at a time on a fresh engine (cold caches).
+    single_engine = QueryEngine(views, graph=graph)
     started = perf_counter()
-    parallel = parallel_engine.answer_batch(
-        queries, executor="process", workers=4
-    )
-    parallel_s = perf_counter() - started
-    workers = {r.stats.pid for r in parallel if not r.stats.cache_hit}
-    print(
-        f"parallel batch: {len(parallel)} queries across "
-        f"{len(workers)} workers in {parallel_s * 1e3:.1f} ms"
-    )
+    single = [single_engine.answer(query) for query in queries]
+    single_s = perf_counter() - started
+    print(f"one at a time: {len(single)} queries in {single_s * 1e3:.1f} ms")
 
-    for a, b, c in zip(cold, warm, parallel):
+    for a, b, c in zip(cold, warm, single):
         assert a.edge_matches == b.edge_matches == c.edge_matches
     print("\nall three executions agree; cache stats:")
     for name, counters in engine.cache_stats().items():

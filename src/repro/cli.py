@@ -9,8 +9,7 @@ Subcommands::
     python -m repro query     --query query.json --views views.json \
                               [--graph graph.json] [--strategy minimal]
     python -m repro engine    --queries q1.json q2.json --views views.json \
-                              [--graph graph.json] [--executor process] \
-                              [--workers 4] [--repeat 2] [--explain]
+                              [--graph graph.json] [--repeat 2] [--explain]
     python -m repro shard     --graph graph.json --shards 4 \
                               [--strategy hash|label|bfs] [--format json]
     python -m repro maintain  --graph graph.json --views views.json \
@@ -206,13 +205,7 @@ def _cmd_engine(args) -> int:
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    engine = QueryEngine(
-        views,
-        graph=graph,
-        selection=args.strategy,
-        executor=args.executor,
-        workers=args.workers,
-    )
+    engine = QueryEngine(views, graph=graph, selection=args.strategy)
     if args.explain:
         for path, query in zip(args.queries, queries):
             print(f"-- {path}")
@@ -907,9 +900,9 @@ def _cmd_stats(args) -> int:
                 "snapshot_token": views.snapshot_token,
             }
             # Per-view flat-buffer footprint: the bytes one extension
-            # occupies once packed for zero-copy shipping.  Extensions
-            # loaded from disk carry no id-space payload, so those are
-            # re-materialized against the shared snapshot to measure.
+            # occupies once packed into a segment.  Extensions loaded
+            # from disk carry no id-space payload, so those are
+            # re-materialized against the flat snapshot to measure.
             from repro.views.view import materialize as _materialize
 
             view_memory = {}
@@ -996,9 +989,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="graph for materialize-on-demand and direct fallback")
     p.add_argument("--strategy", choices=_SELECTIONS,
                    default="minimal")
-    p.add_argument("--executor", choices=("serial", "process"),
-                   default="serial")
-    p.add_argument("--workers", type=int)
     p.add_argument("--repeat", type=int, default=1,
                    help="re-run the batch N times (shows warm-cache hits)")
     p.add_argument("--explain", action="store_true",

@@ -1,10 +1,10 @@
-"""The engine layer: planned, cached, parallel view-based answering.
+"""The engine layer: planned, cached view-based answering.
 
 Composes the paper's algorithms (containment, view selection,
 MatchJoin) into a deployable subsystem:
 
 * :class:`QueryEngine` -- owns a view catalog, plans and answers
-  queries, batches work across processes, follows maintenance updates;
+  queries in batches, follows maintenance updates;
 * :class:`QueryPlan` / :class:`ExecutionStats` -- inspectable planner
   output and per-query telemetry;
 * :class:`LRUCache` / :class:`CacheStats` -- the caching primitives;
@@ -17,14 +17,12 @@ from repro import _lazy_exports
 _EXPORTS = {
     "CacheStats": "repro.engine.cache",
     "DIRECT": "repro.engine.plan",
-    "EXECUTORS": "repro.engine.executor",
     "EvaluationSpec": "repro.engine.executor",
     "ExecutionStats": "repro.engine.plan",
     "LRUCache": "repro.engine.cache",
     "MATCHJOIN": "repro.engine.plan",
     "QueryEngine": "repro.engine.engine",
     "QueryPlan": "repro.engine.plan",
-    "ShipStats": "repro.engine.executor",
     "evaluate_spec": "repro.engine.executor",
     "pattern_key": "repro.engine.plan",
     "run_specs": "repro.engine.executor",

@@ -93,9 +93,7 @@ class EngineCheckpoint(Evaluated, PlanningState):
 class Catalog(PlanningState):
     """Views + graph + frozen snapshot + maintenance cursor + the lock.
 
-    Parameters are :class:`~repro.engine.engine.QueryEngine`'s
-    (``executor`` / ``workers`` drive shard-parallel materialization).
-    With ``snapshot_path`` (a directory, or an already-loaded
+    Parameters are :class:`~repro.engine.engine.QueryEngine`'s.  With ``snapshot_path`` (a directory, or an already-loaded
     :class:`~repro.graph.snapshot.LoadedSnapshot`) the mmap-backed
     graph stands in for a live ``graph`` *and* is the frozen snapshot
     (its ``version`` mirrors the snapshot's: never re-frozen),
@@ -110,8 +108,6 @@ class Catalog(PlanningState):
         snapshot_path=None,
         shards: Optional[int] = None,
         partitioner: str = "hash",
-        executor: str = "serial",
-        workers: Optional[int] = None,
     ) -> None:
         loaded = None
         if snapshot_path is not None:
@@ -168,12 +164,6 @@ class Catalog(PlanningState):
         self.snapshot_path: Optional[str] = loaded.path if loaded else None
         self._snapshot = loaded.graph if loaded else None
         self._partitioner = partitioner
-        self._executor = executor
-        self._workers = workers
-        # Whether a snapshot is frozen straight into shared memory: on
-        # for an engine whose batches go to a process pool, switched on
-        # for any other the first time one does (see share()).
-        self._shared = executor == "process"
         #: Serializes every mutation of the state above.  Reentrant:
         #: plan -> sync -> snapshot nest.  Evaluation runs outside it.
         self.lock = threading.RLock()
@@ -232,7 +222,7 @@ class Catalog(PlanningState):
             if self.shards is None:
                 # freeze() consults the same journal and refreshes the
                 # cached CompactGraph in place of a full rebuild.
-                snapshot = self.graph.freeze(shared=self._shared)
+                snapshot = self.graph.freeze()
             else:
                 ops = (
                     None
@@ -252,25 +242,6 @@ class Catalog(PlanningState):
             self._snapshot = snapshot
             return snapshot
 
-    def share(self) -> None:
-        """Upgrade the snapshot to its shared-memory form, because a
-        process batch is about to ship it.  Token-preserving: ids,
-        stamps, extensions and cached answers are untouched, the graph
-        just pickles to segment handles instead of buffers -- as do the
-        extensions materialized from here on.  Sticky: refreshes of a
-        shared snapshot stay shared."""
-        with self.lock:
-            if self.graph is None:
-                return
-            self._shared = True
-            snapshot = self.snapshot()
-            if self.shards is not None:
-                snapshot.share()  # in place, idempotent
-                return
-            if snapshot_kind(snapshot) == "shared":
-                return
-            self._snapshot = self.graph.freeze(shared=True)
-
     # ------------------------------------------------------------------
     # Extensions
     # ------------------------------------------------------------------
@@ -278,8 +249,7 @@ class Catalog(PlanningState):
         """Materialize whichever of ``names`` are missing or stale and
         return them.  Against the frozen snapshot, so the extensions
         carry id-space payloads and MatchJoin takes the integer fast
-        path; in shards mode the per-shard local steps run through the
-        catalog's executor."""
+        path; in shards mode the views are evaluated shard by shard."""
         with self.lock:
             views = self.views
             todo = [n for n in names if views.fresh_extension(n) is None]
@@ -290,19 +260,7 @@ class Catalog(PlanningState):
                     f"extensions missing for views {todo!r} and the "
                     "engine has no graph to materialize them from"
                 )
-            snapshot = self.snapshot()
-            if self.shards is not None:
-                from repro.shard.materialize import parallel_materialize
-
-                parallel_materialize(
-                    views,
-                    snapshot,
-                    names=todo,
-                    executor=self._executor,
-                    workers=self._workers,
-                )
-            else:
-                views.materialize(snapshot, names=todo)
+            views.materialize(self.snapshot(), names=todo)
             return todo
 
     def evict(self, names: Sequence[str]) -> List[str]:

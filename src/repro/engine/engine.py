@@ -6,7 +6,7 @@ function of ``(Qs, V, V(G))``, and so is the layer around them: a
 :mod:`repro.engine.planner` is a pure function of it, and
 :class:`QueryEngine`, here, is the runtime that answers -- an LRU of
 answers keyed by the version stamps of exactly what each plan reads,
-batches over serial or process-pool executors
+batches evaluated one spec after another
 (:mod:`repro.engine.executor`) and per-answer telemetry
 (``MatchResult.stats``, the plan-choice log, the metrics registry).
 
@@ -21,14 +21,13 @@ Concurrent maintenance must flow through :meth:`QueryEngine.apply_delta`.
 
 from __future__ import annotations
 
-import os
 from contextlib import nullcontext
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.containment import SELECTIONS
 from repro.engine.cache import LRUCache
 from repro.engine.catalog import Catalog, EngineCheckpoint, Evaluated
-from repro.engine.executor import EXECUTORS, run_specs, spec_of
+from repro.engine.executor import run_specs, spec_of
 from repro.engine.plan import (
     MATCHJOIN,
     ExecutionStats,
@@ -39,7 +38,7 @@ from repro.engine.plan import (
 from repro.engine.planner import PlanningState, plan_query, require_runnable
 from repro.graph.pattern import Pattern
 from repro.obs import trace
-from repro.obs.metrics import SIZE_BUCKETS, MetricsRegistry, get_registry
+from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.simulation.result import MatchResult
 from repro.views.storage import ViewSet
 
@@ -71,16 +70,12 @@ class QueryEngine:
         Default view-selection policy: ``"all"`` (algorithm
         ``contain``), ``"minimal"`` (Fig. 5, Theorem 5) or
         ``"minimum"`` (greedy set-cover, Theorem 6).
-    executor / workers:
-        Default batch executor (see :data:`EXECUTORS`) and pool width.
-        A batch that goes to a process pool first upgrades ``G``'s
-        snapshot to shared memory, so the payload pickles to handles.
     answer_cache_size:
         Answer-LRU capacity; ``0`` disables it.
     shards / partitioner:
         Partition ``G`` once (:data:`repro.shard.partitioner.PARTITIONERS`)
         and evaluate against a :class:`~repro.shard.sharded.ShardedGraph`:
-        shard-parallel materialization, partial-evaluation matching.
+        per-shard materialization, partial-evaluation matching.
     registry:
         The metrics registry to report into (default: process-global).
     """
@@ -91,8 +86,6 @@ class QueryEngine:
         graph: Optional[DataGraph] = None,
         snapshot_path=None,
         selection: str = "minimal",
-        executor: str = "serial",
-        workers: Optional[int] = None,
         answer_cache_size: int = 128,
         shards: Optional[int] = None,
         partitioner: str = "hash",
@@ -103,21 +96,11 @@ class QueryEngine:
                 f"unknown selection {selection!r}; expected one of "
                 f"{sorted(SELECTIONS)}"
             )
-        if executor not in EXECUTORS:
-            raise ValueError(
-                f"unknown executor {executor!r}; expected one of {EXECUTORS}"
-            )
         #: The state this engine answers from (and its lock).
-        self.catalog = Catalog(
-            views, graph, snapshot_path, shards, partitioner, executor, workers
-        )
+        self.catalog = Catalog(views, graph, snapshot_path, shards, partitioner)
         self._selection = selection
-        self._executor = executor
-        self._workers = workers
         self._containment_memo = LRUCache(CONTAINMENT_MEMO_SIZE)
         self._answer_cache = LRUCache(answer_cache_size)
-        # Cumulative process-pool shipping cost (see ship_stats()).
-        self._ship_totals = {"batches": 0, "bytes": 0, "seconds": 0.0}
         #: The metrics registry this engine reports into.
         self.registry = registry if registry is not None else get_registry()
         self._log = PlanLog(self.registry)
@@ -161,13 +144,6 @@ class QueryEngine:
             "containment": self._containment_memo.stats.snapshot(),
             "answers": self._answer_cache.stats.snapshot(),
         }
-
-    def ship_stats(self) -> Dict[str, float]:
-        """Cumulative process-pool payload shipping cost: ``batches``
-        batches serialized ``bytes`` of shared payload in ``seconds``
-        (near-constant per batch: segment handles ship, not buffers)."""
-        with self.catalog.lock:
-            return dict(self._ship_totals)
 
     def invalidate(self) -> None:
         """Drop every cached decision and answer.  Normally unnecessary:
@@ -267,31 +243,19 @@ class QueryEngine:
         """Evaluate a plan (re-planning first if the definitions moved
         on; extension refreshes only re-key the answer, the containment
         decision stays valid)."""
-        return self._answer([plan], "serial", None, planned=True)[0]
+        return self._answer([plan], planned=True)[0]
 
     def answer_batch(
-        self,
-        queries: Sequence[Pattern],
-        selection: Optional[str] = None,
-        executor: Optional[str] = None,
-        workers: Optional[int] = None,
+        self, queries: Sequence[Pattern], selection: Optional[str] = None
     ) -> List[MatchResult]:
         """Answer many queries, in order, sharing plans and caches:
         identical queries are evaluated once per batch, cache hits not
-        at all.  ``executor`` / ``workers`` override the engine
-        defaults for this batch only."""
-        return self._answer(
-            queries,
-            executor or self._executor,
-            workers if workers is not None else self._workers,
-            selection,
-        )
+        at all."""
+        return self._answer(queries, selection)
 
     def _answer(
         self,
         items: Sequence,
-        executor: str,
-        workers: Optional[int],
         selection: Optional[str] = None,
         planned: bool = False,
     ) -> List[MatchResult]:
@@ -331,14 +295,11 @@ class QueryEngine:
                     lookup.set(hit=not pending)
             for index, hit in hits:
                 results[index] = self._deliver(
-                    hit, plans[index], elapsed=0.0, cache_hit=True,
-                    executor=executor,
+                    hit, plans[index], elapsed=0.0, cache_hit=True
                 )
             if not pending:
                 return results  # type: ignore[return-value]
             owners = [plans[indices[0]] for indices in pending.values()]
-            if executor == "process" and len(owners) > 1:
-                catalog.share()  # this batch ships: pickle to handles
             for plan in owners:
                 require_runnable(catalog, plan)
             needed = dict.fromkeys(n for plan in owners for n in plan.views_used)
@@ -351,9 +312,8 @@ class QueryEngine:
                     catalog.answer_key(plans[indices[0]]): indices
                     for indices in pending.values()
                 }
-            trace_id = trace.current_span_id()
             keys = {indices[0]: key for key, indices in pending.items()}
-            specs = [(index, spec_of(plans[index], trace_id)) for index in keys]
+            specs = [(index, spec_of(plans[index])) for index in keys]
             # MatchJoin specs never read the graph: freeze only for others.
             graph = (
                 catalog.snapshot()
@@ -364,23 +324,12 @@ class QueryEngine:
                 graph, catalog.views.extensions(), catalog.snapshot_kind
             )
         with (
-            trace.span("evaluate", strategy=owners[0].strategy, executor=executor)
+            trace.span("evaluate", strategy=owners[0].strategy)
             if planned
-            else trace.span("evaluate.batch", tasks=len(specs), executor=executor)
+            else trace.span("evaluate.batch", tasks=len(specs))
         ):
-            completed, ship = run_specs(
-                specs, evaluated.extensions, graph,
-                executor=executor, workers=workers,
-            )
-        if ship.bytes:
-            with catalog.lock:
-                self._ship_totals["batches"] += 1
-                self._ship_totals["bytes"] += ship.bytes
-                self._ship_totals["seconds"] += ship.seconds
-            self.registry.histogram(
-                "repro_engine_ship_bytes", SIZE_BUCKETS
-            ).observe(ship.bytes)
-        for index, result, elapsed, pid, _ in completed:
+            completed = run_specs(specs, evaluated.extensions, graph)
+        for index, result, elapsed in completed:
             self._answer_cache.put(keys[index], result)
             for twin in pending[keys[index]]:
                 results[twin] = self._deliver(
@@ -388,9 +337,6 @@ class QueryEngine:
                     plans[twin],
                     elapsed=elapsed if twin == index else 0.0,
                     cache_hit=twin != index,
-                    executor=executor,
-                    pid=pid,
-                    ship=ship if twin == index else None,
                     state=evaluated,
                 )
         return results  # type: ignore[return-value]
@@ -404,9 +350,6 @@ class QueryEngine:
         plan: QueryPlan,
         elapsed: float,
         cache_hit: bool,
-        executor: str = "serial",
-        pid: Optional[int] = None,
-        ship=None,
         state=None,
     ) -> MatchResult:
         """Wrap a (possibly shared, cached) result with fresh stats,
@@ -419,14 +362,9 @@ class QueryEngine:
             elapsed=elapsed,
             cache_hit=cache_hit,
             containment_cached=plan.containment_cached,
-            executor=executor,
-            pid=pid if pid is not None else os.getpid(),
-            ship_bytes=ship.bytes if ship is not None else 0,
-            ship_seconds=ship.seconds if ship is not None else 0.0,
         )
         self.record_plan_choice(
-            plan, elapsed=elapsed, cache_hit=cache_hit, executor=executor,
-            state=state,
+            plan, elapsed=elapsed, cache_hit=cache_hit, state=state
         )
         return MatchResult(result.node_matches, result.edge_matches, stats=stats)
 
@@ -436,7 +374,6 @@ class QueryEngine:
         *,
         elapsed: float,
         cache_hit: bool,
-        executor: str = "serial",
         state: Optional[PlanningState] = None,
     ) -> PlanChoiceRecord:
         """File the plan-choice record of one answer delivered under
@@ -446,7 +383,7 @@ class QueryEngine:
         if state is None:
             state = self.catalog
         record = PlanChoiceRecord.of(
-            plan, state, elapsed=elapsed, cache_hit=cache_hit, executor=executor
+            plan, state, elapsed=elapsed, cache_hit=cache_hit
         )
         self.log_plan_choice(plan, record)
         return record
@@ -464,6 +401,6 @@ class QueryEngine:
         return (
             f"QueryEngine(views={catalog.views.cardinality}, "
             f"graph={'yes' if catalog.has_graph else 'no'}, "
-            f"selection={self._selection!r}, executor={self._executor!r}"
+            f"selection={self._selection!r}"
             + (f", shards={shards})" if shards is not None else ")")
         )

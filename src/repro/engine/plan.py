@@ -5,7 +5,7 @@ The paper's pipeline (Section II-B) has three stages -- decide
 (Fig. 2) -- and a deployment runs them for every incoming query.  The
 planner factors the first two stages out into a :class:`QueryPlan` that
 is computed once per (query shape, selection, view-cache version) and
-can be inspected, cached, and shipped to worker processes.
+can be inspected and cached.
 
 A plan chooses between two strategies, by Theorem 1's binary rule:
 
@@ -170,10 +170,11 @@ def fingerprint_digest(key: PatternKey) -> str:
 
 
 #: Version of the plan-choice record schema (breaking layout changes
-#: bump this).  v3 drops v2's priced-planner fields (``planner``,
-#: ``cost_estimate_ms``, ``candidates``) and ``views_wanted``; every
-#: other field is unchanged since v1.
-PLAN_RECORD_VERSION = 3
+#: bump this).  v3 dropped v2's priced-planner fields (``planner``,
+#: ``cost_estimate_ms``, ``candidates``) and ``views_wanted``; v4 drops
+#: ``executor`` (every answer is evaluated in process); every other
+#: field is unchanged since v1.
+PLAN_RECORD_VERSION = 4
 
 
 @dataclass(frozen=True)
@@ -201,7 +202,6 @@ class PlanChoiceRecord:
     containment_cached: bool
     cache_hit: bool
     snapshot_kind: str
-    executor: str
     elapsed: float
 
     @classmethod
@@ -212,7 +212,6 @@ class PlanChoiceRecord:
         *,
         elapsed: float,
         cache_hit: bool,
-        executor: str = "serial",
     ) -> "PlanChoiceRecord":
         """The record of one answer delivered under ``plan`` on
         ``state`` (the planning state that answered: the live catalog
@@ -234,7 +233,6 @@ class PlanChoiceRecord:
             containment_cached=plan.containment_cached,
             cache_hit=cache_hit,
             snapshot_kind=state.snapshot_kind,
-            executor=executor,
             elapsed=elapsed,
         )
 
@@ -252,7 +250,6 @@ class PlanChoiceRecord:
             "containment_cached": self.containment_cached,
             "cache_hit": self.cache_hit,
             "snapshot_kind": self.snapshot_kind,
-            "executor": self.executor,
             "elapsed_ms": self.elapsed * 1e3,
         }
 
@@ -330,13 +327,7 @@ class ExecutionStats:
     """Per-query execution telemetry, attached to ``MatchResult.stats``.
 
     ``elapsed`` is the evaluation wall time in seconds (zero for answer
-    -cache hits); ``executor`` names how the query ran (``"serial"``
-    or ``"process"``); ``pid`` is the worker process id.
-    ``ship_bytes`` / ``ship_seconds`` are the serialized size of the
-    shared payload and the wall time spent serializing it when this
-    query's batch went to a process pool (zero in-process: nothing
-    ships).  Shipping happens once per batch, so every evaluated result
-    of one batch reports the same figures.
+    -cache hits).
     """
 
     strategy: str
@@ -345,7 +336,3 @@ class ExecutionStats:
     elapsed: float
     cache_hit: bool
     containment_cached: bool
-    executor: str
-    pid: Optional[int] = None
-    ship_bytes: int = 0
-    ship_seconds: float = 0.0

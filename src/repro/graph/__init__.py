@@ -19,10 +19,9 @@ This subpackage provides everything the matching algorithms stand on:
   edge *ranks* driving the bottom-up MatchJoin optimization (Section III).
 * :mod:`~repro.graph.io` -- serialization, including a SNAP edge-list
   reader for users who have the original datasets.
-* :mod:`~repro.graph.flatbuf` -- flat-buffer snapshot storage over
-  pluggable segment backends (``shm`` | ``bytes`` | ``file``), the
-  ``file`` backend being versioned, checksummed on-disk segments
-  attached read-only via ``mmap``.
+* :mod:`~repro.graph.flatbuf` -- flat-buffer snapshot storage: in
+  process memory, or versioned, checksummed on-disk segments attached
+  read-only via ``mmap``.
 * :mod:`~repro.graph.snapshot` -- persistent snapshot directories:
   :class:`~repro.graph.snapshot.SnapshotStore` saves and reloads whole
   graphs (and their view catalogs) without rebuilding.
@@ -53,7 +52,6 @@ _EXPORTS = {
     "TrueCondition": "repro.graph.conditions",
     "implies": "repro.graph.conditions",
     "ingest_snapshot": "repro.graph.ingest",
-    "live_segment_names": "repro.graph.flatbuf",
     "verify_segment_file": "repro.graph.flatbuf",
 }
 

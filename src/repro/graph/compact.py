@@ -96,10 +96,10 @@ def bounding_label(condition) -> str:
 
 def _new_token() -> int:
     """A fresh snapshot token: 64 random bits, so tokens minted in
-    *different* processes cannot collide either (extensions frozen on
-    separate workers may meet in one MatchJoin call).  Tokens survive
-    pickling -- they are plain ints -- so extensions shipped to pool
-    workers still recognise each other's id space."""
+    *different* processes cannot collide either (a snapshot saved by one
+    process may meet extensions of another in one MatchJoin call).
+    Tokens survive pickling and saving -- they are plain ints -- so
+    reloaded extensions still recognise each other's id space."""
     return int.from_bytes(os.urandom(8), "big") | 1
 
 

@@ -376,7 +376,7 @@ class DataGraph:
     # ------------------------------------------------------------------
     # Snapshots
     # ------------------------------------------------------------------
-    def freeze(self, shared: bool = False) -> "CompactGraph":
+    def freeze(self) -> "CompactGraph":
         """An immutable :class:`~repro.graph.compact.CompactGraph`
         snapshot of the current state.
 
@@ -388,15 +388,6 @@ class DataGraph:
         label/attribute tables are reused and node ids stay stable --
         instead of rebuilt, so the integer fast paths survive
         maintenance updates at affected-area cost.
-
-        With ``shared=True`` the snapshot is additionally mirrored into
-        a flat shared-memory segment
-        (:class:`~repro.graph.flatbuf.SharedCompactGraph`), so shipping
-        it to process-pool workers costs a segment handle instead of a
-        full pickle.  Sharedness is sticky across the refresh chain:
-        refreshing a shared snapshot keeps the base segment and carries
-        the delta as a patch overlay.  In-process reads are unaffected
-        (the shared form reuses the same row objects).
         """
         from repro.graph.compact import CompactGraph
 
@@ -411,19 +402,10 @@ class DataGraph:
             # quarter of the edge set a full rebuild is no slower and
             # produces a snapshot free of journal bookkeeping.
             if ops is not None and len(ops) < max(64, self._num_edges // 4):
-                # Dispatch on the cached snapshot's own class so a
-                # shared snapshot refreshes into a shared one (keeping
-                # its segment) and a plain one stays plain.
-                frozen = type(frozen).refreshed(frozen, self, self._version, ops)
+                frozen = CompactGraph.refreshed(frozen, self, self._version, ops)
             else:
                 frozen = CompactGraph(self, self._version)
             self._frozen = frozen
-        if shared:
-            from repro.graph.flatbuf import SharedCompactGraph
-
-            if not isinstance(frozen, SharedCompactGraph):
-                frozen = SharedCompactGraph.share(frozen)
-                self._frozen = frozen
         return frozen
 
     def copy(self) -> "DataGraph":

@@ -1,12 +1,10 @@
-"""Flat-buffer storage core: zero-copy shared-memory snapshots.
+"""Flat-buffer storage core: a snapshot's columns in one byte segment.
 
 The paper's complexity bounds (Theorems 1-3 and the MatchJoin algorithm
 of Section V) assume an indexed, array-addressable graph.
 :class:`~repro.graph.compact.CompactGraph` approximates that with
-per-node Python tuples, which evaluate fast in-process but make process
-fan-out expensive: every pool dispatch pays a full pickle of the object
-graph (tuples, dicts, label sets) on the parent and a full unpickle on
-every worker.
+per-node Python tuples, which evaluate fast in process but cannot be
+written to disk, or mapped back from it, without rebuilding every row.
 
 This module moves the snapshot's columns into *flat buffers*:
 
@@ -17,88 +15,41 @@ This module moves the snapshot's columns into *flat buffers*:
   process;
 
 all packed into **one byte segment** behind a small header
-(``{table: (kind, offset, nbytes)}``).  The segment's *backing* is
-pluggable -- a backend registry selects between:
+(``{table: (kind, offset, nbytes)}``).  A segment is backed one of two
+ways:
 
-* ``shm`` -- :class:`multiprocessing.shared_memory.SharedMemory`, the
-  default wherever the platform provides it (zero-copy process fan-out);
-* ``bytes`` -- a plain in-process ``bytearray`` fallback (pickles ship
-  the payload);
+* ``bytes`` -- a private in-process ``bytearray``, which is what
+  :meth:`FlatStore.pack` builds;
 * ``file`` -- a **versioned on-disk segment** (fixed
   magic/version/checksum header, payload, then the pickled table
-  directory as a trailer) attached read-only via ``mmap``, which is
-  what makes snapshots durable: :meth:`FlatStore.save` writes one,
+  directory as a trailer) mapped read-only via ``mmap``, which is what
+  makes snapshots durable: :meth:`FlatStore.save` writes one,
   :meth:`FlatStore.open` maps it back without rebuilding anything.
 
-A :class:`SharedCompactGraph` built over such a
-:class:`FlatStore` pickles as *segment name + header + meta*: workers
-**attach** to the segment instead of unpickling the object graph, and
-materialize only the rows their traversals actually touch
-(:class:`_LazyRows`).  Ship cost becomes O(header), not O(|G|).
-
-Segment lifecycle is deterministic and refcounted in-process:
-
-* the *creator* process owns the segment; a ``weakref.finalize`` on the
-  owning :class:`Segment` unlinks it when the last snapshot referencing
-  it is garbage collected (refresh chains share one segment -- see
-  :meth:`SharedCompactGraph.refreshed` -- so the unlink happens when the
-  last generation drops);
-* *attachers* (pool workers) close their mapping but never unlink, and
-  are unregistered from the ``resource_tracker`` immediately -- without
-  that, every worker's tracker would try to unlink the segment at exit
-  (the well-known "leaked shared_memory" spam) and could destroy it
-  under the creator;
-* an in-process **attach cache** keyed by segment name makes repeated
-  attaches (a payload of many extensions sharing one snapshot segment)
-  resolve to one mapping and one lazily-decoded blob cache.
-
-``live_segment_names()`` exposes the creator-side registry so tests can
-assert clean teardown.
+A :class:`SharedCompactGraph` built over a mapped store materializes
+only the rows its traversals actually touch (:class:`_LazyRows`), and
+pickles as *store + meta*: a file-backed store as its path, a ``bytes``
+one as its payload.  A mapping is closed when the last reference to its
+segment drops; nothing here ever deletes a file.
 """
 
 from __future__ import annotations
 
-import logging
 import mmap
 import os
 import pickle
 import struct
-import threading
 import weakref
 import zlib
 from array import array
-from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import sub
-from typing import Any, Dict, FrozenSet, Iterator, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from repro.graph.compact import CompactGraph, Node
 
-log = logging.getLogger(__name__)
-
-
-def _have_shm() -> bool:
-    """Whether the platform provides shared memory.  Probed on demand:
-    ``multiprocessing`` is loaded by the first shm create/attach, never
-    by a process that only maps segment files."""
-    try:
-        import multiprocessing.shared_memory  # noqa: F401
-    except ImportError:  # pragma: no cover - exotic platforms
-        return False
-    return True
-
-
-#: Prefix of every segment this module creates -- lets tests (and
-#: operators) recognise our segments in ``/dev/shm``.
-SEGMENT_PREFIX = "repro_flat_"
-
-#: Environment switch selecting the segment backend (``shm`` | ``bytes``
-#: | ``file``); unset picks shared memory where available.
+#: Nothing reads this environment variable any more; the name stays importable.
 BACKEND_ENV = "REPRO_FLAT_BACKEND"
-
-#: Spool directory for env-selected ``file`` segments (defaults to the
-#: system temp dir).  Persistent saves name their own paths and ignore it.
-FILE_DIR_ENV = "REPRO_FLAT_DIR"
 
 _ITEMSIZE = 8  # all integer tables are 64-bit ('q')
 
@@ -119,194 +70,25 @@ class SegmentFormatError(ValueError):
     version, truncation, or checksum mismatch)."""
 
 
-_BACKENDS = ("shm", "bytes", "file")
-
-
-def resolve_backend(choice: Optional[str] = None) -> str:
-    """The single backend-selection rule shared by create and attach.
-
-    ``choice`` (or :data:`BACKEND_ENV` when ``None``) names one of
-    ``shm`` | ``bytes`` | ``file``; unset and unrecognised values keep
-    the historical default of shared memory, and ``shm`` quietly
-    degrades to ``bytes`` on platforms without it.
-    """
-    if choice is None:
-        choice = os.environ.get(BACKEND_ENV) or "shm"
-    if choice not in _BACKENDS:
-        choice = "shm"
-    if choice == "shm" and not _have_shm():
-        choice = "bytes"
-    return choice
-
-
-def _spool_dir() -> str:
-    import tempfile
-
-    return os.environ.get(FILE_DIR_ENV) or tempfile.gettempdir()
-
-
 # ----------------------------------------------------------------------
-# Segment: one refcounted byte region (shared memory or plain bytes)
+# Segment: one byte region (a private bytearray or a mapped file)
 # ----------------------------------------------------------------------
-_lock = threading.Lock()
-#: Creator-side registry: name -> weakref to the owning Segment.  An
-#: entry disappears when the segment is unlinked (finalizer or close).
-_owned: Dict[str, "weakref.ref[Segment]"] = {}
-#: Attach cache: name -> weakref to the attached Segment, so a payload
-#: of many objects sharing one segment maps it exactly once per process.
-_attached: Dict[str, "weakref.ref[Segment]"] = {}
-
-
-def live_segment_names() -> List[str]:
-    """Names of segments created by this process and not yet unlinked
-    (test hook for the no-leak guarantee)."""
-    with _lock:
-        return [name for name, ref in _owned.items() if ref() is not None]
-
-
 class Segment:
-    """One byte region with deterministic, refcounted teardown.
+    """One byte region: a private ``bytearray``, or a read-only ``mmap``
+    of the sealed segment file at ``path`` (:meth:`attach_file`), which
+    is unmapped when the last reference drops."""
 
-    Created regions own their backing store: when the last Python
-    reference drops (or :meth:`close` is called), shared memory is
-    unlinked and spool files are deleted.  Attached regions only unmap
-    and never delete (persistent segment files opened through
-    :meth:`FlatStore.open` survive every attacher).  The plain
-    ``bytes`` fallback needs no lifecycle at all but keeps the same
-    interface, so every consumer is backend-agnostic.
+    __slots__ = ("nbytes", "_payload", "_path", "__weakref__")
 
-    All three backends share one create/attach code path: the backend
-    is picked by :func:`resolve_backend`, and the creator registry
-    (``_owned``) and per-process attach cache (``_attached``) are keyed
-    by the segment's name (its shm name or its file path) regardless of
-    kind.
-    """
-
-    __slots__ = (
-        "name",
-        "nbytes",
-        "kind",
-        "_shm",
-        "_bytes",
-        "_mmap",
-        "_path",
-        "_finalizer",
-        "__weakref__",
-    )
-
-    def __init__(self) -> None:  # use the factories below
-        self.name: str = ""
-        self.nbytes: int = 0
-        self.kind: str = "bytes"
-        self._shm = None
-        self._bytes: Optional[bytearray] = None
-        self._mmap: Optional[mmap.mmap] = None
-        self._path: Optional[str] = None
-        self._finalizer = None
-
-    # -- factories -----------------------------------------------------
-    @classmethod
-    def create(cls, nbytes: int, backend: Optional[str] = None) -> "Segment":
-        """A fresh writable segment of ``nbytes`` bytes (owned)."""
-        segment = cls()
-        segment.nbytes = nbytes
-        segment.kind = resolve_backend(backend)
-        token = SEGMENT_PREFIX + os.urandom(8).hex()
-        if segment.kind == "shm":
-            from multiprocessing import shared_memory
-
-            segment.name = token
-            shm = shared_memory.SharedMemory(
-                name=segment.name, create=True, size=max(1, nbytes)
-            )
-            segment._shm = shm
-            segment._finalizer = weakref.finalize(
-                segment, _destroy_shm, shm, segment.name
-            )
-        elif segment.kind == "file":
-            path = os.path.join(_spool_dir(), token + ".seg")
-            segment.name = path
-            segment._path = path
-            with open(path, "w+b") as fh:
-                fh.write(
-                    _FILE_HEADER.pack(
-                        SEGMENT_MAGIC,
-                        SEGMENT_FORMAT_VERSION,
-                        _FLAG_UNSEALED,
-                        nbytes,
-                        0,
-                        0,
-                        0,
-                    )
-                )
-                fh.truncate(_FILE_HEADER_SIZE + nbytes)
-                segment._mmap = mmap.mmap(
-                    fh.fileno(), _FILE_HEADER_SIZE + nbytes, access=mmap.ACCESS_WRITE
-                )
-            segment._finalizer = weakref.finalize(
-                segment, _destroy_file, segment._mmap, path
-            )
-        else:
-            segment._bytes = bytearray(nbytes)
-            log.debug(
-                "shared memory unavailable/disabled: %d-byte segment "
-                "falls back to in-process bytes", nbytes,
-            )
-        if segment.name:
-            with _lock:
-                _owned[segment.name] = weakref.ref(segment)
-        return segment
+    def __init__(self, payload, nbytes: int, path: Optional[str] = None) -> None:
+        self.nbytes = nbytes
+        self._payload = payload
+        self._path = path
 
     @classmethod
-    def attach(cls, name: str, nbytes: int, kind: str = "shm") -> "Segment":
-        """Map an existing named segment (worker side, never deletes).
-
-        ``name`` is the shm name or the segment file path; both go
-        through the same cache lookups, so a payload of many objects
-        sharing one segment maps it exactly once per process.
-        """
-        with _lock:
-            cached = _attached.get(name)
-            segment = cached() if cached is not None else None
-            if segment is not None:
-                return segment
-            owned = _owned.get(name)
-            segment = owned() if owned is not None else None
-            if segment is not None:
-                # Same process as the creator: share the mapping.
-                return segment
-        if kind == "file":
-            segment = cls._attach_file(name, nbytes)
-        else:
-            segment = cls._attach_shm(name, nbytes)
-        with _lock:
-            _attached[name] = weakref.ref(segment)
-        return segment
-
-    @classmethod
-    def _attach_shm(cls, name: str, nbytes: int) -> "Segment":
-        if not _have_shm():  # pragma: no cover - guarded by handle kind
-            raise RuntimeError("shared memory is unavailable on this platform")
-        from multiprocessing import resource_tracker, shared_memory
-
-        shm = shared_memory.SharedMemory(name=name)
-        # Python's resource tracker registers *attachers* too (< 3.13)
-        # and would unlink the segment when this worker exits; the
-        # creator owns the unlink, so take this mapping off the books.
-        try:  # pragma: no cover - tracker internals vary by version
-            resource_tracker.unregister(shm._name, "shared_memory")  # type: ignore[attr-defined]
-        except Exception:
-            pass
-        segment = cls()
-        segment.name = name
-        segment.nbytes = nbytes
-        segment.kind = "shm"
-        segment._shm = shm
-        segment._finalizer = weakref.finalize(segment, _close_shm, shm)
-        return segment
-
-    @classmethod
-    def _attach_file(cls, path: str, nbytes: int) -> "Segment":
+    def attach_file(cls, path: str, nbytes: int = -1) -> "Segment":
+        """Map a sealed segment file read-only; ``nbytes >= 0`` is the
+        payload size a pickled handle expects."""
         payload_nbytes, _, _, _ = _read_segment_header(path)
         if nbytes >= 0 and nbytes != payload_nbytes:
             raise SegmentFormatError(
@@ -314,43 +96,27 @@ class Segment:
             )
         with open(path, "rb") as fh:
             mm = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-        segment = cls()
-        segment.name = path
-        segment.nbytes = payload_nbytes
-        segment.kind = "file"
-        segment._mmap = mm
-        segment._path = path
-        segment._finalizer = weakref.finalize(segment, _close_mmap, mm)
+        segment = cls(mm, payload_nbytes, path)
+        weakref.finalize(segment, _close_mmap, mm)
         return segment
 
-    @classmethod
-    def wrap(cls, payload: bytes) -> "Segment":
-        """Adopt a plain byte string (the unpickled fallback handle)."""
-        segment = cls()
-        segment.nbytes = len(payload)
-        segment.kind = "bytes"
-        segment._bytes = bytearray(payload)
-        return segment
-
-    # -- access --------------------------------------------------------
     @property
-    def backend(self) -> str:
-        return self.kind
+    def kind(self) -> str:
+        """``"file"`` for a mapped segment file, ``"bytes"`` otherwise."""
+        return "bytes" if self._path is None else "file"
 
     @property
     def buf(self) -> memoryview:
-        if self._shm is not None:
-            return self._shm.buf[: self.nbytes]
-        if self._mmap is not None:
-            return memoryview(self._mmap)[
-                _FILE_HEADER_SIZE : _FILE_HEADER_SIZE + self.nbytes
-            ]
-        return memoryview(self._bytes)
+        if self._path is None:
+            return memoryview(self._payload)
+        return memoryview(self._payload)[
+            _FILE_HEADER_SIZE : _FILE_HEADER_SIZE + self.nbytes
+        ]
 
     @property
     def on_disk_bytes(self) -> int:
         """File footprint (header + payload + directory); 0 unless the
-        segment is file-backed."""
+        segment is a mapped file."""
         if self._path is None:
             return 0
         try:
@@ -359,93 +125,20 @@ class Segment:
             return 0
 
     def handle(self) -> Tuple[str, object]:
-        """The picklable identity of this segment: ``("shm", name)`` or
-        ``("file", path)`` for named backends, ``("bytes", payload)``
-        for the fallback."""
-        if self.kind == "bytes":
-            return ("bytes", bytes(self._bytes))
-        return (self.kind, self.name)
+        """The picklable identity of this segment: ``("file", path)``
+        for a mapped file, ``("bytes", payload)`` otherwise."""
+        if self._path is None:
+            return ("bytes", bytes(self._payload))
+        return ("file", self._path)
 
     @classmethod
     def from_handle(cls, kind: str, value, nbytes: int) -> "Segment":
-        if kind in ("shm", "file"):
-            return cls.attach(value, nbytes, kind)
-        return cls.wrap(value)
-
-    def seal(self, table_header: Dict[str, Tuple[str, int, int]]) -> None:
-        """Finish a writable file segment: append the pickled table
-        directory, compute checksums, and mark the header sealed.
-
-        A no-op for ``shm``/``bytes`` backends, so :meth:`FlatStore.pack`
-        can call it unconditionally.  Attaching an unsealed file raises
-        :class:`SegmentFormatError` (the writer crashed mid-pack).
-        """
-        if self.kind != "file" or self._path is None:
-            return
-        dir_blob = pickle.dumps(table_header, protocol=pickle.HIGHEST_PROTOCOL)
-        payload = self.buf
-        header = _FILE_HEADER.pack(
-            SEGMENT_MAGIC,
-            SEGMENT_FORMAT_VERSION,
-            0,
-            self.nbytes,
-            zlib.crc32(payload),
-            zlib.crc32(dir_blob),
-            len(dir_blob),
-        )
-        payload.release()
-        with open(self._path, "ab") as fh:
-            fh.write(dir_blob)
-        self._mmap[:_FILE_HEADER_SIZE] = header
-        self._mmap.flush()
-
-    def close(self) -> None:
-        """Tear down eagerly (idempotent): unlink/delete if owned, unmap."""
-        if self._finalizer is not None:
-            self._finalizer()
-            self._finalizer = None
-        self._shm = None
-        self._bytes = None
-        self._mmap = None
+        if kind == "file":
+            return cls.attach_file(value, nbytes)
+        return cls(bytearray(value), nbytes)
 
     def __repr__(self) -> str:
-        return f"Segment({self.name or '<bytes>'}, {self.nbytes}B, {self.backend})"
-
-
-def _destroy_shm(shm, name: str) -> None:
-    """Creator-side finalizer: unlink *then* unmap.
-
-    Unlink first so the name disappears even if exported memoryviews
-    (rows handed to long-lived results) keep the mapping alive; POSIX
-    keeps the memory valid for existing maps after unlink.
-    """
-    with _lock:
-        _owned.pop(name, None)
-    try:
-        shm.unlink()
-    except FileNotFoundError:  # pragma: no cover - double close
-        pass
-    _close_shm(shm)
-
-
-def _close_shm(shm) -> None:
-    try:
-        shm.close()
-    except BufferError:
-        # Exported row views are still alive, so the mapping must
-        # outlive this handle.  Detach it (fd closed, mmap reference
-        # dropped) so SharedMemory.__del__ does not retry the close and
-        # raise unraisably; the map itself is reclaimed when the last
-        # view dies or the process exits.
-        fd = getattr(shm, "_fd", -1)
-        if fd >= 0:
-            try:
-                os.close(fd)
-            except OSError:  # pragma: no cover - already closed
-                pass
-            shm._fd = -1
-        shm._mmap = None
-        shm._buf = None
+        return f"Segment({self._path or '<bytes>'}, {self.nbytes}B, {self.kind})"
 
 
 def _close_mmap(mm) -> None:
@@ -455,18 +148,6 @@ def _close_mmap(mm) -> None:
         # Exported row views keep the mapping alive; it is reclaimed
         # when the last view dies or the process exits.
         pass
-
-
-def _destroy_file(mm, path: str) -> None:
-    """Creator-side finalizer for spool files: delete *then* unmap
-    (POSIX keeps the pages valid for existing maps after unlink)."""
-    with _lock:
-        _owned.pop(path, None)
-    try:
-        os.unlink(path)
-    except FileNotFoundError:  # pragma: no cover - double close
-        pass
-    _close_mmap(mm)
 
 
 def _read_segment_header(path) -> Tuple[int, int, Dict[str, Tuple[str, int, int]], int]:
@@ -556,13 +237,11 @@ class FlatStore:
     Two table kinds: ``"q"`` -- an ``array('q')`` of 64-bit ints,
     8-byte aligned, exposed as a zero-copy memoryview -- and ``"blob"``
     -- an opaque byte string (usually a pickle) decoded at most once
-    per process via :meth:`obj`.
+    per store via :meth:`obj`.
 
-    The header (``{name: (kind, offset, nbytes)}``) is deliberately
-    *not* written into the segment: it travels inside the pickle of
-    whatever object owns the store, which is exactly the "ships segment
-    names + header" contract -- a worker needs nothing but the pickle
-    bytes to address every table.
+    The header (``{name: (kind, offset, nbytes)}``) is *not* part of the
+    payload: it rides in the pickle of whatever object owns the store,
+    and in a saved file's trailer.
     """
 
     __slots__ = ("segment", "header", "_arrays", "_objs", "__weakref__")
@@ -578,13 +257,8 @@ class FlatStore:
         weakref.finalize(self, _release_views, self._arrays)
 
     @classmethod
-    def pack(
-        cls,
-        arrays: Dict[str, array],
-        blobs: Dict[str, bytes],
-        backend: Optional[str] = None,
-    ) -> "FlatStore":
-        """Lay the tables out in one fresh segment."""
+    def pack(cls, arrays: Dict[str, array], blobs: Dict[str, bytes]) -> "FlatStore":
+        """Lay the tables out in one fresh in-process segment."""
         header: Dict[str, Tuple[str, int, int]] = {}
         offset = 0
         for name, arr in arrays.items():
@@ -594,8 +268,8 @@ class FlatStore:
         for name, blob in blobs.items():
             header[name] = ("blob", offset, len(blob))
             offset += len(blob)
-        segment = Segment.create(offset, backend)
-        buf = segment.buf
+        payload = bytearray(offset)
+        buf = memoryview(payload)
         for name, arr in arrays.items():
             _, start, nbytes = header[name]
             if nbytes:
@@ -604,9 +278,8 @@ class FlatStore:
             _, start, nbytes = header[name]
             if nbytes:
                 buf[start : start + nbytes] = blob
-        del buf
-        segment.seal(header)
-        return cls(segment, header)
+        buf.release()
+        return cls(Segment(payload, offset), header)
 
     # -- durable segments ----------------------------------------------
     def save(self, path) -> int:
@@ -641,15 +314,14 @@ class FlatStore:
         Header structure and directory checksum are always validated;
         ``verify=True`` additionally runs the full payload CRC pass
         (reads every byte -- skip it when you want lazy loading).
-        Attaches are cached per process, like shm attaches.
         """
         path = os.fspath(path)
         if verify:
             verify_segment_file(path)
         _, _, table_header, _ = _read_segment_header(path)
-        return _attach_store("file", path, -1, table_header)
+        return cls(Segment.attach_file(path), table_header)
 
-    # -- pickling: segment handle + header, never the payload ----------
+    # -- pickling: the segment's handle + header -----------------------
     def __reduce__(self):
         kind, value = self.segment.handle()
         return (_attach_store, (kind, value, self.segment.nbytes, self.header))
@@ -669,7 +341,7 @@ class FlatStore:
         return self.segment.buf[start : start + nbytes]
 
     def obj(self, name: str):
-        """Unpickle a blob table (memoized per process)."""
+        """Unpickle a blob table (memoized per store)."""
         value = self._objs.get(name)
         if value is None:
             value = pickle.loads(self.blob(name))
@@ -686,7 +358,7 @@ class FlatStore:
 
     @property
     def backend(self) -> str:
-        return self.segment.backend
+        return self.segment.kind
 
     @property
     def on_disk_bytes(self) -> int:
@@ -699,44 +371,9 @@ class FlatStore:
         )
 
 
-#: Attach cache for stores: one FlatStore (and thus one decoded-blob
-#: cache) per segment per process, however many payload objects
-#: reference it.  Keyed by ``(kind, name)`` -- both named backends
-#: (``shm`` and ``file``) share the code path.
-_stores: Dict[Tuple[str, str], "weakref.ref[FlatStore]"] = {}
-
-
 def _attach_store(kind, value, nbytes, header) -> FlatStore:
-    key = (kind, value) if kind in ("shm", "file") else None
-    if key is not None:
-        with _lock:
-            cached = _stores.get(key)
-            store = cached() if cached is not None else None
-        if store is not None:
-            return store
-    segment = Segment.from_handle(kind, value, nbytes)
-    store = FlatStore(segment, header)
-    if key is not None:
-        with _lock:
-            _stores[key] = weakref.ref(store)
-    return store
-
-
-@dataclass(frozen=True)
-class ShipStats:
-    """What one process-pool batch paid to ship its shared payload.
-
-    ``bytes`` is the serialized payload size, ``seconds`` the wall time
-    of the single ``pickle.dumps`` that produced it.  Flat-buffer
-    objects (:class:`SharedCompactGraph`,
-    :class:`~repro.views.flatpack.FlatExtension`) pickle to segment
-    handles, so for a shared-memory snapshot both figures stay small
-    and near-constant in graph size; dict payloads pay the full deep
-    copy here.  In-process executors ship nothing and report zeros.
-    """
-
-    bytes: int = 0
-    seconds: float = 0.0
+    """Unpickle hook (see :meth:`FlatStore.__reduce__`)."""
+    return FlatStore(Segment.from_handle(kind, value, nbytes), header)
 
 
 # ----------------------------------------------------------------------
@@ -755,7 +392,7 @@ def _pack_csr(rows) -> Tuple[array, array]:
 
 
 # ----------------------------------------------------------------------
-# Lazy decoders over a store (worker-side structures)
+# Lazy decoders over a store (attached snapshots)
 # ----------------------------------------------------------------------
 class _LazyRows:
     """Adjacency rows decoded on first touch.
@@ -1052,7 +689,7 @@ class _LazyBuckets(dict):
 # ----------------------------------------------------------------------
 # Snapshot encoding
 # ----------------------------------------------------------------------
-def encode_snapshot(graph: CompactGraph, backend: Optional[str] = None) -> FlatStore:
+def encode_snapshot(graph: CompactGraph) -> FlatStore:
     """Pack a snapshot's columns into one flat segment."""
     labels = sorted({label for labels in graph._labels for label in labels})
     slot_of = {label: i for i, label in enumerate(labels)}
@@ -1086,7 +723,6 @@ def encode_snapshot(graph: CompactGraph, backend: Optional[str] = None) -> FlatS
             "nodes": pickle.dumps(list(graph._nodes), protocol=pickle.HIGHEST_PROTOCOL),
             "attrs": attrs_blob,
         },
-        backend=backend,
     )
 
 
@@ -1096,16 +732,17 @@ def encode_snapshot(graph: CompactGraph, backend: Optional[str] = None) -> FlatS
 class SharedCompactGraph(CompactGraph):
     """A :class:`CompactGraph` whose columns live in a flat segment.
 
-    In the *creator* process the instance shares the source snapshot's
+    Built by :meth:`share`, the instance shares the source snapshot's
     materialized lists (same read performance as a plain snapshot) and
-    additionally owns a :class:`FlatStore` mirror of them.  Pickling
-    ships only the store handle, a small meta tuple and -- after
-    refreshes -- the patch overlay, so a process-pool worker *attaches*
-    and decodes lazily rather than unpickling ``O(|G|)`` objects.
+    additionally owns a :class:`FlatStore` mirror of them, which
+    :class:`~repro.graph.snapshot.SnapshotStore` saves.  Attached to a
+    saved file (:func:`_attach_snapshot`), it decodes lazily instead of
+    rebuilding ``O(|G|)`` objects.  Pickling carries the store, a small
+    meta tuple and -- after refreshes -- the patch overlay.
 
-    The snapshot token is part of the meta, so extensions shipped
-    alongside the snapshot keep recognising its id space, and the
-    MatchJoin fast paths engage in workers exactly as in the parent.
+    The snapshot token is part of the meta, so extensions saved
+    alongside the snapshot keep recognising its id space after a
+    reload, and the MatchJoin fast paths engage exactly as before.
     """
 
     __slots__ = ("_flat", "_patch")
@@ -1140,7 +777,7 @@ class SharedCompactGraph(CompactGraph):
             self._edge_columns = self._succ.edge_columns()
         return super().edge_columns()
 
-    # -- zero-copy pickling --------------------------------------------
+    # -- pickling: store + meta + patch --------------------------------
     def __reduce__(self):
         meta = (
             self.num_nodes,
@@ -1151,7 +788,7 @@ class SharedCompactGraph(CompactGraph):
         )
         return (_attach_snapshot, (self._flat, self._patch, meta))
 
-    # -- refresh: keep the base segment, ship a patch overlay ----------
+    # -- refresh: keep the base segment, carry a patch overlay ---------
     @classmethod
     def refreshed(
         cls, old: "SharedCompactGraph", graph, version: int, ops
@@ -1162,12 +799,10 @@ class SharedCompactGraph(CompactGraph):
         shared, ids stay stable); the delta against the *base segment*
         -- rebuilt adjacency rows, appended node columns, per-label
         bucket growth -- is folded into the patch overlay that rides in
-        the pickle.  One segment therefore serves the whole refresh
-        chain, and it is unlinked only when the last generation
-        referencing it is dropped.  When the accumulated patch stops
+        the pickle and is saved as ``patch.pkl``.  One segment therefore
+        serves the whole refresh chain.  When the accumulated patch stops
         being small relative to the base, the chain re-encodes into a
-        fresh segment instead (the patch would otherwise grow past the
-        ship-cost win the segment exists for).
+        fresh segment instead.
         """
         plain = CompactGraph.refreshed(old, graph, version, ops)
         base_n = len(old._flat.ints("succ_indptr")) - 1
@@ -1209,7 +844,8 @@ _EMPTY_PATCH = {"succ": {}, "pred": {}, "nodes": [], "labels": [], "attrs": [], 
 
 
 def _attach_snapshot(store: FlatStore, patch, meta) -> SharedCompactGraph:
-    """Worker-side reconstruction: attach and decode lazily."""
+    """Reconstruction over a store (a loaded or unpickled snapshot):
+    every column decodes lazily."""
     num_nodes, num_edges, version, token, extends = meta
     patch = patch or _EMPTY_PATCH
     shared = SharedCompactGraph.__new__(SharedCompactGraph)

@@ -272,7 +272,7 @@ def _build_shard(
 
     frozen = graph.freeze()
     entry = shard_entry(f"shard-{shard:03d}.seg", frozen)
-    segment_bytes = encode_snapshot(frozen, backend="bytes").save(
+    segment_bytes = encode_snapshot(frozen).save(
         os.path.join(dirpath, entry["segment"])
     )
     stats = {

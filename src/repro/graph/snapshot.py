@@ -1,10 +1,9 @@
 """Persistent snapshot directories: save/load mmap-backed graph state.
 
-``DataGraph.freeze(shared=True)`` produces a zero-copy, attachable
-snapshot whose columns live in one flat segment -- but the segment dies
-with the process.  :class:`SnapshotStore` gives that snapshot a durable
-sibling: :meth:`SnapshotStore.save` writes a *snapshot directory* of
-sealed segment files (see :mod:`repro.graph.flatbuf` for the on-disk
+:class:`SnapshotStore` gives a frozen snapshot a durable sibling:
+:meth:`SnapshotStore.save` packs its columns into flat segments (a
+private copy: the graph it was given is left as it was) and writes a
+*snapshot directory* of sealed segment files (see :mod:`repro.graph.flatbuf` for the on-disk
 format) plus a ``manifest.json``, and :meth:`SnapshotStore.load` maps
 it back read-only via ``mmap`` -- no edge list is re-read, no CSR is
 rebuilt, and the lazy decode structures mean a reload touches only the
@@ -122,11 +121,10 @@ class SnapshotStore:
     def save(path, snapshot, views=None, overwrite: bool = False) -> dict:
         """Persist ``snapshot`` (and optionally its views) under ``path``.
 
-        ``snapshot`` may be a live :class:`DataGraph` (frozen shared
-        here), a :class:`CompactGraph` (shared here), a
-        :class:`SharedCompactGraph`, or a
-        :class:`~repro.shard.sharded.ShardedGraph` (each shard shared
-        in place).  ``views`` is a ViewSet or ``{name: MaterializedView}``
+        ``snapshot`` may be a live :class:`DataGraph` (frozen here), a
+        :class:`CompactGraph`, a :class:`SharedCompactGraph`, or a
+        :class:`~repro.shard.sharded.ShardedGraph`.  Columns are packed
+        into private flat copies; the object passed in is not changed.  ``views`` is a ViewSet or ``{name: MaterializedView}``
         mapping; views whose payload is a FlatExtension bound to this
         exact snapshot are saved as attachable segment files, everything
         else falls back to a plain pickle.
@@ -229,14 +227,15 @@ def snapshot_on_disk_bytes(path) -> int:
 # Save internals
 # ----------------------------------------------------------------------
 def _as_saveable(snapshot):
-    """Normalize any graph form into a shared (segment-backed) snapshot."""
+    """Normalize any graph form into a segment-backed snapshot (a
+    sharded one is packed shard by shard as it is written)."""
     from repro.graph.digraph import DataGraph
     from repro.shard.sharded import ShardedGraph
 
     if isinstance(snapshot, DataGraph):
-        snapshot = snapshot.freeze(shared=True)
+        snapshot = snapshot.freeze()
     if isinstance(snapshot, ShardedGraph):
-        return snapshot.share()
+        return snapshot
     if isinstance(snapshot, CompactGraph):
         return SharedCompactGraph.share(snapshot)
     raise SnapshotError(
@@ -426,6 +425,7 @@ def _write_sharded(dirpath: str, sharded) -> dict:
     entries: List[dict] = []
     for i, shard in enumerate(sharded.shards):
         entry = shard_entry(f"shard-{i:03d}.seg", shard)
+        shard = SharedCompactGraph.share(shard)
         shard.flat_store.save(os.path.join(dirpath, entry["segment"]))
         if shard._patch:
             entry["patch"] = f"patch-{i:03d}.pkl"

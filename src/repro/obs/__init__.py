@@ -8,8 +8,7 @@ Three cooperating pieces (each importable on its own):
   a no-op mode for zero-cost disablement;
 * :mod:`repro.obs.trace` -- ``span()`` context managers with
   contextvars nesting, explicit propagation across thread pools
-  (:func:`attach`) and process pools (:func:`remote_span` +
-  :class:`SpanRecord`), a :class:`TraceCollector` ring buffer and
+  (:func:`attach`), a :class:`TraceCollector` ring buffer and
   slow-query log;
 * :mod:`repro.obs.logsetup` -- stdlib-logging policy: ``repro.*``
   module loggers everywhere, structured formatter installed only by
@@ -30,7 +29,6 @@ _EXPORTS = {
     "MetricsRegistry": "repro.obs.metrics",
     "SIZE_BUCKETS": "repro.obs.metrics",
     "Span": "repro.obs.trace",
-    "SpanRecord": "repro.obs.trace",
     "TraceCollector": "repro.obs.trace",
     "attach": "repro.obs.trace",
     "current_span": "repro.obs.trace",
@@ -38,7 +36,6 @@ _EXPORTS = {
     "format_span_tree": "repro.obs.trace",
     "get_registry": "repro.obs.metrics",
     "log_buckets": "repro.obs.metrics",
-    "remote_span": "repro.obs.trace",
     "root_span": "repro.obs.trace",
     "set_registry": "repro.obs.metrics",
     "span": "repro.obs.trace",

@@ -1,7 +1,7 @@
 """A low-overhead metrics registry: counters, gauges, histograms.
 
 The engine spans seven layers (planner -> caches -> MatchJoin kernels
--> shard workers -> maintenance -> flat buffers -> asyncio server) and
+-> shard fixpoints -> maintenance -> flat buffers -> asyncio server) and
 every one of them has quantities worth watching continuously -- the
 paper's own experimental claims (view-based evaluation ~9.7x faster,
 views at 4-15% of ``|G|``) are per-query, per-epoch measurements.  This

@@ -7,7 +7,7 @@ complete story of one query: plan -> cache -> evaluate -> per-shard
 waves, which is exactly what ``repro trace`` pretty-prints and what the
 serving layer's slow-query log retains.
 
-Propagation contract (three hops, each explicit):
+Propagation contract (two hops, each explicit):
 
 * **same thread** -- nesting rides a :mod:`contextvars` variable:
   :func:`span` attaches to the current span automatically and is a
@@ -16,15 +16,7 @@ Propagation contract (three hops, each explicit):
 * **thread pools** -- executors do not inherit context; the submitting
   side captures :func:`current_span` and the worker re-enters it with
   :func:`attach` (span objects are shared memory, children appends are
-  GIL-atomic);
-* **process pools** -- nothing is shared; the coordinator threads the
-  parent's ``span_id`` through the shipped task (``EvaluationSpec.
-  trace_id``, the :class:`~repro.shard.psim.ShardRunner` round-trip),
-  the worker records a detached :func:`remote_span` tree, ships back a
-  picklable :class:`SpanRecord`, and the coordinator *adopts* it under
-  the parent whose id it names.  Worker clocks never mix with
-  coordinator clocks: a record keeps only durations and offsets
-  relative to its own root.
+  GIL-atomic).
 
 Finished roots land in a :class:`TraceCollector`: a bounded ring buffer
 of recent traces plus a top-K-by-duration slow-query log, both
@@ -34,11 +26,9 @@ queryable over the serving protocol.
 from __future__ import annotations
 
 import itertools
-import os
 import threading
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, field
 from heapq import heappush, heappushpop
 from time import perf_counter
 from typing import Dict, List, Optional, Tuple
@@ -48,38 +38,8 @@ _current: ContextVar[Optional["Span"]] = ContextVar("repro_obs_span", default=No
 
 
 def _new_span_id() -> str:
-    # The pid prefix keeps ids unique across pool workers; next() on an
-    # itertools.count is atomic under the GIL.
-    return f"{os.getpid():x}-{next(_ids):x}"
-
-
-@dataclass(frozen=True)
-class SpanRecord:
-    """A finished span subtree in picklable form (process round-trips).
-
-    ``start_offset`` is seconds since the *record's own root* started
-    -- worker and coordinator monotonic clocks are unrelated, so a
-    record never carries absolute times.  ``parent_id`` names the
-    coordinator-side span this tree belongs under (the id that was
-    threaded through the shipped task).
-    """
-
-    name: str
-    attrs: Tuple[Tuple[str, object], ...]
-    start_offset: float
-    duration: float
-    parent_id: Optional[str] = None
-    children: Tuple["SpanRecord", ...] = ()
-
-    def to_dict(self) -> Dict:
-        return {
-            "name": self.name,
-            "attrs": dict(self.attrs),
-            "start_ms": self.start_offset * 1e3,
-            "duration_ms": self.duration * 1e3,
-            "remote": True,
-            "children": [child.to_dict() for child in self.children],
-        }
+    # next() on an itertools.count is atomic under the GIL.
+    return f"{next(_ids):x}"
 
 
 class Span:
@@ -105,7 +65,7 @@ class Span:
         self.name = name
         self.attrs: Dict[str, object] = dict(attrs) if attrs else {}
         self.parent = parent
-        self.children: List[object] = []  # Span | SpanRecord
+        self.children: List["Span"] = []
         self.started = perf_counter()
         self.ended: Optional[float] = None
         if parent is not None:
@@ -132,42 +92,7 @@ class Span:
             self.ended = perf_counter()
         return self
 
-    def adopt(self, record: SpanRecord) -> None:
-        """Attach a worker-shipped subtree under this span.
-
-        The record's ``parent_id`` -- when the worker had one to echo --
-        must name this span: adopting under the wrong parent would
-        silently mis-attribute worker time.
-        """
-        if record.parent_id is not None and record.parent_id != self.span_id:
-            raise ValueError(
-                f"span record {record.name!r} belongs under "
-                f"{record.parent_id}, not {self.span_id}"
-            )
-        self.children.append(record)
-
     # ------------------------------------------------------------------
-    def to_record(self, parent_id: Optional[str] = None) -> SpanRecord:
-        """The finished subtree as a picklable record (worker -> parent)."""
-        base = self.started
-        return self._record_relative(base, parent_id)
-
-    def _record_relative(self, base: float, parent_id: Optional[str]) -> SpanRecord:
-        children = tuple(
-            child._record_relative(base, None)
-            if isinstance(child, Span)
-            else child
-            for child in self.children
-        )
-        return SpanRecord(
-            name=self.name,
-            attrs=tuple(sorted(self.attrs.items(), key=lambda kv: kv[0])),
-            start_offset=self.started - base,
-            duration=self.duration,
-            parent_id=parent_id,
-            children=children,
-        )
-
     def to_dict(self, _base: Optional[float] = None) -> Dict:
         """A JSON-ready tree (offsets relative to this subtree's root)."""
         base = self.started if _base is None else _base
@@ -177,11 +102,7 @@ class Span:
             "attrs": dict(self.attrs),
             "start_ms": (self.started - base) * 1e3,
             "duration_ms": self.duration * 1e3,
-            "remote": False,
-            "children": [
-                child.to_dict(base) if isinstance(child, Span) else child.to_dict()
-                for child in self.children
-            ],
+            "children": [child.to_dict(base) for child in self.children],
         }
 
     def __repr__(self) -> str:
@@ -198,7 +119,7 @@ def current_span() -> Optional[Span]:
 
 
 def current_span_id() -> Optional[str]:
-    """The active span's id -- what gets threaded through shipped tasks."""
+    """The active span's id (``None`` untraced)."""
     span = _current.get()
     return span.span_id if span is not None else None
 
@@ -264,25 +185,6 @@ def attach(parent: Optional[Span]):
     try:
         yield parent
     finally:
-        _current.reset(token)
-
-
-@contextmanager
-def remote_span(name: str, parent_id: Optional[str], **attrs: object):
-    """Record a detached span tree in a pool worker.
-
-    The worker has no coordinator objects, only the ``parent_id``
-    threaded through its task.  The yielded span is a local root
-    (nested :func:`span` calls work normally); after the ``with`` block
-    the caller ships ``span.to_record(parent_id)`` home, where the
-    coordinator's :meth:`Span.adopt` re-attaches it.
-    """
-    root = Span(name, parent=None, attrs=attrs)
-    token = _current.set(root)
-    try:
-        yield root
-    finally:
-        root.finish()
         _current.reset(token)
 
 
@@ -375,8 +277,7 @@ def format_span_tree(root: Dict) -> str:
 
 def _format_into(node: Dict, prefix: str, child_prefix: str, lines: List[str]) -> None:
     attrs = " ".join(f"{k}={v}" for k, v in sorted(node["attrs"].items()))
-    remote = " [worker]" if node.get("remote") else ""
-    label = f"{node['name']} ({node['duration_ms']:.2f} ms){remote}"
+    label = f"{node['name']} ({node['duration_ms']:.2f} ms)"
     lines.append(prefix + label + (f"  {attrs}" if attrs else ""))
     children = node["children"]
     for index, child in enumerate(children):

@@ -466,7 +466,7 @@ class QueryServer:
         does no per-pair work for a miss."""
         plan = resolution.plan
         key = plan.cache_key
-        spec = spec_of(plan, trace_id=root.span_id)
+        spec = spec_of(plan)
         self._count("coalesce_owners")
         future: asyncio.Future = self._loop.create_future()
         self._coalescing[key] = future
@@ -691,7 +691,7 @@ class QueryServer:
     def stats(self) -> Dict:
         """A JSON-ready report: epoch lifecycle, request/admission
         counters (shed and coalescing outcomes broken down), cache
-        counters, payload-shipping totals, per-view ``ViewStats``, and
+        counters, per-view ``ViewStats``, and
         the engine registry's versioned metrics snapshot."""
         current = self._registry.current
         tracker = self._engine.maintenance
@@ -716,7 +716,6 @@ class QueryServer:
                     self._answers.stats.snapshot(), bytes=self._wire_bytes()
                 ),
             ),
-            "shipping": self._engine.ship_stats(),
             "views": (
                 {
                     name: stats.snapshot()

@@ -1,5 +1,5 @@
 """Sharded graph backend: partitioning, partial-evaluation matching and
-parallel view materialization.
+per-shard view materialization.
 
 This subpackage reproduces, in-process, the distributed setting the
 paper assumes around its algorithms (graphs too large for one machine,
@@ -19,7 +19,7 @@ views cached so queries never touch ``G``):
   shard-local compact fixpoints under boundary assumptions, a
   coordinator exchanging invalidated boundary matches until the global
   fixpoint (equal to single-machine ``maximum_simulation``);
-* :mod:`~repro.shard.materialize` -- per-shard parallel view
+* :mod:`~repro.shard.materialize` -- per-shard view
   materialization whose merged extensions carry the composite token,
   so the id-space MatchJoin fast path engages unchanged.
 """
@@ -30,8 +30,6 @@ _EXPORTS = {
     "PARTITIONERS": "repro.shard.partitioner",
     "PSimStats": "repro.shard.psim",
     "Partition": "repro.shard.partitioner",
-    "SHARD_EXECUTORS": "repro.shard.psim",
-    "ShardRunner": "repro.shard.psim",
     "ShardedGraph": "repro.shard.sharded",
     "StreamingHashPartitioner": "repro.shard.partitioner",
     "make_partition": "repro.shard.partitioner",

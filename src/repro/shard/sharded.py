@@ -13,8 +13,8 @@ frozen :class:`~repro.graph.compact.CompactGraph` snapshot of
 Because every node's full out-adjacency lives in exactly one shard, a
 shard-local simulation fixpoint is exact up to the match status of its
 ghosts; :mod:`repro.shard.psim` exploits this for partial-evaluation
-matching, and :mod:`repro.shard.materialize` for per-shard parallel
-view materialization.
+matching, and :mod:`repro.shard.materialize` for per-shard view
+materialization.
 
 Like :class:`CompactGraph`, a sharded graph is an immutable snapshot
 with the full ``DataGraph``-compatible read API over original node
@@ -25,7 +25,7 @@ shard carries a row translating its local snapshot ids -- ghosts
 included -- to global ids.  The composite ``snapshot_token`` /
 ``node_table`` make merged extensions indistinguishable from
 single-snapshot ones, so the MatchJoin id-space fast path engages
-unchanged on views materialized shard-parallel.
+unchanged on views materialized shard by shard.
 
 The composite bookkeeping is held as **flat int rows** -- per shard the
 local -> global id row and, per (owner, holder) pair, the bridge pairs
@@ -60,7 +60,7 @@ from typing import (
 )
 
 from repro.graph.compact import CompactGraph, _new_token
-from repro.graph.flatbuf import FlatStore, SharedCompactGraph
+from repro.graph.flatbuf import FlatStore
 
 if TYPE_CHECKING:
     from repro.graph.digraph import DataGraph
@@ -89,7 +89,7 @@ def boundary_stores(
     names_of: Callable[[int], Sequence[Node]], own_counts: Sequence[int]
 ) -> Iterator[FlatStore]:
     """The boundary rows of every shard, one holder at a time, each
-    packed into a process-private :class:`FlatStore` ready to ``save()``.
+    packed into an in-process :class:`FlatStore` ready to ``save()``.
 
     ``names_of(i)`` is shard ``i``'s node table (own nodes first, ghosts
     after).  For holder ``h`` the store's int tables are
@@ -137,7 +137,7 @@ def boundary_stores(
             raise ValueError(
                 f"shard {holder} ghosts {unresolved} node(s) no shard owns"
             )
-        yield FlatStore.pack(tables, {}, backend="bytes")
+        yield FlatStore.pack(tables, {})
 
 
 def boundary_summary(header: Dict[str, Tuple[str, int, int]]) -> Dict[str, int]:
@@ -215,7 +215,7 @@ class ShardedGraph:
     def attach(cls, shards, own_counts, boundary, **meta) -> "ShardedGraph":
         """Assemble a sharded graph from per-shard snapshots and their
         boundary stores (what a snapshot directory persists, and what a
-        pickle ships); ``boundary=None`` computes the stores."""
+        pickle carries); ``boundary=None`` computes the stores."""
         new = cls.__new__(cls)
         new._assemble(shards, own_counts, boundary, **meta)
         return new
@@ -252,9 +252,8 @@ class ShardedGraph:
         self.extends_token = extends_token
 
     def __reduce__(self):
-        # Ships the per-shard snapshots (segment handles when shared)
-        # and the int boundary rows; name-keyed tables are re-derived
-        # by whoever asks for them on the other side.
+        # The per-shard snapshots and the int boundary rows; name-keyed
+        # tables are re-derived by whoever asks for them after loading.
         meta = {
             "strategy": self.strategy,
             "num_edges": self._num_edges,
@@ -331,10 +330,7 @@ class ShardedGraph:
         # pre-existing composite id -- is unchanged.
         shard_snapshots = list(self._shards)
         for index in sorted(affected):
-            rebuilt = _local_snapshot(graph, partition, index)
-            if isinstance(self._shards[index], SharedCompactGraph):
-                rebuilt = SharedCompactGraph.share(rebuilt)
-            shard_snapshots[index] = rebuilt
+            shard_snapshots[index] = _local_snapshot(graph, partition, index)
         new = ShardedGraph.attach(
             shard_snapshots,
             [len(partition.nodes_of(i)) for i in range(k)],
@@ -349,26 +345,8 @@ class ShardedGraph:
         new.partition = partition
         return new
 
-    def share(self) -> "ShardedGraph":
-        """Freeze every shard into a shared-memory flat snapshot.
-
-        In place and idempotent.  Each per-shard
-        :class:`~repro.graph.compact.CompactGraph` is upgraded to a
-        :class:`~repro.graph.flatbuf.SharedCompactGraph` (same token,
-        same version, identical in-process behavior), so pickling the
-        sharded graph ships per-shard segment handles instead of
-        adjacency copies -- workers in a shard pool attach.  The
-        boundary rows still pickle by value; shard adjacency is the
-        bulk.  Sharedness survives :meth:`refreshed` (rebuilt shards
-        are re-shared).
-        """
-        self._shards = tuple(
-            SharedCompactGraph.share(shard) for shard in self._shards
-        )
-        return self
-
     # ------------------------------------------------------------------
-    # Shard access (what psim / materialize drive)
+    # Shard access (what psim / materialize read)
     # ------------------------------------------------------------------
     @property
     def num_shards(self) -> int:

@@ -16,13 +16,14 @@ from them per view edge on first touch and cached:
 
 In process the rows are plain ``array('q')`` columns and no segment is
 created.  :meth:`FlatExtension.pack` moves the same columns into a
-:class:`~repro.graph.flatbuf.FlatStore` under the same table names; a
-packed payload pickles as segment handles + a small meta tuple, and the
-worker that attaches it runs exactly the code the creator runs (both
-read rows through :meth:`FlatExtension.pair_rows`).  The snapshot's own
-store is referenced (not copied) for the id -> node-key decode table, so
-when a payload dict carrying the snapshot and twenty extensions goes
-through one ``pickle.dumps``, the node table ships exactly once.
+:class:`~repro.graph.flatbuf.FlatStore` under the same table names --
+the form :class:`~repro.graph.snapshot.SnapshotStore` saves beside a
+snapshot's segment and maps back on load -- and a payload attached
+that way runs exactly the code the in-process one runs (both read rows
+through :meth:`FlatExtension.pair_rows`).  The snapshot's own store is
+referenced (not copied) for the id -> node-key decode table, so when a
+payload dict carrying the snapshot and twenty extensions goes through
+one ``pickle.dumps``, the node table is written exactly once.
 """
 
 from __future__ import annotations
@@ -197,7 +198,8 @@ class FlatExtension:
     @classmethod
     def _bound_to(cls, snapshot, edge_order, indptr, src, tgt, distances=None):
         """The payload for ``snapshot``: in-process columns, packed
-        when the snapshot is shared (so the view ships as a handle)."""
+        when the snapshot is segment-backed (so the view saves as a
+        segment beside it)."""
         tables = {"pairs_indptr": indptr, "pairs_src": src, "pairs_tgt": tgt}
         flat = cls(snapshot_stamp(snapshot), edge_order, tables, distances)
         if isinstance(snapshot, SharedCompactGraph):
@@ -246,7 +248,8 @@ class FlatExtension:
         cls, snapshot: SharedCompactGraph, base: "FlatExtension"
     ) -> "FlatExtension":
         """``base``'s rows moved into one flat segment (``I(V)`` as
-        ``dist_*`` triples), shippable as a handle beside ``snapshot``."""
+        ``dist_*`` triples), referencing ``snapshot``'s store for its
+        decode table."""
         arrays = {name: base._ints(name) for name in _ROW_TABLES}
         if base.distances is not None:
             d_src = array("q")
@@ -312,8 +315,8 @@ class FlatExtension:
 
     @property
     def ships_as_handle(self) -> bool:
-        """Whether pickling sends segment handles (rows packed beside
-        a shared snapshot) rather than the rows themselves."""
+        """Whether pickling carries the stores (rows packed beside a
+        segment-backed snapshot) rather than the rows themselves."""
         return self.store is not None and self.snap_store is not None
 
     def __reduce__(self):
@@ -368,9 +371,9 @@ class FlatExtension:
 
 def snapshot_stamp(snapshot) -> tuple:
     """``(token, version, node table, snapshot store, appended nodes)``
-    -- the provenance a payload carries.  The last two name where a
-    worker finds the decode table and are set for shared snapshots
-    only."""
+    -- the provenance a payload carries.  The last two name where an
+    attached payload finds the decode table and are set for
+    segment-backed snapshots only."""
     shared = isinstance(snapshot, SharedCompactGraph)
     patch = snapshot._patch if shared else None
     return (
@@ -391,8 +394,8 @@ def _attach_extension(
     version: int,
     bounded: bool,
 ) -> FlatExtension:
-    """Worker-side (and snapshot-load) reconstruction of a packed
-    payload; nothing is decoded until a query touches it."""
+    """Reconstruction of a packed payload (snapshot load, unpickling);
+    nothing is decoded until a query touches it."""
     nodes = _LazyNodeTable(snap_store, nodes_extra or None)
     return FlatExtension(
         (token, version, nodes, snap_store, nodes_extra),

@@ -192,10 +192,8 @@ class ViewSet:
         (sharded or not), extensions carry their match sets as id rows
         in its id space (the snapshot token recorded in
         :attr:`snapshot_token`), which is what lets MatchJoin sweep
-        stored integer rows at query time.  For shard-parallel
-        materialization with a worker pool, use
-        :func:`repro.shard.materialize.parallel_materialize`, which
-        installs the same extensions through :meth:`set_extension`.
+        stored integer rows at query time; a sharded graph evaluates
+        each view shard by shard (:mod:`repro.shard.psim`).
         """
         from repro.views.view import materialize
 

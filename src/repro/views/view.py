@@ -103,11 +103,10 @@ class MaterializedView:
     compact:
         Optional :class:`~repro.views.flatpack.FlatExtension` carrying
         the same match sets as id rows in snapshot id space (set when
-        the view was materialized against a snapshot).  When it ships
-        as a handle so does the view, and the worker
-        decodes ``edge_matches`` (and the node-key distance index)
-        lazily from the rows -- specs that run entirely in id space
-        never pay the decode at all.
+        the view was materialized against a snapshot).  A view attached
+        from a saved snapshot decodes ``edge_matches`` (and the node-key
+        distance index) lazily from the rows -- specs that run entirely
+        in id space never pay the decode at all.
     """
 
     __slots__ = ("definition", "edge_matches", "distances", "compact", "_size")
@@ -274,8 +273,7 @@ def snapshot_extension(
     during materialization, never re-derived per query -- and the
     node-key index on the :class:`MaterializedView` is decoded from the
     same table, so the two views of ``I(V)`` cannot drift.  Against a
-    shared snapshot the payload comes back packed, so the view ships as a
-    handle.
+    segment-backed snapshot the payload comes back packed.
     """
     pattern = definition.pattern
     if id_rows is None:

@@ -8,6 +8,7 @@ engines can be validated against something independently simple.
 
 from __future__ import annotations
 
+import glob
 import random
 import sys
 from contextlib import contextmanager
@@ -16,6 +17,7 @@ from typing import Dict, Optional, Set
 import pytest
 
 from repro.graph import ANY, BoundedPattern, DataGraph, Pattern
+from repro.graph.flatbuf import SharedCompactGraph
 from repro.obs.metrics import MetricsRegistry, set_registry
 from repro.simulation import array_engine
 
@@ -61,6 +63,26 @@ def forced_kernel(kernel: str):
         yield
     finally:
         patch.undo()
+
+
+def shared_freeze(graph, previous=None) -> SharedCompactGraph:
+    """``graph.freeze()`` in segment-backed form.  With ``previous`` (an
+    earlier result for the same graph) a small gap refreshes it the way
+    ``freeze`` refreshes a plain snapshot: the base segment stays and
+    the delta rides as a patch overlay."""
+    if previous is not None:
+        if previous.snapshot_version == graph.version:
+            return previous
+        ops = graph.edge_changes_since(previous.snapshot_version)
+        if ops is not None and len(ops) < max(64, graph.num_edges // 4):
+            return SharedCompactGraph.refreshed(previous, graph, graph.version, ops)
+    return SharedCompactGraph.share(graph.freeze())
+
+
+def shm_segments() -> Set[str]:
+    """The ``/dev/shm`` entries named like a flat segment: nothing may
+    create one, so tests assert this never grows."""
+    return set(glob.glob("/dev/shm/repro_flat_*"))
 
 
 @contextmanager

@@ -36,6 +36,7 @@ from helpers import (
     random_labeled_graph,
     random_pattern,
     reference_edge_matches,
+    shared_freeze,
 )
 
 needs_numpy = pytest.mark.skipif(
@@ -52,6 +53,12 @@ class OddX(Condition):
 
     def key(self):
         return ("odd-x",)
+
+
+def frozen_as(graph, shared, previous=None):
+    """``graph.freeze()``, segment-backed when ``shared`` (refreshed
+    from ``previous`` where it can be)."""
+    return shared_freeze(graph, previous) if shared else graph.freeze()
 
 
 def chain(*conditions):
@@ -606,13 +613,10 @@ def test_no_index_width_copy_of_the_edge_columns_is_kept(operator):
 @needs_numpy
 @pytest.mark.parametrize("operator", sorted(OPERATORS))
 @pytest.mark.parametrize("shared", [False, True])
-def test_array_caches_are_per_snapshot(operator, shared, monkeypatch):
-    from repro.graph.flatbuf import BACKEND_ENV
-
-    monkeypatch.setenv(BACKEND_ENV, "bytes")
+def test_array_caches_are_per_snapshot(operator, shared):
     graph = rekeyed(random_labeled_graph(random.Random(13), 30, 90), "tuple")
     pattern, run = OPERATORS[operator]
-    old = graph.freeze(shared=shared)
+    old = frozen_as(graph, shared)
     assert old.array_cache == {}
     with forced_kernel("array"):
         before = run(pattern, old)
@@ -633,7 +637,7 @@ def test_array_caches_are_per_snapshot(operator, shared, monkeypatch):
     graph.apply_delta(
         Delta().insert(a_source, ("n", "appended")).insert(("n", "appended"), c_target)
     )
-    refreshed = graph.freeze(shared=shared)
+    refreshed = frozen_as(graph, shared, old)
     assert refreshed.extends_token == old.snapshot_token
     # ... then a relabel, which no refresh can express: a rebuilt snapshot.
     snapshots = [refreshed]
@@ -651,7 +655,7 @@ def test_array_caches_are_per_snapshot(operator, shared, monkeypatch):
         assert masks["B"][new.id_of(("n", "appended"))]
         if step == "refreshed":
             graph.add_node(c_target, labels="A")
-            snapshots.append(graph.freeze(shared=shared))
+            snapshots.append(frozen_as(graph, shared, refreshed))
             assert snapshots[-1].extends_token is None
     assert "A" in snapshots[-1].labels(c_target)
     assert "A" not in refreshed.labels(c_target)
@@ -667,13 +671,10 @@ def test_array_caches_are_per_snapshot(operator, shared, monkeypatch):
 @needs_numpy
 @pytest.mark.parametrize("operator", sorted(OPERATORS))
 @pytest.mark.parametrize("shared", [False, True])
-def test_array_caches_are_not_pickled(operator, shared, monkeypatch):
-    from repro.graph.flatbuf import BACKEND_ENV
-
-    monkeypatch.setenv(BACKEND_ENV, "bytes")
+def test_array_caches_are_not_pickled(operator, shared):
     graph = rekeyed(random_labeled_graph(random.Random(17), 30, 90), "mixed")
     pattern, run = OPERATORS[operator]
-    frozen = graph.freeze(shared=shared)
+    frozen = frozen_as(graph, shared)
     frozen.edge_columns()  # plain ``array('i')`` columns, which do travel
     cold = len(pickle.dumps(frozen))
     with forced_kernel("array"):
@@ -693,15 +694,13 @@ def test_array_caches_are_not_pickled(operator, shared, monkeypatch):
 @pytest.mark.parametrize("operator", sorted(OPERATORS))
 def test_attached_snapshot_decodes_only_the_ids_an_answer_names(operator, monkeypatch):
     from repro.graph.compact import CompactGraph
-    from repro.graph.flatbuf import BACKEND_ENV
 
-    monkeypatch.setenv(BACKEND_ENV, "bytes")
     graph = rekeyed(random_labeled_graph(random.Random(19), 40, 120), "tuple")
     pattern, run = OPERATORS[operator]
     expected = run(pattern, graph)
     named = set().union(*expected.node_matches.values())
     assert 0 < len(named) < graph.num_nodes
-    attached = pickle.loads(pickle.dumps(graph.freeze(shared=True)))
+    attached = pickle.loads(pickle.dumps(shared_freeze(graph)))
     decoded = []
 
     class CountedTable:
@@ -731,16 +730,13 @@ def test_attached_snapshot_decodes_only_the_ids_an_answer_names(operator, monkey
 
 
 @needs_numpy
-def test_concurrent_matches_share_one_snapshots_caches(monkeypatch):
+def test_concurrent_matches_share_one_snapshots_caches():
     """Server threads evaluate on one snapshot at once: the caches fill
     under races (a lost entry is rebuilt, a key decoded twice is the
     same key) and every answer is still the right one."""
     import sys
     import threading
 
-    from repro.graph.flatbuf import BACKEND_ENV
-
-    monkeypatch.setenv(BACKEND_ENV, "bytes")
     graph = rekeyed(random_labeled_graph(random.Random(29), 60, 240), "tuple")
     patterns = [chain("A", "B", "C"), chain("C", "A"), bounded_chain(2, "B", "C", "A")]
     runs = [match, match, bounded_match]
@@ -761,7 +757,7 @@ def test_concurrent_matches_share_one_snapshots_caches(monkeypatch):
         with forced_kernel("array"):
             for _ in range(5):
                 # A fresh attachment each round: empty caches, lazy table.
-                snapshot = pickle.loads(pickle.dumps(graph.freeze(shared=True)))
+                snapshot = pickle.loads(pickle.dumps(shared_freeze(graph)))
                 start = threading.Event()
                 threads = [
                     threading.Thread(target=worker, args=(snapshot, offset, start))
@@ -895,15 +891,12 @@ def test_lazy_kernel_answer_counts_an_in_place_merge(kernel):
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
-def test_lazy_kernel_answer_read_by_threads_at_once(kernel, monkeypatch):
+def test_lazy_kernel_answer_read_by_threads_at_once(kernel):
     """Threads may decode one set at once; each gets the same set, and
     the right one, with no lock on the read path."""
     import sys
     import threading
 
-    from repro.graph.flatbuf import BACKEND_ENV
-
-    monkeypatch.setenv(BACKEND_ENV, "bytes")
     graph = rekeyed(random_labeled_graph(random.Random(47), 60, 240), "tuple")
     pattern = chain("A", "B", "C")
     expected = match(pattern, graph)
@@ -923,7 +916,7 @@ def test_lazy_kernel_answer_read_by_threads_at_once(kernel, monkeypatch):
     try:
         for _ in range(5):
             # A fresh attachment each round: a cold key column, a lazy table.
-            snapshot = pickle.loads(pickle.dumps(graph.freeze(shared=True)))
+            snapshot = pickle.loads(pickle.dumps(shared_freeze(graph)))
             with forced_kernel(kernel):
                 result = match(pattern, snapshot)
             start = threading.Barrier(readers)
@@ -949,14 +942,11 @@ def test_lazy_kernel_answer_read_by_threads_at_once(kernel, monkeypatch):
     )
 
 
-def check_edge_columns_are_rebuilt_after_a_refresh(operator, shared, monkeypatch):
-    from repro.graph.flatbuf import BACKEND_ENV
-
-    monkeypatch.setenv(BACKEND_ENV, "bytes")
+def check_edge_columns_are_rebuilt_after_a_refresh(operator, shared):
     rng = random.Random(21)
     graph = random_labeled_graph(rng, 30, 90)
     pattern, match = OPERATORS[operator]
-    old = graph.freeze(shared=shared)
+    old = frozen_as(graph, shared)
     with forced_kernel("array"):
         assert match(pattern, old) == match(pattern, graph)
     assert old._edge_columns is not None
@@ -976,7 +966,7 @@ def check_edge_columns_are_rebuilt_after_a_refresh(operator, shared, monkeypatch
         .insert(a_source, "appended")
         .insert("appended", b_target)
     )
-    new = graph.freeze(shared=shared)
+    new = frozen_as(graph, shared, old)
     assert new.extends_token == old.snapshot_token  # refreshed, not rebuilt
     assert new.num_nodes == old.num_nodes + 1
     assert new._edge_columns is None
@@ -995,28 +985,24 @@ def check_edge_columns_are_rebuilt_after_a_refresh(operator, shared, monkeypatch
 
 @needs_numpy
 @pytest.mark.parametrize("shared", [False, True])
-def test_edge_columns_are_rebuilt_after_a_refresh(shared, monkeypatch):
-    check_edge_columns_are_rebuilt_after_a_refresh("match", shared, monkeypatch)
+def test_edge_columns_are_rebuilt_after_a_refresh(shared):
+    check_edge_columns_are_rebuilt_after_a_refresh("match", shared)
 
 
 @needs_numpy
 @pytest.mark.parametrize("shared", [False, True])
-def test_bounded_kernel_sees_rebuilt_edge_columns_after_a_refresh(shared, monkeypatch):
-    check_edge_columns_are_rebuilt_after_a_refresh("bmatch", shared, monkeypatch)
+def test_bounded_kernel_sees_rebuilt_edge_columns_after_a_refresh(shared):
+    check_edge_columns_are_rebuilt_after_a_refresh("bmatch", shared)
 
 
-def check_attached_snapshot_reads_its_columns_off_the_segment(operator, monkeypatch):
-    """A pool worker's snapshot decodes adjacency rows on first touch;
-    the array kernels must not touch (and so cache) any of them."""
-    import pickle
-
-    from repro.graph.flatbuf import BACKEND_ENV
-
-    monkeypatch.setenv(BACKEND_ENV, "bytes")
+def check_attached_snapshot_reads_its_columns_off_the_segment(operator):
+    """An attached snapshot (unpickled, or loaded from disk) decodes
+    adjacency rows on first touch; the array kernels must not touch
+    (and so cache) any of them."""
     rng = random.Random(34)
     graph = random_labeled_graph(rng, 40, 140)
     pattern, match = OPERATORS[operator]
-    base = graph.freeze(shared=True)
+    base = shared_freeze(graph)
     first, last = list(graph.nodes())[0], list(graph.nodes())[-1]
     graph.add_node("appended", labels="B")
     graph.apply_delta(
@@ -1026,7 +1012,7 @@ def check_attached_snapshot_reads_its_columns_off_the_segment(operator, monkeypa
         .insert("appended", last)
         .insert(last, first)
     )
-    patched = graph.freeze(shared=True)
+    patched = shared_freeze(graph, base)
     assert patched.extends_token == base.snapshot_token and patched._patch["succ"]
     for creator in (base, patched):
         attached = pickle.loads(pickle.dumps(creator))
@@ -1038,15 +1024,13 @@ def check_attached_snapshot_reads_its_columns_off_the_segment(operator, monkeypa
 
 
 @needs_numpy
-def test_attached_snapshot_reads_its_columns_off_the_segment(monkeypatch):
-    check_attached_snapshot_reads_its_columns_off_the_segment("match", monkeypatch)
+def test_attached_snapshot_reads_its_columns_off_the_segment():
+    check_attached_snapshot_reads_its_columns_off_the_segment("match")
 
 
 @needs_numpy
-def test_bounded_kernel_reads_an_attached_snapshots_columns_off_the_segment(
-    monkeypatch,
-):
-    check_attached_snapshot_reads_its_columns_off_the_segment("bmatch", monkeypatch)
+def test_bounded_kernel_reads_an_attached_snapshots_columns_off_the_segment():
+    check_attached_snapshot_reads_its_columns_off_the_segment("bmatch")
 
 
 def check_dispatch_is_by_edge_count_and_numpy_alone(operator, monkeypatch):

@@ -9,8 +9,8 @@ Covers the whole vertical slice:
   backend and the ``ShardedGraph`` backend over randomized graphs and
   bounded patterns (``*`` bounds and self-loops included);
 * bounded view materialization against snapshots: id-space
-  ``CompactExtension`` payloads with the distance index ``I(V)``,
-  pickling through process executors;
+  ``CompactExtension`` payloads with the distance index ``I(V)``, and
+  their pickle round trips;
 * the BMatchJoin id-space fast path engaging on shared-snapshot
   extensions and falling back (with identical results) otherwise;
 * the stale-bounded-view maintenance contract: ``ViewSet.apply_delta``
@@ -323,7 +323,7 @@ class TestBMatchJoinFastPath:
 
 
 # ----------------------------------------------------------------------
-# Engine integration: snapshots, shards, process executors
+# Engine integration: snapshots, shards
 # ----------------------------------------------------------------------
 class TestEngineBoundedIntegration:
     @pytest.fixture
@@ -364,15 +364,6 @@ class TestEngineBoundedIntegration:
         for query in queries:
             result = engine.answer(query)
             assert result.edge_matches == bounded_match(query, graph).edge_matches
-
-    def test_process_executor_round_trips_distance_payloads(self, workload):
-        graph, views, queries = workload
-        engine = QueryEngine(views, graph=graph)
-        serial = engine.answer_batch(queries)
-        fresh = QueryEngine(views, graph=graph)
-        parallel = fresh.answer_batch(queries, executor="process", workers=2)
-        for a, b in zip(serial, parallel):
-            assert a.edge_matches == b.edge_matches
 
 
 # ----------------------------------------------------------------------

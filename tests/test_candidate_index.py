@@ -25,27 +25,18 @@ from repro.graph.conditions import (
     Label,
     TrueCondition,
 )
-from repro.graph.flatbuf import BACKEND_ENV, SharedCompactGraph
+from repro.graph.flatbuf import SharedCompactGraph
 from repro.obs import trace
 from repro.shard.psim import sharded_match
 from repro.shard.sharded import ShardedGraph
 from repro.simulation import bounded_match, match
 from repro.views import ViewDefinition, ViewSet
 
-from helpers import KERNELS, forced_kernel, fresh_registry
+from helpers import KERNELS, forced_kernel, fresh_registry, shared_freeze
 
 ATTRS = ("x", "y", "z")
 LABELS = ("A", "B")
 OPS = ("==", "!=", "<=", ">=", "<", ">")
-
-
-@pytest.fixture(autouse=True, scope="module")
-def bytes_backend():
-    """Attach round-trips without shared-memory segments."""
-    patch = pytest.MonkeyPatch()
-    patch.setenv(BACKEND_ENV, "bytes")
-    yield
-    patch.undo()
 
 
 # ----------------------------------------------------------------------
@@ -123,7 +114,7 @@ def test_candidate_index_on_compact_graph(graph, condition):
 @settings(max_examples=100, deadline=None)
 @given(graph=graphs(), condition=conditions)
 def test_candidate_index_on_attached_shared_graph(graph, condition):
-    shared = graph.freeze(shared=True)
+    shared = shared_freeze(graph)
     assert shared.flat_store.backend == "bytes"
     attached = pickle.loads(pickle.dumps(shared))
     assert isinstance(attached, SharedCompactGraph)
@@ -149,7 +140,11 @@ def test_candidate_index_on_every_shard(graph, condition, k):
 )
 def test_candidate_index_across_refreshed(graph, condition, edge, new_attrs, shared):
     n = graph.num_nodes
-    old = graph.freeze(shared=shared)
+
+    def freeze(previous=None):
+        return shared_freeze(graph, previous) if shared else graph.freeze()
+
+    old = freeze()
     assert_exact(old, condition)  # columns exist before the refresh
 
     source, target = edge[0] % n, edge[1] % n
@@ -157,14 +152,14 @@ def test_candidate_index_across_refreshed(graph, condition, edge, new_attrs, sha
         graph.remove_edge(source, target)
     else:
         graph.add_edge(source, target)
-    edge_only = graph.freeze(shared=shared)
+    edge_only = freeze(old)
     assert edge_only.extends_token == old.snapshot_token
     assert edge_only._columns is old._columns  # carried forward
     assert_exact(edge_only, condition)
 
     graph.add_node(n, labels=LABELS[:1], attrs=new_attrs)
     graph.add_edge(n, source)
-    grown = graph.freeze(shared=shared)
+    grown = freeze(edge_only)
     assert grown.extends_token == edge_only.snapshot_token
     assert grown._columns is not edge_only._columns  # attrs table changed
     assert_exact(grown, condition)

@@ -26,6 +26,7 @@ from helpers import (
     matchjoin_metrics,
     random_labeled_graph,
     random_pattern,
+    shared_freeze,
 )
 from repro.core.containment import contains
 from repro.core.matchjoin import match_join
@@ -445,12 +446,12 @@ class TestEngineSnapshot:
 
 
 # ----------------------------------------------------------------------
-# The equivalence suite over the flat shared-memory backend
+# The equivalence suite over the flat (segment-backed) backend
 # ----------------------------------------------------------------------
 def _freeze(graph, backend):
     """``backend``: "compact" (plain snapshot) or "flat" (shared)."""
     if backend == "flat":
-        frozen = graph.freeze(shared=True)
+        frozen = shared_freeze(graph)
         assert isinstance(frozen, SharedCompactGraph)
         return frozen
     return graph.freeze()
@@ -460,7 +461,7 @@ FROZEN_BACKENDS = pytest.mark.parametrize("backend", ["compact", "flat"])
 
 
 class TestFlatBackendEquivalence:
-    """The backend-equivalence suite re-run with ``freeze(shared=True)``.
+    """The backend-equivalence suite re-run on ``SharedCompactGraph.share``.
 
     A :class:`SharedCompactGraph` reuses the plain snapshot's row
     objects, so in-process evaluation must be bit-identical to the
@@ -520,7 +521,7 @@ class TestFlatBackendEquivalence:
         labels = tuple(f"l{i}" for i in range(6))
         graph = random_graph(150, 400, labels=labels, seed=31)
         definitions = list(generate_views(labels, 8, seed=31))
-        shared = graph.freeze(shared=True)
+        shared = shared_freeze(graph)
         flat_views = ViewSet(definitions)
         flat_views.materialize(shared)
         query = query_from_views(flat_views, 4, 6, seed=31)
@@ -543,7 +544,7 @@ class TestFlatBackendEquivalence:
     def test_flat_extensions_survive_refresh_chain(self):
         labels = tuple(f"l{i}" for i in range(5))
         graph = random_graph(120, 300, labels=labels, seed=33)
-        shared = graph.freeze(shared=True)
+        shared = shared_freeze(graph)
         views = ViewSet(generate_views(labels, 6, seed=33))
         views.materialize(shared)
         token = views.snapshot_token
@@ -554,7 +555,7 @@ class TestFlatBackendEquivalence:
             v for v in nodes if not graph.has_edge(v, nodes[-1])
         )
         graph.add_edge(source, nodes[-1])
-        refreshed = graph.freeze()
+        refreshed = shared_freeze(graph, shared)
         assert isinstance(refreshed, SharedCompactGraph)
         assert refreshed.extends_token == token
         assert refreshed.flat_store is shared.flat_store

@@ -1,4 +1,4 @@
-"""Tests for the QueryEngine subsystem (planner, caches, batch executor)."""
+"""Tests for the QueryEngine subsystem (planner, caches, batches)."""
 
 import pytest
 
@@ -354,9 +354,8 @@ class TestBatch:
             contained_query,  # duplicate: evaluated once, delivered twice
         ]
 
-    @pytest.mark.parametrize("executor", ["serial", "process"])
-    def test_batch_matches_sequential(self, graph, views, batch, executor):
-        engine = QueryEngine(views, graph=graph, executor=executor, workers=2)
+    def test_batch_matches_sequential(self, graph, views, batch):
+        engine = QueryEngine(views, graph=graph)
         results = engine.answer_batch(batch)
         assert len(results) == len(batch)
         for query, result in zip(batch, results):
@@ -376,11 +375,13 @@ class TestBatch:
         assert all(r.stats.elapsed == 0.0 for r in warm)
 
     def test_unknown_executor_rejected(self, views, contained_query):
+        # Evaluation has one path, in process: no executor is known.
         engine = QueryEngine(views)
-        with pytest.raises(ValueError):
-            engine.answer_batch([contained_query], executor="gpu")
-        with pytest.raises(ValueError):
-            QueryEngine(views, executor="gpu")
+        for executor in ("serial", "process"):
+            with pytest.raises(TypeError):
+                engine.answer_batch([contained_query], executor=executor)
+            with pytest.raises(TypeError):
+                QueryEngine(views, executor=executor)
 
 
 class TestLRUCache:

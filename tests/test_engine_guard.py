@@ -7,7 +7,8 @@ is a pure function of it, and a runtime that answers.  These guards
 keep the seams from silting up again: file sizes, the constructor's
 width, what the planner may import, and the paths that used to exist
 twice (answer keys, spec builders, the thread executor, the
-subscribe channel) or were dropped (the priced planner and advisor).
+subscribe channel) or were dropped (the priced planner and advisor, the
+process pools and the shared-memory segments only they used).
 """
 
 import ast
@@ -16,9 +17,10 @@ import re
 from pathlib import Path
 
 import repro
+from repro.engine.catalog import Catalog
 from repro.engine.engine import QueryEngine
-from repro.engine.executor import EXECUTORS
-from repro.shard.psim import SHARD_EXECUTORS
+from repro.graph.digraph import DataGraph
+from repro.shard import materialize, psim
 from repro.views.maintenance import IncrementalViewSet
 
 SRC = Path(repro.__file__).resolve().parent
@@ -48,11 +50,11 @@ def test_no_engine_file_is_a_monolith():
 
 def test_constructor_is_pruned_to_its_traffic():
     parameters = list(inspect.signature(QueryEngine.__init__).parameters)
-    assert len(parameters) - 1 <= 10, parameters  # minus ``self``
+    assert len(parameters) - 1 <= 8, parameters  # minus ``self``
     for gone in (
         "containment_cache_size", "cost_model", "advisor_budget_bytes",
         "advisor_interval", "shared_snapshots", "planner",
-        "auto_materialize",
+        "auto_materialize", "executor", "workers",
     ):
         assert gone not in parameters
 
@@ -91,7 +93,6 @@ def test_one_answer_key_and_one_spec_builder():
 
 
 def test_removed_paths_stay_removed():
-    assert "thread" not in EXECUTORS and "thread" not in SHARD_EXECUTORS
     assert not hasattr(IncrementalViewSet, "subscribe")
     everything = "\n".join(
         path.read_text() for path in SRC.rglob("*.py")
@@ -107,3 +108,30 @@ def test_removed_paths_stay_removed():
         assert not (ENGINE / module).exists(), module
     for path in ("engine/executor.py", "shard/psim.py", "shard/materialize.py"):
         assert "ThreadPoolExecutor" not in (SRC / path).read_text(), path
+
+
+def test_evaluation_stays_in_one_process():
+    # Serial in-process evaluation is the only path: no pool, no shared
+    # memory segment, no backend switch read from the environment.
+    sources = {path: path.read_text() for path in SRC.rglob("*.py")}
+    for gone in (
+        "ProcessPoolExecutor", "multiprocessing", "shared_memory",
+        "resource_tracker", "REPRO_FLAT_DIR", "live_segment_names",
+        "remote_span", "SpanRecord", "ShardRunner", "ShipStats",
+    ):
+        hits = [path.name for path, source in sources.items() if gone in source]
+        assert not hits, (gone, hits)
+    # The backend variable's name stays importable; nothing reads it.
+    assert [
+        path.name for path, source in sources.items() if "BACKEND_ENV" in source
+    ] == ["flatbuf.py"]
+    assert sources[SRC / "graph" / "flatbuf.py"].count("BACKEND_ENV") == 1
+    for function in (
+        QueryEngine.__init__, QueryEngine.answer_batch, Catalog.__init__,
+        psim.sharded_match, psim.sharded_match_with_ids,
+        psim.partial_max_simulation, materialize.materialize_view,
+        materialize.parallel_materialize,
+    ):
+        parameters = inspect.signature(function).parameters
+        assert not {"executor", "workers", "runner"} & set(parameters), function
+    assert "shared" not in inspect.signature(DataGraph.freeze).parameters

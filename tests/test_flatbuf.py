@@ -1,76 +1,70 @@
-"""Flat-buffer shared-memory snapshots: lifecycle, attach, equivalence.
+"""Flat-buffer snapshots: lifecycle, attach, equivalence.
 
-Covers the zero-copy storage core of :mod:`repro.graph.flatbuf` and its
+Covers the storage core of :mod:`repro.graph.flatbuf` and its
 view-payload counterpart :mod:`repro.views.flatpack`:
 
-* segment lifecycle -- refcounted unlink on the last reference drop,
-  survival across ``refreshed`` chains (one base segment per chain), no
-  leaked ``/dev/shm`` entries after process-pool round trips;
-* the plain-``bytes`` fallback behind ``REPRO_FLAT_BACKEND=bytes``;
-* attach-not-unpickle shipping: a :class:`SharedCompactGraph` or a
-  :class:`FlatExtension` pickles to a segment handle and reconstructs
-  with identical read results, in-process and across a process pool;
-* engine/server integration: shared freezing for process batches, ship
-  telemetry in ``ExecutionStats`` and ``QueryEngine.ship_stats()``.
+* segment lifecycle -- a mapped segment file closes with its last
+  reader, refresh chains share one base segment, and nothing ever
+  appears in ``/dev/shm``;
+* the two backings, an in-process ``bytes`` segment and a segment file
+  mapped back read-only, with identical read results;
+* pickling: a :class:`SharedCompactGraph` or a :class:`FlatExtension`
+  reconstructs from its store with identical read results, and a
+  file-attached one pickles as its path;
+* engine integration: maintenance re-stamps flat extension payloads.
 """
 
 import gc
-import glob
 import pickle
 import random
-from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-from helpers import build_graph, random_labeled_graph
+from helpers import random_labeled_graph, shared_freeze, shm_segments
 from repro.core.containment import contains
 from repro.core.matchjoin import match_join
 from repro.datasets import generate_views, query_from_views, random_graph
 from repro.engine import QueryEngine
-from repro.graph import DataGraph
 from repro.graph.flatbuf import (
-    _have_shm,
-    BACKEND_ENV,
-    FILE_DIR_ENV,
-    SEGMENT_PREFIX,
     FlatStore,
     SegmentFormatError,
     SharedCompactGraph,
-    live_segment_names,
     verify_segment_file,
 )
+from repro.graph.snapshot import SnapshotStore
 from repro.simulation import match
-from repro.simulation.array_engine import ARRAY_MIN_EDGES
 from repro.views.flatpack import FlatExtension
 from repro.views.storage import ViewSet
-
-
-def _shm_entries():
-    return glob.glob(f"/dev/shm/{SEGMENT_PREFIX}*")
 
 
 def _sample_graph(seed=7, nodes=40, edges=120):
     return random_labeled_graph(random.Random(seed), nodes, edges)
 
 
+def _saved_and_loaded(graph, directory):
+    """``graph``'s snapshot saved under ``directory`` and mapped back."""
+    SnapshotStore.save(directory, graph)
+    return SnapshotStore.load(directory).graph
+
+
 # ----------------------------------------------------------------------
 # Segment lifecycle
 # ----------------------------------------------------------------------
 class TestLifecycle:
-    def test_unlink_on_last_reference_drop(self):
-        g = _sample_graph()
-        shared = g.freeze(shared=True)
-        assert isinstance(shared, SharedCompactGraph)
-        name = shared.flat_store.segment.name
-        assert name in live_segment_names()
-        del shared
-        g._frozen = None  # drop the freeze cache's reference too
+    def test_mapping_closes_on_last_reference_drop(self, tmp_path):
+        # The file is the snapshot directory's: dropping the last reader
+        # closes the mapping and leaves the file where it is.
+        loaded = _saved_and_loaded(_sample_graph(), tmp_path / "snap")
+        mapping = loaded.flat_store.segment._payload
+        assert not mapping.closed
+        del loaded
         gc.collect()
-        assert name not in live_segment_names()
+        assert mapping.closed
+        assert (tmp_path / "snap" / "graph.seg").exists()
 
     def test_refresh_chain_shares_base_segment(self):
         g = _sample_graph(seed=9)
-        first = g.freeze(shared=True)
+        first = shared_freeze(g)
         nodes = list(g.nodes())
         added = []
         for v in nodes[:3]:
@@ -79,7 +73,7 @@ class TestLifecycle:
                 g.add_edge(v, w)
                 added.append((v, w))
         assert added
-        second = g.freeze()
+        second = shared_freeze(g, first)
         assert isinstance(second, SharedCompactGraph)
         assert second is not first
         assert second.extends_token == first.snapshot_token
@@ -87,96 +81,88 @@ class TestLifecycle:
         assert second.flat_store is first.flat_store
         for v, w in added:
             assert second.has_edge(v, w)
-        # One live segment for the whole chain; dropping every
-        # generation unlinks it.
-        name = first.flat_store.segment.name
-        del first, second
-        g._frozen = None
-        gc.collect()
-        assert name not in live_segment_names()
+        # The graph's own snapshot stays plain.
+        assert type(g.freeze()) is not SharedCompactGraph
 
     def test_share_is_idempotent(self):
         g = _sample_graph(seed=3)
-        shared = g.freeze(shared=True)
+        shared = shared_freeze(g)
         assert SharedCompactGraph.share(shared) is shared
-        assert g.freeze(shared=True) is shared
+        assert shared.snapshot_token == g.freeze().snapshot_token
 
     def test_no_dev_shm_leak_after_suite_of_drops(self):
-        before = set(_shm_entries())
+        before = shm_segments()
         for seed in range(3):
             g = _sample_graph(seed=seed)
-            shared = g.freeze(shared=True)
+            shared = shared_freeze(g)
             pickle.loads(pickle.dumps(shared))
             del shared
-            g._frozen = None
         gc.collect()
-        assert set(_shm_entries()) <= before
+        assert shm_segments() <= before
 
 
 # ----------------------------------------------------------------------
-# Bytes fallback
+# The in-process backing
 # ----------------------------------------------------------------------
 class TestBytesFallback:
-    def test_bytes_backend_round_trip(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "bytes")
+    def test_bytes_backend_round_trip(self):
         g = _sample_graph(seed=5)
-        shared = g.freeze(shared=True)
+        shared = shared_freeze(g)
         assert shared.flat_store.backend == "bytes"
-        # No named segments exist, so nothing can leak.
-        assert shared.flat_store.segment.name not in live_segment_names()
+        assert shared.flat_store.on_disk_bytes == 0
         revived = pickle.loads(pickle.dumps(shared))
         assert set(revived.nodes()) == set(g.nodes())
         assert set(revived.edges()) == set(g.edges())
         for v in g.nodes():
             assert revived.labels(v) == g.labels(v)
 
-    def test_flat_store_tables_identical_across_backends(self, monkeypatch):
+    def test_flat_store_tables_identical_across_backends(self, tmp_path):
         g = _sample_graph(seed=6)
-        shm_tables = g.freeze(shared=True).flat_table_bytes()
-        g2 = _sample_graph(seed=6)
-        monkeypatch.setenv(BACKEND_ENV, "bytes")
-        bytes_tables = g2.freeze(shared=True).flat_table_bytes()
-        assert shm_tables == bytes_tables
+        bytes_tables = shared_freeze(g).flat_table_bytes()
+        loaded = _saved_and_loaded(g, tmp_path / "snap")
+        assert loaded.flat_store.backend == "file"
+        assert loaded.flat_table_bytes() == bytes_tables
 
 
 # ----------------------------------------------------------------------
 # Attach semantics
 # ----------------------------------------------------------------------
 class TestAttach:
-    def test_snapshot_pickle_is_a_handle(self):
+    def test_snapshot_pickle_is_a_handle(self, tmp_path):
+        # A snapshot mapped from its file pickles as the path.
         g = _sample_graph(seed=8, nodes=300, edges=900)
         plain = pickle.dumps(g.freeze())
-        shared = pickle.dumps(g.freeze(shared=True))
-        assert len(shared) < len(plain) / 5
+        attached = pickle.dumps(_saved_and_loaded(g, tmp_path / "snap"))
+        assert len(attached) < len(plain) / 5
 
-    def test_in_process_attach_reuses_store(self):
-        g = _sample_graph(seed=4)
-        shared = g.freeze(shared=True)
-        revived = pickle.loads(pickle.dumps(shared))
-        # Same process: the pickle resolves to the same mapped segment,
-        # not a copy of the buffers.
-        assert revived.flat_store.segment is shared.flat_store.segment
-        assert set(revived.nodes()) == set(shared.nodes())
-        for v in g.nodes():
-            assert revived.successors(v) == shared.successors(v)
-            assert revived.attrs(v) == shared.attrs(v)
+    def test_in_process_attach_reuses_store(self, tmp_path):
+        loaded = _saved_and_loaded(_sample_graph(seed=4), tmp_path / "snap")
+        revived = pickle.loads(pickle.dumps(loaded))
+        # The pickle resolves to the same segment file, not a copy of
+        # its buffers.
+        assert revived.flat_store.segment.handle() == loaded.flat_store.segment.handle()
+        assert revived.flat_store.backend == "file"
+        assert set(revived.nodes()) == set(loaded.nodes())
+        for v in loaded.nodes():
+            assert revived.successors(v) == loaded.successors(v)
+            assert revived.attrs(v) == loaded.attrs(v)
 
     def test_flat_extension_pair_rows_match_edge_matches(self):
         labels = tuple(f"l{i}" for i in range(4))
         graph = random_graph(80, 200, labels=labels, seed=1)
         checked = 0
         for shared in (True, False):
-            segments_before = set(live_segment_names())
             views = ViewSet(generate_views(labels, 5, seed=1))
-            views.materialize(graph.copy().freeze(shared=shared))
+            copy = graph.copy()
+            views.materialize(shared_freeze(copy) if shared else copy.freeze())
             for name in views.names():
                 if not views.is_materialized(name):
                     continue
                 view = views.extension(name)
                 payload = view.compact
                 assert isinstance(payload, FlatExtension)
-                # Packed beside a shared snapshot (ships as a handle);
-                # plain in-process columns otherwise.
+                # Packed beside a segment-backed snapshot; plain
+                # in-process columns otherwise.
                 assert (payload.store is not None) == shared
                 assert payload.ships_as_handle == shared
                 decode = payload.nodes.__getitem__
@@ -190,15 +176,12 @@ class TestAttach:
                     checked += 1
                 with pytest.raises(KeyError):
                     payload.pair_rows(("no such", "view edge"))
-            if not shared:
-                # In-process rows create no shm/file segment at all.
-                assert set(live_segment_names()) <= segments_before
         assert checked
 
     def test_flat_extension_pickle_round_trip(self):
         labels = tuple(f"l{i}" for i in range(4))
         graph = random_graph(60, 150, labels=labels, seed=2)
-        shared = graph.freeze(shared=True)
+        shared = shared_freeze(graph)
         views = ViewSet(generate_views(labels, 5, seed=2))
         views.materialize(shared)
         revived = pickle.loads(pickle.dumps(views.extensions()))
@@ -212,7 +195,7 @@ class TestAttach:
         labels = tuple(f"l{i}" for i in range(4))
         graph = random_graph(60, 150, labels=labels, seed=2)
         views = ViewSet(generate_views(labels, 5, seed=2))
-        views.materialize(graph.freeze(shared=True))
+        views.materialize(shared_freeze(graph))
         revived = pickle.loads(pickle.dumps(views.extensions()))
         assert any(view.is_empty for view in revived.values())
         assert not all(view.is_empty for view in revived.values())
@@ -227,69 +210,7 @@ class TestAttach:
 
 
 # ----------------------------------------------------------------------
-# Cross-process round trips (the actual zero-copy path)
-# ----------------------------------------------------------------------
-def _remote_probe(shared):
-    return (
-        sorted(shared.nodes(), key=repr)[:5],
-        shared.num_edges,
-        type(shared).__name__,
-    )
-
-
-def _remote_match(args):
-    query, views_blob = args
-    views = pickle.loads(views_blob)
-    containment = contains(query, views)
-    return match_join(query, containment, views)
-
-
-class TestCrossProcess:
-    def test_worker_attaches_snapshot(self):
-        g = _sample_graph(seed=12, nodes=120, edges=360)
-        shared = g.freeze(shared=True)
-        with ProcessPoolExecutor(max_workers=1) as pool:
-            nodes, num_edges, typename = pool.submit(
-                _remote_probe, shared
-            ).result()
-        assert typename == "SharedCompactGraph"
-        assert num_edges == shared.num_edges
-        assert nodes == sorted(shared.nodes(), key=repr)[:5]
-
-    def test_matchjoin_equal_across_process_boundary(self):
-        labels = tuple(f"l{i}" for i in range(5))
-        graph = random_graph(120, 320, labels=labels, seed=13)
-        shared = graph.freeze(shared=True)
-        views = ViewSet(generate_views(labels, 6, seed=13))
-        views.materialize(shared)
-        query = query_from_views(views, 4, 6, seed=13)
-        containment = contains(query, views)
-        local = match_join(query, containment, views)
-        views_blob = pickle.dumps(views)
-        with ProcessPoolExecutor(max_workers=1) as pool:
-            remote = pool.submit(_remote_match, (query, views_blob)).result()
-        assert remote == local
-        assert remote.edge_matches == match(query, graph).edge_matches
-
-    def test_no_segment_leak_after_pool(self):
-        before = set(_shm_entries())
-        g = _sample_graph(seed=14, nodes=80, edges=240)
-        shared = g.freeze(shared=True)
-        with ProcessPoolExecutor(max_workers=2) as pool:
-            for future in [
-                pool.submit(_remote_probe, shared) for _ in range(4)
-            ]:
-                future.result()
-        name = shared.flat_store.segment.name
-        del shared
-        g._frozen = None
-        gc.collect()
-        assert name not in live_segment_names()
-        assert set(_shm_entries()) <= before
-
-
-# ----------------------------------------------------------------------
-# Engine + ship telemetry
+# Engine integration
 # ----------------------------------------------------------------------
 class TestEngineIntegration:
     @pytest.fixture
@@ -300,68 +221,21 @@ class TestEngineIntegration:
         queries = [query_from_views(views, 4, 6, seed=s) for s in range(3)]
         return graph, views, queries
 
-    def test_process_engine_ships_flat_snapshots(self, workload):
-        graph, views, queries = workload
-        engine = QueryEngine(
-            views, graph=graph, executor="process", workers=2
-        )
-        assert isinstance(engine.snapshot(), SharedCompactGraph)
-        results = engine.answer_batch(queries)
-        serial = QueryEngine(
-            ViewSet(list(views)), graph=graph
-        ).answer_batch(queries)
-        assert results == serial
-        shipped = [r.stats for r in results if r.stats.ship_bytes]
-        assert shipped, "at least one result must carry ship telemetry"
-        assert all(s.ship_seconds >= 0.0 for s in shipped)
-        totals = engine.ship_stats()
-        assert totals["batches"] >= 1
-        assert totals["bytes"] >= max(s.ship_bytes for s in shipped)
-        # Direct plans, plain and bounded, above the array kernels' size
-        # cut: a worker's answer comes back pickled, equal to serial's.
-        labels = tuple(f"l{i}" for i in range(5))
-        big = random_graph(900, 3 * ARRAY_MIN_EDGES, labels=labels, seed=22)
-        direct = queries + [queries[0].bounded(default=2)]
-        pooled = QueryEngine(ViewSet(), graph=big, executor="process", workers=2)
-        results = pooled.answer_batch(direct)
-        assert {(r.stats.strategy, r.stats.executor) for r in results} == {
-            ("direct", "process")
-        }
-        assert any(results)
-        assert pooled.snapshot().num_edges >= ARRAY_MIN_EDGES
-        assert results == QueryEngine(ViewSet(), graph=big).answer_batch(direct)
-
-    def test_serial_engine_ships_nothing(self, workload):
-        graph, views, queries = workload
-        engine = QueryEngine(views, graph=graph)
-        results = engine.answer_batch(queries)
-        assert all(r.stats.ship_bytes == 0 for r in results)
-        assert engine.ship_stats() == {
-            "batches": 0,
-            "bytes": 0,
-            "seconds": 0.0,
-        }
-
     def test_maintenance_rebind_keeps_views_flat(self, workload):
         from repro.views.maintenance import IncrementalViewSet
 
         graph, views, queries = workload
         definitions = list(views)
         tracker = IncrementalViewSet(definitions, graph)
-        engine = QueryEngine(
-            ViewSet(definitions),
-            graph=graph,
-            executor="process",
-            workers=2,
-        )
+        engine = QueryEngine(ViewSet(definitions), graph=graph)
         engine.attach_maintenance(tracker)
-        before = engine.answer_batch(queries)
+        engine.answer_batch(queries)
         catalog = engine.views
         flat_names = [
             name
             for name in catalog.names()
             if catalog.is_materialized(name)
-            and catalog.extension(name).compact.store is not None
+            and isinstance(catalog.extension(name).compact, FlatExtension)
         ]
         assert flat_names
         nodes = list(tracker.graph.nodes())
@@ -377,68 +251,47 @@ class TestEngineIntegration:
                 == match(query, tracker.graph).edge_matches
             )
         snapshot = engine.snapshot()
-        assert isinstance(snapshot, SharedCompactGraph)
-        # Extensions were re-stamped/bound without losing flatness.
+        # Extensions were re-stamped/bound without losing their rows.
         restamped = 0
         for name in flat_names:
             if not catalog.is_materialized(name):
                 continue
             view = catalog.extension(name)
             if view.compact.token == snapshot.snapshot_token:
-                assert view.compact.store is not None
+                assert isinstance(view.compact, FlatExtension)
+                assert view.compact.num_pairs == view.num_pairs
                 restamped += 1
         assert restamped
 
-    def test_per_batch_process_executor_ships_handles(self, workload):
-        """Sharedness is decided where it is observed: an engine built
-        serial upgrades its snapshot (token-preserving) the first time
-        a batch goes to a process pool -- before materializing for it --
-        so that batch ships what a process-built engine's does."""
-        graph, views, queries = workload
-        late = QueryEngine(ViewSet(list(views)), graph=graph)
-        plain = late.snapshot()
-        assert not isinstance(plain, SharedCompactGraph)
-        results = late.answer_batch(queries, executor="process", workers=2)
-        shared = late.snapshot()
-        assert isinstance(shared, SharedCompactGraph)
-        assert shared.snapshot_token == plain.snapshot_token
-        built = QueryEngine(
-            ViewSet(list(views)), graph=graph, executor="process", workers=2
-        )
-        assert results == built.answer_batch(queries)
-        assert late.ship_stats()["batches"] == 1
-        assert late.ship_stats()["bytes"] == built.ship_stats()["bytes"]
-        # Handles, not the pickled graph the batch used to carry.
-        assert late.ship_stats()["bytes"] < len(pickle.dumps(plain))
-
 
 # ----------------------------------------------------------------------
-# Backend matrix: every suite invariant must hold on every backend
+# Backend matrix: every suite invariant must hold on both backings
 # ----------------------------------------------------------------------
-BACKENDS = ("shm", "bytes", "file")
+BACKENDS = ("bytes", "file")
 
 
 @pytest.fixture(params=BACKENDS)
-def flat_backend(request, monkeypatch, tmp_path):
-    backend = request.param
-    if backend == "shm" and not _have_shm():
-        pytest.skip("shared memory unavailable on this platform")
-    spool = tmp_path / "spool"
-    spool.mkdir()
-    monkeypatch.setenv(BACKEND_ENV, backend)
-    monkeypatch.setenv(FILE_DIR_ENV, str(spool))
-    return backend
+def flat_backend(request):
+    return request.param
+
+
+def _shared_on(graph, backend, directory):
+    """A segment-backed snapshot of ``graph``: packed in process
+    (``bytes``), or saved and mapped back from its file (``file``)."""
+    if backend == "file":
+        return _saved_and_loaded(graph, directory)
+    return shared_freeze(graph)
 
 
 class TestBackendMatrix:
-    def test_freeze_uses_selected_backend(self, flat_backend):
+    def test_freeze_uses_selected_backend(self, flat_backend, tmp_path):
         g = _sample_graph(seed=31)
-        shared = g.freeze(shared=True)
+        shared = _shared_on(g, flat_backend, tmp_path / "snap")
         assert shared.flat_store.backend == flat_backend
 
-    def test_pickle_round_trip_equivalence(self, flat_backend):
+    def test_pickle_round_trip_equivalence(self, flat_backend, tmp_path):
         g = _sample_graph(seed=32)
-        shared = g.freeze(shared=True)
+        shared = _shared_on(g, flat_backend, tmp_path / "snap")
         revived = pickle.loads(pickle.dumps(shared))
         assert set(revived.nodes()) == set(g.nodes())
         assert set(revived.edges()) == set(g.edges())
@@ -447,10 +300,10 @@ class TestBackendMatrix:
             assert revived.successors(v) == shared.successors(v)
             assert revived.attrs(v) == g.attrs(v)
 
-    def test_matchjoin_equal_on_every_backend(self, flat_backend):
+    def test_matchjoin_equal_on_every_backend(self, flat_backend, tmp_path):
         labels = tuple(f"l{i}" for i in range(4))
         graph = random_graph(60, 150, labels=labels, seed=33)
-        shared = graph.freeze(shared=True)
+        shared = _shared_on(graph, flat_backend, tmp_path / "snap")
         views = ViewSet(generate_views(labels, 5, seed=33))
         views.materialize(shared)
         query = query_from_views(views, 4, 6, seed=33)
@@ -459,16 +312,17 @@ class TestBackendMatrix:
         assert result.edge_matches == match(query, graph).edge_matches
 
     def test_no_leak_after_drop(self, flat_backend, tmp_path):
+        before = shm_segments()
         g = _sample_graph(seed=34)
-        shared = g.freeze(shared=True)
-        name = shared.flat_store.segment.name
+        shared = _shared_on(g, flat_backend, tmp_path / "snap")
+        shared.edge_columns()
         del shared
-        g._frozen = None
         gc.collect()
-        assert name not in live_segment_names()
-        # The file backend spools into REPRO_FLAT_DIR; the owner's drop
-        # must delete the spool file, leaving the directory empty.
-        assert not list((tmp_path / "spool").glob("*.seg"))
+        assert shm_segments() <= before
+        # Nothing is written anywhere but the snapshot directory.
+        assert [p.name for p in tmp_path.iterdir()] == (
+            ["snap"] if flat_backend == "file" else []
+        )
 
 
 # ----------------------------------------------------------------------

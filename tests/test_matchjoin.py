@@ -26,8 +26,8 @@ from repro.errors import (
 )
 from repro.engine import QueryEngine
 from repro.graph import ANY, BoundedPattern, DataGraph, Pattern
-from repro.graph.flatbuf import live_segment_names
 from repro.graph.scc import is_dag
+from repro.graph.snapshot import SnapshotStore
 from repro.simulation import match
 from repro.views import ViewDefinition, ViewSet
 
@@ -37,6 +37,7 @@ from helpers import (
     matchjoin_metrics,
     random_labeled_graph,
     random_pattern,
+    shm_segments,
 )
 
 
@@ -265,7 +266,7 @@ class TestKernelSweepCounts:
     edge's rows (``repro_matchjoin_sweeps_total``) -- never by timing."""
 
     @pytest.mark.parametrize("shared_snapshots", [False, True])
-    def test_removal_chain_never_rescans_the_rows(self, shared_snapshots):
+    def test_removal_chain_never_rescans_the_rows(self, shared_snapshots, tmp_path):
         """View ``A -> A`` over a path of n A-nodes, query ``a -> a``:
         the fixpoint peels one node per step for n steps.  The edge is
         swept once, grouped once more for the delta counters, and every
@@ -281,12 +282,13 @@ class TestKernelSweepCounts:
         query.add_node("a", "A")
         query.add_edge("a", "a")
         views = ViewSet([ViewDefinition("AA", view)])
-        # Sharedness follows the executor the engine was built for.
-        engine = QueryEngine(
-            views,
-            graph=graph,
-            executor="process" if shared_snapshots else "serial",
-        )
+        # A shared (segment-backed) snapshot: the engine boots from a
+        # saved one, and its extensions are packed rows.
+        if shared_snapshots:
+            SnapshotStore.save(tmp_path / "snap", graph)
+            engine = QueryEngine(views, snapshot_path=tmp_path / "snap")
+        else:
+            engine = QueryEngine(views, graph=graph)
         engine.materialize_views(views.names())
         assert (engine.catalog.snapshot_kind == "shared") == shared_snapshots
         with matchjoin_metrics() as count:
@@ -515,10 +517,11 @@ def test_engine_answer_on_a_matchjoin_plan_packages_nothing():
     assert result.edge_matches == expected.edge_matches
 
 
-def _unread_answers_over_a_shared_snapshot(seed):
+def _unread_answers_over_a_shared_snapshot(seed, directory):
     """Two unread answers of an engine that is gone when this returns."""
     graph, query, views = _random_instance(random.Random(seed), bounded=False)
-    engine = QueryEngine(views, graph=graph, executor="process")
+    SnapshotStore.save(directory, graph)
+    engine = QueryEngine(views, snapshot_path=directory)
     engine.materialize_views(views.names())
     assert engine.catalog.snapshot_kind == "shared"
     answers = engine.answer(query), engine.answer(query)
@@ -526,13 +529,15 @@ def _unread_answers_over_a_shared_snapshot(seed):
     return answers, match(query, graph)
 
 
-def test_unread_answer_over_a_shared_snapshot_leaks_no_segment():
-    before = set(live_segment_names())
-    (kept, dropped), expected = _unread_answers_over_a_shared_snapshot(5)
+def test_unread_answer_over_a_shared_snapshot_leaks_no_segment(tmp_path):
+    before = shm_segments()
+    (kept, dropped), expected = _unread_answers_over_a_shared_snapshot(
+        5, tmp_path / "snap"
+    )
     del dropped
     gc.collect()
     # The unread answer keeps what it reads alive, and reads it later.
     assert kept.edge_matches == expected.edge_matches
     del kept
     gc.collect()
-    assert set(live_segment_names()) <= before
+    assert shm_segments() <= before

@@ -2,13 +2,12 @@
 
 Covers the metrics registry primitives (bucket boundaries, labels,
 snapshot/Prometheus rendering, no-op mode), trace span nesting and
-propagation across threads and process executors (worker spans reattach
-to the right parent), the engine's plan-choice telemetry against
+propagation across threads (pool threads re-enter the right parent),
+the engine's plan-choice telemetry against
 ``QueryPlan.explain()``, and metrics surviving a serving epoch swap.
 """
 
 import asyncio
-import dataclasses
 import logging
 import threading
 
@@ -216,21 +215,6 @@ class TestSpans:
         tasks = [c for c in tree["children"] if c["name"] == "task"]
         assert sorted(t["attrs"]["index"] for t in tasks) == [0, 1, 2]
 
-    def test_remote_record_adoption_validates_parent(self):
-        with trace.root_span("root") as root:
-            with trace.remote_span("worker", root.span_id) as remote:
-                with trace.span("inner"):
-                    pass
-            record = remote.to_record(root.span_id)
-            root.adopt(record)
-            with pytest.raises(ValueError):
-                root.adopt(dataclasses.replace(record, parent_id="bogus"))
-        tree = root.to_dict()
-        workers = [c for c in tree["children"] if c["name"] == "worker"]
-        assert len(workers) == 1
-        assert workers[0]["remote"] is True
-        assert workers[0]["children"][0]["name"] == "inner"
-
     def test_format_span_tree_renders_nesting(self):
         collector = TraceCollector()
         with trace.root_span("root", collector=collector):
@@ -255,11 +239,11 @@ class TestSpans:
 # Executor propagation (engine + shards)
 # ----------------------------------------------------------------------
 class TestExecutorPropagation:
-    def _batch(self, views, graph, executor):
+    def _batch(self, views, graph):
         collector = TraceCollector()
         engine = QueryEngine(views, graph=graph, registry=MetricsRegistry())
         with trace.root_span("batch", collector=collector):
-            engine.answer_batch([ABC, AB], executor=executor, workers=2)
+            engine.answer_batch([ABC, AB])
         (tree,) = collector.recent()
         return tree
 
@@ -274,30 +258,27 @@ class TestExecutorPropagation:
         return found
 
     def test_serial_executor_emits_task_spans(self, views, graph):
-        tree = self._batch(views, graph, "serial")
+        tree = self._batch(views, graph)
         batch = self._find(tree, "evaluate.batch")
         assert batch, format_span_tree(tree)
         tasks = self._find(batch[0], "evaluate.task")
         assert len(tasks) == 2
-        assert all(not t["remote"] for t in tasks)
-
-    def test_process_executor_merges_remote_records(self, views, graph):
-        tree = self._batch(views, graph, "process")
-        tasks = self._find(tree, "evaluate.task")
-        assert len(tasks) == 2, format_span_tree(tree)
-        assert all(t["remote"] for t in tasks)
-        assert all(t["attrs"]["pid"] for t in tasks)
+        assert sorted(t["attrs"]["index"] for t in tasks) == [0, 1]
 
     def test_shard_waves_nest_under_psim(self, graph):
         sharded = ShardedGraph(graph, make_partition(graph, 2, "hash"))
         collector = TraceCollector()
         with trace.root_span("shards", collector=collector):
-            partial_max_simulation(AB, sharded, executor="serial")
+            partial_max_simulation(AB, sharded)
         (tree,) = collector.recent()
         psim = self._find(tree, "psim")
         assert psim, format_span_tree(tree)
         assert psim[0]["attrs"]["shards"] == 2
-        assert self._find(psim[0], "psim.wave"), format_span_tree(tree)
+        rounds = self._find(psim[0], "psim.round")
+        assert rounds, format_span_tree(tree)
+        assert psim[0]["attrs"]["rounds"] == len(rounds)
+        # A round runs the local steps; the edges step follows the last.
+        assert {t["attrs"]["kind"] for r in rounds for t in self._find(r, "psim.task")} == {"sim"}
         assert self._find(psim[0], "psim.task"), format_span_tree(tree)
 
 
@@ -343,11 +324,11 @@ class TestPlanChoiceRecords:
         engine.execute(engine.plan(ABC))
         plan = engine.plan(ABC)
         payload = engine.plan_log()[0].to_dict()
-        assert payload["version"] == PLAN_RECORD_VERSION == 3
+        assert payload["version"] == PLAN_RECORD_VERSION == 4
         assert set(payload) == {
             "version", "fingerprint", "strategy", "selection", "reason",
             "views_used", "view_sizes", "bounded", "containment_cached",
-            "cache_hit", "snapshot_kind", "executor", "elapsed_ms",
+            "cache_hit", "snapshot_kind", "elapsed_ms",
         }
         assert payload["fingerprint"]
         assert payload["elapsed_ms"] >= 0
@@ -627,9 +608,9 @@ class TestLogging:
     def test_library_modules_have_namespaced_loggers(self):
         import repro.core.matchjoin as matchjoin
         import repro.serve.server as server
-        import repro.shard.psim as psim
+        import repro.shard.partitioner as partitioner
 
-        for module in (matchjoin, server, psim):
+        for module in (matchjoin, server, partitioner):
             assert module.log.name.startswith("repro.")
 
     def test_library_installs_no_handlers(self):

@@ -26,6 +26,7 @@ from repro.core.bounded.bcontainment import bounded_contains
 from repro.core.bounded.bmatchjoin import bounded_match_join
 from repro.graph import ANY, BoundedPattern, DataGraph, Pattern
 from repro.graph.conditions import Atom, AttributeCondition, implies
+from repro.graph.flatbuf import SharedCompactGraph
 from repro.shard.partitioner import PARTITIONERS, Partition, make_partition
 from repro.shard.sharded import ShardedGraph
 from repro.simulation import bounded_match, match
@@ -273,9 +274,9 @@ def materialized(views, graph, form):
         views.materialize(graph.freeze())
         views.materialize(graph.copy().freeze(), names=names[:1])
         views.materialize(graph, names=names[1:2])
-    else:  # rows packed beside a shared snapshot
-        views.materialize(graph.freeze(shared=True))
-        if form == "attached":  # ... as a pool worker receives them
+    else:  # rows packed beside a segment-backed snapshot
+        views.materialize(SharedCompactGraph.share(graph.freeze()))
+        if form == "attached":  # ... decoded lazily off the stores
             return pickle.loads(pickle.dumps(views.extensions()))
     return views.extensions()
 

@@ -11,7 +11,7 @@ Covers the whole subsystem:
   and *every* partitioner, partial-evaluation simulation,
   ``sharded_match``, materialized extensions and ``match_join`` answers
   are identical to the single-``CompactGraph`` results;
-* executor variants (serial / process) agree;
+* a failed evaluation leaves nothing behind;
 * the ``QueryEngine`` shards mode plans, answers, caches and
   invalidates exactly like the single-snapshot engine.
 """
@@ -35,7 +35,6 @@ from repro.graph import DataGraph, P
 from repro.shard import (
     PARTITIONERS,
     Partition,
-    ShardRunner,
     ShardedGraph,
     make_partition,
     materialize_view,
@@ -280,18 +279,10 @@ class TestPsimEquivalence:
         assert partial_max_simulation(q, sharded) is None
         assert match(q, g) == sharded_match(q, sharded)
 
-    def test_executors_agree(self):
-        rng = random.Random(37)
-        g = random_labeled_graph(rng, 40, 120)
-        sharded = ShardedGraph(g, make_partition(g, 3, "hash"))
-        q = random_pattern(rng, 4, 7)
-        expect = sharded_match(q, sharded, executor="serial")
-        assert sharded_match(q, sharded, executor="process", workers=2) == expect
-
-    @pytest.mark.parametrize("executor", ["serial"])
-    def test_failed_wave_drops_its_sessions(self, executor, monkeypatch):
-        # A task raising mid-wave on a caller-owned runner must not leave
-        # the other shards' fixpoint states behind in the store.
+    def test_failed_evaluation_leaves_nothing_behind(self, monkeypatch):
+        # A local step raising mid-round drops its evaluation's states
+        # with it: the sharded graph and the catalog answer the next
+        # request as if nothing had happened.
         import repro.shard.psim as psim
 
         rng = random.Random(43)
@@ -305,31 +296,21 @@ class TestPsimEquivalence:
                 raise RuntimeError("injected")
             return real(pattern, snapshot, *rest, **kwargs)
 
-        with ShardRunner(sharded, executor=executor, workers=3) as runner:
-            monkeypatch.setattr(psim, "witness_fixpoint", failing)
-            with pytest.raises(RuntimeError, match="injected"):
-                sharded_match(q, sharded, runner=runner)
-            assert runner._store == {}
-            views = ViewSet(
-                [ViewDefinition(f"v{i}", random_pattern(rng, 3, 4)) for i in range(3)]
-            )
-            with pytest.raises(RuntimeError, match="injected"):
-                parallel_materialize(views, sharded, runner=runner)
-            assert runner._store == {}
-            monkeypatch.setattr(psim, "witness_fixpoint", real)
-            assert sharded_match(q, sharded, runner=runner) == match(q, g)
-            assert runner._store == {}
-
-    def test_runner_rejects_foreign_graph(self):
-        g = build_graph({1: "A", 2: "B"}, [(1, 2)])
-        other = ShardedGraph(g, make_partition(g, 2))
-        sharded = ShardedGraph(g, make_partition(g, 2))
-        q = build_pattern({"a": "A", "b": "B"}, [("a", "b")])
-        with ShardRunner(other) as runner:
-            with pytest.raises(ValueError):
-                sharded_match(q, sharded, runner=runner)
-        with pytest.raises(ValueError):
-            ShardRunner(sharded, executor="bogus")
+        monkeypatch.setattr(psim, "witness_fixpoint", failing)
+        with pytest.raises(RuntimeError, match="injected"):
+            sharded_match(q, sharded)
+        views = ViewSet(
+            [ViewDefinition(f"v{i}", random_pattern(rng, 3, 4)) for i in range(3)]
+        )
+        with pytest.raises(RuntimeError, match="injected"):
+            parallel_materialize(views, sharded)
+        monkeypatch.setattr(psim, "witness_fixpoint", real)
+        assert sharded_match(q, sharded) == match(q, g)
+        parallel_materialize(views, sharded)
+        for name in views.names():
+            assert views.extension(name).edge_matches == match(
+                views.definition(name).pattern, g
+            ).edge_matches
 
 
 # ----------------------------------------------------------------------
@@ -372,24 +353,22 @@ class TestShardedMaterialize:
             assert result == match_join(query, containment, frozen_views)
             assert result.edge_matches == match(query, graph).edge_matches
 
-    def test_parallel_materialize_serial_and_process(self):
+    def test_parallel_materialize_matches_single_snapshot(self):
         _, definitions, frozen_views, sharded = self._suite(7, 4, "bfs")
-        for executor in ("serial", "process"):
-            views = ViewSet(definitions)
-            parallel_materialize(views, sharded, executor=executor, workers=2)
-            for name in views.names():
-                assert (
-                    views.extension(name).edge_matches
-                    == frozen_views.extension(name).edge_matches
-                )
-                assert views.extension(name).compact.token == sharded.snapshot_token
+        views = ViewSet(definitions)
+        parallel_materialize(views, sharded)
+        for name in views.names():
+            assert (
+                views.extension(name).edge_matches
+                == frozen_views.extension(name).edge_matches
+            )
+            assert views.extension(name).compact.token == sharded.snapshot_token
 
-    def test_parallel_materialize_subset_and_shared_runner(self):
+    def test_parallel_materialize_subset(self):
         _, definitions, frozen_views, sharded = self._suite(9, 2, "label")
         views = ViewSet(definitions)
         chosen = views.names()[:3]
-        with ShardRunner(sharded, executor="process", workers=2) as runner:
-            parallel_materialize(views, sharded, names=chosen, runner=runner)
+        parallel_materialize(views, sharded, names=chosen)
         for name in views.names():
             assert views.is_materialized(name) == (name in chosen)
         assert views.snapshot_token == sharded.snapshot_token

@@ -18,11 +18,11 @@ import shutil
 
 import pytest
 
-from helpers import random_labeled_graph
+from helpers import random_labeled_graph, shared_freeze, shm_segments
 from repro.cli import main as cli_main
 from repro.datasets import generate_views, query_from_views, random_graph
 from repro.engine import QueryEngine
-from repro.graph import DataGraph
+from repro.graph import CompactGraph, DataGraph
 from repro.graph.flatbuf import (
     _FILE_HEADER_SIZE,
     SegmentFormatError,
@@ -90,7 +90,7 @@ class TestCompactRoundTrip:
 
     def test_patch_overlay_and_provenance_preserved(self, tmp_path):
         g = random_labeled_graph(random.Random(6), 40, 100)
-        first = g.freeze(shared=True)
+        first = shared_freeze(g)
         nodes = sorted(g.nodes(), key=repr)
         added = []
         for v in nodes[:3]:
@@ -99,7 +99,8 @@ class TestCompactRoundTrip:
                 g.add_edge(v, w)
                 added.append((v, w))
         assert added
-        refreshed = g.freeze()
+        refreshed = shared_freeze(g, first)
+        assert refreshed._patch is not None
         assert refreshed.extends_token == first.snapshot_token
         SnapshotStore.save(tmp_path / "snap", refreshed)
         loaded = SnapshotStore.load(tmp_path / "snap")
@@ -107,6 +108,22 @@ class TestCompactRoundTrip:
         assert loaded.graph.snapshot_token == refreshed.snapshot_token
         for v, w in added:
             assert loaded.graph.has_edge(v, w)
+
+    def test_save_leaves_the_graph_it_was_given_alone(self, tmp_path):
+        # Saving packs a private flat copy: the graph's own snapshot
+        # stays a plain CompactGraph, before and after a mutation, and no
+        # segment outlives the call anywhere but in the directory.
+        segments = shm_segments()
+        g = random_labeled_graph(random.Random(10), 40, 100)
+        SnapshotStore.save(tmp_path / "snap", g)
+        assert type(g.freeze()) is CompactGraph
+        nodes = sorted(g.nodes(), key=repr)
+        source = next(v for v in nodes if not g.has_edge(v, nodes[0]))
+        g.add_edge(source, nodes[0])
+        assert type(g.freeze()) is CompactGraph
+        assert shm_segments() <= segments
+        loaded = SnapshotStore.load(tmp_path / "snap")
+        assert not loaded.graph.has_edge(source, nodes[0])
 
     def test_overwrite_guard_and_swap(self, tmp_path):
         g1 = random_labeled_graph(random.Random(7), 20, 40)
@@ -181,11 +198,11 @@ def _layout(kind, path, overwrite=False):
     if kind == "sharded":
         snapshot = ShardedGraph(graph, make_partition(graph, 2, "hash"))
     else:
-        graph.freeze(shared=True)  # the next freeze refreshes it: a patch
+        base = shared_freeze(graph)
         nodes = sorted(graph.nodes(), key=repr)
         for v in nodes[:6]:
             graph.add_edge(v, nodes[-1])
-        snapshot = graph.freeze(shared=True)
+        snapshot = shared_freeze(graph, base)  # a refresh: a patch
     views = ViewSet(generate_views(LABELS, 3, seed=71))
     views.materialize(snapshot)
     SnapshotStore.save(path, snapshot, views=views, overwrite=overwrite)
