@@ -841,19 +841,18 @@ def _cmd_stats(args) -> int:
 
         partition = make_partition(graph, args.shards, args.partitioner)
     if args.format == "json":
-        from repro.graph.flatbuf import SharedCompactGraph
         from repro.views.flatpack import FlatExtension
 
         index = graph.label_index_stats()
         snapshot = graph.freeze()
-        flat = SharedCompactGraph.share(snapshot)
+        store = snapshot.flat_store
         memory = {
-            "backend": flat.flat_store.backend,
+            "backend": store.backend,
             "graph": {
-                "backend": flat.flat_store.backend,
-                "tables": flat.flat_table_bytes(),
-                "total_bytes": flat.flat_store.total_bytes,
-                "on_disk_bytes": flat.flat_store.on_disk_bytes,
+                "backend": store.backend,
+                "tables": store.table_bytes(),
+                "total_bytes": store.total_bytes,
+                "on_disk_bytes": store.on_disk_bytes,
             },
         }
         payload = {
@@ -902,7 +901,7 @@ def _cmd_stats(args) -> int:
             # Per-view flat-buffer footprint: the bytes one extension
             # occupies once packed into a segment.  Extensions loaded
             # from disk carry no id-space payload, so those are
-            # re-materialized against the flat snapshot to measure.
+            # re-materialized against the snapshot to measure.
             from repro.views.view import materialize as _materialize
 
             view_memory = {}
@@ -911,9 +910,9 @@ def _cmd_stats(args) -> int:
                     continue
                 packed = views.extension(name).compact
                 if packed is None:
-                    packed = _materialize(views.definition(name), flat).compact
-                elif packed.store is None:
-                    packed = FlatExtension.pack(flat, packed)
+                    packed = _materialize(views.definition(name), snapshot).compact
+                if packed.store is None:
+                    packed = FlatExtension.pack(snapshot, packed)
                 view_memory[name] = {
                     "backend": packed.store.backend,
                     "tables": packed.store.table_bytes(),

@@ -47,7 +47,6 @@ def snapshot_kind(snapshot) -> str:
     kind = type(snapshot).__name__
     return {
         "ShardedGraph": "sharded",
-        "SharedCompactGraph": "shared",
         "CompactGraph": "compact",
     }.get(kind, kind.lower())
 

@@ -19,9 +19,9 @@ This subpackage provides everything the matching algorithms stand on:
   edge *ranks* driving the bottom-up MatchJoin optimization (Section III).
 * :mod:`~repro.graph.io` -- serialization, including a SNAP edge-list
   reader for users who have the original datasets.
-* :mod:`~repro.graph.flatbuf` -- flat-buffer snapshot storage: in
-  process memory, or versioned, checksummed on-disk segments attached
-  read-only via ``mmap``.
+* :mod:`~repro.graph.flatbuf` -- the flat-buffer store a snapshot's
+  tables live in: in process memory, or versioned, checksummed on-disk
+  segments attached read-only via ``mmap``.
 * :mod:`~repro.graph.snapshot` -- persistent snapshot directories:
   :class:`~repro.graph.snapshot.SnapshotStore` saves and reloads whole
   graphs (and their view catalogs) without rebuilding.
@@ -46,7 +46,6 @@ _EXPORTS = {
     "P": "repro.graph.conditions",
     "Pattern": "repro.graph.pattern",
     "SegmentFormatError": "repro.graph.flatbuf",
-    "SharedCompactGraph": "repro.graph.flatbuf",
     "SnapshotError": "repro.graph.snapshot",
     "SnapshotStore": "repro.graph.snapshot",
     "TrueCondition": "repro.graph.conditions",

@@ -1,70 +1,48 @@
 """Immutable, read-optimized snapshots of data graphs.
 
-A :class:`CompactGraph` is a frozen CSR-style copy of a
-:class:`~repro.graph.digraph.DataGraph`: nodes are renumbered to dense
-integer ids ``0..n-1``, adjacency is stored as per-node tuples of ids
-(one flat row per node, no hash sets), labels and attributes live in
-id-indexed tables, and every label maps to the sorted id array of the
-nodes carrying it.  The matching engines exploit this layout twice over:
+A :class:`CompactGraph` is a frozen copy of a
+:class:`~repro.graph.digraph.DataGraph` whose adjacency *is* its CSR
+tables in one :class:`~repro.graph.flatbuf.FlatStore`: dense ids
+``0..n-1``, ``(indptr, indices)`` pairs of 64-bit ints for successors,
+predecessors and per-node label rows, and a **sorted id bucket** per
+label.  Node keys and attribute dicts stay Python lists in process and
+are pickled only when the snapshot is saved or pickled.  The engines
+exploit the layout twice over: *seeding* reads candidate sets off the
+label buckets and per-attribute sorted columns
+(:meth:`CompactGraph.candidate_ids`) instead of scanning every node --
+the ``O(|Qs||G|)`` term of the paper's simulation bound (Theorems 1-3
+of conf_icde_FanWW14 assume this kind of index) -- and *refinement*
+intersects candidate sets with adjacency rows at C speed, each row
+decoded into an id tuple on first touch (:class:`_Rows`), or gathers
+from the edge list read straight off the tables
+(:meth:`CompactGraph.edge_columns`).
 
-* **seeding** -- candidate sets come straight from the label index
-  and from per-attribute sorted columns
-  (:meth:`CompactGraph.candidate_ids`) instead of a full-node condition
-  scan, the dominant cost of the ``O(|Qs||G|)`` term in the paper's
-  simulation bound (Theorems 1-3 of conf_icde_FanWW14 assume exactly
-  this kind of index);
-* **refinement** -- witness counting intersects candidate sets with
-  adjacency rows at C speed (``set.intersection`` over an id tuple)
-  rather than chasing per-element hash lookups in Python.
-
-Snapshots are identified by two integers: :attr:`snapshot_version`, the
-source graph's mutation counter at freeze time, and
-:attr:`snapshot_token`, a random 64-bit id that is unique across
-processes as well.  Together they let
-downstream caches (materialized view extensions, the query engine)
-recognise that two id spaces are the same and safely exchange raw
-integer ids; see ``MaterializedView.compact`` and the MatchJoin fast
-path.
-
-A snapshot can also be *refreshed* (:meth:`CompactGraph.refreshed`)
-after a batch of edge updates: unchanged adjacency rows, label buckets
-and attribute tables are shared with the predecessor snapshot, only the
-touched rows are rebuilt, and -- crucially -- every pre-existing node
-keeps its dense id (new nodes append at the end).  The refreshed
-snapshot mints a fresh :attr:`snapshot_token` (its *content* differs)
-but records the predecessor's token in :attr:`extends_token`, which is
-the maintenance pipeline's licence to re-stamp extensions of unchanged
-views onto the new token without recomputing them.
-
-The public read API mirrors :class:`DataGraph` (``nodes()``,
-``successors``, ``labels``, ``descendants_within`` ...) over the
-*original node keys*, so every generic engine -- plain, dual, strong and
-bounded simulation -- runs on a snapshot unchanged.  The id-space API
-(``out_ids``, ``label_ids``, ``node_of`` ...) is what the dedicated fast
-paths use.
+:attr:`snapshot_version` (the source graph's mutation counter) and
+:attr:`snapshot_token` (64 random bits) identify a snapshot's id space,
+so downstream caches exchange raw ids only within one.  A snapshot
+*refreshed* after edge updates (:meth:`CompactGraph.refreshed`) keeps
+the base tables, carries rebuilt rows and appended nodes in a *patch*
+overlay, keeps every node's id and records its predecessor's token in
+:attr:`extends_token`: the maintenance pipeline's licence to re-stamp
+extensions of unchanged views.  A save or a pickle writes *store + meta
++ patch*.  The read API mirrors :class:`DataGraph` over the original
+node keys, so every generic engine runs on a snapshot unchanged; the
+id-space API (``out_ids``, ``label_ids``, ``node_of`` ...) serves the
+fast paths.
 """
 
 from __future__ import annotations
 
 import os
+import pickle
 from array import array
 from bisect import bisect_left, bisect_right
-from itertools import chain, repeat
-from operator import itemgetter, ne
-from typing import (
-    Any,
-    Dict,
-    FrozenSet,
-    Hashable,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from itertools import accumulate, chain, count, islice, repeat
+from operator import itemgetter, ne, sub
+from typing import Any, Dict, FrozenSet, Hashable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.graph.conditions import AttributeCondition, Label, TrueCondition
+from repro.graph.flatbuf import FlatStore
 from repro.obs.metrics import get_registry
 
 Node = Hashable
@@ -80,6 +58,11 @@ Column = Tuple[List[Any], array, bool]
 Part = Tuple[Sequence[int], Tuple[Tuple[int, int], ...]]
 
 _NUMERIC = frozenset((int, float, bool))
+#: The overlay of a snapshot that was never refreshed.  ``succ`` /
+#: ``pred`` map ids to rebuilt rows; ``nodes`` / ``labels`` / ``attrs``
+#: describe the nodes appended after the base tables, ``buckets`` their
+#: ids per label.
+_EMPTY_PATCH = {"succ": {}, "pred": {}, "nodes": [], "labels": [], "attrs": [], "buckets": {}}
 
 
 def _part_width(part: Part) -> int:
@@ -95,12 +78,109 @@ def bounding_label(condition) -> str:
 
 
 def _new_token() -> int:
-    """A fresh snapshot token: 64 random bits, so tokens minted in
-    *different* processes cannot collide either (a snapshot saved by one
-    process may meet extensions of another in one MatchJoin call).
-    Tokens survive pickling and saving -- they are plain ints -- so
-    reloaded extensions still recognise each other's id space."""
+    """64 random bits: tokens minted by *different* processes (a saved
+    snapshot, another's extensions) cannot collide either."""
     return int.from_bytes(os.urandom(8), "big") | 1
+
+
+def _pickled(obj) -> bytes:
+    return pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+
+
+def _csr(rows, encode=None) -> Tuple[array, array]:
+    """``rows`` (a list of sequences) -> ``(indptr, indices)``, every
+    element mapped through ``encode`` when one is given."""
+    flat = chain.from_iterable(rows)
+    indptr = array("q", accumulate(map(len, rows), initial=0))
+    return indptr, array("q", flat if encode is None else map(encode, flat))
+
+
+class _Rows(dict):
+    """Per-node rows of a CSR pair, each decoded on first touch.
+
+    ``rows[i]`` is ``decode(indices[indptr[i]:indptr[i + 1]])`` the
+    first time and a plain dict hit after, so the set kernels' hot
+    loops (``succ[v]``, ``map(succ.__getitem__, frontier)``) run at C
+    speed and pay only for the rows they visit.  Rows of nodes a
+    refresh appended come pre-filled from the patch, or decode empty.
+    ``len`` is the node count, ``dict.__len__`` the rows decoded.
+    """
+
+    __slots__ = ("_indptr", "_indices", "_decode", "_n")
+
+    def __init__(self, indptr, indices, decode, n: int, rows=()) -> None:
+        super().__init__(rows)
+        self._indptr = indptr
+        self._indices = indices
+        self._decode = decode
+        self._n = n
+
+    def __missing__(self, i: int):
+        indptr = self._indptr
+        row = self._decode(
+            self._indices[indptr[i] : indptr[i + 1]] if i < len(indptr) - 1 else ()
+        )
+        self[i] = row
+        return row
+
+    def __len__(self) -> int:
+        return self._n
+
+    def carried(self, n: int, changed: Dict[int, Any]) -> "_Rows":
+        """The rows of a refreshed snapshot of ``n`` nodes: every row
+        decoded here so far, except that ``changed`` replaces its own."""
+        rows = _Rows(self._indptr, self._indices, self._decode, n, self)
+        rows.update(changed)
+        return rows
+
+
+def _rows(store: FlatStore, kind: str, decode, n: int, rows=()) -> _Rows:
+    return _Rows(store.ints(kind + "_indptr"), store.ints(kind + "_indices"), decode, n, rows)
+
+
+def _label_decoder(store: FlatStore):
+    names = store.obj("labels")
+    return lambda row: frozenset(map(names.__getitem__, row))
+
+
+class _Table:
+    """An id-indexed list a store holds as a pickled blob (node keys,
+    attribute dicts), unpickled on first use, followed by the entries
+    of the nodes refreshes appended.  An empty ``attrs`` blob stands for
+    a base of attribute-less nodes."""
+
+    __slots__ = ("_store", "_name", "_appended", "_table")
+
+    def __init__(self, store: FlatStore, name: str, appended: List[Any]) -> None:
+        self._store = store
+        self._name = name
+        self._appended = appended
+        self._table: Optional[List[Any]] = None
+
+    def _load(self) -> List[Any]:
+        table = self._table
+        if table is None:
+            store, name = self._store, self._name
+            table = store.obj(name) if store.header[name][2] else [
+                {} for _ in range(len(store.ints("succ_indptr")) - 1)
+            ]
+            table = self._table = table + self._appended if self._appended else table
+        return table
+
+    def __len__(self) -> int:
+        return len(self._load())
+
+    def __getitem__(self, i):
+        return self._load()[i]
+
+    def __iter__(self):
+        return iter(self._load())
+
+    def __add__(self, appended: List[Any]) -> "_Table":
+        return _Table(self._store, self._name, self._appended + appended)
+
+    def __reduce__(self):
+        return (_Table, (self._store, self._name, self._appended))
 
 
 class CompactGraph:
@@ -108,64 +188,66 @@ class CompactGraph:
 
     Build one with :meth:`DataGraph.freeze`, not directly.  The snapshot
     is immutable: there are no mutation methods, and the underlying
-    arrays are shared freely by everything derived from it.
+    tables are shared freely by everything derived from it.
     """
 
     __slots__ = (
-        "_nodes",
-        "_ids",
-        "_succ",
-        "_pred",
-        "_labels",
-        "_attrs",
-        "_label_ids",
-        "_succ_sets",
-        "_pred_sets",
-        "_num_edges",
-        "_columns",
-        "_edge_columns",
-        "_array_cache",
-        "snapshot_version",
-        "snapshot_token",
-        "extends_token",
+        "_flat", "_patch", "_num_nodes", "_num_edges", "_nodes", "_ids",
+        "_attrs", "_succ", "_pred", "_labels", "_buckets", "_succ_sets",
+        "_pred_sets", "_columns", "_edge_columns", "_array_cache",
+        "snapshot_version", "snapshot_token", "extends_token",
     )
 
     def __init__(self, graph, version: int) -> None:
+        """Write ``graph``'s CSR tables (see :meth:`DataGraph.freeze`)."""
         nodes: List[Node] = list(graph.nodes())
         ids: Dict[Node, int] = {node: i for i, node in enumerate(nodes)}
+        id_of = ids.__getitem__
+        label_sets = list(map(graph.labels, nodes))
+        names = sorted(set().union(*label_sets))
+        slot_of = {label: k for k, label in enumerate(names)}
+        label_rows = {s: sorted(map(slot_of.__getitem__, s)) for s in set(label_sets)}
+        arrays: Dict[str, array] = {}
+        for kind, rows, encode in (
+            ("succ", list(map(graph.successors, nodes)), id_of),
+            ("pred", list(map(graph.predecessors, nodes)), id_of),
+            ("label_row", list(map(label_rows.__getitem__, label_sets)), None),
+            ("bucket", [sorted(map(id_of, graph.nodes_with_label(l))) for l in names], None),
+        ):
+            arrays[kind + "_indptr"], arrays[kind + "_indices"] = _csr(rows, encode)
+        store = FlatStore.pack(
+            arrays, {"labels": _pickled(tuple(names)), "label_slots": _pickled(slot_of)}
+        )
+        self._bind(store, None, (len(nodes), graph.num_edges, version, _new_token(), None))
         self._nodes = nodes
         self._ids = ids
-        self._succ: List[Tuple[int, ...]] = [
-            tuple(ids[w] for w in graph.successors(v)) for v in nodes
-        ]
-        self._pred: List[Tuple[int, ...]] = [
-            tuple(ids[w] for w in graph.predecessors(v)) for v in nodes
-        ]
-        self._labels: List[FrozenSet[str]] = [graph.labels(v) for v in nodes]
-        self._attrs: List[Dict[str, Any]] = [
-            dict(graph.attrs(v)) if graph.attrs(v) else {} for v in nodes
-        ]
-        buckets: Dict[str, List[int]] = {}
-        for i, labels in enumerate(self._labels):
-            for label in labels:
-                buckets.setdefault(label, []).append(i)
-        self._label_ids: Dict[str, Tuple[int, ...]] = {
-            label: tuple(bucket) for label, bucket in buckets.items()
-        }
-        # Node-key adjacency frozensets, built lazily for the generic
-        # engines (dual/strong/bounded) that want set semantics.
-        self._succ_sets: List[Optional[FrozenSet[Node]]] = [None] * len(nodes)
-        self._pred_sets: List[Optional[FrozenSet[Node]]] = [None] * len(nodes)
-        self._num_edges = graph.num_edges
-        # Per-attribute candidate columns, built on first use.
+        self._attrs = [dict(graph.attrs(v)) for v in nodes]
+
+    def _bind(self, store: FlatStore, patch, meta) -> None:
+        """Set every slot for the tables of ``store`` overlaid by
+        ``patch``: rows, labels, node keys and attrs all decode lazily."""
+        n, self._num_edges, self.snapshot_version, self.snapshot_token, self.extends_token = meta
+        self._flat, self._patch, self._num_nodes = store, patch or None, n
+        patch = patch or _EMPTY_PATCH
+        base = len(store.ints("succ_indptr")) - 1
+        self._succ = _rows(store, "succ", tuple, n, patch["succ"])
+        self._pred = _rows(store, "pred", tuple, n, patch["pred"])
+        self._labels = _rows(
+            store, "label_row", _label_decoder(store), n, enumerate(patch["labels"], base)
+        )
+        self._nodes = _Table(store, "nodes", patch["nodes"])
+        self._attrs = _Table(store, "attrs", patch["attrs"])
+        self._ids = None
+        # Decoded label buckets, node-key adjacency frozensets (for the
+        # generic engines) and per-attribute candidate columns: all
+        # built on first use.
+        self._buckets: Dict[str, Tuple[int, ...]] = {}
+        self._succ_sets: Dict[int, FrozenSet[Node]] = {}
+        self._pred_sets: Dict[int, FrozenSet[Node]] = {}
         self._columns: Dict[str, Optional[Column]] = {}
-        # The edge list as flat columns, built on first use.
         self._edge_columns: Optional[Tuple[array, array]] = None
         # The array kernel's derived arrays, see ``array_cache``.
         self._array_cache: Dict[str, Any] = {}
-        self.snapshot_version = version
-        self.snapshot_token = _new_token()
-        self.extends_token = None
 
     @classmethod
     def refreshed(
@@ -174,89 +256,76 @@ class CompactGraph:
         """A new snapshot of ``graph`` built by patching ``old``.
 
         ``ops`` is the ordered edge-op batch (``(op, source, target)``
-        triples) separating ``old`` from the current graph state; the
-        caller (``DataGraph.freeze`` via the edge-op journal) guarantees
-        the only other changes are appended nodes.  Adjacency rows of
-        untouched nodes, the label buckets and the attribute tables are
-        shared with ``old``; every pre-existing node keeps its id, and
-        new nodes take the next ids in graph order -- so id-space
-        consumers of ``old`` remain valid in the result (recorded via
-        :attr:`extends_token`).  Cost: O(|V|) pointer copies plus the
-        touched adjacency, not O(|V| + |E|) reconstruction.
+        triples) separating ``old`` from ``graph``; the caller
+        (``DataGraph.freeze`` via the edge-op journal) guarantees the
+        only other changes are appended nodes.  ``old``'s tables stay,
+        rebuilt rows and appended nodes join the patch overlay, and every
+        row ``old`` decoded so far but the touched ones is shared.  Old
+        ids stay and new nodes take the next ones, so id-space consumers
+        of ``old`` remain valid (:attr:`extends_token`).  Once the patch
+        outgrows ``max(64, base // 4)`` rows, ``graph`` is encoded afresh.
         """
-        from itertools import islice
-
-        new = cls.__new__(cls)
-        n_old = len(old._nodes)
+        n_old = old._num_nodes
         appended = list(islice(graph.nodes(), n_old, None))
-        touched_out = {s for _, s, _ in ops}
-        touched_in = {t for _, _, t in ops}
+        ids = old._id_map()
         if appended:
-            nodes = old._nodes + appended
-            ids = dict(old._ids)
-            labels = list(old._labels)
-            attrs = list(old._attrs)
-            label_ids = dict(old._label_ids)
-            for i, node in enumerate(appended, start=n_old):
-                ids[node] = i
-                node_labels = graph.labels(node)
-                node_attrs = graph.attrs(node)
-                labels.append(node_labels)
-                attrs.append(dict(node_attrs) if node_attrs else {})
-                for label in node_labels:
-                    # New ids exceed every old id, so appending keeps
-                    # the bucket sorted.
-                    label_ids[label] = label_ids.get(label, ()) + (i,)
+            ids = dict(ids)
+            ids.update(zip(appended, count(n_old)))
+        id_of = ids.__getitem__
+        succ = {id_of(s): tuple(map(id_of, graph.successors(s))) for s in {s for _, s, _ in ops}}
+        pred = {id_of(t): tuple(map(id_of, graph.predecessors(t))) for t in {t for _, _, t in ops}}
+        labels = {i: graph.labels(v) for i, v in enumerate(appended, n_old)}
+        attrs = [dict(graph.attrs(v)) for v in appended]
+        previous = old._patch or _EMPTY_PATCH
+        buckets = dict(previous["buckets"])
+        for i, node_labels in labels.items():
+            for label in node_labels:
+                # New ids exceed every old id: the bucket stays sorted.
+                buckets[label] = buckets.get(label, ()) + (i,)
+        patch = {
+            "succ": {**previous["succ"], **succ},
+            "pred": {**previous["pred"], **pred},
+            "nodes": previous["nodes"] + appended,
+            "labels": previous["labels"] + list(labels.values()),
+            "attrs": previous["attrs"] + attrs,
+            "buckets": buckets,
+        }
+        n = n_old + len(appended)
+        base = len(old._flat.ints("succ_indptr")) - 1
+        if len(patch["succ"]) + len(patch["pred"]) + n - base > max(64, base // 4):
+            new = cls(graph, version)  # re-encode: the patch outgrew the base
+            new.extends_token = old.snapshot_token
         else:
-            nodes = old._nodes
-            ids = old._ids
-            labels = old._labels
-            attrs = old._attrs
-            label_ids = old._label_ids
-        succ = list(old._succ)
-        pred = list(old._pred)
-        succ_sets: List[Optional[FrozenSet[Node]]] = list(old._succ_sets)
-        pred_sets: List[Optional[FrozenSet[Node]]] = list(old._pred_sets)
-        for node in appended:
-            succ.append(())
-            pred.append(())
-            succ_sets.append(None)
-            pred_sets.append(None)
-        for node in touched_out:
-            i = ids[node]
-            succ[i] = tuple(ids[w] for w in graph.successors(node))
-            succ_sets[i] = None
-        for node in touched_in:
-            i = ids[node]
-            pred[i] = tuple(ids[w] for w in graph.predecessors(node))
-            pred_sets[i] = None
-        new._nodes = nodes
-        new._ids = ids
-        new._succ = succ
-        new._pred = pred
-        new._labels = labels
-        new._attrs = attrs
-        new._label_ids = label_ids
-        new._succ_sets = succ_sets
-        new._pred_sets = pred_sets
-        new._num_edges = graph.num_edges
-        # An edge-only delta shares the attrs table, and with it the
-        # columns (including those built later, on either snapshot).
-        new._columns = old._columns if attrs is old._attrs else {}
-        # Never the predecessor's: adjacency changed, and so may ``n``.
-        new._edge_columns = None
-        new._array_cache = {}
-        new.snapshot_version = version
-        new.snapshot_token = _new_token()
-        new.extends_token = old.snapshot_token
+            new = cls.__new__(cls)
+            meta = (n, graph.num_edges, version, _new_token(), old.snapshot_token)
+            new._bind(old._flat, patch, meta)
+            new._ids = ids
+            new._nodes = old._nodes + appended if appended else old._nodes
+            new._attrs = old._attrs + attrs if appended else old._attrs
+            new._succ = old._succ.carried(n, succ)
+            new._pred = old._pred.carried(n, pred)
+            new._labels = old._labels.carried(n, labels) if appended else old._labels
+            new._succ_sets = {i: s for i, s in old._succ_sets.items() if i not in succ}
+            new._pred_sets = {i: s for i, s in old._pred_sets.items() if i not in pred}
+        if not appended:
+            # Same nodes, same labels and attrs: the buckets and columns
+            # (including those built later, on either snapshot) hold.
+            new._buckets = old._buckets
+            new._columns = old._columns
         return new
 
     # ------------------------------------------------------------------
-    # Identity
+    # Identity and the stored form
     # ------------------------------------------------------------------
     def freeze(self) -> "CompactGraph":
         """Snapshots are already frozen; return ``self`` (idempotence)."""
         return self
+
+    @staticmethod
+    def share(graph: "CompactGraph") -> "CompactGraph":
+        """``graph`` itself: every snapshot is its tables.  Kept for
+        ``perf/batch.py`` until ROADMAP item 2(d) repoints it."""
+        return graph
 
     @property
     def version(self) -> int:
@@ -266,19 +335,54 @@ class CompactGraph:
         snapshot.snapshot_version`` means "no refresh needed")."""
         return self.snapshot_version
 
+    @property
+    def flat_store(self) -> FlatStore:
+        """The base tables (shared, do not mutate)."""
+        return self._flat
+
+    def saved_store(self) -> FlatStore:
+        """What a save writes and a pickle carries: the base tables plus
+        the base nodes' keys and attrs as pickled blobs.  A snapshot
+        attached to such a store returns it as it is."""
+        store = self._flat
+        if "nodes" in store.header:
+            return store
+        base = len(store.ints("succ_indptr")) - 1
+        attrs = list(islice(self._attrs, base))
+        kinds = {name: kind for name, (kind, _, _) in store.header.items()}
+        return FlatStore.pack(
+            {name: store.ints(name) for name, kind in kinds.items() if kind == "q"},
+            {
+                **{name: store.blob(name) for name, kind in kinds.items() if kind == "blob"},
+                "nodes": _pickled(list(islice(self._nodes, base))),
+                "attrs": _pickled(attrs) if any(attrs) else b"",
+            },
+        )
+
+    def __reduce__(self):
+        meta = (self._num_nodes, self._num_edges, self.snapshot_version,
+                self.snapshot_token, self.extends_token)
+        return (_attach, (self.saved_store(), self._patch, meta))
+
     # ------------------------------------------------------------------
     # Integer-id API (the fast paths)
     # ------------------------------------------------------------------
+    def _id_map(self) -> Dict[Node, int]:
+        ids = self._ids
+        if ids is None:
+            ids = self._ids = {node: i for i, node in enumerate(self._nodes)}
+        return ids
+
     def id_of(self, node: Node) -> int:
         """The dense id of ``node`` (KeyError if absent)."""
-        return self._ids[node]
+        return self._id_map()[node]
 
     def node_of(self, i: int) -> Node:
         """The original node key behind id ``i``."""
         return self._nodes[i]
 
     @property
-    def node_table(self) -> List[Node]:
+    def node_table(self):
         """The id -> node key decode table (shared, do not mutate)."""
         return self._nodes
 
@@ -291,12 +395,12 @@ class CompactGraph:
         return self._pred[i]
 
     @property
-    def succ_rows(self) -> List[Tuple[int, ...]]:
+    def succ_rows(self) -> _Rows:
         """All successor rows, indexed by id (shared, do not mutate)."""
         return self._succ
 
     @property
-    def pred_rows(self) -> List[Tuple[int, ...]]:
+    def pred_rows(self) -> _Rows:
         """All predecessor rows, indexed by id (shared, do not mutate)."""
         return self._pred
 
@@ -304,16 +408,32 @@ class CompactGraph:
         """Every edge as parallel int32 ``(source id, target id)``
         columns in CSR order (sources ascending, each row's targets in
         row order) -- what the array Match kernel gathers its rows
-        from.  Built from the successor rows on first use and kept on
-        the snapshot, so the columns die with it; ``freeze()`` and
-        ``refreshed()`` never pay for them (shared, do not mutate)."""
+        from.  Read off the successor tables and the patch, no row
+        decoded, on first use; kept on the snapshot, so the columns die
+        with it (shared, do not mutate)."""
         columns = self._edge_columns
         if columns is None:
-            succ = self._succ
-            sources = map(repeat, range(len(succ)), map(len, succ))
+            indptr = self._flat.ints("succ_indptr")
+            indices = self._flat.ints("succ_indices")
+            base = len(indptr) - 1
+            overrides = self._patch["succ"] if self._patch else {}
+            lengths = list(map(sub, indptr[1:], indptr))
+            lengths.extend(repeat(0, self._num_nodes - base))
+            targets = array("i")
+            done = 0  # base rows copied (or overridden) so far
+            for i in sorted(overrides):
+                row = overrides[i]
+                lengths[i] = len(row)
+                upto = min(i, base)
+                if upto > done:
+                    targets.extend(indices[indptr[done] : indptr[upto]])
+                done = max(done, min(i + 1, base))
+                targets.extend(row)
+            targets.extend(indices[indptr[done] : indptr[base]])
+            sources = map(repeat, range(len(lengths)), lengths)
             columns = self._edge_columns = (
                 array("i", chain.from_iterable(sources)),
-                array("i", chain.from_iterable(succ)),
+                targets,
             )
         return columns
 
@@ -324,14 +444,21 @@ class CompactGraph:
         dies with it, is never a predecessor's and is never pickled."""
         return self._array_cache
 
-    def __getstate__(self):
-        state = {slot: getattr(self, slot) for slot in CompactGraph.__slots__}
-        state["_array_cache"] = {}  # NumPy arrays: the receiver rebuilds them
-        return None, state
-
     def label_ids(self, label: str) -> Tuple[int, ...]:
-        """Ids of every node carrying ``label`` (empty tuple if none)."""
-        return self._label_ids.get(label, ())
+        """Ids of every node carrying ``label`` (empty tuple if none),
+        ascending: the label's bucket, then its appended ids."""
+        bucket = self._buckets.get(label)
+        if bucket is None:
+            store = self._flat
+            slot = store.obj("label_slots").get(label)
+            bucket = ()
+            if slot is not None:
+                indptr = store.ints("bucket_indptr")
+                bucket = tuple(store.ints("bucket_indices")[indptr[slot] : indptr[slot + 1]])
+            if self._patch:
+                bucket += self._patch["buckets"].get(label, ())
+            self._buckets[label] = bucket
+        return bucket
 
     def labels_of(self, i: int) -> FrozenSet[str]:
         """Label set of node id ``i``."""
@@ -343,7 +470,11 @@ class CompactGraph:
 
     def label_index_stats(self) -> Dict[str, int]:
         """``{label: bucket size}`` for every indexed label."""
-        return {label: len(ids) for label, ids in self._label_ids.items()}
+        indptr = self._flat.ints("bucket_indptr")
+        stats = dict(zip(self._flat.obj("labels"), map(sub, indptr[1:], indptr)))
+        for label, ids in (self._patch["buckets"] if self._patch else {}).items():
+            stats[label] = stats.get(label, 0) + len(ids)
+        return stats
 
     # ------------------------------------------------------------------
     # Candidate seeding (the label buckets plus attribute columns)
@@ -395,7 +526,7 @@ class CompactGraph:
             else:
                 parts.append(part)
         if not parts:
-            n = len(self._succ)
+            n = self._num_nodes
             parts.append((range(n), ((0, n),)))
         return parts, exact
 
@@ -457,17 +588,17 @@ class CompactGraph:
     # DataGraph-compatible read API (original node keys)
     # ------------------------------------------------------------------
     def __contains__(self, node: Node) -> bool:
-        return node in self._ids
+        return node in self._id_map()
 
     def __len__(self) -> int:
-        return len(self._succ)
+        return self._num_nodes
 
     def __iter__(self) -> Iterator[Node]:
         return iter(self._nodes)
 
     @property
     def num_nodes(self) -> int:
-        return len(self._succ)  # one row per node; the key table may be lazy
+        return self._num_nodes  # the key table may not be decoded yet
 
     @property
     def num_edges(self) -> int:
@@ -476,58 +607,55 @@ class CompactGraph:
     @property
     def size(self) -> int:
         """``|G|`` in the paper: total number of nodes and edges."""
-        return self.num_nodes + self._num_edges
+        return self._num_nodes + self._num_edges
 
     def nodes(self) -> Iterator[Node]:
         return iter(self._nodes)
 
     def edges(self) -> Iterator[Edge]:
-        for i, row in enumerate(self._succ):
-            source = self._nodes[i]
-            for j in row:
-                yield (source, self._nodes[j])
+        decode = self._nodes.__getitem__
+        sources, targets = self.edge_columns()
+        return zip(map(decode, sources), map(decode, targets))
 
     def has_edge(self, source: Node, target: Node) -> bool:
-        i = self._ids.get(source)
+        ids = self._id_map()
+        i = ids.get(source)
         if i is None:
             return False
-        j = self._ids.get(target)
+        j = ids.get(target)
         return j is not None and j in self._succ[i]
 
     def successors(self, node: Node) -> FrozenSet[Node]:
-        i = self._ids[node]
-        cached = self._succ_sets[i]
+        i = self._id_map()[node]
+        cached = self._succ_sets.get(i)
         if cached is None:
-            nodes = self._nodes
-            cached = frozenset(nodes[j] for j in self._succ[i])
+            cached = frozenset(map(self._nodes.__getitem__, self._succ[i]))
             self._succ_sets[i] = cached
         return cached
 
     def predecessors(self, node: Node) -> FrozenSet[Node]:
-        i = self._ids[node]
-        cached = self._pred_sets[i]
+        i = self._id_map()[node]
+        cached = self._pred_sets.get(i)
         if cached is None:
-            nodes = self._nodes
-            cached = frozenset(nodes[j] for j in self._pred[i])
+            cached = frozenset(map(self._nodes.__getitem__, self._pred[i]))
             self._pred_sets[i] = cached
         return cached
 
     def out_degree(self, node: Node) -> int:
-        return len(self._succ[self._ids[node]])
+        return len(self._succ[self._id_map()[node]])
 
     def in_degree(self, node: Node) -> int:
-        return len(self._pred[self._ids[node]])
+        return len(self._pred[self._id_map()[node]])
 
     def labels(self, node: Node) -> FrozenSet[str]:
-        return self._labels[self._ids[node]]
+        return self._labels[self._id_map()[node]]
 
     def attrs(self, node: Node) -> Dict[str, Any]:
-        return self._attrs[self._ids[node]]
+        return self._attrs[self._id_map()[node]]
 
     def nodes_with_label(self, label: str) -> Iterator[Node]:
         """Yield all nodes carrying ``label`` (index lookup, O(bucket))."""
-        nodes = self._nodes
-        return (nodes[i] for i in self._label_ids.get(label, ()))
+        return map(self._nodes.__getitem__, self.label_ids(label))
 
     # ------------------------------------------------------------------
     # Id-space traversal primitives (the bounded fast paths)
@@ -612,7 +740,7 @@ class CompactGraph:
         return {
             nodes[i]: d
             for i, d in self.descendants_within_ids(
-                self._ids[source], bound
+                self.id_of(source), bound
             ).items()
         }
 
@@ -621,3 +749,12 @@ class CompactGraph:
             f"CompactGraph(nodes={self.num_nodes}, edges={self._num_edges}, "
             f"snapshot={self.snapshot_version})"
         )
+
+
+def _attach(store: FlatStore, patch, meta) -> CompactGraph:
+    """The snapshot over a saved or unpickled store (``meta`` is
+    ``(nodes, edges, version, token, extends_token)``): nothing is
+    decoded until a read asks for it."""
+    snapshot = CompactGraph.__new__(CompactGraph)
+    snapshot._bind(store, patch, meta)
+    return snapshot

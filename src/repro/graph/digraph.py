@@ -17,7 +17,7 @@ else.  Two read-path accelerators ride on top of the dictionaries:
   full-node scan;
 * :meth:`freeze`, which produces an immutable
   :class:`~repro.graph.compact.CompactGraph` snapshot -- dense integer
-  ids, array adjacency, per-node label/attribute tables -- for
+  ids, CSR adjacency, label and bucket tables -- for
   read-heavy serving.  Snapshots are cached against the mutation
   :attr:`version` counter, so repeated freezes of an unchanged graph
   are free.
@@ -26,9 +26,9 @@ The graph additionally keeps a bounded **edge-op journal**: every edge
 insertion/deletion since the journal floor, in application order.  As
 long as only journal-safe mutations happened (edge churn plus brand-new
 nodes), :meth:`freeze` *refreshes* the previous snapshot through
-:meth:`CompactGraph.refreshed` -- unchanged adjacency rows and label
-tables are reused, only the touched rows are rebuilt, and dense ids
-stay stable -- instead of paying a full re-freeze.  Label/attribute
+:meth:`CompactGraph.refreshed` -- the tables are reused, only the
+touched rows are rebuilt (into a patch overlay), and dense ids stay
+stable -- instead of paying a full re-freeze.  Label/attribute
 edits on existing nodes and node removals break the journal, falling
 back to a full rebuild at the next freeze.  :meth:`edge_changes_since`
 exposes the same journal to external snapshot consumers (the sharded
@@ -384,10 +384,10 @@ class DataGraph:
         until the next mutation bumps :attr:`version`.  When the gap
         since the cached snapshot is pure edge churn (per the edge-op
         journal), the stale snapshot is *refreshed* through
-        :meth:`CompactGraph.refreshed` -- unchanged adjacency rows and
-        label/attribute tables are reused and node ids stay stable --
-        instead of rebuilt, so the integer fast paths survive
-        maintenance updates at affected-area cost.
+        :meth:`CompactGraph.refreshed` -- the tables and every row
+        decoded so far but the touched ones are reused and node ids
+        stay stable -- instead of rebuilt, so the integer fast paths
+        survive maintenance updates at affected-area cost.
         """
         from repro.graph.compact import CompactGraph
 

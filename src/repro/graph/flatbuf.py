@@ -1,22 +1,13 @@
-"""Flat-buffer storage core: a snapshot's columns in one byte segment.
+"""Flat-buffer storage core: named tables in one byte segment.
 
 The paper's complexity bounds (Theorems 1-3 and the MatchJoin algorithm
-of Section V) assume an indexed, array-addressable graph.
-:class:`~repro.graph.compact.CompactGraph` approximates that with
-per-node Python tuples, which evaluate fast in process but cannot be
-written to disk, or mapped back from it, without rebuilding every row.
-
-This module moves the snapshot's columns into *flat buffers*:
-
-* CSR out/in adjacency as ``(indptr, indices)`` pairs of 64-bit ints;
-* per-node label rows and per-label **sorted id buckets** as CSR pairs
-  over an interned label table;
-* node keys / attribute dicts as pickled blobs decoded lazily, once per
-  process;
-
-all packed into **one byte segment** behind a small header
-(``{table: (kind, offset, nbytes)}``).  A segment is backed one of two
-ways:
+of Section V) assume an indexed, array-addressable graph.  A
+:class:`~repro.graph.compact.CompactGraph` keeps its CSR tables --
+``(indptr, indices)`` pairs of 64-bit ints for adjacency, label rows and
+label buckets, plus pickled blobs for node keys and attributes once it
+is saved -- in one :class:`FlatStore`: the tables packed into **one
+byte segment** behind a small header (``{table: (kind, offset,
+nbytes)}``).  A segment is backed one of two ways:
 
 * ``bytes`` -- a private in-process ``bytearray``, which is what
   :meth:`FlatStore.pack` builds;
@@ -26,11 +17,9 @@ ways:
   makes snapshots durable: :meth:`FlatStore.save` writes one,
   :meth:`FlatStore.open` maps it back without rebuilding anything.
 
-A :class:`SharedCompactGraph` built over a mapped store materializes
-only the rows its traversals actually touch (:class:`_LazyRows`), and
-pickles as *store + meta*: a file-backed store as its path, a ``bytes``
-one as its payload.  A mapping is closed when the last reference to its
-segment drops; nothing here ever deletes a file.
+A store pickles as its segment's handle: a file-backed one as its path,
+a ``bytes`` one as its payload.  A mapping is closed when the last
+reference to its segment drops; nothing here ever deletes a file.
 """
 
 from __future__ import annotations
@@ -42,14 +31,23 @@ import struct
 import weakref
 import zlib
 from array import array
-from itertools import chain, repeat
-from operator import sub
-from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
-from repro.graph.compact import CompactGraph, Node
-
-#: Nothing reads this environment variable any more; the name stays importable.
+#: Nothing reads this environment variable any more; the name stays
+#: importable for ``perf/harness.py`` until ROADMAP item 2(d).
 BACKEND_ENV = "REPRO_FLAT_BACKEND"
+
+
+def __getattr__(name: str):
+    # ``SharedCompactGraph`` is ``CompactGraph`` (its ``share`` returns
+    # its argument), importable for ``perf/batch.py`` until ROADMAP
+    # item 2(d); resolved lazily, as compact.py imports this module.
+    if name == "SharedCompactGraph":
+        from repro.graph.compact import CompactGraph
+
+        return CompactGraph
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 _ITEMSIZE = 8  # all integer tables are 64-bit ('q')
 
@@ -107,11 +105,8 @@ class Segment:
 
     @property
     def buf(self) -> memoryview:
-        if self._path is None:
-            return memoryview(self._payload)
-        return memoryview(self._payload)[
-            _FILE_HEADER_SIZE : _FILE_HEADER_SIZE + self.nbytes
-        ]
+        view = memoryview(self._payload)
+        return view if self._path is None else view[_FILE_HEADER_SIZE:][: self.nbytes]
 
     @property
     def on_disk_bytes(self) -> int:
@@ -270,14 +265,10 @@ class FlatStore:
             offset += len(blob)
         payload = bytearray(offset)
         buf = memoryview(payload)
-        for name, arr in arrays.items():
+        for name, table in [*arrays.items(), *blobs.items()]:
             _, start, nbytes = header[name]
             if nbytes:
-                buf[start : start + nbytes] = memoryview(arr).cast("B")
-        for name, blob in blobs.items():
-            _, start, nbytes = header[name]
-            if nbytes:
-                buf[start : start + nbytes] = blob
+                buf[start : start + nbytes] = memoryview(table).cast("B")
         buf.release()
         return cls(Segment(payload, offset), header)
 
@@ -290,13 +281,8 @@ class FlatStore:
         dir_blob = pickle.dumps(self.header, protocol=pickle.HIGHEST_PROTOCOL)
         payload = self.segment.buf
         header = _FILE_HEADER.pack(
-            SEGMENT_MAGIC,
-            SEGMENT_FORMAT_VERSION,
-            0,
-            self.segment.nbytes,
-            zlib.crc32(payload),
-            zlib.crc32(dir_blob),
-            len(dir_blob),
+            SEGMENT_MAGIC, SEGMENT_FORMAT_VERSION, 0, self.segment.nbytes,
+            zlib.crc32(payload), zlib.crc32(dir_blob), len(dir_blob),
         )
         with open(path, "wb") as fh:
             fh.write(header)
@@ -365,507 +351,9 @@ class FlatStore:
         return self.segment.on_disk_bytes
 
     def __repr__(self) -> str:
-        return (
-            f"FlatStore({len(self.header)} tables, {self.total_bytes}B, "
-            f"{self.backend})"
-        )
+        return f"FlatStore({len(self.header)} tables, {self.total_bytes}B, {self.backend})"
 
 
 def _attach_store(kind, value, nbytes, header) -> FlatStore:
     """Unpickle hook (see :meth:`FlatStore.__reduce__`)."""
     return FlatStore(Segment.from_handle(kind, value, nbytes), header)
-
-
-# ----------------------------------------------------------------------
-# CSR packing helpers
-# ----------------------------------------------------------------------
-def _pack_csr(rows) -> Tuple[array, array]:
-    """``rows`` (iterable of int iterables) -> (indptr, indices)."""
-    indptr = array("q", [0])
-    indices = array("q")
-    total = 0
-    for row in rows:
-        indices.extend(row)
-        total += len(row)
-        indptr.append(total)
-    return indptr, indices
-
-
-# ----------------------------------------------------------------------
-# Lazy decoders over a store (attached snapshots)
-# ----------------------------------------------------------------------
-class _LazyRows:
-    """Adjacency rows decoded on first touch.
-
-    Python-list protocol over the CSR pair: ``rows[i]`` materializes
-    ``tuple(indices[indptr[i]:indptr[i+1]])`` exactly once (a C-level
-    slice copy, no pickle machinery) and caches it, so the per-process
-    cost is proportional to the rows a traversal actually visits, and
-    hot loops see plain tuples after first touch.  ``overrides`` (the
-    refresh patch) substitutes rebuilt rows; ids at or past the base
-    snapshot's node count default to empty rows (appended nodes).
-    """
-
-    __slots__ = ("_indptr", "_indices", "_cache", "_overrides", "_base")
-
-    def __init__(
-        self,
-        store: FlatStore,
-        kind: str,
-        total: int,
-        overrides: Optional[Dict[int, tuple]] = None,
-    ) -> None:
-        self._indptr = store.ints(kind + "_indptr")
-        self._indices = store.ints(kind + "_indices")
-        self._base = len(self._indptr) - 1
-        self._cache: List[Optional[tuple]] = [None] * total
-        self._overrides = overrides or {}
-
-    def __len__(self) -> int:
-        return len(self._cache)
-
-    def __getitem__(self, i: int) -> tuple:
-        row = self._cache[i]
-        if row is None:
-            row = self._overrides.get(i)
-            if row is None:
-                if i < self._base:
-                    row = tuple(self._indices[self._indptr[i] : self._indptr[i + 1]])
-                else:
-                    row = ()
-            self._cache[i] = row
-        return row
-
-    def __iter__(self) -> Iterator[tuple]:
-        for i in range(len(self._cache)):
-            yield self[i]
-
-    def edge_columns(self) -> Tuple[array, array]:
-        """Every edge as int32 ``(source id, target id)`` columns in row
-        order, read off the flat CSR pair and the overrides: no row is
-        decoded into (or cached as) a tuple."""
-        indptr, indices, base = self._indptr, self._indices, self._base
-        overrides = self._overrides
-        lengths = list(map(sub, indptr[1:], indptr))
-        lengths.extend(repeat(0, len(self._cache) - base))
-        targets = array("i")
-        done = 0  # base rows copied (or overridden) so far
-        for i in sorted(overrides):
-            row = overrides[i]
-            lengths[i] = len(row)
-            upto = min(i, base)
-            if upto > done:
-                targets.extend(indices[indptr[done] : indptr[upto]])
-            done = max(done, min(i + 1, base))
-            targets.extend(row)
-        targets.extend(indices[indptr[done] : indptr[base]])
-        sources = map(repeat, range(len(lengths)), lengths)
-        return array("i", chain.from_iterable(sources)), targets
-
-
-class _LazyNodeTable:
-    """The id -> node key decode table, unpickled on first use."""
-
-    __slots__ = ("_store", "_appended", "_table")
-
-    def __init__(self, store: FlatStore, appended: Optional[List[Node]] = None):
-        self._store = store
-        self._appended = appended
-        self._table: Optional[List[Node]] = None
-
-    def _load(self) -> List[Node]:
-        table = self._table
-        if table is None:
-            table = self._store.obj("nodes")
-            if self._appended:
-                table = list(table) + list(self._appended)
-            self._table = table
-        return table
-
-    def __len__(self) -> int:
-        return len(self._load())
-
-    def __getitem__(self, i):
-        return self._load()[i]
-
-    def __iter__(self):
-        return iter(self._load())
-
-    def __add__(self, other):
-        return list(self._load()) + list(other)
-
-
-class _LazyIds(dict):
-    """node key -> id, built in one pass on first miss.
-
-    A real ``dict`` subclass so every read path (`[]`, ``get``, ``in``)
-    works; population happens at most once per process.
-    """
-
-    __slots__ = ("_nodes", "_ready")
-
-    def __init__(self, nodes) -> None:
-        super().__init__()
-        self._nodes = nodes
-        self._ready = False
-
-    def _ensure(self) -> None:
-        if not self._ready:
-            self.update({node: i for i, node in enumerate(self._nodes)})
-            self._ready = True
-
-    def __missing__(self, key):
-        if self._ready:
-            raise KeyError(key)
-        self._ensure()
-        return dict.__getitem__(self, key)
-
-    def get(self, key, default=None):
-        self._ensure()
-        return dict.get(self, key, default)
-
-    def __contains__(self, key) -> bool:
-        self._ensure()
-        return dict.__contains__(self, key)
-
-    def __len__(self) -> int:
-        self._ensure()
-        return dict.__len__(self)
-
-    def __iter__(self):
-        self._ensure()
-        return dict.__iter__(self)
-
-
-class _LazyLabelTable:
-    """Per-node label frozensets decoded from the interned label CSR."""
-
-    __slots__ = ("_store", "_cache", "_appended_start", "_appended")
-
-    def __init__(
-        self,
-        store: FlatStore,
-        total: int,
-        appended: Optional[List[FrozenSet[str]]] = None,
-    ) -> None:
-        self._store = store
-        self._cache: List[Optional[FrozenSet[str]]] = [None] * total
-        self._appended_start = len(store.ints("label_row_indptr")) - 1
-        self._appended = appended or []
-
-    def __len__(self) -> int:
-        return len(self._cache)
-
-    def __getitem__(self, i: int) -> FrozenSet[str]:
-        labels = self._cache[i]
-        if labels is None:
-            if i >= self._appended_start:
-                labels = self._appended[i - self._appended_start]
-            else:
-                store = self._store
-                names = store.obj("labels")
-                indptr = store.ints("label_row_indptr")
-                row = store.ints("label_row_indices")[indptr[i] : indptr[i + 1]]
-                labels = frozenset(names[j] for j in row)
-            self._cache[i] = labels
-        return labels
-
-    def __iter__(self):
-        for i in range(len(self._cache)):
-            yield self[i]
-
-
-class _LazyAttrTable:
-    """Per-node attribute dicts, unpickled as one blob on first use."""
-
-    __slots__ = ("_store", "_appended", "_table", "_total")
-
-    def __init__(
-        self, store: FlatStore, total: int, appended: Optional[List[dict]] = None
-    ) -> None:
-        self._store = store
-        self._appended = appended
-        self._table: Optional[List[dict]] = None
-        self._total = total
-
-    def _load(self) -> List[dict]:
-        table = self._table
-        if table is None:
-            appended = self._appended or []
-            if len(self._store.blob("attrs")) == 0:
-                table = [{} for _ in range(self._total - len(appended))]
-            else:
-                table = list(self._store.obj("attrs"))
-            table.extend(appended)
-            self._table = table
-        return table
-
-    def __len__(self) -> int:
-        return self._total
-
-    def __getitem__(self, i: int) -> dict:
-        return self._load()[i]
-
-    def __iter__(self):
-        return iter(self._load())
-
-
-class _LazyBuckets(dict):
-    """label -> sorted id tuple, decoded per label on first lookup.
-
-    The flat form stores every bucket as a **sorted id slice** of one
-    indices array; a lookup materializes just that label's slice.
-    ``extra`` carries the refresh patch: ids of appended nodes per
-    label, concatenated after the base slice (appended ids exceed every
-    base id, so the bucket stays sorted).
-    """
-
-    __slots__ = ("_store", "_extra", "_ready")
-
-    def __init__(self, store: FlatStore, extra: Optional[Dict[str, tuple]] = None):
-        super().__init__()
-        self._store = store
-        self._extra = extra or {}
-        self._ready = False
-
-    def _decode(self, label: str) -> Optional[tuple]:
-        store = self._store
-        slot = store.obj("label_slots").get(label)
-        extra = self._extra.get(label, ())
-        if slot is None:
-            return tuple(extra) if extra else None
-        indptr = store.ints("bucket_indptr")
-        bucket = tuple(store.ints("bucket_indices")[indptr[slot] : indptr[slot + 1]])
-        return bucket + tuple(extra) if extra else bucket
-
-    def _ensure_all(self) -> None:
-        if not self._ready:
-            for label in self._store.obj("label_slots"):
-                self.get(label)
-            for label in self._extra:
-                self.get(label)
-            self._ready = True
-
-    def __missing__(self, key):
-        bucket = self._decode(key)
-        if bucket is None:
-            raise KeyError(key)
-        dict.__setitem__(self, key, bucket)
-        return bucket
-
-    def get(self, key, default=None):
-        if dict.__contains__(self, key):
-            return dict.__getitem__(self, key)
-        bucket = self._decode(key)
-        if bucket is None:
-            return default
-        dict.__setitem__(self, key, bucket)
-        return bucket
-
-    def __contains__(self, key) -> bool:
-        return self.get(key) is not None
-
-    def items(self):
-        self._ensure_all()
-        return dict.items(self)
-
-    def keys(self):
-        self._ensure_all()
-        return dict.keys(self)
-
-    def values(self):
-        self._ensure_all()
-        return dict.values(self)
-
-    def __iter__(self):
-        self._ensure_all()
-        return dict.__iter__(self)
-
-    def __len__(self) -> int:
-        self._ensure_all()
-        return dict.__len__(self)
-
-
-# ----------------------------------------------------------------------
-# Snapshot encoding
-# ----------------------------------------------------------------------
-def encode_snapshot(graph: CompactGraph) -> FlatStore:
-    """Pack a snapshot's columns into one flat segment."""
-    labels = sorted({label for labels in graph._labels for label in labels})
-    slot_of = {label: i for i, label in enumerate(labels)}
-    succ_indptr, succ_indices = _pack_csr(graph._succ)
-    pred_indptr, pred_indices = _pack_csr(graph._pred)
-    label_row_indptr, label_row_indices = _pack_csr(
-        sorted(slot_of[l] for l in row) for row in graph._labels
-    )
-    bucket_indptr, bucket_indices = _pack_csr(
-        graph._label_ids.get(label, ()) for label in labels
-    )
-    attrs_blob = (
-        b""
-        if not any(graph._attrs)
-        else pickle.dumps(list(graph._attrs), protocol=pickle.HIGHEST_PROTOCOL)
-    )
-    return FlatStore.pack(
-        arrays={
-            "succ_indptr": succ_indptr,
-            "succ_indices": succ_indices,
-            "pred_indptr": pred_indptr,
-            "pred_indices": pred_indices,
-            "label_row_indptr": label_row_indptr,
-            "label_row_indices": label_row_indices,
-            "bucket_indptr": bucket_indptr,
-            "bucket_indices": bucket_indices,
-        },
-        blobs={
-            "labels": pickle.dumps(tuple(labels), protocol=pickle.HIGHEST_PROTOCOL),
-            "label_slots": pickle.dumps(slot_of, protocol=pickle.HIGHEST_PROTOCOL),
-            "nodes": pickle.dumps(list(graph._nodes), protocol=pickle.HIGHEST_PROTOCOL),
-            "attrs": attrs_blob,
-        },
-    )
-
-
-# ----------------------------------------------------------------------
-# SharedCompactGraph
-# ----------------------------------------------------------------------
-class SharedCompactGraph(CompactGraph):
-    """A :class:`CompactGraph` whose columns live in a flat segment.
-
-    Built by :meth:`share`, the instance shares the source snapshot's
-    materialized lists (same read performance as a plain snapshot) and
-    additionally owns a :class:`FlatStore` mirror of them, which
-    :class:`~repro.graph.snapshot.SnapshotStore` saves.  Attached to a
-    saved file (:func:`_attach_snapshot`), it decodes lazily instead of
-    rebuilding ``O(|G|)`` objects.  Pickling carries the store, a small
-    meta tuple and -- after refreshes -- the patch overlay.
-
-    The snapshot token is part of the meta, so extensions saved
-    alongside the snapshot keep recognising its id space after a
-    reload, and the MatchJoin fast paths engage exactly as before.
-    """
-
-    __slots__ = ("_flat", "_patch")
-
-    # -- construction --------------------------------------------------
-    @classmethod
-    def share(cls, graph: CompactGraph) -> "SharedCompactGraph":
-        """The shared form of ``graph`` (idempotent for shared inputs)."""
-        if isinstance(graph, SharedCompactGraph):
-            return graph
-        store = encode_snapshot(graph)
-        shared = cls.__new__(cls)
-        for slot in CompactGraph.__slots__:
-            setattr(shared, slot, getattr(graph, slot))
-        shared._flat = store
-        shared._patch = None
-        return shared
-
-    @property
-    def flat_store(self) -> FlatStore:
-        """The backing store (segment + header)."""
-        return self._flat
-
-    def flat_table_bytes(self) -> Dict[str, int]:
-        """Per-table byte footprint of the flat layout."""
-        return self._flat.table_bytes()
-
-    def edge_columns(self) -> Tuple[array, array]:
-        """As on a plain snapshot; an attached one reads them off the
-        segment instead of decoding every adjacency row."""
-        if self._edge_columns is None and isinstance(self._succ, _LazyRows):
-            self._edge_columns = self._succ.edge_columns()
-        return super().edge_columns()
-
-    # -- pickling: store + meta + patch --------------------------------
-    def __reduce__(self):
-        meta = (
-            self.num_nodes,
-            self._num_edges,
-            self.snapshot_version,
-            self.snapshot_token,
-            self.extends_token,
-        )
-        return (_attach_snapshot, (self._flat, self._patch, meta))
-
-    # -- refresh: keep the base segment, carry a patch overlay ---------
-    @classmethod
-    def refreshed(
-        cls, old: "SharedCompactGraph", graph, version: int, ops
-    ) -> CompactGraph:
-        """Refresh a shared snapshot without re-encoding the segment.
-
-        The plain refresh runs first (unchanged row objects stay
-        shared, ids stay stable); the delta against the *base segment*
-        -- rebuilt adjacency rows, appended node columns, per-label
-        bucket growth -- is folded into the patch overlay that rides in
-        the pickle and is saved as ``patch.pkl``.  One segment therefore
-        serves the whole refresh chain.  When the accumulated patch stops
-        being small relative to the base, the chain re-encodes into a
-        fresh segment instead.
-        """
-        plain = CompactGraph.refreshed(old, graph, version, ops)
-        base_n = len(old._flat.ints("succ_indptr")) - 1
-        previous = old._patch or _EMPTY_PATCH
-        ids = plain._ids
-        succ_over = dict(previous["succ"])
-        pred_over = dict(previous["pred"])
-        for node in {s for _, s, _ in ops}:
-            i = ids[node]
-            succ_over[i] = plain._succ[i]
-        for node in {t for _, _, t in ops}:
-            i = ids[node]
-            pred_over[i] = plain._pred[i]
-        appended_nodes = list(plain._nodes[base_n:])
-        patch = {
-            "succ": succ_over,
-            "pred": pred_over,
-            "nodes": appended_nodes,
-            "labels": [plain._labels[i] for i in range(base_n, plain.num_nodes)],
-            "attrs": [plain._attrs[i] for i in range(base_n, plain.num_nodes)],
-            "buckets": {
-                label: tuple(i for i in bucket if i >= base_n)
-                for label, bucket in plain._label_ids.items()
-                if bucket and bucket[-1] >= base_n
-            },
-        }
-        patch_rows = len(succ_over) + len(pred_over) + len(appended_nodes)
-        if patch_rows > max(64, base_n // 4):
-            return cls.share(plain)  # re-encode: patch outgrew the base
-        shared = cls.__new__(cls)
-        for slot in CompactGraph.__slots__:
-            setattr(shared, slot, getattr(plain, slot))
-        shared._flat = old._flat
-        shared._patch = patch
-        return shared
-
-
-_EMPTY_PATCH = {"succ": {}, "pred": {}, "nodes": [], "labels": [], "attrs": [], "buckets": {}}
-
-
-def _attach_snapshot(store: FlatStore, patch, meta) -> SharedCompactGraph:
-    """Reconstruction over a store (a loaded or unpickled snapshot):
-    every column decodes lazily."""
-    num_nodes, num_edges, version, token, extends = meta
-    patch = patch or _EMPTY_PATCH
-    shared = SharedCompactGraph.__new__(SharedCompactGraph)
-    nodes = _LazyNodeTable(store, patch["nodes"] or None)
-    shared._nodes = nodes
-    shared._ids = _LazyIds(nodes)
-    shared._succ = _LazyRows(store, "succ", num_nodes, patch["succ"])
-    shared._pred = _LazyRows(store, "pred", num_nodes, patch["pred"])
-    shared._labels = _LazyLabelTable(store, num_nodes, patch["labels"] or None)
-    shared._attrs = _LazyAttrTable(store, num_nodes, patch["attrs"] or None)
-    shared._label_ids = _LazyBuckets(store, patch["buckets"] or None)
-    shared._succ_sets = [None] * num_nodes
-    shared._pred_sets = [None] * num_nodes
-    shared._num_edges = num_edges
-    shared._columns = {}
-    shared._edge_columns = None
-    shared._array_cache = {}
-    shared.snapshot_version = version
-    shared.snapshot_token = token
-    shared.extends_token = extends
-    shared._flat = store
-    shared._patch = patch if patch is not _EMPTY_PATCH else None
-    return shared

@@ -45,7 +45,7 @@ from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Tupl
 
 from repro.graph.compact import _new_token
 from repro.graph.digraph import DataGraph
-from repro.graph.flatbuf import FlatStore, encode_snapshot
+from repro.graph.flatbuf import FlatStore
 from repro.graph.snapshot import (
     commit_manifest,
     shard_entry,
@@ -272,9 +272,7 @@ def _build_shard(
 
     frozen = graph.freeze()
     entry = shard_entry(f"shard-{shard:03d}.seg", frozen)
-    segment_bytes = encode_snapshot(frozen).save(
-        os.path.join(dirpath, entry["segment"])
-    )
+    segment_bytes = frozen.saved_store().save(os.path.join(dirpath, entry["segment"]))
     stats = {
         "shard": shard,
         "own_nodes": len(own),

@@ -1,10 +1,11 @@
 """Persistent snapshot directories: save/load mmap-backed graph state.
 
 :class:`SnapshotStore` gives a frozen snapshot a durable sibling:
-:meth:`SnapshotStore.save` packs its columns into flat segments (a
-private copy: the graph it was given is left as it was) and writes a
-*snapshot directory* of sealed segment files (see :mod:`repro.graph.flatbuf` for the on-disk
-format) plus a ``manifest.json``, and :meth:`SnapshotStore.load` maps
+:meth:`SnapshotStore.save` writes the tables the snapshot already holds
+(:meth:`CompactGraph.saved_store`: the graph it was given is left as it
+was) as a *snapshot directory* of sealed segment files (see
+:mod:`repro.graph.flatbuf` for the on-disk format) plus a
+``manifest.json``, and :meth:`SnapshotStore.load` maps
 it back read-only via ``mmap`` -- no edge list is re-read, no CSR is
 rebuilt, and the lazy decode structures mean a reload touches only the
 pages a query actually visits.
@@ -53,14 +54,8 @@ import pickle
 import time
 from typing import Any, Dict, Iterable, List, Sequence
 
-from repro.graph.compact import CompactGraph
-from repro.graph.flatbuf import (
-    FlatStore,
-    SharedCompactGraph,
-    _attach_snapshot,
-    _read_segment_header,
-    verify_segment_file,
-)
+from repro.graph.compact import CompactGraph, _attach
+from repro.graph.flatbuf import FlatStore, _read_segment_header, verify_segment_file
 
 log = logging.getLogger(__name__)
 
@@ -79,7 +74,7 @@ class SnapshotError(ValueError):
 class LoadedSnapshot:
     """The product of :meth:`SnapshotStore.load`.
 
-    ``graph`` is a :class:`SharedCompactGraph` or
+    ``graph`` is a :class:`~repro.graph.compact.CompactGraph` or
     :class:`~repro.shard.sharded.ShardedGraph` whose columns are
     mmap-backed; ``views`` maps view names to reloaded materialized
     views.  :meth:`viewset` assembles both into a ready
@@ -122,12 +117,13 @@ class SnapshotStore:
         """Persist ``snapshot`` (and optionally its views) under ``path``.
 
         ``snapshot`` may be a live :class:`DataGraph` (frozen here), a
-        :class:`CompactGraph`, a :class:`SharedCompactGraph`, or a
-        :class:`~repro.shard.sharded.ShardedGraph`.  Columns are packed
-        into private flat copies; the object passed in is not changed.  ``views`` is a ViewSet or ``{name: MaterializedView}``
-        mapping; views whose payload is a FlatExtension bound to this
-        exact snapshot are saved as attachable segment files, everything
-        else falls back to a plain pickle.
+        :class:`CompactGraph` or a
+        :class:`~repro.shard.sharded.ShardedGraph`.  The tables it holds
+        are written as they are; the object passed in is not changed.
+        ``views`` is a ViewSet or ``{name: MaterializedView}`` mapping;
+        views whose payload is a FlatExtension bound to this exact
+        compact snapshot are saved as attachable segment files,
+        everything else falls back to a plain pickle.
 
         With ``overwrite=True`` an existing snapshot is replaced via a
         sibling temp directory and rename swap, so readers never see a
@@ -227,17 +223,14 @@ def snapshot_on_disk_bytes(path) -> int:
 # Save internals
 # ----------------------------------------------------------------------
 def _as_saveable(snapshot):
-    """Normalize any graph form into a segment-backed snapshot (a
-    sharded one is packed shard by shard as it is written)."""
+    """Normalize any graph form into a snapshot (compact or sharded)."""
     from repro.graph.digraph import DataGraph
     from repro.shard.sharded import ShardedGraph
 
     if isinstance(snapshot, DataGraph):
         snapshot = snapshot.freeze()
-    if isinstance(snapshot, ShardedGraph):
+    if isinstance(snapshot, (CompactGraph, ShardedGraph)):
         return snapshot
-    if isinstance(snapshot, CompactGraph):
-        return SharedCompactGraph.share(snapshot)
     raise SnapshotError(
         f"cannot snapshot object of type {type(snapshot).__name__}"
     )
@@ -364,12 +357,18 @@ def _graph_meta(snapshot) -> dict:
     }
 
 
-def _write_compact(dirpath: str, snapshot: SharedCompactGraph) -> dict:
-    files = {"segment": "graph.seg"}
-    snapshot.flat_store.save(os.path.join(dirpath, "graph.seg"))
+def _write_tables(dirpath: str, snapshot: CompactGraph, entry: dict, patch: str) -> None:
+    """Seal ``snapshot``'s tables as ``entry["segment"]``, and its patch
+    overlay, if it has one, as ``patch`` (recorded in ``entry``)."""
+    snapshot.saved_store().save(os.path.join(dirpath, entry["segment"]))
     if snapshot._patch:
-        _dump(snapshot._patch, os.path.join(dirpath, "patch.pkl"))
-        files["patch"] = "patch.pkl"
+        _dump(snapshot._patch, os.path.join(dirpath, patch))
+        entry["patch"] = patch
+
+
+def _write_compact(dirpath: str, snapshot: CompactGraph) -> dict:
+    files = {"segment": "graph.seg"}
+    _write_tables(dirpath, snapshot, files, "patch.pkl")
     return {"kind": "compact", "graph": _graph_meta(snapshot), "files": files}
 
 
@@ -425,11 +424,7 @@ def _write_sharded(dirpath: str, sharded) -> dict:
     entries: List[dict] = []
     for i, shard in enumerate(sharded.shards):
         entry = shard_entry(f"shard-{i:03d}.seg", shard)
-        shard = SharedCompactGraph.share(shard)
-        shard.flat_store.save(os.path.join(dirpath, entry["segment"]))
-        if shard._patch:
-            entry["patch"] = f"patch-{i:03d}.pkl"
-            _dump(shard._patch, os.path.join(dirpath, entry["patch"]))
+        _write_tables(dirpath, shard, entry, f"patch-{i:03d}.pkl")
         entries.append(entry)
     k = sharded.num_shards
     return sharded_manifest(
@@ -454,18 +449,17 @@ def _write_views(
         if definition is None:
             log.warning("snapshot save: view %r has no definition; skipped", name)
             continue
-        if (
-            payload is not None
-            and payload.store is not None
-            and payload.token == flat_token
-        ):
+        if payload is not None and payload.token == flat_token:
             seg = f"view-{idx:03d}.seg"
             meta = f"view-{idx:03d}.pkl"
+            if payload.store is None:
+                from repro.views.flatpack import FlatExtension
+
+                payload = FlatExtension.pack(snapshot, payload)
             payload.store.save(os.path.join(dirpath, seg))
             _dump(
                 {
                     "definition": definition,
-                    "nodes_extra": payload.nodes_extra,
                     "edge_order": payload.edge_order,
                     "token": payload.token,
                     "version": payload.version,
@@ -515,7 +509,7 @@ def _load_pickle(dirpath: str, fname: str):
             ) from exc
 
 
-def _load_compact(dirpath: str, manifest: dict, verify: bool) -> SharedCompactGraph:
+def _load_compact(dirpath: str, manifest: dict, verify: bool) -> CompactGraph:
     files = manifest["files"]
     store = FlatStore.open(os.path.join(dirpath, files["segment"]), verify=verify)
     patch = _load_pickle(dirpath, files["patch"]) if "patch" in files else None
@@ -527,20 +521,20 @@ def _load_compact(dirpath: str, manifest: dict, verify: bool) -> SharedCompactGr
         g["snapshot_token"],
         g["extends_token"],
     )
-    return _attach_snapshot(store, patch, meta)
+    return _attach(store, patch, meta)
 
 
 def _load_sharded(dirpath: str, manifest: dict, verify: bool):
     from repro.shard.sharded import ShardedGraph
 
-    shards: List[SharedCompactGraph] = []
+    shards: List[CompactGraph] = []
     boundary: List[FlatStore] = []
     for entry in manifest["shard_files"]:
         store = FlatStore.open(
             os.path.join(dirpath, entry["segment"]), verify=verify
         )
         patch = _load_pickle(dirpath, entry["patch"]) if "patch" in entry else None
-        shards.append(_attach_snapshot(store, patch, tuple(entry["meta"])))
+        shards.append(_attach(store, patch, tuple(entry["meta"])))
         boundary.append(
             FlatStore.open(os.path.join(dirpath, entry["boundary"]), verify=verify)
         )
@@ -576,8 +570,7 @@ def _load_views(dirpath: str, manifest: dict, graph, verify: bool) -> Dict[str, 
         meta = _load_pickle(dirpath, entry["meta"])
         flat = _attach_extension(
             store,
-            graph.flat_store,
-            meta["nodes_extra"],
+            graph.node_table,
             meta["edge_order"],
             meta["token"],
             meta["version"],

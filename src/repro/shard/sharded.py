@@ -603,8 +603,8 @@ class ShardedGraph:
     def _label_stats(self) -> Dict[str, int]:
         stats: Dict[str, int] = {}
         for shard, own in zip(self._shards, self._own_counts):
-            for label, ids in shard._label_ids.items():
-                count = bisect_left(ids, own)
+            for label in shard.label_index_stats():
+                count = bisect_left(shard.label_ids(label), own)
                 if count:
                     stats[label] = stats.get(label, 0) + count
         return stats

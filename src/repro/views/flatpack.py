@@ -20,10 +20,9 @@ created.  :meth:`FlatExtension.pack` moves the same columns into a
 the form :class:`~repro.graph.snapshot.SnapshotStore` saves beside a
 snapshot's segment and maps back on load -- and a payload attached
 that way runs exactly the code the in-process one runs (both read rows
-through :meth:`FlatExtension.pair_rows`).  The snapshot's own store is
-referenced (not copied) for the id -> node-key decode table, so when a
-payload dict carrying the snapshot and twenty extensions goes through
-one ``pickle.dumps``, the node table is written exactly once.
+through :meth:`FlatExtension.pair_rows`).  The id -> node-key decode
+table is the snapshot's own, referenced, not copied: an attached
+payload decodes through the loaded snapshot's lazy table.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from array import array
 from functools import partial
 from typing import Dict, Hashable, List, Optional, Set, Tuple
 
-from repro.graph.flatbuf import FlatStore, SharedCompactGraph, _LazyNodeTable
+from repro.graph.flatbuf import FlatStore
 from repro.simulation.result import LazyMap
 
 PEdge = Tuple[Hashable, Hashable]
@@ -146,7 +145,8 @@ class FlatExtension:
         distance 1 by construction).
     store:
         The :class:`FlatStore` holding the rows once :meth:`pack` ed
-        (``None`` in process, where ``_tables`` holds the columns).
+        or attached (``None`` in process, where ``_tables`` holds the
+        columns).
     """
 
     __slots__ = (
@@ -162,8 +162,6 @@ class FlatExtension:
         "distances",
         "_tables",
         "store",
-        "snap_store",
-        "nodes_extra",
     )
 
     def __init__(
@@ -178,13 +176,7 @@ class FlatExtension:
         ``pairs_src`` / ``pairs_tgt`` as ``array('q')``) or a
         :class:`FlatStore` holding them.  Producers use
         :meth:`from_rows` / :meth:`from_pairs`."""
-        (
-            self.token,
-            self.version,
-            self.nodes,
-            self.snap_store,
-            self.nodes_extra,
-        ) = stamp
+        self.token, self.version, self.nodes = stamp
         self.edge_order = edge_order
         self.edge_index = {edge: k for k, edge in enumerate(edge_order)}
         if isinstance(tables, FlatStore):
@@ -194,17 +186,6 @@ class FlatExtension:
         self.distances = distances
         for kind in ("src_keys", "tgt_keys", "src_nodes", "tgt_nodes"):
             setattr(self, kind, self.per_edge(kind))
-
-    @classmethod
-    def _bound_to(cls, snapshot, edge_order, indptr, src, tgt, distances=None):
-        """The payload for ``snapshot``: in-process columns, packed
-        when the snapshot is segment-backed (so the view saves as a
-        segment beside it)."""
-        tables = {"pairs_indptr": indptr, "pairs_src": src, "pairs_tgt": tgt}
-        flat = cls(snapshot_stamp(snapshot), edge_order, tables, distances)
-        if isinstance(snapshot, SharedCompactGraph):
-            return cls.pack(snapshot, flat)
-        return flat
 
     @classmethod
     def from_rows(
@@ -225,7 +206,8 @@ class FlatExtension:
             src.extend(sources)
             tgt.extend(targets)
             indptr.append(len(src))
-        return cls._bound_to(snapshot, list(id_rows), indptr, src, tgt, distances)
+        tables = {"pairs_indptr": indptr, "pairs_src": src, "pairs_tgt": tgt}
+        return cls(snapshot_stamp(snapshot), list(id_rows), tables, distances)
 
     @classmethod
     def from_pairs(
@@ -241,15 +223,14 @@ class FlatExtension:
             src.extend([id_of(v) for v, _ in pairs])
             tgt.extend([id_of(w) for _, w in pairs])
             indptr.append(len(src))
-        return cls._bound_to(snapshot, list(edge_matches), indptr, src, tgt)
+        tables = {"pairs_indptr": indptr, "pairs_src": src, "pairs_tgt": tgt}
+        return cls(snapshot_stamp(snapshot), list(edge_matches), tables)
 
     @classmethod
-    def pack(
-        cls, snapshot: SharedCompactGraph, base: "FlatExtension"
-    ) -> "FlatExtension":
+    def pack(cls, snapshot, base: "FlatExtension") -> "FlatExtension":
         """``base``'s rows moved into one flat segment (``I(V)`` as
-        ``dist_*`` triples), referencing ``snapshot``'s store for its
-        decode table."""
+        ``dist_*`` triples), decoding through ``snapshot``'s node table
+        (``base`` is bound to ``snapshot``)."""
         arrays = {name: base._ints(name) for name in _ROW_TABLES}
         if base.distances is not None:
             d_src = array("q")
@@ -260,10 +241,8 @@ class FlatExtension:
                 d_tgt.append(w)
                 d_val.append(d)
             arrays.update(dist_src=d_src, dist_tgt=d_tgt, dist_val=d_val)
-        _, _, _, snap_store, nodes_extra = snapshot_stamp(snapshot)
-        stamp = (base.token, base.version, base.nodes, snap_store, nodes_extra)
         store = FlatStore.pack(arrays=arrays, blobs={})
-        return cls(stamp, base.edge_order, store, base.distances)
+        return cls(snapshot_stamp(snapshot), base.edge_order, store, base.distances)
 
     def _ints(self, name: str) -> memoryview:
         if self.store is not None:
@@ -315,9 +294,9 @@ class FlatExtension:
 
     @property
     def ships_as_handle(self) -> bool:
-        """Whether pickling carries the stores (rows packed beside a
-        segment-backed snapshot) rather than the rows themselves."""
-        return self.store is not None and self.snap_store is not None
+        """Whether pickling carries the store (packed or attached rows)
+        rather than the rows themselves."""
+        return self.store is not None
 
     def __reduce__(self):
         if self.ships_as_handle:
@@ -325,20 +304,16 @@ class FlatExtension:
                 _attach_extension,
                 (
                     self.store,
-                    self.snap_store,
-                    self.nodes_extra,
+                    self.nodes,
                     self.edge_order,
                     self.token,
                     self.version,
                     self.distances is not None,
                 ),
             )
-        tables = self._tables or {
-            name: array("q", self._ints(name)) for name in _ROW_TABLES
-        }
         distances = None if self.distances is None else dict(self.distances)
-        stamp = (self.token, self.version, self.nodes, None, [])
-        return (FlatExtension, (stamp, self.edge_order, tables, distances))
+        stamp = (self.token, self.version, self.nodes)
+        return (FlatExtension, (stamp, self.edge_order, self._tables, distances))
 
     def rebound(self, snapshot) -> "FlatExtension":
         """The same rows re-stamped onto ``snapshot``.
@@ -359,46 +334,29 @@ class FlatExtension:
         clone = FlatExtension.__new__(FlatExtension)
         for slot in FlatExtension.__slots__:
             setattr(clone, slot, getattr(self, slot))
-        (
-            clone.token,
-            clone.version,
-            clone.nodes,
-            clone.snap_store,
-            clone.nodes_extra,
-        ) = snapshot_stamp(snapshot)
+        clone.token, clone.version, clone.nodes = snapshot_stamp(snapshot)
         return clone
 
 
 def snapshot_stamp(snapshot) -> tuple:
-    """``(token, version, node table, snapshot store, appended nodes)``
-    -- the provenance a payload carries.  The last two name where an
-    attached payload finds the decode table and are set for
-    segment-backed snapshots only."""
-    shared = isinstance(snapshot, SharedCompactGraph)
-    patch = snapshot._patch if shared else None
-    return (
-        snapshot.snapshot_token,
-        snapshot.snapshot_version,
-        snapshot.node_table,
-        snapshot.flat_store if shared else None,
-        list(patch["nodes"]) if patch else [],
-    )
+    """``(token, version, node table)`` -- the provenance a payload
+    carries and the table it decodes ids through."""
+    return snapshot.snapshot_token, snapshot.snapshot_version, snapshot.node_table
 
 
 def _attach_extension(
     store: FlatStore,
-    snap_store: FlatStore,
-    nodes_extra: List[Node],
+    nodes,
     edge_order: List[PEdge],
     token: int,
     version: int,
     bounded: bool,
 ) -> FlatExtension:
-    """Reconstruction of a packed payload (snapshot load, unpickling);
-    nothing is decoded until a query touches it."""
-    nodes = _LazyNodeTable(snap_store, nodes_extra or None)
+    """Reconstruction of a packed payload (snapshot load, unpickling)
+    decoding through ``nodes``; nothing is decoded until a query
+    touches it."""
     return FlatExtension(
-        (token, version, nodes, snap_store, nodes_extra),
+        (token, version, nodes),
         edge_order,
         store,
         _LazyDistances(store) if bounded else None,

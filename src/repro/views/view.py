@@ -272,8 +272,7 @@ def snapshot_extension(
     For bounded views ``id_distances`` is ``I(V)`` in id space -- built
     during materialization, never re-derived per query -- and the
     node-key index on the :class:`MaterializedView` is decoded from the
-    same table, so the two views of ``I(V)`` cannot drift.  Against a
-    segment-backed snapshot the payload comes back packed.
+    same table, so the two views of ``I(V)`` cannot drift.
     """
     pattern = definition.pattern
     if id_rows is None:

@@ -19,7 +19,7 @@ from array import array
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.graph import ANY, BoundedPattern, DataGraph, P, Pattern
+from repro.graph import ANY, BoundedPattern, CompactGraph, DataGraph, P, Pattern
 from repro.graph.conditions import Condition, TrueCondition
 from repro.obs import trace
 from repro.simulation import array_engine, bounded_match
@@ -36,7 +36,6 @@ from helpers import (
     random_labeled_graph,
     random_pattern,
     reference_edge_matches,
-    shared_freeze,
 )
 
 needs_numpy = pytest.mark.skipif(
@@ -55,10 +54,15 @@ class OddX(Condition):
         return ("odd-x",)
 
 
-def frozen_as(graph, shared, previous=None):
-    """``graph.freeze()``, segment-backed when ``shared`` (refreshed
-    from ``previous`` where it can be)."""
-    return shared_freeze(graph, previous) if shared else graph.freeze()
+def frozen_as(graph, attached, previous=None):
+    """``graph.freeze()``; when ``attached``, mapped back from its
+    pickle (lazy tables), or a refresh of ``previous`` that was."""
+    if not attached:
+        return graph.freeze()
+    ops = previous and graph.edge_changes_since(previous.snapshot_version)
+    if ops is None:  # no previous, or a change no refresh can express
+        return pickle.loads(pickle.dumps(graph.freeze()))
+    return CompactGraph.refreshed(previous, graph, graph.version, ops)
 
 
 def chain(*conditions):
@@ -700,7 +704,7 @@ def test_attached_snapshot_decodes_only_the_ids_an_answer_names(operator, monkey
     expected = run(pattern, graph)
     named = set().union(*expected.node_matches.values())
     assert 0 < len(named) < graph.num_nodes
-    attached = pickle.loads(pickle.dumps(shared_freeze(graph)))
+    attached = pickle.loads(pickle.dumps(graph.freeze()))
     decoded = []
 
     class CountedTable:
@@ -757,7 +761,7 @@ def test_concurrent_matches_share_one_snapshots_caches():
         with forced_kernel("array"):
             for _ in range(5):
                 # A fresh attachment each round: empty caches, lazy table.
-                snapshot = pickle.loads(pickle.dumps(shared_freeze(graph)))
+                snapshot = pickle.loads(pickle.dumps(graph.freeze()))
                 start = threading.Event()
                 threads = [
                     threading.Thread(target=worker, args=(snapshot, offset, start))
@@ -916,7 +920,7 @@ def test_lazy_kernel_answer_read_by_threads_at_once(kernel):
     try:
         for _ in range(5):
             # A fresh attachment each round: a cold key column, a lazy table.
-            snapshot = pickle.loads(pickle.dumps(shared_freeze(graph)))
+            snapshot = pickle.loads(pickle.dumps(graph.freeze()))
             with forced_kernel(kernel):
                 result = match(pattern, snapshot)
             start = threading.Barrier(readers)
@@ -1002,7 +1006,7 @@ def check_attached_snapshot_reads_its_columns_off_the_segment(operator):
     rng = random.Random(34)
     graph = random_labeled_graph(rng, 40, 140)
     pattern, match = OPERATORS[operator]
-    base = shared_freeze(graph)
+    base = graph.freeze()
     first, last = list(graph.nodes())[0], list(graph.nodes())[-1]
     graph.add_node("appended", labels="B")
     graph.apply_delta(
@@ -1012,7 +1016,7 @@ def check_attached_snapshot_reads_its_columns_off_the_segment(operator):
         .insert("appended", last)
         .insert(last, first)
     )
-    patched = shared_freeze(graph, base)
+    patched = graph.freeze()
     assert patched.extends_token == base.snapshot_token and patched._patch["succ"]
     for creator in (base, patched):
         attached = pickle.loads(pickle.dumps(creator))
@@ -1020,7 +1024,8 @@ def check_attached_snapshot_reads_its_columns_off_the_segment(operator):
         assert attached.edge_columns()[0].typecode == "i"
         with forced_kernel("array"):
             assert match(pattern, attached) == match(pattern, creator)
-        assert not any(attached._succ._cache)
+        # The patch's rows only: none was decoded off the tables.
+        assert dict(attached.succ_rows) == (attached._patch or {"succ": {}})["succ"]
 
 
 @needs_numpy

@@ -4,7 +4,7 @@
 ``{i : c.matches(labels_of(i), attrs_of(i))}`` for every condition --
 whatever the attribute values are (ints, floats with NaN, bools, strings,
 ``None``, or absent), on a plain snapshot, on an attached
-``SharedCompactGraph``, on every shard of a ``ShardedGraph`` and across
+snapshot mapped back from its pickle, on every shard of a ``ShardedGraph`` and across
 ``refreshed()``; and the engines that seed through it must agree with
 the dict backend, which never touches it.
 """
@@ -25,14 +25,13 @@ from repro.graph.conditions import (
     Label,
     TrueCondition,
 )
-from repro.graph.flatbuf import SharedCompactGraph
 from repro.obs import trace
 from repro.shard.psim import sharded_match
 from repro.shard.sharded import ShardedGraph
 from repro.simulation import bounded_match, match
 from repro.views import ViewDefinition, ViewSet
 
-from helpers import KERNELS, forced_kernel, fresh_registry, shared_freeze
+from helpers import KERNELS, forced_kernel, fresh_registry
 
 ATTRS = ("x", "y", "z")
 LABELS = ("A", "B")
@@ -114,13 +113,12 @@ def test_candidate_index_on_compact_graph(graph, condition):
 @settings(max_examples=100, deadline=None)
 @given(graph=graphs(), condition=conditions)
 def test_candidate_index_on_attached_shared_graph(graph, condition):
-    shared = shared_freeze(graph)
-    assert shared.flat_store.backend == "bytes"
-    attached = pickle.loads(pickle.dumps(shared))
-    assert isinstance(attached, SharedCompactGraph)
+    frozen = graph.freeze()
+    assert frozen.flat_store.backend == "bytes"
+    attached = pickle.loads(pickle.dumps(frozen))
     assert not attached._columns  # rebuilt on this side, lazily
     assert_exact(attached, condition)
-    assert_exact(shared, condition)
+    assert_exact(frozen, condition)
 
 
 @settings(max_examples=100, deadline=None)
@@ -136,15 +134,10 @@ def test_candidate_index_on_every_shard(graph, condition, k):
     condition=conditions,
     edge=st.tuples(st.integers(0, 11), st.integers(0, 11)),
     new_attrs=st.dictionaries(st.sampled_from(ATTRS), values),
-    shared=st.booleans(),
 )
-def test_candidate_index_across_refreshed(graph, condition, edge, new_attrs, shared):
+def test_candidate_index_across_refreshed(graph, condition, edge, new_attrs):
     n = graph.num_nodes
-
-    def freeze(previous=None):
-        return shared_freeze(graph, previous) if shared else graph.freeze()
-
-    old = freeze()
+    old = graph.freeze()
     assert_exact(old, condition)  # columns exist before the refresh
 
     source, target = edge[0] % n, edge[1] % n
@@ -152,14 +145,14 @@ def test_candidate_index_across_refreshed(graph, condition, edge, new_attrs, sha
         graph.remove_edge(source, target)
     else:
         graph.add_edge(source, target)
-    edge_only = freeze(old)
+    edge_only = graph.freeze()
     assert edge_only.extends_token == old.snapshot_token
     assert edge_only._columns is old._columns  # carried forward
     assert_exact(edge_only, condition)
 
     graph.add_node(n, labels=LABELS[:1], attrs=new_attrs)
     graph.add_edge(n, source)
-    grown = freeze(edge_only)
+    grown = graph.freeze()
     assert grown.extends_token == edge_only.snapshot_token
     assert grown._columns is not edge_only._columns  # attrs table changed
     assert_exact(grown, condition)

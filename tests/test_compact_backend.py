@@ -15,9 +15,13 @@ Covers the whole refactor stack:
   through maintenance events.
 """
 
+import os
+import pickle
 import random
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import (
     build_bounded,
@@ -26,14 +30,14 @@ from helpers import (
     matchjoin_metrics,
     random_labeled_graph,
     random_pattern,
-    shared_freeze,
 )
 from repro.core.containment import contains
 from repro.core.matchjoin import match_join
 from repro.datasets import generate_views, query_from_views, random_graph
 from repro.engine import QueryEngine
 from repro.graph import CompactGraph, DataGraph, P
-from repro.graph.flatbuf import SharedCompactGraph
+from repro.graph.conditions import Atom, AttributeCondition, Label, TrueCondition
+from repro.graph.snapshot import SnapshotStore
 from repro.simulation import bounded_match, dual_match, match, strong_match
 from repro.views.maintenance import IncrementalViewSet
 from repro.views.storage import ViewSet
@@ -445,119 +449,164 @@ class TestEngineSnapshot:
         assert engine.snapshot() is None
 
 
+
+
 # ----------------------------------------------------------------------
-# The equivalence suite over the flat (segment-backed) backend
+# One snapshot form: fresh, refreshed, saved + loaded, pickled
 # ----------------------------------------------------------------------
-def _freeze(graph, backend):
-    """``backend``: "compact" (plain snapshot) or "flat" (shared)."""
-    if backend == "flat":
-        frozen = shared_freeze(graph)
-        assert isinstance(frozen, SharedCompactGraph)
-        return frozen
-    return graph.freeze()
+#: Node keys of three kinds (ints, strs, tuples), drawn without repeats.
+KEYS = [*range(8), *(f"s{i}" for i in range(8)), *(("t", i) for i in range(8))]
+label_sets = st.frozensets(st.sampled_from("ABC"), max_size=2)
+attr_dicts = st.dictionaries(
+    st.sampled_from("xy"), st.one_of(st.integers(-2, 2), st.sampled_from(["a", "b"]))
+)
+CONDITIONS = [
+    TrueCondition(),
+    Label("A"),
+    Label("C"),
+    P("x") >= 0,
+    AttributeCondition((Atom("y", "==", "a"),), label="B"),
+]
 
 
-FROZEN_BACKENDS = pytest.mark.parametrize("backend", ["compact", "flat"])
+def _saved_and_loaded(snapshot, directory):
+    """``snapshot`` saved under a fresh subdirectory of ``directory``
+    and mapped back (a pickle of it names the file: keep it)."""
+    path = os.path.join(directory, str(len(os.listdir(directory))))
+    SnapshotStore.save(path, snapshot)
+    return SnapshotStore.load(path).graph
 
 
-class TestFlatBackendEquivalence:
-    """The backend-equivalence suite re-run on ``SharedCompactGraph.share``.
-
-    A :class:`SharedCompactGraph` reuses the plain snapshot's row
-    objects, so in-process evaluation must be bit-identical to the
-    compact backend -- and view suites materialized against it carry
-    *packed* :class:`~repro.views.flatpack.FlatExtension` payloads,
-    which MatchJoin sweeps exactly like the in-process ones.
-    """
-
-    @FROZEN_BACKENDS
-    def test_match_and_dual_match_randomized(self, backend):
-        rng = random.Random(51)
-        for _ in range(25):
-            g = random_labeled_graph(rng, rng.randint(2, 30), rng.randint(1, 70))
-            q = random_pattern(rng, rng.randint(2, 5), rng.randint(1, 8))
-            frozen = _freeze(g, backend)
-            assert match(q, g) == match(q, frozen)
-            assert dual_match(q, g) == dual_match(q, frozen)
-
-    @FROZEN_BACKENDS
-    def test_bounded_match_randomized(self, backend):
-        rng = random.Random(53)
-        for _ in range(15):
-            g = random_labeled_graph(rng, rng.randint(3, 25), rng.randint(2, 60))
-            base = random_pattern(rng, rng.randint(2, 4), rng.randint(1, 5))
-            q = build_bounded(
-                {u: base.condition(u) for u in base.nodes()},
-                [(u, w, rng.randint(1, 3)) for u, w in base.edges()],
-            )
-            assert bounded_match(q, g) == bounded_match(q, _freeze(g, backend))
-
-    @FROZEN_BACKENDS
-    def test_matchjoin_equivalence_and_theorem1(self, backend):
-        labels = tuple(f"l{i}" for i in range(6))
-        for seed in range(6):
-            graph = random_graph(180, 450, labels=labels, seed=seed)
-            definitions = list(generate_views(labels, 9, seed=seed))
-            dict_views = ViewSet(definitions)
-            dict_views.materialize(graph)
-            frozen = _freeze(graph, backend)
-            backed_views = ViewSet(definitions)
-            backed_views.materialize(frozen)
-            for qseed in range(2):
-                query = query_from_views(
-                    dict_views, 4, 6, seed=100 * seed + qseed
-                )
-                containment = contains(query, dict_views)
-                via_dict = match_join(query, containment, dict_views)
-                via_backed = match_join(query, containment, backed_views)
-                assert via_dict == via_backed
-                # Theorem 1 on the flat backend too.
-                assert (
-                    via_backed.edge_matches
-                    == match(query, frozen).edge_matches
-                )
-
-    def test_flat_fast_path_engages_on_flat_extensions(self):
-        labels = tuple(f"l{i}" for i in range(6))
-        graph = random_graph(150, 400, labels=labels, seed=31)
-        definitions = list(generate_views(labels, 8, seed=31))
-        shared = shared_freeze(graph)
-        flat_views = ViewSet(definitions)
-        flat_views.materialize(shared)
-        query = query_from_views(flat_views, 4, 6, seed=31)
-        containment = contains(query, flat_views)
-        compact_views = ViewSet(definitions)
-        compact_views.materialize(graph.copy().freeze())
-        # Packed (segment-backed) and in-process rows run the same
-        # kernel in id space, with the same number of row sweeps.
-        with matchjoin_metrics() as count:
-            fast = match_join(query, containment, flat_views)
-            assert count("total", "ids") == 1
-            sweeps = count("sweeps_total", "ids")
-            assert fast == match_join(query, containment, compact_views)
-            assert count("total", "ids") == 2
-            assert count("sweeps_total", "ids") == 2 * sweeps
-        for name in flat_views.names():
-            assert flat_views.extension(name).compact.store is not None
-            assert compact_views.extension(name).compact.store is None
-
-    def test_flat_extensions_survive_refresh_chain(self):
-        labels = tuple(f"l{i}" for i in range(5))
-        graph = random_graph(120, 300, labels=labels, seed=33)
-        shared = shared_freeze(graph)
-        views = ViewSet(generate_views(labels, 6, seed=33))
-        views.materialize(shared)
-        token = views.snapshot_token
-        # Edge churn refreshes the snapshot in place of a rebuild: ids
-        # stay stable and the flat base segment is retained.
-        nodes = sorted(graph.nodes(), key=repr)
-        source = next(
-            v for v in nodes if not graph.has_edge(v, nodes[-1])
+def assert_reads_like(snapshot, graph):
+    """Every read API of ``snapshot`` against the dict graph it froze;
+    ``edge_columns()`` first, before any row is decoded."""
+    nodes = list(graph.nodes())
+    ids = {v: i for i, v in enumerate(nodes)}
+    sources, targets = snapshot.edge_columns()
+    assert list(zip(sources, targets)) == [
+        (i, j) for i in range(len(nodes)) for j in snapshot.out_ids(i)
+    ]
+    assert set(zip(sources, targets)) == {(ids[v], ids[w]) for v, w in graph.edges()}
+    assert list(snapshot.nodes()) == nodes and snapshot.num_nodes == len(nodes)
+    assert sorted(snapshot.edges(), key=repr) == sorted(graph.edges(), key=repr)
+    assert snapshot.num_edges == graph.num_edges
+    for v in nodes:
+        assert snapshot.id_of(v) == ids[v] and v in snapshot
+        assert snapshot.successors(v) == graph.successors(v)
+        assert snapshot.predecessors(v) == graph.predecessors(v)
+        assert snapshot.labels(v) == graph.labels(v)
+        assert snapshot.attrs(v) == graph.attrs(v)
+        for bound in (1, 2):
+            assert snapshot.descendants_within_ids(ids[v], bound) == {
+                ids[w]: d for w, d in graph.descendants_within(v, bound).items()
+            }
+            assert snapshot.reverse_within_ids({ids[v]}, bound) == {
+                ids[u] for u in nodes if v in graph.descendants_within(u, bound)
+            }
+    for label in "ABCD":
+        assert snapshot.label_ids(label) == tuple(
+            sorted(ids[v] for v in graph.nodes_with_label(label))
         )
-        graph.add_edge(source, nodes[-1])
-        refreshed = shared_freeze(graph, shared)
-        assert isinstance(refreshed, SharedCompactGraph)
-        assert refreshed.extends_token == token
-        assert refreshed.flat_store is shared.flat_store
-        for v in nodes:
-            assert refreshed.id_of(v) == shared.id_of(v)
+    assert snapshot.label_index_stats() == graph.label_index_stats()
+    for condition in CONDITIONS:
+        assert snapshot.candidate_ids(condition) == {
+            ids[v] for v in nodes
+            if condition.matches(graph.labels(v), graph.attrs(v))
+        }
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_snapshot_forms_agree_with_the_dict_graph(data):
+    with tempfile.TemporaryDirectory() as directory:
+        check_snapshot_forms(data, directory)
+
+
+def check_snapshot_forms(data, directory):
+    # A chain of random deltas (edge toggles, appended nodes); after
+    # each: the graph's own refreshed freeze, a fresh freeze, a refresh
+    # of the previous snapshot mapped back from disk, a save + load and
+    # pickles -- one form, every read equal to the dict graph's.
+    keys = iter(data.draw(st.permutations(KEYS)))
+    graph = DataGraph()
+
+    def add_nodes(count):
+        for _ in range(count):
+            graph.add_node(next(keys), labels=data.draw(label_sets), attrs=data.draw(attr_dicts))
+
+    def toggle_edges(count):
+        nodes = list(graph.nodes())
+        for _ in range(count):
+            v, w = data.draw(st.sampled_from(nodes)), data.draw(st.sampled_from(nodes))
+            (graph.remove_edge if graph.has_edge(v, w) else graph.add_edge)(v, w)
+
+    add_nodes(data.draw(st.integers(1, 8)))
+    toggle_edges(data.draw(st.integers(0, 20)))
+    frozen = graph.freeze()
+    loaded = _saved_and_loaded(frozen, directory)
+    for form in (frozen, loaded, pickle.loads(pickle.dumps(frozen))):
+        assert_reads_like(form, graph)
+    for _ in range(data.draw(st.integers(1, 3))):
+        add_nodes(data.draw(st.integers(0, 2)))
+        toggle_edges(data.draw(st.integers(0, 6)))
+        ops = graph.edge_changes_since(loaded.snapshot_version)
+        from_disk = CompactGraph.refreshed(loaded, graph, graph.version, ops)
+        assert from_disk.extends_token == loaded.snapshot_token
+        previous, frozen = frozen, graph.freeze()
+        assert frozen is previous or frozen.extends_token == previous.snapshot_token
+        loaded = _saved_and_loaded(frozen, directory)
+        for form in (
+            frozen,
+            CompactGraph(graph, graph.version),
+            from_disk,
+            loaded,
+            pickle.loads(pickle.dumps(frozen)),
+            pickle.loads(pickle.dumps(from_disk)),
+        ):
+            assert_reads_like(form, graph)
+
+
+def test_a_loaded_snapshot_refreshes_after_a_node_is_appended():
+    # Regression: the loaded snapshot's key -> id map was a lazy dict
+    # that copied as empty, so this refresh raised KeyError: 5.
+    graph = DataGraph()
+    for v in range(6):
+        graph.add_node(v, labels="A")
+    for v in range(5):
+        graph.add_edge(v, v + 1)
+    with tempfile.TemporaryDirectory() as directory:
+        loaded = _saved_and_loaded(graph.freeze(), directory)
+        check_refresh_of_loaded(loaded, graph)
+
+
+def check_refresh_of_loaded(loaded, graph):
+    graph.add_node(6, labels="B", attrs={"x": 1})
+    graph.add_edge(5, 6)
+    ops = graph.edge_changes_since(loaded.snapshot_version)
+    refreshed = CompactGraph.refreshed(loaded, graph, graph.version, ops)
+    assert refreshed.extends_token == loaded.snapshot_token
+    assert_reads_like(refreshed, graph)
+    assert_reads_like(pickle.loads(pickle.dumps(refreshed)), graph)
+
+
+def test_refresh_reencodes_once_the_patch_outgrows_the_base():
+    # A chain of refreshes rides the base tables as a patch overlay, and
+    # shares every row decoded so far but the touched ones, until the
+    # patch outgrows max(64, a quarter of the base): then the graph is
+    # encoded afresh -- ids still stable, the chain still recorded.
+    rng = random.Random(4)
+    graph = random_labeled_graph(rng, 200, 400)
+    first = graph.freeze()
+    untouched = next(i for i in range(40, 200) if first.out_ids(i))
+    snapshot = first
+    for step in range(40):
+        v, w = step, (step * 7 + 3) % 200
+        (graph.remove_edge if graph.has_edge(v, w) else graph.add_edge)(v, w)
+        previous, snapshot = snapshot, graph.freeze()
+        assert snapshot.extends_token == previous.snapshot_token
+        if snapshot.flat_store is not first.flat_store:
+            break
+        assert snapshot.out_ids(untouched) is first.out_ids(untouched)
+    assert snapshot.flat_store is not first.flat_store
+    assert snapshot._patch is None and step > 10
+    assert_reads_like(snapshot, graph)

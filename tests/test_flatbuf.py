@@ -6,11 +6,11 @@ view-payload counterpart :mod:`repro.views.flatpack`:
 * segment lifecycle -- a mapped segment file closes with its last
   reader, refresh chains share one base segment, and nothing ever
   appears in ``/dev/shm``;
-* the two backings, an in-process ``bytes`` segment and a segment file
-  mapped back read-only, with identical read results;
-* pickling: a :class:`SharedCompactGraph` or a :class:`FlatExtension`
-  reconstructs from its store with identical read results, and a
-  file-attached one pickles as its path;
+* the two backings, an in-process ``bytes`` segment (every fresh
+  snapshot's tables) and a segment file mapped back read-only;
+* pickling: a snapshot or a packed :class:`FlatExtension` reconstructs
+  from its store with identical read results, and a file-attached one
+  pickles as its path;
 * engine integration: maintenance re-stamps flat extension payloads.
 """
 
@@ -20,17 +20,13 @@ import random
 
 import pytest
 
-from helpers import random_labeled_graph, shared_freeze, shm_segments
+from helpers import random_labeled_graph, shm_segments
 from repro.core.containment import contains
 from repro.core.matchjoin import match_join
 from repro.datasets import generate_views, query_from_views, random_graph
 from repro.engine import QueryEngine
-from repro.graph.flatbuf import (
-    FlatStore,
-    SegmentFormatError,
-    SharedCompactGraph,
-    verify_segment_file,
-)
+from repro.graph import CompactGraph
+from repro.graph.flatbuf import FlatStore, SegmentFormatError, verify_segment_file
 from repro.graph.snapshot import SnapshotStore
 from repro.simulation import match
 from repro.views.flatpack import FlatExtension
@@ -64,7 +60,7 @@ class TestLifecycle:
 
     def test_refresh_chain_shares_base_segment(self):
         g = _sample_graph(seed=9)
-        first = shared_freeze(g)
+        first = g.freeze()
         nodes = list(g.nodes())
         added = []
         for v in nodes[:3]:
@@ -73,30 +69,32 @@ class TestLifecycle:
                 g.add_edge(v, w)
                 added.append((v, w))
         assert added
-        second = shared_freeze(g, first)
-        assert isinstance(second, SharedCompactGraph)
+        second = g.freeze()
         assert second is not first
         assert second.extends_token == first.snapshot_token
         # The refresh rides the same segment as a patch overlay.
         assert second.flat_store is first.flat_store
+        assert second._patch["succ"] and first._patch is None
         for v, w in added:
             assert second.has_edge(v, w)
-        # The graph's own snapshot stays plain.
-        assert type(g.freeze()) is not SharedCompactGraph
 
     def test_share_is_idempotent(self):
+        # ``perf/batch.py`` still imports the old name: it is the one
+        # snapshot class, and sharing returns the snapshot itself.
+        from repro.graph.flatbuf import SharedCompactGraph
+
         g = _sample_graph(seed=3)
-        shared = shared_freeze(g)
-        assert SharedCompactGraph.share(shared) is shared
-        assert shared.snapshot_token == g.freeze().snapshot_token
+        frozen = g.freeze()
+        assert SharedCompactGraph is CompactGraph
+        assert SharedCompactGraph.share(frozen) is frozen
 
     def test_no_dev_shm_leak_after_suite_of_drops(self):
         before = shm_segments()
         for seed in range(3):
             g = _sample_graph(seed=seed)
-            shared = shared_freeze(g)
-            pickle.loads(pickle.dumps(shared))
-            del shared
+            frozen = g.freeze()
+            pickle.loads(pickle.dumps(frozen))
+            del frozen
         gc.collect()
         assert shm_segments() <= before
 
@@ -107,21 +105,25 @@ class TestLifecycle:
 class TestBytesFallback:
     def test_bytes_backend_round_trip(self):
         g = _sample_graph(seed=5)
-        shared = shared_freeze(g)
-        assert shared.flat_store.backend == "bytes"
-        assert shared.flat_store.on_disk_bytes == 0
-        revived = pickle.loads(pickle.dumps(shared))
+        frozen = g.freeze()
+        assert frozen.flat_store.backend == "bytes"
+        assert frozen.flat_store.on_disk_bytes == 0
+        revived = pickle.loads(pickle.dumps(frozen))
         assert set(revived.nodes()) == set(g.nodes())
         assert set(revived.edges()) == set(g.edges())
         for v in g.nodes():
             assert revived.labels(v) == g.labels(v)
 
     def test_flat_store_tables_identical_across_backends(self, tmp_path):
+        # A save writes the tables the snapshot holds, plus its node
+        # keys and attrs (pickled only then).
         g = _sample_graph(seed=6)
-        bytes_tables = shared_freeze(g).flat_table_bytes()
+        bytes_tables = g.freeze().flat_store.table_bytes()
         loaded = _saved_and_loaded(g, tmp_path / "snap")
         assert loaded.flat_store.backend == "file"
-        assert loaded.flat_table_bytes() == bytes_tables
+        file_tables = loaded.flat_store.table_bytes()
+        assert file_tables.items() >= bytes_tables.items()
+        assert set(file_tables) - set(bytes_tables) == {"nodes", "attrs"}
 
 
 # ----------------------------------------------------------------------
@@ -151,20 +153,21 @@ class TestAttach:
         labels = tuple(f"l{i}" for i in range(4))
         graph = random_graph(80, 200, labels=labels, seed=1)
         checked = 0
-        for shared in (True, False):
+        for packed in (True, False):
             views = ViewSet(generate_views(labels, 5, seed=1))
-            copy = graph.copy()
-            views.materialize(shared_freeze(copy) if shared else copy.freeze())
+            snapshot = graph.copy().freeze()
+            views.materialize(snapshot)
             for name in views.names():
                 if not views.is_materialized(name):
                     continue
                 view = views.extension(name)
                 payload = view.compact
                 assert isinstance(payload, FlatExtension)
-                # Packed beside a segment-backed snapshot; plain
-                # in-process columns otherwise.
-                assert (payload.store is not None) == shared
-                assert payload.ships_as_handle == shared
+                # Plain in-process columns, or packed into a segment.
+                assert payload.store is None
+                if packed:
+                    payload = FlatExtension.pack(snapshot, payload)
+                assert payload.ships_as_handle == packed
                 decode = payload.nodes.__getitem__
                 for edge in payload.edge_order:
                     src_row, tgt_row = payload.pair_rows(edge)
@@ -181,9 +184,8 @@ class TestAttach:
     def test_flat_extension_pickle_round_trip(self):
         labels = tuple(f"l{i}" for i in range(4))
         graph = random_graph(60, 150, labels=labels, seed=2)
-        shared = shared_freeze(graph)
         views = ViewSet(generate_views(labels, 5, seed=2))
-        views.materialize(shared)
+        views.materialize(graph.freeze())
         revived = pickle.loads(pickle.dumps(views.extensions()))
         for name, view in views.extensions().items():
             twin = revived[name]
@@ -191,12 +193,14 @@ class TestAttach:
             assert isinstance(twin.compact, FlatExtension)
             assert twin.compact.token == view.compact.token
 
-    def test_attached_view_counts_without_decoding(self):
+    def test_attached_view_counts_without_decoding(self, tmp_path):
         labels = tuple(f"l{i}" for i in range(4))
         graph = random_graph(60, 150, labels=labels, seed=2)
         views = ViewSet(generate_views(labels, 5, seed=2))
-        views.materialize(shared_freeze(graph))
-        revived = pickle.loads(pickle.dumps(views.extensions()))
+        views.materialize(graph.freeze())
+        SnapshotStore.save(tmp_path / "snap", graph, views=views)
+        loaded = SnapshotStore.load(tmp_path / "snap").views
+        revived = pickle.loads(pickle.dumps(loaded))
         assert any(view.is_empty for view in revived.values())
         assert not all(view.is_empty for view in revived.values())
         for name, twin in revived.items():
@@ -265,9 +269,10 @@ class TestEngineIntegration:
 
 
 # ----------------------------------------------------------------------
-# Backend matrix: every suite invariant must hold on both backings
+# Backend matrix: a snapshot mapped back from its file (a fresh one's
+# in-process tables are the property in test_compact_backend.py)
 # ----------------------------------------------------------------------
-BACKENDS = ("bytes", "file")
+BACKENDS = ("file",)
 
 
 @pytest.fixture(params=BACKENDS)
@@ -276,11 +281,8 @@ def flat_backend(request):
 
 
 def _shared_on(graph, backend, directory):
-    """A segment-backed snapshot of ``graph``: packed in process
-    (``bytes``), or saved and mapped back from its file (``file``)."""
-    if backend == "file":
-        return _saved_and_loaded(graph, directory)
-    return shared_freeze(graph)
+    """``graph``'s snapshot saved and mapped back from its file."""
+    return _saved_and_loaded(graph, directory)
 
 
 class TestBackendMatrix:
@@ -320,9 +322,7 @@ class TestBackendMatrix:
         gc.collect()
         assert shm_segments() <= before
         # Nothing is written anywhere but the snapshot directory.
-        assert [p.name for p in tmp_path.iterdir()] == (
-            ["snap"] if flat_backend == "file" else []
-        )
+        assert [p.name for p in tmp_path.iterdir()] == ["snap"]
 
 
 # ----------------------------------------------------------------------

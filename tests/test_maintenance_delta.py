@@ -280,6 +280,8 @@ class TestStreamEquivalence:
     def test_refresh_reuses_untouched_rows(self):
         graph = random_labeled_graph(random.Random(7), 40, 100)
         first = graph.freeze()
+        for i in range(len(first)):  # decoded before the refresh: shared
+            first.succ_rows[i]
         source = next(iter(graph.nodes()))
         target = next(
             node for node in graph.nodes()

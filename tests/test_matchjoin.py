@@ -282,15 +282,16 @@ class TestKernelSweepCounts:
         query.add_node("a", "A")
         query.add_edge("a", "a")
         views = ViewSet([ViewDefinition("AA", view)])
-        # A shared (segment-backed) snapshot: the engine boots from a
-        # saved one, and its extensions are packed rows.
+        # A snapshot mapped back from its file: the engine boots from a
+        # saved one.
         if shared_snapshots:
             SnapshotStore.save(tmp_path / "snap", graph)
             engine = QueryEngine(views, snapshot_path=tmp_path / "snap")
         else:
             engine = QueryEngine(views, graph=graph)
         engine.materialize_views(views.names())
-        assert (engine.catalog.snapshot_kind == "shared") == shared_snapshots
+        backend = engine.snapshot().flat_store.backend
+        assert backend == ("file" if shared_snapshots else "bytes")
         with matchjoin_metrics() as count:
             assert not engine.answer(query)
             assert count("total", "ids") == 1
@@ -523,7 +524,7 @@ def _unread_answers_over_a_shared_snapshot(seed, directory):
     SnapshotStore.save(directory, graph)
     engine = QueryEngine(views, snapshot_path=directory)
     engine.materialize_views(views.names())
-    assert engine.catalog.snapshot_kind == "shared"
+    assert engine.snapshot().flat_store.backend == "file"
     answers = engine.answer(query), engine.answer(query)
     assert all(built(a.edge_matches) == 0 for a in answers)
     return answers, match(query, graph)

@@ -26,12 +26,13 @@ from repro.core.bounded.bcontainment import bounded_contains
 from repro.core.bounded.bmatchjoin import bounded_match_join
 from repro.graph import ANY, BoundedPattern, DataGraph, Pattern
 from repro.graph.conditions import Atom, AttributeCondition, implies
-from repro.graph.flatbuf import SharedCompactGraph
 from repro.shard.partitioner import PARTITIONERS, Partition, make_partition
 from repro.shard.sharded import ShardedGraph
 from repro.simulation import bounded_match, match
 from repro.simulation.simulation import evaluate, maximum_simulation
 from repro.views import ViewDefinition, ViewSet
+from repro.views.flatpack import FlatExtension
+from repro.views.view import MaterializedView
 
 from helpers import (
     KERNELS,
@@ -274,10 +275,21 @@ def materialized(views, graph, form):
         views.materialize(graph.freeze())
         views.materialize(graph.copy().freeze(), names=names[:1])
         views.materialize(graph, names=names[1:2])
-    else:  # rows packed beside a segment-backed snapshot
-        views.materialize(SharedCompactGraph.share(graph.freeze()))
+    else:  # rows packed into segments, as a save writes them
+        snapshot = graph.freeze()
+        views.materialize(snapshot)
+        packed = {
+            name: MaterializedView(
+                view.definition,
+                view.edge_matches,
+                view.distances,
+                FlatExtension.pack(snapshot, view.compact),
+            )
+            for name, view in views.extensions().items()
+        }
         if form == "attached":  # ... decoded lazily off the stores
-            return pickle.loads(pickle.dumps(views.extensions()))
+            return pickle.loads(pickle.dumps(packed))
+        return packed
     return views.extensions()
 
 

@@ -18,16 +18,12 @@ import shutil
 
 import pytest
 
-from helpers import random_labeled_graph, shared_freeze, shm_segments
+from helpers import random_labeled_graph, shm_segments
 from repro.cli import main as cli_main
 from repro.datasets import generate_views, query_from_views, random_graph
 from repro.engine import QueryEngine
 from repro.graph import CompactGraph, DataGraph
-from repro.graph.flatbuf import (
-    _FILE_HEADER_SIZE,
-    SegmentFormatError,
-    SharedCompactGraph,
-)
+from repro.graph.flatbuf import _FILE_HEADER_SIZE, SegmentFormatError
 from repro.graph.ingest import ingest_snapshot
 from repro.graph.snapshot import (
     MANIFEST_NAME,
@@ -71,7 +67,7 @@ class TestCompactRoundTrip:
         compact_result = match(query, graph.freeze())
         SnapshotStore.save(tmp_path / "snap", graph)
         loaded = SnapshotStore.load(tmp_path / "snap", verify=True)
-        assert isinstance(loaded.graph, SharedCompactGraph)
+        assert type(loaded.graph) is CompactGraph
         assert loaded.graph.flat_store.backend == "file"
         reloaded_result = match(query, loaded.graph)
         assert dict_result.edge_matches == compact_result.edge_matches
@@ -90,7 +86,7 @@ class TestCompactRoundTrip:
 
     def test_patch_overlay_and_provenance_preserved(self, tmp_path):
         g = random_labeled_graph(random.Random(6), 40, 100)
-        first = shared_freeze(g)
+        first = g.freeze()
         nodes = sorted(g.nodes(), key=repr)
         added = []
         for v in nodes[:3]:
@@ -99,7 +95,7 @@ class TestCompactRoundTrip:
                 g.add_edge(v, w)
                 added.append((v, w))
         assert added
-        refreshed = shared_freeze(g, first)
+        refreshed = g.freeze()
         assert refreshed._patch is not None
         assert refreshed.extends_token == first.snapshot_token
         SnapshotStore.save(tmp_path / "snap", refreshed)
@@ -110,17 +106,18 @@ class TestCompactRoundTrip:
             assert loaded.graph.has_edge(v, w)
 
     def test_save_leaves_the_graph_it_was_given_alone(self, tmp_path):
-        # Saving packs a private flat copy: the graph's own snapshot
-        # stays a plain CompactGraph, before and after a mutation, and no
-        # segment outlives the call anywhere but in the directory.
+        # Saving writes the snapshot's tables as they are: the graph's
+        # own snapshot keeps its in-process store, before and after a
+        # mutation, and no segment outlives the call anywhere but in
+        # the directory.
         segments = shm_segments()
         g = random_labeled_graph(random.Random(10), 40, 100)
         SnapshotStore.save(tmp_path / "snap", g)
-        assert type(g.freeze()) is CompactGraph
+        assert g.freeze().flat_store.backend == "bytes"
         nodes = sorted(g.nodes(), key=repr)
         source = next(v for v in nodes if not g.has_edge(v, nodes[0]))
         g.add_edge(source, nodes[0])
-        assert type(g.freeze()) is CompactGraph
+        assert g.freeze().flat_store.backend == "bytes"
         assert shm_segments() <= segments
         loaded = SnapshotStore.load(tmp_path / "snap")
         assert not loaded.graph.has_edge(source, nodes[0])
@@ -198,11 +195,11 @@ def _layout(kind, path, overwrite=False):
     if kind == "sharded":
         snapshot = ShardedGraph(graph, make_partition(graph, 2, "hash"))
     else:
-        base = shared_freeze(graph)
+        graph.freeze()
         nodes = sorted(graph.nodes(), key=repr)
         for v in nodes[:6]:
             graph.add_edge(v, nodes[-1])
-        snapshot = shared_freeze(graph, base)  # a refresh: a patch
+        snapshot = graph.freeze()  # a refresh: a patch
     views = ViewSet(generate_views(LABELS, 3, seed=71))
     views.materialize(snapshot)
     SnapshotStore.save(path, snapshot, views=views, overwrite=overwrite)
