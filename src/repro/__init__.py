@@ -15,11 +15,11 @@ The public API re-exported here covers the complete pipeline:
   :func:`minimum_views` and bounded counterparts);
 * answer queries using only views (:func:`match_join`,
   :func:`bounded_match_join`, :func:`answer_with_views`);
-* serve query traffic with planning, caching and parallel batch
-  execution (:class:`QueryEngine`, :class:`QueryPlan`);
-* shard the graph for partial-evaluation matching and parallel view
-  materialization (:class:`ShardedGraph`, :func:`make_partition`, and
-  the rest of :mod:`repro.shard`).
+* serve query traffic with planning, caching and batch execution
+  (:class:`QueryEngine`, :class:`QueryPlan`);
+* load a sharded snapshot directory written by ``repro ingest`` for
+  partial-evaluation matching and per-shard view materialization
+  (:class:`ShardedGraph` and the rest of :mod:`repro.shard`).
 """
 
 import sys
@@ -76,7 +76,6 @@ _EXPORTS = {
     "MatchResult": "repro.simulation.result",
     "MaterializedView": "repro.views.view",
     "P": "repro.graph.conditions",
-    "Partition": "repro.shard.partitioner",
     "Pattern": "repro.graph.pattern",
     "QueryEngine": "repro.engine.engine",
     "QueryPlan": "repro.engine.plan",
@@ -93,7 +92,6 @@ _EXPORTS = {
     "contains": "repro.core.containment",
     "dual_match": "repro.simulation.dual",
     "implies": "repro.graph.conditions",
-    "make_partition": "repro.shard.partitioner",
     "match": "repro.simulation.simulation",
     "match_join": "repro.core.matchjoin",
     "materialize": "repro.views.view",

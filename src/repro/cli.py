@@ -10,28 +10,24 @@ Subcommands::
                               [--graph graph.json] [--strategy minimal]
     python -m repro engine    --queries q1.json q2.json --views views.json \
                               [--graph graph.json] [--repeat 2] [--explain]
-    python -m repro shard     --graph graph.json --shards 4 \
-                              [--strategy hash|label|bfs] [--format json]
     python -m repro maintain  --graph graph.json --views views.json \
                               --updates stream.txt [--batch 50] \
-                              [--budget N] [--verify] [--format json]
+                              [--verify] [--format json]
     python -m repro serve     --graph graph.json --views views.json \
                               [--host 127.0.0.1] [--port 7677] \
-                              [--strategy minimal] [--budget N] \
+                              [--strategy minimal] \
                               [--max-inflight 8] [--max-queue 64] \
                               [--metrics-port 9090] [--log-level info]
     python -m repro trace     --query query.json --views views.json \
                               --graph graph.json [--format json]
     python -m repro stats     --graph graph.json [--views views.json] \
-                              [--shards 4] [--partitioner hash] \
                               [--format json]
     python -m repro stats     --snapshot snapdir [--format json]
     python -m repro ingest    --edges edges.txt --out snapdir \
                               [--shards 4] [--labels 10] [--budget-mb 64] \
                               [--max-edges N] [--overwrite] [--format json]
     python -m repro snapshot  save --graph graph.json --out snapdir \
-                              [--views views.json] [--shards N] \
-                              [--partitioner hash] [--overwrite]
+                              [--views views.json] [--overwrite]
     python -m repro snapshot  load snapdir [--verify] [--query query.json]
     python -m repro snapshot  info snapdir [--verify] [--format json]
 
@@ -43,8 +39,7 @@ pass ``--graph`` only if extensions still need materializing);
 ``engine`` batch-answers many queries through the planned/cached
 :class:`~repro.engine.engine.QueryEngine` (``--repeat`` demonstrates
 the warm answer cache, ``--explain`` prints plans without executing);
-``shard`` partitions the graph and reports cut quality and per-shard
-size/label histograms for each strategy; ``maintain`` replays an edge
+``maintain`` replays an edge
 update stream (``+ u v`` / ``- u v`` lines) through the delta-driven
 maintenance pipeline in batches, reporting per-layer refresh statistics
 -- per-view incremental/recompute/irrelevant counts, snapshot
@@ -67,16 +62,15 @@ including the label histogram and the snapshot / label-index statistics
 of the compact graph backend (each flat segment labelled with its
 ``backend`` kind and on-disk byte count), a ``selection`` section
 (per-view size / staleness / maintenance-cost rows) when ``--views``
-is passed, plus a ``partition`` section when ``--shards N`` is passed;
-with ``--snapshot DIR`` it instead inspects a persistent snapshot
+is passed; with ``--snapshot DIR`` it instead inspects a persistent snapshot
 directory without rebuilding anything.
 
 The out-of-core workflow (:mod:`repro.graph.snapshot` /
 :mod:`repro.graph.ingest`): ``ingest`` streams an edge list (SNAP
 format) of any size into a sharded on-disk snapshot directory, spilling
-shard-partitioned runs to disk under a byte budget and building one
-shard at a time so peak memory stays flat; ``snapshot save`` persists
-an in-memory graph (optionally sharded, optionally with its view
+hash-placed runs to disk under a byte budget and building one shard at
+a time so peak memory stays flat -- the one way to get a sharded graph;
+``snapshot save`` persists an in-memory graph (optionally with its view
 catalog) as versioned, checksummed segment files; ``snapshot load``
 reattaches a directory via read-only ``mmap`` -- no rebuild -- and can
 answer a query straight off the cached view packs; ``snapshot info``
@@ -236,54 +230,6 @@ def _cmd_engine(args) -> int:
     return 0
 
 
-def _cmd_shard(args) -> int:
-    from repro.graph.io import read_graph
-    from repro.shard import ShardedGraph, make_partition
-
-    graph = read_graph(args.graph)
-    partition = make_partition(graph, args.shards, args.strategy)
-    sharded = ShardedGraph(graph, partition)
-    per_shard = []
-    for i in range(partition.num_shards):
-        snapshot = sharded.shard(i)
-        own = sharded.own_count(i)
-        histogram: dict = {}
-        for local_id in range(own):
-            for label in snapshot.labels_of(local_id):
-                histogram[label] = histogram.get(label, 0) + 1
-        per_shard.append(
-            {
-                "nodes": own,
-                "edges": snapshot.num_edges,
-                "ghosts": len(sharded.ghost_ids(i)),
-                "labels": dict(
-                    sorted(histogram.items(), key=lambda kv: (-kv[1], kv[0]))
-                ),
-            }
-        )
-    if args.format == "json":
-        payload = {"partition": partition.stats(), "per_shard": per_shard}
-        json.dump(payload, sys.stdout, indent=2)
-        print()
-        return 0
-    print(
-        f"{partition.strategy} partition: {partition.num_shards} shards, "
-        f"cut {partition.edge_cut}/{graph.num_edges} edges "
-        f"({partition.edge_cut_fraction:.1%}), "
-        f"{len(partition.boundary_nodes)} boundary nodes, "
-        f"balance {partition.balance:.2f}"
-    )
-    for i, row in enumerate(per_shard):
-        top = ", ".join(
-            f"{label}:{count}" for label, count in list(row["labels"].items())[:5]
-        )
-        print(
-            f"  shard {i}: {row['nodes']} nodes, {row['edges']} edges "
-            f"({row['ghosts']} ghosts)  {top}"
-        )
-    return 0
-
-
 def _cmd_maintain(args) -> int:
     import warnings
 
@@ -303,7 +249,7 @@ def _cmd_maintain(args) -> int:
     with warnings.catch_warnings():
         # The skipped-bounded warning is surfaced in the report instead.
         warnings.simplefilter("ignore", UserWarning)
-        tracker = views.track(graph, budget=args.budget)
+        tracker = views.track(graph)
     # Engage the snapshot layer so the report can show refresh-vs-
     # rebuild behaviour of the frozen graph under the same stream.
     previous = tracker.graph.freeze()
@@ -458,18 +404,11 @@ def _cmd_snapshot_save(args) -> int:
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    target = graph
-    if args.shards:
-        from repro.shard import ShardedGraph, make_partition
-
-        target = ShardedGraph(
-            graph, make_partition(graph, args.shards, args.partitioner)
-        )
     if views is not None:
         views.materialize(graph)
     try:
         manifest = SnapshotStore.save(
-            args.out, target, views=views, overwrite=args.overwrite
+            args.out, graph, views=views, overwrite=args.overwrite
         )
     except (OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
@@ -610,9 +549,7 @@ def _cmd_serve(args) -> int:
         else:
             graph = read_graph(args.graph)
             views = read_viewset(args.views)
-            tracker = IncrementalViewSet(
-                views.definitions(), graph, budget=args.budget
-            )
+            tracker = IncrementalViewSet(views.definitions(), graph)
             if tracker.skipped_bounded:
                 print(
                     "note: bounded views are rematerialized per epoch, not "
@@ -835,11 +772,6 @@ def _cmd_stats(args) -> int:
     graph = read_graph(args.graph)
     stats = graph_stats(graph)
     views = read_viewset(args.views) if args.views else None
-    partition = None
-    if args.shards:
-        from repro.shard import make_partition
-
-        partition = make_partition(graph, args.shards, args.partitioner)
     if args.format == "json":
         from repro.views.flatpack import FlatExtension
 
@@ -882,8 +814,6 @@ def _cmd_stats(args) -> int:
             },
             "memory": memory,
         }
-        if partition is not None:
-            payload["partition"] = partition.stats()
         if views is not None:
             from repro.views.selection import selection_stats
 
@@ -930,11 +860,6 @@ def _cmd_stats(args) -> int:
     top = sorted(stats.label_counts.items(), key=lambda kv: -kv[1])[:10]
     for label, count in top:
         print(f"  {label}: {count}")
-    if partition is not None:
-        print(
-            f"partition ({partition.strategy}): {partition.num_shards} shards "
-            f"{partition.shard_sizes}, edge cut {partition.edge_cut_fraction:.1%}"
-        )
     if views is not None:
         materialized = [n for n in views.names() if views.is_materialized(n)]
         print(f"views: {views.cardinality} ({len(materialized)} materialized, "
@@ -995,17 +920,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_engine)
 
     p = sub.add_parser(
-        "shard", help="partition the graph and report cut quality"
-    )
-    p.add_argument("--graph", required=True)
-    p.add_argument("--shards", type=int, required=True,
-                   help="number of shards (>= 1)")
-    p.add_argument("--strategy", choices=("hash", "label", "bfs"),
-                   default="hash")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=_cmd_shard)
-
-    p = sub.add_parser(
         "maintain",
         help="replay an edge update stream through the delta pipeline",
     )
@@ -1015,9 +929,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="update stream file: '+ u v' / '- u v' per line")
     p.add_argument("--batch", type=int, default=50,
                    help="ops per maintenance delta (default 50)")
-    p.add_argument("--budget", type=int,
-                   help="affected-area budget before an insertion falls "
-                        "back to recomputation (default: never)")
     p.add_argument("--verify", action="store_true",
                    help="assert maintained extensions equal a fresh "
                         "rematerialization after every batch")
@@ -1042,9 +953,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="TCP port (0 picks an ephemeral port)")
     p.add_argument("--strategy", choices=_SELECTIONS,
                    default="minimal")
-    p.add_argument("--budget", type=int,
-                   help="maintenance affected-area budget (default: never "
-                        "fall back to recomputation)")
     p.add_argument("--max-inflight", type=int, default=8,
                    help="concurrent evaluations (reader pool width)")
     p.add_argument("--max-queue", type=int, default=64,
@@ -1079,16 +987,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="inspect a persistent snapshot directory instead "
                         "of --graph: per-segment backend kinds, mapped "
                         "and on-disk byte accounting")
-    p.add_argument("--shards", type=int,
-                   help="also partition into N shards and report shard "
-                        "sizes and edge-cut fraction")
-    p.add_argument("--partitioner", choices=("hash", "label", "bfs"),
-                   default="hash",
-                   help="strategy for --shards")
     p.add_argument("--format", choices=("text", "json"), default="text",
-                   help="json adds the label histogram, snapshot/"
-                        "label-index statistics and (with --shards) a "
-                        "partition section")
+                   help="json adds the label histogram and snapshot/"
+                        "label-index statistics")
     p.set_defaults(func=_cmd_stats)
 
     p = sub.add_parser(
@@ -1128,11 +1029,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--views",
                    help="also persist this view catalog (materialized "
                         "first if needed)")
-    s.add_argument("--shards", type=int,
-                   help="partition before saving (per-shard segment "
-                        "files)")
-    s.add_argument("--partitioner", choices=("hash", "label", "bfs"),
-                   default="hash")
     s.add_argument("--overwrite", action="store_true")
     s.set_defaults(func=_cmd_snapshot_save)
 

@@ -17,9 +17,10 @@ epoch).
 
 The snapshot is frozen once and *refreshed* through the graph's edge-op
 journal, so the id space -- and MatchJoin's integer fast path --
-survives the update stream.  With ``shards=N`` it is a
-:class:`~repro.shard.sharded.ShardedGraph`, whose composite token makes
-sharded extensions indistinguishable from single-snapshot ones.
+survives the update stream.  Booted from a sharded snapshot directory
+it is that directory's :class:`~repro.shard.sharded.ShardedGraph`,
+whose composite token makes sharded extensions indistinguishable from
+single-snapshot ones.
 """
 
 from __future__ import annotations
@@ -96,8 +97,8 @@ class Catalog(PlanningState):
     :class:`~repro.graph.snapshot.LoadedSnapshot`) the mmap-backed
     graph stands in for a live ``graph`` *and* is the frozen snapshot
     (its ``version`` mirrors the snapshot's: never re-frozen),
-    persisted view packs become the catalog when ``views`` is omitted,
-    and a sharded snapshot brings its own ``shards`` / ``partitioner``.
+    and persisted view packs become the catalog when ``views`` is
+    omitted.
     """
 
     def __init__(
@@ -105,8 +106,6 @@ class Catalog(PlanningState):
         views: Optional[ViewSet] = None,
         graph: Optional[DataGraph] = None,
         snapshot_path=None,
-        shards: Optional[int] = None,
-        partitioner: str = "hash",
     ) -> None:
         loaded = None
         if snapshot_path is not None:
@@ -123,31 +122,8 @@ class Catalog(PlanningState):
 
                 loaded = SnapshotStore.load(snapshot_path)
             graph = loaded.graph
-            loaded_shards = getattr(graph, "num_shards", None)
-            if loaded_shards is not None:
-                if shards is not None and shards != loaded_shards:
-                    raise ValueError(
-                        f"snapshot at {loaded.path!r} has "
-                        f"{loaded_shards} shards; shards={shards} conflicts"
-                    )
-                shards = loaded_shards
-                partitioner = graph.strategy
-            elif shards is not None:
-                raise ValueError(
-                    "shards= conflicts with a compact (unsharded) snapshot"
-                )
             if views is None:
                 views = loaded.viewset()
-        elif shards is not None:
-            if shards < 1:
-                raise ValueError(f"shards must be >= 1, got {shards}")
-            from repro.shard.partitioner import PARTITIONERS
-
-            if partitioner not in PARTITIONERS:
-                raise ValueError(
-                    f"unknown partitioner {partitioner!r}; expected one of "
-                    f"{sorted(PARTITIONERS)}"
-                )
         if views is None:
             raise ValueError(
                 "QueryEngine requires a view catalog (or a snapshot_path "
@@ -158,11 +134,9 @@ class Catalog(PlanningState):
         self.view_version = views.view_version
         #: The evaluation graph (``None`` for a views-only catalog).
         self.graph = graph
-        self.shards = shards
         #: The snapshot directory booted from (``None`` for live graphs).
         self.snapshot_path: Optional[str] = loaded.path if loaded else None
         self._snapshot = loaded.graph if loaded else None
-        self._partitioner = partitioner
         #: Serializes every mutation of the state above.  Reentrant:
         #: plan -> sync -> snapshot nest.  Evaluation runs outside it.
         self.lock = threading.RLock()
@@ -199,46 +173,22 @@ class Catalog(PlanningState):
     # ------------------------------------------------------------------
     def snapshot(self):
         """The frozen view of ``G`` (``None`` without a graph): a
-        :class:`~repro.graph.compact.CompactGraph`, or a
-        :class:`~repro.shard.sharded.ShardedGraph` in shards mode.
+        :class:`~repro.graph.compact.CompactGraph`, or the
+        :class:`~repro.shard.sharded.ShardedGraph` a sharded snapshot
+        directory booted.
 
-        Frozen (and partitioned) once and reused for materialization,
-        direct evaluation and batch execution.  After the graph
-        mutates it is *refreshed* from the edge-op journal whenever the
-        gap is pure edge churn -- reusing unchanged adjacency rows (in
-        shards mode, rebuilding only the shards owning the updated
-        edges) -- and fully rebuilt otherwise.
+        Frozen once and reused for materialization, direct evaluation
+        and batch execution.  After the graph mutates it is *refreshed*
+        from the edge-op journal whenever the gap is pure edge churn --
+        reusing unchanged adjacency rows -- and fully rebuilt otherwise
+        (``DataGraph.freeze`` decides).
         """
         if self.graph is None:
             return None
         with self.lock:
             snapshot = self._snapshot
-            if (
-                snapshot is not None
-                and snapshot.snapshot_version == self.graph.version
-            ):
-                return snapshot
-            if self.shards is None:
-                # freeze() consults the same journal and refreshes the
-                # cached CompactGraph in place of a full rebuild.
-                snapshot = self.graph.freeze()
-            else:
-                ops = (
-                    None
-                    if snapshot is None
-                    else self.graph.edge_changes_since(snapshot.snapshot_version)
-                )
-                if ops is not None:
-                    snapshot = snapshot.refreshed(self.graph, ops)
-                else:
-                    from repro.shard.sharded import ShardedGraph
-
-                    snapshot = ShardedGraph(
-                        self.graph,
-                        num_shards=self.shards,
-                        strategy=self._partitioner,
-                    )
-            self._snapshot = snapshot
+            if snapshot is None or snapshot.snapshot_version != self.graph.version:
+                snapshot = self._snapshot = self.graph.freeze()
             return snapshot
 
     # ------------------------------------------------------------------
@@ -248,7 +198,7 @@ class Catalog(PlanningState):
         """Materialize whichever of ``names`` are missing or stale and
         return them.  Against the frozen snapshot, so the extensions
         carry id-space payloads and MatchJoin takes the integer fast
-        path; in shards mode the views are evaluated shard by shard."""
+        path; on a sharded snapshot views are evaluated shard by shard."""
         with self.lock:
             views = self.views
             todo = [n for n in names if views.fresh_extension(n) is None]

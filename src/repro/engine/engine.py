@@ -72,10 +72,6 @@ class QueryEngine:
         ``"minimum"`` (greedy set-cover, Theorem 6).
     answer_cache_size:
         Answer-LRU capacity; ``0`` disables it.
-    shards / partitioner:
-        Partition ``G`` once (:data:`repro.shard.partitioner.PARTITIONERS`)
-        and evaluate against a :class:`~repro.shard.sharded.ShardedGraph`:
-        per-shard materialization, partial-evaluation matching.
     registry:
         The metrics registry to report into (default: process-global).
     """
@@ -87,8 +83,6 @@ class QueryEngine:
         snapshot_path=None,
         selection: str = "minimal",
         answer_cache_size: int = 128,
-        shards: Optional[int] = None,
-        partitioner: str = "hash",
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
         if selection not in SELECTIONS:
@@ -97,7 +91,7 @@ class QueryEngine:
                 f"{sorted(SELECTIONS)}"
             )
         #: The state this engine answers from (and its lock).
-        self.catalog = Catalog(views, graph, snapshot_path, shards, partitioner)
+        self.catalog = Catalog(views, graph, snapshot_path)
         self._selection = selection
         self._containment_memo = LRUCache(CONTAINMENT_MEMO_SIZE)
         self._answer_cache = LRUCache(answer_cache_size)
@@ -397,10 +391,8 @@ class QueryEngine:
 
     def __repr__(self) -> str:
         catalog = self.catalog
-        shards = catalog.shards
         return (
             f"QueryEngine(views={catalog.views.cardinality}, "
             f"graph={'yes' if catalog.has_graph else 'no'}, "
-            f"selection={self._selection!r}"
-            + (f", shards={shards})" if shards is not None else ")")
+            f"selection={self._selection!r})"
         )

@@ -238,8 +238,8 @@ class DataGraph:
         A non-``None`` answer guarantees the *only* other changes since
         ``version`` are brand-new nodes (auto-created by ``add_edge`` or
         added explicitly), which appear after all pre-existing nodes in
-        iteration order -- exactly the contract snapshot refresh paths
-        (:meth:`freeze`, ``ShardedGraph.refreshed``) rely on.
+        iteration order -- exactly the contract snapshot refresh
+        (:meth:`freeze`) relies on.
         """
         if version < self._oplog_floor:
             return None

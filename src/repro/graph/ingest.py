@@ -1,17 +1,15 @@
 """Streaming (out-of-core) ingest: edge list -> snapshot directory.
 
-The in-memory pipeline -- ``graph_from_edges`` then ``freeze`` then
-``ShardedGraph`` -- holds the whole graph (and a copy per shard) in RAM,
-so it dies at the machine's memory ceiling long before the billion-edge
-datasets of conf_icde_FanWW14's Exp-3.  :func:`ingest_snapshot` replaces
-it with a two-phase, bounded-memory build:
+Holding the whole graph (and a copy per shard) in RAM dies at the
+machine's memory ceiling long before the billion-edge datasets of
+conf_icde_FanWW14's Exp-3.  :func:`ingest_snapshot` is the one way a
+sharded graph is built, as a two-phase, bounded-memory build:
 
 1. **Spill.**  Edges stream (never materialized) through a
    :class:`~repro.shard.partitioner.StreamingHashPartitioner`, which
-   buckets them into per-shard spill files under a byte budget.  Node
-   placement uses the same stable hash as the in-memory ``hash``
-   strategy, so a streamed build and ``make_partition(..., "hash")``
-   agree about every node's home.
+   buckets them into per-shard spill files under a byte budget.  Every
+   node is placed by the one rule, its stable hash modulo the shard
+   count.
 2. **Build, one shard at a time.**  For each shard, its spill file is
    replayed into a throwaway :class:`~repro.graph.digraph.DataGraph`
    (own nodes first, then edges -- the node-table invariant
@@ -22,10 +20,8 @@ it with a two-phase, bounded-memory build:
 
 Once every shard is sealed, the boundary rows (local -> global ids,
 bridge pairs) are computed from the sealed segments' node tables one
-shard pair at a time -- the same
-:func:`~repro.shard.sharded.boundary_stores` an in-memory
-:class:`~repro.shard.sharded.ShardedGraph` uses -- and the directory is
-committed through the same manifest writer as
+shard pair at a time (:func:`~repro.shard.sharded.boundary_stores`),
+and the directory is committed through the same manifest writer as
 :meth:`~repro.graph.snapshot.SnapshotStore.save`, so an ingested graph
 reloads as a fully functional mmap-backed sharded graph, cut edges and
 foreign predecessors included, without the edge set ever having been in
@@ -122,12 +118,12 @@ def ingest_snapshot(
     ``edges`` is any ``(source, target)`` iterable -- feed it
     :func:`repro.graph.io.read_snap_edges` for SNAP downloads.  Node ids
     must be strings (tab/newline-free).  ``labeler(node) -> labels``
-    optionally assigns labels (applied to ghosts too, so shard-local
-    label buckets match an in-memory build).  ``budget_bytes`` caps the
-    spill buffers; ``max_edges`` > 0 aborts longer streams with a
+    optionally assigns labels (applied to ghosts too, so a ghost
+    matches the conditions its owner matches).  ``budget_bytes`` caps
+    the spill buffers; ``max_edges`` > 0 aborts longer streams with a
     ``ValueError``.  Duplicate edges in the stream are dropped exactly
-    like an in-memory build drops them (the report and manifest count
-    the deduplicated graph).  Returns an :class:`IngestReport`.
+    like ``DataGraph.add_edge`` drops them (the report and manifest
+    count the deduplicated graph).  Returns an :class:`IngestReport`.
 
     The directory is valid for
     :meth:`~repro.graph.snapshot.SnapshotStore.load` the instant its
@@ -223,7 +219,6 @@ def _ingest_into(
             "snapshot_token": _new_token(),
             "extends_token": None,
         },
-        strategy="hash",
         edge_cut=report.cut_edges,
     )
     manifest["views"] = {}

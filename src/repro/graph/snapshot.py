@@ -38,11 +38,12 @@ the (owner-local id, ghost id) bridge pairs per holder -- is persisted
 as flat int rows (``boundary-NNN.seg``, see
 :func:`repro.shard.sharded.boundary_stores`), so a load is the manifest
 plus one ``mmap`` attach per file.  Everything keyed by node *name*
-(home map, ghost maps, the decode table, the partition with its cut
-edges, cross-shard predecessors) is derived from the shards on first
-name-based access.  Format 1 directories, which rebuilt all of that on
-every load, are refused: re-create them with ``repro ingest`` or
-``repro snapshot save``.
+(home map, ghost maps, the decode table, cross-shard predecessors) is
+derived from the shards on first name-based access.  A sharded
+directory comes from ``repro ingest``; a manifest's ``strategy`` field
+(written before hash placement was the only rule) is ignored.  Format 1
+directories, which rebuilt all of that on every load, are refused:
+re-create them with ``repro ingest`` or ``repro snapshot save``.
 """
 
 from __future__ import annotations
@@ -393,7 +394,6 @@ def sharded_manifest(
     boundary: Iterable[FlatStore],
     *,
     graph: dict,
-    strategy: str,
     edge_cut: int,
 ) -> dict:
     """The ``kind: "sharded"`` manifest body for shard segments already
@@ -413,7 +413,6 @@ def sharded_manifest(
         "kind": "sharded",
         "graph": graph,
         "shards": len(entries),
-        "strategy": strategy,
         "own_counts": list(own_counts),
         "edge_cut": edge_cut,
         "shard_files": entries,
@@ -433,7 +432,6 @@ def _write_sharded(dirpath: str, sharded) -> dict:
         [sharded.own_count(i) for i in range(k)],
         [sharded.boundary_store(i) for i in range(k)],
         graph=_graph_meta(sharded),
-        strategy=sharded.strategy,
         edge_cut=sharded.edge_cut,
     )
 
@@ -539,11 +537,10 @@ def _load_sharded(dirpath: str, manifest: dict, verify: bool):
             FlatStore.open(os.path.join(dirpath, entry["boundary"]), verify=verify)
         )
     g = manifest["graph"]
-    return ShardedGraph.attach(
+    return ShardedGraph(
         shards,
         manifest["own_counts"],
         boundary,
-        strategy=manifest["strategy"],
         num_edges=g["edges"],
         edge_cut=manifest["edge_cut"],
         version=g["snapshot_version"],

@@ -1,16 +1,17 @@
-"""Sharded graph backend: partitioning, partial-evaluation matching and
-per-shard view materialization.
+"""Sharded graph backend: hash placement, partial-evaluation matching
+and per-shard view materialization.
 
 This subpackage reproduces, in-process, the distributed setting the
 paper assumes around its algorithms (graphs too large for one machine,
-views cached so queries never touch ``G``):
+views cached so queries never touch ``G``).  A sharded graph comes from
+one place: :func:`repro.graph.ingest.ingest_snapshot` (``repro
+ingest``) streams an edge list into a sharded snapshot directory, and
+:meth:`repro.graph.snapshot.SnapshotStore.load` attaches it.
 
-* :mod:`~repro.shard.partitioner` -- pluggable edge-cut strategies
-  (``hash``, ``label``, ``bfs``) producing a :class:`Partition` with
-  per-shard node sets and the cross-shard boundary table, plus
-  :class:`StreamingHashPartitioner`, the spill-to-disk variant the
-  out-of-core ingest pipeline uses to place edges without ever holding
-  the edge set in memory;
+* :mod:`~repro.shard.partitioner` -- the one placement rule (a stable
+  hash) and :class:`StreamingHashPartitioner`, which spills an edge
+  stream into per-shard runs without ever holding the edge set in
+  memory;
 * :mod:`~repro.shard.sharded` -- :class:`ShardedGraph`: per-shard
   frozen :class:`~repro.graph.compact.CompactGraph` snapshots plus
   cross-shard tables, a ``DataGraph``-compatible read API, and a
@@ -27,12 +28,9 @@ views cached so queries never touch ``G``):
 from repro import _lazy_exports
 
 _EXPORTS = {
-    "PARTITIONERS": "repro.shard.partitioner",
     "PSimStats": "repro.shard.psim",
-    "Partition": "repro.shard.partitioner",
     "ShardedGraph": "repro.shard.sharded",
     "StreamingHashPartitioner": "repro.shard.partitioner",
-    "make_partition": "repro.shard.partitioner",
     "materialize_view": "repro.shard.materialize",
     "parallel_materialize": "repro.shard.materialize",
     "partial_max_simulation": "repro.shard.psim",

@@ -20,11 +20,7 @@ carries a :class:`~repro.views.flatpack.FlatExtension` in the sharded
 graph's *composite* id space, stamped with its composite
 ``snapshot_token`` -- so every extension materialized against the same
 sharded graph shares one token and MatchJoin sweeps their id rows
-unchanged.  *Refreshed* sharded snapshots
-(:meth:`ShardedGraph.refreshed`) keep composite ids stable and mint a
-fresh token, so extensions materialized afterwards coexist with
-re-stamped (``rebound``) extensions of views the update stream never
-touched.
+unchanged.
 """
 
 from __future__ import annotations

@@ -1,9 +1,10 @@
 """The sharded graph backend: per-shard snapshots + cross-shard tables.
 
-A :class:`ShardedGraph` is the in-process reproduction of a fragmented
-graph deployment: the node set is split by a
-:class:`~repro.shard.partitioner.Partition`, and each shard holds a
-frozen :class:`~repro.graph.compact.CompactGraph` snapshot of
+A :class:`ShardedGraph` is what a sharded snapshot directory loads as
+(:func:`repro.graph.ingest.ingest_snapshot` writes one, hash-placing
+every node; :meth:`repro.graph.snapshot.SnapshotStore.load` attaches
+it).  Each shard holds a frozen
+:class:`~repro.graph.compact.CompactGraph` of
 
 * its own nodes (labels, attributes, and their **complete**
   out-adjacency), and
@@ -31,12 +32,12 @@ The composite bookkeeping is held as **flat int rows** -- per shard the
 local -> global id row and, per (owner, holder) pair, the bridge pairs
 ``(owner-local id, ghost id)`` -- in one small
 :class:`~repro.graph.flatbuf.FlatStore` per shard
-(:func:`boundary_stores` computes them, in memory and at ingest alike).
-A snapshot directory persists exactly these stores, so reloading a
-sharded graph attaches them instead of recomputing anything, and every
-*name-keyed* table (home map, ghost maps, decode table, partition) is
-derived from the shards' node tables on first name-based access -- which
-an id-space evaluation (:mod:`repro.shard.psim`) never makes.
+(:func:`boundary_stores` computes them at ingest).  A snapshot
+directory persists exactly these stores, so loading a sharded graph
+attaches them instead of recomputing anything, and every *name-keyed*
+table (home map, ghost maps, decode table) is derived from the shards'
+node tables on first name-based access -- which an id-space evaluation
+(:mod:`repro.shard.psim`) never makes.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from bisect import bisect_left, bisect_right
 from functools import cached_property
 from itertools import islice
 from typing import (
-    TYPE_CHECKING,
     Any,
     Callable,
     Dict,
@@ -54,17 +54,12 @@ from typing import (
     Hashable,
     Iterator,
     List,
-    Optional,
     Sequence,
     Tuple,
 )
 
-from repro.graph.compact import CompactGraph, _new_token
+from repro.graph.compact import CompactGraph
 from repro.graph.flatbuf import FlatStore
-
-if TYPE_CHECKING:
-    from repro.graph.digraph import DataGraph
-    from repro.shard.partitioner import Partition
 
 Node = Hashable
 Edge = Tuple[Node, Node]
@@ -153,80 +148,17 @@ def boundary_summary(header: Dict[str, Tuple[str, int, int]]) -> Dict[str, int]:
     }
 
 
-def _local_snapshot(graph: "DataGraph", partition: "Partition", index: int) -> CompactGraph:
-    """Shard ``index``'s frozen local graph: own nodes first (so local
-    ids below the own count are internal) with their full out-adjacency,
-    then ghosts picking up label/attribute copies."""
-    from repro.graph.digraph import DataGraph
-
-    local = DataGraph()
-    for node in partition.nodes_of(index):
-        local.add_node(node, labels=graph.labels(node), attrs=graph.attrs(node))
-    for node in partition.nodes_of(index):
-        for target in graph.successors(node):
-            local.add_edge(node, target)
-    for ghost in partition.ghosts_of(index):
-        local.add_node(ghost, labels=graph.labels(ghost), attrs=graph.attrs(ghost))
-    return local.freeze()
-
-
 class ShardedGraph:
-    """An immutable, partition-aligned snapshot of a :class:`DataGraph`.
-
-    Parameters
-    ----------
-    graph:
-        The source graph ``G``; read once at construction (like
-        ``freeze()``, the sharded snapshot does not follow later
-        mutations).
-    partition:
-        A :class:`Partition` of ``graph``, or ``None`` to hash-partition
-        into ``num_shards`` shards here.
-    num_shards / strategy:
-        Used only when ``partition`` is ``None``.
-    """
+    """An immutable, hash-placed sharded snapshot, attached from the
+    per-shard snapshots and boundary stores a snapshot directory holds
+    (:meth:`repro.graph.snapshot.SnapshotStore.load`)."""
 
     def __init__(
         self,
-        graph: "DataGraph",
-        partition: Optional["Partition"] = None,
-        num_shards: int = 2,
-        strategy: str = "hash",
-    ) -> None:
-        if partition is None:
-            from repro.shard.partitioner import make_partition
-
-            partition = make_partition(graph, num_shards, strategy)
-        k = partition.num_shards
-        self._assemble(
-            [_local_snapshot(graph, partition, i) for i in range(k)],
-            [len(partition.nodes_of(i)) for i in range(k)],
-            None,
-            strategy=partition.strategy,
-            num_edges=graph.num_edges,
-            edge_cut=partition.edge_cut,
-            version=graph.version,
-            token=_new_token(),
-            extends_token=None,
-        )
-        self.partition = partition  # known: pre-empts the lazy rebuild
-
-    @classmethod
-    def attach(cls, shards, own_counts, boundary, **meta) -> "ShardedGraph":
-        """Assemble a sharded graph from per-shard snapshots and their
-        boundary stores (what a snapshot directory persists, and what a
-        pickle carries); ``boundary=None`` computes the stores."""
-        new = cls.__new__(cls)
-        new._assemble(shards, own_counts, boundary, **meta)
-        return new
-
-    def _assemble(
-        self,
         shards: Sequence[CompactGraph],
         own_counts: Sequence[int],
-        boundary: Optional[Sequence[FlatStore]],
+        boundary: Sequence[FlatStore],
         *,
-        strategy: str,
         num_edges: int,
         edge_cut: int,
         version: int,
@@ -239,111 +171,12 @@ class ShardedGraph:
         # id there (own nodes precede ghosts, so this is dense).
         self._offsets = _offsets_of(self._own_counts)
         self._num_nodes = sum(self._own_counts)
-        if boundary is None:
-            boundary = boundary_stores(
-                lambda i: self._shards[i].node_table, self._own_counts
-            )
         self._boundary: Tuple[FlatStore, ...] = tuple(boundary)
-        self.strategy = strategy
         self._num_edges = num_edges
         self._edge_cut = edge_cut
         self.snapshot_version = version
         self.snapshot_token = token
         self.extends_token = extends_token
-
-    def __reduce__(self):
-        # The per-shard snapshots and the int boundary rows; name-keyed
-        # tables are re-derived by whoever asks for them after loading.
-        meta = {
-            "strategy": self.strategy,
-            "num_edges": self._num_edges,
-            "edge_cut": self._edge_cut,
-            "version": self.snapshot_version,
-            "token": self.snapshot_token,
-            "extends_token": self.extends_token,
-        }
-        return (_attach_sharded, (self._shards, self._own_counts, self._boundary, meta))
-
-    # ------------------------------------------------------------------
-    # Delta refresh
-    # ------------------------------------------------------------------
-    def refreshed(self, graph: "DataGraph", ops) -> "ShardedGraph":
-        """A new sharded snapshot of ``graph`` built by patching this one.
-
-        ``ops`` is the ordered edge-op batch (``(op, source, target)``
-        triples, e.g. from
-        :meth:`~repro.graph.digraph.DataGraph.edge_changes_since`)
-        separating this snapshot from the current graph state; the
-        caller guarantees the only other changes are brand-new nodes.
-
-        Each op is routed to the shard *owning* its source (out-
-        adjacency lives with the owner), and only those shards' frozen
-        snapshots are rebuilt -- every other shard's
-        :class:`CompactGraph` is reused by reference.  New nodes are
-        assigned to the last shard, whose own nodes sit at the top of
-        the composite id space, so **every pre-existing node keeps its
-        composite global id**; the boundary rows are re-derived from
-        the updated cut.  The result mints a fresh composite
-        ``snapshot_token`` and records this snapshot's token in
-        :attr:`extends_token`, so extensions of views an update did not
-        touch can be re-stamped onto it and MatchJoin's id-space path
-        re-engages immediately.
-        """
-        from repro.shard.partitioner import Partition
-
-        old_partition = self.partition
-        k = old_partition.num_shards
-        new_nodes = [node for node in graph.nodes() if node not in self._home]
-
-        assignment = dict(old_partition.assignment)
-        for node in new_nodes:
-            assignment[node] = k - 1
-        shards = list(old_partition._shards)
-        if new_nodes:
-            shards[k - 1] = shards[k - 1] + new_nodes
-        # Net effect per edge (an edge may be deleted and re-inserted
-        # within one batch; only its final state matters for the cut).
-        final: Dict[Edge, str] = {}
-        for op, source, target in ops:
-            final[(source, target)] = op
-        cross = [edge for edge in old_partition.cross_edges if edge not in final]
-        for edge, op in final.items():
-            if op == "insert" and assignment[edge[0]] != assignment[edge[1]]:
-                cross.append(edge)
-        affected = {assignment[source] for _, source, _ in ops}
-        if new_nodes:
-            affected.add(k - 1)
-        ghosts = list(old_partition._ghosts)
-        for index in affected:
-            ghosts[index] = frozenset(
-                target
-                for source, target in cross
-                if assignment[source] == index
-            )
-        partition = Partition.restore(
-            old_partition.strategy, assignment, shards, cross, ghosts,
-            graph.num_edges,
-        )
-
-        # Rebuild the affected shards, reuse the rest.  Only the last
-        # shard can have grown, so every offset -- and with it every
-        # pre-existing composite id -- is unchanged.
-        shard_snapshots = list(self._shards)
-        for index in sorted(affected):
-            shard_snapshots[index] = _local_snapshot(graph, partition, index)
-        new = ShardedGraph.attach(
-            shard_snapshots,
-            [len(partition.nodes_of(i)) for i in range(k)],
-            None,
-            strategy=partition.strategy,
-            num_edges=graph.num_edges,
-            edge_cut=partition.edge_cut,
-            version=graph.version,
-            token=_new_token(),
-            extends_token=self.snapshot_token,
-        )
-        new.partition = partition
-        return new
 
     # ------------------------------------------------------------------
     # Shard access (what psim / materialize read)
@@ -415,73 +248,13 @@ class ShardedGraph:
         return home
 
     @cached_property
-    def _ghost_ids(self) -> Tuple[Dict[Node, int], ...]:
-        return tuple(
-            {
-                node: ghost
-                for ghost, node in enumerate(
-                    islice(shard.node_table, own, None), own
-                )
-            }
-            for shard, own in zip(self._shards, self._own_counts)
-        )
-
-    @cached_property
     def _ghost_shards(self) -> Dict[Node, Tuple[int, ...]]:
+        """``{ghosted node: the shards holding a ghost copy of it}``."""
         holders: Dict[Node, Tuple[int, ...]] = {}
-        for index, ghosts in enumerate(self._ghost_ids):
-            for node in ghosts:
+        for index, (shard, own) in enumerate(zip(self._shards, self._own_counts)):
+            for node in islice(shard.node_table, own, None):
                 holders[node] = holders.get(node, ()) + (index,)
         return holders
-
-    @cached_property
-    def partition(self) -> "Partition":
-        """The node split behind this snapshot.  A snapshot built from
-        a graph keeps the partition it was given; a reloaded one
-        re-derives it (assignment, cut edges, ghost sets) from the
-        shards on first request."""
-        from repro.shard.partitioner import Partition
-
-        return Partition.restore(
-            self.strategy,
-            self._home,
-            [
-                list(islice(shard.node_table, own))
-                for shard, own in zip(self._shards, self._own_counts)
-            ],
-            self._cut_edges(),
-            [frozenset(ghosts) for ghosts in self._ghost_ids],
-            self._num_edges,
-        )
-
-    def _cut_edges(self) -> Iterator[Edge]:
-        """Every cross-shard edge: the in-edges of each shard's ghosts
-        (a ghost has no out-edges, and only own nodes point at it)."""
-        for shard, own in zip(self._shards, self._own_counts):
-            names = shard.node_table
-            pred = shard.pred_rows
-            for ghost in range(own, len(pred)):
-                target = names[ghost]
-                for source in pred[ghost]:
-                    yield (names[source], target)
-
-    def ghost_ids(self, index: int) -> Dict[Node, int]:
-        """Shard ``index``'s ghosts as ``{node key: local id}``."""
-        return self._ghost_ids[index]
-
-    def ghost_shards(self, node: Node) -> Tuple[int, ...]:
-        """The shards holding a ghost copy of ``node`` (may be empty)."""
-        return self._ghost_shards.get(node, ())
-
-    def owner_id(self, node: Node) -> Tuple[int, int]:
-        """``(home shard, local id there)`` of an owned node."""
-        home = self._home[node]
-        return home, self._shards[home].id_of(node)
-
-    @property
-    def boundary_nodes(self) -> FrozenSet[Node]:
-        """Nodes ghosted into at least one foreign shard."""
-        return frozenset(self._ghost_shards)
 
     # ------------------------------------------------------------------
     # Composite id space (what extension rows are encoded in)
@@ -688,7 +461,3 @@ class ShardedGraph:
             f"snapshot={self.snapshot_version})"
         )
 
-
-def _attach_sharded(shards, own_counts, boundary, meta) -> ShardedGraph:
-    """Unpickle hook (see :meth:`ShardedGraph.__reduce__`)."""
-    return ShardedGraph.attach(shards, own_counts, boundary, **meta)

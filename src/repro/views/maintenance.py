@@ -15,9 +15,8 @@ the delta-driven maintenance pipeline:
   pairs that can *join* the match are label-compatible ancestors of the
   inserted edge's source.  :meth:`IncrementalView._insert_incremental`
   seeds revival candidates from exactly those pairs (a backward closure
-  over the pattern x graph product), revives them through the existing
-  witness-counter machinery, and falls back to a recomputation only
-  when the affected area exceeds a configurable ``budget``.
+  over the pattern x graph product) and revives them through the
+  existing witness-counter machinery.
 * **batches** arrive as a :class:`Delta` -- an ordered sequence of edge
   insertions/deletions applied as one maintenance round via
   :meth:`IncrementalViewSet.apply_delta`, with per-view change
@@ -178,8 +177,8 @@ class ViewStats:
     """Per-view maintenance counters (cumulative since construction).
 
     ``incremental_inserts`` counts relevant insertions absorbed by the
-    affected-area revival path; ``recomputes`` counts fallbacks (empty
-    view revived, or the revival area exceeded the budget).
+    affected-area revival path; ``recomputes`` counts recomputations of
+    a view that was empty (there is no counter state to revive from).
     ``affected_area`` totals the revival-candidate pairs examined --
     the cost measure of the paper's [15]-style insertion handling.
     """
@@ -265,11 +264,6 @@ class IncrementalView:
         desynchronize the tracker; with ``shared=True`` the tracker
         adopts ``graph`` as-is and expects its owner (an
         :class:`IncrementalViewSet`) to route every update.
-    budget:
-        Affected-area budget for incremental insertions: when the
-        revival-candidate closure exceeds this many pairs the tracker
-        falls back to recomputing the view.  ``None`` (default) never
-        falls back.
     """
 
     def __init__(
@@ -278,7 +272,6 @@ class IncrementalView:
         graph: DataGraph,
         *,
         shared: bool = False,
-        budget: Optional[int] = None,
     ) -> None:
         if isinstance(definition.pattern, BoundedPattern):
             raise TypeError(
@@ -287,7 +280,6 @@ class IncrementalView:
                 "them instead"
             )
         self.definition = definition
-        self.budget = budget
         self.stats = ViewStats()
         self._shared = shared
         self._graph = graph if shared else graph.copy()
@@ -373,15 +365,7 @@ class IncrementalView:
             # per pattern edge.
             self.stats.irrelevant_inserts += 1
             return False
-        outcome = self._insert_incremental(source, target)
-        if outcome is None:
-            # Affected area exceeded the budget: recompute (the paper's
-            # [15] bounds insertion cost by the affected area; past the
-            # budget a recomputation is the cheaper correct choice).
-            self.stats.recomputes += 1
-            self._recompute()
-            return True
-        changed, revived, area = outcome
+        changed, revived, area = self._insert_incremental(source, target)
         self.stats.incremental_inserts += 1
         self.stats.revived_pairs += revived
         self.stats.affected_area += area
@@ -391,15 +375,14 @@ class IncrementalView:
 
     def _insert_incremental(
         self, source: Node, target: Node
-    ) -> Optional[Tuple[bool, int, int]]:
+    ) -> Tuple[bool, int, int]:
         """Affected-area revival after ``source -> target`` was added.
 
         Simulation is monotone under insertions, so the new maximum
         simulation extends the tracked one; the only candidates that
         can join are label-compatible pairs whose data node reaches
         ``source`` backwards along a compatible pattern path.  The
-        method (1) collects that candidate closure (bounded by
-        :attr:`budget`; returns ``None`` on overflow), (2) tentatively
+        method (1) collects that candidate closure, (2) tentatively
         admits all candidates and rebuilds exactly the witness counters
         the admission could have changed, then (3) runs the standard
         counter-cascade refinement, which can only evict tentative
@@ -410,7 +393,6 @@ class IncrementalView:
         graph = self._graph
         sim = self._sim
         assert sim is not None
-        budget = self.budget
 
         # --- (1) revival candidates: backward product closure --------
         in_r: Set[Tuple[PNode, Node]] = set()
@@ -423,8 +405,6 @@ class IncrementalView:
             ):
                 in_r.add((x, source))
                 queue.append((x, source))
-        if budget is not None and len(in_r) > budget:
-            return None
         while queue:
             x, v = queue.popleft()
             for x1 in pattern.predecessors(x):
@@ -436,8 +416,6 @@ class IncrementalView:
                     if not self._compatible(x1, v1):
                         continue
                     in_r.add(pair)
-                    if budget is not None and len(in_r) > budget:
-                        return None
                     queue.append(pair)
 
         # --- (2) tentative admission + affected counters --------------
@@ -638,15 +616,8 @@ class IncrementalViewSet:
     stale after updates.
     """
 
-    def __init__(
-        self,
-        definitions: Iterable[ViewDefinition],
-        graph: DataGraph,
-        *,
-        budget: Optional[int] = None,
-    ) -> None:
+    def __init__(self, definitions: Iterable[ViewDefinition], graph: DataGraph) -> None:
         self._graph = graph.copy()
-        self._budget = budget
         self._trackers: Dict[str, IncrementalView] = {}
         self._seq = 0
         self._changed_at: Dict[str, int] = {}
@@ -659,7 +630,7 @@ class IncrementalViewSet:
                 skipped.append(definition.name)
                 continue
             self._trackers[definition.name] = IncrementalView(
-                definition, self._graph, shared=True, budget=budget
+                definition, self._graph, shared=True
             )
         self.skipped_bounded: Tuple[str, ...] = tuple(skipped)
 
@@ -683,11 +654,6 @@ class IncrementalViewSet:
         :meth:`delete_edge` / :meth:`apply_delta`.
         """
         return self._graph
-
-    @property
-    def budget(self) -> Optional[int]:
-        """The shared affected-area budget (``None``: never fall back)."""
-        return self._budget
 
     # ------------------------------------------------------------------
     # Change accounting (what cache layers key on)
@@ -719,8 +685,7 @@ class IncrementalViewSet:
 
         Irrelevant insertions (no label-compatible view edge) cost
         ``O(1)`` per view edge; relevant ones revive matches through
-        the affected-area closure (recomputing only the views whose
-        closure exceeds the budget).  Returns whether any view
+        the affected-area closure.  Returns whether any view
         extension changed; already-present edges are a no-op.
         """
         if self._graph.has_edge(source, target):

@@ -362,15 +362,12 @@ class ViewSet:
         """Stop following the tracker (extensions stay as imported)."""
         self._maintenance = None
 
-    def track(
-        self, graph: DataGraph, *, budget: Optional[int] = None
-    ) -> "IncrementalViewSet":
+    def track(self, graph: DataGraph) -> "IncrementalViewSet":
         """Build a maintenance backend over (a copy of) ``graph`` for
         the current simulation definitions, :meth:`follow` it and
         import its freshly materialized extensions.  From here on
         :meth:`apply_delta` keeps the cached extensions consistent
-        under edge updates; ``budget`` is the affected-area budget for
-        incremental insertions.
+        under edge updates.
 
         Bounded views cannot be maintained incrementally (their
         extensions shift non-locally with distances) and are **not
@@ -384,9 +381,7 @@ class ViewSet:
 
         if self._maintenance is not None:
             raise ValueError("a maintenance backend is already attached")
-        tracker = IncrementalViewSet(
-            self._definitions.values(), graph, budget=budget
-        )
+        tracker = IncrementalViewSet(self._definitions.values(), graph)
         if tracker.skipped_bounded:
             warnings.warn(
                 "bounded views are not maintained incrementally and were "

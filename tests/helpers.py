@@ -8,11 +8,15 @@ engines can be validated against something independently simple.
 
 from __future__ import annotations
 
+import gc
 import glob
+import itertools
+import os
 import random
 import sys
+import tempfile
 from contextlib import contextmanager
-from typing import Dict, Optional, Set
+from typing import Dict, List, Optional, Set, Tuple
 
 import pytest
 
@@ -208,6 +212,69 @@ def random_labeled_graph(
     for _ in range(num_edges):
         g.add_edge(rng.randrange(num_nodes), rng.randrange(num_nodes))
     return g
+
+
+def str_keyed(graph: DataGraph) -> Tuple[List[Tuple[str, str]], Dict[str, frozenset]]:
+    """A graph's ``(edges, {node: labels})`` over str keys: what
+    :func:`ingested` takes (attributes and edgeless nodes drop out)."""
+    edges = [(str(s), str(t)) for s, t in graph.edges()]
+    return edges, {str(node): graph.labels(node) for node in graph.nodes()}
+
+
+def ingested_dir(edges, labels, num_shards: int, tmp_path):
+    """``(directory, graph)``: ``edges`` streamed by ``ingest_snapshot``
+    into a fresh sharded snapshot directory under ``tmp_path``, and the
+    ``DataGraph`` of the same edges.
+
+    ``edges`` are ``(source, target)`` pairs of str node keys;
+    ``labels`` maps a node to its label (or labels) or is a callable
+    doing so (a node a mapping lacks is unlabelled).
+    """
+    from repro.graph.ingest import ingest_snapshot
+
+    label_of = labels if callable(labels) else lambda node: labels.get(node, ())
+
+    def labeler(node):
+        found = label_of(node)
+        return (found,) if isinstance(found, str) else tuple(found)
+
+    edges = list(edges)
+    graph = DataGraph()
+    for source, target in edges:
+        for node in (source, target):
+            if node not in graph:
+                graph.add_node(node, labels=labeler(node))
+        graph.add_edge(source, target)
+    out = os.path.join(tempfile.mkdtemp(prefix="ingested-", dir=tmp_path), "snap")
+    # Neither durability nor ingest's per-shard full collection (~15 ms
+    # each in a test process's heap) is what a caller here checks.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(os, "fsync", lambda fd: None)
+        patch.setattr(gc, "collect", lambda *args: 0)
+        ingest_snapshot(iter(edges), out, num_shards=num_shards, labeler=labeler)
+    return out, graph
+
+
+def ingested(edges, labels, num_shards: int, tmp_path):
+    """``(sharded, graph)``: a sharded graph built the one way there is
+    -- :func:`ingested_dir`, then ``SnapshotStore.load`` -- and the
+    ``DataGraph`` of the same edges."""
+    from repro.graph.snapshot import SnapshotStore
+
+    out, graph = ingested_dir(edges, labels, num_shards, tmp_path)
+    return SnapshotStore.load(out).graph, graph
+
+
+def name_in_shard(node, shard: int, num_shards: int) -> str:
+    """A str key for ``node`` that hash placement puts in ``shard``
+    (tests pick a placement by naming, never by injecting one)."""
+    from repro.shard.partitioner import _stable_hash
+
+    for suffix in itertools.count():
+        name = f"{node}.{suffix}"
+        if _stable_hash(name) % num_shards == shard:
+            return name
+    raise AssertionError("unreachable")
 
 
 def random_pattern(

@@ -3,11 +3,11 @@
 Covers the whole vertical slice:
 
 * id-space bounded BFS primitives on ``CompactGraph`` and the
-  ghost-stitched bounded BFS on ``ShardedGraph``;
+  ghost-stitched bounded BFS on an ingested ``ShardedGraph``;
 * the property-based equivalence suite -- ``bounded_match`` must produce
   identical results on the dict backend, the frozen ``CompactGraph``
-  backend and the ``ShardedGraph`` backend over randomized graphs and
-  bounded patterns (``*`` bounds and self-loops included);
+  backend and the ingested ``ShardedGraph`` backend over randomized
+  graphs and bounded patterns (``*`` bounds and self-loops included);
 * bounded view materialization against snapshots: id-space
   ``CompactExtension`` payloads with the distance index ``I(V)``, and
   their pickle round trips;
@@ -28,10 +28,13 @@ import pytest
 from helpers import (
     build_bounded,
     build_graph,
+    ingested,
+    ingested_dir,
     matchjoin_metrics,
     random_labeled_graph,
     random_pattern,
     reference_bounded_simulation,
+    str_keyed,
 )
 from repro.core.bounded.bcontainment import bounded_contains
 from repro.core.bounded.bmatchjoin import bounded_match_join
@@ -39,7 +42,6 @@ from repro.core.bounded.bminimal import bounded_minimal_views
 from repro.datasets import generate_views, query_from_views, random_graph
 from repro.engine import QueryEngine
 from repro.graph import ANY, BoundedPattern, CompactGraph, DataGraph
-from repro.shard.sharded import ShardedGraph
 from repro.simulation import bounded_match
 from repro.simulation.bounded import bounded_match_with_distances
 from repro.simulation.compact_bounded import compact_bounded_match_with_ids
@@ -92,15 +94,13 @@ class TestBoundedTraversal:
                 }
                 assert got == expected
 
-    def test_sharded_stitched_bfs_randomized(self):
+    def test_sharded_stitched_bfs_randomized(self, tmp_path):
         rng = random.Random(13)
         for _ in range(12):
-            g = random_labeled_graph(rng, rng.randint(3, 30), rng.randint(2, 70))
-            sharded = ShardedGraph(
-                g,
-                num_shards=rng.randint(2, 4),
-                strategy=rng.choice(("hash", "label", "bfs")),
+            edges, labels = str_keyed(
+                random_labeled_graph(rng, rng.randint(3, 30), rng.randint(2, 70))
             )
+            sharded, g = ingested(edges, labels, rng.randint(2, 4), tmp_path)
             for v in rng.sample(list(g.nodes()), min(6, len(g))):
                 bound = rng.randint(1, 5)
                 assert sharded.descendants_within(v, bound) == (
@@ -126,12 +126,14 @@ class TestBoundedMatchEquivalence:
             else:
                 assert via_dict.node_matches == reference
 
-    def test_dict_vs_sharded_randomized(self):
+    def test_dict_vs_sharded_randomized(self, tmp_path):
         rng = random.Random(31)
         for _ in range(15):
-            g = random_labeled_graph(rng, rng.randint(3, 25), rng.randint(2, 60))
+            edges, labels = str_keyed(
+                random_labeled_graph(rng, rng.randint(3, 25), rng.randint(2, 60))
+            )
+            sharded, g = ingested(edges, labels, rng.randint(2, 3), tmp_path)
             q = random_bounded(rng, rng.randint(2, 4), rng.randint(1, 6))
-            sharded = ShardedGraph(g, num_shards=rng.randint(2, 3))
             assert bounded_match(q, g) == bounded_match(q, sharded)
 
     def test_self_loops_and_star_bounds(self):
@@ -146,15 +148,18 @@ class TestBoundedMatchEquivalence:
                 q.add_edge(node, node, ANY)
             assert bounded_match(q, g) == bounded_match(q, g.freeze())
 
-    def test_materialized_distances_agree_across_backends(self):
+    def test_materialized_distances_agree_across_backends(self, tmp_path):
         rng = random.Random(41)
         for _ in range(10):
-            g = random_labeled_graph(rng, rng.randint(3, 25), rng.randint(2, 60))
+            edges, labels = str_keyed(
+                random_labeled_graph(rng, rng.randint(3, 25), rng.randint(2, 60))
+            )
+            sharded, g = ingested(edges, labels, 2, tmp_path)
             q = random_bounded(rng, 2, rng.randint(1, 3), star_prob=0.2)
             definition = ViewDefinition("v", q)
             on_dict = materialize(definition, g)
             on_compact = materialize(definition, g.freeze())
-            on_sharded = materialize(definition, ShardedGraph(g, num_shards=2))
+            on_sharded = materialize(definition, sharded)
             assert on_dict.edge_matches == on_compact.edge_matches
             assert on_dict.edge_matches == on_sharded.edge_matches
             assert on_dict.distances == on_compact.distances
@@ -292,13 +297,14 @@ class TestBMatchJoinFastPath:
         )
         assert naive == bounded_match_join(query, containment, dict_views)
 
-    def test_sharded_bounded_extensions_share_composite_token(self):
+    def test_sharded_bounded_extensions_share_composite_token(self, tmp_path):
         labels = tuple(f"l{i}" for i in range(6))
-        graph = random_graph(120, 320, labels=labels, seed=6)
+        sharded, graph = ingested(
+            *str_keyed(random_graph(120, 320, labels=labels, seed=6)), 3, tmp_path
+        )
         definitions = list(
             generate_views(labels, 8, seed=6, bounded=True, max_bound=3)
         )
-        sharded = ShardedGraph(graph, num_shards=3)
         views = ViewSet(definitions)
         views.materialize(sharded)
         assert views.snapshot_token == sharded.snapshot_token
@@ -358,9 +364,10 @@ class TestEngineBoundedIntegration:
         result = engine.execute(plan)
         assert result.edge_matches == bounded_match(query, graph).edge_matches
 
-    def test_sharded_engine_answers_bounded(self, workload):
+    def test_sharded_engine_answers_bounded(self, workload, tmp_path):
         graph, views, queries = workload
-        engine = QueryEngine(views, graph=graph, shards=2)
+        snapdir, graph = ingested_dir(*str_keyed(graph), 2, tmp_path)
+        engine = QueryEngine(views, snapshot_path=snapdir)
         for query in queries:
             result = engine.answer(query)
             assert result.edge_matches == bounded_match(query, graph).edge_matches

@@ -4,13 +4,15 @@
 ``{i : c.matches(labels_of(i), attrs_of(i))}`` for every condition --
 whatever the attribute values are (ints, floats with NaN, bools, strings,
 ``None``, or absent), on a plain snapshot, on an attached
-snapshot mapped back from its pickle, on every shard of a ``ShardedGraph`` and across
+snapshot mapped back from its pickle, on every shard of an ingested
+``ShardedGraph`` (labels only: ingest carries no attributes) and across
 ``refreshed()``; and the engines that seed through it must agree with
 the dict backend, which never touches it.
 """
 
 import math
 import pickle
+import tempfile
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,11 +29,10 @@ from repro.graph.conditions import (
 )
 from repro.obs import trace
 from repro.shard.psim import sharded_match
-from repro.shard.sharded import ShardedGraph
 from repro.simulation import bounded_match, match
 from repro.views import ViewDefinition, ViewSet
 
-from helpers import KERNELS, forced_kernel, fresh_registry
+from helpers import KERNELS, forced_kernel, fresh_registry, ingested, name_in_shard
 
 ATTRS = ("x", "y", "z")
 LABELS = ("A", "B")
@@ -124,8 +125,12 @@ def test_candidate_index_on_attached_shared_graph(graph, condition):
 @settings(max_examples=100, deadline=None)
 @given(graph=graphs(), condition=conditions, k=st.integers(1, 3))
 def test_candidate_index_on_every_shard(graph, condition, k):
-    for shard in ShardedGraph(graph, num_shards=k).shards:
-        assert_exact(shard, condition)
+    edges = [(str(s), str(t)) for s, t in graph.edges()]
+    labels = {str(node): graph.labels(node) for node in graph.nodes()}
+    with tempfile.TemporaryDirectory() as tmp:
+        sharded, _ = ingested(edges, labels, k, tmp)
+        for shard in sharded.shards:
+            assert_exact(shard, condition)
 
 
 @settings(max_examples=100, deadline=None)
@@ -230,10 +235,17 @@ def test_seed_span_sits_under_the_match(registry):
     assert seed.attrs == {"nodes": 2, "candidates": 5}
 
 
-def test_seed_span_sits_under_each_shard_task(registry):
-    sharded = ShardedGraph(_rated_graph([1, 2, 3, 4]), num_shards=2)
+def test_seed_span_sits_under_each_shard_task(registry, tmp_path):
+    chain = [name_in_shard(i, i % 2, 2) for i in range(4)]
+    sharded, _ = ingested(
+        list(zip(chain, chain[1:])), dict.fromkeys(chain, "video"), 2, tmp_path
+    )
+    pattern = Pattern()
+    pattern.add_node("u", "video")
+    pattern.add_node("v", "video")
+    pattern.add_edge("u", "v")
     with trace.root_span("query") as root:
-        assert sharded_match(_rated_pattern(), sharded)
+        assert sharded_match(pattern, sharded)
 
     def named(span, name):
         found = [span] if span.name == name else []
@@ -252,23 +264,22 @@ def test_seed_span_sits_under_each_shard_task(registry):
 @pytest.fixture(scope="module")
 def youtube():
     graph = youtube_graph(600, 2400, seed=5)
-    return graph, graph.freeze(), ShardedGraph(graph, num_shards=3)
+    return graph, graph.freeze()
 
 
 @pytest.mark.parametrize("name", [f"P{i}" for i in range(1, 13)])
 def test_label_free_suite_matches_the_dict_backend(youtube, name):
-    graph, frozen, sharded = youtube
+    graph, frozen = youtube
     pattern = youtube_views().definition(name).pattern
     expected = match(pattern, graph)
     assert match(pattern, frozen) == expected
-    assert match(pattern, sharded) == expected
     bounded = pattern.bounded(default=2)
     assert bounded_match(bounded, frozen) == bounded_match(bounded, graph)
 
 
 @pytest.mark.parametrize("name", ["P3", "P5", "P10"])
 def test_hybrid_join_seeds_uncovered_nodes_from_the_index(youtube, name):
-    graph, frozen, _ = youtube
+    graph, frozen = youtube
     definition = youtube_views().definition(name)
     pattern = definition.pattern
     # A view over the pattern's first edge only: the rest is uncovered

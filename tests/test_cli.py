@@ -151,60 +151,6 @@ class TestCli:
         assert rc == 1
         assert "uncovered" in capsys.readouterr().out
 
-    def test_shard_command_text_and_json(self, tmp_path, capsys):
-        graph_path = tmp_path / "g.json"
-        main([
-            "generate", "--dataset", "synthetic", "--nodes", "120",
-            "--edges", "360", "--out", str(graph_path),
-        ])
-        capsys.readouterr()
-        rc = main([
-            "shard", "--graph", str(graph_path), "--shards", "3",
-            "--strategy", "bfs",
-        ])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "bfs partition: 3 shards" in out
-        assert "shard 0:" in out and "shard 2:" in out
-        rc = main([
-            "shard", "--graph", str(graph_path), "--shards", "4",
-            "--format", "json",
-        ])
-        assert rc == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["partition"]["shards"] == 4
-        assert sum(payload["partition"]["sizes"]) == 120
-        assert 0.0 <= payload["partition"]["edge_cut_fraction"] <= 1.0
-        assert len(payload["per_shard"]) == 4
-        for row in payload["per_shard"]:
-            assert set(row) == {"nodes", "edges", "ghosts", "labels"}
-        # Internal + cut edges account for every edge exactly once.
-        total_edges = sum(row["edges"] for row in payload["per_shard"])
-        assert total_edges == 360
-
-    def test_stats_json_partition_section(self, tmp_path, capsys):
-        graph_path = tmp_path / "g.json"
-        main([
-            "generate", "--dataset", "synthetic", "--nodes", "100",
-            "--edges", "250", "--out", str(graph_path),
-        ])
-        capsys.readouterr()
-        rc = main([
-            "stats", "--graph", str(graph_path), "--shards", "2",
-            "--partitioner", "label", "--format", "json",
-        ])
-        assert rc == 0
-        payload = json.loads(capsys.readouterr().out)
-        partition = payload["partition"]
-        assert partition["strategy"] == "label"
-        assert partition["shards"] == 2
-        assert sum(partition["sizes"]) == 100
-        assert 0.0 <= partition["edge_cut_fraction"] <= 1.0
-        # Without --shards the section is absent.
-        rc = main(["stats", "--graph", str(graph_path), "--format", "json"])
-        assert rc == 0
-        assert "partition" not in json.loads(capsys.readouterr().out)
-
     def test_query_not_contained_errors(self, tmp_path, capsys):
         graph_path = tmp_path / "g.json"
         views_path = tmp_path / "v.json"

@@ -8,7 +8,8 @@ keep the seams from silting up again: file sizes, the constructor's
 width, what the planner may import, and the paths that used to exist
 twice (answer keys, spec builders, the thread executor, the
 subscribe channel) or were dropped (the priced planner and advisor, the
-process pools and the shared-memory segments only they used).
+process pools and the shared-memory segments only they used, in-memory
+partitioning and the sharded refresh).
 """
 
 import ast
@@ -21,7 +22,9 @@ from repro.engine.catalog import Catalog
 from repro.engine.engine import QueryEngine
 from repro.graph.digraph import DataGraph
 from repro.shard import materialize, psim
-from repro.views.maintenance import IncrementalViewSet
+from repro.shard.sharded import ShardedGraph
+from repro.views.maintenance import IncrementalView, IncrementalViewSet
+from repro.views.storage import ViewSet
 
 SRC = Path(repro.__file__).resolve().parent
 ENGINE = SRC / "engine"
@@ -50,11 +53,11 @@ def test_no_engine_file_is_a_monolith():
 
 def test_constructor_is_pruned_to_its_traffic():
     parameters = list(inspect.signature(QueryEngine.__init__).parameters)
-    assert len(parameters) - 1 <= 8, parameters  # minus ``self``
+    assert len(parameters) - 1 <= 6, parameters  # minus ``self``
     for gone in (
         "containment_cache_size", "cost_model", "advisor_budget_bytes",
         "advisor_interval", "shared_snapshots", "planner",
-        "auto_materialize", "executor", "workers",
+        "auto_materialize", "executor", "workers", "shards", "partitioner",
     ):
         assert gone not in parameters
 
@@ -137,3 +140,25 @@ def test_evaluation_stays_in_one_process():
         parameters = inspect.signature(function).parameters
         assert not {"executor", "workers", "runner"} & set(parameters), function
     assert "shared" not in inspect.signature(DataGraph.freeze).parameters
+
+
+def test_sharded_graphs_come_from_ingest_only():
+    # Hash placement at ingest is the one way to shard: no in-memory
+    # partitioner, no build-from-graph or live refresh of a sharded
+    # graph, no engine knob asking for one.  Nor does maintenance have
+    # a recompute budget.
+    sources = {path: path.read_text() for path in SRC.rglob("*.py")}
+    for gone in (
+        "make_partition", "PARTITIONERS", "label_partition", "bfs_partition",
+        "_local_snapshot", "partitioner=",
+    ):
+        hits = [path.name for path, source in sources.items() if gone in source]
+        assert not hits, (gone, hits)
+    assert not hasattr(ShardedGraph, "refreshed")
+    assert not hasattr(ShardedGraph, "partition")
+    assert list(inspect.signature(ShardedGraph.__init__).parameters)[1:4] == [
+        "shards", "own_counts", "boundary",
+    ]
+    assert "shards" not in inspect.signature(Catalog.__init__).parameters
+    for function in (IncrementalView.__init__, IncrementalViewSet.__init__, ViewSet.track):
+        assert "budget" not in inspect.signature(function).parameters, function

@@ -36,7 +36,8 @@ SRC = str(Path(repro.__file__).resolve().parent.parent)
 
 #: Package -> layer.  A module may import (at module level) only from
 #: layers at or below its own; function-level imports reach upward where
-#: a command needs it (``graph.ingest`` drives the shard partitioner).
+#: a command needs it (``graph.ingest`` drives the shard layer's hash
+#: placement, and ``graph.snapshot`` attaches a ``ShardedGraph``).
 RANK = {
     "obs": 0,
     "errors": 0,
@@ -102,9 +103,10 @@ def _source_lines(module: str) -> int:
 #: catalog / planner / runtime, 10,792 before the priced planner and
 #: the advisor were deleted (and ``cli.py`` lost their flags), 10,348
 #: before the process pools, their shipping path and the shared-memory
-#: backend were, 9,270 before the two snapshot forms became one; 8,883
-#: after, plus 10 lines of headroom.
-BOOT_LINE_BUDGET = 8_893
+#: backend were, 9,270 before the two snapshot forms became one, 8,883
+#: before in-memory partitioning and the sharded refresh were deleted;
+#: 8,478 after, plus 10 lines of headroom.
+BOOT_LINE_BUDGET = 8_488
 
 
 @pytest.mark.parametrize("target", ["repro", "repro.cli"])
@@ -270,23 +272,23 @@ def test_whole_graph_match_without_numpy_runs_the_set_kernel():
     assert stdout.splitlines() == [f"array {line}" for line in expected]
 
 
-def test_shard_dispatch_reaches_a_lazily_imported_shard_layer():
+def test_shard_dispatch_reaches_a_lazily_imported_shard_layer(tmp_path):
     # match()/bounded_match()/materialize() reach a ShardedGraph through
     # the method it carries (``evaluate_ids``), found by the one dispatch
     # in repro.simulation.simulation.evaluate.  Only the submodule is
     # imported here, never ``repro.shard``'s re-exports: the engines in
     # repro.shard.psim load when the graph is first evaluated.
+    ingest_snapshot(
+        iter([("a", "b")]), tmp_path / "snap", num_shards=2,
+        labeler=lambda node: (node.upper(),),
+    )
     _, stdout = _loaded_after(
-        "from repro.graph.digraph import DataGraph\n"
         "from repro.graph.pattern import BoundedPattern, Pattern\n"
-        "from repro.shard.sharded import ShardedGraph\n"
+        "from repro.graph.snapshot import SnapshotStore\n"
         "from repro.simulation.bounded import bounded_match, bounded_simulates\n"
         "from repro.simulation.simulation import match\n"
         "from repro.views.view import ViewDefinition, materialize\n"
-        "g = DataGraph()\n"
-        "g.add_node('a', labels='A'); g.add_node('b', labels='B')\n"
-        "g.add_edge('a', 'b')\n"
-        "sharded = ShardedGraph(g, num_shards=2)\n"
+        "sharded = SnapshotStore.load(sys.argv[1]).graph\n"
         "print('repro.shard.psim' in sys.modules)\n"
         "q = Pattern(); q.add_node('x', 'A'); q.add_node('y', 'B')\n"
         "q.add_edge('x', 'y')\n"
@@ -297,7 +299,8 @@ def test_shard_dispatch_reaches_a_lazily_imported_shard_layer():
         "print(sorted(bounded_match(b, sharded).edge_matches[('x', 'y')]))\n"
         "print(bounded_simulates(b, sharded))\n"
         "view = materialize(ViewDefinition('v', q), sharded)\n"
-        "print(view.compact.token == sharded.snapshot_token)\n"
+        "print(view.compact.token == sharded.snapshot_token)\n",
+        str(tmp_path / "snap"),
     )
     assert stdout.split("\n")[:6] == [
         "False", "[('a', 'b')]", "True", "[('a', 'b')]", "True", "True",

@@ -2,16 +2,14 @@
 
 Property-based equivalence: random interleaved insert/delete/batch
 streams must leave every layer -- view trackers, the frozen
-``CompactGraph`` snapshot, the ``ShardedGraph`` composite snapshot and
-the ``QueryEngine`` caches -- in exactly the state a from-scratch
-rebuild would produce, while touching only the affected area:
+``CompactGraph`` snapshot and the ``QueryEngine`` caches -- in exactly
+the state a from-scratch rebuild would produce, while touching only the
+affected area:
 
 * incremental view state == from-scratch rematerialization after every
-  update, across dict, compact and sharded backends, for every
-  affected-area budget (including the fallback boundary);
+  update, across dict, compact and (ingested) sharded backends;
 * refreshed snapshots == freshly built snapshots, with unchanged
-  adjacency rows / shard snapshots reused by reference and pre-existing
-  ids stable;
+  adjacency rows reused by reference and pre-existing ids stable;
 * engine answer caches retain entries for plans that read only
   unchanged views, and evict exactly the rest.
 """
@@ -20,12 +18,10 @@ import random
 
 import pytest
 
-from helpers import build_graph, build_pattern, random_labeled_graph
+from helpers import build_graph, build_pattern, ingested, random_labeled_graph, str_keyed
 from repro.engine import QueryEngine
 from repro.graph.compact import CompactGraph
 from repro.graph.digraph import DataGraph
-from repro.shard.sharded import ShardedGraph
-from repro.shard.psim import sharded_match
 from repro.simulation import match
 from repro.views import Delta, ViewDefinition, ViewSet, bind_extension, materialize
 from repro.views.maintenance import IncrementalView, IncrementalViewSet
@@ -157,8 +153,8 @@ class TestConstructorSatellites:
         assert tracker.stats.extension_builds == builds_before + 1
 
 
-class TestBudgetBoundary:
-    def _setup(self, budget):
+class TestInsertionRevival:
+    def _setup(self):
         pattern = build_pattern(
             {"a": "A", "b": "B", "c": "C", "d": "D"},
             [("a", "b"), ("b", "c"), ("c", "d")],
@@ -177,32 +173,23 @@ class TestBudgetBoundary:
         graph.add_edge(0, 1)
         graph.add_edge(1, 2)
         view = ViewDefinition("chain", pattern)
-        return graph, view, IncrementalView(view, graph, budget=budget)
+        return graph, view, IncrementalView(view, graph)
 
-    @pytest.mark.parametrize("budget,expect_incremental", [
-        (2, False),   # area 3 > budget 2: fall back to recompute
-        (3, True),    # area 3 == budget 3: incremental revival
-        (None, True),
-    ])
-    def test_fallback_boundary(self, budget, expect_incremental):
-        graph, view, tracker = self._setup(budget)
+    def test_insertion_revives_exactly_the_affected_pairs(self):
+        graph, view, tracker = self._setup()
         graph.add_edge(2, 3)
         tracker.insert_edge(2, 3)
         fresh = materialize(view, graph)
         assert tracker.extension().edge_matches == fresh.edge_matches
-        if expect_incremental:
-            assert tracker.stats.incremental_inserts == 1
-            assert tracker.stats.recomputes == 0
-            assert tracker.stats.revived_pairs == 3
-            assert tracker.stats.affected_area == 3
-        else:
-            assert tracker.stats.incremental_inserts == 0
-            assert tracker.stats.recomputes == 1
+        assert tracker.stats.incremental_inserts == 1
+        assert tracker.stats.recomputes == 0
+        assert tracker.stats.revived_pairs == 3
+        assert tracker.stats.affected_area == 3
 
     def test_deletion_after_incremental_insert_stays_consistent(self):
         # The revival path must leave witness counters exact, or a
         # later deletion cascade would prune the wrong pairs.
-        graph, view, tracker = self._setup(None)
+        graph, view, tracker = self._setup()
         graph.add_edge(2, 3)
         tracker.insert_edge(2, 3)
         for edge in [(12, 13), (2, 3), (0, 1)]:
@@ -214,12 +201,11 @@ class TestBudgetBoundary:
 
 class TestStreamEquivalence:
     @pytest.mark.parametrize("seed", range(4))
-    @pytest.mark.parametrize("budget", [None, 2])
-    def test_viewset_stream_matches_rematerialization(self, seed, budget):
+    def test_viewset_stream_matches_rematerialization(self, seed):
         rng = random.Random(seed)
         graph = random_labeled_graph(rng, 24, 60)
         definitions = _definitions()
-        tracked = IncrementalViewSet(definitions, graph, budget=budget)
+        tracked = IncrementalViewSet(definitions, graph)
         mirror = graph.copy()
         ops = _stream(rng, graph, 50, fresh_nodes=4)
         # Interleave singles and batches.
@@ -246,7 +232,7 @@ class TestStreamEquivalence:
                 assert (
                     tracked.extension(definition.name).edge_matches
                     == fresh.edge_matches
-                ), (seed, budget, definition.name)
+                ), (seed, definition.name)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_compact_refresh_stream(self, seed):
@@ -312,100 +298,6 @@ class TestStreamEquivalence:
         )
         assert applied == [("insert", 2, 1), ("delete", 1, 2)]
         assert sorted(graph.edges()) == [(2, 1)]
-
-
-class TestShardedRefresh:
-    @pytest.mark.parametrize("strategy", ["hash", "label", "bfs"])
-    def test_refreshed_equals_fresh_build(self, strategy):
-        rng = random.Random(11)
-        graph = random_labeled_graph(rng, 36, 100)
-        sharded = ShardedGraph(graph, num_shards=3, strategy=strategy)
-        base = graph.version
-        for op, source, target in _stream(rng, graph, 24, fresh_nodes=4):
-            if op == "insert":
-                graph.add_edge(source, target)
-            else:
-                graph.remove_edge(source, target)
-        ops = graph.edge_changes_since(base)
-        assert ops is not None
-        refreshed = sharded.refreshed(graph, ops)
-        assert refreshed.extends_token == sharded.snapshot_token
-        assert set(refreshed.nodes()) == set(graph.nodes())
-        for node in graph.nodes():
-            assert refreshed.successors(node) == frozenset(graph.successors(node))
-            assert refreshed.predecessors(node) == frozenset(
-                graph.predecessors(node)
-            )
-        for node in sharded.node_table:
-            assert refreshed.id_of(node) == sharded.id_of(node)
-        for pattern in (
-            build_pattern({"x": "A", "y": "B"}, [("x", "y")]),
-            build_pattern(
-                {"x": "B", "y": "C", "z": "A"}, [("x", "y"), ("y", "z")]
-            ),
-        ):
-            assert (
-                sharded_match(pattern, refreshed).edge_matches
-                == match(pattern, graph).edge_matches
-            )
-
-    def test_only_owning_shards_rebuilt(self):
-        rng = random.Random(13)
-        graph = random_labeled_graph(rng, 40, 90)
-        sharded = ShardedGraph(graph, num_shards=4)
-        # One edge between existing nodes: only the source's home shard
-        # (plus, for a cross edge, nobody else) is rebuilt.
-        source = next(iter(graph.nodes()))
-        target = next(
-            node for node in graph.nodes()
-            if node != source and not graph.has_edge(source, node)
-        )
-        base = graph.version
-        graph.add_edge(source, target)
-        refreshed = sharded.refreshed(graph, graph.edge_changes_since(base))
-        owner = refreshed.partition.shard_of(source)
-        for index in range(4):
-            if index == owner:
-                assert refreshed.shard(index) is not sharded.shard(index)
-            else:
-                assert refreshed.shard(index) is sharded.shard(index)
-
-    def test_refreshed_snapshot_survives_pickling(self):
-        # Refreshed sharded graphs pickle exactly like freshly built
-        # ones (plain picklable state).
-        import pickle
-
-        rng = random.Random(19)
-        graph = random_labeled_graph(rng, 30, 70)
-        sharded = ShardedGraph(graph, num_shards=2)
-        base = graph.version
-        for op, source, target in _stream(rng, graph, 10, fresh_nodes=2):
-            if op == "insert":
-                graph.add_edge(source, target)
-            else:
-                graph.remove_edge(source, target)
-        refreshed = sharded.refreshed(graph, graph.edge_changes_since(base))
-        clone = pickle.loads(pickle.dumps(refreshed))
-        assert clone.snapshot_token == refreshed.snapshot_token
-        pattern = build_pattern({"x": "A", "y": "B"}, [("x", "y")])
-        assert (
-            sharded_match(pattern, clone).edge_matches
-            == match(pattern, graph).edge_matches
-        )
-
-    def test_new_nodes_go_to_last_shard_preserving_ids(self):
-        rng = random.Random(17)
-        graph = random_labeled_graph(rng, 30, 70)
-        sharded = ShardedGraph(graph, num_shards=3)
-        base = graph.version
-        anchor = next(iter(graph.nodes()))
-        graph.add_edge("brand-new", anchor)
-        refreshed = sharded.refreshed(graph, graph.edge_changes_since(base))
-        assert refreshed.partition.shard_of("brand-new") == 2
-        assert refreshed.id_of("brand-new") == len(sharded.node_table)
-        for node in sharded.node_table:
-            assert refreshed.id_of(node) == sharded.id_of(node)
-        assert refreshed.has_edge("brand-new", anchor)
 
 
 class TestViewSetDeltaPipeline:
@@ -536,37 +428,6 @@ class TestEngineRetention:
         assert engine.answer(q_ab).stats.cache_hit
         assert engine.answer(q_bc).edge_matches[("x", "y")] == {(2, 3), (4, 3)}
 
-    def test_sharded_engine_refreshes_owning_shards_only(self):
-        rng = random.Random(23)
-        graph = random_labeled_graph(rng, 30, 70)
-        definitions = _definitions()[:2]
-        tracker = IncrementalViewSet(definitions, graph)
-        engine = QueryEngine(
-            ViewSet(definitions), graph=graph, shards=3
-        )
-        engine.attach_maintenance(tracker)
-        q_ab = build_pattern({"x": "A", "y": "B"}, [("x", "y")])
-        engine.answer(q_ab)
-        first = engine.snapshot()
-        source = next(
-            node for node in tracker.graph.nodes()
-            if not tracker.graph.has_edge(node, node)
-        )
-        target = next(
-            node for node in tracker.graph.nodes()
-            if node != source and not tracker.graph.has_edge(source, node)
-        )
-        tracker.insert_edge(source, target)
-        result = engine.answer(q_ab)
-        second = engine.snapshot()
-        assert second.extends_token == first.snapshot_token
-        owner = second.partition.shard_of(source)
-        for index in range(second.num_shards):
-            if index != owner:
-                assert second.shard(index) is first.shard(index)
-        mirror = tracker.graph
-        assert result.edge_matches == match(q_ab, mirror).edge_matches
-
 
 class TestMaintainCli:
     def test_maintain_replays_and_verifies(self, tmp_path, capsys):
@@ -664,10 +525,10 @@ class TestDeletionPaths:
         return ops
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_delete_heavy_stream_equal_on_every_backend(self, seed):
+    def test_delete_heavy_stream_equal_on_every_backend(self, seed, tmp_path):
         """After every delete-heavy batch, the maintained extension
         equals rematerialization on the dict graph, on a frozen
-        ``CompactGraph`` and on a ``ShardedGraph`` composite."""
+        ``CompactGraph`` and on an ingested ``ShardedGraph``."""
         rng = random.Random(seed + 500)
         graph = random_labeled_graph(rng, 24, 70)
         definitions = _definitions()
@@ -687,12 +548,20 @@ class TestDeletionPaths:
                 else:
                     mirror.remove_edge(source, target)
             compact = CompactGraph(mirror, mirror.version)
-            sharded = ShardedGraph(mirror, num_shards=2)
+            # Ingest takes str node keys: the sharded answer is compared
+            # through the same renaming.
+            sharded, _ = ingested(*str_keyed(mirror), 2, tmp_path)
             for definition in definitions:
                 maintained = tracked.extension(definition.name).edge_matches
-                for backend in (mirror, compact, sharded):
+                renamed = {
+                    edge: {(str(v), str(w)) for v, w in pairs}
+                    for edge, pairs in maintained.items()
+                }
+                for backend, want in (
+                    (mirror, maintained), (compact, maintained), (sharded, renamed)
+                ):
                     fresh = materialize(definition, backend)
-                    assert maintained == fresh.edge_matches, (
+                    assert want == fresh.edge_matches, (
                         seed,
                         definition.name,
                         type(backend).__name__,

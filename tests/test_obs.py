@@ -27,12 +27,11 @@ from repro.obs.metrics import (
 )
 from repro.obs.trace import TraceCollector, format_span_tree
 from repro.serve import QueryServer
-from repro.shard import ShardedGraph, make_partition
 from repro.shard.psim import partial_max_simulation
 from repro.views import Delta, ViewDefinition, ViewSet
 from repro.views.maintenance import IncrementalViewSet
 
-from helpers import build_graph, build_pattern
+from helpers import build_graph, build_pattern, ingested, str_keyed
 
 
 def _graph():
@@ -265,8 +264,8 @@ class TestExecutorPropagation:
         assert len(tasks) == 2
         assert sorted(t["attrs"]["index"] for t in tasks) == [0, 1]
 
-    def test_shard_waves_nest_under_psim(self, graph):
-        sharded = ShardedGraph(graph, make_partition(graph, 2, "hash"))
+    def test_shard_waves_nest_under_psim(self, graph, tmp_path):
+        sharded, _ = ingested(*str_keyed(graph), 2, tmp_path)
         collector = TraceCollector()
         with trace.root_span("shards", collector=collector):
             partial_max_simulation(AB, sharded)
@@ -607,10 +606,10 @@ class TestLogging:
 
     def test_library_modules_have_namespaced_loggers(self):
         import repro.core.matchjoin as matchjoin
+        import repro.graph.ingest as ingest
         import repro.serve.server as server
-        import repro.shard.partitioner as partitioner
 
-        for module in (matchjoin, server, partitioner):
+        for module in (matchjoin, server, ingest):
             assert module.log.name.startswith("repro.")
 
     def test_library_installs_no_handlers(self):

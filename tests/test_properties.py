@@ -16,6 +16,7 @@ and view sets:
 import pickle
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.containment import contains
@@ -26,8 +27,6 @@ from repro.core.bounded.bcontainment import bounded_contains
 from repro.core.bounded.bmatchjoin import bounded_match_join
 from repro.graph import ANY, BoundedPattern, DataGraph, Pattern
 from repro.graph.conditions import Atom, AttributeCondition, implies
-from repro.shard.partitioner import PARTITIONERS, Partition, make_partition
-from repro.shard.sharded import ShardedGraph
 from repro.simulation import bounded_match, match
 from repro.simulation.simulation import evaluate, maximum_simulation
 from repro.views import ViewDefinition, ViewSet
@@ -38,11 +37,14 @@ from helpers import (
     KERNELS,
     forced_kernel,
     fresh_registry,
+    ingested,
+    name_in_shard,
     random_labeled_graph,
     random_pattern,
     reference_bounded_simulation,
     reference_edge_matches,
     reference_simulation,
+    str_keyed,
 )
 
 # ----------------------------------------------------------------------
@@ -51,9 +53,23 @@ from helpers import (
 seeds = st.integers(min_value=0, max_value=10_000)
 
 
+@pytest.fixture(scope="module")
+def shard_dir(tmp_path_factory):
+    """Where this module's sharded graphs are ingested (they stay mapped
+    for the module's lifetime)."""
+    return tmp_path_factory.mktemp("shards")
+
+
 def make_instance(seed: int, bounded: bool = False):
     rng = random.Random(seed)
-    graph = random_labeled_graph(rng, rng.randint(4, 25), rng.randint(4, 70))
+    edges, labels = str_keyed(
+        random_labeled_graph(rng, rng.randint(4, 25), rng.randint(4, 70))
+    )
+    graph = DataGraph()
+    for node, label in labels.items():
+        graph.add_node(node, labels=label)
+    for source, target in edges:
+        graph.add_edge(source, target)
     base = random_pattern(rng, rng.randint(2, 5), rng.randint(1, 7))
     if not bounded:
         return rng, graph, base
@@ -114,18 +130,17 @@ def test_match_result_is_simulation(seed):
 # One Match kernel: every id-space backend equals the dict reference
 # ----------------------------------------------------------------------
 #: Every graph object the one kernel runs behind: the no-ghost snapshot,
-#: a 1-shard sharded graph (a shard without ghosts), and 2-4 shards
-#: under each partitioner.
+#: a 1-shard sharded graph (a shard without ghosts), and 2-4 shards.
 id_space_backends = st.sampled_from(
-    [("compact", 1, "hash"), ("sharded", 1, "hash")]
-    + [("sharded", k, s) for k in (2, 3, 4) for s in sorted(PARTITIONERS)]
+    [("compact", 1)] + [("sharded", k) for k in (1, 2, 3, 4)]
 )
 pattern_flavours = st.sampled_from(["plain", "self_loop", "one_shard"])
 
 
-def kernel_instance(seed, backend, flavour):
+def kernel_instance(seed, backend, flavour, shard_dir):
     """``(graph, pattern, target)``: a random instance and the id-space
     backend object ``target`` built over ``graph``."""
+    kind, shards = backend
     rng, graph, pattern = make_instance(seed)
     if flavour == "self_loop":
         for node in rng.sample(list(pattern.nodes()), rng.randint(1, 2)):
@@ -133,32 +148,25 @@ def kernel_instance(seed, backend, flavour):
         for node in rng.sample(list(graph.nodes()), min(4, len(graph))):
             graph.add_edge(node, node)
     elif flavour == "one_shard":
-        # The pattern's labels live on an island of their own, which
-        # the partition below keeps whole in shard 0.
+        # The pattern's labels live on an island of their own, named
+        # so that hash placement keeps it whole in shard 0.
         pattern = random_pattern(rng, rng.randint(2, 4), rng.randint(1, 5), "XY")
-        island = [f"x{i}" for i in range(rng.randint(2, 8))]
+        island = [name_in_shard(f"x{i}", 0, shards) for i in range(rng.randint(2, 8))]
         for node in island:
             graph.add_node(node, labels=rng.choice("XY"))
         for _ in range(rng.randint(2, 20)):
             graph.add_edge(rng.choice(island), rng.choice(island))
-        graph.add_edge(0, island[0])
-    kind, shards, strategy = backend
+        graph.add_edge("0", island[0])
     if kind == "compact":
         return graph, pattern, graph.freeze()
-    partition = make_partition(graph, shards, strategy)
-    if flavour == "one_shard":
-        assignment = {
-            node: 0 if str(node).startswith("x") else home
-            for node, home in partition.assignment.items()
-        }
-        partition = Partition(graph, assignment, shards, "manual")
-    return graph, pattern, ShardedGraph(graph, partition)
+    sharded, graph = ingested(graph.edges(), graph.labels, shards, shard_dir)
+    return graph, pattern, sharded
 
 
 @settings(max_examples=150, deadline=None)
 @given(seed=seeds, backend=id_space_backends, flavour=pattern_flavours)
-def test_kernel_equals_dict_maximum_simulation(seed, backend, flavour):
-    graph, pattern, target = kernel_instance(seed, backend, flavour)
+def test_kernel_equals_dict_maximum_simulation(seed, backend, flavour, shard_dir):
+    graph, pattern, target = kernel_instance(seed, backend, flavour, shard_dir)
     expected = maximum_simulation(pattern, graph)
     result, id_rows, id_distances = evaluate(pattern, target)
     assert id_distances is None
@@ -178,16 +186,18 @@ def test_kernel_equals_dict_maximum_simulation(seed, backend, flavour):
         assert {(table[v], table[w]) for v, w in zip(src, tgt)} == pairs[edge]
 
 
-def test_kernel_no_ghost_case_aliases_and_exits_early():
+def test_kernel_no_ghost_case_aliases_and_exits_early(tmp_path):
     """Count-based pin of the no-ghost case: no split pass (``full`` is
     ``sim``), and the run ends at the first emptied set."""
     from repro.simulation.compact_engine import witness_fixpoint
 
-    graph = DataGraph()
-    for node, label in {"a": "A", "b1": "B", "b2": "B", "c": "C"}.items():
-        graph.add_node(node, labels=label)
-    graph.add_edge("a", "b1")
-    graph.add_edge("b2", "c")
+    a, b1, b2, c = (
+        name_in_shard(node, home, 2)
+        for node, home in (("a", 0), ("b1", 1), ("b2", 0), ("c", 1))
+    )
+    edges = [(a, b1), (b2, c)]
+    labels = {a: "A", b1: "B", b2: "B", c: "C"}
+    sharded, graph = ingested(edges, labels, 2, tmp_path)
     frozen = graph.freeze()
 
     def chain(*labels):
@@ -200,15 +210,13 @@ def test_kernel_no_ghost_case_aliases_and_exits_early():
 
     state = witness_fixpoint(chain("B", "C"), frozen, frozen.num_nodes)
     assert state.full is state.sim
-    homes = {"a": 0, "b1": 1, "b2": 0, "c": 1}
-    sharded = ShardedGraph(graph, Partition(graph, homes, 2, "manual"))
     shard = sharded.shard(0)  # owns a and b2, ghosts b1 and c
     state = witness_fixpoint(
         chain("B", "C"), shard, sharded.own_count(0), pruned={}
     )
     assert state.full is not state.sim
-    assert state.sim[0] == {shard.id_of("b2")}
-    assert state.full[0] == {shard.id_of("b1"), shard.id_of("b2")}
+    assert state.sim[0] == {shard.id_of(b2)}
+    assert state.full[0] == {shard.id_of(b1), shard.id_of(b2)}
 
     def batches(pattern, target, kernel="sets"):
         with fresh_registry() as registry, forced_kernel(kernel):
@@ -224,7 +232,8 @@ def test_kernel_no_ghost_case_aliases_and_exits_early():
         assert batches(chain("A", "B", "C"), frozen, kernel) == 1
     # ... while a shard (whose matches may live elsewhere) goes on to
     # propagate a's removal.
-    assert batches(chain("A", "B", "C"), ShardedGraph(graph, num_shards=1)) == 2
+    one_shard, _ = ingested(edges, labels, 1, tmp_path)
+    assert batches(chain("A", "B", "C"), one_shard) == 2
 
 
 # ----------------------------------------------------------------------
@@ -261,7 +270,7 @@ payload_forms = st.sampled_from(
 )
 
 
-def materialized(views, graph, form):
+def materialized(views, graph, form, shard_dir):
     """``views`` materialized on ``graph`` with one payload form; the
     extensions mapping a MatchJoin call then reads."""
     if form == "keys":  # node-key sets only
@@ -269,7 +278,7 @@ def materialized(views, graph, form):
     elif form == "rows":  # in-process id rows
         views.materialize(graph.freeze())
     elif form == "sharded":  # composite ids
-        views.materialize(ShardedGraph(graph, num_shards=3))
+        views.materialize(ingested(graph.edges(), graph.labels, 3, shard_dir)[0])
     elif form == "mixed":  # two snapshots' tokens, one view without payload
         names = views.names()
         views.materialize(graph.freeze())
@@ -295,12 +304,12 @@ def materialized(views, graph, form):
 
 @settings(max_examples=90, deadline=None)
 @given(seed=seeds, form=payload_forms)
-def test_theorem1_matchjoin_equals_match(seed, form):
+def test_theorem1_matchjoin_equals_match(seed, form, shard_dir):
     rng, graph, pattern = make_instance(seed)
     views = edge_views(pattern, rng)
     containment = contains(pattern, views)
     assert containment.holds
-    extensions = materialized(views, graph, form)
+    extensions = materialized(views, graph, form, shard_dir)
     direct = match(pattern, graph)
     result = match_join(pattern, containment, extensions)
     naive = match_join(pattern, containment, extensions, optimized=False)
@@ -309,12 +318,12 @@ def test_theorem1_matchjoin_equals_match(seed, form):
 
 @settings(max_examples=70, deadline=None)
 @given(seed=seeds, form=payload_forms)
-def test_theorem8_bounded_matchjoin_equals_bmatch(seed, form):
+def test_theorem8_bounded_matchjoin_equals_bmatch(seed, form, shard_dir):
     rng, graph, pattern = make_instance(seed, bounded=True)
     views = edge_views(loosened(pattern, rng), rng)
     containment = bounded_contains(pattern, views)
     assert containment.holds
-    extensions = materialized(views, graph, form)
+    extensions = materialized(views, graph, form, shard_dir)
     direct = bounded_match(pattern, graph)
     result = bounded_match_join(pattern, containment, extensions)
     naive = bounded_match_join(pattern, containment, extensions, optimized=False)

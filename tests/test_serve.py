@@ -7,6 +7,9 @@ can be held *inside* evaluation while updates swap epochs around it.
 
 import asyncio
 import json
+import logging
+import socket
+import struct
 import threading
 import time
 from time import perf_counter
@@ -459,6 +462,71 @@ class TestTcpProtocol:
                 await tcp.wait_closed()
 
         asyncio.run(run())
+
+    def test_clients_that_reset_mid_pipeline_leave_nothing_behind(self, caplog):
+        # Clients pipeline query lines, then reset the connection (RST:
+        # SO_LINGER 0) without reading a reply, around an epoch swap.
+        # Nothing is logged, admission and every epoch pin drain, and
+        # the next client is answered correctly.
+        caplog.set_level(logging.WARNING)
+        queries = [AB, BC, AB_TOO, AC_WITHIN_2, NO_MATCH]
+        lines = b"".join(
+            json.dumps({"op": "query", "pattern": pattern_to_json(q)}).encode() + b"\n"
+            for q in queries
+        )
+
+        async def reset_clients(port, count):
+            clients = [
+                await asyncio.open_connection("127.0.0.1", port) for _ in range(count)
+            ]
+            for _, writer in clients:
+                writer.write(lines * 4)
+                await writer.drain()
+            for _, writer in clients:
+                writer.get_extra_info("socket").setsockopt(
+                    socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+                )
+                writer.transport.abort()
+
+        async def run():
+            loop = asyncio.get_running_loop()
+            unhandled = []
+            loop.set_exception_handler(lambda _, context: unhandled.append(context))
+            server, tracker = make_server()
+            async with server:
+                tcp = await serve_tcp(server, port=0)
+                port = tcp.sockets[0].getsockname()[1]
+                await reset_clients(port, 10)
+                await server.update(Delta().insert(4, 2))
+                await reset_clients(port, 10)
+
+                def settled():
+                    requests = server.stats()["requests"]
+                    done = requests["completed"] + requests["failed"] + requests["shed"]
+                    return requests["inflight"] == 0 and requests["admitted"] == done
+
+                await spin_until(settled)
+                await asyncio.sleep(0.1)  # handlers see their resets
+                await spin_until(settled)
+                stats = server.stats()
+                assert stats["requests"]["failed"] == 0
+                assert stats["epoch"]["active_readers"] == 0
+                assert stats["epoch"]["draining"] == 0
+
+                reader, writer = await asyncio.open_connection("127.0.0.1", port)
+                writer.write(lines[: lines.index(b"\n") + 1])
+                await writer.drain()
+                reply = json.loads(await reader.readline())
+                assert reply["ok"] and reply["epoch"] == 1
+                expected = match(AB, tracker.graph).edge_matches[("x", "y")]
+                assert reply["result"]["pairs"] == len(expected)
+                writer.close()
+                tcp.close()
+                await tcp.wait_closed()
+            assert unhandled == []
+
+        asyncio.run(run())
+        assert [r for r in caplog.records if r.levelno >= logging.WARNING] == []
 
     def test_large_update_under_the_limit_is_served(self):
         async def run():

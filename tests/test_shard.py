@@ -1,137 +1,179 @@
-"""The sharded backend: partitioners, ShardedGraph, psim, materialization.
+"""The sharded backend: hash placement, ShardedGraph, psim, materialization.
 
-Covers the whole subsystem:
+Every sharded graph here is built the one way there is: ingested into a
+snapshot directory and loaded (``helpers.ingested``).  Covers the whole
+subsystem:
 
-* every partitioner assigns every node exactly once and reports honest
-  cut/balance statistics;
+* ingest places every node exactly once, in the shard its name hashes
+  to, and reports honest cut statistics;
 * ``ShardedGraph`` mirrors the ``DataGraph`` read API over original
   node keys (randomized equivalence, including cross-shard
   predecessors and BFS);
-* the property-based equivalence suite -- for random graphs, patterns
-  and *every* partitioner, partial-evaluation simulation,
-  ``sharded_match``, materialized extensions and ``match_join`` answers
-  are identical to the single-``CompactGraph`` results;
+* partial-evaluation simulation, ``sharded_match``, materialized
+  extensions and ``match_join`` answers are identical to the
+  single-``CompactGraph`` results under three placement shapes, chosen
+  by naming nodes (``hash``: names as they come, most edges cut;
+  ``label``: one shard per label; ``bfs``: undirected BFS blocks, few
+  edges cut);
 * a failed evaluation leaves nothing behind;
-* the ``QueryEngine`` shards mode plans, answers, caches and
-  invalidates exactly like the single-snapshot engine.
+* a ``QueryEngine`` booted from a sharded snapshot directory plans,
+  answers and caches exactly like the single-snapshot engine.
 """
 
 import random
+from collections import deque
 
 import pytest
 
 from helpers import (
-    build_graph,
+    build_bounded,
     build_pattern,
+    ingested,
+    ingested_dir,
     matchjoin_metrics,
+    name_in_shard,
     random_labeled_graph,
     random_pattern,
+    str_keyed,
 )
 from repro.core.containment import contains
 from repro.core.matchjoin import match_join
 from repro.datasets import generate_views, query_from_views, random_graph
 from repro.engine import QueryEngine
-from repro.graph import DataGraph, P
+from repro.graph.ingest import ingest_snapshot
 from repro.shard import (
-    PARTITIONERS,
-    Partition,
     ShardedGraph,
-    make_partition,
+    StreamingHashPartitioner,
     materialize_view,
     parallel_materialize,
     partial_max_simulation,
     sharded_match,
 )
+from repro.shard.partitioner import _stable_hash
 from repro.simulation import bounded_match, dual_match, match
 from repro.simulation.bounded import bounded_simulates
 from repro.simulation.simulation import maximum_simulation
-from repro.views.maintenance import IncrementalViewSet
 from repro.views.storage import ViewSet
 from repro.views.view import ViewDefinition
 
-STRATEGIES = sorted(PARTITIONERS)
+#: Placement shapes, each produced by naming nodes (see :func:`_placed`).
+STRATEGIES = ("bfs", "hash", "label")
+
+
+def _placed(edges, labels, k, placement):
+    """``(edges, labels)`` renamed so hash placement yields ``placement``:
+    ``hash`` keeps the names; ``label`` puts all nodes of a label in
+    one shard; ``bfs`` cuts the undirected BFS order into ``k`` blocks."""
+    if placement == "hash":
+        return edges, labels
+    nodes = list(dict.fromkeys(node for edge in edges for node in edge))
+    if placement == "label":
+        order = sorted({min(found) for found in labels.values()})
+        shard_of = {node: order.index(min(labels[node])) % k for node in nodes}
+    else:
+        around = {node: set() for node in nodes}
+        for source, target in edges:
+            around[source].add(target)
+            around[target].add(source)
+        seen = {}
+        for root in nodes:
+            if root in seen:
+                continue
+            seen[root] = None
+            queue = deque([root])
+            while queue:
+                for neighbor in sorted(around[queue.popleft()]):
+                    if neighbor not in seen:
+                        seen[neighbor] = None
+                        queue.append(neighbor)
+        block = -(-len(nodes) // k) or 1
+        shard_of = {node: i // block for i, node in enumerate(seen)}
+    name = {node: name_in_shard(node, shard_of[node], k) for node in nodes}
+    return (
+        [(name[s], name[t]) for s, t in edges],
+        {name[node]: labels[node] for node in nodes},
+    )
+
+
+def _random_sharded(rng, tmp_path, placement, nodes, edges, shards):
+    k = rng.randint(*shards)
+    edge_list, labels = _placed(
+        *str_keyed(random_labeled_graph(rng, rng.randint(*nodes), rng.randint(*edges))),
+        k,
+        placement,
+    )
+    return ingested(edge_list, labels, k, tmp_path)
+
+
+def _home(sharded, node):
+    """The shard whose own nodes include ``node``."""
+    return next(
+        i for i in range(sharded.num_shards)
+        if node in list(sharded.shard(i).node_table)[: sharded.own_count(i)]
+    )
 
 
 # ----------------------------------------------------------------------
-# Partitioners
+# Placement: ingest is the partitioner
 # ----------------------------------------------------------------------
 class TestPartitioner:
     @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_every_node_assigned_exactly_once(self, strategy):
+    def test_every_node_assigned_exactly_once(self, strategy, tmp_path):
         rng = random.Random(3)
-        for _ in range(10):
-            g = random_labeled_graph(rng, rng.randint(1, 60), rng.randint(0, 150))
-            k = rng.randint(1, 6)
-            partition = make_partition(g, k, strategy)
-            assert partition.num_shards == k
+        for _ in range(6):
+            sharded, g = _random_sharded(rng, tmp_path, strategy, (1, 60), (1, 150), (1, 6))
+            k = sharded.num_shards
             seen = set()
             for i in range(k):
-                shard_nodes = partition.nodes_of(i)
-                assert seen.isdisjoint(shard_nodes)
-                seen.update(shard_nodes)
-                for node in shard_nodes:
-                    assert partition.shard_of(node) == i
+                own = list(sharded.shard(i).node_table)[: sharded.own_count(i)]
+                assert seen.isdisjoint(own)
+                seen.update(own)
+                assert all(_stable_hash(node) % k == i for node in own)
             assert seen == set(g.nodes())
-            assert sum(partition.shard_sizes) == len(g)
+            assert len(sharded) == len(g)
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_cut_accounting(self, strategy):
+    def test_cut_accounting(self, strategy, tmp_path):
         rng = random.Random(5)
-        for _ in range(10):
-            g = random_labeled_graph(rng, rng.randint(2, 50), rng.randint(1, 120))
-            partition = make_partition(g, rng.randint(2, 5), strategy)
+        for _ in range(6):
+            sharded, g = _random_sharded(rng, tmp_path, strategy, (2, 50), (1, 120), (2, 5))
+            k = sharded.num_shards
             cut = {
-                (s, t)
-                for s, t in g.edges()
-                if partition.shard_of(s) != partition.shard_of(t)
+                (s, t) for s, t in g.edges()
+                if _stable_hash(s) % k != _stable_hash(t) % k
             }
-            assert set(partition.cross_edges) == cut
-            assert partition.edge_cut == len(cut)
-            assert 0.0 <= partition.edge_cut_fraction <= 1.0
-            boundary = {t for _, t in cut}
-            assert partition.boundary_nodes == boundary
-            for i in range(partition.num_shards):
-                assert partition.ghosts_of(i) == {
-                    t for s, t in cut if partition.shard_of(s) == i
-                }
+            assert sharded.edge_cut == len(cut)
+            for i in range(k):
+                table = list(sharded.shard(i).node_table)
+                ghosts = set(table[sharded.own_count(i):])
+                assert ghosts == {t for s, t in cut if _stable_hash(s) % k == i}
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_deterministic(self, strategy):
-        g = random_labeled_graph(random.Random(9), 40, 100)
-        first = make_partition(g, 3, strategy)
-        second = make_partition(g, 3, strategy)
-        assert first.assignment == second.assignment
+    def test_deterministic(self, strategy, tmp_path):
+        edges, labels = _placed(*str_keyed(random_labeled_graph(random.Random(9), 40, 100)), 3, strategy)
+        first, _ = ingested(edges, labels, 3, tmp_path)
+        second, _ = ingested(edges, labels, 3, tmp_path)
+        for i in range(3):
+            assert list(first.shard(i).node_table) == list(second.shard(i).node_table)
+            assert first.global_row(i) == second.global_row(i)
 
-    def test_balance_of_structured_strategies(self):
-        g = random_labeled_graph(random.Random(11), 80, 200)
-        for strategy in ("label", "bfs"):
-            partition = make_partition(g, 4, strategy)
-            # Capacity-driven strategies stay within one block of ideal.
-            assert max(partition.shard_sizes) <= -(-80 // 4) + 1
+    def test_more_shards_than_nodes(self, tmp_path):
+        sharded, _ = ingested([("1", "2")], {"1": "A", "2": "B"}, 5, tmp_path)
+        assert sharded.num_shards == 5 and len(sharded) == 2  # empty shards tolerated
+        assert match(build_pattern({"a": "A", "b": "B"}, [("a", "b")]), sharded)
 
-    def test_more_shards_than_nodes(self):
-        g = build_graph({1: "A", 2: "B"}, [(1, 2)])
-        for strategy in STRATEGIES:
-            partition = make_partition(g, 5, strategy)
-            assert sum(partition.shard_sizes) == 2
-            sharded = ShardedGraph(g, partition)  # empty shards tolerated
-            assert match(build_pattern({"a": "A", "b": "B"}, [("a", "b")]), sharded)
-
-    def test_rejects_bad_arguments(self):
-        g = build_graph({1: "A"}, [])
+    def test_rejects_bad_arguments(self, tmp_path):
         with pytest.raises(ValueError):
-            make_partition(g, 0)
+            StreamingHashPartitioner(0, tmp_path)
         with pytest.raises(ValueError):
-            make_partition(g, 2, "metis")
+            ingest_snapshot(iter([("1", "2")]), tmp_path / "snap", num_shards=0)
 
-    def test_stats_payload(self):
-        g = random_labeled_graph(random.Random(2), 30, 80)
-        stats = make_partition(g, 3, "hash").stats()
-        assert stats["strategy"] == "hash"
-        assert stats["shards"] == 3
-        assert len(stats["sizes"]) == 3
-        assert stats["edge_cut"] <= g.num_edges
-        assert 0.0 <= stats["edge_cut_fraction"] <= 1.0
+    def test_stats_payload(self, tmp_path):
+        edges, _ = str_keyed(random_labeled_graph(random.Random(2), 30, 80))
+        report = ingest_snapshot(iter(edges), tmp_path / "snap", num_shards=3).to_json()
+        assert report["shards"] == 3
+        assert len(report["shard_stats"]) == 3
+        assert report["cut_edges"] <= report["edges"] == len(set(edges))
 
 
 # ----------------------------------------------------------------------
@@ -139,11 +181,10 @@ class TestPartitioner:
 # ----------------------------------------------------------------------
 class TestShardedGraphApi:
     @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_read_api_equivalence_randomized(self, strategy):
+    def test_read_api_equivalence_randomized(self, strategy, tmp_path):
         rng = random.Random(13)
-        for _ in range(8):
-            g = random_labeled_graph(rng, rng.randint(1, 35), rng.randint(0, 80))
-            sharded = ShardedGraph(g, make_partition(g, rng.randint(1, 4), strategy))
+        for _ in range(6):
+            sharded, g = _random_sharded(rng, tmp_path, strategy, (1, 35), (1, 80), (1, 4))
             assert sharded.freeze() is sharded
             assert len(sharded) == len(g)
             assert sharded.num_edges == g.num_edges
@@ -168,40 +209,27 @@ class TestShardedGraphApi:
                     g.nodes_with_label(label)
                 )
             assert sharded.label_index_stats() == g.label_index_stats()
-            assert 99_999 not in sharded
-            assert not sharded.has_edge(99_999, 0)
+            assert "missing" not in sharded
+            assert not sharded.has_edge("missing", "0")
 
-    def test_composite_id_space_is_dense_and_shard_major(self):
-        g = random_labeled_graph(random.Random(17), 30, 70)
-        sharded = ShardedGraph(g, make_partition(g, 3, "hash"))
+    def test_composite_id_space_is_dense_and_shard_major(self, tmp_path):
+        edges, labels = str_keyed(random_labeled_graph(random.Random(17), 30, 70))
+        sharded, g = ingested(edges, labels, 3, tmp_path)
         assert sorted(sharded.id_of(v) for v in g.nodes()) == list(range(len(g)))
-        # Own nodes precede ghosts in every shard's local id space.
+        # Own nodes precede ghosts in every shard's local id space, and
+        # every local id -- a ghost's too -- translates to its owner's
+        # global id.
         for i in range(sharded.num_shards):
-            own = sharded.own_count(i)
-            snapshot = sharded.shard(i)
-            for node, local_id in sharded.ghost_ids(i).items():
-                assert local_id >= own
-                # Ghost translation points at the owner's global id.
+            table = sharded.shard(i).node_table
+            for local_id, node in enumerate(table):
                 assert sharded.global_row(i)[local_id] == sharded.id_of(node)
-            for local_id in range(own):
-                assert sharded.global_row(i)[local_id] == sharded.id_of(
-                    snapshot.node_of(local_id)
-                )
+                assert (local_id < sharded.own_count(i)) == (_home(sharded, node) == i)
 
-    def test_isolated_from_later_mutations(self):
-        g = build_graph({1: "A", 2: "B"}, [(1, 2)])
-        sharded = ShardedGraph(g, make_partition(g, 2))
-        g.add_node(3, labels="B")
-        g.add_edge(2, 3)
-        assert 3 not in sharded
-        assert sharded.num_edges == 1
-        assert set(sharded.nodes_with_label("B")) == {2}
-
-    def test_pickles(self):
+    def test_pickles(self, tmp_path):
         import pickle
 
-        g = random_labeled_graph(random.Random(19), 25, 60)
-        sharded = ShardedGraph(g, make_partition(g, 3, "bfs"))
+        edges, labels = str_keyed(random_labeled_graph(random.Random(19), 25, 60))
+        sharded, _ = ingested(edges, labels, 3, tmp_path)
         revived = pickle.loads(pickle.dumps(sharded))
         assert revived.snapshot_token == sharded.snapshot_token
         assert set(revived.nodes()) == set(sharded.nodes())
@@ -214,80 +242,64 @@ class TestShardedGraphApi:
 # ----------------------------------------------------------------------
 class TestPsimEquivalence:
     @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_randomized_equivalence(self, strategy):
+    def test_randomized_equivalence(self, strategy, tmp_path):
         rng = random.Random(23)
-        for _ in range(40):
-            g = random_labeled_graph(rng, rng.randint(2, 40), rng.randint(1, 100))
+        for _ in range(20):
+            sharded, g = _random_sharded(rng, tmp_path, strategy, (2, 40), (1, 100), (1, 5))
             q = random_pattern(rng, rng.randint(2, 6), rng.randint(1, 10))
-            sharded = ShardedGraph(
-                g, make_partition(g, rng.randint(1, 5), strategy)
-            )
             assert partial_max_simulation(q, sharded) == maximum_simulation(q, g)
             assert sharded_match(q, sharded) == match(q, g)
             # The generic dispatch in match() takes the psim path too.
             assert match(q, sharded) == match(q, g)
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_self_loops_randomized(self, strategy):
+    def test_self_loops_randomized(self, strategy, tmp_path):
         rng = random.Random(29)
-        for _ in range(20):
-            g = random_labeled_graph(rng, rng.randint(2, 25), rng.randint(1, 60))
+        for _ in range(10):
+            k = rng.randint(2, 4)
+            edges, labels = str_keyed(
+                random_labeled_graph(rng, rng.randint(2, 25), rng.randint(1, 60))
+            )
+            edges += [(node, node) for node in rng.sample(sorted(labels), min(3, len(labels)))]
+            sharded, g = ingested(*_placed(edges, labels, k, strategy), k, tmp_path)
             q = random_pattern(rng, rng.randint(2, 5), rng.randint(1, 8))
             for node in rng.sample(list(q.nodes()), rng.randint(1, 2)):
                 q.add_edge(node, node)
-            for node in rng.sample(list(g.nodes()), min(3, len(g))):
-                g.add_edge(node, node)
-            sharded = ShardedGraph(g, make_partition(g, rng.randint(2, 4), strategy))
             assert sharded_match(q, sharded) == match(q, g)
 
-    def test_attribute_conditions(self):
-        rng = random.Random(31)
-        for _ in range(10):
-            g = DataGraph()
-            n = rng.randint(4, 30)
-            for i in range(n):
-                g.add_node(
-                    i, labels=rng.choice("AB"), attrs={"score": rng.randint(0, 10)}
-                )
-            for _ in range(rng.randint(3, 60)):
-                g.add_edge(rng.randrange(n), rng.randrange(n))
-            q = build_pattern({}, [])
-            q.add_node("hi", (P("score") >= 5).with_label("A"))
-            q.add_node("any", rng.choice("AB"))
-            q.add_edge("hi", "any")
-            sharded = ShardedGraph(g, make_partition(g, 3, rng.choice(STRATEGIES)))
-            assert match(q, sharded) == match(q, g)
-
-    def test_no_match_returns_empty(self):
-        g = build_graph({1: "A", 2: "B"}, [(1, 2)])
-        sharded = ShardedGraph(g, make_partition(g, 2))
+    def test_no_match_returns_empty(self, tmp_path):
+        sharded, _ = ingested([("1", "2")], {"1": "A", "2": "B"}, 2, tmp_path)
         q = build_pattern({"b": "B", "a": "A"}, [("b", "a")])
         assert partial_max_simulation(q, sharded) is None
         assert not sharded_match(q, sharded)
 
-    def test_cross_shard_cascade(self):
+    def test_cross_shard_cascade(self, tmp_path):
         # A chain split across shards: invalidation must travel through
         # the coordinator (shard of 1 learns about 3's failure only via
         # withdrawn assumptions on ghost 2).
-        g = build_graph({1: "A", 2: "B", 3: "C", 4: "D"}, [(1, 2), (2, 3)])
+        n1, n2, n3, n4 = (name_in_shard(i + 1, i % 2, 2) for i in range(4))
+        sharded, g = ingested(
+            [(n1, n2), (n2, n3), (n4, n4)],
+            {n1: "A", n2: "B", n3: "C", n4: "D"},
+            2,
+            tmp_path,
+        )
+        assert [_home(sharded, n) for n in (n1, n2, n3)] == [0, 1, 0]
         q = build_pattern(
             {"a": "A", "b": "B", "c": "C", "d": "D"},
             [("a", "b"), ("b", "c"), ("c", "d")],
         )
-        assignment = {1: 0, 2: 1, 3: 0, 4: 1}
-        sharded = ShardedGraph(g, Partition(g, assignment, 2, "manual"))
         assert partial_max_simulation(q, sharded) is None
         assert match(q, g) == sharded_match(q, sharded)
 
-    def test_failed_evaluation_leaves_nothing_behind(self, monkeypatch):
+    def test_failed_evaluation_leaves_nothing_behind(self, monkeypatch, tmp_path):
         # A local step raising mid-round drops its evaluation's states
         # with it: the sharded graph and the catalog answer the next
         # request as if nothing had happened.
         import repro.shard.psim as psim
 
         rng = random.Random(43)
-        g = random_labeled_graph(rng, 40, 120)
-        sharded = ShardedGraph(g, make_partition(g, 3, "hash"))
+        sharded, g = ingested(*str_keyed(random_labeled_graph(rng, 40, 120)), 3, tmp_path)
         q = random_pattern(rng, 4, 7)
         real = psim.witness_fixpoint
 
@@ -317,18 +329,19 @@ class TestPsimEquivalence:
 # Materialization: merged extensions == single-snapshot extensions
 # ----------------------------------------------------------------------
 class TestShardedMaterialize:
-    def _suite(self, seed, num_shards, strategy):
+    def _suite(self, tmp_path, seed, num_shards, strategy):
         labels = tuple(f"l{i}" for i in range(6))
-        graph = random_graph(150, 400, labels=labels, seed=seed)
+        edges, names = str_keyed(random_graph(150, 400, labels=labels, seed=seed))
+        edges, names = _placed(edges, {n: min(ls) for n, ls in names.items()}, num_shards, strategy)
+        sharded, graph = ingested(edges, names, num_shards, tmp_path)
         definitions = list(generate_views(labels, 8, seed=seed))
         frozen_views = ViewSet(definitions)
         frozen_views.materialize(graph.freeze())
-        sharded = ShardedGraph(graph, make_partition(graph, num_shards, strategy))
         return graph, definitions, frozen_views, sharded
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_extensions_match_single_snapshot(self, strategy):
-        graph, definitions, frozen_views, sharded = self._suite(3, 4, strategy)
+    def test_extensions_match_single_snapshot(self, strategy, tmp_path):
+        graph, definitions, frozen_views, sharded = self._suite(tmp_path, 3, 4, strategy)
         views = ViewSet(definitions)
         views.materialize(sharded)
         assert views.snapshot_token == sharded.snapshot_token
@@ -339,8 +352,8 @@ class TestShardedMaterialize:
             assert extension.compact.token == sharded.snapshot_token
             assert extension.compact.version == sharded.snapshot_version
 
-    def test_matchjoin_fast_path_engages_and_agrees(self):
-        graph, definitions, frozen_views, sharded = self._suite(5, 3, "hash")
+    def test_matchjoin_fast_path_engages_and_agrees(self, tmp_path):
+        graph, definitions, frozen_views, sharded = self._suite(tmp_path, 5, 3, "hash")
         views = ViewSet(definitions)
         views.materialize(sharded)
         for qseed in range(4):
@@ -353,8 +366,8 @@ class TestShardedMaterialize:
             assert result == match_join(query, containment, frozen_views)
             assert result.edge_matches == match(query, graph).edge_matches
 
-    def test_parallel_materialize_matches_single_snapshot(self):
-        _, definitions, frozen_views, sharded = self._suite(7, 4, "bfs")
+    def test_parallel_materialize_matches_single_snapshot(self, tmp_path):
+        _, definitions, frozen_views, sharded = self._suite(tmp_path, 7, 4, "bfs")
         views = ViewSet(definitions)
         parallel_materialize(views, sharded)
         for name in views.names():
@@ -364,8 +377,8 @@ class TestShardedMaterialize:
             )
             assert views.extension(name).compact.token == sharded.snapshot_token
 
-    def test_parallel_materialize_subset(self):
-        _, definitions, frozen_views, sharded = self._suite(9, 2, "label")
+    def test_parallel_materialize_subset(self, tmp_path):
+        _, definitions, frozen_views, sharded = self._suite(tmp_path, 9, 2, "label")
         views = ViewSet(definitions)
         chosen = views.names()[:3]
         parallel_materialize(views, sharded, names=chosen)
@@ -373,9 +386,8 @@ class TestShardedMaterialize:
             assert views.is_materialized(name) == (name in chosen)
         assert views.snapshot_token == sharded.snapshot_token
 
-    def test_empty_view_extension(self):
-        g = build_graph({1: "A", 2: "B"}, [(1, 2)])
-        sharded = ShardedGraph(g, make_partition(g, 2))
+    def test_empty_view_extension(self, tmp_path):
+        sharded, _ = ingested([("1", "2")], {"1": "A", "2": "B"}, 2, tmp_path)
         definition = ViewDefinition(
             "void", build_pattern({"b": "B", "a": "A"}, [("b", "a")])
         )
@@ -384,13 +396,10 @@ class TestShardedMaterialize:
         assert extension.compact is not None
         assert extension.compact.token == sharded.snapshot_token
 
-    def test_bounded_views_fall_back_to_generic_engine(self):
-        from helpers import build_bounded
-
-        g = build_graph(
-            {1: "A", 2: "B", 3: "C"}, [(1, 2), (2, 3)]
+    def test_bounded_views_fall_back_to_generic_engine(self, tmp_path):
+        sharded, g = ingested(
+            [("1", "2"), ("2", "3")], {"1": "A", "2": "B", "3": "C"}, 2, tmp_path
         )
-        sharded = ShardedGraph(g, make_partition(g, 2))
         definition = ViewDefinition(
             "hop2", build_bounded({"a": "A", "c": "C"}, [("a", "c", 2)])
         )
@@ -404,53 +413,53 @@ class TestShardedMaterialize:
             definition.pattern, g
         )
 
-    def test_bounded_simulates_takes_the_shard_dispatch(self):
-        from helpers import build_bounded
-
+    def test_bounded_simulates_takes_the_shard_dispatch(self, tmp_path):
         rng = random.Random(47)
-        for _ in range(10):
-            g = random_labeled_graph(rng, rng.randint(4, 25), rng.randint(4, 60))
+        for _ in range(8):
+            sharded, g = _random_sharded(
+                rng, tmp_path, rng.choice(STRATEGIES), (4, 25), (4, 60), (1, 4)
+            )
             base = random_pattern(rng, rng.randint(2, 4), rng.randint(1, 5))
             q = build_bounded(
                 {u: base.condition(u) for u in base.nodes()},
                 [(u, u1, rng.choice([1, 2, 3])) for u, u1 in base.edges()],
-            )
-            sharded = ShardedGraph(
-                g, make_partition(g, rng.randint(1, 4), rng.choice(STRATEGIES))
             )
             expected = bounded_match(q, g)
             assert bounded_match(q, sharded) == expected
             assert bounded_simulates(q, sharded) == bool(expected)
             assert bounded_simulates(q, g.freeze()) == bool(expected)
 
-    def test_generic_engines_run_on_sharded_graphs(self):
+    def test_generic_engines_run_on_sharded_graphs(self, tmp_path):
         rng = random.Random(41)
-        g = random_labeled_graph(rng, 25, 60)
+        edges, labels = _placed(*str_keyed(random_labeled_graph(rng, 25, 60)), 3, "bfs")
+        sharded, g = ingested(edges, labels, 3, tmp_path)
         q = random_pattern(rng, 3, 5)
-        sharded = ShardedGraph(g, make_partition(g, 3, "bfs"))
         assert dual_match(q, sharded) == dual_match(q, g)
 
 
 # ----------------------------------------------------------------------
-# QueryEngine shards mode
+# QueryEngine booted from a sharded snapshot directory
 # ----------------------------------------------------------------------
 class TestEngineSharded:
     @pytest.fixture
-    def workload(self):
+    def workload(self, tmp_path):
         labels = tuple(f"l{i}" for i in range(6))
-        graph = random_graph(150, 400, labels=labels, seed=8)
+        edges, names = str_keyed(random_graph(150, 400, labels=labels, seed=8))
         definitions = list(generate_views(labels, 8, seed=8))
         queries = [
             query_from_views(ViewSet(definitions), 4, 6, seed=s) for s in range(4)
         ]
-        return graph, definitions, queries
+
+        def boot(num_shards):
+            snapdir, graph = ingested_dir(edges, names, num_shards, tmp_path)
+            return graph, QueryEngine(ViewSet(definitions), snapshot_path=snapdir)
+
+        return definitions, queries, boot
 
     def test_answers_equal_single_snapshot_engine(self, workload):
-        graph, definitions, queries = workload
+        definitions, queries, boot = workload
+        graph, sharded = boot(3)
         plain = QueryEngine(ViewSet(definitions), graph=graph)
-        sharded = QueryEngine(
-            ViewSet(definitions), graph=graph, shards=3, partitioner="bfs"
-        )
         assert isinstance(sharded.snapshot(), ShardedGraph)
         for a, b, q in zip(
             plain.answer_batch(queries), sharded.answer_batch(queries), queries
@@ -462,46 +471,9 @@ class TestEngineSharded:
         # Warm cache serves the repeat.
         assert all(r.stats.cache_hit for r in sharded.answer_batch(queries))
 
-    def test_snapshot_partitioned_once_and_follows_mutations(self, workload):
-        graph, definitions, _ = workload
-        engine = QueryEngine(ViewSet(definitions), graph=graph, shards=2)
-        first = engine.snapshot()
-        assert engine.snapshot() is first
-        graph.add_node("fresh", labels="l0")
-        second = engine.snapshot()
-        assert second is not first
-        assert second.snapshot_version == graph.version
-        assert "fresh" in second
-
-    def test_maintenance_event_refreshes_sharded_snapshot(self, workload):
-        graph, definitions, _ = workload
-        tracker = IncrementalViewSet(definitions[:2], graph)
-        engine = QueryEngine(ViewSet(definitions[:2]), graph=graph, shards=2)
-        engine.attach_maintenance(tracker)
-        first = engine.snapshot()
-        assert isinstance(first, ShardedGraph)
-        nodes = list(tracker.graph.nodes())
-        source = next(
-            node for node in nodes
-            if not tracker.graph.has_edge(node, nodes[0])
-        )
-        tracker.insert_edge(source, nodes[0])
-        second = engine.snapshot()
-        # Refreshed -- only the shard owning the new edge's source is
-        # rebuilt, the other is reused by reference, and the composite
-        # token chains to the previous snapshot.
-        assert isinstance(second, ShardedGraph)
-        assert second is not first
-        assert second.extends_token == first.snapshot_token
-        touched = second.partition.shard_of(source)
-        for index in range(second.num_shards):
-            if index != touched:
-                assert second.shard(index) is first.shard(index)
-        assert second.has_edge(source, nodes[0])
-
     def test_direct_fallback_runs_psim(self, workload):
-        graph, definitions, _ = workload
-        engine = QueryEngine(ViewSet(definitions), graph=graph, shards=3)
+        _, _, boot = workload
+        graph, engine = boot(3)
         # A query over a label no view covers: planner goes direct.
         uncovered = build_pattern({"x": "l0", "y": "l1"}, [("x", "y")])
         plan = engine.plan(uncovered)
@@ -509,19 +481,10 @@ class TestEngineSharded:
         assert result.edge_matches == match(uncovered, graph).edge_matches
 
     def test_shards_one_is_honored(self, workload):
-        graph, definitions, queries = workload
-        engine = QueryEngine(ViewSet(definitions), graph=graph, shards=1)
+        _, queries, boot = workload
+        graph, engine = boot(1)
         snapshot = engine.snapshot()
         assert isinstance(snapshot, ShardedGraph)
         assert snapshot.num_shards == 1
         result = engine.answer(queries[0])
         assert result.edge_matches == match(queries[0], graph).edge_matches
-
-    def test_rejects_bad_shard_arguments(self, workload):
-        graph, definitions, _ = workload
-        with pytest.raises(ValueError):
-            QueryEngine(ViewSet(definitions), graph=graph, shards=0)
-        with pytest.raises(ValueError):
-            QueryEngine(
-                ViewSet(definitions), graph=graph, shards=2, partitioner="metis"
-            )

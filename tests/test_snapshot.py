@@ -15,10 +15,11 @@ import json
 import os
 import random
 import shutil
+from pathlib import Path
 
 import pytest
 
-from helpers import random_labeled_graph, shm_segments
+from helpers import ingested, ingested_dir, random_labeled_graph, shm_segments, str_keyed
 from repro.cli import main as cli_main
 from repro.datasets import generate_views, query_from_views, random_graph
 from repro.engine import QueryEngine
@@ -30,7 +31,8 @@ from repro.graph.snapshot import (
     SnapshotError,
     SnapshotStore,
 )
-from repro.shard import ShardedGraph, StreamingHashPartitioner, make_partition
+from repro.shard import StreamingHashPartitioner
+from repro.shard.partitioner import _stable_hash
 from repro.shard.psim import sharded_match
 from repro.simulation import match
 from repro.views.storage import ViewSet
@@ -193,7 +195,7 @@ def _layout(kind, path, overwrite=False):
     refreshed compact graph (``patch.pkl``) with segment-backed views."""
     graph = random_graph(80, 200, labels=LABELS, seed=71)
     if kind == "sharded":
-        snapshot = ShardedGraph(graph, make_partition(graph, 2, "hash"))
+        snapshot, _ = ingested(*str_keyed(graph), 2, Path(path).parent)
     else:
         graph.freeze()
         nodes = sorted(graph.nodes(), key=repr)
@@ -333,7 +335,7 @@ class TestViewsRoundTrip:
 class TestShardedRoundTrip:
     def test_sharded_save_load_equivalence(self, tmp_path):
         graph, views, query = _workload(seed=29)
-        sharded = ShardedGraph(graph, make_partition(graph, 3, "hash"))
+        sharded, graph = ingested(*str_keyed(graph), 3, tmp_path)
         before = sharded_match(query, sharded)
         SnapshotStore.save(tmp_path / "snap", sharded)
         loaded = SnapshotStore.load(tmp_path / "snap", verify=True)
@@ -366,16 +368,14 @@ class TestIngest:
                 if node not in reference:
                     reference.add_node(node, labels=_labeler(node))
             reference.add_edge(s, t)
-        sharded = ShardedGraph(
-            reference, make_partition(reference, 3, "hash")
-        )
         loaded = SnapshotStore.load(tmp_path / "snap", verify=True)
         revived = loaded.graph
         assert report.edges == reference.num_edges == revived.num_edges
         assert report.nodes == reference.num_nodes == revived.num_nodes
-        assert revived.num_shards == sharded.num_shards
-        assert set(revived.partition.cross_edges) == set(
-            sharded.partition.cross_edges
+        assert revived.num_shards == 3
+        assert set(revived.edges()) == set(reference.edges())
+        assert report.cut_edges == revived.edge_cut == sum(
+            _stable_hash(s) % 3 != _stable_hash(t) % 3 for s, t in reference.edges()
         )
         views = ViewSet(generate_views(LABELS, 5, seed=29))
         query = query_from_views(views, 4, 6, seed=29)
@@ -447,10 +447,9 @@ class TestEngineBoot:
 
     def test_sharded_boot_adopts_shards(self, tmp_path):
         graph, views, query = _workload(seed=43)
-        sharded = ShardedGraph(graph, make_partition(graph, 3, "hash"))
-        SnapshotStore.save(tmp_path / "snap", sharded)
+        snapdir, graph = ingested_dir(*str_keyed(graph), 3, tmp_path)
         views.materialize(graph)
-        booted = QueryEngine(views, snapshot_path=tmp_path / "snap")
+        booted = QueryEngine(views, snapshot_path=snapdir)
         assert booted.snapshot().num_shards == 3
         expected = QueryEngine(views, graph=graph).answer(query)
         assert booted.answer(query).edge_matches == expected.edge_matches
@@ -460,8 +459,6 @@ class TestEngineBoot:
         SnapshotStore.save(tmp_path / "snap", graph)
         with pytest.raises(ValueError, match="snapshot_path"):
             QueryEngine(views, graph=graph, snapshot_path=tmp_path / "snap")
-        with pytest.raises(ValueError, match="compact"):
-            QueryEngine(views, snapshot_path=tmp_path / "snap", shards=4)
         with pytest.raises(ValueError, match="view catalog"):
             QueryEngine()
 
@@ -567,9 +564,14 @@ class TestCli:
         write_graph(graph, tmp_path / "g.json")
         assert cli_main([
             "snapshot", "save", "--graph", str(tmp_path / "g.json"),
-            "--out", str(tmp_path / "snap"), "--shards", "2",
+            "--out", str(tmp_path / "snap"),
         ]) == 0
-        assert "saved sharded snapshot" in capsys.readouterr().out
+        assert "saved compact snapshot" in capsys.readouterr().out
         loaded = SnapshotStore.load(tmp_path / "snap")
-        assert loaded.graph.num_shards == 2
         assert loaded.graph.num_edges == graph.num_edges
+        # Sharded directories come from `repro ingest` only.
+        with pytest.raises(SystemExit):
+            cli_main([
+                "snapshot", "save", "--graph", str(tmp_path / "g.json"),
+                "--out", str(tmp_path / "sharded"), "--shards", "2",
+            ])

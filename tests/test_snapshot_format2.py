@@ -3,12 +3,11 @@
 A sharded snapshot directory holds, per shard, the flat int rows an
 id-space evaluation needs (local -> global id row, bridge pairs), so a
 reload attaches instead of rebuilding; everything keyed by node name is
-derived on first name-based access.  The property below checks that a
-reloaded graph is indistinguishable from the in-memory one over the
-whole read API, for both producers of the format; the count-based tests
-check that a load plus a direct match really does none of the old work;
-the out-of-core test streams 1x/10x/30x edge counts through ingest under
-one fixed RSS ceiling.
+derived on first name-based access.  The property below checks that an
+ingested graph answers exactly like the single snapshot of the same
+edges; the count-based tests check that a load plus a direct match
+really does none of the old work; the out-of-core test streams
+1x/10x/30x edge counts through ingest under one fixed RSS ceiling.
 """
 
 import json
@@ -19,8 +18,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import random_pattern
+from helpers import ingested, random_pattern
 from repro.cli import main as cli_main
+from repro.core.containment import contains
+from repro.core.matchjoin import match_join
 from repro.engine import QueryEngine
 from repro.graph import ANY, BoundedPattern, DataGraph
 from repro.graph.compact import CompactGraph
@@ -28,41 +29,16 @@ from repro.graph.flatbuf import SegmentFormatError
 from repro.graph.ingest import ingest_snapshot
 from repro.graph.io import graph_from_edges
 from repro.graph.snapshot import SnapshotStore
-from repro.shard import ShardedGraph, make_partition
+from repro.shard.partitioner import _stable_hash
 from repro.simulation import bounded_match, match
 from repro.views.storage import ViewSet
+from repro.views.view import ViewDefinition
 
 LABELS = "ABC"
 
 
 def _labeler(node):
     return (LABELS[int(node[1:]) % len(LABELS)],)
-
-
-def _instance(seed, with_attrs):
-    """Edge list over string node ids (ingest needs them), its reference
-    dict graph built edge by edge (ingest carries no attributes), and a
-    (bounded) query pair."""
-    rng = random.Random(seed)
-    num_nodes = rng.randint(3, 24)
-    edges = [
-        (f"n{rng.randrange(num_nodes)}", f"n{rng.randrange(num_nodes)}")
-        for _ in range(rng.randint(3, 60))
-    ]
-    graph = DataGraph()
-    for source, target in edges:
-        for node in (source, target):
-            if node not in graph:
-                attrs = {"k": len(node)} if with_attrs else None
-                graph.add_node(node, labels=_labeler(node), attrs=attrs)
-        graph.add_edge(source, target)
-    query = random_pattern(rng, rng.randint(2, 4), rng.randint(1, 5))
-    bounded = BoundedPattern()
-    for node in query.nodes():
-        bounded.add_node(node, query.condition(node))
-    for source, target in query.edges():
-        bounded.add_edge(source, target, rng.choice([1, 2, ANY]))
-    return rng, edges, graph, query, bounded
 
 
 def _bridge_names(sharded):
@@ -82,120 +58,74 @@ def _bridge_names(sharded):
     return found
 
 
-def assert_same_sharded_graph(got, want, reference):
-    """``got`` equals ``want`` (and the dict ``reference``) on the whole
-    read API, compared through node keys so it holds whatever local id
-    order each producer chose."""
-    assert (got.num_shards, got.num_nodes, got.num_edges, got.edge_cut) == (
-        want.num_shards, want.num_nodes, want.num_edges, want.edge_cut,
-    )
-    assert got.strategy == want.strategy
-    assert len(got) == reference.num_nodes
-    assert set(got.nodes()) == set(reference.nodes()) == set(got.node_table)
-    assert set(got.edges()) == set(reference.edges())
-    for node in reference.nodes():
-        assert node in got
-        assert got.labels(node) == reference.labels(node)
-        assert got.attrs(node) == reference.attrs(node)
-        assert got.successors(node) == reference.successors(node)
-        assert got.predecessors(node) == reference.predecessors(node)
-        assert got.in_degree(node) == reference.in_degree(node)
-        assert got.node_of(got.id_of(node)) == node
-        assert got.node_table[got.id_of(node)] == node
-        assert set(got.ghost_shards(node)) == set(want.ghost_shards(node))
-        home, local = got.owner_id(node)
-        assert home == want.owner_id(node)[0]
-        assert got.shard(home).node_of(local) == node
-    assert sorted(got.id_of(node) for node in reference.nodes()) == list(
-        range(reference.num_nodes)
-    )
-    assert "missing" not in got
-    for label in LABELS + "Z":
-        assert sorted(got.nodes_with_label(label)) == sorted(
-            reference.nodes_with_label(label)
-        )
-    assert got.label_index_stats() == want.label_index_stats()
-    assert got.boundary_nodes == want.boundary_nodes
-    assert set(got.partition.cross_edges) == set(want.partition.cross_edges)
-    assert got.partition.assignment == want.partition.assignment
-    for index in range(got.num_shards):
-        assert got.own_count(index) == want.own_count(index)
-        assert set(got.ghost_ids(index)) == set(want.ghost_ids(index))
-        assert set(got.partition.nodes_of(index)) == set(want.partition.nodes_of(index))
-        assert got.partition.ghosts_of(index) == want.partition.ghosts_of(index)
-        row = got.global_row(index)
-        shard = got.shard(index)
-        assert len(row) == shard.num_nodes
-        for local, global_id in enumerate(row):
-            assert got.node_of(global_id) == shard.node_of(local)
-        for node, ghost in got.ghost_ids(index).items():
-            assert shard.node_of(ghost) == node
-    assert _bridge_names(got) == _bridge_names(want)
-
-
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=10_000),
     shards=st.integers(min_value=1, max_value=4),
-    producer=st.sampled_from(["save", "ingest"]),
 )
-def test_reloaded_sharded_graph_equals_in_memory(seed, shards, producer):
-    rng, edges, graph, query, bounded = _instance(seed, producer == "save")
+def test_ingested_graph_equals_single_snapshot(seed, shards):
+    """For k = 1..4 an ingested graph answers like the single snapshot
+    of the same edges: ``match``, ``bounded_match`` (``*`` bounds and
+    self-loops included), materialize -> MatchJoin, and the traversal
+    reads."""
+    rng = random.Random(seed)
+    num_nodes = rng.randint(3, 24)
+    edges = [
+        (f"n{rng.randrange(num_nodes)}", f"n{rng.randrange(num_nodes)}")
+        for _ in range(rng.randint(3, 60))
+    ]
+    edges += [(node, node) for node, _ in rng.sample(edges, 2)]
+    query = random_pattern(rng, rng.randint(2, 4), rng.randint(1, 5))
+    query.add_edge(*rng.choice(sorted(query.edges())))
+    loop = rng.choice(sorted(query.nodes()))
+    query.add_edge(loop, loop)
+    bounded = BoundedPattern()
+    for node in query.nodes():
+        bounded.add_node(node, query.condition(node))
+    for source, target in query.edges():
+        bounded.add_edge(source, target, rng.choice([1, 2, ANY]))
     with tempfile.TemporaryDirectory() as tmp:
-        if producer == "save":
-            strategy = rng.choice(["hash", "label", "bfs"])
-            want = ShardedGraph(graph, make_partition(graph, shards, strategy))
-            SnapshotStore.save(tmp, want, overwrite=True)
-        else:
-            want = ShardedGraph(graph, make_partition(graph, shards, "hash"))
-            ingest_snapshot(
-                iter(edges), tmp, num_shards=shards, budget_bytes=256,
-                labeler=_labeler, overwrite=True,
-            )
-        got = SnapshotStore.load(tmp, verify=True).graph
-        if producer == "save":
-            # Same local id order on both sides: the rows are equal as
-            # they stand, not just up to naming.
-            for index in range(shards):
-                assert got.global_row(index) == want.global_row(index)
-                assert got.bridges(index) == want.bridges(index)
-                assert got.ghost_ids(index) == want.ghost_ids(index)
-        assert_same_sharded_graph(got, want, graph)
+        got, graph = ingested(edges, _labeler, shards, tmp)
+        single = graph.freeze()
+        assert (got.num_shards, got.num_nodes, got.num_edges) == (
+            shards, single.num_nodes, single.num_edges,
+        )
         for pattern, evaluate in ((query, match), (bounded, bounded_match)):
-            assert (
-                evaluate(pattern, got).edge_matches
-                == evaluate(pattern, graph).edge_matches
+            assert evaluate(pattern, got) == evaluate(pattern, single)
+        views = ViewSet([
+            ViewDefinition("q", query),
+            ViewDefinition("r", random_pattern(rng, 3, 3)),
+        ])
+        views.materialize(got)
+        containment = contains(query, views)
+        assert containment.holds
+        # The answer is the edge matches (a join reports a sink's node
+        # matches as the targets it reached, Match as all candidates).
+        assert (
+            match_join(query, containment, views).edge_matches
+            == match(query, single).edge_matches
+        )
+        for node in graph.nodes():
+            assert got.successors(node) == single.successors(node)
+            assert got.predecessors(node) == single.predecessors(node)
+            bound = rng.randint(1, 4)
+            assert got.descendants_within(node, bound) == single.descendants_within(
+                node, bound
             )
+        # The boundary rows bridge exactly the cut edges' targets.
+        def home(node):
+            return _stable_hash(node) % shards
 
-        # refreshed(): patch both with the same update batch.
-        version = graph.version
-        nodes = sorted(graph.nodes())
-        source, target = rng.choice(nodes), rng.choice(nodes)
-        if not graph.has_edge(source, target):
-            graph.add_edge(source, target)
-        removable = sorted(graph.edges())
-        graph.remove_edge(*rng.choice(removable))
-        if rng.random() < 0.5:
-            graph.add_node("n999", labels=_labeler("n999"))
-            graph.add_edge(rng.choice(nodes), "n999")
-        ops = graph.edge_changes_since(version)
-        got2, want2 = got.refreshed(graph, ops), want.refreshed(graph, ops)
-        assert got2.extends_token == got.snapshot_token
-        assert_same_sharded_graph(got2, want2, graph)
-        for node in nodes:
-            assert got2.id_of(node) == got.id_of(node)
-        for pattern, evaluate in ((query, match), (bounded, bounded_match)):
-            assert (
-                evaluate(pattern, got2).edge_matches
-                == evaluate(pattern, graph).edge_matches
-            )
+        assert _bridge_names(got) == {
+            (home(t), home(s), t) for s, t in graph.edges() if home(s) != home(t)
+        }
 
 
 # ----------------------------------------------------------------------
 # Laziness, by counting
 # ----------------------------------------------------------------------
 @pytest.fixture
-def ingested(tmp_path):
+def snapdir(tmp_path):
     rng = random.Random(11)
     edges = [
         (f"n{rng.randrange(400)}", f"n{rng.randrange(400)}") for _ in range(1500)
@@ -205,8 +135,8 @@ def ingested(tmp_path):
     return tmp_path / "snap", edges, query
 
 
-def test_load_plus_direct_match_does_no_name_work(ingested, monkeypatch):
-    path, edges, query = ingested
+def test_load_plus_direct_match_does_no_name_work(snapdir, monkeypatch):
+    path, edges, query = snapdir
     calls = {"id_of": 0, "node_of": 0}
     real_id_of, real_node_of = CompactGraph.id_of, CompactGraph.node_of
 
@@ -238,7 +168,7 @@ def test_load_plus_direct_match_does_no_name_work(ingested, monkeypatch):
     loaded = SnapshotStore.load(path)
     assert calls == {"id_of": 0, "node_of": 0}
     graph = loaded.graph
-    derived = ("_home", "_ghost_ids", "_ghost_shards", "node_table", "partition")
+    derived = ("_home", "_ghost_shards", "node_table")
     assert not [name for name in derived if name in vars(graph)]
 
     engine = QueryEngine(ViewSet(), snapshot_path=loaded)
@@ -265,11 +195,10 @@ def test_load_plus_direct_match_does_no_name_work(ingested, monkeypatch):
     # The first name-based access derives what it needs, once.
     assert graph.predecessors("n1") == reference.predecessors("n1")
     assert "_home" in vars(graph) and "_ghost_shards" in vars(graph)
-    assert "partition" not in vars(graph)
 
 
-def test_sharded_answer_counts_without_decoding_any_shard(ingested):
-    path, edges, query = ingested
+def test_sharded_answer_counts_without_decoding_any_shard(snapdir):
+    path, edges, query = snapdir
     loaded = SnapshotStore.load(path)
     graph = loaded.graph
     shards = [graph.shard(i) for i in range(graph.num_shards)]
@@ -291,8 +220,8 @@ def test_sharded_answer_counts_without_decoding_any_shard(ingested):
 # ----------------------------------------------------------------------
 # info / verify cover the boundary rows
 # ----------------------------------------------------------------------
-def test_info_lists_boundary_rows_and_verify_checks_them(ingested, capsys):
-    path, _, _ = ingested
+def test_info_lists_boundary_rows_and_verify_checks_them(snapdir, capsys):
+    path, _, _ = snapdir
     info = SnapshotStore.info(path, verify=True)
     graph = SnapshotStore.load(path).graph
     assert info["manifest"]["format"] == 2
@@ -300,7 +229,8 @@ def test_info_lists_boundary_rows_and_verify_checks_them(ingested, capsys):
     for index, (fname, row) in enumerate(sorted(info["boundary"].items())):
         assert fname in info["verified_segments"]
         assert row["rows"] == graph.shard(index).num_nodes
-        assert row["bridge_pairs"] == len(graph.ghost_ids(index))
+        ghosts = graph.shard(index).num_nodes - graph.own_count(index)
+        assert row["bridge_pairs"] == ghosts
         assert row["bytes"] == info["files"][fname]
 
     assert cli_main(["snapshot", "info", str(path), "--format", "json"]) == 0
