@@ -91,9 +91,9 @@ async def main() -> None:
                 await asyncio.sleep(0)
 
         async def updater(batches: int) -> None:
-            # The tracker maintains its own graph copy (the engine
-            # adopts it on attach) -- probe *that* for edge existence.
-            live = tracker.graph
+            # The tracker maintains ``graph`` in place (the engine
+            # evaluates on the same object): probe it for edge existence.
+            live = graph
             nodes = list(range(graph.num_nodes))
             for _ in range(batches):
                 delta = Delta()

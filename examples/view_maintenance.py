@@ -6,10 +6,11 @@ appear and disappear.  This example drives the delta-driven maintenance
 pipeline end to end:
 
 * a day of churn arrives as batched :class:`~repro.views.Delta` updates
-  applied through an :class:`~repro.views.maintenance.IncrementalViewSet`
-  -- deletions prune only the affected matches, insertions revive
+  applied through the engine to the
+  :class:`~repro.views.maintenance.IncrementalViewSet` it attached --
+  one graph, updated in place; deletions prune only the affected matches, insertions revive
   matches inside the affected area, irrelevant updates are near-free;
-* a :class:`~repro.engine.QueryEngine` follows the stream and keeps its
+* the :class:`~repro.engine.QueryEngine` follows the stream and keeps its
   answer cache keyed per view: queries over views the churn never
   touched keep hitting the cache while the changed views' answers
   refresh;
@@ -114,7 +115,7 @@ def main() -> None:
     changed_rounds = 0
     audience_hits = 0
     for delta in batches:
-        report = tracker.apply_delta(delta)
+        report = engine.apply_delta(delta)
         if report.changed_views:
             changed_rounds += 1
         # The engine refreshes only what each batch changed: answers

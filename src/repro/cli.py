@@ -40,9 +40,9 @@ pass ``--graph`` only if extensions still need materializing);
 :class:`~repro.engine.engine.QueryEngine` (``--repeat`` demonstrates
 the warm answer cache, ``--explain`` prints plans without executing);
 ``maintain`` replays an edge
-update stream (``+ u v`` / ``- u v`` lines) through the delta-driven
-maintenance pipeline in batches, reporting per-layer refresh statistics
--- per-view incremental/recompute/irrelevant counts, snapshot
+update stream (``+ u v`` / ``- u v`` lines) through a maintained
+engine (built like ``serve``'s) in batches, reporting per-layer
+refresh statistics -- per-view incremental/recompute/irrelevant counts, snapshot
 refresh-vs-rebuild counts, and how many batches left each view's
 cached answers retainable (``--verify`` additionally asserts every
 checkpoint against a from-scratch rematerialization); ``serve`` runs
@@ -231,11 +231,10 @@ def _cmd_engine(args) -> int:
 
 
 def _cmd_maintain(args) -> int:
-    import warnings
-
+    from repro.engine import QueryEngine
     from repro.graph.io import read_graph
     from repro.views.io import read_viewset
-    from repro.views.maintenance import Delta
+    from repro.views.maintenance import Delta, IncrementalViewSet
     from repro.views.view import materialize as _materialize
 
     graph = read_graph(args.graph)
@@ -246,13 +245,12 @@ def _cmd_maintain(args) -> int:
     except (OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    with warnings.catch_warnings():
-        # The skipped-bounded warning is surfaced in the report instead.
-        warnings.simplefilter("ignore", UserWarning)
-        tracker = views.track(graph)
-    # Engage the snapshot layer so the report can show refresh-vs-
-    # rebuild behaviour of the frozen graph under the same stream.
-    previous = tracker.graph.freeze()
+    # Built the way `serve` builds its engine: the tracker maintains the
+    # engine's own graph and every batch goes through the engine.
+    tracker = IncrementalViewSet(views.definitions(), graph)
+    engine = QueryEngine(views, graph=graph)
+    engine.attach_maintenance(tracker)
+    previous = engine.snapshot()
     batch_size = max(1, args.batch)
     ops = delta.ops
     batches = [
@@ -264,14 +262,14 @@ def _cmd_maintain(args) -> int:
     applied = skipped = 0
     stale_bounded: set = set()
     for batch in batches:
-        report = views.apply_delta(batch)
+        report = engine.apply_delta(batch)
         applied += report.applied
         skipped += report.skipped
         stale_bounded.update(report.stale_bounded)
         for name in tracker.names():
             if name not in report.changed_views:
                 retained_batches[name] += 1
-        refreshed = tracker.graph.freeze()
+        refreshed = engine.snapshot()
         if refreshed is not previous:
             if refreshed.extends_token == previous.snapshot_token:
                 snapshot_refreshes += 1
@@ -280,8 +278,8 @@ def _cmd_maintain(args) -> int:
             previous = refreshed
         if args.verify:
             for name in tracker.names():
-                fresh = _materialize(tracker.definition(name), tracker.graph)
-                if tracker.extension(name).edge_matches != fresh.edge_matches:
+                fresh = _materialize(views.definition(name), graph)
+                if views.extension(name).edge_matches != fresh.edge_matches:
                     print(
                         f"error: view {name!r} diverged from "
                         "rematerialization",

@@ -2,9 +2,10 @@
 
 The paper's three stages (Section II-B) are functions of ``(Qs, V,
 V(G))``; what a deployment adds is an owner of that state.  The view
-catalog, the data graph, its frozen snapshot, the maintenance cursor
-and **the lock** live in :class:`Catalog`, and every mutation of any of
-them is one of its methods.
+catalog, the data graph, its frozen snapshot, the maintenance tracker
+(which updates that same graph in place) with its cursor, and **the
+lock** live in :class:`Catalog`, and every mutation of any of them is
+one of its methods.
 
 Readers get the state as a :class:`~repro.engine.planner.PlanningState`
 in one of two forms.  The live catalog: mutations and :meth:`~Catalog.snapshot`
@@ -91,7 +92,8 @@ class EngineCheckpoint(Evaluated, PlanningState):
 
 
 class Catalog(PlanningState):
-    """Views + graph + frozen snapshot + maintenance cursor + the lock.
+    """Views + graph + frozen snapshot + maintenance tracker and cursor
+    + the lock.
 
     Parameters are :class:`~repro.engine.engine.QueryEngine`'s.  With ``snapshot_path`` (a directory, or an already-loaded
     :class:`~repro.graph.snapshot.LoadedSnapshot`) the mmap-backed
@@ -137,6 +139,11 @@ class Catalog(PlanningState):
         #: The snapshot directory booted from (``None`` for live graphs).
         self.snapshot_path: Optional[str] = loaded.path if loaded else None
         self._snapshot = loaded.graph if loaded else None
+        #: The attached tracker (``None`` until
+        #: :meth:`attach_maintenance`) and its cursor: the ``seq`` this
+        #: catalog last imported at.
+        self.maintenance: Optional[IncrementalViewSet] = None
+        self._seq = 0
         #: Serializes every mutation of the state above.  Reentrant:
         #: plan -> sync -> snapshot nest.  Evaluation runs outside it.
         self.lock = threading.RLock()
@@ -231,49 +238,56 @@ class Catalog(PlanningState):
     # Maintenance
     # ------------------------------------------------------------------
     def attach_maintenance(self, tracker: IncrementalViewSet) -> None:
-        """Follow ``tracker`` (see :meth:`ViewSet.follow`) and adopt
-        its maintained graph copy as the evaluation graph -- direct
-        evaluation, materialization and snapshot refresh must follow
-        the update stream the views do.  Whatever it applies from here
-        on, in batches or driven directly, the next plan or evaluation
-        consumes first (:meth:`sync`): only the views it *changed* are
-        re-imported and re-stamped, so cached answers over the others
-        stay live; bounded views, which it cannot maintain, are flagged
-        stale and rematerialized on their next read."""
+        """Keep the catalog fresh from ``tracker``, which must maintain
+        this catalog's own graph (``tracker.graph is self.graph``; else
+        ``ValueError``) -- one ``G`` for the views, direct evaluation
+        and snapshot refresh alike.  Definitions the catalog lacks are
+        added, and the first sync imports every maintained extension.
+        Re-attaching the same tracker is a no-op; a second is rejected."""
         with self.lock:
-            self.views.follow(tracker)
-            if self.graph is not None and self.graph is not tracker.graph:
-                self.graph = tracker.graph
-                self._snapshot = None
+            if self.maintenance is tracker:
+                return
+            if self.maintenance is not None:
+                raise ValueError("a maintenance tracker is already attached")
+            if tracker.graph is not self.graph:
+                raise ValueError(
+                    "the tracker must maintain the engine's own graph: "
+                    "build it as IncrementalViewSet(definitions, engine.graph)"
+                )
+            for name in tracker.names():
+                if name not in self.views:
+                    self.views.add(tracker.definition(name))
+            self.maintenance = tracker
+            self._seq = -1  # the first import takes everything
             self.sync()
 
-    def sync(self) -> None:
-        """Consume whatever the tracker applied since the last sync.
-        The cursor is the :class:`ViewSet`'s; comparing it on every
-        read is what lets callers drive the tracker directly
-        (``tracker.delete_edge(...)`` then ``engine.answer``).  The
-        catalog adds what needs a snapshot
-        (:func:`repro.engine.maintenance.consume`)."""
-        if self.views.maintenance_pending():
-            from repro.engine.maintenance import consume
+    def sync(self) -> Tuple[str, ...]:
+        """Consume whatever the tracker applied since the cursor
+        (:func:`repro.engine.maintenance.consume`) and return the
+        bounded views that left stale.  Every read calls it, so a batch
+        applied straight to the tracker (``tracker.apply_delta``) is
+        picked up before the next plan or evaluation."""
+        tracker = self.maintenance
+        if tracker is None or tracker.seq == self._seq:
+            return ()
+        from repro.engine.maintenance import consume
 
-            with self.lock:
-                consume(self)
+        with self.lock:
+            cursor, self._seq = self._seq, tracker.seq
+            return consume(self.views, tracker, cursor, self.snapshot())
 
     def apply_delta(self, delta: Delta) -> DeltaReport:
         """Apply a maintenance batch atomically w.r.t. concurrent
         readers: tracker update, snapshot refresh, changed-view
         re-import and bounded-view staleness, all under the lock."""
         with self.lock:
-            tracker = self.views.maintenance
-            if tracker is None:
+            if self.maintenance is None:
                 raise ValueError(
                     "no maintenance tracker attached; call "
                     "attach_maintenance() first"
                 )
-            report = tracker.apply_delta(delta)
-            self.sync()
-            return self.views.report_stale(report)
+            report = self.maintenance.apply_delta(delta)
+            return report._replace(stale_bounded=self.sync())
 
     # ------------------------------------------------------------------
     # Checkpoints

@@ -119,8 +119,8 @@ class QueryEngine:
 
     @property
     def maintenance(self) -> Optional[IncrementalViewSet]:
-        """The attached maintenance tracker (``None`` when detached)."""
-        return self.catalog.views.maintenance
+        """The attached maintenance tracker (``None`` until attached)."""
+        return self.catalog.maintenance
 
     def snapshot(self):
         """The frozen view of ``G`` (see :meth:`Catalog.snapshot`)."""
@@ -163,15 +163,9 @@ class QueryEngine:
         return self.catalog.evict(names)
 
     def attach_maintenance(self, tracker: IncrementalViewSet) -> None:
-        """Keep the catalog fresh from ``tracker`` and evaluate on its
-        graph copy (see :meth:`Catalog.attach_maintenance`)."""
+        """Keep the catalog fresh from ``tracker``, which maintains this
+        engine's own graph (see :meth:`Catalog.attach_maintenance`)."""
         self.catalog.attach_maintenance(tracker)
-
-    def detach_maintenance(self) -> None:
-        """Stop following the attached tracker (keeps current extensions
-        and the adopted graph)."""
-        with self.catalog.lock:
-            self.catalog.views.unfollow()
 
     def apply_delta(self, delta: Delta) -> DeltaReport:
         """Apply a maintenance batch atomically w.r.t. concurrent

@@ -1,40 +1,55 @@
-"""The catalog's half of a maintenance sync: what needs a snapshot.
+"""The catalog's maintenance import: one function, :func:`consume`.
 
-:class:`~repro.views.storage.ViewSet` owns the pull cursor.  A
-:class:`~repro.engine.catalog.Catalog` adds, in :func:`consume`:
-refresh the snapshot from the graph's edge-op journal, bind the changed
-imports into its id space, and re-stamp the unchanged extensions onto
-its token -- so the whole catalog shares one token again and MatchJoin
-stays on the integer fast path through the update stream.  Loaded by
-the first sync with something to consume, never by an unmaintained
-engine.
+A :class:`~repro.engine.catalog.Catalog` owns the attached
+:class:`~repro.views.maintenance.IncrementalViewSet` and its ``seq``
+cursor; whenever the tracker has moved past the cursor, :func:`consume`
+brings the catalog level with it against the refreshed snapshot:
+changed views are bound into its id space and installed (re-stamped),
+unchanged ones are re-stamped onto its token without a version bump --
+so the whole catalog shares one token again and MatchJoin stays on the
+integer fast path through the update stream -- and bounded views,
+which the tracker cannot maintain, are flagged stale.  Loaded by the
+first sync with something to consume, never by an unmaintained engine.
 """
 
 from __future__ import annotations
 
+import logging
+from typing import Tuple
+
+from repro.obs.metrics import get_registry
 from repro.views.view import bind_extension
 
-
-def consume(catalog) -> None:
-    """Import what the followed tracker changed (catalog lock held)."""
-    views = catalog.views
-    # Refresh the snapshot first (cheap, journal-driven) so changed
-    # extensions bind straight into the new id space.
-    snapshot = catalog.snapshot()
-    if snapshot is None:
-        views.import_maintenance()
-        return
-    changed = views.import_maintenance(
-        lambda extension: bind_extension(extension, snapshot)
-    )
-    rebind_unchanged(views, set(changed), snapshot)
+log = logging.getLogger(__name__)
 
 
-def rebind_unchanged(views, changed, snapshot) -> None:
-    """Re-stamp unchanged snapshot-bound extensions onto the refreshed
-    snapshot's token (no version bump: the match sets are identical,
-    only provenance moved)."""
-    extends = getattr(snapshot, "extends_token", None)
+def consume(views, tracker, cursor: int, snapshot) -> Tuple[str, ...]:
+    """Import what ``tracker`` applied after update number ``cursor``
+    into ``views``, bound to ``snapshot`` (catalog lock held).  Returns
+    the bounded views flagged stale -- every materialized one, when the
+    tracker applied any update since the cursor.  A ``cursor`` of -1
+    (a fresh attachment) imports every maintained view."""
+    changed = tracker.changed_since(cursor)
+    for name in changed:
+        views.set_extension(bind_extension(tracker.extension(name), snapshot))
+    stale: Tuple[str, ...] = ()
+    if tracker.seq > max(cursor, 0):
+        stale = tuple(
+            name
+            for name in views.names()
+            if views.definition(name).is_bounded and views.is_materialized(name)
+        )
+        for name in stale:
+            views.mark_stale(name)
+        if stale:
+            get_registry().counter(
+                "repro_maintenance_stale_bounded_total"
+            ).inc(len(stale))
+            log.info(
+                "delta left %d bounded view(s) stale: %s",
+                len(stale), ", ".join(sorted(map(str, stale))),
+            )
+    extends = snapshot.extends_token
     for name in views.names():
         # Stale (bounded) extensions must not be re-stamped onto the
         # fresh token -- that would launder outdated match sets into
@@ -46,14 +61,10 @@ def rebind_unchanged(views, changed, snapshot) -> None:
         compact = extension.compact
         if compact is None or compact.token == snapshot.snapshot_token:
             continue
-        try:
-            if extends is not None and compact.token == extends:
-                rebound = extension.rebound(snapshot)
-            else:
-                rebound = bind_extension(extension, snapshot)
-        except KeyError:
-            # The extension references nodes the snapshot no longer
-            # has (out-of-band mutation): leave it; queries reading
-            # this view simply run over node-key rows.
-            continue
+        if extends is not None and compact.token == extends:
+            rebound = extension.rebound(snapshot)
+        else:
+            rebound = bind_extension(extension, snapshot)
+        # Provenance only: the match sets are identical, no version moves.
         views.rebind_extension(rebound)
+    return stale

@@ -10,11 +10,11 @@ filter pairs against each query edge's own bound in O(1).
 * :class:`~repro.views.view.ViewDefinition`, :func:`~repro.views.view.materialize`
 * :class:`~repro.views.storage.ViewSet` -- a named cache of definitions
   and extensions with per-view version stamps and size accounting (for
-  the ``|V(G)|/|G|`` fractions the paper reports); optionally owns a
-  maintenance backend (:meth:`~repro.views.storage.ViewSet.track` /
-  :meth:`~repro.views.storage.ViewSet.apply_delta`).
+  the ``|V(G)|/|G|`` fractions the paper reports).
 * :mod:`~repro.views.maintenance` -- the delta pipeline's view layer:
-  :class:`~repro.views.maintenance.Delta` batches, incremental
+  :class:`~repro.views.maintenance.Delta` batches applied by an
+  :class:`~repro.views.maintenance.IncrementalViewSet` to the graph it
+  maintains in place (an engine attaches it and owns the cursor), incremental
   deletions *and* affected-area-bounded incremental insertions (in the
   spirit of the paper's [15]), per-view change accounting.
 * :mod:`~repro.views.selection` -- workload-driven view selection

@@ -16,17 +16,20 @@ the delta-driven maintenance pipeline:
   inserted edge's source.  :meth:`IncrementalView._insert_incremental`
   seeds revival candidates from exactly those pairs (a backward closure
   over the pattern x graph product) and revives them through the
-  existing witness-counter machinery.
+  existing witness-counter machinery (:meth:`IncrementalView._cascade`,
+  the one cascade both update kinds share).
 * **batches** arrive as a :class:`Delta` -- an ordered sequence of edge
   insertions/deletions applied as one maintenance round via
   :meth:`IncrementalViewSet.apply_delta`, with per-view change
   accounting (:meth:`IncrementalViewSet.changed_since`) so downstream
   caches evict only what an update actually touched.
 
-A standalone :class:`IncrementalView` owns its own copy of the graph so
-that callers cannot desynchronize it; inside an
-:class:`IncrementalViewSet` the trackers share the set's single copy
-(``shared=True``) and all updates flow through the set.
+An :class:`IncrementalViewSet` maintains the graph it is given in place
+-- there is one ``G``, shared with whatever engine serves from it --
+and a :class:`Delta` is its only update.  Its per-view
+:class:`IncrementalView` states read that graph and are refreshed by
+the set after each op; a mutation that bypasses the set is refused at
+the next batch instead of silently desynchronizing the counters.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from __future__ import annotations
 import json
 import logging
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     Dict,
     Hashable,
@@ -68,10 +71,10 @@ class Delta:
     """An ordered batch of edge insertions and deletions.
 
     The unit of work of the maintenance pipeline: one delta flows
-    through the view trackers (:meth:`IncrementalViewSet.apply_delta`),
-    the graph snapshot (:meth:`~repro.graph.digraph.DataGraph.apply_delta`
-    plus journal-driven snapshot refresh) and the engine caches as a
-    single maintenance round.  Build one with the fluent helpers::
+    through the graph and the view trackers
+    (:meth:`IncrementalViewSet.apply_delta` applies each op, then
+    refreshes every view), the graph snapshot (journal-driven refresh)
+    and the engine caches as a single maintenance round.  Build one with the fluent helpers::
 
         delta = Delta().insert("a", "b").delete("c", "d")
 
@@ -218,8 +221,8 @@ class DeltaReport(NamedTuple):
     stat deltas this round produced (same keys as
     :meth:`ViewStats.snapshot`).  ``stale_bounded`` names the bounded
     views the round left stale (filled by
-    :meth:`~repro.views.storage.ViewSet.apply_delta`: bounded views are
-    not maintained incrementally, so any graph-changing round strands
+    :meth:`~repro.engine.engine.QueryEngine.apply_delta`: bounded views
+    are not maintained incrementally, so any graph-changing round strands
     their cached extensions until rematerialization).
     """
 
@@ -252,27 +255,15 @@ def _meter_delta(report: "DeltaReport") -> None:
 
 
 class IncrementalView:
-    """A simulation view kept consistent under edge updates.
+    """One simulation view's witness-counter state over a shared graph.
 
-    Parameters
-    ----------
-    definition:
-        The simulation view to maintain (bounded views change
-        non-locally under updates and are rejected).
-    graph:
-        The data graph.  Copied by default so external mutations cannot
-        desynchronize the tracker; with ``shared=True`` the tracker
-        adopts ``graph`` as-is and expects its owner (an
-        :class:`IncrementalViewSet`) to route every update.
+    Built and driven by :class:`IncrementalViewSet`: it reads ``graph``
+    (never mutates it), and the set calls :meth:`_after_insert` /
+    :meth:`_after_delete` once each op has been applied to the graph.
+    Bounded views change non-locally under updates and are rejected.
     """
 
-    def __init__(
-        self,
-        definition: ViewDefinition,
-        graph: DataGraph,
-        *,
-        shared: bool = False,
-    ) -> None:
+    def __init__(self, definition: ViewDefinition, graph: DataGraph) -> None:
         if isinstance(definition.pattern, BoundedPattern):
             raise TypeError(
                 "IncrementalView maintains simulation views; bounded views "
@@ -281,8 +272,7 @@ class IncrementalView:
             )
         self.definition = definition
         self.stats = ViewStats()
-        self._shared = shared
-        self._graph = graph if shared else graph.copy()
+        self._graph = graph
         self._sim: Optional[Dict[PNode, Set[Node]]] = None
         self._counters: Dict[Tuple[PNode, PNode], Dict[Node, int]] = {}
         self._extension_cache: Optional[MaterializedView] = None
@@ -316,55 +306,22 @@ class IncrementalView:
                 }
 
     # ------------------------------------------------------------------
-    # Updates (standalone mode)
-    # ------------------------------------------------------------------
-    def insert_edge(self, source: Node, target: Node) -> bool:
-        """Apply an edge insertion; returns whether the extension changed."""
-        self._require_owned()
-        if self._graph.has_edge(source, target):
-            return False
-        self._graph.add_edge(source, target)
-        return self._after_insert(source, target)
-
-    def delete_edge(self, source: Node, target: Node) -> bool:
-        """Apply an edge deletion (no-op when the edge is absent);
-        returns whether the extension changed."""
-        self._require_owned()
-        if not self._graph.has_edge(source, target):
-            return False
-        self._graph.remove_edge(source, target)
-        return self._after_delete(source, target)
-
-    def _require_owned(self) -> None:
-        if self._shared:
-            raise RuntimeError(
-                f"view {self.definition.name!r} is maintained by an "
-                "IncrementalViewSet; apply updates through the set"
-            )
-
-    # ------------------------------------------------------------------
-    # Update internals (graph already mutated by the caller)
+    # Update internals (graph already mutated by the set)
     # ------------------------------------------------------------------
     def _after_insert(self, source: Node, target: Node) -> bool:
         """Refresh state after ``source -> target`` joined the graph."""
         self.stats.insertions += 1
-        if self._sim is None:
-            # No counter state to revive from; recompute when the edge
-            # could matter at all (rare: the view was entirely empty).
-            if not self._relevant(source, target):
-                self.stats.irrelevant_inserts += 1
-                return False
-            self.stats.recomputes += 1
-            self._recompute()
-            changed = self._sim is not None
-            if changed:
-                self._extension_cache = None
-            return changed
         if not self._relevant(source, target):
             # No label-compatible view edge: provably no effect, O(1)
             # per pattern edge.
             self.stats.irrelevant_inserts += 1
             return False
+        if self._sim is None:
+            # No counter state to revive from (rare: the view was
+            # entirely empty) -- recompute.
+            self.stats.recomputes += 1
+            self._recompute()
+            return self._sim is not None
         changed, revived, area = self._insert_incremental(source, target)
         self.stats.incremental_inserts += 1
         self.stats.revived_pairs += revived
@@ -450,16 +407,75 @@ class IncrementalView:
                 )
 
         # --- (3) cascade: only tentative candidates can fall ----------
+        # (the old simulation is still a valid simulation of the grown
+        # graph, so no old pair's counter reaches zero).
         removals: deque = deque()
-        removed: Set[Tuple[PNode, Node]] = set()
         for pair in in_r:
             x, v = pair
-            for y in pattern.successors(x):
-                if counters[(x, y)][v] == 0:
-                    removed.add(pair)
-                    sim[x].discard(v)
-                    removals.append(pair)
-                    break
+            if any(counters[(x, y)][v] == 0 for y in pattern.successors(x)):
+                sim[x].discard(v)
+                removals.append(pair)
+        survived = len(in_r) - len(self._cascade(removals))
+        if survived:
+            changed = True
+        else:
+            # No pair revived, but the inserted edge itself may be a
+            # fresh match of some view edge.
+            changed = any(
+                source in sim[x] and target in sim[y]
+                for x, y in pattern.edges()
+            )
+        return changed, survived, len(in_r)
+
+    def _after_delete(self, source: Node, target: Node) -> bool:
+        """Counter cascade after ``source -> target`` left the graph;
+        returns whether any match pair was lost."""
+        self.stats.deletions += 1
+        sim = self._sim
+        if sim is None:
+            # The view was empty; deletions cannot revive it.
+            return False
+        pattern = self.definition.pattern
+        # Every view edge the deleted edge witnessed, read before any
+        # removal: a self-loop witnesses both (x, y) and (y, x), and
+        # dropping ``source`` from sim[x] first must not hide the other.
+        witnessed = [
+            (x, y)
+            for x in pattern.nodes()
+            if source in sim[x]
+            for y in pattern.successors(x)
+            if target in sim[y]
+        ]
+        if not witnessed:
+            return False
+        removals: deque = deque()
+        for x, y in witnessed:
+            counter = self._counters[(x, y)]
+            counter[source] -= 1
+            if counter[source] == 0 and source in sim[x]:
+                sim[x].discard(source)
+                removals.append((x, source))
+        self.stats.removed_pairs += len(self._cascade(removals))
+        if not all(sim.values()):
+            self._sim = None
+            self._counters = {}
+        # The pair (source, target) left each witnessed view edge's
+        # match set, whether or not ``source`` survived.
+        self._extension_cache = None
+        return True
+
+    def _cascade(self, removals: deque) -> Set[Tuple[PNode, Node]]:
+        """The witness-counter cascade: drain ``removals`` -- pairs
+        already discarded from the simulation -- decrementing, for each
+        popped ``(y, w)`` and pattern predecessor ``x``, the counters of
+        ``w``'s graph predecessors still in ``sim[x]``, and discarding
+        (and queueing) those that reach zero.  Returns every pair
+        removed, the seeds included."""
+        pattern = self.definition.pattern
+        graph = self._graph
+        sim = self._sim
+        counters = self._counters
+        removed: Set[Tuple[PNode, Node]] = set(removals)
         while removals:
             y, w = removals.popleft()
             for y1 in pattern.successors(y):
@@ -471,79 +487,10 @@ class IncrementalView:
                     if v in candidates:
                         counter[v] -= 1
                         if counter[v] == 0:
-                            # Only revived pairs can hit zero: the old
-                            # simulation is still a valid simulation of
-                            # the grown graph.
                             candidates.discard(v)
                             removed.add((x, v))
                             removals.append((x, v))
-        survived = len(in_r) - len(removed)
-        if survived:
-            changed = True
-        else:
-            # No pair revived, but the inserted edge itself may be a
-            # fresh match of some view edge.
-            changed = any(
-                source in sim[x] and target in sim[y]
-                for x, y in pattern.edges()
-            )
-        if changed:
-            self._extension_cache = None
-        return changed, survived, len(in_r)
-
-    def _after_delete(self, source: Node, target: Node) -> bool:
-        """Refresh state after ``source -> target`` left the graph."""
-        self.stats.deletions += 1
-        changed = self._prune_after_deletion(source, target)
-        if changed:
-            self._extension_cache = None
-        return changed
-
-    def _prune_after_deletion(self, source: Node, target: Node) -> bool:
-        """Counter cascade after ``source -> target`` left the graph;
-        returns whether any match pair was lost."""
-        if self._sim is None:
-            # The view was empty; deletions cannot revive it.
-            return False
-        pattern = self.definition.pattern
-        changed = False
-        removals: deque = deque()
-        for x in pattern.nodes():
-            if source not in self._sim[x]:
-                continue
-            for y in pattern.successors(x):
-                if target not in self._sim[y]:
-                    continue
-                counter = self._counters[(x, y)]
-                counter[source] -= 1
-                # The pair (source, target) just left this view edge's
-                # match set, whether or not ``source`` survives.
-                changed = True
-                if counter[source] == 0 and source in self._sim[x]:
-                    self._sim[x].discard(source)
-                    self.stats.removed_pairs += 1
-                    removals.append((x, source))
-        while removals:
-            y, w = removals.popleft()
-            if not self._sim[y]:
-                self._sim = None
-                self._counters = {}
-                return True
-            for x in pattern.predecessors(y):
-                counter = self._counters[(x, y)]
-                candidates = self._sim[x]
-                for v in self._graph.predecessors(w):
-                    if v in candidates:
-                        counter[v] -= 1
-                        if counter[v] == 0:
-                            candidates.discard(v)
-                            self.stats.removed_pairs += 1
-                            removals.append((x, v))
-            if not self._sim[y]:
-                self._sim = None
-                self._counters = {}
-                return True
-        return changed
+        return removed
 
     def _relevant(self, source: Node, target: Node) -> bool:
         """Could the inserted edge interact with any view edge?"""
@@ -590,34 +537,30 @@ class IncrementalView:
         self._extension_cache = extension
         return extension
 
-    @property
-    def graph(self) -> DataGraph:
-        """Read-only view of the tracker's graph (for assertions)."""
-        return self._graph
-
 
 class IncrementalViewSet:
-    """Maintain a whole view cache under one shared update stream.
+    """Maintain a whole view cache under one update stream.
 
-    Tracks one graph copy (not one per view) and fans each update out to
-    per-view :class:`IncrementalView` state (constructed with
-    ``shared=True``).  The public surface mirrors the cache workflow:
-    apply updates -- singly or as :class:`Delta` batches -- then read
-    fully consistent extensions, or a
-    :class:`~repro.views.storage.ViewSet` snapshot via
-    :meth:`as_viewset`.  Per-update change accounting
-    (:attr:`seq` / :meth:`changed_since`) tells cache layers exactly
-    which views an update stream touched.
+    Maintains ``graph`` itself, in place -- the same object the serving
+    engine evaluates on -- and fans each op of a :class:`Delta` out to
+    per-view :class:`IncrementalView` state.  :meth:`apply_delta` is
+    the one update method; read fully consistent extensions with
+    :meth:`extension`.  Per-op change accounting (:attr:`seq` /
+    :meth:`changed_since`) tells cache layers exactly which views an
+    update stream touched.
+
+    The graph must change only through :meth:`apply_delta`: the set
+    records ``graph.version`` after its own ops and refuses the next
+    batch (``RuntimeError``) if anything else moved it.
 
     Bounded view definitions are *not* maintainable (their extensions
     shift non-locally with distances); they are skipped at construction
-    and their names recorded in :attr:`skipped_bounded` so owners (see
-    :meth:`~repro.views.storage.ViewSet.track`) can warn and flag them
-    stale after updates.
+    and their names recorded in :attr:`skipped_bounded` so owners (the
+    engine's catalog) can flag them stale after updates.
     """
 
     def __init__(self, definitions: Iterable[ViewDefinition], graph: DataGraph) -> None:
-        self._graph = graph.copy()
+        self._graph = graph
         self._trackers: Dict[str, IncrementalView] = {}
         self._seq = 0
         self._changed_at: Dict[str, int] = {}
@@ -629,10 +572,9 @@ class IncrementalViewSet:
                 # not tracked -- so callers can flag them stale.
                 skipped.append(definition.name)
                 continue
-            self._trackers[definition.name] = IncrementalView(
-                definition, self._graph, shared=True
-            )
+            self._trackers[definition.name] = IncrementalView(definition, graph)
         self.skipped_bounded: Tuple[str, ...] = tuple(skipped)
+        self._version = graph.version
 
     def names(self) -> List[str]:
         """Names of the maintained views, in registration order."""
@@ -644,15 +586,8 @@ class IncrementalViewSet:
 
     @property
     def graph(self) -> DataGraph:
-        """The set's maintained graph copy.
-
-        This *is* the current state of ``G`` as far as the maintained
-        views are concerned; the engine adopts it on
-        ``attach_maintenance`` so direct evaluation and snapshot
-        refresh follow the same update stream.  Treat it as read-only:
-        mutations must flow through :meth:`insert_edge` /
-        :meth:`delete_edge` / :meth:`apply_delta`.
-        """
+        """The maintained graph -- the object passed in, not a copy.
+        Read it freely; change it only through :meth:`apply_delta`."""
         return self._graph
 
     # ------------------------------------------------------------------
@@ -680,47 +615,28 @@ class IncrementalViewSet:
     # ------------------------------------------------------------------
     # Updates
     # ------------------------------------------------------------------
-    def insert_edge(self, source: Node, target: Node) -> bool:
-        """Apply one edge insertion across every maintained view.
-
-        Irrelevant insertions (no label-compatible view edge) cost
-        ``O(1)`` per view edge; relevant ones revive matches through
-        the affected-area closure.  Returns whether any view
-        extension changed; already-present edges are a no-op.
-        """
-        if self._graph.has_edge(source, target):
-            return False
-        self._graph.add_edge(source, target)
-        return self._fan_out("_after_insert", source, target)
-
-    def delete_edge(self, source: Node, target: Node) -> bool:
-        """Apply one edge deletion: shared removal, then each view's
-        witness-counter cascade prunes exactly the invalidated matches.
-        Returns whether any view extension changed; missing edges are a
-        no-op (mirroring :meth:`insert_edge`)."""
-        if not self._graph.has_edge(source, target):
-            return False
-        self._graph.remove_edge(source, target)
-        return self._fan_out("_after_delete", source, target)
-
-    def _fan_out(self, method: str, source: Node, target: Node) -> bool:
-        self._seq += 1
-        any_changed = False
-        for name, tracker in self._trackers.items():
-            if getattr(tracker, method)(source, target):
-                self._changed_at[name] = self._seq
-                any_changed = True
-        return any_changed
-
     def apply_delta(self, delta: Delta) -> DeltaReport:
         """Apply a :class:`Delta` batch as one maintenance round.
 
-        Ops apply in order (already-present insertions and missing
-        deletions are skipped), each bumping :attr:`seq` -- the batch
-        buys coalesced *accounting*, not reordering.  The returned
-        :class:`DeltaReport` names the views the whole round actually
-        changed, which is what cache layers evict.
+        Ops apply to the graph in order (already-present insertions and
+        missing deletions are skipped), each bumping :attr:`seq` and
+        fanned out to every view: irrelevant insertions (no
+        label-compatible view edge) cost ``O(1)`` per view edge,
+        relevant ones revive matches through the affected-area closure,
+        and deletions run the witness-counter cascade.  The batch buys
+        coalesced *accounting*, not reordering: the returned
+        :class:`DeltaReport` names the views the whole round changed,
+        which is what cache layers evict.  Raises ``RuntimeError`` when
+        the graph was mutated outside this set since its last batch.
         """
+        graph = self._graph
+        if graph.version != self._version:
+            raise RuntimeError(
+                f"the maintained graph moved from version {self._version} "
+                f"to {graph.version} outside apply_delta(); the view "
+                "counters no longer describe it -- route every update "
+                "through apply_delta() (or rebuild the IncrementalViewSet)"
+            )
         before = {
             name: tracker.stats.snapshot()
             for name, tracker in self._trackers.items()
@@ -729,17 +645,23 @@ class IncrementalViewSet:
         applied = skipped = 0
         with trace.span("maintenance.delta") as delta_span:
             for op, source, target in delta:
-                present = self._graph.has_edge(source, target)
-                if (op == INSERT) == present:
+                insert = op == INSERT
+                if insert == graph.has_edge(source, target):
                     skipped += 1
                     continue
-                if op == INSERT:
-                    self.insert_edge(source, target)
+                if insert:
+                    graph.add_edge(source, target)
                 else:
-                    self.delete_edge(source, target)
+                    graph.remove_edge(source, target)
                 applied += 1
+                self._seq += 1
+                for name, tracker in self._trackers.items():
+                    refresh = tracker._after_insert if insert else tracker._after_delete
+                    if refresh(source, target):
+                        self._changed_at[name] = self._seq
             if delta_span is not None:
                 delta_span.set(applied=applied, skipped=skipped)
+        self._version = graph.version
         per_view = {}
         for name, tracker in self._trackers.items():
             after = tracker.stats.snapshot()
@@ -758,13 +680,3 @@ class IncrementalViewSet:
     def extension(self, name: str) -> MaterializedView:
         """The current, always-consistent extension of view ``name``."""
         return self._trackers[name].extension()
-
-    def as_viewset(self):
-        """A consistent :class:`~repro.views.storage.ViewSet` snapshot
-        (definitions plus freshly built extensions)."""
-        from repro.views.storage import ViewSet
-
-        views = ViewSet(t.definition for t in self._trackers.values())
-        for name, tracker in self._trackers.items():
-            views.set_extension(tracker.extension())
-        return views

@@ -50,13 +50,12 @@ def selection_stats(
 
     One row per view definition: whether (and how large) its extension
     is materialized, the maintenance counters the attached tracker has
-    accumulated (``maintenance`` overrides ``views.maintenance``), and
+    accumulated (``maintenance``: an engine's attached tracker), and
     how many delivered answers in ``plan_log`` (an iterable of
     :class:`~repro.engine.plan.PlanChoiceRecord`) read the view.  This
     is the ``"selection"`` section of ``repro stats --format json``.
     """
-    tracker = maintenance if maintenance is not None else views.maintenance
-    tracked = tracker.stats() if tracker is not None else {}
+    tracked = maintenance.stats() if maintenance is not None else {}
     hits: Dict[str, int] = {}
     for record in plan_log:
         for name in getattr(record, "views_used", ()):

@@ -10,7 +10,6 @@ size of the Youtube graph").
 from __future__ import annotations
 
 import logging
-import warnings
 from time import perf_counter
 from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
@@ -19,7 +18,6 @@ log = logging.getLogger(__name__)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.graph.digraph import DataGraph
-    from repro.views.maintenance import Delta, DeltaReport, IncrementalViewSet
     from repro.views.view import MaterializedView, ViewDefinition
 
 
@@ -37,12 +35,11 @@ class ViewSet:
     maintenance update only strands the answers that actually depended
     on a changed view.
 
-    A ViewSet also holds the one maintenance cursor: :meth:`track`
-    builds an :class:`~repro.views.maintenance.IncrementalViewSet` over
-    the current definitions (:meth:`follow` takes an existing one), and
-    :meth:`apply_delta` / :meth:`import_maintenance` re-import only the
-    extensions updates changed (so unchanged views keep their version
-    stamps and dependent cached answers stay live).
+    A ViewSet is plain state: incremental maintenance is owned by the
+    engine's :class:`~repro.engine.catalog.Catalog`, which holds the
+    tracker and its cursor and installs only the extensions an update
+    changed (:meth:`set_extension`), so unchanged views keep their
+    stamps and dependent cached answers stay live.
     """
 
     def __init__(self, definitions: Optional[Iterable[ViewDefinition]] = None) -> None:
@@ -51,8 +48,6 @@ class ViewSet:
         self._version = 0
         self._definitions_version = 0
         self._view_versions: Dict[str, int] = {}
-        self._maintenance: Optional["IncrementalViewSet"] = None
-        self._maintenance_seq = 0
         self._stale: Set[str] = set()
         for definition in definitions or ():
             self.add(definition)
@@ -331,137 +326,6 @@ class ViewSet:
     def stale_views(self) -> Tuple[str, ...]:
         """Names of every stale-flagged view, in registration order."""
         return tuple(name for name in self._definitions if name in self._stale)
-
-    # ------------------------------------------------------------------
-    # Maintenance backend (the delta pipeline's view layer)
-    # ------------------------------------------------------------------
-    @property
-    def maintenance(self) -> Optional["IncrementalViewSet"]:
-        """The followed maintenance backend (``None`` until
-        :meth:`track` / :meth:`follow`)."""
-        return self._maintenance
-
-    def follow(self, tracker: "IncrementalViewSet") -> None:
-        """Keep this catalog's extensions fresh from ``tracker``.  The
-        pull cursor lives here and nowhere else: the next
-        :meth:`import_maintenance` takes every maintained view's
-        extension (definitions the catalog lacks are added first),
-        later ones only what updates changed since.  Re-following the
-        same tracker is a no-op; a second one is rejected."""
-        if self._maintenance is tracker:
-            return
-        if self._maintenance is not None:
-            raise ValueError("a maintenance backend is already attached")
-        for name in tracker.names():
-            if name not in self._definitions:
-                self.add(tracker.definition(name))
-        self._maintenance = tracker
-        self._maintenance_seq = -1  # the first import takes everything
-
-    def unfollow(self) -> None:
-        """Stop following the tracker (extensions stay as imported)."""
-        self._maintenance = None
-
-    def track(self, graph: DataGraph) -> "IncrementalViewSet":
-        """Build a maintenance backend over (a copy of) ``graph`` for
-        the current simulation definitions, :meth:`follow` it and
-        import its freshly materialized extensions.  From here on
-        :meth:`apply_delta` keeps the cached extensions consistent
-        under edge updates.
-
-        Bounded views cannot be maintained incrementally (their
-        extensions shift non-locally with distances) and are **not
-        tracked**: the tracker records their names in
-        ``skipped_bounded`` and a :class:`UserWarning` says so.  After
-        each applied update they are flagged stale (:meth:`is_stale`,
-        stamp bumped) and must be rematerialized before the next read.
-        Definitions added after this call are likewise not maintained.
-        """
-        from repro.views.maintenance import IncrementalViewSet
-
-        if self._maintenance is not None:
-            raise ValueError("a maintenance backend is already attached")
-        tracker = IncrementalViewSet(self._definitions.values(), graph)
-        if tracker.skipped_bounded:
-            warnings.warn(
-                "bounded views are not maintained incrementally and were "
-                f"skipped by track(): {', '.join(tracker.skipped_bounded)}; "
-                "apply_delta() will flag them stale -- rematerialize "
-                "before reading them after updates",
-                UserWarning,
-                stacklevel=2,
-            )
-        self.follow(tracker)
-        self.import_maintenance()
-        return tracker
-
-    def apply_delta(self, delta: "Delta") -> "DeltaReport":
-        """Apply an update batch through the followed backend: route
-        it to the tracker, then pull the refreshes in
-        (:meth:`import_maintenance`).  Each changed view's import bumps
-        its version stamp, so cached answers reading it become
-        unreachable while answers over untouched views stay live."""
-        if self._maintenance is None:
-            raise ValueError(
-                "no maintenance tracker followed; call track(graph) (or "
-                "the engine's attach_maintenance()) first"
-            )
-        report = self._maintenance.apply_delta(delta)
-        self.import_maintenance()
-        return self.report_stale(report)
-
-    def report_stale(self, report: "DeltaReport") -> "DeltaReport":
-        """``report`` of a batch just imported, completed: when the
-        batch changed the graph at all, the bounded views the import
-        flagged stale become its ``stale_bounded``."""
-        stale = tuple(
-            name
-            for name, definition in self._definitions.items()
-            if definition.is_bounded and name in self._stale
-        )
-        if not (report.applied and stale):
-            return report
-        from repro.obs.metrics import get_registry
-
-        get_registry().counter(
-            "repro_maintenance_stale_bounded_total"
-        ).inc(len(stale))
-        log.info(
-            "delta left %d bounded view(s) stale: %s",
-            len(stale), ", ".join(sorted(map(str, stale))),
-        )
-        return report._replace(stale_bounded=stale)
-
-    def maintenance_pending(self) -> bool:
-        """Whether the followed tracker has applied updates (in
-        batches or driven directly) not yet imported."""
-        tracker = self._maintenance
-        return tracker is not None and tracker.seq != self._maintenance_seq
-
-    def import_maintenance(self, bind=None) -> List[str]:
-        """Pull pending extension refreshes from the followed backend;
-        returns the names imported.  ``bind`` maps each refreshed
-        extension to the one installed (an owner holding a snapshot
-        binds it into id space), so a changed view is stamped exactly
-        once.  :meth:`apply_delta` calls this; so do consumers that
-        drive the tracker directly (``insert_edge`` / ``delete_edge``).
-        If the tracker applied *any* update since the last import,
-        every materialized bounded view is flagged stale here -- the
-        one choke point of the batch and the direct-drive paths."""
-        if not self.maintenance_pending():
-            return []
-        tracker = self._maintenance
-        cursor = self._maintenance_seq
-        self._maintenance_seq = tracker.seq
-        changed = tracker.changed_since(cursor)
-        for name in changed:
-            extension = tracker.extension(name)
-            self.set_extension(bind(extension) if bind else extension)
-        if tracker.seq > max(cursor, 0):
-            for name, definition in self._definitions.items():
-                if definition.is_bounded and name in self._extensions:
-                    self.mark_stale(name)
-        return changed
 
     def __repr__(self) -> str:
         return (

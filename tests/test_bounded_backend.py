@@ -21,7 +21,6 @@ Covers the whole vertical slice:
 
 import pickle
 import random
-import warnings
 
 import pytest
 
@@ -45,7 +44,7 @@ from repro.graph import ANY, BoundedPattern, CompactGraph, DataGraph
 from repro.simulation import bounded_match
 from repro.simulation.bounded import bounded_match_with_distances
 from repro.simulation.compact_bounded import compact_bounded_match_with_ids
-from repro.views.maintenance import Delta
+from repro.views.maintenance import Delta, IncrementalViewSet
 from repro.views.storage import ViewSet
 from repro.views.view import ViewDefinition, materialize
 
@@ -389,15 +388,23 @@ def _staleness_fixture():
 
 
 class TestStaleBoundedViews:
+    @staticmethod
+    def _maintained(views, g):
+        """An engine over ``g`` with a tracker attached (the bounded
+        view is skipped by it, so it only ever goes stale)."""
+        engine = QueryEngine(views, graph=g)
+        tracker = IncrementalViewSet(views.definitions(), g)
+        engine.attach_maintenance(tracker)
+        return engine, tracker
+
     def test_apply_delta_flags_and_stamps_stale_bounded(self):
         g, view, query = _staleness_fixture()
         views = ViewSet([view])
         views.materialize(g.freeze())
-        with pytest.warns(UserWarning, match="bview"):
-            tracker = views.track(g)
+        engine, tracker = self._maintained(views, g)
         assert tracker.skipped_bounded == ("bview",)
         before = views.view_version("bview")
-        report = views.apply_delta(Delta().insert(5, 4))
+        report = engine.apply_delta(Delta().insert(5, 4))
         assert report.applied == 1
         assert report.stale_bounded == ("bview",)
         assert views.is_stale("bview")
@@ -405,12 +412,12 @@ class TestStaleBoundedViews:
         assert views.view_version("bview") > before
         # A no-op batch (edge already present) leaves stamps alone.
         before = views.view_version("bview")
-        report = views.apply_delta(Delta().insert(5, 4))
+        report = engine.apply_delta(Delta().insert(5, 4))
         assert report.applied == 0
         assert report.stale_bounded == ()
         assert views.view_version("bview") == before
         # Rematerializing clears the flag.
-        views.materialize(tracker.graph.freeze(), names=["bview"])
+        engine.materialize_views(["bview"])
         assert not views.is_stale("bview")
 
     def test_engine_reflects_update_instead_of_cached_answer(self):
@@ -422,16 +429,13 @@ class TestStaleBoundedViews:
         engine = QueryEngine(views, graph=g)
         first = engine.answer(query)
         assert first.edge_matches[("a", "b")] == {(1, 2)}
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
-            tracker = views.track(g)
-        engine.attach_maintenance(tracker)
+        engine.attach_maintenance(IncrementalViewSet([view], g))
         # 5 -> 4 puts node 4 within bound 2 of node 1: the bounded
         # answer must gain the pair (1, 4).
-        report = views.apply_delta(Delta().insert(5, 4))
+        report = engine.apply_delta(Delta().insert(5, 4))
         assert report.applied == 1
         second = engine.answer(query)
-        expected = bounded_match(query, tracker.graph)
+        expected = bounded_match(query, g)
         assert second.edge_matches == expected.edge_matches
         assert second.edge_matches[("a", "b")] == {(1, 2), (1, 4)}
         # And the refreshed extension is bound to the refreshed snapshot.
@@ -443,23 +447,21 @@ class TestStaleBoundedViews:
         assert not views.is_stale("bview")
 
     def test_direct_tracker_drive_flags_stale_via_import_maintenance(self):
-        # import_maintenance is the single choke point: driving the
-        # tracker handle directly (no apply_delta) must still strand
-        # bounded views once the updates are pulled in.
+        # The catalog's import is the single choke point: a batch
+        # applied straight to the tracker (not through the engine) must
+        # still strand bounded views once the next read pulls it in.
         g, view, query = _staleness_fixture()
         views = ViewSet([view])
         views.materialize(g.freeze())
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
-            tracker = views.track(g)
+        engine, tracker = self._maintained(views, g)
         before = views.view_version("bview")
-        tracker.insert_edge(5, 4)
-        views.import_maintenance()
+        tracker.apply_delta(Delta().insert(5, 4))
+        engine.plan(query)
         assert views.is_stale("bview")
         assert views.view_version("bview") > before
-        # A sync with no new updates does not re-stamp.
+        # A read with no new updates does not re-stamp.
         before = views.view_version("bview")
-        views.import_maintenance()
+        engine.plan(query)
         assert views.view_version("bview") == before
 
     def test_attach_without_updates_keeps_bounded_answers_live(self):
@@ -470,8 +472,6 @@ class TestStaleBoundedViews:
         engine = QueryEngine(views, graph=g)
         engine.answer(query)
         before = views.view_version("bview")
-        from repro.views.maintenance import IncrementalViewSet
-
         engine.attach_maintenance(IncrementalViewSet([], g))
         assert not views.is_stale("bview")
         assert views.view_version("bview") == before
@@ -483,11 +483,9 @@ class TestStaleBoundedViews:
         engine = QueryEngine(views, graph=g)
         first = engine.answer(query)
         assert first.edge_matches[("a", "b")] == {(1, 2)}
-        from repro.views.maintenance import IncrementalViewSet
-
         tracker = IncrementalViewSet([], g)
         engine.attach_maintenance(tracker)
-        tracker.insert_edge(5, 4)
+        tracker.apply_delta(Delta().insert(5, 4))
         second = engine.answer(query)
         assert second.edge_matches[("a", "b")] == {(1, 2), (1, 4)}
         assert not second.stats.cache_hit
@@ -501,11 +499,9 @@ class TestStaleBoundedViews:
         )
         views = ViewSet([view, plain])
         views.materialize(g.freeze())
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
-            views.track(g)
+        engine, _ = self._maintained(views, g)
         plain_before = views.view_version("plain")
-        report = views.apply_delta(Delta().insert(5, 4))
+        report = engine.apply_delta(Delta().insert(5, 4))
         assert report.stale_bounded == ("bview",)
         # The insertion is irrelevant to the simulation view: its stamp
         # holds, so answers over it keep hitting.

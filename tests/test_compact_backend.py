@@ -39,7 +39,7 @@ from repro.graph import CompactGraph, DataGraph, P
 from repro.graph.conditions import Atom, AttributeCondition, Label, TrueCondition
 from repro.graph.snapshot import SnapshotStore
 from repro.simulation import bounded_match, dual_match, match, strong_match
-from repro.views.maintenance import IncrementalViewSet
+from repro.views.maintenance import Delta, IncrementalViewSet
 from repro.views.storage import ViewSet
 from repro.views.view import ViewDefinition
 
@@ -424,9 +424,9 @@ class TestEngineSnapshot:
         tracker = IncrementalViewSet(definitions, graph)
         engine = QueryEngine(ViewSet(definitions), graph=graph)
         engine.attach_maintenance(tracker)
-        # The engine adopts the tracker's maintained graph copy, so
+        # One graph: the tracker maintains the engine's own, so
         # snapshots follow the same update stream the views do.
-        assert engine.graph is tracker.graph
+        assert engine.graph is tracker.graph is graph
         first = engine.snapshot()
         assert first is not None
         nodes = list(tracker.graph.nodes())
@@ -434,7 +434,7 @@ class TestEngineSnapshot:
             node for node in nodes
             if not tracker.graph.has_edge(node, nodes[0])
         )
-        tracker.insert_edge(source, nodes[0])
+        engine.apply_delta(Delta().insert(source, nodes[0]))
         second = engine.snapshot()
         # The update is visible, but absorbed as a journal-driven
         # refresh of the previous snapshot -- not a drop-and-rebuild.

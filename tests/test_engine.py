@@ -10,7 +10,7 @@ from repro.engine.plan import pattern_key
 from repro.errors import NotContainedError
 from repro.graph.io import write_graph, write_pattern
 from repro.simulation import bounded_match
-from repro.views import ViewDefinition, ViewSet
+from repro.views import Delta, ViewDefinition, ViewSet
 from repro.views.io import write_viewset
 from repro.views.maintenance import IncrementalViewSet
 from repro.views.selection import selection_stats
@@ -291,16 +291,16 @@ class TestMaintenanceIntegration:
         self, graph, definitions, contained_query
     ):
         tracker = IncrementalViewSet(definitions, graph)
-        engine = QueryEngine(tracker.as_viewset(), graph=graph)
+        engine = QueryEngine(ViewSet(definitions), graph=graph)
         engine.attach_maintenance(tracker)
         before = engine.answer(contained_query)
         assert before.edge_matches == match(contained_query, graph).edge_matches
 
-        tracker.delete_edge(2, 3)
-        after = engine.answer(contained_query)
-        assert not after.stats.cache_hit
         shrunk = graph.copy()
         shrunk.remove_edge(2, 3)
+        engine.apply_delta(Delta().delete(2, 3))
+        after = engine.answer(contained_query)
+        assert not after.stats.cache_hit
         assert after.edge_matches == match(contained_query, shrunk).edge_matches
 
         # Unchanged catalog afterwards: answers cache again.
@@ -313,12 +313,12 @@ class TestMaintenanceIntegration:
         # cached containment decisions (those depend on definitions
         # only) -- updates must not re-pay the Theorem 3 check.
         tracker = IncrementalViewSet(definitions, graph)
-        engine = QueryEngine(tracker.as_viewset(), graph=graph)
+        engine = QueryEngine(ViewSet(definitions), graph=graph)
         engine.attach_maintenance(tracker)
         engine.answer(contained_query)
         misses_before = engine.cache_stats()["containment"]["misses"]
-        tracker.delete_edge(2, 3)
-        tracker.insert_edge(2, 3)
+        engine.apply_delta(Delta().delete(2, 3))
+        engine.apply_delta(Delta().insert(2, 3))
         engine.answer(contained_query)
         assert engine.cache_stats()["containment"]["misses"] == misses_before
 
@@ -326,22 +326,13 @@ class TestMaintenanceIntegration:
         # add_edge auto-creates endpoints; the pre-mutation relevance
         # check must tolerate nodes the graph has not seen yet.
         tracker = IncrementalViewSet(definitions, graph)
-        engine = QueryEngine(tracker.as_viewset(), graph=graph)
+        engine = QueryEngine(ViewSet(definitions), graph=graph)
         engine.attach_maintenance(tracker)
-        tracker.insert_edge(99, 1)  # 99 is brand new
-        result = engine.answer(contained_query)
         grown = graph.copy()
         grown.add_edge(99, 1)
+        engine.apply_delta(Delta().insert(99, 1))  # 99 is brand new
+        result = engine.answer(contained_query)
         assert result.edge_matches == match(contained_query, grown).edge_matches
-
-    def test_detach_stops_following(self, graph, definitions, contained_query):
-        tracker = IncrementalViewSet(definitions, graph)
-        engine = QueryEngine(tracker.as_viewset(), graph=graph)
-        engine.attach_maintenance(tracker)
-        engine.answer(contained_query)
-        engine.detach_maintenance()
-        tracker.delete_edge(2, 3)
-        assert engine.answer(contained_query).stats.cache_hit
 
 
 class TestBatch:

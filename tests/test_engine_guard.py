@@ -160,5 +160,32 @@ def test_sharded_graphs_come_from_ingest_only():
         "shards", "own_counts", "boundary",
     ]
     assert "shards" not in inspect.signature(Catalog.__init__).parameters
-    for function in (IncrementalView.__init__, IncrementalViewSet.__init__, ViewSet.track):
+    for function in (IncrementalView.__init__, IncrementalViewSet.__init__):
         assert "budget" not in inspect.signature(function).parameters, function
+
+
+def test_maintenance_has_one_owner():
+    # One graph: the tracker maintains the graph it is given, in place.
+    # One cursor: the engine's catalog holds the tracker, not the
+    # ViewSet.  One update: a Delta through ``apply_delta``.
+    source = (SRC / "views" / "maintenance.py").read_text()
+    assert "graph.copy()" not in source
+    tree = ast.parse(source)
+    defined = set(_function_names(source)) | {
+        arg.arg
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+        for arg in node.args.args + node.args.kwonlyargs
+    }
+    for gone in ("insert_edge", "delete_edge", "shared", "as_viewset", "_fan_out"):
+        assert gone not in defined, gone
+    for gone in (
+        "track", "follow", "unfollow", "import_maintenance", "apply_delta",
+        "maintenance_pending", "report_stale", "maintenance",
+    ):
+        assert not hasattr(ViewSet, gone), gone
+    hits = [
+        path.name for path in SRC.rglob("*.py")
+        if "detach_maintenance" in path.read_text()
+    ]
+    assert not hits, hits

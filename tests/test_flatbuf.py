@@ -226,7 +226,7 @@ class TestEngineIntegration:
         return graph, views, queries
 
     def test_maintenance_rebind_keeps_views_flat(self, workload):
-        from repro.views.maintenance import IncrementalViewSet
+        from repro.views.maintenance import Delta, IncrementalViewSet
 
         graph, views, queries = workload
         definitions = list(views)
@@ -246,8 +246,8 @@ class TestEngineIntegration:
         source = next(
             v for v in nodes if not tracker.graph.has_edge(v, nodes[0])
         )
-        tracker.insert_edge(source, nodes[0])
-        # The refresh is lazy: the next read rebinds the catalog.
+        tracker.apply_delta(Delta().insert(source, nodes[0]))
+        # Applied straight to the tracker: the next read rebinds the catalog.
         after = engine.answer_batch(queries)
         for query, result in zip(queries, after):
             assert (

@@ -5,8 +5,8 @@ import random
 import pytest
 
 from repro.graph import BoundedPattern, DataGraph
-from repro.views import ViewDefinition
-from repro.views.maintenance import IncrementalView
+from repro.views import Delta, ViewDefinition
+from repro.views.maintenance import IncrementalView, IncrementalViewSet
 from repro.views.view import materialize
 
 from helpers import build_graph, build_pattern, random_labeled_graph
@@ -16,6 +16,29 @@ def chain_view():
     return ViewDefinition(
         "chain", build_pattern({"a": "A", "b": "B"}, [("a", "b")])
     )
+
+
+def track(view, graph):
+    """A one-view tracker over ``graph`` (maintained in place)."""
+    return IncrementalViewSet([view], graph)
+
+
+def random_ops(rng, graph, rounds, population):
+    """Up to ``rounds`` ops valid in sequence against ``graph``."""
+    present = set(graph.edges())
+    ops = []
+    for _ in range(rounds):
+        if rng.random() < 0.5 and present:
+            edge = rng.choice(sorted(present))
+            present.discard(edge)
+            ops.append(("delete", *edge))
+        else:
+            a, b = rng.randrange(population), rng.randrange(population)
+            if a == b or (a, b) in present:
+                continue
+            present.add((a, b))
+            ops.append(("insert", a, b))
+    return ops
 
 
 class TestBasics:
@@ -29,23 +52,34 @@ class TestBasics:
 
     def test_initial_extension_matches_materialize(self):
         g = build_graph({1: "A", 2: "B", 3: "B"}, [(1, 2), (1, 3)])
-        tracker = IncrementalView(chain_view(), g)
+        tracker = track(chain_view(), g)
         fresh = materialize(chain_view(), g)
-        assert tracker.extension().edge_matches == fresh.edge_matches
+        assert tracker.extension("chain").edge_matches == fresh.edge_matches
 
-    def test_tracker_owns_graph_copy(self):
+    def test_tracker_maintains_the_graph_it_is_given(self):
         g = build_graph({1: "A", 2: "B"}, [(1, 2)])
-        tracker = IncrementalView(chain_view(), g)
-        g.remove_edge(1, 2)  # external mutation must not desync tracker
-        assert tracker.extension().num_pairs == 1
+        tracker = track(chain_view(), g)
+        assert tracker.graph is g
+        tracker.apply_delta(Delta().delete(1, 2))
+        assert not g.has_edge(1, 2)
+        assert tracker.extension("chain").is_empty
+
+    def test_out_of_band_mutation_is_refused(self):
+        g = build_graph({1: "A", 2: "B", 3: "B"}, [(1, 2)])
+        tracker = track(chain_view(), g)
+        tracker.apply_delta(Delta().insert(1, 3))  # its own ops are fine
+        g.add_edge(3, 1)  # bypasses the tracker
+        with pytest.raises(RuntimeError, match="outside apply_delta"):
+            tracker.apply_delta(Delta().delete(1, 2))
+        assert g.has_edge(1, 2)  # refused before touching anything
 
 
 class TestDeletion:
     def test_single_deletion(self):
         g = build_graph({1: "A", 2: "B", 3: "B"}, [(1, 2), (1, 3)])
-        tracker = IncrementalView(chain_view(), g)
-        tracker.delete_edge(1, 2)
-        assert tracker.extension().pairs_of(("a", "b")) == {(1, 3)}
+        tracker = track(chain_view(), g)
+        tracker.apply_delta(Delta().delete(1, 2))
+        assert tracker.extension("chain").pairs_of(("a", "b")) == {(1, 3)}
 
     def test_deletion_cascade(self):
         view = ViewDefinition(
@@ -55,54 +89,71 @@ class TestDeletion:
             ),
         )
         g = build_graph({1: "A", 2: "B", 3: "C"}, [(1, 2), (2, 3)])
-        tracker = IncrementalView(view, g)
-        assert tracker.extension().num_pairs == 2
+        tracker = track(view, g)
+        assert tracker.extension("chain3").num_pairs == 2
         # Deleting b->c invalidates node 2 as a match of "b", which in
         # turn kills the (1,2) pair of edge (a,b).
-        tracker.delete_edge(2, 3)
-        assert tracker.extension().is_empty
+        tracker.apply_delta(Delta().delete(2, 3))
+        assert tracker.extension("chain3").is_empty
 
     def test_deletion_to_empty_then_more_deletions(self):
         g = build_graph({1: "A", 2: "B"}, [(1, 2), (2, 1)])
-        tracker = IncrementalView(chain_view(), g)
-        tracker.delete_edge(1, 2)
-        assert tracker.extension().is_empty
-        tracker.delete_edge(2, 1)  # must not crash on an empty view
-        assert tracker.extension().is_empty
+        tracker = track(chain_view(), g)
+        tracker.apply_delta(Delta().delete(1, 2))
+        assert tracker.extension("chain").is_empty
+        tracker.apply_delta(Delta().delete(2, 1))  # must not crash on an empty view
+        assert tracker.extension("chain").is_empty
+
+    def test_self_loop_deletion_in_a_same_label_cycle(self):
+        # x -> y -> x, both A: the self-loop (3, 3) witnesses both view
+        # edges.  Dropping 3 from sim[x] for the first must not skip
+        # decrementing the second's counter, or a dead pair survives.
+        view = ViewDefinition(
+            "cycle",
+            build_pattern({"x": "A", "y": "A"}, [("x", "y"), ("y", "x")]),
+        )
+        g = build_graph(
+            {0: "A", 1: "A", 2: "A", 3: "A"}, [(1, 3), (3, 0), (3, 3)]
+        )
+        tracker = track(view, g)
+        tracker.apply_delta(Delta().delete(3, 3))
+        fresh = materialize(view, g)
+        assert fresh.is_empty
+        assert tracker.extension("cycle").edge_matches == fresh.edge_matches
 
 
 class TestInsertion:
     def test_relevant_insertion_adds_matches(self):
         g = build_graph({1: "A", 2: "B", 3: "B"}, [(1, 2)])
-        tracker = IncrementalView(chain_view(), g)
-        tracker.insert_edge(1, 3)
-        assert tracker.extension().pairs_of(("a", "b")) == {(1, 2), (1, 3)}
+        tracker = track(chain_view(), g)
+        tracker.apply_delta(Delta().insert(1, 3))
+        assert tracker.extension("chain").pairs_of(("a", "b")) == {(1, 2), (1, 3)}
 
     def test_irrelevant_insertion_is_noop(self):
         g = build_graph({1: "A", 2: "B", 3: "C", 4: "C"}, [(1, 2)])
-        tracker = IncrementalView(chain_view(), g)
-        before = tracker.extension().edge_matches
-        tracker.insert_edge(3, 4)  # C->C cannot touch an A->B view
-        assert tracker.extension().edge_matches == before
+        tracker = track(chain_view(), g)
+        before = tracker.extension("chain").edge_matches
+        report = tracker.apply_delta(Delta().insert(3, 4))  # C->C cannot touch A->B
+        assert report.changed_views == ()
+        assert tracker.extension("chain").edge_matches == before
 
     def test_insertion_revives_empty_view(self):
         g = build_graph({1: "A", 2: "B"}, [])
-        tracker = IncrementalView(chain_view(), g)
-        assert tracker.extension().is_empty
-        tracker.insert_edge(1, 2)
-        assert tracker.extension().pairs_of(("a", "b")) == {(1, 2)}
+        tracker = track(chain_view(), g)
+        assert tracker.extension("chain").is_empty
+        tracker.apply_delta(Delta().insert(1, 2))
+        assert tracker.extension("chain").pairs_of(("a", "b")) == {(1, 2)}
 
     def test_duplicate_insertion_ignored(self):
         g = build_graph({1: "A", 2: "B"}, [(1, 2)])
-        tracker = IncrementalView(chain_view(), g)
-        tracker.insert_edge(1, 2)
-        assert tracker.extension().num_pairs == 1
+        tracker = track(chain_view(), g)
+        report = tracker.apply_delta(Delta().insert(1, 2))
+        assert (report.applied, report.skipped) == (0, 1)
+        assert tracker.extension("chain").num_pairs == 1
 
 
 class TestIncrementalViewSet:
     def make(self):
-        from repro.views.maintenance import IncrementalViewSet
-
         g = build_graph(
             {1: "A", 2: "B", 3: "C", 4: "B"},
             [(1, 2), (2, 3), (1, 4)],
@@ -111,33 +162,26 @@ class TestIncrementalViewSet:
             ViewDefinition("ab", build_pattern({"a": "A", "b": "B"}, [("a", "b")])),
             ViewDefinition("bc", build_pattern({"b": "B", "c": "C"}, [("b", "c")])),
         ]
-        return g, IncrementalViewSet(definitions, g)
+        return g, definitions, IncrementalViewSet(definitions, g)
 
     def test_initial_snapshot(self):
-        g, tracked = self.make()
-        snapshot = tracked.as_viewset()
-        for definition in snapshot:
+        g, definitions, tracked = self.make()
+        for definition in definitions:
             fresh = materialize(definition, g)
-            assert snapshot.extension(definition.name).edge_matches == fresh.edge_matches
+            assert tracked.extension(definition.name).edge_matches == fresh.edge_matches
 
     def test_shared_deletion_updates_all_views(self):
-        g, tracked = self.make()
-        tracked.delete_edge(2, 3)
-        g.remove_edge(2, 3)
+        g, _, tracked = self.make()
+        tracked.apply_delta(Delta().delete(2, 3))
         assert tracked.extension("bc").is_empty
         assert tracked.extension("ab").pairs_of(("a", "b")) == {(1, 2), (1, 4)}
 
     def test_shared_insertion(self):
-        g, tracked = self.make()
-        tracked.insert_edge(4, 3)
-        g.add_edge(4, 3)
+        g, _, tracked = self.make()
+        tracked.apply_delta(Delta().insert(4, 3))
         assert tracked.extension("bc").pairs_of(("b", "c")) == {(2, 3), (4, 3)}
 
     def test_update_stream_matches_rematerialization(self):
-        import random
-
-        from repro.views.maintenance import IncrementalViewSet
-
         rng = random.Random(11)
         g = random_labeled_graph(rng, 25, 70)
         definitions = [
@@ -148,17 +192,8 @@ class TestIncrementalViewSet:
             ),
         ]
         tracked = IncrementalViewSet(definitions, g)
-        for _ in range(30):
-            if rng.random() < 0.5 and g.num_edges:
-                edge = rng.choice(list(g.edges()))
-                g.remove_edge(*edge)
-                tracked.delete_edge(*edge)
-            else:
-                a, b = rng.randrange(25), rng.randrange(25)
-                if a == b or g.has_edge(a, b):
-                    continue
-                g.add_edge(a, b)
-                tracked.insert_edge(a, b)
+        for op in random_ops(rng, g, 30, 25):
+            tracked.apply_delta(Delta([op]))
         for definition in definitions:
             fresh = materialize(definition, g)
             assert tracked.extension(definition.name).edge_matches == fresh.edge_matches
@@ -175,17 +210,8 @@ class TestAgainstRematerialization:
                 {"x": "A", "y": "B", "z": "C"}, [("x", "y"), ("y", "z")]
             ),
         )
-        tracker = IncrementalView(view, g)
-        for _ in range(40):
-            if rng.random() < 0.5 and g.num_edges:
-                edge = rng.choice(list(g.edges()))
-                g.remove_edge(*edge)
-                tracker.delete_edge(*edge)
-            else:
-                a, b = rng.randrange(30), rng.randrange(30)
-                if a == b or g.has_edge(a, b):
-                    continue
-                g.add_edge(a, b)
-                tracker.insert_edge(a, b)
+        tracker = track(view, g)
+        for op in random_ops(rng, g, 40, 30):
+            tracker.apply_delta(Delta([op]))
             fresh = materialize(view, g)
-            assert tracker.extension().edge_matches == fresh.edge_matches
+            assert tracker.extension("v").edge_matches == fresh.edge_matches

@@ -24,7 +24,7 @@ from repro.graph.compact import CompactGraph
 from repro.graph.digraph import DataGraph
 from repro.simulation import match
 from repro.views import Delta, ViewDefinition, ViewSet, bind_extension, materialize
-from repro.views.maintenance import IncrementalView, IncrementalViewSet
+from repro.views.maintenance import IncrementalViewSet
 
 
 def _definitions():
@@ -40,9 +40,10 @@ def _definitions():
     ]
 
 
-def _stream(rng, graph, rounds, fresh_nodes=0):
+def _stream(rng, graph, rounds, fresh_nodes=0, self_loops=False):
     """Random interleaved ops, valid against the evolving graph; node
-    keys may exceed the current node set (``add_edge`` auto-creates)."""
+    keys may exceed the current node set (``add_edge`` auto-creates).
+    Inserted self-loops only with ``self_loops``."""
     population = len(graph) + fresh_nodes
     ops = []
     present = set(graph.edges())
@@ -53,7 +54,7 @@ def _stream(rng, graph, rounds, fresh_nodes=0):
             present.discard(edge)
         else:
             source, target = rng.randrange(population), rng.randrange(population)
-            if source == target or (source, target) in present:
+            if (source == target and not self_loops) or (source, target) in present:
                 continue
             ops.append(("insert", source, target))
             present.add((source, target))
@@ -114,43 +115,27 @@ class TestDelta:
 
 
 class TestConstructorSatellites:
-    def test_shared_constructor_parameter(self):
-        g = build_graph({1: "A", 2: "B"}, [(1, 2)])
-        owned = IncrementalView(_definitions()[0], g)
-        assert owned.graph is not g  # defensive copy
-        shared = IncrementalView(_definitions()[0], g, shared=True)
-        assert shared.graph is g
-
-    def test_shared_tracker_rejects_direct_updates(self):
-        g = build_graph({1: "A", 2: "B"}, [(1, 2)])
-        tracked = IncrementalViewSet(_definitions(), g)
-        view = tracked._trackers["AB"]
-        with pytest.raises(RuntimeError):
-            view.insert_edge(1, 2)
-        with pytest.raises(RuntimeError):
-            view.delete_edge(1, 2)
-
     def test_delete_edge_noops_on_missing_edge(self):
         g = build_graph({1: "A", 2: "B"}, [(1, 2)])
-        tracker = IncrementalView(_definitions()[0], g)
-        assert tracker.delete_edge(2, 1) is False  # never existed
-        assert tracker.extension().num_pairs == 1
         tracked = IncrementalViewSet(_definitions(), g)
-        assert tracked.delete_edge(9, 9) is False
+        report = tracked.apply_delta(Delta().delete(2, 1).delete(9, 9))
+        assert (report.applied, report.skipped) == (0, 2)
+        assert tracked.extension("AB").num_pairs == 1
         assert tracked.seq == 0  # no state change, nothing to sync
 
     def test_extension_cached_behind_dirty_flag(self):
         g = build_graph({1: "A", 2: "B", 3: "C"}, [(1, 2), (2, 3)])
-        tracker = IncrementalView(_definitions()[0], g)
-        first = tracker.extension()
-        assert tracker.extension() is first  # no rebuild between reads
-        tracker.insert_edge(3, 1)  # irrelevant for an A->B view
-        assert tracker.extension() is first  # provably unchanged: kept
-        builds_before = tracker.stats.extension_builds
-        tracker.delete_edge(1, 2)  # changes the match set
-        second = tracker.extension()
+        tracked = IncrementalViewSet(_definitions()[:1], g)
+        first = tracked.extension("AB")
+        assert tracked.extension("AB") is first  # no rebuild between reads
+        tracked.apply_delta(Delta().insert(3, 1))  # irrelevant for an A->B view
+        assert tracked.extension("AB") is first  # provably unchanged: kept
+        stats = tracked.stats()["AB"]
+        builds_before = stats.extension_builds
+        tracked.apply_delta(Delta().delete(1, 2))  # changes the match set
+        second = tracked.extension("AB")
         assert second is not first
-        assert tracker.stats.extension_builds == builds_before + 1
+        assert stats.extension_builds == builds_before + 1
 
 
 class TestInsertionRevival:
@@ -173,30 +158,28 @@ class TestInsertionRevival:
         graph.add_edge(0, 1)
         graph.add_edge(1, 2)
         view = ViewDefinition("chain", pattern)
-        return graph, view, IncrementalView(view, graph)
+        return graph, view, IncrementalViewSet([view], graph)
 
     def test_insertion_revives_exactly_the_affected_pairs(self):
         graph, view, tracker = self._setup()
-        graph.add_edge(2, 3)
-        tracker.insert_edge(2, 3)
+        tracker.apply_delta(Delta().insert(2, 3))
         fresh = materialize(view, graph)
-        assert tracker.extension().edge_matches == fresh.edge_matches
-        assert tracker.stats.incremental_inserts == 1
-        assert tracker.stats.recomputes == 0
-        assert tracker.stats.revived_pairs == 3
-        assert tracker.stats.affected_area == 3
+        assert tracker.extension("chain").edge_matches == fresh.edge_matches
+        stats = tracker.stats()["chain"]
+        assert stats.incremental_inserts == 1
+        assert stats.recomputes == 0
+        assert stats.revived_pairs == 3
+        assert stats.affected_area == 3
 
     def test_deletion_after_incremental_insert_stays_consistent(self):
         # The revival path must leave witness counters exact, or a
         # later deletion cascade would prune the wrong pairs.
         graph, view, tracker = self._setup()
-        graph.add_edge(2, 3)
-        tracker.insert_edge(2, 3)
+        tracker.apply_delta(Delta().insert(2, 3))
         for edge in [(12, 13), (2, 3), (0, 1)]:
-            graph.remove_edge(*edge)
-            tracker.delete_edge(*edge)
+            tracker.apply_delta(Delta().delete(*edge))
             fresh = materialize(view, graph)
-            assert tracker.extension().edge_matches == fresh.edge_matches, edge
+            assert tracker.extension("chain").edge_matches == fresh.edge_matches, edge
 
 
 class TestStreamEquivalence:
@@ -204,24 +187,23 @@ class TestStreamEquivalence:
     def test_viewset_stream_matches_rematerialization(self, seed):
         rng = random.Random(seed)
         graph = random_labeled_graph(rng, 24, 60)
-        definitions = _definitions()
+        # A same-label cycle: a self-loop witnesses both of its edges.
+        definitions = _definitions() + [
+            ViewDefinition(
+                "AA",
+                build_pattern({"x": "A", "y": "A"}, [("x", "y"), ("y", "x")]),
+            )
+        ]
         tracked = IncrementalViewSet(definitions, graph)
         mirror = graph.copy()
-        ops = _stream(rng, graph, 50, fresh_nodes=4)
-        # Interleave singles and batches.
+        ops = _stream(rng, graph, 50, fresh_nodes=4, self_loops=True)
+        # Interleave single-op and multi-op batches.
         index = 0
         while index < len(ops):
             take = 1 if rng.random() < 0.4 else rng.randrange(2, 6)
             chunk = ops[index : index + take]
             index += take
-            if len(chunk) == 1:
-                op, source, target = chunk[0]
-                if op == "insert":
-                    tracked.insert_edge(source, target)
-                else:
-                    tracked.delete_edge(source, target)
-            else:
-                tracked.apply_delta(Delta(chunk))
+            tracked.apply_delta(Delta(chunk))
             for op, source, target in chunk:
                 if op == "insert":
                     mirror.add_edge(source, target)
@@ -306,14 +288,15 @@ class TestViewSetDeltaPipeline:
             {1: "A", 2: "B", 3: "C", 4: "B"}, [(1, 2), (2, 3), (1, 4)]
         )
         views = ViewSet(_definitions())
-        views.track(graph)
+        engine = QueryEngine(views, graph=graph)
+        engine.attach_maintenance(IncrementalViewSet(_definitions(), graph))
+        mirror = graph.copy()
         stamps = {name: views.view_version(name) for name in views.names()}
-        report = views.apply_delta(Delta().insert(4, 3))  # B->C: BC and ABC
+        report = engine.apply_delta(Delta().insert(4, 3))  # B->C: BC and ABC
         assert set(report.changed_views) == {"BC", "ABC"}
         assert views.view_version("AB") == stamps["AB"]
         assert views.view_version("BC") != stamps["BC"]
         assert views.view_version("ABC") != stamps["ABC"]
-        mirror = graph.copy()
         mirror.add_edge(4, 3)
         for definition in views:
             assert (
@@ -346,12 +329,14 @@ class TestViewSetDeltaPipeline:
 
     def test_track_twice_rejected_and_requires_tracking(self):
         graph = build_graph({1: "A", 2: "B"}, [(1, 2)])
-        views = ViewSet(_definitions()[:1])
+        engine = QueryEngine(ViewSet(_definitions()[:1]), graph=graph)
         with pytest.raises(ValueError):
-            views.apply_delta(Delta().insert(1, 2))
-        views.track(graph)
-        with pytest.raises(ValueError):
-            views.track(graph)
+            engine.apply_delta(Delta().insert(1, 2))
+        tracker = IncrementalViewSet(_definitions()[:1], graph)
+        engine.attach_maintenance(tracker)
+        engine.attach_maintenance(tracker)  # the same tracker: a no-op
+        with pytest.raises(ValueError, match="already attached"):
+            engine.attach_maintenance(IncrementalViewSet([], graph))
 
 
 class TestEngineRetention:
@@ -373,7 +358,7 @@ class TestEngineRetention:
         _, tracker, engine, q_ab, q_bc = setup
         engine.answer(q_ab)
         engine.answer(q_bc)
-        tracker.insert_edge(4, 3)  # B->C: touches BC only
+        engine.apply_delta(Delta().insert(4, 3))  # B->C: touches BC only
         retained = engine.answer(q_ab)
         assert retained.stats.cache_hit
         refreshed = engine.answer(q_bc)
@@ -386,7 +371,7 @@ class TestEngineRetention:
         _, tracker, engine, q_ab, q_bc = setup
         engine.answer(q_ab)
         engine.answer(q_bc)
-        tracker.insert_edge(3, 3 + 100)  # C -> unlabeled: irrelevant
+        engine.apply_delta(Delta().insert(3, 3 + 100))  # C -> unlabeled: irrelevant
         assert engine.answer(q_ab).stats.cache_hit
         assert engine.answer(q_bc).stats.cache_hit
 
@@ -396,8 +381,8 @@ class TestEngineRetention:
         engine.answer(q_bc)
         before = engine.snapshot().snapshot_token
         assert engine.views.snapshot_token == before
-        tracker.insert_edge(4, 3)
-        engine.answer(q_ab)  # triggers the batch refresh
+        tracker.apply_delta(Delta().insert(4, 3))  # straight to the tracker
+        engine.answer(q_ab)  # the read consumes it: snapshot refresh
         snapshot = engine.snapshot()
         assert snapshot.extends_token == before
         # Changed views re-bound, unchanged views re-stamped: every
@@ -411,7 +396,7 @@ class TestEngineRetention:
         first = engine.answer(uncovered)
         assert first.stats.strategy == "direct"
         assert engine.answer(uncovered).stats.cache_hit
-        tracker.insert_edge(3, 4)  # C->B changes the direct answer
+        engine.apply_delta(Delta().insert(3, 4))  # C->B changes the direct answer
         second = engine.answer(uncovered)
         assert not second.stats.cache_hit
         assert second.edge_matches[("x", "y")] == {(3, 4)}

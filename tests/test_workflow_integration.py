@@ -14,7 +14,7 @@ from repro.core.matchjoin import match_join
 from repro.core.minimization import minimize
 from repro.core.rewriting import hybrid_answer, partial_answer
 from repro.simulation import match
-from repro.views import ViewSet
+from repro.views import Delta, ViewSet
 from repro.views.maintenance import IncrementalViewSet
 from repro.views.selection import select_views_for_workload
 
@@ -64,16 +64,16 @@ class TestWorkloadToAnswers:
         for _ in range(25):
             if rng.random() < 0.5 and graph.num_edges:
                 edge = rng.choice(list(graph.edges()))
-                graph.remove_edge(*edge)
-                tracked.delete_edge(*edge)
+                tracked.apply_delta(Delta().delete(*edge))
             else:
                 a, b = rng.randrange(400), rng.randrange(400)
                 if a == b or graph.has_edge(a, b):
                     continue
-                graph.add_edge(a, b)
-                tracked.insert_edge(a, b)
+                tracked.apply_delta(Delta().insert(a, b))
 
-        snapshot = tracked.as_viewset()
+        snapshot = ViewSet(selected.definitions())
+        for name in snapshot.names():
+            snapshot.set_extension(tracked.extension(name))
         for qi, query in enumerate(queries):
             cache = snapshot.subset(per_query[qi])
             containment = contains(query, cache)
