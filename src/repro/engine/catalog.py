@@ -239,11 +239,12 @@ class Catalog(PlanningState):
     # ------------------------------------------------------------------
     def attach_maintenance(self, tracker: IncrementalViewSet) -> None:
         """Keep the catalog fresh from ``tracker``, which must maintain
-        this catalog's own graph (``tracker.graph is self.graph``; else
-        ``ValueError``) -- one ``G`` for the views, direct evaluation
-        and snapshot refresh alike.  Definitions the catalog lacks are
-        added, and the first sync imports every maintained extension.
-        Re-attaching the same tracker is a no-op; a second is rejected."""
+        this catalog's own, mutable graph (else ``ValueError``; a
+        snapshot-booted engine's is immutable) -- one ``G`` for the
+        views, direct evaluation and snapshot refresh alike.  Definitions
+        the catalog lacks are added, and the first sync imports every
+        maintained extension.  Re-attaching the same tracker is a no-op;
+        a second is rejected."""
         with self.lock:
             if self.maintenance is tracker:
                 return
@@ -254,6 +255,9 @@ class Catalog(PlanningState):
                     "the tracker must maintain the engine's own graph: "
                     "build it as IncrementalViewSet(definitions, engine.graph)"
                 )
+            if not hasattr(self.graph, "add_edge"):
+                kind = type(self.graph).__name__
+                raise ValueError(f"cannot maintain an immutable {kind}")
             for name in tracker.names():
                 if name not in self.views:
                     self.views.add(tracker.definition(name))

@@ -5,8 +5,8 @@ A :class:`CompactGraph` is a frozen copy of a
 tables in one :class:`~repro.graph.flatbuf.FlatStore`: dense ids
 ``0..n-1``, ``(indptr, indices)`` pairs of 64-bit ints for successors,
 predecessors and per-node label rows, and a **sorted id bucket** per
-label.  Node keys and attribute dicts stay Python lists in process and
-are pickled only when the snapshot is saved or pickled.  The engines
+label.  Node keys and attribute dicts (the graph's own, never copied)
+stay Python lists in process, pickled only on save.  The engines
 exploit the layout twice over: *seeding* reads candidate sets off the
 label buckets and per-attribute sorted columns
 (:meth:`CompactGraph.candidate_ids`) instead of scanning every node --
@@ -221,7 +221,7 @@ class CompactGraph:
         self._bind(store, None, (len(nodes), graph.num_edges, version, _new_token(), None))
         self._nodes = nodes
         self._ids = ids
-        self._attrs = [dict(graph.attrs(v)) for v in nodes]
+        self._attrs = list(map(graph.attrs, nodes))
 
     def _bind(self, store: FlatStore, patch, meta) -> None:
         """Set every slot for the tables of ``store`` overlaid by
@@ -275,7 +275,7 @@ class CompactGraph:
         succ = {id_of(s): tuple(map(id_of, graph.successors(s))) for s in {s for _, s, _ in ops}}
         pred = {id_of(t): tuple(map(id_of, graph.predecessors(t))) for t in {t for _, _, t in ops}}
         labels = {i: graph.labels(v) for i, v in enumerate(appended, n_old)}
-        attrs = [dict(graph.attrs(v)) for v in appended]
+        attrs = list(map(graph.attrs, appended))
         previous = old._patch or _EMPTY_PATCH
         buckets = dict(previous["buckets"])
         for i, node_labels in labels.items():
@@ -651,6 +651,7 @@ class CompactGraph:
         return self._labels[self._id_map()[node]]
 
     def attrs(self, node: Node) -> Dict[str, Any]:
+        """``node``'s attribute dict, shared with its graph: read-only."""
         return self._attrs[self._id_map()[node]]
 
     def nodes_with_label(self, label: str) -> Iterator[Node]:

@@ -55,12 +55,11 @@ from typing import (
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.graph.compact import CompactGraph
-    from repro.views.maintenance import Delta
 
 Node = Hashable
 Edge = Tuple[Node, Node]
 
-#: One journal entry / applied delta op: ``(op, source, target)`` with
+#: One journal entry: ``(op, source, target)`` with
 #: ``op`` in ``{"insert", "delete"}``.
 EdgeOp = Tuple[str, Node, Node]
 
@@ -160,7 +159,9 @@ class DataGraph:
                 if not is_new:
                     self._break_oplog()
         if attrs:
-            self._attrs[node].update(attrs)
+            # A new dict, never an in-place update: snapshots share the
+            # old one (see :meth:`attrs`).
+            self._attrs[node] = {**self._attrs[node], **attrs}
             self._version += 1
             if not is_new:
                 self._break_oplog()
@@ -251,28 +252,6 @@ class DataGraph:
         ops.reverse()
         return ops
 
-    def apply_delta(self, delta: "Delta") -> List[EdgeOp]:
-        """Apply a :class:`~repro.views.maintenance.Delta` batch.
-
-        Ops are applied in order; already-present insertions and
-        missing-edge deletions are skipped (a delta is a statement of
-        intent, not a transcript).  Returns the ops actually applied.
-        The journal records them, so the next :meth:`freeze` refreshes
-        the cached snapshot instead of rebuilding it.
-        """
-        applied: List[EdgeOp] = []
-        for op, source, target in delta:
-            if op == "insert":
-                if self.has_edge(source, target):
-                    continue
-                self.add_edge(source, target)
-            else:
-                if not self.has_edge(source, target):
-                    continue
-                self.remove_edge(source, target)
-            applied.append((op, source, target))
-        return applied
-
     # ------------------------------------------------------------------
     # Inspection
     # ------------------------------------------------------------------
@@ -334,6 +313,9 @@ class DataGraph:
         return self._labels[node]
 
     def attrs(self, node: Node) -> Dict[str, Any]:
+        """The attribute dict of ``node``: read-only.  Snapshots share it
+        rather than copy it, so change attributes through
+        :meth:`add_node`, which installs a new dict."""
         return self._attrs[node]
 
     def nodes_with_label(self, label: str) -> Iterator[Node]:

@@ -15,7 +15,6 @@ machine-friendly without any third-party dependency.
 from __future__ import annotations
 
 import logging
-from typing import Optional
 
 #: Accepted ``--log-level`` names (stdlib levels).
 LEVELS = ("debug", "info", "warning", "error", "critical")
@@ -76,7 +75,3 @@ def log_fields(**fields: object) -> dict:
     ``log.info("shed", extra=log_fields(reason="queue-full"))``."""
     return {"fields": fields}
 
-
-def get_logger(name: Optional[str] = None) -> logging.Logger:
-    """A ``repro.*`` logger (convenience for scripts and examples)."""
-    return logging.getLogger(name or "repro")

@@ -226,9 +226,6 @@ class MetricsRegistry:
     def enabled(self) -> bool:
         return self._enabled
 
-    def enable(self) -> None:
-        self._enabled = True
-
     def disable(self) -> None:
         self._enabled = False
 

@@ -30,11 +30,6 @@ Node = Hashable
 INF = float("inf")
 
 
-def bounded_descendants(graph, source: Node, bound: int) -> Dict[Node, int]:
-    """Shortest nonempty-path distance to every node within ``bound`` hops."""
-    return graph.descendants_within(source, bound)
-
-
 def reachable_from(graph, source: Node) -> Set[Node]:
     """All nodes reachable from ``source`` by a nonempty path."""
     seen: Set[Node] = set()

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from array import array
 from functools import partial
-from typing import Dict, Hashable, List, Optional, Set, Tuple
+from typing import Callable, Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
 from repro.graph.flatbuf import FlatStore
 from repro.simulation.result import LazyMap
@@ -42,39 +42,27 @@ _ROW_TABLES = ("pairs_indptr", "pairs_src", "pairs_tgt")
 
 
 class _LazyDistances(dict):
-    """A distance index decoded from the flat triples on first use.
-
-    ``decode=None`` yields the id-space table
-    (``FlatExtension.distances``); with a node table it yields the
-    node-key form (``MaterializedView.distances``).
+    """A distance index filled on first use from ``fill()``'s
+    ``((v, w), d)`` items: the id-space ``I(V)`` off a store's flat
+    triples (``FlatExtension.distances`` once packed or attached), or
+    the node-key form decoded from an id-space index
+    (``MaterializedView.distances``).
     """
 
-    __slots__ = ("_store", "_decode", "_ready")
+    __slots__ = ("_fill",)
 
-    def __init__(self, store: FlatStore, decode=None) -> None:
+    def __init__(self, fill: Callable[[], Iterable]) -> None:
         super().__init__()
-        self._store = store
-        self._decode = decode
-        self._ready = False
+        self._fill = fill
 
     def _ensure(self) -> None:
-        if not self._ready:
-            store = self._store
-            src = store.ints("dist_src")
-            tgt = store.ints("dist_tgt")
-            val = store.ints("dist_val")
-            decode = self._decode
-            if decode is None:
-                self.update(zip(zip(src, tgt), val))
-            else:
-                self.update(
-                    ((decode(v), decode(w)), d)
-                    for v, w, d in zip(src, tgt, val)
-                )
-            self._ready = True
+        fill = self._fill
+        if fill is not None:
+            self.update(fill())
+            self._fill = None
 
     def __missing__(self, key):
-        if self._ready:
+        if self._fill is None:
             raise KeyError(key)
         self._ensure()
         return dict.__getitem__(self, key)
@@ -109,6 +97,8 @@ class _LazyDistances(dict):
 
     def __eq__(self, other):
         self._ensure()
+        if isinstance(other, _LazyDistances):
+            other._ensure()
         return dict.__eq__(self, other)
 
     def __ne__(self, other):
@@ -359,5 +349,13 @@ def _attach_extension(
         (token, version, nodes),
         edge_order,
         store,
-        _LazyDistances(store) if bounded else None,
+        _LazyDistances(partial(_stored_distances, store)) if bounded else None,
+    )
+
+
+def _stored_distances(store: FlatStore):
+    """``I(V)``'s ``((source id, target id), distance)`` items off a
+    store's ``dist_*`` triples."""
+    return zip(
+        zip(store.ints("dist_src"), store.ints("dist_tgt")), store.ints("dist_val")
     )

@@ -13,18 +13,20 @@ MatchJoin must run "without accessing G at all" (Theorem 1), and keeping
 the graph out of the extension object makes that guarantee structural.
 
 Materializing against a frozen :class:`~repro.graph.compact.CompactGraph`
-snapshot (or a :class:`~repro.shard.sharded.ShardedGraph`) additionally
-attaches a :class:`~repro.views.flatpack.FlatExtension` -- the same
+snapshot (or a :class:`~repro.shard.sharded.ShardedGraph`) stores the
+extension as a :class:`~repro.views.flatpack.FlatExtension` -- the
 match sets as parallel ``(src, tgt)`` id rows in the snapshot's integer
-id space, stamped with the snapshot's token/version.  MatchJoin
-recognises extensions that share a snapshot and sweeps the rows
-directly (still never touching adjacency, so Theorem 1's guarantee is
-intact).
+id space, stamped with the snapshot's token/version -- and nothing
+else: the node-key sets and ``I(V)`` decode from the rows when read.
+MatchJoin recognises extensions that share a snapshot and sweeps the
+rows directly (still never touching adjacency, so Theorem 1's guarantee
+is intact).
 """
 
 from __future__ import annotations
 
 from array import array
+from functools import partial
 from typing import TYPE_CHECKING, Dict, Hashable, Optional, Set, Tuple
 
 from repro.graph.pattern import BoundedPattern, Pattern
@@ -35,7 +37,6 @@ from repro.views.flatpack import FlatExtension, _LazyDistances
 
 if TYPE_CHECKING:
     from repro.graph.digraph import DataGraph
-    from repro.simulation.result import MatchResult
 
 PNode = Hashable
 PEdge = Tuple[PNode, PNode]
@@ -103,10 +104,12 @@ class MaterializedView:
     compact:
         Optional :class:`~repro.views.flatpack.FlatExtension` carrying
         the same match sets as id rows in snapshot id space (set when
-        the view was materialized against a snapshot).  A view attached
-        from a saved snapshot decodes ``edge_matches`` (and the node-key
-        distance index) lazily from the rows -- specs that run entirely
-        in id space never pay the decode at all.
+        the view was materialized against a snapshot).  Such a view is
+        built one way, by :func:`_attach_view`, whether fresh, attached
+        from a saved snapshot or unpickled: the rows are its only stored
+        form, and ``edge_matches`` and ``distances`` decode from them
+        per view edge on first read -- specs that run entirely in id
+        space never pay the decode at all.
     """
 
     __slots__ = ("definition", "edge_matches", "distances", "compact", "_size")
@@ -193,13 +196,9 @@ class MaterializedView:
         )
 
     def __reduce__(self):
-        payload = self.compact
-        if payload is not None and payload.ships_as_handle:
-            return (_attach_view, (self.definition, payload))
-        return (
-            MaterializedView,
-            (self.definition, self.edge_matches, self.distances, payload),
-        )
+        if self.compact is not None:
+            return (_attach_view, (self.definition, self.compact))
+        return (MaterializedView, (self.definition, self.edge_matches, self.distances))
 
     def __repr__(self) -> str:
         return f"MaterializedView({self.name!r}, pairs={self.num_pairs})"
@@ -208,13 +207,20 @@ class MaterializedView:
 def _attach_view(
     definition: ViewDefinition, flat: FlatExtension
 ) -> MaterializedView:
-    """A view whose node-key sets decode lazily from ``flat``'s rows."""
+    """The one construction of a view that carries id rows -- fresh in
+    process, attached from a saved snapshot or unpickled: its node-key
+    sets and node-key ``I(V)`` decode lazily from ``flat``."""
     distances = (
-        _LazyDistances(flat.store, decode=flat.nodes.__getitem__)
-        if flat.distances is not None
-        else None
+        None
+        if flat.distances is None
+        else _LazyDistances(partial(_decoded_distances, flat))
     )
     return MaterializedView(definition, flat.per_edge("pairs"), distances, flat)
+
+
+def _decoded_distances(flat: FlatExtension):
+    decode = flat.nodes.__getitem__
+    return (((decode(v), decode(w)), d) for (v, w), d in flat.distances.items())
 
 
 def materialize(definition: ViewDefinition, graph: DataGraph) -> MaterializedView:
@@ -231,7 +237,8 @@ def materialize(definition: ViewDefinition, graph: DataGraph) -> MaterializedVie
     bounded = definition.is_bounded
     evaluated = evaluate(pattern, graph, bounded=bounded, distances=bounded)
     if evaluated is not None:
-        return snapshot_extension(definition, graph, *evaluated)
+        _, id_rows, id_distances = evaluated
+        return snapshot_extension(definition, graph, id_rows, id_distances)
     if bounded:
         from repro.simulation.bounded import bounded_match_with_distances
 
@@ -260,7 +267,6 @@ def materialize(definition: ViewDefinition, graph: DataGraph) -> MaterializedVie
 def snapshot_extension(
     definition: ViewDefinition,
     snapshot,
-    result: MatchResult,
     id_rows: Optional[IdRows],
     id_distances: Optional[Dict[Tuple[int, int], int]] = None,
 ) -> MaterializedView:
@@ -270,25 +276,18 @@ def snapshot_extension(
     match); it is concatenated into the payload here and not kept, so
     materializing a catalog holds one view's kernel rows at a time.
     For bounded views ``id_distances`` is ``I(V)`` in id space -- built
-    during materialization, never re-derived per query -- and the
-    node-key index on the :class:`MaterializedView` is decoded from the
-    same table, so the two views of ``I(V)`` cannot drift.
+    during materialization, never re-derived per query.  The rows are
+    the only stored form: the node-key sets and the node-key ``I(V)``
+    decode from them on first read (:func:`_attach_view`), so the two
+    forms cannot drift.
     """
-    pattern = definition.pattern
     if id_rows is None:
-        edge_matches = {edge: set() for edge in pattern.edges()}
-        id_rows = {edge: (array("q"), array("q")) for edge in pattern.edges()}
+        edges = definition.pattern.edges()
+        id_rows = {edge: (array("q"), array("q")) for edge in edges}
         id_distances = {} if definition.is_bounded else None
-    else:
-        edge_matches = dict(result.edge_matches)  # built now, held as sets
-    payload = FlatExtension.from_rows(snapshot, id_rows, id_distances)
-    distances = None
-    if id_distances is not None:
-        decode = payload.nodes.__getitem__
-        distances = {
-            (decode(v), decode(w)): d for (v, w), d in id_distances.items()
-        }
-    return MaterializedView(definition, edge_matches, distances, payload)
+    return _attach_view(
+        definition, FlatExtension.from_rows(snapshot, id_rows, id_distances)
+    )
 
 
 def bind_extension(extension: MaterializedView, snapshot) -> MaterializedView:

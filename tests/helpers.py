@@ -98,6 +98,18 @@ def build_graph(labeled_nodes, edges):
     return g
 
 
+def apply_ops(graph: DataGraph, delta) -> None:
+    """Apply a ``Delta``'s ops to a plain graph in order, skipping
+    present-edge insertions and absent-edge deletions, as a maintenance
+    tracker does."""
+    for op, source, target in delta:
+        if op == "insert":
+            if not graph.has_edge(source, target):
+                graph.add_edge(source, target)
+        elif graph.has_edge(source, target):
+            graph.remove_edge(source, target)
+
+
 def build_pattern(labeled_nodes, edges):
     q = Pattern()
     for node, label in labeled_nodes.items():

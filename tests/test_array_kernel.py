@@ -31,6 +31,7 @@ from repro.views.maintenance import Delta
 
 from helpers import (
     KERNELS,
+    apply_ops,
     forced_kernel,
     fresh_registry,
     random_labeled_graph,
@@ -638,8 +639,9 @@ def test_array_caches_are_per_snapshot(operator, shared):
     a_source = next(v for v in graph.nodes() if "A" in graph.labels(v))
     c_target = next(v for v in graph.nodes() if "C" in graph.labels(v))
     graph.add_node(("n", "appended"), labels="B")
-    graph.apply_delta(
-        Delta().insert(a_source, ("n", "appended")).insert(("n", "appended"), c_target)
+    apply_ops(
+        graph,
+        Delta().insert(a_source, ("n", "appended")).insert(("n", "appended"), c_target),
     )
     refreshed = frozen_as(graph, shared, old)
     assert refreshed.extends_token == old.snapshot_token
@@ -963,7 +965,8 @@ def check_edge_columns_are_rebuilt_after_a_refresh(operator, shared):
     graph.add_node("appended", labels="B")
     b_target = next(v for v in graph.nodes() if "C" in graph.labels(v))
     a_source = next(v for v in graph.nodes() if "A" in graph.labels(v))
-    graph.apply_delta(
+    apply_ops(
+        graph,
         Delta()
         .insert(*absent)
         .delete(*present)
@@ -1009,7 +1012,8 @@ def check_attached_snapshot_reads_its_columns_off_the_segment(operator):
     base = graph.freeze()
     first, last = list(graph.nodes())[0], list(graph.nodes())[-1]
     graph.add_node("appended", labels="B")
-    graph.apply_delta(
+    apply_ops(
+        graph,
         Delta()
         .delete(*next(iter(graph.edges())))
         .insert(first, "appended")

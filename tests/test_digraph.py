@@ -158,3 +158,107 @@ class TestCopy:
         h = g.copy()
         assert set(h.edges()) == set(g.edges())
         assert h.labels(2) == g.labels(2)
+
+
+class TestSharedAttrs:
+    """A snapshot holds the graph's own attribute dicts; the graph
+    replaces a node's dict on change, so neither side sees the other's
+    future."""
+
+    def test_a_snapshots_attrs_is_the_graphs_dict(self):
+        g = small_graph()
+        frozen = g.freeze()
+        for v in g.nodes():
+            assert frozen.attrs(v) is g.attrs(v)
+        g.add_node(4, labels="A", attrs={"x": 4})
+        g.add_edge(4, 1)
+        refreshed = g.freeze()
+        assert refreshed.extends_token == frozen.snapshot_token  # patched, not rebuilt
+        for v in g.nodes():
+            assert refreshed.attrs(v) is g.attrs(v)
+
+    def test_add_node_attrs_reaches_the_next_snapshot_only(self):
+        from repro.graph.conditions import P
+
+        g = small_graph()
+        old = g.freeze()
+        before = old.attrs(1)
+        ones = P("x") == 1
+        assert old.candidate_ids(ones) == {old.id_of(1)}  # column built
+        g.add_node(1, attrs={"x": 2, "y": 3})
+        assert old.attrs(1) is before and before == {"x": 1}
+        assert old.candidate_ids(ones) == {old.id_of(1)}
+        new = g.freeze()
+        assert new.attrs(1) == {"x": 2, "y": 3} and new.attrs(1) is g.attrs(1)
+        assert new.candidate_ids(ones) == set()
+
+
+#: Methods that change a dict in place.
+_DICT_MUTATORS = {
+    "update", "pop", "popitem", "setdefault", "clear", "__setitem__", "__delitem__",
+}
+
+
+def _attrs_dict_mutations(tree):
+    """``(line, text)`` of every in-place change to a dict read through
+    ``.attrs(...)`` / ``.attrs_of(...)`` / ``._attrs[...]``, directly or
+    through a name bound to one."""
+    import ast
+
+    def is_read(node, names):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            return node.func.attr in ("attrs", "attrs_of")
+        if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute):
+            return node.value.attr == "_attrs"
+        return isinstance(node, ast.Name) and node.id in names
+
+    names = {
+        target.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign) and is_read(node.value, ())
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load):
+            hit = is_read(node.value, names)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            hit = node.func.attr in _DICT_MUTATORS and is_read(node.func.value, names)
+        else:
+            hit = False
+        if hit:
+            yield node.lineno, ast.unparse(node)
+
+
+def test_no_source_mutates_an_attrs_dict_in_place():
+    import ast
+    from pathlib import Path
+
+    import repro
+
+    src = Path(repro.__file__).resolve().parent
+    found = [
+        f"{path.relative_to(src).as_posix()}:{line}: {text}"
+        for path in sorted(src.rglob("*.py"))
+        for line, text in _attrs_dict_mutations(ast.parse(path.read_text()))
+    ]
+    assert not found, (
+        "attribute dicts are shared with snapshots and read-only; change "
+        f"them through DataGraph.add_node(v, attrs=...): {found}"
+    )
+
+
+def test_the_attrs_guard_sees_each_mutation_form():
+    import ast
+
+    source = "\n".join([
+        "g.attrs(v)['x'] = 1",
+        "self._attrs[node].update(attrs)",
+        "d = g.attrs(v)",
+        "del d['x']",
+        "snapshot.attrs_of(i).setdefault('y', 0)",
+        "fresh = {**g.attrs(v), 'x': 1}",  # a copy: fine
+        "value = g.attrs(v)['x']",  # a read: fine
+    ])
+    found = [line for line, _ in _attrs_dict_mutations(ast.parse(source))]
+    assert found == [1, 2, 4, 5]

@@ -19,6 +19,7 @@ import pytest
 from helpers import build_bounded, build_graph, build_pattern, random_labeled_graph
 from repro.engine import QueryEngine
 from repro.graph.digraph import DataGraph
+from repro.graph.snapshot import SnapshotStore
 from repro.simulation import bounded_match, match
 from repro.views import Delta, ViewDefinition, ViewSet, materialize
 from repro.views.maintenance import IncrementalViewSet
@@ -159,6 +160,20 @@ def test_attaching_is_exclusive_and_takes_only_the_engines_graph():
     with pytest.raises(ValueError, match="own graph"):
         engine.attach_maintenance(IncrementalViewSet(_definitions(), graph.copy()))
     assert engine.maintenance is None
+
+
+def test_a_tracker_over_a_snapshot_booted_engine_is_refused_at_attach(tmp_path):
+    # The identity check alone passes (``tracker.graph is engine.graph``),
+    # and the first insert used to die with AttributeError on add_edge.
+    SnapshotStore.save(tmp_path / "snap", _graph())
+    for graph in (_graph().freeze(), SnapshotStore.load(tmp_path / "snap").graph):
+        engine = QueryEngine(ViewSet(_definitions()), graph=graph)
+        tracker = IncrementalViewSet(_definitions(), engine.graph)
+        with pytest.raises(ValueError, match="immutable CompactGraph"):
+            engine.attach_maintenance(tracker)
+        assert engine.maintenance is None
+        with pytest.raises(ValueError, match="no maintenance tracker"):
+            engine.apply_delta(Delta().insert(4, 3))
 
 
 def test_the_maintenance_path_never_copies_the_graph(monkeypatch):

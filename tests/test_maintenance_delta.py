@@ -273,14 +273,6 @@ class TestStreamEquivalence:
         assert second.extends_token is None  # full rebuild
         assert second.labels(1) == frozenset({"A", "Z"})
 
-    def test_apply_delta_skips_inapplicable_ops(self):
-        graph = build_graph({1: "A", 2: "B"}, [(1, 2)])
-        applied = graph.apply_delta(
-            Delta().insert(1, 2).delete(2, 1).insert(2, 1).delete(1, 2)
-        )
-        assert applied == [("insert", 2, 1), ("delete", 1, 2)]
-        assert sorted(graph.edges()) == [(2, 1)]
-
 
 class TestViewSetDeltaPipeline:
     def test_per_view_stamps_move_only_for_changed_views(self):

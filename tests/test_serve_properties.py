@@ -20,7 +20,7 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from helpers import random_labeled_graph, random_pattern
+from helpers import apply_ops, random_labeled_graph, random_pattern
 from repro.engine import QueryEngine
 from repro.serve import QueryServer
 from repro.serve.wire import query_reply
@@ -60,7 +60,7 @@ def make_workload(seed: int):
     graphs = [graph.copy()]
     for delta in deltas:
         reference = graphs[-1].copy()
-        reference.apply_delta(delta)
+        apply_ops(reference, delta)
         graphs.append(reference)
     return graph, definitions, queries, deltas, graphs
 

@@ -1,13 +1,22 @@
 """Tests for view definitions, materialization, the distance index I(V),
 and the ViewSet cache."""
 
+import random
+
 import pytest
 
 from repro.graph import BoundedPattern, Pattern
 from repro.views import MaterializedView, ViewDefinition, ViewSet, materialize
 from repro.views.view import materialize as materialize_fn
 
-from helpers import build_bounded, build_graph, build_pattern
+from helpers import (
+    KERNELS,
+    build_bounded,
+    build_graph,
+    build_pattern,
+    forced_kernel,
+    random_labeled_graph,
+)
 
 
 def simple_graph():
@@ -221,3 +230,85 @@ class TestAnswerPipeline:
         )
         answer = answer_with_views(q, vs, graph=g)
         assert answer.result.edge_matches == bounded_match(q, g).edge_matches
+
+
+class _CountingTable(list):
+    """A node table that counts every key it hands out."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        _CountingTable.reads += 1
+        return list.__getitem__(self, i)
+
+    def __iter__(self):
+        _CountingTable.reads += len(self)
+        return list.__iter__(self)
+
+
+def _counted_snapshot(graph):
+    snapshot = graph.freeze()
+    snapshot._nodes = _CountingTable(snapshot.node_table)
+    _CountingTable.reads = 0
+    return snapshot
+
+
+class TestLazyPayloadViews:
+    """A view materialized against a snapshot stores its id rows only:
+    node-key sets and ``I(V)`` decode when read, as an attached view's
+    do."""
+
+    DEFINITIONS = {
+        "plain": ViewDefinition(
+            "P", build_pattern({"a": "A", "b": "B"}, [("a", "b")])
+        ),
+        "bounded": ViewDefinition(
+            "B",
+            build_bounded(
+                {"a": "A", "b": "B", "c": "A"}, [("a", "b", 2), ("b", "c", 2)]
+            ),
+        ),
+    }
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("kind", sorted(DEFINITIONS))
+    def test_materializing_decodes_no_node_key_until_read(self, kind, kernel):
+        definition = self.DEFINITIONS[kind]
+        graph = random_labeled_graph(random.Random(3), 40, 160)
+        snapshot = _counted_snapshot(graph)
+        with forced_kernel(kernel):
+            view = materialize(definition, snapshot)
+        assert not view.is_empty
+        assert view.num_pairs and view.size  # counted off the rows
+        assert _CountingTable.reads == 0
+        reference = materialize(definition, graph)
+        if view.distances is not None:
+            assert view.distance_of(next(iter(reference.distances))) >= 1
+            assert _CountingTable.reads > 0
+            _CountingTable.reads = 0
+        edge = next(iter(view.edge_matches))
+        assert view.pairs_of(edge) == reference.pairs_of(edge)
+        assert _CountingTable.reads > 0
+        assert view.edge_matches == reference.edge_matches
+        assert view.distances == reference.distances
+
+    def test_in_process_lazy_distances_equal_the_eager_reference(self):
+        import pickle
+
+        definition = self.DEFINITIONS["bounded"]
+        graph = random_labeled_graph(random.Random(4), 40, 160)
+        snapshot = graph.freeze()
+        view = materialize(definition, snapshot)
+        payload = view.compact
+        assert payload.store is None  # in process: no segment
+        decode = snapshot.node_of
+        eager = {
+            (decode(v), decode(w)): d for (v, w), d in payload.distances.items()
+        }
+        assert eager and view.distances == eager
+        assert dict(view.distances.items()) == eager
+        assert all(view.distance_of(pair) == d for pair, d in eager.items())
+        assert view.distances == materialize(definition, graph).distances
+        revived = pickle.loads(pickle.dumps(view))
+        assert revived.distances == eager
+        assert revived.edge_matches == view.edge_matches
