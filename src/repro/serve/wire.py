@@ -13,6 +13,11 @@ default=str)`` of the dict ``{"ok", "epoch", "cache_hit", "coalesced",
 that key order with the default separators -- no client can tell a
 spliced reply from a freshly dumped one (``tests/test_serve.py`` keeps
 the dict encoder as the reference).
+
+A reply carries ``node_matches`` as the answer holds them, so it
+follows :mod:`repro.simulation.result`'s node-set contract: a sink
+pattern node's set may be smaller under a MatchJoin plan than under a
+direct one, while ``edge_matches`` is the same under every plan.
 """
 
 from __future__ import annotations

@@ -8,6 +8,11 @@ per-pattern-node match sets) and the per-edge match sets, because the
 node sets are what the fixpoint algorithms refine while the edge sets
 are what the user (and the views machinery) consumes.
 
+Every plan returns the same ``edge_matches`` (``Qs(G)``) and the same
+``node_matches`` on pattern nodes with an out-edge; on a sink a direct
+plan keeps the whole maximum-simulation set, a MatchJoin plan only the
+nodes in some ``Se`` (a subset): compare answers by ``edge_matches``.
+
 An id-space kernel's answer stays in ids until someone reads it: an
 :class:`IdAnswer` holds the kernel's rows and survivors and decodes
 each node or edge's set on first access (:class:`LazyMap`).

@@ -12,6 +12,9 @@ view-payload counterpart :mod:`repro.views.flatpack`:
   from its store with identical read results, and a file-attached one
   pickles as its path;
 * engine integration: maintenance re-stamps flat extension payloads.
+
+Answers over mapped snapshots (MatchJoin included) are
+``test_oracle_machine.py``'s.
 """
 
 import gc
@@ -21,8 +24,6 @@ import random
 import pytest
 
 from helpers import random_labeled_graph, shm_segments
-from repro.core.containment import contains
-from repro.core.matchjoin import match_join
 from repro.datasets import generate_views, query_from_views, random_graph
 from repro.engine import QueryEngine
 from repro.graph import CompactGraph
@@ -269,31 +270,15 @@ class TestEngineIntegration:
 
 
 # ----------------------------------------------------------------------
-# Backend matrix: a snapshot mapped back from its file (a fresh one's
-# in-process tables are the property in test_compact_backend.py)
+# A snapshot mapped back from its file (a fresh one's in-process tables
+# are the property in test_compact_backend.py; answers over mapped
+# snapshots are test_oracle_machine.py's)
 # ----------------------------------------------------------------------
-BACKENDS = ("file",)
-
-
-@pytest.fixture(params=BACKENDS)
-def flat_backend(request):
-    return request.param
-
-
-def _shared_on(graph, backend, directory):
-    """``graph``'s snapshot saved and mapped back from its file."""
-    return _saved_and_loaded(graph, directory)
-
-
-class TestBackendMatrix:
-    def test_freeze_uses_selected_backend(self, flat_backend, tmp_path):
-        g = _sample_graph(seed=31)
-        shared = _shared_on(g, flat_backend, tmp_path / "snap")
-        assert shared.flat_store.backend == flat_backend
-
-    def test_pickle_round_trip_equivalence(self, flat_backend, tmp_path):
+class TestMappedSnapshot:
+    def test_pickle_round_trip_equivalence(self, tmp_path):
         g = _sample_graph(seed=32)
-        shared = _shared_on(g, flat_backend, tmp_path / "snap")
+        shared = _saved_and_loaded(g, tmp_path / "snap")
+        assert shared.flat_store.backend == "file"
         revived = pickle.loads(pickle.dumps(shared))
         assert set(revived.nodes()) == set(g.nodes())
         assert set(revived.edges()) == set(g.edges())
@@ -302,21 +287,10 @@ class TestBackendMatrix:
             assert revived.successors(v) == shared.successors(v)
             assert revived.attrs(v) == g.attrs(v)
 
-    def test_matchjoin_equal_on_every_backend(self, flat_backend, tmp_path):
-        labels = tuple(f"l{i}" for i in range(4))
-        graph = random_graph(60, 150, labels=labels, seed=33)
-        shared = _shared_on(graph, flat_backend, tmp_path / "snap")
-        views = ViewSet(generate_views(labels, 5, seed=33))
-        views.materialize(shared)
-        query = query_from_views(views, 4, 6, seed=33)
-        containment = contains(query, views)
-        result = match_join(query, containment, views)
-        assert result.edge_matches == match(query, graph).edge_matches
-
-    def test_no_leak_after_drop(self, flat_backend, tmp_path):
+    def test_no_leak_after_drop(self, tmp_path):
         before = shm_segments()
         g = _sample_graph(seed=34)
-        shared = _shared_on(g, flat_backend, tmp_path / "snap")
+        shared = _saved_and_loaded(g, tmp_path / "snap")
         shared.edge_columns()
         del shared
         gc.collect()

@@ -6,14 +6,15 @@ and view sets:
 * the engines compute the unique *maximum* (bounded) simulation;
 * Theorem 1: whenever ``Q ⊑ V``, MatchJoin over ``V(G)`` equals Match
   over ``G`` -- for plain and bounded queries, the kernel and the naive
-  loop, and every form the extensions' payload can take;
+  loop, over the two payload forms only a library caller builds
+  (segment-packed rows, and mixed tokens with a view lacking a payload;
+  every form an engine holds is driven by ``test_oracle_machine.py``);
 * Proposition 7 coverage is sound: every λ target's extension really
   contains the covered edge's matches;
 * minimal subsets are minimal; greedy minimum subsets contain the query;
 * condition implication is sound on concrete attribute values.
 """
 
-import pickle
 import random
 
 import pytest
@@ -264,66 +265,58 @@ def loosened(pattern, rng):
     return wide
 
 
-#: Every form an extension's id-space payload reaches MatchJoin in.
-payload_forms = st.sampled_from(
-    ["keys", "rows", "packed", "attached", "sharded", "mixed"]
-)
+#: The payload forms only a library caller builds: the engine's own
+#: (in-process rows, saved and mapped packs, composite ids) are the
+#: oracle machine's.  ``mixed`` is also the one way into the node-key
+#: kernel (``path=keys``), which no engine configuration reaches.
+payload_forms = st.sampled_from(["packed", "mixed"])
 
 
-def materialized(views, graph, form, shard_dir):
+def materialized(views, graph, form):
     """``views`` materialized on ``graph`` with one payload form; the
     extensions mapping a MatchJoin call then reads."""
-    if form == "keys":  # node-key sets only
-        views.materialize(graph)
-    elif form == "rows":  # in-process id rows
-        views.materialize(graph.freeze())
-    elif form == "sharded":  # composite ids
-        views.materialize(ingested(graph.edges(), graph.labels, 3, shard_dir)[0])
-    elif form == "mixed":  # two snapshots' tokens, one view without payload
+    if form == "mixed":  # two snapshots' tokens, one view without payload
         names = views.names()
         views.materialize(graph.freeze())
         views.materialize(graph.copy().freeze(), names=names[:1])
         views.materialize(graph, names=names[1:2])
-    else:  # rows packed into segments, as a save writes them
-        snapshot = graph.freeze()
-        views.materialize(snapshot)
-        packed = {
-            name: MaterializedView(
-                view.definition,
-                view.edge_matches,
-                view.distances,
-                FlatExtension.pack(snapshot, view.compact),
-            )
-            for name, view in views.extensions().items()
-        }
-        if form == "attached":  # ... decoded lazily off the stores
-            return pickle.loads(pickle.dumps(packed))
-        return packed
-    return views.extensions()
+        return views.extensions()
+    # Rows packed into segments, as a save writes them.
+    snapshot = graph.freeze()
+    views.materialize(snapshot)
+    return {
+        name: MaterializedView(
+            view.definition,
+            view.edge_matches,
+            view.distances,
+            FlatExtension.pack(snapshot, view.compact),
+        )
+        for name, view in views.extensions().items()
+    }
 
 
-@settings(max_examples=90, deadline=None)
+@settings(max_examples=30, deadline=None)
 @given(seed=seeds, form=payload_forms)
-def test_theorem1_matchjoin_equals_match(seed, form, shard_dir):
+def test_theorem1_matchjoin_equals_match(seed, form):
     rng, graph, pattern = make_instance(seed)
     views = edge_views(pattern, rng)
     containment = contains(pattern, views)
     assert containment.holds
-    extensions = materialized(views, graph, form, shard_dir)
+    extensions = materialized(views, graph, form)
     direct = match(pattern, graph)
     result = match_join(pattern, containment, extensions)
     naive = match_join(pattern, containment, extensions, optimized=False)
     assert result.edge_matches == naive.edge_matches == direct.edge_matches
 
 
-@settings(max_examples=70, deadline=None)
+@settings(max_examples=24, deadline=None)
 @given(seed=seeds, form=payload_forms)
-def test_theorem8_bounded_matchjoin_equals_bmatch(seed, form, shard_dir):
+def test_theorem8_bounded_matchjoin_equals_bmatch(seed, form):
     rng, graph, pattern = make_instance(seed, bounded=True)
     views = edge_views(loosened(pattern, rng), rng)
     containment = bounded_contains(pattern, views)
     assert containment.holds
-    extensions = materialized(views, graph, form, shard_dir)
+    extensions = materialized(views, graph, form)
     direct = bounded_match(pattern, graph)
     result = bounded_match_join(pattern, containment, extensions)
     naive = bounded_match_join(pattern, containment, extensions, optimized=False)
