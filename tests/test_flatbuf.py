@@ -275,10 +275,14 @@ class TestEngineIntegration:
 # snapshots are test_oracle_machine.py's)
 # ----------------------------------------------------------------------
 class TestMappedSnapshot:
+    def test_freeze_uses_file_backend(self, tmp_path):
+        g = _sample_graph(seed=31)
+        shared = _saved_and_loaded(g, tmp_path / "snap")
+        assert shared.flat_store.backend == "file"
+
     def test_pickle_round_trip_equivalence(self, tmp_path):
         g = _sample_graph(seed=32)
         shared = _saved_and_loaded(g, tmp_path / "snap")
-        assert shared.flat_store.backend == "file"
         revived = pickle.loads(pickle.dumps(shared))
         assert set(revived.nodes()) == set(g.nodes())
         assert set(revived.edges()) == set(g.edges())
