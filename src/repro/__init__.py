@@ -90,7 +90,7 @@ _EXPORTS = {
     "bounded_minimal_views": "repro.core.bounded.bminimal",
     "bounded_minimum_views": "repro.core.bounded.bminimum",
     "contains": "repro.core.containment",
-    "dual_match": "repro.simulation.dual",
+    "dual_match": "repro.simulation.simulation",
     "implies": "repro.graph.conditions",
     "match": "repro.simulation.simulation",
     "match_join": "repro.core.matchjoin",

@@ -19,64 +19,16 @@ Fig. 6 of the paper behave identically under this reading.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Set, Tuple
-
-from repro.graph.conditions import implies
-from repro.graph.pattern import BoundedPattern, Pattern, bound_le
+from repro.core.view_match import ViewMatch, _view_match
+from repro.graph.pattern import BoundedPattern, Pattern
 from repro.simulation.distance import WeightedPatternDistances
-from repro.core.view_match import ViewMatch
 from repro.views.view import ViewDefinition
-
-PNode = Hashable
-PEdge = Tuple[PNode, PNode]
 
 
 def _as_bounded(pattern: Pattern) -> BoundedPattern:
     if isinstance(pattern, BoundedPattern):
         return pattern
     return pattern.bounded(default=1)
-
-
-def bounded_simulation_over_pattern(
-    view_pattern: BoundedPattern,
-    query: BoundedPattern,
-    distances: Optional[WeightedPatternDistances] = None,
-) -> Optional[Dict[PNode, Set[PNode]]]:
-    """Maximum bounded simulation of a view over the weighted query graph.
-
-    Returns ``{view node: set of query nodes}`` or ``None`` when some
-    view node has no match (then ``M^Qb_V`` is empty).
-    """
-    distances = distances or WeightedPatternDistances(query)
-    sim: Dict[PNode, Set[PNode]] = {}
-    query_nodes = list(query.nodes())
-    for x in view_pattern.nodes():
-        view_condition = view_pattern.condition(x)
-        candidates = {
-            u for u in query_nodes if implies(query.condition(u), view_condition)
-        }
-        if not candidates:
-            return None
-        sim[x] = candidates
-
-    changed = True
-    while changed:
-        changed = False
-        for view_edge in view_pattern.edges():
-            x, y = view_edge
-            bound = view_pattern.bound(view_edge)
-            targets = sim[y]
-            keep = {
-                u
-                for u in sim[x]
-                if any(distances.within(u, u1, bound) for u1 in targets)
-            }
-            if keep != sim[x]:
-                if not keep:
-                    return None
-                sim[x] = keep
-                changed = True
-    return sim
 
 
 def view_match_bounded(query: Pattern, view: ViewDefinition) -> ViewMatch:
@@ -87,36 +39,5 @@ def view_match_bounded(query: Pattern, view: ViewDefinition) -> ViewMatch:
     pattern with all-1 bounds yields exactly the simulation view match.
     """
     qb = _as_bounded(query)
-    vb = _as_bounded(view.pattern)
     distances = WeightedPatternDistances(qb)
-    sim = bounded_simulation_over_pattern(vb, qb, distances)
-    edge_cover: Dict[PEdge, List[PEdge]] = {}
-    if sim is not None:
-        equivalent: Dict[tuple, bool] = {}
-
-        def covers(x: PNode, u: PNode) -> bool:
-            # Same condition-equivalence upgrade as the simulation case
-            # (see view_match_simulation): extensions store bare pairs,
-            # so the endpoints of a covering view edge must carry
-            # conditions equivalent to the query's.
-            key = (x, u)
-            if key not in equivalent:
-                equivalent[key] = implies(vb.condition(x), qb.condition(u))
-            return equivalent[key]
-
-        for view_edge in vb.edges():
-            x, y = view_edge
-            view_bound = vb.bound(view_edge)
-            sources = sim[x]
-            targets = sim[y]
-            for u in sources:
-                if not covers(x, u):
-                    continue
-                for u1 in qb.successors(u):
-                    if (
-                        u1 in targets
-                        and covers(y, u1)
-                        and bound_le(qb.bound((u, u1)), view_bound)
-                    ):
-                        edge_cover.setdefault((u, u1), []).append(view_edge)
-    return ViewMatch(view.name, edge_cover)
+    return _view_match(qb, _as_bounded(view.pattern), view.name, distances=distances)

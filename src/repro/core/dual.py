@@ -14,6 +14,10 @@ pipeline over:
 * :func:`dual_match_join` -- the MatchJoin analogue whose fixpoint
   enforces both out-edge and in-edge witnesses.
 
+All three run the dict fixpoint of plain simulation
+(:class:`~repro.simulation.witness.WitnessCounters`) with its parent
+counters added.
+
 The soundness argument mirrors Theorem 1: dual-simulation matches
 transfer from query nodes to view nodes (the coinductive relation
 ``{(x, v) : (x,u) in dualsim(V over Q), v in dualmatch(u)}`` is itself
@@ -23,15 +27,15 @@ the true match sets, and the dual fixpoint prunes to exactly ``Q(G)``.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Mapping, Set, Tuple, Union
+from typing import Dict, Hashable, Mapping, Set, Tuple, Union
 
 from repro.core.containment import Containment, Views, _normalize, merge_view_matches
 from repro.core.matchjoin import _extensions_of, merge_initial_sets
-from repro.core.view_match import ViewMatch
-from repro.graph.conditions import implies
+from repro.core.view_match import ViewMatch, _view_match
 from repro.graph.pattern import Pattern
-from repro.simulation.dual import maximum_dual_simulation
 from repro.simulation.result import MatchResult
+from repro.simulation.simulation import dual_match
+from repro.simulation.witness import WitnessCounters
 from repro.views.storage import ViewSet
 from repro.views.view import MaterializedView, ViewDefinition
 
@@ -44,33 +48,7 @@ Extensions = Mapping[str, MaterializedView]
 
 def dual_view_match(query: Pattern, view: ViewDefinition) -> ViewMatch:
     """``M^Qs_V`` computed via dual simulation of ``V`` over ``Qs``."""
-    view_pattern = view.pattern
-
-    def compatible(x: PNode, u: PNode) -> bool:
-        return implies(query.condition(u), view_pattern.condition(x))
-
-    sim = maximum_dual_simulation(view_pattern, query, compatible)
-    edge_cover: Dict[PEdge, List[PEdge]] = {}
-    if sim is not None:
-        equivalent: Dict[tuple, bool] = {}
-
-        def covers(x: PNode, u: PNode) -> bool:
-            key = (x, u)
-            if key not in equivalent:
-                equivalent[key] = implies(
-                    view_pattern.condition(x), query.condition(u)
-                )
-            return equivalent[key]
-
-        for view_edge in view_pattern.edges():
-            x, y = view_edge
-            for u in sim[x]:
-                if not covers(x, u):
-                    continue
-                for u1 in query.successors(u):
-                    if u1 in sim[y] and covers(y, u1):
-                        edge_cover.setdefault((u, u1), []).append(view_edge)
-    return ViewMatch(view.name, edge_cover)
+    return _view_match(query, view.pattern, view.name, dual=True)
 
 
 def dual_contains(query: Pattern, views: Views) -> Containment:
@@ -88,54 +66,12 @@ def dual_contains(query: Pattern, views: Views) -> Containment:
 
 def materialize_dual(definition: ViewDefinition, graph) -> MaterializedView:
     """Materialize a view's extension under dual simulation semantics."""
-    from repro.simulation.dual import dual_match
-
     result = dual_match(definition.pattern, graph)
     if not result:
         return MaterializedView(
             definition, {edge: set() for edge in definition.pattern.edges()}
         )
     return MaterializedView(definition, result.edge_matches)
-
-
-def _dual_fixpoint(
-    query: Pattern, sets: Dict[PEdge, Set[NodePair]]
-) -> Union[Dict[PEdge, Dict[Node, Set[Node]]], None]:
-    """Scan-until-stable refinement with child *and* parent witnesses."""
-    edges = query.edges()
-    current: Dict[PEdge, Set[NodePair]] = {e: set(sets[e]) for e in edges}
-    if any(not current[e] for e in edges):
-        return None
-    changed = True
-    while changed:
-        changed = False
-        sources = {e: {pair[0] for pair in current[e]} for e in edges}
-        targets = {e: {pair[1] for pair in current[e]} for e in edges}
-
-        def valid(u: PNode, v: Node) -> bool:
-            return all(
-                v in sources[e1] for e1 in query.out_edges(u)
-            ) and all(v in targets[e0] for e0 in query.in_edges(u))
-
-        for edge in edges:
-            u, u_prime = edge
-            doomed = [
-                pair
-                for pair in current[edge]
-                if not (valid(u, pair[0]) and valid(u_prime, pair[1]))
-            ]
-            if doomed:
-                current[edge] -= set(doomed)
-                if not current[edge]:
-                    return None
-                changed = True
-    by_source: Dict[PEdge, Dict[Node, Set[Node]]] = {}
-    for edge in edges:
-        index: Dict[Node, Set[Node]] = {}
-        for v, w in current[edge]:
-            index.setdefault(v, set()).add(w)
-        by_source[edge] = index
-    return by_source
 
 
 def dual_match_join(
@@ -148,18 +84,38 @@ def dual_match_join(
     ``containment`` must come from :func:`dual_contains` and
     ``extensions`` from :func:`materialize_dual` (plain simulation
     extensions over-approximate dual ones, so they would also converge,
-    but dual extensions are smaller)."""
+    but dual extensions are smaller).
+
+    The merged set ``Se`` of each query edge is indexed both ways, and
+    the fixpoint runs over those indexes with ``u``'s candidates the
+    nodes every incident ``Se`` names at ``u``'s end; a pair survives
+    iff both its endpoints do."""
     initial = merge_initial_sets(query, containment, _extensions_of(extensions))
-    by_source = _dual_fixpoint(query, initial)
-    if by_source is None:
+    forward: Dict[PEdge, Dict[Node, Set[Node]]] = {}
+    backward: Dict[PEdge, Dict[Node, Set[Node]]] = {}
+    for edge, pairs in initial.items():
+        by_source = forward[edge] = {}
+        by_target = backward[edge] = {}
+        for v, w in pairs:
+            by_source.setdefault(v, set()).add(w)
+            by_target.setdefault(w, set()).add(v)
+    candidates: Dict[PNode, Set[Node]] = {}
+    for u in query.nodes():
+        ends = [forward[edge].keys() for edge in query.out_edges(u)]
+        ends += [backward[edge].keys() for edge in query.in_edges(u)]
+        candidates[u] = set(ends[0]).intersection(*ends[1:])
+    lookups = {
+        edge: (forward[edge].__getitem__, backward[edge].__getitem__)
+        for edge in initial
+    }
+    sim = WitnessCounters(query, candidates, lookups, dual=True).sim
+    if sim is None:
         return MatchResult.empty()
     edge_matches: Dict[PEdge, Set[NodePair]] = {}
-    node_matches: Dict[PNode, Set[Node]] = {u: set() for u in query.nodes()}
-    for edge, index in by_source.items():
-        pairs = {(v, w) for v, ws in index.items() for w in ws}
-        edge_matches[edge] = pairs
-        u, u_prime = edge
-        for v, w in pairs:
-            node_matches[u].add(v)
-            node_matches[u_prime].add(w)
-    return MatchResult(node_matches, edge_matches)
+    for edge, by_source in forward.items():
+        u, u1 = edge
+        targets = sim[u1]
+        edge_matches[edge] = {
+            (v, w) for v in sim[u] for w in by_source[v] if w in targets
+        }
+    return MatchResult(sim, edge_matches)

@@ -16,11 +16,11 @@ is label equality, exactly the paper's setting.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Hashable, List, Tuple
+from typing import Dict, FrozenSet, Hashable, List, Set, Tuple
 
 from repro.graph.conditions import implies
-from repro.graph.pattern import Pattern
-from repro.simulation.simulation import maximum_simulation
+from repro.graph.pattern import Pattern, bound_le
+from repro.simulation.witness import WitnessCounters
 from repro.views.view import ViewDefinition
 
 PNode = Hashable
@@ -71,12 +71,37 @@ def view_match_simulation(query: Pattern, view: ViewDefinition) -> ViewMatch:
     Boolean-predicate extension (Fig. 7 views), where it keeps Theorem 1
     sound.
     """
-    view_pattern = view.pattern
+    return _view_match(query, view.pattern, view.name)
 
-    def compatible(x: PNode, u: PNode) -> bool:
-        return implies(query.condition(u), view_pattern.condition(x))
 
-    sim = maximum_simulation(view_pattern, query, compatible)
+def _view_match(
+    query: Pattern,
+    view_pattern: Pattern,
+    name: str,
+    dual: bool = False,
+    distances=None,
+) -> ViewMatch:
+    """``M^Q_V`` as :func:`view_match_simulation` describes it; under
+    dual simulation when ``dual``; with the query's
+    :class:`~repro.simulation.distance.WeightedPatternDistances` the
+    bounded form (Section VI-B): a view edge of bound ``b`` is witnessed
+    within ``b`` and covers only query edges of bound ``<= b``."""
+    query_nodes = list(query.nodes())
+    sim = {}
+    for x in view_pattern.nodes():
+        condition = view_pattern.condition(x)
+        sim[x] = {u for u in query_nodes if implies(query.condition(u), condition)}
+        if not sim[x]:
+            return ViewMatch(name, {})
+    if distances is None:
+        witness = (query.successors, query.predecessors)
+        lookups = dict.fromkeys(view_pattern.edges(), witness)
+    else:
+        lookups = {
+            (x, y): _within(distances, sim[x], sim[y], view_pattern.bound((x, y)))
+            for x, y in view_pattern.edges()
+        }
+    sim = WitnessCounters(view_pattern, sim, lookups, dual).sim
     edge_cover: Dict[PEdge, List[PEdge]] = {}
     if sim is not None:
         equivalent: Dict[tuple, bool] = {}
@@ -99,6 +124,18 @@ def view_match_simulation(query: Pattern, view: ViewDefinition) -> ViewMatch:
                 if not covers(x, u):
                     continue
                 for u1 in query.successors(u):
-                    if u1 in targets and covers(y, u1):
+                    if u1 not in targets or not covers(y, u1):
+                        continue
+                    if distances is None or bound_le(
+                        query.bound((u, u1)), view_pattern.bound(view_edge)
+                    ):
                         edge_cover.setdefault((u, u1), []).append(view_edge)
-    return ViewMatch(view.name, edge_cover)
+    return ViewMatch(name, edge_cover)
+
+
+def _within(distances, sources: Set[PNode], targets: Set[PNode], bound) -> tuple:
+    """``(successors, predecessors)`` of the weighted query graph at
+    ``bound``, between one view edge's source and target candidates."""
+    after = {u: targets & distances.reached(u, bound) for u in sources}
+    before = {u1: {u for u in sources if u1 in after[u]} for u1 in targets}
+    return after.__getitem__, before.__getitem__

@@ -42,7 +42,7 @@ from repro.errors import ReproError
 from repro.graph.io import node_from_json, pattern_from_json
 from repro.serve.server import QueryServer
 from repro.serve.wire import query_reply
-from repro.views.maintenance import DELETE, INSERT, Delta
+from repro.views.maintenance import Delta
 
 log = logging.getLogger(__name__)
 
@@ -63,26 +63,6 @@ def _error(message: str, retriable: bool = False) -> bytes:
     return _line({"ok": False, "error": message, "retriable": retriable})
 
 
-def _parse_delta(ops: Any) -> Delta:
-    delta = Delta()
-    for entry in ops:
-        op, source, target = entry
-        if op == "+":
-            op = INSERT
-        elif op == "-":
-            op = DELETE
-        if op == INSERT:
-            delta.insert(node_from_json(source), node_from_json(target))
-        elif op == DELETE:
-            delta.delete(node_from_json(source), node_from_json(target))
-        else:
-            raise ValueError(
-                f"unknown update op {op!r}; expected '+', '-', "
-                f"{INSERT!r} or {DELETE!r}"
-            )
-    return delta
-
-
 async def _dispatch(server: QueryServer, request: Dict[str, Any]) -> bytes:
     """Run one request; the complete reply line."""
     op = request.get("op")
@@ -93,7 +73,11 @@ async def _dispatch(server: QueryServer, request: Dict[str, Any]) -> bytes:
         )
         return query_reply(answer)
     if op == "update":
-        outcome = await server.update(_parse_delta(request.get("ops", [])))
+        delta = Delta(
+            (op, node_from_json(source), node_from_json(target))
+            for op, source, target in request.get("ops", [])
+        )
+        outcome = await server.update(delta)
         return _line({
             "ok": True,
             "epoch": outcome.epoch,

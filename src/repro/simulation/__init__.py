@@ -4,8 +4,10 @@
   evaluate a pattern on a data graph via graph simulation ([16], [21]).
 * :func:`~repro.simulation.bounded.bounded_match` -- the ``BMatch``
   baseline: bounded simulation with edge-to-path semantics ([16]).
-* :mod:`~repro.simulation.dual` / :mod:`~repro.simulation.strong` --
-  dual and strong simulation ([28]), the Section VIII extensions.
+* :func:`~repro.simulation.simulation.dual_match` /
+  :mod:`~repro.simulation.strong` -- dual and strong simulation ([28]),
+  the Section VIII extensions, on the dict fixpoint of
+  :mod:`~repro.simulation.witness` with its parent counters.
 * :mod:`~repro.simulation.distance` -- BFS/Dijkstra distance oracles
   shared by the bounded engines and the view distance index.
 
@@ -19,7 +21,7 @@ from repro import _lazy_exports
 _EXPORTS = {
     "MatchResult": "repro.simulation.result",
     "bounded_match": "repro.simulation.bounded",
-    "dual_match": "repro.simulation.dual",
+    "dual_match": "repro.simulation.simulation",
     "match": "repro.simulation.simulation",
     "strong_match": "repro.simulation.strong",
 }

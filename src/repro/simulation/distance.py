@@ -146,9 +146,13 @@ class WeightedPatternDistances:
     def within(self, source: Node, target: Node, bound: Bound) -> bool:
         """Does some nonempty path from ``source`` to ``target`` respect
         ``bound``?  (Any path for ``*``, min-weight <= k otherwise.)"""
+        return target in self.reached(source, bound)
+
+    def reached(self, source: Node, bound: Bound) -> Set[Node]:
+        """Every node :meth:`within` ``bound`` of ``source`` (read only)."""
         if bound is ANY:
-            return self.reaches(source, target)
-        return self.distance(source, target) <= bound
+            return self._reach[source]
+        return {target for target, d in self._dist[source].items() if d <= bound}
 
 
 class BoundedDistanceCache:

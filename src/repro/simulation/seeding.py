@@ -17,8 +17,8 @@ where the condition pins a label and tests ``matches`` node by node:
 * wildcard / label-free predicate conditions scan every node.
 
 Targets without a label index (e.g. a :class:`Pattern` treated as a data
-graph during view-match computation) take the explicit-``compatible``
-scan path in the engines and never reach this module.
+graph during view-match computation) are seeded by an explicit node
+test (condition implication) and never reach this module.
 """
 
 from __future__ import annotations

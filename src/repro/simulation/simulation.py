@@ -10,13 +10,18 @@ counter-based worklist refinement in the spirit of Henzinger, Henzinger
 and Kopke, giving the ``O(|Qs|^2 + |Qs||G| + |G|^2)`` bound the paper
 quotes for [16], [21].
 
+That refinement is written once, over dicts of node keys, in
+:mod:`~repro.simulation.witness` (imported on first use, so a snapshot
+boot does not compile it); dual simulation ([28], Section VIII) is the
+same fixpoint with the parent witnesses added (:func:`dual_match`).
+
 The engine is backend-generic twice over.  It is generic over the
 *candidate test*: evaluating a pattern over a data graph uses condition
 satisfaction, while view-match computation (Section IV) evaluates a view
 over ``Qs`` treated as a data graph using condition *implication* --
-both go through :func:`maximum_simulation`.  And it is generic over the
-*graph backend*: with no explicit ``compatible`` test, candidates are
-seeded from the target's label index
+both go through :func:`~repro.simulation.witness.simulate`.  And it is
+generic over the *graph backend*: with no explicit ``compatible`` test,
+candidates are seeded from the target's label index
 (:func:`~repro.simulation.seeding.condition_candidates`), and targets
 with an id space (frozen snapshots, sharded graphs) are answered by
 :func:`evaluate`, the one backend dispatch ``match``, ``bounded_match``
@@ -25,7 +30,6 @@ and view materialization share.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import TYPE_CHECKING, Callable, Dict, Hashable, Optional, Set
 
 from repro.graph.compact import CompactGraph
@@ -45,78 +49,16 @@ def maximum_simulation(
     target,
     compatible: Optional[Callable[[PNode, Node], bool]] = None,
 ) -> Optional[Dict[PNode, Set[Node]]]:
-    """Compute the maximum simulation of ``pattern`` over ``target``.
-
-    ``target`` must expose ``nodes()``, ``successors(v)`` and
-    ``predecessors(v)`` (:class:`DataGraph`, :class:`CompactGraph` and
-    :class:`Pattern` all do).  ``compatible(u, v)`` decides whether data
-    node ``v`` may match pattern node ``u`` at the node level; when it
-    is omitted the pattern's own node conditions decide, and candidates
-    are seeded from the target's label index instead of a full-node
-    scan (the target must then carry labels/attributes).
+    """Compute the maximum simulation of ``pattern`` over ``target``
+    (see :func:`~repro.simulation.witness.simulate` for the arguments).
 
     Returns ``{u: sim(u)}`` with every set nonempty, or ``None`` when
     the pattern has no match (some ``sim(u)`` became empty).
     """
-    # --- candidate sets -------------------------------------------------
-    if compatible is None:
-        from repro.simulation.seeding import condition_candidates
+    from repro.simulation.witness import simulate
 
-        sim = condition_candidates(pattern, target)
-        if sim is None:
-            return None
-    else:
-        sim = {}
-        target_nodes = list(target.nodes())
-        for u in pattern.nodes():
-            candidates = {v for v in target_nodes if compatible(u, v)}
-            if not candidates:
-                return None
-            sim[u] = candidates
-
-    # --- witness counters ----------------------------------------------
-    # counters[(u, u1)][v] = |succ(v) & sim(u1)| for v in sim(u): how many
-    # witnesses v still has for pattern edge (u, u1).  All counters are
-    # built against the untouched candidate sets first; only then are the
-    # zero-count candidates removed, so that worklist decrements below
-    # stay consistent with the counters.
-    counters: Dict[tuple, Dict[Node, int]] = {}
-    for u in pattern.nodes():
-        for u1 in pattern.successors(u):
-            targets = sim[u1]
-            counters[(u, u1)] = {
-                v: sum(1 for w in target.successors(v) if w in targets)
-                for v in sim[u]
-            }
-    removals: deque = deque()
-    for u in pattern.nodes():
-        doomed = {
-            v
-            for u1 in pattern.successors(u)
-            for v, count in counters[(u, u1)].items()
-            if count == 0
-        }
-        for v in doomed:
-            sim[u].discard(v)
-            removals.append((u, v))
-        if not sim[u]:
-            return None
-
-    # --- worklist refinement ---------------------------------------------
-    while removals:
-        u1, w = removals.popleft()
-        for u in pattern.predecessors(u1):
-            edge_counter = counters[(u, u1)]
-            candidates = sim[u]
-            for v in target.predecessors(w):
-                if v in candidates:
-                    edge_counter[v] -= 1
-                    if edge_counter[v] == 0:
-                        candidates.discard(v)
-                        removals.append((u, v))
-            if not candidates:
-                return None
-    return sim
+    fixpoint = simulate(pattern, target, compatible)
+    return None if fixpoint is None else fixpoint.sim
 
 
 def evaluate(
@@ -147,6 +89,19 @@ def evaluate(
     return None if hook is None else hook(pattern, bounded, distances)
 
 
+def _dict_match(pattern: Pattern, graph, dual: bool) -> MatchResult:
+    """The reference engine's answer, on node keys."""
+    from repro.simulation.witness import simulate
+
+    fixpoint = simulate(pattern, graph, dual=dual)
+    if fixpoint is None:
+        return MatchResult.empty()
+    sim = fixpoint.sim
+    return MatchResult(
+        sim, edge_matches_from_nodes(pattern.edges(), sim, graph.successors)
+    )
+
+
 def match(pattern: Pattern, graph: DataGraph) -> MatchResult:
     """Evaluate ``Qs`` on ``G`` via graph simulation (the paper's Match).
 
@@ -161,13 +116,16 @@ def match(pattern: Pattern, graph: DataGraph) -> MatchResult:
     evaluated = evaluate(pattern, graph)
     if evaluated is not None:
         return evaluated[0]
-    sim = maximum_simulation(pattern, graph)
-    if sim is None:
-        return MatchResult.empty()
-    edge_matches = edge_matches_from_nodes(
-        pattern.edges(), sim, graph.successors
-    )
-    return MatchResult(sim, edge_matches)
+    return _dict_match(pattern, graph, dual=False)
+
+
+def dual_match(pattern: Pattern, graph: DataGraph) -> MatchResult:
+    """Evaluate ``Qs`` on ``G`` via dual simulation ([28], Section VIII):
+    for ``(u, v) in S`` every incoming pattern edge ``(u0, u)`` must
+    also be witnessed by a data edge ``(v0, v)`` with ``(u0, v0) in S``.
+    Runs the dict fixpoint with its parent counters on either backend's
+    node keys."""
+    return _dict_match(pattern, graph, dual=True)
 
 
 def simulates(pattern: Pattern, graph: DataGraph) -> bool:

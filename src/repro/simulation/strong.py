@@ -10,6 +10,9 @@ topology that plain/dual simulation lose while staying cubic.
 The entry point :func:`strong_match` returns the union, over all
 matching balls, of the dual-simulation relations, exposed through the
 usual :class:`MatchResult` interface plus the list of match balls.
+Each ball runs the shared dict fixpoint
+(:class:`~repro.simulation.witness.WitnessCounters` with its parent
+counters) on the subgraph the ball induces.
 """
 
 from __future__ import annotations
@@ -19,9 +22,9 @@ from typing import Dict, Hashable, List, Set, Tuple
 
 from repro.graph.digraph import DataGraph
 from repro.graph.pattern import Pattern
-from repro.simulation.dual import maximum_dual_simulation
 from repro.simulation.result import MatchResult, edge_matches_from_nodes
 from repro.simulation.seeding import condition_candidates
+from repro.simulation.witness import WitnessCounters
 
 PNode = Hashable
 Node = Hashable
@@ -65,25 +68,6 @@ def ball(graph: DataGraph, center: Node, radius: int) -> Set[Node]:
     return seen
 
 
-class _InducedSubgraph:
-    """Read-only induced subgraph view (no copying of label/attr data)."""
-
-    __slots__ = ("_graph", "_members")
-
-    def __init__(self, graph: DataGraph, members: Set[Node]) -> None:
-        self._graph = graph
-        self._members = members
-
-    def nodes(self):
-        return iter(self._members)
-
-    def successors(self, node: Node) -> Set[Node]:
-        return self._graph.successors(node) & self._members
-
-    def predecessors(self, node: Node) -> Set[Node]:
-        return self._graph.predecessors(node) & self._members
-
-
 def strong_match(
     pattern: Pattern, graph: DataGraph
 ) -> Tuple[MatchResult, List[Tuple[Node, Dict[PNode, Set[Node]]]]]:
@@ -95,10 +79,6 @@ def strong_match(
     with the center participating.
     """
     radius = pattern_diameter(pattern)
-
-    def compatible(u: PNode, v: Node) -> bool:
-        return pattern.condition(u).matches(graph.labels(v), graph.attrs(v))
-
     # Candidate centers: nodes satisfying at least one pattern condition,
     # seeded from the label index.  An empty seed for any pattern node
     # means no ball can host a full dual simulation, so no match.
@@ -111,9 +91,18 @@ def strong_match(
     union: Dict[PNode, Set[Node]] = {u: set() for u in pattern.nodes()}
     matched_balls: List[Tuple[Node, Dict[PNode, Set[Node]]]] = []
     for center in centers:
+        # The dual fixpoint on the subgraph the ball induces: seeds and
+        # adjacency restricted to its members.
         members = ball(graph, center, radius)
-        view = _InducedSubgraph(graph, members)
-        sim = maximum_dual_simulation(pattern, view, compatible)
+        lookups = dict.fromkeys(
+            pattern.edges(),
+            (
+                lambda v: graph.successors(v) & members,
+                lambda v: graph.predecessors(v) & members,
+            ),
+        )
+        local = {u: seeds[u] & members for u in pattern.nodes()}
+        sim = WitnessCounters(pattern, local, lookups, dual=True).sim
         if sim is None:
             continue
         if not any(center in matched for matched in sim.values()):

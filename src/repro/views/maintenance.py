@@ -6,18 +6,18 @@ cached pattern views (e.g., [15])".  This module is the view layer of
 the delta-driven maintenance pipeline:
 
 * **deletions are incremental**: the maximum simulation after an edge
-  deletion is contained in the one before, so a witness-counter cascade
-  (the same machinery as the matching engines) prunes exactly the
-  invalidated matches -- cost proportional to the affected area, not to
-  ``|G|``.
+  deletion is contained in the one before, so the witness-counter
+  cascade of the matching engine that built the view
+  (:meth:`~repro.simulation.witness.WitnessCounters.cascade`, whose
+  counters the view keeps) prunes exactly the invalidated matches --
+  cost proportional to the affected area, not to ``|G|``.
 * **insertions are incremental too**, in the spirit of the paper's
   [15]: simulation grows monotonically under insertions, so the only
   pairs that can *join* the match are label-compatible ancestors of the
   inserted edge's source.  :meth:`IncrementalView._insert_incremental`
   seeds revival candidates from exactly those pairs (a backward closure
-  over the pattern x graph product) and revives them through the
-  existing witness-counter machinery (:meth:`IncrementalView._cascade`,
-  the one cascade both update kinds share).
+  over the pattern x graph product) and revives them through the same
+  cascade, the one both update kinds share.
 * **batches** arrive as a :class:`Delta` -- an ordered sequence of edge
   insertions/deletions applied as one maintenance round via
   :meth:`IncrementalViewSet.apply_delta`, with per-view change
@@ -51,10 +51,12 @@ from typing import (
 )
 
 from repro.graph.digraph import DataGraph
+from repro.graph.io import node_from_json
 from repro.graph.pattern import BoundedPattern
 from repro.obs import trace
 from repro.obs.metrics import SIZE_BUCKETS, get_registry
-from repro.simulation.simulation import maximum_simulation
+from repro.simulation.result import edge_matches_from_nodes
+from repro.simulation.witness import WitnessCounters, simulate
 from repro.views.view import MaterializedView, ViewDefinition
 
 log = logging.getLogger(__name__)
@@ -65,6 +67,8 @@ Node = Hashable
 #: Delta op kinds.
 INSERT = "insert"
 DELETE = "delete"
+#: Every spelling of an op kind a delta accepts.
+_OPS = {"+": INSERT, "-": DELETE, INSERT: INSERT, DELETE: DELETE}
 
 
 class Delta:
@@ -90,20 +94,31 @@ class Delta:
             self._add(op, source, target)
 
     def _add(self, op: str, source: Node, target: Node) -> None:
-        if op not in (INSERT, DELETE):
+        """Append one op (``+`` / ``-`` spell insert / delete), refusing
+        it (``ValueError``) unless it can be applied: a bad op found
+        mid-batch would leave the graph moved by the ops before it."""
+        kind = _OPS.get(op) if isinstance(op, str) else None
+        if kind is None:
             raise ValueError(
-                f"unknown delta op {op!r}; expected {INSERT!r} or {DELETE!r}"
+                f"a delta op is '+', '-', {INSERT!r} or {DELETE!r}, not {op!r}"
             )
-        self._ops.append((op, source, target))
+        try:
+            hash((source, target))
+        except TypeError:
+            raise ValueError(
+                f"delta edge ({source!r}, {target!r}) names no node key "
+                "(node keys must be hashable)"
+            ) from None
+        self._ops.append((kind, source, target))
 
     def insert(self, source: Node, target: Node) -> "Delta":
         """Append an edge insertion; returns ``self`` for chaining."""
-        self._ops.append((INSERT, source, target))
+        self._add(INSERT, source, target)
         return self
 
     def delete(self, source: Node, target: Node) -> "Delta":
         """Append an edge deletion; returns ``self`` for chaining."""
-        self._ops.append((DELETE, source, target))
+        self._add(DELETE, source, target)
         return self
 
     @property
@@ -117,17 +132,19 @@ class Delta:
 
         One op per line: ``+ <source> <target>`` or ``insert <source>
         <target>`` for insertions, ``- ...`` / ``delete ...`` for
-        deletions.  Node keys are decoded as JSON scalars when they
-        parse (so ``3`` is the integer node 3) and kept as raw strings
+        deletions.  Node keys are decoded as JSON when they parse, the
+        way graph files write them (so ``3`` is the integer node 3 and
+        ``[1,2]`` the tuple node ``(1, 2)``), and kept as raw strings
         otherwise.  Blank lines and ``#`` comments (full-line only) are
         skipped.
 
         Malformed input raises :class:`ValueError` naming the offending
         1-based line number: a line with anything other than exactly
         three whitespace-separated tokens (missing operands *and*
-        trailing junk alike), or an unrecognized op token.
+        trailing junk alike), an unrecognized op token, or a token that
+        decodes to no node key (a JSON object).
         """
-        ops: List[Tuple[str, Node, Node]] = []
+        delta = cls()
         for lineno, raw in enumerate(lines, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -139,17 +156,11 @@ class Delta:
                     f"(expected 3 tokens '<op> <source> <target>', "
                     f"got {len(tokens)})"
                 )
-            op = {"+": INSERT, "-": DELETE, INSERT: INSERT, DELETE: DELETE}.get(
-                tokens[0]
-            )
-            if op is None:
-                raise ValueError(
-                    f"unknown delta op {tokens[0]!r} on line {lineno}: "
-                    f"{raw.rstrip()!r} (expected '+', '-', "
-                    f"{INSERT!r} or {DELETE!r})"
-                )
-            ops.append((op, _parse_key(tokens[1]), _parse_key(tokens[2])))
-        return cls(ops)
+            try:
+                delta._add(tokens[0], _parse_key(tokens[1]), _parse_key(tokens[2]))
+            except ValueError as err:
+                raise ValueError(f"{err} on line {lineno}: {raw.rstrip()!r}") from None
+        return delta
 
     def __iter__(self) -> Iterator[Tuple[str, Node, Node]]:
         return iter(self._ops)
@@ -170,8 +181,8 @@ class Delta:
 
 def _parse_key(token: str) -> Node:
     try:
-        return json.loads(token)
-    except (ValueError, json.JSONDecodeError):
+        return node_from_json(json.loads(token))
+    except ValueError:
         return token
 
 
@@ -273,8 +284,9 @@ class IncrementalView:
         self.definition = definition
         self.stats = ViewStats()
         self._graph = graph
-        self._sim: Optional[Dict[PNode, Set[Node]]] = None
-        self._counters: Dict[Tuple[PNode, PNode], Dict[Node, int]] = {}
+        # The view's maximum simulation and its live counters; ``None``
+        # while the view is empty.
+        self._fixpoint: Optional[WitnessCounters] = None
         self._extension_cache: Optional[MaterializedView] = None
         self._recompute()
 
@@ -282,28 +294,13 @@ class IncrementalView:
     # State construction
     # ------------------------------------------------------------------
     def _compatible(self, x: PNode, v: Node) -> bool:
-        # An endpoint not yet in the graph (add_edge auto-creates nodes)
-        # will exist with no labels/attributes once the edge is applied.
-        if v not in self._graph:
-            return self.definition.pattern.condition(x).matches(frozenset(), {})
         return self.definition.pattern.condition(x).matches(
             self._graph.labels(v), self._graph.attrs(v)
         )
 
     def _recompute(self) -> None:
-        pattern = self.definition.pattern
-        self._sim = maximum_simulation(pattern, self._graph, self._compatible)
-        self._counters = {}
+        self._fixpoint = simulate(self.definition.pattern, self._graph)
         self._extension_cache = None
-        if self._sim is None:
-            return
-        for x in pattern.nodes():
-            for y in pattern.successors(x):
-                targets = self._sim[y]
-                self._counters[(x, y)] = {
-                    v: sum(1 for w in self._graph.successors(v) if w in targets)
-                    for v in self._sim[x]
-                }
 
     # ------------------------------------------------------------------
     # Update internals (graph already mutated by the set)
@@ -316,12 +313,12 @@ class IncrementalView:
             # per pattern edge.
             self.stats.irrelevant_inserts += 1
             return False
-        if self._sim is None:
+        if self._fixpoint is None:
             # No counter state to revive from (rare: the view was
             # entirely empty) -- recompute.
             self.stats.recomputes += 1
             self._recompute()
-            return self._sim is not None
+            return self._fixpoint is not None
         changed, revived, area = self._insert_incremental(source, target)
         self.stats.incremental_inserts += 1
         self.stats.revived_pairs += revived
@@ -348,8 +345,9 @@ class IncrementalView:
         """
         pattern = self.definition.pattern
         graph = self._graph
-        sim = self._sim
-        assert sim is not None
+        fixpoint = self._fixpoint
+        assert fixpoint is not None
+        sim = fixpoint.sim
 
         # --- (1) revival candidates: backward product closure --------
         in_r: Set[Tuple[PNode, Node]] = set()
@@ -376,35 +374,30 @@ class IncrementalView:
                     queue.append(pair)
 
         # --- (2) tentative admission + affected counters --------------
-        # Old pairs whose witness sets may have grown: predecessors of
-        # revived pairs, plus the inserted edge's own source.  Their
-        # counters are rebuilt from scratch against the admitted state,
-        # which keeps them exact for the cascade below (and for every
-        # later deletion).
-        affected_old: Set[Tuple[PNode, PNode, Node]] = set()
+        # Counters to rebuild: every revived pair's own, and the old
+        # pairs whose witness sets may have grown -- predecessors of
+        # revived pairs, plus the inserted edge's own source.  They are
+        # rebuilt from scratch against the admitted state, which keeps
+        # them exact for the cascade below (and for every later
+        # deletion).
+        recount: Set[Tuple[PNode, PNode, Node]] = set()
         for y, w in in_r:
             for x in pattern.predecessors(y):
                 present = sim[x]
                 for v in graph.predecessors(w):
                     if v in present:
-                        affected_old.add((x, y, v))
+                        recount.add((x, y, v))
         for x in pattern.nodes():
             if source in sim[x]:
                 for y in pattern.successors(x):
-                    affected_old.add((x, y, source))
-        revived_by_node: Dict[PNode, List[Node]] = {}
+                    recount.add((x, y, source))
         for x, v in in_r:
-            revived_by_node.setdefault(x, []).append(v)
-        for x, values in revived_by_node.items():
-            sim[x].update(values)
-        counters = self._counters
-        for x, y, v in affected_old:
-            counters[(x, y)][v] = len(sim[y].intersection(graph.successors(v)))
-        for x, v in in_r:
+            sim[x].add(v)
             for y in pattern.successors(x):
-                counters[(x, y)][v] = len(
-                    sim[y].intersection(graph.successors(v))
-                )
+                recount.add((x, y, v))
+        counters = fixpoint.children
+        for x, y, v in recount:
+            counters[(x, y)][v] = len(sim[y].intersection(graph.successors(v)))
 
         # --- (3) cascade: only tentative candidates can fall ----------
         # (the old simulation is still a valid simulation of the grown
@@ -415,7 +408,8 @@ class IncrementalView:
             if any(counters[(x, y)][v] == 0 for y in pattern.successors(x)):
                 sim[x].discard(v)
                 removals.append(pair)
-        survived = len(in_r) - len(self._cascade(removals))
+        fixpoint.cascade(removals)
+        survived = sum(1 for x, v in in_r if v in sim[x])
         if survived:
             changed = True
         else:
@@ -431,11 +425,12 @@ class IncrementalView:
         """Counter cascade after ``source -> target`` left the graph;
         returns whether any match pair was lost."""
         self.stats.deletions += 1
-        sim = self._sim
-        if sim is None:
+        fixpoint = self._fixpoint
+        if fixpoint is None:
             # The view was empty; deletions cannot revive it.
             return False
         pattern = self.definition.pattern
+        sim = fixpoint.sim
         # Every view edge the deleted edge witnessed, read before any
         # removal: a self-loop witnesses both (x, y) and (y, x), and
         # dropping ``source`` from sim[x] first must not hide the other.
@@ -448,49 +443,24 @@ class IncrementalView:
         ]
         if not witnessed:
             return False
+        before = sum(map(len, sim.values()))
         removals: deque = deque()
         for x, y in witnessed:
-            counter = self._counters[(x, y)]
+            counter = fixpoint.children[(x, y)]
             counter[source] -= 1
             if counter[source] == 0 and source in sim[x]:
                 sim[x].discard(source)
                 removals.append((x, source))
-        self.stats.removed_pairs += len(self._cascade(removals))
-        if not all(sim.values()):
-            self._sim = None
-            self._counters = {}
+        if fixpoint.cascade(removals):
+            self.stats.removed_pairs += before - sum(map(len, sim.values()))
+        else:
+            # Some match set emptied: the view lost every pair it held.
+            self.stats.removed_pairs += before
+            self._fixpoint = None
         # The pair (source, target) left each witnessed view edge's
         # match set, whether or not ``source`` survived.
         self._extension_cache = None
         return True
-
-    def _cascade(self, removals: deque) -> Set[Tuple[PNode, Node]]:
-        """The witness-counter cascade: drain ``removals`` -- pairs
-        already discarded from the simulation -- decrementing, for each
-        popped ``(y, w)`` and pattern predecessor ``x``, the counters of
-        ``w``'s graph predecessors still in ``sim[x]``, and discarding
-        (and queueing) those that reach zero.  Returns every pair
-        removed, the seeds included."""
-        pattern = self.definition.pattern
-        graph = self._graph
-        sim = self._sim
-        counters = self._counters
-        removed: Set[Tuple[PNode, Node]] = set(removals)
-        while removals:
-            y, w = removals.popleft()
-            for y1 in pattern.successors(y):
-                counters[(y, y1)].pop(w, None)
-            for x in pattern.predecessors(y):
-                counter = counters[(x, y)]
-                candidates = sim[x]
-                for v in graph.predecessors(w):
-                    if v in candidates:
-                        counter[v] -= 1
-                        if counter[v] == 0:
-                            candidates.discard(v)
-                            removed.add((x, v))
-                            removals.append((x, v))
-        return removed
 
     def _relevant(self, source: Node, target: Node) -> bool:
         """Could the inserted edge interact with any view edge?"""
@@ -518,22 +488,13 @@ class IncrementalView:
             return cached
         self.stats.extension_builds += 1
         pattern = self.definition.pattern
-        if self._sim is None:
-            extension = MaterializedView(
-                self.definition, {edge: set() for edge in pattern.edges()}
-            )
+        if self._fixpoint is None:
+            edge_matches = {edge: set() for edge in pattern.edges()}
         else:
-            edge_matches: Dict[Tuple[PNode, PNode], Set[Tuple[Node, Node]]] = {}
-            for edge in pattern.edges():
-                x, y = edge
-                targets = self._sim[y]
-                edge_matches[edge] = {
-                    (v, w)
-                    for v in self._sim[x]
-                    for w in self._graph.successors(v)
-                    if w in targets
-                }
-            extension = MaterializedView(self.definition, edge_matches)
+            edge_matches = edge_matches_from_nodes(
+                pattern.edges(), self._fixpoint.sim, self._graph.successors
+            )
+        extension = MaterializedView(self.definition, edge_matches)
         self._extension_cache = extension
         return extension
 

@@ -129,8 +129,13 @@ def build_bounded(labeled_nodes, edges):
     return q
 
 
-def reference_simulation(pattern: Pattern, graph: DataGraph) -> Optional[Dict]:
-    """Naive greatest-fixpoint maximum simulation (child condition only)."""
+def reference_simulation(
+    pattern: Pattern, graph: DataGraph, parents: bool = False
+) -> Optional[Dict]:
+    """Naive greatest-fixpoint maximum simulation: the child condition,
+    and with ``parents`` the parent condition too (dual simulation: a
+    match of ``u1`` needs a predecessor matching ``u`` for every pattern
+    edge ``(u, u1)``)."""
     sim = {
         u: {
             v
@@ -151,6 +156,16 @@ def reference_simulation(pattern: Pattern, graph: DataGraph) -> Optional[Dict]:
                 }
                 if keep != sim[u]:
                     sim[u] = keep
+                    changed = True
+                if not parents:
+                    continue
+                keep = {
+                    w
+                    for w in sim[u1]
+                    if any(v in sim[u] for v in graph.predecessors(w))
+                }
+                if keep != sim[u1]:
+                    sim[u1] = keep
                     changed = True
     if any(not s for s in sim.values()):
         return None

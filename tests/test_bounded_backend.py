@@ -21,13 +21,10 @@ Covers the whole vertical slice:
 import pickle
 import random
 
-import pytest
-
 from helpers import (
     build_bounded,
     build_graph,
     ingested,
-    ingested_dir,
     matchjoin_metrics,
     random_labeled_graph,
     random_pattern,
@@ -38,7 +35,7 @@ from repro.core.bounded.bmatchjoin import bounded_match_join
 from repro.core.bounded.bminimal import bounded_minimal_views
 from repro.datasets import generate_views, query_from_views, random_graph
 from repro.engine import QueryEngine
-from repro.graph import ANY, BoundedPattern, CompactGraph
+from repro.graph import ANY, BoundedPattern
 from repro.simulation import bounded_match
 from repro.simulation.compact_bounded import compact_bounded_match_with_ids
 from repro.views.maintenance import Delta, IncrementalViewSet
@@ -274,51 +271,6 @@ class TestBMatchJoinFastPath:
             assert twin.compact is not None
             assert twin.compact.token == extension.compact.token
             assert twin.compact.distances == extension.compact.distances
-
-
-# ----------------------------------------------------------------------
-# Engine integration: snapshots, shards
-# ----------------------------------------------------------------------
-class TestEngineBoundedIntegration:
-    @pytest.fixture
-    def workload(self):
-        labels = tuple(f"l{i}" for i in range(6))
-        graph = random_graph(120, 320, labels=labels, seed=9)
-        views = ViewSet(
-            generate_views(labels, 8, seed=9, bounded=True, max_bound=3)
-        )
-        queries = [query_from_views(views, 4, 6, seed=s) for s in range(3)]
-        return graph, views, queries
-
-    def test_bounded_plans_evaluate_against_snapshot(self, workload):
-        graph, views, queries = workload
-        engine = QueryEngine(views, graph=graph)
-        results = engine.answer_batch(queries)
-        snapshot = engine.snapshot()
-        assert isinstance(snapshot, CompactGraph)
-        # On-demand materialization bound every bounded extension to the
-        # engine's snapshot (one shared token).
-        assert views.snapshot_token == snapshot.snapshot_token
-        for result, query in zip(results, queries):
-            assert result.edge_matches == bounded_match(query, graph).edge_matches
-
-    def test_bounded_direct_plan_runs_on_snapshot(self, workload):
-        graph, _, _ = workload
-        empty = ViewSet()
-        engine = QueryEngine(empty, graph=graph)
-        query = random_bounded(random.Random(3), 3, 3)
-        plan = engine.plan(query)
-        assert plan.strategy == "direct"
-        result = engine.execute(plan)
-        assert result.edge_matches == bounded_match(query, graph).edge_matches
-
-    def test_sharded_engine_answers_bounded(self, workload, tmp_path):
-        graph, views, queries = workload
-        snapdir, graph = ingested_dir(*str_keyed(graph), 2, tmp_path)
-        engine = QueryEngine(views, snapshot_path=snapdir)
-        for query in queries:
-            result = engine.answer(query)
-            assert result.edge_matches == bounded_match(query, graph).edge_matches
 
 
 # ----------------------------------------------------------------------

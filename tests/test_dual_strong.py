@@ -19,6 +19,8 @@ from helpers import (
     build_pattern,
     random_labeled_graph,
     random_pattern,
+    reference_edge_matches,
+    reference_simulation,
 )
 
 
@@ -76,6 +78,42 @@ class TestDualSimulation:
         g = build_graph({1: "A"}, [])
         q = build_pattern({"a": "A", "b": "B"}, [("a", "b")])
         assert not dual_match(q, g)
+
+
+class TestDualReference:
+    """``dual_match`` and ``dual_match_join`` run the same dict fixpoint,
+    so each is held to the naive reference instead of to the other."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_match_and_join_equal_the_reference(self, seed):
+        rng = random.Random(seed + 900)
+        g = random_labeled_graph(rng, rng.randint(4, 25), rng.randint(3, 70))
+        q = random_pattern(rng, rng.randint(2, 4), rng.randint(1, 6))
+        for u in list(q.nodes()):
+            if rng.random() < 0.3:
+                q.add_edge(u, u)
+        expected = reference_simulation(q, g, parents=True)
+        views = ViewSet(
+            [
+                ViewDefinition(f"E{i}", q.subpattern([edge]))
+                for i, edge in enumerate(q.edges())
+            ]
+        )
+        containment = dual_contains(q, views)
+        for graph in (g, g.freeze()):
+            for definition in views:
+                views.set_extension(materialize_dual(definition, graph))
+            for result in (
+                dual_match(q, graph),
+                dual_match_join(q, containment, views),
+            ):
+                if expected is None:
+                    assert not result, seed
+                    continue
+                assert result.node_matches == expected, seed
+                assert result.edge_matches == reference_edge_matches(
+                    q, g, expected
+                ), seed
 
 
 class TestStrongSimulation:

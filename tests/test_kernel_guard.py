@@ -11,6 +11,11 @@ counter loop, runs the one bounded edge worklist over masks, and is the
 one place NumPy may be imported -- lazily, behind the one helper both
 its entry points go through, so processes that never run it never load
 it.
+
+On the node-key side there is likewise one dict witness-counter
+fixpoint (``simulation.witness.WitnessCounters``): simulation, dual and
+strong simulation, view matches, dual MatchJoin and view maintenance
+all run it, and its one worklist cascade is the only one.
 """
 
 import ast
@@ -25,7 +30,9 @@ KERNEL = "simulation/compact_engine.py"
 BOUNDED_KERNEL = "simulation/compact_bounded.py"
 ARRAY_KERNEL = "simulation/array_engine.py"
 #: The dict-backend reference engine keeps its own eager counters.
-DICT_REFERENCE = "simulation/simulation.py"
+DICT_REFERENCE = "simulation/witness.py"
+#: The one backend dispatch of direct evaluation.
+DISPATCH = "simulation/simulation.py"
 
 
 def _files_matching(pattern: str):
@@ -49,6 +56,21 @@ def test_kernel_counter_loop_exists_in_exactly_one_file():
         "_local_edge_matches", "compact_edge_matches",
     ):
         assert not _files_matching(rf"\b{gone}\b"), gone
+
+
+def test_dict_fixpoint_and_its_cascade_exist_in_exactly_one_file():
+    # Dual simulation's parent family, dual MatchJoin's scan-until-stable
+    # loop and maintenance's counter rebuild and worklist were each a
+    # second copy of the dict fixpoint; every caller now runs the one in
+    # ``simulation/witness.py``.
+    for gone in ("maximum_dual_simulation", "_dual_fixpoint", "_cascade"):
+        assert not _files_matching(rf"\b{gone}\b"), gone
+    # The cascade's signature moves: pop a removed pair off the worklist,
+    # then decrement a witness counter and discard the candidate at zero.
+    assert _files_matching(r"=\s*removals\.popleft\(\)") == {DICT_REFERENCE}
+    assert _files_matching(
+        r"(\w+)\[(\w+)\] -= 1\n\s+if \1\[\2\] == 0:\n\s+\w+\.discard\(\2\)"
+    ) == {DICT_REFERENCE}
 
 
 def test_numpy_is_imported_in_one_file_and_only_inside_a_function():
@@ -124,5 +146,5 @@ def test_dispatch_never_probes_sys_modules_for_the_shard_layer():
     for entry in ("simulation/bounded.py", "views/view.py"):
         text = (SRC / entry).read_text()
         assert not re.search(r"isinstance\([^)]*(CompactGraph|ShardedGraph)", text), entry
-    dispatch = (SRC / DICT_REFERENCE).read_text()
+    dispatch = (SRC / DISPATCH).read_text()
     assert len(re.findall(r"isinstance\(graph, CompactGraph\)", dispatch)) == 1

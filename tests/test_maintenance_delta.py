@@ -114,6 +114,66 @@ class TestDelta:
             Delta.parse(["+ 1 2", "", "# note", "? 1 2"])
 
 
+class TestBadOps:
+    """An op that cannot be applied is refused when the delta is built,
+    so a batch never stops half applied and the next one applies."""
+
+    def test_unhashable_endpoints_are_refused_up_front(self):
+        with pytest.raises(ValueError, match="names no node key"):
+            Delta([("insert", 1, 3), ("insert", {"x": 1}, 3)])
+        with pytest.raises(ValueError, match="names no node key"):
+            Delta().insert(1, [3])
+        with pytest.raises(ValueError, match="names no node key"):
+            Delta().delete({"x": 1}, 3)
+
+    def test_engine_applies_the_next_delta_after_a_refused_one(self):
+        graph = build_graph({1: "A", 2: "B", 3: "B"}, [(1, 2)])
+        tracker = IncrementalViewSet(_definitions(), graph)
+        engine = QueryEngine(ViewSet(_definitions()), graph=graph)
+        engine.attach_maintenance(tracker)
+        with pytest.raises(ValueError):
+            engine.apply_delta(
+                Delta([("insert", 1, 3), ("insert", {"x": 1}, 3)])
+            )
+        assert not graph.has_edge(1, 3)
+        report = engine.apply_delta(Delta([("insert", 1, 3)]))
+        assert report.applied == 1
+        assert tracker.extension("AB").pairs_of(("a", "b")) == {(1, 2), (1, 3)}
+
+    def test_parse_decodes_list_tokens_as_tuple_keys(self):
+        delta = Delta.parse(["+ [1,2] 3", '- ["a",[4,5]] "b"'])
+        assert delta.ops == (
+            ("insert", (1, 2), 3),
+            ("delete", ("a", (4, 5)), "b"),
+        )
+
+    def test_parse_refuses_object_tokens_naming_the_line(self):
+        with pytest.raises(ValueError, match=r"line 3"):
+            Delta.parse(["+ 1 2", "# note", '+ {"a":1} 2'])
+
+    def test_maintain_cli_exits_1_on_an_object_token(self, tmp_path, capsys):
+        from repro.cli import main
+        from repro.graph.io import write_graph
+        from repro.views.io import write_viewset
+
+        graph_path = tmp_path / "graph.json"
+        views_path = tmp_path / "views.json"
+        updates_path = tmp_path / "updates.txt"
+        write_graph(build_graph({1: "A", 2: "B"}, [(1, 2)]), graph_path)
+        write_viewset(ViewSet(_definitions()), views_path)
+        updates_path.write_text('+ 1 2\n+ {"a":1} 2\n')
+        code = main(
+            [
+                "maintain",
+                "--graph", str(graph_path),
+                "--views", str(views_path),
+                "--updates", str(updates_path),
+            ]
+        )
+        assert code == 1
+        assert "line 2" in capsys.readouterr().err
+
+
 class TestConstructorSatellites:
     def test_delete_edge_noops_on_missing_edge(self):
         g = build_graph({1: "A", 2: "B"}, [(1, 2)])

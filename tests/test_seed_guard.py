@@ -19,7 +19,6 @@ ALLOWED = {
     "graph/conditions.py": "defines Condition.matches",
     "graph/compact.py": "the candidate index's fallback scan",
     "simulation/seeding.py": "the dict-backend reference path",
-    "simulation/strong.py": "re-checks conditions inside a ball",
     "views/maintenance.py": "tests one node per inserted edge",
 }
 

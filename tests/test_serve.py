@@ -425,6 +425,37 @@ class TestTcpProtocol:
         asyncio.run(run())
 
 
+    def test_a_refused_update_leaves_the_next_one_applying(self):
+        async def run():
+            server, tracker = make_server()
+            async with server:
+                tcp = await serve_tcp(server, port=0)
+                port = tcp.sockets[0].getsockname()[1]
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", port
+                )
+
+                async def call(payload):
+                    writer.write(json.dumps(payload).encode() + b"\n")
+                    await writer.drain()
+                    return json.loads(await reader.readline())
+
+                bad = await call(
+                    {"op": "update", "ops": [["+", 4, 2], ["+", {"x": 1}, 3]]}
+                )
+                assert bad["ok"] is False
+                assert bad["error"].startswith("bad request")
+                assert not tracker.graph.has_edge(4, 2)
+                updated = await call({"op": "update", "ops": [["+", 4, 2]]})
+                assert updated["ok"] and updated["epoch"] == 1
+                assert updated["applied"] == 1
+                assert tracker.graph.has_edge(4, 2)
+                writer.close()
+                tcp.close()
+                await tcp.wait_closed()
+
+        asyncio.run(run())
+
     def test_oversize_line_is_answered_then_closed(self, monkeypatch):
         monkeypatch.setattr(protocol, "MAX_LINE_BYTES", 4096)
 

@@ -456,21 +456,6 @@ class TestEngineSharded:
 
         return definitions, queries, boot
 
-    def test_answers_equal_single_snapshot_engine(self, workload):
-        definitions, queries, boot = workload
-        graph, sharded = boot(3)
-        plain = QueryEngine(ViewSet(definitions), graph=graph)
-        assert isinstance(sharded.snapshot(), ShardedGraph)
-        for a, b, q in zip(
-            plain.answer_batch(queries), sharded.answer_batch(queries), queries
-        ):
-            assert a == b
-            assert a.edge_matches == match(q, graph).edge_matches
-        # On-demand extensions are bound to the composite snapshot.
-        assert sharded.views.snapshot_token == sharded.snapshot().snapshot_token
-        # Warm cache serves the repeat.
-        assert all(r.stats.cache_hit for r in sharded.answer_batch(queries))
-
     def test_direct_fallback_runs_psim(self, workload):
         _, _, boot = workload
         graph, engine = boot(3)
