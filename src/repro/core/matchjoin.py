@@ -42,8 +42,9 @@ from __future__ import annotations
 
 import logging
 import threading
-from collections import deque
+from collections import Counter, deque
 from functools import partial
+from itertools import chain, repeat
 from operator import itemgetter
 from typing import (
     Callable,
@@ -65,6 +66,7 @@ from repro.graph.scc import edge_ranks
 from repro.obs import trace
 from repro.obs.metrics import get_registry
 from repro.simulation.result import LazyMap, MatchResult
+from repro.views.flatpack import group_by_target
 from repro.views.storage import ViewSet
 from repro.views.view import MaterializedView
 
@@ -78,11 +80,19 @@ Extensions = Mapping[str, MaterializedView]
 
 #: The kernel's whole input for one query edge: the λ-images' parallel
 #: ``(src_row, tgt_row)`` sequences, the ids occurring as sources and as
-#: targets, and -- when the rows are stored match sets adopted
-#: unfiltered -- a thunk returning ``(node-key pair set, [source node
-#: sets], [target node sets])`` for packaging the edge wholesale.
+#: targets, a packaging thunk, and the rows' by-target index thunks.
+#: The packaging thunk exists when the rows are stored match sets
+#: adopted unfiltered; it returns ``(node-key pair set, [source node
+#: sets], [target node sets])`` so the edge packages wholesale.  The
+#: index thunks run parallel to the rows, each returning its row pair's
+#: ``{target: [sources]}``: a payload's lazily stored one, or one
+#: grouped per call for rows that have no payload.
 EdgeRows = Tuple[
-    List[Tuple[Sequence, Sequence]], frozenset, frozenset, Optional[Callable]
+    List[Tuple[Sequence, Sequence]],
+    frozenset,
+    frozenset,
+    Optional[Callable],
+    List[Callable[[], Dict]],
 ]
 
 
@@ -136,13 +146,31 @@ def merge_initial_sets(
 
 
 # ----------------------------------------------------------------------
-# The kernel: rank-ordered row sweeps, delta counters for repeat visits
+# The kernel: rank-ordered row reads, delta counters for repeat visits
 # ----------------------------------------------------------------------
+#: What scanning one row costs, in probe entries (one index lookup, or
+#: one source read off the index).  A probe of ``live`` targets reads
+#: ``~live * (1 + rows / targets)`` entries, a scan reads every row;
+#: the cheaper estimate wins.  Measured with the choice forced each way
+#: on 12,000 rows of fan-in 1 / 4 / 40 at 1-100 % of the targets live:
+#: the two cost the same at ~1.3 estimated entries per row on fan-in 1
+#: and past 1.6 on fan-in 4 and 40 (table in CHANGES.md, under
+#: ``SCAN_ROW_COST``).
+SCAN_ROW_COST = 1.5
+
+
+def probes(live: int, targets: int, rows: int) -> bool:
+    """Whether a visit reads an edge's rows by probing its by-target
+    index at the ``live`` valid targets rather than scanning all
+    ``rows`` (``targets``: the distinct ids they point to)."""
+    return live * (rows + targets) < SCAN_ROW_COST * rows * targets
+
+
 def sweep_join(
     query: Pattern,
     inputs: Dict[PEdge, EdgeRows],
     decode: Optional[Callable] = None,
-) -> Tuple[MatchResult, int]:
+) -> Tuple[MatchResult, Tuple[int, int, int]]:
     """The candidate-level MatchJoin fixpoint over per-edge rows.
 
     A pair ``(v, w)`` of edge ``e = (u, u')`` survives Fig. 2 iff ``v``
@@ -151,20 +179,22 @@ def sweep_join(
     out-edge of its pattern node, a row whose target is still valid.
     ``inputs`` maps every query edge to its :data:`EdgeRows`; ids are
     any hashables and ``decode`` maps them to node keys (``None``: they
-    already are).  Returns the result and the number of full passes made
-    over an edge's rows.  The result is unpackaged: its survivors become
-    node-key sets on the first read of any set (:func:`_on_first_read`).
+    already are).  Returns the result and ``(visits that read an edge's
+    rows, how many of them probed, rows they read)``.  The result is
+    unpackaged: its survivors become node-key sets on the first read of
+    any set (:func:`_on_first_read`).
 
     Edges are visited in ascending rank of their target, so on a DAG
     query every ``valid(u')`` is final before an edge into ``u'`` is
-    swept (Lemma 2: one sweep per edge).  A sweep recomputes the live
-    sources in one comprehension pass over the raw rows -- everything
-    around it is a batch set-op over the key sets.  An edge that comes
-    back after its sweep (cyclic queries only) is paid one more pass
-    that groups its live rows by target and counts live witnesses per
-    source; from then on a shrink of ``valid(u')`` by ``R`` costs
-    ``O(Σ_{w∈R} |sources(w)|)``, so no removal chain, however long,
-    re-scans the rows.
+    read (Lemma 2: one read per edge).  A read recomputes the live
+    sources either by scanning the raw rows or, when :func:`probes`
+    says so, by probing the edge's by-target index at the live targets
+    only -- everything around it is a batch set-op over the key sets.
+    An edge that comes back after its read (cyclic queries only) is
+    read once more to count live witnesses per source; from then on a
+    shrink of ``valid(u')`` by ``R`` costs ``O(Σ_{w∈R} indeg(w))``
+    decrements off the index, so no removal chain, however long,
+    re-reads the rows.
     """
     edges = query.edges()
     in_edges: Dict[PNode, List[PEdge]] = {}
@@ -177,22 +207,31 @@ def sweep_join(
             # out-edge, so the pool is the source-key intersection.
             pool = outs[0] if len(outs) == 1 else outs[0].intersection(*outs[1:])
             if not pool:
-                return MatchResult.empty(), 0
+                return MatchResult.empty(), (0, 0, 0)
         else:
             # Sink nodes are only ever targets.
             ins = [inputs[e][2] for e in in_edges[u]]
             pool = ins[0] if len(ins) == 1 else ins[0].union(*ins[1:])
         valid[u] = pool
 
-    # Pools start out as the callers' (stored, shared) key sets; a node's
-    # set is copied the first time it shrinks and mutated in place after.
-    owned: Set[PNode] = set()
+    # Pools start out as the callers' (stored, shared) key sets; a read
+    # replaces a node's set by a new set of its survivors, so the first
+    # shrink of a shared pool costs the survivors, and delta mode
+    # shrinks the set its own read made in place.
     swept: Set[PEdge] = set()
-    # Delta mode: edge -> (live sources by target, live witnesses by
-    # source), and the targets withdrawn since the edge's last visit.
-    delta: Dict[PEdge, Tuple[Dict, Dict]] = {}
+    # Delta mode: edge -> live witnesses by source, and the targets
+    # withdrawn since the edge's last visit.
+    delta: Dict[PEdge, Dict] = {}
     withdrawn: Dict[PEdge, Set] = {}
-    sweeps = 0
+    indexes: Dict[PEdge, List[Dict]] = {}
+
+    def index_of(edge: PEdge) -> List[Dict]:
+        found = indexes.get(edge)
+        if found is None:
+            found = indexes[edge] = [part() for part in inputs[edge][4]]
+        return found
+
+    sweeps = probed = read = 0
     rank = edge_ranks(query)
     queue = deque(sorted(edges, key=rank.__getitem__))
     queued: Set[PEdge] = set(edges)
@@ -202,54 +241,73 @@ def sweep_join(
         u, u_prime = edge
         candidates = valid[u]
         if edge in delta:
-            sources_of, witnesses = delta[edge]
+            witnesses = delta[edge]
+            gone = withdrawn.pop(edge, ())
             dead = set()
-            for w in withdrawn.pop(edge, ()):
-                for v in sources_of.get(w, ()):
-                    witnesses[v] -= 1
-                    if not witnesses[v]:
-                        dead.add(v)
+            for by_target in index_of(edge):
+                for v in chain.from_iterable(map(by_target.get, gone, repeat(()))):
+                    if v in witnesses:
+                        witnesses[v] -= 1
+                        if not witnesses[v]:
+                            dead.add(v)
             dead &= candidates
+            if not dead:
+                continue
+            candidates -= dead
+            if not candidates:
+                return MatchResult.empty(), (sweeps, probed, read)
         else:
             live = valid[u_prime]
-            rows, _, targets, _ = inputs[edge]
-            if edge not in swept:
+            rows, _, targets, _, _ = inputs[edge]
+            first = edge not in swept
+            if first:
                 if live >= targets:
                     continue  # every stored target is live: no source can die
                 swept.add(edge)
-                alive = {
+            num_rows = sum(len(src_row) for src_row, _ in rows)
+            if probes(len(live), len(targets), num_rows):
+                hits = [
+                    sources
+                    for by_target in index_of(edge)
+                    for sources in map(by_target.get, live)
+                    if sources
+                ]
+                alive = chain.from_iterable(hits)
+                probed += 1
+                read += sum(map(len, hits))
+            else:
+                alive = (
                     v
                     for src_row, tgt_row in rows
                     for v, w in zip(src_row, tgt_row)
                     if w in live
-                }
-                dead = candidates - alive
-            else:
-                sources_of, witnesses = {}, {}
-                for src_row, tgt_row in rows:
-                    for v, w in zip(src_row, tgt_row):
-                        if w in live and v in candidates:
-                            witnesses[v] = witnesses.get(v, 0) + 1
-                            sources_of.setdefault(w, []).append(v)
-                delta[edge] = sources_of, witnesses
-                dead = candidates.difference(witnesses)
+                )
+                read += num_rows
             sweeps += 1
-        if not dead:
-            continue
-        if u not in owned:
-            owned.add(u)
-            valid[u] = candidates = set(candidates)
-        candidates -= dead
-        if not candidates:
-            return MatchResult.empty(), sweeps
+            if first:
+                kept = set(alive)
+                kept &= candidates
+            else:
+                delta[edge] = witnesses = Counter(
+                    filter(candidates.__contains__, alive)
+                )
+                valid[u] = kept = set(witnesses)
+            if len(kept) == len(candidates):
+                continue
+            if not kept:
+                return MatchResult.empty(), (sweeps, probed, read)
+            valid[u] = kept
+            dead = None  # listed only if an in-edge counts witnesses
         for affected in in_edges[u]:
             if affected in delta:
+                if dead is None:
+                    dead = candidates - kept
                 withdrawn.setdefault(affected, set()).update(dead)
             if affected not in queued:
                 queue.append(affected)
                 queued.add(affected)
     package = partial(_package, query, inputs, valid, decode)
-    return _on_first_read(query, package), sweeps
+    return _on_first_read(query, package), (sweeps, probed, read)
 
 
 class _Unpackaged(LazyMap):
@@ -304,7 +362,7 @@ def _package(
     edge_matches: Dict[PEdge, Set[NodePair]] = {}
     for edge in edges:
         u, u_prime = edge
-        rows, sources, targets, whole = inputs[edge]
+        rows, sources, targets, whole, _ = inputs[edge]
         valid_src = valid[u]
         valid_tgt = valid[u_prime]
         if whole is not None and sources <= valid_src and targets <= valid_tgt:
@@ -369,7 +427,7 @@ def _id_inputs(
     inputs: Dict[PEdge, EdgeRows] = {}
     decode = None
     for edge in query.edges():
-        rows, sources, targets = [], [], []
+        rows, sources, targets, index = [], [], [], []
         stored: Optional[list] = []
         for view_name, view_edge in containment.mapping.get(edge, ()):
             extension = extensions[view_name]
@@ -380,6 +438,7 @@ def _id_inputs(
                 rows.append(payload.pair_rows(view_edge))
                 sources.append(payload.src_keys[view_edge])
                 targets.append(payload.tgt_keys[view_edge])
+                index.append(partial(payload.by_target.__getitem__, view_edge))
                 if stored is not None:
                     stored.append((extension, payload, view_edge))
                 continue
@@ -395,6 +454,7 @@ def _id_inputs(
                 rows.append((src_row, tgt_row))
                 sources.append(frozenset(src_row))
                 targets.append(frozenset(tgt_row))
+                index.append(partial(group_by_target, src_row, tgt_row))
         whole = None
         if stored:
             def whole(stored=stored):
@@ -408,6 +468,7 @@ def _id_inputs(
             sources[0] if len(sources) == 1 else frozenset().union(*sources),
             targets[0] if len(targets) == 1 else frozenset().union(*targets),
             whole,
+            index,
         )
     return inputs, decode
 
@@ -430,6 +491,7 @@ def _key_inputs(
             lambda pairs=pairs, sources=sources, targets=targets: (
                 pairs, [sources], [targets]
             ),
+            [partial(group_by_target, src_row, tgt_row)],
         )
     return inputs, None
 
@@ -438,13 +500,16 @@ def _run_kernel(query: Pattern, path: str, build: Callable) -> MatchResult:
     """The kernel plus its accounting.  ``path`` names the id space the
     rows are in (``ids`` | ``keys``); ``build()`` returns ``(inputs,
     decode)`` and runs inside the ``matchjoin`` span, so merging and
-    BMatchJoin's row filter are attributed to it.  One registry write
-    per call."""
+    BMatchJoin's row filter are attributed to it.  The span carries
+    ``sweeps`` (row visits: visits that read an edge's rows, by scan or
+    by probe), ``probes`` (those that probed) and ``rows`` (rows they
+    read); ``repro_matchjoin_sweeps_total`` counts the row visits.  One
+    registry write per call."""
     with trace.span("matchjoin", edges=query.num_edges, path=path) as mj_span:
         inputs, decode = build()
-        result, sweeps = sweep_join(query, inputs, decode)
+        result, (sweeps, probed, read) = sweep_join(query, inputs, decode)
         if mj_span is not None:
-            mj_span.set(sweeps=sweeps)
+            mj_span.set(sweeps=sweeps, probes=probed, rows=read)
     reg = get_registry()
     reg.counter("repro_matchjoin_total", path=path).inc()
     reg.counter("repro_matchjoin_sweeps_total", path=path).inc(sweeps)

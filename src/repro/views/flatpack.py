@@ -12,7 +12,13 @@ from them per view edge on first touch and cached:
 * ``src_keys`` / ``tgt_keys`` -- the ids occurring in each row, for the
   kernel's batch set-ops;
 * ``src_nodes`` / ``tgt_nodes`` -- the same as node keys, so an edge the
-  fixpoint leaves untouched packages without a single per-pair decode.
+  fixpoint leaves untouched packages without a single per-pair decode;
+* ``by_target`` -- the rows grouped by target id (``{target: [source
+  ids]}``), built by one pass the first time the kernel *probes* the
+  view edge (reads only the rows at its live targets) and never before.
+
+None of these is stored: pickling, :meth:`FlatExtension.pack` and a
+saved snapshot carry the rows alone.
 
 In process the rows are plain ``array('q')`` columns and no segment is
 created.  :meth:`FlatExtension.pack` moves the same columns into a
@@ -125,6 +131,9 @@ class FlatExtension:
     src_keys / tgt_keys / src_nodes / tgt_nodes:
         ``{view edge: frozenset}``, decoded from the rows on first
         access (see the module docstring).
+    by_target:
+        ``{view edge: {target id: [source ids]}}``, grouped from the
+        rows on first access (:func:`group_by_target`).
     distances:
         For bounded views, the id-space distance index ``I(V)``:
         ``{(source id, target id): distance}`` over every materialized
@@ -149,6 +158,7 @@ class FlatExtension:
         "tgt_keys",
         "src_nodes",
         "tgt_nodes",
+        "by_target",
         "distances",
         "_tables",
         "store",
@@ -174,7 +184,7 @@ class FlatExtension:
         else:
             self._tables, self.store = tables, None
         self.distances = distances
-        for kind in ("src_keys", "tgt_keys", "src_nodes", "tgt_nodes"):
+        for kind in ("src_keys", "tgt_keys", "src_nodes", "tgt_nodes", "by_target"):
             setattr(self, kind, self.per_edge(kind))
 
     @classmethod
@@ -273,6 +283,8 @@ class FlatExtension:
             return frozenset(src)
         if kind == "tgt_keys":
             return frozenset(tgt)
+        if kind == "by_target":
+            return group_by_target(src, tgt)
         decode = self.nodes.__getitem__
         if kind == "src_nodes":
             return frozenset(map(decode, self.src_keys[edge]))
@@ -314,7 +326,7 @@ class FlatExtension:
         which guarantees every pre-existing node kept its id.  The
         maintenance pipeline uses this to keep MatchJoin in id space
         for views an update did not touch, at zero cost: rows, store
-        and the per-edge sets decoded so far are all shared.
+        and the per-edge sets and indexes built so far are all shared.
         """
         if getattr(snapshot, "extends_token", None) != self.token:
             raise ValueError(
@@ -326,6 +338,21 @@ class FlatExtension:
             setattr(clone, slot, getattr(self, slot))
         clone.token, clone.version, clone.nodes = snapshot_stamp(snapshot)
         return clone
+
+
+def group_by_target(src, tgt) -> Dict[Hashable, List[Hashable]]:
+    """Parallel ``(src, tgt)`` rows as ``{target: [sources]}``, one
+    entry per row (duplicates kept) -- the index MatchJoin probes.  Ids
+    are any hashables (node keys on MatchJoin's ``keys`` path)."""
+    groups: Dict[Hashable, List[Hashable]] = {}
+    get = groups.get
+    for v, w in zip(src, tgt):
+        sources = get(w)
+        if sources is None:
+            groups[w] = [v]
+        else:
+            sources.append(v)
+    return groups
 
 
 def snapshot_stamp(snapshot) -> tuple:

@@ -28,6 +28,7 @@ from repro.engine import QueryEngine
 from repro.graph import ANY, BoundedPattern, DataGraph, Pattern
 from repro.graph.scc import is_dag
 from repro.graph.snapshot import SnapshotStore
+from repro.obs import trace
 from repro.simulation import match
 from repro.views import ViewDefinition, ViewSet
 
@@ -262,15 +263,17 @@ class TestNoMatchPropagation:
 
 
 class TestKernelSweepCounts:
-    """Complexity pins on the kernel, by counting full passes over an
-    edge's rows (``repro_matchjoin_sweeps_total``) -- never by timing."""
+    """Complexity pins on the kernel, by counting the visits that read
+    an edge's rows (``repro_matchjoin_sweeps_total``, by scan or by
+    probe) and the rows they read (the ``matchjoin`` span's ``rows``)
+    -- never by timing."""
 
     @pytest.mark.parametrize("shared_snapshots", [False, True])
     def test_removal_chain_never_rescans_the_rows(self, shared_snapshots, tmp_path):
         """View ``A -> A`` over a path of n A-nodes, query ``a -> a``:
-        the fixpoint peels one node per step for n steps.  The edge is
-        swept once, grouped once more for the delta counters, and every
-        later step costs one decrement."""
+        the fixpoint peels one node per step for n steps.  The edge's
+        rows are read once, once more for the delta counters, and every
+        later step costs one decrement off the by-target index."""
         n = 8000
         graph = DataGraph()
         for i in range(n):
@@ -358,6 +361,53 @@ class TestKernelSweepCounts:
             assert count("sweeps_total", "ids") == query.num_edges - 1
         assert result.edge_matches == match(query, graph).edge_matches
         assert result.edge_matches[(0, 1)] == {((depth, 0), (depth, 1))}
+
+    @pytest.mark.parametrize("path", ["ids", "keys"])
+    def test_probe_reads_only_the_live_targets_rows(self, path):
+        """Query ``a <-> b`` over views ``A -> B`` (4,000 rows, fan-in
+        80 into each of 50 B-nodes) and ``B -> A`` (3 rows, from 3
+        B-nodes): only those 3 B-nodes are ever live targets, and one
+        of them dies.  The kernel reads the rows at the live targets,
+        never the 4,000."""
+        graph = DataGraph()
+        for i in range(50):
+            graph.add_node(("b", i), labels="B")
+        for j in range(4000):
+            graph.add_node(("a", j), labels="A")
+            graph.add_edge(("a", j), ("b", j % 50))
+        # b0 and b1 close a cycle; b2's one witness a3 points at b3,
+        # which has no way back, so a3 dies and takes b2 with it.
+        for b, a in ((0, 0), (1, 1), (2, 3)):
+            graph.add_edge(("b", b), ("a", a))
+        views = ViewSet(
+            [
+                ViewDefinition("AB", build_pattern({"x": "A", "y": "B"}, [("x", "y")])),
+                ViewDefinition("BA", build_pattern({"x": "B", "y": "A"}, [("x", "y")])),
+            ]
+        )
+        views.materialize(graph.freeze() if path == "ids" else graph)
+        query = build_pattern({"a": "A", "b": "B"}, [("a", "b"), ("b", "a")])
+        containment = contains(query, views)
+        with matchjoin_metrics() as count, trace.root_span("query") as root:
+            result = match_join(query, containment, views)
+            assert count("total", path) == 1
+            sweeps = count("sweeps_total", path)
+        (span,) = [child for child in root.children if child.name == "matchjoin"]
+        assert span.attrs["sweeps"] == sweeps <= 2 * query.num_edges
+        # The A -> B rows at b0-b2 (3 x 80) and the 3 B -> A rows, each
+        # read at most twice (first read, then the witness count).
+        live_rows = 3 * 80 + 3
+        assert span.attrs["probes"] >= 1
+        assert span.attrs["rows"] <= 2 * live_rows < 4000
+        expected = match_join(query, containment, views, optimized=False)
+        assert result.edge_matches == expected.edge_matches
+        assert result.edge_matches == match(query, graph).edge_matches
+        assert result.edge_matches[("b", "a")] == {
+            (("b", 0), ("a", 0)),
+            (("b", 1), ("a", 1)),
+        }
+        assert len(result.edge_matches[("a", "b")]) == 2 * 80
+
 
 
 # ----------------------------------------------------------------------
@@ -495,6 +545,72 @@ def test_lazy_answer_equals_the_naive_fixpoint_in_every_read_order(
         assert result == expected and result.result_size == expected.result_size
     # One packaging pass, whoever read first and however often.
     assert len(passes) == bool(expected)
+
+
+def _random_cyclic_instance(rng, bounded):
+    """A random graph, a query with a cycle (a self-loop at the least)
+    and per-edge views that contain it.  A bounded view edge is one
+    hop looser than the query edge it covers, so BMatchJoin filters
+    its rows through ``I(V)``."""
+    graph = random_labeled_graph(rng, rng.randint(10, 40), rng.randint(20, 140), "AB")
+    size = rng.randint(1, 4)
+    query = BoundedPattern() if bounded else Pattern()
+    for node in range(size):
+        query.add_node(node, rng.choice("AB"))
+    ring = list(range(rng.randint(1, size)))
+    edges = set(zip(ring, ring[1:] + ring[:1]))
+    for node in range(len(ring), size):  # hang the rest off the cycle
+        other = rng.randrange(node)
+        edges.add((node, other) if rng.random() < 0.5 else (other, node))
+    for _ in range(rng.randint(0, 3)):
+        edges.add((rng.randrange(size), rng.randrange(size)))
+    views = ViewSet()
+    for i, (u, v) in enumerate(sorted(edges)):
+        if bounded:
+            bound = rng.choice([1, 2])
+            query.add_edge(u, v, bound)
+            view = BoundedPattern()
+            view.add_node("x", query.condition(u))
+            view.add_node("y", query.condition(v))
+            view.add_edge("x", "y", bound + 1)
+        else:
+            query.add_edge(u, v)
+            view = query.subpattern([(u, v)])
+        views.add(ViewDefinition(f"E{i}", view))
+    assert not is_dag(query)
+    return graph, query, views
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    bounded=st.booleans(),
+    path=st.sampled_from(["ids", "keys"]),
+)
+def test_probe_and_scan_leave_the_same_survivors(seed, bounded, path):
+    """The kernel's one read choice forced each way on random cyclic
+    queries: the same survivors, the same visits, the naive fixpoint."""
+    graph, query, views = _random_cyclic_instance(random.Random(seed), bounded)
+    views.materialize(graph.freeze() if path == "ids" else graph)
+    if bounded:
+        containment = bounded_contains(query, views)
+        merged = merge_initial_sets_bounded(query, containment, views.extensions())
+        join = bounded_match_join
+    else:
+        containment = contains(query, views)
+        merged = merge_initial_sets(query, containment, views.extensions())
+        join = match_join
+    assert containment.holds
+    expected = _fixpoint_naive(query, merged)
+    answers, visits = {}, {}
+    for probe in (True, False):
+        with matchjoin_metrics() as count, pytest.MonkeyPatch.context() as patch:
+            patch.setattr(matchjoin, "probes", lambda live, targets, rows: probe)
+            answers[probe] = join(query, containment, views).edge_matches
+            assert count("total", path) == 1
+            visits[probe] = count("sweeps_total", path)
+    assert answers[True] == answers[False] == expected.edge_matches
+    assert visits[True] == visits[False]
 
 
 def test_engine_answer_on_a_matchjoin_plan_packages_nothing():

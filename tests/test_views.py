@@ -9,6 +9,8 @@ from repro.graph import BoundedPattern, Pattern
 from repro.views import MaterializedView, ViewDefinition, ViewSet, materialize
 from repro.views.view import materialize as materialize_fn
 
+from repro.simulation import match
+
 from helpers import (
     KERNELS,
     build_bounded,
@@ -312,3 +314,67 @@ class TestLazyPayloadViews:
         revived = pickle.loads(pickle.dumps(view))
         assert revived.distances == eager
         assert revived.edge_matches == view.edge_matches
+
+    def test_by_target_index_is_built_by_a_probe_shared_and_never_stored(
+        self, tmp_path, monkeypatch
+    ):
+        """MatchJoin's by-target index exists only once a query probes
+        a view edge; a ``rebound`` clone shares it, and neither a
+        pickle, a pack nor a saved snapshot carries it."""
+        import os
+        import pickle
+
+        from repro.core import matchjoin
+        from repro.engine import QueryEngine
+        from repro.graph.snapshot import SnapshotStore
+        from repro.views.flatpack import FlatExtension
+
+        graph = random_labeled_graph(random.Random(6), 60, 400, labels="AB")
+        views = ViewSet(
+            ViewDefinition(name, build_pattern({"x": x, "y": y}, [("x", "y")]))
+            for name, x, y in (("AB", "A", "B"), ("BA", "B", "A"))
+        )
+        engine = QueryEngine(views, graph=graph, answer_cache_size=0)
+        engine.materialize_views(views.names())
+        query = build_pattern({"a": "A", "b": "B"}, [("a", "b"), ("b", "a")])
+        assert engine.plan(query).strategy == "matchjoin"
+        snapshot = engine.snapshot()
+        payloads = [view.compact for view in engine.views.extensions().values()]
+
+        def indexed(payload):
+            return dict.__len__(payload.by_target)
+
+        def stored_forms(directory):
+            SnapshotStore.save(directory, snapshot, views=engine.views)
+            return {
+                name: (directory / name).read_bytes()
+                for name in os.listdir(directory)
+                if name.startswith("view-")
+            }
+
+        assert not any(map(indexed, payloads))  # materialise + plan: none
+        pickled = [pickle.dumps(payload) for payload in payloads]
+        packed = [FlatExtension.pack(snapshot, p).store.total_bytes for p in payloads]
+        saved = stored_forms(tmp_path / "before")
+        assert saved
+
+        monkeypatch.setattr(matchjoin, "probes", lambda live, targets, rows: True)
+        assert engine.answer(query).edge_matches == match(query, graph).edge_matches
+        assert all(map(indexed, payloads))
+
+        assert [pickle.dumps(payload) for payload in payloads] == pickled
+        assert not any(indexed(pickle.loads(blob)) for blob in pickled)
+        repacked = [FlatExtension.pack(snapshot, p) for p in payloads]
+        assert [p.store.total_bytes for p in repacked] == packed
+        assert not any(map(indexed, repacked))
+        assert stored_forms(tmp_path / "after") == saved
+        loaded = SnapshotStore.load(tmp_path / "after")
+        assert not any(indexed(view.compact) for view in loaded.views.values())
+
+        graph.add_edge(0, 1)  # a refresh keeps every id
+        refreshed = graph.freeze()
+        for payload in payloads:
+            clone = payload.rebound(refreshed)
+            assert clone.by_target is payload.by_target
+            view_edge = payload.edge_order[0]
+            assert clone.by_target[view_edge] is payload.by_target[view_edge]
