@@ -1,83 +1,18 @@
 """Command-line interface: the view-cache workflow end to end.
 
-Subcommands::
+Subcommands (``python -m repro <command> --help`` lists each one's
+options)::
 
-    python -m repro generate  --dataset amazon --nodes 10000 --edges 30000 \
-                              --out graph.json [--views views.json]
-    python -m repro materialize --graph graph.json --views views.json
-    python -m repro contain   --query query.json --views views.json [--strategy minimum]
-    python -m repro query     --query query.json --views views.json \
-                              [--graph graph.json] [--strategy minimal]
-    python -m repro engine    --queries q1.json q2.json --views views.json \
-                              [--graph graph.json] [--repeat 2] [--explain]
-    python -m repro maintain  --graph graph.json --views views.json \
-                              --updates stream.txt [--batch 50] \
-                              [--verify] [--format json]
-    python -m repro serve     --graph graph.json --views views.json \
-                              [--host 127.0.0.1] [--port 7677] \
-                              [--strategy minimal] \
-                              [--max-inflight 8] [--max-queue 64] \
-                              [--metrics-port 9090] [--log-level info]
-    python -m repro trace     --query query.json --views views.json \
-                              --graph graph.json [--format json]
-    python -m repro stats     --graph graph.json [--views views.json] \
-                              [--format json]
-    python -m repro stats     --snapshot snapdir [--format json]
-    python -m repro ingest    --edges edges.txt --out snapdir \
-                              [--shards 4] [--labels 10] [--budget-mb 64] \
-                              [--max-edges N] [--overwrite] [--format json]
-    python -m repro snapshot  save --graph graph.json --out snapdir \
-                              [--views views.json] [--overwrite]
-    python -m repro snapshot  load snapdir [--verify] [--query query.json]
-    python -m repro snapshot  info snapdir [--verify] [--format json]
-
-``generate`` writes a dataset stand-in (and optionally its standard view
-suite); ``materialize`` caches extensions into the views file;
-``contain`` reports containment / view selection; ``query`` answers the
-query from the cached extensions (exactly the MatchJoin pipeline --
-pass ``--graph`` only if extensions still need materializing);
-``engine`` batch-answers many queries through the planned/cached
-:class:`~repro.engine.engine.QueryEngine` (``--repeat`` demonstrates
-the warm answer cache, ``--explain`` prints plans without executing);
-``maintain`` replays an edge
-update stream (``+ u v`` / ``- u v`` lines) through a maintained
-engine (built like ``serve``'s) in batches, reporting per-layer
-refresh statistics -- per-view incremental/recompute/irrelevant counts, snapshot
-refresh-vs-rebuild counts, and how many batches left each view's
-cached answers retainable (``--verify`` additionally asserts every
-checkpoint against a from-scratch rematerialization); ``serve`` runs
-the long-running asyncio service (:mod:`repro.serve`): concurrent
-readers over immutable epoch snapshots, epoch swap on maintenance,
-request coalescing and admission control, speaking newline-delimited
-JSON over TCP (``{"op": "query"|"update"|"stats"|"metrics"|"slowlog"|
-"traces"|"plans"|"ping", ...}``, see :mod:`repro.serve.protocol`),
-optionally exposing a Prometheus-style ``/metrics`` endpoint
-(``--metrics-port``) and structured stderr logging (``--log-level``);
-``trace`` answers one query through an in-process server and prints the
-request's span tree -- plan, cache lookup, evaluation, per-task kernel
-work -- plus the planner's plan-choice record (``--format json`` emits
-both machine-readably); ``stats`` prints
-size accounting -- with ``--format json`` it emits a machine-readable report
-including the label histogram and the snapshot / label-index statistics
-of the compact graph backend (each flat segment labelled with its
-``backend`` kind and on-disk byte count), a ``selection`` section
-(per-view size / staleness / maintenance-cost rows) when ``--views``
-is passed; with ``--snapshot DIR`` it instead inspects a persistent snapshot
-directory without rebuilding anything.
-
-The out-of-core workflow (:mod:`repro.graph.snapshot` /
-:mod:`repro.graph.ingest`): ``ingest`` streams an edge list (SNAP
-format) of any size into a sharded on-disk snapshot directory, spilling
-hash-placed runs to disk under a byte budget and building one shard at
-a time so peak memory stays flat -- the one way to get a sharded graph;
-``snapshot save`` persists an in-memory graph (optionally with its view
-catalog) as versioned, checksummed segment files; ``snapshot load``
-reattaches a directory via read-only ``mmap`` -- no rebuild -- and can
-answer a query straight off the cached view packs; ``snapshot info``
-prints the manifest and per-file accounting (``--verify`` runs a full
-payload CRC audit).  ``serve --snapshot DIR`` boots the service from
-such a directory, and ``serve --persist [DIR]`` writes each published
-epoch back out, so a restart resumes from the latest maintained state.
+    generate     write a dataset stand-in (and its view suite)
+    materialize  cache view extensions into the views file
+    contain      report containment / view selection for a query
+    query        answer queries through the planned, cached QueryEngine
+    maintain     replay an edge update stream through a maintained engine
+    serve        run the asyncio query service (JSON lines over TCP)
+    trace        answer one query through a server, print its span tree
+    stats        graph / view-cache size accounting
+    ingest       stream an edge list into a sharded on-disk snapshot
+    snapshot     save / load / info: persistent mmap snapshot directories
 """
 
 from __future__ import annotations
@@ -93,6 +28,48 @@ from typing import Optional, Sequence
 
 _DATASETS = ("amazon", "citation", "synthetic", "youtube")
 _SELECTIONS = ("all", "minimal", "minimum")
+
+
+def _error(err) -> int:
+    print(f"error: {err}", file=sys.stderr)
+    return 1
+
+
+def _print_answer(label: str, result, note: str = "") -> None:
+    """One answer line, ``label: N pairs via <strategy | cache> (T ms)``;
+    the ``cold_boot`` benchmark parses it off ``snapshot load --query``."""
+    stats = result.stats
+    provenance = "cache" if stats.cache_hit else stats.strategy
+    print(
+        f"{label}: {result.result_size} pairs via {provenance} "
+        f"({stats.elapsed * 1e3:.2f} ms{note})"
+    )
+
+
+def _store_row(store) -> dict:
+    """One flat segment's byte accounting (``stats --format json``)."""
+    return {
+        "backend": store.backend,
+        "tables": store.table_bytes(),
+        "total_bytes": store.total_bytes,
+        "on_disk_bytes": store.on_disk_bytes,
+    }
+
+
+def _maintained_engine(args, selection: str = "minimal"):
+    """The engine ``serve --graph`` and ``maintain`` run: its tracker
+    maintains the engine's own graph in place, and every update goes
+    through :meth:`~repro.engine.QueryEngine.apply_delta`."""
+    from repro.engine import QueryEngine
+    from repro.graph.io import read_graph
+    from repro.views.io import read_viewset
+    from repro.views.maintenance import IncrementalViewSet
+
+    graph, views = read_graph(args.graph), read_viewset(args.views)
+    tracker = IncrementalViewSet(views.definitions(), graph)
+    engine = QueryEngine(views, graph=graph, selection=selection)
+    engine.attach_maintenance(tracker)
+    return engine
 
 
 def _cmd_generate(args) -> int:
@@ -157,99 +134,59 @@ def _cmd_contain(args) -> int:
 
 
 def _cmd_query(args) -> int:
-    from repro.core.answer import answer_with_views
+    from repro.engine import QueryEngine
     from repro.errors import NotContainedError, NotMaterializedError
     from repro.graph.io import read_graph, read_pattern
     from repro.views.io import read_viewset
 
-    query = read_pattern(args.query)
-    views = read_viewset(args.views)
-    graph = read_graph(args.graph) if args.graph else None
+    if args.out and len(args.query) > 1:
+        return _error(f"--out writes one query's result, not {len(args.query)}")
     try:
-        answer = answer_with_views(
-            query, views, graph=graph, selection=args.strategy
+        queries = [read_pattern(path) for path in args.query]
+        views = read_viewset(args.views)
+        graph = read_graph(args.graph) if args.graph else None
+    except OSError as err:
+        return _error(err)
+    engine = QueryEngine(views, graph=graph, selection=args.strategy)
+    if args.explain:
+        for path, query in zip(args.query, queries):
+            print(f"-- {path}")
+            print(engine.plan(query).explain())
+        return 0
+    for round_index in range(max(1, args.repeat)):
+        try:
+            results = engine.answer_batch(queries)
+        except (NotContainedError, NotMaterializedError) as err:
+            return _error(err)
+        total = sum(r.stats.elapsed for r in results)
+        label = "cold" if round_index == 0 else f"warm #{round_index}"
+        print(f"[{label}] {len(results)} queries in {total * 1e3:.2f} ms")
+        for path, result in zip(args.query, results):
+            _print_answer(f"  {path}", result)
+    for which, counters in engine.cache_stats().items():
+        print(
+            f"{which} cache: {counters['hits']} hits / "
+            f"{counters['misses']} misses"
         )
-    except (NotContainedError, NotMaterializedError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    print(f"views used: {', '.join(answer.views_used)}")
-    print(f"result pairs: {answer.result.result_size}")
-    print(answer.result.pretty())
     if args.out:
-        rows = {
-            f"{edge[0]}->{edge[1]}": sorted(map(list, pairs))
-            for edge, pairs in answer.result.edge_matches.items()
-        }
+        rows = {f"{u}->{v}": pairs for (u, v), pairs in results[0].to_table()}
         with open(args.out, "w", encoding="utf-8") as handle:
             json.dump(rows, handle, default=str)
         print(f"result written to {args.out}")
     return 0
 
 
-def _cmd_engine(args) -> int:
-    from repro.engine import QueryEngine
-    from repro.errors import NotContainedError, NotMaterializedError
-    from repro.graph.io import read_graph, read_pattern
-    from repro.views.io import read_viewset
-
-    try:
-        queries = [read_pattern(path) for path in args.queries]
-        views = read_viewset(args.views)
-        graph = read_graph(args.graph) if args.graph else None
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    engine = QueryEngine(views, graph=graph, selection=args.strategy)
-    if args.explain:
-        for path, query in zip(args.queries, queries):
-            print(f"-- {path}")
-            print(engine.plan(query).explain())
-        return 0
-    for round_index in range(args.repeat):
-        try:
-            results = engine.answer_batch(queries)
-        except (NotContainedError, NotMaterializedError) as err:
-            print(f"error: {err}", file=sys.stderr)
-            return 1
-        total = sum(r.stats.elapsed for r in results)
-        label = "cold" if round_index == 0 else f"warm #{round_index}"
-        print(f"[{label}] {len(results)} queries in {total * 1e3:.2f} ms")
-        for path, result in zip(args.queries, results):
-            stats = result.stats
-            provenance = "cache" if stats.cache_hit else stats.strategy
-            print(
-                f"  {path}: {result.result_size} pairs via {provenance} "
-                f"({stats.elapsed * 1e3:.2f} ms)"
-            )
-    caches = engine.cache_stats()
-    for which, counters in caches.items():
-        print(
-            f"{which} cache: {counters['hits']} hits / "
-            f"{counters['misses']} misses"
-        )
-    return 0
-
-
 def _cmd_maintain(args) -> int:
-    from repro.engine import QueryEngine
-    from repro.graph.io import read_graph
-    from repro.views.io import read_viewset
-    from repro.views.maintenance import Delta, IncrementalViewSet
+    from repro.views.maintenance import Delta
     from repro.views.view import materialize as _materialize
 
-    graph = read_graph(args.graph)
-    views = read_viewset(args.views)
     try:
         with open(args.updates, encoding="utf-8") as handle:
             delta = Delta.parse(handle)
     except (OSError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    # Built the way `serve` builds its engine: the tracker maintains the
-    # engine's own graph and every batch goes through the engine.
-    tracker = IncrementalViewSet(views.definitions(), graph)
-    engine = QueryEngine(views, graph=graph)
-    engine.attach_maintenance(tracker)
+        return _error(err)
+    engine = _maintained_engine(args)
+    graph, views, tracker = engine.graph, engine.views, engine.maintenance
     previous = engine.snapshot()
     batch_size = max(1, args.batch)
     ops = delta.ops
@@ -280,12 +217,9 @@ def _cmd_maintain(args) -> int:
             for name in tracker.names():
                 fresh = _materialize(views.definition(name), graph)
                 if views.extension(name).edge_matches != fresh.edge_matches:
-                    print(
-                        f"error: view {name!r} diverged from "
-                        "rematerialization",
-                        file=sys.stderr,
+                    return _error(
+                        f"view {name!r} diverged from rematerialization"
                     )
-                    return 1
     per_view = {
         name: stats.snapshot() for name, stats in tracker.stats().items()
     }
@@ -371,8 +305,7 @@ def _cmd_ingest(args) -> int:
             overwrite=args.overwrite,
         )
     except (OSError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+        return _error(err)
     if args.format == "json":
         json.dump(report.to_json(), sys.stdout, indent=2)
         print()
@@ -400,8 +333,7 @@ def _cmd_snapshot_save(args) -> int:
         graph = read_graph(args.graph)
         views = read_viewset(args.views) if args.views else None
     except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+        return _error(err)
     if views is not None:
         views.materialize(graph)
     try:
@@ -409,8 +341,7 @@ def _cmd_snapshot_save(args) -> int:
             args.out, graph, views=views, overwrite=args.overwrite
         )
     except (OSError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+        return _error(err)
     meta = manifest.get("graph", {})
     print(
         f"saved {manifest.get('kind')} snapshot to {args.out}: "
@@ -426,8 +357,7 @@ def _cmd_snapshot_load(args) -> int:
     try:
         loaded = SnapshotStore.load(args.path, verify=args.verify)
     except (OSError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+        return _error(err)
     graph = loaded.graph
     kind = loaded.manifest.get("kind")
     shards = getattr(graph, "num_shards", None)
@@ -447,18 +377,13 @@ def _cmd_snapshot_load(args) -> int:
     try:
         query = read_pattern(args.query)
     except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+        return _error(err)
     engine = QueryEngine(snapshot_path=loaded, selection=args.strategy)
     try:
         result = engine.answer(query)
     except NotContainedError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    print(
-        f"query: {result.result_size} pairs via {result.stats.strategy} "
-        f"({result.stats.elapsed * 1e3:.2f} ms, no rebuild)"
-    )
+        return _error(err)
+    _print_answer("query", result, ", no rebuild")
     return 0
 
 
@@ -468,8 +393,7 @@ def _cmd_snapshot_info(args) -> int:
     try:
         info = SnapshotStore.info(args.path, verify=args.verify)
     except (OSError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+        return _error(err)
     if args.format == "json":
         json.dump(info, sys.stdout, indent=2)
         print()
@@ -488,14 +412,19 @@ def _cmd_snapshot_info(args) -> int:
         )
     )
     for name, size in info["files"].items():
-        marker = "  [crc ok]" if name in info["verified_segments"] else ""
-        rows = info["boundary"].get(name)
+        tables = info["segments"].get(name)
         detail = (
-            f"  [boundary rows: {rows['rows']} global ids, "
-            f"{rows['bridge_pairs']} bridge pairs]"
-            if rows
+            f" ({sum(tables.values())} in {len(tables)} tables)"
+            if tables is not None
             else ""
         )
+        rows = info["boundary"].get(name)
+        if rows:
+            detail += (
+                f"  [boundary rows: {rows['rows']} global ids, "
+                f"{rows['bridge_pairs']} bridge pairs]"
+            )
+        marker = "  [crc ok]" if name in info["verified_segments"] else ""
         print(f"  {name}: {size} bytes{detail}{marker}")
     print(f"total on disk: {info['on_disk_bytes']} bytes")
     return 0
@@ -505,58 +434,37 @@ def _cmd_serve(args) -> int:
     import asyncio
 
     from repro.engine import QueryEngine
-    from repro.graph.io import read_graph
     from repro.obs.logsetup import install as install_logging
     from repro.serve import MetricsServer, QueryServer, serve_tcp
-    from repro.views.io import read_viewset
-    from repro.views.maintenance import IncrementalViewSet
 
     install_logging(args.log_level)
     if args.snapshot is not None and (args.graph or args.views):
-        print(
-            "error: --snapshot conflicts with --graph/--views",
-            file=sys.stderr,
-        )
-        return 1
+        return _error("--snapshot conflicts with --graph/--views")
     if args.snapshot is None and not (args.graph and args.views):
-        print(
-            "error: serve needs either --snapshot DIR or both --graph "
-            "and --views",
-            file=sys.stderr,
+        return _error(
+            "serve needs either --snapshot DIR or both --graph and --views"
         )
-        return 1
     persist = args.persist
     if persist == "":
         if args.snapshot is None:
-            print(
-                "error: bare --persist (no directory) requires --snapshot",
-                file=sys.stderr,
-            )
-            return 1
+            return _error("bare --persist (no directory) requires --snapshot")
         persist = args.snapshot
     try:
         if args.snapshot is not None:
             from repro.graph.snapshot import SnapshotStore
 
             loaded = SnapshotStore.load(args.snapshot)
-            graph = loaded.graph
-            views = loaded.viewset()
-            engine = QueryEngine(
-                views, snapshot_path=loaded, selection=args.strategy
-            )
+            engine = QueryEngine(snapshot_path=loaded, selection=args.strategy)
         else:
-            graph = read_graph(args.graph)
-            views = read_viewset(args.views)
-            tracker = IncrementalViewSet(views.definitions(), graph)
-            if tracker.skipped_bounded:
+            engine = _maintained_engine(args, args.strategy)
+            skipped = engine.maintenance.skipped_bounded
+            if skipped:
                 print(
                     "note: bounded views are rematerialized per epoch, not "
-                    "incrementally maintained: "
-                    + ", ".join(tracker.skipped_bounded),
+                    "incrementally maintained: " + ", ".join(skipped),
                     file=sys.stderr,
                 )
-            engine = QueryEngine(views, graph=graph, selection=args.strategy)
-            engine.attach_maintenance(tracker)
+        graph, views = engine.graph, engine.views
         server = QueryServer(
             engine,
             max_inflight=args.max_inflight,
@@ -564,8 +472,7 @@ def _cmd_serve(args) -> int:
             persist_path=persist,
         )
     except (OSError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+        return _error(err)
     if args.snapshot is not None:
         print(f"booted from snapshot {args.snapshot} (mmap, no rebuild)",
               flush=True)
@@ -626,8 +533,7 @@ def _cmd_trace(args) -> int:
         views = read_viewset(args.views)
         graph = read_graph(args.graph)
     except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+        return _error(err)
     engine = QueryEngine(views, graph=graph, selection=args.strategy)
     server = QueryServer(engine)
 
@@ -638,8 +544,7 @@ def _cmd_trace(args) -> int:
     try:
         answer = asyncio.run(run())
     except NotContainedError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+        return _error(err)
     traces = server.traces.recent(1)
     plans = engine.plan_log(1)
     if args.format == "json":
@@ -672,97 +577,7 @@ def _cmd_trace(args) -> int:
     return 0
 
 
-def _snapshot_stats(args) -> int:
-    """Inspect a persistent snapshot directory: backend kinds and byte
-    accounting per attached segment, without rebuilding anything."""
-    import os
-
-    from repro.graph.snapshot import SnapshotStore
-
-    try:
-        loaded = SnapshotStore.load(args.snapshot)
-    except (OSError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    graph = loaded.graph
-    shards = getattr(graph, "num_shards", None)
-    segments = {}
-    if shards is not None:
-        for i in range(shards):
-            store = graph.shard(i).flat_store
-            segments[f"shard-{i:03d}"] = {
-                "backend": store.backend,
-                "tables": store.table_bytes(),
-                "total_bytes": store.total_bytes,
-                "on_disk_bytes": store.on_disk_bytes,
-            }
-    else:
-        store = graph.flat_store
-        segments["graph"] = {
-            "backend": store.backend,
-            "tables": store.table_bytes(),
-            "total_bytes": store.total_bytes,
-            "on_disk_bytes": store.on_disk_bytes,
-        }
-    for name, view in loaded.views.items():
-        packed = getattr(view, "compact", None)
-        vstore = getattr(packed, "store", None)
-        if vstore is None:
-            continue
-        segments[f"view:{name}"] = {
-            "backend": vstore.backend,
-            "tables": vstore.table_bytes(),
-            "total_bytes": vstore.total_bytes,
-            "on_disk_bytes": vstore.on_disk_bytes,
-        }
-    files = {
-        name: os.path.getsize(os.path.join(loaded.path, name))
-        for name in sorted(os.listdir(loaded.path))
-        if os.path.isfile(os.path.join(loaded.path, name))
-    }
-    meta = loaded.manifest.get("graph", {})
-    if args.format == "json":
-        payload = {
-            "snapshot": {
-                "path": loaded.path,
-                "kind": loaded.manifest.get("kind"),
-                "format": loaded.manifest.get("format"),
-                "graph": meta,
-                "shards": shards,
-                "views": sorted(loaded.views),
-            },
-            "memory": {
-                "backend": "file",
-                "segments": segments,
-                "on_disk_bytes": sum(files.values()),
-                "files": files,
-            },
-        }
-        json.dump(payload, sys.stdout, indent=2)
-        print()
-        return 0
-    print(
-        f"{loaded.manifest.get('kind')} snapshot at {loaded.path}: "
-        f"{meta.get('nodes')} nodes / {meta.get('edges')} edges, "
-        f"{len(loaded.views)} views, "
-        f"{sum(files.values())} bytes on disk"
-    )
-    for name, row in segments.items():
-        print(
-            f"  {name}: backend={row['backend']} "
-            f"{row['total_bytes']} bytes mapped, "
-            f"{row['on_disk_bytes']} on disk"
-        )
-    return 0
-
-
 def _cmd_stats(args) -> int:
-    if args.snapshot:
-        return _snapshot_stats(args)
-    if not args.graph:
-        print("error: stats needs --graph (or --snapshot DIR)",
-              file=sys.stderr)
-        return 1
     from repro.graph.io import read_graph
     from repro.graph.stats import graph_stats
     from repro.views.io import read_viewset
@@ -776,15 +591,7 @@ def _cmd_stats(args) -> int:
         index = graph.label_index_stats()
         snapshot = graph.freeze()
         store = snapshot.flat_store
-        memory = {
-            "backend": store.backend,
-            "graph": {
-                "backend": store.backend,
-                "tables": store.table_bytes(),
-                "total_bytes": store.total_bytes,
-                "on_disk_bytes": store.on_disk_bytes,
-            },
-        }
+        memory = {"backend": store.backend, "graph": _store_row(store)}
         payload = {
             "graph": {
                 "nodes": stats.num_nodes,
@@ -841,12 +648,7 @@ def _cmd_stats(args) -> int:
                     packed = _materialize(views.definition(name), snapshot).compact
                 if packed.store is None:
                     packed = FlatExtension.pack(snapshot, packed)
-                view_memory[name] = {
-                    "backend": packed.store.backend,
-                    "tables": packed.store.table_bytes(),
-                    "total_bytes": packed.store.total_bytes,
-                    "on_disk_bytes": packed.store.on_disk_bytes,
-                }
+                view_memory[name] = _store_row(packed.store)
             memory["views"] = view_memory
         json.dump(payload, sys.stdout, indent=2)
         print()
@@ -892,19 +694,10 @@ def build_parser() -> argparse.ArgumentParser:
                    default="all")
     p.set_defaults(func=_cmd_contain)
 
-    p = sub.add_parser("query", help="answer a query from cached views")
-    p.add_argument("--query", required=True)
-    p.add_argument("--views", required=True)
-    p.add_argument("--graph", help="graph for materialize-on-demand")
-    p.add_argument("--strategy", choices=_SELECTIONS,
-                   default="minimal")
-    p.add_argument("--out", help="write the result table as JSON")
-    p.set_defaults(func=_cmd_query)
-
     p = sub.add_parser(
-        "engine", help="batch-answer queries with the planned/cached engine"
+        "query", help="answer queries with the planned, cached engine"
     )
-    p.add_argument("--queries", nargs="+", required=True,
+    p.add_argument("--query", nargs="+", required=True,
                    help="one or more pattern JSON files")
     p.add_argument("--views", required=True)
     p.add_argument("--graph",
@@ -915,7 +708,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="re-run the batch N times (shows warm-cache hits)")
     p.add_argument("--explain", action="store_true",
                    help="print query plans instead of executing")
-    p.set_defaults(func=_cmd_engine)
+    p.add_argument("--out", help="write one query's result table as JSON")
+    p.set_defaults(func=_cmd_query)
 
     p = sub.add_parser(
         "maintain",
@@ -979,12 +773,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_trace)
 
     p = sub.add_parser("stats", help="graph / view-cache statistics")
-    p.add_argument("--graph")
+    p.add_argument("--graph", required=True)
     p.add_argument("--views")
-    p.add_argument("--snapshot", metavar="DIR",
-                   help="inspect a persistent snapshot directory instead "
-                        "of --graph: per-segment backend kinds, mapped "
-                        "and on-disk byte accounting")
     p.add_argument("--format", choices=("text", "json"), default="text",
                    help="json adds the label histogram and snapshot/"
                         "label-index statistics")
@@ -1043,7 +833,9 @@ def build_parser() -> argparse.ArgumentParser:
                    default="minimal")
     s.set_defaults(func=_cmd_snapshot_load)
 
-    s = snap.add_parser("info", help="print manifest and per-file sizes")
+    s = snap.add_parser(
+        "info", help="print manifest, per-file and per-table sizes"
+    )
     s.add_argument("path", help="snapshot directory")
     s.add_argument("--verify", action="store_true",
                    help="CRC every segment payload")

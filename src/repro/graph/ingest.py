@@ -46,7 +46,7 @@ from repro.graph.snapshot import (
     commit_manifest,
     shard_entry,
     sharded_manifest,
-    snapshot_on_disk_bytes,
+    snapshot_files,
     write_directory,
 )
 
@@ -225,7 +225,7 @@ def _ingest_into(
     commit_manifest(dirpath, manifest)
 
     report.nodes = total_nodes
-    report.on_disk_bytes = snapshot_on_disk_bytes(dirpath)
+    report.on_disk_bytes = sum(snapshot_files(dirpath).values())
     report.peak_rss_bytes = max(peak, _rss_bytes() - baseline)
     report.seconds = time.perf_counter() - start
     log.info(

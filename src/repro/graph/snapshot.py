@@ -170,54 +170,62 @@ class SnapshotStore:
         """Manifest plus on-disk footprint, without attaching payloads.
 
         Returns ``{"path", "manifest", "files", "on_disk_bytes",
-        "boundary", "verified_segments"}``: ``files`` maps every file to
-        its size, ``boundary`` every boundary-row file of a sharded
-        snapshot to ``{"rows", "bridge_pairs", "bytes"}`` (read from the
-        segment's table directory).  ``verify=True`` runs the full
-        payload CRC pass over every segment file, boundary rows
-        included (still without mapping them).
+        "segments", "boundary", "verified_segments"}``: ``files`` maps
+        every file to its size, ``segments`` every segment file to its
+        per-table byte counts and ``boundary`` every boundary-row file
+        of a sharded snapshot to ``{"rows", "bridge_pairs", "bytes"}``
+        (all read from the segments' table directories).
+        ``verify=True`` runs the full payload CRC pass over every
+        segment file, boundary rows included (still without mapping
+        them).
         """
         final = os.fspath(path)
         manifest = _read_manifest(final)
-        files = {
-            entry: os.path.getsize(os.path.join(final, entry))
-            for entry in sorted(os.listdir(final))
-            if os.path.isfile(os.path.join(final, entry))
+        files = snapshot_files(final)
+        headers = {
+            entry: _read_segment_header(os.path.join(final, entry))[2]
+            for entry in files
+            if entry.endswith(".seg")
         }
         verified: List[str] = []
         if verify:
-            for entry in files:
-                if entry.endswith(".seg"):
-                    verify_segment_file(os.path.join(final, entry))
-                    verified.append(entry)
+            for entry in headers:
+                verify_segment_file(os.path.join(final, entry))
+                verified.append(entry)
         boundary: Dict[str, Dict[str, int]] = {}
         if manifest.get("kind") == "sharded":
             from repro.shard.sharded import boundary_summary
 
             for shard in manifest["shard_files"]:
                 fname = shard["boundary"]
-                header = _read_segment_header(os.path.join(final, fname))[2]
-                boundary[fname] = dict(boundary_summary(header), bytes=files[fname])
+                boundary[fname] = dict(
+                    boundary_summary(headers[fname]), bytes=files[fname]
+                )
         return {
             "path": final,
             "manifest": manifest,
             "files": files,
             "on_disk_bytes": sum(files.values()),
+            "segments": {
+                entry: {name: nbytes for name, (_, _, nbytes) in header.items()}
+                for entry, header in headers.items()
+            },
             "boundary": boundary,
             "verified_segments": verified,
         }
 
 
-def snapshot_on_disk_bytes(path) -> int:
-    """Total byte footprint of a snapshot directory (0 if absent)."""
+def snapshot_files(path) -> Dict[str, int]:
+    """Every file of a snapshot directory and its size, sorted by name
+    (empty if the directory is absent)."""
     final = os.fspath(path)
     if not os.path.isdir(final):
-        return 0
-    return sum(
-        os.path.getsize(os.path.join(final, entry))
-        for entry in os.listdir(final)
+        return {}
+    return {
+        entry: os.path.getsize(os.path.join(final, entry))
+        for entry in sorted(os.listdir(final))
         if os.path.isfile(os.path.join(final, entry))
-    )
+    }
 
 
 # ----------------------------------------------------------------------

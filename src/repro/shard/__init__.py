@@ -1,5 +1,5 @@
-"""Sharded graph backend: hash placement, partial-evaluation matching
-and per-shard view materialization.
+"""Sharded graph backend: hash placement and partial-evaluation
+matching.
 
 This subpackage reproduces, in-process, the distributed setting the
 paper assumes around its algorithms (graphs too large for one machine,
@@ -19,10 +19,12 @@ ingest``) streams an edge list into a sharded snapshot directory, and
 * :mod:`~repro.shard.psim` -- partial-evaluation maximum simulation:
   shard-local compact fixpoints under boundary assumptions, a
   coordinator exchanging invalidated boundary matches until the global
-  fixpoint (equal to single-machine ``maximum_simulation``);
-* :mod:`~repro.shard.materialize` -- per-shard view
-  materialization whose merged extensions carry the composite token,
-  so the id-space MatchJoin fast path engages unchanged.
+  fixpoint (equal to single-machine ``maximum_simulation``).
+
+Views materialize on a sharded graph through
+:func:`repro.views.view.materialize` / :meth:`ViewSet.materialize`
+unchanged: their extensions carry the composite token, so the id-space
+MatchJoin fast path engages as on one snapshot.
 """
 
 from repro import _lazy_exports
@@ -31,8 +33,6 @@ _EXPORTS = {
     "PSimStats": "repro.shard.psim",
     "ShardedGraph": "repro.shard.sharded",
     "StreamingHashPartitioner": "repro.shard.partitioner",
-    "materialize_view": "repro.shard.materialize",
-    "parallel_materialize": "repro.shard.materialize",
     "partial_max_simulation": "repro.shard.psim",
     "sharded_match": "repro.shard.psim",
     "sharded_match_with_ids": "repro.shard.psim",

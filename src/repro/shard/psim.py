@@ -32,7 +32,7 @@ evaluation owns its shards' fixpoint states (:class:`_Evaluation`), so
 a re-run continues from the state its previous run left, and the
 states are dropped with the evaluation.  Results decode to original
 node keys -- or to the sharded graph's composite global id space for
-the materialization path (:mod:`repro.shard.materialize`).
+view materialization (:func:`repro.views.view.materialize`).
 """
 
 from __future__ import annotations

@@ -14,8 +14,8 @@ it).  Each shard holds a frozen
 Because every node's full out-adjacency lives in exactly one shard, a
 shard-local simulation fixpoint is exact up to the match status of its
 ghosts; :mod:`repro.shard.psim` exploits this for partial-evaluation
-matching, and :mod:`repro.shard.materialize` for per-shard view
-materialization.
+matching, which view materialization
+(:func:`repro.views.view.materialize`) runs too.
 
 Like :class:`CompactGraph`, a sharded graph is an immutable snapshot
 with the full ``DataGraph``-compatible read API over original node

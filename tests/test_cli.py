@@ -136,6 +136,41 @@ class TestCli:
         result = json.loads(out_path.read_text())
         assert "x->y" in result
 
+    def test_query_out_sorts_mixed_node_keys(self, tmp_path, capsys):
+        # Int and str node keys do not compare; the result table sorts
+        # by repr, the order pretty() prints.
+        graph = build_graph(
+            {1: "A", "a": "A", 2: "B", "b": "B"},
+            [(1, 2), ("a", "b"), (1, "b")],
+        )
+        pattern = build_pattern({"x": "A", "y": "B"}, [("x", "y")])
+        views = ViewSet([ViewDefinition("V", pattern)])
+        views.materialize(graph)
+        write_viewset(views, tmp_path / "v.json")
+        write_pattern(pattern, tmp_path / "q.json")
+        out_path = tmp_path / "result.json"
+        rc = main([
+            "query", "--query", str(tmp_path / "q.json"),
+            "--views", str(tmp_path / "v.json"), "--out", str(out_path),
+        ])
+        assert rc == 0
+        assert json.loads(out_path.read_text()) == {
+            "x->y": [["a", "b"], [1, "b"], [1, 2]]
+        }
+
+    def test_query_out_refuses_more_than_one_query(self, tmp_path, capsys):
+        pattern = build_pattern({"x": "A", "y": "B"}, [("x", "y")])
+        write_viewset(ViewSet([ViewDefinition("V", pattern)]), tmp_path / "v.json")
+        write_pattern(pattern, tmp_path / "q.json")
+        q = str(tmp_path / "q.json")
+        rc = main([
+            "query", "--query", q, q, "--views", str(tmp_path / "v.json"),
+            "--out", str(tmp_path / "result.json"),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: --out")
+        assert not (tmp_path / "result.json").exists()
+
     def test_contain_reports_uncovered(self, tmp_path, capsys):
         graph_path = tmp_path / "g.json"
         views_path = tmp_path / "v.json"

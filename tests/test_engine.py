@@ -440,7 +440,7 @@ class TestEngineCli:
         )
 
         rc = main([
-            "engine", "--queries", str(q1_path), str(q2_path),
+            "query", "--query", str(q1_path), str(q2_path),
             "--views", str(views_path), "--graph", str(graph_path),
             "--repeat", "2",
         ])
@@ -451,11 +451,58 @@ class TestEngineCli:
         assert "answers cache" in out
 
         rc = main([
-            "engine", "--queries", str(q1_path),
+            "query", "--query", str(q1_path),
             "--views", str(views_path), "--explain",
         ])
         assert rc == 0
         assert "strategy : matchjoin" in capsys.readouterr().out
+
+    def test_query_with_graph_joins_on_the_snapshot_ids(self, tmp_path, capsys):
+        # With --graph the engine materializes the selected views on its
+        # frozen snapshot, so MatchJoin sweeps their id rows; the library
+        # answer_with_views materializes on the dict graph and joins
+        # node keys.
+        from repro.cli import main
+        from repro.obs.metrics import get_registry
+
+        graph = build_graph({1: "A", 2: "B", 3: "C"}, [(1, 2), (2, 3)])
+        views = ViewSet(
+            [
+                ViewDefinition(
+                    "V1", build_pattern({"a": "A", "b": "B"}, [("a", "b")])
+                ),
+                ViewDefinition(
+                    "V2", build_pattern({"b": "B", "c": "C"}, [("b", "c")])
+                ),
+            ]
+        )
+        write_graph(graph, tmp_path / "g.json")
+        write_viewset(views, tmp_path / "v.json")
+        write_pattern(
+            build_pattern(
+                {"x": "A", "y": "B", "z": "C"}, [("x", "y"), ("y", "z")]
+            ),
+            tmp_path / "q.json",
+        )
+
+        def joins():
+            registry = get_registry()
+            return {
+                path: registry.counter("repro_matchjoin_total", path=path).value
+                for path in ("ids", "keys")
+            }
+
+        before = joins()
+        rc = main([
+            "query", "--query", str(tmp_path / "q.json"),
+            "--views", str(tmp_path / "v.json"),
+            "--graph", str(tmp_path / "g.json"),
+        ])
+        assert rc == 0
+        after = joins()
+        assert after["ids"] == before["ids"] + 1
+        assert after["keys"] == before["keys"]
+        assert "2 pairs via matchjoin" in capsys.readouterr().out
 
     def test_engine_subcommand_not_contained_without_graph(
         self, tmp_path, capsys
@@ -470,14 +517,14 @@ class TestEngineCli:
         write_viewset(views, views_path)
         write_pattern(build_pattern({"x": "C", "y": "C"}, [("x", "y")]), q_path)
         rc = main([
-            "engine", "--queries", str(q_path), "--views", str(views_path),
+            "query", "--query", str(q_path), "--views", str(views_path),
         ])
         assert rc == 1
         assert "not contained" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["engine", "query"])
+    @pytest.mark.parametrize("queries", [1, 2], ids=["query", "batch"])
     def test_unmaterialized_views_without_graph_is_an_error_line(
-        self, tmp_path, capsys, command
+        self, tmp_path, capsys, queries
     ):
         from repro.cli import main
 
@@ -486,8 +533,10 @@ class TestEngineCli:
         q_path = tmp_path / "q.json"
         write_viewset(ViewSet([ViewDefinition("V1", pattern)]), views_path)
         write_pattern(pattern, q_path)
-        flag = "--queries" if command == "engine" else "--query"
-        rc = main([command, flag, str(q_path), "--views", str(views_path)])
+        rc = main(
+            ["query", "--query", *[str(q_path)] * queries,
+             "--views", str(views_path)]
+        )
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "V1" in err

@@ -21,7 +21,7 @@ import repro
 from repro.engine.catalog import Catalog
 from repro.engine.engine import QueryEngine
 from repro.graph.digraph import DataGraph
-from repro.shard import materialize, psim
+from repro.shard import psim
 from repro.shard.sharded import ShardedGraph
 from repro.views.maintenance import IncrementalView, IncrementalViewSet
 from repro.views.storage import ViewSet
@@ -109,7 +109,7 @@ def test_removed_paths_stay_removed():
         assert gone not in everything, gone
     for module in ("cost.py", "pricing.py", "advisor.py"):
         assert not (ENGINE / module).exists(), module
-    for path in ("engine/executor.py", "shard/psim.py", "shard/materialize.py"):
+    for path in ("engine/executor.py", "shard/psim.py"):
         assert "ThreadPoolExecutor" not in (SRC / path).read_text(), path
 
 
@@ -134,8 +134,7 @@ def test_evaluation_stays_in_one_process():
     for function in (
         QueryEngine.__init__, QueryEngine.answer_batch, Catalog.__init__,
         psim.sharded_match, psim.sharded_match_with_ids,
-        psim.partial_max_simulation, materialize.materialize_view,
-        materialize.parallel_materialize,
+        psim.partial_max_simulation,
     ):
         parameters = inspect.signature(function).parameters
         assert not {"executor", "workers", "runner"} & set(parameters), function

@@ -44,8 +44,6 @@ from repro.graph.ingest import ingest_snapshot
 from repro.shard import (
     ShardedGraph,
     StreamingHashPartitioner,
-    materialize_view,
-    parallel_materialize,
     partial_max_simulation,
     sharded_match,
 )
@@ -54,7 +52,7 @@ from repro.simulation import bounded_match, dual_match, match
 from repro.simulation.bounded import bounded_simulates
 from repro.simulation.simulation import maximum_simulation
 from repro.views.storage import ViewSet
-from repro.views.view import ViewDefinition
+from repro.views.view import ViewDefinition, materialize
 
 #: Placement shapes, each produced by naming nodes (see :func:`_placed`).
 STRATEGIES = ("bfs", "hash", "label")
@@ -315,10 +313,10 @@ class TestPsimEquivalence:
             [ViewDefinition(f"v{i}", random_pattern(rng, 3, 4)) for i in range(3)]
         )
         with pytest.raises(RuntimeError, match="injected"):
-            parallel_materialize(views, sharded)
+            views.materialize(sharded)
         monkeypatch.setattr(psim, "witness_fixpoint", real)
         assert sharded_match(q, sharded) == match(q, g)
-        parallel_materialize(views, sharded)
+        views.materialize(sharded)
         for name in views.names():
             assert views.extension(name).edge_matches == match(
                 views.definition(name).pattern, g
@@ -369,7 +367,7 @@ class TestShardedMaterialize:
     def test_parallel_materialize_matches_single_snapshot(self, tmp_path):
         _, definitions, frozen_views, sharded = self._suite(tmp_path, 7, 4, "bfs")
         views = ViewSet(definitions)
-        parallel_materialize(views, sharded)
+        views.materialize(sharded)
         for name in views.names():
             assert (
                 views.extension(name).edge_matches
@@ -381,7 +379,7 @@ class TestShardedMaterialize:
         _, definitions, frozen_views, sharded = self._suite(tmp_path, 9, 2, "label")
         views = ViewSet(definitions)
         chosen = views.names()[:3]
-        parallel_materialize(views, sharded, names=chosen)
+        views.materialize(sharded, names=chosen)
         for name in views.names():
             assert views.is_materialized(name) == (name in chosen)
         assert views.snapshot_token == sharded.snapshot_token
@@ -391,7 +389,7 @@ class TestShardedMaterialize:
         definition = ViewDefinition(
             "void", build_pattern({"b": "B", "a": "A"}, [("b", "a")])
         )
-        extension = materialize_view(definition, sharded)
+        extension = materialize(definition, sharded)
         assert extension.is_empty
         assert extension.compact is not None
         assert extension.compact.token == sharded.snapshot_token
@@ -403,7 +401,7 @@ class TestShardedMaterialize:
         definition = ViewDefinition(
             "hop2", build_bounded({"a": "A", "c": "C"}, [("a", "c", 2)])
         )
-        via_sharded = materialize_view(definition, sharded)
+        via_sharded = materialize(definition, sharded)
         via_graph_views = ViewSet([definition])
         via_graph_views.materialize(g)
         assert via_sharded.edge_matches == via_graph_views.extension("hop2").edge_matches

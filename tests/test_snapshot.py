@@ -548,14 +548,21 @@ class TestCli:
         assert cli_main(["snapshot", "load", str(out), "--verify"]) == 0
         assert "loaded sharded snapshot" in capsys.readouterr().out
 
-        assert cli_main([
-            "stats", "--snapshot", str(out), "--format", "json",
-        ]) == 0
-        stats = json.loads(capsys.readouterr().out)
-        segments = stats["memory"]["segments"]
-        assert segments
-        assert all(row["backend"] == "file" for row in segments.values())
-        assert stats["memory"]["on_disk_bytes"] > 0
+        # Per-segment table bytes come from the segment headers alone.
+        assert cli_main(["snapshot", "info", str(out), "--format", "json"]) == 0
+        info = json.loads(capsys.readouterr().out)
+        segments = info["segments"]
+        assert sorted(segments) == sorted(
+            name for name in info["files"] if name.endswith(".seg")
+        )
+        for name in ("shard-000.seg", "shard-001.seg"):
+            assert 0 < sum(segments[name].values()) < info["files"][name]
+        assert info["on_disk_bytes"] > 0
+        loaded = SnapshotStore.load(out)
+        assert all(
+            loaded.graph.shard(i).flat_store.backend == "file"
+            for i in range(loaded.graph.num_shards)
+        )
 
     def test_snapshot_save_cli(self, tmp_path, capsys):
         from repro.graph.io import write_graph
