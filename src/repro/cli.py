@@ -427,6 +427,9 @@ def _cmd_snapshot_info(args) -> int:
         marker = "  [crc ok]" if name in info["verified_segments"] else ""
         print(f"  {name}: {size} bytes{detail}{marker}")
     print(f"total on disk: {info['on_disk_bytes']} bytes")
+    if info["stale"]:
+        print("stale (an interrupted write; the next save removes it): "
+              + ", ".join(info["stale"]))
     return 0
 
 

@@ -84,10 +84,11 @@ class Segment:
         self._path = path
 
     @classmethod
-    def attach_file(cls, path: str, nbytes: int = -1) -> "Segment":
-        """Map a sealed segment file read-only; ``nbytes >= 0`` is the
-        payload size a pickled handle expects."""
-        payload_nbytes, _, _, _ = _read_segment_header(path)
+    def attach_file(cls, path: str, nbytes: int = -1) -> Tuple["Segment", dict]:
+        """Map a sealed segment file read-only; returns it with its table
+        directory.  ``nbytes >= 0`` is the payload size a pickled handle
+        expects."""
+        payload_nbytes, _, table_header, _ = _read_segment_header(path)
         if nbytes >= 0 and nbytes != payload_nbytes:
             raise SegmentFormatError(
                 f"{path}: payload is {payload_nbytes} bytes, handle expected {nbytes}"
@@ -96,7 +97,7 @@ class Segment:
             mm = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
         segment = cls(mm, payload_nbytes, path)
         weakref.finalize(segment, _close_mmap, mm)
-        return segment
+        return segment, table_header
 
     @property
     def kind(self) -> str:
@@ -129,7 +130,7 @@ class Segment:
     @classmethod
     def from_handle(cls, kind: str, value, nbytes: int) -> "Segment":
         if kind == "file":
-            return cls.attach_file(value, nbytes)
+            return cls.attach_file(value, nbytes)[0]
         return cls(bytearray(value), nbytes)
 
     def __repr__(self) -> str:
@@ -304,8 +305,7 @@ class FlatStore:
         path = os.fspath(path)
         if verify:
             verify_segment_file(path)
-        _, _, table_header, _ = _read_segment_header(path)
-        return cls(Segment.attach_file(path), table_header)
+        return cls(*Segment.attach_file(path))
 
     # -- pickling: the segment's handle + header -----------------------
     def __reduce__(self):

@@ -34,7 +34,6 @@ import gc
 import logging
 import os
 import pickle
-import tempfile
 import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Tuple
@@ -125,11 +124,12 @@ def ingest_snapshot(
     like ``DataGraph.add_edge`` drops them (the report and manifest
     count the deduplicated graph).  Returns an :class:`IngestReport`.
 
-    The directory is valid for
-    :meth:`~repro.graph.snapshot.SnapshotStore.load` the instant its
-    ``manifest.json`` lands (written last); with ``overwrite=True`` an
-    existing snapshot is replaced by a rename swap of a sibling temp
-    directory, so concurrent readers never see a partial build.
+    The build is a new generation of ``out_dir`` (spill files
+    included), written by :func:`~repro.graph.snapshot.write_directory`
+    as :meth:`~repro.graph.snapshot.SnapshotStore.save` writes one: it
+    is live the instant its ``manifest.json`` lands (written last), a
+    populated ``out_dir`` needs ``overwrite=True``, and a kill at any
+    instant leaves the previous snapshot or this one loadable.
     """
     report = write_directory(
         out_dir,
@@ -137,7 +137,6 @@ def ingest_snapshot(
             dirpath, edges, num_shards, labeler, budget_bytes, max_edges
         ),
         overwrite,
-        tmp_prefix=".ingest-tmp-",
     )
     report.out_dir = os.fspath(out_dir)
     return report
@@ -161,37 +160,38 @@ def _ingest_into(
     peak = 0
     report = IngestReport(out_dir=dirpath, shards=num_shards)
 
-    with tempfile.TemporaryDirectory(prefix="repro-ingest-spill-") as spill_dir:
-        with StreamingHashPartitioner(
-            num_shards, spill_dir, budget_bytes=budget_bytes
-        ) as part:
-            # -- phase 1: spill -----------------------------------------
-            count = 0
-            for source, target in edges:
-                count += 1
-                if max_edges and count > max_edges:
-                    raise ValueError(
-                        f"edge stream exceeds max_edges={max_edges}; "
-                        "raise the cap or drop it for unbounded ingest"
-                    )
-                part.add(source, target)
-            part.flush()
-            peak = max(peak, _rss_bytes() - baseline)
+    # Spill files live in the generation being built: a kill leaves
+    # them to the next write's sweep.
+    with StreamingHashPartitioner(
+        num_shards, dirpath, budget_bytes=budget_bytes
+    ) as part:
+        # -- phase 1: spill ---------------------------------------------
+        count = 0
+        for source, target in edges:
+            count += 1
+            if max_edges and count > max_edges:
+                raise ValueError(
+                    f"edge stream exceeds max_edges={max_edges}; "
+                    "raise the cap or drop it for unbounded ingest"
+                )
+            part.add(source, target)
+        part.flush()
+        peak = max(peak, _rss_bytes() - baseline)
 
-            # -- phase 2: build one shard at a time ---------------------
-            entries: List[dict] = []
-            own_counts: List[int] = []
-            for i in range(num_shards):
-                entry, own, stats = _build_shard(dirpath, part, i, labeler)
-                entries.append(entry)
-                own_counts.append(own)
-                # Deduplicated counts (the DataGraph drops repeats).
-                report.edges += stats["edges"]
-                report.cut_edges += stats["cut_edges"]
-                report.shard_stats.append(stats)
-                gc.collect()
-                peak = max(peak, _rss_bytes() - baseline)
-        report.spill_bytes = part.spill_bytes
+        # -- phase 2: build one shard at a time -------------------------
+        entries: List[dict] = []
+        own_counts: List[int] = []
+        for i in range(num_shards):
+            entry, own, stats = _build_shard(dirpath, part, i, labeler)
+            entries.append(entry)
+            own_counts.append(own)
+            # Deduplicated counts (the DataGraph drops repeats).
+            report.edges += stats["edges"]
+            report.cut_edges += stats["cut_edges"]
+            report.shard_stats.append(stats)
+            gc.collect()
+            peak = max(peak, _rss_bytes() - baseline)
+    report.spill_bytes = part.spill_bytes
 
     # -- phase 3: boundary rows, one shard pair at a time ---------------
     # Node tables are re-read from the sealed segments per pair and

@@ -1,49 +1,49 @@
 """Persistent snapshot directories: save/load mmap-backed graph state.
 
-:class:`SnapshotStore` gives a frozen snapshot a durable sibling:
-:meth:`SnapshotStore.save` writes the tables the snapshot already holds
-(:meth:`CompactGraph.saved_store`: the graph it was given is left as it
-was) as a *snapshot directory* of sealed segment files (see
-:mod:`repro.graph.flatbuf` for the on-disk format) plus a
-``manifest.json``, and :meth:`SnapshotStore.load` maps
-it back read-only via ``mmap`` -- no edge list is re-read, no CSR is
-rebuilt, and the lazy decode structures mean a reload touches only the
-pages a query actually visits.
+:meth:`SnapshotStore.save` writes the tables a frozen snapshot already
+holds (:meth:`CompactGraph.saved_store`; the graph it was given is left
+as it was) as sealed segment files (see :mod:`repro.graph.flatbuf`)
+plus a ``manifest.json``; :meth:`SnapshotStore.load` maps them back
+read-only -- no edge list is re-read, no CSR is rebuilt, and a reload
+touches only the pages a query visits.
 
 Directory layout (format 2)::
 
-    snapshot/
-      manifest.json            # kind, counts, tokens, file map (written last)
-      graph.seg                # compact: the snapshot's flat segment
-      patch.pkl                # compact: refreshed() overlay (optional)
-      shard-000.seg ...        # sharded: one sealed segment per shard
-      boundary-000.seg ...     # sharded: per-shard boundary rows (int tables)
-      patch-000.pkl ...        # sharded: per-shard patch overlays (optional)
-      view-000.seg/.pkl ...    # FlatExtension view packs (compact snapshots)
-      view-000.view ...        # plain pickled views (sharded snapshots)
+    snapshot/                  # the path callers name
+      gen-7/                   # live: the highest gen-N holding a manifest
+        manifest.json          # kind, counts, tokens, file map (written last)
+        graph.seg              # compact: the snapshot's flat segment
+        patch.pkl              # compact: refreshed() overlay (optional)
+        shard-000.seg ...      # sharded: one sealed segment per shard
+        boundary-000.seg ...   # sharded: per-shard boundary rows (int tables)
+        patch-000.pkl ...      # sharded: per-shard patch overlays (optional)
+        view-000.seg/.pkl ...  # FlatExtension view packs (compact snapshots)
+        view-000.view ...      # plain pickled views (sharded snapshots)
 
-The manifest is written *last*, so a directory without one is never
-mistaken for a valid snapshot (a crashed save leaves garbage, not a
-half-snapshot).  Every file is fsynced before the manifest is renamed
-into place and the directory after it, so a manifest that survives a
-crash names only files that survived it too.  Provenance survives the
-round trip: ``snapshot_token`` / ``extends_token`` and any
-``refreshed()`` patch overlay are persisted verbatim, so a reloaded
-snapshot still rebinds extensions and engages the MatchJoin id-space
-fast paths exactly like its in-memory origin.
+Every save and every ingest writes a fresh generation, fsyncing each
+file as it goes.  The atomic rename of its manifest, written last, is
+the one commit point; only after it are older generations removed
+(:func:`write_directory`), so a kill at any instant leaves the previous
+snapshot or the new one live.  :func:`live_directory` is the one reader
+of the layout.  A directory written before generations holds its files
+directly; it still loads, and its next save rewrites it as ``gen-1``.
 
-Sharded snapshots reload exactly as lazily: the composite bookkeeping
-an id-space evaluation needs -- each shard's local -> global id row and
-the (owner-local id, ghost id) bridge pairs per holder -- is persisted
-as flat int rows (``boundary-NNN.seg``, see
-:func:`repro.shard.sharded.boundary_stores`), so a load is the manifest
-plus one ``mmap`` attach per file.  Everything keyed by node *name*
-(home map, ghost maps, the decode table, cross-shard predecessors) is
-derived from the shards on first name-based access.  A sharded
-directory comes from ``repro ingest``; a manifest's ``strategy`` field
-(written before hash placement was the only rule) is ignored.  Format 1
-directories, which rebuilt all of that on every load, are refused:
-re-create them with ``repro ingest`` or ``repro snapshot save``.
+Provenance survives the round trip: ``snapshot_token`` /
+``extends_token`` and any ``refreshed()`` patch overlay are persisted
+verbatim, so a reloaded snapshot rebinds extensions and takes the
+MatchJoin id-space paths like its in-memory origin.  A sharded snapshot
+persists its composite bookkeeping -- each shard's local -> global id
+row and the (owner-local id, ghost id) bridge pairs per holder -- as
+flat int rows (``boundary-NNN.seg``, see
+:func:`repro.shard.sharded.boundary_stores`), so its load is the
+manifest plus one ``mmap`` attach per file; everything keyed by node
+*name* (home map, ghost maps, the decode table, cross-shard
+predecessors) is derived from the shards on first name-based access.
+A sharded directory comes from ``repro ingest``; a manifest's
+``strategy`` field (written before hash placement was the only rule) is
+ignored.  Format 1 directories, which rebuilt all of that on every
+load, are refused: re-create them with ``repro ingest`` or ``repro
+snapshot save``.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ import logging
 import os
 import pickle
 import time
-from typing import Any, Dict, Iterable, List, Sequence
+from typing import Any, Dict, Iterable, List, Sequence, Tuple
 
 from repro.graph.compact import CompactGraph, _attach
 from repro.graph.flatbuf import FlatStore, _read_segment_header, verify_segment_file
@@ -126,9 +126,10 @@ class SnapshotStore:
         compact snapshot are saved as attachable segment files,
         everything else falls back to a plain pickle.
 
-        With ``overwrite=True`` an existing snapshot is replaced via a
-        sibling temp directory and rename swap, so readers never see a
-        half-written directory.  Returns the manifest.
+        Every save is a new generation of ``path`` (see
+        :func:`write_directory`); a populated ``path`` needs
+        ``overwrite=True``, and a kill at any instant leaves the
+        previous snapshot or this one loadable.  Returns the manifest.
         """
         snapshot = _as_saveable(snapshot)
         extensions = _as_extensions(views)
@@ -136,7 +137,6 @@ class SnapshotStore:
             path,
             lambda dirpath: _write_snapshot(dirpath, snapshot, extensions),
             overwrite,
-            tmp_prefix=".snapshot-tmp-",
         )
 
     # -- load ----------------------------------------------------------
@@ -152,17 +152,17 @@ class SnapshotStore:
         :class:`~repro.graph.flatbuf.SegmentFormatError` on a corrupt
         segment file.
         """
-        final = os.fspath(path)
-        manifest = _read_manifest(final)
+        live = live_directory(path)
+        manifest = _read_manifest(live)
         kind = manifest.get("kind")
         if kind == "compact":
-            graph = _load_compact(final, manifest, verify)
+            graph = _load_compact(live, manifest, verify)
         elif kind == "sharded":
-            graph = _load_sharded(final, manifest, verify)
+            graph = _load_sharded(live, manifest, verify)
         else:
-            raise SnapshotError(f"{final}: unknown snapshot kind {kind!r}")
-        views = _load_views(final, manifest, graph, verify)
-        return LoadedSnapshot(final, graph, views, manifest)
+            raise SnapshotError(f"{live}: unknown snapshot kind {kind!r}")
+        views = _load_views(live, manifest, graph, verify)
+        return LoadedSnapshot(os.fspath(path), graph, views, manifest)
 
     # -- info ----------------------------------------------------------
     @staticmethod
@@ -170,27 +170,30 @@ class SnapshotStore:
         """Manifest plus on-disk footprint, without attaching payloads.
 
         Returns ``{"path", "manifest", "files", "on_disk_bytes",
-        "segments", "boundary", "verified_segments"}``: ``files`` maps
-        every file to its size, ``segments`` every segment file to its
-        per-table byte counts and ``boundary`` every boundary-row file
-        of a sharded snapshot to ``{"rows", "bridge_pairs", "bytes"}``
-        (all read from the segments' table directories).
-        ``verify=True`` runs the full payload CRC pass over every
-        segment file, boundary rows included (still without mapping
-        them).
+        "segments", "boundary", "verified_segments", "stale"}``:
+        ``files`` maps every file of the live generation to its size,
+        ``segments`` every segment file to its per-table byte counts and
+        ``boundary`` every boundary-row file of a sharded snapshot to
+        ``{"rows", "bridge_pairs", "bytes"}`` (all read from the
+        segments' table directories).  ``stale`` lists the entries of
+        ``path`` outside the live generation -- non-empty only after an
+        interrupted write, swept by the next save.  ``verify=True`` runs
+        the full payload CRC pass over every segment file, boundary rows
+        included (still without mapping them).
         """
         final = os.fspath(path)
-        manifest = _read_manifest(final)
+        live = live_directory(final)
+        manifest = _read_manifest(live)
         files = snapshot_files(final)
         headers = {
-            entry: _read_segment_header(os.path.join(final, entry))[2]
+            entry: _read_segment_header(os.path.join(live, entry))[2]
             for entry in files
             if entry.endswith(".seg")
         }
         verified: List[str] = []
         if verify:
             for entry in headers:
-                verify_segment_file(os.path.join(final, entry))
+                verify_segment_file(os.path.join(live, entry))
                 verified.append(entry)
         boundary: Dict[str, Dict[str, int]] = {}
         if manifest.get("kind") == "sharded":
@@ -201,6 +204,8 @@ class SnapshotStore:
                 boundary[fname] = dict(
                     boundary_summary(headers[fname]), bytes=files[fname]
                 )
+        # Outside the live snapshot: what an interrupted write left.
+        keep = set(files) if live == final else {os.path.basename(live)}
         return {
             "path": final,
             "manifest": manifest,
@@ -212,20 +217,41 @@ class SnapshotStore:
             },
             "boundary": boundary,
             "verified_segments": verified,
+            "stale": sorted(set(os.listdir(final)) - keep),
         }
 
 
 def snapshot_files(path) -> Dict[str, int]:
-    """Every file of a snapshot directory and its size, sorted by name
-    (empty if the directory is absent)."""
-    final = os.fspath(path)
-    if not os.path.isdir(final):
+    """Every file of the snapshot at ``path`` and its size, sorted by
+    name (empty if the directory is absent)."""
+    live = live_directory(path)
+    if not os.path.isdir(live):
         return {}
     return {
-        entry: os.path.getsize(os.path.join(final, entry))
-        for entry in sorted(os.listdir(final))
-        if os.path.isfile(os.path.join(final, entry))
+        entry: os.path.getsize(os.path.join(live, entry))
+        for entry in sorted(os.listdir(live))
+        if os.path.isfile(os.path.join(live, entry))
     }
+
+
+def live_directory(path) -> str:
+    """The directory holding the snapshot at ``path``: its
+    highest-numbered ``gen-N`` with a manifest, else ``path`` itself (a
+    directory written before generations).  The one reader of the
+    layout: ``load``, ``info`` and :func:`snapshot_files` resolve here."""
+    final = os.fspath(path)
+    for _, name in _generations(final):
+        if os.path.isfile(os.path.join(final, name, MANIFEST_NAME)):
+            return os.path.join(final, name)
+    return final
+
+
+def _generations(path: str) -> List[Tuple[int, str]]:
+    """``(N, "gen-N")`` of every generation entry of ``path``, committed
+    or not, newest first."""
+    names = os.listdir(path) if os.path.isdir(path) else ()
+    found = [(int(n[4:]), n) for n in names if n.startswith("gen-") and n[4:].isdecimal()]
+    return sorted(found, reverse=True)
 
 
 # ----------------------------------------------------------------------
@@ -270,59 +296,45 @@ def _fsync_dir(path: str) -> None:
         os.close(fd)
 
 
-def write_directory(path, write, overwrite: bool, tmp_prefix: str):
-    """Run ``write(dirpath)`` so that ``path`` ends up holding a whole
-    snapshot or nothing new (shared by save and ingest).
+def write_directory(path, write, overwrite: bool):
+    """Run ``write(dirpath)`` into a fresh generation ``path/gen-N`` (N
+    one above the highest present) and make it live; shared by save and
+    ingest.  A populated ``path`` needs ``overwrite``.
 
-    A fresh or empty ``path`` is written in place (and emptied again
-    if ``write`` fails); a populated one is refused without
-    ``overwrite`` and otherwise replaced by building in a sibling temp
-    directory and swapping renames, so readers never see a half-written
-    directory.  If the swap fails, the previous snapshot is renamed
-    back.  ``write`` fsyncs what it writes (:func:`commit_manifest`
-    last); the parent directory is fsynced once ``path`` is in place.
-    Returns what ``write`` returned.
+    ``write`` fsyncs what it writes and ends with :func:`commit_manifest`,
+    the one commit point.  Then ``path`` and its parent are fsynced, and
+    only then is every other entry of ``path`` removed: older or
+    unfinished generations, an old flat layout's files.  A ``write``
+    that raises takes its generation (and a ``path`` this call created)
+    with it.  Returns what ``write`` returned.
     """
     import shutil
-    import tempfile
 
     final = os.fspath(path)
-    parent = os.path.dirname(os.path.abspath(final)) or "."
-    existing = os.path.isdir(final) and bool(os.listdir(final))
-    if existing and not overwrite:
+    created = not os.path.isdir(final)
+    if not created and os.listdir(final) and not overwrite:
         raise SnapshotError(
             f"{final}: directory exists and is not empty "
             "(pass overwrite=True to replace it)"
         )
-    if not existing:
-        created = not os.path.isdir(final)
-        os.makedirs(final, exist_ok=True)
-        try:
-            result = write(final)
-        except BaseException:
-            # Never leave a partial (manifest-less) build behind; put a
-            # pre-existing empty directory back instead of deleting it.
-            shutil.rmtree(final, ignore_errors=True)
-            if not created:
-                os.makedirs(final, exist_ok=True)
-            raise
-        _fsync_dir(parent)
-        return result
-    tmp = tempfile.mkdtemp(prefix=tmp_prefix, dir=parent)
-    old = tmp + ".old"
+    newest = _generations(final)
+    gen = os.path.join(final, f"gen-{newest[0][0] + 1 if newest else 1}")
+    os.makedirs(gen)
     try:
-        result = write(tmp)
-        os.rename(final, old)
-        try:
-            os.rename(tmp, final)
-        except BaseException:
-            os.rename(old, final)
-            raise
+        result = write(gen)
     except BaseException:
-        shutil.rmtree(tmp, ignore_errors=True)
+        shutil.rmtree(final if created else gen, ignore_errors=True)
         raise
-    _fsync_dir(parent)
-    shutil.rmtree(old, ignore_errors=True)
+    _fsync_dir(final)
+    # The parent too: whoever created ``path`` may not have synced it.
+    _fsync_dir(os.path.dirname(os.path.abspath(final)))
+    for victim in (os.path.join(final, entry) for entry in os.listdir(final)):
+        if victim == gen:
+            continue
+        if os.path.isdir(victim):
+            shutil.rmtree(victim)
+        else:
+            os.unlink(victim)
     return result
 
 
@@ -356,14 +368,18 @@ def commit_manifest(dirpath: str, manifest: dict) -> dict:
     return manifest
 
 
-def _graph_meta(snapshot) -> dict:
-    return {
-        "nodes": snapshot.num_nodes,
-        "edges": snapshot.num_edges,
-        "snapshot_version": snapshot.snapshot_version,
-        "snapshot_token": snapshot.snapshot_token,
-        "extends_token": snapshot.extends_token,
-    }
+#: A graph's provenance fields, in the order ``_attach`` takes them.
+_META_KEYS = ("nodes", "edges", "snapshot_version", "snapshot_token", "extends_token")
+
+
+def _meta(snapshot) -> list:
+    return [
+        snapshot.num_nodes,
+        snapshot.num_edges,
+        snapshot.snapshot_version,
+        snapshot.snapshot_token,
+        snapshot.extends_token,
+    ]
 
 
 def _write_tables(dirpath: str, snapshot: CompactGraph, entry: dict, patch: str) -> None:
@@ -378,21 +394,13 @@ def _write_tables(dirpath: str, snapshot: CompactGraph, entry: dict, patch: str)
 def _write_compact(dirpath: str, snapshot: CompactGraph) -> dict:
     files = {"segment": "graph.seg"}
     _write_tables(dirpath, snapshot, files, "patch.pkl")
-    return {"kind": "compact", "graph": _graph_meta(snapshot), "files": files}
+    graph = dict(zip(_META_KEYS, _meta(snapshot)))
+    return {"kind": "compact", "graph": graph, "files": files}
 
 
 def shard_entry(segment: str, snapshot: CompactGraph) -> dict:
     """The manifest entry of one sealed shard segment."""
-    return {
-        "segment": segment,
-        "meta": [
-            snapshot.num_nodes,
-            snapshot.num_edges,
-            snapshot.snapshot_version,
-            snapshot.snapshot_token,
-            snapshot.extends_token,
-        ],
-    }
+    return {"segment": segment, "meta": _meta(snapshot)}
 
 
 def sharded_manifest(
@@ -439,7 +447,7 @@ def _write_sharded(dirpath: str, sharded) -> dict:
         entries,
         [sharded.own_count(i) for i in range(k)],
         [sharded.boundary_store(i) for i in range(k)],
-        graph=_graph_meta(sharded),
+        graph=dict(zip(_META_KEYS, _meta(sharded))),
         edge_cut=sharded.edge_cut,
     )
 
@@ -485,14 +493,13 @@ def _write_views(
 # Load internals
 # ----------------------------------------------------------------------
 def _read_manifest(dirpath: str) -> dict:
-    manifest_path = os.path.join(dirpath, MANIFEST_NAME)
-    if not os.path.isfile(manifest_path):
+    try:
+        with open(os.path.join(dirpath, MANIFEST_NAME), encoding="utf-8") as fh:
+            manifest = json.load(fh)
+    except FileNotFoundError:
         raise SnapshotError(
             f"{dirpath}: not a snapshot directory (no {MANIFEST_NAME})"
-        )
-    try:
-        with open(manifest_path, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
+        ) from None
     except (OSError, ValueError) as exc:
         raise SnapshotError(f"{dirpath}: unreadable manifest ({exc})") from exc
     fmt = manifest.get("format")
@@ -519,15 +526,7 @@ def _load_compact(dirpath: str, manifest: dict, verify: bool) -> CompactGraph:
     files = manifest["files"]
     store = FlatStore.open(os.path.join(dirpath, files["segment"]), verify=verify)
     patch = _load_pickle(dirpath, files["patch"]) if "patch" in files else None
-    g = manifest["graph"]
-    meta = (
-        g["nodes"],
-        g["edges"],
-        g["snapshot_version"],
-        g["snapshot_token"],
-        g["extends_token"],
-    )
-    return _attach(store, patch, meta)
+    return _attach(store, patch, tuple(manifest["graph"][key] for key in _META_KEYS))
 
 
 def _load_sharded(dirpath: str, manifest: dict, verify: bool):

@@ -159,10 +159,11 @@ class QueryServer:
     persist_path:
         Snapshot directory to persist every published epoch into (via
         :meth:`~repro.graph.snapshot.SnapshotStore.save` with
-        ``overwrite=True`` -- an atomic rename swap, so a crashed write
-        never corrupts the last good snapshot on disk).  Epoch 0 is
-        persisted at :meth:`start`, then every maintenance epoch after
-        its swap, all on the maintenance thread.  Pair it
+        ``overwrite=True``: each epoch is a new generation of the
+        directory, live once its manifest lands, so a process killed
+        mid-write leaves the previous epoch or this one loadable).
+        Epoch 0 is persisted at :meth:`start`, then every maintenance
+        epoch after its swap, all on the maintenance thread.  Pair it
         with an engine booted from the same directory
         (``QueryEngine(snapshot_path=...)``) for serve-restart-serve
         durability.  A failed persist is logged and counted
@@ -673,8 +674,8 @@ class QueryServer:
             )
         except Exception:
             # Durability is best-effort per epoch: a full disk must not
-            # take serving down, and the previous snapshot (rename
-            # swap) is still intact for the next boot.
+            # take serving down, and the previous generation stays live
+            # for the next boot until a newer one commits.
             self._count("persist_failures")
             log.exception(
                 "failed to persist epoch snapshot to %r", self._persist_path

@@ -18,6 +18,7 @@ Answers over mapped snapshots (MatchJoin included) are
 """
 
 import gc
+import os
 import pickle
 import random
 
@@ -28,7 +29,7 @@ from repro.datasets import generate_views, query_from_views, random_graph
 from repro.engine import QueryEngine
 from repro.graph import CompactGraph
 from repro.graph.flatbuf import FlatStore, SegmentFormatError, verify_segment_file
-from repro.graph.snapshot import SnapshotStore
+from repro.graph.snapshot import SnapshotStore, live_directory
 from repro.simulation import match
 from repro.views.flatpack import FlatExtension
 from repro.views.storage import ViewSet
@@ -57,7 +58,7 @@ class TestLifecycle:
         del loaded
         gc.collect()
         assert mapping.closed
-        assert (tmp_path / "snap" / "graph.seg").exists()
+        assert os.path.exists(os.path.join(live_directory(tmp_path / "snap"), "graph.seg"))
 
     def test_refresh_chain_shares_base_segment(self):
         g = _sample_graph(seed=9)

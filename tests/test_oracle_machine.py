@@ -9,7 +9,8 @@ dict graph.  :class:`OracleMachine` owns that graph and drives a
 ``query``, ``delta`` / ``self_loop_round_trip`` (``Delta`` batches with
 self-loops, deletes of absent edges and edges to fresh node keys),
 ``evict`` and ``save_and_load`` (a checkpoint persisted with
-``SnapshotStore`` as the server persists an epoch, then booted from).
+``SnapshotStore`` as the server persists an epoch -- over one path per
+run, with ``overwrite=True`` -- then booted from).
 
 ``boot`` samples the configuration: the graph form -- ``live`` (the
 engine maintains its own graph through a tracker), ``frozen`` (its
@@ -200,7 +201,8 @@ class OracleMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         self.tmp = tempfile.TemporaryDirectory(dir=SCRATCH)
-        self.engine = self.probe = None  # probe: a live form's loaded twin
+        self.saved = os.path.join(self.tmp.name, "snap")  # every save's path
+        self.engine, self.probes = None, []  # probes: a live form's loaded twins
         self.expected = {}  # view name -> oracle on the current ref
 
     def teardown(self):
@@ -242,16 +244,18 @@ class OracleMachine(RuleBasedStateMachine):
         return QueryEngine(selection=self.selection, **kwargs)
 
     def _loaded(self, engine):
-        """An engine booted from ``engine``'s checkpoint, saved and mapped
-        back; it refuses a tracker."""
+        """An engine booted from ``engine``'s checkpoint, saved over the
+        run's one path and mapped back; it refuses a tracker."""
         checkpoint = engine.checkpoint()
         assert checkpoint.snapshot is engine.snapshot()
         assert set(checkpoint.extensions) == {d.name for d in self.definitions}
-        path = os.path.join(tempfile.mkdtemp(dir=self.tmp.name), "snap")
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(os, "fsync", lambda fd: None)  # durability is not checked
-            SnapshotStore.save(path, checkpoint.snapshot, views=checkpoint.extensions)
-        loaded = self._engine(snapshot_path=SnapshotStore.load(path))
+            SnapshotStore.save(
+                self.saved, checkpoint.snapshot,
+                views=checkpoint.extensions, overwrite=True,
+            )
+        loaded = self._engine(snapshot_path=SnapshotStore.load(self.saved))
         self._refuses_a_tracker(loaded)
         return loaded
 
@@ -275,7 +279,7 @@ class OracleMachine(RuleBasedStateMachine):
             engine.attach_maintenance(IncrementalViewSet([], engine.graph))
 
     def engines(self):
-        return [self.engine] + ([self.probe] if self.probe is not None else [])
+        return [self.engine] + self.probes
 
     def view_oracle(self, name):
         if name not in self.expected:
@@ -337,7 +341,7 @@ class OracleMachine(RuleBasedStateMachine):
         self._delta(Delta((op, v, v) for v in nodes for op in ("insert", "delete")))
 
     def _delta(self, delta):
-        self.probe, self.expected = None, {}
+        self.probes, self.expected = [], {}
         apply_ops(self.ref, delta)
         with forced_kernel(self.kernel):
             if self.form == "live":
@@ -365,12 +369,16 @@ class OracleMachine(RuleBasedStateMachine):
         self.engine.evict_extensions(chosen)
         assert not any(map(self.engine.views.is_materialized, chosen))
 
-    @rule()
-    def save_and_load(self):
+    @rule(data=st.data())
+    def save_and_load(self, data):
         with forced_kernel(self.kernel):
             loaded = self._loaded(self.engine)
         if self.form == "live":
-            self.probe = loaded  # queried beside the live engine until a delta
+            # Both stay beside the live engine until a delta; the twin
+            # booted from the generation this save just swept away (its
+            # files unlinked, its mappings live) is queried right away.
+            self.probes = self.probes[-1:] + [loaded]
+            self.query(data)
         else:
             self.engine = loaded
 

@@ -5,16 +5,20 @@ Round trips through :mod:`repro.graph.snapshot` and
 the in-memory backends (dict graph == compact == reloaded mmap),
 manifest/segment corruption rejection, patch-overlay and provenance
 preservation, sharded round trips, the shard-at-a-time ingest builder,
-crash safety (fsync coverage, a failed overwrite swap, torn files),
+crash safety (fsync coverage, a writer killed at every call, torn files,
+the flat layout written before generations),
 ``QueryEngine(snapshot_path=...)`` boots, epoch persistence in the
 serving layer, and the CLI surface over all of it.
 """
 
 import asyncio
+import gc
+import itertools
 import json
 import os
 import random
 import shutil
+import traceback
 from pathlib import Path
 
 import pytest
@@ -23,13 +27,14 @@ from helpers import ingested, ingested_dir, random_labeled_graph, shm_segments, 
 from repro.cli import main as cli_main
 from repro.datasets import generate_views, query_from_views, random_graph
 from repro.engine import QueryEngine
-from repro.graph import CompactGraph, DataGraph
+from repro.graph import DataGraph
 from repro.graph.flatbuf import _FILE_HEADER_SIZE, SegmentFormatError
 from repro.graph.ingest import ingest_snapshot
 from repro.graph.snapshot import (
     MANIFEST_NAME,
     SnapshotError,
     SnapshotStore,
+    live_directory,
 )
 from repro.shard import StreamingHashPartitioner
 from repro.shard.partitioner import _stable_hash
@@ -59,22 +64,32 @@ def _labeler(node):
     return (f"l{int(node[1:]) % len(LABELS)}",)
 
 
+def _reference(edges):
+    """The DataGraph ingest must reproduce from ``edges`` under
+    :func:`_labeler`."""
+    reference = DataGraph()
+    for s, t in edges:
+        for node in (s, t):
+            if node not in reference:
+                reference.add_node(node, labels=_labeler(node))
+        reference.add_edge(s, t)
+    return reference
+
+
+def _refreshed(seed):
+    """A random graph and its refreshed snapshot: one with a patch."""
+    graph = random_graph(80, 200, labels=LABELS, seed=seed)
+    graph.freeze()
+    nodes = sorted(graph.nodes(), key=repr)
+    for v in nodes[:6]:
+        graph.add_edge(v, nodes[-1])
+    return graph, graph.freeze()
+
+
 # ----------------------------------------------------------------------
 # Compact round trips
 # ----------------------------------------------------------------------
 class TestCompactRoundTrip:
-    def test_dict_compact_reloaded_all_equal(self, tmp_path):
-        graph, _, query = _workload()
-        dict_result = match(query, graph)
-        compact_result = match(query, graph.freeze())
-        SnapshotStore.save(tmp_path / "snap", graph)
-        loaded = SnapshotStore.load(tmp_path / "snap", verify=True)
-        assert type(loaded.graph) is CompactGraph
-        assert loaded.graph.flat_store.backend == "file"
-        reloaded_result = match(query, loaded.graph)
-        assert dict_result.edge_matches == compact_result.edge_matches
-        assert dict_result.edge_matches == reloaded_result.edge_matches
-
     def test_graph_contents_survive(self, tmp_path):
         g = random_labeled_graph(random.Random(5), 50, 140)
         SnapshotStore.save(tmp_path / "snap", g)
@@ -150,7 +165,7 @@ class TestRejection:
             SnapshotStore.load(tmp_path / "nope")
 
     def test_garbled_manifest(self, saved):
-        (saved / MANIFEST_NAME).write_text("{not json")
+        (Path(live_directory(saved)) / MANIFEST_NAME).write_text("{not json")
         with pytest.raises(SnapshotError):
             SnapshotStore.load(saved)
 
@@ -158,10 +173,11 @@ class TestRejection:
     def test_other_format_versions_refused(self, saved, fmt):
         # Format 1 (rebuild-on-load sharded bookkeeping) has no load
         # path any more; the error names the way to re-create it.
-        manifest = json.loads((saved / MANIFEST_NAME).read_text())
+        live = Path(live_directory(saved))
+        manifest = json.loads((live / MANIFEST_NAME).read_text())
         assert manifest["format"] == 2
         manifest["format"] = fmt
-        (saved / MANIFEST_NAME).write_text(json.dumps(manifest))
+        (live / MANIFEST_NAME).write_text(json.dumps(manifest))
         for read in (SnapshotStore.load, SnapshotStore.info):
             with pytest.raises(
                 SnapshotError,
@@ -170,7 +186,7 @@ class TestRejection:
                 read(saved)
 
     def test_corrupt_segment_header(self, saved):
-        seg = saved / "graph.seg"
+        seg = Path(live_directory(saved)) / "graph.seg"
         data = bytearray(seg.read_bytes())
         data[0] ^= 0xFF
         seg.write_bytes(bytes(data))
@@ -178,7 +194,7 @@ class TestRejection:
             SnapshotStore.load(saved)
 
     def test_corrupt_payload_caught_by_verify(self, saved):
-        seg = saved / "graph.seg"
+        seg = Path(live_directory(saved)) / "graph.seg"
         data = bytearray(seg.read_bytes())
         data[48] ^= 0xFF
         seg.write_bytes(bytes(data))
@@ -187,21 +203,17 @@ class TestRejection:
 
 
 # ----------------------------------------------------------------------
-# Crash safety: durable writes, a swap that fails, torn files
+# Crash safety: durable writes, a killed writer, torn files, old layouts
 # ----------------------------------------------------------------------
 def _layout(kind, path, overwrite=False):
     """Save a snapshot directory of one layout; the two hold every file
     kind the format has: a sharded graph with pickled views, and a
     refreshed compact graph (``patch.pkl``) with segment-backed views."""
-    graph = random_graph(80, 200, labels=LABELS, seed=71)
     if kind == "sharded":
+        graph = random_graph(80, 200, labels=LABELS, seed=71)
         snapshot, _ = ingested(*str_keyed(graph), 2, Path(path).parent)
     else:
-        graph.freeze()
-        nodes = sorted(graph.nodes(), key=repr)
-        for v in nodes[:6]:
-            graph.add_edge(v, nodes[-1])
-        snapshot = graph.freeze()  # a refresh: a patch
+        _, snapshot = _refreshed(71)
     views = ViewSet(generate_views(LABELS, 3, seed=71))
     views.materialize(snapshot)
     SnapshotStore.save(path, snapshot, views=views, overwrite=overwrite)
@@ -229,28 +241,122 @@ def layouts(tmp_path_factory):
     return {kind: _layout(kind, root / kind) for kind in LAYOUT_FILES}
 
 
+#: The exit status of a drilled child killed on purpose.
+KILLED = 75
+
+
+def _killed(k, write):
+    """Run ``write()`` in a forked child that dies (``os._exit``) at its
+    k-th call of ``os.fsync`` / ``replace`` / ``rename`` / ``unlink`` /
+    ``rmdir``; True if it finished first."""
+    pid = os.fork()
+    if pid == 0:  # the child: never returns
+        calls = itertools.count(1)
+
+        def dying(real):
+            def call(*args, **kwargs):
+                if next(calls) == k:
+                    os._exit(KILLED)
+                return real(*args, **kwargs)
+
+            return call
+
+        try:
+            for name in ("fsync", "replace", "rename", "unlink", "rmdir"):
+                setattr(os, name, dying(getattr(os, name)))
+            write()
+        except BaseException:
+            traceback.print_exc()
+            os._exit(1)
+        os._exit(0)
+    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    assert status in (0, KILLED), f"the child failed at call {k}"
+    return status == 0
+
+
+def _generation(kind, seed, path):
+    """``(write, graph)``: an overwriting write of one snapshot of
+    ``kind`` to ``path`` -- a refreshed compact graph with views, or an
+    ingest -- and the DataGraph it holds."""
+    if kind == "sharded":
+        edges = _random_edges(200, 40, seed=seed)
+        return (
+            lambda: ingest_snapshot(
+                iter(edges), path, num_shards=2, labeler=_labeler, overwrite=True
+            ),
+            _reference(edges),
+        )
+    graph, snapshot = _refreshed(seed)
+    views = ViewSet(generate_views(LABELS, 3, seed=seed))
+    views.materialize(snapshot)
+    return (
+        lambda: SnapshotStore.save(path, snapshot, views=views, overwrite=True),
+        graph,
+    )
+
+
 class TestCrashSafety:
-    def test_failed_swap_keeps_the_previous_snapshot(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("kind", ["compact", "sharded"])
+    def test_a_killed_write_leaves_the_old_or_the_new_snapshot(
+        self, tmp_path, monkeypatch, kind
+    ):
+        """Kill an overwriting write of generation N+1 at each of its
+        calls in turn: the path always loads generation N or N+1 and
+        answers like that generation's oracle, and the next clean write
+        leaves only the live generation in it."""
+        # A kill, not a power cut; and ingest's per-shard full
+        # collection is not what this checks.
+        monkeypatch.setattr(os, "fsync", lambda fd: None)
+        monkeypatch.setattr(gc, "collect", lambda *args: 0)
+        path = tmp_path / "snap"
+        writes, graphs = zip(*(_generation(kind, seed, path) for seed in (5, 6)))
+        queries = [view.pattern for view in generate_views(LABELS, 3, seed=71)]
+        edge_sets = [set(graph.edges()) for graph in graphs]
+        expected = [[match(q, graph).edge_matches for q in queries] for graph in graphs]
+        assert edge_sets[0] != edge_sets[1] and any(map(any, expected))
+        seen = set()
+        for k in itertools.count(1):
+            writes[0]()  # generation N, over whatever the last kill left
+            assert os.listdir(path) == [os.path.basename(live_directory(path))]
+            assert SnapshotStore.info(path)["stale"] == []
+            finished = _killed(k, writes[1])
+            loaded = SnapshotStore.load(path)
+            generation = edge_sets.index(set(loaded.graph.edges()))
+            engine = QueryEngine(snapshot_path=loaded)
+            assert [engine.answer(q).edge_matches for q in queries] == expected[
+                generation
+            ], k
+            seen.add(generation)
+            if finished:
+                break
+        # The last run finished; earlier kills landed on both sides of
+        # the commit.
+        assert generation == 1 and seen == {0, 1}
+
+    @pytest.mark.parametrize("unfinished", [[], ["gen-1"]])
+    def test_a_flat_directory_loads_and_is_rewritten_as_a_generation(
+        self, tmp_path, unfinished
+    ):
+        """A directory written before generations -- its files directly
+        under the path -- loads as it is, with a write killed before its
+        manifest beside it or not; its next save leaves one generation."""
         g1 = random_labeled_graph(random.Random(7), 20, 40)
         g2 = random_labeled_graph(random.Random(8), 30, 60)
-        SnapshotStore.save(tmp_path / "snap", g1)
-        real_rename = os.rename
-        calls = []
-
-        def rename(src, dst):
-            calls.append((src, dst))
-            if len(calls) == 2:  # the new build into place
-                raise OSError("injected rename failure")
-            real_rename(src, dst)
-
-        monkeypatch.setattr(os, "rename", rename)
-        with pytest.raises(OSError, match="injected"):
-            SnapshotStore.save(tmp_path / "snap", g2, overwrite=True)
-        monkeypatch.undo()
-        loaded = SnapshotStore.load(tmp_path / "snap")
-        assert set(loaded.graph.edges()) == set(g1.edges())
-        # Neither the temp build nor the parked ``.old`` copy is left.
-        assert [p.name for p in tmp_path.iterdir()] == ["snap"]
+        path = tmp_path / "snap"
+        SnapshotStore.save(path, g1)
+        saved = Path(live_directory(path))
+        for entry in saved.iterdir():
+            entry.rename(path / entry.name)
+        saved.rmdir()
+        for name in unfinished:
+            (path / name).mkdir()
+        assert live_directory(path) == str(path)
+        info = SnapshotStore.info(path)
+        assert info["stale"] == unfinished and "graph.seg" in info["files"]
+        assert set(SnapshotStore.load(path).graph.edges()) == set(g1.edges())
+        SnapshotStore.save(path, g2, overwrite=True)
+        assert os.listdir(path) == [f"gen-{len(unfinished) + 1}"]
+        assert set(SnapshotStore.load(path).graph.edges()) == set(g2.edges())
 
     @pytest.mark.parametrize("overwrite", [False, True])
     @pytest.mark.parametrize("producer", ["save", "ingest"])
@@ -269,7 +375,7 @@ class TestCrashSafety:
                 )
 
         if overwrite:
-            write()  # the second write swaps out a populated directory
+            write()  # the second write replaces a populated directory
         synced = set()
         real_fsync = os.fsync
 
@@ -279,15 +385,17 @@ class TestCrashSafety:
 
         monkeypatch.setattr(os, "fsync", fsync)
         write()
-        # Renames keep inodes: every file of the final directory, the
-        # directory itself (its entries) and its parent (the swap).
-        wanted = {os.stat(p).st_ino for p in target.iterdir()}
-        wanted |= {os.stat(target).st_ino, os.stat(tmp_path).st_ino}
+        # Renames keep inodes: every file of the live generation, the
+        # generation directory (its entries), the path (the generation's
+        # entry) and its parent.
+        live = Path(live_directory(target))
+        wanted = {os.stat(p).st_ino for p in live.iterdir()}
+        wanted |= {os.stat(d).st_ino for d in (live, target, tmp_path)}
         assert wanted <= synced
 
     def test_layouts_hold_every_file_kind(self, layouts):
         for kind, path in layouts.items():
-            assert sorted(os.listdir(path)) == LAYOUT_FILES[kind]
+            assert sorted(os.listdir(live_directory(path))) == LAYOUT_FILES[kind]
 
     @pytest.mark.parametrize("cut", ["header", "middle"])
     @pytest.mark.parametrize(
@@ -300,7 +408,7 @@ class TestCrashSafety:
         at its midpoint never loads as a graph."""
         copy = tmp_path / "snap"
         shutil.copytree(layouts[kind], copy)
-        victim = copy / name
+        victim = Path(live_directory(copy)) / name
         data = victim.read_bytes()
         header = _FILE_HEADER_SIZE if name.endswith(".seg") else 0
         size = header if cut == "header" else len(data) // 2
@@ -362,12 +470,7 @@ class TestIngest:
             iter(edges), tmp_path / "snap",
             num_shards=3, labeler=_labeler, budget_bytes=1 << 12,
         )
-        reference = DataGraph()
-        for s, t in edges:
-            for node in (s, t):
-                if node not in reference:
-                    reference.add_node(node, labels=_labeler(node))
-            reference.add_edge(s, t)
+        reference = _reference(edges)
         loaded = SnapshotStore.load(tmp_path / "snap", verify=True)
         revived = loaded.graph
         assert report.edges == reference.num_edges == revived.num_edges

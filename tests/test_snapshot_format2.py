@@ -28,7 +28,7 @@ from repro.graph.compact import CompactGraph
 from repro.graph.flatbuf import SegmentFormatError
 from repro.graph.ingest import ingest_snapshot
 from repro.graph.io import graph_from_edges
-from repro.graph.snapshot import SnapshotStore
+from repro.graph.snapshot import SnapshotStore, live_directory
 from repro.shard.partitioner import _stable_hash
 from repro.simulation import bounded_match, match
 from repro.views.storage import ViewSet
@@ -163,7 +163,8 @@ def test_load_plus_direct_match_does_no_name_work(snapdir, monkeypatch):
     monkeypatch.setattr(CompactGraph, "node_table", property(CountedTable))
 
     # No pickled boundary tables exist to open, crosspred or otherwise.
-    assert sorted(p.suffix for p in Path(path).iterdir()) == [".json"] + [".seg"] * 8
+    live = Path(live_directory(path))
+    assert sorted(p.suffix for p in live.iterdir()) == [".json"] + [".seg"] * 8
 
     loaded = SnapshotStore.load(path)
     assert calls == {"id_of": 0, "node_of": 0}
@@ -242,7 +243,7 @@ def test_info_lists_boundary_rows_and_verify_checks_them(snapdir, capsys):
 
     # Flip one payload byte of a boundary segment: the cheap attach
     # still succeeds, every --verify surface refuses it.
-    victim = Path(path) / "boundary-002.seg"
+    victim = Path(live_directory(path)) / "boundary-002.seg"
     data = bytearray(victim.read_bytes())
     data[48] ^= 0xFF
     victim.write_bytes(bytes(data))

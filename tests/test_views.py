@@ -323,10 +323,11 @@ class TestLazyPayloadViews:
         pickle, a pack nor a saved snapshot carries it."""
         import os
         import pickle
+        from pathlib import Path
 
         from repro.core import matchjoin
         from repro.engine import QueryEngine
-        from repro.graph.snapshot import SnapshotStore
+        from repro.graph.snapshot import SnapshotStore, live_directory
         from repro.views.flatpack import FlatExtension
 
         graph = random_labeled_graph(random.Random(6), 60, 400, labels="AB")
@@ -346,9 +347,10 @@ class TestLazyPayloadViews:
 
         def stored_forms(directory):
             SnapshotStore.save(directory, snapshot, views=engine.views)
+            live = Path(live_directory(directory))
             return {
-                name: (directory / name).read_bytes()
-                for name in os.listdir(directory)
+                name: (live / name).read_bytes()
+                for name in os.listdir(live)
                 if name.startswith("view-")
             }
 
