@@ -49,8 +49,7 @@ SAMPLES = 15
 def workload():
     graph, views = workloads.synthetic(NUM_NODES)
     queries = [
-        workloads.pick_query(views, n, m, graph=graph, tag=f"obs{i}")
-        for i, (n, m) in enumerate(SIZES)
+        workloads.pick_query(views, n, m, graph=graph) for n, m in SIZES
     ]
     return graph, views, queries
 

@@ -1,11 +1,14 @@
 """Runners regenerating each subfigure of Fig. 8 (Section VII).
 
-Timing methodology (as in the paper): the (B)MatchJoin series time the
+Every runner measures the path the engine serves: a dataset is frozen
+once into a snapshot and its views are materialized on it
+(:mod:`~repro.bench.workloads`), so Match/BMatch run the snapshot
+kernels and (B)MatchJoin sweeps the extensions' id rows.  Timing
+methodology (as in the paper): the (B)MatchJoin series time the
 *evaluation* from materialized extensions; view selection (containment
 analysis) is the subject of Exp-3 (Fig. 8(g)/(h)) and is measured
-there.  Match/BMatch evaluate directly on ``G``.  Every runner returns
-a :class:`~repro.bench.reporting.Table` whose columns mirror the
-figure's series.
+there.  Every runner returns a :class:`~repro.bench.reporting.Table`
+whose columns mirror the figure's series.
 """
 
 from __future__ import annotations
@@ -22,9 +25,33 @@ from repro.core.matchjoin import match_join
 from repro.core.minimal import minimal_views
 from repro.core.minimum import minimum_views
 from repro.datasets import generate_views, query_from_views, random_query
+from repro.graph.pattern import BoundedPattern
 from repro.simulation import bounded_match, match
 
 _LABELS = tuple(f"l{i}" for i in range(10))
+
+#: Best-of repeats of every timed (B)Match / (B)MatchJoin call.
+REPEAT = 2
+
+
+def _ms(fn, *args, **kwargs) -> float:
+    """Milliseconds of the best of :data:`REPEAT` calls (joins on the
+    id path take well under a millisecond)."""
+    return timed(fn, *args, repeat=REPEAT, **kwargs) * 1000
+
+#: Per query kind: (direct, join, the minimal and minimum selections).
+_PLAIN = (match, match_join, minimal_views, minimum_views)
+_BOUNDED = (
+    bounded_match, bounded_match_join, bounded_minimal_views, bounded_minimum_views,
+)
+
+_SIZE_NOTES = (
+    "Expected shape: MatchJoin_min <= MatchJoin_mnl < Match at every "
+    "size; all grow with |Qs|, the view-based curves more slowly.",
+    "Expected shape: BMatchJoin well under BMatch everywhere (paper: "
+    "~10-14% of its time on Amazon), with the gap growing with pattern "
+    "size; BMatchJoin_min <= BMatchJoin_mnl.",
+)
 
 
 def _fmt_size(size: Tuple[int, int], bound=None) -> str:
@@ -33,49 +60,98 @@ def _fmt_size(size: Tuple[int, int], bound=None) -> str:
     return f"({size[0]},{size[1]},{bound})"
 
 
-# ----------------------------------------------------------------------
-# Exp-1: MatchJoin on the real-dataset stand-ins (Fig. 8(a)-(c))
-# ----------------------------------------------------------------------
-def _matchjoin_table(exp: str, title: str, dataset, sizes, require_dag, tag, scale):
-    graph, views = dataset(scale)
-    table = Table(
-        exp, title,
-        ["|Qs|", "Match (s)", "MatchJoin_mnl (s)", "MatchJoin_min (s)", "|result|"],
-        notes="Expected shape: MatchJoin_min <= MatchJoin_mnl < Match at "
-              "every size; all grow with |Qs|, the view-based curves more "
-              "slowly.",
+def _row(query, graph, views) -> Tuple[float, float, float, int]:
+    """One Fig. 8 row: milliseconds of Match (BMatch) on the snapshot and of
+    (B)MatchJoin over the minimal and minimum selections, then |result|.
+
+    Asserts Theorem 1 (Theorem 8 for bounded queries) once: both joins
+    equal the direct answer, whose size is the last column."""
+    direct, join, minimal, minimum = (
+        _BOUNDED if isinstance(query, BoundedPattern) else _PLAIN
     )
-    for size, query in workloads.query_suite(
-        views, sizes, graph=graph, require_dag=require_dag, tag=tag
-    ):
-        minimal = minimal_views(query, views)
-        minimum = minimum_views(query, views)
-        t_match = timed(match, query, graph, repeat=2)
-        t_mnl = timed(match_join, query, minimal, views, repeat=2)
-        t_min = timed(match_join, query, minimum, views, repeat=2)
-        result = match(query, graph)
-        table.add_row(_fmt_size(size), t_match, t_mnl, t_min, result.result_size)
-    return table
+    answer = direct(query, graph)
+    selections = (minimal(query, views), minimum(query, views))
+    assert all(
+        join(query, selection, views).edge_matches == answer.edge_matches
+        for selection in selections
+    ), f"MatchJoin differs from the direct answer on {query!r}"
+    t_direct = _ms(direct, query, graph)
+    t_mnl, t_min = (_ms(join, query, selection, views) for selection in selections)
+    return t_direct, t_mnl, t_min, answer.result_size
+
+
+def _table(exp, title, axis, notes, cases, require_dag=False) -> Table:
+    """A table of :func:`_row`s, one per case ``(x, (graph, views), (n, m))``
+    on a picked ``(n, m)`` query.
+
+    The notes end with how many rows bear out the two claims every such
+    figure makes, so a claim that fails on this run is stated beside
+    the numbers."""
+    rows = []
+    for x, (graph, views), (n, m) in cases:
+        query = workloads.pick_query(views, n, m, graph=graph, require_dag=require_dag)
+        rows.append((x, *_row(query, graph, views)))
+    b = "B" if isinstance(query, BoundedPattern) else ""
+    faster = sum(row[3] < row[1] for row in rows)
+    smaller = sum(row[3] <= row[2] for row in rows)
+    return Table(
+        exp, title,
+        [axis, f"{b}Match (ms)", f"{b}MatchJoin_mnl (ms)", f"{b}MatchJoin_min (ms)",
+         "|result|"],
+        rows,
+        notes=f"{notes}\n\nMeasured: {b}MatchJoin_min < {b}Match in {faster} "
+              f"of {len(rows)} rows; {b}MatchJoin_min <= {b}MatchJoin_mnl in "
+              f"{smaller} of {len(rows)}.",
+    )
+
+
+# ----------------------------------------------------------------------
+# Exp-1 / Exp-4: (B)MatchJoin on the real-dataset stand-ins
+# (Fig. 8(a)-(c), (i), (j))
+# ----------------------------------------------------------------------
+def _sizes_table(exp, title, dataset, sizes, require_dag, bound=None) -> Table:
+    return _table(
+        exp, title, "|Qs|" if bound is None else "|Qb|",
+        _SIZE_NOTES[bound is not None],
+        [(_fmt_size(size, bound), dataset, size) for size in sizes],
+        require_dag,
+    )
 
 
 def exp_fig8a(scale: float = 1.0) -> Table:
-    return _matchjoin_table(
-        "Fig. 8(a)", "Varying |Qs| (Amazon)", workloads.amazon,
-        workloads.AMAZON_SIZES, False, "amazon", scale,
+    return _sizes_table(
+        "Fig. 8(a)", "Varying |Qs| (Amazon)", workloads.dataset("amazon", scale),
+        workloads.AMAZON_SIZES, False,
     )
 
 
 def exp_fig8b(scale: float = 1.0) -> Table:
-    return _matchjoin_table(
-        "Fig. 8(b)", "Varying |Qs| (Citation)", workloads.citation,
-        workloads.CITATION_SIZES, True, "citation", scale,
+    return _sizes_table(
+        "Fig. 8(b)", "Varying |Qs| (Citation)", workloads.dataset("citation", scale),
+        workloads.CITATION_SIZES, True,
     )
 
 
 def exp_fig8c(scale: float = 1.0) -> Table:
-    return _matchjoin_table(
-        "Fig. 8(c)", "Varying |Qs| (Youtube)", workloads.youtube,
-        workloads.YOUTUBE_SIZES, False, "youtube", scale,
+    return _sizes_table(
+        "Fig. 8(c)", "Varying |Qs| (Youtube)", workloads.dataset("youtube", scale),
+        workloads.YOUTUBE_SIZES, False,
+    )
+
+
+def exp_fig8i(scale: float = 1.0) -> Table:
+    return _sizes_table(
+        "Fig. 8(i)", "Varying |Qb| (Amazon, fe=2)",
+        workloads.bounded_dataset("amazon", 2, scale),
+        workloads.AMAZON_SIZES, False, bound=2,
+    )
+
+
+def exp_fig8j(scale: float = 1.0) -> Table:
+    return _sizes_table(
+        "Fig. 8(j)", "Varying |Qb| (Citation, fe=3)",
+        workloads.bounded_dataset("citation", 3, scale),
+        workloads.CITATION_SIZES, True, bound=3,
     )
 
 
@@ -88,31 +164,17 @@ def _synthetic_sweep(scale: float):
 
 
 def exp_fig8d(scale: float = 1.0) -> Table:
-    table = Table(
-        "Fig. 8(d)", "Varying |G| (synthetic), pattern (4,6)",
-        ["|V|", "Match (s)", "MatchJoin_mnl (s)", "MatchJoin_min (s)"],
-        notes="Expected shape: all grow ~linearly with |G|; MatchJoin_min "
-              "scales best (the paper reports it at ~49% of MatchJoin_mnl).",
+    return _table(
+        "Fig. 8(d)", "Varying |G| (synthetic), pattern (4,6)", "|V|",
+        "Expected shape: all grow ~linearly with |G|; MatchJoin_min "
+        "scales best (the paper reports it at ~49% of MatchJoin_mnl).",
+        [(n, workloads.synthetic(n), (4, 6)) for n in _synthetic_sweep(scale)],
     )
-    for num_nodes in _synthetic_sweep(scale):
-        graph, views = workloads.synthetic(num_nodes)
-        query = workloads.pick_query(
-            views, 4, 6, graph=graph, tag=f"syn{num_nodes}"
-        )
-        minimal = minimal_views(query, views)
-        minimum = minimum_views(query, views)
-        table.add_row(
-            num_nodes,
-            timed(match, query, graph, repeat=2),
-            timed(match_join, query, minimal, views, repeat=2),
-            timed(match_join, query, minimum, views, repeat=2),
-        )
-    return table
 
 
 def exp_fig8e(scale: float = 1.0) -> Table:
     table = Table(
-        "Fig. 8(e)", "Varying |G| and |Qs| (synthetic), MatchJoin_min",
+        "Fig. 8(e)", "Varying |G| and |Qs| (synthetic), MatchJoin_min (ms)",
         ["|V|", "Q1 (4,8)", "Q2 (5,10)", "Q3 (6,12)", "Q4 (7,14)"],
         notes="Expected shape: larger patterns cost more at every |G|; "
               "each series grows with |G|.",
@@ -122,11 +184,9 @@ def exp_fig8e(scale: float = 1.0) -> Table:
         graph, views = workloads.synthetic(num_nodes)
         row = [num_nodes]
         for size in pattern_sizes:
-            query = workloads.pick_query(
-                views, size[0], size[1], graph=graph, tag=f"syn{num_nodes}"
-            )
+            query = workloads.pick_query(views, size[0], size[1], graph=graph)
             minimum = minimum_views(query, views)
-            row.append(timed(match_join, query, minimum, views, repeat=2))
+            row.append(_ms(match_join, query, minimum, views))
         table.add_row(*row)
     return table
 
@@ -138,20 +198,20 @@ def exp_fig8f(scale: float = 1.0) -> Table:
     num_nodes = max(500, int(3000 * scale))
     table = Table(
         "Fig. 8(f)", f"Varying alpha (densification, |V|={num_nodes})",
-        ["alpha", "MatchJoin_nopt (s)", "MatchJoin_min (s)"],
+        ["alpha", "MatchJoin_nopt (ms)", "MatchJoin_min (ms)"],
         notes="Expected shape: the rank-ordered engine wins everywhere and "
               "the gap widens as the graph densifies (paper: optimized is "
               "~54% of nopt on average, improving with alpha).",
     )
     for alpha in (1.0, 1.05, 1.1, 1.15, 1.2, 1.25):
         graph, views = workloads.densification(num_nodes, alpha)
-        query = workloads.pick_query(
-            views, 4, 6, graph=graph, tag=f"dens{num_nodes}:{alpha}"
-        )
+        query = workloads.pick_query(views, 4, 6, graph=graph)
         minimum = minimum_views(query, views)
-        t_nopt = timed(match_join, query, minimum, views, optimized=False, repeat=3)
-        t_opt = timed(match_join, query, minimum, views, optimized=True, repeat=3)
-        table.add_row(alpha, t_nopt, t_opt)
+        table.add_row(
+            alpha,
+            _ms(match_join, query, minimum, views, optimized=False),
+            _ms(match_join, query, minimum, views),
+        )
     return table
 
 
@@ -214,96 +274,32 @@ def exp_fig8h(scale: float = 1.0) -> Table:
 
 
 # ----------------------------------------------------------------------
-# Exp-4: bounded pattern queries (Fig. 8(i)-(l))
+# Exp-4: bounded pattern queries (Fig. 8(k), (l); (i), (j) are above)
 # ----------------------------------------------------------------------
-def _bounded_table(exp, title, dataset_name, bound, sizes, require_dag, scale):
-    graph, views = workloads.bounded_dataset(dataset_name, bound, scale)
-    table = Table(
-        exp, title,
-        ["|Qb|", "BMatch (s)", "BMatchJoin_mnl (s)", "BMatchJoin_min (s)", "|result|"],
-        notes="Expected shape: BMatchJoin well under BMatch everywhere "
-              "(paper: ~10-14% of its time on Amazon), with the gap growing "
-              "with pattern size; BMatchJoin_min <= BMatchJoin_mnl.",
-    )
-    for size, query in workloads.query_suite(
-        views, sizes, graph=graph, require_dag=require_dag,
-        tag=f"{dataset_name}@{bound}",
-    ):
-        minimal = bounded_minimal_views(query, views)
-        minimum = bounded_minimum_views(query, views)
-        t_bmatch = timed(bounded_match, query, graph)
-        t_mnl = timed(bounded_match_join, query, minimal, views, repeat=2)
-        t_min = timed(bounded_match_join, query, minimum, views, repeat=2)
-        result = bounded_match(query, graph)
-        table.add_row(
-            _fmt_size(size, bound), t_bmatch, t_mnl, t_min, result.result_size
-        )
-    return table
-
-
-def exp_fig8i(scale: float = 1.0) -> Table:
-    return _bounded_table(
-        "Fig. 8(i)", "Varying |Qb| (Amazon, fe=2)", "amazon", 2,
-        workloads.AMAZON_SIZES, False, scale,
-    )
-
-
-def exp_fig8j(scale: float = 1.0) -> Table:
-    return _bounded_table(
-        "Fig. 8(j)", "Varying |Qb| (Citation, fe=3)", "citation", 3,
-        workloads.CITATION_SIZES, True, scale,
-    )
-
-
 def exp_fig8k(scale: float = 1.0) -> Table:
-    table = Table(
-        "Fig. 8(k)", "Varying fe(e) (Youtube), pattern (4,8)",
-        ["fe(e)", "BMatch (s)", "BMatchJoin_mnl (s)", "BMatchJoin_min (s)"],
-        notes="Expected shape: BMatch grows steeply with the bound (deeper "
-              "BFS); BMatchJoin stays near-flat (paper: 3% of BMatch at "
-              "fe=3).",
+    # Materializing each bound's views and BMatch at fe = 5, 6 are the
+    # costly part (~17 s and ~24 s at full scale), so this figure runs
+    # on a half-size YouTube graph.
+    return _table(
+        "Fig. 8(k)", "Varying fe(e) (Youtube), pattern (4,8)", "fe(e)",
+        "Expected shape: BMatch grows steeply with the bound (deeper "
+        "BFS); BMatchJoin stays near-flat (paper: 3% of BMatch at "
+        "fe=3).",
+        [
+            (bound, workloads.bounded_dataset("youtube", bound, scale * 0.5), (4, 8))
+            for bound in (2, 3, 4, 5, 6)
+        ],
     )
-    # The per-bound view materialization is the costly part, so this
-    # figure runs on a half-size YouTube graph.
-    sub_scale = scale * 0.5
-    for bound in (2, 3, 4, 5, 6):
-        graph, views = workloads.bounded_dataset("youtube", bound, sub_scale)
-        query = workloads.pick_query(
-            views, 4, 8, graph=graph, tag=f"youtube@{bound}"
-        )
-        minimal = bounded_minimal_views(query, views)
-        minimum = bounded_minimum_views(query, views)
-        table.add_row(
-            bound,
-            timed(bounded_match, query, graph),
-            timed(bounded_match_join, query, minimal, views),
-            timed(bounded_match_join, query, minimum, views),
-        )
-    return table
 
 
 def exp_fig8l(scale: float = 1.0) -> Table:
-    table = Table(
+    return _table(
         "Fig. 8(l)", "Varying |G| (synthetic, bounded fe=3), pattern (4,6)",
-        ["|V|", "BMatch (s)", "BMatchJoin_mnl (s)", "BMatchJoin_min (s)"],
-        notes="Expected shape: BMatchJoin_min scales best and stays a small "
-              "fraction of BMatch (paper: ~6%), with the gap growing "
-              "with |G|.",
+        "|V|",
+        "Expected shape: BMatchJoin_min scales best and stays a small "
+        "fraction of BMatch (paper: ~6%), with the gap growing with |G|.",
+        [(n, workloads.synthetic_bounded(n, 3), (4, 6)) for n in _synthetic_sweep(scale)],
     )
-    for num_nodes in _synthetic_sweep(scale):
-        graph, views = workloads.synthetic_bounded(num_nodes, 3)
-        query = workloads.pick_query(
-            views, 4, 6, graph=graph, tag=f"synb{num_nodes}"
-        )
-        minimal = bounded_minimal_views(query, views)
-        minimum = bounded_minimum_views(query, views)
-        table.add_row(
-            num_nodes,
-            timed(bounded_match, query, graph),
-            timed(bounded_match_join, query, minimal, views, repeat=2),
-            timed(bounded_match_join, query, minimum, views, repeat=2),
-        )
-    return table
 
 
 # ----------------------------------------------------------------------
@@ -317,25 +313,16 @@ def exp_summary(scale: float = 1.0) -> Table:
               "12% (Citation), 4% (YouTube) of the data; 3-6 views used per "
               "YouTube query; simulation matching via views saves >= 51%.",
     )
-    for name, dataset, sizes, dag in (
-        ("amazon", workloads.amazon, (6, 9), False),
-        ("citation", workloads.citation, (6, 9), True),
-        ("youtube", workloads.youtube, (6, 9), False),
-    ):
-        graph, views = dataset(scale)
-        query = workloads.pick_query(
-            views, sizes[0], sizes[1], graph=graph, require_dag=dag, tag=name
-        )
-        minimum = minimum_views(query, views)
-        t_match = timed(match, query, graph, repeat=3)
-        t_min = timed(match_join, query, minimum, views, repeat=3)
-        result = match(query, graph)
+    for name, dag in (("amazon", False), ("citation", True), ("youtube", False)):
+        graph, views = workloads.dataset(name, scale)
+        query = workloads.pick_query(views, 6, 9, graph=graph, require_dag=dag)
+        t_match, _, t_min, size = _row(query, graph, views)
         table.add_row(
             name,
             views.extension_fraction(graph),
-            len(minimum.views_used()),
+            len(minimum_views(query, views).views_used()),
             t_min / t_match if t_match else float("nan"),
-            result.result_size,
+            size,
         )
     return table
 

@@ -1,8 +1,10 @@
 """Workload construction for the Fig. 8 experiments.
 
 Everything is deterministic and memoized: the experiment runners share
-one cache of generated graphs, materialized view sets and query
-workloads within a process.
+one cache of datasets and query workloads within a process.  A dataset
+is what the engine serves: the generated graph frozen once into a
+snapshot, with its view suite materialized on that snapshot (extensions
+are id rows, so MatchJoin runs its id-space path).
 
 Scaling: the paper runs on 0.55M-1.6M-node datasets and 0.3M-1M-node
 synthetic graphs on a 2008-era JVM; this harness defaults to ~25-30K
@@ -13,7 +15,7 @@ relative, so the figure *shapes* survive the down-scaling.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.datasets import (
     amazon_graph,
@@ -27,7 +29,7 @@ from repro.datasets import (
     youtube_graph,
     youtube_views,
 )
-from repro.graph.digraph import DataGraph
+from repro.graph.compact import CompactGraph
 from repro.graph.pattern import BoundedPattern, Pattern
 from repro.simulation import bounded_match, match
 from repro.views.storage import ViewSet
@@ -40,6 +42,10 @@ AMAZON_SIZES = [(4, 4), (4, 6), (4, 8), (6, 6), (6, 9), (6, 12), (8, 8), (8, 12)
 CITATION_SIZES = [(4, 8), (5, 10), (6, 12), (7, 14), (8, 16)]
 YOUTUBE_SIZES = [(4, 8), (5, 10), (6, 12), (7, 14), (8, 16)]
 CONTAINMENT_SIZES = [(6, 6), (6, 12), (7, 7), (7, 14), (8, 8), (8, 16), (9, 9), (9, 18), (10, 10), (10, 20)]
+
+#: A materialized dataset: the frozen snapshot and a view suite whose
+#: extensions are id rows of that snapshot.
+Dataset = Tuple[CompactGraph, ViewSet]
 
 
 def _memo(key, factory):
@@ -55,96 +61,81 @@ def clear_cache() -> None:
 # ----------------------------------------------------------------------
 # Datasets with materialized view caches
 # ----------------------------------------------------------------------
-def amazon(scale: float = 1.0) -> Tuple[DataGraph, ViewSet]:
+def _materialized(
+    key, snapshot: Callable[[], CompactGraph], suite: Callable[[], ViewSet]
+) -> Dataset:
+    """Memoized ``(snapshot, views)``: ``suite()`` materialized on
+    ``snapshot()`` -- the id-space path the engine serves."""
     def build():
-        graph = amazon_graph(int(30_000 * scale), int(90_000 * scale), seed=11)
-        views = amazon_views()
+        graph, views = snapshot(), suite()
         views.materialize(graph)
         return graph, views
 
-    return _memo(("amazon", scale), build)
+    return _memo(key, build)
 
 
-def citation(scale: float = 1.0) -> Tuple[DataGraph, ViewSet]:
-    def build():
-        graph = citation_graph(int(25_000 * scale), int(60_000 * scale), seed=11)
-        views = citation_views()
-        views.materialize(graph)
-        return graph, views
-
-    return _memo(("citation", scale), build)
+#: The real-dataset stand-ins: generator, |V| and |E| at scale 1, views.
+_STAND_INS = {
+    "amazon": (amazon_graph, 30_000, 90_000, amazon_views),
+    "citation": (citation_graph, 25_000, 60_000, citation_views),
+    "youtube": (youtube_graph, 30_000, 85_000, youtube_views),
+}
 
 
-def youtube(scale: float = 1.0) -> Tuple[DataGraph, ViewSet]:
-    def build():
-        graph = youtube_graph(int(30_000 * scale), int(85_000 * scale), seed=11)
-        views = youtube_views()
-        views.materialize(graph)
-        return graph, views
+def dataset(name: str, scale: float = 1.0) -> Dataset:
+    """The ``name`` stand-in (amazon, citation or youtube) at ``scale``."""
+    generate, nodes, edges, suite = _STAND_INS[name]
+    return _materialized(
+        (name, scale),
+        lambda: generate(int(nodes * scale), int(edges * scale), seed=11).freeze(),
+        suite,
+    )
 
-    return _memo(("youtube", scale), build)
+
+def _suite22() -> ViewSet:
+    return generate_views(tuple(f"l{i}" for i in range(10)), 22, seed=17)
 
 
-def synthetic(num_nodes: int) -> Tuple[DataGraph, ViewSet]:
+def synthetic(num_nodes: int) -> Dataset:
     """Synthetic graph with |E| = 2|V| plus the 22-view suite."""
-    def build():
-        graph = random_graph(num_nodes, 2 * num_nodes, seed=17)
-        views = generate_views(tuple(f"l{i}" for i in range(10)), 22, seed=17)
-        views.materialize(graph)
-        return graph, views
-
-    return _memo(("synthetic", num_nodes), build)
+    return _materialized(
+        ("synthetic", num_nodes),
+        lambda: random_graph(num_nodes, 2 * num_nodes, seed=17).freeze(),
+        _suite22,
+    )
 
 
-def densification(num_nodes: int, alpha: float) -> Tuple[DataGraph, ViewSet]:
-    def build():
-        graph = densification_graph(num_nodes, alpha, seed=19)
-        views = generate_views(tuple(f"l{i}" for i in range(10)), 22, seed=17)
-        views.materialize(graph)
-        return graph, views
-
-    return _memo(("densification", num_nodes, alpha), build)
+def densification(num_nodes: int, alpha: float) -> Dataset:
+    return _materialized(
+        ("densification", num_nodes, alpha),
+        lambda: densification_graph(num_nodes, alpha, seed=19).freeze(),
+        _suite22,
+    )
 
 
 # ----------------------------------------------------------------------
 # Bounded view suites (promotions of the simulation suites)
 # ----------------------------------------------------------------------
-def bounded_suite(views: ViewSet, bound: int, tag: str) -> ViewSet:
+def bounded_suite(views: ViewSet, bound: int) -> ViewSet:
     """Promote every view of ``views`` to a bounded view with ``fe = bound``."""
-    def build():
-        promoted = ViewSet()
-        for definition in views:
-            pattern = definition.pattern
-            bp = pattern.bounded(default=bound)
-            promoted.add(ViewDefinition(f"{definition.name}@{bound}", bp))
-        return promoted
-
-    return _memo(("bounded_suite", tag, bound), build)
+    return ViewSet([
+        ViewDefinition(f"{d.name}@{bound}", d.pattern.bounded(default=bound))
+        for d in views
+    ])
 
 
-def bounded_dataset(
-    name: str, bound: int, scale: float = 1.0
-) -> Tuple[DataGraph, ViewSet]:
+def _bounded(key, base: Dataset, bound: int) -> Dataset:
+    graph, plain_views = base
+    return _materialized(key, lambda: graph, lambda: bounded_suite(plain_views, bound))
+
+
+def bounded_dataset(name: str, bound: int, scale: float = 1.0) -> Dataset:
     """Dataset plus a materialized bounded view suite with edge bound k."""
-    base = {"amazon": amazon, "citation": citation, "youtube": youtube}[name]
-
-    def build():
-        graph, plain_views = base(scale)
-        views = bounded_suite(plain_views, bound, tag=f"{name}:{scale}")
-        views.materialize(graph)
-        return graph, views
-
-    return _memo(("bounded_dataset", name, bound, scale), build)
+    return _bounded(("bounded", name, bound, scale), dataset(name, scale), bound)
 
 
-def synthetic_bounded(num_nodes: int, bound: int) -> Tuple[DataGraph, ViewSet]:
-    def build():
-        graph, plain_views = synthetic(num_nodes)
-        views = bounded_suite(plain_views, bound, tag=f"syn:{num_nodes}")
-        views.materialize(graph)
-        return graph, views
-
-    return _memo(("synthetic_bounded", num_nodes, bound), build)
+def synthetic_bounded(num_nodes: int, bound: int) -> Dataset:
+    return _bounded(("synthetic_bounded", num_nodes, bound), synthetic(num_nodes), bound)
 
 
 # ----------------------------------------------------------------------
@@ -154,13 +145,15 @@ def pick_query(
     views: ViewSet,
     num_nodes: int,
     num_edges: int,
-    graph: Optional[DataGraph] = None,
+    graph: Optional[CompactGraph] = None,
     require_dag: bool = False,
-    tag: str = "",
 ) -> Pattern:
     """A query of roughly the requested size, contained in ``views`` by
     construction; when ``graph`` is given, prefer a seed whose query has
-    a nonempty answer so timing compares real work, not early exits."""
+    a nonempty answer so timing compares real work, not early exits.
+
+    Memoized on the ``views`` and ``graph`` objects themselves: a pick
+    checked against one graph is never reused for another."""
     def build():
         fallback = None
         for seed in range(12):
@@ -171,29 +164,12 @@ def pick_query(
                 fallback = query
             if graph is None:
                 return query
-            if isinstance(query, BoundedPattern):
-                result = bounded_match(query, graph)
-            else:
-                result = match(query, graph)
-            if result.result_size:
+            direct = bounded_match if isinstance(query, BoundedPattern) else match
+            if direct(query, graph).result_size:
                 return query
         return fallback
 
-    return _memo(("query", tag, num_nodes, num_edges, require_dag), build)
-
-
-def query_suite(
-    views: ViewSet,
-    sizes: List[Tuple[int, int]],
-    graph: Optional[DataGraph] = None,
-    require_dag: bool = False,
-    tag: str = "",
-) -> List[Tuple[Tuple[int, int], Pattern]]:
-    return [
-        (size, pick_query(views, size[0], size[1], graph=graph,
-                          require_dag=require_dag, tag=tag))
-        for size in sizes
-    ]
+    return _memo(("query", views, graph, num_nodes, num_edges, require_dag), build)
 
 
 def overlapping_views(seed: int = 17) -> Tuple[ViewSet, ViewSet]:

@@ -2,10 +2,12 @@
 
 import pytest
 
+from helpers import matchjoin_metrics
 from repro.bench import workloads
 from repro.bench.reporting import Table, timed
 from repro.core.containment import contains
 from repro.core.bounded.bcontainment import bounded_contains
+from repro.graph.io import pattern_to_json
 
 
 class TestTable:
@@ -66,12 +68,29 @@ class TestWorkloads:
 
     def test_pick_query_contained_and_preferring_nonempty(self):
         graph, views = workloads.synthetic(800)
-        query = workloads.pick_query(views, 4, 6, graph=graph, tag="t800")
+        query = workloads.pick_query(views, 4, 6, graph=graph)
         assert contains(query, views).holds
+
+    def test_pick_query_memo_is_per_graph(self):
+        """Picks at one scale never leak into another: after picking at
+        scale 0.05, the picks at 0.1 are the ones a fresh process makes."""
+        def picks(scale):
+            graph, views = workloads.dataset("amazon", scale)
+            return [
+                pattern_to_json(workloads.pick_query(views, n, m, graph=graph))
+                for n, m in workloads.AMAZON_SIZES
+            ]
+
+        first = picks(0.05)
+        after = picks(0.1)
+        workloads.clear_cache()
+        fresh = picks(0.1)
+        assert after == fresh
+        assert after != first  # the two scales do pick differently
 
     def test_bounded_suite_promotion(self):
         graph, views = workloads.synthetic(600)
-        bounded = workloads.bounded_suite(views, 3, tag="t600")
+        bounded = workloads.bounded_suite(views, 3)
         assert bounded.cardinality == views.cardinality
         for definition in bounded:
             assert definition.is_bounded
@@ -81,7 +100,7 @@ class TestWorkloads:
     def test_bounded_dataset_materializes(self):
         graph, views = workloads.synthetic_bounded(600, 2)
         assert all(views.is_materialized(n) for n in views.names())
-        query = workloads.pick_query(views, 3, 4, graph=graph, tag="b600")
+        query = workloads.pick_query(views, 3, 4, graph=graph)
         assert bounded_contains(query, views).holds
 
     def test_overlapping_views_structure(self):
@@ -101,12 +120,16 @@ class TestExperimentRegistry:
 
     def test_tiny_scale_run(self):
         """One experiment end-to-end at tiny scale produces a table with
-        the right columns."""
+        the right columns, every join on the id path the engine serves
+        (views materialized on the frozen snapshot), none on node keys."""
         from repro.bench.experiments import exp_fig8d
 
         workloads.clear_cache()
         try:
-            table = exp_fig8d(scale=0.1)
+            with matchjoin_metrics() as count:
+                table = exp_fig8d(scale=0.1)
+                assert count("total", "ids") > 0
+                assert count("total", "keys") == 0
         finally:
             workloads.clear_cache()
         assert table.headers[0] == "|V|"

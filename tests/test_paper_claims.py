@@ -4,9 +4,15 @@ These run the real dataset generators + view suites + query workloads
 (scaled down for test speed) and assert the *claims* the evaluation
 makes, so a regression in any layer shows up as a broken claim rather
 than a silent benchmark drift.
+
+Every claim is checked on the path the engine serves: views are
+materialized on the frozen snapshot, MatchJoin sweeps their id rows
+(each join asserts it made no node-key join) and Match runs on the
+snapshot.  The dict graph is kept only as the oracle.
 """
 
 import time
+from contextlib import contextmanager
 
 import pytest
 
@@ -37,28 +43,36 @@ from repro.bench.workloads import (
 from repro.simulation import bounded_match, match
 
 
+def _served(graph, views):
+    """``(oracle, snapshot, views)``: ``views`` materialized on
+    ``graph.freeze()``; ``graph`` answers the oracle side only."""
+    snapshot = graph.freeze()
+    views.materialize(snapshot)
+    return graph, snapshot, views
+
+
+@contextmanager
+def ids_path():
+    """Fail if a MatchJoin inside joined on node keys, not snapshot ids."""
+    with matchjoin_metrics() as count:
+        yield
+        assert count("total", "ids") > 0
+        assert count("total", "keys") == 0
+
+
 @pytest.fixture(scope="module")
 def amazon():
-    graph = amazon_graph(8000, 24000, seed=5)
-    views = amazon_views()
-    views.materialize(graph)
-    return graph, views
+    return _served(amazon_graph(8000, 24000, seed=5), amazon_views())
 
 
 @pytest.fixture(scope="module")
 def citation():
-    graph = citation_graph(8000, 20000, seed=5)
-    views = citation_views()
-    views.materialize(graph)
-    return graph, views
+    return _served(citation_graph(8000, 20000, seed=5), citation_views())
 
 
 @pytest.fixture(scope="module")
 def youtube():
-    graph = youtube_graph(8000, 23000, seed=5)
-    views = youtube_views()
-    views.materialize(graph)
-    return graph, views
+    return _served(youtube_graph(8000, 23000, seed=5), youtube_views())
 
 
 class TestTheorem1OnDatasets:
@@ -66,51 +80,55 @@ class TestTheorem1OnDatasets:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_amazon(self, amazon, seed):
-        graph, views = amazon
+        graph, _, views = amazon
         query = query_from_views(views, 5, 8, seed=seed)
         containment = contains(query, views)
         assert containment.holds
-        assert (
-            match_join(query, containment, views).edge_matches
-            == match(query, graph).edge_matches
-        )
+        with ids_path():
+            assert (
+                match_join(query, containment, views).edge_matches
+                == match(query, graph).edge_matches
+            )
 
     @pytest.mark.parametrize("seed", range(4))
     def test_citation(self, citation, seed):
-        graph, views = citation
+        graph, _, views = citation
         query = query_from_views(views, 5, 8, seed=seed, require_dag=True)
         containment = contains(query, views)
         assert containment.holds
-        assert (
-            match_join(query, containment, views).edge_matches
-            == match(query, graph).edge_matches
-        )
+        with ids_path():
+            assert (
+                match_join(query, containment, views).edge_matches
+                == match(query, graph).edge_matches
+            )
 
     @pytest.mark.parametrize("seed", range(4))
     def test_youtube(self, youtube, seed):
-        graph, views = youtube
+        graph, _, views = youtube
         query = query_from_views(views, 5, 8, seed=seed)
         containment = contains(query, views)
         assert containment.holds
-        assert (
-            match_join(query, containment, views).edge_matches
-            == match(query, graph).edge_matches
-        )
+        with ids_path():
+            assert (
+                match_join(query, containment, views).edge_matches
+                == match(query, graph).edge_matches
+            )
 
 
 class TestTheorem8OnDatasets:
     def test_bounded_amazon(self, amazon):
-        graph, plain_views = amazon
-        views = bounded_suite(plain_views, 2, tag="claims-amazon")
-        views.materialize(graph)
+        graph, snapshot, plain_views = amazon
+        views = bounded_suite(plain_views, 2)
+        views.materialize(snapshot)
         query = query_from_views(views, 4, 6, seed=1)
         containment = bounded_contains(query, views)
         assert containment.holds
         minimal = bounded_minimal_views(query, views)
-        assert (
-            bounded_match_join(query, minimal, views).edge_matches
-            == bounded_match(query, graph).edge_matches
-        )
+        with ids_path():
+            assert (
+                bounded_match_join(query, minimal, views).edge_matches
+                == bounded_match(query, graph).edge_matches
+            )
 
 
 class TestPerformanceClaims:
@@ -118,16 +136,17 @@ class TestPerformanceClaims:
     cannot flake them, but a complexity regression still trips them."""
 
     def test_matchjoin_beats_match_on_youtube(self, youtube):
-        graph, views = youtube
+        _, snapshot, views = youtube
         query = query_from_views(views, 5, 8, seed=0)
         containment = minimal_views(query, views)
-        t_match = timed(match, query, graph, repeat=2)
-        t_join = timed(match_join, query, containment, views, repeat=2)
+        t_match = timed(match, query, snapshot, repeat=2)
+        with ids_path():
+            t_join = timed(match_join, query, containment, views, repeat=2)
         assert t_join < t_match
 
     def test_containment_analysis_under_budget(self, youtube):
         """Paper: containment checking takes < 0.5s on complex patterns."""
-        graph, views = youtube
+        _, _, views = youtube
         query = query_from_views(views, 8, 12, seed=2)
         start = time.perf_counter()
         minimal_views(query, views)
@@ -137,11 +156,11 @@ class TestPerformanceClaims:
 
     def test_extension_fraction_below_one(self, amazon, citation, youtube):
         """V(G) is nonempty and (much) smaller than G on every dataset."""
-        for graph, views in (amazon, citation, youtube):
-            assert 0 < views.extension_fraction(graph) < 0.6
+        for _, snapshot, views in (amazon, citation, youtube):
+            assert 0 < views.extension_fraction(snapshot) < 0.6
 
     def test_minimum_never_larger_than_minimal_on_suites(self, youtube):
-        graph, views = youtube
+        _, _, views = youtube
         cases = [(views, query_from_views(views, 5, 8, seed=s)) for s in range(4)]
         # Fig. 8(h)'s suite: small views listed first, composites last.
         overlapping, composites = overlapping_views()
@@ -159,7 +178,7 @@ class TestPerformanceClaims:
         """Paper: 3-6 views answer a YouTube query; the Amazon and
         Citation suites stay in the same band."""
         suites = ((youtube, False), (amazon, False), (citation, True))
-        for (graph, views), dag in suites:
+        for (_, _, views), dag in suites:
             for seed in range(4):
                 query = query_from_views(
                     views, 5, 8, seed=seed, require_dag=dag
@@ -177,15 +196,14 @@ class TestRankOptimization:
     @pytest.mark.parametrize("alpha", [1.0, 1.1, 1.25])
     @pytest.mark.parametrize("num_nodes", [500, 3000])
     def test_fewer_edge_sweeps_than_naive_passes(self, num_nodes, alpha):
-        graph, views = densification(num_nodes, alpha)
-        query = pick_query(
-            views, 4, 6, graph=graph, tag=f"dens{num_nodes}:{alpha}"
-        )
+        snapshot, views = densification(num_nodes, alpha)
+        query = pick_query(views, 4, 6, graph=snapshot)
         minimum = minimum_views(query, views)
         with matchjoin_metrics() as count:
             optimized = match_join(query, minimum, views)
             naive = match_join(query, minimum, views, optimized=False)
-            sweeps = sum(count("sweeps_total", p) for p in ("ids", "keys"))
+            assert (count("total", "ids"), count("total", "keys")) == (1, 0)
+            sweeps = count("sweeps_total", "ids")
             passes = count("sweeps_total", "naive")
         assert optimized.result_size > 0
         assert optimized.edge_matches == naive.edge_matches
