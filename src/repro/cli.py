@@ -335,7 +335,7 @@ def _cmd_snapshot_save(args) -> int:
     except OSError as err:
         return _error(err)
     if views is not None:
-        views.materialize(graph)
+        views.materialize(graph.freeze())  # the snapshot the save writes
     try:
         manifest = SnapshotStore.save(
             args.out, graph, views=views, overwrite=args.overwrite

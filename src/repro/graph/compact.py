@@ -6,7 +6,8 @@ tables in one :class:`~repro.graph.flatbuf.FlatStore`: dense ids
 ``0..n-1``, ``(indptr, indices)`` pairs of 64-bit ints for successors,
 predecessors and per-node label rows, and a **sorted id bucket** per
 label.  Node keys and attribute dicts (the graph's own, never copied)
-stay Python lists in process, pickled only on save.  The engines
+stay Python lists in process, JSON tables of the store only once saved
+(:meth:`CompactGraph.saved_store`).  The engines
 exploit the layout twice over: *seeding* reads candidate sets off the
 label buckets and per-attribute sorted columns
 (:meth:`CompactGraph.candidate_ids`) instead of scanning every node --
@@ -24,25 +25,26 @@ so downstream caches exchange raw ids only within one.  A snapshot
 the base tables, carries rebuilt rows and appended nodes in a *patch*
 overlay, keeps every node's id and records its predecessor's token in
 :attr:`extends_token`: the maintenance pipeline's licence to re-stamp
-extensions of unchanged views.  A save or a pickle writes *store + meta
-+ patch*.  The read API mirrors :class:`DataGraph` over the original
-node keys, so every generic engine runs on a snapshot unchanged; the
-id-space API (``out_ids``, ``label_ids``, ``node_of`` ...) serves the
-fast paths.
+extensions of unchanged views.  A save writes *store + meta + patch*; a
+pickle also carries a fresh store's node keys and attrs.  The read API
+mirrors :class:`DataGraph` over the original node keys, so every
+generic engine runs on a snapshot unchanged; the id-space API
+(``out_ids``, ``label_ids``, ``node_of`` ...) serves the fast paths.
 """
 
 from __future__ import annotations
 
 import os
-import pickle
 from array import array
 from bisect import bisect_left, bisect_right
+from functools import partial
 from itertools import accumulate, chain, count, islice, repeat
 from operator import itemgetter, ne, sub
 from typing import Any, Dict, FrozenSet, Hashable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.graph.conditions import AttributeCondition, Label, TrueCondition
 from repro.graph.flatbuf import FlatStore
+from repro.graph.io import node_from_json, node_to_json
 from repro.obs.metrics import get_registry
 
 Node = Hashable
@@ -83,8 +85,55 @@ def _new_token() -> int:
     return int.from_bytes(os.urandom(8), "big") | 1
 
 
-def _pickled(obj) -> bytes:
-    return pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+class SnapshotError(ValueError):
+    """A snapshot directory is missing, malformed or would be clobbered
+    without ``overwrite=True``, or a saved key or attribute has no JSON form."""
+
+
+#: The values JSON carries unchanged: a saved attribute value is one, a
+#: saved node key one or a tuple.
+_SCALARS = (str, int, float, bool, type(None))
+
+
+def _keys_to_json(nodes: List[Node]) -> list:
+    """Node keys as a JSON doc (tuple keys as lists), or a
+    :class:`SnapshotError` naming a key of another type."""
+    kinds = set(map(type, nodes))
+    if not kinds <= {*_SCALARS, tuple}:
+        node = next(node for node in nodes if type(node) not in (*_SCALARS, tuple))
+        raise SnapshotError(f"node {node!r}: a saved key is a str, int, float, bool, "
+                            "None or a tuple of them")
+    return list(map(node_to_json, nodes)) if tuple in kinds else nodes
+
+
+def _attrs_to_json(nodes, attrs: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
+    """The attribute dicts of ``nodes`` as a JSON doc, or a
+    :class:`SnapshotError` naming a node with a value JSON cannot carry."""
+    for node, found in zip(nodes, attrs):
+        for name, value in found.items():
+            if type(value) not in _SCALARS:
+                raise SnapshotError(f"node {node!r}: attribute {name!r} = {value!r} "
+                                    "is not str, int, float, bool or None")
+    return attrs
+
+
+def patch_to_json(patch) -> dict:
+    """A :meth:`CompactGraph.refreshed` overlay as a JSON doc: rows and
+    buckets as ``[key, [ids]]`` pairs, appended nodes through the key
+    and attribute codecs, label sets as sorted lists."""
+    doc = {key: list(patch[key].items()) for key in ("succ", "pred", "buckets")}
+    nodes = patch["nodes"]
+    doc.update(nodes=_keys_to_json(nodes), attrs=_attrs_to_json(nodes, patch["attrs"]))
+    doc["labels"] = list(map(sorted, patch["labels"]))
+    return doc
+
+
+def patch_from_json(doc) -> dict:
+    """The overlay :func:`patch_to_json` wrote."""
+    patch = {key: {k: tuple(ids) for k, ids in doc[key]} for key in ("succ", "pred", "buckets")}
+    patch.update(nodes=list(map(node_from_json, doc["nodes"])), attrs=doc["attrs"])
+    patch["labels"] = list(map(frozenset, doc["labels"]))
+    return patch
 
 
 def _csr(rows, encode=None) -> Tuple[array, array]:
@@ -143,27 +192,34 @@ def _label_decoder(store: FlatStore):
     return lambda row: frozenset(map(names.__getitem__, row))
 
 
+def _stored_keys(store: FlatStore) -> List[Node]:
+    """A store's node keys: no per-key call unless a tuple key is among them."""
+    keys = store.obj("nodes")
+    return list(map(node_from_json, keys)) if list in set(map(type, keys)) else keys
+
+
+def _stored_attrs(store: FlatStore) -> List[Dict[str, Any]]:
+    # ``null`` stands for a base of attribute-less nodes.
+    return store.obj("attrs") or [{} for _ in range(len(store.ints("succ_indptr")) - 1)]
+
+
 class _Table:
-    """An id-indexed list a store holds as a pickled blob (node keys,
-    attribute dicts), unpickled on first use, followed by the entries
-    of the nodes refreshes appended.  An empty ``attrs`` blob stands for
-    a base of attribute-less nodes."""
+    """An id-indexed list built by ``source()`` on first use -- a
+    store's node keys or attribute dicts, a sharded graph's composite
+    decode table -- followed by the entries of the nodes refreshes
+    appended."""
 
-    __slots__ = ("_store", "_name", "_appended", "_table")
+    __slots__ = ("_source", "_appended", "_table")
 
-    def __init__(self, store: FlatStore, name: str, appended: List[Any]) -> None:
-        self._store = store
-        self._name = name
-        self._appended = appended
+    def __init__(self, source, appended: Sequence[Any] = ()) -> None:
+        self._source = source
+        self._appended = list(appended)
         self._table: Optional[List[Any]] = None
 
     def _load(self) -> List[Any]:
         table = self._table
         if table is None:
-            store, name = self._store, self._name
-            table = store.obj(name) if store.header[name][2] else [
-                {} for _ in range(len(store.ints("succ_indptr")) - 1)
-            ]
+            table = self._source()
             table = self._table = table + self._appended if self._appended else table
         return table
 
@@ -177,10 +233,10 @@ class _Table:
         return iter(self._load())
 
     def __add__(self, appended: List[Any]) -> "_Table":
-        return _Table(self._store, self._name, self._appended + appended)
+        return _Table(self._source, self._appended + appended)
 
     def __reduce__(self):
-        return (_Table, (self._store, self._name, self._appended))
+        return (_Table, (self._source, self._appended))
 
 
 class CompactGraph:
@@ -215,9 +271,7 @@ class CompactGraph:
             ("bucket", [sorted(map(id_of, graph.nodes_with_label(l))) for l in names], None),
         ):
             arrays[kind + "_indptr"], arrays[kind + "_indices"] = _csr(rows, encode)
-        store = FlatStore.pack(
-            arrays, {"labels": _pickled(tuple(names)), "label_slots": _pickled(slot_of)}
-        )
+        store = FlatStore.pack(arrays, {"labels": names})
         self._bind(store, None, (len(nodes), graph.num_edges, version, _new_token(), None))
         self._nodes = nodes
         self._ids = ids
@@ -235,8 +289,8 @@ class CompactGraph:
         self._labels = _rows(
             store, "label_row", _label_decoder(store), n, enumerate(patch["labels"], base)
         )
-        self._nodes = _Table(store, "nodes", patch["nodes"])
-        self._attrs = _Table(store, "attrs", patch["attrs"])
+        self._nodes = _Table(partial(_stored_keys, store), patch["nodes"])
+        self._attrs = _Table(partial(_stored_attrs, store), patch["attrs"])
         self._ids = None
         # Decoded label buckets, node-key adjacency frozensets (for the
         # generic engines) and per-attribute candidate columns: all
@@ -341,28 +395,28 @@ class CompactGraph:
         return self._flat
 
     def saved_store(self) -> FlatStore:
-        """What a save writes and a pickle carries: the base tables plus
-        the base nodes' keys and attrs as pickled blobs.  A snapshot
-        attached to such a store returns it as it is."""
+        """What a save writes: the base tables plus the base nodes' keys
+        and attrs as JSON tables.  A snapshot attached to such a store
+        returns it as it is."""
         store = self._flat
         if "nodes" in store.header:
             return store
         base = len(store.ints("succ_indptr")) - 1
+        nodes = list(islice(self._nodes, base))
         attrs = list(islice(self._attrs, base))
-        kinds = {name: kind for name, (kind, _, _) in store.header.items()}
-        return FlatStore.pack(
-            {name: store.ints(name) for name, kind in kinds.items() if kind == "q"},
-            {
-                **{name: store.blob(name) for name, kind in kinds.items() if kind == "blob"},
-                "nodes": _pickled(list(islice(self._nodes, base))),
-                "attrs": _pickled(attrs) if any(attrs) else b"",
-            },
-        )
+        ints = {name: store.ints(name) for name, (kind, *_) in store.header.items() if kind == "q"}
+        attrs = _attrs_to_json(nodes, attrs) if any(attrs) else None
+        docs = {"labels": store.obj("labels"), "nodes": _keys_to_json(nodes), "attrs": attrs}
+        return FlatStore.pack(ints, docs)
 
     def __reduce__(self):
+        # The store, plus the node keys and attrs where it lacks them:
+        # in process any hashable key travels, a save needs JSON's.
         meta = (self._num_nodes, self._num_edges, self.snapshot_version,
                 self.snapshot_token, self.extends_token)
-        return (_attach, (self.saved_store(), self._patch, meta))
+        if "nodes" in self._flat.header:
+            return (_attach, (self._flat, self._patch, meta))
+        return (_attach, (self._flat, self._patch, meta, list(self._nodes), list(self._attrs)))
 
     # ------------------------------------------------------------------
     # Integer-id API (the fast paths)
@@ -450,9 +504,10 @@ class CompactGraph:
         bucket = self._buckets.get(label)
         if bucket is None:
             store = self._flat
-            slot = store.obj("label_slots").get(label)
+            names = store.obj("labels")
+            slot = bisect_left(names, label)
             bucket = ()
-            if slot is not None:
+            if slot < len(names) and names[slot] == label:
                 indptr = store.ints("bucket_indptr")
                 bucket = tuple(store.ints("bucket_indices")[indptr[slot] : indptr[slot + 1]])
             if self._patch:
@@ -752,10 +807,13 @@ class CompactGraph:
         )
 
 
-def _attach(store: FlatStore, patch, meta) -> CompactGraph:
+def _attach(store: FlatStore, patch, meta, nodes=None, attrs=None) -> CompactGraph:
     """The snapshot over a saved or unpickled store (``meta`` is
-    ``(nodes, edges, version, token, extends_token)``): nothing is
+    ``(nodes, edges, version, token, extends_token)``; ``nodes`` /
+    ``attrs``, every node's, when the store holds none): nothing is
     decoded until a read asks for it."""
     snapshot = CompactGraph.__new__(CompactGraph)
     snapshot._bind(store, patch, meta)
+    if nodes is not None:
+        snapshot._nodes, snapshot._attrs = nodes, attrs
     return snapshot

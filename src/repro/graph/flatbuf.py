@@ -4,16 +4,16 @@ The paper's complexity bounds (Theorems 1-3 and the MatchJoin algorithm
 of Section V) assume an indexed, array-addressable graph.  A
 :class:`~repro.graph.compact.CompactGraph` keeps its CSR tables --
 ``(indptr, indices)`` pairs of 64-bit ints for adjacency, label rows and
-label buckets, plus pickled blobs for node keys and attributes once it
-is saved -- in one :class:`FlatStore`: the tables packed into **one
-byte segment** behind a small header (``{table: (kind, offset,
-nbytes)}``).  A segment is backed one of two ways:
+label buckets, plus JSON docs for label names and, once it is saved,
+node keys and attributes -- in one :class:`FlatStore`: the tables packed
+into **one byte segment** behind a small header (``{table: (kind,
+offset, nbytes)}``).  A segment is backed one of two ways:
 
 * ``bytes`` -- a private in-process ``bytearray``, which is what
   :meth:`FlatStore.pack` builds;
 * ``file`` -- a **versioned on-disk segment** (fixed
-  magic/version/checksum header, payload, then the pickled table
-  directory as a trailer) mapped read-only via ``mmap``, which is what
+  magic/version/checksum header, payload, then the table directory
+  as a JSON trailer) mapped read-only via ``mmap``, which is what
   makes snapshots durable: :meth:`FlatStore.save` writes one,
   :meth:`FlatStore.open` maps it back without rebuilding anything.
 
@@ -24,9 +24,9 @@ reference to its segment drops; nothing here ever deletes a file.
 
 from __future__ import annotations
 
+import json
 import mmap
 import os
-import pickle
 import struct
 import weakref
 import zlib
@@ -52,12 +52,12 @@ def __getattr__(name: str):
 _ITEMSIZE = 8  # all integer tables are 64-bit ('q')
 
 #: On-disk segment format: fixed little-endian header, then the payload
-#: (8-aligned, offset == header size), then the pickled table directory
-#: as a trailer (its length is only known after packing).  Fields:
+#: (8-aligned, offset == header size), then the table directory as a
+#: JSON trailer (its length is only known after packing).  Fields:
 #: magic, format version, flags (bit 0 = unsealed), payload bytes,
 #: payload CRC32, directory CRC32, directory bytes.
 SEGMENT_MAGIC = b"RFSEG\x00\x01\n"
-SEGMENT_FORMAT_VERSION = 1
+SEGMENT_FORMAT_VERSION = 2
 _FILE_HEADER = struct.Struct("<8sIIQIIQ")
 _FILE_HEADER_SIZE = _FILE_HEADER.size  # 40: keeps the payload 8-aligned
 _FLAG_UNSEALED = 1
@@ -170,7 +170,8 @@ def _read_segment_header(path) -> Tuple[int, int, Dict[str, Tuple[str, int, int]
             if version != SEGMENT_FORMAT_VERSION:
                 raise SegmentFormatError(
                     f"{path}: unsupported segment format version {version} "
-                    f"(this build reads version {SEGMENT_FORMAT_VERSION})"
+                    f"(this build reads version {SEGMENT_FORMAT_VERSION}; re-create "
+                    "the directory with `repro ingest` or `repro snapshot save`)"
                 )
             if flags & _FLAG_UNSEALED:
                 raise SegmentFormatError(
@@ -185,7 +186,7 @@ def _read_segment_header(path) -> Tuple[int, int, Dict[str, Tuple[str, int, int]
             dir_blob = fh.read(dir_nbytes)
         if zlib.crc32(dir_blob) != dir_crc:
             raise SegmentFormatError(f"{path}: table directory checksum mismatch")
-        table_header = pickle.loads(dir_blob) if dir_nbytes else {}
+        table_header = json.loads(dir_blob)
     except OSError as exc:
         raise SegmentFormatError(f"{path}: cannot read segment file ({exc})") from exc
     return payload_nbytes, payload_crc, table_header, size
@@ -225,15 +226,15 @@ def _release_views(arrays: Dict[str, memoryview]) -> None:
 
 
 # ----------------------------------------------------------------------
-# FlatStore: named tables + blobs in one segment behind a small header
+# FlatStore: named int and JSON tables in one segment behind a header
 # ----------------------------------------------------------------------
 class FlatStore:
     """Named flat tables packed into one :class:`Segment`.
 
     Two table kinds: ``"q"`` -- an ``array('q')`` of 64-bit ints,
-    8-byte aligned, exposed as a zero-copy memoryview -- and ``"blob"``
-    -- an opaque byte string (usually a pickle) decoded at most once
-    per store via :meth:`obj`.
+    8-byte aligned, exposed as a zero-copy memoryview -- and ``"json"``
+    -- a compact JSON document, decoded at most once per store via
+    :meth:`obj`.
 
     The header (``{name: (kind, offset, nbytes)}``) is *not* part of the
     payload: it rides in the pickle of whatever object owns the store,
@@ -253,16 +254,18 @@ class FlatStore:
         weakref.finalize(self, _release_views, self._arrays)
 
     @classmethod
-    def pack(cls, arrays: Dict[str, array], blobs: Dict[str, bytes]) -> "FlatStore":
-        """Lay the tables out in one fresh in-process segment."""
+    def pack(cls, arrays: Dict[str, array], docs: Dict[str, object]) -> "FlatStore":
+        """Lay the tables out in one fresh in-process segment: ``arrays``
+        as int tables, ``docs`` (JSON-ready values) as JSON tables."""
         header: Dict[str, Tuple[str, int, int]] = {}
         offset = 0
         for name, arr in arrays.items():
             nbytes = len(arr) * _ITEMSIZE
             header[name] = ("q", offset, nbytes)
             offset += nbytes  # arrays first: offsets stay 8-aligned
+        blobs = {name: _encode(doc) for name, doc in docs.items()}
         for name, blob in blobs.items():
-            header[name] = ("blob", offset, len(blob))
+            header[name] = ("json", offset, len(blob))
             offset += len(blob)
         payload = bytearray(offset)
         buf = memoryview(payload)
@@ -279,7 +282,7 @@ class FlatStore:
         the file size.  The table directory rides in the file (trailer),
         so :meth:`open` needs nothing but the path."""
         path = os.fspath(path)
-        dir_blob = pickle.dumps(self.header, protocol=pickle.HIGHEST_PROTOCOL)
+        dir_blob = _encode(self.header)
         payload = self.segment.buf
         header = _FILE_HEADER.pack(
             SEGMENT_MAGIC, SEGMENT_FORMAT_VERSION, 0, self.segment.nbytes,
@@ -322,17 +325,12 @@ class FlatStore:
             self._arrays[name] = view
         return view
 
-    def blob(self, name: str) -> memoryview:
-        _, start, nbytes = self.header[name]
-        return self.segment.buf[start : start + nbytes]
-
     def obj(self, name: str):
-        """Unpickle a blob table (memoized per store)."""
-        value = self._objs.get(name)
-        if value is None:
-            value = pickle.loads(self.blob(name))
-            self._objs[name] = value
-        return value
+        """Decode a JSON table (memoized per store)."""
+        if name not in self._objs:
+            _, start, nbytes = self.header[name]
+            self._objs[name] = json.loads(bytes(self.segment.buf[start : start + nbytes]))
+        return self._objs[name]
 
     def table_bytes(self) -> Dict[str, int]:
         """Per-table byte footprint (the ``repro stats`` memory section)."""
@@ -352,6 +350,11 @@ class FlatStore:
 
     def __repr__(self) -> str:
         return f"FlatStore({len(self.header)} tables, {self.total_bytes}B, {self.backend})"
+
+
+def _encode(doc) -> bytes:
+    """The compact JSON encoding of ``doc`` (JSON tables, trailers)."""
+    return json.dumps(doc, separators=(",", ":")).encode()
 
 
 def _attach_store(kind, value, nbytes, header) -> FlatStore:

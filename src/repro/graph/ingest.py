@@ -33,12 +33,11 @@ from __future__ import annotations
 import gc
 import logging
 import os
-import pickle
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Tuple
 
-from repro.graph.compact import _new_token
+from repro.graph.compact import _new_token, _stored_keys
 from repro.graph.digraph import DataGraph
 from repro.graph.flatbuf import FlatStore
 from repro.graph.snapshot import (
@@ -88,18 +87,7 @@ class IngestReport:
     shard_stats: List[Dict[str, int]] = field(default_factory=list)
 
     def to_json(self) -> Dict[str, object]:
-        return {
-            "out_dir": self.out_dir,
-            "edges": self.edges,
-            "nodes": self.nodes,
-            "shards": self.shards,
-            "cut_edges": self.cut_edges,
-            "spill_bytes": self.spill_bytes,
-            "on_disk_bytes": self.on_disk_bytes,
-            "peak_rss_bytes": self.peak_rss_bytes,
-            "seconds": self.seconds,
-            "shard_stats": self.shard_stats,
-        }
+        return asdict(self)
 
 
 def ingest_snapshot(
@@ -197,8 +185,7 @@ def _ingest_into(
     # Node tables are re-read from the sealed segments per pair and
     # dropped again, never memoized, so the peak stays a shard pair.
     def names_of(shard: int):
-        store = FlatStore.open(os.path.join(dirpath, entries[shard]["segment"]))
-        return pickle.loads(store.blob("nodes"))
+        return _stored_keys(FlatStore.open(os.path.join(dirpath, entries[shard]["segment"])))
 
     def metered(stores):
         nonlocal peak

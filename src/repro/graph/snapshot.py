@@ -7,26 +7,29 @@ plus a ``manifest.json``; :meth:`SnapshotStore.load` maps them back
 read-only -- no edge list is re-read, no CSR is rebuilt, and a reload
 touches only the pages a query visits.
 
-Directory layout (format 2)::
+Directory layout (format 3)::
 
     snapshot/                  # the path callers name
       gen-7/                   # live: the highest gen-N holding a manifest
         manifest.json          # kind, counts, tokens, file map (written last)
         graph.seg              # compact: the snapshot's flat segment
-        patch.pkl              # compact: refreshed() overlay (optional)
+        patch.json             # compact: refreshed() overlay (optional)
         shard-000.seg ...      # sharded: one sealed segment per shard
         boundary-000.seg ...   # sharded: per-shard boundary rows (int tables)
-        patch-000.pkl ...      # sharded: per-shard patch overlays (optional)
-        view-000.seg/.pkl ...  # FlatExtension view packs (compact snapshots)
-        view-000.view ...      # plain pickled views (sharded snapshots)
+        patch-000.json ...     # sharded: per-shard patch overlays (optional)
+        view-000.seg ...       # a view's id rows (FlatExtension.pack)
+        view-000.json ...      # its definition, edge order and provenance
+
+Every file is a segment of int and JSON tables or a JSON document, and
+a view has one form on both layouts: its id rows, decoded through the
+loaded graph's own node table.
 
 Every save and every ingest writes a fresh generation, fsyncing each
 file as it goes.  The atomic rename of its manifest, written last, is
 the one commit point; only after it are older generations removed
 (:func:`write_directory`), so a kill at any instant leaves the previous
 snapshot or the new one live.  :func:`live_directory` is the one reader
-of the layout.  A directory written before generations holds its files
-directly; it still loads, and its next save rewrites it as ``gen-1``.
+of the layout.
 
 Provenance survives the round trip: ``snapshot_token`` /
 ``extends_token`` and any ``refreshed()`` patch overlay are persisted
@@ -39,40 +42,35 @@ flat int rows (``boundary-NNN.seg``, see
 manifest plus one ``mmap`` attach per file; everything keyed by node
 *name* (home map, ghost maps, the decode table, cross-shard
 predecessors) is derived from the shards on first name-based access.
-A sharded directory comes from ``repro ingest``; a manifest's
-``strategy`` field (written before hash placement was the only rule) is
-ignored.  Format 1 directories, which rebuilt all of that on every
-load, are refused: re-create them with ``repro ingest`` or ``repro
-snapshot save``.
+A sharded directory comes from ``repro ingest``.  Directories of an
+older format (format 2 held pickles) are refused: re-create them with
+``repro ingest`` or ``repro snapshot save``.
 """
 
 from __future__ import annotations
 
 import json
-import logging
 import os
-import pickle
 import time
-from typing import Any, Dict, Iterable, List, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
-from repro.graph.compact import CompactGraph, _attach
+from repro.graph.compact import (
+    CompactGraph,
+    SnapshotError,
+    _attach,
+    patch_from_json,
+    patch_to_json,
+)
 from repro.graph.flatbuf import FlatStore, _read_segment_header, verify_segment_file
 
-log = logging.getLogger(__name__)
-
 MANIFEST_NAME = "manifest.json"
-SNAPSHOT_FORMAT = 2
-
-
-class SnapshotError(ValueError):
-    """A snapshot directory is missing, malformed, or would be
-    clobbered without ``overwrite=True``."""
+SNAPSHOT_FORMAT = 3
 
 
 # ----------------------------------------------------------------------
 # LoadedSnapshot
 # ----------------------------------------------------------------------
-class LoadedSnapshot:
+class LoadedSnapshot(NamedTuple):
     """The product of :meth:`SnapshotStore.load`.
 
     ``graph`` is a :class:`~repro.graph.compact.CompactGraph` or
@@ -82,13 +80,10 @@ class LoadedSnapshot:
     :class:`~repro.views.storage.ViewSet`.
     """
 
-    __slots__ = ("path", "graph", "views", "manifest")
-
-    def __init__(self, path: str, graph, views: Dict[str, Any], manifest: dict):
-        self.path = path
-        self.graph = graph
-        self.views = views
-        self.manifest = manifest
+    path: str
+    graph: Any
+    views: Dict[str, Any]
+    manifest: dict
 
     def viewset(self):
         """A ViewSet holding the persisted definitions and extensions."""
@@ -98,12 +93,6 @@ class LoadedSnapshot:
         for view in self.views.values():
             views.set_extension(view)
         return views
-
-    def __repr__(self) -> str:
-        return (
-            f"LoadedSnapshot({self.path!r}, kind={self.manifest.get('kind')!r}, "
-            f"views={len(self.views)})"
-        )
 
 
 # ----------------------------------------------------------------------
@@ -121,10 +110,10 @@ class SnapshotStore:
         :class:`CompactGraph` or a
         :class:`~repro.shard.sharded.ShardedGraph`.  The tables it holds
         are written as they are; the object passed in is not changed.
-        ``views`` is a ViewSet or ``{name: MaterializedView}`` mapping;
-        views whose payload is a FlatExtension bound to this exact
-        compact snapshot are saved as attachable segment files,
-        everything else falls back to a plain pickle.
+        ``views`` is a ViewSet or ``{name: MaterializedView}`` mapping,
+        every view materialized on this snapshot (its id rows are what
+        is saved); any other view is refused with a
+        :class:`SnapshotError`.
 
         Every save is a new generation of ``path`` (see
         :func:`write_directory`); a populated ``path`` needs
@@ -132,7 +121,7 @@ class SnapshotStore:
         previous snapshot or this one loadable.  Returns the manifest.
         """
         snapshot = _as_saveable(snapshot)
-        extensions = _as_extensions(views)
+        extensions = views.extensions() if hasattr(views, "extensions") else dict(views or {})
         return write_directory(
             path,
             lambda dirpath: _write_snapshot(dirpath, snapshot, extensions),
@@ -152,11 +141,11 @@ class SnapshotStore:
         :class:`~repro.graph.flatbuf.SegmentFormatError` on a corrupt
         segment file.
         """
-        live = live_directory(path)
-        manifest = _read_manifest(live)
+        live, manifest = _live_manifest(path)
         kind = manifest.get("kind")
         if kind == "compact":
-            graph = _load_compact(live, manifest, verify)
+            meta = [manifest["graph"][key] for key in _META_KEYS]
+            graph = _attach_tables(live, manifest["files"], meta, verify)
         elif kind == "sharded":
             graph = _load_sharded(live, manifest, verify)
         else:
@@ -182,19 +171,15 @@ class SnapshotStore:
         included (still without mapping them).
         """
         final = os.fspath(path)
-        live = live_directory(final)
-        manifest = _read_manifest(live)
+        live, manifest = _live_manifest(final)
         files = snapshot_files(final)
         headers = {
             entry: _read_segment_header(os.path.join(live, entry))[2]
             for entry in files
             if entry.endswith(".seg")
         }
-        verified: List[str] = []
-        if verify:
-            for entry in headers:
-                verify_segment_file(os.path.join(live, entry))
-                verified.append(entry)
+        for entry in headers if verify else ():
+            verify_segment_file(os.path.join(live, entry))
         boundary: Dict[str, Dict[str, int]] = {}
         if manifest.get("kind") == "sharded":
             from repro.shard.sharded import boundary_summary
@@ -204,8 +189,6 @@ class SnapshotStore:
                 boundary[fname] = dict(
                     boundary_summary(headers[fname]), bytes=files[fname]
                 )
-        # Outside the live snapshot: what an interrupted write left.
-        keep = set(files) if live == final else {os.path.basename(live)}
         return {
             "path": final,
             "manifest": manifest,
@@ -216,8 +199,9 @@ class SnapshotStore:
                 for entry, header in headers.items()
             },
             "boundary": boundary,
-            "verified_segments": verified,
-            "stale": sorted(set(os.listdir(final)) - keep),
+            "verified_segments": list(headers) if verify else [],
+            # Outside the live snapshot: what an interrupted write left.
+            "stale": sorted(set(os.listdir(final)) - {os.path.basename(live)}),
         }
 
 
@@ -236,9 +220,10 @@ def snapshot_files(path) -> Dict[str, int]:
 
 def live_directory(path) -> str:
     """The directory holding the snapshot at ``path``: its
-    highest-numbered ``gen-N`` with a manifest, else ``path`` itself (a
-    directory written before generations).  The one reader of the
-    layout: ``load``, ``info`` and :func:`snapshot_files` resolve here."""
+    highest-numbered ``gen-N`` with a manifest, else ``path`` itself,
+    which no reader takes for a snapshot (the error names it).  The one
+    reader of the layout: ``load``, ``info`` and :func:`snapshot_files`
+    resolve here."""
     final = os.fspath(path)
     for _, name in _generations(final):
         if os.path.isfile(os.path.join(final, name, MANIFEST_NAME)):
@@ -257,31 +242,19 @@ def _generations(path: str) -> List[Tuple[int, str]]:
 # ----------------------------------------------------------------------
 # Save internals
 # ----------------------------------------------------------------------
-def _as_saveable(snapshot):
-    """Normalize any graph form into a snapshot (compact or sharded)."""
-    from repro.graph.digraph import DataGraph
+def _as_saveable(graph):
+    """Any graph form as a snapshot, compact or sharded (its ``freeze()``)."""
     from repro.shard.sharded import ShardedGraph
 
-    if isinstance(snapshot, DataGraph):
-        snapshot = snapshot.freeze()
-    if isinstance(snapshot, (CompactGraph, ShardedGraph)):
-        return snapshot
-    raise SnapshotError(
-        f"cannot snapshot object of type {type(snapshot).__name__}"
-    )
+    snapshot = graph.freeze() if hasattr(graph, "freeze") else graph
+    if not isinstance(snapshot, (CompactGraph, ShardedGraph)):
+        raise SnapshotError(f"cannot snapshot object of type {type(graph).__name__}")
+    return snapshot
 
 
-def _as_extensions(views) -> Dict[str, Any]:
-    if views is None:
-        return {}
-    if hasattr(views, "extensions"):
-        return views.extensions()
-    return dict(views)
-
-
-def _dump(obj, path) -> None:
-    with open(path, "wb") as fh:
-        pickle.dump(obj, fh, protocol=pickle.HIGHEST_PROTOCOL)
+def _write_json(path: str, doc) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, separators=(",", ":"))
         fh.flush()
         os.fsync(fh.fileno())
 
@@ -304,7 +277,7 @@ def write_directory(path, write, overwrite: bool):
     ``write`` fsyncs what it writes and ends with :func:`commit_manifest`,
     the one commit point.  Then ``path`` and its parent are fsynced, and
     only then is every other entry of ``path`` removed: older or
-    unfinished generations, an old flat layout's files.  A ``write``
+    unfinished generations and anything else.  A ``write``
     that raises takes its generation (and a ``path`` this call created)
     with it.  Returns what ``write`` returned.
     """
@@ -343,11 +316,9 @@ def _write_snapshot(dirpath: str, snapshot, extensions: Dict[str, Any]) -> dict:
 
     if isinstance(snapshot, ShardedGraph):
         manifest = _write_sharded(dirpath, snapshot)
-        flat_token = None  # sharded views have no attachable segment form
     else:
         manifest = _write_compact(dirpath, snapshot)
-        flat_token = snapshot.snapshot_token
-    manifest["views"] = _write_views(dirpath, snapshot, extensions, flat_token)
+    manifest["views"] = _write_views(dirpath, snapshot, extensions)
     return commit_manifest(dirpath, manifest)
 
 
@@ -359,10 +330,7 @@ def commit_manifest(dirpath: str, manifest: dict) -> dict:
     manifest["format"] = SNAPSHOT_FORMAT
     manifest["created_at"] = time.time()
     tmp_manifest = os.path.join(dirpath, MANIFEST_NAME + ".tmp")
-    with open(tmp_manifest, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.flush()
-        os.fsync(fh.fileno())
+    _write_json(tmp_manifest, manifest)
     os.replace(tmp_manifest, os.path.join(dirpath, MANIFEST_NAME))
     _fsync_dir(dirpath)
     return manifest
@@ -373,13 +341,8 @@ _META_KEYS = ("nodes", "edges", "snapshot_version", "snapshot_token", "extends_t
 
 
 def _meta(snapshot) -> list:
-    return [
-        snapshot.num_nodes,
-        snapshot.num_edges,
-        snapshot.snapshot_version,
-        snapshot.snapshot_token,
-        snapshot.extends_token,
-    ]
+    return [snapshot.num_nodes, snapshot.num_edges, snapshot.snapshot_version,
+            snapshot.snapshot_token, snapshot.extends_token]
 
 
 def _write_tables(dirpath: str, snapshot: CompactGraph, entry: dict, patch: str) -> None:
@@ -387,13 +350,13 @@ def _write_tables(dirpath: str, snapshot: CompactGraph, entry: dict, patch: str)
     overlay, if it has one, as ``patch`` (recorded in ``entry``)."""
     snapshot.saved_store().save(os.path.join(dirpath, entry["segment"]))
     if snapshot._patch:
-        _dump(snapshot._patch, os.path.join(dirpath, patch))
+        _write_json(os.path.join(dirpath, patch), patch_to_json(snapshot._patch))
         entry["patch"] = patch
 
 
 def _write_compact(dirpath: str, snapshot: CompactGraph) -> dict:
     files = {"segment": "graph.seg"}
-    _write_tables(dirpath, snapshot, files, "patch.pkl")
+    _write_tables(dirpath, snapshot, files, "patch.json")
     graph = dict(zip(_META_KEYS, _meta(snapshot)))
     return {"kind": "compact", "graph": graph, "files": files}
 
@@ -413,7 +376,7 @@ def sharded_manifest(
     edge_cut: int,
 ) -> dict:
     """The ``kind: "sharded"`` manifest body for shard segments already
-    sealed under ``dirpath`` -- the one producer of the format-2
+    sealed under ``dirpath`` -- the one producer of the sharded
     layout, shared by :meth:`SnapshotStore.save` and streaming ingest.
 
     ``entries`` are the per-shard :func:`shard_entry` dicts; ``boundary``
@@ -439,7 +402,7 @@ def _write_sharded(dirpath: str, sharded) -> dict:
     entries: List[dict] = []
     for i, shard in enumerate(sharded.shards):
         entry = shard_entry(f"shard-{i:03d}.seg", shard)
-        _write_tables(dirpath, shard, entry, f"patch-{i:03d}.pkl")
+        _write_tables(dirpath, shard, entry, f"patch-{i:03d}.json")
         entries.append(entry)
     k = sharded.num_shards
     return sharded_manifest(
@@ -452,102 +415,78 @@ def _write_sharded(dirpath: str, sharded) -> dict:
     )
 
 
-def _write_views(
-    dirpath: str, snapshot, extensions: Dict[str, Any], flat_token
-) -> Dict[str, dict]:
+def _write_views(dirpath: str, snapshot, extensions: Dict[str, Any]) -> Dict[str, dict]:
+    """Save every view as its id rows (``view-NNN.seg``) plus a JSON doc
+    (``view-NNN.json``) of its definition, row order and provenance."""
+    from repro.views.flatpack import FlatExtension
+    from repro.views.io import stored_view_to_json
+
     out: Dict[str, dict] = {}
     for idx, name in enumerate(sorted(extensions)):
         view = extensions[name]
-        payload = getattr(view, "compact", None)
-        definition = getattr(view, "definition", None)
-        if definition is None:
-            log.warning("snapshot save: view %r has no definition; skipped", name)
-            continue
-        if payload is not None and payload.token == flat_token:
-            seg = f"view-{idx:03d}.seg"
-            meta = f"view-{idx:03d}.pkl"
-            if payload.store is None:
-                from repro.views.flatpack import FlatExtension
-
-                payload = FlatExtension.pack(snapshot, payload)
-            payload.store.save(os.path.join(dirpath, seg))
-            _dump(
-                {
-                    "definition": definition,
-                    "edge_order": payload.edge_order,
-                    "token": payload.token,
-                    "version": payload.version,
-                    "bounded": payload.distances is not None,
-                },
-                os.path.join(dirpath, meta),
+        payload = view.compact
+        if payload is None or payload.token != snapshot.snapshot_token:
+            raise SnapshotError(
+                f"view {name!r} is not bound to the snapshot being saved: "
+                "materialise it on that snapshot first"
             )
-            out[name] = {"kind": "flat", "segment": seg, "meta": meta}
-        else:
-            fname = f"view-{idx:03d}.view"
-            _dump(view, os.path.join(dirpath, fname))
-            out[name] = {"kind": "pickle", "pickle": fname}
+        if payload.store is None:
+            payload = FlatExtension.pack(snapshot, payload)
+        entry = {"segment": f"view-{idx:03d}.seg", "meta": f"view-{idx:03d}.json"}
+        payload.store.save(os.path.join(dirpath, entry["segment"]))
+        _write_json(os.path.join(dirpath, entry["meta"]), stored_view_to_json(view))
+        out[name] = entry
     return out
 
 
 # ----------------------------------------------------------------------
 # Load internals
 # ----------------------------------------------------------------------
-def _read_manifest(dirpath: str) -> dict:
+def _read_json(dirpath: str, fname: str):
     try:
-        with open(os.path.join(dirpath, MANIFEST_NAME), encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except FileNotFoundError:
-        raise SnapshotError(
-            f"{dirpath}: not a snapshot directory (no {MANIFEST_NAME})"
-        ) from None
+        with open(os.path.join(dirpath, fname), encoding="utf-8") as fh:
+            return json.load(fh)
     except (OSError, ValueError) as exc:
-        raise SnapshotError(f"{dirpath}: unreadable manifest ({exc})") from exc
+        raise SnapshotError(f"{dirpath}: {fname} is unreadable ({exc})") from exc
+
+
+def _live_manifest(path) -> Tuple[str, dict]:
+    """The live generation of the snapshot at ``path`` and its manifest,
+    refused unless this build reads its format."""
+    final = os.fspath(path)
+    live = live_directory(final)
+    if live == final:
+        raise SnapshotError(
+            f"{final}: not a snapshot directory (no gen-N/{MANIFEST_NAME}; "
+            "re-create it with `repro ingest` or `repro snapshot save`)"
+        )
+    manifest = _read_json(live, MANIFEST_NAME)
     fmt = manifest.get("format")
     if fmt != SNAPSHOT_FORMAT:
         raise SnapshotError(
-            f"{dirpath}: unsupported snapshot format {fmt!r} "
+            f"{live}: unsupported snapshot format {fmt!r} "
             f"(this build reads format {SNAPSHOT_FORMAT}; re-create the "
             "directory with `repro ingest` or `repro snapshot save`)"
         )
-    return manifest
+    return live, manifest
 
 
-def _load_pickle(dirpath: str, fname: str):
-    with open(os.path.join(dirpath, fname), "rb") as fh:
-        try:
-            return pickle.load(fh)
-        except (EOFError, pickle.UnpicklingError) as exc:
-            raise SnapshotError(
-                f"{dirpath}: {fname} is truncated or corrupt ({exc})"
-            ) from exc
-
-
-def _load_compact(dirpath: str, manifest: dict, verify: bool) -> CompactGraph:
-    files = manifest["files"]
-    store = FlatStore.open(os.path.join(dirpath, files["segment"]), verify=verify)
-    patch = _load_pickle(dirpath, files["patch"]) if "patch" in files else None
-    return _attach(store, patch, tuple(manifest["graph"][key] for key in _META_KEYS))
+def _attach_tables(dirpath: str, entry: dict, meta, verify: bool) -> CompactGraph:
+    """The snapshot over ``entry``'s segment and patch overlay."""
+    store = FlatStore.open(os.path.join(dirpath, entry["segment"]), verify=verify)
+    patch = patch_from_json(_read_json(dirpath, entry["patch"])) if "patch" in entry else None
+    return _attach(store, patch, tuple(meta))
 
 
 def _load_sharded(dirpath: str, manifest: dict, verify: bool):
     from repro.shard.sharded import ShardedGraph
 
-    shards: List[CompactGraph] = []
-    boundary: List[FlatStore] = []
-    for entry in manifest["shard_files"]:
-        store = FlatStore.open(
-            os.path.join(dirpath, entry["segment"]), verify=verify
-        )
-        patch = _load_pickle(dirpath, entry["patch"]) if "patch" in entry else None
-        shards.append(_attach(store, patch, tuple(entry["meta"])))
-        boundary.append(
-            FlatStore.open(os.path.join(dirpath, entry["boundary"]), verify=verify)
-        )
+    entries = manifest["shard_files"]
     g = manifest["graph"]
     return ShardedGraph(
-        shards,
+        [_attach_tables(dirpath, entry, entry["meta"], verify) for entry in entries],
         manifest["own_counts"],
-        boundary,
+        [FlatStore.open(os.path.join(dirpath, e["boundary"]), verify=verify) for e in entries],
         num_edges=g["edges"],
         edge_cut=manifest["edge_cut"],
         version=g["snapshot_version"],
@@ -557,28 +496,17 @@ def _load_sharded(dirpath: str, manifest: dict, verify: bool):
 
 
 def _load_views(dirpath: str, manifest: dict, graph, verify: bool) -> Dict[str, Any]:
-    entries = manifest.get("views") or {}
-    if not entries:
+    """Every saved view, its rows attached to decode through ``graph``'s
+    own node table (nothing is decoded until a query reads it)."""
+    if not manifest["views"]:
         return {}
-    from repro.views.flatpack import _attach_extension
-    from repro.views.view import _attach_view
+    from repro.views.io import stored_view_from_json
 
-    views: Dict[str, Any] = {}
-    for name, entry in entries.items():
-        if entry.get("kind") == "pickle":
-            views[name] = _load_pickle(dirpath, entry["pickle"])
-            continue
-        store = FlatStore.open(
-            os.path.join(dirpath, entry["segment"]), verify=verify
-        )
-        meta = _load_pickle(dirpath, entry["meta"])
-        flat = _attach_extension(
-            store,
+    return {
+        name: stored_view_from_json(
+            _read_json(dirpath, entry["meta"]),
+            FlatStore.open(os.path.join(dirpath, entry["segment"]), verify=verify),
             graph.node_table,
-            meta["edge_order"],
-            meta["token"],
-            meta["version"],
-            meta["bounded"],
         )
-        views[name] = _attach_view(meta["definition"], flat)
-    return views
+        for name, entry in manifest["views"].items()
+    }

@@ -58,7 +58,7 @@ from typing import (
     Tuple,
 )
 
-from repro.graph.compact import CompactGraph
+from repro.graph.compact import CompactGraph, _Table
 from repro.graph.flatbuf import FlatStore
 
 Node = Hashable
@@ -177,6 +177,9 @@ class ShardedGraph:
         self.snapshot_version = version
         self.snapshot_token = token
         self.extends_token = extends_token
+        # The global id -> node key decode table (shared, do not mutate),
+        # built on first read: a view attaches to it for free.
+        self.node_table = _Table(self._global_table)
 
     # ------------------------------------------------------------------
     # Shard access (what psim / materialize read)
@@ -269,10 +272,8 @@ class ShardedGraph:
         home = bisect_right(self._offsets, i) - 1
         return self._shards[home].node_of(i - self._offsets[home])
 
-    @cached_property
-    def node_table(self) -> List[Node]:
-        """The global id -> node key decode table (shared, do not
-        mutate); shard-major, so ids are dense across shards."""
+    def _global_table(self) -> List[Node]:
+        # Shard-major, so ids are dense across shards.
         table: List[Node] = []
         for shard, own in zip(self._shards, self._own_counts):
             table.extend(islice(shard.node_table, own))

@@ -241,7 +241,7 @@ class FlatExtension:
                 d_tgt.append(w)
                 d_val.append(d)
             arrays.update(dist_src=d_src, dist_tgt=d_tgt, dist_val=d_val)
-        store = FlatStore.pack(arrays=arrays, blobs={})
+        store = FlatStore.pack(arrays, {})
         return cls(snapshot_stamp(snapshot), base.edge_order, store, base.distances)
 
     def _ints(self, name: str) -> memoryview:

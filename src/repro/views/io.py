@@ -17,8 +17,9 @@ from repro.graph.io import (
     pattern_from_json,
     pattern_to_json,
 )
+from repro.views.flatpack import _attach_extension
 from repro.views.storage import ViewSet
-from repro.views.view import MaterializedView, ViewDefinition
+from repro.views.view import MaterializedView, ViewDefinition, _attach_view
 
 
 def definition_to_json(definition: ViewDefinition) -> Dict[str, Any]:
@@ -33,6 +34,27 @@ def definition_from_json(doc: Dict[str, Any]) -> ViewDefinition:
     """Rebuild a :class:`ViewDefinition` written by
     :func:`definition_to_json` (bounded patterns included)."""
     return ViewDefinition(doc["name"], pattern_from_json(doc["pattern"]))
+
+
+def stored_view_to_json(view: MaterializedView) -> Dict[str, Any]:
+    """What a snapshot directory saves beside a view's id rows
+    (``view-NNN.json``): its definition, row order and provenance."""
+    payload = view.compact
+    return {
+        "definition": definition_to_json(view.definition),
+        "edge_order": [[_node_to_json(v), _node_to_json(w)] for v, w in payload.edge_order],
+        "token": payload.token,
+        "version": payload.version,
+        "bounded": payload.distances is not None,
+    }
+
+
+def stored_view_from_json(doc: Dict[str, Any], store, nodes) -> MaterializedView:
+    """The view :func:`stored_view_to_json` described, its id rows in
+    ``store`` decoding through ``nodes`` (the loaded graph's table)."""
+    edges = [(_node_from_json(v), _node_from_json(w)) for v, w in doc["edge_order"]]
+    flat = _attach_extension(store, nodes, edges, doc["token"], doc["version"], doc["bounded"])
+    return _attach_view(definition_from_json(doc["definition"]), flat)
 
 
 def extension_to_json(extension: MaterializedView) -> Dict[str, Any]:

@@ -118,7 +118,7 @@ class TestBytesFallback:
 
     def test_flat_store_tables_identical_across_backends(self, tmp_path):
         # A save writes the tables the snapshot holds, plus its node
-        # keys and attrs (pickled only then).
+        # keys and attrs (JSON tables only then).
         g = _sample_graph(seed=6)
         bytes_tables = g.freeze().flat_store.table_bytes()
         loaded = _saved_and_loaded(g, tmp_path / "snap")
@@ -317,7 +317,7 @@ def _saved_store(tmp_path):
 
     store = FlatStore.pack(
         arrays={"xs": array("q", range(64)), "empty": array("q", [])},
-        blobs={"tag": pickle.dumps("hello")},
+        docs={"tag": "hello"},
     )
     path = tmp_path / "unit.seg"
     store.save(path)
@@ -362,7 +362,7 @@ class TestFileBackend:
 
     def test_directory_corruption_detected(self, tmp_path):
         path = _saved_store(tmp_path)
-        # The pickled table directory is the file's trailer.
+        # The JSON table directory is the file's trailer.
         bad = _corrupted_copy(path, path.stat().st_size - 1)
         with pytest.raises(SegmentFormatError):
             FlatStore.open(bad)
@@ -390,8 +390,8 @@ class TestFlatStore:
         from array import array
 
         arrays = {"a": array("q", [1, 2, 3]), "b": array("q", [])}
-        blobs = {"meta": pickle.dumps({"k": "v"})}
-        store = FlatStore.pack(arrays=arrays, blobs=blobs)
+        docs = {"meta": {"k": "v"}}
+        store = FlatStore.pack(arrays=arrays, docs=docs)
         assert list(store.ints("a")) == [1, 2, 3]
         assert list(store.ints("b")) == []
         assert store.obj("meta") == {"k": "v"}
@@ -406,7 +406,7 @@ class TestFlatStore:
 
         store = FlatStore.pack(
             arrays={"xs": array("q", range(10))},
-            blobs={"tag": pickle.dumps("hello")},
+            docs={"tag": "hello"},
         )
         revived = pickle.loads(pickle.dumps(store))
         assert list(revived.ints("xs")) == list(range(10))

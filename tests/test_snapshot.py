@@ -6,16 +6,18 @@ the in-memory backends (dict graph == compact == reloaded mmap),
 manifest/segment corruption rejection, patch-overlay and provenance
 preservation, sharded round trips, the shard-at-a-time ingest builder,
 crash safety (fsync coverage, a writer killed at every call, torn files,
-the flat layout written before generations),
+older formats refused, no pickle run by a load),
 ``QueryEngine(snapshot_path=...)`` boots, epoch persistence in the
 serving layer, and the CLI surface over all of it.
 """
 
+import ast
 import asyncio
 import gc
 import itertools
 import json
 import os
+import pickle
 import random
 import shutil
 import traceback
@@ -23,7 +25,15 @@ from pathlib import Path
 
 import pytest
 
-from helpers import ingested, ingested_dir, random_labeled_graph, shm_segments, str_keyed
+import repro.graph
+from helpers import (
+    ingested,
+    ingested_dir,
+    matchjoin_metrics,
+    random_labeled_graph,
+    shm_segments,
+    str_keyed,
+)
 from repro.cli import main as cli_main
 from repro.datasets import generate_views, query_from_views, random_graph
 from repro.engine import QueryEngine
@@ -169,13 +179,14 @@ class TestRejection:
         with pytest.raises(SnapshotError):
             SnapshotStore.load(saved)
 
-    @pytest.mark.parametrize("fmt", [1, 99])
+    @pytest.mark.parametrize("fmt", [1, 2, 99])
     def test_other_format_versions_refused(self, saved, fmt):
-        # Format 1 (rebuild-on-load sharded bookkeeping) has no load
-        # path any more; the error names the way to re-create it.
+        # Format 1 (rebuild-on-load sharded bookkeeping) and format 2
+        # (pickled patches, views and blobs) have no load path any more;
+        # the error names the way to re-create them.
         live = Path(live_directory(saved))
         manifest = json.loads((live / MANIFEST_NAME).read_text())
-        assert manifest["format"] == 2
+        assert manifest["format"] == 3
         manifest["format"] = fmt
         (live / MANIFEST_NAME).write_text(json.dumps(manifest))
         for read in (SnapshotStore.load, SnapshotStore.info):
@@ -184,6 +195,58 @@ class TestRejection:
                 match=f"unsupported snapshot format {fmt}.*repro ingest.*snapshot save",
             ):
                 read(saved)
+
+    def test_version_1_segment_refused(self, saved):
+        # Version 1 held a pickled table directory; the segment's own
+        # error names the way to re-create the directory.
+        seg = Path(live_directory(saved)) / "graph.seg"
+        data = bytearray(seg.read_bytes())
+        data[8:12] = (1).to_bytes(4, "little")
+        seg.write_bytes(bytes(data))
+        with pytest.raises(
+            SegmentFormatError,
+            match="segment format version 1.*repro ingest.*snapshot save",
+        ):
+            SnapshotStore.load(saved)
+
+    def test_flat_layout_refused(self, saved):
+        # Files directly under the path (the layout before generations)
+        # are not read as a snapshot.
+        live = Path(live_directory(saved))
+        for entry in live.iterdir():
+            entry.rename(saved / entry.name)
+        live.rmdir()
+        assert live_directory(saved) == str(saved)
+        for read in (SnapshotStore.load, SnapshotStore.info):
+            with pytest.raises(
+                SnapshotError, match="not a snapshot directory.*repro ingest"
+            ):
+                read(saved)
+
+    @pytest.mark.parametrize(
+        "value", [("a", 1), object()], ids=["tuple", "object"]
+    )
+    def test_unencodable_attribute_refused_at_save(self, tmp_path, value):
+        graph = random_labeled_graph(random.Random(9), 30, 80)
+        victim = sorted(graph.nodes(), key=repr)[3]
+        graph.add_node(victim, attrs={"odd": value})
+        with pytest.raises(SnapshotError, match=f"node {victim!r}: attribute 'odd'"):
+            SnapshotStore.save(tmp_path / "snap", graph)
+        assert not (tmp_path / "snap").exists()
+
+    def test_unencodable_key_refused_at_save(self, tmp_path):
+        graph = random_labeled_graph(random.Random(9), 30, 80)
+        graph.add_edge(frozenset({1, 2}), sorted(graph.nodes(), key=repr)[0])
+        with pytest.raises(SnapshotError, match=r"node frozenset\(\{1, 2\}\): a saved key"):
+            SnapshotStore.save(tmp_path / "snap", graph)
+
+    def test_view_not_bound_to_the_snapshot_refused(self, tmp_path):
+        graph, views, _ = _workload(seed=13)
+        views.materialize(graph)  # node-key extensions of the dict graph
+        with pytest.raises(SnapshotError, match="not bound.*materialise"):
+            SnapshotStore.save(tmp_path / "snap", graph, views=views)
+        views.materialize(graph.freeze())
+        SnapshotStore.save(tmp_path / "snap", graph, views=views)
 
     def test_corrupt_segment_header(self, saved):
         seg = Path(live_directory(saved)) / "graph.seg"
@@ -207,17 +270,18 @@ class TestRejection:
 # ----------------------------------------------------------------------
 def _layout(kind, path, overwrite=False):
     """Save a snapshot directory of one layout; the two hold every file
-    kind the format has: a sharded graph with pickled views, and a
-    refreshed compact graph (``patch.pkl``) with segment-backed views."""
+    kind the format has: a sharded graph with views, and a refreshed
+    compact graph (``patch.json``) with views.  Returns the path and
+    the DataGraph the snapshot holds."""
     if kind == "sharded":
         graph = random_graph(80, 200, labels=LABELS, seed=71)
-        snapshot, _ = ingested(*str_keyed(graph), 2, Path(path).parent)
+        snapshot, graph = ingested(*str_keyed(graph), 2, Path(path).parent)
     else:
-        _, snapshot = _refreshed(71)
+        graph, snapshot = _refreshed(71)
     views = ViewSet(generate_views(LABELS, 3, seed=71))
     views.materialize(snapshot)
     SnapshotStore.save(path, snapshot, views=views, overwrite=overwrite)
-    return path
+    return path, graph
 
 
 #: Every file of the two layouts; a test below checks they are complete.
@@ -225,12 +289,13 @@ LAYOUT_FILES = {
     "sharded": [
         "boundary-000.seg", "boundary-001.seg", "manifest.json",
         "shard-000.seg", "shard-001.seg",
-        "view-000.view", "view-001.view", "view-002.view",
+        "view-000.json", "view-000.seg", "view-001.json", "view-001.seg",
+        "view-002.json", "view-002.seg",
     ],
     "compact": [
-        "graph.seg", "manifest.json", "patch.pkl",
-        "view-000.pkl", "view-000.seg", "view-001.pkl", "view-001.seg",
-        "view-002.pkl", "view-002.seg",
+        "graph.seg", "manifest.json", "patch.json",
+        "view-000.json", "view-000.seg", "view-001.json", "view-001.seg",
+        "view-002.json", "view-002.seg",
     ],
 }
 
@@ -333,31 +398,6 @@ class TestCrashSafety:
         # the commit.
         assert generation == 1 and seen == {0, 1}
 
-    @pytest.mark.parametrize("unfinished", [[], ["gen-1"]])
-    def test_a_flat_directory_loads_and_is_rewritten_as_a_generation(
-        self, tmp_path, unfinished
-    ):
-        """A directory written before generations -- its files directly
-        under the path -- loads as it is, with a write killed before its
-        manifest beside it or not; its next save leaves one generation."""
-        g1 = random_labeled_graph(random.Random(7), 20, 40)
-        g2 = random_labeled_graph(random.Random(8), 30, 60)
-        path = tmp_path / "snap"
-        SnapshotStore.save(path, g1)
-        saved = Path(live_directory(path))
-        for entry in saved.iterdir():
-            entry.rename(path / entry.name)
-        saved.rmdir()
-        for name in unfinished:
-            (path / name).mkdir()
-        assert live_directory(path) == str(path)
-        info = SnapshotStore.info(path)
-        assert info["stale"] == unfinished and "graph.seg" in info["files"]
-        assert set(SnapshotStore.load(path).graph.edges()) == set(g1.edges())
-        SnapshotStore.save(path, g2, overwrite=True)
-        assert os.listdir(path) == [f"gen-{len(unfinished) + 1}"]
-        assert set(SnapshotStore.load(path).graph.edges()) == set(g2.edges())
-
     @pytest.mark.parametrize("overwrite", [False, True])
     @pytest.mark.parametrize("producer", ["save", "ingest"])
     def test_every_file_and_directory_is_fsynced(
@@ -394,8 +434,35 @@ class TestCrashSafety:
         assert wanted <= synced
 
     def test_layouts_hold_every_file_kind(self, layouts):
-        for kind, path in layouts.items():
+        for kind, (path, _) in layouts.items():
             assert sorted(os.listdir(live_directory(path))) == LAYOUT_FILES[kind]
+
+    @pytest.mark.parametrize("kind", sorted(LAYOUT_FILES))
+    def test_a_load_runs_no_pickle(self, layouts, monkeypatch, kind):
+        """With pickle's readers patched to raise, each layout loads and
+        answers a view query (MatchJoin in id space) and a direct query
+        like the oracle."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a snapshot load ran pickle")
+
+        for name in ("load", "loads", "Unpickler"):
+            monkeypatch.setattr(pickle, name, refuse)
+        path, graph = layouts[kind]
+        loaded = SnapshotStore.load(path, verify=True)
+        assert len(loaded.views) == 3
+        view = max(loaded.views.values(), key=lambda view: view.num_pairs)
+        query = view.definition.pattern
+        expected = match(query, graph).edge_matches
+        assert any(expected.values())
+        with matchjoin_metrics() as count:
+            answer = QueryEngine(snapshot_path=loaded).answer(query)
+            assert (count("total", "ids"), count("total", "keys")) == (1, 0)
+        assert answer.stats.strategy == "matchjoin"
+        assert answer.edge_matches == expected
+        direct = QueryEngine(ViewSet(), snapshot_path=loaded).answer(query)
+        assert direct.stats.strategy == "direct"
+        assert direct.edge_matches == expected
 
     @pytest.mark.parametrize("cut", ["header", "middle"])
     @pytest.mark.parametrize(
@@ -404,10 +471,10 @@ class TestCrashSafety:
     )
     def test_torn_file_is_refused(self, layouts, tmp_path, kind, name, cut):
         """A file cut short at its header boundary (a segment's fixed
-        header; offset 0 -- an empty file -- for JSON and pickles) or
-        at its midpoint never loads as a graph."""
+        header; offset 0 -- an empty file -- for JSON) or at its
+        midpoint never loads as a graph."""
         copy = tmp_path / "snap"
-        shutil.copytree(layouts[kind], copy)
+        shutil.copytree(layouts[kind][0], copy)
         victim = Path(live_directory(copy)) / name
         data = victim.read_bytes()
         header = _FILE_HEADER_SIZE if name.endswith(".seg") else 0
@@ -415,6 +482,24 @@ class TestCrashSafety:
         victim.write_bytes(data[:size])
         with pytest.raises((SnapshotError, SegmentFormatError)):
             SnapshotStore.load(copy)
+
+
+def test_no_graph_module_imports_pickle():
+    """A snapshot directory holds int tables and JSON only: nothing in
+    the graph layer can read or write a pickle."""
+    for source in sorted(Path(repro.graph.__file__).parent.glob("*.py")):
+        tree = ast.parse(source.read_text(), str(source))
+        imported = {
+            name.split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for name in (
+                [node.module or ""]
+                if isinstance(node, ast.ImportFrom)
+                else [alias.name for alias in node.names]
+            )
+        }
+        assert "pickle" not in imported, source.name
 
 
 # ----------------------------------------------------------------------
@@ -535,19 +620,6 @@ class TestIngest:
 # Engine boot from a snapshot directory
 # ----------------------------------------------------------------------
 class TestEngineBoot:
-    def test_compact_boot_equivalence(self, tmp_path):
-        graph, views, query = _workload(seed=41)
-        live = QueryEngine(views, graph=graph)
-        expected = live.answer(query)
-        checkpoint = live.checkpoint()
-        SnapshotStore.save(
-            tmp_path / "snap", checkpoint.snapshot,
-            views=checkpoint.extensions,
-        )
-        booted = QueryEngine(snapshot_path=tmp_path / "snap")
-        assert booted.snapshot_path == str(tmp_path / "snap")
-        assert booted.answer(query).edge_matches == expected.edge_matches
-
     def test_sharded_boot_adopts_shards(self, tmp_path):
         graph, views, query = _workload(seed=43)
         snapdir, graph = ingested_dir(*str_keyed(graph), 3, tmp_path)
@@ -612,6 +684,7 @@ class TestServePersistence:
             views=checkpoint.extensions,
         )
         booted = QueryEngine(snapshot_path=tmp_path / "snap")
+        assert booted.snapshot_path == str(tmp_path / "snap")
         server = QueryServer(booted)
 
         async def run():
@@ -685,3 +758,43 @@ class TestCli:
                 "snapshot", "save", "--graph", str(tmp_path / "g.json"),
                 "--out", str(tmp_path / "sharded"), "--shards", "2",
             ])
+
+    def test_snapshot_save_with_views_writes_id_rows(self, tmp_path, capsys):
+        """``snapshot save --views`` materialises on the snapshot it
+        saves: every view lands as id rows, and a view query after
+        ``snapshot load`` joins in id space."""
+        from repro.graph.io import read_graph, write_pattern
+        from repro.views.io import read_viewset
+
+        graph_file, views_file = tmp_path / "g.json", tmp_path / "v.json"
+        assert cli_main([
+            "generate", "--dataset", "amazon", "--nodes", "400", "--edges", "1200",
+            "--out", str(graph_file), "--views", str(views_file),
+        ]) == 0
+        out = tmp_path / "snap"
+        assert cli_main([
+            "snapshot", "save", "--graph", str(graph_file),
+            "--views", str(views_file), "--out", str(out),
+        ]) == 0
+        views = read_viewset(views_file)
+        names = [
+            f"view-{i:03d}{suffix}" for i in range(len(views)) for suffix in (".json", ".seg")
+        ]
+        assert sorted(os.listdir(live_directory(out))) == sorted(
+            ["graph.seg", "manifest.json", *names]
+        )
+        graph = read_graph(graph_file)
+        query = max(
+            (view.pattern for view in views),
+            key=lambda pattern: match(pattern, graph).result_size,
+        )
+        write_pattern(query, tmp_path / "q.json")
+        capsys.readouterr()
+        with matchjoin_metrics() as count:
+            assert cli_main([
+                "snapshot", "load", str(out), "--query", str(tmp_path / "q.json"),
+            ]) == 0
+            assert (count("total", "ids"), count("total", "keys")) == (1, 0)
+        expected = match(query, graph).result_size
+        assert expected > 0
+        assert f"query: {expected} pairs via matchjoin" in capsys.readouterr().out

@@ -1,4 +1,4 @@
-"""Snapshot format 2: persisted boundary rows, lazy name-keyed tables.
+"""Sharded snapshot directories: boundary rows, lazy name-keyed tables.
 
 A sharded snapshot directory holds, per shard, the flat int rows an
 id-space evaluation needs (local -> global id row, bridge pairs), so a
@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import ingested, random_pattern
+from helpers import ingested, matchjoin_metrics, random_pattern
 from repro.cli import main as cli_main
 from repro.core.containment import contains
 from repro.core.matchjoin import match_join
@@ -169,8 +169,9 @@ def test_load_plus_direct_match_does_no_name_work(snapdir, monkeypatch):
     loaded = SnapshotStore.load(path)
     assert calls == {"id_of": 0, "node_of": 0}
     graph = loaded.graph
-    derived = ("_home", "_ghost_shards", "node_table")
+    derived = ("_home", "_ghost_shards")
     assert not [name for name in derived if name in vars(graph)]
+    assert graph.node_table._table is None
 
     engine = QueryEngine(ViewSet(), snapshot_path=loaded)
     result = engine.answer(query)
@@ -184,6 +185,7 @@ def test_load_plus_direct_match_does_no_name_work(snapdir, monkeypatch):
     ) + sum(len(nodes) for nodes in result.node_matches.values())
     assert 0 < calls["node_of"] <= answer_names
     assert not [name for name in derived if name in vars(graph)]
+    assert graph.node_table._table is None
 
     # ... and it is the right answer.
     reference = DataGraph()
@@ -209,13 +211,51 @@ def test_sharded_answer_counts_without_decoding_any_shard(snapdir):
     # The merged answer built no set, and no shard unpickled its names.
     assert dict.__len__(result.edge_matches) == dict.__len__(result.node_matches) == 0
     assert all(shard.node_table._table is None for shard in shards)
-    assert "node_table" not in vars(graph)
+    assert graph.node_table._table is None
     reference = graph_from_edges(edges, labeler=_labeler)
     expected = match(query, reference)
     assert result.edge_matches == expected.edge_matches
     assert result.node_matches == expected.node_matches
     assert result.result_size == expected.result_size
-    assert "node_table" not in vars(graph)
+    assert graph.node_table._table is None
+
+
+def test_sharded_views_attach_to_the_graphs_node_table(tmp_path, monkeypatch):
+    """A saved sharded view is id rows decoding through the loaded
+    graph's own node table: the load builds no table and decodes no
+    name, and the views answer like ``match`` on the dict graph."""
+    rng = random.Random(5)
+    edges = [(f"n{rng.randrange(300)}", f"n{rng.randrange(300)}") for _ in range(900)]
+    sharded, reference = ingested(edges, _labeler, 2, tmp_path)
+    patterns = [random_pattern(rng, 2, 1) for _ in range(3)]
+    views = ViewSet(ViewDefinition(f"v{i}", p) for i, p in enumerate(patterns))
+    views.materialize(sharded)
+    SnapshotStore.save(tmp_path / "saved", sharded, views=views)
+
+    calls = {"id_of": 0, "node_of": 0}
+    for name in calls:
+        real = getattr(CompactGraph, name)
+
+        def counted(self, arg, name=name, real=real):
+            calls[name] += 1
+            return real(self, arg)
+
+        monkeypatch.setattr(CompactGraph, name, counted)
+    loaded = SnapshotStore.load(tmp_path / "saved")
+    graph = loaded.graph
+    assert calls == {"id_of": 0, "node_of": 0}
+    assert len(loaded.views) == 3
+    for view in loaded.views.values():
+        assert view.compact.nodes is graph.node_table
+    assert graph.node_table._table is None
+    assert all(shard.node_table._table is None for shard in graph.shards)
+
+    engine = QueryEngine(snapshot_path=loaded)
+    with matchjoin_metrics() as count:
+        for pattern in patterns:
+            assert engine.answer(pattern).edge_matches == match(pattern, reference).edge_matches
+        assert count("total", "ids") == 3
+    assert any(match(pattern, reference).result_size for pattern in patterns)
 
 
 # ----------------------------------------------------------------------
@@ -225,7 +265,7 @@ def test_info_lists_boundary_rows_and_verify_checks_them(snapdir, capsys):
     path, _, _ = snapdir
     info = SnapshotStore.info(path, verify=True)
     graph = SnapshotStore.load(path).graph
-    assert info["manifest"]["format"] == 2
+    assert info["manifest"]["format"] == 3
     assert sorted(info["boundary"]) == [f"boundary-{i:03d}.seg" for i in range(4)]
     for index, (fname, row) in enumerate(sorted(info["boundary"].items())):
         assert fname in info["verified_segments"]
@@ -238,7 +278,7 @@ def test_info_lists_boundary_rows_and_verify_checks_them(snapdir, capsys):
     assert json.loads(capsys.readouterr().out)["boundary"] == info["boundary"]
     assert cli_main(["snapshot", "info", str(path), "--verify"]) == 0
     text = capsys.readouterr().out
-    assert "snapshot (format 2)" in text
+    assert "snapshot (format 3)" in text
     assert text.count("boundary rows:") == 4 and text.count("[crc ok]") == 8
 
     # Flip one payload byte of a boundary segment: the cheap attach
