@@ -243,8 +243,8 @@ class Catalog(PlanningState):
         snapshot-booted engine's is immutable) -- one ``G`` for the
         views, direct evaluation and snapshot refresh alike.  Definitions
         the catalog lacks are added, and the first sync imports every
-        maintained extension.  Re-attaching the same tracker is a no-op;
-        a second is rejected."""
+        maintained extension (as it is: the tracker froze this graph).
+        Re-attaching the same tracker is a no-op; a second is rejected."""
         with self.lock:
             if self.maintenance is tracker:
                 return

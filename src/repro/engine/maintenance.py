@@ -4,11 +4,13 @@ A :class:`~repro.engine.catalog.Catalog` owns the attached
 :class:`~repro.views.maintenance.IncrementalViewSet` and its ``seq``
 cursor; whenever the tracker has moved past the cursor, :func:`consume`
 brings the catalog level with it against the refreshed snapshot:
-changed views are bound into its id space and installed (re-stamped),
-unchanged ones are re-stamped onto its token without a version bump --
-so the whole catalog shares one token again and MatchJoin stays on the
+changed views are bound into its id space and installed, unchanged
+ones are re-stamped onto its token without a version bump -- so the
+whole catalog shares one token again and MatchJoin stays on the
 integer fast path through the update stream -- and bounded views,
-which the tracker cannot maintain, are flagged stale.  Loaded by the
+which the tracker cannot maintain, are flagged stale.  An extension
+already on the snapshot's token (a fresh tracker's, built on the
+snapshot the catalog serves) is installed as it is.  Loaded by the
 first sync with something to consume, never by an unmaintained engine.
 """
 
@@ -31,7 +33,7 @@ def consume(views, tracker, cursor: int, snapshot) -> Tuple[str, ...]:
     (a fresh attachment) imports every maintained view."""
     changed = tracker.changed_since(cursor)
     for name in changed:
-        views.set_extension(bind_extension(tracker.extension(name), snapshot))
+        views.set_extension(_bound(tracker.extension(name), snapshot))
     stale: Tuple[str, ...] = ()
     if tracker.seq > max(cursor, 0):
         stale = tuple(
@@ -49,7 +51,6 @@ def consume(views, tracker, cursor: int, snapshot) -> Tuple[str, ...]:
                 "delta left %d bounded view(s) stale: %s",
                 len(stale), ", ".join(sorted(map(str, stale))),
             )
-    extends = snapshot.extends_token
     for name in views.names():
         # Stale (bounded) extensions must not be re-stamped onto the
         # fresh token -- that would launder outdated match sets into
@@ -61,10 +62,19 @@ def consume(views, tracker, cursor: int, snapshot) -> Tuple[str, ...]:
         compact = extension.compact
         if compact is None or compact.token == snapshot.snapshot_token:
             continue
-        if extends is not None and compact.token == extends:
-            rebound = extension.rebound(snapshot)
-        else:
-            rebound = bind_extension(extension, snapshot)
         # Provenance only: the match sets are identical, no version moves.
-        views.rebind_extension(rebound)
+        views.rebind_extension(_bound(extension, snapshot))
     return stale
+
+
+def _bound(extension, snapshot):
+    """``extension`` with its id rows on ``snapshot``'s token: itself
+    when they already are, re-stamped when ``snapshot`` was refreshed
+    from the one they are on, else encoded afresh."""
+    compact = extension.compact
+    if compact is not None:
+        if compact.token == snapshot.snapshot_token:
+            return extension
+        if compact.token == snapshot.extends_token:
+            return extension.rebound(snapshot)
+    return bind_extension(extension, snapshot)

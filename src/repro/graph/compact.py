@@ -44,7 +44,7 @@ from typing import Any, Dict, FrozenSet, Hashable, Iterator, List, Optional, Seq
 
 from repro.graph.conditions import AttributeCondition, Label, TrueCondition
 from repro.graph.flatbuf import FlatStore
-from repro.graph.io import node_from_json, node_to_json
+from repro.graph.io import JSON_SCALARS, check_attrs, node_from_json, node_to_json
 from repro.obs.metrics import get_registry
 
 Node = Hashable
@@ -90,17 +90,12 @@ class SnapshotError(ValueError):
     without ``overwrite=True``, or a saved key or attribute has no JSON form."""
 
 
-#: The values JSON carries unchanged: a saved attribute value is one, a
-#: saved node key one or a tuple.
-_SCALARS = (str, int, float, bool, type(None))
-
-
 def _keys_to_json(nodes: List[Node]) -> list:
     """Node keys as a JSON doc (tuple keys as lists), or a
     :class:`SnapshotError` naming a key of another type."""
     kinds = set(map(type, nodes))
-    if not kinds <= {*_SCALARS, tuple}:
-        node = next(node for node in nodes if type(node) not in (*_SCALARS, tuple))
+    if not kinds <= {*JSON_SCALARS, tuple}:
+        node = next(node for node in nodes if type(node) not in (*JSON_SCALARS, tuple))
         raise SnapshotError(f"node {node!r}: a saved key is a str, int, float, bool, "
                             "None or a tuple of them")
     return list(map(node_to_json, nodes)) if tuple in kinds else nodes
@@ -110,10 +105,7 @@ def _attrs_to_json(nodes, attrs: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
     """The attribute dicts of ``nodes`` as a JSON doc, or a
     :class:`SnapshotError` naming a node with a value JSON cannot carry."""
     for node, found in zip(nodes, attrs):
-        for name, value in found.items():
-            if type(value) not in _SCALARS:
-                raise SnapshotError(f"node {node!r}: attribute {name!r} = {value!r} "
-                                    "is not str, int, float, bool or None")
+        check_attrs(node, found, SnapshotError)
     return attrs
 
 
@@ -284,8 +276,7 @@ class CompactGraph:
         self._flat, self._patch, self._num_nodes = store, patch or None, n
         patch = patch or _EMPTY_PATCH
         base = len(store.ints("succ_indptr")) - 1
-        self._succ = _rows(store, "succ", tuple, n, patch["succ"])
-        self._pred = _rows(store, "pred", tuple, n, patch["pred"])
+        self.drop_decoded_rows()
         self._labels = _rows(
             store, "label_row", _label_decoder(store), n, enumerate(patch["labels"], base)
         )
@@ -367,6 +358,14 @@ class CompactGraph:
             new._buckets = old._buckets
             new._columns = old._columns
         return new
+
+    def drop_decoded_rows(self) -> None:
+        """Forget the adjacency rows decoded so far but a patch's own.  A
+        refresh copies every decoded row, so a one-off pass over much of
+        the graph (a maintained boot's fixpoints) drops them after."""
+        patch, store, n = self._patch or _EMPTY_PATCH, self._flat, self._num_nodes
+        self._succ = _rows(store, "succ", tuple, n, patch["succ"])
+        self._pred = _rows(store, "pred", tuple, n, patch["pred"])
 
     # ------------------------------------------------------------------
     # Identity and the stored form

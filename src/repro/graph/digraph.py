@@ -23,7 +23,8 @@ else.  Two read-path accelerators ride on top of the dictionaries:
   are free.
 
 The graph additionally keeps a bounded **edge-op journal**: every edge
-insertion/deletion since the journal floor, in application order.  As
+insertion/deletion since the journal floor, in order, from the first
+:meth:`freeze` on (the floor follows the version until then).  As
 long as only journal-safe mutations happened (edge churn plus brand-new
 nodes), :meth:`freeze` *refreshes* the previous snapshot through
 :meth:`CompactGraph.refreshed` -- the tables are reused, only the
@@ -217,6 +218,9 @@ class DataGraph:
     # Edge-op journal
     # ------------------------------------------------------------------
     def _log_op(self, op: str, source: Node, target: Node) -> None:
+        if self._frozen is None:  # no snapshot an entry could bring up to date
+            self._oplog_floor = self._version
+            return
         log = self._oplog
         log.append((self._version, op, source, target))
         if len(log) > _OPLOG_CAP:
@@ -391,13 +395,13 @@ class DataGraph:
         return frozen
 
     def copy(self) -> "DataGraph":
-        """Return an independent deep-enough copy (attribute dicts copied)."""
+        """An independent copy sharing the read-only attribute dicts."""
         clone = DataGraph()
         for node in self._succ:
             clone._succ[node] = set(self._succ[node])
             clone._pred[node] = set(self._pred[node])
             clone._labels[node] = self._labels[node]
-            clone._attrs[node] = dict(self._attrs[node])
+            clone._attrs[node] = self._attrs[node]
         for label, bucket in self._label_index.items():
             clone._label_index[label] = set(bucket)
         clone._num_edges = self._num_edges

@@ -50,6 +50,19 @@ def node_from_json(node: Any) -> Any:
     return node
 
 
+#: What JSON carries unchanged: an attribute value, or a node key's parts.
+JSON_SCALARS = (str, int, float, bool, type(None))
+
+
+def check_attrs(node: Any, attrs: Dict[str, Any], error: type = ValueError) -> None:
+    """Raise ``error`` naming ``node`` and its first attribute whose value
+    JSON cannot carry unchanged (a tuple would come back a list)."""
+    for name, value in attrs.items():
+        if type(value) not in JSON_SCALARS:
+            raise error(f"node {node!r}: attribute {name!r} = {value!r} "
+                        "is not str, int, float, bool or None")
+
+
 # ----------------------------------------------------------------------
 # Conditions <-> JSON
 # ----------------------------------------------------------------------
@@ -83,8 +96,10 @@ def condition_from_json(doc: Dict[str, Any]) -> Condition:
 # DataGraph <-> JSON
 # ----------------------------------------------------------------------
 def graph_to_json(graph: DataGraph) -> Dict[str, Any]:
+    """``graph`` as a JSON doc, or :func:`check_attrs`'s ``ValueError``."""
     nodes = []
     for node in graph.nodes():
+        check_attrs(node, graph.attrs(node))
         nodes.append(
             {
                 "id": node,
@@ -111,8 +126,9 @@ def graph_from_json(doc: Dict[str, Any]) -> DataGraph:
 
 
 def write_graph(graph: DataGraph, path: PathLike) -> None:
+    doc = graph_to_json(graph)  # refused before the file is opened
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(graph_to_json(graph), handle)
+        json.dump(doc, handle)
 
 
 def read_graph(path: PathLike) -> DataGraph:

@@ -55,9 +55,10 @@ from repro.graph.io import node_from_json
 from repro.graph.pattern import BoundedPattern
 from repro.obs import trace
 from repro.obs.metrics import SIZE_BUCKETS, get_registry
+from repro.simulation.compact_engine import extract, witness_fixpoint
 from repro.simulation.result import edge_matches_from_nodes
 from repro.simulation.witness import WitnessCounters, simulate
-from repro.views.view import MaterializedView, ViewDefinition
+from repro.views.view import MaterializedView, ViewDefinition, snapshot_extension
 
 log = logging.getLogger(__name__)
 
@@ -272,6 +273,12 @@ class IncrementalView:
     (never mutates it), and the set calls :meth:`_after_insert` /
     :meth:`_after_delete` once each op has been applied to the graph.
     Bounded views change non-locally under updates and are rejected.
+
+    The first state comes from one id-space fixpoint on the graph's
+    frozen snapshot (``graph.freeze()``, cached, so every view of a set
+    and the catalog serving them share it): its rows are the first
+    extension, already bound to that snapshot, and its decoded maximum
+    simulation seeds the node-key counters the updates keep.
     """
 
     def __init__(self, definition: ViewDefinition, graph: DataGraph) -> None:
@@ -288,7 +295,7 @@ class IncrementalView:
         # while the view is empty.
         self._fixpoint: Optional[WitnessCounters] = None
         self._extension_cache: Optional[MaterializedView] = None
-        self._recompute()
+        self._start(graph.freeze())
 
     # ------------------------------------------------------------------
     # State construction
@@ -297,6 +304,27 @@ class IncrementalView:
         return self.definition.pattern.condition(x).matches(
             self._graph.labels(v), self._graph.attrs(v)
         )
+
+    def _start(self, snapshot) -> None:
+        """The view's state after one witness fixpoint on ``snapshot``:
+        the extension as the fixpoint's id rows, and the counters built
+        over its decoded maximum simulation (sinks included).  Every
+        counter there is at least 1, so building them runs no cascade,
+        and they equal the ones :func:`simulate` leaves."""
+        pattern = self.definition.pattern
+        state = witness_fixpoint(pattern, snapshot, snapshot.num_nodes)
+        rows = None if state is None else extract(pattern, snapshot, state)
+        self._extension_cache = snapshot_extension(self.definition, snapshot, rows)
+        self.stats.extension_builds += 1
+        if state is None:
+            return
+        decode = snapshot.node_table.__getitem__
+        sim = {u: set(map(decode, ids)) for u, ids in state.sim.items()}
+        graph = self._graph
+        lookups = dict.fromkeys(
+            pattern.edges(), (graph.successors, graph.predecessors)
+        )
+        self._fixpoint = WitnessCounters(pattern, sim, lookups)
 
     def _recompute(self) -> None:
         self._fixpoint = simulate(self.definition.pattern, self._graph)
@@ -512,7 +540,10 @@ class IncrementalViewSet:
 
     The graph must change only through :meth:`apply_delta`: the set
     records ``graph.version`` after its own ops and refuses the next
-    batch (``RuntimeError``) if anything else moved it.
+    batch (``RuntimeError``) if anything else moved it.  Construction
+    freezes it (once: the freeze is cached) and runs one id-space
+    fixpoint per view there, so the first extensions are already bound
+    to the snapshot an engine over ``graph`` serves.
 
     Bounded view definitions are *not* maintainable (their extensions
     shift non-locally with distances); they are skipped at construction
@@ -534,6 +565,11 @@ class IncrementalViewSet:
                 skipped.append(definition.name)
                 continue
             self._trackers[definition.name] = IncrementalView(definition, graph)
+        if self._trackers:
+            # Serving reads the view rows, not the adjacency rows the
+            # fixpoints decoded (~9 MiB on a 90k-edge graph), and every
+            # snapshot refresh would copy them.
+            graph.freeze().drop_decoded_rows()
         self.skipped_bounded: Tuple[str, ...] = tuple(skipped)
         self._version = graph.version
 

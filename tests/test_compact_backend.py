@@ -585,3 +585,24 @@ def test_refresh_reencodes_once_the_patch_outgrows_the_base():
     assert snapshot.flat_store is not first.flat_store
     assert snapshot._patch is None and step > 10
     assert_reads_like(snapshot, graph)
+
+
+def test_dropping_decoded_rows_keeps_the_patch():
+    # A refreshed snapshot's touched rows live only in its row cache:
+    # dropping the decoded rows must keep them, or they would decode
+    # again from the stale base tables.
+    rng = random.Random(6)
+    graph = random_labeled_graph(rng, 60, 150)
+    first = graph.freeze()
+    for step in range(12):
+        v, w = step, (step * 5 + 2) % 60
+        (graph.remove_edge if graph.has_edge(v, w) else graph.add_edge)(v, w)
+    graph.add_edge(59, "fresh")
+    snapshot = graph.freeze()
+    assert snapshot.extends_token == first.snapshot_token
+    for i in range(snapshot.num_nodes):
+        snapshot.out_ids(i), snapshot.in_ids(i)
+    snapshot.drop_decoded_rows()
+    assert dict.__len__(snapshot.succ_rows) == len(snapshot._patch["succ"])
+    assert dict.__len__(snapshot.pred_rows) == len(snapshot._patch["pred"])
+    assert_reads_like(snapshot, graph)

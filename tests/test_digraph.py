@@ -150,14 +150,54 @@ class TestCopy:
         h = g.copy()
         h.add_edge(3, 1)
         assert not g.has_edge(3, 1)
-        h.attrs(1)["x"] = 99
-        assert g.attrs(1)["x"] == 1
+
+    def test_copy_shares_attribute_dicts(self):
+        # Attribute dicts are read-only: add_node installs a new dict on
+        # the clone, never writes into the shared one.
+        g = small_graph()
+        before = g.attrs(1)
+        h = g.copy()
+        assert h.attrs(1) is before
+        h.add_node(1, attrs={"y": 2})
+        assert g.attrs(1) is before and before == {"x": 1}
+        assert h.attrs(1) == {"x": 1, "y": 2}
 
     def test_copy_equal_structure(self):
         g = small_graph()
         h = g.copy()
         assert set(h.edges()) == set(g.edges())
         assert h.labels(2) == g.labels(2)
+
+
+class TestJournal:
+    """The edge-op journal starts at the first freeze: before it there
+    is no snapshot an entry could bring up to date."""
+
+    def test_a_graph_never_frozen_journals_nothing(self):
+        g = small_graph()
+        middle = g.version
+        g.add_edge(3, 1)
+        g.remove_edge(1, 2)
+        assert g._oplog == []
+        assert g.edge_changes_since(0) is None
+        assert g.edge_changes_since(middle) is None
+        assert g.edge_changes_since(g.version) == []
+
+    def test_a_refresh_after_the_first_freeze(self):
+        g = small_graph()
+        g.add_edge(3, 1)
+        frozen = g.freeze()
+        assert g.edge_changes_since(frozen.snapshot_version - 1) is None
+        g.remove_edge(1, 2)
+        g.add_edge(3, 4)
+        assert g.edge_changes_since(frozen.snapshot_version) == [
+            ("delete", 1, 2), ("insert", 3, 4),
+        ]
+        refreshed = g.freeze()
+        assert refreshed.extends_token == frozen.snapshot_token  # not rebuilt
+        for v in g.nodes():
+            assert set(refreshed.successors(v)) == g.successors(v), v
+            assert set(refreshed.predecessors(v)) == g.predecessors(v), v
 
 
 class TestSharedAttrs:

@@ -68,6 +68,24 @@ class TestGraphRoundTrip:
         h = read_graph(path)
         assert set(h.edges()) == set(g.edges())
 
+    @pytest.mark.parametrize("value", [(1, 2), [1, 2], object()], ids=["tuple", "list", "object"])
+    def test_attribute_json_cannot_carry_is_refused(self, tmp_path, value):
+        # A tuple would come back a list: the graph file refuses what a
+        # snapshot save refuses, with the same message.
+        g = self.make()
+        g.add_node("y", attrs={"pos": value})
+        message = f"node 'y': attribute 'pos' = {value!r} is not str, int, float, bool or None"
+        with pytest.raises(ValueError) as refused:
+            write_graph(g, tmp_path / "graph.json")
+        assert str(refused.value) == message
+        assert not (tmp_path / "graph.json").exists()
+        from repro.graph.compact import SnapshotError
+        from repro.graph.snapshot import SnapshotStore
+
+        with pytest.raises(SnapshotError) as saved:
+            SnapshotStore.save(tmp_path / "snap", g)
+        assert str(saved.value) == message
+
 
 class TestPatternRoundTrip:
     def test_plain_pattern(self, tmp_path):

@@ -167,19 +167,18 @@ def kernel_instance(seed, backend, flavour, shard_dir):
 @settings(max_examples=150, deadline=None)
 @given(seed=seeds, backend=id_space_backends, flavour=pattern_flavours)
 def test_kernel_equals_dict_maximum_simulation(seed, backend, flavour, shard_dir):
+    # The kernel's id rows only: the answer it decodes to is the oracle
+    # machine's ``query`` rule, on every graph form and both kernels.
     graph, pattern, target = kernel_instance(seed, backend, flavour, shard_dir)
     expected = maximum_simulation(pattern, graph)
-    result, id_rows, id_distances = evaluate(pattern, target)
+    _, id_rows, id_distances = evaluate(pattern, target)
     assert id_distances is None
-    assert result == match(pattern, target)
     if expected is None:
-        assert not result and id_rows is None
+        assert id_rows is None
         return
-    assert result.node_matches == expected
     pairs = reference_edge_matches(pattern, graph, expected)
-    assert result.edge_matches == pairs
-    # The id rows are the same pairs in the target's id space, one
-    # ``(src, tgt)`` row per pair.
+    # The id rows are the maximum simulation's pairs in the target's id
+    # space, one ``(src, tgt)`` row per pair.
     table = target.node_table
     assert set(id_rows) == set(pairs)
     for edge, (src, tgt) in id_rows.items():
