@@ -4,7 +4,6 @@ Subcommands (``python -m repro <command> --help`` lists each one's
 options)::
 
     generate     write a dataset stand-in (and its view suite)
-    materialize  cache view extensions into the views file
     contain      report containment / view selection for a query
     query        answer queries through the planned, cached QueryEngine
     maintain     replay an edge update stream through a maintained engine
@@ -94,30 +93,17 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _cmd_materialize(args) -> int:
-    from repro.graph.io import read_graph
-    from repro.views.io import read_viewset, write_viewset
-
-    graph = read_graph(args.graph)
-    views = read_viewset(args.views)
-    views.materialize(graph)
-    write_viewset(views, args.views)
-    fraction = views.extension_fraction(graph)
-    print(
-        f"materialized {views.cardinality} views "
-        f"({views.extension_size} items, {fraction:.1%} of |G|)"
-    )
-    return 0
-
-
 def _cmd_contain(args) -> int:
     from repro.core.containment import selector
     from repro.graph.io import read_pattern
     from repro.graph.pattern import BoundedPattern
     from repro.views.io import read_viewset
 
-    query = read_pattern(args.query)
-    views = read_viewset(args.views)
+    try:
+        query = read_pattern(args.query)
+        views = read_viewset(args.views)
+    except (OSError, ValueError) as err:
+        return _error(err)
     bounded = isinstance(query, BoundedPattern) or any(d.is_bounded for d in views)
     containment = selector(args.strategy, bounded)(query, views)
     if containment.holds:
@@ -145,7 +131,7 @@ def _cmd_query(args) -> int:
         queries = [read_pattern(path) for path in args.query]
         views = read_viewset(args.views)
         graph = read_graph(args.graph) if args.graph else None
-    except OSError as err:
+    except (OSError, ValueError) as err:
         return _error(err)
     engine = QueryEngine(views, graph=graph, selection=args.strategy)
     if args.explain:
@@ -183,9 +169,9 @@ def _cmd_maintain(args) -> int:
     try:
         with open(args.updates, encoding="utf-8") as handle:
             delta = Delta.parse(handle)
+        engine = _maintained_engine(args)
     except (OSError, ValueError) as err:
         return _error(err)
-    engine = _maintained_engine(args)
     graph, views, tracker = engine.graph, engine.views, engine.maintenance
     previous = engine.snapshot()
     batch_size = max(1, args.batch)
@@ -332,10 +318,10 @@ def _cmd_snapshot_save(args) -> int:
     try:
         graph = read_graph(args.graph)
         views = read_viewset(args.views) if args.views else None
-    except OSError as err:
+    except (OSError, ValueError) as err:
         return _error(err)
     if views is not None:
-        views.materialize(graph.freeze())  # the snapshot the save writes
+        views.materialize(graph)
     try:
         manifest = SnapshotStore.save(
             args.out, graph, views=views, overwrite=args.overwrite
@@ -535,7 +521,7 @@ def _cmd_trace(args) -> int:
         query = read_pattern(args.query)
         views = read_viewset(args.views)
         graph = read_graph(args.graph)
-    except OSError as err:
+    except (OSError, ValueError) as err:
         return _error(err)
     engine = QueryEngine(views, graph=graph, selection=args.strategy)
     server = QueryServer(engine)
@@ -585,14 +571,19 @@ def _cmd_stats(args) -> int:
     from repro.graph.stats import graph_stats
     from repro.views.io import read_viewset
 
-    graph = read_graph(args.graph)
+    try:
+        graph = read_graph(args.graph)
+        views = read_viewset(args.views) if args.views else None
+    except (OSError, ValueError) as err:
+        return _error(err)
     stats = graph_stats(graph)
-    views = read_viewset(args.views) if args.views else None
+    if views is not None:
+        views.materialize(graph)
     if args.format == "json":
         from repro.views.flatpack import FlatExtension
 
         index = graph.label_index_stats()
-        snapshot = graph.freeze()
+        snapshot = graph.freeze()  # the one the views were materialized on
         store = snapshot.flat_store
         memory = {"backend": store.backend, "graph": _store_row(store)}
         payload = {
@@ -637,22 +628,13 @@ def _cmd_stats(args) -> int:
                 "snapshot_token": views.snapshot_token,
             }
             # Per-view flat-buffer footprint: the bytes one extension
-            # occupies once packed into a segment.  Extensions loaded
-            # from disk carry no id-space payload, so those are
-            # re-materialized against the snapshot to measure.
-            from repro.views.view import materialize as _materialize
-
-            view_memory = {}
-            for name in views.names():
-                if not views.is_materialized(name):
-                    continue
-                packed = views.extension(name).compact
-                if packed is None:
-                    packed = _materialize(views.definition(name), snapshot).compact
-                if packed.store is None:
-                    packed = FlatExtension.pack(snapshot, packed)
-                view_memory[name] = _store_row(packed.store)
-            memory["views"] = view_memory
+            # occupies once packed into a segment.
+            memory["views"] = {
+                name: _store_row(
+                    FlatExtension.pack(snapshot, views.extension(name).compact).store
+                )
+                for name in views.names()
+            }
         json.dump(payload, sys.stdout, indent=2)
         print()
         return 0
@@ -684,11 +666,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--views", help="also write the dataset's view suite here")
     p.set_defaults(func=_cmd_generate)
-
-    p = sub.add_parser("materialize", help="materialize view extensions")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--views", required=True)
-    p.set_defaults(func=_cmd_materialize)
 
     p = sub.add_parser("contain", help="check pattern containment")
     p.add_argument("--query", required=True)

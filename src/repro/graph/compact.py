@@ -377,7 +377,7 @@ class CompactGraph:
     @staticmethod
     def share(graph: "CompactGraph") -> "CompactGraph":
         """``graph`` itself: every snapshot is its tables.  Kept for
-        ``perf/batch.py`` until ROADMAP item 2(d) repoints it."""
+        ``perf/batch.py`` until ROADMAP item 3 repoints it."""
         return graph
 
     @property

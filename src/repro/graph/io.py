@@ -111,15 +111,16 @@ def graph_to_json(graph: DataGraph) -> Dict[str, Any]:
 
 
 def graph_from_json(doc: Dict[str, Any]) -> DataGraph:
+    """The graph :func:`graph_to_json` wrote; an attribute value that it
+    refuses is refused here too, with :func:`check_attrs`'s message."""
     from repro.graph.digraph import DataGraph
 
     graph = DataGraph()
     for node_doc in doc["nodes"]:
-        graph.add_node(
-            node_from_json(node_doc["id"]),
-            labels=node_doc.get("labels", ()),
-            attrs=node_doc.get("attrs"),
-        )
+        node, attrs = node_from_json(node_doc["id"]), node_doc.get("attrs")
+        if attrs:
+            check_attrs(node, attrs)
+        graph.add_node(node, labels=node_doc.get("labels", ()), attrs=attrs)
     for source, target in doc["edges"]:
         graph.add_edge(node_from_json(source), node_from_json(target))
     return graph

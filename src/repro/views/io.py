@@ -1,8 +1,9 @@
-"""Serialization for view definitions and materialized extensions.
+"""Serialization for view definitions.
 
-A view cache lives across processes (that is its point), so extensions
-must round-trip to disk.  The JSON layout keeps the per-view-edge match
-sets and, for bounded views, the distance index ``I(V)``.
+A views JSON file holds definitions only.  A cached ``V(G)`` lives
+across processes as a snapshot directory: each view's id rows beside
+the graph they index (``view-NNN.seg`` plus the ``view-NNN.json`` that
+:func:`stored_view_to_json` writes).
 """
 
 from __future__ import annotations
@@ -57,70 +58,23 @@ def stored_view_from_json(doc: Dict[str, Any], store, nodes) -> MaterializedView
     return _attach_view(definition_from_json(doc["definition"]), flat)
 
 
-def extension_to_json(extension: MaterializedView) -> Dict[str, Any]:
-    """Encode an extension ``V(G)`` -- per-view-edge match sets plus,
-    for bounded views, the distance index ``I(V)`` (Section VI-A) --
-    with deterministic ordering for stable diffs."""
-    doc: Dict[str, Any] = {
-        "definition": definition_to_json(extension.definition),
-        "edge_matches": [
-            {
-                "edge": [_node_to_json(edge[0]), _node_to_json(edge[1])],
-                "pairs": [
-                    [_node_to_json(v), _node_to_json(w)] for v, w in sorted(pairs, key=repr)
-                ],
-            }
-            for edge, pairs in extension.edge_matches.items()
-        ],
-    }
-    if extension.distances is not None:
-        doc["distances"] = [
-            [_node_to_json(v), _node_to_json(w), d]
-            for (v, w), d in sorted(extension.distances.items(), key=repr)
-        ]
-    return doc
-
-
-def extension_from_json(doc: Dict[str, Any]) -> MaterializedView:
-    """Rebuild a :class:`MaterializedView` written by
-    :func:`extension_to_json`, restoring tuple node identities."""
-    definition = definition_from_json(doc["definition"])
-    edge_matches = {}
-    for entry in doc["edge_matches"]:
-        edge = (_node_from_json(entry["edge"][0]), _node_from_json(entry["edge"][1]))
-        edge_matches[edge] = {
-            (_node_from_json(v), _node_from_json(w)) for v, w in entry["pairs"]
-        }
-    distances = None
-    if "distances" in doc:
-        distances = {
-            (_node_from_json(v), _node_from_json(w)): d
-            for v, w, d in doc["distances"]
-        }
-    return MaterializedView(definition, edge_matches, distances=distances)
-
-
 def write_viewset(views: ViewSet, path: Union[str, Path]) -> None:
-    """Persist definitions and any materialized extensions."""
-    doc = {
-        "definitions": [definition_to_json(d) for d in views],
-        "extensions": [
-            extension_to_json(views.extension(name))
-            for name in views.names()
-            if views.is_materialized(name)
-        ],
-    }
+    """Persist the view definitions (a materialized extension persists
+    as a snapshot directory: ``repro snapshot save --views``)."""
+    doc = {"definitions": [definition_to_json(d) for d in views]}
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(doc, handle)
 
 
 def read_viewset(path: Union[str, Path]) -> ViewSet:
-    """Load a :class:`ViewSet` written by :func:`write_viewset`,
-    re-installing any persisted extensions (so a cache materialized in
-    one process is immediately usable by MatchJoin in another)."""
+    """Load the definitions :func:`write_viewset` wrote.  A file that
+    carries node-key extensions is refused (``ValueError``)."""
     with open(path, encoding="utf-8") as handle:
         doc = json.load(handle)
-    views = ViewSet(definition_from_json(d) for d in doc["definitions"])
-    for ext_doc in doc.get("extensions", ()):
-        views.set_extension(extension_from_json(ext_doc))
-    return views
+    if doc.get("extensions"):
+        raise ValueError(
+            f"{path}: a views file holds definitions only, but this one "
+            "carries materialized extensions; persist materialized views "
+            "with `repro snapshot save --views`"
+        )
+    return ViewSet(definition_from_json(d) for d in doc["definitions"])

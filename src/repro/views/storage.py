@@ -183,10 +183,11 @@ class ViewSet:
 
         ``graph`` may be a mutable :class:`DataGraph`, a frozen
         :class:`~repro.graph.compact.CompactGraph`, or a
-        :class:`~repro.shard.sharded.ShardedGraph`.  Against a snapshot
-        (sharded or not), extensions carry their match sets as id rows
-        in its id space (the snapshot token recorded in
-        :attr:`snapshot_token`), which is what lets MatchJoin sweep
+        :class:`~repro.shard.sharded.ShardedGraph`; every view is
+        evaluated on ``graph.freeze()`` (the cached snapshot an engine
+        over ``graph`` uses too), and its extension carries the match
+        sets as id rows in that snapshot's id space (the token recorded
+        in :attr:`snapshot_token`), which is what lets MatchJoin sweep
         stored integer rows at query time; a sharded graph evaluates
         each view shard by shard (:mod:`repro.shard.psim`).
         """
@@ -208,7 +209,7 @@ class ViewSet:
     def snapshot_token(self) -> Optional[int]:
         """The snapshot token shared by *every* materialized extension,
         or ``None`` when there are no extensions, any extension is not
-        snapshot-bound (materialized from a mutable graph), or
+        snapshot-bound (built from node-key sets), or
         the extensions come from different snapshots.  Derived from the
         extensions themselves, so partial re-materializations can never
         misreport the catalog's provenance."""

@@ -12,12 +12,13 @@ The extension deliberately does *not* keep a reference to ``G``:
 MatchJoin must run "without accessing G at all" (Theorem 1), and keeping
 the graph out of the extension object makes that guarantee structural.
 
-Materializing against a frozen :class:`~repro.graph.compact.CompactGraph`
-snapshot (or a :class:`~repro.shard.sharded.ShardedGraph`) stores the
-extension as a :class:`~repro.views.flatpack.FlatExtension` -- the
-match sets as parallel ``(src, tgt)`` id rows in the snapshot's integer
-id space, stamped with the snapshot's token/version -- and nothing
-else: the node-key sets and ``I(V)`` decode from the rows when read.
+Materialization always runs on the graph's frozen snapshot (a
+:class:`~repro.graph.compact.CompactGraph`, or a
+:class:`~repro.shard.sharded.ShardedGraph`) and stores the extension as
+a :class:`~repro.views.flatpack.FlatExtension` -- the match sets as
+parallel ``(src, tgt)`` id rows in the snapshot's integer id space,
+stamped with the snapshot's token/version -- and nothing else: the
+node-key sets and ``I(V)`` decode from the rows when read.
 MatchJoin recognises extensions that share a snapshot and sweeps the
 rows directly (still never touching adjacency, so Theorem 1's guarantee
 is intact).
@@ -32,7 +33,6 @@ from typing import TYPE_CHECKING, Dict, Hashable, Optional, Set, Tuple
 from repro.graph.pattern import BoundedPattern, Pattern
 from repro.simulation.compact_engine import IdRows
 from repro.simulation.simulation import evaluate
-from repro.simulation.simulation import match as _match
 from repro.views.flatpack import FlatExtension, _LazyDistances
 
 if TYPE_CHECKING:
@@ -103,8 +103,9 @@ class MaterializedView:
         pairs are data edges (distance 1 by construction).
     compact:
         Optional :class:`~repro.views.flatpack.FlatExtension` carrying
-        the same match sets as id rows in snapshot id space (set when
-        the view was materialized against a snapshot).  Such a view is
+        the same match sets as id rows in snapshot id space (set on
+        every :func:`materialize`d view; ``None`` only for an extension
+        built from node-key sets by hand).  Such a view is
         built one way, by :func:`_attach_view`, whether fresh, attached
         from a saved snapshot or unpickled: the rows are its only stored
         form, and ``edge_matches`` and ``distances`` decode from them
@@ -130,7 +131,7 @@ class MaterializedView:
     @property
     def snapshot_version(self) -> Optional[int]:
         """Version of the snapshot this extension was materialized
-        against (``None`` when built from a mutable graph)."""
+        against (``None`` for an extension built from node-key sets)."""
         return self.compact.version if self.compact is not None else None
 
     @property
@@ -227,41 +228,20 @@ def materialize(definition: ViewDefinition, graph: DataGraph) -> MaterializedVie
     """Evaluate a view on ``G`` and build its extension.
 
     Simulation views store the match sets of the unique maximum match;
-    bounded views additionally store the distance index ``I(V)``.
-    ``graph`` may be a frozen :class:`CompactGraph` or a
-    :class:`~repro.shard.sharded.ShardedGraph`, in which case the
-    extension also carries the id-row payload MatchJoin sweeps
-    (composite ids for sharded graphs, computed shard by shard).
+    bounded views additionally store the distance index ``I(V)``.  The
+    evaluation runs on ``graph.freeze()`` -- cached on a live
+    :class:`DataGraph`, the graph itself for a frozen
+    :class:`CompactGraph` or a :class:`~repro.shard.sharded.ShardedGraph`
+    (composite ids, computed shard by shard) -- so every extension is
+    the id rows MatchJoin sweeps, bound to the snapshot an engine over
+    the same graph freezes to.
     """
-    pattern = definition.pattern
     bounded = definition.is_bounded
-    evaluated = evaluate(pattern, graph, bounded=bounded, distances=bounded)
-    if evaluated is not None:
-        _, id_rows, id_distances = evaluated
-        return snapshot_extension(definition, graph, id_rows, id_distances)
-    if bounded:
-        from repro.simulation.bounded import bounded_match_with_distances
-
-        result, per_edge_distances = bounded_match_with_distances(pattern, graph)
-        if not result:
-            return MaterializedView(
-                definition,
-                {edge: set() for edge in pattern.edges()},
-                distances={},
-            )
-        index: Dict[NodePair, int] = {}
-        for pair_distances in per_edge_distances.values():
-            for pair, distance in pair_distances.items():
-                previous = index.get(pair)
-                if previous is None or distance < previous:
-                    index[pair] = distance
-        return MaterializedView(definition, result.edge_matches, distances=index)
-    result = _match(pattern, graph)
-    if not result:
-        return MaterializedView(
-            definition, {edge: set() for edge in pattern.edges()}
-        )
-    return MaterializedView(definition, result.edge_matches)
+    snapshot = graph.freeze()
+    _, id_rows, id_distances = evaluate(
+        definition.pattern, snapshot, bounded=bounded, distances=bounded
+    )
+    return snapshot_extension(definition, snapshot, id_rows, id_distances)
 
 
 def snapshot_extension(

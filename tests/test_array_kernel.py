@@ -32,6 +32,7 @@ from repro.views.maintenance import Delta
 from helpers import (
     KERNELS,
     apply_ops,
+    dict_extension,
     forced_kernel,
     fresh_registry,
     random_labeled_graph,
@@ -1158,7 +1159,7 @@ def check_materialized_payload_rows_come_straight_from_the_kernel(kernel, patter
     frozen = graph.freeze()
     with forced_kernel(kernel):
         view = materialize(definition, frozen)
-    reference = materialize(definition, graph)
+    reference = dict_extension(definition, graph)
     assert view.edge_matches == reference.edge_matches
     assert view.distances == reference.distances
     table = frozen.node_table

@@ -24,7 +24,9 @@ import random
 from helpers import (
     build_bounded,
     build_graph,
+    dict_extension,
     ingested,
+    key_only,
     matchjoin_metrics,
     random_labeled_graph,
     random_pattern,
@@ -126,7 +128,7 @@ class TestBoundedMatchEquivalence:
             sharded, g = ingested(edges, labels, 2, tmp_path)
             q = random_bounded(rng, 2, rng.randint(1, 3), star_prob=0.2)
             definition = ViewDefinition("v", q)
-            on_dict = materialize(definition, g)
+            on_dict = dict_extension(definition, g)
             on_compact = materialize(definition, g.freeze())
             on_sharded = materialize(definition, sharded)
             assert on_dict.edge_matches == on_compact.edge_matches
@@ -170,29 +172,27 @@ def _bounded_workload(seed, num_views=8, nodes=150, edges=400):
     definitions = list(
         generate_views(labels, num_views, seed=seed, bounded=True, max_bound=3)
     )
-    dict_views = ViewSet(definitions)
-    dict_views.materialize(graph)
     frozen = graph.freeze()
     compact_views = ViewSet(definitions)
     compact_views.materialize(frozen)
-    return graph, frozen, dict_views, compact_views
+    return graph, frozen, key_only(compact_views), compact_views
 
 
 class TestBMatchJoinFastPath:
     def test_fast_path_engages_on_shared_snapshot(self):
-        _, _, dict_views, compact_views = _bounded_workload(3)
-        query = query_from_views(dict_views, 4, 6, seed=7)
-        containment = bounded_minimal_views(query, dict_views)
+        _, _, key_views, compact_views = _bounded_workload(3)
+        query = query_from_views(key_views, 4, 6, seed=7)
+        containment = bounded_minimal_views(query, key_views)
         with matchjoin_metrics() as count:
             bounded_match_join(query, containment, compact_views)
             assert (count("total", "ids"), count("total", "keys")) == (1, 0)
-            # Dict-backend extensions carry no payload: node-key rows.
-            bounded_match_join(query, containment, dict_views)
+            # Key-only extensions carry no payload: node-key rows.
+            bounded_match_join(query, containment, key_views)
             assert (count("total", "ids"), count("total", "keys")) == (1, 1)
 
     def test_fast_path_declines_on_mixed_snapshots(self):
-        graph, frozen, dict_views, compact_views = _bounded_workload(4)
-        query = query_from_views(dict_views, 4, 6, seed=5)
+        graph, frozen, key_views, compact_views = _bounded_workload(4)
+        query = query_from_views(key_views, 4, 6, seed=5)
         containment = bounded_contains(query, compact_views)
         names = {
             name for refs in containment.mapping.values() for name, _ in refs
@@ -221,26 +221,26 @@ class TestBMatchJoinFastPath:
         view = ViewDefinition(
             "wide", build_bounded({"a": "A", "b": "B"}, [("a", "b", 3)])
         )
-        for backend, path in ((g, "keys"), (g.freeze(), "ids")):
-            views = ViewSet([view])
-            views.materialize(backend)
+        views = ViewSet([view])
+        views.materialize(g)
+        for catalog, path in ((key_only(views), "keys"), (views, "ids")):
             query = build_bounded({"a": "A", "b": "B"}, [("a", "b", 1)])
-            containment = bounded_contains(query, views)
+            containment = bounded_contains(query, catalog)
             assert containment.holds
             with matchjoin_metrics() as count:
-                result = bounded_match_join(query, containment, views)
+                result = bounded_match_join(query, containment, catalog)
                 # On the snapshot the evaluation runs in id space.
                 assert count("total", path) == 1
             assert result.edge_matches[("a", "b")] == {(1, 2)}
 
     def test_naive_engine_ignores_fast_path(self):
-        _, _, dict_views, compact_views = _bounded_workload(5)
-        query = query_from_views(dict_views, 4, 5, seed=9)
-        containment = bounded_contains(query, dict_views)
+        _, _, key_views, compact_views = _bounded_workload(5)
+        query = query_from_views(key_views, 4, 5, seed=9)
+        containment = bounded_contains(query, key_views)
         naive = bounded_match_join(
             query, containment, compact_views, optimized=False
         )
-        assert naive == bounded_match_join(query, containment, dict_views)
+        assert naive == bounded_match_join(query, containment, key_views)
 
     def test_sharded_bounded_extensions_share_composite_token(self, tmp_path):
         labels = tuple(f"l{i}" for i in range(6))

@@ -5,18 +5,13 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.graph.io import write_pattern
+from repro.graph.io import write_graph, write_pattern
 from repro.graph.pattern import BoundedPattern
-from repro.views.io import (
-    extension_from_json,
-    extension_to_json,
-    read_viewset,
-    write_viewset,
-)
+from repro.graph.snapshot import SnapshotStore
+from repro.views.io import read_viewset, write_viewset
 from repro.views import ViewDefinition, ViewSet
-from repro.views.view import materialize
 
-from helpers import build_bounded, build_graph, build_pattern
+from helpers import build_bounded, build_graph, build_pattern, matchjoin_metrics
 
 
 class TestViewSetSerialization:
@@ -31,28 +26,45 @@ class TestViewSetSerialization:
         assert not loaded.is_materialized("V")
 
     def test_extension_round_trip(self, tmp_path):
+        # A cached extension persists as a snapshot directory; the views
+        # JSON keeps the definitions only.
         g = build_graph({1: "A", 2: "B"}, [(1, 2)])
         views = ViewSet(
             [ViewDefinition("V", build_pattern({"a": "A", "b": "B"}, [("a", "b")]))]
         )
         views.materialize(g)
-        path = tmp_path / "views.json"
-        write_viewset(views, path)
-        loaded = read_viewset(path)
+        write_viewset(views, tmp_path / "views.json")
+        assert not read_viewset(tmp_path / "views.json").is_materialized("V")
+        SnapshotStore.save(tmp_path / "snap", g, views=views)
+        loaded = SnapshotStore.load(tmp_path / "snap").viewset()
         assert loaded.is_materialized("V")
         assert loaded.extension("V").pairs_of(("a", "b")) == {(1, 2)}
 
-    def test_bounded_extension_keeps_distances(self):
+    def test_bounded_extension_keeps_distances(self, tmp_path):
         g = build_graph({1: "A", 2: "X", 3: "B"}, [(1, 2), (2, 3)])
-        view = ViewDefinition(
-            "V", build_bounded({"a": "A", "b": "B"}, [("a", "b", 2)])
+        views = ViewSet(
+            [ViewDefinition("V", build_bounded({"a": "A", "b": "B"}, [("a", "b", 2)]))]
         )
-        ext = materialize(view, g)
-        doc = extension_to_json(ext)
-        json.dumps(doc)
-        back = extension_from_json(doc)
+        views.materialize(g)
+        SnapshotStore.save(tmp_path / "snap", g, views=views)
+        back = SnapshotStore.load(tmp_path / "snap").viewset().extension("V")
         assert back.distance_of((1, 3)) == 2
         assert isinstance(back.definition.pattern, BoundedPattern)
+
+    def test_file_carrying_extensions_refused(self, tmp_path, capsys):
+        pattern = build_pattern({"a": "A", "b": "B"}, [("a", "b")])
+        write_viewset(ViewSet([ViewDefinition("V", pattern)]), tmp_path / "v.json")
+        doc = json.loads((tmp_path / "v.json").read_text())
+        doc["extensions"] = [{"definition": doc["definitions"][0], "edge_matches": []}]
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="snapshot save --views") as refused:
+            read_viewset(path)
+        assert str(path) in str(refused.value)
+        write_pattern(pattern, tmp_path / "q.json")
+        rc = main(["query", "--query", str(tmp_path / "q.json"), "--views", str(path)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}")
 
 
 class TestCli:
@@ -79,7 +91,6 @@ class TestCli:
             "--edges", "300", "--out", str(graph_path),
             "--views", str(views_path),
         ])
-        main(["materialize", "--graph", str(graph_path), "--views", str(views_path)])
         capsys.readouterr()
         rc = main([
             "stats", "--graph", str(graph_path), "--views", str(views_path),
@@ -94,7 +105,9 @@ class TestCli:
         assert payload["snapshot"]["nodes"] == 150
         assert payload["snapshot"]["token"] >= 1
         assert payload["views"]["cardinality"] == len(payload["views"]["materialized"])
+        assert payload["views"]["snapshot_token"] == payload["snapshot"]["token"]
         assert 0 < payload["views"]["extension_fraction"]
+        assert set(payload["memory"]["views"]) == set(payload["views"]["materialized"])
 
     def test_full_workflow(self, tmp_path, capsys):
         graph_path = tmp_path / "g.json"
@@ -107,7 +120,11 @@ class TestCli:
             "--edges", "2500", "--out", str(graph_path),
             "--views", str(views_path),
         ])
-        rc = main(["materialize", "--graph", str(graph_path), "--views", str(views_path)])
+        snap_path = tmp_path / "snap"
+        rc = main([
+            "snapshot", "save", "--graph", str(graph_path),
+            "--views", str(views_path), "--out", str(snap_path),
+        ])
         assert rc == 0
 
         # A query matching one of the cached view shapes (AV1).
@@ -128,13 +145,21 @@ class TestCli:
         out = capsys.readouterr().out
         assert "contained: yes" in out
 
-        rc = main([
-            "query", "--query", str(query_path), "--views", str(views_path),
-            "--out", str(out_path),
-        ])
-        assert rc == 0
+        with matchjoin_metrics() as count:
+            rc = main([
+                "query", "--query", str(query_path), "--views", str(views_path),
+                "--graph", str(graph_path), "--out", str(out_path),
+            ])
+            assert rc == 0
+            assert count("total", "ids") == 1 and count("total", "keys") == 0
         result = json.loads(out_path.read_text())
         assert "x->y" in result
+        capsys.readouterr()
+
+        rc = main(["snapshot", "load", str(snap_path), "--query", str(query_path)])
+        assert rc == 0
+        pairs = sum(len(v) for v in result.values())
+        assert f"query: {pairs} pairs via " in capsys.readouterr().out
 
     def test_query_out_sorts_mixed_node_keys(self, tmp_path, capsys):
         # Int and str node keys do not compare; the result table sorts
@@ -145,13 +170,14 @@ class TestCli:
         )
         pattern = build_pattern({"x": "A", "y": "B"}, [("x", "y")])
         views = ViewSet([ViewDefinition("V", pattern)])
-        views.materialize(graph)
         write_viewset(views, tmp_path / "v.json")
+        write_graph(graph, tmp_path / "g.json")
         write_pattern(pattern, tmp_path / "q.json")
         out_path = tmp_path / "result.json"
         rc = main([
             "query", "--query", str(tmp_path / "q.json"),
-            "--views", str(tmp_path / "v.json"), "--out", str(out_path),
+            "--views", str(tmp_path / "v.json"), "--graph", str(tmp_path / "g.json"),
+            "--out", str(out_path),
         ])
         assert rc == 0
         assert json.loads(out_path.read_text()) == {
@@ -195,8 +221,13 @@ class TestCli:
             "--edges", "300", "--out", str(graph_path),
             "--views", str(views_path),
         ])
-        main(["materialize", "--graph", str(graph_path), "--views", str(views_path)])
         q = build_pattern({"a": "zz-unknown", "b": "zz-unknown"}, [("a", "b")])
         write_pattern(q, query_path)
         rc = main(["query", "--query", str(query_path), "--views", str(views_path)])
         assert rc == 1
+
+    def test_materialize_command_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["materialize", "--graph", "g.json", "--views", "v.json"])
+        assert exited.value.code == 2
+        assert "invalid choice: 'materialize'" in capsys.readouterr().err

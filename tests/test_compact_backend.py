@@ -27,6 +27,7 @@ from helpers import (
     build_bounded,
     build_graph,
     build_pattern,
+    key_only,
     matchjoin_metrics,
     random_labeled_graph,
     random_pattern,
@@ -178,14 +179,12 @@ class TestCompactGraphApi:
 # Backend equivalence: match / dual / strong on random instances
 # ----------------------------------------------------------------------
 class TestMatchEquivalence:
-    def test_match_and_dual_match_randomized(self):
+    def test_dual_match_randomized(self):
         rng = random.Random(23)
         for _ in range(60):
             g = random_labeled_graph(rng, rng.randint(2, 35), rng.randint(1, 90))
             q = random_pattern(rng, rng.randint(2, 6), rng.randint(1, 10))
-            f = g.freeze()
-            assert match(q, g) == match(q, f)
-            assert dual_match(q, g) == dual_match(q, f)
+            assert dual_match(q, g) == dual_match(q, g.freeze())
 
     def test_self_loop_pattern_regression(self):
         # Regression: a self-loop pattern edge can re-queue ids for the
@@ -202,7 +201,7 @@ class TestMatchEquivalence:
         assert result.node_matches == {"a": {"x"}, "b": {"v"}}
         assert match(q, g.freeze()) == result
 
-    def test_self_loops_randomized(self):
+    def test_dual_match_self_loops_randomized(self):
         rng = random.Random(41)
         for _ in range(40):
             g = random_labeled_graph(rng, rng.randint(2, 25), rng.randint(1, 60))
@@ -211,9 +210,7 @@ class TestMatchEquivalence:
                 q.add_edge(node, node)
             for node in rng.sample(list(g.nodes()), min(3, len(g))):
                 g.add_edge(node, node)
-            f = g.freeze()
-            assert match(q, g) == match(q, f)
-            assert dual_match(q, g) == dual_match(q, f)
+            assert dual_match(q, g) == dual_match(q, g.freeze())
 
     def test_strong_match_runs_on_snapshots(self):
         rng = random.Random(31)
@@ -262,13 +259,12 @@ class TestMatchEquivalence:
 # Backend equivalence: MatchJoin over snapshot-bound extensions
 # ----------------------------------------------------------------------
 def _materialized_pair(graph, definitions):
-    """The same view suite materialized on both backends."""
-    dict_views = ViewSet(definitions)
-    dict_views.materialize(graph)
+    """The same view suite materialized on the snapshot, and its
+    key-only copy (node-key sets, no id rows)."""
     frozen = graph.freeze()
     compact_views = ViewSet(definitions)
     compact_views.materialize(frozen)
-    return dict_views, compact_views, frozen
+    return key_only(compact_views), compact_views, frozen
 
 
 class TestMatchJoinEquivalence:
@@ -276,14 +272,14 @@ class TestMatchJoinEquivalence:
         labels = tuple(f"l{i}" for i in range(6))
         graph = random_graph(150, 400, labels=labels, seed=3)
         definitions = list(generate_views(labels, 8, seed=3))
-        dict_views, compact_views, _ = _materialized_pair(graph, definitions)
-        query = query_from_views(dict_views, 4, 6, seed=7)
-        containment = contains(query, dict_views)
+        key_views, compact_views, _ = _materialized_pair(graph, definitions)
+        query = query_from_views(key_views, 4, 6, seed=7)
+        containment = contains(query, key_views)
         with matchjoin_metrics() as count:
             match_join(query, containment, compact_views)
             assert (count("total", "ids"), count("total", "keys")) == (1, 0)
-            # Dict-backend extensions carry no payload: node-key rows.
-            match_join(query, containment, dict_views)
+            # Key-only extensions carry no payload: node-key rows.
+            match_join(query, containment, key_views)
             assert (count("total", "ids"), count("total", "keys")) == (1, 1)
 
     def test_fast_path_declines_on_mixed_snapshots(self):
@@ -321,11 +317,11 @@ class TestMatchJoinEquivalence:
         labels = tuple(f"l{i}" for i in range(6))
         graph = random_graph(120, 320, labels=labels, seed=6)
         definitions = list(generate_views(labels, 8, seed=6))
-        dict_views, compact_views, _ = _materialized_pair(graph, definitions)
-        query = query_from_views(dict_views, 4, 5, seed=9)
-        containment = contains(query, dict_views)
+        key_views, compact_views, _ = _materialized_pair(graph, definitions)
+        query = query_from_views(key_views, 4, 5, seed=9)
+        containment = contains(query, key_views)
         naive = match_join(query, containment, compact_views, optimized=False)
-        assert naive == match_join(query, containment, dict_views)
+        assert naive == match_join(query, containment, key_views)
 
     def test_extensions_pickle_with_payload(self):
         import pickle
@@ -351,14 +347,14 @@ class TestSnapshotBookkeeping:
         g = build_graph({1: "A", 2: "B"}, [(1, 2)])
         view = ViewDefinition("v", build_pattern({"a": "A", "b": "B"}, [("a", "b")]))
         views = ViewSet([view])
-        views.materialize(g)
-        assert views.snapshot_token is None
-        assert views.extension("v").snapshot_version is None
+        views.materialize(g)  # on g's own (cached) snapshot
         frozen = g.freeze()
-        views.materialize(frozen)
         assert views.snapshot_token == frozen.snapshot_token
         assert views.extension("v").snapshot_version == frozen.snapshot_version
         assert views.subset(["v"]).snapshot_token == frozen.snapshot_token
+        keys = key_only(views)
+        assert keys.snapshot_token is None
+        assert keys.extension("v").snapshot_version is None
 
 
 # ----------------------------------------------------------------------

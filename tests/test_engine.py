@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro import QueryEngine, match, match_join
+from repro import QueryEngine, answer_with_views, match, match_join
 from repro.core.containment import contains
 from repro.core.minimal import minimal_views
+from repro.datasets import generate_views, query_from_views, random_graph
 from repro.engine.cache import LRUCache
 from repro.engine.plan import pattern_key
 from repro.errors import NotContainedError
@@ -15,7 +16,7 @@ from repro.views.io import write_viewset
 from repro.views.maintenance import IncrementalViewSet
 from repro.views.selection import selection_stats
 
-from helpers import build_bounded, build_graph, build_pattern
+from helpers import build_bounded, build_graph, build_pattern, matchjoin_metrics
 
 
 @pytest.fixture
@@ -50,6 +51,28 @@ def contained_query():
 @pytest.fixture
 def uncovered_query():
     return build_pattern({"x": "C", "y": "A"}, [("x", "y")])
+
+
+class TestReadmeFlow:
+    def test_views_materialized_on_the_graph_join_on_its_snapshot(self):
+        # README: views.materialize(graph), answer_with_views, then
+        # QueryEngine(views, graph=graph).  The extensions bind to the
+        # snapshot the engine freezes to, so no join reads node keys.
+        labels = tuple(f"l{i}" for i in range(6))
+        graph = random_graph(200, 600, labels=labels, seed=5)
+        views = ViewSet(generate_views(labels, 8, seed=5))
+        queries = [query_from_views(views, 4, 6, seed=s) for s in range(4)]
+        views.materialize(graph)
+        assert views.snapshot_token == graph.freeze().snapshot_token
+        with matchjoin_metrics() as count:
+            for query in queries:
+                answer = answer_with_views(query, views)
+                assert answer.result.edge_matches == match(query, graph).edge_matches
+            engine = QueryEngine(views, graph=graph, selection="minimal")
+            assert all(engine.plan(q).strategy == "matchjoin" for q in queries)
+            engine.answer_batch(queries)
+            assert (count("total", "ids"), count("total", "keys")) == (2 * len(queries), 0)
+        assert engine.snapshot() is graph.freeze()
 
 
 class TestPlanner:
@@ -425,7 +448,6 @@ class TestEngineCli:
                 ),
             ]
         )
-        views.materialize(graph)
         graph_path = tmp_path / "g.json"
         views_path = tmp_path / "v.json"
         q1_path = tmp_path / "q1.json"
@@ -452,16 +474,14 @@ class TestEngineCli:
 
         rc = main([
             "query", "--query", str(q1_path),
-            "--views", str(views_path), "--explain",
+            "--views", str(views_path), "--graph", str(graph_path), "--explain",
         ])
         assert rc == 0
         assert "strategy : matchjoin" in capsys.readouterr().out
 
     def test_query_with_graph_joins_on_the_snapshot_ids(self, tmp_path, capsys):
         # With --graph the engine materializes the selected views on its
-        # frozen snapshot, so MatchJoin sweeps their id rows; the library
-        # answer_with_views materializes on the dict graph and joins
-        # node keys.
+        # frozen snapshot, so MatchJoin sweeps their id rows.
         from repro.cli import main
         from repro.obs.metrics import get_registry
 

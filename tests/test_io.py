@@ -86,6 +86,19 @@ class TestGraphRoundTrip:
             SnapshotStore.save(tmp_path / "snap", g)
         assert str(saved.value) == message
 
+    @pytest.mark.parametrize("value", [[1, 2], {"x": 1}], ids=["list", "object"])
+    def test_attribute_json_cannot_carry_is_refused_on_load(self, tmp_path, value):
+        # A file written elsewhere: loading it refuses what writing the
+        # loaded graph back (or saving its snapshot) would refuse.
+        doc = {"nodes": [{"id": "y", "labels": ["A"], "attrs": {"pos": value}}], "edges": []}
+        (tmp_path / "graph.json").write_text(json.dumps(doc))
+        message = f"node 'y': attribute 'pos' = {value!r} is not str, int, float, bool or None"
+        with pytest.raises(ValueError) as refused:
+            read_graph(tmp_path / "graph.json")
+        assert str(refused.value) == message
+        with pytest.raises(ValueError, match="is not str, int"):
+            graph_from_json(doc)
+
 
 class TestPatternRoundTrip:
     def test_plain_pattern(self, tmp_path):

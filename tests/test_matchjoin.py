@@ -35,6 +35,7 @@ from repro.views import ViewDefinition, ViewSet
 from helpers import (
     build_graph,
     build_pattern,
+    key_only,
     matchjoin_metrics,
     random_labeled_graph,
     random_pattern,
@@ -320,7 +321,9 @@ class TestKernelSweepCounts:
                 for i, edge in enumerate(query.edges())
             )
             path = "ids" if seed % 2 else "keys"
-            views.materialize(graph.freeze() if path == "ids" else graph)
+            views.materialize(graph)
+            if path == "keys":
+                views = key_only(views)
             containment = contains(query, views)
             with matchjoin_metrics() as count:
                 result = match_join(query, containment, views)
@@ -385,7 +388,9 @@ class TestKernelSweepCounts:
                 ViewDefinition("BA", build_pattern({"x": "B", "y": "A"}, [("x", "y")])),
             ]
         )
-        views.materialize(graph.freeze() if path == "ids" else graph)
+        views.materialize(graph)
+        if path == "keys":
+            views = key_only(views)
         query = build_pattern({"a": "A", "b": "B"}, [("a", "b"), ("b", "a")])
         containment = contains(query, views)
         with matchjoin_metrics() as count, trace.root_span("query") as root:
@@ -514,9 +519,11 @@ def test_lazy_answer_equals_the_naive_fixpoint_in_every_read_order(
     seed, bounded, path, order
 ):
     graph, query, views = _random_instance(random.Random(seed), bounded)
-    # Against a snapshot the extensions carry id rows; against the dict
-    # graph they are node-key sets only.
-    views.materialize(graph.freeze() if path == "ids" else graph)
+    # Materialized, the extensions carry id rows; their key-only copies
+    # are node-key sets only.
+    views.materialize(graph)
+    if path == "keys":
+        views = key_only(views)
     if bounded:
         containment = bounded_contains(query, views)
         merged = merge_initial_sets_bounded(query, containment, views.extensions())
@@ -591,7 +598,9 @@ def test_probe_and_scan_leave_the_same_survivors(seed, bounded, path):
     """The kernel's one read choice forced each way on random cyclic
     queries: the same survivors, the same visits, the naive fixpoint."""
     graph, query, views = _random_cyclic_instance(random.Random(seed), bounded)
-    views.materialize(graph.freeze() if path == "ids" else graph)
+    views.materialize(graph)
+    if path == "keys":
+        views = key_only(views)
     if bounded:
         containment = bounded_contains(query, views)
         merged = merge_initial_sets_bounded(query, containment, views.extensions())

@@ -13,7 +13,8 @@ self-loops, deletes of absent edges and edges to fresh node keys),
 run, with ``overwrite=True`` -- then booted from).
 
 ``boot`` samples the configuration: the graph form -- ``live`` (the
-engine maintains its own graph through a tracker), ``frozen`` (its
+engine maintains its own graph through a tracker; its catalog is
+materialised on that graph first, or not), ``frozen`` (its
 snapshot), ``mapped`` (that snapshot saved and mapped back) or
 ``ingested`` with 1-4 shards (``helpers.ingested``); plain views, or
 bounded ones with plain views mixed in; the selection policy; the
@@ -229,7 +230,12 @@ class OracleMachine(RuleBasedStateMachine):
         with forced_kernel(kernel):
             self.tracker = IncrementalViewSet(self.definitions, self.source)
             if form == "live":
-                self.engine = self._engine(graph=self.source)
+                views = ViewSet(self.definitions)
+                if data.draw(st.booleans(), label="materialized"):
+                    # The README flow: a catalog materialised on the
+                    # live graph joins on the snapshot the engine serves.
+                    views.materialize(self.source)
+                self.engine = self._engine(graph=self.source, views=views)
                 self.engine.attach_maintenance(self.tracker)
             elif form == "ingested":
                 self._ingest()
@@ -240,7 +246,7 @@ class OracleMachine(RuleBasedStateMachine):
 
     def _engine(self, **kwargs):
         if "snapshot_path" not in kwargs:
-            kwargs["views"] = ViewSet(self.definitions)
+            kwargs.setdefault("views", ViewSet(self.definitions))
         return QueryEngine(selection=self.selection, **kwargs)
 
     def _loaded(self, engine):

@@ -39,6 +39,7 @@ from helpers import (
     forced_kernel,
     fresh_registry,
     ingested,
+    key_only,
     name_in_shard,
     random_labeled_graph,
     random_pattern,
@@ -276,10 +277,11 @@ def materialized(views, graph, form):
     extensions mapping a MatchJoin call then reads."""
     if form == "mixed":  # two snapshots' tokens, one view without payload
         names = views.names()
-        views.materialize(graph.freeze())
-        views.materialize(graph.copy().freeze(), names=names[:1])
-        views.materialize(graph, names=names[1:2])
-        return views.extensions()
+        views.materialize(graph)
+        views.materialize(graph.copy(), names=names[:1])
+        extensions = views.extensions()
+        extensions.update(key_only(views.subset(names[1:2])).extensions())
+        return extensions
     # Rows packed into segments, as a save writes them.
     snapshot = graph.freeze()
     views.materialize(snapshot)

@@ -242,10 +242,10 @@ class TestRejection:
 
     def test_view_not_bound_to_the_snapshot_refused(self, tmp_path):
         graph, views, _ = _workload(seed=13)
-        views.materialize(graph)  # node-key extensions of the dict graph
+        views.materialize(graph.copy())  # bound to the copy's snapshot
         with pytest.raises(SnapshotError, match="not bound.*materialise"):
             SnapshotStore.save(tmp_path / "snap", graph, views=views)
-        views.materialize(graph.freeze())
+        views.materialize(graph)
         SnapshotStore.save(tmp_path / "snap", graph, views=views)
 
     def test_corrupt_segment_header(self, saved):

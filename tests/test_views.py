@@ -16,6 +16,7 @@ from helpers import (
     build_bounded,
     build_graph,
     build_pattern,
+    dict_extension,
     forced_kernel,
     random_labeled_graph,
 )
@@ -283,7 +284,7 @@ class TestLazyPayloadViews:
         assert not view.is_empty
         assert view.num_pairs and view.size  # counted off the rows
         assert _CountingTable.reads == 0
-        reference = materialize(definition, graph)
+        reference = dict_extension(definition, graph)
         if view.distances is not None:
             assert view.distance_of(next(iter(reference.distances))) >= 1
             assert _CountingTable.reads > 0
@@ -310,7 +311,7 @@ class TestLazyPayloadViews:
         assert eager and view.distances == eager
         assert dict(view.distances.items()) == eager
         assert all(view.distance_of(pair) == d for pair, d in eager.items())
-        assert view.distances == materialize(definition, graph).distances
+        assert view.distances == dict_extension(definition, graph).distances
         revived = pickle.loads(pickle.dumps(view))
         assert revived.distances == eager
         assert revived.edge_matches == view.edge_matches
