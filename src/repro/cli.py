@@ -121,7 +121,6 @@ def _cmd_contain(args) -> int:
 
 def _cmd_query(args) -> int:
     from repro.engine import QueryEngine
-    from repro.errors import NotContainedError, NotMaterializedError
     from repro.graph.io import read_graph, read_pattern
     from repro.views.io import read_viewset
 
@@ -130,7 +129,7 @@ def _cmd_query(args) -> int:
     try:
         queries = [read_pattern(path) for path in args.query]
         views = read_viewset(args.views)
-        graph = read_graph(args.graph) if args.graph else None
+        graph = read_graph(args.graph)
     except (OSError, ValueError) as err:
         return _error(err)
     engine = QueryEngine(views, graph=graph, selection=args.strategy)
@@ -140,10 +139,7 @@ def _cmd_query(args) -> int:
             print(engine.plan(query).explain())
         return 0
     for round_index in range(max(1, args.repeat)):
-        try:
-            results = engine.answer_batch(queries)
-        except (NotContainedError, NotMaterializedError) as err:
-            return _error(err)
+        results = engine.answer_batch(queries)
         total = sum(r.stats.elapsed for r in results)
         label = "cold" if round_index == 0 else f"warm #{round_index}"
         print(f"[{label}] {len(results)} queries in {total * 1e3:.2f} ms")
@@ -580,8 +576,6 @@ def _cmd_stats(args) -> int:
     if views is not None:
         views.materialize(graph)
     if args.format == "json":
-        from repro.views.flatpack import FlatExtension
-
         index = graph.label_index_stats()
         snapshot = graph.freeze()  # the one the views were materialized on
         store = snapshot.flat_store
@@ -630,9 +624,7 @@ def _cmd_stats(args) -> int:
             # Per-view flat-buffer footprint: the bytes one extension
             # occupies once packed into a segment.
             memory["views"] = {
-                name: _store_row(
-                    FlatExtension.pack(snapshot, views.extension(name).compact).store
-                )
+                name: _store_row(views.extension(name).compact.store)
                 for name in views.names()
             }
         json.dump(payload, sys.stdout, indent=2)
@@ -680,8 +672,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--query", nargs="+", required=True,
                    help="one or more pattern JSON files")
     p.add_argument("--views", required=True)
-    p.add_argument("--graph",
-                   help="graph for materialize-on-demand and direct fallback")
+    p.add_argument("--graph", required=True,
+                   help="the data graph: views materialize on its snapshot, "
+                   "a query they cannot answer runs on it directly")
     p.add_argument("--strategy", choices=_SELECTIONS,
                    default="minimal")
     p.add_argument("--repeat", type=int, default=1,

@@ -17,15 +17,14 @@ from repro import _lazy_exports
 _EXPORTS = {
     "CacheStats": "repro.engine.cache",
     "DIRECT": "repro.engine.plan",
-    "EvaluationSpec": "repro.engine.executor",
     "ExecutionStats": "repro.engine.plan",
     "LRUCache": "repro.engine.cache",
     "MATCHJOIN": "repro.engine.plan",
     "QueryEngine": "repro.engine.engine",
     "QueryPlan": "repro.engine.plan",
-    "evaluate_spec": "repro.engine.executor",
+    "evaluate": "repro.engine.executor",
     "pattern_key": "repro.engine.plan",
-    "run_specs": "repro.engine.executor",
+    "run_plans": "repro.engine.executor",
 }
 
 __all__ = sorted(_EXPORTS)

@@ -6,12 +6,12 @@ function of ``(Qs, V, V(G))``, and so is the layer around them: a
 :mod:`repro.engine.planner` is a pure function of it, and
 :class:`QueryEngine`, here, is the runtime that answers -- an LRU of
 answers keyed by the version stamps of exactly what each plan reads,
-batches evaluated one spec after another
+batches evaluated one plan after another
 (:mod:`repro.engine.executor`) and per-answer telemetry
 (``MatchResult.stats``, the plan-choice log, the metrics registry).
 
 **Thread safety.**  The catalog lock covers catalog mutation and the
-reads of one batch that must agree (plans, hits, materialization, specs,
+reads of one batch that must agree (plans, hits, materialization,
 answer keys).  Evaluation runs *outside* it on the inputs captured under
 it, so a maintenance batch landing mid-evaluation strands the in-flight
 answer under the *old* stamps instead of corrupting the cache.  The
@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 from repro.core.containment import SELECTIONS
 from repro.engine.cache import LRUCache
 from repro.engine.catalog import Catalog, EngineCheckpoint, Evaluated
-from repro.engine.executor import run_specs, spec_of
+from repro.engine.executor import run_plans
 from repro.engine.plan import (
     MATCHJOIN,
     ExecutionStats,
@@ -248,7 +248,7 @@ class QueryEngine:
         planned: bool = False,
     ) -> List[MatchResult]:
         """The one answer body: plan, resolve cache hits, dedupe what is
-        left by answer key, materialize, build specs, key on the state
+        left by answer key, materialize, key on the state
         actually evaluated, run, store, deliver.  ``items`` are queries,
         or -- ``planned``, :meth:`execute`'s entry -- one plan, replanned
         only if the definitions moved on; that entry keeps its own span
@@ -301,11 +301,11 @@ class QueryEngine:
                     for indices in pending.values()
                 }
             keys = {indices[0]: key for key, indices in pending.items()}
-            specs = [(index, spec_of(plans[index])) for index in keys]
-            # MatchJoin specs never read the graph: freeze only for others.
+            tasks = [(index, plans[index]) for index in keys]
+            # MatchJoin plans never read the graph: freeze only for others.
             graph = (
                 catalog.snapshot()
-                if any(spec.kind != MATCHJOIN for _, spec in specs)
+                if any(plan.strategy != MATCHJOIN for _, plan in tasks)
                 else None
             )
             evaluated = Evaluated(
@@ -314,9 +314,9 @@ class QueryEngine:
         with (
             trace.span("evaluate", strategy=owners[0].strategy)
             if planned
-            else trace.span("evaluate.batch", tasks=len(specs))
+            else trace.span("evaluate.batch", tasks=len(tasks))
         ):
-            completed = run_specs(specs, evaluated.extensions, graph)
+            completed = run_plans(tasks, evaluated.extensions, graph)
         for index, result, elapsed in completed:
             self._answer_cache.put(keys[index], result)
             for twin in pending[keys[index]]:

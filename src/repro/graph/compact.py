@@ -25,8 +25,9 @@ so downstream caches exchange raw ids only within one.  A snapshot
 the base tables, carries rebuilt rows and appended nodes in a *patch*
 overlay, keeps every node's id and records its predecessor's token in
 :attr:`extends_token`: the maintenance pipeline's licence to re-stamp
-extensions of unchanged views.  A save writes *store + meta + patch*; a
-pickle also carries a fresh store's node keys and attrs.  The read API
+extensions of unchanged views.  A save writes *store + meta + patch*
+(:class:`~repro.graph.snapshot.SnapshotStore`), the only form in which a
+snapshot leaves a process: it does not pickle.  The read API
 mirrors :class:`DataGraph` over the original node keys, so every
 generic engine runs on a snapshot unchanged; the id-space API
 (``out_ids``, ``label_ids``, ``node_of`` ...) serves the fast paths.
@@ -227,9 +228,6 @@ class _Table:
     def __add__(self, appended: List[Any]) -> "_Table":
         return _Table(self._source, self._appended + appended)
 
-    def __reduce__(self):
-        return (_Table, (self._source, self._appended))
-
 
 class CompactGraph:
     """A frozen, integer-id snapshot of a :class:`DataGraph`.
@@ -408,15 +406,6 @@ class CompactGraph:
         docs = {"labels": store.obj("labels"), "nodes": _keys_to_json(nodes), "attrs": attrs}
         return FlatStore.pack(ints, docs)
 
-    def __reduce__(self):
-        # The store, plus the node keys and attrs where it lacks them:
-        # in process any hashable key travels, a save needs JSON's.
-        meta = (self._num_nodes, self._num_edges, self.snapshot_version,
-                self.snapshot_token, self.extends_token)
-        if "nodes" in self._flat.header:
-            return (_attach, (self._flat, self._patch, meta))
-        return (_attach, (self._flat, self._patch, meta, list(self._nodes), list(self._attrs)))
-
     # ------------------------------------------------------------------
     # Integer-id API (the fast paths)
     # ------------------------------------------------------------------
@@ -494,7 +483,7 @@ class CompactGraph:
     def array_cache(self) -> Dict[str, Any]:
         """What :mod:`repro.simulation.array_engine` derived from this
         snapshot (label masks, label-pair edge rows, the node-key column):
-        dies with it, is never a predecessor's and is never pickled."""
+        dies with it, is never a predecessor's and is never saved."""
         return self._array_cache
 
     def label_ids(self, label: str) -> Tuple[int, ...]:
@@ -806,13 +795,10 @@ class CompactGraph:
         )
 
 
-def _attach(store: FlatStore, patch, meta, nodes=None, attrs=None) -> CompactGraph:
-    """The snapshot over a saved or unpickled store (``meta`` is
-    ``(nodes, edges, version, token, extends_token)``; ``nodes`` /
-    ``attrs``, every node's, when the store holds none): nothing is
-    decoded until a read asks for it."""
+def _attach(store: FlatStore, patch, meta) -> CompactGraph:
+    """The snapshot over a saved store (``meta`` is ``(nodes, edges,
+    version, token, extends_token)``): nothing is decoded until a read
+    asks for it."""
     snapshot = CompactGraph.__new__(CompactGraph)
     snapshot._bind(store, patch, meta)
-    if nodes is not None:
-        snapshot._nodes, snapshot._attrs = nodes, attrs
     return snapshot

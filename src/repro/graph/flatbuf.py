@@ -17,9 +17,11 @@ offset, nbytes)}``).  A segment is backed one of two ways:
   makes snapshots durable: :meth:`FlatStore.save` writes one,
   :meth:`FlatStore.open` maps it back without rebuilding anything.
 
-A store pickles as its segment's handle: a file-backed one as its path,
-a ``bytes`` one as its payload.  A mapping is closed when the last
-reference to its segment drops; nothing here ever deletes a file.
+A store does not pickle: its tables leave a process only as segment
+files of a snapshot directory
+(:class:`~repro.graph.snapshot.SnapshotStore`).  A mapping is closed
+when the last reference to its segment drops; nothing here ever
+deletes a file.
 """
 
 from __future__ import annotations
@@ -84,15 +86,10 @@ class Segment:
         self._path = path
 
     @classmethod
-    def attach_file(cls, path: str, nbytes: int = -1) -> Tuple["Segment", dict]:
+    def attach_file(cls, path: str) -> Tuple["Segment", dict]:
         """Map a sealed segment file read-only; returns it with its table
-        directory.  ``nbytes >= 0`` is the payload size a pickled handle
-        expects."""
+        directory."""
         payload_nbytes, _, table_header, _ = _read_segment_header(path)
-        if nbytes >= 0 and nbytes != payload_nbytes:
-            raise SegmentFormatError(
-                f"{path}: payload is {payload_nbytes} bytes, handle expected {nbytes}"
-            )
         with open(path, "rb") as fh:
             mm = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
         segment = cls(mm, payload_nbytes, path)
@@ -119,19 +116,6 @@ class Segment:
             return os.path.getsize(self._path)
         except OSError:  # pragma: no cover - racing deletion
             return 0
-
-    def handle(self) -> Tuple[str, object]:
-        """The picklable identity of this segment: ``("file", path)``
-        for a mapped file, ``("bytes", payload)`` otherwise."""
-        if self._path is None:
-            return ("bytes", bytes(self._payload))
-        return ("file", self._path)
-
-    @classmethod
-    def from_handle(cls, kind: str, value, nbytes: int) -> "Segment":
-        if kind == "file":
-            return cls.attach_file(value, nbytes)[0]
-        return cls(bytearray(value), nbytes)
 
     def __repr__(self) -> str:
         return f"Segment({self._path or '<bytes>'}, {self.nbytes}B, {self.kind})"
@@ -237,8 +221,7 @@ class FlatStore:
     :meth:`obj`.
 
     The header (``{name: (kind, offset, nbytes)}``) is *not* part of the
-    payload: it rides in the pickle of whatever object owns the store,
-    and in a saved file's trailer.
+    payload: it rides in a saved file's trailer.
     """
 
     __slots__ = ("segment", "header", "_arrays", "_objs", "__weakref__")
@@ -310,10 +293,13 @@ class FlatStore:
             verify_segment_file(path)
         return cls(*Segment.attach_file(path))
 
-    # -- pickling: the segment's handle + header -----------------------
-    def __reduce__(self):
-        kind, value = self.segment.handle()
-        return (_attach_store, (kind, value, self.segment.nbytes, self.header))
+    def __getstate__(self):
+        # Everything holding a store (a snapshot, a view's rows) refuses
+        # through this one check.
+        raise TypeError(
+            "a FlatStore does not pickle: save it in a snapshot directory "
+            "(SnapshotStore.save) and load it there"
+        )
 
     # -- table access --------------------------------------------------
     def ints(self, name: str) -> memoryview:
@@ -356,7 +342,3 @@ def _encode(doc) -> bytes:
     """The compact JSON encoding of ``doc`` (JSON tables, trailers)."""
     return json.dumps(doc, separators=(",", ":")).encode()
 
-
-def _attach_store(kind, value, nbytes, header) -> FlatStore:
-    """Unpickle hook (see :meth:`FlatStore.__reduce__`)."""
-    return FlatStore(Segment.from_handle(kind, value, nbytes), header)

@@ -17,7 +17,7 @@ Directory layout (format 3)::
         shard-000.seg ...      # sharded: one sealed segment per shard
         boundary-000.seg ...   # sharded: per-shard boundary rows (int tables)
         patch-000.json ...     # sharded: per-shard patch overlays (optional)
-        view-000.seg ...       # a view's id rows (FlatExtension.pack)
+        view-000.seg ...       # a view's id rows (FlatExtension.store)
         view-000.json ...      # its definition, edge order and provenance
 
 Every file is a segment of int and JSON tables or a JSON document, and
@@ -418,7 +418,6 @@ def _write_sharded(dirpath: str, sharded) -> dict:
 def _write_views(dirpath: str, snapshot, extensions: Dict[str, Any]) -> Dict[str, dict]:
     """Save every view as its id rows (``view-NNN.seg``) plus a JSON doc
     (``view-NNN.json``) of its definition, row order and provenance."""
-    from repro.views.flatpack import FlatExtension
     from repro.views.io import stored_view_to_json
 
     out: Dict[str, dict] = {}
@@ -430,8 +429,6 @@ def _write_views(dirpath: str, snapshot, extensions: Dict[str, Any]) -> Dict[str
                 f"view {name!r} is not bound to the snapshot being saved: "
                 "materialise it on that snapshot first"
             )
-        if payload.store is None:
-            payload = FlatExtension.pack(snapshot, payload)
         entry = {"segment": f"view-{idx:03d}.seg", "meta": f"view-{idx:03d}.json"}
         payload.store.save(os.path.join(dirpath, entry["segment"]))
         _write_json(os.path.join(dirpath, entry["meta"]), stored_view_to_json(view))

@@ -41,10 +41,10 @@ class Epoch:
     (0 for the initial build, +1 per applied maintenance batch).
     ``resolutions`` is the server's per-epoch memo -- what a (query
     fingerprint, selection) resolved to against this checkpoint: the
-    plan, the evaluation spec, the answer key.  All of it is a function
-    of the immutable checkpoint, so it needs no invalidation and dies
-    with the epoch; unlike the refcount it is touched from the event
-    loop only.
+    plan (its answer key included) and the record a hit files.  All of
+    it is a function of the immutable checkpoint, so it needs no
+    invalidation and dies with the epoch; unlike the refcount it is
+    touched from the event loop only.
     """
 
     __slots__ = (

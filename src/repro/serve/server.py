@@ -61,7 +61,7 @@ from typing import Dict, NamedTuple, Optional, Tuple
 from repro.engine.cache import LRUCache
 from repro.engine.catalog import EngineCheckpoint
 from repro.engine.engine import QueryEngine
-from repro.engine.executor import EvaluationSpec, evaluate_spec, spec_of
+from repro.engine.executor import evaluate
 from repro.engine.plan import (
     MATCHJOIN,
     PlanChoiceRecord,
@@ -467,14 +467,13 @@ class QueryServer:
         does no per-pair work for a miss."""
         plan = resolution.plan
         key = plan.cache_key
-        spec = spec_of(plan)
         self._count("coalesce_owners")
         future: asyncio.Future = self._loop.create_future()
         self._coalescing[key] = future
         try:
             result, elapsed, fragment = await self._loop.run_in_executor(
                 self._pool, self._attached, root, self._evaluate_recorded,
-                plan, spec, epoch, wire,
+                plan, epoch, wire,
             )
         except BaseException as err:
             self._coalescing.pop(key, None)
@@ -518,13 +517,11 @@ class QueryServer:
         )
         return Resolution(plan, hit_record)
 
-    def _evaluate_recorded(
-        self, plan: QueryPlan, spec: EvaluationSpec, epoch: Epoch, wire: bool
-    ):
+    def _evaluate_recorded(self, plan: QueryPlan, epoch: Epoch, wire: bool):
         """Evaluate, file the answer's plan-choice record off the
         checkpoint that answered, and -- with ``wire`` -- encode the
         reply fragment (reader pool; ``elapsed`` is the evaluation's)."""
-        result, elapsed = self._evaluate(spec, epoch)
+        result, elapsed = self._evaluate(plan, epoch)
         self._engine.record_plan_choice(
             plan, elapsed=elapsed, cache_hit=False, state=epoch.checkpoint
         )
@@ -536,16 +533,16 @@ class QueryServer:
                 current.set(bytes=len(fragment))
         return result, elapsed, fragment
 
-    def _evaluate(self, spec: EvaluationSpec, epoch: Epoch):
+    def _evaluate(self, plan: QueryPlan, epoch: Epoch):
         """Synchronous evaluation against a pinned epoch (runs in the
         reader pool; tests wrap this to control interleavings)."""
         checkpoint = epoch.checkpoint
         started = perf_counter()
-        with trace.span("evaluate", kind=spec.kind) as current:
-            result = evaluate_spec(
-                spec,
+        with trace.span("evaluate", kind=plan.strategy) as current:
+            result = evaluate(
+                plan,
                 checkpoint.extensions,
-                checkpoint.snapshot if spec.kind != MATCHJOIN else None,
+                checkpoint.snapshot if plan.strategy != MATCHJOIN else None,
             )
             if current is not None:
                 current.set(pairs=result.result_size)

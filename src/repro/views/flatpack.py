@@ -17,18 +17,17 @@ from them per view edge on first touch and cached:
   ids]}``), built by one pass the first time the kernel *probes* the
   view edge (reads only the rows at its live targets) and never before.
 
-None of these is stored: pickling, :meth:`FlatExtension.pack` and a
-saved snapshot carry the rows alone.
+None of these is stored: a saved snapshot carries the rows alone.
 
-In process the rows are plain ``array('q')`` columns and no segment is
-created.  :meth:`FlatExtension.pack` moves the same columns into a
-:class:`~repro.graph.flatbuf.FlatStore` under the same table names --
-the form :class:`~repro.graph.snapshot.SnapshotStore` saves beside a
-snapshot's segment and maps back on load -- and a payload attached
-that way runs exactly the code the in-process one runs (both read rows
-through :meth:`FlatExtension.pair_rows`).  The id -> node-key decode
-table is the snapshot's own, referenced, not copied: an attached
-payload decodes through the loaded snapshot's lazy table.
+The rows (and a bounded view's ``I(V)`` as ``dist_*`` triples) live in
+one :class:`~repro.graph.flatbuf.FlatStore` from the start -- the store
+:class:`~repro.graph.snapshot.SnapshotStore` saves beside a snapshot's
+segment and maps back on load -- so a payload fresh in process and one
+attached from disk run the same code (both read rows through
+:meth:`FlatExtension.pair_rows`).  Like its store, a payload does not
+pickle.  The id -> node-key decode table is the snapshot's own,
+referenced, not copied: an attached payload decodes through the loaded
+snapshot's lazy table.
 """
 
 from __future__ import annotations
@@ -44,13 +43,11 @@ PEdge = Tuple[Hashable, Hashable]
 Node = Hashable
 IdDistances = Dict[Tuple[int, int], int]
 
-_ROW_TABLES = ("pairs_indptr", "pairs_src", "pairs_tgt")
-
 
 class _LazyDistances(dict):
     """A distance index filled on first use from ``fill()``'s
     ``((v, w), d)`` items: the id-space ``I(V)`` off a store's flat
-    triples (``FlatExtension.distances`` once packed or attached), or
+    triples (``FlatExtension.distances`` once attached), or
     the node-key form decoded from an id-space index
     (``MaterializedView.distances``).
     """
@@ -143,12 +140,11 @@ class FlatExtension:
         path.  ``None`` for simulation views (pairs are data edges,
         distance 1 by construction).
     store:
-        The :class:`FlatStore` holding the rows once :meth:`pack` ed
-        or attached (``None`` in process, where ``_tables`` holds the
-        columns).
+        The :class:`FlatStore` holding the rows (and ``I(V)``'s triples).
     """
 
     __slots__ = (
+        "store",  # first: a pickle meets the store's refusal at once
         "token",
         "version",
         "nodes",
@@ -160,29 +156,23 @@ class FlatExtension:
         "tgt_nodes",
         "by_target",
         "distances",
-        "_tables",
-        "store",
     )
 
     def __init__(
         self,
         stamp: tuple,
         edge_order: List[PEdge],
-        tables,
+        store: FlatStore,
         distances: Optional[IdDistances] = None,
     ) -> None:
         """``stamp`` is :func:`snapshot_stamp` of the owning snapshot;
-        ``tables`` either the three row columns (``pairs_indptr`` /
-        ``pairs_src`` / ``pairs_tgt`` as ``array('q')``) or a
-        :class:`FlatStore` holding them.  Producers use
-        :meth:`from_rows` / :meth:`from_pairs`."""
+        ``store`` holds the row tables (``pairs_indptr`` / ``pairs_src``
+        / ``pairs_tgt``).  Producers use :meth:`from_rows` /
+        :meth:`from_pairs`."""
+        self.store = store
         self.token, self.version, self.nodes = stamp
         self.edge_order = edge_order
         self.edge_index = {edge: k for k, edge in enumerate(edge_order)}
-        if isinstance(tables, FlatStore):
-            self._tables, self.store = None, tables
-        else:
-            self._tables, self.store = tables, None
         self.distances = distances
         for kind in ("src_keys", "tgt_keys", "src_nodes", "tgt_nodes", "by_target"):
             setattr(self, kind, self.per_edge(kind))
@@ -195,8 +185,8 @@ class FlatExtension:
         distances: Optional[IdDistances] = None,
     ) -> "FlatExtension":
         """Rows from a simulation kernel's ``{edge: (source ids, target
-        ids)}`` output, concatenated (the caller can then drop its
-        own).  ``snapshot`` may be a
+        ids)}`` output, concatenated and packed with ``I(V)``'s triples
+        (the caller can then drop its own).  ``snapshot`` may be a
         :class:`~repro.graph.compact.CompactGraph` or a
         :class:`~repro.shard.sharded.ShardedGraph` (composite ids)."""
         indptr = array("q", [0])
@@ -207,7 +197,15 @@ class FlatExtension:
             tgt.extend(targets)
             indptr.append(len(src))
         tables = {"pairs_indptr": indptr, "pairs_src": src, "pairs_tgt": tgt}
-        return cls(snapshot_stamp(snapshot), list(id_rows), tables, distances)
+        if distances is not None:
+            pairs = distances.keys()
+            tables.update(
+                dist_src=array("q", [v for v, _ in pairs]),
+                dist_tgt=array("q", [w for _, w in pairs]),
+                dist_val=array("q", distances.values()),
+            )
+        store = FlatStore.pack(tables, {})
+        return cls(snapshot_stamp(snapshot), list(id_rows), store, distances)
 
     @classmethod
     def from_pairs(
@@ -216,38 +214,16 @@ class FlatExtension:
         """Rows from node-key match sets, encoded through
         ``snapshot.id_of`` (``KeyError`` for a node it lacks)."""
         id_of = snapshot.id_of
-        indptr = array("q", [0])
-        src = array("q")
-        tgt = array("q")
-        for pairs in edge_matches.values():
-            src.extend([id_of(v) for v, _ in pairs])
-            tgt.extend([id_of(w) for _, w in pairs])
-            indptr.append(len(src))
-        tables = {"pairs_indptr": indptr, "pairs_src": src, "pairs_tgt": tgt}
-        return cls(snapshot_stamp(snapshot), list(edge_matches), tables)
+        return cls.from_rows(snapshot, {
+            edge: ([id_of(v) for v, _ in pairs], [id_of(w) for _, w in pairs])
+            for edge, pairs in edge_matches.items()
+        })
 
-    @classmethod
-    def pack(cls, snapshot, base: "FlatExtension") -> "FlatExtension":
-        """``base``'s rows moved into one flat segment (``I(V)`` as
-        ``dist_*`` triples), decoding through ``snapshot``'s node table
-        (``base`` is bound to ``snapshot``)."""
-        arrays = {name: base._ints(name) for name in _ROW_TABLES}
-        if base.distances is not None:
-            d_src = array("q")
-            d_tgt = array("q")
-            d_val = array("q")
-            for (v, w), d in base.distances.items():
-                d_src.append(v)
-                d_tgt.append(w)
-                d_val.append(d)
-            arrays.update(dist_src=d_src, dist_tgt=d_tgt, dist_val=d_val)
-        store = FlatStore.pack(arrays, {})
-        return cls(snapshot_stamp(snapshot), base.edge_order, store, base.distances)
-
-    def _ints(self, name: str) -> memoryview:
-        if self.store is not None:
-            return self.store.ints(name)
-        return memoryview(self._tables[name])
+    @staticmethod
+    def pack(snapshot, base: "FlatExtension") -> "FlatExtension":
+        """``base`` itself: its rows are one store already.  Kept for
+        ``perf/batch.py`` until ROADMAP item 3 repoints it."""
+        return base
 
     def pair_rows(self, view_edge: PEdge):
         """The raw ``(src, tgt)`` id rows of one view edge.
@@ -257,19 +233,19 @@ class FlatExtension:
         ``KeyError`` for a foreign edge, as dicts do.
         """
         k = self.edge_index[view_edge]
-        indptr = self._ints("pairs_indptr")
+        indptr = self.store.ints("pairs_indptr")
         lo, hi = indptr[k], indptr[k + 1]
-        return self._ints("pairs_src")[lo:hi], self._ints("pairs_tgt")[lo:hi]
+        return self.store.ints("pairs_src")[lo:hi], self.store.ints("pairs_tgt")[lo:hi]
 
     @property
     def num_pairs(self) -> int:
         """Pairs over every view edge (``pairs_indptr``'s last offset)."""
-        return self._ints("pairs_indptr")[-1]
+        return self.store.ints("pairs_indptr")[-1]
 
     def num_nodes(self) -> int:
         """Distinct nodes over every pair, counted as ids: ids and node
         keys are a bijection, so nothing is decoded."""
-        return len(set(self._ints("pairs_src")).union(self._ints("pairs_tgt")))
+        return len(set(self.store.ints("pairs_src")).union(self.store.ints("pairs_tgt")))
 
     def per_edge(self, kind: str) -> LazyMap:
         """``{view edge: structure}``, each decoded by :meth:`build`
@@ -293,29 +269,6 @@ class FlatExtension:
         if kind == "pairs":
             return set(zip(map(decode, src), map(decode, tgt)))
         raise AssertionError(kind)
-
-    @property
-    def ships_as_handle(self) -> bool:
-        """Whether pickling carries the store (packed or attached rows)
-        rather than the rows themselves."""
-        return self.store is not None
-
-    def __reduce__(self):
-        if self.ships_as_handle:
-            return (
-                _attach_extension,
-                (
-                    self.store,
-                    self.nodes,
-                    self.edge_order,
-                    self.token,
-                    self.version,
-                    self.distances is not None,
-                ),
-            )
-        distances = None if self.distances is None else dict(self.distances)
-        stamp = (self.token, self.version, self.nodes)
-        return (FlatExtension, (stamp, self.edge_order, self._tables, distances))
 
     def rebound(self, snapshot) -> "FlatExtension":
         """The same rows re-stamped onto ``snapshot``.
@@ -369,9 +322,8 @@ def _attach_extension(
     version: int,
     bounded: bool,
 ) -> FlatExtension:
-    """Reconstruction of a packed payload (snapshot load, unpickling)
-    decoding through ``nodes``; nothing is decoded until a query
-    touches it."""
+    """A saved payload's store attached on snapshot load, decoding
+    through ``nodes``; nothing is decoded until a query touches it."""
     return FlatExtension(
         (token, version, nodes),
         edge_order,

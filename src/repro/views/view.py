@@ -106,14 +106,16 @@ class MaterializedView:
         the same match sets as id rows in snapshot id space (set on
         every :func:`materialize`d view; ``None`` only for an extension
         built from node-key sets by hand).  Such a view is
-        built one way, by :func:`_attach_view`, whether fresh, attached
-        from a saved snapshot or unpickled: the rows are its only stored
-        form, and ``edge_matches`` and ``distances`` decode from them
-        per view edge on first read -- specs that run entirely in id
-        space never pay the decode at all.
+        built one way, by :func:`_attach_view`, whether fresh or attached
+        from a saved snapshot: the rows are its only stored form, and
+        ``edge_matches`` and ``distances`` decode from them per view
+        edge on first read -- evaluations that run entirely in id space
+        never pay the decode at all.  Like its rows, it does not pickle.
     """
 
-    __slots__ = ("definition", "edge_matches", "distances", "compact", "_size")
+    # ``compact`` first: a pickle meets its store's refusal before
+    # decoding any match set.
+    __slots__ = ("compact", "definition", "edge_matches", "distances", "_size")
 
     def __init__(
         self,
@@ -196,11 +198,6 @@ class MaterializedView:
             self.compact.rebound(snapshot),
         )
 
-    def __reduce__(self):
-        if self.compact is not None:
-            return (_attach_view, (self.definition, self.compact))
-        return (MaterializedView, (self.definition, self.edge_matches, self.distances))
-
     def __repr__(self) -> str:
         return f"MaterializedView({self.name!r}, pairs={self.num_pairs})"
 
@@ -209,7 +206,7 @@ def _attach_view(
     definition: ViewDefinition, flat: FlatExtension
 ) -> MaterializedView:
     """The one construction of a view that carries id rows -- fresh in
-    process, attached from a saved snapshot or unpickled: its node-key
+    process or attached from a saved snapshot: its node-key
     sets and node-key ``I(V)`` decode lazily from ``flat``."""
     distances = (
         None

@@ -15,11 +15,13 @@ import math
 import pickle
 import random
 from array import array
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.graph import ANY, BoundedPattern, CompactGraph, DataGraph, P, Pattern
+from repro.graph import ANY, BoundedPattern, DataGraph, P, Pattern
+from repro.graph.snapshot import SnapshotStore, live_directory, snapshot_files
 from repro.graph.conditions import Condition, TrueCondition
 from repro.obs import trace
 from repro.simulation import array_engine, bounded_match
@@ -32,6 +34,7 @@ from repro.views.maintenance import Delta
 from helpers import (
     KERNELS,
     apply_ops,
+    attached,
     dict_extension,
     forced_kernel,
     fresh_registry,
@@ -56,15 +59,10 @@ class OddX(Condition):
         return ("odd-x",)
 
 
-def frozen_as(graph, attached, previous=None):
-    """``graph.freeze()``; when ``attached``, mapped back from its
-    pickle (lazy tables), or a refresh of ``previous`` that was."""
-    if not attached:
-        return graph.freeze()
-    ops = previous and graph.edge_changes_since(previous.snapshot_version)
-    if ops is None:  # no previous, or a change no refresh can express
-        return pickle.loads(pickle.dumps(graph.freeze()))
-    return CompactGraph.refreshed(previous, graph, graph.version, ops)
+def frozen_as(graph, loaded, previous=None):
+    """``graph.freeze()``; when ``loaded``, saved and mapped back (lazy
+    tables), or a refresh of ``previous`` that was."""
+    return attached(graph, previous) if loaded else graph.freeze()
 
 
 def chain(*conditions):
@@ -678,18 +676,29 @@ def test_array_caches_are_per_snapshot(operator, shared):
 @needs_numpy
 @pytest.mark.parametrize("operator", sorted(OPERATORS))
 @pytest.mark.parametrize("shared", [False, True])
-def test_array_caches_are_not_pickled(operator, shared):
-    graph = rekeyed(random_labeled_graph(random.Random(17), 30, 90), "mixed")
+def test_array_caches_are_not_pickled(operator, shared, tmp_path):
+    # Nor saved: a save writes the same files before and after the
+    # kernel filled the cache, and a load starts with none.  (Tuple
+    # keys: a saved key is JSON's, so "mixed"'s frozensets cannot be.)
+    graph = rekeyed(random_labeled_graph(random.Random(17), 30, 90), "tuple")
     pattern, run = OPERATORS[operator]
     frozen = frozen_as(graph, shared)
-    frozen.edge_columns()  # plain ``array('i')`` columns, which do travel
-    cold = len(pickle.dumps(frozen))
+    frozen.edge_columns()  # plain ``array('i')`` columns, never saved either
+    SnapshotStore.save(tmp_path / "cold", frozen)
     with forced_kernel("array"):
         expected = run(pattern, frozen)
     assert expected and frozen.array_cache
-    shipped = pickle.dumps(frozen)
-    assert len(shipped) == cold and b"numpy" not in shipped
-    received = pickle.loads(shipped)
+    SnapshotStore.save(tmp_path / "warm", frozen)
+    saved = {
+        side: {
+            name: Path(live_directory(tmp_path / side), name).read_bytes()
+            for name in snapshot_files(tmp_path / side) if name != "manifest.json"
+        }
+        for side in ("cold", "warm")
+    }
+    assert saved["warm"] == saved["cold"]
+    assert not any(b"numpy" in blob for blob in saved["warm"].values())
+    received = SnapshotStore.load(tmp_path / "warm").graph
     assert received.array_cache == {}
     with forced_kernel("array"):
         assert run(pattern, received) == expected
@@ -707,7 +716,7 @@ def test_attached_snapshot_decodes_only_the_ids_an_answer_names(operator, monkey
     expected = run(pattern, graph)
     named = set().union(*expected.node_matches.values())
     assert 0 < len(named) < graph.num_nodes
-    attached = pickle.loads(pickle.dumps(graph.freeze()))
+    loaded = attached(graph)
     decoded = []
 
     class CountedTable:
@@ -720,19 +729,19 @@ def test_attached_snapshot_decodes_only_the_ids_an_answer_names(operator, monkey
 
     monkeypatch.setattr(CompactGraph, "node_table", property(CountedTable))
     with forced_kernel("array"):
-        assert run(pattern, attached) == expected
+        assert run(pattern, loaded) == expected
         # Each id at most once, and no id the answer does not name.
         assert len(decoded) == len(set(decoded)) == len(named)
-        assert set(map(attached._nodes.__getitem__, decoded)) == named
+        assert set(map(loaded._nodes.__getitem__, decoded)) == named
         del decoded[:]
-        assert run(pattern, attached) == expected
+        assert run(pattern, loaded) == expected
         assert decoded == []
         # Another pattern decodes only what is new to the snapshot.
         others = {"match": chain("C", "A"), "bmatch": bounded_chain(2, "C", "A")}
         other = others[operator]
-        assert run(other, attached) == run(other, graph)
+        assert run(other, loaded) == run(other, graph)
         assert len(decoded) == len(set(decoded)) and not set(decoded) & {
-            attached.id_of(key) for key in named
+            loaded.id_of(key) for key in named
         }
 
 
@@ -764,7 +773,7 @@ def test_concurrent_matches_share_one_snapshots_caches():
         with forced_kernel("array"):
             for _ in range(5):
                 # A fresh attachment each round: empty caches, lazy table.
-                snapshot = pickle.loads(pickle.dumps(graph.freeze()))
+                snapshot = attached(graph)
                 start = threading.Event()
                 threads = [
                     threading.Thread(target=worker, args=(snapshot, offset, start))
@@ -923,7 +932,7 @@ def test_lazy_kernel_answer_read_by_threads_at_once(kernel):
     try:
         for _ in range(5):
             # A fresh attachment each round: a cold key column, a lazy table.
-            snapshot = pickle.loads(pickle.dumps(graph.freeze()))
+            snapshot = attached(graph)
             with forced_kernel(kernel):
                 result = match(pattern, snapshot)
             start = threading.Barrier(readers)
@@ -1004,7 +1013,7 @@ def test_bounded_kernel_sees_rebuilt_edge_columns_after_a_refresh(shared):
 
 
 def check_attached_snapshot_reads_its_columns_off_the_segment(operator):
-    """An attached snapshot (unpickled, or loaded from disk) decodes
+    """An attached snapshot (loaded from disk) decodes
     adjacency rows on first touch; the array kernels must not touch
     (and so cache) any of them."""
     rng = random.Random(34)
@@ -1024,13 +1033,13 @@ def check_attached_snapshot_reads_its_columns_off_the_segment(operator):
     patched = graph.freeze()
     assert patched.extends_token == base.snapshot_token and patched._patch["succ"]
     for creator in (base, patched):
-        attached = pickle.loads(pickle.dumps(creator))
-        assert attached.edge_columns() == creator.edge_columns()
-        assert attached.edge_columns()[0].typecode == "i"
+        loaded = attached(creator)
+        assert loaded.edge_columns() == creator.edge_columns()
+        assert loaded.edge_columns()[0].typecode == "i"
         with forced_kernel("array"):
-            assert match(pattern, attached) == match(pattern, creator)
+            assert match(pattern, loaded) == match(pattern, creator)
         # The patch's rows only: none was decoded off the tables.
-        assert dict(attached.succ_rows) == (attached._patch or {"succ": {}})["succ"]
+        assert dict(loaded.succ_rows) == (loaded._patch or {"succ": {}})["succ"]
 
 
 @needs_numpy

@@ -8,8 +8,7 @@ Covers the whole vertical slice:
   (randomized answers on every backend, and BMatchJoin against BMatch,
   are ``test_oracle_machine.py``'s);
 * bounded view materialization against snapshots: id-space
-  ``CompactExtension`` payloads with the distance index ``I(V)``, and
-  their pickle round trips;
+  ``CompactExtension`` payloads with the distance index ``I(V)``;
 * the BMatchJoin id-space fast path engaging on shared-snapshot
   extensions and falling back (with identical results) otherwise;
 * the stale-bounded-view maintenance contract: ``ViewSet.apply_delta``
@@ -18,7 +17,6 @@ Covers the whole vertical slice:
   the regression test that fails on the old always-cached behaviour.
 """
 
-import pickle
 import random
 
 from helpers import (
@@ -259,18 +257,6 @@ class TestBMatchJoinFastPath:
             result = bounded_match_join(query, containment, views)
             assert count("total", "ids") == 1
         assert result.edge_matches == bounded_match(query, graph).edge_matches
-
-    def test_extensions_pickle_with_distance_payload(self):
-        _, frozen, _, compact_views = _bounded_workload(2, num_views=5,
-                                                        nodes=60, edges=150)
-        revived = pickle.loads(pickle.dumps(compact_views.extensions()))
-        for name, extension in compact_views.extensions().items():
-            twin = revived[name]
-            assert twin.edge_matches == extension.edge_matches
-            assert twin.distances == extension.distances
-            assert twin.compact is not None
-            assert twin.compact.token == extension.compact.token
-            assert twin.compact.distances == extension.compact.distances
 
 
 # ----------------------------------------------------------------------

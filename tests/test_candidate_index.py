@@ -4,14 +4,13 @@
 ``{i : c.matches(labels_of(i), attrs_of(i))}`` for every condition --
 whatever the attribute values are (ints, floats with NaN, bools, strings,
 ``None``, or absent), on a plain snapshot, on an attached
-snapshot mapped back from its pickle, on every shard of an ingested
+snapshot saved and mapped back, on every shard of an ingested
 ``ShardedGraph`` (labels only: ingest carries no attributes) and across
 ``refreshed()``; and the engines that seed through it must agree with
 the dict backend, which never touches it.
 """
 
 import math
-import pickle
 import tempfile
 
 import pytest
@@ -32,7 +31,14 @@ from repro.shard.psim import sharded_match
 from repro.simulation import bounded_match, match
 from repro.views import ViewDefinition, ViewSet
 
-from helpers import KERNELS, forced_kernel, fresh_registry, ingested, name_in_shard
+from helpers import (
+    KERNELS,
+    attached,
+    forced_kernel,
+    fresh_registry,
+    ingested,
+    name_in_shard,
+)
 
 ATTRS = ("x", "y", "z")
 LABELS = ("A", "B")
@@ -116,9 +122,9 @@ def test_candidate_index_on_compact_graph(graph, condition):
 def test_candidate_index_on_attached_shared_graph(graph, condition):
     frozen = graph.freeze()
     assert frozen.flat_store.backend == "bytes"
-    attached = pickle.loads(pickle.dumps(frozen))
-    assert not attached._columns  # rebuilt on this side, lazily
-    assert_exact(attached, condition)
+    loaded = attached(frozen)
+    assert not loaded._columns  # rebuilt on this side, lazily
+    assert_exact(loaded, condition)
     assert_exact(frozen, condition)
 
 
@@ -161,7 +167,7 @@ def test_candidate_index_across_refreshed(graph, condition, edge, new_attrs):
     assert grown.extends_token == edge_only.snapshot_token
     assert grown._columns is not edge_only._columns  # attrs table changed
     assert_exact(grown, condition)
-    assert_exact(pickle.loads(pickle.dumps(grown)), condition)
+    assert_exact(attached(grown), condition)
 
 
 def test_unknown_condition_types_are_scanned():

@@ -62,7 +62,11 @@ class TestViewSetSerialization:
             read_viewset(path)
         assert str(path) in str(refused.value)
         write_pattern(pattern, tmp_path / "q.json")
-        rc = main(["query", "--query", str(tmp_path / "q.json"), "--views", str(path)])
+        write_graph(build_graph({1: "A", 2: "B"}, [(1, 2)]), tmp_path / "g.json")
+        rc = main([
+            "query", "--query", str(tmp_path / "q.json"), "--views", str(path),
+            "--graph", str(tmp_path / "g.json"),
+        ])
         assert rc == 1
         assert capsys.readouterr().err.startswith(f"error: {path}")
 
@@ -189,9 +193,10 @@ class TestCli:
         write_viewset(ViewSet([ViewDefinition("V", pattern)]), tmp_path / "v.json")
         write_pattern(pattern, tmp_path / "q.json")
         q = str(tmp_path / "q.json")
+        write_graph(build_graph({1: "A", 2: "B"}, [(1, 2)]), tmp_path / "g.json")
         rc = main([
             "query", "--query", q, q, "--views", str(tmp_path / "v.json"),
-            "--out", str(tmp_path / "result.json"),
+            "--graph", str(tmp_path / "g.json"), "--out", str(tmp_path / "result.json"),
         ])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: --out")
@@ -223,8 +228,33 @@ class TestCli:
         ])
         q = build_pattern({"a": "zz-unknown", "b": "zz-unknown"}, [("a", "b")])
         write_pattern(q, query_path)
-        rc = main(["query", "--query", str(query_path), "--views", str(views_path)])
-        assert rc == 1
+        # Without the graph nothing could answer it: the parser refuses.
+        with pytest.raises(SystemExit) as exited:
+            main(["query", "--query", str(query_path), "--views", str(views_path)])
+        assert exited.value.code == 2
+        assert "--graph" in capsys.readouterr().err
+        rc = main([
+            "query", "--query", str(query_path), "--views", str(views_path),
+            "--graph", str(graph_path),
+        ])
+        assert rc == 0
+        assert "0 pairs via direct" in capsys.readouterr().out
+
+    def test_query_requires_graph(self, tmp_path, capsys):
+        # A views JSON holds definitions only, so without the graph no
+        # contained query could be answered or planned honestly.
+        pattern = build_pattern({"x": "A", "y": "B"}, [("x", "y")])
+        write_viewset(ViewSet([ViewDefinition("V", pattern)]), tmp_path / "v.json")
+        write_pattern(pattern, tmp_path / "q.json")
+        command = [
+            "query", "--query", str(tmp_path / "q.json"), "--views", str(tmp_path / "v.json"),
+        ]
+        for extra in ([], ["--explain"]):
+            with pytest.raises(SystemExit) as exited:
+                main(command + extra)
+            assert exited.value.code == 2
+            err = capsys.readouterr().err
+            assert "required: --graph" in err and "Traceback" not in err
 
     def test_materialize_command_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exited:

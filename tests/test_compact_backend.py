@@ -16,7 +16,6 @@ Covers the whole refactor stack:
 """
 
 import os
-import pickle
 import random
 import tempfile
 
@@ -24,6 +23,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
+    attached,
     build_bounded,
     build_graph,
     build_pattern,
@@ -323,20 +323,6 @@ class TestMatchJoinEquivalence:
         naive = match_join(query, containment, compact_views, optimized=False)
         assert naive == match_join(query, containment, key_views)
 
-    def test_extensions_pickle_with_payload(self):
-        import pickle
-
-        labels = tuple(f"l{i}" for i in range(4))
-        graph = random_graph(60, 150, labels=labels, seed=2)
-        views = ViewSet(generate_views(labels, 5, seed=2))
-        frozen = graph.freeze()
-        views.materialize(frozen)
-        revived = pickle.loads(pickle.dumps(views.extensions()))
-        for name, extension in views.extensions().items():
-            twin = revived[name]
-            assert twin.edge_matches == extension.edge_matches
-            assert twin.compact is not None
-            assert twin.compact.token == extension.compact.token
 
 
 # ----------------------------------------------------------------------
@@ -423,7 +409,7 @@ class TestEngineSnapshot:
 
 
 # ----------------------------------------------------------------------
-# One snapshot form: fresh, refreshed, saved + loaded, pickled
+# One snapshot form: fresh, refreshed, saved + loaded
 # ----------------------------------------------------------------------
 #: Node keys of three kinds (ints, strs, tuples), drawn without repeats.
 KEYS = [*range(8), *(f"s{i}" for i in range(8)), *(("t", i) for i in range(8))]
@@ -442,7 +428,7 @@ CONDITIONS = [
 
 def _saved_and_loaded(snapshot, directory):
     """``snapshot`` saved under a fresh subdirectory of ``directory``
-    and mapped back (a pickle of it names the file: keep it)."""
+    and mapped back."""
     path = os.path.join(directory, str(len(os.listdir(directory))))
     SnapshotStore.save(path, snapshot)
     return SnapshotStore.load(path).graph
@@ -496,8 +482,8 @@ def test_snapshot_forms_agree_with_the_dict_graph(data):
 def check_snapshot_forms(data, directory):
     # A chain of random deltas (edge toggles, appended nodes); after
     # each: the graph's own refreshed freeze, a fresh freeze, a refresh
-    # of the previous snapshot mapped back from disk, a save + load and
-    # pickles -- one form, every read equal to the dict graph's.
+    # of the previous snapshot mapped back from disk, and a save + load
+    # of both refreshes -- one form, every read equal to the dict graph's.
     keys = iter(data.draw(st.permutations(KEYS)))
     graph = DataGraph()
 
@@ -515,7 +501,7 @@ def check_snapshot_forms(data, directory):
     toggle_edges(data.draw(st.integers(0, 20)))
     frozen = graph.freeze()
     loaded = _saved_and_loaded(frozen, directory)
-    for form in (frozen, loaded, pickle.loads(pickle.dumps(frozen))):
+    for form in (frozen, loaded):
         assert_reads_like(form, graph)
     for _ in range(data.draw(st.integers(1, 3))):
         add_nodes(data.draw(st.integers(0, 2)))
@@ -531,8 +517,7 @@ def check_snapshot_forms(data, directory):
             CompactGraph(graph, graph.version),
             from_disk,
             loaded,
-            pickle.loads(pickle.dumps(frozen)),
-            pickle.loads(pickle.dumps(from_disk)),
+            _saved_and_loaded(from_disk, directory),
         ):
             assert_reads_like(form, graph)
 
@@ -557,7 +542,7 @@ def check_refresh_of_loaded(loaded, graph):
     refreshed = CompactGraph.refreshed(loaded, graph, graph.version, ops)
     assert refreshed.extends_token == loaded.snapshot_token
     assert_reads_like(refreshed, graph)
-    assert_reads_like(pickle.loads(pickle.dumps(refreshed)), graph)
+    assert_reads_like(attached(refreshed), graph)
 
 
 def test_refresh_reencodes_once_the_patch_outgrows_the_base():

@@ -536,11 +536,10 @@ class TestEngineCli:
         q_path = tmp_path / "q.json"
         write_viewset(views, views_path)
         write_pattern(build_pattern({"x": "C", "y": "C"}, [("x", "y")]), q_path)
-        rc = main([
-            "query", "--query", str(q_path), "--views", str(views_path),
-        ])
-        assert rc == 1
-        assert "not contained" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exited:
+            main(["query", "--query", str(q_path), "--views", str(views_path)])
+        assert exited.value.code == 2
+        assert "required: --graph" in capsys.readouterr().err
 
     @pytest.mark.parametrize("queries", [1, 2], ids=["query", "batch"])
     def test_unmaterialized_views_without_graph_is_an_error_line(
@@ -553,11 +552,9 @@ class TestEngineCli:
         q_path = tmp_path / "q.json"
         write_viewset(ViewSet([ViewDefinition("V1", pattern)]), views_path)
         write_pattern(pattern, q_path)
-        rc = main(
-            ["query", "--query", *[str(q_path)] * queries,
-             "--views", str(views_path)]
-        )
-        assert rc == 1
+        with pytest.raises(SystemExit) as exited:
+            main(["query", "--query", *[str(q_path)] * queries, "--views", str(views_path)])
+        assert exited.value.code == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "V1" in err
+        assert "error: the following arguments are required: --graph" in err
         assert "Traceback" not in err

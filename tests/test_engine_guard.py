@@ -79,15 +79,24 @@ def test_planner_is_a_pure_function_of_its_state():
 
 
 def test_one_answer_key_and_one_spec_builder():
+    # One evaluation, reading the plan itself: ``executor.evaluate`` is
+    # defined once, called once by the engine's batches and once by the
+    # server's reader threads, and is the only importer of a kernel.
     sources = _sources("engine", "serve")
     names = [name for source in sources.values() for name in _function_names(source)]
     assert names.count("key_material") == 1
-    constructed = [
+    assert names.count("evaluate") == 1
+    called = {
+        path.name: len(re.findall(r"(?<![\w.])evaluate\(", source))
+        for path, source in sources.items()
+        if re.search(r"(?<![\w.])evaluate\(", source)
+    }
+    assert called == {"executor.py": 2, "server.py": 1}  # def + run_plans; _evaluate
+    kernels = [
         path.name for path, source in sources.items()
-        if re.search(r"\bEvaluationSpec\(", source)
+        if re.search(r"import (match_join|bounded_match_join|match|bounded_match)\b", source)
     ]
-    assert constructed == ["executor.py"]
-    assert sources[ENGINE / "executor.py"].count("EvaluationSpec(") == 1
+    assert kernels == ["executor.py"]
     for gone in (
         "_spec_from", "_spec_for", "_answer_key", "_key_material",
         "_current_key", "_on_maintenance_event", "_refresh_if_dirty",
@@ -104,7 +113,8 @@ def test_removed_paths_stay_removed():
         "MaintenanceEvent", "REASON_ALIASES", "shared_snapshots",
         "_thread_pool", "ThreadPoolExecutor(max_workers=self.workers)",
         "unsubscribe", "_notify", "adaptive", "auto_materialize",
-        "advise_interval",
+        "advise_interval", "EvaluationSpec", "spec_of", "evaluate_spec",
+        "ships_as_handle", "from_handle", "_attach_store",
     ):
         assert gone not in everything, gone
     for module in ("cost.py", "pricing.py", "advisor.py"):

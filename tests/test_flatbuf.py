@@ -8,9 +8,9 @@ view-payload counterpart :mod:`repro.views.flatpack`:
   appears in ``/dev/shm``;
 * the two backings, an in-process ``bytes`` segment (every fresh
   snapshot's tables) and a segment file mapped back read-only;
-* pickling: a snapshot or a packed :class:`FlatExtension` reconstructs
-  from its store with identical read results, and a file-attached one
-  pickles as its path;
+* attach: a snapshot or a :class:`FlatExtension` saved and mapped back
+  reads like the one saved, and a second load maps the same files
+  (pickling any of them is refused: ``test_snapshot.py``);
 * engine integration: maintenance re-stamps flat extension payloads.
 
 Answers over mapped snapshots (MatchJoin included) are
@@ -19,12 +19,11 @@ Answers over mapped snapshots (MatchJoin included) are
 
 import gc
 import os
-import pickle
 import random
 
 import pytest
 
-from helpers import random_labeled_graph, shm_segments
+from helpers import attached, random_labeled_graph, shm_segments
 from repro.datasets import generate_views, query_from_views, random_graph
 from repro.engine import QueryEngine
 from repro.graph import CompactGraph
@@ -95,7 +94,7 @@ class TestLifecycle:
         for seed in range(3):
             g = _sample_graph(seed=seed)
             frozen = g.freeze()
-            pickle.loads(pickle.dumps(frozen))
+            attached(frozen)
             del frozen
         gc.collect()
         assert shm_segments() <= before
@@ -110,7 +109,8 @@ class TestBytesFallback:
         frozen = g.freeze()
         assert frozen.flat_store.backend == "bytes"
         assert frozen.flat_store.on_disk_bytes == 0
-        revived = pickle.loads(pickle.dumps(frozen))
+        revived = attached(frozen)
+        assert revived.flat_store.backend == "file"
         assert set(revived.nodes()) == set(g.nodes())
         assert set(revived.edges()) == set(g.edges())
         for v in g.nodes():
@@ -132,44 +132,35 @@ class TestBytesFallback:
 # Attach semantics
 # ----------------------------------------------------------------------
 class TestAttach:
-    def test_snapshot_pickle_is_a_handle(self, tmp_path):
-        # A snapshot mapped from its file pickles as the path.
-        g = _sample_graph(seed=8, nodes=300, edges=900)
-        plain = pickle.dumps(g.freeze())
-        attached = pickle.dumps(_saved_and_loaded(g, tmp_path / "snap"))
-        assert len(attached) < len(plain) / 5
-
     def test_in_process_attach_reuses_store(self, tmp_path):
         loaded = _saved_and_loaded(_sample_graph(seed=4), tmp_path / "snap")
-        revived = pickle.loads(pickle.dumps(loaded))
-        # The pickle resolves to the same segment file, not a copy of
-        # its buffers.
-        assert revived.flat_store.segment.handle() == loaded.flat_store.segment.handle()
+        revived = SnapshotStore.load(tmp_path / "snap").graph
+        # A second load maps the same segment file, not a copy of its
+        # buffers.
+        assert revived.flat_store.segment._path == loaded.flat_store.segment._path
         assert revived.flat_store.backend == "file"
         assert set(revived.nodes()) == set(loaded.nodes())
         for v in loaded.nodes():
             assert revived.successors(v) == loaded.successors(v)
             assert revived.attrs(v) == loaded.attrs(v)
 
-    def test_flat_extension_pair_rows_match_edge_matches(self):
+    def test_flat_extension_pair_rows_match_edge_matches(self, tmp_path):
         labels = tuple(f"l{i}" for i in range(4))
         graph = random_graph(80, 200, labels=labels, seed=1)
         checked = 0
-        for packed in (True, False):
+        for loaded in (True, False):
             views = ViewSet(generate_views(labels, 5, seed=1))
             snapshot = graph.copy().freeze()
             views.materialize(snapshot)
-            for name in views.names():
-                if not views.is_materialized(name):
-                    continue
-                view = views.extension(name)
+            extensions = views.extensions()
+            if loaded:
+                SnapshotStore.save(tmp_path / "snap", snapshot, views=views)
+                extensions = SnapshotStore.load(tmp_path / "snap").views
+            for name, view in extensions.items():
                 payload = view.compact
                 assert isinstance(payload, FlatExtension)
-                # Plain in-process columns, or packed into a segment.
-                assert payload.store is None
-                if packed:
-                    payload = FlatExtension.pack(snapshot, payload)
-                assert payload.ships_as_handle == packed
+                # One store in process, a mapped segment once loaded.
+                assert payload.store.backend == ("file" if loaded else "bytes")
                 decode = payload.nodes.__getitem__
                 for edge in payload.edge_order:
                     src_row, tgt_row = payload.pair_rows(edge)
@@ -177,23 +168,11 @@ class TestAttach:
                         (decode(v), decode(w))
                         for v, w in zip(src_row, tgt_row)
                     }
-                    assert pairs == view.edge_matches[edge]
+                    assert pairs == views.extension(name).edge_matches[edge]
                     checked += 1
                 with pytest.raises(KeyError):
                     payload.pair_rows(("no such", "view edge"))
         assert checked
-
-    def test_flat_extension_pickle_round_trip(self):
-        labels = tuple(f"l{i}" for i in range(4))
-        graph = random_graph(60, 150, labels=labels, seed=2)
-        views = ViewSet(generate_views(labels, 5, seed=2))
-        views.materialize(graph.freeze())
-        revived = pickle.loads(pickle.dumps(views.extensions()))
-        for name, view in views.extensions().items():
-            twin = revived[name]
-            assert twin.edge_matches == view.edge_matches
-            assert isinstance(twin.compact, FlatExtension)
-            assert twin.compact.token == view.compact.token
 
     def test_attached_view_counts_without_decoding(self, tmp_path):
         labels = tuple(f"l{i}" for i in range(4))
@@ -201,8 +180,7 @@ class TestAttach:
         views = ViewSet(generate_views(labels, 5, seed=2))
         views.materialize(graph.freeze())
         SnapshotStore.save(tmp_path / "snap", graph, views=views)
-        loaded = SnapshotStore.load(tmp_path / "snap").views
-        revived = pickle.loads(pickle.dumps(loaded))
+        revived = SnapshotStore.load(tmp_path / "snap").views
         assert any(view.is_empty for view in revived.values())
         assert not all(view.is_empty for view in revived.values())
         for name, twin in revived.items():
@@ -281,10 +259,11 @@ class TestMappedSnapshot:
         shared = _saved_and_loaded(g, tmp_path / "snap")
         assert shared.flat_store.backend == "file"
 
-    def test_pickle_round_trip_equivalence(self, tmp_path):
+    def test_reload_round_trip_equivalence(self, tmp_path):
+        # A loaded snapshot saved and loaded again reads the same.
         g = _sample_graph(seed=32)
         shared = _saved_and_loaded(g, tmp_path / "snap")
-        revived = pickle.loads(pickle.dumps(shared))
+        revived = attached(shared)
         assert set(revived.nodes()) == set(g.nodes())
         assert set(revived.edges()) == set(g.edges())
         for v in g.nodes():
@@ -400,14 +379,3 @@ class TestFlatStore:
         assert sizes["a"] == 3 * 8
         assert sizes["b"] == 0
         assert store.total_bytes >= sum(sizes.values())
-
-    def test_store_survives_pickle(self):
-        from array import array
-
-        store = FlatStore.pack(
-            arrays={"xs": array("q", range(10))},
-            docs={"tag": "hello"},
-        )
-        revived = pickle.loads(pickle.dumps(store))
-        assert list(revived.ints("xs")) == list(range(10))
-        assert revived.obj("tag") == "hello"

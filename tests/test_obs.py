@@ -381,11 +381,11 @@ class _Gate:
         self._original = server._evaluate
         server._evaluate = self._gated
 
-    def _gated(self, spec, epoch):
+    def _gated(self, plan, epoch):
         self.entered.set()
         if not self.release.wait(timeout=30):
             raise RuntimeError("Gate never released")
-        return self._original(spec, epoch)
+        return self._original(plan, epoch)
 
 
 async def _spin_until(predicate, timeout=10.0):

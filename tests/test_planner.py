@@ -163,13 +163,13 @@ def test_a_record_reports_the_state_that_was_evaluated(monkeypatch):
 
     graph = build_graph({1: "A", 2: "B", 3: "C"}, [(1, 2), (2, 3)])
     engine = QueryEngine(ViewSet(list(DEFINITIONS)), graph=graph)
-    real = runtime.run_specs
+    real = runtime.run_plans
 
     def evicting(*args, **kwargs):
         engine.evict_extensions(["AB", "BC"])  # lands mid-evaluation
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(runtime, "run_specs", evicting)
+    monkeypatch.setattr(runtime, "run_plans", evicting)
     engine.answer(ABC)
     assert not engine.views.is_materialized("AB")
     (record,) = engine.plan_log()

@@ -18,7 +18,6 @@ import pytest
 
 from helpers import build_bounded, build_graph, build_pattern
 from repro.engine import QueryEngine
-from repro.engine.executor import spec_of
 from repro.errors import ServerClosedError, ServerOverloadedError
 from repro.graph.io import node_to_json, pattern_to_json
 from repro.serve import (
@@ -79,12 +78,12 @@ class Gate:
         self._original = server._evaluate
         server._evaluate = self._gated
 
-    def _gated(self, spec, epoch):
+    def _gated(self, plan, epoch):
         self.calls += 1
         self.entered.set()
         if not self.release.wait(timeout=30):
             raise RuntimeError("Gate never released")
-        return self._original(spec, epoch)
+        return self._original(plan, epoch)
 
     async def wait_entered(self):
         await asyncio.get_running_loop().run_in_executor(
@@ -757,7 +756,7 @@ class TestHitPath:
                 epoch = server._registry.pin()
                 try:
                     plan = server.engine.plan_on(epoch.checkpoint, AB, None)
-                    result, _ = server._evaluate(spec_of(plan), epoch)
+                    result, _ = server._evaluate(plan, epoch)
                 finally:
                     epoch.release()
             # Checked here: a coroutine's return value may be repr'd.

@@ -10,6 +10,7 @@ catalog) and never reaches the catalog itself.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import repro
@@ -43,10 +44,9 @@ def test_engine_lock_is_only_taken_in_pool_threads():
 def test_one_resolution_and_one_reply_encoding():
     server = (SRC / "serve" / "server.py").read_text()
     # Planned once per (epoch, query) in _resolve, on the pinned
-    # checkpoint; the spec is a projection of that plan, built by the
-    # one evaluation that needs it.
+    # checkpoint; that plan is what the one evaluation runs.
     assert server.count("self._engine.plan_on(") == 1
-    assert server.count("spec_of(") == 1
+    assert len(re.findall(r"(?<![\w.])evaluate\(", server)) == 1
     # Replies are spliced from the cached fragment; the dict-then-dumps
     # encoder lives on only as the reference in tests/test_serve.py.
     for path in (SRC / "serve").glob("*.py"):

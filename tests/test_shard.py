@@ -223,17 +223,6 @@ class TestShardedGraphApi:
                 assert sharded.global_row(i)[local_id] == sharded.id_of(node)
                 assert (local_id < sharded.own_count(i)) == (_home(sharded, node) == i)
 
-    def test_pickles(self, tmp_path):
-        import pickle
-
-        edges, labels = str_keyed(random_labeled_graph(random.Random(19), 25, 60))
-        sharded, _ = ingested(edges, labels, 3, tmp_path)
-        revived = pickle.loads(pickle.dumps(sharded))
-        assert revived.snapshot_token == sharded.snapshot_token
-        assert set(revived.nodes()) == set(sharded.nodes())
-        q = random_pattern(random.Random(1), 3, 4)
-        assert match(q, revived) == match(q, sharded)
-
 
 # ----------------------------------------------------------------------
 # Partial-evaluation simulation == single-machine simulation

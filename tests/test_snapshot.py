@@ -502,6 +502,49 @@ def test_no_graph_module_imports_pickle():
         assert "pickle" not in imported, source.name
 
 
+@pytest.mark.parametrize(
+    "form",
+    ["fresh", "refreshed", "loaded", "sharded", "store", "extension", "view", "loaded view"],
+)
+def test_a_snapshot_refuses_to_pickle(form, tmp_path):
+    """A snapshot leaves a process only as a snapshot directory: pickling
+    one in any form, its store, a view's id rows or a view carrying them
+    raises the store's one ``TypeError``.  An answer read off it is a
+    plain result, and that still pickles."""
+    graph, views, _ = _workload(seed=29)
+    views.materialize(graph)
+    snapshot = graph.freeze()
+    SnapshotStore.save(tmp_path / "snap", snapshot, views=views)
+    loaded = SnapshotStore.load(tmp_path / "snap")
+    view = max(views.extensions().values(), key=lambda view: view.num_pairs)
+    pattern = view.definition.pattern
+    if form == "refreshed":
+        source, target = next(
+            (v, w) for v in graph.nodes() for w in graph.nodes() if not graph.has_edge(v, w)
+        )
+        graph.add_edge(source, target)
+        previous, snapshot = snapshot, graph.freeze()
+        assert snapshot.extends_token == previous.snapshot_token
+    if form == "sharded":
+        snapshot = ingested(*str_keyed(graph), 3, tmp_path)[0]
+    subject = {
+        "loaded": lambda: loaded.graph,
+        "store": lambda: snapshot.flat_store,
+        "extension": lambda: view.compact,
+        "view": lambda: view,
+        "loaded view": lambda: loaded.views[view.name],
+    }.get(form, lambda: snapshot)()
+    with pytest.raises(TypeError, match="does not pickle"):
+        pickle.dumps(subject)
+    answer = (
+        QueryEngine(snapshot_path=loaded).answer(pattern)
+        if "view" in form or form == "extension"
+        else match(pattern, loaded.graph if form == "loaded" else snapshot)
+    )
+    assert answer and not dict.__len__(answer.node_matches)  # nothing decoded yet
+    assert pickle.loads(pickle.dumps(answer)) == answer
+
+
 # ----------------------------------------------------------------------
 # Views ride along
 # ----------------------------------------------------------------------

@@ -295,15 +295,15 @@ class TestLazyPayloadViews:
         assert view.edge_matches == reference.edge_matches
         assert view.distances == reference.distances
 
-    def test_in_process_lazy_distances_equal_the_eager_reference(self):
-        import pickle
+    def test_in_process_lazy_distances_equal_the_eager_reference(self, tmp_path):
+        from repro.graph.snapshot import SnapshotStore
 
         definition = self.DEFINITIONS["bounded"]
         graph = random_labeled_graph(random.Random(4), 40, 160)
         snapshot = graph.freeze()
         view = materialize(definition, snapshot)
         payload = view.compact
-        assert payload.store is None  # in process: no segment
+        assert payload.store.backend == "bytes"  # in process: no file
         decode = snapshot.node_of
         eager = {
             (decode(v), decode(w)): d for (v, w), d in payload.distances.items()
@@ -312,7 +312,10 @@ class TestLazyPayloadViews:
         assert dict(view.distances.items()) == eager
         assert all(view.distance_of(pair) == d for pair, d in eager.items())
         assert view.distances == dict_extension(definition, graph).distances
-        revived = pickle.loads(pickle.dumps(view))
+        catalog = ViewSet([definition])
+        catalog.set_extension(view)
+        SnapshotStore.save(tmp_path / "snap", snapshot, views=catalog)
+        revived = SnapshotStore.load(tmp_path / "snap").views[definition.name]
         assert revived.distances == eager
         assert revived.edge_matches == view.edge_matches
 
@@ -320,16 +323,14 @@ class TestLazyPayloadViews:
         self, tmp_path, monkeypatch
     ):
         """MatchJoin's by-target index exists only once a query probes
-        a view edge; a ``rebound`` clone shares it, and neither a
-        pickle, a pack nor a saved snapshot carries it."""
+        a view edge; a ``rebound`` clone shares it, and neither the
+        payload's store nor a saved snapshot carries it."""
         import os
-        import pickle
         from pathlib import Path
 
         from repro.core import matchjoin
         from repro.engine import QueryEngine
         from repro.graph.snapshot import SnapshotStore, live_directory
-        from repro.views.flatpack import FlatExtension
 
         graph = random_labeled_graph(random.Random(6), 60, 400, labels="AB")
         views = ViewSet(
@@ -356,8 +357,7 @@ class TestLazyPayloadViews:
             }
 
         assert not any(map(indexed, payloads))  # materialise + plan: none
-        pickled = [pickle.dumps(payload) for payload in payloads]
-        packed = [FlatExtension.pack(snapshot, p).store.total_bytes for p in payloads]
+        stores = [bytes(payload.store.segment.buf) for payload in payloads]
         saved = stored_forms(tmp_path / "before")
         assert saved
 
@@ -365,11 +365,7 @@ class TestLazyPayloadViews:
         assert engine.answer(query).edge_matches == match(query, graph).edge_matches
         assert all(map(indexed, payloads))
 
-        assert [pickle.dumps(payload) for payload in payloads] == pickled
-        assert not any(indexed(pickle.loads(blob)) for blob in pickled)
-        repacked = [FlatExtension.pack(snapshot, p) for p in payloads]
-        assert [p.store.total_bytes for p in repacked] == packed
-        assert not any(map(indexed, repacked))
+        assert [bytes(payload.store.segment.buf) for payload in payloads] == stores
         assert stored_forms(tmp_path / "after") == saved
         loaded = SnapshotStore.load(tmp_path / "after")
         assert not any(indexed(view.compact) for view in loaded.views.values())
