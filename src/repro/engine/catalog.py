@@ -268,7 +268,7 @@ class Catalog(PlanningState):
     def sync(self) -> Tuple[str, ...]:
         """Consume whatever the tracker applied since the cursor
         (:func:`repro.engine.maintenance.consume`) and return the
-        bounded views that left stale.  Every read calls it, so a batch
+        unmaintained views it left stale.  Every read calls it, so a batch
         applied straight to the tracker (``tracker.apply_delta``) is
         picked up before the next plan or evaluation."""
         tracker = self.maintenance
@@ -283,7 +283,7 @@ class Catalog(PlanningState):
     def apply_delta(self, delta: Delta) -> DeltaReport:
         """Apply a maintenance batch atomically w.r.t. concurrent
         readers: tracker update, snapshot refresh, changed-view
-        re-import and bounded-view staleness, all under the lock."""
+        re-import and unmaintained-view staleness, all under the lock."""
         with self.lock:
             if self.maintenance is None:
                 raise ValueError(

@@ -3,15 +3,15 @@
 A :class:`~repro.engine.catalog.Catalog` owns the attached
 :class:`~repro.views.maintenance.IncrementalViewSet` and its ``seq``
 cursor; whenever the tracker has moved past the cursor, :func:`consume`
-brings the catalog level with it against the refreshed snapshot:
-changed views are bound into its id space and installed, unchanged
-ones are re-stamped onto its token without a version bump -- so the
-whole catalog shares one token again and MatchJoin stays on the
-integer fast path through the update stream -- and bounded views,
-which the tracker cannot maintain, are flagged stale.  An extension
-already on the snapshot's token (a fresh tracker's, built on the
-snapshot the catalog serves) is installed as it is.  Loaded by the
-first sync with something to consume, never by an unmaintained engine.
+brings the catalog level with it against the snapshot the tracker
+refreshed.  Every maintained view is taken from the tracker, whose
+extensions all sit on that snapshot: changed views are installed with a
+version bump, unchanged ones re-stamped without one -- so the whole
+catalog shares one token again and MatchJoin stays on the integer fast
+path through the update stream.  Every other materialized view --
+bounded ones, which the tracker cannot maintain, and any simulation
+view it was not given -- is flagged stale.  Loaded by the first sync
+with something to consume, never by an unmaintained engine.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import logging
 from typing import Tuple
 
 from repro.obs.metrics import get_registry
-from repro.views.view import bind_extension
 
 log = logging.getLogger(__name__)
 
@@ -28,18 +27,25 @@ log = logging.getLogger(__name__)
 def consume(views, tracker, cursor: int, snapshot) -> Tuple[str, ...]:
     """Import what ``tracker`` applied after update number ``cursor``
     into ``views``, bound to ``snapshot`` (catalog lock held).  Returns
-    the bounded views flagged stale -- every materialized one, when the
-    tracker applied any update since the cursor.  A ``cursor`` of -1
-    (a fresh attachment) imports every maintained view."""
-    changed = tracker.changed_since(cursor)
-    for name in changed:
-        views.set_extension(_bound(tracker.extension(name), snapshot))
+    the views flagged stale -- every materialized one the tracker does
+    not maintain, when it applied any update since the cursor.  A
+    ``cursor`` of -1 (a fresh attachment) imports every maintained
+    view."""
+    changed = set(tracker.changed_since(cursor))
+    for name in tracker.names():
+        extension = _bound(tracker.extension(name), snapshot)
+        if name in changed or views.fresh_extension(name) is None:
+            views.set_extension(extension)
+        else:
+            # Provenance only: the match sets are identical, no version moves.
+            views.rebind_extension(extension)
     stale: Tuple[str, ...] = ()
     if tracker.seq > max(cursor, 0):
+        maintained = set(tracker.names())
         stale = tuple(
             name
             for name in views.names()
-            if views.definition(name).is_bounded and views.is_materialized(name)
+            if name not in maintained and views.is_materialized(name)
         )
         for name in stale:
             views.mark_stale(name)
@@ -48,33 +54,16 @@ def consume(views, tracker, cursor: int, snapshot) -> Tuple[str, ...]:
                 "repro_maintenance_stale_bounded_total"
             ).inc(len(stale))
             log.info(
-                "delta left %d bounded view(s) stale: %s",
+                "delta left %d unmaintained view(s) stale: %s",
                 len(stale), ", ".join(sorted(map(str, stale))),
             )
-    for name in views.names():
-        # Stale (bounded) extensions must not be re-stamped onto the
-        # fresh token -- that would launder outdated match sets into
-        # provenance MatchJoin trusts.  They wait for
-        # rematerialization instead.
-        extension = None if name in changed else views.fresh_extension(name)
-        if extension is None:
-            continue
-        compact = extension.compact
-        if compact is None or compact.token == snapshot.snapshot_token:
-            continue
-        # Provenance only: the match sets are identical, no version moves.
-        views.rebind_extension(_bound(extension, snapshot))
     return stale
 
 
 def _bound(extension, snapshot):
     """``extension`` with its id rows on ``snapshot``'s token: itself
-    when they already are, re-stamped when ``snapshot`` was refreshed
-    from the one they are on, else encoded afresh."""
-    compact = extension.compact
-    if compact is not None:
-        if compact.token == snapshot.snapshot_token:
-            return extension
-        if compact.token == snapshot.extends_token:
-            return extension.rebound(snapshot)
-    return bind_extension(extension, snapshot)
+    when they already are, else re-stamped (``snapshot`` must have been
+    refreshed from the one they are on)."""
+    if extension.compact.token == snapshot.snapshot_token:
+        return extension
+    return extension.rebound(snapshot)

@@ -101,10 +101,11 @@ class FixpointState(NamedTuple):
     ``sim[u]`` holds the refinable candidates (ids below ``own``),
     ``full[u]`` every witness-counting target -- ``sim[u]`` plus the
     *assumed* ids at or above ``own`` -- and ``counters`` the lazily
-    materialized witness counts.  All three only shrink, so a kept
-    state re-entered with a withdrawal batch is a decrement cascade
-    over the affected area, never a recount.  On a snapshot without
-    ghosts ``full`` *is* ``sim`` (the same dict).
+    materialized witness counts.  Within a run all three only shrink,
+    so a kept state re-entered with a withdrawal batch is a decrement
+    cascade over the affected area, never a recount (between runs,
+    :func:`repro.simulation.repair.repair` may grow one).  On a
+    snapshot without ghosts ``full`` *is* ``sim`` (the same dict).
     """
 
     sim: IdSim

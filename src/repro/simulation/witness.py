@@ -4,8 +4,9 @@
 spirit of Henzinger, Henzinger and Kopke, written once over dicts of
 node keys; dual simulation ([28], Section VIII) adds one more counter
 family, the parent witnesses.  Plain, dual and strong simulation, view
-matches, dual MatchJoin and view maintenance all run it (the id-space
-kernels share none of it).  A snapshot boot never imports this module.
+matches and dual MatchJoin run it, and read only its ``sim`` (the
+id-space kernels, view maintenance among them, share none of it).  A
+snapshot boot never imports this module.
 """
 
 from __future__ import annotations
@@ -89,15 +90,8 @@ class WitnessCounters:
             }
             sim[u].difference_update(doomed)
             removals.extend((u, v) for v in doomed)
-        pruned = bool(removals)
         if not self.cascade(removals):
             self.sim = None
-        elif pruned:
-            # A dict keeps its table through deletions: rebuild each
-            # counter at its live size, which is what a caller keeps.
-            for family in (self.children, self.parents):
-                for edge, counter in family.items():
-                    family[edge] = dict(counter)
 
     def cascade(self, removals: deque) -> bool:
         """The worklist refinement: drain ``removals`` -- pairs

@@ -28,7 +28,6 @@ _EXPORTS = {
     "MaterializedView": "repro.views.view",
     "ViewDefinition": "repro.views.view",
     "ViewSet": "repro.views.storage",
-    "bind_extension": "repro.views.view",
     "materialize": "repro.views.view",
 }
 

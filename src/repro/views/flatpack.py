@@ -34,20 +34,19 @@ from __future__ import annotations
 
 from array import array
 from functools import partial
-from typing import Callable, Dict, Hashable, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, Hashable, Iterable, List, Optional, Tuple
 
 from repro.graph.flatbuf import FlatStore
 from repro.simulation.result import LazyMap
 
 PEdge = Tuple[Hashable, Hashable]
-Node = Hashable
 IdDistances = Dict[Tuple[int, int], int]
 
 
 class _LazyDistances(dict):
     """A distance index filled on first use from ``fill()``'s
     ``((v, w), d)`` items: the id-space ``I(V)`` off a store's flat
-    triples (``FlatExtension.distances`` once attached), or
+    triples (``FlatExtension.distances``), or
     the node-key form decoded from an id-space index
     (``MaterializedView.distances``).
     """
@@ -137,8 +136,9 @@ class FlatExtension:
         pair, minimized across view edges -- the same semantics as
         :attr:`MaterializedView.distances`, so BMatchJoin's id-space
         bound filtering is pair-for-pair identical to the node-key
-        path.  ``None`` for simulation views (pairs are data edges,
-        distance 1 by construction).
+        path; read off the store's ``dist_*`` triples on first use.
+        ``None`` for simulation views (pairs are data edges, distance 1
+        by construction).
     store:
         The :class:`FlatStore` holding the rows (and ``I(V)``'s triples).
     """
@@ -167,8 +167,7 @@ class FlatExtension:
     ) -> None:
         """``stamp`` is :func:`snapshot_stamp` of the owning snapshot;
         ``store`` holds the row tables (``pairs_indptr`` / ``pairs_src``
-        / ``pairs_tgt``).  Producers use :meth:`from_rows` /
-        :meth:`from_pairs`."""
+        / ``pairs_tgt``).  Producers use :meth:`from_rows`."""
         self.store = store
         self.token, self.version, self.nodes = stamp
         self.edge_order = edge_order
@@ -186,9 +185,10 @@ class FlatExtension:
     ) -> "FlatExtension":
         """Rows from a simulation kernel's ``{edge: (source ids, target
         ids)}`` output, concatenated and packed with ``I(V)``'s triples
-        (the caller can then drop its own).  ``snapshot`` may be a
-        :class:`~repro.graph.compact.CompactGraph` or a
-        :class:`~repro.shard.sharded.ShardedGraph` (composite ids)."""
+        (the caller can then drop its own), and attached as a saved
+        payload is: ``distances`` reads the triples back on first use.
+        ``snapshot`` may be a :class:`~repro.graph.compact.CompactGraph`
+        or a :class:`~repro.shard.sharded.ShardedGraph` (composite ids)."""
         indptr = array("q", [0])
         src = array("q")
         tgt = array("q")
@@ -204,20 +204,11 @@ class FlatExtension:
                 dist_tgt=array("q", [w for _, w in pairs]),
                 dist_val=array("q", distances.values()),
             )
+        token, version, nodes = snapshot_stamp(snapshot)
         store = FlatStore.pack(tables, {})
-        return cls(snapshot_stamp(snapshot), list(id_rows), store, distances)
-
-    @classmethod
-    def from_pairs(
-        cls, snapshot, edge_matches: Dict[PEdge, Set[Tuple[Node, Node]]]
-    ) -> "FlatExtension":
-        """Rows from node-key match sets, encoded through
-        ``snapshot.id_of`` (``KeyError`` for a node it lacks)."""
-        id_of = snapshot.id_of
-        return cls.from_rows(snapshot, {
-            edge: ([id_of(v) for v, _ in pairs], [id_of(w) for _, w in pairs])
-            for edge, pairs in edge_matches.items()
-        })
+        return _attach_extension(
+            store, nodes, list(id_rows), token, version, distances is not None
+        )
 
     @staticmethod
     def pack(snapshot, base: "FlatExtension") -> "FlatExtension":
@@ -284,7 +275,7 @@ class FlatExtension:
         if getattr(snapshot, "extends_token", None) != self.token:
             raise ValueError(
                 "snapshot does not extend this extension's id space; "
-                "re-materialize or bind_extension() instead"
+                "re-materialize the view on it instead"
             )
         clone = FlatExtension.__new__(FlatExtension)
         for slot in FlatExtension.__slots__:
@@ -322,8 +313,9 @@ def _attach_extension(
     version: int,
     bounded: bool,
 ) -> FlatExtension:
-    """A saved payload's store attached on snapshot load, decoding
-    through ``nodes``; nothing is decoded until a query touches it."""
+    """A payload's store attached -- a saved one on snapshot load, a
+    fresh one by :meth:`FlatExtension.from_rows` -- decoding through
+    ``nodes``; nothing is decoded until a query touches it."""
     return FlatExtension(
         (token, version, nodes),
         edge_order,

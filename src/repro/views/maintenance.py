@@ -3,52 +3,40 @@
 The paper's practicality argument leans on cached views staying fresh:
 "incremental methods are already in place to efficiently maintain
 cached pattern views (e.g., [15])".  This module is the view layer of
-the delta-driven maintenance pipeline:
+the delta-driven maintenance pipeline, entirely in the id space of the
+graph's snapshots:
 
-* **deletions are incremental**: the maximum simulation after an edge
-  deletion is contained in the one before, so the witness-counter
-  cascade of the matching engine that built the view
-  (:meth:`~repro.simulation.witness.WitnessCounters.cascade`, whose
-  counters the view keeps) prunes exactly the invalidated matches --
-  cost proportional to the affected area, not to ``|G|``.
-* **insertions are incremental too**, in the spirit of the paper's
-  [15]: simulation grows monotonically under insertions, so the only
-  pairs that can *join* the match are label-compatible ancestors of the
-  inserted edge's source.  :meth:`IncrementalView._insert_incremental`
-  seeds revival candidates from exactly those pairs (a backward closure
-  over the pattern x graph product) and revives them through the same
-  cascade, the one both update kinds share.
+* every view keeps the fixpoint its boot ran on the graph's snapshot
+  (:class:`~repro.simulation.compact_engine.FixpointState`: id sets
+  and lazy witness counters) and its rows are the extension;
 * **batches** arrive as a :class:`Delta` -- an ordered sequence of edge
-  insertions/deletions applied as one maintenance round via
-  :meth:`IncrementalViewSet.apply_delta`, with per-view change
-  accounting (:meth:`IncrementalViewSet.changed_since`) so downstream
-  caches evict only what an update actually touched.
+  insertions/deletions applied to the graph as one maintenance round
+  via :meth:`IncrementalViewSet.apply_delta`, which then freezes the
+  graph once (a journal refresh: every id kept) and carries each view
+  over the batch's net edge changes;
+* a view no change can affect is skipped; the others are *repaired*
+  (:func:`~repro.simulation.repair.repair`), in the spirit of
+  the paper's [15]: simulation grows under insertions and shrinks under
+  deletions, so the revival closure of the inserted edges is admitted,
+  the counters the batch moved are recounted or dropped, and the
+  refinement re-entered with the pairs left without a witness -- cost
+  proportional to the affected area, not to ``|G|``;
+* per-view change accounting (:meth:`IncrementalViewSet.changed_since`)
+  lets downstream caches evict only what an update actually touched.
 
 An :class:`IncrementalViewSet` maintains the graph it is given in place
 -- there is one ``G``, shared with whatever engine serves from it --
-and a :class:`Delta` is its only update.  Its per-view
-:class:`IncrementalView` states read that graph and are refreshed by
-the set after each op; a mutation that bypasses the set is refused at
-the next batch instead of silently desynchronizing the counters.
+and a :class:`Delta` is its only update; a mutation that bypasses the
+set is refused at the next batch instead of silently desynchronizing
+the view states.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-from collections import deque
 from dataclasses import dataclass
-from typing import (
-    Dict,
-    Hashable,
-    Iterable,
-    Iterator,
-    List,
-    NamedTuple,
-    Optional,
-    Set,
-    Tuple,
-)
+from typing import Dict, Hashable, Iterable, Iterator, List, NamedTuple, Tuple
 
 from repro.graph.digraph import DataGraph
 from repro.graph.io import node_from_json
@@ -56,13 +44,11 @@ from repro.graph.pattern import BoundedPattern
 from repro.obs import trace
 from repro.obs.metrics import SIZE_BUCKETS, get_registry
 from repro.simulation.compact_engine import extract, witness_fixpoint
-from repro.simulation.result import edge_matches_from_nodes
-from repro.simulation.witness import WitnessCounters, simulate
+from repro.simulation.repair import compatibility, repair
 from repro.views.view import MaterializedView, ViewDefinition, snapshot_extension
 
 log = logging.getLogger(__name__)
 
-PNode = Hashable
 Node = Hashable
 
 #: Delta op kinds.
@@ -76,10 +62,10 @@ class Delta:
     """An ordered batch of edge insertions and deletions.
 
     The unit of work of the maintenance pipeline: one delta flows
-    through the graph and the view trackers
-    (:meth:`IncrementalViewSet.apply_delta` applies each op, then
-    refreshes every view), the graph snapshot (journal-driven refresh)
-    and the engine caches as a single maintenance round.  Build one with the fluent helpers::
+    through the graph, its snapshot (journal-driven refresh), the view
+    states (:meth:`IncrementalViewSet.apply_delta` applies each op, then
+    carries every view over the batch) and the engine caches as a single
+    maintenance round.  Build one with the fluent helpers::
 
         delta = Delta().insert("a", "b").delete("c", "d")
 
@@ -191,11 +177,14 @@ def _parse_key(token: str) -> Node:
 class ViewStats:
     """Per-view maintenance counters (cumulative since construction).
 
-    ``incremental_inserts`` counts relevant insertions absorbed by the
-    affected-area revival path; ``recomputes`` counts recomputations of
-    a view that was empty (there is no counter state to revive from).
-    ``affected_area`` totals the revival-candidate pairs examined --
-    the cost measure of the paper's [15]-style insertion handling.
+    ``insertions`` / ``deletions`` count applied ops, and
+    ``irrelevant_inserts`` / ``incremental_inserts`` a batch's net
+    inserted edges that are / are not label-compatible with some view
+    edge (the latter absorbed by a repair); ``recomputes`` counts boot
+    fixpoints re-run (an empty view, or a snapshot re-encoded rather
+    than refreshed).  ``affected_area`` totals the revival-candidate
+    pairs admitted -- the cost measure of the paper's [15]-style
+    insertion handling.
     """
 
     insertions: int = 0
@@ -231,11 +220,12 @@ class DeltaReport(NamedTuple):
     views whose extensions actually changed -- the eviction set for
     downstream caches; ``per_view`` maps every maintained view to the
     stat deltas this round produced (same keys as
-    :meth:`ViewStats.snapshot`).  ``stale_bounded`` names the bounded
-    views the round left stale (filled by
+    :meth:`ViewStats.snapshot`).  ``stale_bounded`` names the views the
+    round left stale (filled by
     :meth:`~repro.engine.engine.QueryEngine.apply_delta`: bounded views
-    are not maintained incrementally, so any graph-changing round strands
-    their cached extensions until rematerialization).
+    are not maintained incrementally, nor is a catalog view the tracker
+    was not given, so any graph-changing round strands their cached
+    extensions until rematerialization).
     """
 
     applied: int
@@ -267,18 +257,22 @@ def _meter_delta(report: "DeltaReport") -> None:
 
 
 class IncrementalView:
-    """One simulation view's witness-counter state over a shared graph.
+    """One simulation view's kept fixpoint over the snapshots of a
+    shared graph.
 
-    Built and driven by :class:`IncrementalViewSet`: it reads ``graph``
-    (never mutates it), and the set calls :meth:`_after_insert` /
-    :meth:`_after_delete` once each op has been applied to the graph.
-    Bounded views change non-locally under updates and are rejected.
+    Built and driven by :class:`IncrementalViewSet`: it reads the
+    graph's snapshots (never the graph), and the set calls
+    :meth:`_update` once per batch with the batch's net edge changes in
+    the refreshed snapshot's ids.  Bounded views change non-locally
+    under updates and are rejected.
 
-    The first state comes from one id-space fixpoint on the graph's
-    frozen snapshot (``graph.freeze()``, cached, so every view of a set
-    and the catalog serving them share it): its rows are the first
-    extension, already bound to that snapshot, and its decoded maximum
-    simulation seeds the node-key counters the updates keep.
+    The state is the id-space fixpoint of one
+    :func:`~repro.simulation.compact_engine.witness_fixpoint` on the
+    graph's frozen snapshot (``graph.freeze()``, cached, so every view
+    of a set and the catalog serving them share it), kept with its lazy
+    counters and carried from batch to batch by
+    :func:`~repro.simulation.repair.repair`; its rows are the
+    extension, already bound to the snapshot they were read on.
     """
 
     def __init__(self, definition: ViewDefinition, graph: DataGraph) -> None:
@@ -290,249 +284,90 @@ class IncrementalView:
             )
         self.definition = definition
         self.stats = ViewStats()
-        self._graph = graph
-        # The view's maximum simulation and its live counters; ``None``
-        # while the view is empty.
-        self._fixpoint: Optional[WitnessCounters] = None
-        self._extension_cache: Optional[MaterializedView] = None
         self._start(graph.freeze())
 
-    # ------------------------------------------------------------------
-    # State construction
-    # ------------------------------------------------------------------
-    def _compatible(self, x: PNode, v: Node) -> bool:
-        return self.definition.pattern.condition(x).matches(
-            self._graph.labels(v), self._graph.attrs(v)
-        )
-
     def _start(self, snapshot) -> None:
-        """The view's state after one witness fixpoint on ``snapshot``:
-        the extension as the fixpoint's id rows, and the counters built
-        over its decoded maximum simulation (sinks included).  Every
-        counter there is at least 1, so building them runs no cascade,
-        and they equal the ones :func:`simulate` leaves."""
+        """The view's state after one witness fixpoint on ``snapshot``
+        (``None`` while the view is empty), and its extension."""
+        self._state = witness_fixpoint(self.definition.pattern, snapshot, snapshot.num_nodes)
+        self._extract(snapshot)
+
+    def _extract(self, snapshot) -> None:
+        state = self._state
         pattern = self.definition.pattern
-        state = witness_fixpoint(pattern, snapshot, snapshot.num_nodes)
         rows = None if state is None else extract(pattern, snapshot, state)
-        self._extension_cache = snapshot_extension(self.definition, snapshot, rows)
+        self._extension = snapshot_extension(self.definition, snapshot, rows)
         self.stats.extension_builds += 1
-        if state is None:
-            return
-        decode = snapshot.node_table.__getitem__
-        sim = {u: set(map(decode, ids)) for u, ids in state.sim.items()}
-        graph = self._graph
-        lookups = dict.fromkeys(
-            pattern.edges(), (graph.successors, graph.predecessors)
-        )
-        self._fixpoint = WitnessCounters(pattern, sim, lookups)
 
-    def _recompute(self) -> None:
-        self._fixpoint = simulate(self.definition.pattern, self._graph)
-        self._extension_cache = None
-
-    # ------------------------------------------------------------------
-    # Update internals (graph already mutated by the set)
-    # ------------------------------------------------------------------
-    def _after_insert(self, source: Node, target: Node) -> bool:
-        """Refresh state after ``source -> target`` joined the graph."""
-        self.stats.insertions += 1
-        if not self._relevant(source, target):
-            # No label-compatible view edge: provably no effect, O(1)
-            # per pattern edge.
-            self.stats.irrelevant_inserts += 1
-            return False
-        if self._fixpoint is None:
-            # No counter state to revive from (rare: the view was
-            # entirely empty) -- recompute.
-            self.stats.recomputes += 1
-            self._recompute()
-            return self._fixpoint is not None
-        changed, revived, area = self._insert_incremental(source, target)
-        self.stats.incremental_inserts += 1
-        self.stats.revived_pairs += revived
-        self.stats.affected_area += area
-        if changed:
-            self._extension_cache = None
-        return changed
-
-    def _insert_incremental(
-        self, source: Node, target: Node
-    ) -> Tuple[bool, int, int]:
-        """Affected-area revival after ``source -> target`` was added.
-
-        Simulation is monotone under insertions, so the new maximum
-        simulation extends the tracked one; the only candidates that
-        can join are label-compatible pairs whose data node reaches
-        ``source`` backwards along a compatible pattern path.  The
-        method (1) collects that candidate closure, (2) tentatively
-        admits all candidates and rebuilds exactly the witness counters
-        the admission could have changed, then (3) runs the standard
-        counter-cascade refinement, which can only evict tentative
-        candidates.  Returns ``(extension changed, pairs revived,
-        affected-area size)``.
-        """
+    def _update(self, snapshot, inserted, removed, fresh) -> bool:
+        """Carry the state over one batch: ``inserted`` / ``removed``
+        are its net edge changes as id pairs of ``snapshot`` (which
+        extends the snapshot the state is on) and ``fresh`` the ids it
+        appended.  A view no change can affect is skipped at
+        ``O(changes x view edges)``: an edge present after the batch
+        matters only if it is label-compatible with some view edge, a
+        removed one only if it was a match, a fresh node only if some
+        view node accepts it.  Returns whether the extension changed
+        (it is then re-read off the state)."""
+        stats = self.stats
         pattern = self.definition.pattern
-        graph = self._graph
-        fixpoint = self._fixpoint
-        assert fixpoint is not None
-        sim = fixpoint.sim
+        edges = pattern.edges()
+        compatible = compatibility(pattern, snapshot)
 
-        # --- (1) revival candidates: backward product closure --------
-        in_r: Set[Tuple[PNode, Node]] = set()
-        queue: deque = deque()
-        for x in pattern.nodes():
-            if source in sim[x] or not self._compatible(x, source):
-                continue
-            if any(
-                self._compatible(y, target) for y in pattern.successors(x)
-            ):
-                in_r.add((x, source))
-                queue.append((x, source))
-        while queue:
-            x, v = queue.popleft()
-            for x1 in pattern.predecessors(x):
-                present = sim[x1]
-                for v1 in graph.predecessors(v):
-                    pair = (x1, v1)
-                    if v1 in present or pair in in_r:
-                        continue
-                    if not self._compatible(x1, v1):
-                        continue
-                    in_r.add(pair)
-                    queue.append(pair)
+        def matched(sim, s: int, t: int) -> bool:
+            return any(s in sim[u] and t in sim[u1] for u, u1 in edges)
 
-        # --- (2) tentative admission + affected counters --------------
-        # Counters to rebuild: every revived pair's own, and the old
-        # pairs whose witness sets may have grown -- predecessors of
-        # revived pairs, plus the inserted edge's own source.  They are
-        # rebuilt from scratch against the admitted state, which keeps
-        # them exact for the cascade below (and for every later
-        # deletion).
-        recount: Set[Tuple[PNode, PNode, Node]] = set()
-        for y, w in in_r:
-            for x in pattern.predecessors(y):
-                present = sim[x]
-                for v in graph.predecessors(w):
-                    if v in present:
-                        recount.add((x, y, v))
-        for x in pattern.nodes():
-            if source in sim[x]:
-                for y in pattern.successors(x):
-                    recount.add((x, y, source))
-        for x, v in in_r:
-            sim[x].add(v)
-            for y in pattern.successors(x):
-                recount.add((x, y, v))
-        counters = fixpoint.children
-        for x, y, v in recount:
-            counters[(x, y)][v] = len(sim[y].intersection(graph.successors(v)))
-
-        # --- (3) cascade: only tentative candidates can fall ----------
-        # (the old simulation is still a valid simulation of the grown
-        # graph, so no old pair's counter reaches zero).
-        removals: deque = deque()
-        for pair in in_r:
-            x, v = pair
-            if any(counters[(x, y)][v] == 0 for y in pattern.successors(x)):
-                sim[x].discard(v)
-                removals.append(pair)
-        fixpoint.cascade(removals)
-        survived = sum(1 for x, v in in_r if v in sim[x])
-        if survived:
-            changed = True
-        else:
-            # No pair revived, but the inserted edge itself may be a
-            # fresh match of some view edge.
-            changed = any(
-                source in sim[x] and target in sim[y]
-                for x, y in pattern.edges()
-            )
-        return changed, survived, len(in_r)
-
-    def _after_delete(self, source: Node, target: Node) -> bool:
-        """Counter cascade after ``source -> target`` left the graph;
-        returns whether any match pair was lost."""
-        self.stats.deletions += 1
-        fixpoint = self._fixpoint
-        if fixpoint is None:
-            # The view was empty; deletions cannot revive it.
-            return False
-        pattern = self.definition.pattern
-        sim = fixpoint.sim
-        # Every view edge the deleted edge witnessed, read before any
-        # removal: a self-loop witnesses both (x, y) and (y, x), and
-        # dropping ``source`` from sim[x] first must not hide the other.
-        witnessed = [
-            (x, y)
-            for x in pattern.nodes()
-            if source in sim[x]
-            for y in pattern.successors(x)
-            if target in sim[y]
+        relevant = [
+            (s, t) for s, t in inserted
+            if any(compatible(u, s) and compatible(u1, t) for u, u1 in edges)
         ]
-        if not witnessed:
+        stats.irrelevant_inserts += len(inserted) - len(relevant)
+        grows = bool(relevant) or any(compatible(u, v) for v in fresh for u in pattern.nodes())
+        state = self._state
+        if state is None:
+            # Deletions cannot revive an empty view; growth re-runs the
+            # boot fixpoint.
+            if not grows:
+                return False
+            stats.recomputes += 1
+            self._start(snapshot)
+            return self._state is not None
+        lost = any(matched(state.sim, s, t) for s, t in removed)
+        if not (lost or grows):
             return False
-        before = sum(map(len, sim.values()))
-        removals: deque = deque()
-        for x, y in witnessed:
-            counter = fixpoint.children[(x, y)]
-            counter[source] -= 1
-            if counter[source] == 0 and source in sim[x]:
-                sim[x].discard(source)
-                removals.append((x, source))
-        if fixpoint.cascade(removals):
-            self.stats.removed_pairs += before - sum(map(len, sim.values()))
+        before = sum(map(len, state.sim.values()))
+        touched = {s for s, _ in inserted}.union(s for s, _ in removed)
+        state, area, revived = repair(
+            pattern, snapshot, state, relevant, touched, fresh, compatible
+        )
+        stats.incremental_inserts += len(relevant)
+        stats.affected_area += area
+        stats.revived_pairs += revived
+        self._state = state
+        if state is None:
+            stats.removed_pairs += before
         else:
-            # Some match set emptied: the view lost every pair it held.
-            self.stats.removed_pairs += before
-            self._fixpoint = None
-        # The pair (source, target) left each witnessed view edge's
-        # match set, whether or not ``source`` survived.
-        self._extension_cache = None
+            removed_pairs = before + revived - sum(map(len, state.sim.values()))
+            stats.removed_pairs += removed_pairs
+            if not (lost or revived or removed_pairs) and not any(
+                matched(state.sim, s, t) for s, t in relevant
+            ):
+                return False
+        self._extract(snapshot)
         return True
 
-    def _relevant(self, source: Node, target: Node) -> bool:
-        """Could the inserted edge interact with any view edge?"""
-        pattern = self.definition.pattern
-        for x in pattern.nodes():
-            if not self._compatible(x, source):
-                continue
-            for y in pattern.successors(x):
-                if self._compatible(y, target):
-                    return True
-        return False
-
-    # ------------------------------------------------------------------
-    # Extension access
-    # ------------------------------------------------------------------
     def extension(self) -> MaterializedView:
-        """The current (always consistent) materialized extension.
-
-        Cached behind a dirty flag: repeated reads between updates (or
-        across updates that provably left the view unchanged) return
-        the same object without rebuilding the edge-match sets.
-        """
-        cached = self._extension_cache
-        if cached is not None:
-            return cached
-        self.stats.extension_builds += 1
-        pattern = self.definition.pattern
-        if self._fixpoint is None:
-            edge_matches = {edge: set() for edge in pattern.edges()}
-        else:
-            edge_matches = edge_matches_from_nodes(
-                pattern.edges(), self._fixpoint.sim, self._graph.successors
-            )
-        extension = MaterializedView(self.definition, edge_matches)
-        self._extension_cache = extension
-        return extension
+        """The current extension, on the set's latest snapshot: rebuilt
+        when a batch changes it, re-stamped onto the refresh otherwise."""
+        return self._extension
 
 
 class IncrementalViewSet:
     """Maintain a whole view cache under one update stream.
 
     Maintains ``graph`` itself, in place -- the same object the serving
-    engine evaluates on -- and fans each op of a :class:`Delta` out to
-    per-view :class:`IncrementalView` state.  :meth:`apply_delta` is
+    engine evaluates on -- and carries per-view :class:`IncrementalView`
+    states over each :class:`Delta`.  :meth:`apply_delta` is
     the one update method; read fully consistent extensions with
     :meth:`extension`.  Per-op change accounting (:attr:`seq` /
     :meth:`changed_since`) tells cache layers exactly which views an
@@ -565,11 +400,13 @@ class IncrementalViewSet:
                 skipped.append(definition.name)
                 continue
             self._trackers[definition.name] = IncrementalView(definition, graph)
-        if self._trackers:
+        # The snapshot the view states are on (``None`` without one).
+        self._snapshot = graph.freeze() if self._trackers else None
+        if self._snapshot is not None:
             # Serving reads the view rows, not the adjacency rows the
             # fixpoints decoded (~9 MiB on a 90k-edge graph), and every
             # snapshot refresh would copy them.
-            graph.freeze().drop_decoded_rows()
+            self._snapshot.drop_decoded_rows()
         self.skipped_bounded: Tuple[str, ...] = tuple(skipped)
         self._version = graph.version
 
@@ -616,22 +453,25 @@ class IncrementalViewSet:
         """Apply a :class:`Delta` batch as one maintenance round.
 
         Ops apply to the graph in order (already-present insertions and
-        missing deletions are skipped), each bumping :attr:`seq` and
-        fanned out to every view: irrelevant insertions (no
-        label-compatible view edge) cost ``O(1)`` per view edge,
-        relevant ones revive matches through the affected-area closure,
-        and deletions run the witness-counter cascade.  The batch buys
-        coalesced *accounting*, not reordering: the returned
-        :class:`DeltaReport` names the views the whole round changed,
-        which is what cache layers evict.  Raises ``RuntimeError`` when
-        the graph was mutated outside this set since its last batch.
+        missing deletions are skipped), each bumping :attr:`seq`.  Then
+        the graph is frozen once -- a journal refresh of the last
+        snapshot, every id kept -- and each view is carried over the
+        batch's net edge changes in that snapshot's ids
+        (:meth:`IncrementalView._update`: a skip for views no change can
+        affect, else one :func:`~repro.simulation.repair.repair`
+        of the kept fixpoint).  Should the freeze re-encode instead (a
+        batch too large for the journal), every view re-runs its boot
+        fixpoint there.  The returned :class:`DeltaReport` names the
+        views the round changed, which is what cache layers evict.
+        Raises ``RuntimeError`` when the graph was mutated outside this
+        set since its last batch.
         """
         graph = self._graph
         if graph.version != self._version:
             raise RuntimeError(
                 f"the maintained graph moved from version {self._version} "
                 f"to {graph.version} outside apply_delta(); the view "
-                "counters no longer describe it -- route every update "
+                "states no longer describe it -- route every update "
                 "through apply_delta() (or rebuild the IncrementalViewSet)"
             )
         before = {
@@ -639,7 +479,9 @@ class IncrementalViewSet:
             for name, tracker in self._trackers.items()
         }
         start_seq = self._seq
-        applied = skipped = 0
+        applied = skipped = inserts = 0
+        # Each edge the batch moved, with whether it was present before.
+        moved: Dict[Tuple[Node, Node], bool] = {}
         with trace.span("maintenance.delta") as delta_span:
             for op, source, target in delta:
                 insert = op == INSERT
@@ -648,14 +490,14 @@ class IncrementalViewSet:
                     continue
                 if insert:
                     graph.add_edge(source, target)
+                    inserts += 1
                 else:
                     graph.remove_edge(source, target)
+                moved.setdefault((source, target), not insert)
                 applied += 1
                 self._seq += 1
-                for name, tracker in self._trackers.items():
-                    refresh = tracker._after_insert if insert else tracker._after_delete
-                    if refresh(source, target):
-                        self._changed_at[name] = self._seq
+            if applied and self._trackers:
+                self._refresh(moved, inserts, applied - inserts)
             if delta_span is not None:
                 delta_span.set(applied=applied, skipped=skipped)
         self._version = graph.version
@@ -673,6 +515,35 @@ class IncrementalViewSet:
         )
         _meter_delta(report)
         return report
+
+    def _refresh(self, moved, inserts: int, deletes: int) -> None:
+        """Carry every view onto the graph's refreshed snapshot."""
+        graph = self._graph
+        old, snapshot = self._snapshot, graph.freeze()
+        self._snapshot = snapshot
+        id_of = snapshot.id_of
+        inserted, removed = [], []
+        for (source, target), present in moved.items():
+            if graph.has_edge(source, target) != present:
+                (removed if present else inserted).append((id_of(source), id_of(target)))
+        fresh = range(old.num_nodes, snapshot.num_nodes)
+        stable = snapshot.extends_token == old.snapshot_token
+        for name, tracker in self._trackers.items():
+            tracker.stats.insertions += inserts
+            tracker.stats.deletions += deletes
+            if stable:
+                changed = tracker._update(snapshot, inserted, removed, fresh)
+            else:
+                tracker.stats.recomputes += 1
+                tracker._start(snapshot)
+                changed = True
+            if changed:
+                self._changed_at[name] = self._seq
+            extension = tracker._extension
+            if extension.compact.token != snapshot.snapshot_token:
+                # Same rows, new token: every extension sits on the
+                # latest snapshot, however many batches a reader skips.
+                tracker._extension = extension.rebound(snapshot)
 
     def extension(self, name: str) -> MaterializedView:
         """The current, always-consistent extension of view ``name``."""

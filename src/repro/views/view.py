@@ -104,8 +104,9 @@ class MaterializedView:
     compact:
         Optional :class:`~repro.views.flatpack.FlatExtension` carrying
         the same match sets as id rows in snapshot id space (set on
-        every :func:`materialize`d view; ``None`` only for an extension
-        built from node-key sets by hand).  Such a view is
+        every :func:`materialize`d view and every view the maintenance
+        tracker reads off its kept fixpoint; ``None`` only for an
+        extension built from node-key sets by hand).  Such a view is
         built one way, by :func:`_attach_view`, whether fresh or attached
         from a saved snapshot: the rows are its only stored form, and
         ``edge_matches`` and ``distances`` decode from them per view
@@ -264,30 +265,4 @@ def snapshot_extension(
         id_distances = {} if definition.is_bounded else None
     return _attach_view(
         definition, FlatExtension.from_rows(snapshot, id_rows, id_distances)
-    )
-
-
-def bind_extension(extension: MaterializedView, snapshot) -> MaterializedView:
-    """A copy of ``extension`` whose id-space payload is bound to
-    ``snapshot`` (a :class:`CompactGraph` or
-    :class:`~repro.shard.sharded.ShardedGraph`).
-
-    The node-key match sets are shared, only the id rows are (re)built
-    -- O(|V(G)|), no re-evaluation.  This is how the maintenance
-    pipeline keeps MatchJoin in id space for a view whose extension was
-    refreshed incrementally: the tracker hands back node-key match
-    sets, and binding encodes them in the refreshed snapshot's id
-    space.  Bounded views are returned unchanged: they sit outside
-    incremental maintenance (binding a stale bounded extension onto a
-    fresh token would launder outdated distances), so they are
-    *rematerialized* -- with a fresh id-space distance payload --
-    rather than re-bound.
-    """
-    if extension.definition.is_bounded:
-        return extension
-    return MaterializedView(
-        extension.definition,
-        extension.edge_matches,
-        extension.distances,
-        FlatExtension.from_pairs(snapshot, extension.edge_matches),
     )

@@ -676,9 +676,9 @@ def test_array_caches_are_per_snapshot(operator, shared):
 @needs_numpy
 @pytest.mark.parametrize("operator", sorted(OPERATORS))
 @pytest.mark.parametrize("shared", [False, True])
-def test_array_caches_are_not_pickled(operator, shared, tmp_path):
-    # Nor saved: a save writes the same files before and after the
-    # kernel filled the cache, and a load starts with none.  (Tuple
+def test_array_caches_are_never_saved(operator, shared, tmp_path):
+    # A save writes the same files before and after the kernel filled
+    # the cache, and a load starts with none.  (Tuple
     # keys: a saved key is JSON's, so "mixed"'s frozensets cannot be.)
     graph = rekeyed(random_labeled_graph(random.Random(17), 30, 90), "tuple")
     pattern, run = OPERATORS[operator]

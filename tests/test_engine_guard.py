@@ -78,7 +78,7 @@ def test_planner_is_a_pure_function_of_its_state():
     assert "_lock" not in source
 
 
-def test_one_answer_key_and_one_spec_builder():
+def test_one_answer_key_and_one_evaluation():
     # One evaluation, reading the plan itself: ``executor.evaluate`` is
     # defined once, called once by the engine's batches and once by the
     # server's reader threads, and is the only importer of a kernel.
@@ -117,6 +117,9 @@ def test_removed_paths_stay_removed():
         "ships_as_handle", "from_handle", "_attach_store",
     ):
         assert gone not in everything, gone
+    for gone in ("bind_extension", "from_pairs"):
+        # Whole names: ``rebind_extension`` stays.
+        assert not re.search(rf"\b{re.escape(gone)}", everything), gone
     for module in ("cost.py", "pricing.py", "advisor.py"):
         assert not (ENGINE / module).exists(), module
     for path in ("engine/executor.py", "shard/psim.py"):

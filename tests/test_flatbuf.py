@@ -132,7 +132,7 @@ class TestBytesFallback:
 # Attach semantics
 # ----------------------------------------------------------------------
 class TestAttach:
-    def test_in_process_attach_reuses_store(self, tmp_path):
+    def test_a_second_load_maps_the_same_segment_file(self, tmp_path):
         loaded = _saved_and_loaded(_sample_graph(seed=4), tmp_path / "snap")
         revived = SnapshotStore.load(tmp_path / "snap").graph
         # A second load maps the same segment file, not a copy of its

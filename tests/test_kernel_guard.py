@@ -12,10 +12,14 @@ one place NumPy may be imported -- lazily, behind the one helper both
 its entry points go through, so processes that never run it never load
 it.
 
+View maintenance re-enters that kernel too: ``simulation.repair``
+admits a batch's revival closure and recounts the counters it moved,
+then hands the refinement back to ``witness_fixpoint``.
+
 On the node-key side there is likewise one dict witness-counter
 fixpoint (``simulation.witness.WitnessCounters``): simulation, dual and
-strong simulation, view matches, dual MatchJoin and view maintenance
-all run it, and its one worklist cascade is the only one.
+strong simulation, view matches and dual MatchJoin all run it, and its
+one worklist cascade is the only one.
 """
 
 import ast

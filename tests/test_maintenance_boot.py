@@ -3,11 +3,11 @@
 ``IncrementalViewSet(definitions, graph)`` freezes ``graph`` (cached:
 the catalog serving the views gets the same snapshot) and runs the
 id-space witness fixpoint once per simulation view.  The run's rows are
-the view's first extension, already bound to that snapshot; its decoded
-maximum simulation seeds the node-key counters the updates keep.  These
-tests hold that state to the dict fixpoint (``witness.simulate``) it
-replaces, and pin what a boot no longer runs: no dict ``simulate``, no
-``bind_extension``, no NumPy.
+the view's first extension, already bound to that snapshot, and its
+state (id sets and lazy counters) is what the updates carry.  These
+tests hold that state to the dict fixpoint (``witness.simulate``), and
+pin what neither a boot nor an update runs: no dict ``simulate``, no
+``WitnessCounters``, no NumPy.
 """
 
 import json
@@ -41,20 +41,35 @@ from helpers import random_labeled_graph, random_pattern, reference_edge_matches
 SRC = str(Path(repro.__file__).resolve().parent.parent)
 
 
+def assert_state_is_the_maximum_simulation(tracker, graph):
+    """Every tracked view's kept state decodes to ``simulate``'s maximum
+    simulation on the dict graph, and each counter it holds for a live
+    candidate is that candidate's exact witness count."""
+    snapshot = graph.freeze()
+    decode = snapshot.node_table.__getitem__
+    for name in tracker.names():
+        pattern = tracker.definition(name).pattern
+        expected = simulate(pattern, graph)
+        state = tracker._trackers[name]._state
+        if expected is None:
+            assert state is None, name
+            continue
+        assert {u: set(map(decode, ids)) for u, ids in state.sim.items()} == expected.sim, name
+        for (u, u1), counter in state.counters.items():
+            for v in state.sim[u].intersection(counter):
+                witnesses = state.sim[u1].intersection(snapshot.succ_rows[v])
+                assert counter[v] == len(witnesses), (name, u, u1, v)
+
+
 def assert_tracks_like_simulate(tracker, graph):
-    """Every tracked view's counters equal ``simulate``'s on the dict
-    graph, and its first extension is bound to the graph's snapshot and
-    holds the maximum simulation's edge matches."""
+    """The kept states are the maximum simulations, and every first
+    extension is bound to the graph's snapshot and holds their edge
+    matches."""
+    assert_state_is_the_maximum_simulation(tracker, graph)
     snapshot = graph.freeze()
     for name in tracker.names():
         pattern = tracker.definition(name).pattern
         expected = simulate(pattern, graph)
-        state = tracker._trackers[name]._fixpoint
-        if expected is None:
-            assert state is None, name
-        else:
-            assert state.sim == expected.sim, name
-            assert state.children == expected.children, name
         extension = tracker.extension(name)
         assert extension.compact.token == snapshot.snapshot_token, name
         pairs = reference_edge_matches(pattern, graph, expected.sim) if expected else {}
@@ -103,20 +118,14 @@ def test_random_views_start_from_the_dict_fixpoint(seed, loops):
     empty.add_edge("x", "y")
     definitions.append(ViewDefinition("empty", empty))
     tracker = IncrementalViewSet(definitions, graph)
-    assert tracker._trackers["empty"]._fixpoint is None
+    assert tracker._trackers["empty"]._state is None
     assert tracker.extension("empty").num_pairs == 0
     assert_tracks_like_simulate(tracker, graph)
     # The counters are the live ones: a delete still cascades exactly.
     edges = sorted(graph.edges(), key=repr)
     if edges:
         tracker.apply_delta(Delta().delete(*rng.choice(edges)))
-        for name in tracker.names():
-            expected = simulate(tracker.definition(name).pattern, graph)
-            state = tracker._trackers[name]._fixpoint
-            assert (state is None) == (expected is None), name
-            if expected is not None:
-                assert state.sim == expected.sim, name
-                assert state.children == expected.children, name
+        assert_state_is_the_maximum_simulation(tracker, graph)
 
 
 def test_a_sink_pattern_node_is_tracked():
@@ -134,9 +143,11 @@ def test_a_sink_pattern_node_is_tracked():
     view.add_edge("a", "b")
     tracker = IncrementalViewSet([ViewDefinition("ab", view)], graph)
     assert_tracks_like_simulate(tracker, graph)
-    assert tracker._trackers["ab"]._fixpoint.sim["b"] == {"b1", "b2"}
+    decode = graph.freeze().node_table.__getitem__
+    assert set(map(decode, tracker._trackers["ab"]._state.sim["b"])) == {"b1", "b2"}
     tracker.apply_delta(Delta().delete("a1", "b1"))
-    assert tracker._trackers["ab"]._fixpoint.sim["a"] == {"a2"}
+    decode = graph.freeze().node_table.__getitem__
+    assert set(map(decode, tracker._trackers["ab"]._state.sim["a"])) == {"a2"}
 
 
 def test_the_boot_leaves_no_adjacency_row_decoded():
@@ -169,37 +180,52 @@ def test_a_fresh_tracker_extension_is_installed_as_it_is():
 
 #: Runs the ``serve --graph`` / ``maintain`` boot (``cli._maintained_engine``)
 #: in a fresh interpreter, counting every call of the dict ``simulate``
-#: and of ``bind_extension`` wherever a module bound them, then answers
-#: the largest view's own pattern.
+#: (wherever a module bound it) and every ``WitnessCounters`` built over
+#: the boot and over one delta -- it inserts an edge between two of the
+#: largest view's nodes and deletes one of its matched pairs -- and answers
+#: the view's own pattern before and after the delta.
 BOOT = """
 import argparse, json, sys
 from repro.simulation import witness
-from repro.views import view as view_module
 import repro.cli, repro.engine.maintenance, repro.views.maintenance
-calls = {"simulate": 0, "bind_extension": 0}
+from repro.views.maintenance import Delta
+calls = {"simulate": 0, "WitnessCounters": 0}
+simulate, build = witness.simulate, witness.WitnessCounters.__init__
 
-def counted(name, function):
-    def wrapper(*args, **kwargs):
-        calls[name] += 1
-        return function(*args, **kwargs)
-    return wrapper
+def counted_simulate(*args, **kwargs):
+    calls["simulate"] += 1
+    return simulate(*args, **kwargs)
 
-for name, function in (("simulate", witness.simulate),
-                       ("bind_extension", view_module.bind_extension)):
-    for module in list(sys.modules.values()):
-        if getattr(module, name, None) is function:
-            setattr(module, name, counted(name, function))
+def counted_build(self, *args, **kwargs):
+    calls["WitnessCounters"] += 1
+    return build(self, *args, **kwargs)
+
+for module in list(sys.modules.values()):
+    if getattr(module, "simulate", None) is simulate:
+        module.simulate = counted_simulate
+witness.WitnessCounters.__init__ = counted_build
 from repro.obs.metrics import get_registry
 args = argparse.Namespace(graph=sys.argv[1], views=sys.argv[2])
 engine = repro.cli._maintained_engine(args)
 booted = dict(calls, numpy="numpy" in sys.modules)
-name = max(engine.views.names(), key=lambda n: engine.views.extension(n).num_pairs)
-answer = engine.answer(engine.views.definition(name).pattern)
+views, graph = engine.views, engine.graph
+name = max(views.names(), key=lambda n: views.extension(n).num_pairs)
+pattern = views.definition(name).pattern
+first = engine.answer(pattern)
+matches = views.extension(name).edge_matches
+edge = max(matches, key=lambda e: len(matches[e]))
+sources = sorted({v for v, _ in matches[edge]}, key=repr)
+targets = sorted({w for _, w in matches[edge]}, key=repr)
+extra = next((v, w) for v in sources for w in targets if not graph.has_edge(v, w))
+before = dict(calls)  # a query's containment check runs the dict fixpoint
+report = engine.apply_delta(Delta().insert(*extra).delete(*min(matches[edge], key=repr)))
+updated = {key: calls[key] - before[key] for key in calls}
+answer = engine.answer(pattern)
 joins = {path: get_registry().counter("repro_matchjoin_total", path=path).value
          for path in ("ids", "keys")}
-print(json.dumps({"boot": booted, "strategy": answer.stats.strategy,
-                  "pairs": answer.result_size, "joins": joins,
-                  "numpy": "numpy" in sys.modules}))
+print(json.dumps({"boot": booted, "update": updated, "changed": name in report.changed_views,
+                  "strategy": answer.stats.strategy, "pairs": [first.result_size, answer.result_size],
+                  "joins": joins, "numpy": "numpy" in sys.modules}))
 """
 
 
@@ -217,7 +243,9 @@ def test_a_maintained_boot_runs_one_fixpoint_per_view_and_no_numpy(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     report = json.loads(done.stdout.splitlines()[-1])
-    assert report["boot"] == {"simulate": 0, "bind_extension": 0, "numpy": False}
-    assert report["strategy"] == "matchjoin" and report["pairs"] > 0
-    assert report["joins"] == {"ids": 1, "keys": 0}
+    assert report["boot"] == {"simulate": 0, "WitnessCounters": 0, "numpy": False}
+    assert report["update"] == {"simulate": 0, "WitnessCounters": 0}
+    assert report["changed"] is True
+    assert report["strategy"] == "matchjoin" and min(report["pairs"]) > 0
+    assert report["joins"] == {"ids": 2, "keys": 0}
     assert report["numpy"] is False

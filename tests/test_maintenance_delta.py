@@ -20,10 +20,12 @@ import pytest
 
 from helpers import build_graph, build_pattern, ingested, random_labeled_graph, str_keyed
 from repro.engine import QueryEngine
+from repro.graph import Pattern
 from repro.graph.compact import CompactGraph
+from repro.graph.conditions import TrueCondition
 from repro.graph.digraph import DataGraph
 from repro.simulation import match
-from repro.views import Delta, ViewDefinition, ViewSet, bind_extension, materialize
+from repro.views import Delta, ViewDefinition, ViewSet, materialize
 from repro.views.maintenance import IncrementalViewSet
 
 
@@ -188,14 +190,67 @@ class TestConstructorSatellites:
         tracked = IncrementalViewSet(_definitions()[:1], g)
         first = tracked.extension("AB")
         assert tracked.extension("AB") is first  # no rebuild between reads
-        tracked.apply_delta(Delta().insert(3, 1))  # irrelevant for an A->B view
-        assert tracked.extension("AB") is first  # provably unchanged: kept
         stats = tracked.stats()["AB"]
         builds_before = stats.extension_builds
+        tracked.apply_delta(Delta().insert(3, 1))  # irrelevant for an A->B view
+        kept = tracked.extension("AB")  # provably unchanged: rows kept, re-stamped
+        assert kept.edge_matches is first.edge_matches
+        assert kept.compact.token == g.freeze().snapshot_token
+        assert stats.extension_builds == builds_before
         tracked.apply_delta(Delta().delete(1, 2))  # changes the match set
         second = tracked.extension("AB")
         assert second is not first
         assert stats.extension_builds == builds_before + 1
+
+
+def test_a_batch_too_large_for_a_refresh_reboots_every_view():
+    # 80 ops re-encode the snapshot instead of refreshing it (a refresh
+    # keeps ids, so it takes fewer than 64 ops here): nothing vouches
+    # for the ids the kept states are on, and every view starts over
+    # from its boot fixpoint on the new snapshot.
+    rng = random.Random(5)
+    graph = random_labeled_graph(rng, 24, 40)
+    tracked = IncrementalViewSet(_definitions(), graph)
+    old = graph.freeze()
+    ops = [("insert", v, w) for v in range(12) for w in range(12, 24)]
+    ops = [op for op in ops if not graph.has_edge(*op[1:])][:80]
+    report = tracked.apply_delta(Delta(ops))
+    assert report.applied == 80
+    snapshot = graph.freeze()
+    assert snapshot.extends_token != old.snapshot_token
+    for definition in _definitions():
+        stats = report.per_view[definition.name]
+        assert stats["recomputes"] == 1
+        extension = tracked.extension(definition.name)
+        assert extension.compact.token == snapshot.snapshot_token
+        assert extension.edge_matches == materialize(definition, graph.copy()).edge_matches
+    tracked.apply_delta(Delta(("delete",) + op[1:] for op in ops[:3]))
+    for definition in _definitions():
+        assert (
+            tracked.extension(definition.name).edge_matches
+            == materialize(definition, graph.copy()).edge_matches
+        )
+
+
+def test_a_fresh_node_joins_the_wildcard_sink_it_matches():
+    # Edges to fresh keys append unlabelled nodes.  A view node with no
+    # condition matches them even when no inserted edge is compatible
+    # with a view edge, and a later batch relies on that: a1 -> f0 is
+    # a match only because f0 already matches y.
+    graph = build_graph({"a1": "A", "a2": "A", "b1": "B"}, [("a2", "b1")])
+    view = Pattern()
+    view.add_node("x", "A")
+    view.add_node("y", TrueCondition())
+    view.add_edge("x", "y")
+    definition = ViewDefinition("AX", view)
+    tracked = IncrementalViewSet([definition], graph)
+    for delta in (Delta().insert("q", "f0"), Delta().insert("a1", "f0")):
+        tracked.apply_delta(delta)
+        assert (
+            tracked.extension("AX").edge_matches
+            == materialize(definition, graph.copy()).edge_matches
+        )
+    assert tracked.extension("AX").edge_matches[("x", "y")] == {("a1", "f0"), ("a2", "b1")}
 
 
 class TestInsertionRevival:
@@ -340,7 +395,7 @@ class TestViewSetDeltaPipeline:
         version = views.version
         graph.add_edge(2, 1)
         refreshed = graph.freeze()
-        rebound = bind_extension(views.extension("AB"), refreshed)
+        rebound = views.extension("AB").rebound(refreshed)
         views.rebind_extension(rebound)
         assert views.view_version("AB") == stamp
         assert views.version == version
@@ -408,6 +463,32 @@ class TestEngineRetention:
         # extension carries the refreshed token, so MatchJoin's
         # id-space fast path re-engages across the catalog.
         assert engine.views.snapshot_token == snapshot.snapshot_token
+
+    def test_a_read_after_several_tracker_batches_sees_all_of_them(self, setup):
+        # BC changes only in the first batch and AB in none: each view's
+        # catalog copy is several refreshes behind when the read
+        # consumes, yet every extension lands on the latest snapshot.
+        graph, tracker, engine, q_ab, q_bc = setup
+        engine.answer(q_ab)
+        engine.answer(q_bc)
+        tracker.apply_delta(Delta().insert(4, 3))
+        tracker.apply_delta(Delta().insert(3, 103))
+        tracker.apply_delta(Delta().insert(3, 104))
+        for query in (q_ab, q_bc):
+            assert engine.answer(query).edge_matches == match(query, graph).edge_matches
+        assert engine.views.snapshot_token == engine.snapshot().snapshot_token
+
+    def test_a_view_the_tracker_does_not_maintain_goes_stale(self):
+        graph = build_graph({"a1": "A", "b1": "B", "c1": "C"}, [("a1", "b1"), ("b1", "c1")])
+        definitions = _definitions()[:2]  # AB, BC
+        engine = QueryEngine(ViewSet(definitions), graph=graph)
+        engine.materialize_views(["AB", "BC"])
+        engine.attach_maintenance(IncrementalViewSet(definitions[:1], graph))
+        report = engine.apply_delta(Delta().delete("b1", "c1"))
+        assert report.stale_bounded == ("BC",)
+        assert engine.views.is_stale("BC")
+        bc = definitions[1].pattern
+        assert engine.answer(bc).edge_matches == match(bc, graph).edge_matches
 
     def test_direct_answers_keyed_on_graph_version(self, setup):
         graph, tracker, engine, _, _ = setup
@@ -502,7 +583,7 @@ class TestMaintainCli:
 
 class TestDeletionPaths:
     """Deletions are *incremental*, not recompute-on-delete: the
-    witness-counter cascade (``IncrementalView._after_delete``) prunes
+    witness-counter cascade (``simulation.repair.repair``) prunes
     exactly the matches that lost their last witness.  These tests pin
     that down -- delete-heavy streams must never trigger a recompute,
     must leave every backend's view of the extension equal to a

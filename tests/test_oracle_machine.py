@@ -24,7 +24,8 @@ boots a new engine on the refreshed graph: ``DataGraph.freeze`` for
 ``mapped``, a new ingest for ``ingested``.
 
 After every step every engine's fresh extension, and every tracker's,
-must equal the reference rematerialisation.  Every answer's
+must equal the reference rematerialisation, and every view state the
+tracker keeps must be the maximum simulation, with exact counters.  Every answer's
 ``edge_matches`` must equal the oracle's, its ``node_matches`` must
 keep ``repro.simulation.result``'s node-set contract, and whenever
 ``Q ⊑ V`` MatchJoin / BMatchJoin (optimized and naive) must equal Match
@@ -406,6 +407,26 @@ class OracleMachine(RuleBasedStateMachine):
                 if distances is not None:
                     pairs = {pair for found in edges.values() for pair in found}
                     assert {p: extension.distance_of(p) for p in pairs} == distances, name
+
+
+    @invariant()
+    def tracked_states_are_the_maximum_simulation(self):
+        """Every view the tracker keeps is ``maximum_simulation`` on the
+        graph it maintains, decoded from the snapshot its ids are on,
+        and each counter it keeps for a live candidate is exact."""
+        snapshot = self.tracker._snapshot
+        for name in self.tracker.names():
+            pattern = self.tracker.definition(name).pattern
+            state, sim = self.tracker._trackers[name]._state, maximum_simulation(pattern, self.source)
+            assert (state is None) == (sim is None), name
+            if state is None:
+                continue
+            decode = snapshot.node_table.__getitem__
+            assert {u: set(map(decode, ids)) for u, ids in state.sim.items()} == sim, name
+            for (u, u1), counter in state.counters.items():
+                for v in state.sim[u].intersection(counter):
+                    witnesses = state.sim[u1].intersection(snapshot.succ_rows[v])
+                    assert counter[v] == len(witnesses), (name, u, u1, v)
 
 
 OracleMachine.TestCase.settings = settings(

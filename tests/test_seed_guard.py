@@ -19,7 +19,7 @@ ALLOWED = {
     "graph/conditions.py": "defines Condition.matches",
     "graph/compact.py": "the candidate index's fallback scan",
     "simulation/seeding.py": "the dict-backend reference path",
-    "views/maintenance.py": "tests one node per inserted edge",
+    "simulation/repair.py": "tests one node per edge a batch changed",
 }
 
 
