@@ -91,11 +91,12 @@ async def main() -> None:
                 await asyncio.sleep(0)
 
         async def updater(batches: int) -> None:
-            # The tracker maintains ``graph`` in place (the engine
-            # evaluates on the same object): probe it for edge existence.
-            live = graph
+            # The tracker never changes ``graph``: each batch patches its
+            # snapshot into the next one (the graph the engine serves),
+            # so probe that for edge existence.
             nodes = list(range(graph.num_nodes))
             for _ in range(batches):
+                live = tracker.graph
                 delta = Delta()
                 for _ in range(12):
                     a, b = rng.sample(nodes, 2)

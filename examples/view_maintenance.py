@@ -8,8 +8,9 @@ pipeline end to end:
 * a day of churn arrives as batched :class:`~repro.views.Delta` updates
   applied through the engine to the
   :class:`~repro.views.maintenance.IncrementalViewSet` it attached --
-  one graph, updated in place; deletions prune only the affected matches, insertions revive
-  matches inside the affected area, irrelevant updates are near-free;
+  one graph, the tracker's snapshot, patched per batch; deletions prune
+  only the affected matches, insertions revive matches inside the
+  affected area, irrelevant updates are near-free;
 * the :class:`~repro.engine.QueryEngine` follows the stream and keeps its
   answer cache keyed per view: queries over views the churn never
   touched keep hitting the cache while the changed views' answers

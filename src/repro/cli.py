@@ -56,18 +56,29 @@ def _store_row(store) -> dict:
 
 
 def _maintained_engine(args, selection: str = "minimal"):
-    """The engine ``serve --graph`` and ``maintain`` run: its tracker
-    maintains the engine's own graph in place, and every update goes
-    through :meth:`~repro.engine.QueryEngine.apply_delta`."""
+    """The engine ``serve`` and ``maintain`` run, on one snapshot: read
+    from ``--graph`` and frozen (the dict graph is dropped before the
+    view fixpoints run), or ``--snapshot DIR`` with that directory's view
+    packs.  Its tracker applies every update to that snapshot, through
+    :meth:`~repro.engine.QueryEngine.apply_delta`.  A sharded directory
+    boots read-only."""
     from repro.engine import QueryEngine
-    from repro.graph.io import read_graph
-    from repro.views.io import read_viewset
     from repro.views.maintenance import IncrementalViewSet
 
-    graph, views = read_graph(args.graph), read_viewset(args.views)
-    tracker = IncrementalViewSet(views.definitions(), graph)
-    engine = QueryEngine(views, graph=graph, selection=selection)
-    engine.attach_maintenance(tracker)
+    if getattr(args, "snapshot", None) is not None:  # ``maintain`` has no --snapshot
+        from repro.graph.snapshot import SnapshotStore
+
+        loaded = SnapshotStore.load(args.snapshot)
+        engine = QueryEngine(snapshot_path=loaded, selection=selection)
+        if loaded.manifest["kind"] == "sharded":
+            return engine
+    else:
+        from repro.graph.io import read_graph
+        from repro.views.io import read_viewset
+
+        graph = read_graph(args.graph).freeze()  # the dict graph goes here
+        engine = QueryEngine(read_viewset(args.views), graph=graph, selection=selection)
+    engine.attach_maintenance(IncrementalViewSet(engine.views.definitions(), engine.graph))
     return engine
 
 
@@ -159,7 +170,8 @@ def _cmd_query(args) -> int:
 
 
 def _cmd_maintain(args) -> int:
-    from repro.views.maintenance import Delta
+    from repro.graph.io import read_graph
+    from repro.views.maintenance import INSERT, Delta
     from repro.views.view import materialize as _materialize
 
     try:
@@ -168,7 +180,10 @@ def _cmd_maintain(args) -> int:
         engine = _maintained_engine(args)
     except (OSError, ValueError) as err:
         return _error(err)
-    graph, views, tracker = engine.graph, engine.views, engine.maintenance
+    views, tracker = engine.views, engine.maintenance
+    # --verify checks against a graph of its own: the dict graph, moved
+    # by the same ops.
+    mirror = read_graph(args.graph) if args.verify else None
     previous = engine.snapshot()
     batch_size = max(1, args.batch)
     ops = delta.ops
@@ -190,14 +205,19 @@ def _cmd_maintain(args) -> int:
                 retained_batches[name] += 1
         refreshed = engine.snapshot()
         if refreshed is not previous:
-            if refreshed.extends_token == previous.snapshot_token:
+            if refreshed.flat_store is previous.flat_store:
                 snapshot_refreshes += 1
             else:
-                snapshot_rebuilds += 1
+                snapshot_rebuilds += 1  # the patch outgrew the base
             previous = refreshed
-        if args.verify:
+        if mirror is not None:
+            for op, source, target in batch:
+                if op == INSERT:
+                    mirror.add_edge(source, target)
+                elif mirror.has_edge(source, target):
+                    mirror.remove_edge(source, target)
             for name in tracker.names():
-                fresh = _materialize(views.definition(name), graph)
+                fresh = _materialize(views.definition(name), mirror)
                 if views.extension(name).edge_matches != fresh.edge_matches:
                     return _error(
                         f"view {name!r} diverged from rematerialization"
@@ -418,7 +438,6 @@ def _cmd_snapshot_info(args) -> int:
 def _cmd_serve(args) -> int:
     import asyncio
 
-    from repro.engine import QueryEngine
     from repro.obs.logsetup import install as install_logging
     from repro.serve import MetricsServer, QueryServer, serve_tcp
 
@@ -435,20 +454,14 @@ def _cmd_serve(args) -> int:
             return _error("bare --persist (no directory) requires --snapshot")
         persist = args.snapshot
     try:
-        if args.snapshot is not None:
-            from repro.graph.snapshot import SnapshotStore
-
-            loaded = SnapshotStore.load(args.snapshot)
-            engine = QueryEngine(snapshot_path=loaded, selection=args.strategy)
-        else:
-            engine = _maintained_engine(args, args.strategy)
-            skipped = engine.maintenance.skipped_bounded
-            if skipped:
-                print(
-                    "note: bounded views are rematerialized per epoch, not "
-                    "incrementally maintained: " + ", ".join(skipped),
-                    file=sys.stderr,
-                )
+        engine = _maintained_engine(args, args.strategy)
+        skipped = engine.maintenance.skipped_bounded if engine.maintenance else ()
+        if skipped:
+            print(
+                "note: bounded views are rematerialized per epoch, not "
+                "incrementally maintained: " + ", ".join(skipped),
+                file=sys.stderr,
+            )
         graph, views = engine.graph, engine.views
         server = QueryServer(
             engine,

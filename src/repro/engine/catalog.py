@@ -3,9 +3,8 @@
 The paper's three stages (Section II-B) are functions of ``(Qs, V,
 V(G))``; what a deployment adds is an owner of that state.  The view
 catalog, the data graph, its frozen snapshot, the maintenance tracker
-(which updates that same graph in place) with its cursor, and **the
-lock** live in :class:`Catalog`, and every mutation of any of them is
-one of its methods.
+with its cursor, and **the lock** live in :class:`Catalog`, and every
+mutation of any of them is one of its methods.
 
 Readers get the state as a :class:`~repro.engine.planner.PlanningState`
 in one of two forms.  The live catalog: mutations and :meth:`~Catalog.snapshot`
@@ -16,11 +15,13 @@ an :class:`EngineCheckpoint`: an immutable capture any number of threads
 plan and evaluate on with no lock (what the serving layer pins per
 epoch).
 
-The snapshot is frozen once and *refreshed* through the graph's edge-op
-journal, so the id space -- and MatchJoin's integer fast path --
-survives the update stream.  Booted from a sharded snapshot directory
-it is that directory's :class:`~repro.shard.sharded.ShardedGraph`,
-whose composite token makes sharded extensions indistinguishable from
+The snapshot is frozen once.  Once a tracker is attached, the graph
+*is* the tracker's latest snapshot: each batch builds the next one from
+it with every id kept, so the id space -- and MatchJoin's integer fast
+path -- survives the update stream, and no dict graph stays beside it.
+Booted from a sharded snapshot directory the graph is that directory's
+:class:`~repro.shard.sharded.ShardedGraph` (served read-only), whose
+composite token makes sharded extensions indistinguishable from
 single-snapshot ones.
 """
 
@@ -185,10 +186,8 @@ class Catalog(PlanningState):
         directory booted.
 
         Frozen once and reused for materialization, direct evaluation
-        and batch execution.  After the graph mutates it is *refreshed*
-        from the edge-op journal whenever the gap is pure edge churn --
-        reusing unchanged adjacency rows -- and fully rebuilt otherwise
-        (``DataGraph.freeze`` decides).
+        and batch execution; with a tracker attached it is the tracker's
+        latest snapshot, the graph itself.
         """
         if self.graph is None:
             return None
@@ -238,26 +237,28 @@ class Catalog(PlanningState):
     # Maintenance
     # ------------------------------------------------------------------
     def attach_maintenance(self, tracker: IncrementalViewSet) -> None:
-        """Keep the catalog fresh from ``tracker``, which must maintain
-        this catalog's own, mutable graph (else ``ValueError``; a
-        snapshot-booted engine's is immutable) -- one ``G`` for the
-        views, direct evaluation and snapshot refresh alike.  Definitions
-        the catalog lacks are added, and the first sync imports every
-        maintained extension (as it is: the tracker froze this graph).
-        Re-attaching the same tracker is a no-op; a second is rejected."""
+        """Keep the catalog fresh from ``tracker``, which must have been
+        built on this catalog's snapshot -- a ``DataGraph``'s cached
+        freeze or a loaded single snapshot; a sharded one is refused
+        (``ValueError`` either way).  From then on the catalog's graph
+        is the tracker's latest snapshot: one ``G`` for the views,
+        direct evaluation and persistence alike.  Definitions the
+        catalog lacks are added, and the first sync imports every
+        maintained extension.  Re-attaching the same tracker is a
+        no-op; a second is rejected."""
         with self.lock:
             if self.maintenance is tracker:
                 return
             if self.maintenance is not None:
                 raise ValueError("a maintenance tracker is already attached")
-            if tracker.graph is not self.graph:
+            snapshot = tracker.graph
+            if snapshot is not self.snapshot():
                 raise ValueError(
                     "the tracker must maintain the engine's own graph: "
                     "build it as IncrementalViewSet(definitions, engine.graph)"
                 )
-            if not hasattr(self.graph, "add_edge"):
-                kind = type(self.graph).__name__
-                raise ValueError(f"cannot maintain an immutable {kind}")
+            if not hasattr(snapshot, "applied"):
+                raise ValueError(f"cannot maintain a sharded {type(snapshot).__name__}")
             for name in tracker.names():
                 if name not in self.views:
                     self.views.add(tracker.definition(name))
@@ -267,10 +268,11 @@ class Catalog(PlanningState):
 
     def sync(self) -> Tuple[str, ...]:
         """Consume whatever the tracker applied since the cursor
-        (:func:`repro.engine.maintenance.consume`) and return the
-        unmaintained views it left stale.  Every read calls it, so a batch
-        applied straight to the tracker (``tracker.apply_delta``) is
-        picked up before the next plan or evaluation."""
+        (:func:`repro.engine.maintenance.consume`), taking its latest
+        snapshot as the graph, and return the unmaintained views it left
+        stale.  Every read calls it, so a batch applied straight to the
+        tracker (``tracker.apply_delta``) is picked up before the next
+        plan or evaluation."""
         tracker = self.maintenance
         if tracker is None or tracker.seq == self._seq:
             return ()
@@ -278,12 +280,14 @@ class Catalog(PlanningState):
 
         with self.lock:
             cursor, self._seq = self._seq, tracker.seq
-            return consume(self.views, tracker, cursor, self.snapshot())
+            self.graph = self._snapshot = tracker.graph
+            return consume(self.views, tracker, cursor)
 
     def apply_delta(self, delta: Delta) -> DeltaReport:
         """Apply a maintenance batch atomically w.r.t. concurrent
-        readers: tracker update, snapshot refresh, changed-view
-        re-import and unmaintained-view staleness, all under the lock."""
+        readers: tracker update, the new snapshot taken as the graph,
+        changed-view re-import and unmaintained-view staleness, all
+        under the lock."""
         with self.lock:
             if self.maintenance is None:
                 raise ValueError(
@@ -299,8 +303,8 @@ class Catalog(PlanningState):
     def checkpoint(self) -> EngineCheckpoint:
         """Freshen the catalog and capture it as an immutable
         :class:`EngineCheckpoint` (requires a data graph): pending
-        maintenance is consumed, the snapshot refreshed, and every
-        missing or stale view rematerialized."""
+        maintenance is consumed, and every missing or stale view
+        rematerialized."""
         with self.lock:
             if self.graph is None:
                 raise ValueError(

@@ -163,8 +163,8 @@ class QueryEngine:
         return self.catalog.evict(names)
 
     def attach_maintenance(self, tracker: IncrementalViewSet) -> None:
-        """Keep the catalog fresh from ``tracker``, which maintains this
-        engine's own graph (see :meth:`Catalog.attach_maintenance`)."""
+        """Keep the catalog fresh from ``tracker``, built on this
+        engine's own snapshot (see :meth:`Catalog.attach_maintenance`)."""
         self.catalog.attach_maintenance(tracker)
 
     def apply_delta(self, delta: Delta) -> DeltaReport:

@@ -3,12 +3,12 @@
 A :class:`~repro.engine.catalog.Catalog` owns the attached
 :class:`~repro.views.maintenance.IncrementalViewSet` and its ``seq``
 cursor; whenever the tracker has moved past the cursor, :func:`consume`
-brings the catalog level with it against the snapshot the tracker
-refreshed.  Every maintained view is taken from the tracker, whose
-extensions all sit on that snapshot: changed views are installed with a
-version bump, unchanged ones re-stamped without one -- so the whole
-catalog shares one token again and MatchJoin stays on the integer fast
-path through the update stream.  Every other materialized view --
+brings the catalog level with it.  Every maintained view is taken from
+the tracker, whose extensions all sit on its latest snapshot (the
+catalog's graph): changed views are installed with a version bump,
+unchanged ones re-stamped without one -- so the whole catalog shares
+one token again and MatchJoin stays on the integer fast path through
+the update stream.  Every other materialized view --
 bounded ones, which the tracker cannot maintain, and any simulation
 view it was not given -- is flagged stale.  Loaded by the first sync
 with something to consume, never by an unmaintained engine.
@@ -24,16 +24,16 @@ from repro.obs.metrics import get_registry
 log = logging.getLogger(__name__)
 
 
-def consume(views, tracker, cursor: int, snapshot) -> Tuple[str, ...]:
+def consume(views, tracker, cursor: int) -> Tuple[str, ...]:
     """Import what ``tracker`` applied after update number ``cursor``
-    into ``views``, bound to ``snapshot`` (catalog lock held).  Returns
+    into ``views`` (catalog lock held).  Returns
     the views flagged stale -- every materialized one the tracker does
     not maintain, when it applied any update since the cursor.  A
     ``cursor`` of -1 (a fresh attachment) imports every maintained
     view."""
     changed = set(tracker.changed_since(cursor))
     for name in tracker.names():
-        extension = _bound(tracker.extension(name), snapshot)
+        extension = tracker.extension(name)
         if name in changed or views.fresh_extension(name) is None:
             views.set_extension(extension)
         else:
@@ -59,11 +59,3 @@ def consume(views, tracker, cursor: int, snapshot) -> Tuple[str, ...]:
             )
     return stale
 
-
-def _bound(extension, snapshot):
-    """``extension`` with its id rows on ``snapshot``'s token: itself
-    when they already are, else re-stamped (``snapshot`` must have been
-    refreshed from the one they are on)."""
-    if extension.compact.token == snapshot.snapshot_token:
-        return extension
-    return extension.rebound(snapshot)

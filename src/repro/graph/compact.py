@@ -20,12 +20,13 @@ from the edge list read straight off the tables
 
 :attr:`snapshot_version` (the source graph's mutation counter) and
 :attr:`snapshot_token` (64 random bits) identify a snapshot's id space,
-so downstream caches exchange raw ids only within one.  A snapshot
-*refreshed* after edge updates (:meth:`CompactGraph.refreshed`) keeps
-the base tables, carries rebuilt rows and appended nodes in a *patch*
-overlay, keeps every node's id and records its predecessor's token in
-:attr:`extends_token`: the maintenance pipeline's licence to re-stamp
-extensions of unchanged views.  A save writes *store + meta + patch*
+so downstream caches exchange raw ids only within one.  The snapshot
+an edge-update batch yields (:meth:`CompactGraph.applied`, the one way
+a maintained graph changes) keeps the base tables, carries rebuilt rows
+and appended nodes in a *patch* overlay, keeps every node's id and
+records its predecessor's token in :attr:`extends_token`: the
+maintenance pipeline's licence to re-stamp extensions of unchanged
+views.  A save writes *store + meta + patch*
 (:class:`~repro.graph.snapshot.SnapshotStore`), the only form in which a
 snapshot leaves a process: it does not pickle.  The read API
 mirrors :class:`DataGraph` over the original node keys, so every
@@ -61,7 +62,7 @@ Column = Tuple[List[Any], array, bool]
 Part = Tuple[Sequence[int], Tuple[Tuple[int, int], ...]]
 
 _NUMERIC = frozenset((int, float, bool))
-#: The overlay of a snapshot that was never refreshed.  ``succ`` /
+#: The overlay of a snapshot no batch was applied to.  ``succ`` /
 #: ``pred`` map ids to rebuilt rows; ``nodes`` / ``labels`` / ``attrs``
 #: describe the nodes appended after the base tables, ``buckets`` their
 #: ids per label.
@@ -111,7 +112,7 @@ def _attrs_to_json(nodes, attrs: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
 
 
 def patch_to_json(patch) -> dict:
-    """A :meth:`CompactGraph.refreshed` overlay as a JSON doc: rows and
+    """A :meth:`CompactGraph.applied` overlay as a JSON doc: rows and
     buckets as ``[key, [ids]]`` pairs, appended nodes through the key
     and attribute codecs, label sets as sorted lists."""
     doc = {key: list(patch[key].items()) for key in ("succ", "pred", "buckets")}
@@ -144,7 +145,7 @@ class _Rows(dict):
     first time and a plain dict hit after, so the set kernels' hot
     loops (``succ[v]``, ``map(succ.__getitem__, frontier)``) run at C
     speed and pay only for the rows they visit.  Rows of nodes a
-    refresh appended come pre-filled from the patch, or decode empty.
+    batch appended come pre-filled from the patch, or decode empty.
     ``len`` is the node count, ``dict.__len__`` the rows decoded.
     """
 
@@ -169,7 +170,7 @@ class _Rows(dict):
         return self._n
 
     def carried(self, n: int, changed: Dict[int, Any]) -> "_Rows":
-        """The rows of a refreshed snapshot of ``n`` nodes: every row
+        """The rows of a patched snapshot of ``n`` nodes: every row
         decoded here so far, except that ``changed`` replaces its own."""
         rows = _Rows(self._indptr, self._indices, self._decode, n, self)
         rows.update(changed)
@@ -199,7 +200,7 @@ def _stored_attrs(store: FlatStore) -> List[Dict[str, Any]]:
 class _Table:
     """An id-indexed list built by ``source()`` on first use -- a
     store's node keys or attribute dicts, a sharded graph's composite
-    decode table -- followed by the entries of the nodes refreshes
+    decode table -- followed by the entries of the nodes batches
     appended."""
 
     __slots__ = ("_source", "_appended", "_table")
@@ -292,75 +293,66 @@ class CompactGraph:
         # The array kernel's derived arrays, see ``array_cache``.
         self._array_cache: Dict[str, Any] = {}
 
-    @classmethod
-    def refreshed(
-        cls, old: "CompactGraph", graph, version: int, ops
-    ) -> "CompactGraph":
-        """A new snapshot of ``graph`` built by patching ``old``.
-
-        ``ops`` is the ordered edge-op batch (``(op, source, target)``
-        triples) separating ``old`` from ``graph``; the caller
-        (``DataGraph.freeze`` via the edge-op journal) guarantees the
-        only other changes are appended nodes.  ``old``'s tables stay,
-        rebuilt rows and appended nodes join the patch overlay, and every
-        row ``old`` decoded so far but the touched ones is shared.  Old
-        ids stay and new nodes take the next ones, so id-space consumers
-        of ``old`` remain valid (:attr:`extends_token`).  Once the patch
-        outgrows ``max(64, base // 4)`` rows, ``graph`` is encoded afresh.
-        """
-        n_old = old._num_nodes
-        appended = list(islice(graph.nodes(), n_old, None))
-        ids = old._id_map()
+    def applied(self, ops) -> "CompactGraph":
+        """The snapshot after the ordered edge ops ``ops`` (``("insert" |
+        "delete", source, target)``), patched onto this one, which stays
+        as it was.  The touched rows are derived from this snapshot's
+        own; an insert naming an unknown key appends it as a bare node
+        (as ``DataGraph.add_edge`` does).  Rebuilt rows and appended
+        nodes join the patch overlay over the same base tables, every
+        other decoded row is shared, and every old id is kept
+        (:attr:`extends_token`) -- also when the patch outgrows
+        ``max(64, base // 4)`` rows and the result is encoded afresh.
+        The version moves as a :class:`DataGraph`'s would."""
+        n_old, ids = self._num_nodes, self._id_map()
+        keys = (key for op, *edge in ops if op == "insert" for key in edge)
+        appended = list(dict.fromkeys(key for key in keys if key not in ids))
         if appended:
-            ids = dict(ids)
-            ids.update(zip(appended, count(n_old)))
-        id_of = ids.__getitem__
-        succ = {id_of(s): tuple(map(id_of, graph.successors(s))) for s in {s for _, s, _ in ops}}
-        pred = {id_of(t): tuple(map(id_of, graph.predecessors(t))) for t in {t for _, _, t in ops}}
-        labels = {i: graph.labels(v) for i, v in enumerate(appended, n_old)}
-        attrs = list(map(graph.attrs, appended))
-        previous = old._patch or _EMPTY_PATCH
-        buckets = dict(previous["buckets"])
-        for i, node_labels in labels.items():
-            for label in node_labels:
-                # New ids exceed every old id: the bucket stays sorted.
-                buckets[label] = buckets.get(label, ()) + (i,)
+            ids = {**ids, **dict(zip(appended, count(n_old)))}
+        changed: Tuple[Dict[int, Set[int]], ...] = ({}, {})
+        for op, source, target in ops:
+            s, t = ids.get(source), ids.get(target)
+            if s is None or t is None:
+                continue  # a delete naming an unknown key removes nothing
+            for rows, old, i, j in ((changed[0], self._succ, s, t), (changed[1], self._pred, t, s)):
+                row = rows.get(i)
+                if row is None:
+                    row = rows[i] = set(old[i] if i < n_old else ())
+                (row.add if op == "insert" else row.discard)(j)
+        succ, pred = ({i: tuple(row) for i, row in rows.items()} for rows in changed)
+        edges = self._num_edges + sum(map(len, succ.values()))
+        edges -= sum(len(self._succ[i]) for i in succ if i < n_old)
+        n, attrs, previous = n_old + len(appended), [{} for _ in appended], self._patch or _EMPTY_PATCH
         patch = {
             "succ": {**previous["succ"], **succ},
             "pred": {**previous["pred"], **pred},
             "nodes": previous["nodes"] + appended,
-            "labels": previous["labels"] + list(labels.values()),
+            "labels": previous["labels"] + [frozenset()] * len(appended),
             "attrs": previous["attrs"] + attrs,
-            "buckets": buckets,
+            "buckets": previous["buckets"],
         }
-        n = n_old + len(appended)
-        base = len(old._flat.ints("succ_indptr")) - 1
+        version = self.snapshot_version + len(ops) + len(appended)
+        new = CompactGraph.__new__(CompactGraph)
+        new._bind(self._flat, patch, (n, edges, version, _new_token(), self.snapshot_token))
+        new._ids = ids
+        new._nodes = self._nodes + appended if appended else self._nodes
+        new._attrs = self._attrs + attrs if appended else self._attrs
+        new._labels = self._labels.carried(n, {}) if appended else self._labels
+        new._succ, new._pred = self._succ.carried(n, succ), self._pred.carried(n, pred)
+        new._succ_sets = {i: s for i, s in self._succ_sets.items() if i not in succ}
+        new._pred_sets = {i: s for i, s in self._pred_sets.items() if i not in pred}
+        base = len(self._flat.ints("succ_indptr")) - 1
         if len(patch["succ"]) + len(patch["pred"]) + n - base > max(64, base // 4):
-            new = cls(graph, version)  # re-encode: the patch outgrew the base
-            new.extends_token = old.snapshot_token
-        else:
-            new = cls.__new__(cls)
-            meta = (n, graph.num_edges, version, _new_token(), old.snapshot_token)
-            new._bind(old._flat, patch, meta)
-            new._ids = ids
-            new._nodes = old._nodes + appended if appended else old._nodes
-            new._attrs = old._attrs + attrs if appended else old._attrs
-            new._succ = old._succ.carried(n, succ)
-            new._pred = old._pred.carried(n, pred)
-            new._labels = old._labels.carried(n, labels) if appended else old._labels
-            new._succ_sets = {i: s for i, s in old._succ_sets.items() if i not in succ}
-            new._pred_sets = {i: s for i, s in old._pred_sets.items() if i not in pred}
-        if not appended:
-            # Same nodes, same labels and attrs: the buckets and columns
-            # (including those built later, on either snapshot) hold.
-            new._buckets = old._buckets
-            new._columns = old._columns
+            new = CompactGraph(new, version)  # re-encode: the patch outgrew the base
+            new.extends_token = self.snapshot_token
+        # No label or attribute moved: buckets and columns hold on both.
+        new._buckets, new._columns = self._buckets, self._columns
         return new
 
     def drop_decoded_rows(self) -> None:
-        """Forget the adjacency rows decoded so far but a patch's own.  A
-        refresh copies every decoded row, so a one-off pass over much of
-        the graph (a maintained boot's fixpoints) drops them after."""
+        """Forget the adjacency rows decoded so far but a patch's own.
+        :meth:`applied` copies every decoded row, so a one-off pass over
+        much of the graph (a maintained boot's fixpoints) drops them after."""
         patch, store, n = self._patch or _EMPTY_PATCH, self._flat, self._num_nodes
         self._succ = _rows(store, "succ", tuple, n, patch["succ"])
         self._pred = _rows(store, "pred", tuple, n, patch["pred"])

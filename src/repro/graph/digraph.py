@@ -20,20 +20,11 @@ else.  Two read-path accelerators ride on top of the dictionaries:
   ids, CSR adjacency, label and bucket tables -- for
   read-heavy serving.  Snapshots are cached against the mutation
   :attr:`version` counter, so repeated freezes of an unchanged graph
-  are free.
+  are free; a freeze after a mutation encodes the graph afresh.
 
-The graph additionally keeps a bounded **edge-op journal**: every edge
-insertion/deletion since the journal floor, in order, from the first
-:meth:`freeze` on (the floor follows the version until then).  As
-long as only journal-safe mutations happened (edge churn plus brand-new
-nodes), :meth:`freeze` *refreshes* the previous snapshot through
-:meth:`CompactGraph.refreshed` -- the tables are reused, only the
-touched rows are rebuilt (into a patch overlay), and dense ids stay
-stable -- instead of paying a full re-freeze.  Label/attribute
-edits on existing nodes and node removals break the journal, falling
-back to a full rebuild at the next freeze.  :meth:`edge_changes_since`
-exposes the same journal to external snapshot consumers (the sharded
-backend refreshes per-shard snapshots from it).
+A maintained engine holds no dict graph: its tracker freezes the graph
+once and applies each update batch to the snapshot itself
+(:meth:`CompactGraph.applied`).
 """
 
 from __future__ import annotations
@@ -47,7 +38,6 @@ from typing import (
     Hashable,
     Iterable,
     Iterator,
-    List,
     Mapping,
     Optional,
     Set,
@@ -59,14 +49,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 Node = Hashable
 Edge = Tuple[Node, Node]
-
-#: One journal entry: ``(op, source, target)`` with
-#: ``op`` in ``{"insert", "delete"}``.
-EdgeOp = Tuple[str, Node, Node]
-
-#: Journal length past which the oldest half is dropped (raising the
-#: answerable floor) -- bounds memory under unbounded churn.
-_OPLOG_CAP = 65536
 
 
 class DataGraph:
@@ -103,8 +85,6 @@ class DataGraph:
         "_num_edges",
         "_version",
         "_frozen",
-        "_oplog",
-        "_oplog_floor",
     )
 
     def __init__(
@@ -120,11 +100,6 @@ class DataGraph:
         self._num_edges = 0
         self._version = 0
         self._frozen = None
-        # Edge-op journal: (version-after, op, source, target) entries,
-        # answerable back to _oplog_floor (non-edge mutations raise the
-        # floor to the current version, invalidating refresh paths).
-        self._oplog: List[Tuple[int, str, Node, Node]] = []
-        self._oplog_floor = 0
         if nodes is not None:
             for node, labels, attrs in nodes:
                 self.add_node(node, labels=labels, attrs=attrs)
@@ -157,15 +132,11 @@ class DataGraph:
                 for label in fresh:
                     self._label_index.setdefault(label, set()).add(node)
                 self._version += 1
-                if not is_new:
-                    self._break_oplog()
         if attrs:
             # A new dict, never an in-place update: snapshots share the
             # old one (see :meth:`attrs`).
             self._attrs[node] = {**self._attrs[node], **attrs}
             self._version += 1
-            if not is_new:
-                self._break_oplog()
 
     def add_edge(self, source: Node, target: Node) -> None:
         """Add the directed edge ``source -> target`` (idempotent)."""
@@ -178,7 +149,6 @@ class DataGraph:
             self._pred[target].add(source)
             self._num_edges += 1
             self._version += 1
-            self._log_op("insert", source, target)
 
     def add_edges_from(self, edges: Iterable[Edge]) -> None:
         for source, target in edges:
@@ -192,7 +162,6 @@ class DataGraph:
         self._pred[target].discard(source)
         self._num_edges -= 1
         self._version += 1
-        self._log_op("delete", source, target)
 
     def remove_node(self, node: Node) -> None:
         """Remove ``node`` and all incident edges."""
@@ -212,49 +181,6 @@ class DataGraph:
         del self._labels[node]
         del self._attrs[node]
         self._version += 1
-        self._break_oplog()
-
-    # ------------------------------------------------------------------
-    # Edge-op journal
-    # ------------------------------------------------------------------
-    def _log_op(self, op: str, source: Node, target: Node) -> None:
-        if self._frozen is None:  # no snapshot an entry could bring up to date
-            self._oplog_floor = self._version
-            return
-        log = self._oplog
-        log.append((self._version, op, source, target))
-        if len(log) > _OPLOG_CAP:
-            half = len(log) // 2
-            self._oplog_floor = log[half - 1][0]
-            del log[:half]
-
-    def _break_oplog(self) -> None:
-        """A non-edge mutation happened: the journal can no longer
-        explain the gap between any earlier version and now."""
-        self._oplog.clear()
-        self._oplog_floor = self._version
-
-    def edge_changes_since(self, version: int) -> Optional[List[EdgeOp]]:
-        """The edge insertions/deletions applied since ``version``, in
-        order -- or ``None`` when the journal cannot vouch for the gap
-        (label/attribute edits on existing nodes or node removals
-        happened, or ``version`` predates the journal floor).
-
-        A non-``None`` answer guarantees the *only* other changes since
-        ``version`` are brand-new nodes (auto-created by ``add_edge`` or
-        added explicitly), which appear after all pre-existing nodes in
-        iteration order -- exactly the contract snapshot refresh
-        (:meth:`freeze`) relies on.
-        """
-        if version < self._oplog_floor:
-            return None
-        ops: List[EdgeOp] = []
-        for entry_version, op, source, target in reversed(self._oplog):
-            if entry_version <= version:
-                break
-            ops.append((op, source, target))
-        ops.reverse()
-        return ops
 
     # ------------------------------------------------------------------
     # Inspection
@@ -367,31 +293,14 @@ class DataGraph:
         snapshot of the current state.
 
         The snapshot is cached: repeated calls return the same object
-        until the next mutation bumps :attr:`version`.  When the gap
-        since the cached snapshot is pure edge churn (per the edge-op
-        journal), the stale snapshot is *refreshed* through
-        :meth:`CompactGraph.refreshed` -- the tables and every row
-        decoded so far but the touched ones are reused and node ids
-        stay stable -- instead of rebuilt, so the integer fast paths
-        survive maintenance updates at affected-area cost.
+        until the next mutation bumps :attr:`version`, and the first
+        freeze after one encodes the graph afresh.
         """
         from repro.graph.compact import CompactGraph
 
         frozen = self._frozen
         if frozen is None or frozen.snapshot_version != self._version:
-            ops = (
-                None
-                if frozen is None
-                else self.edge_changes_since(frozen.snapshot_version)
-            )
-            # Refresh only while the touched area is small; past ~a
-            # quarter of the edge set a full rebuild is no slower and
-            # produces a snapshot free of journal bookkeeping.
-            if ops is not None and len(ops) < max(64, self._num_edges // 4):
-                frozen = CompactGraph.refreshed(frozen, self, self._version, ops)
-            else:
-                frozen = CompactGraph(self, self._version)
-            self._frozen = frozen
+            frozen = self._frozen = CompactGraph(self, self._version)
         return frozen
 
     def copy(self) -> "DataGraph":
@@ -406,9 +315,6 @@ class DataGraph:
             clone._label_index[label] = set(bucket)
         clone._num_edges = self._num_edges
         clone._version = self._version
-        # The clone starts with an empty journal: it can only vouch for
-        # changes applied to *it* from this point on.
-        clone._oplog_floor = self._version
         return clone
 
     def __repr__(self) -> str:

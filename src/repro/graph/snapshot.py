@@ -13,7 +13,7 @@ Directory layout (format 3)::
       gen-7/                   # live: the highest gen-N holding a manifest
         manifest.json          # kind, counts, tokens, file map (written last)
         graph.seg              # compact: the snapshot's flat segment
-        patch.json             # compact: refreshed() overlay (optional)
+        patch.json             # compact: applied() overlay (optional)
         shard-000.seg ...      # sharded: one sealed segment per shard
         boundary-000.seg ...   # sharded: per-shard boundary rows (int tables)
         patch-000.json ...     # sharded: per-shard patch overlays (optional)
@@ -32,7 +32,7 @@ snapshot or the new one live.  :func:`live_directory` is the one reader
 of the layout.
 
 Provenance survives the round trip: ``snapshot_token`` /
-``extends_token`` and any ``refreshed()`` patch overlay are persisted
+``extends_token`` and any ``applied()`` patch overlay are persisted
 verbatim, so a reloaded snapshot rebinds extensions and takes the
 MatchJoin id-space paths like its in-memory origin.  A sharded snapshot
 persists its composite bookkeeping -- each shard's local -> global id

@@ -11,7 +11,7 @@ pointer to the current one:
 * a reader **pins** the current epoch before evaluating and releases it
   after; pinning is O(1) and never blocks on maintenance;
 * maintenance builds epoch ``N+1`` off the event loop (``apply_delta``
-  + snapshot refresh + stale-view rematerialization, all inside
+  + the batch's snapshot + stale-view rematerialization, all inside
   :meth:`QueryEngine.checkpoint`), then **swaps** the registry pointer;
 * the superseded epoch is *retired*: in-flight readers drain on it at
   their own pace, and when the last one releases, it is **drained** --

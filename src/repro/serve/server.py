@@ -165,8 +165,9 @@ class QueryServer:
         Epoch 0 is persisted at :meth:`start`, then every maintenance
         epoch after its swap, all on the maintenance thread.  Pair it
         with an engine booted from the same directory
-        (``QueryEngine(snapshot_path=...)``) for serve-restart-serve
-        durability.  A failed persist is logged and counted
+        (``QueryEngine(snapshot_path=...)``, a tracker over its snapshot
+        attached, as ``repro serve --snapshot`` boots) for
+        serve-restart-serve durability.  A failed persist is logged and counted
         (``persist_failures``), never fatal to serving.
     """
 

@@ -13,8 +13,8 @@ filter pairs against each query edge's own bound in O(1).
   the ``|V(G)|/|G|`` fractions the paper reports).
 * :mod:`~repro.views.maintenance` -- the delta pipeline's view layer:
   :class:`~repro.views.maintenance.Delta` batches applied by an
-  :class:`~repro.views.maintenance.IncrementalViewSet` to the graph it
-  maintains in place (an engine attaches it and owns the cursor), incremental
+  :class:`~repro.views.maintenance.IncrementalViewSet` to the snapshot
+  it holds (an engine attaches it and owns the cursor), incremental
   deletions *and* affected-area-bounded incremental insertions (in the
   spirit of the paper's [15]), per-view change accounting.
 * :mod:`~repro.views.selection` -- workload-driven view selection

@@ -265,7 +265,7 @@ class FlatExtension:
         """The same rows re-stamped onto ``snapshot``.
 
         Valid only when ``snapshot`` *extends* this payload's id space
-        -- i.e. it was refreshed from the snapshot this extension was
+        -- i.e. it was patched from the snapshot this extension was
         materialized against (``snapshot.extends_token == self.token``),
         which guarantees every pre-existing node kept its id.  The
         maintenance pipeline uses this to keep MatchJoin in id space

@@ -10,10 +10,11 @@ graph's snapshots:
   (:class:`~repro.simulation.compact_engine.FixpointState`: id sets
   and lazy witness counters) and its rows are the extension;
 * **batches** arrive as a :class:`Delta` -- an ordered sequence of edge
-  insertions/deletions applied to the graph as one maintenance round
-  via :meth:`IncrementalViewSet.apply_delta`, which then freezes the
-  graph once (a journal refresh: every id kept) and carries each view
-  over the batch's net edge changes;
+  insertions/deletions applied as one maintenance round via
+  :meth:`IncrementalViewSet.apply_delta`, which builds the next snapshot
+  from the latest one (:meth:`~repro.graph.compact.CompactGraph.applied`:
+  every id kept) and carries each view over the batch's net edge
+  changes;
 * a view no change can affect is skipped; the others are *repaired*
   (:func:`~repro.simulation.repair.repair`), in the spirit of
   the paper's [15]: simulation grows under insertions and shrinks under
@@ -24,11 +25,11 @@ graph's snapshots:
 * per-view change accounting (:meth:`IncrementalViewSet.changed_since`)
   lets downstream caches evict only what an update actually touched.
 
-An :class:`IncrementalViewSet` maintains the graph it is given in place
--- there is one ``G``, shared with whatever engine serves from it --
-and a :class:`Delta` is its only update; a mutation that bypasses the
-set is refused at the next batch instead of silently desynchronizing
-the view states.
+An :class:`IncrementalViewSet` freezes the graph it is given once and
+from then on holds only snapshots: the graph passed in is never
+changed, :attr:`IncrementalViewSet.graph` is the latest snapshot --
+the one ``G`` an engine the set is attached to serves from -- and a
+:class:`Delta` is its only update.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ import logging
 from dataclasses import dataclass
 from typing import Dict, Hashable, Iterable, Iterator, List, NamedTuple, Tuple
 
-from repro.graph.digraph import DataGraph
 from repro.graph.io import node_from_json
 from repro.graph.pattern import BoundedPattern
 from repro.obs import trace
@@ -62,10 +62,11 @@ class Delta:
     """An ordered batch of edge insertions and deletions.
 
     The unit of work of the maintenance pipeline: one delta flows
-    through the graph, its snapshot (journal-driven refresh), the view
-    states (:meth:`IncrementalViewSet.apply_delta` applies each op, then
-    carries every view over the batch) and the engine caches as a single
-    maintenance round.  Build one with the fluent helpers::
+    through the graph's snapshot (one
+    :meth:`~repro.graph.compact.CompactGraph.applied` per batch), the
+    view states (:meth:`IncrementalViewSet.apply_delta` carries every
+    view over the batch) and the engine caches as a single maintenance
+    round.  Build one with the fluent helpers::
 
         delta = Delta().insert("a", "b").delete("c", "d")
 
@@ -83,7 +84,7 @@ class Delta:
     def _add(self, op: str, source: Node, target: Node) -> None:
         """Append one op (``+`` / ``-`` spell insert / delete), refusing
         it (``ValueError``) unless it can be applied: a bad op found
-        mid-batch would leave the graph moved by the ops before it."""
+        mid-batch would leave the batch half read."""
         kind = _OPS.get(op) if isinstance(op, str) else None
         if kind is None:
             raise ValueError(
@@ -181,10 +182,9 @@ class ViewStats:
     ``irrelevant_inserts`` / ``incremental_inserts`` a batch's net
     inserted edges that are / are not label-compatible with some view
     edge (the latter absorbed by a repair); ``recomputes`` counts boot
-    fixpoints re-run (an empty view, or a snapshot re-encoded rather
-    than refreshed).  ``affected_area`` totals the revival-candidate
-    pairs admitted -- the cost measure of the paper's [15]-style
-    insertion handling.
+    fixpoints re-run (an empty view a batch may grow).
+    ``affected_area`` totals the revival-candidate pairs admitted -- the
+    cost measure of the paper's [15]-style insertion handling.
     """
 
     insertions: int = 0
@@ -260,22 +260,21 @@ class IncrementalView:
     """One simulation view's kept fixpoint over the snapshots of a
     shared graph.
 
-    Built and driven by :class:`IncrementalViewSet`: it reads the
-    graph's snapshots (never the graph), and the set calls
+    Built and driven by :class:`IncrementalViewSet`: the set calls
     :meth:`_update` once per batch with the batch's net edge changes in
-    the refreshed snapshot's ids.  Bounded views change non-locally
+    the ids of the batch's snapshot.  Bounded views change non-locally
     under updates and are rejected.
 
     The state is the id-space fixpoint of one
     :func:`~repro.simulation.compact_engine.witness_fixpoint` on the
-    graph's frozen snapshot (``graph.freeze()``, cached, so every view
-    of a set and the catalog serving them share it), kept with its lazy
-    counters and carried from batch to batch by
+    set's snapshot (every view of a set and the catalog serving them
+    share it), kept with its lazy counters and carried from batch to
+    batch by
     :func:`~repro.simulation.repair.repair`; its rows are the
     extension, already bound to the snapshot they were read on.
     """
 
-    def __init__(self, definition: ViewDefinition, graph: DataGraph) -> None:
+    def __init__(self, definition: ViewDefinition, snapshot) -> None:
         if isinstance(definition.pattern, BoundedPattern):
             raise TypeError(
                 "IncrementalView maintains simulation views; bounded views "
@@ -284,7 +283,7 @@ class IncrementalView:
             )
         self.definition = definition
         self.stats = ViewStats()
-        self._start(graph.freeze())
+        self._start(snapshot)
 
     def _start(self, snapshot) -> None:
         """The view's state after one witness fixpoint on ``snapshot``
@@ -358,27 +357,27 @@ class IncrementalView:
 
     def extension(self) -> MaterializedView:
         """The current extension, on the set's latest snapshot: rebuilt
-        when a batch changes it, re-stamped onto the refresh otherwise."""
+        when a batch changes it, re-stamped onto the batch's snapshot
+        otherwise."""
         return self._extension
 
 
 class IncrementalViewSet:
     """Maintain a whole view cache under one update stream.
 
-    Maintains ``graph`` itself, in place -- the same object the serving
-    engine evaluates on -- and carries per-view :class:`IncrementalView`
-    states over each :class:`Delta`.  :meth:`apply_delta` is
-    the one update method; read fully consistent extensions with
-    :meth:`extension`.  Per-op change accounting (:attr:`seq` /
-    :meth:`changed_since`) tells cache layers exactly which views an
-    update stream touched.
-
-    The graph must change only through :meth:`apply_delta`: the set
-    records ``graph.version`` after its own ops and refuses the next
-    batch (``RuntimeError``) if anything else moved it.  Construction
-    freezes it (once: the freeze is cached) and runs one id-space
-    fixpoint per view there, so the first extensions are already bound
-    to the snapshot an engine over ``graph`` serves.
+    Freezes ``graph`` once (a :class:`~repro.graph.digraph.DataGraph`'s
+    cached freeze, or a loaded single snapshot as it is) and from then
+    on holds only snapshots: :meth:`apply_delta`, the one update method,
+    builds each next one with
+    :meth:`~repro.graph.compact.CompactGraph.applied` and carries the
+    per-view :class:`IncrementalView` states over it.  ``graph`` itself
+    is never changed; :attr:`graph` is the latest snapshot.  Read fully
+    consistent extensions with :meth:`extension`.  Per-op change
+    accounting (:attr:`seq` / :meth:`changed_since`) tells cache layers
+    exactly which views an update stream touched.  Construction runs
+    one id-space fixpoint per view on the first snapshot, so the first
+    extensions are already bound to the snapshot an engine over
+    ``graph`` serves.
 
     Bounded view definitions are *not* maintainable (their extensions
     shift non-locally with distances); they are skipped at construction
@@ -386,8 +385,8 @@ class IncrementalViewSet:
     engine's catalog) can flag them stale after updates.
     """
 
-    def __init__(self, definitions: Iterable[ViewDefinition], graph: DataGraph) -> None:
-        self._graph = graph
+    def __init__(self, definitions: Iterable[ViewDefinition], graph) -> None:
+        snapshot = self._snapshot = graph.freeze()
         self._trackers: Dict[str, IncrementalView] = {}
         self._seq = 0
         self._changed_at: Dict[str, int] = {}
@@ -399,16 +398,13 @@ class IncrementalViewSet:
                 # not tracked -- so callers can flag them stale.
                 skipped.append(definition.name)
                 continue
-            self._trackers[definition.name] = IncrementalView(definition, graph)
-        # The snapshot the view states are on (``None`` without one).
-        self._snapshot = graph.freeze() if self._trackers else None
-        if self._snapshot is not None:
+            self._trackers[definition.name] = IncrementalView(definition, snapshot)
+        if self._trackers:
             # Serving reads the view rows, not the adjacency rows the
             # fixpoints decoded (~9 MiB on a 90k-edge graph), and every
-            # snapshot refresh would copy them.
-            self._snapshot.drop_decoded_rows()
+            # batch's snapshot would copy them.
+            snapshot.drop_decoded_rows()
         self.skipped_bounded: Tuple[str, ...] = tuple(skipped)
-        self._version = graph.version
 
     def names(self) -> List[str]:
         """Names of the maintained views, in registration order."""
@@ -419,10 +415,9 @@ class IncrementalViewSet:
         return self._trackers[name].definition
 
     @property
-    def graph(self) -> DataGraph:
-        """The maintained graph -- the object passed in, not a copy.
-        Read it freely; change it only through :meth:`apply_delta`."""
-        return self._graph
+    def graph(self):
+        """The latest snapshot: the graph after every batch so far."""
+        return self._snapshot
 
     # ------------------------------------------------------------------
     # Change accounting (what cache layers key on)
@@ -452,55 +447,45 @@ class IncrementalViewSet:
     def apply_delta(self, delta: Delta) -> DeltaReport:
         """Apply a :class:`Delta` batch as one maintenance round.
 
-        Ops apply to the graph in order (already-present insertions and
-        missing deletions are skipped), each bumping :attr:`seq`.  Then
-        the graph is frozen once -- a journal refresh of the last
-        snapshot, every id kept -- and each view is carried over the
-        batch's net edge changes in that snapshot's ids
-        (:meth:`IncrementalView._update`: a skip for views no change can
-        affect, else one :func:`~repro.simulation.repair.repair`
-        of the kept fixpoint).  Should the freeze re-encode instead (a
-        batch too large for the journal), every view re-runs its boot
-        fixpoint there.  The returned :class:`DeltaReport` names the
-        views the round changed, which is what cache layers evict.
-        Raises ``RuntimeError`` when the graph was mutated outside this
-        set since its last batch.
+        Ops are read in order against the latest snapshot and the ops
+        before them (already-present insertions and missing deletions
+        are skipped), each applied one bumping :attr:`seq`.  The applied
+        ones build the next snapshot at once
+        (:meth:`~repro.graph.compact.CompactGraph.applied`, every id
+        kept), and each view is carried over the batch's net edge
+        changes in its ids (:meth:`IncrementalView._update`: a skip for
+        views no change can affect, else one
+        :func:`~repro.simulation.repair.repair` of the kept fixpoint).
+        The returned :class:`DeltaReport` names the views the round
+        changed, which is what cache layers evict.
         """
-        graph = self._graph
-        if graph.version != self._version:
-            raise RuntimeError(
-                f"the maintained graph moved from version {self._version} "
-                f"to {graph.version} outside apply_delta(); the view "
-                "states no longer describe it -- route every update "
-                "through apply_delta() (or rebuild the IncrementalViewSet)"
-            )
         before = {
             name: tracker.stats.snapshot()
             for name, tracker in self._trackers.items()
         }
         start_seq = self._seq
-        applied = skipped = inserts = 0
-        # Each edge the batch moved, with whether it was present before.
-        moved: Dict[Tuple[Node, Node], bool] = {}
+        skipped = inserts = 0
+        ops = []
+        # Each edge the batch moved: whether it was present before, and now.
+        was: Dict[Tuple[Node, Node], bool] = {}
+        now: Dict[Tuple[Node, Node], bool] = {}
+        snapshot = self._snapshot
         with trace.span("maintenance.delta") as delta_span:
             for op, source, target in delta:
-                insert = op == INSERT
-                if insert == graph.has_edge(source, target):
+                edge = (source, target)
+                present = now[edge] if edge in now else snapshot.has_edge(source, target)
+                if (op == INSERT) == present:
                     skipped += 1
                     continue
-                if insert:
-                    graph.add_edge(source, target)
-                    inserts += 1
-                else:
-                    graph.remove_edge(source, target)
-                moved.setdefault((source, target), not insert)
-                applied += 1
+                was.setdefault(edge, present)
+                now[edge] = not present
+                ops.append((op, source, target))
+                inserts += op == INSERT
                 self._seq += 1
-            if applied and self._trackers:
-                self._refresh(moved, inserts, applied - inserts)
+            if ops:
+                self._advance(snapshot.applied(ops), was, now, inserts, len(ops) - inserts)
             if delta_span is not None:
-                delta_span.set(applied=applied, skipped=skipped)
-        self._version = graph.version
+                delta_span.set(applied=len(ops), skipped=skipped)
         per_view = {}
         for name, tracker in self._trackers.items():
             after = tracker.stats.snapshot()
@@ -508,7 +493,7 @@ class IncrementalViewSet:
                 key: after[key] - before[name][key] for key in after
             }
         report = DeltaReport(
-            applied=applied,
+            applied=len(ops),
             skipped=skipped,
             changed_views=tuple(self.changed_since(start_seq)),
             per_view=per_view,
@@ -516,28 +501,19 @@ class IncrementalViewSet:
         _meter_delta(report)
         return report
 
-    def _refresh(self, moved, inserts: int, deletes: int) -> None:
-        """Carry every view onto the graph's refreshed snapshot."""
-        graph = self._graph
-        old, snapshot = self._snapshot, graph.freeze()
-        self._snapshot = snapshot
+    def _advance(self, snapshot, was, now, inserts: int, deletes: int) -> None:
+        """Carry every view onto ``snapshot``, the batch's."""
+        old, self._snapshot = self._snapshot, snapshot
         id_of = snapshot.id_of
         inserted, removed = [], []
-        for (source, target), present in moved.items():
-            if graph.has_edge(source, target) != present:
-                (removed if present else inserted).append((id_of(source), id_of(target)))
+        for edge, present in was.items():
+            if now[edge] != present:
+                (removed if present else inserted).append((id_of(edge[0]), id_of(edge[1])))
         fresh = range(old.num_nodes, snapshot.num_nodes)
-        stable = snapshot.extends_token == old.snapshot_token
         for name, tracker in self._trackers.items():
             tracker.stats.insertions += inserts
             tracker.stats.deletions += deletes
-            if stable:
-                changed = tracker._update(snapshot, inserted, removed, fresh)
-            else:
-                tracker.stats.recomputes += 1
-                tracker._start(snapshot)
-                changed = True
-            if changed:
+            if tracker._update(snapshot, inserted, removed, fresh):
                 self._changed_at[name] = self._seq
             extension = tracker._extension
             if extension.compact.token != snapshot.snapshot_token:

@@ -267,7 +267,7 @@ class ViewSet:
 
         The provenance-only sibling of :meth:`set_extension`: the match
         sets must be unchanged and only the id-space payload differs
-        (re-stamped onto a refreshed snapshot via
+        (re-stamped onto a batch's snapshot via
         :meth:`~repro.views.view.MaterializedView.rebound`).  Because no version
         moves, cached answers over the view stay live -- which is the
         point: snapshot refreshes must not masquerade as data changes.
@@ -299,7 +299,7 @@ class ViewSet:
         cannot refresh them incrementally -- instead it marks them
         stale, and readers (notably
         :class:`~repro.engine.engine.QueryEngine`) rematerialize a
-        stale view from the refreshed graph before the next use.  The
+        stale view from the batch's snapshot before the next use.  The
         extension object itself is *kept* (``extension(name)`` still
         returns it) so that callers who explicitly want the
         last-materialized state can read it; :meth:`is_stale` is the

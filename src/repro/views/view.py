@@ -191,7 +191,7 @@ class MaterializedView:
 
     def rebound(self, snapshot) -> "MaterializedView":
         """This extension with its payload re-stamped onto a snapshot
-        refreshed from its own (:meth:`FlatExtension.rebound`)."""
+        patched from its own (:meth:`FlatExtension.rebound`)."""
         return MaterializedView(
             self.definition,
             self.edge_matches,

@@ -88,20 +88,13 @@ def matchjoin_metrics():
         ).value
 
 
-def attached(graph, previous=None):
+def attached(graph):
     """``graph``'s snapshot as a load maps it back: saved with
     ``SnapshotStore.save`` in a temporary directory and loaded from it,
     its tables attached lazily (a snapshot leaves a process only as such
-    a directory).  ``graph`` is a live graph or a snapshot.  Given
-    ``previous`` (an earlier result for the same live ``graph``), the
-    result is instead ``previous`` refreshed to ``graph``, wherever the
-    edge-op journal can express the change."""
-    from repro.graph import CompactGraph
+    a directory).  ``graph`` is a live graph or a snapshot."""
     from repro.graph.snapshot import SnapshotStore
 
-    ops = previous and graph.edge_changes_since(previous.snapshot_version)
-    if ops is not None:
-        return CompactGraph.refreshed(previous, graph, graph.version, ops)
     # The files go with the directory; their mappings stay readable.
     with tempfile.TemporaryDirectory() as directory:
         SnapshotStore.save(directory, graph)

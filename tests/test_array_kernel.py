@@ -59,10 +59,10 @@ class OddX(Condition):
         return ("odd-x",)
 
 
-def frozen_as(graph, loaded, previous=None):
+def frozen_as(graph, loaded):
     """``graph.freeze()``; when ``loaded``, saved and mapped back (lazy
-    tables), or a refresh of ``previous`` that was."""
-    return attached(graph, previous) if loaded else graph.freeze()
+    tables)."""
+    return attached(graph) if loaded else graph.freeze()
 
 
 def chain(*conditions):
@@ -634,33 +634,32 @@ def test_array_caches_are_per_snapshot(operator, shared):
     old_keys = old.array_cache["keys"][0]
     old_masks = old.array_cache["label_masks"]
 
-    # A refresh (an appended, labelled node and an edge to it) ...
+    # A batch (edges to and from an appended, bare node) ...
     a_source = next(v for v in graph.nodes() if "A" in graph.labels(v))
     c_target = next(v for v in graph.nodes() if "C" in graph.labels(v))
-    graph.add_node(("n", "appended"), labels="B")
-    apply_ops(
-        graph,
-        Delta().insert(a_source, ("n", "appended")).insert(("n", "appended"), c_target),
-    )
-    refreshed = frozen_as(graph, shared, old)
+    delta = Delta().insert(a_source, ("n", "appended")).insert(("n", "appended"), c_target)
+    apply_ops(graph, delta)
+    refreshed = old.applied(delta.ops)
     assert refreshed.extends_token == old.snapshot_token
-    # ... then a relabel, which no refresh can express: a rebuilt snapshot.
+    # ... then labels, which no batch can express: a rebuilt snapshot.
     snapshots = [refreshed]
     for step in ("refreshed", "relabelled"):
         new = snapshots[-1]
+        labelled = step == "relabelled"
         assert new.array_cache == {}  # never the predecessor's
         with forced_kernel("array"):
             after = run(pattern, new)
         assert after == run(pattern, graph)
-        assert ("n", "appended") in after.node_matches[1]
+        assert (("n", "appended") in after.node_matches[1]) == labelled
         assert new.array_cache["keys"][0] is not old_keys
         assert len(new.array_cache["keys"][0]) == new.num_nodes == old.num_nodes + 1
         masks = new.array_cache["label_masks"]
         assert masks is not old_masks and len(masks["B"]) == new.num_nodes
-        assert masks["B"][new.id_of(("n", "appended"))]
-        if step == "refreshed":
+        assert masks["B"][new.id_of(("n", "appended"))] == labelled
+        if not labelled:
+            graph.add_node(("n", "appended"), labels="B")
             graph.add_node(c_target, labels="A")
-            snapshots.append(frozen_as(graph, shared, refreshed))
+            snapshots.append(frozen_as(graph, shared))
             assert snapshots[-1].extends_token is None
     assert "A" in snapshots[-1].labels(c_target)
     assert "A" not in refreshed.labels(c_target)
@@ -972,25 +971,23 @@ def check_edge_columns_are_rebuilt_after_a_refresh(operator, shared):
         (v, w) for v in graph.nodes() for w in graph.nodes()
         if not graph.has_edge(v, w)
     )
-    graph.add_node("appended", labels="B")
     b_target = next(v for v in graph.nodes() if "C" in graph.labels(v))
     a_source = next(v for v in graph.nodes() if "A" in graph.labels(v))
-    apply_ops(
-        graph,
+    delta = (
         Delta()
         .insert(*absent)
         .delete(*present)
         .insert(a_source, "appended")
         .insert("appended", b_target)
     )
-    new = frozen_as(graph, shared, old)
-    assert new.extends_token == old.snapshot_token  # refreshed, not rebuilt
+    apply_ops(graph, delta)
+    new = old.applied(delta.ops)
+    assert new.extends_token == old.snapshot_token  # patched, not rebuilt
     assert new.num_nodes == old.num_nodes + 1
     assert new._edge_columns is None
     with forced_kernel("array"):
         refreshed = match(pattern, new)
     assert refreshed == match(pattern, graph)
-    assert "appended" in refreshed.node_matches[1]
     src, tgt = new.edge_columns()
     assert len(src) == len(tgt) == graph.num_edges
     assert set(zip(src, tgt)) == {
@@ -1021,16 +1018,14 @@ def check_attached_snapshot_reads_its_columns_off_the_segment(operator):
     pattern, match = OPERATORS[operator]
     base = graph.freeze()
     first, last = list(graph.nodes())[0], list(graph.nodes())[-1]
-    graph.add_node("appended", labels="B")
-    apply_ops(
-        graph,
+    patched = base.applied(
         Delta()
         .delete(*next(iter(graph.edges())))
         .insert(first, "appended")
         .insert("appended", last)
         .insert(last, first)
+        .ops
     )
-    patched = graph.freeze()
     assert patched.extends_token == base.snapshot_token and patched._patch["succ"]
     for creator in (base, patched):
         loaded = attached(creator)

@@ -6,7 +6,7 @@ whatever the attribute values are (ints, floats with NaN, bools, strings,
 ``None``, or absent), on a plain snapshot, on an attached
 snapshot saved and mapped back, on every shard of an ingested
 ``ShardedGraph`` (labels only: ingest carries no attributes) and across
-``refreshed()``; and the engines that seed through it must agree with
+``applied()``; and the engines that seed through it must agree with
 the dict backend, which never touches it.
 """
 
@@ -152,22 +152,21 @@ def test_candidate_index_across_refreshed(graph, condition, edge, new_attrs):
     assert_exact(old, condition)  # columns exist before the refresh
 
     source, target = edge[0] % n, edge[1] % n
-    if graph.has_edge(source, target):
-        graph.remove_edge(source, target)
-    else:
-        graph.add_edge(source, target)
-    edge_only = graph.freeze()
+    op = "delete" if graph.has_edge(source, target) else "insert"
+    edge_only = old.applied([(op, source, target)])
     assert edge_only.extends_token == old.snapshot_token
     assert edge_only._columns is old._columns  # carried forward
     assert_exact(edge_only, condition)
 
-    graph.add_node(n, labels=LABELS[:1], attrs=new_attrs)
-    graph.add_edge(n, source)
-    grown = graph.freeze()
+    grown = edge_only.applied([("insert", n, source)])  # ``n``: a fresh, bare node
     assert grown.extends_token == edge_only.snapshot_token
-    assert grown._columns is not edge_only._columns  # attrs table changed
+    assert grown._columns is edge_only._columns  # a bare node joins no column
     assert_exact(grown, condition)
     assert_exact(attached(grown), condition)
+    # Labels and attributes reach a snapshot only through a fresh freeze.
+    graph.add_node(n, labels=LABELS[:1], attrs=new_attrs)
+    graph.add_edge(n, source)
+    assert_exact(graph.freeze(), condition)
 
 
 def test_unknown_condition_types_are_scanned():

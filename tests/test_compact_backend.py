@@ -381,11 +381,10 @@ class TestEngineSnapshot:
         tracker = IncrementalViewSet(definitions, graph)
         engine = QueryEngine(ViewSet(definitions), graph=graph)
         engine.attach_maintenance(tracker)
-        # One graph: the tracker maintains the engine's own, so
-        # snapshots follow the same update stream the views do.
-        assert engine.graph is tracker.graph is graph
+        # One graph: the engine serves the tracker's snapshot, so it
+        # follows the same update stream the views do.
         first = engine.snapshot()
-        assert first is not None
+        assert engine.graph is first is tracker.graph is graph.freeze()
         nodes = list(tracker.graph.nodes())
         source = next(
             node for node in nodes
@@ -393,12 +392,15 @@ class TestEngineSnapshot:
         )
         engine.apply_delta(Delta().insert(source, nodes[0]))
         second = engine.snapshot()
-        # The update is visible, but absorbed as a journal-driven
-        # refresh of the previous snapshot -- not a drop-and-rebuild.
+        # The update is visible, but absorbed as a patch of the previous
+        # snapshot -- not a drop-and-rebuild -- and the dict graph is
+        # left as it was.
         assert second is not first
-        assert second.snapshot_version == tracker.graph.version
+        assert engine.graph is second is tracker.graph
         assert second.extends_token == first.snapshot_token
+        assert second.flat_store is first.flat_store
         assert second.has_edge(source, nodes[0])
+        assert not graph.has_edge(source, nodes[0])
 
     def test_views_only_engine_has_no_snapshot(self, workload):
         _, views, _ = workload
@@ -409,7 +411,7 @@ class TestEngineSnapshot:
 
 
 # ----------------------------------------------------------------------
-# One snapshot form: fresh, refreshed, saved + loaded
+# One snapshot form: fresh, patched, saved + loaded
 # ----------------------------------------------------------------------
 #: Node keys of three kinds (ints, strs, tuples), drawn without repeats.
 KEYS = [*range(8), *(f"s{i}" for i in range(8)), *(("t", i) for i in range(8))]
@@ -480,10 +482,11 @@ def test_snapshot_forms_agree_with_the_dict_graph(data):
 
 
 def check_snapshot_forms(data, directory):
-    # A chain of random deltas (edge toggles, appended nodes); after
-    # each: the graph's own refreshed freeze, a fresh freeze, a refresh
-    # of the previous snapshot mapped back from disk, and a save + load
-    # of both refreshes -- one form, every read equal to the dict graph's.
+    # A chain of random batches (edge toggles, edges to fresh keys);
+    # after each: the batch applied to the in-memory snapshot and to the
+    # previous one mapped back from disk, a fresh freeze of the dict
+    # graph the same ops moved, and a save + load of both patched
+    # snapshots -- one form, every read equal to the dict graph's.
     keys = iter(data.draw(st.permutations(KEYS)))
     graph = DataGraph()
 
@@ -492,10 +495,12 @@ def check_snapshot_forms(data, directory):
             graph.add_node(next(keys), labels=data.draw(label_sets), attrs=data.draw(attr_dicts))
 
     def toggle_edges(count):
-        nodes = list(graph.nodes())
+        nodes, ops = list(graph.nodes()) + [next(keys)], []
         for _ in range(count):
             v, w = data.draw(st.sampled_from(nodes)), data.draw(st.sampled_from(nodes))
+            ops.append(("delete" if graph.has_edge(v, w) else "insert", v, w))
             (graph.remove_edge if graph.has_edge(v, w) else graph.add_edge)(v, w)
+        return ops
 
     add_nodes(data.draw(st.integers(1, 8)))
     toggle_edges(data.draw(st.integers(0, 20)))
@@ -504,13 +509,12 @@ def check_snapshot_forms(data, directory):
     for form in (frozen, loaded):
         assert_reads_like(form, graph)
     for _ in range(data.draw(st.integers(1, 3))):
-        add_nodes(data.draw(st.integers(0, 2)))
-        toggle_edges(data.draw(st.integers(0, 6)))
-        ops = graph.edge_changes_since(loaded.snapshot_version)
-        from_disk = CompactGraph.refreshed(loaded, graph, graph.version, ops)
+        ops = toggle_edges(data.draw(st.integers(0, 6)))
+        from_disk = loaded.applied(ops)
         assert from_disk.extends_token == loaded.snapshot_token
-        previous, frozen = frozen, graph.freeze()
-        assert frozen is previous or frozen.extends_token == previous.snapshot_token
+        previous, frozen = frozen, frozen.applied(ops)
+        assert frozen.extends_token == previous.snapshot_token
+        assert frozen.snapshot_version == from_disk.snapshot_version == graph.version
         loaded = _saved_and_loaded(frozen, directory)
         for form in (
             frozen,
@@ -536,20 +540,18 @@ def test_a_loaded_snapshot_refreshes_after_a_node_is_appended():
 
 
 def check_refresh_of_loaded(loaded, graph):
-    graph.add_node(6, labels="B", attrs={"x": 1})
     graph.add_edge(5, 6)
-    ops = graph.edge_changes_since(loaded.snapshot_version)
-    refreshed = CompactGraph.refreshed(loaded, graph, graph.version, ops)
+    refreshed = loaded.applied([("insert", 5, 6)])
     assert refreshed.extends_token == loaded.snapshot_token
     assert_reads_like(refreshed, graph)
     assert_reads_like(attached(refreshed), graph)
 
 
 def test_refresh_reencodes_once_the_patch_outgrows_the_base():
-    # A chain of refreshes rides the base tables as a patch overlay, and
+    # A chain of batches rides the base tables as a patch overlay, and
     # shares every row decoded so far but the touched ones, until the
-    # patch outgrows max(64, a quarter of the base): then the graph is
-    # encoded afresh -- ids still stable, the chain still recorded.
+    # patch outgrows max(64, a quarter of the base): then the snapshot
+    # is encoded afresh -- ids still stable, the chain still recorded.
     rng = random.Random(4)
     graph = random_labeled_graph(rng, 200, 400)
     first = graph.freeze()
@@ -557,8 +559,9 @@ def test_refresh_reencodes_once_the_patch_outgrows_the_base():
     snapshot = first
     for step in range(40):
         v, w = step, (step * 7 + 3) % 200
+        op = "delete" if graph.has_edge(v, w) else "insert"
         (graph.remove_edge if graph.has_edge(v, w) else graph.add_edge)(v, w)
-        previous, snapshot = snapshot, graph.freeze()
+        previous, snapshot = snapshot, snapshot.applied([(op, v, w)])
         assert snapshot.extends_token == previous.snapshot_token
         if snapshot.flat_store is not first.flat_store:
             break
@@ -569,17 +572,18 @@ def test_refresh_reencodes_once_the_patch_outgrows_the_base():
 
 
 def test_dropping_decoded_rows_keeps_the_patch():
-    # A refreshed snapshot's touched rows live only in its row cache:
+    # A patched snapshot's touched rows live only in its row cache:
     # dropping the decoded rows must keep them, or they would decode
     # again from the stale base tables.
     rng = random.Random(6)
     graph = random_labeled_graph(rng, 60, 150)
-    first = graph.freeze()
+    first, ops = graph.freeze(), []
     for step in range(12):
         v, w = step, (step * 5 + 2) % 60
+        ops.append(("delete" if graph.has_edge(v, w) else "insert", v, w))
         (graph.remove_edge if graph.has_edge(v, w) else graph.add_edge)(v, w)
     graph.add_edge(59, "fresh")
-    snapshot = graph.freeze()
+    snapshot = first.applied(ops + [("insert", 59, "fresh")])
     assert snapshot.extends_token == first.snapshot_token
     for i in range(snapshot.num_nodes):
         snapshot.out_ids(i), snapshot.in_ids(i)

@@ -67,13 +67,12 @@ class TestLifecycle:
         for v in nodes[:3]:
             w = nodes[-1] if v != nodes[-1] else nodes[0]
             if not g.has_edge(v, w):
-                g.add_edge(v, w)
                 added.append((v, w))
         assert added
-        second = g.freeze()
+        second = first.applied([("insert", v, w) for v, w in added])
         assert second is not first
         assert second.extends_token == first.snapshot_token
-        # The refresh rides the same segment as a patch overlay.
+        # The batch rides the same segment as a patch overlay.
         assert second.flat_store is first.flat_store
         assert second._patch["succ"] and first._patch is None
         for v, w in added:

@@ -42,10 +42,11 @@ SRC = str(Path(repro.__file__).resolve().parent.parent)
 
 
 def assert_state_is_the_maximum_simulation(tracker, graph):
-    """Every tracked view's kept state decodes to ``simulate``'s maximum
-    simulation on the dict graph, and each counter it holds for a live
-    candidate is that candidate's exact witness count."""
-    snapshot = graph.freeze()
+    """Every tracked view's kept state decodes, off the tracker's
+    snapshot, to ``simulate``'s maximum simulation on the dict graph
+    ``graph`` (moved by the same ops), and each counter it holds for a
+    live candidate is that candidate's exact witness count."""
+    snapshot = tracker.graph
     decode = snapshot.node_table.__getitem__
     for name in tracker.names():
         pattern = tracker.definition(name).pattern
@@ -66,7 +67,7 @@ def assert_tracks_like_simulate(tracker, graph):
     extension is bound to the graph's snapshot and holds their edge
     matches."""
     assert_state_is_the_maximum_simulation(tracker, graph)
-    snapshot = graph.freeze()
+    snapshot = tracker.graph
     for name in tracker.names():
         pattern = tracker.definition(name).pattern
         expected = simulate(pattern, graph)
@@ -124,7 +125,9 @@ def test_random_views_start_from_the_dict_fixpoint(seed, loops):
     # The counters are the live ones: a delete still cascades exactly.
     edges = sorted(graph.edges(), key=repr)
     if edges:
-        tracker.apply_delta(Delta().delete(*rng.choice(edges)))
+        edge = rng.choice(edges)
+        tracker.apply_delta(Delta().delete(*edge))
+        graph.remove_edge(*edge)
         assert_state_is_the_maximum_simulation(tracker, graph)
 
 
@@ -146,19 +149,19 @@ def test_a_sink_pattern_node_is_tracked():
     decode = graph.freeze().node_table.__getitem__
     assert set(map(decode, tracker._trackers["ab"]._state.sim["b"])) == {"b1", "b2"}
     tracker.apply_delta(Delta().delete("a1", "b1"))
-    decode = graph.freeze().node_table.__getitem__
+    decode = tracker.graph.node_table.__getitem__
     assert set(map(decode, tracker._trackers["ab"]._state.sim["a"])) == {"a2"}
 
 
 def test_the_boot_leaves_no_adjacency_row_decoded():
     # Serving reads the view rows; the adjacency rows the fixpoints
-    # decoded would be copied by every later refresh.
+    # decoded would be copied by every later batch's snapshot.
     graph = amazon_graph(800, 2400, seed=3)
     tracker = IncrementalViewSet(amazon_views().definitions(), graph)
     snapshot = graph.freeze()
     assert dict.__len__(snapshot.succ_rows) == dict.__len__(snapshot.pred_rows) == 0
     tracker.apply_delta(Delta().insert(*list(graph.nodes())[:2]))
-    refreshed = graph.freeze()
+    refreshed = tracker.graph
     assert refreshed.extends_token == snapshot.snapshot_token
     assert dict.__len__(refreshed.succ_rows) == 1  # the touched row only
 
@@ -249,3 +252,64 @@ def test_a_maintained_boot_runs_one_fixpoint_per_view_and_no_numpy(tmp_path):
     assert report["strategy"] == "matchjoin" and min(report["pairs"]) > 0
     assert report["joins"] == {"ids": 2, "keys": 0}
     assert report["numpy"] is False
+
+
+#: Boots ``cli._maintained_engine`` in a fresh interpreter from
+#: ``--graph`` or ``--snapshot`` and counts the live ``DataGraph``
+#: instances after the boot and after one delta (an insert between the
+#: largest view's nodes and the delete of one of its pairs).
+NO_DICT_GRAPH = """
+import argparse, gc, json, sys
+import repro.cli
+from repro.graph.digraph import DataGraph
+from repro.views.maintenance import Delta
+
+def alive():
+    gc.collect()
+    return sum(isinstance(obj, DataGraph) for obj in gc.get_objects())
+
+form, path = sys.argv[1], sys.argv[2]
+if form == "graph":
+    args = argparse.Namespace(graph=path, views=sys.argv[3], snapshot=None)
+else:
+    args = argparse.Namespace(graph=None, views=None, snapshot=path)
+engine = repro.cli._maintained_engine(args)
+booted = alive()
+same = [engine.graph is engine.snapshot() is engine.maintenance.graph]
+views = engine.views
+name = max(views.names(), key=lambda n: views.extension(n).num_pairs)
+matches = views.extension(name).edge_matches
+edge = max(matches, key=lambda e: len(matches[e]))
+pairs = sorted(matches[edge], key=repr)
+sources, targets = sorted({v for v, _ in pairs}, key=repr), sorted({w for _, w in pairs}, key=repr)
+extra = next((v, w) for v in sources for w in targets if not engine.graph.has_edge(v, w))
+report = engine.apply_delta(Delta().insert(*extra).delete(*pairs[0]))
+same.append(engine.graph is engine.snapshot() is engine.maintenance.graph)
+print(json.dumps({"booted": booted, "updated": alive(), "same": same,
+                  "applied": report.applied, "changed": name in report.changed_views}))
+"""
+
+
+@pytest.mark.parametrize("form", ["graph", "snapshot"])
+def test_a_maintained_engine_holds_no_dict_graph(form, tmp_path):
+    from repro.graph.snapshot import SnapshotStore
+
+    graph = amazon_graph(1200, 3600, seed=11)
+    views = amazon_views()
+    write_graph(graph, tmp_path / "g.json")
+    write_viewset(views, tmp_path / "v.json")
+    views.materialize(graph)
+    SnapshotStore.save(tmp_path / "snap", graph, views=views)
+    args = [str(tmp_path / "g.json"), str(tmp_path / "v.json")]
+    if form == "snapshot":
+        args = [str(tmp_path / "snap")]
+    done = subprocess.run(
+        [sys.executable, "-c", NO_DICT_GRAPH, form, *args],
+        env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout.splitlines()[-1])
+    assert report == {
+        "booted": 0, "updated": 0, "same": [True, True], "applied": 2, "changed": True,
+    }

@@ -2,8 +2,9 @@
 
 The catalog holds the attached
 :class:`~repro.views.maintenance.IncrementalViewSet` and its ``seq``
-cursor; the tracker maintains the engine's own graph in place, and a
-``Delta`` is the one update.  A batch applied through
+cursor; the engine's graph is the tracker's latest snapshot, and a
+``Delta`` is the one update.  The dict graph a test built stays as it
+is unless the test moves it by the same ops, as a mirror.  A batch applied through
 ``engine.apply_delta`` or straight to ``tracker.apply_delta`` must move
 the same view stamps -- exactly the changed views, plus every
 materialized bounded view when anything was applied -- and leave
@@ -16,7 +17,9 @@ import random
 
 import pytest
 
-from helpers import build_bounded, build_graph, build_pattern, random_labeled_graph
+from helpers import (
+    apply_ops, build_bounded, build_graph, build_pattern, ingested, random_labeled_graph,
+)
 from repro.engine import QueryEngine
 from repro.graph.digraph import DataGraph
 from repro.graph.snapshot import SnapshotStore
@@ -60,7 +63,7 @@ STEPS = [
 
 class _Owner:
     """An engine with a tracker over its own graph and the bounded view
-    materialized."""
+    materialized; ``graph`` is the mirror."""
 
     def __init__(self):
         self.graph = _graph()
@@ -91,6 +94,7 @@ def test_delta_moves_changed_stamps_and_flags_bounded(drive):
         else:
             report = owner.tracker.apply_delta(delta)
             owner.engine.plan(AB)  # any read consumes the cursor
+        apply_ops(owner.graph, delta)
         assert set(report.changed_views) == changed
         assert report.applied == (0 if noop else 1)
         moved = {name for name, stamp in owner.stamps().items() if stamp != before[name]}
@@ -133,23 +137,24 @@ def test_engine_answers_follow_a_directly_driven_tracker():
     assert engine.answer(BC).stats.cache_hit
     # A -> B: AB and ABC change, BC does not.
     tracker.apply_delta(Delta().delete(5, 2))
+    owner.graph.remove_edge(5, 2)
     untouched = engine.answer(BC)
     assert untouched.stats.cache_hit  # its stamp (and cached answer) held
     touched = engine.answer(AB)
     assert not touched.stats.cache_hit
     assert touched.edge_matches == match(AB, owner.graph).edge_matches
     # The bounded view was flagged stale, so its answer is recomputed
-    # from the refreshed snapshot -- never served from the cache.
+    # from the batch's snapshot -- never served from the cache.
     bounded = engine.answer(A_TO_C)
     assert not bounded.stats.cache_hit
     assert bounded.edge_matches == bounded_match(A_TO_C, owner.graph).edge_matches
-    # Imports were bound to the refreshed snapshot: one token again.
+    # Imports were bound to the batch's snapshot: one token again.
     assert owner.views.snapshot_token == engine.snapshot().snapshot_token
 
 
 def test_attaching_is_exclusive_and_takes_only_the_engines_graph():
     owner = _Owner()
-    assert owner.engine.graph is owner.tracker.graph is owner.graph
+    assert owner.engine.graph is owner.tracker.graph is owner.graph.freeze()
     owner.engine.attach_maintenance(owner.tracker)  # same tracker: no-op
     with pytest.raises(ValueError, match="already attached"):
         owner.engine.attach_maintenance(IncrementalViewSet([], owner.graph))
@@ -163,17 +168,26 @@ def test_attaching_is_exclusive_and_takes_only_the_engines_graph():
 
 
 def test_a_tracker_over_a_snapshot_booted_engine_is_refused_at_attach(tmp_path):
-    # The identity check alone passes (``tracker.graph is engine.graph``),
-    # and the first insert used to die with AttributeError on add_edge.
+    # A single snapshot, frozen or loaded, takes a tracker and updates;
+    # a sharded one is refused (the identity check alone passes:
+    # ``tracker.graph is engine.graph``).
     SnapshotStore.save(tmp_path / "snap", _graph())
     for graph in (_graph().freeze(), SnapshotStore.load(tmp_path / "snap").graph):
         engine = QueryEngine(ViewSet(_definitions()), graph=graph)
-        tracker = IncrementalViewSet(_definitions(), engine.graph)
-        with pytest.raises(ValueError, match="immutable CompactGraph"):
-            engine.attach_maintenance(tracker)
-        assert engine.maintenance is None
-        with pytest.raises(ValueError, match="no maintenance tracker"):
-            engine.apply_delta(Delta().insert(4, 3))
+        engine.attach_maintenance(IncrementalViewSet(_definitions(), engine.graph))
+        engine.apply_delta(Delta().insert(4, 3))
+        mirror = _graph()
+        mirror.add_edge(4, 3)
+        assert engine.graph is engine.snapshot() is engine.maintenance.graph
+        assert engine.answer(ABC).edge_matches == match(ABC, mirror).edge_matches
+    edges = [(str(s), str(t)) for s, t in _graph().edges()]
+    sharded, _ = ingested(edges, {str(v): "A" for v in range(1, 7)}, 2, tmp_path)
+    engine = QueryEngine(ViewSet(_definitions()), graph=sharded)
+    with pytest.raises(ValueError, match="sharded ShardedGraph"):
+        engine.attach_maintenance(IncrementalViewSet([], engine.graph))
+    assert engine.maintenance is None
+    with pytest.raises(ValueError, match="no maintenance tracker"):
+        engine.apply_delta(Delta().insert("4", "3"))
 
 
 def test_the_maintenance_path_never_copies_the_graph(monkeypatch):
@@ -188,8 +202,9 @@ def test_the_maintenance_path_never_copies_the_graph(monkeypatch):
     engine.checkpoint()
     for op, source, target, _ in STEPS:
         engine.apply_delta(Delta([(op, source, target)]))
+        apply_ops(graph, [(op, source, target)])
         checkpoint = engine.checkpoint()
-    assert engine.graph is graph
+    assert engine.graph is tracker.graph is checkpoint.snapshot
     assert checkpoint.graph_version == graph.version
     assert checkpoint.extensions["AB"].edge_matches == match(AB, graph).edge_matches
 

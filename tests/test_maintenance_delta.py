@@ -6,10 +6,13 @@ streams must leave every layer -- view trackers, the frozen
 the state a from-scratch rebuild would produce, while touching only the
 affected area:
 
-* incremental view state == from-scratch rematerialization after every
-  update, across dict, compact and (ingested) sharded backends;
-* refreshed snapshots == freshly built snapshots, with unchanged
-  adjacency rows reused by reference and pre-existing ids stable;
+* incremental view state == from-scratch rematerialization (on a dict
+  graph the same ops moved, the tracker never changes the graph it is
+  given) after every update, across dict, compact and (ingested)
+  sharded backends;
+* patched snapshots (``CompactGraph.applied``) == freshly built
+  snapshots, with unchanged adjacency rows reused by reference and
+  pre-existing ids stable;
 * engine answer caches retain entries for plans that read only
   unchanged views, and evict exactly the rest.
 """
@@ -18,7 +21,9 @@ import random
 
 import pytest
 
-from helpers import build_graph, build_pattern, ingested, random_labeled_graph, str_keyed
+from helpers import (
+    apply_ops, build_graph, build_pattern, ingested, random_labeled_graph, str_keyed,
+)
 from repro.engine import QueryEngine
 from repro.graph import Pattern
 from repro.graph.compact import CompactGraph
@@ -195,7 +200,7 @@ class TestConstructorSatellites:
         tracked.apply_delta(Delta().insert(3, 1))  # irrelevant for an A->B view
         kept = tracked.extension("AB")  # provably unchanged: rows kept, re-stamped
         assert kept.edge_matches is first.edge_matches
-        assert kept.compact.token == g.freeze().snapshot_token
+        assert kept.compact.token == tracked.graph.snapshot_token
         assert stats.extension_builds == builds_before
         tracked.apply_delta(Delta().delete(1, 2))  # changes the match set
         second = tracked.extension("AB")
@@ -203,32 +208,35 @@ class TestConstructorSatellites:
         assert stats.extension_builds == builds_before + 1
 
 
-def test_a_batch_too_large_for_a_refresh_reboots_every_view():
-    # 80 ops re-encode the snapshot instead of refreshing it (a refresh
-    # keeps ids, so it takes fewer than 64 ops here): nothing vouches
-    # for the ids the kept states are on, and every view starts over
-    # from its boot fixpoint on the new snapshot.
+def test_a_batch_too_large_for_a_patch_keeps_every_view():
+    # Edges between 40 sources and 40 targets touch more than the 64
+    # rows a patch may hold here, so the batch's snapshot is encoded
+    # afresh -- with every id kept, so each view is repaired, never
+    # rebooted.
     rng = random.Random(5)
-    graph = random_labeled_graph(rng, 24, 40)
+    graph = random_labeled_graph(rng, 80, 160)
     tracked = IncrementalViewSet(_definitions(), graph)
-    old = graph.freeze()
-    ops = [("insert", v, w) for v in range(12) for w in range(12, 24)]
-    ops = [op for op in ops if not graph.has_edge(*op[1:])][:80]
+    old = tracked.graph
+    ops = [("insert", v, v + 40) for v in range(40) if not graph.has_edge(v, v + 40)]
     report = tracked.apply_delta(Delta(ops))
-    assert report.applied == 80
-    snapshot = graph.freeze()
-    assert snapshot.extends_token != old.snapshot_token
+    apply_ops(graph, ops)
+    assert report.applied == len(ops) > 32
+    snapshot = tracked.graph
+    assert snapshot.flat_store is not old.flat_store and snapshot._patch is None
+    assert snapshot.extends_token == old.snapshot_token
     for definition in _definitions():
         stats = report.per_view[definition.name]
-        assert stats["recomputes"] == 1
+        assert stats["recomputes"] == 0
         extension = tracked.extension(definition.name)
         assert extension.compact.token == snapshot.snapshot_token
-        assert extension.edge_matches == materialize(definition, graph.copy()).edge_matches
-    tracked.apply_delta(Delta(("delete",) + op[1:] for op in ops[:3]))
+        assert extension.edge_matches == materialize(definition, graph).edge_matches
+    deletes = [("delete",) + op[1:] for op in ops[:3]]
+    tracked.apply_delta(Delta(deletes))
+    apply_ops(graph, deletes)
     for definition in _definitions():
         assert (
             tracked.extension(definition.name).edge_matches
-            == materialize(definition, graph.copy()).edge_matches
+            == materialize(definition, graph).edge_matches
         )
 
 
@@ -246,9 +254,10 @@ def test_a_fresh_node_joins_the_wildcard_sink_it_matches():
     tracked = IncrementalViewSet([definition], graph)
     for delta in (Delta().insert("q", "f0"), Delta().insert("a1", "f0")):
         tracked.apply_delta(delta)
+        apply_ops(graph, delta)
         assert (
             tracked.extension("AX").edge_matches
-            == materialize(definition, graph.copy()).edge_matches
+            == materialize(definition, graph).edge_matches
         )
     assert tracked.extension("AX").edge_matches[("x", "y")] == {("a1", "f0"), ("a2", "b1")}
 
@@ -278,6 +287,7 @@ class TestInsertionRevival:
     def test_insertion_revives_exactly_the_affected_pairs(self):
         graph, view, tracker = self._setup()
         tracker.apply_delta(Delta().insert(2, 3))
+        graph.add_edge(2, 3)
         fresh = materialize(view, graph)
         assert tracker.extension("chain").edge_matches == fresh.edge_matches
         stats = tracker.stats()["chain"]
@@ -291,8 +301,10 @@ class TestInsertionRevival:
         # later deletion cascade would prune the wrong pairs.
         graph, view, tracker = self._setup()
         tracker.apply_delta(Delta().insert(2, 3))
+        graph.add_edge(2, 3)
         for edge in [(12, 13), (2, 3), (0, 1)]:
             tracker.apply_delta(Delta().delete(*edge))
+            graph.remove_edge(*edge)
             fresh = materialize(view, graph)
             assert tracker.extension("chain").edge_matches == fresh.edge_matches, edge
 
@@ -304,12 +316,9 @@ class TestStreamEquivalence:
         graph = random_labeled_graph(rng, 30, 80)
         previous = graph.freeze()
         for round_index in range(6):
-            for op, source, target in _stream(rng, graph, 8, fresh_nodes=3):
-                if op == "insert":
-                    graph.add_edge(source, target)
-                else:
-                    graph.remove_edge(source, target)
-            refreshed = graph.freeze()
+            ops = _stream(rng, graph, 8, fresh_nodes=3)
+            apply_ops(graph, ops)
+            refreshed = previous.applied(ops)
             fresh = CompactGraph(graph, graph.version)
             assert refreshed.extends_token == previous.snapshot_token
             assert list(refreshed.nodes()) == list(fresh.nodes())
@@ -322,7 +331,7 @@ class TestStreamEquivalence:
                 assert refreshed.labels(node) == fresh.labels(node)
                 assert refreshed.attrs(node) == fresh.attrs(node)
             assert refreshed.label_index_stats() == fresh.label_index_stats()
-            # Pre-existing ids are stable across the refresh chain.
+            # Pre-existing ids are stable across the chain of batches.
             for node in previous.nodes():
                 assert refreshed.id_of(node) == previous.id_of(node)
             previous = refreshed
@@ -330,16 +339,15 @@ class TestStreamEquivalence:
     def test_refresh_reuses_untouched_rows(self):
         graph = random_labeled_graph(random.Random(7), 40, 100)
         first = graph.freeze()
-        for i in range(len(first)):  # decoded before the refresh: shared
+        for i in range(len(first)):  # decoded before the batch: shared
             first.succ_rows[i]
         source = next(iter(graph.nodes()))
         target = next(
             node for node in graph.nodes()
             if node != source and not graph.has_edge(source, node)
         )
-        graph.add_edge(source, target)
-        second = graph.freeze()
-        touched = {graph.freeze().id_of(source)}
+        second = first.applied([("insert", source, target)])
+        touched = {second.id_of(source)}
         reused = sum(
             1
             for i in range(len(first))
@@ -393,8 +401,7 @@ class TestViewSetDeltaPipeline:
         views.materialize(frozen)
         stamp = views.view_version("AB")
         version = views.version
-        graph.add_edge(2, 1)
-        refreshed = graph.freeze()
+        refreshed = frozen.applied([("insert", 2, 1)])
         rebound = views.extension("AB").rebound(refreshed)
         views.rebind_extension(rebound)
         assert views.view_version("AB") == stamp
@@ -471,9 +478,9 @@ class TestEngineRetention:
         graph, tracker, engine, q_ab, q_bc = setup
         engine.answer(q_ab)
         engine.answer(q_bc)
-        tracker.apply_delta(Delta().insert(4, 3))
-        tracker.apply_delta(Delta().insert(3, 103))
-        tracker.apply_delta(Delta().insert(3, 104))
+        for delta in (Delta().insert(4, 3), Delta().insert(3, 103), Delta().insert(3, 104)):
+            tracker.apply_delta(delta)
+            apply_ops(graph, delta)
         for query in (q_ab, q_bc):
             assert engine.answer(query).edge_matches == match(query, graph).edge_matches
         assert engine.views.snapshot_token == engine.snapshot().snapshot_token
@@ -485,6 +492,7 @@ class TestEngineRetention:
         engine.materialize_views(["AB", "BC"])
         engine.attach_maintenance(IncrementalViewSet(definitions[:1], graph))
         report = engine.apply_delta(Delta().delete("b1", "c1"))
+        graph.remove_edge("b1", "c1")
         assert report.stale_bounded == ("BC",)
         assert engine.views.is_stale("BC")
         bc = definitions[1].pattern
@@ -545,6 +553,35 @@ class TestMaintainCli:
         assert code == 0
         assert "replayed 3 updates (1 skipped)" in captured.out
         assert "verified" in captured.out
+
+    def test_maintain_verify_checks_against_an_independent_graph(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # A snapshot that loses an inserted edge (its rows) misleads the
+        # tracker and every read of the engine's graph alike: only the
+        # dict graph --verify moves by the same ops can tell.
+        from repro.cli import main
+        from repro.graph.io import write_graph
+        from repro.views.io import write_viewset
+
+        applied = CompactGraph.applied
+
+        def drops_an_insert(self, ops):
+            inserts = [op for op in ops if op[0] == "insert"]
+            return applied(self, [op for op in ops if op is not inserts[0]] if inserts else ops)
+
+        monkeypatch.setattr(CompactGraph, "applied", drops_an_insert)
+        graph = build_graph({1: "A", 2: "B", 3: "C", 4: "B"}, [(1, 2), (2, 3)])
+        write_graph(graph, tmp_path / "graph.json")
+        write_viewset(ViewSet(_definitions()), tmp_path / "views.json")
+        (tmp_path / "updates.txt").write_text("+ 4 3\n")
+        code = main([
+            "maintain", "--graph", str(tmp_path / "graph.json"),
+            "--views", str(tmp_path / "views.json"),
+            "--updates", str(tmp_path / "updates.txt"), "--verify",
+        ])
+        assert code == 1
+        assert "diverged from rematerialization" in capsys.readouterr().err
 
     def test_maintain_json_payload(self, tmp_path, capsys):
         import json

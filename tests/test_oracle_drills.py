@@ -10,10 +10,17 @@ failure elsewhere (a broken patch, a broken machine) tests nothing.
 the unmutated machine spends its whole budget in about 9 s on a 2-core
 box, and a caught mutant fails well inside it.
 
-* A refresh that reads old ids: ``CompactGraph.refreshed`` reads the
-  predecessor's key -> id map off ``old._ids``, which a snapshot
-  attached from disk has not built, instead of ``old._id_map()``.
-  Every kept view state rests on the ids a refresh keeps.
+* A batch that reads old ids: ``CompactGraph.applied`` reads the
+  key -> id map off ``self._ids``, which a snapshot attached from disk
+  has not built, instead of ``self._id_map()``.  Every kept view state
+  rests on the ids a batch keeps.
+* A self-loop's delete that withdraws its node for one pattern edge
+  only: ``repair`` skips recounting, for every later pattern edge, a
+  pair an earlier one already withdrew, so a data self-loop witnessing
+  both edges of a pattern 2-cycle leaves a dead pair behind (the bug
+  a same-label cycle test pins in ``test_maintenance.py``).  The fault
+  is silent where it runs, so the machine must fail on a wrong answer
+  or state, with the mutant called.
 """
 
 import inspect
@@ -26,6 +33,7 @@ from hypothesis.stateful import run_state_machine_as_test
 
 from repro.graph import compact
 from repro.graph.compact import CompactGraph
+from repro.simulation import repair
 
 from test_oracle_machine import OracleMachine
 
@@ -55,12 +63,34 @@ def mutant(function, module, old: str, new: str):
 def test_the_machine_catches_a_refresh_that_reads_old_ids():
     started = time.perf_counter()
     with pytest.MonkeyPatch.context() as patch:
-        refreshed = CompactGraph.refreshed.__func__
         patch.setattr(
-            CompactGraph, "refreshed", mutant(refreshed, compact, "old._id_map()", "old._ids")
+            CompactGraph, "applied",
+            mutant(CompactGraph.applied, compact, "self._id_map()", "self._ids"),
         )
         with pytest.raises(Exception) as caught:
             run_state_machine_as_test(OracleMachine, settings=DRILL)
-    assert any(entry.name == "refreshed" for entry in caught.traceback), caught.getrepr()
+    assert any(entry.name == "applied" for entry in caught.traceback), caught.getrepr()
+    elapsed = time.perf_counter() - started
+    assert elapsed <= TIMEOUT_S, f"the machine took {elapsed:.1f} s to catch the mutant"
+
+
+def test_the_machine_catches_a_self_loop_delete_that_withdraws_one_edge():
+    started = time.perf_counter()
+    faulty = mutant(
+        repair.repair, repair, "for v in dirty[u]:",
+        "for v in dirty[u] - set().union(*withdrawn.values()):",
+    )
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return faulty(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(repair, "repair", counted)
+        patch.setattr("repro.views.maintenance.repair", counted)
+        with pytest.raises(AssertionError) as caught:
+            run_state_machine_as_test(OracleMachine, settings=DRILL)
+    assert calls and caught.traceback[-1].path.name == "test_oracle_machine.py", caught.getrepr()
     elapsed = time.perf_counter() - started
     assert elapsed <= TIMEOUT_S, f"the machine took {elapsed:.1f} s to catch the mutant"

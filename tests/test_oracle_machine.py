@@ -13,15 +13,19 @@ self-loops, deletes of absent edges and edges to fresh node keys),
 run, with ``overwrite=True`` -- then booted from).
 
 ``boot`` samples the configuration: the graph form -- ``live`` (the
-engine maintains its own graph through a tracker; its catalog is
-materialised on that graph first, or not), ``frozen`` (its
+engine boots on a dict graph with a tracker over its freeze; its
+catalog is materialised on that graph first, or not), ``frozen`` (its
 snapshot), ``mapped`` (that snapshot saved and mapped back) or
 ``ingested`` with 1-4 shards (``helpers.ingested``); plain views, or
 bounded ones with plain views mixed in; the selection policy; the
-Match kernel (``helpers.forced_kernel``).  A delta on an immutable form
-boots a new engine on the refreshed graph: ``DataGraph.freeze`` for
-``frozen``, ``CompactGraph.refreshed`` of the *mapped* snapshot for
-``mapped``, a new ingest for ``ingested``.
+Match kernel (``helpers.forced_kernel``).  Every single-snapshot engine
+-- ``live``, ``frozen``, ``mapped`` and any ``save_and_load`` booted --
+is maintained in place by a tracker over its own snapshot and takes a
+delta through ``engine.apply_delta``; a delta on ``ingested`` boots a
+new engine on a new ingest.  Beside the engine, the snapshot the last
+save mapped back is held untouched, and every batch since is applied
+to it at once (``CompactGraph.applied`` on a snapshot that built no
+key map): it must read like the reference.
 
 After every step every engine's fresh extension, and every tracker's,
 must equal the reference rematerialisation, and every view state the
@@ -29,7 +33,7 @@ tracker keeps must be the maximum simulation, with exact counters.  Every answer
 ``edge_matches`` must equal the oracle's, its ``node_matches`` must
 keep ``repro.simulation.result``'s node-set contract, and whenever
 ``Q ⊑ V`` MatchJoin / BMatchJoin (optimized and naive) must equal Match
-/ BMatch on the engine's snapshot.  An engine over an immutable graph
+/ BMatch on the engine's snapshot.  An engine over a sharded graph
 refuses a tracker.  The budget comes from the hypothesis profile
 (``tests/conftest.py``): ``tier1`` by default, ``ci`` for the deep run.
 """
@@ -195,16 +199,19 @@ def oracle(pattern, graph):
 # ----------------------------------------------------------------------
 class OracleMachine(RuleBasedStateMachine):
     """``ref`` is the reference graph, changed only by
-    ``helpers.apply_ops``; ``source`` is the graph ``tracker`` maintains
-    in place (the live engine's own, or the one the frozen and mapped
-    snapshots are refreshed from).  The kernel is forced around engine
-    work only: hypothesis reads ``sys.modules["numpy"]`` while drawing."""
+    ``helpers.apply_ops``; ``source`` is the dict graph the run booted
+    on, moved by the same ops (it differs from ``ref`` only where an
+    ingest dropped edgeless nodes), and ``tracker`` the engine's tracker
+    (``ingested``: one over ``source``'s snapshot, driven beside it).
+    The kernel is forced around engine work only: hypothesis reads
+    ``sys.modules["numpy"]`` while drawing."""
 
     def __init__(self):
         super().__init__()
         self.tmp = tempfile.TemporaryDirectory(dir=SCRATCH)
         self.saved = os.path.join(self.tmp.name, "snap")  # every save's path
         self.engine, self.probes = None, []  # probes: a live form's loaded twins
+        self.cold, self.since = None, []  # the last save mapped back, the ops since
         self.expected = {}  # view name -> oracle on the current ref
 
     def teardown(self):
@@ -241,9 +248,9 @@ class OracleMachine(RuleBasedStateMachine):
             elif form == "ingested":
                 self._ingest()
             elif form == "frozen":
-                self._adopt(self._engine(graph=self.source.freeze()))
+                self._adopt(self._maintained(self._engine(graph=self.source.freeze())))
             else:
-                self.engine = self._loaded(self._engine(graph=self.source.freeze()))
+                self._adopt(self._loaded(self._engine(graph=self.source.freeze())))
 
     def _engine(self, **kwargs):
         if "snapshot_path" not in kwargs:
@@ -252,7 +259,9 @@ class OracleMachine(RuleBasedStateMachine):
 
     def _loaded(self, engine):
         """An engine booted from ``engine``'s checkpoint, saved over the
-        run's one path and mapped back; it refuses a tracker."""
+        run's one path and mapped back, maintained (or, sharded,
+        refusing a tracker); the save is mapped back a second time as
+        ``cold``."""
         checkpoint = engine.checkpoint()
         assert checkpoint.snapshot is engine.snapshot()
         assert set(checkpoint.extensions) == {d.name for d in self.definitions}
@@ -262,9 +271,9 @@ class OracleMachine(RuleBasedStateMachine):
                 self.saved, checkpoint.snapshot,
                 views=checkpoint.extensions, overwrite=True,
             )
-        loaded = self._engine(snapshot_path=SnapshotStore.load(self.saved))
-        self._refuses_a_tracker(loaded)
-        return loaded
+        cold = SnapshotStore.load(self.saved).graph
+        self.cold, self.since = (cold, []) if isinstance(cold, CompactGraph) else (None, [])
+        return self._maintained(self._engine(snapshot_path=SnapshotStore.load(self.saved)))
 
     def _ingest(self):
         """Boot on ``ref``'s edges ingested; ``ref`` becomes the graph of
@@ -272,17 +281,24 @@ class OracleMachine(RuleBasedStateMachine):
         graph, self.ref = ingested(
             self.ref.edges(), self.ref.labels, self.shards, self.tmp.name
         )
-        self._adopt(self._engine(graph=graph))
+        self._adopt(self._maintained(self._engine(graph=graph)))
+
+    def _maintained(self, engine):
+        """``engine`` with a tracker over its own snapshot attached; a
+        sharded one refuses it."""
+        if isinstance(engine.snapshot(), CompactGraph):
+            engine.attach_maintenance(IncrementalViewSet(self.definitions, engine.graph))
+        else:
+            self._refuses_a_tracker(engine)
+        return engine
 
     def _adopt(self, engine):
-        self._refuses_a_tracker(engine)
         self.engine = engine
+        self.tracker = engine.maintenance or self.tracker
 
     @staticmethod
     def _refuses_a_tracker(engine):
-        # No definitions: a tracker's views would build the snapshot's
-        # key->id map, which a refresh must not rely on.
-        with pytest.raises(ValueError, match="immutable"):
+        with pytest.raises(ValueError, match="sharded"):
             engine.attach_maintenance(IncrementalViewSet([], engine.graph))
 
     def engines(self):
@@ -348,26 +364,29 @@ class OracleMachine(RuleBasedStateMachine):
         self._delta(Delta((op, v, v) for v in nodes for op in ("insert", "delete")))
 
     def _delta(self, delta):
-        self.probes, self.expected = [], {}
+        self.expected = {}
         apply_ops(self.ref, delta)
+        apply_ops(self.source, delta)
         with forced_kernel(self.kernel):
-            if self.form == "live":
-                report = self.engine.apply_delta(delta)
+            for engine in self.engines():
+                if engine.maintenance is None:
+                    with pytest.raises(ValueError, match="no maintenance tracker"):
+                        engine.apply_delta(delta)
+                    continue
+                report = engine.apply_delta(delta)
                 assert report.applied + report.skipped == len(delta)
-                return
-            with pytest.raises(ValueError, match="no maintenance tracker"):
-                self.engine.apply_delta(delta)
-            held, source = self.engine.snapshot(), self.source
-            cached = held is source.freeze()
-            self.tracker.apply_delta(delta)
+                assert engine.graph is engine.snapshot() is engine.maintenance.graph
             if self.form == "ingested":
+                self.tracker.apply_delta(delta)
                 self._ingest()
-            elif cached:
-                self._adopt(self._engine(graph=source.freeze()))
-            else:
-                ops = source.edge_changes_since(held.snapshot_version)
-                refreshed = CompactGraph.refreshed(held, source, source.version, ops)
-                self._adopt(self._engine(graph=refreshed))
+        if self.cold is not None:
+            # Every batch since the save at once, on a snapshot no read
+            # has built a key map on: skipped ops change nothing.
+            self.since += delta.ops
+            batched = self.cold.applied(self.since)
+            assert batched.extends_token == self.cold.snapshot_token
+            assert list(batched.nodes()) == list(self.source.nodes())
+            assert sorted(batched.edges(), key=repr) == sorted(self.source.edges(), key=repr)
 
     @rule(data=st.data())
     def evict(self, data):
@@ -381,13 +400,13 @@ class OracleMachine(RuleBasedStateMachine):
         with forced_kernel(self.kernel):
             loaded = self._loaded(self.engine)
         if self.form == "live":
-            # Both stay beside the live engine until a delta; the twin
-            # booted from the generation this save just swept away (its
-            # files unlinked, its mappings live) is queried right away.
+            # Both stay beside the live engine and take every delta; the
+            # twin booted from the generation this save just swept away
+            # (its files unlinked, its mappings live) is queried right away.
             self.probes = self.probes[-1:] + [loaded]
             self.query(data)
         else:
-            self.engine = loaded
+            self._adopt(loaded)
 
     @invariant()
     def extensions_equal_their_rematerialisation(self):

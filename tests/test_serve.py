@@ -198,7 +198,7 @@ class TestEpochSwap:
     def test_reader_pinned_before_update_sees_old_epoch(self):
         async def run():
             server, tracker = make_server()
-            before = tracker.graph.copy()
+            before = tracker.graph  # a snapshot: updates build the next one
             async with server:
                 gate = Gate(server)
                 early = asyncio.ensure_future(server.query(AB))
@@ -770,7 +770,7 @@ class TestHitPath:
     def test_swap_drops_exactly_the_stranded_entries(self):
         async def run():
             server, tracker = make_server()
-            before = tracker.graph.copy()
+            before = tracker.graph  # a snapshot: updates build the next one
             async with server:
                 for pattern in (AB, BC):
                     await server.query(pattern, wire=True)

@@ -27,6 +27,7 @@ import pytest
 
 import repro.graph
 from helpers import (
+    apply_ops,
     ingested,
     ingested_dir,
     matchjoin_metrics,
@@ -37,7 +38,7 @@ from helpers import (
 from repro.cli import main as cli_main
 from repro.datasets import generate_views, query_from_views, random_graph
 from repro.engine import QueryEngine
-from repro.graph import DataGraph
+from repro.graph import DataGraph, Pattern
 from repro.graph.flatbuf import _FILE_HEADER_SIZE, SegmentFormatError
 from repro.graph.ingest import ingest_snapshot
 from repro.graph.snapshot import (
@@ -87,13 +88,14 @@ def _reference(edges):
 
 
 def _refreshed(seed):
-    """A random graph and its refreshed snapshot: one with a patch."""
+    """A random graph and a snapshot of it with a patch: its first
+    freeze with a batch applied (the graph moved by the same ops)."""
     graph = random_graph(80, 200, labels=LABELS, seed=seed)
-    graph.freeze()
+    first = graph.freeze()
     nodes = sorted(graph.nodes(), key=repr)
-    for v in nodes[:6]:
-        graph.add_edge(v, nodes[-1])
-    return graph, graph.freeze()
+    ops = [("insert", v, nodes[-1]) for v in nodes[:6]]
+    apply_ops(graph, ops)
+    return graph, first.applied(ops)
 
 
 # ----------------------------------------------------------------------
@@ -119,10 +121,9 @@ class TestCompactRoundTrip:
         for v in nodes[:3]:
             w = nodes[-1] if v != nodes[-1] else nodes[0]
             if not g.has_edge(v, w):
-                g.add_edge(v, w)
                 added.append((v, w))
         assert added
-        refreshed = g.freeze()
+        refreshed = first.applied([("insert", v, w) for v, w in added])
         assert refreshed._patch is not None
         assert refreshed.extends_token == first.snapshot_token
         SnapshotStore.save(tmp_path / "snap", refreshed)
@@ -270,7 +271,7 @@ class TestRejection:
 # ----------------------------------------------------------------------
 def _layout(kind, path, overwrite=False):
     """Save a snapshot directory of one layout; the two hold every file
-    kind the format has: a sharded graph with views, and a refreshed
+    kind the format has: a sharded graph with views, and a patched
     compact graph (``patch.json``) with views.  Returns the path and
     the DataGraph the snapshot holds."""
     if kind == "sharded":
@@ -522,8 +523,7 @@ def test_a_snapshot_refuses_to_pickle(form, tmp_path):
         source, target = next(
             (v, w) for v in graph.nodes() for w in graph.nodes() if not graph.has_edge(v, w)
         )
-        graph.add_edge(source, target)
-        previous, snapshot = snapshot, graph.freeze()
+        previous, snapshot = snapshot, snapshot.applied([("insert", source, target)])
         assert snapshot.extends_token == previous.snapshot_token
     if form == "sharded":
         snapshot = ingested(*str_keyed(graph), 3, tmp_path)[0]
@@ -714,6 +714,76 @@ class TestServePersistence:
         assert (
             rebooted.answer(query).edge_matches == second.result.edge_matches
         )
+
+    def test_a_snapshot_server_takes_updates_across_a_restart(self, tmp_path):
+        """``snapshot save``; ``serve --snapshot DIR --persist`` takes an
+        update over TCP; a restart from DIR takes a second; a query then
+        equals ``match`` on a dict graph both batches moved.  A sharded
+        directory still boots, read-only, and serves reads."""
+        import argparse
+
+        from repro.cli import _maintained_engine
+        from repro.graph.io import pattern_to_json, write_graph
+        from repro.serve import QueryServer, serve_tcp
+        from repro.serve.wire import result_fragment
+        from repro.views.io import write_viewset
+        from repro.views.maintenance import Delta
+
+        graph, views, _ = _workload(seed=67)
+        write_graph(graph, tmp_path / "g.json")
+        write_viewset(views, tmp_path / "v.json")
+        snap = str(tmp_path / "snap")
+        assert cli_main([
+            "snapshot", "save", "--graph", str(tmp_path / "g.json"),
+            "--views", str(tmp_path / "v.json"), "--out", snap,
+        ]) == 0
+        pattern = max(
+            (d.pattern for d in views), key=lambda p: match(p, graph).result_size
+        )
+        matched = sorted(next(iter(match(pattern, graph).edge_matches.values())))
+        rng = random.Random(67)
+        nodes = sorted(graph.nodes())
+        mirror = graph.copy()
+        boot = argparse.Namespace(snapshot=snap, graph=None, views=None)
+
+        async def serve_once(ops):
+            engine = _maintained_engine(boot)
+            assert engine.graph is engine.snapshot() is engine.maintenance.graph
+            async with QueryServer(engine, persist_path=snap) as server:
+                tcp = await serve_tcp(server, port=0)
+                port = tcp.sockets[0].getsockname()[1]
+                reader, writer = await asyncio.open_connection("127.0.0.1", port)
+
+                async def call(payload):
+                    writer.write(json.dumps(payload).encode() + b"\n")
+                    await writer.drain()
+                    return json.loads(await reader.readline())
+
+                updated = await call({"op": "update", "ops": ops})
+                answer = await call({"op": "query", "pattern": pattern_to_json(pattern)})
+                writer.close()
+                tcp.close()
+                await tcp.wait_closed()
+            return updated, answer
+
+        for pair in matched[:2]:
+            ops = [["-", *pair]] + [["+", *rng.sample(nodes, 2)] for _ in range(4)]
+            updated, answer = asyncio.run(serve_once(ops))
+            assert updated["ok"] and updated["applied"] >= 1
+            apply_ops(mirror, Delta((op, source, target) for op, source, target in ops))
+            expected = json.loads(result_fragment(match(pattern, mirror)))
+            assert answer["ok"] and answer["result"]["edge_matches"] == expected["edge_matches"]
+        restarted = SnapshotStore.load(snap).graph
+        assert sorted(restarted.edges()) == sorted(mirror.edges())
+
+        sharded, reference = ingested_dir(_random_edges(300, 60), _labeler, 2, tmp_path)
+        engine = _maintained_engine(argparse.Namespace(snapshot=sharded, graph=None, views=None))
+        assert engine.maintenance is None and engine.catalog.snapshot_kind == "sharded"
+        query = Pattern()
+        query.add_node("a", "l0")
+        query.add_node("b", "l1")
+        query.add_edge("a", "b")
+        assert engine.answer(query).edge_matches == match(query, reference).edge_matches
 
     def test_snapshot_booted_server_serves(self, tmp_path):
         from repro.serve import QueryServer

@@ -370,8 +370,7 @@ class TestLazyPayloadViews:
         loaded = SnapshotStore.load(tmp_path / "after")
         assert not any(indexed(view.compact) for view in loaded.views.values())
 
-        graph.add_edge(0, 1)  # a refresh keeps every id
-        refreshed = graph.freeze()
+        refreshed = snapshot.applied([("insert", 0, 1)])  # a batch keeps every id
         for payload in payloads:
             clone = payload.rebound(refreshed)
             assert clone.by_target is payload.by_target

@@ -65,11 +65,13 @@ class TestWorkloadToAnswers:
             if rng.random() < 0.5 and graph.num_edges:
                 edge = rng.choice(list(graph.edges()))
                 tracked.apply_delta(Delta().delete(*edge))
+                graph.remove_edge(*edge)  # the dict graph is the mirror
             else:
                 a, b = rng.randrange(400), rng.randrange(400)
                 if a == b or graph.has_edge(a, b):
                     continue
                 tracked.apply_delta(Delta().insert(a, b))
+                graph.add_edge(a, b)
 
         snapshot = ViewSet(selected.definitions())
         for name in snapshot.names():
