@@ -7,8 +7,9 @@ concrete: given a (bounded) pattern query and a :class:`ViewSet`, it
    the bounded variants automatically),
 2. verifies ``Q ⊑ V`` (raising :class:`NotContainedError` otherwise,
    since by Theorem 1 no equivalent view-only query exists),
-3. materializes any missing extensions when a data graph is supplied
-   (a convenience -- in production the cache is maintained offline),
+3. materializes any missing extension, and any extension of another
+   snapshot than the graph's, when a data graph is supplied (a
+   convenience -- in production the cache is maintained offline),
 4. runs (B)MatchJoin on the extensions only.
 
 The returned :class:`Answer` carries the result plus the provenance the
@@ -19,7 +20,7 @@ extension size that the evaluation touched.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 from repro.core.bounded.bmatchjoin import bounded_match_join
 from repro.core.containment import SELECTIONS, Containment, selector
@@ -29,6 +30,7 @@ from repro.graph.digraph import DataGraph
 from repro.graph.pattern import BoundedPattern, Pattern
 from repro.simulation.result import MatchResult
 from repro.views.storage import ViewSet
+from repro.views.view import MaterializedView
 
 
 @dataclass
@@ -61,8 +63,9 @@ def answer_with_views(
         The view cache.  Extensions for the selected views must already
         be materialized unless ``graph`` is given.
     graph:
-        Optional data graph used *only* to materialize missing
-        extensions; the evaluation itself never touches it.
+        Optional data graph used *only* to materialize extensions that
+        are missing or were materialized on another snapshot (see
+        :func:`extensions_on`); the evaluation itself never touches it.
     selection:
         ``"all"`` (use every covering view), ``"minimal"`` (Theorem 5)
         or ``"minimum"`` (greedy, Theorem 6).
@@ -93,15 +96,7 @@ def answer_with_views(
         raise NotContainedError(containment.uncovered)
 
     needed = containment.views_used()
-    missing = [name for name in needed if not views.is_materialized(name)]
-    if missing:
-        if graph is None:
-            raise NotMaterializedError(
-                f"extensions missing for views {missing!r} and no graph "
-                "was given to materialize them from"
-            )
-        views.materialize(graph, names=missing)
-    extensions = {name: views.extension(name) for name in needed}
+    extensions = extensions_on(views, needed, graph)
 
     if bounded:
         bounded_query = (
@@ -118,3 +113,36 @@ def answer_with_views(
         views_used=needed,
         extension_size=sum(ext.size for ext in extensions.values()),
     )
+
+
+def extensions_on(
+    views: ViewSet, names: Iterable[str], graph: Optional[DataGraph]
+) -> Dict[str, MaterializedView]:
+    """The extensions of views ``names`` that answer for ``graph``.
+
+    With a ``graph``, every view whose extension is missing or was
+    materialized on another snapshot than ``graph.freeze()`` (the graph
+    changed since) is materialized on it first, so the extensions are
+    ``V(G)`` of the one graph Theorem 1 speaks of.  Without one, the
+    cached extensions are taken as they are, and a missing one raises
+    :class:`NotMaterializedError`.
+    """
+    names = list(names)
+    if graph is None:
+        missing = [name for name in names if not views.is_materialized(name)]
+        if missing:
+            raise NotMaterializedError(
+                f"extensions missing for views {missing!r} and no graph "
+                "was given to materialize them from"
+            )
+    else:
+        token = graph.freeze().snapshot_token
+        stale = [
+            name
+            for name in names
+            if not views.is_materialized(name)
+            or views.extension(name).compact.token != token
+        ]
+        if stale:
+            views.materialize(graph, names=stale)
+    return {name: views.extension(name) for name in names}

@@ -17,25 +17,22 @@ MatchJoin -- literally: :func:`bounded_match_join` is an adapter over
 :func:`repro.core.matchjoin.join_views` that supplies the bounded merge
 step, for the ``O(|Qb||V(G)| + |V(G)|^2)`` bound of Theorem 9.
 
-Like plain MatchJoin it runs in **snapshot id space** when every
-extension the λ mapping references was materialized against the same
-snapshot (equal payload tokens): the rows are then filtered through the
-*id-space* distance index the payloads carry while they are built, and
-no node-key pair is touched until the final decode.  A query edge whose
-bound dominates the covering view edge's bound (``fe(e') <= fe(e)``)
-skips filtering entirely and adopts the stored rows, which is the common
-case for promoted view suites.  Any missing payload or token mismatch
-runs the same kernel over the node-key pair sets, with identical
-results.
+Like plain MatchJoin it runs in **snapshot id space**, over the
+extensions of one snapshot (two snapshots' extensions are refused): the
+rows are filtered through the *id-space* distance index the payloads
+carry, and no node-key pair is touched until the final decode.  A query
+edge whose bound dominates the covering view edge's bound
+(``fe(e') <= fe(e)``) skips filtering entirely and adopts the stored
+rows, which is the common case for promoted view suites.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from typing import Dict, Hashable, Mapping, Set, Tuple, Union
+from typing import Hashable, Mapping, Tuple, Union
 
 from repro.core.containment import Containment
-from repro.core.matchjoin import join_views, merge_initial_sets
+from repro.core.matchjoin import join_views
 from repro.graph.pattern import ANY, BoundedPattern, bound_le
 from repro.simulation.result import MatchResult
 from repro.views.storage import ViewSet
@@ -43,8 +40,6 @@ from repro.views.view import MaterializedView
 
 PNode = Hashable
 PEdge = Tuple[PNode, PNode]
-Node = Hashable
-NodePair = Tuple[Node, Node]
 Extensions = Mapping[str, MaterializedView]
 
 
@@ -69,17 +64,6 @@ def _filter_bound(
     return None if bound_le(pattern.bound(view_edge), bound) else bound
 
 
-def merge_initial_sets_bounded(
-    query: BoundedPattern,
-    containment: Containment,
-    extensions: Extensions,
-) -> Dict[PEdge, Set[NodePair]]:
-    """Union the λ-image match sets, filtered through ``I(V)``."""
-    return merge_initial_sets(
-        query, containment, extensions, partial(_filter_bound, query)
-    )
-
-
 def bounded_match_join(
     query: BoundedPattern,
     containment: Containment,
@@ -94,11 +78,12 @@ def bounded_match_join(
     promoted to bound-1 edges also work: their pairs are edges, distance
     1).
 
-    When every referenced extension was materialized against the same
-    snapshot (a frozen :class:`~repro.graph.compact.CompactGraph` or a
-    :class:`~repro.shard.sharded.ShardedGraph`), the kernel runs in the
-    snapshot's integer-id space, bound-filtering through the payloads'
-    id-space distance index; the result is identical either way.
+    The kernel runs in the integer id space of the snapshot (a frozen
+    :class:`~repro.graph.compact.CompactGraph` or a
+    :class:`~repro.shard.sharded.ShardedGraph`) every referenced
+    extension was materialized on, bound-filtering through the
+    payloads' id-space distance index; extensions of two snapshots
+    raise ``ValueError`` naming the views.
     """
     if not isinstance(query, BoundedPattern):
         raise TypeError(

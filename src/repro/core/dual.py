@@ -27,6 +27,7 @@ the true match sets, and the dual fixpoint prunes to exactly ``Q(G)``.
 
 from __future__ import annotations
 
+from array import array
 from typing import Dict, Hashable, Mapping, Set, Tuple, Union
 
 from repro.core.containment import Containment, Views, _normalize, merge_view_matches
@@ -37,7 +38,7 @@ from repro.simulation.result import MatchResult
 from repro.simulation.simulation import dual_match
 from repro.simulation.witness import WitnessCounters
 from repro.views.storage import ViewSet
-from repro.views.view import MaterializedView, ViewDefinition
+from repro.views.view import MaterializedView, ViewDefinition, snapshot_extension
 
 PNode = Hashable
 PEdge = Tuple[PNode, PNode]
@@ -65,13 +66,22 @@ def dual_contains(query: Pattern, views: Views) -> Containment:
 
 
 def materialize_dual(definition: ViewDefinition, graph) -> MaterializedView:
-    """Materialize a view's extension under dual simulation semantics."""
+    """Materialize a view's extension under dual simulation semantics,
+    as id rows of ``graph.freeze()`` (the snapshot
+    :func:`~repro.views.view.materialize` binds extensions to)."""
+    snapshot = graph.freeze()
     result = dual_match(definition.pattern, graph)
-    if not result:
-        return MaterializedView(
-            definition, {edge: set() for edge in definition.pattern.edges()}
-        )
-    return MaterializedView(definition, result.edge_matches)
+    id_rows = None
+    if result:
+        id_of = snapshot.id_of
+        id_rows = {
+            edge: (
+                array("q", [id_of(v) for v, _ in pairs]),
+                array("q", [id_of(w) for _, w in pairs]),
+            )
+            for edge, pairs in result.edge_matches.items()
+        }
+    return snapshot_extension(definition, snapshot, id_rows)
 
 
 def dual_match_join(

@@ -20,9 +20,10 @@ There are exactly two fixpoints:
   :func:`repro.core.bounded.bmatchjoin.bounded_match_join` and
   :func:`repro.core.rewriting.hybrid_join` (Section VIII's partial
   rewriting, a library function the engine does not plan) are adapters
-  that build rows and call it -- in the snapshot's integer id space
-  when every λ-image carries a payload of the same snapshot, in
-  node-key space otherwise;
+  that build rows and call it, always in the integer id space of the
+  one snapshot every λ-image's extension was materialized on --
+  extensions of two snapshots are refused (:func:`_check_inputs`), as
+  Theorem 1 holds over the extensions of one graph only;
 * the **naive** loop (``optimized=False``) is the literal Fig. 2
   while-loop: scan all edges until a full pass makes no change.  It
   exists so Exp-2 (Fig. 8(f)) can measure the optimization, exactly
@@ -86,7 +87,7 @@ Extensions = Mapping[str, MaterializedView]
 #: sets], [target node sets])`` so the edge packages wholesale.  The
 #: index thunks run parallel to the rows, each returning its row pair's
 #: ``{target: [sources]}``: a payload's lazily stored one, or one
-#: grouped per call for rows that have no payload.
+#: grouped per call for rows a bound filtered or a graph scan produced.
 EdgeRows = Tuple[
     List[Tuple[Sequence, Sequence]],
     frozenset,
@@ -98,8 +99,14 @@ EdgeRows = Tuple[
 
 def _check_inputs(
     query: Pattern, containment: Containment, extensions: Extensions
-) -> None:
-    """Shared precondition checks for every MatchJoin entry point."""
+) -> Optional[int]:
+    """Shared precondition checks for every MatchJoin entry point, in
+    one pass over λ; returns the snapshot token every referenced
+    extension carries (``None`` when λ references none).
+
+    Raises ``ValueError`` naming the views when they come from two
+    snapshots: Theorem 1 equates MatchJoin with ``Qs(G)`` over the
+    extensions of one graph, and ids of two snapshots must never mix."""
     if not containment.holds:
         raise NotContainedError(containment.uncovered)
     if query.isolated_nodes():
@@ -107,6 +114,7 @@ def _check_inputs(
             "pattern has isolated nodes; view extensions store edges, so "
             "evaluate such patterns directly with match() / bounded_match()"
         )
+    token = None
     for edge in query.edges():
         for view_name, _ in containment.mapping.get(edge, ()):
             if view_name not in extensions:
@@ -114,6 +122,23 @@ def _check_inputs(
                     f"extension for view {view_name!r} is required by λ "
                     "but was not provided"
                 )
+            found = extensions[view_name].compact.token
+            if token is None:
+                token = found
+            elif found != token:
+                raise _mixed_snapshots(containment, extensions)
+    return token
+
+
+def _mixed_snapshots(containment: Containment, extensions: Extensions) -> ValueError:
+    by_token: Dict[int, List[str]] = {}
+    for name in sorted({ref[0] for refs in containment.mapping.values() for ref in refs}):
+        by_token.setdefault(extensions[name].compact.token, []).append(name)
+    groups = "; ".join(f"{names} on snapshot {token}" for token, names in by_token.items())
+    return ValueError(
+        f"the views come from {len(by_token)} snapshots ({groups}); "
+        "materialize them on one graph's snapshot"
+    )
 
 
 def merge_initial_sets(
@@ -169,7 +194,7 @@ def probes(live: int, targets: int, rows: int) -> bool:
 def sweep_join(
     query: Pattern,
     inputs: Dict[PEdge, EdgeRows],
-    decode: Optional[Callable] = None,
+    decode: Callable,
 ) -> Tuple[MatchResult, Tuple[int, int, int]]:
     """The candidate-level MatchJoin fixpoint over per-edge rows.
 
@@ -177,12 +202,12 @@ def sweep_join(
     stays a valid candidate of ``u`` and ``w`` of ``u'``, where validity
     is the greatest relation in which every candidate has, for each
     out-edge of its pattern node, a row whose target is still valid.
-    ``inputs`` maps every query edge to its :data:`EdgeRows`; ids are
-    any hashables and ``decode`` maps them to node keys (``None``: they
-    already are).  Returns the result and ``(visits that read an edge's
-    rows, how many of them probed, rows they read)``.  The result is
-    unpackaged: its survivors become node-key sets on the first read of
-    any set (:func:`_on_first_read`).
+    ``inputs`` maps every query edge to its :data:`EdgeRows` in one
+    snapshot's id space, and ``decode`` maps an id to its node key.
+    Returns the result and ``(visits that read an edge's rows, how many
+    of them probed, rows they read)``.  The result is unpackaged: its
+    survivors become node-key sets on the first read of any set
+    (:func:`_on_first_read`).
 
     Edges are visited in ascending rank of their target, so on a DAG
     query every ``valid(u')`` is final before an edge into ``u'`` is
@@ -353,10 +378,10 @@ def _package(
     query: Pattern,
     inputs: Dict[PEdge, EdgeRows],
     valid: Dict[PNode, Set],
-    decode: Optional[Callable],
+    decode: Callable,
 ) -> Tuple[Dict[PNode, Set[Node]], Dict[PEdge, Set[NodePair]]]:
     """The fixpoint's survivors as node-key sets: untouched edges
-    wholesale, the rest in one filtering (and decoding) pass."""
+    wholesale, the rest in one filtering and decoding pass."""
     edges = query.edges()
     node_matches: Dict[PNode, Set[Node]] = {u: set() for u in query.nodes()}
     edge_matches: Dict[PEdge, Set[NodePair]] = {}
@@ -372,20 +397,12 @@ def _package(
             node_matches[u].update(*source_nodes)
             node_matches[u_prime].update(*target_nodes)
         else:
-            if decode is None:
-                pairs = {
-                    (v, w)
-                    for src_row, tgt_row in rows
-                    for v, w in zip(src_row, tgt_row)
-                    if v in valid_src and w in valid_tgt
-                }
-            else:
-                pairs = {
-                    (decode(v), decode(w))
-                    for src_row, tgt_row in rows
-                    for v, w in zip(src_row, tgt_row)
-                    if v in valid_src and w in valid_tgt
-                }
+            pairs = {
+                (decode(v), decode(w))
+                for src_row, tgt_row in rows
+                for v, w in zip(src_row, tgt_row)
+                if v in valid_src and w in valid_tgt
+            }
             node_matches[u].update(map(itemgetter(0), pairs))
             node_matches[u_prime].update(map(itemgetter(1), pairs))
         edge_matches[edge] = pairs
@@ -393,28 +410,8 @@ def _package(
 
 
 # ----------------------------------------------------------------------
-# Adapters: rows from extensions (id space) or from pair sets (node keys)
+# The adapter: rows from the extensions of one snapshot
 # ----------------------------------------------------------------------
-def shared_snapshot_token(
-    query: Pattern, containment: Containment, extensions: Extensions
-):
-    """The single snapshot token behind every extension λ references,
-    or ``None`` when ids cannot be used: a referenced extension carries
-    no payload, payloads come from different snapshots (ids must never
-    mix), or the λ mapping references nothing."""
-    token = None
-    for edge in query.edges():
-        for view_name, _ in containment.mapping.get(edge, ()):
-            payload = extensions[view_name].compact
-            if payload is None:
-                return None
-            if token is None:
-                token = payload.token
-            elif payload.token != token:
-                return None
-    return token
-
-
 def _id_inputs(
     query: Pattern,
     containment: Containment,
@@ -473,34 +470,11 @@ def _id_inputs(
     return inputs, decode
 
 
-def _key_inputs(
-    initial: Dict[PEdge, Set[NodePair]]
-) -> Tuple[Dict[PEdge, EdgeRows], None]:
-    """Merged node-key pair sets (which the kernel takes ownership of)
-    unzipped into rows; ids are the node keys themselves, so there is
-    no decode."""
-    inputs: Dict[PEdge, EdgeRows] = {}
-    for edge, pairs in initial.items():
-        src_row = [v for v, _ in pairs]
-        tgt_row = [w for _, w in pairs]
-        sources, targets = frozenset(src_row), frozenset(tgt_row)
-        inputs[edge] = (
-            [(src_row, tgt_row)],
-            sources,
-            targets,
-            lambda pairs=pairs, sources=sources, targets=targets: (
-                pairs, [sources], [targets]
-            ),
-            [partial(group_by_target, src_row, tgt_row)],
-        )
-    return inputs, None
-
-
 def _run_kernel(query: Pattern, path: str, build: Callable) -> MatchResult:
-    """The kernel plus its accounting.  ``path`` names the id space the
-    rows are in (``ids`` | ``keys``); ``build()`` returns ``(inputs,
-    decode)`` and runs inside the ``matchjoin`` span, so merging and
-    BMatchJoin's row filter are attributed to it.  The span carries
+    """The kernel plus its accounting, under ``path="ids"`` (the naive
+    loop counts as ``naive``).  ``build()`` returns ``(inputs, decode)``
+    and runs inside the ``matchjoin`` span, so merging and BMatchJoin's
+    row filter are attributed to it.  The span carries
     ``sweeps`` (row visits: visits that read an edge's rows, by scan or
     by probe), ``probes`` (those that probed) and ``rows`` (rows they
     read); ``repro_matchjoin_sweeps_total`` counts the row visits.  One
@@ -514,15 +488,6 @@ def _run_kernel(query: Pattern, path: str, build: Callable) -> MatchResult:
     reg.counter("repro_matchjoin_total", path=path).inc()
     reg.counter("repro_matchjoin_sweeps_total", path=path).inc(sweeps)
     return result
-
-
-def join_pair_sets(
-    query: Pattern, initial: Dict[PEdge, Set[NodePair]]
-) -> MatchResult:
-    """Run the kernel in node-key space over ready-merged pair sets --
-    the hybrid kernel's adapter (covered edges merged from extensions,
-    uncovered ones scanned from ``G``)."""
-    return _run_kernel(query, "keys", lambda: _key_inputs(initial))
 
 
 # ----------------------------------------------------------------------
@@ -584,25 +549,15 @@ def join_views(
     optimized: bool,
     bound_of: Optional[Callable] = None,
 ) -> MatchResult:
-    """What MatchJoin and BMatchJoin share: pick the fixpoint and the id
-    space, merge the λ-images (Fig. 2 lines 1-4) into its input, run
-    it.  ``bound_of`` is BMatchJoin's distance filter (see
-    :func:`merge_initial_sets`)."""
+    """What MatchJoin and BMatchJoin share: pick the fixpoint, merge the
+    λ-images (Fig. 2 lines 1-4) into its input, run it.  ``bound_of``
+    is BMatchJoin's distance filter (see :func:`merge_initial_sets`)."""
     extensions = _extensions_of(views)
-    _check_inputs(query, containment, extensions)
     if not optimized:
+        initial = merge_initial_sets(query, containment, extensions, bound_of)
         get_registry().counter("repro_matchjoin_total", path="naive").inc()
-        return _fixpoint_naive(
-            query, merge_initial_sets(query, containment, extensions, bound_of)
-        )
-    if shared_snapshot_token(query, containment, extensions) is None:
-        return _run_kernel(
-            query,
-            "keys",
-            lambda: _key_inputs(
-                merge_initial_sets(query, containment, extensions, bound_of)
-            ),
-        )
+        return _fixpoint_naive(query, initial)
+    _check_inputs(query, containment, extensions)
     return _run_kernel(
         query, "ids", lambda: _id_inputs(query, containment, extensions, bound_of)
     )
@@ -635,9 +590,8 @@ def match_join(
     the nodes participating in edge matches (the paper's ``Qs(G)`` is
     the edge-level object).
 
-    When every referenced extension was materialized against the same
-    snapshot, the kernel sweeps the extensions' stored id rows in the
-    snapshot's integer-id space; otherwise it runs over the node-key
-    pair sets.  The result is identical either way.
+    The kernel sweeps the extensions' stored id rows in the integer id
+    space of the snapshot they were materialized on; extensions of two
+    snapshots raise ``ValueError`` naming the views.
     """
     return join_views(query, containment, extensions, optimized)

@@ -20,15 +20,19 @@ provided:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Hashable, Mapping, Set, Tuple, Union
+from array import array
+from functools import partial
+from typing import Dict, FrozenSet, Hashable, Mapping, Set, Tuple
 
-from repro.core.containment import Containment, Views, contains, _normalize
-from repro.core.matchjoin import join_pair_sets, merge_initial_sets
+from repro.core.answer import extensions_on
+from repro.core.containment import Containment, contains
+from repro.core.matchjoin import _check_inputs, _id_inputs, _run_kernel
 from repro.errors import UnsupportedPatternError
 from repro.graph.digraph import DataGraph
 from repro.graph.pattern import BoundedPattern, Pattern
 from repro.simulation.result import MatchResult
 from repro.simulation.seeding import node_candidates
+from repro.views.flatpack import group_by_target
 from repro.views.storage import ViewSet
 from repro.views.view import MaterializedView
 
@@ -54,6 +58,33 @@ class PartialAnswer:
         return len(self.covered) / total if total else 1.0
 
 
+def _containment(query: Pattern, views: ViewSet) -> Containment:
+    if isinstance(query, BoundedPattern):
+        from repro.core.bounded.bcontainment import bounded_contains
+
+        return bounded_contains(query, views)
+    return contains(query, views)
+
+
+def _covered_part(
+    query: Pattern, containment: Containment, covered: FrozenSet[PEdge]
+) -> Tuple[Pattern, Containment]:
+    """The subpattern of the ``covered`` edges and the (holding)
+    containment of it that λ's restriction gives."""
+    return query.subpattern(covered), Containment(
+        holds=True,
+        mapping={e: containment.mapping[e] for e in covered},
+        uncovered=frozenset(),
+        view_names=containment.view_names,
+    )
+
+
+def _referenced(containment: Containment) -> Tuple[str, ...]:
+    """The views λ draws on, in first-use order."""
+    found = {ref[0] for refs in containment.mapping.values() for ref in refs}
+    return tuple(name for name in containment.views_used() if name in found)
+
+
 def partial_answer(
     query: Pattern,
     views: ViewSet,
@@ -64,38 +95,18 @@ def partial_answer(
     The subpattern keeps exactly the edges some view match covers; its
     match sets over-approximate the full query's on those edges (the
     uncovered edges' constraints are not enforced).  ``graph`` is used
-    only to materialize missing extensions, mirroring
-    :func:`repro.core.answer.answer_with_views`.
+    only to materialize extensions that are missing or of another
+    snapshot, as :func:`repro.core.answer.answer_with_views` does.
     """
-    if isinstance(query, BoundedPattern):
-        from repro.core.bounded.bcontainment import bounded_contains
-
-        containment = bounded_contains(query, views)
-    else:
-        containment = contains(query, views)
+    containment = _containment(query, views)
     covered = frozenset(containment.mapping)
     if not covered:
         return PartialAnswer(
             MatchResult.empty(), Pattern(), covered,
             frozenset(query.edge_set()), containment,
         )
-    subpattern = query.subpattern(covered)
-    sub_containment = Containment(
-        holds=True,
-        mapping={e: containment.mapping[e] for e in covered},
-        uncovered=frozenset(),
-        view_names=containment.view_names,
-    )
-    needed = [
-        name
-        for name in containment.views_used()
-        if any(ref[0] == name for refs in sub_containment.mapping.values() for ref in refs)
-    ]
-    if graph is not None:
-        missing = [n for n in needed if not views.is_materialized(n)]
-        if missing:
-            views.materialize(graph, names=missing)
-    extensions = {name: views.extension(name) for name in needed}
+    subpattern, sub_containment = _covered_part(query, containment, covered)
+    extensions = extensions_on(views, _referenced(containment), graph)
     if isinstance(query, BoundedPattern):
         from repro.core.bounded.bmatchjoin import bounded_match_join
 
@@ -124,20 +135,11 @@ def hybrid_answer(
     uncovered edges enumerate bounded-BFS pairs.
 
     Convenience wrapper: runs the containment check and materializes
-    missing extensions, then delegates to :func:`hybrid_join`.
+    extensions that are missing or of another snapshot than
+    ``graph.freeze()``, then delegates to :func:`hybrid_join`.
     """
-    bounded = isinstance(query, BoundedPattern)
-    if bounded:
-        from repro.core.bounded.bcontainment import bounded_contains
-
-        containment = bounded_contains(query, views)
-    else:
-        containment = contains(query, views)
-    needed = {ref[0] for refs in containment.mapping.values() for ref in refs}
-    missing = [n for n in needed if not views.is_materialized(n)]
-    if missing:
-        views.materialize(graph, names=missing)
-    extensions = {name: views.extension(name) for name in needed}
+    containment = _containment(query, views)
+    extensions = extensions_on(views, _referenced(containment), graph)
     return hybrid_join(query, containment, extensions, graph)
 
 
@@ -149,12 +151,13 @@ def hybrid_join(
 ) -> MatchResult:
     """The hybrid evaluation kernel: covered edges from ``extensions``,
     uncovered edges from ``graph``, one shared fixpoint (the MatchJoin
-    kernel, over node-key rows).
+    kernel, over the id rows of ``graph.freeze()``).
 
     ``containment`` carries the λ mapping of the covered edges (it need
     not hold -- partial coverage is the point); ``extensions`` must
-    contain every view the mapping references; ``graph`` may be the
-    mutable :class:`DataGraph` or a frozen
+    contain every view the mapping references, materialized on
+    ``graph.freeze()`` (``ValueError`` naming the views otherwise);
+    ``graph`` may be the mutable :class:`DataGraph` or a frozen
     :class:`~repro.graph.compact.CompactGraph` snapshot.
     """
     if query.isolated_nodes():
@@ -163,27 +166,24 @@ def hybrid_join(
         )
     bounded = isinstance(query, BoundedPattern)
     covered = frozenset(containment.mapping) & frozenset(query.edge_set())
+    snapshot = graph.freeze()
 
     # Covered part: exactly MatchJoin's merge, on the covered subpattern.
-    initial: Dict[PEdge, Set] = {}
+    inputs: Dict[PEdge, tuple] = {}
     if covered:
-        subpattern = query.subpattern(covered)
-        sub_containment = Containment(
-            holds=True,
-            mapping={e: containment.mapping[e] for e in covered},
-            uncovered=frozenset(),
-            view_names=containment.view_names,
-        )
+        subpattern, sub_containment = _covered_part(query, containment, covered)
+        token = _check_inputs(subpattern, sub_containment, extensions)
+        if token != snapshot.snapshot_token:
+            raise ValueError(
+                f"views {list(_referenced(sub_containment))} were not "
+                "materialized on this graph's snapshot; materialize them on it"
+            )
+        bound_of = None
         if bounded:
-            from repro.core.bounded.bmatchjoin import merge_initial_sets_bounded
+            from repro.core.bounded.bmatchjoin import _filter_bound
 
-            initial.update(
-                merge_initial_sets_bounded(subpattern, sub_containment, extensions)
-            )
-        else:
-            initial.update(
-                merge_initial_sets(subpattern, sub_containment, extensions)
-            )
+            bound_of = partial(_filter_bound, query)
+        inputs.update(_id_inputs(subpattern, sub_containment, extensions, bound_of)[0])
 
     # Uncovered part: seed candidates through
     # :func:`repro.simulation.seeding.node_candidates`, *narrowed
@@ -200,19 +200,22 @@ def hybrid_join(
     # covered anchors instead of a whole label bucket, which is what
     # makes hybrid rewriting cheap when coverage is high.
     covered_endpoints: Dict[Hashable, Set] = {}
-    for (u, _u1), pairs in initial.items():
-        sources = {v for v, _ in pairs}
+    for (u, _u1), (_, sources, _, _, _) in inputs.items():
         if u in covered_endpoints:
             covered_endpoints[u] &= sources
         else:
-            covered_endpoints[u] = sources
+            covered_endpoints[u] = set(sources)
+    node_of, id_of = snapshot.node_of, snapshot.id_of
 
     candidates: Dict = {}
 
     def matches_of(u):
         if u not in candidates:
+            pool = covered_endpoints.get(u)
             candidates[u] = node_candidates(
-                query.condition(u), graph, pool=covered_endpoints.get(u)
+                query.condition(u),
+                graph,
+                pool=None if pool is None else map(node_of, pool),
             )
         return candidates[u]
 
@@ -243,6 +246,14 @@ def hybrid_join(
         else:
             for v in sources:
                 pairs.update((v, w) for w in graph.successors(v) if w in targets)
-        initial[edge] = pairs
+        src_row = array("q", [id_of(v) for v, _ in pairs])
+        tgt_row = array("q", [id_of(w) for _, w in pairs])
+        inputs[edge] = (
+            [(src_row, tgt_row)],
+            frozenset(src_row),
+            frozenset(tgt_row),
+            None,
+            [partial(group_by_target, src_row, tgt_row)],
+        )
 
-    return join_pair_sets(query, initial)
+    return _run_kernel(query, "ids", lambda: (inputs, node_of))

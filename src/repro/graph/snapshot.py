@@ -424,7 +424,7 @@ def _write_views(dirpath: str, snapshot, extensions: Dict[str, Any]) -> Dict[str
     for idx, name in enumerate(sorted(extensions)):
         view = extensions[name]
         payload = view.compact
-        if payload is None or payload.token != snapshot.snapshot_token:
+        if payload.token != snapshot.snapshot_token:
             raise SnapshotError(
                 f"view {name!r} is not bound to the snapshot being saved: "
                 "materialise it on that snapshot first"

@@ -188,7 +188,13 @@ async def serve_tcp(
     (``async with``, or ``serve_forever()``)."""
 
     async def _handler(reader, writer):
-        await handle_connection(server, reader, writer)
+        # asyncio's stream callback reads this task's ``exception()``,
+        # which raises -- and is logged as an error -- on a cancelled
+        # task: a connection cancelled at shutdown ends as a plain return.
+        try:
+            await handle_connection(server, reader, writer)
+        except asyncio.CancelledError:
+            pass
 
     return await asyncio.start_server(
         _handler, host=host, port=port, limit=MAX_LINE_BYTES

@@ -286,8 +286,9 @@ class FlatExtension:
 
 def group_by_target(src, tgt) -> Dict[Hashable, List[Hashable]]:
     """Parallel ``(src, tgt)`` rows as ``{target: [sources]}``, one
-    entry per row (duplicates kept) -- the index MatchJoin probes.  Ids
-    are any hashables (node keys on MatchJoin's ``keys`` path)."""
+    entry per row (duplicates kept) -- the index MatchJoin probes, over
+    one snapshot's ids (a payload's rows, bound-filtered rows, or the
+    rows a hybrid join scans off the graph)."""
     groups: Dict[Hashable, List[Hashable]] = {}
     get = groups.get
     for v, w in zip(src, tgt):

@@ -20,7 +20,7 @@ from repro.graph.io import (
 )
 from repro.views.flatpack import _attach_extension
 from repro.views.storage import ViewSet
-from repro.views.view import MaterializedView, ViewDefinition, _attach_view
+from repro.views.view import MaterializedView, ViewDefinition
 
 
 def definition_to_json(definition: ViewDefinition) -> Dict[str, Any]:
@@ -55,7 +55,7 @@ def stored_view_from_json(doc: Dict[str, Any], store, nodes) -> MaterializedView
     ``store`` decoding through ``nodes`` (the loaded graph's table)."""
     edges = [(_node_from_json(v), _node_from_json(w)) for v, w in doc["edge_order"]]
     flat = _attach_extension(store, nodes, edges, doc["token"], doc["version"], doc["bounded"])
-    return _attach_view(definition_from_json(doc["definition"]), flat)
+    return MaterializedView(definition_from_json(doc["definition"]), flat)
 
 
 def write_viewset(views: ViewSet, path: Union[str, Path]) -> None:

@@ -208,23 +208,12 @@ class ViewSet:
     @property
     def snapshot_token(self) -> Optional[int]:
         """The snapshot token shared by *every* materialized extension,
-        or ``None`` when there are no extensions, any extension is not
-        snapshot-bound (built from node-key sets), or
-        the extensions come from different snapshots.  Derived from the
-        extensions themselves, so partial re-materializations can never
-        misreport the catalog's provenance."""
-        token: Optional[int] = None
-        if not self._extensions:
-            return None
-        for extension in self._extensions.values():
-            compact = extension.compact
-            if compact is None:
-                return None
-            if token is None:
-                token = compact.token
-            elif compact.token != token:
-                return None
-        return token
+        or ``None`` when there are no extensions or they come from
+        different snapshots.  Derived from the extensions themselves,
+        so partial re-materializations can never misreport the
+        catalog's provenance."""
+        tokens = {extension.compact.token for extension in self._extensions.values()}
+        return tokens.pop() if len(tokens) == 1 else None
 
     def is_materialized(self, name: str) -> bool:
         """Whether view ``name`` currently has a cached extension."""

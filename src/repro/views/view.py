@@ -18,10 +18,10 @@ Materialization always runs on the graph's frozen snapshot (a
 a :class:`~repro.views.flatpack.FlatExtension` -- the match sets as
 parallel ``(src, tgt)`` id rows in the snapshot's integer id space,
 stamped with the snapshot's token/version -- and nothing else: the
-node-key sets and ``I(V)`` decode from the rows when read.
-MatchJoin recognises extensions that share a snapshot and sweeps the
-rows directly (still never touching adjacency, so Theorem 1's guarantee
-is intact).
+node-key sets and ``I(V)`` decode from the rows when read.  There is
+no other form: MatchJoin sweeps the rows of extensions that share one
+snapshot and refuses extensions of two (still never touching adjacency,
+so Theorem 1's guarantee is intact).
 """
 
 from __future__ import annotations
@@ -94,48 +94,44 @@ class MaterializedView:
     ----------
     definition:
         The :class:`ViewDefinition` this extension belongs to.
+    compact:
+        The :class:`~repro.views.flatpack.FlatExtension`: the match sets
+        as id rows in the id space of the snapshot they were computed
+        on, stamped with its token.  It is the extension's only stored
+        form, whether fresh or attached from a saved snapshot, and like
+        its rows it does not pickle.
     edge_matches:
-        ``{view edge: Se}``; empty sets everywhere when the view did not
-        match the graph.
+        ``{view edge: Se}`` as node-key sets, decoded from the rows per
+        view edge on first read (evaluations that run entirely in id
+        space never pay the decode); empty sets everywhere when the
+        view did not match the graph.
     distances:
         For bounded views, ``{(v, v'): d}`` over all materialized pairs
-        -- the index ``I(V)``.  ``None`` for simulation views, whose
-        pairs are data edges (distance 1 by construction).
-    compact:
-        Optional :class:`~repro.views.flatpack.FlatExtension` carrying
-        the same match sets as id rows in snapshot id space (set on
-        every :func:`materialize`d view and every view the maintenance
-        tracker reads off its kept fixpoint; ``None`` only for an
-        extension built from node-key sets by hand).  Such a view is
-        built one way, by :func:`_attach_view`, whether fresh or attached
-        from a saved snapshot: the rows are its only stored form, and
-        ``edge_matches`` and ``distances`` decode from them per view
-        edge on first read -- evaluations that run entirely in id space
-        never pay the decode at all.  Like its rows, it does not pickle.
+        -- the index ``I(V)``, decoded from the rows' id-space index on
+        first read.  ``None`` for simulation views, whose pairs are data
+        edges (distance 1 by construction).
     """
 
     # ``compact`` first: a pickle meets its store's refusal before
     # decoding any match set.
     __slots__ = ("compact", "definition", "edge_matches", "distances", "_size")
 
-    def __init__(
-        self,
-        definition: ViewDefinition,
-        edge_matches: Dict[PEdge, Set[NodePair]],
-        distances: Optional[Dict[NodePair, int]] = None,
-        compact: Optional[FlatExtension] = None,
-    ) -> None:
-        self.definition = definition
-        self.edge_matches = edge_matches
-        self.distances = distances
+    def __init__(self, definition: ViewDefinition, compact: FlatExtension) -> None:
         self.compact = compact
+        self.definition = definition
+        self.edge_matches = compact.per_edge("pairs")
+        self.distances = (
+            None
+            if compact.distances is None
+            else _LazyDistances(partial(_decoded_distances, compact))
+        )
         self._size: Optional[int] = None
 
     @property
-    def snapshot_version(self) -> Optional[int]:
+    def snapshot_version(self) -> int:
         """Version of the snapshot this extension was materialized
-        against (``None`` for an extension built from node-key sets)."""
-        return self.compact.version if self.compact is not None else None
+        against."""
+        return self.compact.version
 
     @property
     def name(self) -> str:
@@ -150,32 +146,20 @@ class MaterializedView:
     @property
     def num_pairs(self) -> int:
         """Total number of materialized pairs across all view edges
-        (off the id rows where there are some: nothing is decoded)."""
-        if self.compact is not None:
-            return self.compact.num_pairs
-        return sum(len(pairs) for pairs in self.edge_matches.values())
+        (off the id rows: nothing is decoded)."""
+        return self.compact.num_pairs
 
     @property
     def size(self) -> int:
         """``|V(G)|`` contribution: nodes touched + pairs stored.
 
-        Computed once and cached: the match sets are fixed at
-        construction (maintenance builds fresh extensions rather than
-        mutating them in place), and every plan-choice record reads
-        the sizes of the extensions its answer read.  Counted off the
-        id rows where there are some, like :attr:`num_pairs`.
+        Computed once, off the id rows, and cached: the match sets are
+        fixed at construction (maintenance builds fresh extensions
+        rather than mutating them in place), and every plan-choice
+        record reads the sizes of the extensions its answer read.
         """
         if self._size is None:
-            if self.compact is not None:
-                nodes = self.compact.num_nodes()
-            else:
-                nodes = len({
-                    v
-                    for pairs in self.edge_matches.values()
-                    for pair in pairs
-                    for v in pair
-                })
-            self._size = nodes + self.num_pairs
+            self._size = self.compact.num_nodes() + self.num_pairs
         return self._size
 
     def pairs_of(self, view_edge: PEdge) -> Set[NodePair]:
@@ -191,30 +175,16 @@ class MaterializedView:
 
     def rebound(self, snapshot) -> "MaterializedView":
         """This extension with its payload re-stamped onto a snapshot
-        patched from its own (:meth:`FlatExtension.rebound`)."""
-        return MaterializedView(
-            self.definition,
-            self.edge_matches,
-            self.distances,
-            self.compact.rebound(snapshot),
-        )
+        patched from its own (:meth:`FlatExtension.rebound`); the sets
+        decoded so far are shared, not decoded again."""
+        clone = MaterializedView.__new__(MaterializedView)
+        for slot in MaterializedView.__slots__:
+            setattr(clone, slot, getattr(self, slot))
+        clone.compact = self.compact.rebound(snapshot)
+        return clone
 
     def __repr__(self) -> str:
         return f"MaterializedView({self.name!r}, pairs={self.num_pairs})"
-
-
-def _attach_view(
-    definition: ViewDefinition, flat: FlatExtension
-) -> MaterializedView:
-    """The one construction of a view that carries id rows -- fresh in
-    process or attached from a saved snapshot: its node-key
-    sets and node-key ``I(V)`` decode lazily from ``flat``."""
-    distances = (
-        None
-        if flat.distances is None
-        else _LazyDistances(partial(_decoded_distances, flat))
-    )
-    return MaterializedView(definition, flat.per_edge("pairs"), distances, flat)
 
 
 def _decoded_distances(flat: FlatExtension):
@@ -256,13 +226,13 @@ def snapshot_extension(
     For bounded views ``id_distances`` is ``I(V)`` in id space -- built
     during materialization, never re-derived per query.  The rows are
     the only stored form: the node-key sets and the node-key ``I(V)``
-    decode from them on first read (:func:`_attach_view`), so the two
-    forms cannot drift.
+    decode from them on first read (:class:`MaterializedView`), so the
+    two forms cannot drift.
     """
     if id_rows is None:
         edges = definition.pattern.edges()
         id_rows = {edge: (array("q"), array("q")) for edge in edges}
         id_distances = {} if definition.is_bounded else None
-    return _attach_view(
+    return MaterializedView(
         definition, FlatExtension.from_rows(snapshot, id_rows, id_distances)
     )

@@ -79,8 +79,8 @@ def matchjoin_metrics():
     """Isolate the MatchJoin counters in a fresh registry.
 
     Yields ``count(family, path)`` reading ``repro_matchjoin_<family>``
-    for one ``path`` label (``ids`` | ``keys`` | ``naive``) -- how tests
-    assert which id space a call ran in and how many row sweeps it made.
+    for one ``path`` label (``ids`` | ``naive``) -- how tests assert
+    which fixpoint a call ran and how many row sweeps it made.
     """
     with fresh_registry() as registry:
         yield lambda family, path: registry.counter(
@@ -101,44 +101,26 @@ def attached(graph):
         return SnapshotStore.load(directory).graph
 
 
-def key_only(views):
-    """A catalog over ``views``' definitions whose extensions are their
-    node-key sets alone (plain dicts, no id rows): what MatchJoin reads
-    through its ``keys`` adapter, which ``materialize`` never produces."""
-    from repro.views import ViewSet
-    from repro.views.view import MaterializedView
-
-    copy = ViewSet(views.definitions())
-    for name, view in views.extensions().items():
-        distances = None if view.distances is None else dict(view.distances.items())
-        copy.set_extension(MaterializedView(
-            view.definition,
-            {edge: set(pairs) for edge, pairs in view.edge_matches.items()},
-            distances,
-        ))
-    return copy
-
-
 def dict_extension(definition, graph: DataGraph):
-    """The extension the dict reference engines give ``definition`` on
-    the live ``graph``: node-key match sets and, for a bounded view, the
-    shortest distance of every pair (``I(V)``) -- what a materialized
+    """``(edge_matches, distances)``: the extension the dict reference
+    engines give ``definition`` on the live ``graph`` -- node-key match
+    sets and, for a bounded view, the shortest distance of every pair
+    (``I(V)``; ``None`` for a simulation view).  What a materialized
     view's decoded rows are held to."""
     from repro.simulation import match
     from repro.simulation.bounded import bounded_match_with_distances
-    from repro.views.view import MaterializedView
 
     pattern = definition.pattern
     empty = {edge: set() for edge in pattern.edges()}
     if not definition.is_bounded:
         result = match(pattern, graph)
-        return MaterializedView(definition, result.edge_matches if result else empty)
+        return (result.edge_matches if result else empty), None
     result, per_edge = bounded_match_with_distances(pattern, graph)
     index: Dict[Tuple, int] = {}
     for distances in per_edge.values() if result else ():
         for pair, distance in distances.items():
             index[pair] = min(distance, index.get(pair, distance))
-    return MaterializedView(definition, result.edge_matches if result else empty, index)
+    return (result.edge_matches if result else empty), index
 
 
 def build_graph(labeled_nodes, edges):

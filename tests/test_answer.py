@@ -1,9 +1,15 @@
 """Tests for the end-to-end Answer pipeline (repro.core.answer)."""
 
+import random
+
 import pytest
 
 from repro import answer_with_views, bounded_match, match
 from repro.core.answer import Answer
+from repro.core.containment import contains
+from repro.core.matchjoin import match_join
+from repro.core.rewriting import hybrid_answer, hybrid_join, partial_answer
+from repro.datasets import generate_views, query_from_views, random_graph
 from repro.errors import NotContainedError, NotMaterializedError
 from repro.views import ViewDefinition, ViewSet
 
@@ -108,3 +114,61 @@ class TestDispatch:
         g, q, views = make_setup()
         with pytest.raises(ValueError):
             answer_with_views(q, views, graph=g, selection="best")
+
+
+class TestAMutatedGraph:
+    """Views materialized, the graph mutated, one needed view
+    rematerialized: the extensions span two snapshots.  MatchJoin over
+    them refuses; the wrappers rematerialize every view not on the
+    graph's current snapshot and answer for it.  (Seed 0 is one where
+    joining the mixed extensions by node keys answered wrong.)"""
+
+    @staticmethod
+    def mutated(seed=0):
+        labels = tuple(f"l{i}" for i in range(4))
+        graph = random_graph(150, 400, labels=labels, seed=seed)
+        views = ViewSet(generate_views(labels, 8, seed=seed))
+        views.materialize(graph)
+        query = query_from_views(views, 4, 6, seed=seed)
+        containment = contains(query, views)
+        assert containment.holds
+        rng = random.Random(seed)
+        nodes = sorted(graph.nodes(), key=repr)
+        for _ in range(60):
+            graph.add_edge(*rng.sample(nodes, 2))
+        names = sorted({n for refs in containment.mapping.values() for n, _ in refs})
+        assert len(names) > 1
+        return graph, views, query, containment, names
+
+    def test_joins_over_two_snapshots_are_refused(self):
+        graph, views, query, containment, names = self.mutated()
+        extensions = views.extensions()
+        # One snapshot, but not the graph's current one.
+        with pytest.raises(ValueError, match="not materialized on this graph"):
+            hybrid_join(query, containment, extensions, graph)
+        views.materialize(graph, names=names[:1])
+        extensions = views.extensions()
+        for join in (
+            lambda: match_join(query, containment, extensions),
+            lambda: match_join(query, containment, extensions, optimized=False),
+            lambda: hybrid_join(query, containment, extensions, graph),
+        ):
+            with pytest.raises(ValueError, match="2 snapshots") as refused:
+                join()
+            assert all(repr(name) in str(refused.value) for name in names)
+
+    @pytest.mark.parametrize("wrapper", ["answer_with_views", "partial_answer", "hybrid_answer"])
+    def test_the_wrappers_answer_for_the_graph_they_are_given(self, wrapper):
+        graph, views, query, _, names = self.mutated()
+        views.materialize(graph, names=names[:1])
+        if wrapper == "answer_with_views":
+            result = answer_with_views(query, views, graph).result
+        elif wrapper == "partial_answer":
+            answered = partial_answer(query, views, graph)
+            assert answered.coverage == 1.0
+            result = answered.result
+        else:
+            result = hybrid_answer(query, views, graph)
+        assert result.edge_matches == match(query, graph).edge_matches
+        tokens = {views.extension(name).compact.token for name in names}
+        assert tokens == {graph.freeze().snapshot_token}

@@ -1,14 +1,13 @@
 """Tests for BMatchJoin (Section VI-A; Theorems 8, 9)."""
 
 import random
+from functools import partial
 
 import pytest
 
 from repro.core.bounded.bcontainment import bounded_contains
-from repro.core.bounded.bmatchjoin import (
-    bounded_match_join,
-    merge_initial_sets_bounded,
-)
+from repro.core.bounded.bmatchjoin import _filter_bound, bounded_match_join
+from repro.core.matchjoin import merge_initial_sets
 from repro.errors import NotContainedError
 from repro.graph import ANY, BoundedPattern
 from repro.simulation import bounded_match
@@ -70,7 +69,9 @@ class TestBasics:
         assert views.extension("Vloose").pairs_of(("a", "b")) == {(1, 3), (1, 4)}
         containment = bounded_contains(q, views)
         assert containment.holds
-        initial = merge_initial_sets_bounded(q, containment, views.extensions())
+        initial = merge_initial_sets(
+            q, containment, views.extensions(), partial(_filter_bound, q)
+        )
         assert initial[("a", "b")] == {(1, 4)}
         result = bounded_match_join(q, containment, views)
         assert result.edge_matches[("a", "b")] == {(1, 4)}

@@ -9,8 +9,8 @@ Covers the whole vertical slice:
   are ``test_oracle_machine.py``'s);
 * bounded view materialization against snapshots: id-space
   ``CompactExtension`` payloads with the distance index ``I(V)``;
-* the BMatchJoin id-space fast path engaging on shared-snapshot
-  extensions and falling back (with identical results) otherwise;
+* BMatchJoin over the id rows of one snapshot, and its refusal of
+  extensions from two;
 * the stale-bounded-view maintenance contract: ``ViewSet.apply_delta``
   flags bounded views stale (stamp bump -> answer-cache eviction) and
   ``QueryEngine`` rematerializes them from the refreshed snapshot --
@@ -19,12 +19,13 @@ Covers the whole vertical slice:
 
 import random
 
+import pytest
+
 from helpers import (
     build_bounded,
     build_graph,
     dict_extension,
     ingested,
-    key_only,
     matchjoin_metrics,
     random_labeled_graph,
     random_pattern,
@@ -126,18 +127,14 @@ class TestBoundedMatchEquivalence:
             sharded, g = ingested(edges, labels, 2, tmp_path)
             q = random_bounded(rng, 2, rng.randint(1, 3), star_prob=0.2)
             definition = ViewDefinition("v", q)
-            on_dict = dict_extension(definition, g)
+            edge_matches, distances = dict_extension(definition, g)
             on_compact = materialize(definition, g.freeze())
             on_sharded = materialize(definition, sharded)
-            assert on_dict.edge_matches == on_compact.edge_matches
-            assert on_dict.edge_matches == on_sharded.edge_matches
-            assert on_dict.distances == on_compact.distances
-            assert on_dict.distances == on_sharded.distances
-            # Snapshot materialization carries the id-space payload.
-            assert on_compact.compact is not None
-            assert on_sharded.compact is not None
-            if any(on_dict.edge_matches.values()):
-                assert on_compact.compact.distances is not None
+            assert edge_matches == on_compact.edge_matches
+            assert edge_matches == on_sharded.edge_matches
+            assert distances == on_compact.distances
+            assert distances == on_sharded.distances
+            assert on_compact.compact.distances is not None
 
     def test_compact_payload_matches_node_key_form(self):
         g = build_graph(
@@ -162,7 +159,7 @@ class TestBoundedMatchEquivalence:
 
 
 # ----------------------------------------------------------------------
-# BMatchJoin: fast path vs fallback
+# BMatchJoin over the id rows of one snapshot
 # ----------------------------------------------------------------------
 def _bounded_workload(seed, num_views=8, nodes=150, edges=400):
     labels = tuple(f"l{i}" for i in range(6))
@@ -170,48 +167,40 @@ def _bounded_workload(seed, num_views=8, nodes=150, edges=400):
     definitions = list(
         generate_views(labels, num_views, seed=seed, bounded=True, max_bound=3)
     )
-    frozen = graph.freeze()
-    compact_views = ViewSet(definitions)
-    compact_views.materialize(frozen)
-    return graph, frozen, key_only(compact_views), compact_views
+    views = ViewSet(definitions)
+    views.materialize(graph.freeze())
+    return graph, views
 
 
 class TestBMatchJoinFastPath:
     def test_fast_path_engages_on_shared_snapshot(self):
-        _, _, key_views, compact_views = _bounded_workload(3)
-        query = query_from_views(key_views, 4, 6, seed=7)
-        containment = bounded_minimal_views(query, key_views)
+        graph, views = _bounded_workload(3)
+        query = query_from_views(views, 4, 6, seed=7)
+        containment = bounded_minimal_views(query, views)
         with matchjoin_metrics() as count:
-            bounded_match_join(query, containment, compact_views)
-            assert (count("total", "ids"), count("total", "keys")) == (1, 0)
-            # Key-only extensions carry no payload: node-key rows.
-            bounded_match_join(query, containment, key_views)
-            assert (count("total", "ids"), count("total", "keys")) == (1, 1)
-
-    def test_fast_path_declines_on_mixed_snapshots(self):
-        graph, frozen, key_views, compact_views = _bounded_workload(4)
-        query = query_from_views(key_views, 4, 6, seed=5)
-        containment = bounded_contains(query, compact_views)
-        names = {
-            name for refs in containment.mapping.values() for name, _ in refs
-        }
-        assert names
-        graph.add_node("poke", labels="l0")
-        compact_views.materialize(graph.freeze(), names=[sorted(names)[0]])
-        extensions = compact_views.extensions()
-        tokens = {
-            extensions[name].compact.token
-            for name in names
-            if extensions[name].compact is not None
-        }
-        with matchjoin_metrics() as count:
-            result = bounded_match_join(query, containment, compact_views)
-            assert count("total", "keys" if len(tokens) > 1 else "ids") == 1
+            result = bounded_match_join(query, containment, views)
+            assert count("total", "ids") == 1
         assert result.edge_matches == bounded_match(query, graph).edge_matches
+
+    def test_mixed_snapshots_are_refused(self):
+        graph, views = _bounded_workload(4)
+        query = query_from_views(views, 4, 6, seed=5)
+        containment = bounded_contains(query, views)
+        names = sorted(
+            {name for refs in containment.mapping.values() for name, _ in refs}
+        )
+        assert len(names) > 1
+        graph.add_node("poke", labels="l0")
+        views.materialize(graph.freeze(), names=names[:1])
+        with matchjoin_metrics() as count:
+            with pytest.raises(ValueError, match="2 snapshots") as refused:
+                bounded_match_join(query, containment, views)
+            assert count("total", "ids") == 0
+        assert all(repr(name) in str(refused.value) for name in names)
 
     def test_tighter_query_bounds_filter_through_distances(self):
         # View at bound 3 materializes far-apart pairs; a query edge at
-        # bound 1 must drop them, identically on both paths.
+        # bound 1 must drop them.
         g = build_graph(
             {1: "A", 2: "B", 5: "A", 6: "X", 7: "B"},
             [(1, 2), (5, 6), (6, 7)],
@@ -221,24 +210,20 @@ class TestBMatchJoinFastPath:
         )
         views = ViewSet([view])
         views.materialize(g)
-        for catalog, path in ((key_only(views), "keys"), (views, "ids")):
-            query = build_bounded({"a": "A", "b": "B"}, [("a", "b", 1)])
-            containment = bounded_contains(query, catalog)
-            assert containment.holds
-            with matchjoin_metrics() as count:
-                result = bounded_match_join(query, containment, catalog)
-                # On the snapshot the evaluation runs in id space.
-                assert count("total", path) == 1
-            assert result.edge_matches[("a", "b")] == {(1, 2)}
+        query = build_bounded({"a": "A", "b": "B"}, [("a", "b", 1)])
+        containment = bounded_contains(query, views)
+        assert containment.holds
+        with matchjoin_metrics() as count:
+            result = bounded_match_join(query, containment, views)
+            assert count("total", "ids") == 1
+        assert result.edge_matches[("a", "b")] == {(1, 2)}
 
     def test_naive_engine_ignores_fast_path(self):
-        _, _, key_views, compact_views = _bounded_workload(5)
-        query = query_from_views(key_views, 4, 5, seed=9)
-        containment = bounded_contains(query, key_views)
-        naive = bounded_match_join(
-            query, containment, compact_views, optimized=False
-        )
-        assert naive == bounded_match_join(query, containment, key_views)
+        _, views = _bounded_workload(5)
+        query = query_from_views(views, 4, 5, seed=9)
+        containment = bounded_contains(query, views)
+        naive = bounded_match_join(query, containment, views, optimized=False)
+        assert naive == bounded_match_join(query, containment, views)
 
     def test_sharded_bounded_extensions_share_composite_token(self, tmp_path):
         labels = tuple(f"l{i}" for i in range(6))

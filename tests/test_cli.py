@@ -155,7 +155,7 @@ class TestCli:
                 "--graph", str(graph_path), "--out", str(out_path),
             ])
             assert rc == 0
-            assert count("total", "ids") == 1 and count("total", "keys") == 0
+            assert count("total", "ids") == 1
         result = json.loads(out_path.read_text())
         assert "x->y" in result
         capsys.readouterr()

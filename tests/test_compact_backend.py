@@ -9,8 +9,8 @@ Covers the whole refactor stack:
   identical results on the dict backend and on the frozen
   ``CompactGraph`` backend over randomized graphs and patterns
   (``match_join`` on every snapshot form is ``test_oracle_machine.py``'s);
-* snapshot-bound extensions (id payloads, token matching, the MatchJoin
-  fast path engaging and falling back correctly);
+* snapshot-bound extensions (id payloads, token matching, MatchJoin
+  running on one snapshot's rows and refusing two snapshots');
 * the ``QueryEngine`` freezing ``G`` once and invalidating the snapshot
   through maintenance events.
 """
@@ -27,7 +27,6 @@ from helpers import (
     build_bounded,
     build_graph,
     build_pattern,
-    key_only,
     matchjoin_metrics,
     random_labeled_graph,
     random_pattern,
@@ -258,71 +257,54 @@ class TestMatchEquivalence:
 # ----------------------------------------------------------------------
 # Backend equivalence: MatchJoin over snapshot-bound extensions
 # ----------------------------------------------------------------------
-def _materialized_pair(graph, definitions):
-    """The same view suite materialized on the snapshot, and its
-    key-only copy (node-key sets, no id rows)."""
-    frozen = graph.freeze()
-    compact_views = ViewSet(definitions)
-    compact_views.materialize(frozen)
-    return key_only(compact_views), compact_views, frozen
+def _materialized(graph, definitions):
+    """The view suite materialized on ``graph``'s snapshot."""
+    views = ViewSet(definitions)
+    views.materialize(graph.freeze())
+    return views
 
 
 class TestMatchJoinEquivalence:
     def test_fast_path_engages_on_shared_snapshot(self):
         labels = tuple(f"l{i}" for i in range(6))
         graph = random_graph(150, 400, labels=labels, seed=3)
-        definitions = list(generate_views(labels, 8, seed=3))
-        key_views, compact_views, _ = _materialized_pair(graph, definitions)
-        query = query_from_views(key_views, 4, 6, seed=7)
-        containment = contains(query, key_views)
-        with matchjoin_metrics() as count:
-            match_join(query, containment, compact_views)
-            assert (count("total", "ids"), count("total", "keys")) == (1, 0)
-            # Key-only extensions carry no payload: node-key rows.
-            match_join(query, containment, key_views)
-            assert (count("total", "ids"), count("total", "keys")) == (1, 1)
-
-    def test_fast_path_declines_on_mixed_snapshots(self):
-        labels = tuple(f"l{i}" for i in range(6))
-        graph = random_graph(150, 400, labels=labels, seed=4)
-        definitions = list(generate_views(labels, 8, seed=4))
-        views = ViewSet(definitions)
-        views.materialize(graph.freeze())
-        query = query_from_views(views, 4, 6, seed=5)
+        views = _materialized(graph, list(generate_views(labels, 8, seed=3)))
+        query = query_from_views(views, 4, 6, seed=7)
         containment = contains(query, views)
-        names = {
-            name
-            for refs in containment.mapping.values()
-            for name, _ in refs
-        }
-        assert names
-        # Re-materialize one needed view against a *different* snapshot:
-        # tokens now disagree, so ids must not be mixed.
-        graph.add_node("poke", labels=labels[0])
-        views.materialize(graph.freeze(), names=[sorted(names)[0]])
-        extensions = views.extensions()
-        tokens = {
-            extensions[name].compact.token
-            for name in names
-            if extensions[name].compact is not None
-        }
-        # Ids of different snapshots must not mix; either way the answer
-        # stays correct.
         with matchjoin_metrics() as count:
             result = match_join(query, containment, views)
-            assert count("total", "keys" if len(tokens) > 1 else "ids") == 1
+            assert count("total", "ids") == 1
         assert result.edge_matches == match(query, graph).edge_matches
+
+    def test_mixed_snapshots_are_refused(self):
+        labels = tuple(f"l{i}" for i in range(6))
+        graph = random_graph(150, 400, labels=labels, seed=4)
+        views = _materialized(graph, list(generate_views(labels, 8, seed=4)))
+        query = query_from_views(views, 4, 6, seed=5)
+        containment = contains(query, views)
+        names = sorted(
+            {name for refs in containment.mapping.values() for name, _ in refs}
+        )
+        assert len(names) > 1
+        # Re-materialize one needed view against a *different* snapshot:
+        # the extensions are no longer V(G) of one graph.
+        graph.add_node("poke", labels=labels[0])
+        views.materialize(graph.freeze(), names=names[:1])
+        for optimized in (True, False):
+            with matchjoin_metrics() as count:
+                with pytest.raises(ValueError, match="2 snapshots") as refused:
+                    match_join(query, containment, views, optimized=optimized)
+                assert count("total", "ids") == count("total", "naive") == 0
+            assert all(repr(name) in str(refused.value) for name in names)
 
     def test_naive_engine_ignores_fast_path(self):
         labels = tuple(f"l{i}" for i in range(6))
         graph = random_graph(120, 320, labels=labels, seed=6)
-        definitions = list(generate_views(labels, 8, seed=6))
-        key_views, compact_views, _ = _materialized_pair(graph, definitions)
-        query = query_from_views(key_views, 4, 5, seed=9)
-        containment = contains(query, key_views)
-        naive = match_join(query, containment, compact_views, optimized=False)
-        assert naive == match_join(query, containment, key_views)
-
+        views = _materialized(graph, list(generate_views(labels, 8, seed=6)))
+        query = query_from_views(views, 4, 5, seed=9)
+        containment = contains(query, views)
+        naive = match_join(query, containment, views, optimized=False)
+        assert naive == match_join(query, containment, views)
 
 
 # ----------------------------------------------------------------------
@@ -338,9 +320,11 @@ class TestSnapshotBookkeeping:
         assert views.snapshot_token == frozen.snapshot_token
         assert views.extension("v").snapshot_version == frozen.snapshot_version
         assert views.subset(["v"]).snapshot_token == frozen.snapshot_token
-        keys = key_only(views)
-        assert keys.snapshot_token is None
-        assert keys.extension("v").snapshot_version is None
+        both = ViewSet([view, ViewDefinition("w", view.pattern)])
+        both.materialize(g)
+        g.add_node(3, labels="C")
+        both.materialize(g, names=["w"])  # on a new snapshot
+        assert both.snapshot_token is None
 
 
 # ----------------------------------------------------------------------

@@ -71,7 +71,7 @@ class TestReadmeFlow:
             engine = QueryEngine(views, graph=graph, selection="minimal")
             assert all(engine.plan(q).strategy == "matchjoin" for q in queries)
             engine.answer_batch(queries)
-            assert (count("total", "ids"), count("total", "keys")) == (2 * len(queries), 0)
+            assert count("total", "ids") == 2 * len(queries)
         assert engine.snapshot() is graph.freeze()
 
 
@@ -509,7 +509,7 @@ class TestEngineCli:
             registry = get_registry()
             return {
                 path: registry.counter("repro_matchjoin_total", path=path).value
-                for path in ("ids", "keys")
+                for path in ("ids", "naive")
             }
 
         before = joins()
@@ -521,7 +521,7 @@ class TestEngineCli:
         assert rc == 0
         after = joins()
         assert after["ids"] == before["ids"] + 1
-        assert after["keys"] == before["keys"]
+        assert after["naive"] == before["naive"]
         assert "2 pairs via matchjoin" in capsys.readouterr().out
 
     def test_engine_subcommand_not_contained_without_graph(

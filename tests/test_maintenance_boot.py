@@ -225,7 +225,7 @@ report = engine.apply_delta(Delta().insert(*extra).delete(*min(matches[edge], ke
 updated = {key: calls[key] - before[key] for key in calls}
 answer = engine.answer(pattern)
 joins = {path: get_registry().counter("repro_matchjoin_total", path=path).value
-         for path in ("ids", "keys")}
+         for path in ("ids", "naive")}
 print(json.dumps({"boot": booted, "update": updated, "changed": name in report.changed_views,
                   "strategy": answer.stats.strategy, "pairs": [first.result_size, answer.result_size],
                   "joins": joins, "numpy": "numpy" in sys.modules}))
@@ -250,7 +250,7 @@ def test_a_maintained_boot_runs_one_fixpoint_per_view_and_no_numpy(tmp_path):
     assert report["update"] == {"simulate": 0, "WitnessCounters": 0}
     assert report["changed"] is True
     assert report["strategy"] == "matchjoin" and min(report["pairs"]) > 0
-    assert report["joins"] == {"ids": 2, "keys": 0}
+    assert report["joins"] == {"ids": 2, "naive": 0}
     assert report["numpy"] is False
 
 

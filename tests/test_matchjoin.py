@@ -5,15 +5,13 @@ import pickle
 import random
 import sys
 import threading
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.bounded.bcontainment import bounded_contains
-from repro.core.bounded.bmatchjoin import (
-    bounded_match_join,
-    merge_initial_sets_bounded,
-)
+from repro.core.bounded.bmatchjoin import _filter_bound, bounded_match_join
 from repro.core import matchjoin
 from repro.core.containment import contains
 from repro.core.matchjoin import _fixpoint_naive, match_join, merge_initial_sets
@@ -35,7 +33,6 @@ from repro.views import ViewDefinition, ViewSet
 from helpers import (
     build_graph,
     build_pattern,
-    key_only,
     matchjoin_metrics,
     random_labeled_graph,
     random_pattern,
@@ -320,15 +317,12 @@ class TestKernelSweepCounts:
                 ViewDefinition(f"E{i}", query.subpattern([edge]))
                 for i, edge in enumerate(query.edges())
             )
-            path = "ids" if seed % 2 else "keys"
             views.materialize(graph)
-            if path == "keys":
-                views = key_only(views)
             containment = contains(query, views)
             with matchjoin_metrics() as count:
                 result = match_join(query, containment, views)
-                assert count("total", path) == 1
-                sweeps = count("sweeps_total", path)
+                assert count("total", "ids") == 1
+                sweeps = count("sweeps_total", "ids")
             assert sweeps <= query.num_edges
             assert result.edge_matches == match(query, graph).edge_matches
             swept += sweeps
@@ -365,8 +359,7 @@ class TestKernelSweepCounts:
         assert result.edge_matches == match(query, graph).edge_matches
         assert result.edge_matches[(0, 1)] == {((depth, 0), (depth, 1))}
 
-    @pytest.mark.parametrize("path", ["ids", "keys"])
-    def test_probe_reads_only_the_live_targets_rows(self, path):
+    def test_probe_reads_only_the_live_targets_rows(self):
         """Query ``a <-> b`` over views ``A -> B`` (4,000 rows, fan-in
         80 into each of 50 B-nodes) and ``B -> A`` (3 rows, from 3
         B-nodes): only those 3 B-nodes are ever live targets, and one
@@ -389,14 +382,12 @@ class TestKernelSweepCounts:
             ]
         )
         views.materialize(graph)
-        if path == "keys":
-            views = key_only(views)
         query = build_pattern({"a": "A", "b": "B"}, [("a", "b"), ("b", "a")])
         containment = contains(query, views)
         with matchjoin_metrics() as count, trace.root_span("query") as root:
             result = match_join(query, containment, views)
-            assert count("total", path) == 1
-            sweeps = count("sweeps_total", path)
+            assert count("total", "ids") == 1
+            sweeps = count("sweeps_total", "ids")
         (span,) = [child for child in root.children if child.name == "matchjoin"]
         assert span.attrs["sweeps"] == sweeps <= 2 * query.num_edges
         # The A -> B rows at b0-b2 (3 x 80) and the 3 B -> A rows, each
@@ -512,21 +503,18 @@ def _random_instance(rng, bounded):
 @given(
     seed=st.integers(0, 10_000),
     bounded=st.booleans(),
-    path=st.sampled_from(["ids", "keys"]),
     order=st.sampled_from(sorted(READ_ORDERS)),
 )
 def test_lazy_answer_equals_the_naive_fixpoint_in_every_read_order(
-    seed, bounded, path, order
+    seed, bounded, order
 ):
     graph, query, views = _random_instance(random.Random(seed), bounded)
-    # Materialized, the extensions carry id rows; their key-only copies
-    # are node-key sets only.
     views.materialize(graph)
-    if path == "keys":
-        views = key_only(views)
     if bounded:
         containment = bounded_contains(query, views)
-        merged = merge_initial_sets_bounded(query, containment, views.extensions())
+        merged = merge_initial_sets(
+            query, containment, views.extensions(), partial(_filter_bound, query)
+        )
         join = bounded_match_join
     else:
         containment = contains(query, views)
@@ -539,7 +527,7 @@ def test_lazy_answer_equals_the_naive_fixpoint_in_every_read_order(
         package = matchjoin._package
         patch.setattr(matchjoin, "_package", lambda *a: passes.append(1) or package(*a))
         result = join(query, containment, views)
-        assert count("total", path) == 1
+        assert count("total", "ids") == 1
         # Answering, truth and the key sets package nothing.
         assert bool(result) == bool(expected)
         assert list(result.edge_matches) == (query.edges() if expected else [])
@@ -592,18 +580,17 @@ def _random_cyclic_instance(rng, bounded):
 @given(
     seed=st.integers(0, 10_000),
     bounded=st.booleans(),
-    path=st.sampled_from(["ids", "keys"]),
 )
-def test_probe_and_scan_leave_the_same_survivors(seed, bounded, path):
+def test_probe_and_scan_leave_the_same_survivors(seed, bounded):
     """The kernel's one read choice forced each way on random cyclic
     queries: the same survivors, the same visits, the naive fixpoint."""
     graph, query, views = _random_cyclic_instance(random.Random(seed), bounded)
     views.materialize(graph)
-    if path == "keys":
-        views = key_only(views)
     if bounded:
         containment = bounded_contains(query, views)
-        merged = merge_initial_sets_bounded(query, containment, views.extensions())
+        merged = merge_initial_sets(
+            query, containment, views.extensions(), partial(_filter_bound, query)
+        )
         join = bounded_match_join
     else:
         containment = contains(query, views)
@@ -616,8 +603,8 @@ def test_probe_and_scan_leave_the_same_survivors(seed, bounded, path):
         with matchjoin_metrics() as count, pytest.MonkeyPatch.context() as patch:
             patch.setattr(matchjoin, "probes", lambda live, targets, rows: probe)
             answers[probe] = join(query, containment, views).edge_matches
-            assert count("total", path) == 1
-            visits[probe] = count("sweeps_total", path)
+            assert count("total", "ids") == 1
+            visits[probe] = count("sweeps_total", "ids")
     assert answers[True] == answers[False] == expected.edge_matches
     assert visits[True] == visits[False]
 

